@@ -36,6 +36,7 @@ handle over what honest clients accept.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any
 
 from repro.common.encoding import encode
@@ -70,10 +71,17 @@ class VerificationCache:
         return verdict
 
     def store(self, key: tuple[ClientId, bytes, bytes], verdict: bool) -> None:
-        """Record the scheme's verdict for ``key`` (bounded)."""
-        if len(self._memo) >= self._limit:  # pragma: no cover - bound guard
-            self._memo.clear()
-        self._memo[key] = verdict
+        """Record the scheme's verdict for ``key`` (bounded: at the limit
+        the older half goes, never the recent working set)."""
+        memo = self._memo
+        if len(memo) >= self._limit:
+            # Dicts keep insertion order, and reuse is recent (signatures of
+            # the last few operations): the older half is the cold half.  A
+            # batch, not one entry per insert: every ``iter(memo)`` rescans
+            # the hole earlier head deletions left (9 us each at this size).
+            for oldest in list(islice(memo, max(1, self._limit // 2))):
+                del memo[oldest]
+        memo[key] = verdict
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/size counters (harvested by :mod:`repro.perf`)."""
@@ -114,7 +122,22 @@ class ClientSigner:
     Clients verify each other's signatures constantly (Algorithm 1 lines 35,
     41, 43, 49, 50), so the signer carries a verifier alongside its own
     signing capability.
+
+    A client is also shown its *own* signatures: the COMMIT-signature of
+    its previous operation whenever it was the last committer (line 35 with
+    ``c = i``), and its COMMIT/DATA-signatures when it reads its own
+    register (lines 49/50).  The signer remembers the last few
+    ``signature -> canonical payload`` pairs it produced and answers those
+    exact pairs itself; a signature it did not produce, or one of its own
+    over a payload the server altered, is not in the memo and takes the
+    scheme's path.  The memo is private to this signer — never the shared
+    :class:`VerificationCache`, where one client's memory would vouch for
+    another's key.
     """
+
+    #: Own signatures come back within an operation or two (4 signed per
+    #: operation), so a few operations' worth is the whole working set.
+    _OWN_SIGNATURES_KEPT = 64
 
     def __init__(
         self,
@@ -125,6 +148,7 @@ class ClientSigner:
         self._scheme = scheme
         self._client = client
         self._verifier = PublicVerifier(scheme, cache)
+        self._own_signed: dict[bytes, bytes] = {}
 
     @property
     def client(self) -> ClientId:
@@ -138,10 +162,21 @@ class ClientSigner:
 
     def sign(self, *payload: Any) -> bytes:
         """Sign a structured payload with this client's key."""
-        return self._scheme.sign(self._client, encode(*payload))
+        payload_bytes = encode(*payload)
+        signature = self._scheme.sign(self._client, payload_bytes)
+        own = self._own_signed
+        if len(own) >= self._OWN_SIGNATURES_KEPT:
+            del own[next(iter(own))]  # oldest first: dicts keep insertion order
+        own[signature] = payload_bytes
+        return signature
 
     def verify(self, signer: ClientId, signature: bytes, *payload: Any) -> bool:
-        """``verify_signer(signature, payload)`` via the shared verifier."""
+        """``verify_signer(signature, payload)``: this signer's own recent
+        signatures from its memo, everything else via the shared verifier."""
+        if signer == self._client and isinstance(signature, bytes):
+            signed = self._own_signed.get(signature)
+            if signed is not None and signed == encode(*payload):
+                return True
         return self._verifier.verify(signer, signature, *payload)
 
 

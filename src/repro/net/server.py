@@ -227,6 +227,9 @@ class NetServerHost:
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
         self._handlers.clear()
+        engine = getattr(self.node, "engine", None)
+        if engine is not None:
+            engine.close()
 
     @property
     def endpoint(self) -> str:

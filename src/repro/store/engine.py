@@ -164,6 +164,9 @@ class StorageEngine(ABC):
     def checkpoint(self, state: ServerState) -> None:
         """Force a snapshot of ``state`` and compact the log."""
 
+    def close(self) -> None:
+        """Release what the engine holds open; durable contents stay."""
+
 
 class MemoryEngine(StorageEngine):
     """The paper's volatile server: nothing is ever persisted."""
@@ -304,11 +307,16 @@ class LogStructuredEngine(StorageEngine):
     def checkpoint(self, state: ServerState) -> None:
         payload = encode_snapshot(self._seq, state)
         self.medium.write_atomic(self.SNAPSHOT, frame_record(payload))
-        # Compaction: every WAL record is now covered by the snapshot.
+        # Compaction: every WAL record is now covered by the snapshot.  A
+        # crash before the truncate leaves entries with seq <= covered,
+        # which recover() skips.
         self.medium.truncate(self.WAL)
         self._records_since_checkpoint = 0
         self.snapshots_taken += 1
         self.last_snapshot_bytes = len(payload)
+
+    def close(self) -> None:
+        self.medium.close()
 
     # ---------------------------------------------------------------- #
     # Recovery

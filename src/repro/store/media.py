@@ -10,12 +10,13 @@ exact durability contract write-ahead logging needs.  Two implementations:
   This is what the deterministic tests and the crash/rollback scenarios
   run on: "disk" survives, process memory dies.
 * :class:`DirectoryMedium` — real files under a directory, with
-  write-then-rename atomic replacement.  Used by the storage benchmarks
-  to measure the engine against an actual filesystem.
+  write-then-rename atomic replacement.  What ``repro serve --storage
+  dir:<path>`` persists to, and what the storage benchmarks measure.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -45,6 +46,9 @@ class Medium(ABC):
 
     def size(self, name: str) -> int:
         return len(self.read(name))
+
+    def close(self) -> None:
+        """Release OS resources; the medium reopens them on next use."""
 
 
 class InMemoryMedium(Medium):
@@ -79,36 +83,71 @@ class InMemoryMedium(Medium):
 
 
 class DirectoryMedium(Medium):
-    """Real files under one directory; atomic replace via rename."""
+    """Real files under one directory; atomic replace via rename.
+
+    Each appended stream keeps one unbuffered ``O_APPEND`` handle, so an
+    append is a single ``write(2)`` that has reached the OS when it
+    returns (no ``fsync``: the data survives the process, not the
+    machine).  A second ``DirectoryMedium`` on the same directory — a
+    restarted server — therefore reads everything the first one appended.
+    """
+
+    _TMP_SUFFIX = ".tmp"
 
     def __init__(self, path: str | os.PathLike) -> None:
         self._dir = Path(path)
         self._dir.mkdir(parents=True, exist_ok=True)
+        # A crash between writing ``<name>.tmp`` and the rename strands it.
+        for stale in self._dir.glob("*" + self._TMP_SUFFIX):
+            stale.unlink()
+        self._appenders: dict[str, io.FileIO] = {}
 
     def _path(self, name: str) -> Path:
-        if "/" in name or name.startswith("."):
+        if "/" in name or name.startswith(".") or name.endswith(self._TMP_SUFFIX):
             raise StorageError(f"invalid stream name {name!r}")
         return self._dir / name
 
+    def _appender(self, name: str) -> io.FileIO:
+        stream = self._appenders.get(name)
+        if stream is None:
+            stream = self._appenders[name] = open(self._path(name), "ab", buffering=0)
+        return stream
+
+    def _drop_appender(self, name: str) -> None:
+        stream = self._appenders.pop(name, None)
+        if stream is not None:
+            stream.close()
+
     def read(self, name: str) -> bytes:
-        path = self._path(name)
-        if not path.exists():
+        try:
+            return self._path(name).read_bytes()
+        except FileNotFoundError:
             return b""
-        return path.read_bytes()
 
     def append(self, name: str, data: bytes) -> None:
-        with open(self._path(name), "ab") as stream:
-            stream.write(data)
+        stream = self._appender(name)
+        written = stream.write(data)
+        while written < len(data):  # a raw write may be short
+            written += stream.write(data[written:])
 
     def write_atomic(self, name: str, data: bytes) -> None:
         path = self._path(name)
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path.with_name(path.name + self._TMP_SUFFIX)
         tmp.write_bytes(data)
         os.replace(tmp, path)
+        # The old handle points at the replaced (now unlinked) file.
+        self._drop_appender(name)
 
     def truncate(self, name: str) -> None:
-        self.write_atomic(name, b"")
+        # In place; O_APPEND puts the next write at the new end (offset 0).
+        self._appender(name).truncate(0)
 
     def size(self, name: str) -> int:
-        path = self._path(name)
-        return path.stat().st_size if path.exists() else 0
+        try:
+            return self._path(name).stat().st_size
+        except FileNotFoundError:
+            return 0
+
+    def close(self) -> None:
+        for name in list(self._appenders):
+            self._drop_appender(name)

@@ -14,7 +14,8 @@ from repro.crypto.hashing import (
     hash_register_value,
     hash_values,
 )
-from repro.crypto.keystore import KeyStore
+from repro.common.encoding import encode
+from repro.crypto.keystore import ClientSigner, KeyStore, VerificationCache
 from repro.crypto.signatures import (
     SIGNATURE_BYTES,
     Ed25519Scheme,
@@ -174,6 +175,128 @@ class TestKeyStore:
     def test_scheme_population_mismatch_rejected(self):
         with pytest.raises(ValueError):
             KeyStore(3, scheme=HmacScheme(2))
+
+
+class _CountingHmac(HmacScheme):
+    """HMAC that counts how often verification actually reaches it."""
+
+    def __init__(self, num_clients: int) -> None:
+        super().__init__(num_clients)
+        self.verifications = 0
+
+    def verify(self, signer, signature, payload):
+        self.verifications += 1
+        return super().verify(signer, signature, payload)
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    bit %= len(data) * 8
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+#: Built once: Ed25519 key generation per hypothesis example is the slow part.
+_SCHEMES = {name: make_scheme(name, 3) for name in ("hmac", "insecure", "ed25519")}
+_PAYLOADS = st.tuples(
+    st.sampled_from(["COMMIT", "DATA", "PROOF"]),
+    st.integers(0, 3),
+    st.binary(min_size=1, max_size=16),
+)
+
+
+class TestOwnSignatureMemo:
+    """A signer answers for the exact pairs it signed; every other triple
+    gets the scheme's verdict, so the memo can only skip work."""
+
+    @pytest.mark.parametrize("scheme_name", sorted(_SCHEMES))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        payloads=st.lists(_PAYLOADS, min_size=1, max_size=3),
+        bit=st.integers(0, 511),
+        stranger=st.tuples(st.integers(-1, 3), st.binary(max_size=70), _PAYLOADS),
+    )
+    def test_verify_equals_the_scheme(self, scheme_name, payloads, bit, stranger):
+        scheme = _SCHEMES[scheme_name]
+        me = ClientSigner(scheme, 1, VerificationCache())
+        triples = [stranger]
+        for payload in payloads:
+            mine = me.sign(*payload)
+            theirs = scheme.sign(0, encode(*payload))
+            label, number, blob = payload
+            triples += [
+                (1, mine, payload),
+                (1, _flip(mine, bit), payload),
+                (1, mine, (label, number, _flip(blob, bit))),
+                (1, mine, (label, number + 1, blob)),
+                (0, mine, payload),  # my signature under another signer id
+                (2, mine, payload),
+                (0, theirs, payload),
+                (1, theirs, payload),  # another's signature under my id
+            ]
+        for signer, signature, payload in triples:
+            assert me.verify(signer, signature, *payload) == scheme.verify(
+                signer, signature, encode(*payload)
+            ), (signer, signature, payload)
+
+    def test_own_signature_costs_no_verification(self):
+        scheme = _CountingHmac(2)
+        alice = KeyStore(2, scheme=scheme).signer(0)
+        sig = alice.sign("COMMIT", (1, 0), b"digest")
+        assert alice.verify(0, sig, "COMMIT", (1, 0), b"digest")
+        assert scheme.verifications == 0
+
+    def test_altered_payload_under_own_signature_reaches_the_scheme(self):
+        scheme = _CountingHmac(2)
+        alice = KeyStore(2, scheme=scheme).signer(0)
+        sig = alice.sign("COMMIT", (1, 0), b"digest")
+        assert not alice.verify(0, sig, "COMMIT", (2, 0), b"digest")
+        assert not alice.verify(0, _flip(sig, 5), "COMMIT", (1, 0), b"digest")
+        assert scheme.verifications == 2
+
+    def test_another_client_still_verifies_for_real(self):
+        """Co-located clients share one keystore; signing must not seed
+        its verdict cache, or A's memory would vouch for A's key to B."""
+        scheme = _CountingHmac(2)
+        store = KeyStore(2, scheme=scheme)
+        alice, bob = store.signer(0), store.signer(1)
+        sig = alice.sign("PROOF", b"digest")
+        assert alice.verify(0, sig, "PROOF", b"digest")
+        assert store.verification_cache_stats()["size"] == 0
+        assert bob.verify(0, sig, "PROOF", b"digest")
+        assert scheme.verifications == 1
+        assert store.verification_cache_stats() == {"hits": 0, "misses": 1, "size": 1}
+
+    def test_memo_is_bounded_and_forgetting_is_harmless(self):
+        scheme = _CountingHmac(1)
+        signer = KeyStore(1, scheme=scheme).signer(0)
+        kept = ClientSigner._OWN_SIGNATURES_KEPT
+        oldest = signer.sign("DATA", 0)
+        for t in range(1, 3 * kept):
+            signer.sign("DATA", t)
+        assert len(signer._own_signed) == kept
+        assert signer.verify(0, oldest, "DATA", 0)  # forgotten: the scheme answers
+        assert scheme.verifications == 1
+
+
+class TestVerificationCacheBound:
+    def test_at_the_limit_the_oldest_verdicts_go_not_all_of_them(self):
+        cache = VerificationCache(limit=16)
+        keys = [(0, b"sig%d" % k, b"payload") for k in range(17)]
+        for key in keys[:16]:
+            cache.store(key, True)
+        cache.store(keys[16], True)  # crosses the limit
+        assert cache.lookup(keys[15]) is True  # stored just before the limit
+        assert cache.lookup(keys[16]) is True
+        assert cache.lookup(keys[0]) is None  # the oldest paid for it
+        assert 1 <= cache.stats()["size"] <= 16
+
+    def test_never_exceeds_the_limit(self):
+        cache = VerificationCache(limit=16)
+        for k in range(200):
+            cache.store((0, b"sig%d" % k, b"payload"), k % 2 == 0)
+            assert cache.stats()["size"] <= 16
+        assert cache.lookup((0, b"sig199", b"payload")) is False
 
 
 class TestSignatureProperties:

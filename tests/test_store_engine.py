@@ -10,7 +10,11 @@ churn, and the stale-snapshot recovery path feeds the rollback adversary.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, StorageError
 from repro.common.types import OpKind
@@ -102,6 +106,19 @@ class TestMemoryEngine:
         assert engine.recover() == ServerState.initial(3)
 
 
+@pytest.fixture(params=["memory", "dir"])
+def media(request, tmp_path):
+    """``(medium, restarted)``: what the server writes through, and what a
+    new process over the same storage opens (no ``close()`` in between)."""
+    if request.param == "dir":
+        pair = DirectoryMedium(tmp_path), DirectoryMedium(tmp_path)
+    else:
+        pair = (InMemoryMedium(),) * 2
+    yield pair
+    for medium in pair:
+        medium.close()
+
+
 class TestLogStructuredEngine:
     def test_recovery_is_byte_identical(self):
         engine = LogStructuredEngine(3, snapshot_interval=5)
@@ -159,23 +176,25 @@ class TestLogStructuredEngine:
         recovered_engine.recover()
         assert recovered_engine.last_recovery_replayed == 4
 
-    def test_recovery_trims_the_torn_tail(self):
+    def test_recovery_trims_the_torn_tail(self, media):
         """Records appended *after* a torn-tail recovery must survive the
-        next recovery — the tear has to be trimmed, not appended past."""
+        next recovery — the tear has to be trimmed, not appended past.  On
+        real files the trim replaces the WAL, so the append handle opened
+        before it must not outlive it (it names the unlinked old file)."""
+        medium, restarted = media
         keystore = KeyStore(2, scheme="hmac")
-        engine = LogStructuredEngine(2, snapshot_interval=10**9)
+        engine = LogStructuredEngine(2, medium=medium, snapshot_interval=10**9)
         state = engine.recover()
         first = _signed_submit(keystore, 0, 1)
         apply_submit(state, first)
         engine.log_submit(first)
-        medium = engine.medium
         medium.append(engine.WAL, b"\x00\x00\x00\x09torn")  # crash mid-append
         survivor = LogStructuredEngine(2, medium=medium)
         state = survivor.recover()
         second = _signed_submit(keystore, 1, 1)
         apply_submit(state, second)
         survivor.log_submit(second)
-        final = LogStructuredEngine(2, medium=medium).recover()
+        final = LogStructuredEngine(2, medium=restarted).recover()
         assert final == state
         assert encode_server_state(final) == encode_server_state(state)
 
@@ -211,16 +230,126 @@ class TestLogStructuredEngine:
         medium = DirectoryMedium(tmp_path / "store")
         engine = LogStructuredEngine(3, medium=medium, snapshot_interval=4)
         live = _drive(engine, 11)
+        engine.close()
         recovered = LogStructuredEngine(
             3, medium=DirectoryMedium(tmp_path / "store")
         ).recover()
         assert encode_server_state(recovered) == encode_server_state(live)
+
+    def test_crash_between_snapshot_rename_and_wal_truncate(
+        self, media, monkeypatch
+    ):
+        """A checkpoint is one rename + one in-place truncate; dying in
+        between leaves WAL entries the snapshot already covers."""
+        medium, restarted = media
+        engine = LogStructuredEngine(3, medium=medium, snapshot_interval=10**9)
+        state = _drive(engine, 7)
+
+        class Killed(Exception):
+            pass
+
+        def killed_before_truncate(name):
+            raise Killed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(medium, "truncate", killed_before_truncate)
+            with pytest.raises(Killed):
+                engine.checkpoint(state)
+        assert medium.size(engine.SNAPSHOT) > 0 and medium.size(engine.WAL) > 0
+
+        survivor = LogStructuredEngine(3, medium=restarted)
+        recovered = survivor.recover()
+        assert encode_server_state(recovered) == encode_server_state(state)
+        assert survivor.last_recovery_replayed == 0  # all covered, all skipped
+        # Sequence numbers continue past the covered entries.
+        late = _signed_submit(KeyStore(3, scheme="hmac"), 0, 99)
+        apply_submit(recovered, late)
+        survivor.log_submit(late)
+        again = LogStructuredEngine(3, medium=restarted).recover()
+        assert encode_server_state(again) == encode_server_state(recovered)
 
     def test_invalid_intervals_rejected(self):
         with pytest.raises(ConfigurationError):
             LogStructuredEngine(2, snapshot_interval=0)
         with pytest.raises(ConfigurationError):
             LogStructuredEngine(2, gc_snapshot_interval=0)
+
+
+# --------------------------------------------------------------------- #
+# Media
+# --------------------------------------------------------------------- #
+
+_STREAMS = st.sampled_from(["wal", "snapshot"])
+_CHUNKS = st.binary(max_size=48)
+_MEDIUM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _STREAMS, _CHUNKS),
+        st.tuples(st.just("write_atomic"), _STREAMS, _CHUNKS),
+        st.tuples(st.just("truncate"), _STREAMS),
+        st.tuples(st.just("read"), _STREAMS),
+        st.tuples(st.just("size"), _STREAMS),
+        st.tuples(st.just("close")),
+    ),
+    max_size=40,
+)
+
+
+class TestDirectoryMedium:
+    @settings(max_examples=60, deadline=None)
+    @given(_MEDIUM_OPS)
+    def test_equals_the_in_memory_model(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            real, model = DirectoryMedium(root), InMemoryMedium()
+            try:
+                for op, *args in ops:
+                    assert getattr(real, op)(*args) == getattr(model, op)(*args)
+                for name in ("wal", "snapshot"):
+                    assert real.read(name) == model.read(name)
+                    assert real.size(name) == model.size(name)
+            finally:
+                real.close()
+
+    def test_a_second_medium_reads_every_append_of_the_first(self, tmp_path):
+        first = DirectoryMedium(tmp_path)
+        for k in range(5):
+            first.append("wal", b"record-%d;" % k)
+            # No close, no flush call: a SIGKILLed process gets neither.
+            assert DirectoryMedium(tmp_path).read("wal") == first.read("wal")
+        assert first.read("wal").count(b";") == 5
+        first.close()
+
+    def test_truncate_is_in_place_and_appends_continue(self, tmp_path):
+        medium = DirectoryMedium(tmp_path)
+        medium.append("wal", b"old")
+        inode = (tmp_path / "wal").stat().st_ino
+        medium.truncate("wal")
+        assert medium.read("wal") == b"" and (tmp_path / "wal").exists()
+        medium.append("wal", b"new")
+        assert medium.read("wal") == b"new"
+        assert (tmp_path / "wal").stat().st_ino == inode  # no rename round
+        medium.close()
+
+    def test_stale_tmp_files_are_removed_on_open(self, tmp_path):
+        (tmp_path / "snapshot.tmp").write_bytes(b"crashed before the rename")
+        (tmp_path / "snapshot").write_bytes(b"intact")
+        medium = DirectoryMedium(tmp_path)
+        assert not (tmp_path / "snapshot.tmp").exists()
+        assert medium.read("snapshot") == b"intact"
+
+    def test_stream_names_that_could_escape_or_collide_are_rejected(self, tmp_path):
+        medium = DirectoryMedium(tmp_path)
+        for name in ("../wal", ".hidden", "snapshot.tmp"):
+            with pytest.raises(StorageError):
+                medium.append(name, b"x")
+
+    def test_close_is_idempotent_and_use_reopens(self, tmp_path):
+        medium = DirectoryMedium(tmp_path)
+        medium.append("wal", b"a")
+        medium.close()
+        medium.close()
+        medium.append("wal", b"b")
+        assert medium.read("wal") == b"ab"
+        medium.close()
 
 
 class TestMakeEngine:
