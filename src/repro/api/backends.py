@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.api.config import SystemConfig
+from repro.api.config import SystemConfig, check_supported
 from repro.api.system import System
 from repro.common.errors import ConfigurationError
 
@@ -59,163 +59,91 @@ class Backend(Protocol):
         ...
 
 
-def _schedule_outages(raw, config: SystemConfig) -> None:
-    # Sorted, so that when one window ends exactly where the next begins,
-    # the restart event is enqueued (and fires) before the next crash —
-    # event ties at the same virtual time break by scheduling order.
-    for start, duration in sorted(config.server_outages):
-        raw.server_outage(start, duration)
+def build_deployment(config: SystemConfig, fail_aware: bool, **placement):
+    """One simulated server (or replica group) with its clients, wired
+    from ``config``: bare USTOR clients, or FAUST ones when ``fail_aware``.
 
+    ``placement`` overrides builder arguments per shard (name, shared
+    scheduler, factory) — the cluster backend's only addition.
+    """
+    from repro.workloads.runner import SystemBuilder
 
-def _reject_storage_knobs(config: SystemConfig, backend: str) -> None:
-    """The baseline servers model no durability: fail loudly rather than
-    silently ignoring storage/restart knobs."""
-    if config.storage != "memory" or config.server_outages:
-        raise ConfigurationError(
-            f"the {backend!r} backend has no storage engine: storage= and "
-            f"server_outages= are only supported on 'faust' and 'ustor'"
-        )
-
-
-def _reject_batching_knobs(config: SystemConfig, backend: str) -> None:
-    """The baselines speak their own wire protocols and know nothing of
-    the throughput pipeline: fail loudly rather than silently running
-    them unbatched."""
-    if config.batching is not None:
-        raise ConfigurationError(
-            f"the {backend!r} backend does not support batching=; the "
-            f"throughput pipeline runs on 'faust', 'ustor' and 'cluster'"
-        )
-
-
-def _reject_tcp_transport(config: SystemConfig, backend: str) -> None:
-    """Only the bare-USTOR stack speaks the real wire format today: the
-    fail-aware layer's clock synchronization and the baselines' bespoke
-    message types have no TCP codecs, so fail loudly rather than open a
-    deployment that could never exchange a frame."""
-    if config.transport != "sim":
-        raise ConfigurationError(
-            f"the {backend!r} backend is simulator-only; transport='tcp' "
-            f"runs on the 'ustor' backend"
-        )
-
-
-def _reject_checkpoint_knobs(config: SystemConfig, backend: str) -> None:
-    """Checkpoint co-signing lives in the fail-aware layer (it rides on
-    stability cuts and the offline channel): fail loudly rather than
-    silently running with unbounded state."""
-    if config.checkpoint is not None:
-        raise ConfigurationError(
-            f"the {backend!r} backend has no fail-aware layer to co-sign "
-            f"checkpoints: checkpoint= is only supported on 'faust' and "
-            f"'cluster'/replicas with shard_protocol='faust'"
-        )
-    if config.membership is not None:
-        raise ConfigurationError(
-            f"the {backend!r} backend has no fail-aware layer to co-sign "
-            f"membership epochs: membership= is only supported on 'faust' "
-            f"and 'cluster'/replicas with shard_protocol='faust'"
-        )
-
-
-def _reject_cluster_knobs(config: SystemConfig, backend: str) -> None:
-    """Single-server backends run one shard only: fail loudly rather than
-    silently collapsing a sharded config onto one server."""
-    if config.uses_cluster_knobs():
-        raise ConfigurationError(
-            f"the {backend!r} backend is single-server: shards=, shard_map=, "
-            f"shard_protocol=, shard_server_factories= and shard_outages= "
-            f"are only supported on the 'cluster' backend"
-        )
-
-
-def _reject_replica_knobs(config: SystemConfig, backend: str) -> None:
-    """Replica groups live behind the cluster backend (or a TCP client
-    with one endpoint per replica): fail loudly rather than silently
-    running a single unreplicated server."""
-    if config.uses_replica_knobs():
-        raise ConfigurationError(
-            f"the {backend!r} backend is single-server: replicas=, quorum=, "
-            f"counter= and replica_server_factories= are only supported on "
-            f"the 'cluster' backend (or transport='tcp' client-side)"
-        )
-
-
-class FaustBackend:
-    """USTOR plus the fail-aware layer (Section 6) — the paper's service."""
-
-    name = "faust"
-    capabilities = Capabilities(
-        timestamps=True, stability=True, failure_detection=True, wait_free=True
+    knobs = dict(
+        num_clients=config.num_clients,
+        seed=config.seed,
+        scheme=config.scheme,
+        latency=config.latency,
+        offline_latency=config.offline_latency,
+        server_factory=config.server_factory,
+        commit_piggyback=config.commit_piggyback,
+        storage=config.storage,
+        batching=config.batching,
+        replicas=config.replicas,
+        quorum=config.quorum,
+        counter=config.counter,
+        replica_server_factories=config.replica_server_factories,
+    )
+    knobs.update(placement)
+    builder = SystemBuilder(**knobs)
+    if not fail_aware:
+        return builder.build()
+    return builder.build_faust(
+        checkpoint=config.checkpoint,
+        membership=config.membership,
+        **config.faust.as_kwargs(),
     )
 
+
+class _Backend:
+    """The one way in: consult the support table, open, attach the span log."""
+
+    name: str
+    capabilities: Capabilities
+
     def open_system(self, config: SystemConfig) -> System:
-        """Open a FAUST deployment (single server, fail-aware clients)."""
-        from repro.workloads.runner import SystemBuilder
+        """Open the deployment ``config`` describes on this backend."""
+        check_supported(config, self.name)
+        system = self._open(config)
+        if config.span_log is not None:
+            # Sessions read the span log off the deployment they are opened
+            # on (one per shard on a cluster) when constructed, so it must
+            # be attached before the first session() call.
+            for deployment in getattr(system, "shards", [system]):
+                deployment.span_log = config.span_log
+        return system
 
-        _reject_tcp_transport(config, self.name)
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        raw = SystemBuilder(
-            num_clients=config.num_clients,
-            seed=config.seed,
-            scheme=config.scheme,
-            latency=config.latency,
-            offline_latency=config.offline_latency,
-            server_factory=config.server_factory,
-            commit_piggyback=config.commit_piggyback,
-            storage=config.storage,
-            batching=config.batching,
-        ).build_faust(
-            checkpoint=config.checkpoint,
-            membership=config.membership,
-            **config.faust.as_kwargs(),
-        )
-        _schedule_outages(raw, config)
-        return System(raw, self.name, self.capabilities, config.default_timeout)
+    def _open(self, config: SystemConfig) -> System:
+        raise NotImplementedError
 
 
-class UstorBackend:
+class UstorBackend(_Backend):
     """The weak fork-linearizable protocol alone (Algorithms 1-2)."""
 
     name = "ustor"
     capabilities = Capabilities(
         timestamps=True, stability=False, failure_detection=True, wait_free=True
     )
+    _fail_aware = False
 
-    def open_system(self, config: SystemConfig) -> System:
-        """Open a bare-USTOR deployment (no fail-aware layer).
-
-        With ``transport="tcp"`` the deployment's clients speak real
-        sockets to an already-running ``repro serve`` process; the config
-        validation has rejected every server-side knob, so this is purely
-        the client half of the system.
-        """
+    def _open(self, config: SystemConfig) -> System:
         if config.transport == "tcp":
-            return self._open_tcp(config)
-        from repro.workloads.runner import SystemBuilder
-
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        _reject_checkpoint_knobs(config, self.name)
-        raw = SystemBuilder(
-            num_clients=config.num_clients,
-            seed=config.seed,
-            scheme=config.scheme,
-            latency=config.latency,
-            offline_latency=config.offline_latency,
-            server_factory=config.server_factory,
-            commit_piggyback=config.commit_piggyback,
-            storage=config.storage,
-            batching=config.batching,
-        ).build()
-        _schedule_outages(raw, config)
+            raw = self._open_tcp(config)
+        else:
+            raw = build_deployment(config, self._fail_aware)
+            # Sorted, so that when one window ends exactly where the next
+            # begins, the restart event is enqueued (and fires) before the
+            # next crash — ties at one virtual time break by scheduling order.
+            for start, duration in sorted(config.server_outages):
+                raw.server_outage(start, duration)
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
-    def _open_tcp(self, config: SystemConfig) -> System:
+    @staticmethod
+    def _open_tcp(config: SystemConfig):
+        """The client half of a real deployment: sockets to already-running
+        ``repro serve`` processes, one endpoint per replica."""
         from repro.net.client import open_tcp_system
 
-        raw = open_tcp_system(
+        return open_tcp_system(
             config.num_clients,
             config.endpoints,
             server_name=config.server_name,
@@ -230,10 +158,19 @@ class UstorBackend:
             quorum=config.quorum,
             counter=config.counter is not None,
         )
-        return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
-class LockstepBackend:
+class FaustBackend(UstorBackend):
+    """USTOR plus the fail-aware layer (Section 6) — the paper's service."""
+
+    name = "faust"
+    capabilities = Capabilities(
+        timestamps=True, stability=True, failure_detection=True, wait_free=True
+    )
+    _fail_aware = True
+
+
+class LockstepBackend(_Backend):
     """The SUNDR-style lock-step baseline: fork-linearizable, blocking."""
 
     name = "lockstep"
@@ -241,16 +178,9 @@ class LockstepBackend:
         timestamps=True, stability=False, failure_detection=True, wait_free=False
     )
 
-    def open_system(self, config: SystemConfig) -> System:
-        """Open a lock-step baseline deployment (blocking protocol)."""
+    def _open(self, config: SystemConfig) -> System:
         from repro.baselines.lockstep import build_lockstep_system
 
-        _reject_tcp_transport(config, self.name)
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        _reject_storage_knobs(config, self.name)
-        _reject_batching_knobs(config, self.name)
-        _reject_checkpoint_knobs(config, self.name)
         raw = build_lockstep_system(
             config.num_clients,
             seed=config.seed,
@@ -261,7 +191,7 @@ class LockstepBackend:
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
-class UncheckedBackend:
+class UncheckedBackend(_Backend):
     """The naive baseline: trusts every byte; nothing is ever detected."""
 
     name = "unchecked"
@@ -269,16 +199,9 @@ class UncheckedBackend:
         timestamps=True, stability=False, failure_detection=False, wait_free=True
     )
 
-    def open_system(self, config: SystemConfig) -> System:
-        """Open an unchecked baseline deployment (no verification)."""
+    def _open(self, config: SystemConfig) -> System:
         from repro.baselines.unchecked import build_unchecked_system
 
-        _reject_tcp_transport(config, self.name)
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        _reject_storage_knobs(config, self.name)
-        _reject_batching_knobs(config, self.name)
-        _reject_checkpoint_knobs(config, self.name)
         raw = build_unchecked_system(
             config.num_clients,
             seed=config.seed,
@@ -288,7 +211,7 @@ class UncheckedBackend:
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
-class ClusterBackend:
+class ClusterBackend(_Backend):
     """N sharded single-server deployments behind one session facade.
 
     Every shard runs the protocol ``config.shard_protocol`` selects
@@ -304,11 +227,9 @@ class ClusterBackend:
         timestamps=True, stability=True, failure_detection=True, wait_free=True
     )
 
-    def open_system(self, config: SystemConfig):
-        """Open a sharded deployment (one sub-deployment per shard)."""
+    def _open(self, config: SystemConfig):
         from repro.cluster.backend import open_cluster_system
 
-        _reject_tcp_transport(config, self.name)
         return open_cluster_system(
             config, self.name, self._capabilities_for(config)
         )
@@ -350,9 +271,4 @@ def get_backend(backend: str | Backend) -> Backend:
 
 def open_system(config: SystemConfig, backend: str | Backend = "faust") -> System:
     """Open a deployment described by ``config`` on the chosen backend."""
-    system = get_backend(backend).open_system(config)
-    if config.span_log is not None:
-        # Sessions read the span log off the facade when constructed, so
-        # it must be attached before the first session() call.
-        system.span_log = config.span_log
-    return system
+    return get_backend(backend).open_system(config)

@@ -9,7 +9,7 @@ parameters without touching the common deployment shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigurationError
@@ -72,13 +72,7 @@ class FaustParams:
 
     def as_kwargs(self) -> dict:
         """The parameters as ``SystemBuilder.build_faust`` keyword args."""
-        return {
-            "delta": self.delta,
-            "dummy_read_period": self.dummy_read_period,
-            "probe_check_period": self.probe_check_period,
-            "enable_dummy_reads": self.enable_dummy_reads,
-            "enable_probes": self.enable_probes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -92,11 +86,10 @@ class SystemConfig:
 
     ``transport`` picks the world the deployment runs in: ``"sim"`` (the
     default discrete-event simulator) or ``"tcp"`` (real sockets against
-    server processes started with ``python -m repro serve``; ``ustor``
-    backend only).  Over TCP the server is a *separate process*, so every
-    server-side knob (``server_factory``, ``storage``, ``server_outages``,
-    batching, shards, latency models) belongs to that process's command
-    line, not to this config — setting one here is rejected loudly.
+    server processes started with ``python -m repro serve``).  Which
+    backend runs which knob on which transport is declared once, in
+    :data:`FEATURES` below; a knob set where no cell runs it is rejected
+    by :func:`check_supported`, never silently ignored.
     """
 
     num_clients: int
@@ -116,14 +109,12 @@ class SystemConfig:
     storage: str | Callable = "memory"
     #: Scheduled crash-recovery windows ``(start, duration)`` for the
     #: server: it goes down at ``start`` and recovers from its storage
-    #: engine ``duration`` later.  Only meaningful on backends whose
-    #: server supports engine recovery (``faust`` / ``ustor``); on the
-    #: ``cluster`` backend each window hits *every* shard (a correlated
-    #: outage — use ``shard_outages`` to target one shard).
+    #: engine ``duration`` later.  On the ``cluster`` backend each window
+    #: hits *every* shard (a correlated outage — use ``shard_outages`` to
+    #: target one shard).
     server_outages: tuple[tuple[float, float], ...] = ()
-    #: Number of shards (``cluster`` backend only; the other backends
-    #: reject any value but 1).  Each shard is an independent server
-    #: owning one partition of the register space.
+    #: Number of shards.  Each shard is an independent server owning one
+    #: partition of the register space.
     shards: int = 1
     #: Partitioning strategy: ``"range"``, ``"hash"``, or a ready
     #: :class:`~repro.cluster.shardmap.ShardMap` instance.
@@ -136,12 +127,11 @@ class SystemConfig:
     #: named here use ``server_factory`` (or the honest default).
     shard_server_factories: dict = field(default_factory=dict)
     #: Crash-recovery windows targeting single shards:
-    #: ``(shard, start, duration)`` triples (``cluster`` backend only).
+    #: ``(shard, start, duration)`` triples.
     shard_outages: tuple[tuple[int, float, float], ...] = ()
     #: Replicas per shard (:mod:`repro.replica`).  ``1`` is the paper's
     #: single untrusted server; ``>1`` puts a client-side quorum group
-    #: behind each shard (``cluster`` backend, or ``transport='tcp'``
-    #: with one endpoint per replica).
+    #: behind each shard (over tcp: one endpoint per replica).
     replicas: int = 1
     #: REPLYs that must agree byte-for-byte to elect a round's winner.
     #: ``None`` = majority (``replicas // 2 + 1``); ``replicas`` demands
@@ -161,8 +151,7 @@ class SystemConfig:
     #: one scheduler event per message, one WAL append per record, ops
     #: issued as submitted.  A :class:`BatchingPolicy` (or ``True`` for
     #: the default policy) enables session auto-flush batching, transport
-    #: burst coalescing and server group commit.  Supported on the
-    #: ``faust``/``ustor``/``cluster`` backends.
+    #: burst coalescing and server group commit.
     batching: "BatchingPolicy | bool | None" = None
     #: Bounded state: ``None`` (default) keeps full history everywhere; a
     #: :class:`~repro.faust.checkpoint.CheckpointPolicy` (or ``True`` for
@@ -170,21 +159,19 @@ class SystemConfig:
     #: all-clients stable cut, after which servers truncate the covered
     #: ``pending`` prefix and compact their WAL, clients prune view-history
     #: records, and (with ``prune_history``) the recorder + incremental
-    #: checkers drop operations behind the cut.  Fail-aware backends only
-    #: (``faust``, and ``cluster``/replicas with ``shard_protocol='faust'``).
+    #: checkers drop operations behind the cut.  Needs fail-aware clients
+    #: (``shard_protocol='faust'``).
     checkpoint: "CheckpointPolicy | bool | None" = None
     #: Lease-based membership epochs: ``None`` (default) requires every
     #: client to co-sign every checkpoint forever; a
     #: :class:`~repro.faust.membership.MembershipPolicy` (or ``True`` for
     #: the default policy) lets the live quorum co-sign epoch changes
     #: that evict crashed-forever clients (and re-admit returning ones),
-    #: so the checkpoint chain keeps advancing.  Requires ``checkpoint=``
-    #: and a fail-aware backend (``faust``, or ``cluster`` with
-    #: ``shard_protocol='faust'``).
+    #: so the checkpoint chain keeps advancing.  Requires ``checkpoint=``.
     membership: "MembershipPolicy | bool | None" = None
     faust: FaustParams = field(default_factory=FaustParams)
     #: ``"sim"`` (discrete-event simulator) or ``"tcp"`` (real asyncio
-    #: sockets; ``ustor`` backend only).
+    #: sockets).
     transport: str = "sim"
     #: Server addresses for ``transport="tcp"``: ``host:port`` strings
     #: (or one comma-separated string).  One endpoint per replica — the
@@ -196,12 +183,12 @@ class SystemConfig:
     #: handshake cross-checks it, so it must match the process exactly.
     server_name: str = "S"
     #: Record the run's wire trace (JSONL) here; replayable with
-    #: :func:`repro.net.trace.replay_trace` (``transport="tcp"`` only).
+    #: :func:`repro.net.trace.replay_trace`.
     trace_path: str | None = None
     #: Stamp SUBMIT/COMMIT with deterministic causal trace ids (an
     #: optional TLV field the server echoes into REPLYs), so one client
-    #: operation can be followed across processes (``transport="tcp"``
-    #: only; simulated runs trace at the session layer instead).
+    #: operation can be followed across processes (simulated runs trace
+    #: at the session layer instead).
     trace_ids: bool = False
     #: A :class:`repro.obs.tracing.SpanLog` collecting per-operation
     #: spans (sessions on every transport; the wire client's SUBMIT/fail
@@ -211,46 +198,19 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_clients < 1:
             raise ConfigurationError("need at least one client")
-        if self.batching is True:
-            self.batching = BatchingPolicy()
-        elif self.batching is False:
-            self.batching = None
-        elif self.batching is not None and not isinstance(
-            self.batching, BatchingPolicy
-        ):
-            raise ConfigurationError(
-                f"batching must be a BatchingPolicy, True/False or None, "
-                f"got {self.batching!r}"
-            )
         # Imported lazily: repro.faust imports repro.workloads which
-        # imports this module back, so the policy class cannot be a
-        # top-level dependency here.
+        # imports this module back, so the policy classes cannot be
+        # top-level dependencies here.
         from repro.faust.checkpoint import CheckpointPolicy
-
-        if self.checkpoint is True:
-            self.checkpoint = CheckpointPolicy()
-        elif self.checkpoint is False:
-            self.checkpoint = None
-        elif self.checkpoint is not None and not isinstance(
-            self.checkpoint, CheckpointPolicy
-        ):
-            raise ConfigurationError(
-                f"checkpoint must be a CheckpointPolicy, True/False or None, "
-                f"got {self.checkpoint!r}"
-            )
         from repro.faust.membership import MembershipPolicy
 
-        if self.membership is True:
-            self.membership = MembershipPolicy()
-        elif self.membership is False:
-            self.membership = None
-        elif self.membership is not None and not isinstance(
-            self.membership, MembershipPolicy
-        ):
-            raise ConfigurationError(
-                f"membership must be a MembershipPolicy, True/False or None, "
-                f"got {self.membership!r}"
-            )
+        self.batching = _as_policy("batching", self.batching, BatchingPolicy)
+        self.checkpoint = _as_policy(
+            "checkpoint", self.checkpoint, CheckpointPolicy
+        )
+        self.membership = _as_policy(
+            "membership", self.membership, MembershipPolicy
+        )
         if self.membership is not None and self.checkpoint is None:
             raise ConfigurationError(
                 "membership= layers lease-based epochs under the checkpoint "
@@ -271,6 +231,11 @@ class SystemConfig:
             raise ConfigurationError(
                 f"shard_protocol must be 'faust' or 'ustor', "
                 f"got {self.shard_protocol!r}"
+            )
+        if self.checkpoint is not None and self.shard_protocol != "faust":
+            raise ConfigurationError(
+                "checkpoint= (and membership=) need fail-aware shards to "
+                "co-sign the stable cut: they require shard_protocol='faust'"
             )
         for entry in self.shard_outages:
             if (
@@ -312,10 +277,7 @@ class SystemConfig:
                     f"replica_server_factories names replica {replica!r} but "
                     f"each shard has {self.replicas} replica(s)"
                 )
-        self._validate_transport()
-
-    def _validate_transport(self) -> None:
-        if self.transport not in ("sim", "tcp"):
+        if self.transport not in TRANSPORTS:
             raise ConfigurationError(
                 f"transport must be 'sim' or 'tcp', got {self.transport!r}"
             )
@@ -325,86 +287,31 @@ class SystemConfig:
             )
         else:
             self.endpoints = tuple(self.endpoints)
-        if self.transport == "sim":
-            if self.endpoints:
-                raise ConfigurationError(
-                    "endpoints= names real servers; it needs transport='tcp'"
-                )
-            if self.trace_path is not None:
-                raise ConfigurationError(
-                    "trace_path= records a real run's wire trace; it needs "
-                    "transport='tcp' (simulated runs are already deterministic)"
-                )
-            if self.trace_ids:
-                raise ConfigurationError(
-                    "trace_ids= stamps wire messages for cross-process "
-                    "tracing; it needs transport='tcp' (simulated runs are "
-                    "traced at the session layer)"
-                )
-            if self.server_name != "S":
-                raise ConfigurationError(
-                    "server_name= matches a real server process's handshake; "
-                    "it needs transport='tcp' (simulated servers are named "
-                    "by the backend)"
-                )
-            return
-        if not self.endpoints:
+        if self.transport == "tcp" and len(self.endpoints) != self.replicas:
             raise ConfigurationError(
-                "transport='tcp' needs endpoints= ('host:port', e.g. from "
-                "'python -m repro serve')"
-            )
-        if len(self.endpoints) != self.replicas:
-            raise ConfigurationError(
-                f"transport='tcp' needs one endpoint per replica: "
+                f"transport='tcp' needs endpoints= ('host:port', e.g. from "
+                f"'python -m repro serve'), one endpoint per replica: "
                 f"replicas={self.replicas} but {len(self.endpoints)} "
                 f"endpoint(s) given"
             )
-        server_side = []
-        if self.server_factory is not None:
-            server_side.append("server_factory")
-        if self.storage != "memory":
-            server_side.append("storage")
-        if self.server_outages:
-            server_side.append("server_outages")
-        if self.checkpoint is not None:
-            raise ConfigurationError(
-                "checkpoint= needs the fail-aware layer's offline channel "
-                "for co-signing; transport='tcp' runs bare USTOR clients "
-                "against server processes"
-            )
-        if self.batching is not None:
-            server_side.append("batching")
-        if self.latency is not None or self.offline_latency is not None:
-            server_side.append("latency")
-        if self.uses_cluster_knobs():
-            server_side.append("shards")
-        if self.replica_server_factories:
-            server_side.append("replica_server_factories")
-        if server_side:
-            raise ConfigurationError(
-                f"transport='tcp' runs the server in its own process: "
-                f"{', '.join(server_side)} belong on the 'repro serve' "
-                f"command line, not on the client config"
-            )
+        # What no backend runs on this transport can be refused before a
+        # backend is even chosen; open_system repeats the check per backend.
+        check_supported(self)
 
-    def uses_cluster_knobs(self) -> bool:
-        """Is any shard-axis knob set away from its single-server default?"""
-        return bool(
-            self.shards != 1
-            or self.shard_map != "range"
-            or self.shard_protocol != "faust"
-            or self.shard_server_factories
-            or self.shard_outages
-        )
 
-    def uses_replica_knobs(self) -> bool:
-        """Is any replica-axis knob set away from its single-server default?"""
-        return bool(
-            self.replicas != 1
-            or self.quorum is not None
-            or self.counter is not None
-            or self.replica_server_factories
+def _as_policy(name: str, value, policy_class):
+    """Normalise a policy knob: ``True`` = the default policy, ``False`` =
+    off (``None``), a ready policy or ``None`` passes through."""
+    if value is True:
+        return policy_class()
+    if value is False or value is None:
+        return None
+    if not isinstance(value, policy_class):
+        raise ConfigurationError(
+            f"{name} must be a {policy_class.__name__}, True/False or None, "
+            f"got {value!r}"
         )
+    return value
 
 
 def validate_outage_windows(
@@ -423,3 +330,125 @@ def validate_outage_windows(
                 f"server outage windows overlap: "
                 f"({start1}, {duration1}) and ({start2}, {_d2})"
             )
+
+
+# --------------------------------------------------------------------- #
+# The support table: backend x transport x feature, declared once
+# --------------------------------------------------------------------- #
+
+TRANSPORTS = ("sim", "tcp")
+
+
+@dataclass(frozen=True)
+class Feature:
+    """One row of the support table.
+
+    A feature claims the :class:`SystemConfig` fields that ask for it (a
+    config *asks* when one of them is set away from its default), says in
+    one phrase what it is, and lists per transport the backends that run
+    it.  Flipping a cell is an edit to ``sim``/``tcp`` in :data:`FEATURES`
+    and nowhere else: :func:`check_supported` is the only reader.
+    """
+
+    name: str
+    fields: tuple[str, ...]
+    what: str
+    sim: tuple[str, ...] = ()
+    tcp: tuple[str, ...] = ()
+
+    def asked(self, config: SystemConfig) -> list[str]:
+        """The fields of this feature that ``config`` sets."""
+        return [f for f in self.fields if getattr(config, f) != _DEFAULTS[f]]
+
+    def runs_on(self, transport: str) -> tuple[str, ...]:
+        """The backends that run this feature over ``transport``."""
+        return getattr(self, transport)
+
+
+_ALL = ("faust", "ustor", "lockstep", "unchecked", "cluster")
+_USTOR_STACK = ("faust", "ustor", "cluster")
+_FAIL_AWARE = ("faust", "cluster")
+
+#: Every field that is not universal, claimed exactly once.
+FEATURES: tuple[Feature, ...] = (
+    Feature("storage", ("storage", "server_outages"),
+            "a server storage engine and its crash-recovery windows",
+            sim=_USTOR_STACK),
+    Feature("batching", ("batching",),
+            "the throughput pipeline", sim=_USTOR_STACK),
+    Feature("checkpoint", ("checkpoint",),
+            "checkpoints co-signed over the fail-aware layer's offline "
+            "channel", sim=_FAIL_AWARE),
+    Feature("membership", ("membership",),
+            "membership epochs co-signed over the fail-aware layer's "
+            "offline channel", sim=_FAIL_AWARE),
+    Feature("shards",
+            ("shards", "shard_map", "shard_protocol",
+             "shard_server_factories", "shard_outages"),
+            "the shard axis", sim=("cluster",)),
+    Feature("replicas", ("replicas", "quorum"),
+            "the replica axis", sim=("cluster",), tcp=("ustor",)),
+    Feature("replica_factories", ("replica_server_factories",),
+            "per-replica server overrides", sim=("cluster",)),
+    Feature("counter", ("counter",),
+            "monotonic-counter attestations", sim=("cluster",),
+            tcp=("ustor",)),
+    Feature("commit_piggyback", ("commit_piggyback",),
+            "USTOR's COMMIT piggybacking", sim=_USTOR_STACK, tcp=("ustor",)),
+    Feature("wire", ("endpoints", "server_name", "trace_path", "trace_ids"),
+            "a real deployment's addresses, handshake name and wire trace",
+            tcp=("ustor",)),
+    Feature("latency", ("latency", "offline_latency"),
+            "simulated network latency models", sim=_ALL),
+    Feature("server_factory", ("server_factory",),
+            "a custom server object", sim=_ALL),
+)
+
+#: Fields every backend takes on every transport (``scheme`` and ``faust``
+#: tune layers a backend may lack; there they are inert by definition).
+UNIVERSAL_FIELDS = frozenset(
+    {"num_clients", "seed", "scheme", "default_timeout", "faust",
+     "transport", "span_log"}
+)
+
+_DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(SystemConfig)
+    if f.name != "num_clients"
+}
+
+
+def check_supported(config: SystemConfig, backend: str | None = None) -> None:
+    """Raise :class:`ConfigurationError` for a knob ``backend`` does not
+    run over ``config.transport`` (``backend=None``: that *no* backend
+    runs over it).  Every way of opening a system calls this first, so
+    nothing is built or connected for a config that would be ignored."""
+    transport = config.transport
+    speakers = {b for f in FEATURES for b in f.runs_on(transport)}
+    if backend is not None and backend not in speakers:
+        raise ConfigurationError(
+            f"the {backend!r} backend is simulator-only; "
+            f"transport={transport!r} runs on: {', '.join(sorted(speakers))}"
+        )
+    for feature in FEATURES:
+        runners = feature.runs_on(transport)
+        asked = feature.asked(config)
+        if not asked or backend in runners or (backend is None and runners):
+            continue
+        where = "; ".join(
+            f"{', '.join(map(repr, feature.runs_on(t)))} over transport={t!r}"
+            for t in TRANSPORTS
+            if feature.runs_on(t)
+        )
+        raise ConfigurationError(
+            f"{'/'.join(f'{name}=' for name in asked)} ({feature.what}) is "
+            f"not supported by "
+            f"{'any backend' if backend is None else f'the {backend!r} backend'}"
+            f" over transport={transport!r}; it runs on {where}"
+            + (
+                " — over tcp the server is its own process and takes the "
+                "server-side knobs on the 'repro serve' command line"
+                if transport == "tcp"
+                else ""
+            )
+        )

@@ -7,7 +7,7 @@ until the operation settles), or chained (``add_done_callback``).
 
 Inside the discrete-event simulation "waiting" means advancing the whole
 world, so ``result()`` on one handle may complete other clients' timers,
-probes and operations too — exactly as in :class:`FaustService` before.
+probes and operations too.
 """
 
 from __future__ import annotations

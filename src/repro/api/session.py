@@ -9,8 +9,7 @@ paper's service interface uniformly across protocols:
   queues internally (FAUST) receive every submission at once; clients
   that require one operation at a time (USTOR, the baselines) are fed
   from a session-side backlog as each operation completes.
-* ``write_sync()``/``read_sync()`` are the blocking convenience forms
-  (formerly :class:`repro.faust.service.FaustService`).
+* ``write_sync()``/``read_sync()`` are the blocking convenience forms.
 * ``barrier()`` drives the simulation until every handle issued by this
   session has settled.
 * ``wait_for_stability()``/``stability_cut`` surface the fail-aware

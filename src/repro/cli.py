@@ -55,7 +55,9 @@ from repro.api import (
     SystemConfig,
     open_system,
 )
+from repro.api.config import check_supported
 from repro.cluster.shardmap import SHARD_MAP_STRATEGIES
+from repro.common.errors import ConfigurationError
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
 from repro.consistency.causal import check_causal_consistency
@@ -139,22 +141,17 @@ def _cmd_attacks(_args) -> int:
     return 0
 
 
-def _obs_prepare(args):
-    """Honour the run's observability flags; returns the SpanLog (or None).
+def _obs_enable(args) -> None:
+    """Honour the run's metrics flags.
 
-    ``enable_metrics`` must run *before* the deployment is built:
-    instrumented objects capture their registry handles at construction,
-    so a registry swapped in afterwards would never see their events.
+    Must run *before* the deployment is built: instrumented objects
+    capture their registry handles at construction, so a registry swapped
+    in afterwards would never see their events.
     """
     if args.metrics or args.metrics_snapshot or args.metrics_port is not None:
         from repro.obs.registry import enable_metrics
 
         enable_metrics()
-    if args.span_log or args.chrome_trace:
-        from repro.obs.tracing import SpanLog
-
-        return SpanLog()
-    return None
 
 
 def _obs_health(system, servers=(), auditor=None):
@@ -265,105 +262,198 @@ def _print_quorum_stats(protocol_clients) -> None:
         print(f"#   convicted {replica}: {violation}")
 
 
-def _cmd_run_tcp(args) -> int:
-    """The ``run --transport tcp`` path: the client half of a real
-    deployment, against ``repro serve`` processes already listening.
+def _server_placement(args, backend):
+    """Resolve ``--server`` and where it is placed into the three factory
+    knobs of :class:`SystemConfig`.
 
-    Deliberately narrower than the simulated path: everything
-    server-side (behaviour, storage, outages, batching, shards) belongs
-    to the ``serve`` command line, and the flags that configure it here
-    are rejected with a pointer rather than silently ignored.
+    These are the CLI-only notions: a behaviour *name* (looked up per
+    backend, since the baselines speak their own wire formats) and the
+    ``--server-shard``/``--server-replica`` flags that place it.  Whether
+    a backend or transport takes the resulting knobs is the API's call.
     """
-    from repro.common.errors import ConfigurationError
-
-    backend = args.backend or ("faust" if args.faust else "ustor")
-    if backend != "ustor":
-        print(f"--transport tcp runs on the ustor backend; the {backend!r} "
-              f"stack has no wire codecs (drop --backend/--faust)")
-        return 2
-    if not args.endpoints:
-        print("--transport tcp needs --endpoints HOST:PORT "
-              "(start one with 'python -m repro serve')")
-        return 2
-    server_side = []
-    if args.server != "correct":
-        server_side.append("--server (pick it on the 'repro serve' side)")
-    if args.storage != "memory":
-        server_side.append("--storage")
-    if args.outage:
-        server_side.append("--outage")
-    if args.batch is not None:
-        server_side.append("--batch")
-    if args.server_replica is not None:
-        server_side.append("--server-replica (pick the behaviour per "
-                           "'repro serve' process)")
-    if server_side:
-        print(f"over tcp the server is its own process; move "
-              f"{', '.join(server_side)} to its command line")
-        return 2
-    if args.audit_every is not None and args.audit_every <= 0:
-        print("--audit-every takes a positive wall-clock cadence")
-        return 2
-
-    span_log = _obs_prepare(args)
-    try:
-        system = open_system(
-            SystemConfig(
-                num_clients=args.clients,
-                seed=args.seed,
-                transport="tcp",
-                endpoints=args.endpoints,
-                server_name=args.server_name,
-                trace_path=args.trace_file,
-                default_timeout=args.timeout,
-                trace_ids=args.trace_ids,
-                span_log=span_log,
-                replicas=args.replicas,
-                quorum=args.quorum,
-                counter=args.counter,
-            ),
-            backend="ustor",
+    table = BASELINE_SERVERS.get(backend, SERVERS)
+    if args.server not in SERVERS:
+        raise ConfigurationError(
+            f"unknown server {args.server!r}; see 'python -m repro attacks'"
         )
+    if args.server not in table:
+        raise ConfigurationError(
+            f"server behaviour {args.server!r} is not implemented for the "
+            f"{backend!r} backend (available: {', '.join(sorted(table))})"
+        )
+    placed = args.server_shard is not None or args.server_replica is not None
+    if args.server == "correct":
+        if placed:
+            raise ConfigurationError(
+                "--server-shard/--server-replica place a Byzantine "
+                "behaviour; pick a --server"
+            )
+        # The correct server takes its engine from --storage, so the API
+        # builds it; the baselines have no default the API could pick.
+        return (table["correct"] if backend in BASELINE_SERVERS else None), {}, {}
+    if args.server_shard is not None and args.server_replica is not None:
+        raise ConfigurationError(
+            "--server-replica and --server-shard both place the behaviour; "
+            "pick one"
+        )
+    if args.server_replica is not None and args.replicas < 2:
+        raise ConfigurationError(
+            "--server-replica targets one replica of a group; add --replicas"
+        )
+    if not placed and (args.storage != "memory" or args.outage or args.shard_outage):
+        raise ConfigurationError(
+            f"--storage/--outage configure the correct server; the "
+            f"{args.server!r} behaviour owns its durability and fault "
+            f"schedule (the rollback server, e.g., builds its own log engine)"
+        )
+    factory = table[args.server]
+    if args.server_shard is not None:
+        # The chosen behaviour hits one shard; every other shard is honest.
+        return None, {args.server_shard: factory}, {}
+    if args.server_replica is not None:
+        # The behaviour hits one replica of every group; with quorum-many
+        # honest peers left, its deviation is masked rather than fatal.
+        return None, {}, {args.server_replica: factory}
+    return factory, {}, {}
+
+
+def _run_config(args, backend) -> SystemConfig:
+    """The flags of ``repro run`` as one :class:`SystemConfig`.
+
+    Raises ``ConfigurationError`` for the checks only the CLI can make
+    (server names and placement, operand types, flags that are not config
+    fields); everything else is :class:`SystemConfig`'s to validate.
+    """
+    tcp = args.transport == "tcp"
+    factory, shard_factories, replica_factories = _server_placement(args, backend)
+    for shard, _start, _duration in args.shard_outage or ():
+        # nargs=3 forces one argparse type for all operands; reject a
+        # fractional shard rather than silently truncating to the wrong one.
+        if shard != int(shard):
+            raise ConfigurationError(
+                f"--shard-outage: shard index must be an integer, got {shard}"
+            )
+    if args.audit_every is not None and args.audit_every <= 0:
+        raise ConfigurationError("--audit-every takes a positive cadence")
+    if args.metrics_port is not None and not tcp:
+        raise ConfigurationError(
+            "--metrics-port exposes a live process over HTTP; a simulated "
+            "run is synchronous — use --metrics to print the final "
+            "registry (or add --transport tcp)"
+        )
+    span_log = None
+    if args.span_log or args.chrome_trace:
+        from repro.obs.tracing import SpanLog
+
+        span_log = SpanLog()
+    return SystemConfig(
+        num_clients=args.clients,
+        seed=args.seed,
+        server_factory=factory,
+        storage=args.storage,
+        server_outages=tuple(map(tuple, args.outage or ())),
+        shards=args.shards,
+        shard_map=args.shard_map,
+        shard_server_factories=shard_factories,
+        shard_outages=tuple(
+            (int(shard), start, duration)
+            for shard, start, duration in args.shard_outage or ()
+        ),
+        replicas=args.replicas,
+        quorum=args.quorum,
+        counter=args.counter,
+        replica_server_factories=replica_factories,
+        batching=(
+            BatchingPolicy(max_batch=args.batch)
+            if args.batch is not None
+            else None
+        ),
+        span_log=span_log,
+        transport=args.transport,
+        endpoints=args.endpoints or (),
+        server_name=args.server_name,
+        trace_path=args.trace_file,
+        trace_ids=args.trace_ids,
+        # --timeout is a wall-clock budget; virtual time keeps its own.
+        default_timeout=args.timeout if tcp else SystemConfig.default_timeout,
+    )
+
+
+def _cmd_run(args) -> int:
+    """``repro run``: one workload, one report, on either transport.
+
+    What a backend or transport does not run is the API's verdict: config
+    misuse exits 2 before anything is built or connected, a deployment
+    that cannot be reached exits 1.
+    """
+    backend = args.backend or ("faust" if args.faust else "ustor")
+    try:
+        config = _run_config(args, backend)
+        check_supported(config, backend)
     except ConfigurationError as exc:
-        print(f"cannot open tcp deployment: {exc}")
+        print(exc)
+        return 2
+    _obs_enable(args)
+    try:
+        system = open_system(config, backend=backend)
+    except ConfigurationError as exc:
+        print(f"cannot open the deployment: {exc}")
         return 1
     try:
-        # The server is a remote process, so deviation times cannot be
-        # probed; the monitor's start is the conservative baseline.
-        health = _obs_health(system)
-        writer = _obs_snapshot_writer(args, health)
-        if writer is not None:
-            writer.write(system.now)  # the t=0 baseline line
-        if args.metrics_port is not None:
-            metrics_server = system.start_metrics(
-                port=args.metrics_port,
-                on_scrape=health.refresh if health is not None else None,
-            )
-            print(f"METRICS {metrics_server.host} {metrics_server.port}",
-                  flush=True)
-        auditor = (
-            system.attach_audit(every=args.audit_every)
-            if args.audit_every is not None
-            else None
+        _run_and_report(args, system, config, backend)
+    finally:
+        if config.transport == "tcp":
+            system.close()
+    return 0
+
+
+def _run_and_report(args, system, config, backend) -> None:
+    """Drive the workload over an opened system and print the report."""
+    tcp = config.transport == "tcp"
+    is_cluster = backend == "cluster"
+    batching, span_log = config.batching, config.span_log
+    auditor = (
+        system.attach_audit(every=args.audit_every)
+        if args.audit_every is not None
+        else None
+    )
+    # A remote server process cannot be probed, so over tcp the monitor's
+    # start is the conservative baseline for deviation times.
+    servers = system.servers if is_cluster else [] if tcp else [system.server]
+    health = _obs_health(system, servers=servers, auditor=auditor)
+    writer = _obs_snapshot_writer(args, health)
+    if writer is not None:
+        writer.write(system.now)  # the t=0 baseline line
+    if args.metrics_port is not None:
+        metrics_server = system.start_metrics(
+            port=args.metrics_port,
+            on_scrape=health.refresh if health is not None else None,
         )
-        if health is not None and auditor is not None:
-            health.watch_auditor(auditor)
-        scripts = generate_scripts(
-            args.clients,
-            WorkloadConfig(
-                ops_per_client=args.ops,
-                read_fraction=args.read_fraction,
-                mean_think_time=0.01,
-            ),
-            random.Random(args.seed),
-        )
-        driver = Driver(system, via_sessions=False)
-        driver.attach_all(scripts)
+        print(f"METRICS {metrics_server.host} {metrics_server.port}", flush=True)
+    scripts = generate_scripts(
+        args.clients,
+        WorkloadConfig(
+            ops_per_client=args.ops,
+            read_fraction=args.read_fraction,
+            mean_think_time=0.01 if tcp else 1.0,
+        ),
+        random.Random(args.seed),
+    )
+    # With batching on, the workload must flow through the sessions —
+    # they are the layer that buffers and auto-flushes submissions.  Span
+    # tracing of simulated clients lives at the same layer (they have no
+    # wire to stamp; the tcp clients record their own spans).
+    driver = Driver(
+        system,
+        via_sessions=batching is not None or (span_log is not None and not tcp),
+    )
+    driver.attach_all(scripts)
+    if tcp:
+        stats = driver.stats
 
         def settled() -> bool:
             # Done, or every client is done / failed / crashed — a failed
             # client (Byzantine server caught) never finishes its script.
-            stats = driver.stats
             return all(
                 stats.completed.get(c.client_id, 0)
                 >= stats.planned.get(c.client_id, 0)
@@ -375,261 +465,32 @@ def _cmd_run_tcp(args) -> int:
         system.run_until(settled, timeout=args.until)
         # Give trailing COMMITs a moment to land before tearing down.
         system.run_until_quiescent(timeout=2.0)
+    else:
+        system.run(until=args.until)
 
-        print(f"# run: {args.clients} clients x {args.ops} ops, "
-              f"server=remote, backend=ustor/tcp, seed={args.seed}")
+    print(f"# run: {args.clients} clients x {args.ops} ops, "
+          f"server={'remote' if tcp else args.server}, "
+          f"backend={backend}{'/tcp' if tcp else ''}, seed={args.seed}")
+    if tcp:
         print(f"# endpoints: {args.endpoints}")
-        print(f"# completed {driver.stats.total_completed()}"
-              f"/{driver.stats.total_planned()} operations "
-              f"in {system.now:.2f}s wall clock")
+    if is_cluster:
+        placement = [system.shard_of(r) for r in range(args.clients)]
+        print(f"# cluster: {system.num_shards} shard(s), map={args.shard_map}, "
+              f"register->shard {placement}")
+    _print_quorum_stats(
+        [c for shard in system.shards for c in shard.clients]
+        if is_cluster
+        else system.clients
+    )
+    print(f"# completed {driver.stats.total_completed()}"
+          f"/{driver.stats.total_planned()} operations "
+          + (f"in {system.now:.2f}s wall clock" if tcp else f"by t={system.now:.1f}"))
+    if tcp:
         reconnects = sum(c.reconnects for c in system.connections)
         frames_out = sum(c.frames_sent for c in system.connections)
         frames_in = sum(c.frames_received for c in system.connections)
         print(f"# transport: {frames_out} frame(s) sent, {frames_in} "
               f"received, {reconnects} reconnect(s) with retransmission")
-        _print_quorum_stats(system.clients)
-        if auditor is not None:
-            final = auditor.final()
-            verdicts = " ".join(
-                f"{name}={'OK' if result.ok else 'VIOLATED'}"
-                for name, result in sorted(final.verdicts.items())
-            )
-            print(f"# audits: {len(auditor.audits)} incremental audit(s) "
-                  f"every {args.audit_every:g}s wall clock")
-            print(f"# audit verdicts: {verdicts}")
-
-        history = system.history()
-        if args.history:
-            print()
-            print(history.describe())
-        if args.timeline:
-            from repro.analysis.timeline import render_timeline
-
-            print()
-            print(render_timeline(history, width=96))
-        if args.check:
-            print()
-            print(f"linearizability:            {check_linearizability(history)}")
-            print(f"causal consistency:         "
-                  f"{check_causal_consistency(history)}")
-            views = build_client_views(history, system.recorder, system.clients)
-            print(f"weak fork-linearizability:  "
-                  f"{validate_weak_fork_linearizability(history, views)}")
-
-        print()
-        for client in system.clients:
-            flags = []
-            if client.crashed:
-                flags.append("crashed")
-            if getattr(client, "fail_reason", None):
-                flags.append(f"USTOR fail: {client.fail_reason}")
-            print(f"{client.name}: {'; '.join(flags) if flags else 'ok'}")
-
-        print()
-        print(f"messages: {system.trace.message_count()} "
-              f"({system.trace.total_bytes()} bytes on the wire)")
-        for kind in ("SUBMIT", "REPLY", "COMMIT"):
-            count = system.trace.message_count(kind)
-            if count:
-                print(f"  {kind:7s} x{count:5d}  "
-                      f"avg {system.trace.total_bytes(kind) / count:7.1f} B")
-        if args.trace_file:
-            print()
-            print(f"# wire trace: {args.trace_file} "
-                  f"(python -m repro replay --trace {args.trace_file} --check)")
-        _obs_finish(args, span_log, system.now, health, writer)
-    finally:
-        system.close()
-    return 0
-
-
-def _cmd_run(args) -> int:
-    if args.transport == "tcp":
-        return _cmd_run_tcp(args)
-    if args.endpoints or args.trace_file or args.server_name != "S":
-        print("--endpoints/--trace-file/--server-name describe a real "
-              "deployment; add --transport tcp")
-        return 2
-    if args.metrics_port is not None:
-        print("--metrics-port exposes a live process over HTTP; a simulated "
-              "run is synchronous — use --metrics to print the final "
-              "registry (or add --transport tcp)")
-        return 2
-    if args.trace_ids:
-        print("--trace-ids stamps real wire messages; add --transport tcp "
-              "(simulated runs trace at the session layer via --span-log)")
-        return 2
-    backend = args.backend or ("faust" if args.faust else "ustor")
-    is_cluster = backend == "cluster"
-    if not is_cluster and (
-        args.shards != 1 or args.shard_map != "range"
-        or args.server_shard is not None or args.shard_outage
-    ):
-        print(
-            "--shards/--shard-map/--server-shard/--shard-outage need "
-            "--backend cluster"
-        )
-        return 2
-    if not is_cluster and (
-        args.replicas != 1 or args.quorum is not None
-        or args.counter is not None or args.server_replica is not None
-    ):
-        print(
-            "--replicas/--quorum/--counter/--server-replica need "
-            "--backend cluster (or --transport tcp)"
-        )
-        return 2
-    if args.server_replica is not None:
-        if args.server == "correct":
-            print("--server-replica targets a Byzantine behaviour; "
-                  "pick a --server")
-            return 2
-        if args.replicas < 2:
-            print("--server-replica targets one replica of a group; "
-                  "add --replicas")
-            return 2
-        if args.server_shard is not None:
-            print("--server-replica and --server-shard both place the "
-                  "behaviour; pick one")
-            return 2
-    table = BASELINE_SERVERS.get(backend, SERVERS)
-    if args.server not in SERVERS:
-        print(f"unknown server {args.server!r}; see 'python -m repro attacks'")
-        return 2
-    if args.server not in table:
-        print(
-            f"server behaviour {args.server!r} is not implemented for the "
-            f"{backend!r} backend (available: {', '.join(sorted(table))})"
-        )
-        return 2
-    if backend in BASELINE_SERVERS and (args.storage != "memory" or args.outage):
-        print(
-            f"--storage/--outage need a server with a storage engine; the "
-            f"{backend!r} backend has none (use faust or ustor)"
-        )
-        return 2
-    if backend in BASELINE_SERVERS and args.batch:
-        print(
-            f"--batch needs the throughput pipeline; the {backend!r} backend "
-            f"does not support it (use faust, ustor or cluster)"
-        )
-        return 2
-    if args.batch is not None and args.batch < 1:
-        print("--batch takes a positive operations-per-flush count")
-        return 2
-    if args.audit_every is not None and args.audit_every <= 0:
-        print("--audit-every takes a positive virtual-time cadence")
-        return 2
-    if (
-        args.server != "correct"
-        and args.server_shard is None
-        and args.server_replica is None
-        and (args.storage != "memory" or args.outage or args.shard_outage)
-    ):
-        print(
-            f"--storage/--outage configure the correct server; the "
-            f"{args.server!r} behaviour owns its durability and fault "
-            f"schedule (the rollback server, e.g., builds its own log engine)"
-        )
-        return 2
-    if args.server_shard is not None and args.server == "correct":
-        print("--server-shard targets a Byzantine behaviour; pick a --server")
-        return 2
-    outages = tuple((start, duration) for start, duration in (args.outage or ()))
-    for shard, _start, _duration in args.shard_outage or ():
-        # nargs=3 forces one argparse type for all operands; reject a
-        # fractional shard rather than silently truncating to the wrong one.
-        if shard != int(shard):
-            print(f"--shard-outage: shard index must be an integer, got {shard}")
-            return 2
-    shard_outages = tuple(
-        (int(shard), start, duration)
-        for shard, start, duration in (args.shard_outage or ())
-    )
-    # The correct server takes its engine from --storage; Byzantine servers
-    # own their durability (the rollback one builds its own log engine).
-    factory = None if args.server == "correct" else table[args.server]
-    if backend in BASELINE_SERVERS:
-        factory = table[args.server]
-    shard_factories = {}
-    if is_cluster and args.server_shard is not None:
-        # The chosen behaviour hits one shard; every other shard is honest.
-        shard_factories = {args.server_shard: factory}
-        factory = None
-    replica_factories = {}
-    if args.server_replica is not None:
-        # The behaviour hits one replica of every group; with quorum-many
-        # honest peers left, its deviation is masked rather than fatal.
-        replica_factories = {args.server_replica: factory}
-        factory = None
-    batching = (
-        BatchingPolicy(max_batch=args.batch) if args.batch is not None else None
-    )
-    span_log = _obs_prepare(args)
-    system = open_system(
-        SystemConfig(
-            num_clients=args.clients,
-            seed=args.seed,
-            server_factory=factory,
-            storage=args.storage,
-            server_outages=outages,
-            shards=args.shards,
-            shard_map=args.shard_map,
-            shard_server_factories=shard_factories,
-            shard_outages=shard_outages,
-            replicas=args.replicas,
-            quorum=args.quorum,
-            counter=args.counter,
-            replica_server_factories=replica_factories,
-            batching=batching,
-            span_log=span_log,
-        ),
-        backend=backend,
-    )
-    auditor = (
-        system.attach_audit(every=args.audit_every)
-        if args.audit_every is not None
-        else None
-    )
-    health = _obs_health(
-        system,
-        servers=(system.servers if is_cluster else [system.server]),
-        auditor=auditor,
-    )
-    writer = _obs_snapshot_writer(args, health)
-    if writer is not None:
-        writer.write(system.now)  # the t=0 baseline line
-    scripts = generate_scripts(
-        args.clients,
-        WorkloadConfig(
-            ops_per_client=args.ops,
-            read_fraction=args.read_fraction,
-            mean_think_time=1.0,
-        ),
-        random.Random(args.seed),
-    )
-    # With batching on, the workload must flow through the sessions —
-    # they are the layer that buffers and auto-flushes submissions.  Span
-    # tracing lives at the same layer, so --span-log/--chrome-trace route
-    # through the sessions too (simulated clients have no wire to stamp).
-    driver = Driver(
-        system, via_sessions=batching is not None or span_log is not None
-    )
-    driver.attach_all(scripts)
-    system.run(until=args.until)
-
-    print(f"# run: {args.clients} clients x {args.ops} ops, server={args.server}, "
-          f"backend={backend}, seed={args.seed}")
-    if is_cluster:
-        placement = [system.shard_of(r) for r in range(args.clients)]
-        print(f"# cluster: {system.num_shards} shard(s), map={args.shard_map}, "
-              f"register->shard {placement}")
-        if args.replicas > 1:
-            _print_quorum_stats(
-                [c for shard in system.shards for c in shard.clients]
-            )
-    print(f"# completed {driver.stats.total_completed()}/{driver.stats.total_planned()} "
-          f"operations by t={system.now:.1f}")
     if batching is not None:
         networks = (
             [shard.network for shard in system.shards]
@@ -638,10 +499,7 @@ def _cmd_run(args) -> int:
         )
         coalesced = sum(n.messages_coalesced for n in networks)
         bursts = sum(n.bursts_formed for n in networks)
-        group_commits = sum(
-            getattr(s, "group_commits", 0)
-            for s in (system.servers if is_cluster else [system.server])
-        )
+        group_commits = sum(getattr(s, "group_commits", 0) for s in servers)
         print(f"# batching: max_batch={batching.max_batch}, "
               f"{coalesced} message(s) coalesced onto {bursts} burst(s), "
               f"{group_commits} server group commit(s)")
@@ -653,12 +511,13 @@ def _cmd_run(args) -> int:
             for name, result in sorted(final.verdicts.items())
         )
         print(f"# audits: {len(auditor.audits)} incremental audit(s) every "
-              f"{args.audit_every:g} time units, max delta {worst} op(s)/audit")
+              f"{args.audit_every:g}{'s wall clock' if tcp else ' time units'}, "
+              f"max delta {worst} op(s)/audit")
         print(f"# audit verdicts: {verdicts}")
         for name, result in sorted(final.verdicts.items()):
             if not result.ok:
                 print(f"#   {name}: {result.violation}")
-    for server in (system.servers if is_cluster else [system.server]):
+    for server in servers:
         if getattr(server, "restarts", 0):
             engine = server.engine
             print(f"# server {server.name} storage={engine.name}: "
@@ -721,7 +580,8 @@ def _cmd_run(args) -> int:
 
     print()
     print(f"messages: {system.trace.message_count()} "
-          f"({system.trace.total_bytes()} bytes simulated)")
+          f"({system.trace.total_bytes()} bytes "
+          f"{'on the wire' if tcp else 'simulated'})")
     for kind in ("SUBMIT", "REPLY", "COMMIT"):
         count = system.trace.message_count(kind)
         if count:
@@ -733,6 +593,10 @@ def _cmd_run(args) -> int:
         failures = sum(1 for e in events if isinstance(e, FailureNotification))
         print(f"notifications: {len(events)} "
               f"({failures} failure, {len(events) - failures} stability)")
+    if args.trace_file:
+        print()
+        print(f"# wire trace: {args.trace_file} "
+              f"(python -m repro replay --trace {args.trace_file} --check)")
 
     _obs_finish(args, span_log, system.now, health, writer)
 
@@ -742,7 +606,6 @@ def _cmd_run(args) -> int:
         print()
         print("# performance profile (repro.perf)")
         print(_json.dumps(system.profile(), indent=2))
-    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -760,8 +623,6 @@ def _cmd_serve(args) -> int:
               "behaviours own their durability")
         return 2
     factory = None if args.server == "correct" else SERVERS[args.server]
-    from repro.common.errors import ConfigurationError
-
     try:
         return serve_forever(
             args.clients,
@@ -785,7 +646,6 @@ def _cmd_serve_cluster(args) -> int:
     """Launch one ``repro serve`` process per shard and babysit them."""
     import time
 
-    from repro.common.errors import ConfigurationError
     from repro.net.supervisor import ClusterSupervisor
 
     if args.shards < 1:
@@ -831,7 +691,6 @@ def _cmd_serve_cluster(args) -> int:
 
 def _cmd_replay(args) -> int:
     """Replay a recorded TCP run on the simulator and re-derive verdicts."""
-    from repro.common.errors import ConfigurationError
     from repro.net.trace import replay_trace
 
     try:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.api.backends import build_deployment
 from repro.api.config import SystemConfig, validate_outage_windows
 from repro.cluster.shardmap import make_shard_map
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
 from repro.sim.scheduler import Scheduler
-from repro.workloads.runner import SystemBuilder
 
 
 def derive_shard_seed(seed: int, shard: int) -> int:
@@ -36,16 +36,6 @@ def derive_shard_seed(seed: int, shard: int) -> int:
 
 def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
     """Build a :class:`ClusterSystem` described by ``config``."""
-    if config.checkpoint is not None and config.shard_protocol != "faust":
-        raise ConfigurationError(
-            "checkpoint= needs fail-aware shards to co-sign the stable "
-            "cut: it requires shard_protocol='faust'"
-        )
-    if config.membership is not None and config.shard_protocol != "faust":
-        raise ConfigurationError(
-            "membership= needs fail-aware shards to co-sign epoch "
-            "changes: it requires shard_protocol='faust'"
-        )
     if config.shards > config.num_clients:
         raise ConfigurationError(
             f"{config.shards} shards over {config.num_clients} registers "
@@ -58,23 +48,15 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
     per_shard_outages = _outage_plan(config)
 
     scheduler = Scheduler(seed=config.seed)
-    shards = []
-    for shard in range(config.shards):
-        factory = config.shard_server_factories.get(
-            shard, config.server_factory
-        )
-        builder = SystemBuilder(
-            num_clients=config.num_clients,
-            seed=config.seed,
-            scheme=config.scheme,
-            latency=config.latency,
-            offline_latency=config.offline_latency,
-            server_factory=factory,
-            commit_piggyback=config.commit_piggyback,
+    shards = [
+        build_deployment(
+            config,
+            config.shard_protocol == "faust",
+            server_factory=config.shard_server_factories.get(
+                shard, config.server_factory
+            ),
             server_name=f"S{shard}",
-            storage=config.storage,
             scheduler=scheduler,
-            batching=config.batching,
             # Per-shard latency stream: with one shared stream, shard k's
             # draws depended on every other shard's message *count* — and
             # identically-configured shards drew correlated samples.  A
@@ -85,21 +67,9 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
                 if config.shards > 1
                 else None
             ),
-            replicas=config.replicas,
-            quorum=config.quorum,
-            counter=config.counter,
-            replica_server_factories=config.replica_server_factories,
         )
-        if config.shard_protocol == "faust":
-            raw = builder.build_faust(
-                checkpoint=config.checkpoint,
-                membership=config.membership,
-                **config.faust.as_kwargs(),
-            )
-        else:
-            raw = builder.build()
-        shards.append(raw)
-
+        for shard in range(config.shards)
+    ]
     system = ClusterSystem(
         shards=shards,
         shard_map=shard_map,

@@ -10,10 +10,9 @@ latency grows linearly with the number of contending clients.
 
 from __future__ import annotations
 
-from repro.analysis.stats import critical_path_rounds
+from repro.analysis.stats import critical_path_rounds, summarize
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult, build_system
-from repro.sim.metrics import summarize
 from repro.sim.network import FixedLatency
 
 

@@ -17,7 +17,6 @@ from repro.faust.messages import (
     ProbeMessage,
     VersionMessage,
 )
-from repro.faust.service import FaustService, OperationFailed
 from repro.faust.stability import AbsorbOutcome, StabilityTracker
 from repro.faust.validator import FailAwareReport, validate_fail_aware_run
 
@@ -33,10 +32,8 @@ __all__ = [
     "FailAwareReport",
     "FailureMessage",
     "FaustClient",
-    "FaustService",
     "MembershipManager",
     "MembershipPolicy",
-    "OperationFailed",
     "ProbeMessage",
     "StabilityTracker",
     "VectorOnlyTracker",

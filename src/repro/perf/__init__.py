@@ -2,20 +2,15 @@
 
 Two halves:
 
-* :mod:`repro.perf.profile` — the runtime harness: :class:`Profiler`
-  (timers / counters / allocation stats) plus :func:`system_profile`,
-  which snapshots any running deployment (single-server, api-level or
-  sharded cluster) into machine-readable data, hot-path cache
-  effectiveness included.
+* :mod:`repro.perf.profile` — :func:`system_profile`, which snapshots
+  any running deployment (single-server, api-level or sharded cluster)
+  into machine-readable data, hot-path cache effectiveness included.
 * :mod:`repro.perf.regression` — the pipeline that compares two
   ``BENCH_*.json`` files and fails CI on >20% regressions
   (``python -m repro.perf baseline.json current.json``).
 """
 
 from repro.perf.profile import (
-    AllocationStat,
-    Profiler,
-    TimerStat,
     hot_path_cache_stats,
     reset_hot_path_caches,
     system_profile,
@@ -29,12 +24,9 @@ from repro.perf.regression import (
 )
 
 __all__ = [
-    "AllocationStat",
     "DEFAULT_MAX_REGRESSION",
     "Delta",
-    "Profiler",
     "Report",
-    "TimerStat",
     "compare",
     "hot_path_cache_stats",
     "load_results",

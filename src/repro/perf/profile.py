@@ -1,23 +1,15 @@
-"""The performance-profiling harness (timers, counters, allocation stats).
+"""Machine-readable performance profiles of a running deployment.
 
-One :class:`Profiler` collects everything a scenario needs to explain
-where its time went, in a machine-readable form:
-
-* **Timers** — ``with profiler.timer("phase"):`` accumulates wall-clock
-  seconds and call counts per named section.
-* **Counters** — ``profiler.count("replies")`` for event tallies.
-* **Allocation stats** — ``with profiler.track_allocations("phase"):``
-  records the current/peak traced memory delta of a section via
-  :mod:`tracemalloc` (enabled only inside the block, so the rest of the
-  run pays nothing).
-* **System harvesting** — :func:`system_profile` (also exposed as
-  ``profile()`` on :class:`~repro.workloads.runner.StorageSystem`,
-  :class:`~repro.api.system.System` and
-  :class:`~repro.cluster.system.ClusterSystem`) snapshots the counters
-  the runtime already maintains: scheduler events, per-client completed
-  operations, server SUBMIT/COMMIT tallies and pending-list pressure,
-  plus the hot-path cache effectiveness of the encoding, digest-chain
-  and signature-verification memos.
+:func:`system_profile` (also exposed as ``profile()`` on
+:class:`~repro.workloads.runner.StorageSystem`,
+:class:`~repro.api.system.System` and
+:class:`~repro.cluster.system.ClusterSystem`) snapshots the counters the
+runtime already maintains: scheduler events, per-client completed
+operations, server SUBMIT/COMMIT tallies and pending-list pressure, plus
+the hot-path cache effectiveness of the encoding, digest-chain and
+signature-verification memos (:func:`hot_path_cache_stats`).  Timers and
+counters of a *scenario* belong on the :mod:`repro.obs` registry; when it
+is enabled its snapshot rides along under ``"obs"``.
 
 Everything returned is plain dict/list/str/int/float, so profiles can be
 ``json.dump``-ed next to the ``BENCH_*.json`` trajectory (see
@@ -26,183 +18,9 @@ PERFORMANCE.md for the cost model they feed).
 
 from __future__ import annotations
 
-import time
-import tracemalloc
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.registry import get_registry
-
-
-@dataclass
-class TimerStat:
-    """Accumulated wall-clock time of one named section."""
-
-    calls: int = 0
-    total_seconds: float = 0.0
-    max_seconds: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Fold one section execution into the aggregate."""
-        self.calls += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-
-@dataclass
-class AllocationStat:
-    """Traced-memory delta of one named section (bytes)."""
-
-    calls: int = 0
-    allocated_bytes: int = 0
-    peak_bytes: int = 0
-
-    def observe(self, allocated: int, peak: int) -> None:
-        """Fold one tracked section into the aggregate."""
-        self.calls += 1
-        self.allocated_bytes += allocated
-        if peak > self.peak_bytes:
-            self.peak_bytes = peak
-
-
-class _AllocSection:
-    """One open ``track_allocations`` section (process-global stack entry).
-
-    ``peak_so_far`` carries the highest *absolute* traced-memory peak
-    observed while the section was open: every inner section boundary
-    folds the current peak into all open sections before resetting the
-    high-water mark, so an outer section keeps its pre-inner peak even
-    though the inner section resets :mod:`tracemalloc`'s single counter.
-    """
-
-    __slots__ = ("before", "peak_so_far")
-
-    def __init__(self, before: int) -> None:
-        self.before = before
-        self.peak_so_far = before
-
-
-#: Open allocation-tracking sections, outermost first.  tracemalloc is
-#: process-global state, so the stack is too (shared across Profilers).
-_alloc_stack: list[_AllocSection] = []
-_tracing_started_by_us = False
-
-
-def _fold_peak_into_open_sections(peak: int) -> None:
-    for section in _alloc_stack:
-        if peak > section.peak_so_far:
-            section.peak_so_far = peak
-
-
-@dataclass
-class Profiler:
-    """Timers + counters + allocation stats with a JSON-able snapshot.
-
-    When the process-wide :mod:`repro.obs` registry is enabled
-    (:func:`repro.obs.registry.enable_metrics`), timers and counters are
-    mirrored onto it as ``perf.timer.<name>`` histograms and
-    ``perf.counter.<name>`` counters, so profiler sections show up in
-    the same exposition (``/metrics``, ``repro stats``) as the runtime's
-    own instrumentation.  :meth:`snapshot` always reads the local state.
-    """
-
-    timers: dict[str, TimerStat] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-    allocations: dict[str, AllocationStat] = field(default_factory=dict)
-    #: The obs registry mirrored into (captured at construction).
-    registry: Any = field(default_factory=get_registry, repr=False, compare=False)
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of the ``with`` body."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            stat = self.timers.get(name)
-            if stat is None:
-                stat = self.timers[name] = TimerStat()
-            stat.observe(elapsed)
-            if self.registry.enabled:
-                self.registry.histogram(f"perf.timer.{name}").observe(elapsed)
-
-    def count(self, name: str, by: int = 1) -> None:
-        """Add ``by`` to the named counter (created at zero)."""
-        self.counters[name] = self.counters.get(name, 0) + by
-        if self.registry.enabled:
-            self.registry.counter(f"perf.counter.{name}").inc(by)
-
-    @contextmanager
-    def track_allocations(self, name: str) -> Iterator[None]:
-        """Record the traced-memory delta of the ``with`` body.
-
-        Starts :mod:`tracemalloc` only if it is not already running (and
-        stops it again once the last tracked section exits).  The peak
-        high-water mark is reset on entry, so ``peak_bytes`` is the peak
-        *above the section's starting usage* — not the process-lifetime
-        peak — even when ambient tracing was already active.
-
-        Sections nest correctly: tracemalloc has a single process-wide
-        high-water mark, so each section boundary folds the current peak
-        into every still-open section before resetting it.  An outer
-        section therefore reports ``max`` over its whole body (including
-        any peak reached *before* an inner section reset the mark), and
-        an inner section never inherits allocations from outside itself.
-        """
-        global _tracing_started_by_us
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            _tracing_started_by_us = True
-        before, peak = tracemalloc.get_traced_memory()
-        _fold_peak_into_open_sections(peak)
-        tracemalloc.reset_peak()
-        section = _AllocSection(before)
-        _alloc_stack.append(section)
-        try:
-            yield
-        finally:
-            current, peak = tracemalloc.get_traced_memory()
-            for index, open_section in enumerate(_alloc_stack):
-                if open_section is section:
-                    del _alloc_stack[index]
-                    break
-            _fold_peak_into_open_sections(peak)
-            tracemalloc.reset_peak()
-            if not _alloc_stack and _tracing_started_by_us:
-                tracemalloc.stop()
-                _tracing_started_by_us = False
-            stat = self.allocations.get(name)
-            if stat is None:
-                stat = self.allocations[name] = AllocationStat()
-            stat.observe(
-                max(0, current - section.before),
-                max(0, max(section.peak_so_far, peak) - section.before),
-            )
-
-    def snapshot(self) -> dict[str, Any]:
-        """Everything collected so far as plain JSON-able data."""
-        return {
-            "timers": {
-                name: {
-                    "calls": t.calls,
-                    "total_seconds": t.total_seconds,
-                    "max_seconds": t.max_seconds,
-                }
-                for name, t in sorted(self.timers.items())
-            },
-            "counters": dict(sorted(self.counters.items())),
-            "allocations": {
-                name: {
-                    "calls": a.calls,
-                    "allocated_bytes": a.allocated_bytes,
-                    "peak_bytes": a.peak_bytes,
-                }
-                for name, a in sorted(self.allocations.items())
-            },
-        }
 
 
 def hot_path_cache_stats() -> dict[str, dict[str, int]]:
@@ -255,7 +73,8 @@ def _shard_profile(shard: Any) -> dict[str, Any]:
         "scheduler": {
             "now": shard.scheduler.now,
             "events_processed": shard.scheduler.events_processed,
-            "pending_events": shard.scheduler.pending,
+            # A wall-clock scheduler (tcp) keeps its timers on the loop.
+            "pending_events": getattr(shard.scheduler, "pending", 0),
         },
         "clients": {
             "count": len(shard.clients),

@@ -3,11 +3,10 @@
 Provides the asynchronous system model of Section 2: a seeded event loop,
 reliable FIFO client-server channels, the offline client-to-client channel,
 crash-stop and crash-recovery processes (with scheduled server faults),
-periodic timers, and run tracing/metrics.
+periodic timers, and run tracing.
 """
 
 from repro.sim.faults import ServerFaultInjector
-from repro.sim.metrics import Counter, MetricsRegistry, Sample, Summary, summarize
 from repro.sim.network import (
     ExponentialLatency,
     FixedLatency,
@@ -24,25 +23,20 @@ from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import MessageRecord, NoteRecord, SimTrace
 
 __all__ = [
-    "Counter",
     "EventHandle",
     "ExponentialLatency",
     "FixedLatency",
     "LatencyModel",
     "MessageRecord",
-    "MetricsRegistry",
     "Network",
     "Node",
     "NoteRecord",
     "OfflineChannel",
     "PeriodicTimer",
-    "Sample",
     "Scheduler",
     "ServerFaultInjector",
     "SimTrace",
-    "Summary",
     "UniformLatency",
     "message_kind",
     "message_size",
-    "summarize",
 ]

@@ -402,7 +402,18 @@ class SystemBuilder:
             return [self.server_name]
         return [f"{self.server_name}/r{k}" for k in range(self.replicas)]
 
-    def _core(self):
+    def _client_replica_kwargs(self) -> dict:
+        """Replica-group knobs every protocol client is built with."""
+        if self.replicas == 1:
+            return {"counter": self.counter is not None}
+        return {
+            "replica_servers": tuple(self._replica_names()),
+            "quorum": self.quorum,
+            "counter": self.counter is not None,
+        }
+
+    def _build(self, client_class, **client_kwargs) -> StorageSystem:
+        fail_aware = client_class is not UstorClient
         scheduler = self._shared_scheduler or Scheduler(seed=self.seed)
         trace = self._shared_trace or SimTrace()
         network = Network(
@@ -431,34 +442,23 @@ class SystemBuilder:
                 )
             network.register(server)
             servers.append(server)
-        return scheduler, trace, network, offline, keystore, recorder, servers
-
-    def _client_replica_kwargs(self) -> dict:
-        """Replica-group knobs every protocol client is built with."""
-        if self.replicas == 1:
-            return {"counter": self.counter is not None}
-        return {
-            "replica_servers": tuple(self._replica_names()),
-            "quorum": self.quorum,
-            "counter": self.counter is not None,
-        }
-
-    def build(self) -> StorageSystem:
-        """A plain USTOR deployment (no fail-aware layer)."""
-        scheduler, trace, network, offline, keystore, recorder, servers = self._core()
         clients = []
         for i in range(self.num_clients):
-            client = UstorClient(
+            client = client_class(
                 client_id=i,
                 num_clients=self.num_clients,
                 signer=keystore.signer(i),
                 server_name=self.server_name,
                 recorder=recorder,
                 commit_piggyback=self.commit_piggyback,
+                **client_kwargs,
                 **self._client_replica_kwargs(),
             )
             network.register(client)
             offline.register(client)
+            if fail_aware:
+                client.attach_offline(offline)
+                client.start()
             clients.append(client)
         return StorageSystem(
             scheduler=scheduler,
@@ -469,9 +469,14 @@ class SystemBuilder:
             recorder=recorder,
             trace=trace,
             keystore=keystore,
+            faust_clients=list(clients) if fail_aware else [],
             batching=self.batching,
-            replica_servers=list(servers),
+            replica_servers=servers,
         )
+
+    def build(self) -> StorageSystem:
+        """A plain USTOR deployment (no fail-aware layer)."""
+        return self._build(UstorClient)
 
     def build_faust(
         self, checkpoint=None, membership=None, **faust_kwargs
@@ -493,49 +498,21 @@ class SystemBuilder:
         """
         from repro.faust.client import FaustClient
 
-        scheduler, trace, network, offline, keystore, recorder, servers = self._core()
-        clients = []
-        for i in range(self.num_clients):
-            client = FaustClient(
-                client_id=i,
-                num_clients=self.num_clients,
-                signer=keystore.signer(i),
-                server_name=self.server_name,
-                recorder=recorder,
-                commit_piggyback=self.commit_piggyback,
-                checkpoint=checkpoint,
-                membership=membership,
-                **faust_kwargs,
-                **self._client_replica_kwargs(),
-            )
-            network.register(client)
-            offline.register(client)
-            client.attach_offline(offline)
-            client.start()
-            clients.append(client)
+        system = self._build(
+            FaustClient, checkpoint=checkpoint, membership=membership,
+            **faust_kwargs,
+        )
         if checkpoint is not None and checkpoint.prune_history:
             installs: dict[int, int] = {}
 
-            def _on_install(cp, _installs=installs, _recorder=recorder):
-                count = _installs.get(cp.seq, 0) + 1
+            def _on_install(cp):
+                count = installs.get(cp.seq, 0) + 1
                 if count >= (len(cp.signers) or self.num_clients):
-                    _installs.pop(cp.seq, None)
-                    _recorder.compact(cp.cut, keep_tail=checkpoint.keep_tail)
+                    installs.pop(cp.seq, None)
+                    system.recorder.compact(cp.cut, keep_tail=checkpoint.keep_tail)
                 else:
-                    _installs[cp.seq] = count
+                    installs[cp.seq] = count
 
-            for client in clients:
+            for client in system.clients:
                 client.add_checkpoint_listener(_on_install)
-        return StorageSystem(
-            scheduler=scheduler,
-            network=network,
-            offline=offline,
-            server=servers[0],
-            clients=clients,
-            recorder=recorder,
-            trace=trace,
-            keystore=keystore,
-            faust_clients=list(clients),
-            batching=self.batching,
-            replica_servers=list(servers),
-        )
+        return system

@@ -427,22 +427,3 @@ class TestRegistry:
         system.require("timestamps")
         with pytest.raises(CapabilityError):
             system.require("stability")
-
-
-# --------------------------------------------------------------------- #
-# The deprecated shim
-# --------------------------------------------------------------------- #
-
-
-class TestFaustServiceShim:
-    def test_shim_warns_and_forwards(self):
-        from repro.faust.service import FaustService
-
-        system = FaustBackend().open_system(quiet_config(seed=5))
-        with pytest.warns(DeprecationWarning):
-            service = FaustService(system, 0, timeout=100.0)
-        t = service.write(b"via-shim")
-        assert t == 1
-        value, _ = service.read(0)
-        assert value == b"via-shim"
-        assert service.session.client is system.clients[0]

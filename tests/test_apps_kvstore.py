@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.kvstore import KvStore, KvUpdate, _deserialize_log, _serialize_log
 from repro.common.errors import ProtocolError
-from repro.faust.service import OperationFailed
+from repro.api.errors import OperationFailed
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.workloads.runner import SystemBuilder
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import SERVERS, main
+from repro.net.supervisor import ServerProcess
 
 
 class TestAttacksCommand:
@@ -91,7 +92,7 @@ class TestClusterRunCommand:
     def test_shard_knobs_require_cluster_backend(self, capsys):
         assert main(["run", "--clients", "4", "--shards", "2"]) == 2
         out = capsys.readouterr().out
-        assert "--backend cluster" in out
+        assert "shards=" in out and "'cluster'" in out
 
     def test_server_shard_targets_one_shard(self, capsys):
         code = main(
@@ -118,3 +119,114 @@ class TestClusterRunCommand:
              "--shard-outage", "1", "10", "5", "--until", "120"]
         )
         assert code == 0
+
+
+@pytest.fixture(params=["sim", pytest.param("tcp", marks=pytest.mark.net)])
+def transport_flags(request):
+    """``repro run`` flags selecting the transport: none for the simulator,
+    a fresh ``repro serve`` child on a loopback port for tcp."""
+    if request.param == "sim":
+        yield []
+        return
+    with ServerProcess(2) as proc:
+        yield ["--transport", "tcp", "--endpoints", proc.endpoint]
+
+
+class TestOneRunPath:
+    """The same report, asserted the same way, over both transports."""
+
+    def test_report_is_shared(self, transport_flags, capsys):
+        code = main(
+            ["run", "--clients", "2", "--ops", "3", "--seed", "5", "--check",
+             "--history", "--timeline", "--profile", *transport_flags]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "completed 6/6" in out
+        assert "linearizability: OK" in out
+        assert "causal-consistency: OK" in out
+        assert "weak-fork-linearizability: OK" in out
+        assert "C1: ok" in out and "C2: ok" in out
+        assert "SUBMIT" in out and "REPLY" in out
+        assert "write_C" in out or "read_C" in out
+        assert '"completed_operations": 6' in out
+
+    def test_audits_are_shared(self, transport_flags, capsys):
+        cadence = "0.02" if transport_flags else "20"
+        code = main(
+            ["run", "--clients", "2", "--ops", "3", "--audit-every", cadence,
+             *transport_flags]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "incremental audit(s)" in out
+        assert "audit verdicts: causal=OK linearizability=OK" in out
+
+    def test_config_misuse_exits_2_before_anything_opens(
+        self, transport_flags, capsys
+    ):
+        # lockstep has no storage engine on the simulator and no wire
+        # codecs over tcp: the API's verdict either way, printed as is.
+        code = main(
+            ["run", "--backend", "lockstep", "--storage", "log",
+             *transport_flags]
+        )
+        assert code == 2
+        assert "not supported" in capsys.readouterr().out
+
+
+#: Nothing listens here: a run that got as far as connecting would take
+#: seconds and exit 1, so exit 2 proves the flags were refused first.
+DEAD_TCP = ["run", "--transport", "tcp", "--endpoints", "127.0.0.1:1"]
+
+
+class TestTcpNoLongerIgnoresFlags:
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [
+            (["--shards", "2"], "shards="),
+            (["--shard-map", "hash"], "shard_map="),
+            (["--shard-outage", "0", "5", "5"], "shard_outages="),
+            (["--server", "tampering", "--server-shard", "0"],
+             "shard_server_factories="),
+            (["--batch", "4"], "batching="),
+            (["--storage", "log"], "storage="),
+            (["--faust"], "simulator-only"),
+        ],
+    )
+    def test_server_side_flags_are_refused_not_dropped(self, flags, knob, capsys):
+        assert main([*DEAD_TCP, *flags]) == 2
+        assert knob in capsys.readouterr().out
+
+    @pytest.mark.slow  # waits out the 5 s connect deadline
+    def test_unreachable_server_exits_1(self, capsys):
+        assert main([*DEAD_TCP, "--clients", "1", "--ops", "1"]) == 1
+        assert "could not connect" in capsys.readouterr().out
+
+
+class TestCliOnlyChecks:
+    """What the CLI still checks itself: notions that are not config
+    fields.  Every case exits 2 with a message about the flag."""
+
+    @pytest.mark.parametrize(
+        "flags, hint",
+        [
+            (["--backend", "lockstep", "--server", "replay"], "not implemented"),
+            (["--backend", "cluster", "--replicas", "3", "--server-replica", "0"],
+             "Byzantine"),
+            (["--backend", "cluster", "--clients", "4", "--shards", "2",
+              "--replicas", "3", "--server", "tampering", "--server-shard", "0",
+              "--server-replica", "0"], "pick one"),
+            (["--backend", "cluster", "--server", "tampering",
+              "--server-replica", "0"], "add --replicas"),
+            (["--server", "tampering", "--storage", "log"],
+             "owns its durability"),
+            (["--backend", "cluster", "--clients", "4", "--shards", "2",
+              "--shard-outage", "0.5", "1", "2"], "must be an integer"),
+            (["--audit-every", "0"], "positive cadence"),
+            (["--metrics-port", "0"], "--transport tcp"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, flags, hint, capsys):
+        assert main(["run", *flags]) == 2
+        assert hint in capsys.readouterr().out

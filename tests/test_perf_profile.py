@@ -6,7 +6,6 @@ import json
 
 from repro.api import SystemConfig, open_system
 from repro.perf import (
-    Profiler,
     hot_path_cache_stats,
     reset_hot_path_caches,
     system_profile,
@@ -14,147 +13,7 @@ from repro.perf import (
 from repro.workloads.runner import SystemBuilder
 
 
-class TestProfiler:
-    def test_timers_accumulate(self):
-        profiler = Profiler()
-        for _ in range(3):
-            with profiler.timer("phase"):
-                pass
-        snap = profiler.snapshot()
-        assert snap["timers"]["phase"]["calls"] == 3
-        assert snap["timers"]["phase"]["total_seconds"] >= 0.0
-        assert (
-            snap["timers"]["phase"]["max_seconds"]
-            <= snap["timers"]["phase"]["total_seconds"]
-        )
-
-    def test_counters(self):
-        profiler = Profiler()
-        profiler.count("replies")
-        profiler.count("replies", 4)
-        assert profiler.snapshot()["counters"] == {"replies": 5}
-
-    def test_allocation_tracking(self):
-        profiler = Profiler()
-        with profiler.track_allocations("alloc"):
-            _ = [bytes(128) for _ in range(100)]
-        stat = profiler.snapshot()["allocations"]["alloc"]
-        assert stat["calls"] == 1
-        assert stat["allocated_bytes"] >= 0
-        assert stat["peak_bytes"] >= stat["allocated_bytes"]
-
-    def test_timer_records_on_exception(self):
-        profiler = Profiler()
-        try:
-            with profiler.timer("failing"):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert profiler.snapshot()["timers"]["failing"]["calls"] == 1
-
-    def test_snapshot_is_json_serialisable(self):
-        profiler = Profiler()
-        with profiler.timer("t"):
-            profiler.count("c")
-        json.dumps(profiler.snapshot())
-
-
-class TestNestedAllocationTracking:
-    """tracemalloc has one process-wide peak; nested sections must not
-    clobber each other's measurements through the shared reset."""
-
-    def test_inner_section_excludes_prior_outer_allocations(self):
-        profiler = Profiler()
-        with profiler.track_allocations("outer"):
-            keep_outer = [bytes(4096) for _ in range(50)]
-            with profiler.track_allocations("inner"):
-                keep_inner = [bytes(64)]
-        allocations = profiler.snapshot()["allocations"]
-        # The inner section starts *after* the outer's 200 KiB and must
-        # not inherit it.
-        assert allocations["inner"]["allocated_bytes"] < 10_000
-        assert allocations["inner"]["peak_bytes"] < 10_000
-        assert allocations["outer"]["allocated_bytes"] > 150_000
-        del keep_outer, keep_inner
-
-    def test_outer_peak_survives_the_inner_reset(self):
-        profiler = Profiler()
-        with profiler.track_allocations("outer"):
-            # Peak happens *before* the inner section opens...
-            spike = [bytes(4096) for _ in range(100)]
-            del spike
-            # ... which resets tracemalloc's high-water mark; the outer
-            # section's folded peak must still reflect the spike.
-            with profiler.track_allocations("inner"):
-                pass
-        outer = profiler.snapshot()["allocations"]["outer"]
-        assert outer["peak_bytes"] > 300_000
-
-    def test_tracing_stops_when_the_last_section_exits(self):
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        profiler = Profiler()
-        with profiler.track_allocations("outer"):
-            with profiler.track_allocations("inner"):
-                assert tracemalloc.is_tracing()
-            assert tracemalloc.is_tracing()
-        assert not tracemalloc.is_tracing()
-
-    def test_out_of_order_exit_is_tolerated(self):
-        import tracemalloc
-
-        profiler = Profiler()
-        outer = profiler.track_allocations("outer")
-        inner = profiler.track_allocations("inner")
-        outer.__enter__()
-        inner.__enter__()
-        # Close the *outer* handle first — e.g. generators finalized in
-        # an unlucky order.  Both sections still record, and tracing
-        # still stops once the stack empties.
-        outer.__exit__(None, None, None)
-        assert tracemalloc.is_tracing()
-        inner.__exit__(None, None, None)
-        assert not tracemalloc.is_tracing()
-        allocations = profiler.snapshot()["allocations"]
-        assert allocations["outer"]["calls"] == 1
-        assert allocations["inner"]["calls"] == 1
-
-    def test_ambient_tracing_is_left_running(self):
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            profiler = Profiler()
-            with profiler.track_allocations("section"):
-                pass
-            assert tracemalloc.is_tracing()
-        finally:
-            tracemalloc.stop()
-
-
 class TestProfilerObsMirror:
-    def test_counters_and_timers_mirror_when_enabled(self):
-        from repro.obs.registry import Registry, use_registry
-
-        with use_registry(Registry()) as registry:
-            profiler = Profiler()
-            profiler.count("replies", 5)
-            with profiler.timer("phase"):
-                pass
-            assert registry.get("perf.counter.replies").value == 5
-            assert registry.get("perf.timer.phase").count == 1
-        # The local snapshot surface is unchanged either way.
-        assert profiler.snapshot()["counters"] == {"replies": 5}
-
-    def test_disabled_registry_records_nothing(self):
-        from repro.obs.registry import get_registry
-
-        profiler = Profiler()
-        profiler.count("replies", 5)
-        assert profiler.snapshot()["counters"] == {"replies": 5}
-        assert get_registry().snapshot() == {}
-
     def test_system_profile_includes_obs_section_when_enabled(self):
         from repro.obs.registry import Registry, use_registry
 

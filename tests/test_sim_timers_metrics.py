@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.stats import percentile, summarize
 from repro.common.errors import SimulationError
-from repro.sim.metrics import Counter, MetricsRegistry, Sample, percentile, summarize
 from repro.sim.scheduler import Scheduler
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import SimTrace
@@ -95,26 +95,6 @@ class TestMetrics:
     def test_summarize_rejects_empty(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_counter_monotonic(self):
-        c = Counter("x")
-        c.increment()
-        c.increment(2)
-        assert c.value == 3
-        with pytest.raises(ValueError):
-            c.increment(-1)
-
-    def test_registry_reuses_instances(self):
-        reg = MetricsRegistry()
-        reg.counter("a").increment()
-        reg.counter("a").increment()
-        assert reg.counters() == {"a": 2}
-
-    def test_registry_summaries_skip_empty(self):
-        reg = MetricsRegistry()
-        reg.sample("empty")
-        reg.sample("full").observe(1.0)
-        assert list(reg.summaries()) == ["full"]
 
     def test_summary_format(self):
         text = summarize([1.0, 2.0]).format("ms")

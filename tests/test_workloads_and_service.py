@@ -1,9 +1,4 @@
-"""Workload generation, the driver, the blocking session surface, scenarios.
-
-Formerly exercised the deprecated ``FaustService`` shim; the blocking
-round-trips now go through the ``repro.api`` facade directly (the shim's
-own deprecation contract is pinned in ``tests/test_api_facade.py``).
-"""
+"""Workload generation, the driver, the blocking session surface, scenarios."""
 
 from __future__ import annotations
 
@@ -113,8 +108,7 @@ class TestDriver:
 
 
 class TestBlockingSessions:
-    """The blocking read/write surface (formerly the FaustService shim),
-    exercised through the facade sessions it was deprecated in favour of."""
+    """The blocking read/write surface of the facade sessions."""
 
     def _system(self, seed, **config_kwargs):
         return FaustBackend().open_system(
