@@ -59,43 +59,73 @@ class Backend(Protocol):
         ...
 
 
-def build_deployment(config: SystemConfig, fail_aware: bool, **placement):
-    """One simulated server (or replica group) with its clients, wired
-    from ``config``: bare USTOR clients, or FAUST ones when ``fail_aware``.
+def protocol_for(stack: str, config: SystemConfig):
+    """The :class:`~repro.workloads.runner.ProtocolSpec` of the protocol
+    stack a single-server backend (or ``shard_protocol``) names, tuned
+    from ``config``."""
+    from repro.baselines.lockstep import lockstep_protocol
+    from repro.baselines.unchecked import unchecked_protocol
+    from repro.workloads.runner import faust_protocol, ustor_protocol
 
-    ``placement`` overrides builder arguments per shard (name, shared
+    if stack == "ustor":
+        return ustor_protocol(trace_ids=config.trace_ids)
+    if stack == "faust":
+        return faust_protocol(
+            config.checkpoint, config.membership, **config.faust.as_kwargs()
+        )
+    return {"lockstep": lockstep_protocol, "unchecked": unchecked_protocol}[stack]()
+
+
+def build_deployment(config: SystemConfig, protocol, **placement):
+    """One server (or replica group) with its clients, wired from
+    ``config``: ``protocol`` (a :class:`~repro.workloads.runner.
+    ProtocolSpec`) on the world ``config.transport`` names — the
+    simulator, or sockets to already-running ``repro serve`` processes.
+
+    ``placement`` overrides simulator knobs per shard (name, shared
     scheduler, factory) — the cluster backend's only addition.
     """
-    from repro.workloads.runner import SystemBuilder
+    from repro.workloads import runner
 
-    knobs = dict(
+    deployment = dict(
         num_clients=config.num_clients,
-        seed=config.seed,
         scheme=config.scheme,
+        server_name=config.server_name,
+        commit_piggyback=config.commit_piggyback,
+        replicas=config.replicas,
+        quorum=config.quorum,
+    )
+    if config.transport == "tcp":
+        from repro.net import client as net_client
+
+        world = net_client.TcpWorld(
+            config.endpoints,
+            seed=config.seed,
+            default_timeout=config.default_timeout,
+            trace_path=config.trace_path,
+            span_log=config.span_log,
+        )
+        return runner.wire_deployment(
+            world, protocol, counter=config.counter is not None, **deployment
+        )
+    simulator = dict(
+        seed=config.seed,
         latency=config.latency,
         offline_latency=config.offline_latency,
         server_factory=config.server_factory,
-        commit_piggyback=config.commit_piggyback,
         storage=config.storage,
         batching=config.batching,
-        replicas=config.replicas,
-        quorum=config.quorum,
         counter=config.counter,
         replica_server_factories=config.replica_server_factories,
     )
-    knobs.update(placement)
-    builder = SystemBuilder(**knobs)
-    if not fail_aware:
-        return builder.build()
-    return builder.build_faust(
-        checkpoint=config.checkpoint,
-        membership=config.membership,
-        **config.faust.as_kwargs(),
-    )
+    return runner.SystemBuilder(
+        **{**deployment, **simulator, **placement}
+    ).build_protocol(protocol)
 
 
 class _Backend:
-    """The one way in: consult the support table, open, attach the span log."""
+    """The one way in: consult the support table, build the deployment the
+    backend's protocol describes, attach the span log."""
 
     name: str
     capabilities: Capabilities
@@ -113,7 +143,13 @@ class _Backend:
         return system
 
     def _open(self, config: SystemConfig) -> System:
-        raise NotImplementedError
+        raw = build_deployment(config, protocol_for(self.name, config))
+        # Sorted, so that when one window ends exactly where the next
+        # begins, the restart event is enqueued (and fires) before the
+        # next crash — ties at one virtual time break by scheduling order.
+        for start, duration in sorted(config.server_outages):
+            raw.server_outage(start, duration)
+        return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
 class UstorBackend(_Backend):
@@ -123,51 +159,15 @@ class UstorBackend(_Backend):
     capabilities = Capabilities(
         timestamps=True, stability=False, failure_detection=True, wait_free=True
     )
-    _fail_aware = False
-
-    def _open(self, config: SystemConfig) -> System:
-        if config.transport == "tcp":
-            raw = self._open_tcp(config)
-        else:
-            raw = build_deployment(config, self._fail_aware)
-            # Sorted, so that when one window ends exactly where the next
-            # begins, the restart event is enqueued (and fires) before the
-            # next crash — ties at one virtual time break by scheduling order.
-            for start, duration in sorted(config.server_outages):
-                raw.server_outage(start, duration)
-        return System(raw, self.name, self.capabilities, config.default_timeout)
-
-    @staticmethod
-    def _open_tcp(config: SystemConfig):
-        """The client half of a real deployment: sockets to already-running
-        ``repro serve`` processes, one endpoint per replica."""
-        from repro.net.client import open_tcp_system
-
-        return open_tcp_system(
-            config.num_clients,
-            config.endpoints,
-            server_name=config.server_name,
-            seed=config.seed,
-            scheme=config.scheme,
-            default_timeout=config.default_timeout,
-            commit_piggyback=config.commit_piggyback,
-            trace_path=config.trace_path,
-            trace_ids=config.trace_ids,
-            span_log=config.span_log,
-            replicas=config.replicas,
-            quorum=config.quorum,
-            counter=config.counter is not None,
-        )
 
 
-class FaustBackend(UstorBackend):
+class FaustBackend(_Backend):
     """USTOR plus the fail-aware layer (Section 6) — the paper's service."""
 
     name = "faust"
     capabilities = Capabilities(
         timestamps=True, stability=True, failure_detection=True, wait_free=True
     )
-    _fail_aware = True
 
 
 class LockstepBackend(_Backend):
@@ -178,18 +178,6 @@ class LockstepBackend(_Backend):
         timestamps=True, stability=False, failure_detection=True, wait_free=False
     )
 
-    def _open(self, config: SystemConfig) -> System:
-        from repro.baselines.lockstep import build_lockstep_system
-
-        raw = build_lockstep_system(
-            config.num_clients,
-            seed=config.seed,
-            scheme=config.scheme,
-            latency=config.latency,
-            server_factory=config.server_factory,
-        )
-        return System(raw, self.name, self.capabilities, config.default_timeout)
-
 
 class UncheckedBackend(_Backend):
     """The naive baseline: trusts every byte; nothing is ever detected."""
@@ -198,17 +186,6 @@ class UncheckedBackend(_Backend):
     capabilities = Capabilities(
         timestamps=True, stability=False, failure_detection=False, wait_free=True
     )
-
-    def _open(self, config: SystemConfig) -> System:
-        from repro.baselines.unchecked import build_unchecked_system
-
-        raw = build_unchecked_system(
-            config.num_clients,
-            seed=config.seed,
-            latency=config.latency,
-            server_factory=config.server_factory,
-        )
-        return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
 class ClusterBackend(_Backend):

@@ -99,8 +99,10 @@ class SystemConfig:
     offline_latency: LatencyModel | None = None
     server_factory: Callable | None = None
     commit_piggyback: bool = False
-    #: Default time budget for synchronous waits (``result``, ``barrier``).
-    default_timeout: float = 1_000.0
+    #: Default time budget for synchronous waits (``result``, ``barrier``);
+    #: ``None`` resolves to ``1_000.0`` virtual time units on ``sim`` and
+    #: ``30.0`` wall-clock seconds on ``tcp``.
+    default_timeout: float | None = None
     #: Server durability: ``"memory"`` (the paper's volatile server),
     #: ``"log"`` (WAL + snapshots, crash-recoverable), a ready
     #: :class:`~repro.store.engine.StorageEngine`, or a factory
@@ -174,9 +176,7 @@ class SystemConfig:
     #: sockets).
     transport: str = "sim"
     #: Server addresses for ``transport="tcp"``: ``host:port`` strings
-    #: (or one comma-separated string).  One endpoint per replica — the
-    #: sharded form is launched with ``serve-cluster`` and opened per
-    #: shard through :func:`repro.net.client.open_tcp_system`.
+    #: (or one comma-separated string), one endpoint per replica.
     endpoints: tuple[str, ...] = ()
     #: The name the tcp server process answers as (``repro serve
     #: --server-name``; ``serve-cluster`` names shard *i* ``S{i}``).  The
@@ -216,6 +216,8 @@ class SystemConfig:
                 "membership= layers lease-based epochs under the checkpoint "
                 "protocol; it needs checkpoint= enabled"
             )
+        if self.default_timeout is None:
+            self.default_timeout = 30.0 if self.transport == "tcp" else 1_000.0
         if self.default_timeout <= 0:
             raise ConfigurationError("default_timeout must be positive")
         for window in self.server_outages:

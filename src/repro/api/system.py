@@ -15,7 +15,7 @@ applications stay on the facade.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.api.errors import CapabilityError
 from repro.api.events import NotificationHub
@@ -106,25 +106,16 @@ class System:
 
         return system_profile(self)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the simulation; returns the number of events fired."""
-        return self._raw.run(until=until, max_events=max_events)
-
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        """Run until ``predicate()`` holds; returns whether it ever did."""
-        return self._raw.run_until(predicate, timeout=timeout)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time of the deployment."""
-        return self._raw.now
-
     def __getattr__(self, name: str):
-        # Everything else (clients, scheduler, offline, trace, server,
-        # recorder, keystore, history, crash_client_at, ...) passes through.
+        # Everything else (run, run_until, now, clients, scheduler, trace,
+        # recorder, history, crash_client_at, close, ...) passes through.
         return getattr(self._raw, name)
+
+    def __enter__(self) -> "System":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._raw.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

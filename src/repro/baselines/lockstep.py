@@ -509,41 +509,26 @@ def build_lockstep_system(
     latency=None,
     server_factory: Callable[[int, str], LockStepServer] | None = None,
 ):
-    """Assemble a lock-step deployment mirroring ``SystemBuilder.build``."""
-    from repro.sim.network import FixedLatency, Network
-    from repro.sim.offline import OfflineChannel
-    from repro.sim.scheduler import Scheduler
-    from repro.sim.trace import SimTrace
-    from repro.crypto.keystore import KeyStore
-    from repro.workloads.runner import StorageSystem
+    """A simulated lock-step deployment (:func:`lockstep_protocol` on the world
+    ``SystemBuilder`` describes)."""
+    from repro.workloads.runner import SystemBuilder
 
-    scheduler = Scheduler(seed=seed)
-    trace = SimTrace()
-    network = Network(scheduler, default_latency=latency or FixedLatency(1.0), trace=trace)
-    offline = OfflineChannel(scheduler, trace=trace)
-    keystore = KeyStore(num_clients, scheme=scheme)
-    recorder = HistoryRecorder()
-    factory = server_factory or (lambda n, name: LockStepServer(n, name=name))
-    server = factory(num_clients, "S")
-    network.register(server)
-    clients = []
-    for i in range(num_clients):
-        client = LockStepClient(
-            client_id=i,
-            num_clients=num_clients,
-            signer=keystore.signer(i),
-            recorder=recorder,
-        )
-        network.register(client)
-        offline.register(client)
-        clients.append(client)
-    return StorageSystem(
-        scheduler=scheduler,
-        network=network,
-        offline=offline,
-        server=server,  # type: ignore[arg-type]
-        clients=clients,
-        recorder=recorder,
-        trace=trace,
-        keystore=keystore,
+    return SystemBuilder(
+        num_clients,
+        seed=seed,
+        scheme=scheme,
+        latency=latency,
+        server_factory=server_factory,
+    ).build_protocol(lockstep_protocol())
+
+
+def lockstep_protocol():
+    """The lock-step protocol for the one wiring loop: signing clients
+    outside the USTOR stack, :class:`LockStepServer` by default."""
+    from repro.workloads.runner import ProtocolSpec
+
+    return ProtocolSpec(
+        LockStepClient,
+        server_factory=lambda n, name: LockStepServer(n, name=name),
+        ustor_stack=False,
     )

@@ -187,35 +187,23 @@ class LyingUncheckedServer(UncheckedServer):
 
 
 def build_unchecked_system(num_clients: int, seed: int = 0, latency=None, server_factory=None):
-    """Assemble an unchecked deployment mirroring ``SystemBuilder.build``."""
-    from repro.crypto.keystore import KeyStore
-    from repro.sim.network import FixedLatency, Network
-    from repro.sim.offline import OfflineChannel
-    from repro.sim.scheduler import Scheduler
-    from repro.sim.trace import SimTrace
-    from repro.workloads.runner import StorageSystem
+    """A simulated unchecked deployment (:func:`unchecked_protocol` on the
+    world ``SystemBuilder`` describes)."""
+    from repro.workloads.runner import SystemBuilder
 
-    scheduler = Scheduler(seed=seed)
-    trace = SimTrace()
-    network = Network(scheduler, default_latency=latency or FixedLatency(1.0), trace=trace)
-    offline = OfflineChannel(scheduler, trace=trace)
-    recorder = HistoryRecorder()
-    factory = server_factory or (lambda n, name: UncheckedServer(n, name=name))
-    server = factory(num_clients, "S")
-    network.register(server)
-    clients = []
-    for i in range(num_clients):
-        client = UncheckedClient(client_id=i, num_clients=num_clients, recorder=recorder)
-        network.register(client)
-        offline.register(client)
-        clients.append(client)
-    return StorageSystem(
-        scheduler=scheduler,
-        network=network,
-        offline=offline,
-        server=server,  # type: ignore[arg-type]
-        clients=clients,
-        recorder=recorder,
-        trace=trace,
-        keystore=KeyStore(num_clients),
+    return SystemBuilder(
+        num_clients, seed=seed, latency=latency, server_factory=server_factory
+    ).build_protocol(unchecked_protocol())
+
+
+def unchecked_protocol():
+    """The unchecked protocol for the one wiring loop: clients that
+    neither sign nor verify, :class:`UncheckedServer` by default."""
+    from repro.workloads.runner import ProtocolSpec
+
+    return ProtocolSpec(
+        UncheckedClient,
+        server_factory=lambda n, name: UncheckedServer(n, name=name),
+        signs=False,
+        ustor_stack=False,
     )

@@ -374,8 +374,7 @@ def _run_config(args, backend) -> SystemConfig:
         server_name=args.server_name,
         trace_path=args.trace_file,
         trace_ids=args.trace_ids,
-        # --timeout is a wall-clock budget; virtual time keeps its own.
-        default_timeout=args.timeout if tcp else SystemConfig.default_timeout,
+        default_timeout=args.timeout,
     )
 
 
@@ -399,11 +398,8 @@ def _cmd_run(args) -> int:
     except ConfigurationError as exc:
         print(f"cannot open the deployment: {exc}")
         return 1
-    try:
+    with system:
         _run_and_report(args, system, config, backend)
-    finally:
-        if config.transport == "tcp":
-            system.close()
     return 0
 
 
@@ -938,9 +934,10 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--timeout",
         type=float,
-        default=30.0,
+        default=None,
         metavar="SECONDS",
-        help="wall-clock deadline for synchronous waits over tcp",
+        help="deadline for synchronous waits (default: 30 wall-clock "
+        "seconds over tcp, 1000 virtual time units on sim)",
     )
     run.add_argument("--until", type=float, default=500.0,
                      help="virtual time budget (wall-clock seconds over tcp)")

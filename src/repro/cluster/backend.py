@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.api.backends import build_deployment
+from repro.api.backends import build_deployment, protocol_for
 from repro.api.config import SystemConfig, validate_outage_windows
 from repro.cluster.shardmap import make_shard_map
 from repro.cluster.system import ClusterSystem
@@ -48,10 +48,11 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
     per_shard_outages = _outage_plan(config)
 
     scheduler = Scheduler(seed=config.seed)
+    protocol = protocol_for(config.shard_protocol, config)
     shards = [
         build_deployment(
             config,
-            config.shard_protocol == "faust",
+            protocol,
             server_factory=config.shard_server_factories.get(
                 shard, config.server_factory
             ),

@@ -391,6 +391,17 @@ class ClusterSystem:
         """Current virtual time (shared by every shard)."""
         return self.scheduler.now
 
+    def close(self) -> None:
+        """Close every shard's deployment (idempotent)."""
+        for shard in self.shards:
+            shard.close()
+
+    def __enter__(self) -> "ClusterSystem":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def crash_client_at(self, client_id: ClientId, time: float) -> None:
         """Schedule a crash-stop of one client (all its shard instances)."""
         proxy = self.clients[client_id]

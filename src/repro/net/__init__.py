@@ -18,8 +18,9 @@ Layout:
   ``Scheduler``'s timer surface;
 * :mod:`repro.net.server` — asyncio server host (in-process for loopback
   tests, standalone for ``python -m repro serve``);
-* :mod:`repro.net.client` — asyncio client runtime and the ``NetSystem``
-  facade mirroring the sim ``StorageSystem`` surface;
+* :mod:`repro.net.client` — asyncio client runtime, the ``TcpWorld`` the
+  one wiring loop builds deployments in, and ``NetSystem``: the sim
+  ``StorageSystem`` plus what sockets add (connections, a real close);
 * :mod:`repro.net.trace` — append-only JSONL wire traces and their
   deterministic replay on the sim backend;
 * :mod:`repro.net.supervisor` — OS-process lifecycle for servers.

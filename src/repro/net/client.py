@@ -4,10 +4,12 @@ The protocol clients (:class:`~repro.ustor.client.UstorClient`) and the
 session layer above them are event-driven and never block, so moving
 them onto sockets needs no changes there — only a transport whose
 ``send`` writes frames, and a scheduler whose ``now`` is a wall clock.
-:class:`NetSystem` assembles both and mirrors the surface of the
-simulator's :class:`~repro.workloads.runner.StorageSystem`, which is
-what keeps ``Session``/``OpHandle``, the incremental auditors, the
-workload driver and the consistency checkers working unchanged.
+:class:`TcpWorld` supplies both to the one wiring loop
+(:func:`repro.workloads.runner.wire_deployment`), so what comes back is
+the same :class:`~repro.workloads.runner.StorageSystem` that
+``Session``/``OpHandle``, the incremental auditors, the workload driver
+and the consistency checkers already drive — :class:`NetSystem` adds
+only what sockets add (the runtime, the connections, a real ``close``).
 
 Reliability bridge
 ------------------
@@ -44,9 +46,6 @@ from repro.common.errors import (
     EncodingError,
     SimulationError,
 )
-from repro.crypto.keystore import KeyStore
-from repro.history.history import History
-from repro.history.recorder import HistoryRecorder
 from repro.net.framing import MAX_FRAME_BYTES, encode_frame, read_frame
 from repro.net.realtime import RealtimeScheduler
 from repro.obs.registry import SIZE_BUCKETS, get_registry
@@ -59,12 +58,14 @@ from repro.net.wire import (
 from repro.sim.trace import SimTrace
 from repro.ustor.client import UstorClient
 from repro.ustor.messages import ReplyMessage
+from repro.workloads import runner
 
 __all__ = [
     "NetRuntime",
     "ClientConnection",
     "ClientTransport",
     "NetSystem",
+    "TcpWorld",
     "ReconnectBackoff",
     "open_tcp_system",
     "parse_endpoint",
@@ -106,15 +107,15 @@ class ReconnectBackoff:
         self._rng = random.Random(seed)
         self._attempt = 0
 
-    @property
-    def attempt(self) -> int:
-        """Failed attempts since the last :meth:`reset`."""
-        return self._attempt
-
     def next_delay(self) -> float:
         """The delay to sleep before the next reconnect attempt."""
-        ceiling = min(self._cap, self._base * self._multiplier**self._attempt)
-        self._attempt += 1
+        ceiling = self._base * self._multiplier**self._attempt
+        if ceiling < self._cap:
+            # Past the cap every delay is the cap: the exponent stops
+            # growing, so a long outage cannot overflow the power.
+            self._attempt += 1
+        else:
+            ceiling = self._cap
         return ceiling * (0.5 + 0.5 * self._rng.random())
 
     def reset(self) -> None:
@@ -426,102 +427,30 @@ class ClientTransport:
             )
         route.send_message(message)
 
-    def send_multi(self, src: str, dsts, message) -> None:
-        """Fan one message out to several servers (replica broadcast).
 
-        TCP gives each replica its own connection, so unlike the
-        simulator's shared-sample :meth:`Network.send_multi` there is no
-        latency stream to share — this is exactly N sends."""
-        for dst in dsts:
-            self.send(src, dst, message)
-
-
-@dataclass
-class NetSystem:
-    """A real-transport deployment behind the ``StorageSystem`` surface."""
+@dataclass(kw_only=True)
+class NetSystem(runner.StorageSystem):
+    """A deployment over real sockets: the one system surface plus what
+    sockets add.  ``server`` is ``None`` — the servers are separate
+    processes, or the loopback ``hosts``."""
 
     runtime: NetRuntime
-    scheduler: RealtimeScheduler
-    network: ClientTransport
-    clients: list
-    recorder: HistoryRecorder
-    trace: SimTrace
-    keystore: KeyStore
     connections: list[ClientConnection]
+    #: Wait budget of sessions opened on this system directly (the facade
+    #: carries its own), and the world's clock — all wall-clock seconds.
     default_timeout: float = 30.0
-    #: No co-located server object — servers are separate processes (or
-    #: loopback hosts listed in ``hosts``); ``None`` keeps facade code
-    #: that probes ``system.server`` honest about that.
-    server: None = None
-    offline: None = None
-    batching: None = None
-    faust_clients: list = field(default_factory=list)
-    #: Loopback hosts owned by this system (closed with it); empty when
-    #: the servers are real separate processes.
+    quiescence_poll: float = 0.05
+    quiescence_timeout: float = 30.0
+    audit_every: float = 1.0
+    #: Loopback hosts owned by (and closed with) this system.
     hosts: list = field(default_factory=list)
     trace_writer: object | None = None
-    #: Whether :meth:`close` also closes the runtime's event loop.  False
-    #: when the runtime was injected (loopback tests share one runtime
-    #: between host and clients and own its lifetime themselves).
+    #: Whether :meth:`close` also closes the runtime's event loop: False
+    #: when the runtime was injected (loopback tests share one between
+    #: host and clients and own its lifetime themselves).
     owns_runtime: bool = True
-    #: Optional :class:`repro.obs.tracing.SpanLog` shared with the clients
-    #: (and read by sessions) when causal tracing is on.
-    span_log: object | None = None
     #: Client-side ``/metrics`` endpoint, once :meth:`start_metrics` ran.
     metrics_server: object | None = None
-
-    # -- running ------------------------------------------------------- #
-
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        return self.runtime.pump_until(predicate, timeout)
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Pump for ``until`` seconds of wall-clock time (facade parity)."""
-        if until is None:
-            raise ConfigurationError(
-                "a real deployment cannot run to event-queue exhaustion; "
-                "give run() a wall-clock bound or use run_until()"
-            )
-        deadline = until
-        self.runtime.pump_until(lambda: self.scheduler.now >= deadline, None)
-        return self.scheduler.events_processed
-
-    def run_until_quiescent(
-        self, check_every: float = 0.05, timeout: float = 30.0
-    ) -> None:
-        def quiet() -> bool:
-            return all(
-                not getattr(c, "busy", False)
-                for c in self.clients
-                if not c.crashed
-            )
-
-        self.run_until(quiet, timeout=timeout)
-
-    # -- introspection (StorageSystem parity) -------------------------- #
-
-    def history(self) -> History:
-        return self.recorder.history()
-
-    def attach_audit(
-        self,
-        every: float = 1.0,
-        checks: tuple[str, ...] = ("linearizability", "causal"),
-    ):
-        from repro.workloads.runner import IncrementalAuditor
-
-        return IncrementalAuditor(self, every=every, checks=checks)
-
-    def client(self, client_id: int):
-        return self.clients[client_id]
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    # -- lifecycle ----------------------------------------------------- #
 
     def wait_connected(self, timeout: float = 5.0) -> None:
         """Block until every connection finished its handshake."""
@@ -582,11 +511,139 @@ class NetSystem:
         if self.owns_runtime:
             self.runtime.close()
 
-    def __enter__(self) -> "NetSystem":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+class TcpWorld(runner.World):
+    """Real sockets: a wall-clock scheduler, one :class:`ClientConnection`
+    per (client, replica endpoint), no co-located server and no offline
+    channel.
+
+    The wire-trace hooks are part of this world.  A trace records each
+    client's *logical* streams: outbound frames once per broadcast (on
+    replica 0's connection) and inbound ones there too — or, with a
+    replica group, at quorum resolution: the winner the protocol engine
+    consumed, not any one replica's raw arrivals (a round can resolve
+    before ``r0``'s reply lands, and the raw stream would replay out of
+    order).  The single-server replayer works unchanged on that trace."""
+
+    def __init__(
+        self,
+        endpoints: tuple[str, ...] | list[str] | str,
+        *,
+        seed: int = 0,
+        runtime: NetRuntime | None = None,
+        default_timeout: float = 30.0,
+        connect_timeout: float | None = 5.0,
+        trace_path: str | None = None,
+        span_log=None,
+    ) -> None:
+        if isinstance(endpoints, str):
+            endpoints = [part for part in endpoints.split(",") if part]
+        self.endpoints = tuple(endpoints)
+        self.owns_runtime = runtime is None
+        self.runtime = runtime or NetRuntime(seed=seed)
+        trace = SimTrace()
+        super().__init__(
+            self.runtime.scheduler, ClientTransport(self.runtime, trace=trace), trace
+        )
+        self.connections: list[ClientConnection] = []
+        self.trace_writer = None
+        self._seed = seed
+        self._connect_timeout = connect_timeout
+        self._trace_path = trace_path
+        self._span_log = span_log
+        self._default_timeout = default_timeout
+
+    def start(
+        self,
+        protocol,
+        recorder,
+        *,
+        num_clients,
+        replica_names,
+        scheme,
+        commit_piggyback,
+    ):
+        """Check the endpoints against the replica group; open the trace."""
+        if len(self.endpoints) != len(replica_names):
+            if self.owns_runtime:
+                self.runtime.close()
+            raise ConfigurationError(
+                f"a deployment needs one endpoint per replica: "
+                f"{len(replica_names)} replica(s) but {len(self.endpoints)} "
+                f"endpoint(s) given"
+            )
+        self._num_clients = num_clients
+        self._replica_names = replica_names
+        if self._trace_path is not None:
+            from repro.net.trace import WireTraceWriter
+
+            self.trace_writer = WireTraceWriter(
+                self._trace_path,
+                clock=lambda: self.scheduler.now,
+                num_clients=num_clients,
+                scheme=scheme,
+                # The first replica's view: with replicas > 1 only its
+                # connections carry the frame hook, and the replayer talks to
+                # it by name.
+                server_name=replica_names[0],
+                endpoints=self.endpoints,
+                commit_piggyback=commit_piggyback,
+                trace_ids=protocol.client_kwargs.get("trace_ids", False),
+            )
+            recorder.add_listener(self.trace_writer)
+        return []
+
+    def connect(self, client) -> None:
+        """One connection per replica endpoint, plus the trace hooks."""
+        i, writer = client.client_id, self.trace_writer
+        replicated = len(self._replica_names) > 1
+        client.span_log = self._span_log
+        if writer is not None and replicated:
+            # The logical inbound stream: the quorum winner at resolution
+            # time, recorded in place of any raw per-replica arrival.
+            client.resolved_reply_hook = lambda message: writer.frame(
+                "s2c", i, message_to_payload(message), retx=False
+            )
+        for k, (endpoint, name) in enumerate(
+            zip(self.endpoints, self._replica_names)
+        ):
+            connection = ClientConnection(
+                self.runtime,
+                i,
+                self._num_clients,
+                endpoint,
+                name,
+                sim_trace=self.trace,
+                # Distinct deterministic jitter stream per (client, replica)
+                # link, reproducible from the system seed.
+                reconnect_seed=(self._seed << 16) ^ (i * len(self.endpoints) + k),
+                trace_writer=writer if k == 0 else None,
+                trace_s2c=not replicated,
+            )
+            connection.attach(client)
+            self.transport.add_route(client.name, connection)
+            connection.start()
+            self.connections.append(connection)
+
+    def system(self, **wired) -> NetSystem:
+        """The :class:`NetSystem` over this world's runtime and links,
+        once every handshake finished (``connect_timeout=None``: at once)."""
+        system = NetSystem(
+            runtime=self.runtime,
+            connections=self.connections,
+            trace_writer=self.trace_writer,
+            owns_runtime=self.owns_runtime,
+            span_log=self._span_log,
+            default_timeout=self._default_timeout,
+            **wired,
+        )
+        if self._connect_timeout is not None:
+            try:
+                system.wait_connected(timeout=self._connect_timeout)
+            except ConfigurationError:
+                system.close()
+                raise
+        return system
 
 
 def open_tcp_system(
@@ -607,144 +664,42 @@ def open_tcp_system(
     quorum: int | None = None,
     counter: bool = False,
 ) -> NetSystem:
-    """Open a single-shard deployment over real TCP.
+    """Open a single-shard USTOR deployment over real TCP.
 
     ``endpoints`` must name one ``host:port`` per replica — exactly one
-    for the paper's single server (the sharded form lives in the cluster
-    layer).  Keys are deterministic from ``(scheme, num_clients)`` — the
-    same determinism that makes simulated runs reproducible makes the
-    server processes and the replayer agree with these clients about
-    every signature.
+    for the paper's single server.  Keys are deterministic from
+    ``(scheme, num_clients)``, so the server processes and the replayer
+    agree with these clients about every signature.
 
     With ``replicas > 1`` each client opens one connection per replica
     process (named ``S/r0`` .. ``S/r{k-1}``) and resolves replies through
     a client-side :class:`~repro.replica.coordinator.QuorumCoordinator`;
-    ``counter=True`` additionally arms the
-    :class:`~repro.replica.counter.CounterVerifier` against the counter
-    attestations the server processes attach.  A wire trace then records
-    the client's *logical* streams: outbound frames once per broadcast
-    (on replica ``r0``'s connection) and inbound replies at quorum
-    resolution — the winner the protocol engine consumed, not any one
-    replica's raw arrivals (a round can resolve before ``r0``'s reply
-    lands, and the raw stream would replay out of order).  The
-    single-server replayer works unchanged on that trace.
+    ``counter=True`` arms the :class:`~repro.replica.counter.
+    CounterVerifier` against the attestations the server processes attach.
 
-    ``trace_ids=True`` stamps SUBMIT/COMMIT with deterministic causal
-    trace ids (recorded in the wire-trace header so replay stays
-    byte-identical); ``span_log`` shares one
+    ``trace_path`` records the wire trace (:class:`TcpWorld` says what of
+    a replica group's traffic it holds); ``trace_ids=True`` stamps
+    SUBMIT/COMMIT with deterministic causal trace ids (recorded in the
+    trace header so replay stays byte-identical); ``span_log`` shares one
     :class:`~repro.obs.tracing.SpanLog` across the clients and sessions.
     """
-    if isinstance(endpoints, str):
-        endpoints = tuple(part for part in endpoints.split(",") if part)
-    if replicas == 1 and len(endpoints) != 1:
-        raise ConfigurationError(
-            f"a single-server system takes exactly one endpoint, "
-            f"got {list(endpoints)!r}"
-        )
-    if len(endpoints) != replicas:
-        raise ConfigurationError(
-            f"a replica group needs one endpoint per replica: "
-            f"replicas={replicas} but {len(endpoints)} endpoint(s) given"
-        )
-    replica_names = (
-        [server_name]
-        if replicas == 1
-        else [f"{server_name}/r{k}" for k in range(replicas)]
-    )
-    owns_runtime = runtime is None
-    runtime = runtime or NetRuntime(seed=seed)
-    sim_trace = SimTrace()
-    transport = ClientTransport(runtime, trace=sim_trace)
-    keystore = KeyStore(num_clients, scheme=scheme)
-    recorder = HistoryRecorder()
-    trace_writer = None
-    if trace_path is not None:
-        from repro.net.trace import WireTraceWriter
-
-        trace_writer = WireTraceWriter(
-            trace_path,
-            clock=lambda: runtime.scheduler.now,
-            num_clients=num_clients,
-            scheme=scheme,
-            # The first replica's view: with replicas > 1 only its
-            # connections carry the frame hook, and the replayer talks to
-            # it by name.
-            server_name=replica_names[0],
-            endpoints=tuple(endpoints),
-            commit_piggyback=commit_piggyback,
-            trace_ids=trace_ids,
-        )
-        recorder.add_listener(trace_writer)
-    replica_kwargs: dict = {}
-    if replicas > 1:
-        replica_kwargs = {
-            "replica_servers": tuple(replica_names),
-            "quorum": quorum,
-            "counter": counter,
-        }
-    elif counter:
-        replica_kwargs = {"counter": True}
-    clients: list[UstorClient] = []
-    connections: list[ClientConnection] = []
-    for i in range(num_clients):
-        client = UstorClient(
-            client_id=i,
-            num_clients=num_clients,
-            signer=keystore.signer(i),
-            server_name=replica_names[0],
-            recorder=recorder,
-            commit_piggyback=commit_piggyback,
-            trace_ids=trace_ids,
-            **replica_kwargs,
-        )
-        client.span_log = span_log
-        if trace_writer is not None and replicas > 1:
-            # The logical inbound stream: the quorum winner at resolution
-            # time, recorded in place of any raw per-replica arrival.
-            def record_resolved(message, _client_id=i):
-                trace_writer.frame(
-                    "s2c", _client_id, message_to_payload(message), retx=False
-                )
-
-            client.resolved_reply_hook = record_resolved
-        transport.register(client)
-        for k, (endpoint, name) in enumerate(zip(endpoints, replica_names)):
-            connection = ClientConnection(
-                runtime,
-                i,
-                num_clients,
-                endpoint,
-                name,
-                sim_trace=sim_trace,
-                # Distinct deterministic jitter stream per (client, replica)
-                # link, reproducible from the system seed.
-                reconnect_seed=(seed << 16) ^ (i * len(endpoints) + k),
-                trace_writer=trace_writer if k == 0 else None,
-                trace_s2c=replicas == 1,
-            )
-            connection.attach(client)
-            transport.add_route(client.name, connection)
-            connection.start()
-            connections.append(connection)
-        clients.append(client)
-    system = NetSystem(
+    world = TcpWorld(
+        endpoints,
+        seed=seed,
         runtime=runtime,
-        scheduler=runtime.scheduler,
-        network=transport,
-        clients=clients,
-        recorder=recorder,
-        trace=sim_trace,
-        keystore=keystore,
-        connections=connections,
-        default_timeout=default_timeout,
-        trace_writer=trace_writer,
-        owns_runtime=owns_runtime,
+        connect_timeout=connect_timeout,
+        trace_path=trace_path,
         span_log=span_log,
+        default_timeout=default_timeout,
     )
-    if connect_timeout is not None:
-        try:
-            system.wait_connected(timeout=connect_timeout)
-        except ConfigurationError:
-            system.close()
-            raise
-    return system
+    return runner.wire_deployment(
+        world,
+        runner.ustor_protocol(trace_ids=trace_ids),
+        num_clients=num_clients,
+        scheme=scheme,
+        server_name=server_name,
+        replicas=replicas,
+        quorum=quorum,
+        counter=counter,
+        commit_piggyback=commit_piggyback,
+    )

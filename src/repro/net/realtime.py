@@ -45,9 +45,10 @@ class RealtimeHandle:
 class RealtimeScheduler:
     """Wall-clock implementation of the scheduler seam.
 
-    ``run``/``run_until`` exist for facade compatibility (the cluster
-    system delegates to its scheduler); they pump the attached runtime's
-    event loop rather than draining a virtual event queue.
+    ``run``/``run_until`` are what :class:`~repro.workloads.runner.
+    StorageSystem` delegates to on every world; here they pump the
+    attached runtime's event loop rather than draining a virtual event
+    queue.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, *, seed: int = 0) -> None:
@@ -83,7 +84,7 @@ class RealtimeScheduler:
     ) -> RealtimeHandle:
         return self.schedule(max(0.0, time - self.now), fn, *args)
 
-    # -- facade compatibility ------------------------------------------ #
+    # -- running ------------------------------------------------------- #
 
     def attach_runtime(self, runtime: "NetRuntime") -> None:
         self._runtime = runtime
@@ -100,11 +101,14 @@ class RealtimeScheduler:
             )
         return self._runtime.pump_until(predicate, timeout)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
+    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+        """Pump until the clock reads ``until`` seconds; returns the number
+        of timer events this call fired (like the simulator's ``run``)."""
         if until is None:
             raise SimulationError(
                 "a wall-clock scheduler cannot run to quiescence; "
-                "use run_until with a timeout"
+                "give run() a wall-clock bound or use run_until()"
             )
-        deadline = until
-        self.run_until(lambda: self.now >= deadline, timeout=None)
+        before = self.events_processed
+        self.run_until(lambda: self.now >= until, timeout=None)
+        return self.events_processed - before

@@ -49,7 +49,7 @@ from repro.net.wire import (
     welcome_payload,
 )
 from repro.sim.trace import SimTrace
-from repro.store.engine import make_engine
+from repro.store.engine import make_server
 from repro.ustor.messages import CommitMessage, ReplyMessage, SubmitMessage
 from repro.ustor.server import UstorServer
 
@@ -129,11 +129,8 @@ class NetServerHost:
             and storage.startswith("dir:")
             else None
         )
-        self._factory = server_factory or (
-            lambda n, name: UstorServer(
-                n, name=name, engine=make_engine(storage, n)
-            )
-        )
+        self._storage = storage
+        self._factory = server_factory
         self.scheduler: RealtimeScheduler | None = None
         self.node: UstorServer | None = None
         self._listener: asyncio.Server | None = None
@@ -170,21 +167,18 @@ class NetServerHost:
     async def start(self) -> None:
         loop = asyncio.get_event_loop()
         self.scheduler = RealtimeScheduler(loop)
-        self.node = self._factory(self._n, self.server_name)
+        self.node = make_server(
+            self._n,
+            self.server_name,
+            factory=self._factory,
+            storage=self._storage,
+            counter=self._counter_mode,
+            counter_state_path=self._counter_state_path,
+        )
         if getattr(self.node, "group_commit", False):
             raise ConfigurationError(
                 "the TCP host needs synchronous replies; build the server "
                 "with group_commit=False"
-            )
-        if self._counter_mode is not None:
-            from repro.replica.counter import MonotonicCounter
-
-            self.node.attach_counter(
-                MonotonicCounter(
-                    self.server_name,
-                    durable=self._counter_mode == "durable",
-                    state_path=self._counter_state_path,
-                )
             )
         _HostTransport(self).register(self.node)
         # Recovered durable state re-establishes the dedup floor: without

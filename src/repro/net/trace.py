@@ -42,13 +42,12 @@ from typing import Callable
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM
-from repro.crypto.keystore import KeyStore
 from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.net.wire import message_to_payload, payload_to_message
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import SimTrace
-from repro.ustor.client import UstorClient
+from repro.workloads import runner
 
 TRACE_VERSION = 1
 
@@ -242,26 +241,21 @@ class ReplayResult:
 def replay_trace(path: str) -> ReplayResult:
     """Re-run a recorded TCP run on the sim backend, checking equivalence."""
     header, records = load_trace(path)
-    num_clients = header["n"]
     server_name = header["server"]
     scheduler = Scheduler(seed=0)
     sim_trace = SimTrace()
     transport = PlaybackTransport(scheduler, trace=sim_trace)
-    keystore = KeyStore(num_clients, scheme=header.get("scheme", "hmac"))
-    recorder = HistoryRecorder()
-    clients = []
-    for i in range(num_clients):
-        client = UstorClient(
-            client_id=i,
-            num_clients=num_clients,
-            signer=keystore.signer(i),
-            server_name=server_name,
-            recorder=recorder,
-            commit_piggyback=bool(header.get("piggyback", False)),
-            trace_ids=bool(header.get("trace_ids", False)),
-        )
-        transport.register(client)
-        clients.append(client)
+    # The replay world: nothing but a scheduler and the capturing
+    # transport — recorded frames stand in for the server.
+    system = runner.wire_deployment(
+        runner.World(scheduler, transport, sim_trace),
+        runner.ustor_protocol(trace_ids=bool(header.get("trace_ids", False))),
+        num_clients=header["n"],
+        scheme=header.get("scheme", "hmac"),
+        server_name=server_name,
+        commit_piggyback=bool(header.get("piggyback", False)),
+    )
+    clients, recorder = system.clients, system.recorder
     divergences: list[str] = []
 
     def apply(record: dict) -> None:

@@ -3,17 +3,24 @@
 Protocol objects (:class:`~repro.sim.process.Node` subclasses) never open
 sockets or schedule events themselves; they call ``self.send(dst, msg)``
 and receive ``on_message(src, msg)`` callbacks.  Everything in between is
-a *transport*, and this module names that seam so it can be implemented
-twice:
+a *transport*, and this module names that seam.  It is the only place
+the worlds a deployment can run in differ (:func:`repro.workloads.runner.
+wire_deployment` builds all of them):
 
 * :class:`repro.sim.network.Network` — the discrete-event simulator's
   in-memory message bus (deterministic latency, partitions, batching);
 * :class:`repro.net.client.ClientTransport` — real asyncio TCP streams
-  carrying length-prefixed TLV frames to server processes.
+  carrying length-prefixed TLV frames to server processes (and, on the
+  server's side of the socket, the host's reply router);
+* :class:`repro.net.trace.PlaybackTransport` — wire-trace replay, which
+  captures what clients send instead of delivering it.
 
 The protocol below is structural (:class:`typing.Protocol`): the sim
 ``Network`` already satisfies it byte-for-byte unchanged, which is the
 point — the refactor extracts an interface, it does not fork behaviour.
+``send_multi`` is an optional extra only ``Network`` has (one shared
+latency sample per replica broadcast); without it a node falls back to
+one ``send`` per destination.
 """
 
 from __future__ import annotations

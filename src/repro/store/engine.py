@@ -60,6 +60,7 @@ from repro.store.media import DirectoryMedium, InMemoryMedium, Medium
 from repro.ustor.messages import CommitMessage, SubmitMessage
 from repro.ustor.server import (
     ServerState,
+    UstorServer,
     apply_checkpoint,
     apply_commit,
     apply_submit,
@@ -423,3 +424,38 @@ def make_engine(
             )
         return engine
     raise ConfigurationError(f"cannot interpret storage spec {spec!r}")
+
+
+def make_server(
+    num_clients: int,
+    name: str,
+    *,
+    factory: Callable[[int, str], UstorServer] | None = None,
+    storage: str | StorageEngine | Callable[[int], StorageEngine] = "memory",
+    group_commit: bool = False,
+    counter: str | None = None,
+    counter_state_path: str | None = None,
+):
+    """The server of one deployment slot, simulated or behind a TCP host:
+    ``factory``'s when given (a custom server owns its durability), else
+    the correct :class:`UstorServer` on the engine ``storage`` selects —
+    with the slot's trusted monotonic counter attached when ``counter``
+    (``"volatile"``/``"durable"``) asks for one."""
+    if factory is not None:
+        server = factory(num_clients, name)
+    else:
+        server = UstorServer(
+            num_clients,
+            name=name,
+            engine=make_engine(storage, num_clients),
+            group_commit=group_commit,
+        )
+    if counter is not None:
+        from repro.replica.counter import MonotonicCounter
+
+        server.attach_counter(
+            MonotonicCounter(
+                name, durable=counter == "durable", state_path=counter_state_path
+            )
+        )
+    return server

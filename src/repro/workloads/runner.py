@@ -1,10 +1,16 @@
 """System assembly and run orchestration.
 
-:class:`SystemBuilder` wires a complete simulated deployment — scheduler,
-FIFO network, offline channel, keystore, server (correct or Byzantine),
-clients, history recorder — and :class:`StorageSystem` drives it.  All
-tests, examples and benchmarks build their worlds through this module, so
-a deployment is always described by a handful of declarative knobs.
+A deployment is a *world* — what supplies the scheduler, the transport,
+an optional offline channel and the trace — running a *protocol* — the
+client class with its keyword arguments and its default server.
+:func:`wire_deployment` is the one place the two meet: it creates the
+keystore and the recorder, names the replicas, constructs every client,
+registers it on the world's transport (and offline channel) and returns
+the one :class:`StorageSystem` that drives the result.  The simulator
+(:class:`SystemBuilder`, the baselines), real sockets
+(:func:`repro.net.client.open_tcp_system`) and wire-trace replay
+(:func:`repro.net.trace.replay_trace`) differ only in the world they
+hand it; USTOR, FAUST, lock-step and unchecked only in the protocol.
 
 :class:`IncrementalAuditor` adds periodic consistency audits to any
 deployment (single-server or cluster): streaming checkers subscribe to
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ClientId
@@ -31,7 +37,7 @@ from repro.sim.offline import OfflineChannel
 from repro.sim.scheduler import Scheduler
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import SimTrace
-from repro.store.engine import make_engine
+from repro.store.engine import make_server
 from repro.ustor.client import UstorClient
 from repro.ustor.server import UstorServer
 
@@ -44,17 +50,18 @@ ServerFactory = Callable[[int, str], UstorServer]
 
 @dataclass
 class StorageSystem:
-    """A fully wired simulated deployment."""
+    """A fully wired deployment, whatever world it runs in."""
 
     scheduler: Scheduler
     network: Network
-    offline: OfflineChannel
-    server: UstorServer
+    #: ``None`` in a world without a client-to-client channel.
+    offline: OfflineChannel | None
+    #: ``None`` when no server is co-located (separate processes, replay).
+    server: UstorServer | None
     clients: list
     recorder: HistoryRecorder
     trace: SimTrace
     keystore: KeyStore
-    faust_clients: list = field(default_factory=list)
     #: The throughput pipeline this deployment was built with (``None``
     #: = unbatched); sessions read their flush policy from here.
     batching: "BatchingPolicy | None" = None
@@ -62,12 +69,20 @@ class StorageSystem:
     #: sessions to collect per-operation spans (sessions capture it once).
     span_log: object | None = None
     #: The full replica group (``[server]`` when unreplicated): every
-    #: server of this deployment's shard, in replica order.  ``server``
-    #: stays the first replica so single-server call sites run unchanged.
+    #: co-located server of this deployment's shard, in replica order.
+    #: ``server`` stays the first replica so single-server call sites run
+    #: unchanged.
     replica_servers: list = field(default_factory=list)
+    #: The world's clock — virtual time units here, wall-clock seconds
+    #: over sockets: how often ``run_until_quiescent`` re-scans the
+    #: clients, how long it waits, and ``attach_audit``'s cadence.
+    quiescence_poll: float = 1.0
+    quiescence_timeout: float = 10_000.0
+    audit_every: float = 50.0
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the simulation; returns the number of events fired."""
+        """Advance the world to time ``until``; returns the number of
+        events this call fired."""
         return self.scheduler.run(until=until, max_events=max_events)
 
     def run_until(
@@ -77,17 +92,22 @@ class StorageSystem:
         return self.scheduler.run_until(predicate, timeout=timeout)
 
     def run_until_quiescent(
-        self, check_every: float = 1.0, timeout: float = 10_000.0
+        self, check_every: float | None = None, timeout: float | None = None
     ) -> None:
         """Run until no operation is pending at any client (or timeout).
 
         ``check_every`` is the poll cadence: the O(clients) all-idle scan
-        re-runs only once virtual time has advanced by that much since the
-        last scan (``run_until`` evaluates its predicate after *every*
-        event, so an unthrottled scan would dominate busy runs).  The
-        system may therefore run up to ``check_every`` time units past
-        the first quiescent instant before this call returns.
+        re-runs only once time has advanced by that much since the last
+        scan (``run_until`` evaluates its predicate after *every* event,
+        so an unthrottled scan would dominate busy runs).  The system may
+        therefore run up to ``check_every`` past the first quiescent
+        instant before this call returns.  Both default to the world's
+        clock (:attr:`quiescence_poll`, :attr:`quiescence_timeout`).
         """
+        if check_every is None:
+            check_every = self.quiescence_poll
+        if timeout is None:
+            timeout = self.quiescence_timeout
         if check_every <= 0:
             raise ConfigurationError("check_every must be positive")
 
@@ -110,10 +130,13 @@ class StorageSystem:
 
     def attach_audit(
         self,
-        every: float = 50.0,
+        every: float | None = None,
         checks: tuple[str, ...] = ("linearizability", "causal"),
     ) -> "IncrementalAuditor":
-        """Start periodic O(delta) consistency audits on this deployment."""
+        """Start periodic O(delta) consistency audits on this deployment
+        (``every`` defaults to the world's audit cadence)."""
+        if every is None:
+            every = self.audit_every
         return IncrementalAuditor(self, every=every, checks=checks)
 
     def profile(self) -> dict:
@@ -179,8 +202,22 @@ class StorageSystem:
 
     @property
     def now(self) -> float:
-        """Current virtual time."""
+        """Current time on the world's clock."""
         return self.scheduler.now
+
+    def close(self) -> None:
+        """Release what the deployment holds open: the co-located servers'
+        storage engines (idempotent; durable contents stay)."""
+        for server in self.replica_servers:
+            engine = getattr(server, "engine", None)
+            if engine is not None:
+                engine.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -313,206 +350,313 @@ class IncrementalAuditor:
         return {name: c.result() for name, c in self._checkers.items()}
 
 
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """What runs on a world: the client class, its protocol-specific
+    keyword arguments, and how the loop must treat it."""
+
+    client_class: type
+    client_kwargs: dict = field(default_factory=dict)
+    #: The honest server; ``None`` = the correct USTOR server
+    #: :func:`~repro.store.engine.make_server` assembles.
+    server_factory: ServerFactory | None = None
+    #: Clients sign (take a ``signer``) / belong to the USTOR stack (take
+    #: ``commit_piggyback`` and the replica-group knobs) / attach to the
+    #: offline channel and start their timers.
+    signs: bool = True
+    ustor_stack: bool = True
+    fail_aware: bool = False
+    #: Called with the wired system, for deployment-level listeners.
+    on_wired: Callable[["StorageSystem"], None] | None = None
+
+
+def ustor_protocol(**client_kwargs) -> ProtocolSpec:
+    """Plain USTOR (Algorithms 1-2): no fail-aware layer."""
+    return ProtocolSpec(UstorClient, client_kwargs)
+
+
+def faust_protocol(checkpoint=None, membership=None, **faust_kwargs) -> ProtocolSpec:
+    """USTOR plus the fail-aware layer (Section 6).
+
+    ``checkpoint`` (a :class:`~repro.faust.checkpoint.CheckpointPolicy`)
+    enables authenticated checkpointing: every client runs a
+    :class:`~repro.faust.checkpoint.CheckpointManager`, and — when the
+    policy prunes history — the shared recorder (and its incremental
+    checkers) compacts behind each cut once *every* client has installed
+    it, so verdicts never depend on one client racing ahead.
+
+    ``membership`` (a :class:`~repro.faust.membership.MembershipPolicy`)
+    layers lease-based membership epochs under the checkpoint protocol, so
+    the chain keeps advancing after a crashed-forever client is evicted
+    (compaction then waits for the checkpoint's *signers* only — an
+    evicted client can never install).
+    """
+    from repro.faust.client import FaustClient
+
+    def compact_behind_installed_cuts(system: StorageSystem) -> None:
+        installs: dict[int, int] = {}
+
+        def on_install(cp) -> None:
+            count = installs.get(cp.seq, 0) + 1
+            if count >= (len(cp.signers) or len(system.clients)):
+                installs.pop(cp.seq, None)
+                system.recorder.compact(cp.cut, keep_tail=checkpoint.keep_tail)
+            else:
+                installs[cp.seq] = count
+
+        for client in system.clients:
+            client.add_checkpoint_listener(on_install)
+
+    prunes = checkpoint is not None and checkpoint.prune_history
+    return ProtocolSpec(
+        FaustClient,
+        dict(checkpoint=checkpoint, membership=membership, **faust_kwargs),
+        fail_aware=True,
+        on_wired=compact_behind_installed_cuts if prunes else None,
+    )
+
+
+class World:
+    """Where a deployment runs: scheduler, transport, trace and — in
+    subclasses — an offline channel, co-located servers, per-client links
+    and a richer system object.  As is, the world of wire-trace replay:
+    no server, no offline channel, a transport that only captures."""
+
+    #: ``None`` = no client-to-client channel: nothing fail-aware runs here.
+    offline = None
+
+    def __init__(self, scheduler, transport, trace: SimTrace) -> None:
+        self.scheduler = scheduler
+        self.transport = transport
+        self.trace = trace
+
+    def start(self, protocol, recorder, *, num_clients, replica_names, **recorded):
+        """Bring up what the clients will talk to; returns the co-located
+        servers in replica order.  ``recorded`` carries what only a wire
+        trace's header needs (``scheme``, ``commit_piggyback``)."""
+        return []
+
+    def connect(self, client) -> None:
+        """Link one registered client to its servers (nothing to do where
+        the transport itself delivers)."""
+
+    def system(self, **wired) -> StorageSystem:
+        """The system object for the wired parts."""
+        return StorageSystem(**wired)
+
+
+class SimWorld(World):
+    """The discrete-event simulator a :class:`SystemBuilder` describes:
+    FIFO network, offline channel, servers registered on the same network."""
+
+    def __init__(self, knobs: "SystemBuilder") -> None:
+        scheduler = knobs.scheduler or Scheduler(seed=knobs.seed)
+        trace = knobs.trace or SimTrace()
+        seed = knobs.latency_seed
+        network = Network(
+            scheduler,
+            default_latency=knobs.latency,
+            trace=trace,
+            batching=bool(knobs.batching is not None and knobs.batching.transport),
+            rng=random.Random(seed) if seed is not None else None,
+        )
+        super().__init__(scheduler, network, trace)
+        self.offline = OfflineChannel(
+            scheduler, latency=knobs.offline_latency, trace=trace
+        )
+        self._knobs = knobs
+
+    def start(self, protocol, recorder, *, num_clients, replica_names, **recorded):
+        """One server per replica name, registered on the network: the
+        builder's factory, else the protocol's, else the correct USTOR
+        server on the engine ``storage`` selects (group-committing when
+        the batching policy asks for it)."""
+        knobs = self._knobs
+        default = knobs.server_factory or protocol.server_factory
+        batching = knobs.batching
+        servers = [
+            make_server(
+                num_clients,
+                name,
+                factory=knobs.replica_server_factories.get(index, default),
+                storage=knobs.storage,
+                group_commit=bool(batching is not None and batching.group_commit),
+                counter=knobs.counter,
+            )
+            for index, name in enumerate(replica_names)
+        ]
+        for server in servers:
+            self.transport.register(server)
+        return servers
+
+    def system(self, **wired) -> StorageSystem:
+        """The system, carrying the builder's batching policy."""
+        return StorageSystem(batching=self._knobs.batching, **wired)
+
+
+def wire_deployment(
+    world: World,
+    protocol: ProtocolSpec,
+    *,
+    num_clients: int,
+    scheme: str = "hmac",
+    server_name: str = "S",
+    replicas: int = 1,
+    quorum: int | None = None,
+    counter: bool = False,
+    commit_piggyback: bool = False,
+) -> StorageSystem:
+    """Wire ``num_clients`` clients of ``protocol`` into ``world`` — the
+    only place a deployment comes together.
+
+    Keys and recorder are created, the replica group is named (``S``, or
+    ``S/r0`` .. ``S/r{k-1}``), the world brings up its side, and each
+    client is constructed, registered on the transport (and on the offline
+    channel — attached and started when fail-aware) and linked by the
+    world, which finally supplies the system object.
+    """
+    if protocol.fail_aware and world.offline is None:
+        raise ConfigurationError(
+            "a fail-aware protocol needs the offline client-to-client "
+            "channel; this world has none"
+        )
+    names = [server_name]
+    if replicas > 1:
+        names = [f"{server_name}/r{k}" for k in range(replicas)]
+    keystore = KeyStore(num_clients, scheme=scheme)
+    recorder = HistoryRecorder()
+    servers = world.start(
+        protocol,
+        recorder,
+        num_clients=num_clients,
+        replica_names=names,
+        scheme=scheme,
+        commit_piggyback=commit_piggyback,
+    )
+    client_kwargs = dict(protocol.client_kwargs)
+    if protocol.ustor_stack:
+        client_kwargs.update(commit_piggyback=commit_piggyback, counter=counter)
+        if replicas > 1:
+            client_kwargs.update(replica_servers=tuple(names), quorum=quorum)
+    clients = []
+    for i in range(num_clients):
+        if protocol.signs:
+            client_kwargs["signer"] = keystore.signer(i)
+        client = protocol.client_class(
+            client_id=i,
+            num_clients=num_clients,
+            server_name=names[0],
+            recorder=recorder,
+            **client_kwargs,
+        )
+        world.transport.register(client)
+        if world.offline is not None:
+            world.offline.register(client)
+            if protocol.fail_aware:
+                client.attach_offline(world.offline)
+                client.start()
+        world.connect(client)
+        clients.append(client)
+    system = world.system(
+        scheduler=world.scheduler,
+        network=world.transport,
+        offline=world.offline,
+        server=servers[0] if servers else None,
+        clients=clients,
+        recorder=recorder,
+        trace=world.trace,
+        keystore=keystore,
+        replica_servers=servers,
+    )
+    if protocol.on_wired is not None:
+        protocol.on_wired(system)
+    return system
+
+
+@dataclass
 class SystemBuilder:
-    """Declarative construction of a :class:`StorageSystem`.
+    """Declarative construction of a simulated :class:`StorageSystem`.
 
     >>> system = SystemBuilder(num_clients=2, seed=1).build()
     >>> system.clients[0].write(b"hello")
     >>> system.run(until=10)  # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        num_clients: int,
-        seed: int = 0,
-        scheme: str = "hmac",
-        latency: LatencyModel | None = None,
-        offline_latency: LatencyModel | None = None,
-        server_factory: ServerFactory | None = None,
-        commit_piggyback: bool = False,
-        server_name: str = "S",
-        storage: str | Callable = "memory",
-        scheduler: Scheduler | None = None,
-        trace: SimTrace | None = None,
-        batching: "BatchingPolicy | None" = None,
-        latency_seed: int | None = None,
-        replicas: int = 1,
-        quorum: int | None = None,
-        counter: str | None = None,
-        replica_server_factories: dict | None = None,
-    ) -> None:
-        if num_clients < 1:
+    num_clients: int
+    seed: int = 0
+    scheme: str = "hmac"
+    latency: LatencyModel | None = None
+    offline_latency: LatencyModel | None = None
+    #: ``None`` = the protocol's honest server.  A custom factory owns its
+    #: server's durability (and its own batching behaviour).
+    server_factory: ServerFactory | None = None
+    commit_piggyback: bool = False
+    server_name: str = "S"
+    storage: str | Callable = "memory"
+    #: Multi-server topologies (repro.cluster) build several deployments
+    #: over ONE event loop: pass the shared scheduler (and optionally a
+    #: shared trace) so every shard lives in the same virtual time.
+    scheduler: Scheduler | None = None
+    trace: SimTrace | None = None
+    batching: "BatchingPolicy | None" = None
+    #: Dedicated latency-RNG stream for this deployment's network
+    #: (``None`` = share the scheduler's stream, byte-identical to a build
+    #: that predates the knob).  The cluster backend derives one per shard
+    #: so shards draw independent latency samples.
+    latency_seed: int | None = None
+    replicas: int = 1
+    quorum: int | None = None
+    counter: str | None = None
+    replica_server_factories: dict | None = None
+
+    def __post_init__(self) -> None:
+        if self.num_clients < 1:
             raise ConfigurationError("need at least one client")
-        if replicas < 1:
+        if self.replicas < 1:
             raise ConfigurationError("need at least one replica")
-        if counter not in (None, "volatile", "durable"):
+        if self.counter not in (None, "volatile", "durable"):
             raise ConfigurationError(
-                f"counter must be None, 'volatile' or 'durable', got {counter!r}"
+                f"counter must be None, 'volatile' or 'durable', "
+                f"got {self.counter!r}"
             )
-        if replicas > 1 and not isinstance(storage, (str, Callable)):
+        if self.replicas > 1 and not isinstance(self.storage, (str, Callable)):
             raise ConfigurationError(
                 "a replica group needs one engine per replica: pass a "
                 "storage name or factory, not a ready engine instance"
             )
-        for index in replica_server_factories or {}:
-            if not 0 <= index < replicas:
+        self.replica_server_factories = dict(self.replica_server_factories or {})
+        for index in self.replica_server_factories:
+            if not 0 <= index < self.replicas:
                 raise ConfigurationError(
                     f"replica_server_factories names replica {index!r} but "
-                    f"the group has {replicas} replica(s)"
+                    f"the group has {self.replicas} replica(s)"
                 )
-        self.num_clients = num_clients
-        self.seed = seed
-        self.scheme = scheme
-        self.latency = latency or FixedLatency(1.0)
-        self.offline_latency = offline_latency or FixedLatency(5.0)
-        self.storage = storage
-        self.batching = batching
-        # Dedicated latency-RNG stream for this deployment's network
-        # (``None`` = share the scheduler's stream, byte-identical to a
-        # build that predates the knob).  The cluster backend derives one
-        # per shard so shards draw independent latency samples.
-        self.latency_seed = latency_seed
-        self.replicas = replicas
-        self.quorum = quorum
-        self.counter = counter
-        self.replica_server_factories = dict(replica_server_factories or {})
-        # A custom factory owns its server's durability (and its own
-        # batching behaviour); the default server persists through the
-        # engine ``storage`` selects and group-commits when the batching
-        # policy asks for it.
-        group_commit = bool(batching is not None and batching.group_commit)
-        self.server_factory = server_factory or (
-            lambda n, name: UstorServer(
-                n,
-                name=name,
-                engine=make_engine(storage, n),
-                group_commit=group_commit,
-            )
-        )
-        self.commit_piggyback = commit_piggyback
-        self.server_name = server_name
-        # Multi-server topologies (repro.cluster) build several deployments
-        # over ONE event loop: pass the shared scheduler (and optionally a
-        # shared trace) so every shard lives in the same virtual time.
-        self._shared_scheduler = scheduler
-        self._shared_trace = trace
+        self.latency = self.latency or FixedLatency(1.0)
+        self.offline_latency = self.offline_latency or FixedLatency(5.0)
 
-    def _replica_names(self) -> list[str]:
-        if self.replicas == 1:
-            return [self.server_name]
-        return [f"{self.server_name}/r{k}" for k in range(self.replicas)]
-
-    def _client_replica_kwargs(self) -> dict:
-        """Replica-group knobs every protocol client is built with."""
-        if self.replicas == 1:
-            return {"counter": self.counter is not None}
-        return {
-            "replica_servers": tuple(self._replica_names()),
-            "quorum": self.quorum,
-            "counter": self.counter is not None,
-        }
-
-    def _build(self, client_class, **client_kwargs) -> StorageSystem:
-        fail_aware = client_class is not UstorClient
-        scheduler = self._shared_scheduler or Scheduler(seed=self.seed)
-        trace = self._shared_trace or SimTrace()
-        network = Network(
-            scheduler,
-            default_latency=self.latency,
-            trace=trace,
-            batching=bool(self.batching is not None and self.batching.transport),
-            rng=(
-                random.Random(self.latency_seed)
-                if self.latency_seed is not None
-                else None
-            ),
-        )
-        offline = OfflineChannel(scheduler, latency=self.offline_latency, trace=trace)
-        keystore = KeyStore(self.num_clients, scheme=self.scheme)
-        recorder = HistoryRecorder()
-        servers = []
-        for index, name in enumerate(self._replica_names()):
-            factory = self.replica_server_factories.get(index, self.server_factory)
-            server = factory(self.num_clients, name)
-            if self.counter is not None:
-                from repro.replica.counter import MonotonicCounter
-
-                server.attach_counter(
-                    MonotonicCounter(name, durable=self.counter == "durable")
-                )
-            network.register(server)
-            servers.append(server)
-        clients = []
-        for i in range(self.num_clients):
-            client = client_class(
-                client_id=i,
-                num_clients=self.num_clients,
-                signer=keystore.signer(i),
-                server_name=self.server_name,
-                recorder=recorder,
-                commit_piggyback=self.commit_piggyback,
-                **client_kwargs,
-                **self._client_replica_kwargs(),
-            )
-            network.register(client)
-            offline.register(client)
-            if fail_aware:
-                client.attach_offline(offline)
-                client.start()
-            clients.append(client)
-        return StorageSystem(
-            scheduler=scheduler,
-            network=network,
-            offline=offline,
-            server=servers[0],
-            clients=clients,
-            recorder=recorder,
-            trace=trace,
-            keystore=keystore,
-            faust_clients=list(clients) if fail_aware else [],
-            batching=self.batching,
-            replica_servers=servers,
+    def build_protocol(self, protocol: ProtocolSpec) -> StorageSystem:
+        """A simulated deployment running ``protocol``."""
+        return wire_deployment(
+            SimWorld(self),
+            protocol,
+            num_clients=self.num_clients,
+            scheme=self.scheme,
+            server_name=self.server_name,
+            replicas=self.replicas,
+            quorum=self.quorum,
+            counter=self.counter is not None,
+            commit_piggyback=self.commit_piggyback,
         )
 
     def build(self) -> StorageSystem:
         """A plain USTOR deployment (no fail-aware layer)."""
-        return self._build(UstorClient)
+        return self.build_protocol(ustor_protocol())
 
     def build_faust(
         self, checkpoint=None, membership=None, **faust_kwargs
     ) -> StorageSystem:
-        """A FAUST deployment: USTOR plus the fail-aware layer (Section 6).
-
-        ``checkpoint`` (a :class:`~repro.faust.checkpoint.CheckpointPolicy`)
-        enables authenticated checkpointing: every client runs a
-        :class:`~repro.faust.checkpoint.CheckpointManager`, and — when the
-        policy prunes history — the shared recorder (and its incremental
-        checkers) compacts behind each cut once *every* client has
-        installed it, so verdicts never depend on one client racing ahead.
-
-        ``membership`` (a :class:`~repro.faust.membership.MembershipPolicy`)
-        layers lease-based membership epochs under the checkpoint
-        protocol, so the chain keeps advancing after a crashed-forever
-        client is evicted (compaction then waits for the checkpoint's
-        *signers* only — an evicted client can never install).
-        """
-        from repro.faust.client import FaustClient
-
-        system = self._build(
-            FaustClient, checkpoint=checkpoint, membership=membership,
-            **faust_kwargs,
+        """A FAUST deployment: USTOR plus the fail-aware layer
+        (:func:`faust_protocol` documents the knobs)."""
+        return self.build_protocol(
+            faust_protocol(checkpoint, membership, **faust_kwargs)
         )
-        if checkpoint is not None and checkpoint.prune_history:
-            installs: dict[int, int] = {}
-
-            def _on_install(cp):
-                count = installs.get(cp.seq, 0) + 1
-                if count >= (len(cp.signers) or self.num_clients):
-                    installs.pop(cp.seq, None)
-                    system.recorder.compact(cp.cut, keep_tail=checkpoint.keep_tail)
-                else:
-                    installs[cp.seq] = count
-
-            for client in system.clients:
-                client.add_checkpoint_listener(_on_install)
-        return system

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import SERVERS, main
+from repro.common.errors import ConfigurationError
 from repro.net.supervisor import ServerProcess
 
 
@@ -230,3 +232,28 @@ class TestCliOnlyChecks:
     def test_rejected_with_exit_2(self, flags, hint, capsys):
         assert main(["run", *flags]) == 2
         assert hint in capsys.readouterr().out
+
+
+class TestTimeoutFlag:
+    """``--timeout`` goes straight into ``SystemConfig.default_timeout``,
+    which knows the per-transport default itself."""
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], 1_000.0),
+            (DEAD_TCP[1:], 30.0),
+            ([*DEAD_TCP[1:], "--timeout", "5"], 5.0),
+            (["--timeout", "250"], 250.0),
+        ],
+    )
+    def test_resolution(self, flags, expected, monkeypatch):
+        seen = []
+
+        def capture(config, backend):
+            seen.append(config)
+            raise ConfigurationError("captured")
+
+        monkeypatch.setattr(cli, "open_system", capture)
+        assert main(["run", *flags]) == 1
+        assert seen[0].default_timeout == expected

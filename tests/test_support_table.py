@@ -8,6 +8,13 @@ sharing the client's event loop, as in ``tests/test_net_loopback.py``).
 A second test keeps the table complete: every ``SystemConfig`` field is
 claimed by exactly one feature or declared universal, so the next knob
 cannot be silently ignored.
+
+``test_one_loop_one_surface`` then opens a deployment every way there is
+— each backend on the simulator, ``ustor`` over loopback tcp with one and
+three replicas, the replay of a recorded run — and checks that each goes
+through :func:`repro.workloads.runner.wire_deployment` exactly once per
+deployment and hands back a system that answers the same calls with the
+same meaning.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import pytest
 
 import repro.api.config as config_module
 import repro.net.client as net_client
+import repro.workloads.runner as runner
 from repro.api import BACKENDS, ClusterBackend, SystemConfig, open_system
 from repro.api.config import (
     FEATURES,
@@ -29,8 +37,10 @@ from repro.api.config import (
 )
 from repro.cli import BASELINE_SERVERS, SERVERS
 from repro.common.errors import ConfigurationError
+from repro.history.history import History
 from repro.net.client import NetRuntime
 from repro.net.server import NetServerHost
+from repro.net.trace import replay_trace
 from repro.obs.tracing import SpanLog
 from repro.sim.network import FixedLatency
 
@@ -60,14 +70,14 @@ def asking(feature: str, backend: str) -> dict:
 
 @pytest.fixture
 def loopback(monkeypatch):
-    """Start loopback hosts for a tcp config; the backend's tcp opener is
-    handed the hosts' runtime so one pumped loop serves both sides."""
+    """Start loopback hosts for a tcp config; the tcp world is handed the
+    hosts' runtime so one pumped loop serves both sides."""
     runtime = NetRuntime()
     hosts = []
     monkeypatch.setattr(
         net_client,
-        "open_tcp_system",
-        functools.partial(net_client.open_tcp_system, runtime=runtime),
+        "TcpWorld",
+        functools.partial(net_client.TcpWorld, runtime=runtime),
     )
 
     def start(replicas: int = 1, counter: str | None = None) -> tuple[str, ...]:
@@ -102,12 +112,8 @@ def test_cell(backend, transport, feature_name, monkeypatch, loopback):
                 default_timeout=10.0,
                 endpoints=loopback(kwargs.get("replicas", 1), kwargs.get("counter")),
             )
-        system = open_system(SystemConfig(**kwargs), backend=backend)
-        try:
+        with open_system(SystemConfig(**kwargs), backend=backend) as system:
             assert system.session(0).write_sync(b"x") == 1
-        finally:
-            if transport == "tcp":
-                system.close()
         return
 
     def refuse_to_build(self, config):
@@ -166,3 +172,121 @@ def test_span_log_attached_on_every_way_in():
     )
     system.session(0).write_sync(b"traced")
     assert log.records
+
+
+# --------------------------------------------------------------------- #
+# One wiring loop, one system surface
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def wired(monkeypatch):
+    """Spy on the one wiring loop: every system it returns, in order."""
+    systems = []
+    wire = runner.wire_deployment
+
+    def spy(*args, **kwargs):
+        system = wire(*args, **kwargs)
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(runner, "wire_deployment", spy)
+    return systems
+
+
+def check_surface(system, *, step: float, invoke: bool = True) -> None:
+    """The calls every deployment answers, with the same meaning in every
+    world (``step`` is a short wait on the world's clock)."""
+    assert system.client(0) is system.clients[0]
+    auditor = system.attach_audit()
+    assert auditor.every == system.audit_every
+    auditor.stop()
+
+    # run(until=) is an absolute bound and returns the events fired by
+    # *this* call, not a lifetime total.
+    for _ in range(3):
+        system.scheduler.schedule(step / 2, lambda: None)
+    target = system.now + step
+    assert system.run(until=target) >= 3
+    assert system.now >= target
+    assert system.run(until=target) == 0
+
+    assert system.run_until(lambda: True) is True
+    assert system.run_until(lambda: False, timeout=step) is False
+
+    if invoke:
+        system.client(0).write(b"surface")
+    before = system.now
+    system.run_until_quiescent()  # no arguments: the world's own budget
+    assert not system.client(0).busy
+    assert system.now - before < system.quiescence_timeout
+    history = system.history()
+    assert isinstance(history, History) and len(history) >= 1
+
+    system.close()
+    system.close()
+
+
+@pytest.mark.net
+@pytest.mark.parametrize(
+    "backend, transport, replicas, loops",
+    [
+        ("faust", "sim", 1, 1),
+        ("ustor", "sim", 1, 1),
+        ("lockstep", "sim", 1, 1),
+        ("unchecked", "sim", 1, 1),
+        ("cluster", "sim", 1, 2),  # once per shard
+        ("ustor", "tcp", 1, 1),
+        ("ustor", "tcp", 3, 1),
+    ],
+)
+def test_one_loop_one_surface(backend, transport, replicas, loops, wired, loopback):
+    kwargs = {"num_clients": NUM_CLIENTS}
+    if backend == "cluster":
+        kwargs["shards"] = 2
+    if transport == "tcp":
+        kwargs.update(
+            transport="tcp", replicas=replicas, endpoints=loopback(replicas)
+        )
+    with open_system(SystemConfig(**kwargs), backend=backend) as system:
+        assert len(wired) == loops
+        deployments = system.shards if backend == "cluster" else [system.raw]
+        assert [id(d) for d in deployments] == [id(w) for w in wired]
+        assert system.session(0).write_sync(b"x") == 1
+        for deployment in deployments:
+            check_surface(deployment, step=0.05 if transport == "tcp" else 5.0)
+    system.close()  # after the with-block already closed it
+
+
+@pytest.mark.net
+def test_replay_goes_through_the_same_loop(wired, loopback, tmp_path):
+    trace_path = tmp_path / "run.jsonl"
+    config = SystemConfig(
+        num_clients=NUM_CLIENTS,
+        transport="tcp",
+        endpoints=loopback(),
+        trace_path=str(trace_path),
+    )
+    with open_system(config, backend="ustor") as system:
+        assert system.session(0).write_sync(b"recorded") == 1
+        assert system.session(1).read_sync(0)[0] == b"recorded"
+        system.run_until_quiescent()
+    del wired[:]
+    result = replay_trace(str(trace_path))
+    assert result.ok, result.divergences
+    assert len(wired) == 1
+    assert wired[0].clients == result.clients
+    # The replayed clients already ran the recorded operations; there is
+    # no server to answer a new one.
+    check_surface(wired[0], step=5.0, invoke=False)
+
+
+def test_default_timeout_resolves_per_transport():
+    assert SystemConfig(num_clients=1).default_timeout == 1_000.0
+    tcp = SystemConfig(num_clients=1, transport="tcp", endpoints=("h:1",))
+    assert tcp.default_timeout == 30.0
+    assert SystemConfig(num_clients=1, default_timeout=7.0).default_timeout == 7.0
+    explicit = SystemConfig(
+        num_clients=1, transport="tcp", endpoints=("h:1",), default_timeout=5.0
+    )
+    assert explicit.default_timeout == 5.0
