@@ -30,6 +30,7 @@ from typing import Protocol, runtime_checkable
 from repro.api.config import SystemConfig, check_supported
 from repro.api.system import System
 from repro.common.errors import ConfigurationError
+from repro.sim.faults import Fault
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,16 @@ class _Backend:
         """Open the deployment ``config`` describes on this backend."""
         check_supported(config, self.name)
         system = self._open(config)
+        outages = [Fault("down", None, *window) for window in config.server_outages]
+        outages += [
+            Fault("down", (shard, None), start, duration)
+            for shard, start, duration in config.shard_outages
+        ]
+        # Sorted, so that when one window ends exactly where the next
+        # begins, the restart event is enqueued (and fires) before the
+        # next crash — ties at one virtual time break by scheduling order.
+        for fault in sorted(outages, key=lambda fault: fault.start):
+            system.faults.add(fault)
         if config.span_log is not None:
             # Sessions read the span log off the deployment they are opened
             # on (one per shard on a cluster) when constructed, so it must
@@ -144,11 +155,6 @@ class _Backend:
 
     def _open(self, config: SystemConfig) -> System:
         raw = build_deployment(config, protocol_for(self.name, config))
-        # Sorted, so that when one window ends exactly where the next
-        # begins, the restart event is enqueued (and fires) before the
-        # next crash — ties at one virtual time break by scheduling order.
-        for start, duration in sorted(config.server_outages):
-            raw.server_outage(start, duration)
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
 

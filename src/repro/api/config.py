@@ -13,6 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigurationError
+from repro.sim.faults import overlap
 from repro.sim.network import LatencyModel
 
 if TYPE_CHECKING:  # import cycle: repro.faust pulls this module back in
@@ -25,8 +26,8 @@ class BatchingPolicy:
     """The throughput pipeline's knobs: client flush policy + transport
     and server amortizations.
 
-    ``max_batch``/``max_delay``/``flush_on_barrier`` shape the *session*
-    flush policy: operations submitted through a
+    ``max_batch``/``max_delay`` shape the *session* flush policy:
+    operations submitted through a
     :class:`~repro.api.session.Session` are buffered and handed to the
     protocol layer when the buffer reaches ``max_batch`` operations
     (size), when ``max_delay`` virtual time units have passed since the
@@ -46,7 +47,6 @@ class BatchingPolicy:
 
     max_batch: int = 8
     max_delay: float | None = 1.0
-    flush_on_barrier: bool = True
     transport: bool = True
     group_commit: bool = True
 
@@ -226,7 +226,6 @@ class SystemConfig:
                     f"server outages are (non-negative start, positive "
                     f"duration) pairs, got {window!r}"
                 )
-        validate_outage_windows(self.server_outages)
         if self.shards < 1:
             raise ConfigurationError("a deployment needs at least one shard")
         if self.shard_protocol not in ("faust", "ustor"):
@@ -249,6 +248,16 @@ class SystemConfig:
                 raise ConfigurationError(
                     f"shard outages are (shard < {self.shards}, non-negative "
                     f"start, positive duration) triples, got {entry!r}"
+                )
+        # The schedule's own rule, applied to what each shard's server will
+        # see: the whole-deployment windows plus the ones naming that shard.
+        for shard in range(self.shards):
+            mine = [(s, d) for k, s, d in self.shard_outages if k == shard]
+            clash = overlap([*self.server_outages, *mine])
+            if clash is not None:
+                raise ConfigurationError(
+                    f"{f'shard {shard}: ' if self.shards > 1 else ''}server "
+                    f"outage windows overlap: {clash[0]} and {clash[1]}"
                 )
         for shard in self.shard_server_factories:
             if not 0 <= shard < self.shards:
@@ -316,24 +325,6 @@ def _as_policy(name: str, value, policy_class):
     return value
 
 
-def validate_outage_windows(
-    windows: tuple[tuple[float, float], ...]
-) -> None:
-    """Reject overlapping crash-recovery windows.
-
-    An overlap would end the longer window at the shorter one's restart;
-    fail loudly rather than quietly shorten an outage.  Shared with the
-    cluster backend, which merges global and per-shard windows per shard.
-    """
-    ordered = sorted(windows)
-    for (start1, duration1), (start2, _d2) in zip(ordered, ordered[1:]):
-        if start2 < start1 + duration1:
-            raise ConfigurationError(
-                f"server outage windows overlap: "
-                f"({start1}, {duration1}) and ({start2}, {_d2})"
-            )
-
-
 # --------------------------------------------------------------------- #
 # The support table: backend x transport x feature, declared once
 # --------------------------------------------------------------------- #
@@ -389,11 +380,11 @@ FEATURES: tuple[Feature, ...] = (
              "shard_server_factories", "shard_outages"),
             "the shard axis", sim=("cluster",)),
     Feature("replicas", ("replicas", "quorum"),
-            "the replica axis", sim=("cluster",), tcp=("ustor",)),
+            "the replica axis", sim=_USTOR_STACK, tcp=("ustor",)),
     Feature("replica_factories", ("replica_server_factories",),
-            "per-replica server overrides", sim=("cluster",)),
+            "per-replica server overrides", sim=_USTOR_STACK),
     Feature("counter", ("counter",),
-            "monotonic-counter attestations", sim=("cluster",),
+            "monotonic-counter attestations", sim=_USTOR_STACK,
             tcp=("ustor",)),
     Feature("commit_piggyback", ("commit_piggyback",),
             "USTOR's COMMIT piggybacking", sim=_USTOR_STACK, tcp=("ustor",)),

@@ -21,11 +21,10 @@ When the deployment was opened with a batching policy
 to the protocol layer in batches: a flush happens when the buffer
 reaches ``max_batch`` operations, when ``max_delay`` virtual time has
 passed since the first buffered operation (a real scheduler timer), on
-``flush()``, and before any blocking wait (``result``, ``barrier`` —
-unless ``flush_on_barrier`` is off, in which case ``barrier()`` waits
-only for already-issued operations).  Batching changes *when* the
-bookkeeping happens, never the protocol: each operation still runs the
-full per-op SUBMIT/REPLY/COMMIT exchange in submission order.
+``flush()``, and before any blocking wait (``result``, ``barrier``).
+Batching changes *when* the bookkeeping happens, never the protocol:
+each operation still runs the full per-op SUBMIT/REPLY/COMMIT exchange
+in submission order.
 
 Sessions accept either the high-level :class:`repro.api.system.System`
 or a raw :class:`~repro.workloads.runner.StorageSystem`.
@@ -112,10 +111,7 @@ class Session:
     @property
     def failed(self) -> bool:
         """Has this client output ``fail`` (at any protocol layer)?"""
-        return bool(
-            getattr(self._client, "faust_failed", False)
-            or getattr(self._client, "failed", False)
-        )
+        return self._client.failed
 
     @property
     def outstanding(self) -> int:
@@ -185,17 +181,14 @@ class Session:
     def barrier(self, timeout: float | None = None) -> None:
         """Drive the simulation until every issued handle has settled.
 
-        On a batching session the buffer is flushed first (the barrier is
-        the batching policy's ordering point), unless the policy disables
-        ``flush_on_barrier`` — then only already-issued operations are
-        waited on and buffered ones stay parked.
+        On a batching session the buffer is flushed first: the barrier is
+        the batching policy's ordering point.
 
         Raises the first failure among the operations waited on, or
         :class:`OperationTimeout` if some are still pending after the
         time budget.
         """
-        if self._batching is not None and self._batching.flush_on_barrier:
-            self.flush()
+        self.flush()
         waited = self._issued_unsettled()
         self._drive(self._all_issued_settled, timeout, flush=False)
         self._reject_if_dead()
@@ -388,28 +381,25 @@ class Session:
         for handle in unsettled:
             handle._reject(exception)
 
-    def _death_reason(self) -> str | None:
-        client = self._client
-        if getattr(client, "faust_failed", False):
-            return f"{client.name} failed: {client.faust_fail_reason}"
-        if getattr(client, "failed", False):
-            return f"{client.name} failed: {getattr(client, 'fail_reason', None)}"
-        if client.crashed:
-            return f"{client.name} crashed mid-operation"
-        return None
-
     def _raise_if_dead(self) -> None:
-        if getattr(self._client, "faust_failed", False) or getattr(
-            self._client, "failed", False
-        ):
-            raise ProtocolError(f"{self._client.name} has failed and halted")
-        if self._client.crashed:
-            raise ProtocolError(f"{self._client.name} has crashed")
+        client = self._client
+        if client.halted:
+            raise ProtocolError(
+                f"{client.name} has failed and halted"
+                if client.failed
+                else f"{client.name} has crashed"
+            )
 
     def _reject_if_dead(self, handle: OpHandle | None = None) -> None:
-        reason = self._death_reason()
-        if reason is not None:
-            self._fail_all(OperationFailed(reason))
+        client = self._client
+        if client.halted:
+            self._fail_all(
+                OperationFailed(
+                    f"{client.name} failed: {client.halt_reason}"
+                    if client.failed
+                    else f"{client.name} crashed mid-operation"
+                )
+            )
 
     # ------------------------------------------------------------------ #
     # Driving the shared world
@@ -428,8 +418,9 @@ class Session:
             # A blocking wait cannot complete while its operation is still
             # parked in the batch buffer: issue everything first.
             self.flush()
+        client = self._client
         self._system.run_until(
-            lambda: predicate() or self._death_reason() is not None,
+            lambda: predicate() or client.halted,
             timeout=self._limit(timeout),
         )
 

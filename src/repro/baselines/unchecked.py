@@ -88,6 +88,17 @@ class UncheckedClient(Node):
     def busy(self) -> bool:
         return self._pending is not None
 
+    @property
+    def halted(self) -> bool:
+        """Has this client stopped taking steps?  Only by crashing: it
+        checks nothing, so it never outputs ``fail``."""
+        return self._crashed
+
+    @property
+    def halt_reason(self) -> str | None:
+        """``"crashed"`` once :attr:`halted`, else ``None``."""
+        return "crashed" if self._crashed else None
+
     def write(self, value: Value, callback=None) -> None:
         if not isinstance(value, bytes):
             raise ProtocolError("register values are bytes")

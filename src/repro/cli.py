@@ -453,8 +453,7 @@ def _run_and_report(args, system, config, backend) -> None:
             return all(
                 stats.completed.get(c.client_id, 0)
                 >= stats.planned.get(c.client_id, 0)
-                or getattr(c, "failed", False)
-                or c.crashed
+                or c.halted
                 for c in system.clients
             )
 
@@ -562,15 +561,19 @@ def _run_and_report(args, system, config, backend) -> None:
                       f"{backend} backend")
 
     print()
+    fail_aware = system.capabilities.stability
     for client in system.clients:
         flags = []
         if client.crashed:
             flags.append("crashed")
-        if getattr(client, "fail_reason", None):
-            flags.append(f"USTOR fail: {client.fail_reason}")
-        if getattr(client, "faust_failed", False):
-            flags.append(f"FAUST fail: {client.faust_fail_reason}")
-        if getattr(client, "faust_failed", None) is False and not client.crashed:
+        if client.failed:
+            # A fail-aware client reports the layer that caught the server
+            # and the FAUST-level fail that wraps (or stands in for) it.
+            if client.fail_reason:
+                flags.append(f"USTOR fail: {client.fail_reason}")
+            if fail_aware:
+                flags.append(f"FAUST fail: {client.halt_reason}")
+        elif fail_aware and not client.crashed:
             flags.append(f"stability cut {list(client.tracker.stability_cut())}")
         print(f"{client.name}: {'; '.join(flags) if flags else 'ok'}")
 

@@ -1,11 +1,11 @@
 """Opening a sharded deployment from a :class:`SystemConfig`.
 
 The cluster backend interprets the shard-axis knobs — ``shards``,
-``shard_map``, ``shard_protocol``, ``shard_server_factories``,
-``shard_outages`` — and the replica-axis knobs — ``replicas``,
-``quorum``, ``counter``, ``replica_server_factories``
-(:mod:`repro.replica`) — and assembles one deployment per shard over a
-shared scheduler.  Everything else (latency models, storage engine,
+``shard_map``, ``shard_protocol``, ``shard_server_factories`` — and the
+replica-axis knobs — ``replicas``, ``quorum``, ``counter``,
+``replica_server_factories`` (:mod:`repro.replica`) — and assembles one
+deployment per shard over a shared scheduler (``shard_outages`` become
+faults on the opened system, like ``server_outages`` on any backend).  Everything else (latency models, storage engine,
 FAUST tuning, seeds) applies uniformly to every shard, so a config that
 ran on the ``faust`` backend runs on ``cluster`` by adding ``shards=N``
 (and ``replicas=K`` for rollback-resistant shards).
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.api.backends import build_deployment, protocol_for
-from repro.api.config import SystemConfig, validate_outage_windows
+from repro.api.config import SystemConfig
 from repro.cluster.shardmap import make_shard_map
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError
@@ -45,7 +45,6 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
     shard_map = make_shard_map(
         config.shard_map, config.shards, config.num_clients
     )
-    per_shard_outages = _outage_plan(config)
 
     scheduler = Scheduler(seed=config.seed)
     protocol = protocol_for(config.shard_protocol, config)
@@ -71,7 +70,7 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
         )
         for shard in range(config.shards)
     ]
-    system = ClusterSystem(
+    return ClusterSystem(
         shards=shards,
         shard_map=shard_map,
         scheduler=scheduler,
@@ -80,28 +79,3 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
         default_timeout=config.default_timeout,
         shard_protocol=config.shard_protocol,
     )
-    for shard, windows in per_shard_outages.items():
-        for start, duration in windows:
-            system.shard_outage(shard, start, duration)
-    return system
-
-
-def _outage_plan(config: SystemConfig) -> dict[int, list[tuple[float, float]]]:
-    """Merge whole-cluster windows with shard-targeted ones, per shard.
-
-    Sorted so a restart scheduled exactly where the next crash starts is
-    enqueued (and fires) first; overlaps are rejected per shard — the
-    same contract the single-server backends enforce.
-    """
-    plan: dict[int, list[tuple[float, float]]] = {
-        shard: list(config.server_outages) for shard in range(config.shards)
-    }
-    for shard, start, duration in config.shard_outages:
-        plan[shard].append((start, duration))
-    for shard, windows in plan.items():
-        try:
-            validate_outage_windows(tuple(windows))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"shard {shard}: {exc}") from None
-        windows.sort()
-    return plan

@@ -146,13 +146,11 @@ class ClusterSession:
         but drains all shards: the cross-shard ordering point of a
         sharded deployment.
         """
-        policy = self._cluster.batching
-        if policy is not None and policy.flush_on_barrier:
-            self.flush()
+        self.flush()
         sessions = dict(self._shard_sessions)
-        # Operations still parked in a batch buffer (flush_on_barrier
-        # off) are not waited on — they have not been issued.  The
-        # exclusion logic is the per-shard Session's, not re-derived here.
+        # Operations parked in a batch buffer meanwhile (submitted from a
+        # completion callback) are not waited on — they have not been
+        # issued.  The exclusion logic is the per-shard Session's.
         per_session = {
             shard: s._issued_unsettled() for shard, s in sessions.items()
         }
@@ -165,7 +163,7 @@ class ClusterSession:
             # settle, so waiting out the budget would only burn virtual
             # time for everyone else.
             return all(
-                s._all_issued_settled() or s._death_reason() is not None
+                s._all_issued_settled() or s.client.halted
                 for s in sessions.values()
             )
 

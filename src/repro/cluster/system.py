@@ -36,6 +36,7 @@ from repro.cluster.shardmap import ShardMap
 from repro.common.errors import ConfigurationError
 from repro.common.types import ClientId, RegisterId, Value, client_name
 from repro.history.history import History
+from repro.sim.faults import Fault, FaultInjector
 from repro.sim.scheduler import Scheduler
 from repro.workloads.runner import StorageSystem
 
@@ -119,20 +120,19 @@ class ClusterClient:
         return None
 
     @property
-    def faust_failed(self) -> bool:
-        """Any touched shard's FAUST layer failed (fail-aware clusters)."""
-        instances = self.instances
-        if not instances or not hasattr(instances[0], "faust_failed"):
-            raise AttributeError("faust_failed")  # not a fail-aware cluster
-        return any(inst.faust_failed for inst in self._touched_instances())
+    def halted(self) -> bool:
+        """Has this client stopped taking steps — crashed as a unit, or
+        output ``fail`` on a shard it touched?"""
+        return self.crashed or self.failed
 
     @property
-    def faust_fail_reason(self) -> str | None:
-        """The first touched shard's FAUST failure reason, if any."""
+    def halt_reason(self) -> str | None:
+        """Why :attr:`halted`: the first touched shard's ``fail`` reason
+        (whichever layer output it), else ``"crashed"``; ``None`` while up."""
         for inst in self._touched_instances():
-            if getattr(inst, "faust_fail_reason", None) is not None:
-                return inst.faust_fail_reason
-        return None
+            if inst.failed:
+                return inst.halt_reason
+        return "crashed" if self.crashed else None
 
     @property
     def tracker(self):
@@ -155,23 +155,20 @@ class ClusterClient:
         for inst in self.instances:
             inst.crash()
 
+    def restart(self) -> None:
+        """Restart this client's instance on every shard."""
+        for inst in self.instances:
+            inst.restart()
+
     def pause(self) -> None:
         """Pause background activity (dummy reads/probes) on all shards."""
         for inst in self.instances:
-            if hasattr(inst, "pause"):
-                inst.pause()
+            inst.pause()
 
     def resume(self) -> None:
         """Resume background activity on all shards."""
         for inst in self.instances:
-            if hasattr(inst, "resume"):
-                inst.resume()
-
-    def enable_background(self, dummy_reads: bool = True, probes: bool = True) -> None:
-        """Enable FAUST background traffic on every shard instance."""
-        for inst in self.instances:
-            if hasattr(inst, "enable_background"):
-                inst.enable_background(dummy_reads, probes)
+            inst.resume()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ClusterClient {self.name} over {len(self._cluster.shards)} shards>"
@@ -252,6 +249,8 @@ class ClusterSystem:
         self.notifications = ClusterNotificationHub()
         self.trace = _ClusterTrace(self)
         self.offline = _ClusterOffline(self)
+        #: The cluster's one fault schedule (:mod:`repro.sim.faults`).
+        self.faults = FaultInjector(self)
         self.clients = [
             ClusterClient(self, i) for i in range(self.num_clients)
         ]
@@ -330,15 +329,9 @@ class ClusterSystem:
                     self.scheduler.now, _c, reason, _s
                 )
             )
-        already = getattr(instance, "faust_fail_reason", None) or getattr(
-            instance, "fail_reason", None
-        )
-        if already is not None or getattr(instance, "faust_failed", False):
+        if instance.failed:
             hub.emit_shard_failure(
-                self.scheduler.now,
-                client_id,
-                already or "shard already failed",
-                shard,
+                self.scheduler.now, client_id, instance.halt_reason, shard
             )
 
     # ------------------------------------------------------------------ #
@@ -402,15 +395,13 @@ class ClusterSystem:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    # -- faults: one-line producers for ``self.faults`` ------------------ #
+
     def crash_client_at(self, client_id: ClientId, time: float) -> None:
         """Schedule a crash-stop of one client (all its shard instances)."""
-        proxy = self.clients[client_id]
-        self.scheduler.schedule_at(
-            time,
-            lambda: (proxy.crash(), self.trace.note(time, proxy.name, "crash")),
+        self.faults.add(
+            Fault("crash-forever", client_id, time), notes=("crash", None)
         )
-
-    # -- server faults, with a shard axis ------------------------------- #
 
     def shard_outage(self, shard: int, start: float, duration: float) -> None:
         """One crash-recovery window for a single shard.
@@ -419,20 +410,17 @@ class ClusterSystem:
         (a correlated outage); use :meth:`replica_outage` to crash one
         replica only — the fault an honest-majority group masks.
         """
-        self.shards[self.check_shard(shard)].server_outage(start, duration)
+        self.faults.add(Fault("down", (shard, None), start, duration))
 
     def replica_outage(
         self, shard: int, replica: int, start: float, duration: float
     ) -> None:
         """One crash-recovery window for a single replica of one shard."""
-        self.shards[self.check_shard(shard)].replica_outage(
-            replica, start, duration
-        )
+        self.faults.add(Fault("down", (shard, replica), start, duration))
 
     def server_outage(self, start: float, duration: float) -> None:
         """A whole-cluster outage: every shard down over the window."""
-        for shard in range(self.num_shards):
-            self.shard_outage(shard, start, duration)
+        self.faults.add(Fault("down", None, start, duration))
 
     # ------------------------------------------------------------------ #
     # Histories (per shard — each shard is its own consistency domain)

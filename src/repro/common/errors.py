@@ -14,8 +14,9 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
-class ConfigurationError(ReproError):
-    """A component was constructed or wired with invalid parameters."""
+class ConfigurationError(ReproError, ValueError):
+    """A component was constructed or wired with invalid parameters (a
+    :class:`ValueError`, for callers that validate the standard way)."""
 
 
 class EncodingError(ReproError):

@@ -260,8 +260,8 @@ class FaustClient(UstorClient):
         """Model a client going offline/asleep: background activity stops.
 
         The client remains correct (it will resume) — contrast with
-        :meth:`crash`.  Pair with ``offline_channel.set_online(name, False)``
-        to also defer offline-message delivery.
+        :meth:`crash`.  Going *away* is this plus deferred offline mail:
+        :meth:`repro.sim.faults.FaultInjector.away` does both.
         """
         if self._dummy_timer is not None:
             self._dummy_timer.stop()
@@ -276,6 +276,12 @@ class FaustClient(UstorClient):
     def resume(self) -> None:
         """Wake up after :meth:`pause`."""
         self.start()
+
+    @property
+    def halt_reason(self) -> str | None:
+        """Why :attr:`halted`: this layer's ``fail`` reason (which wraps a
+        USTOR detection), else ``"crashed"``; ``None`` while up."""
+        return self.faust_fail_reason or super().halt_reason
 
     # ---------------------------------------------------------------- #
     # The application-facing operations (queued; responses carry t)

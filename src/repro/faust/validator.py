@@ -115,7 +115,7 @@ def _check_integrity(history: History) -> CheckResult:
 
 def _check_accuracy(system: StorageSystem, server_correct: bool) -> CheckResult:
     name = "failure-detection accuracy"
-    failed = [c for c in system.clients if getattr(c, "faust_failed", False)]
+    failed = [c for c in system.clients if c.faust_failed]
     if failed and server_correct:
         reasons = {c.name: c.faust_fail_reason for c in failed}
         return violated(
@@ -131,7 +131,7 @@ def _check_stability_accuracy(system: StorageSystem, history: History) -> CheckR
 
     stable_ids: set[int] = set()
     for client in system.clients:
-        if getattr(client, "faust_failed", False):
+        if client.faust_failed:
             continue  # cuts are frozen at failure; nothing new to certify
         cutoff = client.tracker.stable_timestamp_for_all()
         for op in complete.restrict_to_client(client.client_id):
@@ -165,11 +165,11 @@ def _check_completeness(
 ) -> CheckResult:
     name = "detection completeness"
     correct = _correct_clients(system)
-    all_failed = all(getattr(c, "faust_failed", False) for c in correct)
+    all_failed = all(c.faust_failed for c in correct)
     if all_failed:
         return ok(name, witness="fail occurred at every correct client")
     for client in correct:
-        if getattr(client, "faust_failed", False):
+        if client.faust_failed:
             continue
         targets = [
             op.timestamp

@@ -81,11 +81,7 @@ def _shard_profile(shard: Any) -> dict[str, Any]:
             "completed_operations": sum(
                 getattr(c, "completed_operations", 0) for c in shard.clients
             ),
-            "failed": sum(
-                1
-                for c in shard.clients
-                if getattr(c, "failed", False) or getattr(c, "faust_failed", False)
-            ),
+            "failed": sum(1 for c in shard.clients if c.failed),
             "crashed": sum(1 for c in shard.clients if c.crashed),
         },
     }

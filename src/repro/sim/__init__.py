@@ -2,11 +2,11 @@
 
 Provides the asynchronous system model of Section 2: a seeded event loop,
 reliable FIFO client-server channels, the offline client-to-client channel,
-crash-stop and crash-recovery processes (with scheduled server faults),
-periodic timers, and run tracing.
+crash-stop and crash-recovery processes, the one fault schedule that
+crashes, restarts and disconnects them, periodic timers, and run tracing.
 """
 
-from repro.sim.faults import ServerFaultInjector
+from repro.sim.faults import Fault, FaultInjector
 from repro.sim.network import (
     ExponentialLatency,
     FixedLatency,
@@ -25,6 +25,8 @@ from repro.sim.trace import MessageRecord, NoteRecord, SimTrace
 __all__ = [
     "EventHandle",
     "ExponentialLatency",
+    "Fault",
+    "FaultInjector",
     "FixedLatency",
     "LatencyModel",
     "MessageRecord",
@@ -34,7 +36,6 @@ __all__ = [
     "OfflineChannel",
     "PeriodicTimer",
     "Scheduler",
-    "ServerFaultInjector",
     "SimTrace",
     "UniformLatency",
     "message_kind",

@@ -101,6 +101,13 @@ class Node:
     def on_restart(self) -> None:
         """Hook: restore state from durable storage before mail replays."""
 
+    def pause(self) -> None:
+        """Stop background activity until :meth:`resume` (a node that has
+        none — everything but the fail-aware client — has nothing to stop)."""
+
+    def resume(self) -> None:
+        """Wake up after :meth:`pause`."""
+
     # ------------------------------------------------------------------ #
     # Messaging
     # ------------------------------------------------------------------ #

@@ -199,6 +199,20 @@ class UstorClient(Node):
         return self._fail_reason
 
     @property
+    def halted(self) -> bool:
+        """Has this client stopped taking steps — crashed, or output
+        ``fail`` (a layer above that fails halts this one too)?"""
+        return self._crashed or self._failed
+
+    @property
+    def halt_reason(self) -> str | None:
+        """Why :attr:`halted`: the ``fail`` reason, else ``"crashed"``;
+        ``None`` while the client is up."""
+        if self._fail_reason is not None:
+            return self._fail_reason
+        return "crashed" if self._crashed else None
+
+    @property
     def busy(self) -> bool:
         return self._pending is not None
 

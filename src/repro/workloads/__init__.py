@@ -1,6 +1,6 @@
 """Workloads: system assembly, scripted/random drivers, paper scenarios."""
 
-from repro.workloads.churn import ChurnSchedule, OfflineWindow
+from repro.workloads.churn import ChurnSchedule
 from repro.workloads.generator import (
     Driver,
     DriverStats,
@@ -31,14 +31,12 @@ from repro.workloads.scenarios import (
 from repro.workloads.sessions import (
     SessionLease,
     SessionPool,
-    SessionWindow,
     plan_churn_windows,
 )
 
 __all__ = [
     "ChurnSchedule",
     "Driver",
-    "OfflineWindow",
     "DriverStats",
     "Figure2Result",
     "Figure3Result",
@@ -49,7 +47,6 @@ __all__ = [
     "ScaleReport",
     "SessionLease",
     "SessionPool",
-    "SessionWindow",
     "SplitBrainResult",
     "StorageSystem",
     "SystemBuilder",

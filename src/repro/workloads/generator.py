@@ -262,10 +262,8 @@ class Driver:
 
     def _issue(self, client_id: ClientId, script, index: int) -> None:
         client = self._system.clients[client_id]
-        if client.crashed or getattr(client, "failed", False):
-            return  # a crashed or halted client takes no more steps
-        if getattr(client, "faust_failed", False):
-            return
+        if client.halted:
+            return  # a crashed or failed client takes no more steps
         planned: PlannedOp = script[index]
         self.stats.issued[client_id] += 1
 
@@ -344,9 +342,7 @@ class Driver:
                 self._issue_timed, client_id, schedule, index + 1, on_latency,
             )
         client = self._system.clients[client_id]
-        if client.crashed or getattr(client, "failed", False):
-            return
-        if getattr(client, "faust_failed", False):
+        if client.halted:
             return
         op: TimedOp = schedule[index]
         self.stats.issued[client_id] += 1

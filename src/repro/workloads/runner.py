@@ -31,7 +31,7 @@ from repro.crypto.keystore import KeyStore
 from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.obs.registry import COUNT_BUCKETS, get_registry
-from repro.sim.faults import ServerFaultInjector
+from repro.sim.faults import Fault, FaultInjector
 from repro.sim.network import FixedLatency, LatencyModel, Network
 from repro.sim.offline import OfflineChannel
 from repro.sim.scheduler import Scheduler
@@ -79,6 +79,11 @@ class StorageSystem:
     quiescence_poll: float = 1.0
     quiescence_timeout: float = 10_000.0
     audit_every: float = 50.0
+    #: The deployment's one fault schedule (:mod:`repro.sim.faults`).
+    faults: FaultInjector = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.faults = FaultInjector(self)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Advance the world to time ``until``; returns the number of
@@ -151,22 +156,11 @@ class StorageSystem:
         """The protocol client with id ``client_id``."""
         return self.clients[client_id]
 
+    # -- faults: one-line producers for ``self.faults`` ------------------ #
+
     def crash_client_at(self, client_id: ClientId, time: float) -> None:
         """Schedule a crash-stop of one client at an absolute virtual time."""
-        node = self.clients[client_id]
-        self.scheduler.schedule_at(
-            time, lambda: (node.crash(), self.trace.note(time, node.name, "crash"))
-        )
-
-    # -- server faults (the storage/recovery axis) --------------------- #
-
-    def crash_server_at(self, time: float) -> None:
-        """Schedule a server crash at an absolute virtual time."""
-        self._server_faults().crash_at(time)
-
-    def restart_server_at(self, time: float) -> None:
-        """Schedule a server restart (engine recovery) at a virtual time."""
-        self._server_faults().restart_at(time)
+        self.faults.add(Fault("crash-forever", client_id, time), notes=("crash", None))
 
     def server_outage(self, start: float, duration: float) -> None:
         """One crash-recovery window: server down over [start, start+duration).
@@ -176,29 +170,11 @@ class StorageSystem:
         service is down".  Use :meth:`replica_outage` to crash one
         replica (the fault an honest majority masks).
         """
-        for index in range(len(self.replica_servers) or 1):
-            self._server_faults(index).outage(start, duration)
+        self.faults.add(Fault("down", None, start, duration))
 
     def replica_outage(self, replica: int, start: float, duration: float) -> None:
         """One crash-recovery window for a single replica of the group."""
-        self._server_faults(replica).outage(start, duration)
-
-    def crash_replica_at(self, replica: int, time: float) -> None:
-        """Schedule a crash of one replica at an absolute virtual time."""
-        self._server_faults(replica).crash_at(time)
-
-    def restart_replica_at(self, replica: int, time: float) -> None:
-        """Schedule one replica's restart (engine recovery)."""
-        self._server_faults(replica).restart_at(time)
-
-    def _server_faults(self, replica: int = 0) -> ServerFaultInjector:
-        group = self.replica_servers or [self.server]
-        if not 0 <= replica < len(group):
-            raise ConfigurationError(
-                f"replica {replica} out of range: the group has "
-                f"{len(group)} replica(s)"
-            )
-        return ServerFaultInjector(self.scheduler, group[replica], self.trace)
+        self.faults.add(Fault("down", (None, replica), start, duration))
 
     @property
     def now(self) -> float:

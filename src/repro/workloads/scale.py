@@ -23,9 +23,9 @@ that claim into a measured, regression-gated quantity:
   offline, and logs a fresh session in when the slot returns, so churn
   in the tens of thousands of sessions never needs that many signer
   keys;
-* optional **client faults**
-  (:class:`repro.sim.faults.ClientFaultInjector`, the ``--client-faults``
-  flag) inject crash-forever / crash-restart / lease-expiry lifecycles:
+* optional **client faults** (:meth:`repro.sim.faults.Fault.parse` specs,
+  the ``--client-faults`` flag) inject crash-forever / crash-restart /
+  lease-expiry lifecycles through the deployment's one fault schedule:
   with ``membership=`` on, the quorum evicts a crashed-forever client
   and the checkpoint chain (and the growth ratio) recovers; without it,
   the chain stalls and resident state grows without bound — the
@@ -50,7 +50,7 @@ from repro.consistency.incremental import attach_incremental_checkers
 from repro.faust.checkpoint import CheckpointPolicy
 from repro.faust.membership import MembershipPolicy
 from repro.obs.registry import Histogram, Registry
-from repro.sim.faults import ClientFaultInjector
+from repro.sim.faults import Fault
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import Driver, OpenLoopConfig, generate_open_loop
 from repro.workloads.sessions import SessionLease, SessionPool, plan_churn_windows
@@ -77,7 +77,7 @@ class ScaleConfig:
     churn_windows: int = 0
     churn_mean_duration: float = 5.0
     #: Client fault specs, ``kind:client@start[+duration]`` — see
-    #: :meth:`repro.sim.faults.ClientFaultInjector.parse_spec`.
+    #: :meth:`repro.sim.faults.Fault.parse`.
     client_faults: tuple[str, ...] = ()
     #: Virtual-time cadence of resident-structure samples.
     sample_every: float = 10.0
@@ -334,6 +334,8 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
 
     # Logical sessions lease the signer slots; churn and eviction move
     # through the pool so the signer count never grows with session count.
+    # A slot that goes away — a churn window or a lease-expiry fault —
+    # logs its session out; a fresh one logs in when the slot returns.
     pool = SessionPool(config.num_clients, provider=lambda slot: raw.clients[slot])
     active: dict[int, SessionLease] = {}
     for _ in range(config.num_clients):
@@ -342,6 +344,16 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
             break
         active[lease.slot] = lease
 
+    def _on_away(slot: int, away: bool) -> None:
+        if away:
+            if slot in active:
+                pool.release(active.pop(slot))
+        else:
+            lease = pool.try_acquire_slot(slot)
+            if lease is not None:  # slot may have been evicted while away
+                active[slot] = lease
+
+    raw.faults.add_listener(_on_away)
     if config.churn_windows:
         churn_rng = random.Random((config.seed << 1) ^ 0xC4A11)
         windows = plan_churn_windows(
@@ -358,36 +370,17 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
                 slot
                 for slot in sorted(active)
                 if slot not in quarantined
-                and not raw.clients[slot].crashed
-                and not getattr(raw.clients[slot], "faust_failed", False)
+                and not raw.clients[slot].halted
+                and not raw.faults.conflict(Fault("away", slot, raw.now, duration))
             ]
-            if not eligible:
-                return  # every slot is away, crashed or evicted
-            slot = churn_rng.choice(eligible)
-            pool.release(active.pop(slot))
-            client = raw.clients[slot]
-            client.pause()
-            raw.offline.set_online(client.name, False)
-            raw.scheduler.schedule(duration, _session_in, slot)
-
-        def _session_in(slot: int) -> None:
-            client = raw.clients[slot]
-            if client.crashed or getattr(client, "faust_failed", False):
-                return
-            raw.offline.set_online(client.name, True)
-            client.resume()
-            lease = pool.try_acquire_slot(slot)
-            if lease is not None:  # slot may have been evicted while away
-                active[slot] = lease
+            if eligible:  # else every slot is away, crashed or evicted
+                raw.faults.away(churn_rng.choice(eligible), duration)
 
         for window in windows:
             raw.scheduler.schedule_at(window.start, _session_out, window.duration)
 
-    if config.client_faults:
-        injector = ClientFaultInjector(
-            raw.scheduler, raw.clients, offline=raw.offline, trace=raw.trace
-        )
-        injector.schedule_specs(list(config.client_faults))
+    for spec in config.client_faults:
+        raw.faults.add(Fault.parse(spec))
 
     tracing = False
     if config.trace_malloc and not tracemalloc.is_tracing():
@@ -411,11 +404,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
     planned = driver.stats.total_planned()
     completed = driver.stats.total_completed()
     duration = raw.now
-    live = [
-        c
-        for c in raw.clients
-        if not c.crashed and not getattr(c, "faust_failed", False)
-    ]
+    live = [c for c in raw.clients if not c.halted]
     managers = [
         c.checkpoint_manager
         for c in live
@@ -454,9 +443,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
         pending_truncated=getattr(raw.server, "pending_truncated", 0),
         recorder_compacted=raw.recorder.compacted_ops,
         checker_ok={name: c.result().ok for name, c in checkers.items()},
-        failed_clients=sum(
-            1 for c in raw.clients if getattr(c, "faust_failed", False)
-        ),
+        failed_clients=sum(1 for c in raw.clients if c.failed),
         epoch=epoch,
         evicted_clients=evicted,
         rejoins=rejoins,

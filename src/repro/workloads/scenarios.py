@@ -117,8 +117,7 @@ def figure2_scenario(
     # Carlos catches up on Alice's work, then goes to sleep.
     _sync_op(system, carlos, OpKind.READ, ALICE)
     _sync_op(system, alice, OpKind.READ, CARLOS)  # Alice's t=4: learns Carlos
-    carlos.client.pause()
-    system.offline.set_online(carlos.client.name, False)
+    system.faults.away(CARLOS)
 
     # Alice keeps editing (t = 5..8).
     for v in range(5, 9):
@@ -135,8 +134,7 @@ def figure2_scenario(
     if include_carlos_return:
         # America wakes up: Carlos returns, reads, and background version
         # exchange makes everything stable at every client.
-        system.offline.set_online(carlos.client.name, True)
-        carlos.client.resume()
+        system.faults.back(CARLOS)
         for client in system.clients:
             client.enable_background(dummy_reads=True, probes=True)
         system.run(until=system.now + 400.0)

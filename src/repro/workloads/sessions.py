@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.common.errors import ConfigurationError
+from repro.sim.faults import Fault, plan_windows
 
 
 @dataclass(frozen=True)
@@ -41,20 +42,6 @@ class SessionLease:
     slot: int
 
 
-@dataclass(frozen=True)
-class SessionWindow:
-    """A planned churn event: some session logs out at ``start`` and a
-    fresh session takes over its slot ``duration`` later."""
-
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        """When the slot comes back."""
-        return self.start + self.duration
-
-
 def plan_churn_windows(
     rng,
     count: int,
@@ -62,29 +49,25 @@ def plan_churn_windows(
     horizon: float,
     mean_duration: float,
     num_slots: int,
-) -> list[SessionWindow]:
-    """Draw ``count`` churn windows over ``[0, horizon)``; reject overload.
+) -> list[Fault]:
+    """Plan ``count`` churn windows over ``[0, horizon)``; reject overload.
 
-    Starts are uniform over the horizon and durations exponential with
-    the given mean (floored at one time unit), drawn from ``rng`` so the
-    plan is deterministic per seed.  A plan whose windows would take
-    more slots offline *concurrently* than the signer set holds cannot
-    be scheduled — every offline window needs a distinct slot — and
-    raises :class:`~repro.common.errors.ConfigurationError` instead of
-    silently dropping windows.
+    Each is an *away* window with no client yet: some session logs out
+    at ``start`` — whichever slot the producer picks then — and a fresh
+    session takes over the slot ``duration`` later.  Drawn by
+    :func:`repro.sim.faults.plan_windows` from ``rng``, so the plan is
+    deterministic per seed.  A plan whose windows would take more slots
+    offline *concurrently* than the signer set holds cannot be scheduled
+    — every offline window needs a distinct slot — and raises
+    :class:`~repro.common.errors.ConfigurationError` instead of silently
+    dropping windows.
     """
     if count < 0:
         raise ConfigurationError(
             f"churn window count must be non-negative, got {count}"
         )
     windows = sorted(
-        (
-            SessionWindow(
-                start=rng.uniform(0.0, horizon),
-                duration=max(rng.expovariate(1.0 / mean_duration), 1.0),
-            )
-            for _ in range(count)
-        ),
+        plan_windows(rng, "away", count, horizon, mean_duration),
         key=lambda window: (window.start, window.duration),
     )
     peak = _max_concurrent(windows)
@@ -98,7 +81,7 @@ def plan_churn_windows(
     return windows
 
 
-def _max_concurrent(windows: Iterable[SessionWindow]) -> int:
+def _max_concurrent(windows: Iterable[Fault]) -> int:
     """The largest number of windows open at any instant."""
     events = sorted(
         point

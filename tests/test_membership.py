@@ -11,6 +11,8 @@ equivalence guarantees) lives in ``test_membership_faults.py`` and
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -23,7 +25,7 @@ from repro.faust.membership import (
     epoch_digest,
 )
 from repro.faust.messages import EpochShareMessage
-from repro.sim.faults import CLIENT_FAULT_KINDS, ClientFault, ClientFaultInjector
+from repro.sim.faults import CLIENT_FAULT_KINDS, Fault, FaultInjector
 
 # --------------------------------------------------------------------- #
 # Policy and chain basics
@@ -413,12 +415,12 @@ def test_diverging_announce_is_forking_evidence():
 
 
 def test_client_fault_spec_parsing():
-    fault = ClientFaultInjector.parse_spec("crash-forever:1@200")
-    assert fault == ClientFault("crash-forever", 1, 200.0)
-    fault = ClientFaultInjector.parse_spec("crash-restart:2@100+300")
-    assert fault == ClientFault("crash-restart", 2, 100.0, 300.0)
-    fault = ClientFaultInjector.parse_spec("lease-expiry:0@150+400.5")
-    assert fault == ClientFault("lease-expiry", 0, 150.0, 400.5)
+    fault = Fault.parse("crash-forever:1@200")
+    assert fault == Fault("crash-forever", 1, 200.0)
+    fault = Fault.parse("crash-restart:2@100+300")
+    assert fault == Fault("crash-restart", 2, 100.0, 300.0)
+    fault = Fault.parse("lease-expiry:0@150+400.5")
+    assert fault == Fault("lease-expiry", 0, 150.0, 400.5)
 
 
 @pytest.mark.parametrize(
@@ -436,7 +438,7 @@ def test_client_fault_spec_parsing():
 )
 def test_malformed_client_fault_specs_are_rejected(spec):
     with pytest.raises(SimulationError):
-        ClientFaultInjector.parse_spec(spec)
+        Fault.parse(spec)
 
 
 def test_client_fault_kinds_are_the_documented_three():
@@ -448,6 +450,6 @@ def test_fault_injector_rejects_out_of_range_clients():
         def schedule_at(self, *_a):  # pragma: no cover - never reached
             raise AssertionError
 
-    injector = ClientFaultInjector(_Sched(), clients=[object()])
+    injector = FaultInjector(SimpleNamespace(scheduler=_Sched(), clients=[object()]))
     with pytest.raises(SimulationError):
-        injector.schedule(ClientFault("crash-forever", 5, 10.0))
+        injector.add(Fault("crash-forever", 5, 10.0))

@@ -17,9 +17,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.faust.membership import Epoch
+from repro.sim.faults import Fault
 from repro.workloads.sessions import (
     SessionPool,
-    SessionWindow,
     _max_concurrent,
     plan_churn_windows,
 )
@@ -252,9 +252,9 @@ def test_churn_plan_rejects_negative_count():
 
 def test_max_concurrent_counts_overlap():
     windows = [
-        SessionWindow(0.0, 10.0),
-        SessionWindow(5.0, 10.0),
-        SessionWindow(20.0, 1.0),
+        Fault("away", None, 0.0, 10.0),
+        Fault("away", None, 5.0, 10.0),
+        Fault("away", None, 20.0, 1.0),
     ]
     assert _max_concurrent(windows) == 2
     assert _max_concurrent([]) == 0

@@ -8,7 +8,8 @@ import pytest
 
 from repro.analysis.timeline import render_timeline
 from repro.common.types import BOTTOM
-from repro.workloads.churn import ChurnSchedule, OfflineWindow
+from repro.sim.faults import Fault
+from repro.workloads.churn import ChurnSchedule
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import figure3_scenario
@@ -79,7 +80,7 @@ class TestChurn:
             ChurnSchedule(churn_system()).add_window(0, 1.0, 0.0)
 
     def test_window_end_property(self):
-        assert OfflineWindow(0, 2.0, 3.0).end == 5.0
+        assert Fault("away", 0, 2.0, 3.0).end == 5.0
 
     def test_churn_causes_no_false_positives(self):
         system = churn_system(seed=51)
