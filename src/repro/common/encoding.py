@@ -86,6 +86,8 @@ _MEMO_LIMIT = 4096
 _INT_MEMO: dict[int, bytes] = {}
 _STR_MEMO: dict[str, bytes] = {}
 _ENUM_MEMO: dict[enum.Enum, bytes] = {}
+#: ``enums`` tuple -> the decoder's ``"ClassName.MEMBER" -> member`` table.
+_ENUM_LOOKUP_MEMO: dict[tuple[type, ...], dict[str, enum.Enum]] = {}
 
 #: Miss counter + memo sizes, harvested by :mod:`repro.perf`.  Hits are
 #: deliberately *not* counted: the hit path is the hot path, and even one
@@ -110,6 +112,7 @@ def reset_encoding_caches() -> None:
     _INT_MEMO.clear()
     _STR_MEMO.clear()
     _ENUM_MEMO.clear()
+    _ENUM_LOOKUP_MEMO.clear()
     _stats["misses"] = 0
 
 
@@ -390,6 +393,17 @@ def _decode_fast(
     raise EncodingError(f"unknown encoding tag 0x{tag:02x} at offset {offset - 1}")
 
 
+def _enum_lookup(enums: tuple[type, ...]) -> dict[str, enum.Enum]:
+    """Build and memoise the decoder's member table for one ``enums`` tuple."""
+    lookup = {
+        f"{cls.__name__}.{member.name}": member for cls in enums for member in cls
+    }
+    if len(_ENUM_LOOKUP_MEMO) >= _MEMO_LIMIT:  # pragma: no cover - bound guard
+        _ENUM_LOOKUP_MEMO.clear()
+    _ENUM_LOOKUP_MEMO[enums] = lookup
+    return lookup
+
+
 def decode(
     data: bytes, *, enums: Iterable[type] = (), max_bytes: int | None = None
 ) -> tuple:
@@ -406,9 +420,10 @@ def decode(
     the hard input-size ceiling callers decoding network bytes must set —
     it is checked before any decoding work happens.
     """
-    lookup: dict[str, enum.Enum] = {
-        f"{cls.__name__}.{member.name}": member for cls in enums for member in cls
-    }
+    key = enums if type(enums) is tuple else tuple(enums)
+    lookup = _ENUM_LOOKUP_MEMO.get(key)
+    if lookup is None:
+        lookup = _enum_lookup(key)
     raw = bytes(data)
     if max_bytes is not None and len(raw) > max_bytes:
         raise OversizedFrameError(

@@ -26,8 +26,12 @@ Waiting
 -------
 
 ``run_until(predicate, timeout)`` pumps the event loop until the
-predicate holds or ``timeout`` wall-clock seconds pass, waking on every
-received frame.  Session code maps a ``False`` return to
+predicate holds or ``timeout`` wall-clock seconds pass.  The loop runs
+uninterrupted meanwhile: each connection re-checks the predicate in
+place after every frame it delivered (``NetRuntime.wake``), a 50 ms
+fallback tick re-checks it for whatever changes state without a frame
+(timers, connects) and watches the deadline, and only a verdict stops
+the loop.  Session code maps a ``False`` return to
 :class:`~repro.api.errors.OperationTimeout` — the paper's timed model
 (operations complete or time out in bounded wall-clock time) lands on
 exactly the same exception the simulated deadline used.
@@ -46,7 +50,12 @@ from repro.common.errors import (
     EncodingError,
     SimulationError,
 )
-from repro.net.framing import MAX_FRAME_BYTES, encode_frame, read_frame
+from repro.net.framing import (
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    encode_frame,
+    read_frame,
+)
 from repro.net.realtime import RealtimeScheduler
 from repro.obs.registry import SIZE_BUCKETS, get_registry
 from repro.net.wire import (
@@ -133,6 +142,14 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
+#: Upper bound of one socket read.
+_READ_BYTES = 65536
+
+#: Longest the pump goes without re-checking its predicate: frames wake
+#: it at once, this covers what arrives no other way (timers, connects).
+_FALLBACK_TICK = 0.05
+
+
 class NetRuntime:
     """Owns the event loop and the pump that stands in for ``run_until``."""
 
@@ -140,45 +157,77 @@ class NetRuntime:
         self.loop = asyncio.new_event_loop()
         self.scheduler = RealtimeScheduler(self.loop, seed=seed)
         self.scheduler.attach_runtime(self)
-        self._wake: asyncio.Event | None = None
+        #: The wait in progress — its predicate (``None`` whenever no
+        #: verdict is owed, which makes late wake-ups no-ops), its deadline
+        #: on the scheduler clock, the armed fallback tick — and what ended
+        #: it: ``True``/``False``, or the exception the predicate raised.
+        self._predicate: Callable[[], bool] | None = None
+        self._deadline: float | None = None
+        self._ticker: asyncio.Handle | None = None
+        self._outcome: bool | Exception = False
         self._closed = False
 
     def wake(self) -> None:
-        """Nudge a pending :meth:`pump_until` (called on frame receipt)."""
-        if self._wake is not None:
-            self._wake.set()
+        """Re-check a pending :meth:`pump_until` in place (called on frame
+        receipt and handshake); a verdict stops the loop."""
+        predicate = self._predicate
+        if predicate is None:
+            return
+        try:
+            satisfied = predicate()
+        except Exception as exc:
+            # The caller of pump_until owns this, not whichever connection
+            # callback happened to do the re-check.
+            self._finish(exc)
+            return
+        if satisfied:
+            self._finish(True)
+
+    def _finish(self, outcome: bool | Exception) -> None:
+        self._outcome = outcome
+        self._predicate = None
+        self.loop.stop()
+
+    def _tick(self) -> None:
+        """The fallback poll: whatever changes state without a frame
+        arriving (timers, connects), and the deadline."""
+        self.wake()
+        if self._predicate is None:
+            return
+        delay = _FALLBACK_TICK
+        if self._deadline is not None:
+            remaining = self._deadline - self.scheduler.now
+            if remaining <= 0:
+                self._finish(False)
+                return
+            delay = min(delay, remaining)
+        self._ticker = self.loop.call_later(delay, self._tick)
 
     def pump_until(
         self, predicate: Callable[[], bool], timeout: float | None = None
     ) -> bool:
-        """Drive the loop until ``predicate()`` or ``timeout`` seconds."""
+        """Drive the loop until ``predicate()`` or ``timeout`` seconds.
+
+        The loop runs uninterrupted: nothing is allocated per wake-up and
+        only a verdict — predicate satisfied, predicate raised, deadline
+        passed — stops it.
+        """
         if self.loop.is_running():
             raise SimulationError(
                 "re-entrant wait: run_until called from inside the event loop"
             )
-        deadline = None if timeout is None else self.scheduler.now + timeout
-
-        async def pump() -> bool:
-            if self._wake is None:
-                self._wake = asyncio.Event()
-            while True:
-                if predicate():
-                    return True
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - self.scheduler.now
-                    if remaining <= 0:
-                        return False
-                self._wake.clear()
-                # The wake event covers frame receipt; the short fallback
-                # poll covers everything else (timers, connects, deadline).
-                delay = 0.05 if remaining is None else min(0.05, remaining)
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
-
-        return self.loop.run_until_complete(pump())
+        self._predicate = predicate
+        self._deadline = None if timeout is None else self.scheduler.now + timeout
+        self._ticker = self.loop.call_soon(self._tick)
+        try:
+            self.loop.run_forever()
+        finally:
+            self._predicate = None
+            self._ticker.cancel()
+        outcome, self._outcome = self._outcome, False
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def run_coroutine(self, coro):
         """Run one coroutine to completion on the runtime's loop."""
@@ -339,11 +388,14 @@ class ClientConnection:
                     self._obs_reconnects.inc()
                     self._obs_retransmissions.inc(len(self.unacked))
                 await writer.drain()
+                decoder = FrameDecoder(max_bytes=self._max_frame)
                 while True:
-                    payload = await read_frame(reader, max_bytes=self._max_frame)
-                    if payload is None:
+                    # One await per TCP segment, however many frames it holds.
+                    data = await reader.read(_READ_BYTES)
+                    if not data:
+                        decoder.eof()
                         break
-                    self._on_payload(payload)
+                    decoder.feed(data, self._on_payload)
             except (ConnectionError, OSError):
                 pass
             except (DecodeError, EncodingError):

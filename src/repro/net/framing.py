@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from typing import Callable
 
 from repro.common.errors import OversizedFrameError, TruncatedFrameError
 
@@ -36,32 +37,65 @@ def encode_frame(payload: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
 
 
 class FrameDecoder:
-    """Incremental frame extractor for synchronous consumers (replay, tests).
+    """Incremental frame extractor: the read path of both socket ends.
 
-    Feed it chunks in any fragmentation; it yields complete payloads in
-    order.  State between calls is just the undecoded tail.
+    Feed it chunks in any fragmentation; it cuts complete payloads in
+    order.  State between calls is just the undecoded tail, and what a
+    peer gets out of a stream does not depend on how TCP segmented it:
+    frames in front of a bad one are delivered, frames behind it never.
     """
 
     def __init__(self, *, max_bytes: int = MAX_FRAME_BYTES) -> None:
         self._buffer = bytearray()
         self._max_bytes = max_bytes
 
-    def feed(self, chunk: bytes) -> list[bytes]:
-        self._buffer.extend(chunk)
+    def feed(
+        self, chunk: bytes, deliver: Callable[[bytes], None] | None = None
+    ) -> list[bytes]:
+        """Cut every frame ``chunk`` completes; return them, or hand each
+        to ``deliver`` as it is cut (then whatever ``deliver`` raises stops
+        the walk with the frame it rejected consumed and the rest unread).
+
+        A length prefix over the limit raises :class:`OversizedFrameError`
+        as soon as its four bytes are in — nothing of that frame's payload
+        is waited for, so the buffer never holds more than one legitimate
+        frame plus one chunk.
+        """
+        buffer = self._buffer
+        buffer += chunk
         frames: list[bytes] = []
-        while True:
-            if len(self._buffer) < LENGTH_PREFIX_BYTES:
-                return frames
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length > self._max_bytes:
-                raise OversizedFrameError(
-                    f"peer declared a {length}-byte frame (limit {self._max_bytes})"
-                )
-            end = LENGTH_PREFIX_BYTES + length
-            if len(self._buffer) < end:
-                return frames
-            frames.append(bytes(self._buffer[LENGTH_PREFIX_BYTES:end]))
-            del self._buffer[:end]
+        if deliver is None:
+            deliver = frames.append
+        available = len(buffer)
+        offset = 0
+        try:
+            while available - offset >= LENGTH_PREFIX_BYTES:
+                (length,) = _LEN.unpack_from(buffer, offset)
+                if length > self._max_bytes:
+                    raise OversizedFrameError(
+                        f"peer declared a {length}-byte frame "
+                        f"(limit {self._max_bytes})"
+                    )
+                start = offset + LENGTH_PREFIX_BYTES
+                end = start + length
+                if end > available:
+                    break
+                offset = end
+                deliver(bytes(buffer[start:end]))
+        finally:
+            if offset:
+                del buffer[:offset]
+        return frames
+
+    def eof(self) -> None:
+        """The stream ended: fine at a frame boundary, a truncation inside
+        a frame — the same verdict :func:`read_frame` gives, so a peer
+        cannot make a half-message look like an orderly shutdown."""
+        if self._buffer:
+            raise TruncatedFrameError(
+                f"stream ended inside a frame "
+                f"({len(self._buffer)} byte(s) pending)"
+            )
 
     @property
     def pending_bytes(self) -> int:

@@ -39,7 +39,7 @@ from typing import Callable
 
 from repro.common.errors import ConfigurationError, DecodeError, EncodingError
 from repro.common.types import client_name
-from repro.net.framing import MAX_FRAME_BYTES, encode_frame, read_frame
+from repro.net.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.net.realtime import RealtimeScheduler
 from repro.obs.registry import get_registry
 from repro.net.wire import (
@@ -134,8 +134,10 @@ class NetServerHost:
         self.scheduler: RealtimeScheduler | None = None
         self.node: UstorServer | None = None
         self._listener: asyncio.Server | None = None
-        self._handlers: set[asyncio.Task] = set()
-        self._connections: dict[str, asyncio.StreamWriter] = {}
+        #: Every accepted socket, handshaken or not (closed by ``stop``).
+        self._links: set[_ClientLink] = set()
+        #: Client name -> the transport of its one live connection.
+        self._connections: dict[str, asyncio.Transport] = {}
         #: Per client: (timestamp of the last replied SUBMIT, its REPLY
         #: payload bytes) — volatile by design; see the module docstring.
         self._journal: dict[int, tuple[int, bytes]] = {}
@@ -191,8 +193,8 @@ class NetServerHost:
             for client_id, entry in enumerate(state.mem):
                 if entry.timestamp:
                     self._seen[client_id] = entry.timestamp
-        self._listener = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._listener = await loop.create_server(
+            lambda: _ClientLink(self), self.host, self.port
         )
         self.port = self._listener.sockets[0].getsockname()[1]
         if self._metrics_port is not None:
@@ -211,16 +213,13 @@ class NetServerHost:
             self.metrics_server = None
         if self._listener is not None:
             self._listener.close()
+            for link in list(self._links):
+                link.transport.close()
             await self._listener.wait_closed()
             self._listener = None
-        for writer in list(self._connections.values()):
-            writer.close()
-        self._connections.clear()
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-        self._handlers.clear()
+            # One loop turn so the closed transports release their sockets
+            # (``connection_lost`` runs from ``call_soon``).
+            await asyncio.sleep(0)
         engine = getattr(self.node, "engine", None)
         if engine is not None:
             engine.close()
@@ -233,50 +232,28 @@ class NetServerHost:
     # Connections
     # ---------------------------------------------------------------- #
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        name: str | None = None
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        try:
-            hello = await read_frame(reader, max_bytes=self._max_frame)
-            if hello is None:
-                return
-            record = decode_payload(hello, max_bytes=self._max_frame)
-            if not (
-                record[0] == "HELLO"
-                and len(record) == 3
-                and isinstance(record[1], int)
-                and 0 <= record[1] < self._n
-                and record[2] == self._n
-            ):
-                return  # wrong population or malformed handshake: refuse
-            client_id = record[1]
-            name = client_name(client_id)
-            previous = self._connections.get(name)
-            if previous is not None and previous is not writer:
-                previous.close()  # at most one live connection per client
-            self._connections[name] = writer
-            writer.write(
-                encode_frame(welcome_payload(self.server_name, self._n))
-            )
-            while True:
-                payload = await read_frame(reader, max_bytes=self._max_frame)
-                if payload is None:
-                    return
-                self._handle_client_payload(client_id, payload)
-        except (DecodeError, EncodingError, ConnectionError, OSError):
-            # A hostile or broken peer costs this connection, nothing more.
-            return
-        except asyncio.CancelledError:
-            return  # orderly stop(); not an error worth the loop's logging
-        finally:
-            if name is not None and self._connections.get(name) is writer:
-                del self._connections[name]
-            writer.close()
+    def _accept_hello(self, link: "_ClientLink", payload: bytes) -> int:
+        """Check a connection's first frame; returns the client id it
+        speaks for once WELCOME is on its way."""
+        record = decode_payload(payload, max_bytes=self._max_frame)
+        if not (
+            record[0] == "HELLO"
+            and len(record) == 3
+            and isinstance(record[1], int)
+            and 0 <= record[1] < self._n
+            and record[2] == self._n
+        ):
+            # Wrong population or malformed handshake: refuse.
+            raise EncodingError(f"refused handshake: {record!r}")
+        name = client_name(record[1])
+        previous = self._connections.get(name)
+        if previous is not None:
+            previous.close()  # at most one live connection per client
+        self._connections[name] = link.transport
+        link.transport.write(
+            encode_frame(welcome_payload(self.server_name, self._n))
+        )
+        return record[1]
 
     def _handle_client_payload(self, client_id: int, payload: bytes) -> None:
         message = payload_to_message(payload)
@@ -356,6 +333,48 @@ class NetServerHost:
             writer.write(encode_frame(payload, max_bytes=self._max_frame))
         except (ConnectionError, OSError):  # pragma: no cover - race on close
             pass
+
+
+class _ClientLink(asyncio.Protocol):
+    """One accepted socket: bytes in, frames straight into the host.
+
+    The event loop calls :meth:`data_received` from its own read
+    callback, so a frame costs no Task, Future or timer — and whatever a
+    handler lets escape (``KeyboardInterrupt`` included) leaves through
+    ``run_forever`` instead of dying inside a connection task.
+    """
+
+    def __init__(self, host: NetServerHost) -> None:
+        self._host = host
+        self._decoder = FrameDecoder(max_bytes=host._max_frame)
+        self.transport: asyncio.Transport | None = None
+        #: ``None`` until the HELLO check passed.
+        self.client_id: int | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._host._links.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self._decoder.feed(data, self._on_frame)
+        except (DecodeError, EncodingError):
+            # A hostile or broken peer costs this connection, nothing more.
+            self.transport.close()
+
+    def _on_frame(self, payload: bytes) -> None:
+        if self.client_id is None:
+            self.client_id = self._host._accept_hello(self, payload)
+        else:
+            self._host._handle_client_payload(self.client_id, payload)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        host = self._host
+        host._links.discard(self)
+        if self.client_id is not None:
+            name = client_name(self.client_id)
+            if host._connections.get(name) is self.transport:
+                del host._connections[name]
 
 
 def serve_forever(
