@@ -11,14 +11,10 @@ import random
 
 import pytest
 
-from repro.consistency.causal import check_causal_consistency
-from repro.consistency.fork import check_fork_linearizability_exhaustive
-from repro.consistency.linearizability import (
+from repro.consistency import (
+    NOTIONS,
+    check_causal_consistency,
     check_linearizability,
-    check_linearizability_exhaustive,
-)
-from repro.consistency.weak_fork import (
-    check_weak_fork_linearizability_exhaustive,
     validate_weak_fork_linearizability,
 )
 from repro.ustor.viewhistory import build_client_views
@@ -63,19 +59,20 @@ def test_weak_fork_validator_on_protocol_views(benchmark):
     assert result.ok
 
 
-def test_exhaustive_linearizability_small(benchmark):
+#: Section 4's classification of the Figure 3 history, the whole table.
+FIGURE3 = {
+    "linearizability": False,
+    "sequential consistency": True,
+    "causal consistency": True,
+    "fork-linearizability": False,
+    "fork-*-linearizability": False,
+    "weak fork-linearizability": True,
+    "fork-sequential consistency": True,
+}
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_exhaustive_oracle_figure3(benchmark, notion):
     result = figure3_scenario(seed=3)
-    verdict = benchmark(check_linearizability_exhaustive, result.history)
-    assert not verdict.ok
-
-
-def test_exhaustive_fork_checker_figure3(benchmark):
-    result = figure3_scenario(seed=3)
-    verdict = benchmark(check_fork_linearizability_exhaustive, result.history)
-    assert not verdict.ok
-
-
-def test_exhaustive_weak_fork_checker_figure3(benchmark):
-    result = figure3_scenario(seed=3)
-    verdict = benchmark(check_weak_fork_linearizability_exhaustive, result.history)
-    assert verdict.ok
+    verdict = benchmark(NOTIONS[notion], result.history)
+    assert verdict.ok == FIGURE3[notion]

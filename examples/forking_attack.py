@@ -17,10 +17,12 @@ Run:  python examples/forking_attack.py
 """
 
 from repro.api import FailureNotification
-from repro.consistency.causal import check_causal_consistency
-from repro.consistency.fork import check_fork_linearizability_exhaustive
-from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import check_weak_fork_linearizability_exhaustive
+from repro.consistency import (
+    check_causal_consistency,
+    check_fork_linearizability_exhaustive,
+    check_linearizability,
+    check_weak_fork_linearizability_exhaustive,
+)
 from repro.workloads.scenarios import figure3_scenario
 
 

@@ -23,8 +23,8 @@ if TYPE_CHECKING:  # import cycle: repro.faust pulls this module back in
 
 @dataclass(frozen=True)
 class BatchingPolicy:
-    """The throughput pipeline's knobs: client flush policy + transport
-    and server amortizations.
+    """The throughput pipeline's knobs: the client flush policy; setting
+    one also turns the transport and server amortizations on.
 
     ``max_batch``/``max_delay`` shape the *session* flush policy:
     operations submitted through a
@@ -35,20 +35,18 @@ class BatchingPolicy:
     blocking wait — needs them issued (barrier).  ``max_delay=None``
     disables the timer (size/barrier flushes only).
 
-    ``transport`` coalesces same-destination message bursts into single
-    scheduler events (:class:`~repro.sim.network.Network` batching);
-    ``group_commit`` batches server wakeups and WAL appends
-    (:class:`~repro.ustor.server.UstorServer` group commit).  Both
-    preserve the per-operation SUBMIT/REPLY/COMMIT protocol — histories,
-    digests and checker verdicts are unchanged (see
+    Under any policy the transport coalesces same-destination message
+    bursts into single scheduler events
+    (:class:`~repro.sim.network.Network` batching) and the server batches
+    wakeups and WAL appends (:class:`~repro.ustor.server.UstorServer`
+    group commit).  Both preserve the per-operation SUBMIT/REPLY/COMMIT
+    protocol — histories, digests and checker verdicts are unchanged (see
     ``tests/test_batching_equivalence.py``); only the per-message
     machinery is amortized.
     """
 
     max_batch: int = 8
     max_delay: float | None = 1.0
-    transport: bool = True
-    group_commit: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:

@@ -60,9 +60,11 @@ from repro.cluster.shardmap import SHARD_MAP_STRATEGIES
 from repro.common.errors import ConfigurationError
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
-from repro.consistency.causal import check_causal_consistency
-from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import validate_weak_fork_linearizability
+from repro.consistency import (
+    check_causal_consistency,
+    check_linearizability,
+    validate_weak_fork_linearizability,
+)
 from repro.ustor.byzantine import (
     CrashingServer,
     Fig3Server,

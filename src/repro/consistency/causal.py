@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from repro.common.errors import CheckerError
 from repro.common.types import BOTTOM
 from repro.history.causality import CausalStructure, build_causal_structure
 from repro.history.events import Operation
 from repro.history.history import History
 from repro.history.register_spec import is_legal_sequence
-from repro.consistency.report import CheckResult, ok, violated
+from repro.consistency.report import CheckResult, ok, prepare_exhaustive, violated
 
 _CONDITION = "causal-consistency"
 
@@ -95,12 +94,7 @@ def check_causal_exhaustive(history: History, max_ops: int = 8) -> CheckResult:
     """Direct Definition-3 search (small histories): for every client, try
     to build a view over its required operation set that extends causal
     order and satisfies the register spec."""
-    prepared = history.completed_for_checking()
-    prepared.assert_unique_write_values()
-    if len(prepared) > max_ops:
-        raise CheckerError(
-            f"exhaustive causal checker limited to {max_ops} ops, got {len(prepared)}"
-        )
+    prepared = prepare_exhaustive(history, max_ops, _CONDITION)
     structure = build_causal_structure(prepared)
     if structure.fabricated_reads:
         op = prepared.op(structure.fabricated_reads[0])

@@ -24,16 +24,18 @@ Two checkers are provided:
 
 * :func:`check_linearizability_exhaustive` — a direct Wing&Gong-style
   search usable on any small history; the oracle against which the fast
-  checker is validated.
+  checker is validated.  The same search with real-time order relaxed to
+  program order is :func:`check_sequential_consistency_exhaustive`.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import CheckerError
+from typing import Callable
+
 from repro.common.types import BOTTOM, RegisterId
 from repro.history.events import Operation
 from repro.history.history import History
-from repro.consistency.report import CheckResult, ok, violated
+from repro.consistency.report import CheckResult, ok, prepare_exhaustive, violated
 
 _CONDITION = "linearizability"
 
@@ -138,53 +140,37 @@ def check_linearizability(history: History) -> CheckResult:
     return ok(_CONDITION)
 
 
-def check_linearizability_exhaustive(
-    history: History, max_ops: int = 13
+def _total_order_search(
+    condition: str,
+    must_precede: Callable[[Operation, Operation], bool],
+    history: History,
+    max_ops: int,
 ) -> CheckResult:
-    """Memoized Wing&Gong search; exponential, for small histories only.
+    """Memoized Wing&Gong search for ONE legal sequence of all operations
+    that extends ``must_precede`` — the view every client shares.
 
-    Returns a satisfying linearization as the witness when one exists.
+    The two total-order notions differ only in that relation: real-time
+    order (linearizability) or per-client program order (sequential
+    consistency).  The satisfying order is the witness.
     """
-    prepared = history.completed_for_checking()
-    prepared.assert_unique_write_values()
-    if prepared.base:
-        raise CheckerError(
-            "the exhaustive checker assumes the initial register values "
-            "(BOTTOM); compacted histories with a checkpoint base are "
-            "checked by check_linearizability"
-        )
+    prepared = prepare_exhaustive(history, max_ops, condition)
     ops = list(prepared)
-    if len(ops) > max_ops:
-        raise CheckerError(
-            f"exhaustive checker limited to {max_ops} operations, got {len(ops)}"
-        )
-
-    registers = prepared.registers()
-    initial_state = tuple(BOTTOM for _ in registers)
-    reg_pos = {reg: i for i, reg in enumerate(registers)}
-    op_ids = [op.op_id for op in ops]
-    id_to_op = {op.op_id: op for op in ops}
-
-    # Real-time predecessors: an op may be linearized only after every op
-    # that precedes it in real time has been linearized.
-    predecessors: dict[int, set[int]] = {
-        op.op_id: {o.op_id for o in ops if o.precedes(op)} for op in ops
+    reg_pos = {reg: i for i, reg in enumerate(prepared.registers())}
+    # An op may be placed only after every op that must precede it.
+    predecessors = {
+        op.op_id: {o.op_id for o in ops if must_precede(o, op)} for op in ops
     }
-
     failed_states: set[tuple[frozenset[int], tuple]] = set()
 
-    def search(done: frozenset, state: tuple, path: list[int]) -> list[int] | None:
+    def search(done: frozenset, state: tuple, path: list[Operation]) -> bool:
         if len(done) == len(ops):
-            return list(path)
+            return True
         key = (done, state)
         if key in failed_states:
-            return None
-        for op_id in op_ids:
-            if op_id in done:
+            return False
+        for op in ops:
+            if op.op_id in done or not predecessors[op.op_id] <= done:
                 continue
-            if not predecessors[op_id] <= done:
-                continue
-            op = id_to_op[op_id]
             pos = reg_pos[op.register]
             if op.is_read:
                 if op.value != state[pos]:
@@ -192,15 +178,48 @@ def check_linearizability_exhaustive(
                 new_state = state
             else:
                 new_state = state[:pos] + (op.value,) + state[pos + 1 :]
-            path.append(op_id)
-            found = search(done | {op_id}, new_state, path)
-            if found is not None:
-                return found
+            path.append(op)
+            if search(done | {op.op_id}, new_state, path):
+                return True
             path.pop()
         failed_states.add(key)
-        return None
+        return False
 
-    solution = search(frozenset(), initial_state, [])
-    if solution is None:
-        return violated(_CONDITION, "no linearization exists (exhaustive search)")
-    return ok(_CONDITION, witness=[id_to_op[i] for i in solution])
+    witness: list[Operation] = []
+    if search(frozenset(), tuple(BOTTOM for _ in reg_pos), witness):
+        return ok(condition, witness=witness)
+    return violated(
+        condition, f"no legal order of all operations satisfies {condition}"
+    )
+
+
+def _program_order(a: Operation, b: Operation) -> bool:
+    # History's own sort key, so back-to-back operations (response time ==
+    # next invocation time), which real-time order leaves unordered, count.
+    return a.client == b.client and (a.invoked_at, a.op_id) < (b.invoked_at, b.op_id)
+
+
+def check_linearizability_exhaustive(
+    history: History, max_ops: int = 13
+) -> CheckResult:
+    """Definition 2 by exhaustive search; exponential, small histories only.
+
+    The oracle the fast checker is validated against.
+    """
+    return _total_order_search(_CONDITION, Operation.precedes, history, max_ops)
+
+
+def check_sequential_consistency_exhaustive(
+    history: History, max_ops: int = 12
+) -> CheckResult:
+    """Sequential consistency: one order serves as every client's view and
+    preserves program order, but not real-time order across clients.
+
+    Not used by the protocols; it completes the lattice the paper situates
+    its notions in (linearizability => sequential => causal consistency,
+    and sequential = fork-sequential consistency with one shared view).
+    NP-hard in general (Taylor), so only the exhaustive search exists.
+    """
+    return _total_order_search(
+        "sequential-consistency", _program_order, history, max_ops
+    )

@@ -1,9 +1,13 @@
-"""Uniform result type for all consistency checkers."""
+"""Uniform result type for all consistency checkers, and the one
+entrance every exhaustive (exponential) checker prepares its input at."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.common.errors import CheckerError
+from repro.history.history import History
 
 
 @dataclass(frozen=True)
@@ -39,3 +43,26 @@ def ok(condition: str, witness: Any = None) -> CheckResult:
 def violated(condition: str, violation: str, witness: Any = None) -> CheckResult:
     """A failing :class:`CheckResult` describing the first violation."""
     return CheckResult(ok=False, condition=condition, violation=violation, witness=witness)
+
+
+def prepare_exhaustive(history: History, max_ops: int, checker: str) -> History:
+    """Completion-extend ``history`` for an exhaustive search, or raise.
+
+    The searches start every register at BOTTOM and are exponential, so a
+    compacted history (non-empty checkpoint ``base``: the witness write of
+    a correct read may be pruned) or one longer than ``max_ops`` raises
+    :class:`CheckerError` rather than yield a false or never-arriving verdict.
+    """
+    prepared = history.completed_for_checking()
+    prepared.assert_unique_write_values()
+    if prepared.base:
+        raise CheckerError(
+            f"exhaustive {checker} checker starts from the initial values; a "
+            "history compacted behind a checkpoint base is for the polynomial "
+            "check_linearizability / check_causal_consistency"
+        )
+    if len(prepared) > max_ops:
+        raise CheckerError(
+            f"exhaustive {checker} checker limited to {max_ops} ops, got {len(prepared)}"
+        )
+    return prepared

@@ -18,7 +18,6 @@ from repro.common.types import ClientId
 from repro.history.events import Operation
 from repro.history.history import History
 from repro.history.register_spec import explain_illegal, is_legal_sequence
-from repro.consistency.report import CheckResult, ok, violated
 
 
 def view_violation(
@@ -126,13 +125,3 @@ def enumerate_views(
                 if extra_filter is not None and not extra_filter(perm):
                     continue
                 yield perm
-
-
-def validate_view(
-    history: History, client: ClientId, sequence: Sequence[Operation], condition: str
-) -> CheckResult:
-    """CheckResult wrapper around :func:`view_violation`."""
-    problem = view_violation(history, client, sequence)
-    if problem is None:
-        return ok(condition)
-    return violated(condition, f"C{client + 1}: {problem}")

@@ -5,16 +5,20 @@ Usage::
     python -m repro.experiments            # full runs, print to stdout
     python -m repro.experiments --quick    # shrunk sweeps
     python -m repro.experiments --write    # rewrite EXPERIMENTS.md in-place
+    python -m repro.experiments --only E4  # one section (E04 works too)
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
 
 from repro.experiments import ALL_EXPERIMENTS
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[3] / "EXPERIMENTS.md"
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -38,6 +42,11 @@ stack is `repro.faust.client` wrapping `repro.ustor.client`.
 """
 
 
+def _unpadded(experiment_id: str) -> str:
+    """``e01`` / ``E01`` / ``e1`` -> ``E1``."""
+    return re.sub(r"^[eE]0*(?=\d)", "E", experiment_id)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="shrink sweeps")
@@ -49,11 +58,32 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    selected = ALL_EXPERIMENTS
+    if args.only is not None:
+        if args.write:
+            print(
+                "--only renders one section but --write replaces all of "
+                "EXPERIMENTS.md; run --write without --only",
+                file=sys.stderr,
+            )
+            return 2
+        # Module names are zero-padded (e01_...), experiment ids are not;
+        # either spelling, in either case, selects the experiment.
+        known = {
+            _unpadded(module.__name__.rsplit(".", 1)[-1].split("_")[0]): module
+            for module in ALL_EXPERIMENTS
+        }
+        wanted = _unpadded(args.only)
+        if wanted not in known:
+            print(
+                f"unknown experiment {args.only!r}; known ids: {', '.join(known)}",
+                file=sys.stderr,
+            )
+            return 2
+        selected = [known[wanted]]
+
     sections = [HEADER]
-    for module in ALL_EXPERIMENTS:
-        result_id = module.__name__.split(".")[-1].split("_")[0].upper().replace("E0", "E")
-        if args.only and args.only.upper() != result_id:
-            continue
+    for module in selected:
         started = time.perf_counter()
         result = module.run(quick=args.quick)
         elapsed = time.perf_counter() - started
@@ -62,9 +92,8 @@ def main(argv: list[str] | None = None) -> int:
 
     body = "\n".join(sections)
     if args.write:
-        path = Path(__file__).resolve().parents[3] / "EXPERIMENTS.md"
-        path.write_text(body)
-        print(f"wrote {path}", file=sys.stderr)
+        EXPERIMENTS_MD.write_text(body)
+        print(f"wrote {EXPERIMENTS_MD}", file=sys.stderr)
     else:
         print(body)
     return 0

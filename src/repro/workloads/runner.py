@@ -433,7 +433,7 @@ class SimWorld(World):
             scheduler,
             default_latency=knobs.latency,
             trace=trace,
-            batching=bool(knobs.batching is not None and knobs.batching.transport),
+            batching=knobs.batching is not None,
             rng=random.Random(seed) if seed is not None else None,
         )
         super().__init__(scheduler, network, trace)
@@ -446,17 +446,16 @@ class SimWorld(World):
         """One server per replica name, registered on the network: the
         builder's factory, else the protocol's, else the correct USTOR
         server on the engine ``storage`` selects (group-committing when
-        the batching policy asks for it)."""
+        a batching policy is set)."""
         knobs = self._knobs
         default = knobs.server_factory or protocol.server_factory
-        batching = knobs.batching
         servers = [
             make_server(
                 num_clients,
                 name,
                 factory=knobs.replica_server_factories.get(index, default),
                 storage=knobs.storage,
-                group_commit=bool(batching is not None and batching.group_commit),
+                group_commit=knobs.batching is not None,
                 counter=knobs.counter,
             )
             for index, name in enumerate(replica_names)

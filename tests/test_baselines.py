@@ -16,7 +16,7 @@ from repro.baselines.unchecked import (
 )
 from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
-from repro.consistency.fork import check_fork_linearizability_exhaustive
+from repro.consistency import check_fork_linearizability_exhaustive
 from repro.consistency.linearizability import check_linearizability
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts

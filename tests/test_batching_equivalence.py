@@ -28,6 +28,7 @@ session flush bookkeeping — never what the protocol says.  Per backend
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -48,8 +49,6 @@ BACKENDS = ("ustor", "faust", "cluster")
 SYNC_POLICIES = (
     BatchingPolicy(max_batch=1, max_delay=None),
     BatchingPolicy(max_batch=4, max_delay=None),
-    BatchingPolicy(max_batch=4, max_delay=None, group_commit=False),
-    BatchingPolicy(max_batch=4, max_delay=None, transport=False),
 )
 
 #: On a cluster, register routing splits one client's submissions across
@@ -58,11 +57,7 @@ SYNC_POLICIES = (
 #: byte-identity property on clusters therefore uses immediate flushes —
 #: still exercising the full transport + group-commit pipeline — and the
 #: bigger sizes are covered by the content-equivalence tests below.
-CLUSTER_SYNC_POLICIES = (
-    BatchingPolicy(max_batch=1, max_delay=None),
-    BatchingPolicy(max_batch=1, max_delay=None, group_commit=False),
-    BatchingPolicy(max_batch=1, max_delay=None, transport=False),
-)
+CLUSTER_SYNC_POLICIES = (BatchingPolicy(max_batch=1, max_delay=None),)
 
 
 def _sync_policies(backend: str):
@@ -276,6 +271,11 @@ def test_batching_policy_validation():
         BatchingPolicy(max_batch=0)
     with pytest.raises(ConfigurationError):
         BatchingPolicy(max_delay=-1.0)
+    # The amortizations below the session have no switch of their own.
+    assert [f.name for f in dataclasses.fields(BatchingPolicy)] == [
+        "max_batch",
+        "max_delay",
+    ]
 
 
 def test_driver_via_sessions_engages_batching():

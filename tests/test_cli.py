@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.cli as cli
+import repro.experiments.runner as experiments_runner
 from repro.cli import SERVERS, main
 from repro.common.errors import ConfigurationError
 from repro.net.supervisor import ServerProcess
@@ -76,6 +77,31 @@ class TestExperimentsCommand:
         assert main(["experiments", "--quick", "--only", "E12"]) == 0
         out = capsys.readouterr().out
         assert "E12" in out and "incomparable" in out
+
+    @pytest.fixture
+    def experiments_md(self, tmp_path, monkeypatch):
+        path = tmp_path / "EXPERIMENTS.md"
+        path.write_text("the committed record\n")
+        monkeypatch.setattr(experiments_runner, "EXPERIMENTS_MD", path)
+        return path
+
+    @pytest.mark.parametrize(
+        "entry", [main, lambda argv: experiments_runner.main(argv[1:])],
+        ids=["repro-experiments", "runner-main"],
+    )
+    def test_only_selects_exactly_what_it_names(self, entry, capsys, experiments_md):
+        # The module's own zero-padded spelling names the same experiment.
+        assert entry(["experiments", "--quick", "--only", "e01"]) == 0
+        assert "## E1 " in capsys.readouterr().out
+        # An unknown id used to run nothing and exit 0 ...
+        assert entry(["experiments", "--quick", "--only", "E99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "E12" in captured.err
+        # ... and with --write replaced the record by the bare header; one
+        # section can never stand in for the whole file.
+        for only in ("E99", "E1"):
+            assert entry(["experiments", "--quick", "--only", only, "--write"]) == 2
+        assert experiments_md.read_text() == "the committed record\n"
 
 
 class TestClusterRunCommand:

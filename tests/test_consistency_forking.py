@@ -8,25 +8,21 @@ fork-linearizable, but neither linearizable nor fork-linearizable.
 from __future__ import annotations
 
 from repro.common.types import BOTTOM
-from repro.consistency.fork import (
+from repro.consistency import (
+    at_most_one_join_violation,
+    causality_violation,
     check_fork_linearizability_exhaustive,
-    no_join_violation,
-    prefixes_agree,
-    validate_fork_linearizability,
-)
-from repro.consistency.views import (
+    check_weak_fork_linearizability_exhaustive,
     enumerate_views,
     is_view_of,
     lastops,
+    no_join_violation,
+    prefixes_agree,
     preserves_real_time,
     preserves_weak_real_time,
-    view_violation,
-)
-from repro.consistency.weak_fork import (
-    at_most_one_join_violation,
-    causality_violation,
-    check_weak_fork_linearizability_exhaustive,
+    validate_fork_linearizability,
     validate_weak_fork_linearizability,
+    view_violation,
 )
 
 from histbuild import h, r, w

@@ -10,19 +10,24 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.errors import CheckerError
 from repro.common.types import BOTTOM
-from repro.consistency.causal import check_causal_consistency
-from repro.consistency.fork import check_fork_linearizability_exhaustive
-from repro.consistency.fork_sequential import (
+from repro.consistency import (
+    IMPLIES,
+    NOTIONS,
+    check_causal_consistency,
+    check_fork_linearizability_exhaustive,
     check_fork_sequential_exhaustive,
-    validate_fork_sequential_consistency,
-)
-from repro.consistency.fork_star import (
     check_fork_star_linearizability_exhaustive,
+    check_linearizability,
+    check_weak_fork_linearizability_exhaustive,
+    validate_fork_sequential_consistency,
     validate_fork_star_linearizability,
 )
-from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import check_weak_fork_linearizability_exhaustive
 
 from histbuild import h, r, w
 from test_consistency_linearizability import _random_history
@@ -140,3 +145,27 @@ class TestValidators:
         }
         result = validate_fork_sequential_consistency(hist, views)
         assert not result and "no-join" in result.violation
+
+
+class TestTheTable:
+    """Properties of every row of ``NOTIONS`` / every edge of ``IMPLIES``."""
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_oracle_refuses_compacted_history(self, notion):
+        # A correct read whose witness write was checkpointed away: no
+        # search can find the write, so a verdict would be a false VIOLATED.
+        hist = h(r(1, 0, b"old", 10, 11), base={0: (1, 5.0)})
+        with pytest.raises(CheckerError, match="checkpoint base"):
+            NOTIONS[notion](hist)
+
+    @pytest.mark.parametrize("stronger, weaker", IMPLIES)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    def test_stronger_notion_implies_weaker(self, stronger, weaker, seed):
+        rng = random.Random(seed)
+        hist = _random_history(rng, rng.choice((2, 3)), rng.randint(2, 6))
+        if NOTIONS[stronger](hist).ok:
+            assert NOTIONS[weaker](hist).ok, hist.describe()
+
+    def test_edges_name_declared_notions(self):
+        assert {name for edge in IMPLIES for name in edge} == set(NOTIONS)

@@ -10,7 +10,7 @@ from repro.common.errors import CheckerError
 from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.consistency.sequential import check_sequential_consistency_exhaustive
+from repro.consistency import check_sequential_consistency_exhaustive
 
 from histbuild import h, r, w
 from test_consistency_linearizability import _random_history

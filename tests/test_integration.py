@@ -14,7 +14,7 @@ import pytest
 
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import validate_weak_fork_linearizability
+from repro.consistency import validate_weak_fork_linearizability
 from repro.sim.network import ExponentialLatency, UniformLatency
 from repro.ustor.byzantine import SplitBrainServer
 from repro.ustor.viewhistory import build_client_views

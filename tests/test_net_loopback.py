@@ -25,7 +25,7 @@ from repro.api.session import as_session
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import validate_weak_fork_linearizability
+from repro.consistency import validate_weak_fork_linearizability
 from repro.net.client import NetRuntime, open_tcp_system, parse_endpoint
 from repro.net.server import NetServerHost
 from repro.ustor.byzantine import UnresponsiveServer

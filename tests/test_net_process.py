@@ -25,7 +25,7 @@ from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import validate_weak_fork_linearizability
+from repro.consistency import validate_weak_fork_linearizability
 from repro.net.client import open_tcp_system
 from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import history_signature, load_trace, replay_trace

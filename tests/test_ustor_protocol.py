@@ -10,7 +10,7 @@ from repro.common.errors import ProtocolError
 from repro.common.types import BOTTOM, OpKind
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.consistency.weak_fork import validate_weak_fork_linearizability
+from repro.consistency import validate_weak_fork_linearizability
 from repro.sim.network import ExponentialLatency, FixedLatency
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.consistency.weak_fork import validate_weak_fork_linearizability
+from repro.consistency import validate_weak_fork_linearizability
 from repro.ustor.viewhistory import (
     build_client_views,
     merge_vh_records,
