@@ -65,38 +65,12 @@ from repro.consistency import (
     check_linearizability,
     validate_weak_fork_linearizability,
 )
-from repro.ustor.byzantine import (
-    CrashingServer,
-    Fig3Server,
-    ForgingServer,
-    ReplayServer,
-    RollbackServer,
-    SplitBrainServer,
-    TamperingServer,
-    UnresponsiveServer,
-)
-from repro.ustor.server import UstorServer
+from repro.ustor.byzantine import ADVERSARIES, catalogue_lines
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
-SERVERS = {
-    "correct": lambda n, name: UstorServer(n, name=name),
-    "tampering": lambda n, name: TamperingServer(n, target_register=0, name=name),
-    "forging": lambda n, name: ForgingServer(n, name=name),
-    "replay": lambda n, name: ReplayServer(n, freeze_after_submits=4, name=name),
-    "crash": lambda n, name: CrashingServer(n, crash_after_submits=6, name=name),
-    "unresponsive": lambda n, name: UnresponsiveServer(n, victims={0}, name=name),
-    "split-brain": lambda n, name: SplitBrainServer(
-        n,
-        groups=[{c for c in range(n) if c % 2 == 0}, {c for c in range(n) if c % 2}],
-        fork_time=10.0,
-        name=name,
-    ),
-    "figure3": lambda n, name: Fig3Server(n, writer=0, victim=1, name=name),
-    "rollback": lambda n, name: RollbackServer(
-        n, snapshot_after_submits=2, rollback_after_submits=6, outage=5.0, name=name
-    ),
-}
+#: ``--server`` name -> ``(n, name)`` factory: one column of the catalogue.
+SERVERS = {name: adversary.factory for name, adversary in ADVERSARIES.items()}
 
 #: The baseline protocols speak their own wire formats, so Byzantine
 #: behaviours need protocol-specific implementations; only these exist.
@@ -111,32 +85,13 @@ BASELINE_SERVERS = {
     },
 }
 
-#: Behaviours that also run behind ``repro serve`` (real TCP).  The rest
-#: are simulator-only: they script crash-recovery or fork points against
-#: virtual time, which a real process models by actually crashing (kill
-#: the ``serve`` process) rather than by a scheduled pretence.
-TCP_SERVERS = ("correct", "tampering", "forging", "replay", "unresponsive")
-
-ATTACK_NOTES = {
-    "correct": "the honest server of Algorithm 2",
-    "tampering": "corrupts read values — caught at line 50",
-    "forging": "advertises an unsigned version — caught at line 35",
-    "replay": "freezes and replays state — caught at lines 36/43",
-    "crash": "stops responding — not detectable, operations hang",
-    "unresponsive": "ignores C1 only",
-    "split-brain": "forks even/odd clients at t=10 — FAUST-detectable",
-    "figure3": "the paper's hiding attack (invisible to USTOR under the "
-    "exact Figure 3 schedule; see examples/forking_attack.py)",
-    "rollback": "crashes, then recovers from a stale snapshot — caught at "
-    "lines 36/43/51 or by FAUST version comparison",
-}
+#: Behaviours that also run behind ``repro serve`` (real TCP).
+TCP_SERVERS = tuple(name for name, adversary in ADVERSARIES.items() if adversary.tcp)
 
 
 def _cmd_attacks(_args) -> int:
-    width = max(len(name) for name in SERVERS)
-    for name in SERVERS:
-        tcp = " [tcp]" if name in TCP_SERVERS else ""
-        print(f"  {name.ljust(width)}  {ATTACK_NOTES[name]}{tcp}")
+    for line in catalogue_lines():
+        print(f"  {line}")
     print()
     print("[tcp] behaviours also run as real processes: "
           "python -m repro serve --server NAME")

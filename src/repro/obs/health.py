@@ -13,10 +13,14 @@ into numbers a dashboard can alarm on:
   checkers use.
 * ``health.time_to_detection`` — first ``fail_i`` output minus the first
   known Byzantine *deviation*.  Deviation times come from
-  :meth:`note_deviation`, or are auto-discovered from server attributes
-  the adversaries already expose (``rollback_crash_time``,
-  ``first_deviation_at``); absent both, the monitor's start time is the
-  conservative baseline.
+  :meth:`note_deviation`, or are auto-discovered from the probed
+  servers: ``first_deviation_at``, which
+  :class:`~repro.ustor.server.UstorServer` stamps the first time a
+  request is served from a state other than its own or a REPLY differs
+  from the honest one (so every adversary of
+  :mod:`repro.ustor.byzantine` carries it), or ``rollback_crash_time``;
+  with no server to probe (a remote TCP process), the monitor's start
+  time is the conservative baseline.
 * ``health.failures`` / ``health.first_failure_time`` — the
   ``FailureNotification`` fan-out, recorded by failure listeners the
   monitor registers on every client; the timestamps coincide with the

@@ -13,18 +13,20 @@ sides of failure detection over many seeds:
   causally consistent and no client returns a fabricated value
   (unforgeability holds by construction).
 
-The deviations reuse the honest state machine and never require signing
-keys, so the fuzzer explores exactly the paper's adversary class.
+The deviations are the reply mutations of :mod:`repro.ustor.byzantine` on
+the same ``outgoing_reply`` seam and never require signing keys, so the
+fuzzer explores exactly the paper's adversary class.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from repro.common.types import BOTTOM, OpKind
-from repro.ustor.messages import MemEntry, ReplyMessage, SignedVersion, SubmitMessage
-from repro.ustor.server import UstorServer, apply_submit
-from repro.ustor.version import Version
+from repro.common.errors import ConfigurationError
+from repro.ustor.byzantine import corrupt_proofs, forge_version, tamper_value
+from repro.ustor.messages import ReplyMessage, SignedVersion
+from repro.ustor.server import UstorServer
 
 #: Names of the deviations the fuzzer can inject.
 DEVIATIONS = ("tamper-value", "forge-version", "stale-version", "corrupt-proofs")
@@ -40,88 +42,36 @@ class RandomDeviationServer(UstorServer):
         seed: int,
         name: str = "S",
     ) -> None:
-        super().__init__(num_clients, name)
         if not 0.0 <= deviation_probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
+            raise ConfigurationError("deviation_probability must be in [0, 1]")
+        super().__init__(num_clients, name)
         self._probability = deviation_probability
         self._rng = random.Random(seed)
         #: (deviation name, recipient) for every injected deviation.
         self.injected: list[tuple[str, str]] = []
         self._first_sver: SignedVersion | None = None
 
-    def handle_submit(self, src: str, message: SubmitMessage) -> None:
-        if message.piggyback is not None:
-            self.handle_commit(src, message.piggyback)
-        reply = apply_submit(self.state, message)
-        self.submits_handled += 1
+    def outgoing_reply(self, src, message, reply):
         if self._first_sver is None and not self.state.sver[0].version.is_zero:
             self._first_sver = self.state.sver[0]
-        if self._rng.random() < self._probability:
-            deviation = self._rng.choice(DEVIATIONS)
-            mutated = self._apply(deviation, reply, message)
-            if mutated is not None:
-                self.injected.append((deviation, src))
-                reply = mutated
-        self.send(src, reply)
+        if self._rng.random() >= self._probability:
+            return reply
+        deviation = self._rng.choice(DEVIATIONS)
+        mutated = self._apply(deviation, reply)
+        if mutated is not reply:  # applicable here
+            self.injected.append((deviation, src))
+        return mutated
 
-    # ------------------------------------------------------------------ #
-    # Deviation catalogue
-    # ------------------------------------------------------------------ #
-
-    def _apply(
-        self, deviation: str, reply: ReplyMessage, message: SubmitMessage
-    ) -> ReplyMessage | None:
-        """Return the mutated reply, or None when inapplicable here."""
+    def _apply(self, deviation: str, reply: ReplyMessage) -> ReplyMessage:
+        """The mutated reply, or ``reply`` itself when inapplicable here."""
         if deviation == "tamper-value":
-            if (
-                message.invocation.opcode is not OpKind.READ
-                or reply.mem is None
-                or reply.mem.value is BOTTOM
-            ):
-                return None
-            return self._replace(
-                reply,
-                mem=MemEntry(
-                    timestamp=reply.mem.timestamp,
-                    value=b"FUZZ|" + bytes(reply.mem.value),
-                    data_sig=reply.mem.data_sig,
-                ),
-            )
+            return tamper_value(reply, prefix=b"FUZZ|")
         if deviation == "forge-version":
-            honest = reply.last_version.version
-            return self._replace(
-                reply,
-                last_version=SignedVersion(
-                    version=Version(
-                        tuple(t + 1 for t in honest.vector), honest.digests
-                    ),
-                    commit_sig=b"\xaa" * 64,
-                ),
-            )
-        if deviation == "stale-version":
-            if self._first_sver is None or reply.last_version == self._first_sver:
-                return None
-            return self._replace(reply, last_version=self._first_sver)
+            return forge_version(reply)
         if deviation == "corrupt-proofs":
-            if all(p is None for p in reply.proofs):
-                return None
-            return self._replace(
-                reply,
-                proofs=tuple(
-                    b"\xbb" * 64 if p is not None else None for p in reply.proofs
-                ),
-            )
-        raise AssertionError(f"unknown deviation {deviation}")
-
-    @staticmethod
-    def _replace(reply: ReplyMessage, **changes) -> ReplyMessage:
-        fields = {
-            "commit_index": reply.commit_index,
-            "last_version": reply.last_version,
-            "pending": reply.pending,
-            "proofs": reply.proofs,
-            "reader_version": reply.reader_version,
-            "mem": reply.mem,
-        }
-        fields.update(changes)
-        return ReplyMessage(**fields)
+            return corrupt_proofs(reply)
+        # "stale-version": C1's first committed version as V^c (line 36).
+        first = self._first_sver
+        if first is None or reply.last_version == first:
+            return reply
+        return replace(reply, last_version=first)

@@ -2,8 +2,10 @@
 
 The correct server is a pure state machine over :class:`ServerState`; all
 handler logic is expressed as functions of an explicit state object so
-that Byzantine variants (:mod:`repro.ustor.byzantine`) can fork, replay,
-or selectively apply the honest logic to cloned states.
+that Byzantine variants (:mod:`repro.ustor.byzantine`) can run the honest
+logic on cloned states: they override :meth:`UstorServer.serving_state`
+(which state answers) and :meth:`UstorServer.outgoing_reply` (what
+leaves) and inherit everything else a request costs the server.
 
 The server never verifies signatures — it only stores and forwards them
 (the clients do all checking), which is why the honest implementation
@@ -306,6 +308,12 @@ class UstorServer(Node):
         #: Trusted monotonic counter (:mod:`repro.replica.counter`);
         #: ``None`` = no trust anchor, the paper's plain untrusted server.
         self.counter = None
+        #: When this server first departed from Algorithm 2 (a request
+        #: served from a state other than ``self.state``, or a REPLY that
+        #: differs from the honest one); ``None`` on an honest server.
+        #: :class:`~repro.obs.health.HealthMonitor` measures
+        #: time-to-detection from here.
+        self.first_deviation_at: float | None = None
 
     @property
     def num_clients(self) -> int:
@@ -449,13 +457,41 @@ class UstorServer(Node):
         else:
             self._engine.maybe_checkpoint(self.state, gc_advanced=gc_advanced)
 
-    # Subclass hook points ------------------------------------------------
+    # Subclass seams -------------------------------------------------------
+    #
+    # Everything a request costs the server — piggybacked COMMITs, the
+    # counters, the attestation, logging, the outbox — happens once, in
+    # handle_submit / handle_commit below.  A Byzantine subclass
+    # (:mod:`repro.ustor.byzantine`) overrides only the two choices the
+    # honest server leaves as identity.
+
+    def serving_state(self, client: ClientId, message) -> ServerState:
+        """Seam 1 — *which state answers* ``client``'s SUBMIT or COMMIT
+        (``message``): the honest server has only ``self.state``; an
+        adversary returns a forked or frozen copy."""
+        return self.state
+
+    def outgoing_reply(
+        self, src: str, message: SubmitMessage, reply: ReplyMessage
+    ) -> ReplyMessage:
+        """Seam 2 — *what leaves*: the honest REPLY to ``message``, or an
+        adversary's ``dataclasses.replace`` of it."""
+        return reply
+
+    def _note_deviation(self) -> None:
+        """Stamp :attr:`first_deviation_at`, the first time only."""
+        if self.first_deviation_at is None:
+            self.first_deviation_at = self.now
 
     def attach_counter(self, counter) -> None:
         """Bind a trusted :class:`~repro.replica.counter.MonotonicCounter`.
 
-        From here on every REPLY carries an attestation minted *after*
-        the SUBMIT is applied, so its value counts the SUBMIT it answers.
+        From here on every REPLY — an adversary's mutated or crafted one
+        included — carries an attestation minted *after* the SUBMIT is
+        applied, over the position of the state that absorbed it, so its
+        value counts the SUBMIT it answers.  The counter does not care
+        which branch its host serves from, which is exactly how it exposes
+        a fork: a branch's ``submits_applied`` falls behind the counter.
         The counter object lives outside the recovered state on purpose:
         it models a separate trusted component, so a Byzantine subclass
         that rewinds ``self.state`` cannot rewind the counter with it.
@@ -465,34 +501,44 @@ class UstorServer(Node):
     def handle_submit(self, src: str, message: SubmitMessage) -> None:
         if message.piggyback is not None:
             self.handle_commit(src, message.piggyback)
-        reply = apply_submit(self.state, message)
+        state = self.serving_state(message.invocation.client, message)
+        honest = apply_submit(state, message)
+        reply = self.outgoing_reply(src, message, honest)
+        if state is self.state:
+            # Write-ahead: the transition is durable before the REPLY
+            # leaves.  A forked branch has no honest log to be ahead of.
+            self._log_submit(message)
+            self._maybe_checkpoint()
+        if state is not self.state or (reply is not honest and reply != honest):
+            self._note_deviation()
         if self.counter is not None:
             reply = replace(
                 reply,
                 attestation=self.counter.attest(
-                    message.invocation.submit_sig, self.state.submits_applied
+                    message.invocation.submit_sig, state.submits_applied
                 ),
             )
-        # Write-ahead: the transition is durable before the REPLY leaves.
-        self._log_submit(message)
-        self._maybe_checkpoint()
         self.submits_handled += 1
         self._obs_submits.inc()
-        self.max_pending_len = max(self.max_pending_len, len(self.state.pending))
+        self.max_pending_len = max(self.max_pending_len, len(state.pending))
         self.send(src, reply)
 
     def handle_commit(self, src: str, message: CommitMessage) -> None:
         client = parse_client_name(src)
         if client is None:
             raise ProtocolError(f"COMMIT from non-client node {src!r}")
-        pending_before = len(self.state.pending)
-        apply_commit(self.state, client, message)
-        self._log_commit(client, message)
-        # The COMMIT/GC signal: a pruned pending list means the state is at
-        # its smallest — the cheapest moment to checkpoint.
-        self._maybe_checkpoint(
-            gc_advanced=len(self.state.pending) < pending_before
-        )
+        state = self.serving_state(client, message)
+        pending_before = len(state.pending)
+        apply_commit(state, client, message)
+        if state is self.state:
+            self._log_commit(client, message)
+            # The COMMIT/GC signal: a pruned pending list means the state
+            # is at its smallest — the cheapest moment to checkpoint.
+            self._maybe_checkpoint(
+                gc_advanced=len(state.pending) < pending_before
+            )
+        else:
+            self._note_deviation()
         self.commits_handled += 1
         self._obs_commits.inc()
 

@@ -23,7 +23,7 @@ import pytest
 
 from histbuild import h, r, w
 from repro.api import FaustParams, SystemConfig, open_system
-from repro.baselines.unchecked import LyingUncheckedServer
+from repro.cli import BASELINE_SERVERS
 from repro.common.types import BOTTOM
 from repro.consistency import (
     IncrementalCausalChecker,
@@ -33,7 +33,7 @@ from repro.consistency import (
     check_linearizability,
     replay_history,
 )
-from repro.ustor.byzantine import Fig3Server, SplitBrainServer, TamperingServer
+from repro.ustor.byzantine import ADVERSARIES, SplitBrainServer, TamperingServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 
@@ -207,22 +207,23 @@ def _live_run(backend, seed, factory=None, num_clients=4, ops=12, until=800.0):
     return system, live, auditor
 
 
+#: test id -> (backend, catalogue factory); the honest server is the
+#: backend's default.
 SERVERS = {
-    "honest": None,
-    "tampering": lambda n, name: TamperingServer(n, target_register=0, name=name),
-    "split-brain": lambda n, name: SplitBrainServer(
-        n, groups=[{0, 1}, {2, 3}], fork_time=12.0, name=name
-    ),
-    "figure3": lambda n, name: Fig3Server(n, writer=0, victim=1, name=name),
-    "lying-unchecked": lambda n, name: LyingUncheckedServer(n, 0, name=name),
+    "honest": ("ustor", None),
+    **{
+        name: ("ustor", ADVERSARIES[name].factory)
+        for name in ("tampering", "split-brain", "figure3")
+    },
+    "lying-unchecked": ("unchecked", BASELINE_SERVERS["unchecked"]["tampering"]),
 }
 
 
 @pytest.mark.parametrize("server", sorted(SERVERS))
 @pytest.mark.parametrize("seed", [1, 7])
 def test_live_agreement_with_offline(server, seed):
-    backend = "unchecked" if server == "lying-unchecked" else "ustor"
-    system, live, auditor = _live_run(backend, seed, SERVERS[server])
+    backend, factory = SERVERS[server]
+    system, live, auditor = _live_run(backend, seed, factory)
     history = system.history()
     assert live["linearizability"].result().ok == check_linearizability(history).ok
     assert live["causal"].result().ok == check_causal_consistency(history).ok

@@ -17,7 +17,7 @@ import pytest
 from repro.api import FailureNotification, SystemConfig, open_system
 from repro.obs.health import HealthMonitor
 from repro.obs.registry import Registry, use_registry
-from repro.ustor.byzantine import RollbackServer, TamperingServer
+from repro.ustor.byzantine import RollbackServer, SplitBrainServer, TamperingServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 
@@ -215,7 +215,9 @@ class TestDetectionLatencySim:
                 ),
                 backend="ustor",
             )
-            monitor = HealthMonitor(system.clients, lambda: system.now)
+            monitor = HealthMonitor(
+                system.clients, lambda: system.now, servers=[system.raw.server]
+            )
             _run_scripts(system, 3, ops=8, seed=2)
             system.run(until=500.0)
 
@@ -226,16 +228,58 @@ class TestDetectionLatencySim:
             ]
             assert notifications, "the tampering attack went undetected"
             stats = monitor.refresh()
-            # No deviation attribute on this adversary: the monitor's
-            # start (t=0 here) is the conservative baseline, so the gauge
-            # equals the first notification timestamp.
-            assert monitor.started_at == 0.0
-            assert stats["health.time_to_detection"] == pytest.approx(
-                min(e.time for e in notifications)
+            # The seam stamps the first corrupted read — not the monitor's
+            # start (t=0 here) — so the gauge is the one network hop that
+            # carried the mangled REPLY to the client that caught it.
+            detected = min(e.time for e in notifications)
+            deviation = system.raw.server.first_deviation_at
+            assert monitor.started_at == 0.0 < deviation < detected
+            assert stats["health.deviation_time"] == deviation
+            assert any(
+                m.sent_at == deviation and m.delivered_at == detected
+                for m in system.trace.messages_of_kind("REPLY")
             )
-            assert stats["health.time_to_detection"] > 0
+            assert stats["health.time_to_detection"] == pytest.approx(
+                detected - deviation
+            )
             assert registry.get("health.failures").value == len(
                 monitor.failures
+            )
+
+    def test_split_brain_under_faust(self):
+        fork_time = 10.0
+        with use_registry(Registry()):
+            system = open_system(
+                SystemConfig(
+                    num_clients=4,
+                    seed=3,
+                    server_factory=lambda n, name: SplitBrainServer(
+                        n, groups=[{0, 2}, {1, 3}], fork_time=fork_time, name=name
+                    ),
+                ),
+                backend="faust",
+            )
+            monitor = HealthMonitor(
+                system.clients, lambda: system.now, servers=[system.raw.server]
+            )
+            _run_scripts(system, 4, ops=8, seed=3)
+            system.run(until=500.0)
+
+            stats = monitor.refresh()
+            # The fork is the first request served from a branch: the
+            # first SUBMIT or COMMIT to reach the server from fork_time on.
+            first_forked = min(
+                m.delivered_at
+                for m in system.trace.messages
+                if m.dst == "S"
+                and m.delivered_at is not None
+                and m.delivered_at >= fork_time
+            )
+            assert stats["health.deviation_time"] == first_forked
+            detected = monitor.first_failure_time()
+            assert detected is not None, "the fork went undetected"
+            assert stats["health.time_to_detection"] == pytest.approx(
+                detected - first_forked
             )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError
 from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
@@ -170,9 +170,9 @@ class TestSplitBrain:
         assert outcomes[1].value == b"v"  # same group: normal service
 
     def test_groups_must_partition(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigurationError):
             SplitBrainServer(3, groups=[{0}, {1}], fork_time=0.0)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigurationError):
             SplitBrainServer(2, groups=[{0, 1}, {1}], fork_time=0.0)
 
     def test_fork_after_common_prefix(self):

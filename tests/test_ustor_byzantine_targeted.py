@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.ustor.byzantine_targeted import (
+from repro.ustor.byzantine import (
     BadReaderVersionServer,
     FakePendingServer,
     LaggingReaderVersionServer,
