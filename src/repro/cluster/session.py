@@ -157,15 +157,18 @@ class ClusterSession:
         waited = [h for handles in per_session.values() for h in handles]
         limit = self._timeout if timeout is None else timeout
 
+        touched = tuple(sessions.values())
+
         def drained() -> bool:
             # Per shard: every issued handle settled, or the instance
             # died (crash/fail) — a dead instance's handles can never
             # settle, so waiting out the budget would only burn virtual
-            # time for everyone else.
-            return all(
-                s._all_issued_settled() or s.client.halted
-                for s in sessions.values()
-            )
+            # time for everyone else.  Polled after every event: a plain
+            # loop, no generator to build each time.
+            for s in touched:
+                if not (s._all_issued_settled() or s.client.halted):
+                    return False
+            return True
 
         self._cluster.run_until(drained, timeout=limit)
         for session in sessions.values():

@@ -92,8 +92,10 @@ _ENUM_LOOKUP_MEMO: dict[tuple[type, ...], dict[str, enum.Enum]] = {}
 #: Miss counter + memo sizes, harvested by :mod:`repro.perf`.  Hits are
 #: deliberately *not* counted: the hit path is the hot path, and even one
 #: dict increment per memoized value measurably erodes the speedup the
-#: memos exist to provide.  Misses (rare, one per distinct value) plus
-#: entry counts characterise the caches fully enough for the cost model.
+#: memos exist to provide.  Misses (rare: one per distinct value a memo
+#: goes on to hold; ints and strings outside a memo's bound are encoded
+#: afresh each time and not counted) plus entry counts characterise the
+#: caches fully enough for the cost model.
 _stats = {"misses": 0}
 
 
@@ -124,13 +126,22 @@ def _encode_length(n: int) -> bytes:
 
 def _int_bytes(value: int) -> bytes:
     """The full ``tag || sign || length || magnitude`` encoding of an int
-    (memo slow path — the hit path is inlined in :func:`_encode_into`)."""
-    _stats["misses"] += 1
-    sign = b"\x01" if value >= 0 else b"\x00"
+    (memo slow path — the hit path is inlined in :func:`_encode_into`).
+
+    Only ints inside the memo bound count as a miss and are stored; the
+    rest (timestamps and WAL sequence numbers grow past it within one
+    run) are rebuilt on every call, so for them this touches neither the
+    counter nor the dictionary.
+    """
     magnitude = abs(value)
     payload = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-    raw = _TAG_INT + sign + _encode_length(len(payload)) + payload
-    if -_MEMO_LIMIT <= value <= _MEMO_LIMIT:
+    raw = (
+        (b"\x02\x01" if value >= 0 else b"\x02\x00")
+        + _encode_length(len(payload))
+        + payload
+    )
+    if magnitude <= _MEMO_LIMIT:
+        _stats["misses"] += 1
         if len(_INT_MEMO) >= 2 * _MEMO_LIMIT:  # pragma: no cover - bound guard
             _INT_MEMO.clear()
         _INT_MEMO[value] = raw
@@ -140,10 +151,10 @@ def _int_bytes(value: int) -> bytes:
 def _str_bytes(value: str) -> bytes:
     """The full ``tag || length || utf8`` encoding of a string
     (memo slow path)."""
-    _stats["misses"] += 1
     raw_payload = value.encode("utf-8")
     raw = _TAG_STR + _encode_length(len(raw_payload)) + raw_payload
     if len(raw_payload) <= 64:
+        _stats["misses"] += 1
         if len(_STR_MEMO) >= _MEMO_LIMIT:  # pragma: no cover - bound guard
             _STR_MEMO.clear()
         _STR_MEMO[value] = raw
@@ -232,8 +243,24 @@ def _encode_into(value: Any, buf: bytearray) -> None:
         buf += _TAG_SEQ
         n = len(value)
         buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else n.to_bytes(8, "big")
+        # Timestamp and digest vectors: exact int / bytes / None leaves
+        # are appended here, one call saved per element; everything else
+        # (subclasses, bool and enum members included) takes the dispatch
+        # above.
         for item in value:
-            _encode_into(item, buf)
+            leaf = item.__class__
+            if leaf is int:
+                memo = _INT_MEMO.get(item)
+                buf += memo if memo is not None else _int_bytes(item)
+            elif leaf is bytes:
+                buf += _TAG_BYTES
+                n = len(item)
+                buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else n.to_bytes(8, "big")
+                buf += item
+            elif item is None:
+                buf += _TAG_NONE
+            else:
+                _encode_into(item, buf)
     elif value is None:
         buf += _TAG_NONE
     elif cls is bool:

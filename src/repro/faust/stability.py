@@ -89,12 +89,10 @@ class StabilityTracker:
         member-scoped cuts still cover everything the full cut covers.
         """
         if members is None:
-            vectors = [version.vector for version in self.versions]
+            rows = [version.vector for version in self.versions]
         else:
-            vectors = [self.versions[k].vector for k in members]
-        return tuple(
-            min(vector[j] for vector in vectors) for j in range(self._n)
-        )
+            rows = [self.versions[k].vector for k in members]
+        return tuple(map(min, zip(*rows)))
 
     def stable_timestamp_for_all(self) -> int:
         """My operations with timestamps up to this value are *stable*

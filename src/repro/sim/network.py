@@ -127,17 +127,6 @@ def message_size(message: Any) -> int:
     return 0
 
 
-class _Link:
-    """One directed link with its latency model and FIFO clamp state."""
-
-    __slots__ = ("latency", "last_delivery", "extra_delay")
-
-    def __init__(self, latency: LatencyModel) -> None:
-        self.latency = latency
-        self.last_delivery = -1.0
-        self.extra_delay = 0.0
-
-
 class _Burst:
     """Messages coalesced onto one link delivery (batching mode only).
 
@@ -152,6 +141,19 @@ class _Burst:
         self.marker = marker
         self.delivery = delivery
         self.messages: list[Any] = [message]
+
+
+class _Link:
+    """One directed link: latency model, FIFO clamp state and, in
+    batching mode, the burst still open on it (``None`` once delivered)."""
+
+    __slots__ = ("latency", "last_delivery", "extra_delay", "burst")
+
+    def __init__(self, latency: LatencyModel) -> None:
+        self.latency = latency
+        self.last_delivery = -1.0
+        self.extra_delay = 0.0
+        self.burst: _Burst | None = None
 
 
 class Network:
@@ -183,7 +185,6 @@ class Network:
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], _Link] = {}
         self._batching = bool(batching)
-        self._open_bursts: dict[tuple[str, str], _Burst] = {}
         # Batching instrumentation lives on repro.obs counters: the
         # per-instance pair backs the read-through aliases below (always
         # counting, so per-network stats work with metrics off), while the
@@ -251,19 +252,8 @@ class Network:
     # Transmission
     # ------------------------------------------------------------------ #
 
-    def _check_registered(self, name: str, role: str) -> None:
-        if name not in self._nodes:
-            raise ChannelError(f"{role} {name!r} is not registered")
-
     def send(self, src: str, dst: str, message: Any) -> None:
-        self._check_registered(src, "sender")
-        self._check_registered(dst, "recipient")
-        now = self._scheduler.now
-        if self._batching and self._ride_burst(src, dst, message, now):
-            return
-        link = self._link(src, dst)
-        delay = link.latency.sample(self._rng) + link.extra_delay
-        self._dispatch(src, dst, message, delay, now)
+        self._transmit(src, (dst,), message)
 
     def send_multi(self, src: str, dsts: tuple, message: Any) -> None:
         """One logical send fanned out to several destinations.
@@ -278,66 +268,60 @@ class Network:
         whose link has an open same-turn burst ride it instead (batching
         mode), exactly as :meth:`send` would.
         """
-        self._check_registered(src, "sender")
+        self._transmit(src, dsts, message)
+
+    def _transmit(self, src: str, dsts: tuple, message: Any) -> None:
+        """Hand ``message`` to the link towards each of ``dsts``.
+
+        Everything that is the same for every destination is worked out
+        once: the registration checks, the clock, the burst marker, the
+        trace's ``(kind, size)`` and the shared latency sample (drawn only
+        if some destination needs a delivery of its own).
+        """
+        nodes = self._nodes
+        if src not in nodes:
+            raise ChannelError(f"sender {src!r} is not registered")
         for dst in dsts:
-            self._check_registered(dst, "recipient")
-        now = self._scheduler.now
-        shared_sample: float | None = None
+            if dst not in nodes:
+                raise ChannelError(f"recipient {dst!r} is not registered")
+        scheduler = self._scheduler
+        now = scheduler.now
+        trace = self._trace
+        if trace is not None:
+            kind, size = message_kind(message), message_size(message)
+        batching = self._batching
+        marker = (scheduler.events_processed, now) if batching else None
+        sample: float | None = None
         for dst in dsts:
-            if self._batching and self._ride_burst(src, dst, message, now):
-                continue
             link = self._link(src, dst)
-            if shared_sample is None:
-                shared_sample = link.latency.sample(self._rng)
-            self._dispatch(src, dst, message, shared_sample + link.extra_delay, now)
-
-    def _ride_burst(self, src: str, dst: str, message: Any, now: float) -> bool:
-        """Append to an open same-turn burst on this link, if any."""
-        marker = (self._scheduler.events_processed, now)
-        burst = self._open_bursts.get((src, dst))
-        if burst is None or burst.marker != marker:
-            return False
-        # Same link, same turn: ride the already-scheduled delivery.
-        burst.messages.append(message)
-        self._coalesced_counter.inc()
-        self._obs_coalesced.inc()
-        self._record(now, burst.delivery, src, dst, message)
-        return True
-
-    def _dispatch(
-        self, src: str, dst: str, message: Any, delay: float, now: float
-    ) -> None:
-        """Schedule one delivery ``delay`` after ``now`` (FIFO-clamped)."""
-        link = self._link(src, dst)
-        candidate = now + delay
-        if candidate < now:
-            raise SimulationError("latency model produced a negative delay")
-        # FIFO clamp: never deliver before (or at) the previous delivery.
-        delivery = max(candidate, link.last_delivery + _FIFO_EPSILON)
-        link.last_delivery = delivery
-        self._record(now, delivery, src, dst, message)
-        if self._batching:
-            marker = (self._scheduler.events_processed, now)
-            burst = _Burst(marker, delivery, message)
-            self._open_bursts[(src, dst)] = burst
-            self._bursts_counter.inc()
-            self._obs_bursts.inc()
-            self._scheduler.schedule_at(delivery, self._deliver_burst, src, dst, burst)
-        else:
-            self._scheduler.schedule_at(delivery, self._deliver, src, dst, message)
-
-    def _record(
-        self, sent_at: float, delivered_at: float, src: str, dst: str, message: Any
-    ) -> None:
-        if self._trace is not None:
-            self._trace.record_message(
-                sent_at=sent_at,
-                delivered_at=delivered_at,
-                src=src,
-                dst=dst,
-                kind=message_kind(message),
-                size=message_size(message),
-            )
+            burst = link.burst
+            if burst is not None and burst.marker == marker:
+                # Same link, same turn: ride the already-scheduled delivery.
+                burst.messages.append(message)
+                self._coalesced_counter.inc()
+                self._obs_coalesced.inc()
+                if trace is not None:
+                    trace.record_message(now, burst.delivery, src, dst, kind, size)
+                continue
+            if sample is None:
+                sample = link.latency.sample(self._rng)
+            candidate = now + (sample + link.extra_delay)
+            if candidate < now:
+                raise SimulationError("latency model produced a negative delay")
+            # FIFO clamp: never deliver before (or at) the previous delivery.
+            delivery = max(candidate, link.last_delivery + _FIFO_EPSILON)
+            link.last_delivery = delivery
+            if trace is not None:
+                trace.record_message(now, delivery, src, dst, kind, size)
+            if batching:
+                burst = link.burst = _Burst(marker, delivery, message)
+                self._bursts_counter.inc()
+                self._obs_bursts.inc()
+                scheduler.schedule_at(
+                    delivery, self._deliver_burst, link, src, dst, burst
+                )
+            else:
+                scheduler.schedule_at(delivery, self._deliver, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         node = self._nodes.get(dst)
@@ -345,9 +329,11 @@ class Network:
             return
         node.deliver(src, message)
 
-    def _deliver_burst(self, src: str, dst: str, burst: _Burst) -> None:
-        if self._open_bursts.get((src, dst)) is burst:
-            del self._open_bursts[(src, dst)]
+    def _deliver_burst(
+        self, link: _Link, src: str, dst: str, burst: _Burst
+    ) -> None:
+        if link.burst is burst:
+            link.burst = None
         node = self._nodes.get(dst)
         if node is None:  # pragma: no cover - nodes are never unregistered
             return

@@ -82,10 +82,11 @@ class OfflineChannel:
     # ------------------------------------------------------------------ #
 
     def send(self, src: str, dst: str, message: Any) -> None:
-        """Accept a message for eventual delivery (sender may be anyone
+        """Accept a message for eventual delivery.
 
-        registered, online or not: posting to the mailbox service models
-        e.g. queuing e-mail locally while disconnected).
+        The sender may be anyone registered, online or not: posting to
+        the mailbox service models e.g. queuing e-mail locally while
+        disconnected.
         """
         self._require(src)
         self._require(dst)
@@ -96,12 +97,12 @@ class OfflineChannel:
         self._last_arrival[key] = arrival
         if self._trace is not None:
             self._trace.record_message(
-                sent_at=now,
-                delivered_at=None,  # actual delivery recorded at hand-off
-                src=src,
-                dst=dst,
-                kind="offline:" + message_kind(message),
-                size=message_size(message),
+                now,
+                None,  # delivered_at: actual delivery recorded at hand-off
+                src,
+                dst,
+                "offline:" + message_kind(message),
+                message_size(message),
             )
         self._scheduler.schedule_at(arrival, self._arrive, src, dst, message)
 
@@ -117,13 +118,10 @@ class OfflineChannel:
         while box:
             src, message = box.popleft()
             if self._trace is not None:
+                now = self._scheduler.now
                 self._trace.record_message(
-                    sent_at=self._scheduler.now,
-                    delivered_at=self._scheduler.now,
-                    src="mailbox",
-                    dst=dst,
-                    kind="offline-delivery:" + message_kind(message),
-                    size=0,
+                    now, now, "mailbox", dst,
+                    "offline-delivery:" + message_kind(message), 0,
                 )
             node.deliver(src, message)
 

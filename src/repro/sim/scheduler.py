@@ -16,19 +16,25 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.errors import SimulationError
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    time: float
-    seq: int
-    fn: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    """One scheduled callback.
+
+    The heap holds ``(time, seq, event)`` tuples, so ordering is a C
+    tuple compare that never reaches the event (``seq`` is unique).
+    """
+
+    __slots__ = ("time", "fn", "args", "cancelled")
+
+    def __init__(self, time: float, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.time = time
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
 
 
 class EventHandle:
@@ -68,7 +74,8 @@ class Scheduler:
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: list[_ScheduledEvent] = []
+        #: Heap of ``(time, seq, event)``: ordered by the first two alone.
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._rng = random.Random(seed)
         self._events_processed = 0
 
@@ -85,7 +92,7 @@ class Scheduler:
     @property
     def pending(self) -> int:
         """Number of scheduled-and-not-yet-fired (or cancelled) events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
     @property
     def events_processed(self) -> int:
@@ -103,21 +110,25 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule at {time} which is before now={self._now}"
             )
-        event = _ScheduledEvent(time=time, seq=self._seq, fn=fn, args=args)
+        event = _ScheduledEvent(time, fn, args)
+        heapq.heappush(self._queue, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         return EventHandle(event)
+
+    def _fire(self, event: _ScheduledEvent) -> None:
+        """Advance the clock to ``event`` (already popped) and run it."""
+        self._now = event.time
+        self._events_processed += 1
+        event.fn(*event.args)
 
     def step(self) -> bool:
         """Fire the next event; return False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            event.fn(*event.args)
-            return True
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
+            if not event.cancelled:
+                self._fire(event)
+                return True
         return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
@@ -126,17 +137,20 @@ class Scheduler:
         Returns the number of events fired by this call.  ``until`` is an
         inclusive virtual-time bound: events at exactly ``until`` still fire.
         """
+        queue = self._queue
+        pop = heapq.heappop
         fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        while queue:
+            event = queue[0][2]
+            if event.cancelled:
+                pop(queue)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and event.time > until:
                 break
             if max_events is not None and fired >= max_events:
                 break
-            self.step()
+            pop(queue)
+            self._fire(event)
             fired += 1
         if until is not None and (max_events is None or fired < max_events):
             # "Run until T" leaves the clock at T even if the queue drained
@@ -157,18 +171,21 @@ class Scheduler:
         blocking baselines — see E5).
         """
         deadline = None if timeout is None else self._now + timeout
+        queue = self._queue
+        pop = heapq.heappop
         fired = 0
         if predicate():
             return True
-        while self._queue and fired < max_events:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        while queue and fired < max_events:
+            event = queue[0][2]
+            if event.cancelled:
+                pop(queue)
                 continue
-            if deadline is not None and head.time > deadline:
+            if deadline is not None and event.time > deadline:
                 self._now = max(self._now, deadline)
                 return predicate()
-            self.step()
+            pop(queue)
+            self._fire(event)
             fired += 1
             if predicate():
                 return True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
     """One message as seen by a channel."""
 
@@ -30,7 +30,7 @@ class MessageRecord:
     size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoteRecord:
     """One protocol-level event (notification, crash, detection...)."""
 
@@ -57,18 +57,11 @@ class SimTrace:
         size: int,
     ) -> None:
         self.messages.append(
-            MessageRecord(
-                sent_at=sent_at,
-                delivered_at=delivered_at,
-                src=src,
-                dst=dst,
-                kind=kind,
-                size=size,
-            )
+            MessageRecord(sent_at, delivered_at, src, dst, kind, size)
         )
 
     def note(self, time: float, source: str, kind: str, payload: Any = None) -> None:
-        self.notes.append(NoteRecord(time=time, source=source, kind=kind, payload=payload))
+        self.notes.append(NoteRecord(time, source, kind, payload))
 
     # ------------------------------------------------------------------ #
     # Aggregation helpers used by metrics and the experiment harness.

@@ -35,12 +35,16 @@ def _value_size(value: Value | Bottom | None) -> int:
     return len(value)
 
 
+def _slots_size(slots: tuple, filled_bytes: int) -> int:
+    """A vector of optional fixed-width entries: ``filled_bytes`` each,
+    a 1-byte marker where the entry is ``None``."""
+    empty = slots.count(None)
+    return filled_bytes * (len(slots) - empty) + MARKER_BYTES * empty
+
+
 def version_wire_size(version: Version) -> int:
     """``V`` is n integers; ``M`` is n digests (1-byte marker when BOTTOM)."""
-    digest_bytes = sum(
-        HASH_BYTES if d is not None else MARKER_BYTES for d in version.digests
-    )
-    return INT_BYTES * version.num_clients + digest_bytes
+    return INT_BYTES * len(version.vector) + _slots_size(version.digests, HASH_BYTES)
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,7 @@ class ReplyMessage:
     def wire_size(self) -> int:
         size = MARKER_BYTES + INT_BYTES + self.last_version.wire_size()
         size += sum(t.wire_size() for t in self.pending)
-        size += sum(_sig_size(p) for p in self.proofs)
+        size += _slots_size(self.proofs, SIGNATURE_BYTES)
         if self.reader_version is not None:
             size += self.reader_version.wire_size()
         if self.mem is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.errors import ProtocolError
 from repro.common.types import ClientId, OpKind, parse_client_name
@@ -512,8 +512,16 @@ class UstorServer(Node):
         if state is not self.state or (reply is not honest and reply != honest):
             self._note_deviation()
         if self.counter is not None:
-            reply = replace(
-                reply,
+            # Field by field: ``dataclasses.replace`` costs more than the
+            # rest of this method, once per SUBMIT.
+            reply = ReplyMessage(
+                commit_index=reply.commit_index,
+                last_version=reply.last_version,
+                pending=reply.pending,
+                proofs=reply.proofs,
+                reader_version=reply.reader_version,
+                mem=reply.mem,
+                trace_id=reply.trace_id,
                 attestation=self.counter.attest(
                     message.invocation.submit_sig, state.submits_applied
                 ),

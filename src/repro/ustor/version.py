@@ -61,13 +61,11 @@ class Version:
 
     def le(self, other: "Version") -> bool:
         """``self`` smaller-or-equal ``other`` per Definition 7."""
-        if self.num_clients != other.num_clients:
+        vector, theirs = self.vector, other.vector
+        if len(vector) != len(theirs):
             raise ProtocolError("cannot compare versions of different populations")
-        for mine, theirs in zip(self.vector, other.vector):
-            if mine > theirs:
-                return False
-        for k in range(self.num_clients):
-            if self.vector[k] == other.vector[k] and self.digests[k] != other.digests[k]:
+        for t, u, d, e in zip(vector, theirs, self.digests, other.digests):
+            if t > u or (t == u and d != e):
                 return False
         return True
 

@@ -122,6 +122,27 @@ class TestInheritedFromTheHonestPath:
         assert wire.sent or name == "unresponsive"
         assert server.submits_handled == len(wire.sent)
 
+    @pytest.mark.parametrize("name", ADVERSARIES)
+    def test_the_attestation_is_all_a_counter_adds_to_a_reply(self, name):
+        """The attested REPLY is rebuilt field by field on the SUBMIT path:
+        it must stay the plain one plus an attestation, whatever fields
+        ``ReplyMessage`` grows."""
+        plain, plain_wire = _bound(name)
+        attested, attested_wire = _bound(name)
+        attested.attach_counter(MonotonicCounter("S"))
+        requests = [
+            replace(submit(0, OpKind.WRITE, 0, 1, b"u"), trace_id=7),
+            submit(1, OpKind.READ, 0, 1),
+            submit(1, OpKind.READ, 0, 2),
+        ]
+        for request in requests:
+            for server in (plain, attested):
+                server.on_message(f"C{request.invocation.client + 1}", request)
+        assert len(plain_wire.sent) == len(attested_wire.sent)
+        for (dst, reply), (twin_dst, twin) in zip(plain_wire.sent, attested_wire.sent):
+            assert reply.attestation is None and twin.attestation is not None
+            assert (dst, reply) == (twin_dst, replace(twin, attestation=None))
+
     @pytest.mark.parametrize("name", REPLY_MUTATORS)
     def test_byzantine_replica_is_masked_not_convicted_for_bookkeeping(self, name):
         system = open_system(

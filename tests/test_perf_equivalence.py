@@ -14,7 +14,17 @@ byte-for-byte identical outputs:
 * :func:`repro.crypto.hashing.hash_register_value` vs its definition
   ``hash_values("VALUE", x)``;
 * the iterative view-history reconstruction vs the paper's recursive
-  definition of ``VH(o)``.
+  definition of ``VH(o)``;
+* the single-pass :meth:`repro.ustor.version.Version.le` vs a literal
+  transcription of Definition 7, and
+  :meth:`repro.faust.stability.StabilityTracker.stable_vector` vs the
+  nested-``min`` form it is documented as.
+
+The expensive properties exist twice, from one body each
+(:func:`two_budgets`): under their old names at a tier-1 example count,
+and as ``*_full`` twins at the full count, marked ``slow`` + ``fuzz``
+(``pytest -m "slow and fuzz" tests/test_perf_equivalence.py``) — run
+those whenever the encoder, the decoder or the view-history walk changes.
 """
 
 from __future__ import annotations
@@ -30,11 +40,13 @@ from repro.common.encoding import (
     decode_reference,
     encode,
     encode_reference,
+    encoding_cache_stats,
     reset_encoding_caches,
 )
-from repro.common.errors import EncodingError
+from repro.common.errors import EncodingError, ProtocolError
 from repro.common.types import BOTTOM, OpKind
 from repro.crypto.hashing import hash_register_value, hash_values
+from repro.faust.stability import StabilityTracker
 from repro.ustor.client import ViewHistoryRecord
 from repro.ustor.digests import (
     digest_of_sequence,
@@ -42,7 +54,26 @@ from repro.ustor.digests import (
     extend_digest_reference,
     reset_chain_cache,
 )
+from repro.ustor.version import Version
 from repro.ustor.viewhistory import reconstruct_view_history
+
+
+def two_budgets(tier1: int, full: int, *strategies):
+    """One property body as ``(tier-1 test, slow + fuzz twin)``.
+
+    Bind both names in the class body; the twin is deselected by the
+    default ``-m "not slow"`` and runs the full example count.
+    """
+
+    def build(body):
+        def at(examples):
+            return settings(max_examples=examples, deadline=None)(
+                given(*strategies)(body)
+            )
+
+        return at(tier1), pytest.mark.slow(pytest.mark.fuzz(at(full)))
+
+    return build
 
 
 class Colour(enum.Enum):
@@ -71,6 +102,39 @@ values = st.recursive(
 )
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 5000
+
+
+class Tally(int):
+    """An ``int`` subclass: must take the reference's isinstance order."""
+
+
+class Blob(bytes):
+    """A ``bytes`` subclass."""
+
+
+#: Everything a sequence element can be besides an exact ``int`` /
+#: ``bytes`` / ``None``: the in-place loop of ``_encode_into`` must hand
+#: each of these to the old dispatch.  Ints sit on both sides of the memo
+#: bound; ``True == 1 == Level.LOW == Tally(1)`` and all four encode
+#: differently.
+sequence_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-9000, max_value=9000),
+    st.integers(min_value=-9000, max_value=9000).map(Tally),
+    st.sampled_from(list(Level) + list(Colour) + list(OpKind)),
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(Blob),
+    st.binary(max_size=40).map(bytearray),
+    st.binary(max_size=40).map(memoryview),
+    st.text(max_size=10),
+    st.lists(st.integers(min_value=-9000, max_value=9000), max_size=4),
+)
+
+
 def _normalise(value):
     """What a value looks like after an encode/decode round trip."""
     if isinstance(value, (list, tuple)):
@@ -81,23 +145,25 @@ def _normalise(value):
 
 
 class TestEncodingEquivalence:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(values, max_size=6))
-    def test_encode_matches_reference(self, payload):
+    def _encode_matches_reference(self, payload):
         assert encode(*payload) == encode_reference(*payload)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(values, max_size=6))
-    def test_decoders_agree_and_invert(self, payload):
+    test_encode_matches_reference, test_encode_matches_reference_full = (
+        two_budgets(50, 300, st.lists(values, max_size=6))(_encode_matches_reference)
+    )
+
+    def _decoders_agree_and_invert(self, payload):
         blob = encode(*payload)
         fast = decode(blob, enums=(OpKind, Colour))
         reference = decode_reference(blob, enums=(OpKind, Colour))
         assert fast == reference
         assert fast == tuple(_normalise(item) for item in payload)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(values, max_size=4), st.data())
-    def test_decoders_reject_identically(self, payload, data):
+    test_decoders_agree_and_invert, test_decoders_agree_and_invert_full = (
+        two_budgets(50, 300, st.lists(values, max_size=6))(_decoders_agree_and_invert)
+    )
+
+    def _decoders_reject_identically(self, payload, data):
         """A corrupted byte must be rejected (or accepted) by both paths."""
         blob = bytearray(encode(*payload))
         index = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
@@ -119,6 +185,59 @@ class TestEncodingEquivalence:
         assert fast_error == reference_error
         if fast_error is None:
             assert fast == reference
+
+    test_decoders_reject_identically, test_decoders_reject_identically_full = (
+        two_budgets(40, 200, st.lists(values, max_size=4), st.data())(
+            _decoders_reject_identically
+        )
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(sequence_leaves, max_size=8),
+        st.lists(sequence_leaves, max_size=8),
+    )
+    def test_sequence_elements_of_every_kind(self, as_tuple, as_list):
+        """Vectors mixing exact leaves with look-alikes (bool, enum and
+        IntEnum members, int/bytes subclasses, views, nested lists)."""
+        payload = ("V", tuple(as_tuple), as_list, (tuple(as_tuple), as_list))
+        assert encode(*payload) == encode_reference(*payload)
+
+    def test_equal_values_of_different_types_stay_distinct(self):
+        ones = (1, True, Level.LOW, Tally(1))
+        assert ones[0] == ones[1] == ones[2] == ones[3]
+        encodings = {encode((one,)) for one in ones}
+        assert encodings == {encode_reference((one,)) for one in ones}
+        assert len(encodings) == 3  # Tally(1) is an int to both encoders
+
+    @pytest.mark.parametrize("value", [4097, -4097, 7000, 2**64, -(2**200), 2**5000])
+    def test_ints_beyond_the_memo_are_not_misses(self, value):
+        """Past the memo bound an int is neither stored nor counted: the
+        miss counter says "one per distinct memoized value" and means it."""
+        reset_encoding_caches()
+        payload = ("COMMIT", (value, 2 * value), (None, b"\x07" * 32))
+        first = encode(*payload)
+        baseline = encoding_cache_stats()
+        for _ in range(50):
+            assert encode(*payload) == first
+        assert encoding_cache_stats() == baseline
+        assert baseline["int_entries"] == 0
+        assert first == encode_reference(*payload)
+
+    def test_ints_at_the_memo_bound_are_memoized_once(self):
+        reset_encoding_caches()
+        for _ in range(3):
+            assert encode(4096, -4096) == encode_reference(4096, -4096)
+        stats = encoding_cache_stats()
+        assert stats["misses"] == 2 and stats["int_entries"] == 2
+
+    def test_strings_too_long_to_memoize_are_not_misses(self):
+        reset_encoding_caches()
+        long = "x" * 65
+        for _ in range(3):
+            assert encode(long, "x" * 64) == encode_reference(long, "x" * 64)
+        stats = encoding_cache_stats()
+        assert stats["misses"] == 1 and stats["str_entries"] == 1
 
     def test_cold_cache_equivalence(self):
         """Equality holds from a cold cache (first-ever encodings)."""
@@ -184,9 +303,7 @@ def _recursive_vh(records, op_key):
 
 
 class TestViewHistoryEquivalence:
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_iterative_matches_recursive(self, data):
+    def _iterative_matches_recursive(self, data):
         """Random parent-linked record sets: iterative == recursive VH."""
         num_ops = data.draw(st.integers(min_value=1, max_value=25))
         records: dict[tuple[int, int], ViewHistoryRecord] = {}
@@ -213,6 +330,10 @@ class TestViewHistoryEquivalence:
                 records, key
             )
 
+    test_iterative_matches_recursive, test_iterative_matches_recursive_full = (
+        two_budgets(25, 100, st.data())(_iterative_matches_recursive)
+    )
+
     def test_deep_chain_does_not_recurse(self):
         """A chain longer than the recursion limit must reconstruct fine."""
         records = {}
@@ -224,3 +345,96 @@ class TestViewHistoryEquivalence:
         history = reconstruct_view_history(records, (0, 4_999))
         assert len(history) == 5_000
         assert history[0] == (0, 0) and history[-1] == (0, 4_999)
+
+
+# --------------------------------------------------------------------- #
+# Definition 7 and the all-clients stable cut
+# --------------------------------------------------------------------- #
+
+
+def _definition_7(a: Version, b: Version) -> bool:
+    """``a <= b``, transcribed: ``V_a <= V_b`` componentwise, and
+    ``M_a[k] = M_b[k]`` wherever ``V_a[k] = V_b[k]``."""
+    n = len(a.vector)
+    vectors_le = all(a.vector[k] <= b.vector[k] for k in range(n))
+    digests_agree = all(
+        a.digests[k] == b.digests[k]
+        for k in range(n)
+        if a.vector[k] == b.vector[k]
+    )
+    return vectors_le and digests_agree
+
+
+#: Few distinct timestamps and digests, so equal entries (the case the
+#: digest clause is about) are common.
+_timestamps = st.integers(min_value=0, max_value=3)
+_digests = st.sampled_from([None, b"a" * 32, b"b" * 32])
+
+
+@st.composite
+def version_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    def one():
+        return Version(
+            vector=tuple(draw(st.lists(_timestamps, min_size=n, max_size=n))),
+            digests=tuple(draw(st.lists(_digests, min_size=n, max_size=n))),
+        )
+    first = one()
+    return first, draw(st.one_of(st.just(first), st.builds(one)))
+
+
+class TestVersionOrderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(version_pairs())
+    def test_le_matches_definition_7(self, pair):
+        a, b = pair
+        assert a.le(b) == _definition_7(a, b)
+        assert b.le(a) == _definition_7(b, a)
+        assert a.comparable(b) == (_definition_7(a, b) or _definition_7(b, a))
+        assert a.lt(b) == (a != b and _definition_7(a, b))
+
+    @given(version_pairs())
+    def test_le_is_reflexive(self, pair):
+        a, _ = pair
+        assert a.le(a) and a.le(Version(a.vector, a.digests))
+
+    def test_equal_counts_with_a_missing_digest_are_incomparable(self):
+        a = Version((1, 0), (b"a" * 32, None))
+        b = Version((1, 0), (None, None))
+        assert not a.le(b) and not b.le(a)
+
+    @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
+    def test_mismatched_widths_raise(self, n, m):
+        if n == m:
+            return
+        with pytest.raises(ProtocolError):
+            Version.zero(n).le(Version.zero(m))
+
+
+class TestStableVectorEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_nested_min(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        tracker = StabilityTracker(0, n)
+        row = st.lists(st.integers(min_value=0, max_value=50), min_size=n, max_size=n)
+        tracker.versions = [
+            Version(tuple(data.draw(row)), (None,) * n) for _ in range(n)
+        ]
+        members = data.draw(
+            st.one_of(
+                st.none(),
+                st.lists(
+                    st.integers(min_value=0, max_value=n - 1),
+                    min_size=1,
+                    unique=True,
+                ).map(tuple),
+            )
+        )
+        rows = range(n) if members is None else members
+        expected = tuple(
+            min(tracker.versions[k].vector[j] for k in rows) for j in range(n)
+        )
+        assert tracker.stable_vector(members=members) == expected
+        if members is None:
+            assert tracker.stable_vector() == expected

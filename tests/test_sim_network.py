@@ -251,3 +251,114 @@ class TestTransportBatching:
         a.send("B", "m")
         sched.run()
         assert net.bursts_formed == 0
+
+
+class TestFanOut:
+    """``send_multi``: one logical send, one latency draw, n deliveries."""
+
+    def make_group(self, batching=False, seed=5):
+        sched = Scheduler(seed=seed)
+        trace = SimTrace()
+        net = Network(
+            sched,
+            default_latency=UniformLatency(1.0, 9.0),
+            trace=trace,
+            batching=batching,
+        )
+        nodes = [Recorder(name) for name in ("C", "S0", "S1", "S2")]
+        for node in nodes:
+            net.register(node)
+        return sched, net, nodes, trace
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_one_sample_shared_by_every_destination(self, batching):
+        sched, net, (c, *replicas), trace = self.make_group(batching)
+        twin = Scheduler(seed=5)
+        expected = UniformLatency(1.0, 9.0).sample(twin.rng)
+        net.add_delay("C", "S2", 0.25)
+        c.send_multi(("S0", "S1", "S2"), "m")
+        # Exactly one draw left the shared stream, whatever the group size.
+        assert sched.rng.random() == twin.rng.random()
+        sched.run()
+        arrivals = [node.received[0][2] for node in replicas]
+        assert arrivals == [expected, expected, expected + 0.25]
+        assert [(m.src, m.dst, m.sent_at, m.delivered_at) for m in trace.messages] == [
+            ("C", name, 0.0, at) for name, at in zip(("S0", "S1", "S2"), arrivals)
+        ]
+
+    def test_send_is_a_fan_out_of_one(self):
+        sched, net, (c, s0, *_), _ = self.make_group()
+        twin_sched, twin_net, (twin_c, twin_s0, *_), _ = self.make_group()
+        c.send("S0", "m")
+        twin_c.send_multi(("S0",), "m")
+        sched.run()
+        twin_sched.run()
+        assert s0.received == twin_s0.received
+
+    def test_members_ride_open_bursts_and_the_rest_share_a_sample(self):
+        sched, net, (c, s0, s1, s2), trace = self.make_group(batching=True)
+        c.send("S1", "first")  # opens a burst on C->S1 only
+        c.send_multi(("S0", "S1", "S2"), "second")
+        assert (net.bursts_formed, net.messages_coalesced) == (3, 1)
+        assert sched.run() == 3
+        assert [m for _, m, _ in s1.received] == ["first", "second"]
+        assert s1.received[0][2] == s1.received[1][2]
+        assert s0.received[0][2] == s2.received[0][2]
+        assert trace.message_count() == 4
+
+    def test_an_unknown_member_rejects_the_whole_send(self):
+        sched, net, (c, *_), trace = self.make_group()
+        with pytest.raises(ChannelError, match="recipient 'S9'"):
+            net.send_multi("C", ("S0", "S9"), "m")
+        with pytest.raises(ChannelError, match="sender 'X'"):
+            net.send_multi("X", ("S0",), "m")
+        assert sched.pending == 0 and trace.message_count() == 0
+
+    def test_the_message_is_sized_once_per_send(self):
+        class Sized:
+            kind = "BULK"
+            calls = 0
+
+            def wire_size(self):
+                Sized.calls += 1
+                return 4096
+
+        sched, net, (c, *_), trace = self.make_group(batching=True)
+        c.send_multi(("S0", "S1", "S2"), Sized())
+        assert Sized.calls == 1
+        assert trace.total_bytes("BULK") == 3 * 4096
+
+
+class TestFixedRunAccounting:
+    def test_replicated_sharded_batched_run_counts_are_pinned(self):
+        """Messages, bytes, events and virtual time of one fixed run through
+        every substrate path (fan-out, bursts, offline mail, group commit):
+        the numbers any rewrite of the hot paths has to reproduce."""
+        from repro.api import BatchingPolicy, SystemConfig, open_system
+
+        config = SystemConfig(
+            num_clients=3,
+            seed=11,
+            shards=2,
+            replicas=3,
+            counter="durable",
+            shard_protocol="faust",
+            batching=BatchingPolicy(max_batch=4),
+        )
+        with open_system(config, backend="cluster") as system:
+            sessions = system.sessions()
+            for round_index in range(6):
+                for client, session in enumerate(sessions):
+                    session.write(bytes([client, round_index]) * 40)
+                if round_index % 2:
+                    for session in sessions:
+                        session.barrier()
+            for session in sessions:
+                session.barrier()
+            trace = system.trace
+            assert trace.message_count() == 222
+            assert trace.total_bytes() == 72384
+            assert trace.message_count("SUBMIT") == 75
+            assert trace.total_bytes("REPLY") == 39960
+            assert system.scheduler.events_processed == 305
+            assert system.now == 16.863545677441813

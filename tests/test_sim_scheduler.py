@@ -165,3 +165,106 @@ class TestDeterminism:
             sched.schedule(float(i), lambda: None)
         sched.run()
         assert sched.events_processed == 7
+
+
+# --------------------------------------------------------------------- #
+# One event loop, three ways to drive it
+# --------------------------------------------------------------------- #
+
+#: A scripted run: ``(delay, spawn delay or None, index to cancel or None)``
+#: per root event.  Coarse delays make same-time ties common.
+_scripts = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.5]),
+        st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5])),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=11)),
+    ),
+    max_size=12,
+)
+
+
+def _load(script):
+    """A scheduler holding ``script``; returns it with its firing log.
+
+    Every root event logs itself, may spawn a child (nested scheduling)
+    and may cancel another root's handle (before or after that one fired).
+    """
+    sched = Scheduler(seed=3)
+    log: list = []
+    handles: list = []
+
+    def fire(index, spawn, cancel):
+        log.append((sched.now, "root", index))
+        if spawn is not None:
+            sched.schedule(spawn, lambda: log.append((sched.now, "child", index)))
+        if cancel is not None and cancel < len(handles):
+            handles[cancel].cancel()
+
+    for index, (delay, spawn, cancel) in enumerate(script):
+        handles.append(sched.schedule(delay, fire, index, spawn, cancel))
+    return sched, log, handles
+
+
+def _by_step(sched):
+    while sched.step():
+        pass
+
+
+def _by_run_in_slices(sched):
+    # A time bound, then an event budget, then the rest: all three exits.
+    sched.run(until=1.0)
+    sched.run(max_events=2)
+    sched.run()
+
+
+def _by_run_until(sched):
+    assert not sched.run_until(lambda: False, timeout=1.0)
+    assert not sched.run_until(lambda: False, max_events=2)
+    assert not sched.run_until(lambda: False)
+
+
+class TestDriversAgree:
+    @given(_scripts)
+    def test_same_events_whichever_way_the_loop_is_driven(self, script):
+        outcomes = []
+        for drive in (_by_step, _by_run_in_slices, _by_run_until):
+            sched, log, handles = _load(script)
+            scheduled = [handle.time for handle in handles]
+            drive(sched)
+            outcomes.append(
+                (log, sched.events_processed, sched.pending, scheduled,
+                 [handle.cancelled for handle in handles])
+            )
+            assert sched.pending == 0 and not sched.step()
+            assert sched.events_processed == len(log)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @given(_scripts)
+    def test_ties_fire_in_scheduling_order(self, script):
+        sched, log, _ = _load(script)
+        sched.run()
+        roots = [(time, index) for time, kind, index in log if kind == "root"]
+        assert roots == sorted(roots)
+        assert [time for time, _, _ in log] == sorted(time for time, _, _ in log)
+
+    def test_handle_reports_its_time_and_cancel_before_fire_holds(self):
+        sched = Scheduler()
+        fired = []
+        sched.run(until=2.0)
+        keep = sched.schedule(1.5, fired.append, "keep")
+        drop = sched.schedule(0.5, fired.append, "drop")
+        assert (keep.time, drop.time) == (3.5, 2.5)
+        assert sched.pending == 2
+        drop.cancel()
+        assert drop.cancelled and not keep.cancelled and sched.pending == 1
+        assert sched.run_until(lambda: bool(fired), timeout=10.0)
+        assert fired == ["keep"] and sched.now == 3.5
+        assert sched.events_processed == 1 and sched.pending == 0
+        keep.cancel()  # after the fact: a no-op
+        assert fired == ["keep"]
+
+    def test_a_cancelled_head_is_dropped_even_past_the_bound(self):
+        sched = Scheduler()
+        sched.schedule(5.0, lambda: None).cancel()
+        assert sched.run(until=1.0) == 0
+        assert sched.now == 1.0 and sched.pending == 0 and not sched.step()

@@ -112,6 +112,23 @@ class TestReplySize:
         read_reply = self._reply(4, read=True).wire_size()
         assert read_reply > write_reply
 
+    def test_absent_proofs_and_digests_cost_one_byte_each(self):
+        """Entry by entry: 64 B per PROOF-signature, 32 B per digest, 8 B
+        per timestamp, one marker byte for every BOTTOM."""
+        for n in range(5):
+            for filled in range(n + 1):
+                version = make_version(n, filled)
+                assert version_wire_size(version) == sum(
+                    8 + (1 if digest is None else HASH_BYTES)
+                    for digest in version.digests
+                )
+                proofs = tuple(SIG if i < filled else None for i in range(n))
+                base = self._reply(n)
+                holed = ReplyMessage(0, base.last_version, (), proofs)
+                assert base.wire_size() - holed.wire_size() == (n - filled) * (
+                    SIGNATURE_BYTES - 1
+                )
+
     def test_bottom_mem_entry_is_small(self):
         empty = MemEntry.initial()
         assert empty.wire_size() < MemEntry(1, b"v" * 100, SIG).wire_size()
