@@ -57,7 +57,7 @@ from repro.api import (
 )
 from repro.api.config import check_supported
 from repro.cluster.shardmap import SHARD_MAP_STRATEGIES
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, StorageError
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
 from repro.consistency import (
@@ -596,6 +596,9 @@ def _cmd_serve(args) -> int:
     except ConfigurationError as exc:
         print(f"cannot serve: {exc}")
         return 2
+    except StorageError as exc:
+        print(f"cannot serve: {exc}")
+        return 1
 
 
 def _cmd_serve_cluster(args) -> int:

@@ -8,18 +8,29 @@ void the unforgeability argument, so every payload that flows into
 
 The encoding is deliberately tiny and self-contained:
 
-========  =======================================
-tag 0x00  ``None`` (the paper's ``BOTTOM``)
-tag 0x01  ``bool``
-tag 0x02  ``int`` (unbounded, sign-magnitude)
-tag 0x03  ``bytes``
-tag 0x04  ``str`` (UTF-8)
-tag 0x05  ``tuple``/``list`` (length-prefixed, recursive)
-tag 0x06  enum members (encoded by class and name)
-========  =======================================
+========  ====================  ======================================
+tag 0x00  ``None`` (``BOTTOM``)  tag only
+tag 0x01  ``bool``              tag, ``0x00`` / ``0x01``
+tag 0x02  ``int`` (unbounded)   tag, sign ``0x00`` (-) / ``0x01`` (+),
+                                *len*, magnitude (big-endian)
+tag 0x03  ``bytes``             tag, *len*, payload
+tag 0x04  ``str``               tag, *len*, UTF-8
+tag 0x05  ``tuple``/``list``    tag, *len* (element count), elements
+tag 0x06  enum members          tag, *len*, ``ClassName.MEMBER`` (UTF-8)
+========  ====================  ======================================
 
-All lengths are 8-byte big-endian, making the encoding a prefix code and
-therefore injective on the supported type universe.
+Every *len* is an unsigned LEB128 varint — seven bits per byte, least
+significant group first, the high bit set on every byte but the last —
+so every length below 128 (all of protocol metadata: digests, signatures,
+vectors of ``n`` clients) is one byte.  Decoders accept only the
+*minimal* form (``0x80 0x00`` is not another spelling of 0) and at most
+nine groups (63 bits).  A varint says where it ends, so ``tag || len ||
+payload`` is still a prefix code; the minimal form gives each length one
+spelling, hence each value one encoding: ``encode`` is injective, and
+``decode`` accepts nothing ``encode`` would not have written.  No other
+module knows the length format — fast paths that pre-feed a constant
+prefix into a hash state build it from :func:`encode` and
+:func:`encoded_length`.
 
 Because the encoding is a prefix code it is also *decodable*:
 :func:`decode` is the exact inverse used by the storage engine
@@ -50,7 +61,6 @@ byte strings.
 from __future__ import annotations
 
 import enum
-import struct
 from typing import Any, Iterable
 
 from repro.common.errors import (
@@ -67,7 +77,25 @@ _TAG_STR = b"\x04"
 _TAG_SEQ = b"\x05"
 _TAG_ENUM = b"\x06"
 
-_LEN_BYTES = 8
+#: A length is at most this many LEB128 groups (9 x 7 = 63 bits).
+_MAX_LENGTH_GROUPS = 9
+
+#: Sequences nested deeper than this do not decode.  A REPLY nests six
+#: deep, a snapshot or group-commit record seven; the bound makes a hostile
+#: frame of nothing but sequence headers an :class:`EncodingError`, which
+#: every reader of untrusted bytes handles, not a ``RecursionError``.
+_MAX_DEPTH = 32
+
+
+def _varint(n: int) -> bytes:
+    """The length field for ``n``: unsigned LEB128, minimal form."""
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
 
 # --------------------------------------------------------------------- #
 # Fast-path caches.  Everything cached here is a pure function of its
@@ -75,9 +103,9 @@ _LEN_BYTES = 8
 # adversarial inputs (huge strings, unbounded ints) cannot grow them.
 # --------------------------------------------------------------------- #
 
-#: Precomputed length prefixes for the small lengths that dominate real
+#: Precomputed length fields for the small lengths that dominate real
 #: payloads (labels, 32-byte hashes, 64-byte signatures, short vectors).
-_LEN_CACHE = tuple(n.to_bytes(_LEN_BYTES, "big") for n in range(512))
+_LEN_CACHE = tuple(_varint(n) for n in range(512))
 _LEN_CACHE_MAX = len(_LEN_CACHE)
 
 #: Bound for the memo dictionaries below (entries, not bytes).
@@ -118,10 +146,14 @@ def reset_encoding_caches() -> None:
     _stats["misses"] = 0
 
 
-def _encode_length(n: int) -> bytes:
-    if n < _LEN_CACHE_MAX:
-        return _LEN_CACHE[n]
-    return n.to_bytes(_LEN_BYTES, "big")
+def encoded_length(n: int) -> bytes:
+    """The canonical length field for ``n`` (public fast-path helper).
+
+    Exactly the bytes :func:`encode` emits between a tag and a payload of
+    ``n`` bytes (or a sequence of ``n`` elements); for the fast paths
+    that feed a hash state piecewise instead of encoding and hashing.
+    """
+    return _LEN_CACHE[n] if n < _LEN_CACHE_MAX else _varint(n)
 
 
 def _int_bytes(value: int) -> bytes:
@@ -137,7 +169,7 @@ def _int_bytes(value: int) -> bytes:
     payload = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
     raw = (
         (b"\x02\x01" if value >= 0 else b"\x02\x00")
-        + _encode_length(len(payload))
+        + encoded_length(len(payload))
         + payload
     )
     if magnitude <= _MEMO_LIMIT:
@@ -152,7 +184,7 @@ def _str_bytes(value: str) -> bytes:
     """The full ``tag || length || utf8`` encoding of a string
     (memo slow path)."""
     raw_payload = value.encode("utf-8")
-    raw = _TAG_STR + _encode_length(len(raw_payload)) + raw_payload
+    raw = _TAG_STR + encoded_length(len(raw_payload)) + raw_payload
     if len(raw_payload) <= 64:
         _stats["misses"] += 1
         if len(_STR_MEMO) >= _MEMO_LIMIT:  # pragma: no cover - bound guard
@@ -166,7 +198,7 @@ def _enum_bytes(value: enum.Enum) -> bytes:
     (memo slow path)."""
     _stats["misses"] += 1
     name = f"{type(value).__name__}.{value.name}".encode("utf-8")
-    raw = _TAG_ENUM + _encode_length(len(name)) + name
+    raw = _TAG_ENUM + encoded_length(len(name)) + name
     if len(_ENUM_MEMO) >= _MEMO_LIMIT:  # pragma: no cover - bound guard
         _ENUM_MEMO.clear()
     _ENUM_MEMO[value] = raw
@@ -201,13 +233,13 @@ def _encode_slow(value: Any, buf: bytearray) -> None:
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
         buf += _TAG_BYTES
-        buf += _encode_length(len(raw))
+        buf += encoded_length(len(raw))
         buf += raw
     elif isinstance(value, str):
         buf += _STR_MEMO.get(value) or _str_bytes(value)
     elif isinstance(value, (tuple, list)):
         buf += _TAG_SEQ
-        buf += _encode_length(len(value))
+        buf += encoded_length(len(value))
         for item in value:
             _encode_into(item, buf)
     else:
@@ -234,7 +266,7 @@ def _encode_into(value: Any, buf: bytearray) -> None:
     elif cls is bytes:
         buf += _TAG_BYTES
         n = len(value)
-        buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else n.to_bytes(8, "big")
+        buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else _varint(n)
         buf += value
     elif cls is str:
         memo = _STR_MEMO.get(value)
@@ -242,7 +274,7 @@ def _encode_into(value: Any, buf: bytearray) -> None:
     elif cls is tuple or cls is list:
         buf += _TAG_SEQ
         n = len(value)
-        buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else n.to_bytes(8, "big")
+        buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else _varint(n)
         # Timestamp and digest vectors: exact int / bytes / None leaves
         # are appended here, one call saved per element; everything else
         # (subclasses, bool and enum members included) takes the dispatch
@@ -255,7 +287,7 @@ def _encode_into(value: Any, buf: bytearray) -> None:
             elif leaf is bytes:
                 buf += _TAG_BYTES
                 n = len(item)
-                buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else n.to_bytes(8, "big")
+                buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else _varint(n)
                 buf += item
             elif item is None:
                 buf += _TAG_NONE
@@ -281,7 +313,7 @@ def encode(*values: Any) -> bytes:
     buf = bytearray()
     buf += _TAG_SEQ
     n = len(values)
-    buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else n.to_bytes(8, "big")
+    buf += _LEN_CACHE[n] if n < _LEN_CACHE_MAX else _varint(n)
     for value in values:
         _encode_into(value, buf)
     return bytes(buf)
@@ -297,9 +329,31 @@ def encode_sequence(values: Iterable[Any]) -> bytes:
 # --------------------------------------------------------------------- #
 
 
-#: One shared big-endian u64 reader; ``unpack_from`` reads straight out
-#: of the buffer without allocating an 8-byte slice first.
-_READ_U64 = struct.Struct(">Q").unpack_from
+def _truncated(needed: int, offset: int, end: int) -> TruncatedFrameError:
+    return TruncatedFrameError(
+        f"truncated encoding: needed {needed} byte(s) at offset {offset}, "
+        f"only {end - offset} available"
+    )
+
+
+def _long_length(data: bytes, offset: int, end: int, first: int) -> tuple[int, int]:
+    """The rest of a length field whose first byte ``first`` (consumed,
+    continuation bit set); returns (length, new offset).  Checks run in
+    :func:`_take_length`'s order, so malformed input raises the same error
+    *type* on both paths.
+    """
+    count = first & 0x7F
+    for shift in range(7, 7 * _MAX_LENGTH_GROUPS, 7):
+        if offset >= end:
+            raise _truncated(1, offset, end)
+        byte = data[offset]
+        offset += 1
+        count |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0:
+                raise EncodingError(f"non-minimal length field before offset {offset}")
+            return count, offset
+    raise EncodingError(f"length field too long before offset {offset}")
 
 
 def _decode_fast(
@@ -307,117 +361,85 @@ def _decode_fast(
     offset: int,
     end: int,
     enum_lookup: dict[str, enum.Enum],
-    _u64=_READ_U64,
+    depth: int,
     _from_bytes=int.from_bytes,
 ) -> tuple[Any, int]:
     """Decode one value starting at ``offset``; returns (value, new offset).
 
-    Tags are compared as integers (``data[offset]``), length fields are
-    read in place via :func:`struct.unpack_from`, and bounds are checked
-    inline — the hot loop allocates nothing but the decoded values
-    themselves.  Truncation is reported as the typed
-    :class:`TruncatedFrameError` so socket readers can distinguish a
-    short read from structural corruption; the sequence-count guard
-    rejects a declared element count larger than the remaining input
-    *before* looping (every element costs at least one byte, so such a
-    count can never decode — failing fast keeps a hostile peer from
-    driving a long doomed loop).
+    Tags are compared as integers (``data[offset]``), a one-byte length
+    field is read in place, and bounds are checked inline — the hot loop
+    allocates nothing but the decoded values themselves.  Truncation is
+    reported as the typed :class:`TruncatedFrameError` so socket readers
+    can distinguish a short read from structural corruption; the
+    sequence-count guard rejects a declared element count larger than the
+    remaining input *before* looping (every element costs at least one
+    byte, so such a count can never decode — failing fast keeps a hostile
+    peer from driving a long doomed loop), and ``depth`` (the number of
+    sequences enclosing this value) is held to :data:`_MAX_DEPTH`.
     """
     if offset >= end:
-        raise TruncatedFrameError(
-            f"truncated encoding: needed 1 byte(s) at offset {offset}, "
-            f"only {end - offset} available"
-        )
+        raise _truncated(1, offset, end)
     tag = data[offset]
     offset += 1
+    if tag == 0x00:
+        return None, offset
+    if tag == 0x01:
+        if offset >= end:
+            raise _truncated(1, offset, end)
+        raw = data[offset]
+        if raw > 1:
+            raise EncodingError(f"malformed bool payload {data[offset:offset + 1]!r}")
+        return raw == 1, offset + 1
+    if tag > 0x06:
+        raise EncodingError(f"unknown encoding tag 0x{tag:02x} at offset {offset - 1}")
+    # Tags 0x02-0x06 carry a length field (an int's follows its sign byte).
+    if tag == 0x02:
+        if offset >= end:
+            raise _truncated(1, offset, end)
+        sign = data[offset]
+        if sign > 1:
+            raise EncodingError(f"malformed int sign byte {data[offset:offset + 1]!r}")
+        offset += 1
+    if offset >= end:
+        raise _truncated(1, offset, end)
+    count = data[offset]
+    offset += 1
+    if count > 0x7F:
+        count, offset = _long_length(data, offset, end, count)
     if tag == 0x05:
-        if offset + 8 > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed 8 byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        count = _u64(data, offset)[0]
-        offset += 8
+        if depth >= _MAX_DEPTH:
+            raise EncodingError(f"sequences nested deeper than {_MAX_DEPTH}")
         if count > end - offset:
             raise TruncatedFrameError(
                 f"truncated encoding: sequence declares {count} element(s) at "
                 f"offset {offset}, only {end - offset} byte(s) available"
             )
+        depth += 1
         items = []
         append = items.append
         for _ in range(count):
-            item, offset = _decode_fast(data, offset, end, enum_lookup)
+            item, offset = _decode_fast(data, offset, end, enum_lookup, depth)
             append(item)
         return tuple(items), offset
-    if tag == 0x03 or tag == 0x04 or tag == 0x06:
-        if offset + 8 > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed 8 byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        count = _u64(data, offset)[0]
-        offset += 8
-        if offset + count > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed {count} byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        payload = data[offset:offset + count]
-        offset += count
-        if tag == 0x03:
-            return payload, offset
-        if tag == 0x04:
-            return payload.decode("utf-8"), offset
-        name = payload.decode("utf-8")
-        try:
-            return enum_lookup[name], offset
-        except KeyError:
-            raise EncodingError(
-                f"cannot decode enum member {name!r}: its class was not "
-                f"passed in ``enums``"
-            ) from None
+    if offset + count > end:
+        raise _truncated(count, offset, end)
+    payload = data[offset:offset + count]
+    offset += count
+    if tag == 0x03:
+        return payload, offset
     if tag == 0x02:
-        # Checked in the reference decoder's order (sign presence, sign
-        # validity, length presence) so corrupted input raises the same
-        # error *type* on both paths.
-        if offset + 1 > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed 1 byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        sign = data[offset]
-        if sign > 1:
-            raise EncodingError(
-                f"malformed int sign byte {data[offset:offset + 1]!r}"
-            )
-        offset += 1
-        if offset + 8 > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed 8 byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        count = _u64(data, offset)[0]
-        offset += 8
-        if offset + count > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed {count} byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        magnitude = _from_bytes(data[offset:offset + count], "big")
-        return (magnitude if sign == 1 else -magnitude), offset + count
-    if tag == 0x00:
-        return None, offset
-    if tag == 0x01:
-        if offset + 1 > end:
-            raise TruncatedFrameError(
-                f"truncated encoding: needed 1 byte(s) at offset {offset}, "
-                f"only {end - offset} available"
-            )
-        raw = data[offset]
-        if raw > 1:
-            raise EncodingError(f"malformed bool payload {data[offset:offset + 1]!r}")
-        return raw == 1, offset + 1
-    raise EncodingError(f"unknown encoding tag 0x{tag:02x} at offset {offset - 1}")
+        magnitude = _from_bytes(payload, "big")
+        return (magnitude if sign == 1 else -magnitude), offset
+    name = payload.decode("utf-8")
+    if tag == 0x04:
+        return name, offset
+    try:
+        return enum_lookup[name], offset
+    except KeyError:
+        raise EncodingError(
+            f"cannot decode enum member {name!r}: its class was not "
+            f"passed in ``enums``"
+        ) from None
 
 
 def _enum_lookup(enums: tuple[type, ...]) -> dict[str, enum.Enum]:
@@ -457,7 +479,7 @@ def decode(
             f"refusing to decode {len(raw)} byte(s): exceeds the "
             f"{max_bytes}-byte limit"
         )
-    value, offset = _decode_fast(raw, 0, len(raw), lookup)
+    value, offset = _decode_fast(raw, 0, len(raw), lookup, 0)
     if offset != len(raw):
         raise EncodingError(
             f"trailing garbage: {len(raw) - offset} byte(s) after a complete "
@@ -488,7 +510,7 @@ def _encode_one_reference(value: Any, out: list[bytes]) -> None:
     elif isinstance(value, enum.Enum):
         out.append(_TAG_ENUM)
         name = f"{type(value).__name__}.{value.name}".encode("utf-8")
-        out.append(len(name).to_bytes(_LEN_BYTES, "big"))
+        out.append(_varint(len(name)))
         out.append(name)
     elif isinstance(value, int):
         sign = b"\x01" if value >= 0 else b"\x00"
@@ -496,21 +518,21 @@ def _encode_one_reference(value: Any, out: list[bytes]) -> None:
         payload = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
         out.append(_TAG_INT)
         out.append(sign)
-        out.append(len(payload).to_bytes(_LEN_BYTES, "big"))
+        out.append(_varint(len(payload)))
         out.append(payload)
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
         out.append(_TAG_BYTES)
-        out.append(len(raw).to_bytes(_LEN_BYTES, "big"))
+        out.append(_varint(len(raw)))
         out.append(raw)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(_TAG_STR)
-        out.append(len(raw).to_bytes(_LEN_BYTES, "big"))
+        out.append(_varint(len(raw)))
         out.append(raw)
     elif isinstance(value, (tuple, list)):
         out.append(_TAG_SEQ)
-        out.append(len(value).to_bytes(_LEN_BYTES, "big"))
+        out.append(_varint(len(value)))
         for item in value:
             _encode_one_reference(item, out)
     else:
@@ -530,15 +552,25 @@ def encode_reference(*values: Any) -> bytes:
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     end = offset + count
     if end > len(data):
-        raise TruncatedFrameError(
-            f"truncated encoding: needed {count} byte(s) at offset {offset}, "
-            f"only {len(data) - offset} available"
-        )
+        raise _truncated(count, offset, len(data))
     return data[offset:end], end
 
 
+def _take_length(data: bytes, offset: int) -> tuple[int, int]:
+    """Read one length field: LEB128, minimal form, at most nine groups."""
+    count = 0
+    for group in range(_MAX_LENGTH_GROUPS):
+        raw, offset = _take(data, offset, 1)
+        count |= (raw[0] & 0x7F) << (7 * group)
+        if raw[0] < 0x80:
+            if raw[0] == 0 and group > 0:
+                raise EncodingError(f"non-minimal length field before offset {offset}")
+            return count, offset
+    raise EncodingError(f"length field too long before offset {offset}")
+
+
 def _decode_one_reference(
-    data: bytes, offset: int, enum_lookup: dict[str, enum.Enum]
+    data: bytes, offset: int, enum_lookup: dict[str, enum.Enum], depth: int
 ) -> tuple[Any, int]:
     tag, offset = _take(data, offset, 1)
     if tag == _TAG_NONE:
@@ -552,21 +584,22 @@ def _decode_one_reference(
         sign, offset = _take(data, offset, 1)
         if sign not in (b"\x00", b"\x01"):
             raise EncodingError(f"malformed int sign byte {sign!r}")
-        raw, offset = _take(data, offset, _LEN_BYTES)
-        payload, offset = _take(data, offset, int.from_bytes(raw, "big"))
+        count, offset = _take_length(data, offset)
+        payload, offset = _take(data, offset, count)
         magnitude = int.from_bytes(payload, "big")
         return (magnitude if sign == b"\x01" else -magnitude), offset
     if tag == _TAG_BYTES:
-        raw, offset = _take(data, offset, _LEN_BYTES)
-        payload, offset = _take(data, offset, int.from_bytes(raw, "big"))
+        count, offset = _take_length(data, offset)
+        payload, offset = _take(data, offset, count)
         return payload, offset
     if tag == _TAG_STR:
-        raw, offset = _take(data, offset, _LEN_BYTES)
-        payload, offset = _take(data, offset, int.from_bytes(raw, "big"))
+        count, offset = _take_length(data, offset)
+        payload, offset = _take(data, offset, count)
         return payload.decode("utf-8"), offset
     if tag == _TAG_SEQ:
-        raw, offset = _take(data, offset, _LEN_BYTES)
-        count = int.from_bytes(raw, "big")
+        count, offset = _take_length(data, offset)
+        if depth >= _MAX_DEPTH:
+            raise EncodingError(f"sequences nested deeper than {_MAX_DEPTH}")
         if count > len(data) - offset:  # mirror of the fast-path guard
             raise TruncatedFrameError(
                 f"truncated encoding: sequence declares {count} element(s) at "
@@ -574,12 +607,12 @@ def _decode_one_reference(
             )
         items = []
         for _ in range(count):
-            item, offset = _decode_one_reference(data, offset, enum_lookup)
+            item, offset = _decode_one_reference(data, offset, enum_lookup, depth + 1)
             items.append(item)
         return tuple(items), offset
     if tag == _TAG_ENUM:
-        raw, offset = _take(data, offset, _LEN_BYTES)
-        payload, offset = _take(data, offset, int.from_bytes(raw, "big"))
+        count, offset = _take_length(data, offset)
+        payload, offset = _take(data, offset, count)
         name = payload.decode("utf-8")
         try:
             return enum_lookup[name], offset
@@ -605,7 +638,7 @@ def decode_reference(
             f"refusing to decode {len(raw)} byte(s): exceeds the "
             f"{max_bytes}-byte limit"
         )
-    value, offset = _decode_one_reference(raw, 0, lookup)
+    value, offset = _decode_one_reference(raw, 0, lookup, 0)
     if offset != len(data):
         raise EncodingError(
             f"trailing garbage: {len(data) - offset} byte(s) after a complete "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.common.encoding import encode
+from repro.common.encoding import encode, encoded_length
 from repro.common.types import BOTTOM, Bottom, Value
 
 #: Size of a hash output in bytes; also used by the wire-size model.
@@ -45,7 +45,7 @@ _BOTTOM_HASH = hash_values("VALUE", None)
 # The canonical encoding of ("VALUE", x) for bytes x is a constant prefix
 # (sequence header + label + bytes tag) followed by len(x) and x; hashing
 # from a pre-seeded state skips re-encoding the prefix per value.
-_VALUE_PREFIX = encode("VALUE", b"")[:-8]
+_VALUE_PREFIX = encode("VALUE", b"")[: -len(encoded_length(0))]
 _VALUE_STATE = HASH(_VALUE_PREFIX)
 
 
@@ -62,7 +62,7 @@ def hash_register_value(value: Value | Bottom) -> bytes:
         return _BOTTOM_HASH
     if isinstance(value, bytes):
         state = _VALUE_STATE.copy()
-        state.update(len(value).to_bytes(8, "big"))
+        state.update(encoded_length(len(value)))
         state.update(value)
         return state.digest()
     return hash_values("VALUE", value)

@@ -21,7 +21,9 @@ WAL framing: each record is ``len(4B BE) || crc32(4B BE) || payload``.
 A torn tail (partial header, partial payload, or CRC mismatch — the
 expected artifact of crashing mid-append) silently ends replay; a corrupt
 *snapshot* raises :class:`StorageError`, because snapshots are replaced
-atomically and must never be half-present.  Group commit
+atomically and must never be half-present, and so does any frame that
+passes its CRC yet does not decode — a crash cannot produce one, a
+build with another canonical encoding does.  Group commit
 (:meth:`StorageEngine.log_records`, driven by the server's batched
 wakeups) packs a whole drain's transitions into **one** frame — a single
 append, a single commit point, torn-tail atomicity for the batch.
@@ -40,7 +42,7 @@ import zlib
 from abc import ABC, abstractmethod
 from typing import Callable, Iterator
 
-from repro.common.errors import ConfigurationError, StorageError
+from repro.common.errors import ConfigurationError, EncodingError, StorageError
 from repro.common.types import ClientId
 from repro.obs.registry import SIZE_BUCKETS, get_registry
 from repro.store.codec import (
@@ -95,6 +97,20 @@ def iter_frames(data: bytes) -> Iterator[bytes]:
             return  # corrupt tail
         yield payload
         offset = end
+
+
+def _decode_record(payload: bytes, what: str) -> tuple:
+    """The record inside a CRC-valid frame.  A crash tears a frame, and the
+    CRC catches that; a whole frame that does not decode was written in
+    another format — say so, rather than replay it as nothing."""
+    try:
+        return decode_payload(payload)[0]
+    except EncodingError as exc:
+        raise StorageError(
+            f"{what} passes its CRC but does not decode ({exc}): not written "
+            f"in this build's canonical encoding (length fields were 8 bytes "
+            f"before they became varints); old data is not migrated"
+        ) from exc
 
 
 class StorageEngine(ABC):
@@ -330,8 +346,8 @@ class LogStructuredEngine(StorageEngine):
         if replay_wal:
             data = self.medium.read(self.WAL)
             frames = list(iter_frames(data))
-            for payload in frames:
-                record = decode_payload(payload)[0]
+            for index, payload in enumerate(frames):
+                record = _decode_record(payload, f"WAL frame {index}")
                 # A group-commit frame carries several entries; a plain
                 # frame is its own single entry.
                 entries = record[1] if record[0] == "B" else (record,)
@@ -376,7 +392,7 @@ class LogStructuredEngine(StorageEngine):
                 "corrupt snapshot: snapshots are written atomically and must "
                 "contain exactly one valid frame"
             )
-        record = decode_payload(frames[0])[0]
+        record = _decode_record(frames[0], "snapshot")
         if not (isinstance(record, tuple) and len(record) == 3 and record[0] == "SNAP"):
             raise StorageError("corrupt snapshot: malformed SNAP record")
         _, covered, state_tuple = record

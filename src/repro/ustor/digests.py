@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.common.encoding import encode, encoded_int
+from repro.common.encoding import encode, encoded_int, encoded_length
 from repro.common.types import ClientId
 from repro.crypto.hashing import HASH, hash_values
 
@@ -56,7 +56,7 @@ EMPTY_DIGEST = None
 _CHAIN_PREFIX = encode("DIGEST", None, 0)[: -(1 + len(encoded_int(0)))]
 _BASE_STATE = HASH(_CHAIN_PREFIX)
 #: ``TAG_BYTES || len=32`` — the header of a 32-byte digest payload.
-_BYTES32_HEADER = b"\x03" + (32).to_bytes(8, "big")
+_BYTES32_HEADER = b"\x03" + encoded_length(32)
 
 #: Bounded memo of chain links: (digest, client) -> extended digest.
 _CHAIN_MEMO: dict[tuple[bytes | None, ClientId], bytes] = {}
@@ -95,7 +95,7 @@ def extend_digest(digest: bytes | None, client: ClientId) -> bytes:
         state.update(_BYTES32_HEADER)
         state.update(digest)
     else:
-        state.update(b"\x03" + len(digest).to_bytes(8, "big") + bytes(digest))
+        state.update(b"\x03" + encoded_length(len(digest)) + bytes(digest))
     state.update(encoded_int(client))
     out = state.digest()
     if len(_CHAIN_MEMO) >= _CHAIN_MEMO_LIMIT:  # pragma: no cover - bound guard

@@ -236,7 +236,22 @@ BAD_STREAMS = [
     "submit-for-another-client",
     "hello-wrong-population",
     "hello-undecodable",
+    "hello-old-format",
+    "deep-nesting-after-hello",
 ]
+
+#: ``encode(("HELLO", 1, 2))`` as a build before the varint length fields
+#: wrote it: every length eight big-endian bytes.  Spelt out here, not
+#: produced by a kept copy of the old encoder.
+_L1, _L3, _L5 = ((n).to_bytes(8, "big") for n in (1, 3, 5))
+OLD_FORMAT_HELLO = (
+    b"\x05" + _L1 + b"\x05" + _L3
+    + b"\x04" + _L5 + b"HELLO"
+    + b"\x02\x01" + _L1 + b"\x01"
+    + b"\x02\x01" + _L1 + b"\x02"
+)
+#: 2 000 bytes of one-element sequence headers around a ``None``.
+DEEP_PAYLOAD = b"\x05\x01" * 1000 + b"\x00"
 
 
 def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
@@ -259,6 +274,8 @@ def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
             [encode_frame(hello_payload(1, NUM_CLIENTS + 1))], b"",
         ),
         "hello-undecodable": ([encode_frame(b"\xff\xfe not a record")], b""),
+        "hello-old-format": ([encode_frame(OLD_FORMAT_HELLO)], b""),
+        "deep-nesting-after-hello": ([hello + encode_frame(DEEP_PAYLOAD)], welcome),
     }[case]
 
 
@@ -352,6 +369,27 @@ class TestClientReadPath:
             assert [note.source for note in notes] == ["C1"]
             connection = system.connections[0]
             assert connection.frames_received == 2 and connection.reconnects == 1
+
+    def test_deeply_nested_frame_is_noted_then_reconnected(self, runtime):
+        # 2 KB from the (untrusted) server that would recurse a thousand
+        # levels: the connection task must survive it as it survives any
+        # other undecodable frame — note, reconnect, next operation served.
+        system, host = _open_deployment(runtime)
+        with system:
+            session = as_session(system, 0)
+            assert session.write_sync(b"one") == 1
+            assert system.run_until(
+                lambda: not host.node.state.pending, timeout=2.0
+            )
+            host._connections["C1"].write(encode_frame(DEEP_PAYLOAD))
+            assert system.run_until(
+                lambda: system.trace.notes_of_kind("net-malformed-frame"),
+                timeout=2.0,
+            )
+            assert session.write_sync(b"two") == 2
+            notes = system.trace.notes_of_kind("net-malformed-frame")
+            assert [note.source for note in notes] == ["C1"]
+            assert system.connections[0].reconnects == 1
 
     def test_many_replies_in_one_segment_all_delivered(self, runtime, recorded):
         # A server that answers in bursts: WELCOME's successor frames land

@@ -157,7 +157,7 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 1
+        assert records[0]["v"] == 2
         assert records[0]["n"] == 3
         kinds = {r["t"] for r in records}
         assert {"header", "invoke", "response", "frame"} <= kinds
@@ -175,6 +175,23 @@ class TestTraceFormat:
         path.write_text('{"t":"header","v":99,"n":1,"server":"S","seq":0}\n')
         with pytest.raises(ConfigurationError, match="version"):
             load_trace(str(path))
+
+    def test_trace_of_the_eight_byte_length_format_refused(self, tmp_path, capsys):
+        # v1 traces hold frames with 8-byte length fields; this build's
+        # decoder would not read them, so the header is where they stop.
+        from repro.cli import main
+
+        old_frame = (b"\x05" + (1).to_bytes(8, "big") + b"\x00").hex()
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            '{"t":"header","v":1,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
+            f'"payload":"{old_frame}","at":0.0}}\n'
+        )
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v2"):
+            load_trace(str(path))
+        assert main(["replay", "--trace", str(path)]) == 1
+        assert "this build reads v2" in capsys.readouterr().out
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

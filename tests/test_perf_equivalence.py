@@ -278,17 +278,27 @@ class TestDigestEquivalence:
             reference = extend_digest_reference(reference, client)
         assert digest_of_sequence(chain) == reference
 
-    def test_non_standard_digest_width(self):
-        """The fast path special-cases 32-byte digests; other widths must
-        still match the specification."""
-        odd = b"\x42" * 7
-        assert extend_digest(odd, 3) == extend_digest_reference(odd, 3)
+    @pytest.mark.parametrize("width", [0, 7, 31, 32, 33, 200])
+    def test_digest_widths_around_the_prefed_header(self, width):
+        """The fast path pre-feeds the header of a 32-byte digest and
+        builds any other from the encoder's length field (two bytes from
+        128 up); every width must still match the specification."""
+        reset_chain_cache()
+        digest = b"\x42" * width
+        assert extend_digest(digest, 3) == extend_digest_reference(digest, 3)
 
 
 class TestValueHashEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=200))
     def test_bytes_values(self, value):
+        assert hash_register_value(value) == hash_values("VALUE", value)
+
+    @pytest.mark.parametrize("size", [0, 1, 127, 128, 4096, 16_384])
+    def test_sizes_around_the_length_field_boundaries(self, size):
+        """The pre-fed prefix stops before the length field, which grows a
+        byte at 128 and at 16 384."""
+        value = b"\x5a" * size
         assert hash_register_value(value) == hash_values("VALUE", value)
 
     def test_bottom(self):

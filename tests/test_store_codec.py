@@ -202,7 +202,7 @@ class TestDecoderErrors:
 
     def test_unknown_tag(self):
         with pytest.raises(EncodingError, match="unknown encoding tag"):
-            decode(b"\x05" + (1).to_bytes(8, "big") + b"\x7f")
+            decode(b"\x05\x01" + b"\x7f")
 
     def test_enum_requires_registry(self):
         data = encode(OpKind.WRITE)
