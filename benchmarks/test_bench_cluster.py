@@ -95,4 +95,4 @@ def test_split_brain_shard_scenario_end_to_end(benchmark):
         warmup_rounds=0,
     )
     assert result.exact_detection
-    assert result.avoiders_completed()
+    assert result.stats.all_done(result.avoiders)

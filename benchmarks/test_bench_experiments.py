@@ -1,8 +1,10 @@
-"""One benchmark per experiment (E1-E11); asserts each headline finding.
+"""One benchmark per experiment (E1-E14 and E19); asserts each headline
+finding.
 
 This is the harness behind EXPERIMENTS.md: every figure and analytical
 claim of the paper is regenerated here in quick mode.  Full-size sweeps:
-``python -m repro.experiments --write``.
+``python -m repro.experiments --write``; their every byte (E15-E18 and
+E20 included) is pinned by ``tests/test_experiments_golden.py``.
 """
 
 from __future__ import annotations

@@ -156,3 +156,10 @@ class NotificationHub:
     def failure_events(self) -> list[FailureNotification]:
         """Every ``fail_i`` notification emitted so far, in order."""
         return [e for e in self.history if isinstance(e, FailureNotification)]
+
+    def first_failures(self) -> dict[ClientId, float]:
+        """Who output ``fail_i``, and when first: client -> time, by client."""
+        first: dict[ClientId, float] = {}
+        for event in self.failure_events():
+            first.setdefault(event.client, event.time)
+        return dict(sorted(first.items()))

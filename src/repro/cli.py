@@ -65,9 +65,10 @@ from repro.consistency import (
     check_linearizability,
     validate_weak_fork_linearizability,
 )
+from repro.replica.coordinator import group_stats
 from repro.ustor.byzantine import ADVERSARIES, catalogue_lines
 from repro.ustor.viewhistory import build_client_views
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 #: ``--server`` name -> ``(n, name)`` factory: one column of the catalogue.
 SERVERS = {name: adversary.factory for name, adversary in ADVERSARIES.items()}
@@ -195,27 +196,15 @@ def _cmd_stats(args) -> int:
 
 
 def _print_quorum_stats(protocol_clients) -> None:
-    """Aggregate and print replica-group stats over the protocol clients."""
-    coordinators = [
-        c.quorum_coordinator
-        for c in protocol_clients
-        if getattr(c, "quorum_coordinator", None) is not None
-    ]
-    if not coordinators:
+    """Print the replica-group stats summed over the protocol clients."""
+    totals = group_stats(protocol_clients)
+    if totals is None:
         return
-    totals = {"rounds_resolved": 0, "masked_deviations": 0,
-              "read_repairs": 0, "late_replies": 0}
-    convicted: dict[str, str] = {}
-    for coordinator in coordinators:
-        stats = coordinator.stats()
-        for key in totals:
-            totals[key] += stats[key]
-        convicted.update(stats["convicted"])
-    print(f"# replicas: {len(coordinators[0].replicas)} per group, quorum "
-          f"{coordinators[0].quorum}: {totals['rounds_resolved']} round(s) "
+    print(f"# replicas: {totals['replicas']} per group, quorum "
+          f"{totals['quorum']}: {totals['rounds_resolved']} round(s) "
           f"resolved, {totals['masked_deviations']} deviant reply(ies) "
           f"masked, {totals['read_repairs']} read repair(s)")
-    for replica, violation in sorted(convicted.items()):
+    for replica, violation in sorted(totals["convicted"].items()):
         print(f"#   convicted {replica}: {violation}")
 
 
@@ -383,42 +372,26 @@ def _run_and_report(args, system, config, backend) -> None:
             on_scrape=health.refresh if health is not None else None,
         )
         print(f"METRICS {metrics_server.host} {metrics_server.port}", flush=True)
-    scripts = generate_scripts(
-        args.clients,
+    # With batching on, the workload must flow through the sessions —
+    # they are the layer that buffers and auto-flushes submissions.  Span
+    # tracing of simulated clients lives at the same layer (they have no
+    # wire to stamp; the tcp clients record their own spans).  Over tcp
+    # the run ends when the workload has settled (a failed client never
+    # finishes its script); the simulator runs out its horizon.
+    driver = run_closed_loop(
+        system,
         WorkloadConfig(
             ops_per_client=args.ops,
             read_fraction=args.read_fraction,
             mean_think_time=0.01 if tcp else 1.0,
         ),
         random.Random(args.seed),
-    )
-    # With batching on, the workload must flow through the sessions —
-    # they are the layer that buffers and auto-flushes submissions.  Span
-    # tracing of simulated clients lives at the same layer (they have no
-    # wire to stamp; the tcp clients record their own spans).
-    driver = Driver(
-        system,
         via_sessions=batching is not None or (span_log is not None and not tcp),
+        **({"timeout": args.until, "or_halted": True} if tcp else {"until": args.until}),
     )
-    driver.attach_all(scripts)
     if tcp:
-        stats = driver.stats
-
-        def settled() -> bool:
-            # Done, or every client is done / failed / crashed — a failed
-            # client (Byzantine server caught) never finishes its script.
-            return all(
-                stats.completed.get(c.client_id, 0)
-                >= stats.planned.get(c.client_id, 0)
-                or c.halted
-                for c in system.clients
-            )
-
-        system.run_until(settled, timeout=args.until)
         # Give trailing COMMITs a moment to land before tearing down.
         system.run_until_quiescent(timeout=2.0)
-    else:
-        system.run(until=args.until)
 
     print(f"# run: {args.clients} clients x {args.ops} ops, "
           f"server={'remote' if tcp else args.server}, "

@@ -2,54 +2,23 @@
 
 The recorded paper-vs-measured outcomes are generated into EXPERIMENTS.md
 by ``python -m repro experiments --write``; each experiment's headline
-claims are asserted by ``benchmarks/test_bench_experiments.py``.
+claims are asserted by ``benchmarks/test_bench_experiments.py`` and its
+full-size section is pinned by ``tests/test_experiments_golden.py``.
 """
 
-from repro.experiments import (
-    e01_stability_cut,
-    e02_weak_fork_separation,
-    e03_rounds_latency,
-    e04_msg_complexity,
-    e05_wait_freedom,
-    e06_linearizability,
-    e07_causality_attacks,
-    e08_detection_latency,
-    e09_stability_latency,
-    e10_server_gc,
-    e11_crypto_cost,
-    e12_notion_separation,
-    e13_digest_ablation,
-    e14_definition5_validation,
-    e15_rollback_recovery,
-    e16_cluster_detection,
-    e17_throughput,
-    e18_replica_rollback,
-    e19_checkpoint_memory,
-    e20_membership,
-)
+import re
+from importlib import import_module
+from pkgutil import iter_modules
+
 from repro.experiments.base import ExperimentResult
 
-ALL_EXPERIMENTS = [
-    e01_stability_cut,
-    e02_weak_fork_separation,
-    e03_rounds_latency,
-    e04_msg_complexity,
-    e05_wait_freedom,
-    e06_linearizability,
-    e07_causality_attacks,
-    e08_detection_latency,
-    e09_stability_latency,
-    e10_server_gc,
-    e11_crypto_cost,
-    e12_notion_separation,
-    e13_digest_ablation,
-    e14_definition5_validation,
-    e15_rollback_recovery,
-    e16_cluster_detection,
-    e17_throughput,
-    e18_replica_rollback,
-    e19_checkpoint_memory,
-    e20_membership,
-]
+#: Experiment id (``E1`` .. ``E20``) -> its module, in id order.  An
+#: experiment is named once, by its file: every ``eNN_*`` module of this
+#: package, exposing ``run(quick=False) -> ExperimentResult``.
+EXPERIMENTS = {
+    f"E{int(name[1:3])}": import_module(f"{__name__}.{name}")
+    for name in sorted(module.name for module in iter_modules(__path__))
+    if re.match(r"e\d\d_", name)
+}
 
-__all__ = ["ALL_EXPERIMENTS", "ExperimentResult"]
+__all__ = ["EXPERIMENTS", "ExperimentResult"]

@@ -14,7 +14,7 @@ import random
 from repro.analysis.stats import bytes_per_operation, linear_fit
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult, build_system
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 def run(quick: bool = False) -> ExperimentResult:
@@ -24,14 +24,12 @@ def run(quick: bool = False) -> ExperimentResult:
     xs, ys = [], []
     for n in populations:
         system = build_system("ustor", num_clients=n, seed=4)
-        scripts = generate_scripts(
-            n,
+        driver = run_closed_loop(
+            system,
             WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5, value_size=64),
             random.Random(4),
         )
-        driver = Driver(system)
-        driver.attach_all(scripts)
-        assert driver.run_to_completion(timeout=1_000_000)
+        assert driver.stats.all_done()
         operations = driver.stats.total_completed()
         critical = bytes_per_operation(system.trace, operations, ["SUBMIT", "REPLY"])
         total = bytes_per_operation(
@@ -64,7 +62,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -15,7 +15,7 @@ import random
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult, build_system
 from repro.sim.network import FixedLatency
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, generate_scripts, run_closed_loop
 
 
 def _run_with_crash(system, num_clients: int, ops_per_client: int, seed: int):
@@ -32,10 +32,8 @@ def _run_with_crash(system, num_clients: int, ops_per_client: int, seed: int):
     scripts[0][0] = type(first)(
         kind=first.kind, register=first.register, value=first.value, think_time=0.0
     )
-    driver = Driver(system)
-    driver.attach_all(scripts)
     system.crash_client_at(0, time=1.5)
-    system.run(until=3_000)
+    driver = run_closed_loop(system, scripts, until=3_000)
     survivors = range(1, num_clients)
     completed = sum(driver.stats.completed[c] for c in survivors)
     planned = sum(driver.stats.planned[c] for c in survivors)
@@ -88,7 +86,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

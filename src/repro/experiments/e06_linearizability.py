@@ -14,7 +14,7 @@ from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.experiments.base import ExperimentResult, build_system
 from repro.sim.network import ExponentialLatency, FixedLatency, UniformLatency
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 def run(quick: bool = False) -> ExperimentResult:
@@ -30,14 +30,10 @@ def run(quick: bool = False) -> ExperimentResult:
         )
         read_fraction = rng.choice([0.2, 0.5, 0.8])
         system = build_system("ustor", num_clients=n, seed=seed, latency=latency)
-        scripts = generate_scripts(
-            n,
-            WorkloadConfig(ops_per_client=12, read_fraction=read_fraction),
-            rng,
+        driver = run_closed_loop(
+            system, WorkloadConfig(ops_per_client=12, read_fraction=read_fraction), rng
         )
-        driver = Driver(system)
-        driver.attach_all(scripts)
-        done = driver.run_to_completion(timeout=1_000_000)
+        done = driver.stats.all_done()
         history = system.history()
         lin = check_linearizability(history).ok
         causal = check_causal_consistency(history).ok
@@ -68,7 +64,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

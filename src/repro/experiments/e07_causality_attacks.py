@@ -23,7 +23,7 @@ from repro.ustor.byzantine import (
     TamperingServer,
     UnresponsiveServer,
 )
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 ATTACKS = {
     "correct (control)": lambda n, name: __import__(
@@ -51,18 +51,16 @@ def run(quick: bool = False) -> ExperimentResult:
             system = build_system(
                 "ustor", num_clients=n, seed=seed, server_factory=factory
             )
-            scripts = generate_scripts(
-                n,
+            driver = run_closed_loop(
+                system,
                 WorkloadConfig(ops_per_client=8, read_fraction=0.5, mean_think_time=1.0),
                 random.Random(seed),
+                until=2_000,
             )
-            driver = Driver(system)
-            driver.attach_all(scripts)
-            system.run(until=2_000)
             history = system.history()
             causal = check_causal_consistency(history).ok
             lin = check_linearizability(history).ok
-            detected = sum(1 for c in system.clients if c.failed)
+            detected = len(system.notifications.first_failures())
             causal_everywhere &= causal
             rows.append(
                 [
@@ -94,7 +92,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

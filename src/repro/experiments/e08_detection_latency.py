@@ -13,7 +13,7 @@ import random
 
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult, build_system
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 from repro.workloads.scenarios import split_brain_scenario
 
 
@@ -28,14 +28,9 @@ def _false_positive_rate(seeds, quick: bool) -> tuple[int, int]:
             probe_check_period=4.0,
             delta=12.0,
         )
-        scripts = generate_scripts(
-            3, WorkloadConfig(ops_per_client=6), random.Random(seed)
-        )
-        driver = Driver(system)
-        driver.attach_all(scripts)
-        driver.run_to_completion(timeout=1_000_000)
+        run_closed_loop(system, WorkloadConfig(ops_per_client=6), random.Random(seed))
         system.run(until=system.now + (100 if quick else 300))
-        alarms += sum(1 for c in system.clients if c.faust_failed)
+        alarms += len(system.notifications.first_failures())
     return alarms, len(list(seeds))
 
 
@@ -52,11 +47,7 @@ def run(quick: bool = False) -> ExperimentResult:
             delta=delta,
             run_for=4_000.0,
         )
-        times = [
-            c.faust_fail_time
-            for c in result.system.clients
-            if c.faust_fail_time is not None
-        ]
+        times = result.detection_times
         detected = len(times)
         first = min(times) - fork_time if times else float("nan")
         last = max(times) - fork_time if times else float("nan")
@@ -88,7 +79,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -15,21 +15,19 @@ import random
 
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult, build_system
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 def _run(n: int, ops: int, seed: int, piggyback: bool):
     system = build_system(
         "ustor", num_clients=n, seed=seed, commit_piggyback=piggyback
     )
-    scripts = generate_scripts(
-        n,
+    driver = run_closed_loop(
+        system,
         WorkloadConfig(ops_per_client=ops, read_fraction=0.5, mean_think_time=0.5),
         random.Random(seed),
     )
-    driver = Driver(system)
-    driver.attach_all(scripts)
-    assert driver.run_to_completion(timeout=1_000_000)
+    assert driver.stats.all_done()
     system.run(until=system.now + 20)
     return system
 
@@ -85,7 +83,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -17,45 +17,25 @@ from __future__ import annotations
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult
 from repro.faust.ablation import ablate_system
-from repro.workloads.scenarios import split_brain_scenario
+from repro.workloads.scenarios import figure3_scenario, split_brain_scenario
 
 
 def _figure3_detection_fresh(ablated: bool) -> bool:
-    from repro.common.types import OpKind
-    from repro.experiments.base import build_system
-    from repro.sim.network import FixedLatency
-    from repro.ustor.byzantine import Fig3Server
-    from repro.workloads.scenarios import _sync_op
-
-    system = build_system(
-        "faust",
-        num_clients=2,
-        seed=3,
-        latency=FixedLatency(0.5),
-        offline_latency=FixedLatency(2.0),
-        server_factory=lambda n, name: Fig3Server(n, writer=0, victim=1, name=name),
-        enable_dummy_reads=False,
-        enable_probes=True,
-        delta=20.0,
-        probe_check_period=5.0,
-    )
-    if ablated:
-        ablate_system(system)
-    writer, victim = system.sessions()
-    _sync_op(system, writer, OpKind.WRITE, b"u")
-    _sync_op(system, victim, OpKind.READ, 0)
-    _sync_op(system, victim, OpKind.READ, 0)
+    system = figure3_scenario(
+        faust=True, prepare=ablate_system if ablated else None
+    ).system
     system.run(until=system.now + 600)
-    return any(c.faust_failed for c in system.clients)
+    return bool(system.notifications.failure_events())
 
 
 def _split_brain_detection(ablated: bool) -> bool:
-    result = split_brain_scenario(num_clients=4, seed=11, run_for=0.0)
-    system = result.system
-    if ablated:
-        ablate_system(system)
-    system.run(until=800.0)
-    return all(c.faust_failed for c in system.clients if not c.crashed)
+    result = split_brain_scenario(
+        num_clients=4,
+        seed=11,
+        run_for=800.0,
+        prepare=ablate_system if ablated else None,
+    )
+    return result.failed_clients == {0, 1, 2, 3}
 
 
 def run(quick: bool = False) -> ExperimentResult:
@@ -94,7 +74,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

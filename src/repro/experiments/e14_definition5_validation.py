@@ -16,7 +16,7 @@ from repro.experiments.base import ExperimentResult, build_system
 from repro.faust.validator import validate_fail_aware_run
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.ustor.server import UstorServer
-from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 def _run_deployment(kind: str, seed: int, settle: float):
@@ -38,14 +38,14 @@ def _run_deployment(kind: str, seed: int, settle: float):
         probe_check_period=4.0,
         delta=15.0,
     )
-    scripts = generate_scripts(
-        n, WorkloadConfig(ops_per_client=6, mean_think_time=1.0), random.Random(seed)
-    )
-    driver = Driver(system)
-    driver.attach_all(scripts)
     if kind == "correct+crash":
         system.crash_client_at(2, time=8.0)
-    system.run(until=80.0)
+    run_closed_loop(
+        system,
+        WorkloadConfig(ops_per_client=6, mean_think_time=1.0),
+        random.Random(seed),
+        until=80.0,
+    )
     cutoff = system.now
     system.run(until=system.now + settle)
     server_correct = kind.startswith("correct")
@@ -91,7 +91,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

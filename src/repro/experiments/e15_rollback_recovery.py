@@ -42,9 +42,8 @@ def run(quick: bool = False) -> ExperimentResult:
         [
             "honest outage",
             "log",
-            f"{honest.driver.stats.total_completed()}"
-            f"/{honest.driver.stats.total_planned()}",
-            len(honest.failure_events),
+            honest.stats.progress(),
+            len(honest.failures),
             "exact" if honest.recovery_byte_identical else "DIVERGED",
             "-",
         ]
@@ -61,9 +60,8 @@ def run(quick: bool = False) -> ExperimentResult:
         [
             "honest outage",
             "memory",
-            f"{amnesia.driver.stats.total_completed()}"
-            f"/{amnesia.driver.stats.total_planned()}",
-            len(amnesia.failure_events),
+            amnesia.stats.progress(),
+            len(amnesia.failures),
             "amnesia",
             "-",
         ]
@@ -86,8 +84,7 @@ def run(quick: bool = False) -> ExperimentResult:
             [
                 f"rollback (suffix={depth})",
                 "log",
-                f"{attack.driver.stats.total_completed()}"
-                f"/{attack.driver.stats.total_planned()}",
+                attack.stats.progress(),
                 detected,
                 "stale snapshot",
                 round(attack.detection_latency, 1),
@@ -109,12 +106,12 @@ def run(quick: bool = False) -> ExperimentResult:
 
     findings = {
         "honest log-engine recovery is byte-identical": honest.recovery_byte_identical,
-        "honest log-engine recovery completes every operation": honest.completed_all,
+        "honest log-engine recovery completes every operation": honest.stats.all_done(),
         "honest log-engine recovery raises no failure notification": (
-            len(honest.failure_events) == 0
+            not honest.failures
         ),
         "memory-engine restart is detected like a rollback": (
-            len(amnesia.failure_events) > 0
+            bool(amnesia.failures)
         ),
         "every rollback depth is detected by all clients": all(
             row[3] == 3 for row in rows[2:]
@@ -135,7 +132,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -31,7 +31,7 @@ from repro.workloads.scenarios import split_brain_shard_scenario
 
 
 def _row(label: str, result) -> list:
-    notified = sorted(result.notified_clients)
+    notified = sorted(result.failed_clients)
     expected = sorted(result.expected_detectors)
     latency = (
         "-"
@@ -43,7 +43,7 @@ def _row(label: str, result) -> list:
         len(result.forked_shards),
         f"{len(notified)}/{result.system.num_clients}",
         "exact" if result.exact_detection else f"MISMATCH {notified}!={expected}",
-        "yes" if result.avoiders_completed() else "NO",
+        "yes" if result.stats.all_done(result.avoiders) else "NO",
         latency,
     ]
 
@@ -82,7 +82,7 @@ def run(quick: bool = False) -> ExperimentResult:
             run_for=400.0 if quick else 600.0,
         )
         results.append(result)
-        fanout[len(forked)] = len(result.notified_clients)
+        fanout[len(forked)] = len(result.failed_clients)
         rows.append(_row(f"4 shards, {len(forked)}/4 forking", result))
 
     table = format_table(
@@ -105,10 +105,10 @@ def run(quick: bool = False) -> ExperimentResult:
             r.exact_detection for r in results
         ),
         "no avoider was ever notified": all(
-            not (r.notified_clients & r.avoiders) for r in results
+            not (r.failed_clients & r.avoiders) for r in results
         ),
         "avoiders completed their full honest-shard workload in every run": all(
-            r.avoiders_completed() for r in results
+            r.stats.all_done(r.avoiders) for r in results
         ),
         "every forked cluster was detected": all(
             not math.isnan(lat) for lat in detected
@@ -135,7 +135,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=table,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -33,6 +33,7 @@ import math
 
 from repro.analysis.tables import format_table
 from repro.experiments.base import ExperimentResult
+from repro.replica.coordinator import default_quorum
 from repro.workloads.scenarios import replica_rollback_scenario
 
 
@@ -67,13 +68,14 @@ def run(quick: bool = False) -> ExperimentResult:
     )
 
     def row(label: str, r) -> list:
+        config = r.config
         return [
             label,
-            f"{r.replicas}/{r.quorum}",
-            r.counter or "-",
-            f"{r.completed}/{r.planned}",
+            f"{config.replicas}/{config.quorum or default_quorum(config.replicas)}",
+            config.counter or "-",
+            r.stats.progress(),
             r.masked_deviations,
-            len(r.fail_times),
+            len(r.failed_clients),
             len(r.convicted),
             _fmt_latency(r.detection_latency),
             r.ops_until_detection if r.detected else "-",
@@ -118,7 +120,7 @@ def run(quick: bool = False) -> ExperimentResult:
         overhead_rows.append(
             [
                 n,
-                f"{honest.completed}/{honest.planned}",
+                honest.stats.progress(),
                 trace.message_count("SUBMIT"),
                 trace.message_count("REPLY"),
                 total,
@@ -140,19 +142,19 @@ def run(quick: bool = False) -> ExperimentResult:
 
     findings = {
         "single-server rollback is detected but halts the workload": (
-            baseline.detected and not baseline.all_completed
+            baseline.detected and not baseline.stats.all_done()
         ),
         "an honest majority masks every deviant reply": (
             masked.masked_deviations > 0
-            and not masked.fail_times
+            and not masked.failures
             and not masked.convicted
-            and masked.all_completed
+            and masked.stats.all_done()
         ),
         "unanimity has no masking margin (first deviation detected)": (
             unanimity.detected
         ),
         "a durable counter convicts the rolled-back replica": (
-            len(counter.convicted) == 1 and counter.all_completed
+            len(counter.convicted) == 1 and counter.stats.all_done()
         ),
         "the counter catch is O(1) operations": (
             counter.detected and counter.ops_until_detection <= 2 * clients
@@ -160,7 +162,7 @@ def run(quick: bool = False) -> ExperimentResult:
         "a volatile counter falsely accuses honest recovery": (
             len(volatile.convicted) == 1
             and not volatile.masked_deviations
-            and volatile.all_completed
+            and volatile.stats.all_done()
         ),
         "wire traffic scales with the replica count": (
             2.0 <= bytes_by_n[3] / bytes_by_n[1] <= 4.5
@@ -183,7 +185,3 @@ def run(quick: bool = False) -> ExperimentResult:
         table=regimes + "\n\n" + overhead,
         findings=findings,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[3] / "EXPERIMENTS.md"
 
@@ -42,11 +42,6 @@ stack is `repro.faust.client` wrapping `repro.ustor.client`.
 """
 
 
-def _unpadded(experiment_id: str) -> str:
-    """``e01`` / ``E01`` / ``e1`` -> ``E1``."""
-    return re.sub(r"^[eE]0*(?=\d)", "E", experiment_id)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="shrink sweeps")
@@ -58,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    selected = ALL_EXPERIMENTS
+    selected = list(EXPERIMENTS.values())
     if args.only is not None:
         if args.write:
             print(
@@ -67,20 +62,16 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        # Module names are zero-padded (e01_...), experiment ids are not;
-        # either spelling, in either case, selects the experiment.
-        known = {
-            _unpadded(module.__name__.rsplit(".", 1)[-1].split("_")[0]): module
-            for module in ALL_EXPERIMENTS
-        }
-        wanted = _unpadded(args.only)
-        if wanted not in known:
+        # ``e01`` / ``E01`` / ``e1`` all name E1.
+        wanted = re.sub(r"^[eE]0*(?=\d)", "E", args.only)
+        if wanted not in EXPERIMENTS:
             print(
-                f"unknown experiment {args.only!r}; known ids: {', '.join(known)}",
+                f"unknown experiment {args.only!r}; known ids: "
+                f"{', '.join(EXPERIMENTS)}",
                 file=sys.stderr,
             )
             return 2
-        selected = [known[wanted]]
+        selected = [EXPERIMENTS[wanted]]
 
     sections = [HEADER]
     for module in selected:

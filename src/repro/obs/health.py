@@ -18,9 +18,9 @@ into numbers a dashboard can alarm on:
   :class:`~repro.ustor.server.UstorServer` stamps the first time a
   request is served from a state other than its own or a REPLY differs
   from the honest one (so every adversary of
-  :mod:`repro.ustor.byzantine` carries it), or ``rollback_crash_time``;
-  with no server to probe (a remote TCP process), the monitor's start
-  time is the conservative baseline.
+  :mod:`repro.ustor.byzantine` carries it, the rollback server from its
+  crash on); with no server to probe (a remote TCP process), the
+  monitor's start time is the conservative baseline.
 * ``health.failures`` / ``health.first_failure_time`` — the
   ``FailureNotification`` fan-out, recorded by failure listeners the
   monitor registers on every client; the timestamps coincide with the
@@ -44,11 +44,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.obs.registry import Registry, get_registry
-
-#: Server attributes understood as "first Byzantine deviation" times, in
-#: the order they are preferred.  ``rollback_crash_time`` is when the
-#: rollback adversary snapshots reality and starts lying about it.
-_DEVIATION_ATTRS = ("first_deviation_at", "rollback_crash_time")
 
 
 class HealthMonitor:
@@ -172,11 +167,9 @@ class HealthMonitor:
 
     def _discover_deviation(self) -> None:
         for server in self._servers:
-            for attr in _DEVIATION_ATTRS:
-                time = getattr(server, attr, None)
-                if time is not None:
-                    self.note_deviation(time)
-                    break
+            time = getattr(server, "first_deviation_at", None)
+            if time is not None:
+                self.note_deviation(time)
 
     def refresh(self) -> dict:
         """Recompute every gauge into the registry; returns them as a dict.

@@ -31,7 +31,11 @@ on the CLI.
 
 from __future__ import annotations
 
-from repro.replica.coordinator import QuorumCoordinator, default_quorum
+from repro.replica.coordinator import (
+    QuorumCoordinator,
+    default_quorum,
+    group_stats,
+)
 from repro.replica.counter import (
     CounterAttestation,
     CounterVerifier,
@@ -47,5 +51,6 @@ __all__ = [
     "QuorumCoordinator",
     "default_quorum",
     "derive_counter_key",
+    "group_stats",
     "ops_accounted",
 ]

@@ -278,3 +278,28 @@ class QuorumCoordinator:
             self._resolved.popitem(last=False)
         self.rounds_resolved += 1
         self._open = None
+
+
+def group_stats(protocol_clients) -> dict | None:
+    """:meth:`QuorumCoordinator.stats` summed over ``protocol_clients``
+    (every client resolves its own rounds), with the group's ``replicas``
+    and ``quorum``; ``None`` when no client has a replica group."""
+    coordinators = [
+        c.quorum_coordinator
+        for c in protocol_clients
+        if getattr(c, "quorum_coordinator", None) is not None
+    ]
+    if not coordinators:
+        return None
+    totals: dict = {
+        "replicas": len(coordinators[0].replicas),
+        "quorum": coordinators[0].quorum,
+        "convicted": {},
+    }
+    for coordinator in coordinators:
+        for key, value in coordinator.stats().items():
+            if key == "convicted":
+                totals["convicted"].update(value)
+            else:
+                totals[key] = totals.get(key, 0) + value
+    return totals

@@ -530,9 +530,10 @@ def _random_deviation(n: int, name: str) -> UstorServer:
     return RandomDeviationServer(n, deviation_probability=0.3, seed=11, name=name)
 
 
-def _even_odd_fork(n: int, name: str) -> UstorServer:
+def even_odd_fork(n: int, name: str, fork_time: float = 10.0) -> UstorServer:
+    """The split-brain server forking even from odd clients at ``fork_time``."""
     groups = [set(range(0, n, 2)), set(range(1, n, 2))]
-    return SplitBrainServer(n, groups=groups, fork_time=10.0, name=name)
+    return SplitBrainServer(n, groups=groups, fork_time=fork_time, name=name)
 
 
 #: Behaviour name -> row.  The parameters (C1 as the target, ...) are the
@@ -564,7 +565,7 @@ ADVERSARIES: dict[str, Adversary] = {
         "ignores C1 only — not detectable, C1's operations hang",
     ),
     "split-brain": Adversary(
-        _even_odd_fork,
+        even_odd_fork,
         "forks even/odd clients at t=10 — caught by FAUST version comparison",
         tcp=False,
     ),

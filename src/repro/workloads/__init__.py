@@ -11,6 +11,7 @@ from repro.workloads.generator import (
     ZipfSampler,
     generate_open_loop,
     generate_scripts,
+    run_closed_loop,
     unique_value,
 )
 from repro.workloads.runner import StorageSystem, SystemBuilder
@@ -23,10 +24,14 @@ from repro.workloads.scale import (
 from repro.workloads.scenarios import (
     Figure2Result,
     Figure3Result,
-    SplitBrainResult,
+    ScenarioRun,
     figure2_scenario,
     figure3_scenario,
+    replica_rollback_scenario,
+    rollback_attack_scenario,
+    server_outage_scenario,
     split_brain_scenario,
+    split_brain_shard_scenario,
 )
 from repro.workloads.sessions import (
     SessionLease,
@@ -45,9 +50,9 @@ __all__ = [
     "ResidentSample",
     "ScaleConfig",
     "ScaleReport",
+    "ScenarioRun",
     "SessionLease",
     "SessionPool",
-    "SplitBrainResult",
     "StorageSystem",
     "SystemBuilder",
     "TimedOp",
@@ -58,7 +63,12 @@ __all__ = [
     "generate_open_loop",
     "generate_scripts",
     "plan_churn_windows",
+    "replica_rollback_scenario",
+    "rollback_attack_scenario",
+    "run_closed_loop",
     "run_scale",
+    "server_outage_scenario",
     "split_brain_scenario",
+    "split_brain_shard_scenario",
     "unique_value",
 ]

@@ -48,6 +48,10 @@ class WorkloadConfig:
     mean_think_time: float = 2.0
     #: clients that issue no operations (pure observers)
     silent_clients: frozenset[ClientId] = frozenset()
+    #: client -> the registers its reads may target (default: any)
+    read_pools: dict = field(default_factory=dict)
+    #: client -> registers one of which its second operation must read
+    early_reads: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -76,11 +80,14 @@ def generate_scripts(
             scripts[client] = ops
             continue
         write_count = 0
-        for _ in range(config.ops_per_client):
+        pool = config.read_pools.get(client, range(num_clients))
+        early = config.early_reads.get(client)
+        for index in range(config.ops_per_client):
             think = rng.expovariate(1.0 / config.mean_think_time) if config.mean_think_time > 0 else 0.0
-            if rng.random() < config.read_fraction:
-                target = rng.randrange(num_clients)
-                ops.append(PlannedOp(OpKind.READ, target, think_time=think))
+            if early and index == 1:
+                ops.append(PlannedOp(OpKind.READ, rng.choice(early), think_time=think))
+            elif rng.random() < config.read_fraction:
+                ops.append(PlannedOp(OpKind.READ, rng.choice(pool), think_time=think))
             else:
                 write_count += 1
                 ops.append(
@@ -212,11 +219,16 @@ class DriverStats:
         """Operations planned across every client."""
         return sum(self.planned.values())
 
-    def all_done(self) -> bool:
-        """True when every client completed its full plan."""
+    def progress(self) -> str:
+        """``completed/planned`` across every client, as tables print it."""
+        return f"{self.total_completed()}/{self.total_planned()}"
+
+    def all_done(self, clients=None) -> bool:
+        """True when every client (of ``clients``) completed its full plan."""
         return all(
             self.completed.get(c, 0) >= planned
             for c, planned in self.planned.items()
+            if clients is None or c in clients
         )
 
 
@@ -366,9 +378,50 @@ class Driver:
         """Run until every script finished; False if blocked/failed first."""
         return self._system.run_until(self.stats.all_done, timeout=timeout)
 
+    def settled(self) -> bool:
+        """Every client finished its script or halted — a failed or
+        crashed client (Byzantine server caught) never will."""
+        stats = self.stats
+        return all(
+            stats.completed.get(c.client_id, 0) >= stats.planned.get(c.client_id, 0)
+            or c.halted
+            for c in self._system.clients
+        )
+
     def completion_fraction(self) -> float:
         """Completed / planned over all clients (1.0 when nothing planned)."""
         planned = self.stats.total_planned()
         if planned == 0:
             return 1.0
         return self.stats.total_completed() / planned
+
+
+def run_closed_loop(
+    system: StorageSystem,
+    workload: WorkloadConfig | dict[ClientId, list[PlannedOp]],
+    rng: random.Random | None = None,
+    *,
+    until: float | None = None,
+    timeout: float = 1_000_000.0,
+    or_halted: bool = False,
+    via_sessions: bool = False,
+) -> Driver:
+    """The closed-loop run: scripts for every client, attached, driven.
+
+    ``workload`` is a :class:`WorkloadConfig` (scripts are drawn from
+    ``rng``) or ready-made scripts.  ``until`` runs the system to that
+    time whatever the scripts do; without it the run ends when every
+    script finished (``or_halted``: or its client did — over real time
+    nobody waits out ``timeout`` for a client that output ``fail``), and
+    ``driver.stats.all_done()`` says whether everything completed.
+    """
+    if isinstance(workload, WorkloadConfig):
+        workload = generate_scripts(len(system.clients), workload, rng)
+    driver = Driver(system, via_sessions=via_sessions)
+    driver.attach_all(workload)
+    if until is not None:
+        system.run(until=until)
+    else:
+        done = driver.settled if or_halted else driver.stats.all_done
+        system.run_until(done, timeout=timeout)
+    return driver

@@ -1,57 +1,44 @@
-"""The paper's concrete scenarios, scripted end to end.
+"""The paper's concrete scenarios.
 
-* :func:`figure2_scenario` — the Alice/Bob/Carlos collaboration of
-  Figure 2, reproducing the exact stability cut
-  ``stable_Alice([10, 8, 3])`` and then (optionally) Carlos's return,
-  after which every operation becomes stable at all clients.
-* :func:`figure3_scenario` — the Figure 3 history: a server hides
-  ``write_1(X1, u)`` from ``C2``'s first read and rejoins on the second,
-  yielding a weakly-fork-linearizable, non-fork-linearizable history.
-* :func:`split_brain_scenario` — a general forking attack driving two
-  client groups on divergent branches, used by the detection experiments.
-* :func:`server_outage_scenario` — honest crash-recovery: the server goes
-  down mid-workload and recovers from its storage engine; with a durable
-  engine every operation completes and nobody raises fail.
-* :func:`rollback_attack_scenario` — the persistence-axis attack: the
-  server "recovers" from a deliberately stale snapshot; fail-aware
-  clients detect the fork into the past.
-* :func:`split_brain_shard_scenario` — the cluster-axis attack: one
-  shard's server forks its clients while every other shard stays honest;
-  detection must reach exactly the clients that touched the forked
-  shard, and honest shards must keep serving.
-* :func:`replica_rollback_scenario` — the rollback attack against a
-  replica group (:mod:`repro.replica`): one replica recovers from a
-  stale snapshot while the rest stay honest.  An honest quorum masks the
-  deviant replies outright; a durable monotonic counter convicts the
-  rolled-back replica on its first post-restart reply; a volatile
-  counter shows the trust-anchor pitfall by falsely accusing an honest
-  crash-recovered replica.
+Two are scripted operation by operation: :func:`figure2_scenario` (the
+Alice/Bob/Carlos collaboration and its stability cut ``[10, 8, 3]``) and
+:func:`figure3_scenario` (the hiding server: a history that is weakly
+fork-linearizable but not fork-linearizable).
+
+The other five are rows over one run path (:func:`_run`) and one result
+(:class:`ScenarioRun`) — a config, an adversary placement, fault windows,
+a random closed-loop workload and the instant latency is measured from:
+
+* :func:`replica_rollback_scenario` — one replica of a group recovers
+  from a stale snapshot, or crashes honestly (cluster backend); its
+  one-replica corners on the ``faust``/``ustor`` backends are
+  :func:`rollback_attack_scenario` (the paper's single server rolled
+  back) and :func:`server_outage_scenario` (honest crash-recovery).
+* :func:`split_brain_shard_scenario` — some shards' servers fork even
+  from odd clients while the rest stay honest (cluster backend); its
+  one-shard corner is :func:`split_brain_scenario`.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import partial
 
-from dataclasses import dataclass, field
-
-from repro.api.backends import ClusterBackend, FaustBackend, UstorBackend
+from repro.api.backends import get_backend
 from repro.api.config import FaustParams, SystemConfig
 from repro.api.events import FailureNotification
-from repro.api.handles import OpResult
-from repro.api.session import Session
+from repro.api.handles import OpHandle, OpResult
 from repro.api.system import System
-from repro.common.types import BOTTOM, OpKind
+from repro.cluster.shardmap import make_shard_map
+from repro.common.types import BOTTOM
 from repro.history.history import History
+from repro.replica.coordinator import group_stats
+from repro.sim.faults import Fault
 from repro.sim.network import FixedLatency
 from repro.store.codec import encode_server_state
-from repro.ustor.byzantine import Fig3Server, RollbackServer, SplitBrainServer
-from repro.workloads.generator import (
-    Driver,
-    PlannedOp,
-    WorkloadConfig,
-    generate_scripts,
-    unique_value,
-)
+from repro.ustor.byzantine import ADVERSARIES, RollbackServer, even_odd_fork
+from repro.workloads.generator import DriverStats, WorkloadConfig, run_closed_loop
 
 ALICE, BOB, CARLOS = 0, 1, 2
 
@@ -63,11 +50,14 @@ class Figure2Result:
     system: System
     #: Alice's stability cuts in notification order.
     alice_cuts: list[tuple[int, ...]]
-    #: True once the exact cut (10, 8, 3) was emitted.
-    reproduced: bool
+
+    @property
+    def reproduced(self) -> bool:
+        """Was the exact cut (10, 8, 3) emitted?"""
+        return (10, 8, 3) in self.alice_cuts
 
 
-def _sync_op(system: System, session: Session, kind: OpKind, argument) -> OpResult:
+def _settle(system: System, handle: OpHandle) -> OpResult:
     """Run one operation to completion, then let a moment pass.
 
     The settle gap makes consecutive scripted operations *strictly* ordered
@@ -75,9 +65,6 @@ def _sync_op(system: System, session: Session, kind: OpKind, argument) -> OpResu
     without it the next invocation lands at the exact virtual instant the
     previous response occurred and the operations count as concurrent.
     """
-    handle = (
-        session.write(argument) if kind is OpKind.WRITE else session.read(argument)
-    )
     result = handle.result(timeout=10_000.0)
     system.run(until=system.now + 0.1)
     return result
@@ -93,7 +80,7 @@ def figure2_scenario(
     working; her cut shows consistency with herself up to t=10, with Bob
     up to t=8, with Carlos up to t=3.
     """
-    system = FaustBackend().open_system(
+    system = get_backend("faust").open_system(
         SystemConfig(
             num_clients=3,
             seed=seed,
@@ -113,23 +100,20 @@ def figure2_scenario(
 
     # Alice edits the document three times (timestamps 1..3).
     for v in range(1, 4):
-        _sync_op(system, alice, OpKind.WRITE, doc(v))
+        _settle(system, alice.write(doc(v)))
     # Carlos catches up on Alice's work, then goes to sleep.
-    _sync_op(system, carlos, OpKind.READ, ALICE)
-    _sync_op(system, alice, OpKind.READ, CARLOS)  # Alice's t=4: learns Carlos
+    _settle(system, carlos.read(ALICE))
+    _settle(system, alice.read(CARLOS))  # Alice's t=4: learns Carlos
     system.faults.away(CARLOS)
 
     # Alice keeps editing (t = 5..8).
     for v in range(5, 9):
-        _sync_op(system, alice, OpKind.WRITE, doc(v))
+        _settle(system, alice.write(doc(v)))
     # Bob reads Alice's latest edit; Alice then reads Bob (t=9), and makes
     # one final edit (t=10) — at which point her cut is exactly [10, 8, 3].
-    _sync_op(system, bob, OpKind.READ, ALICE)
-    _sync_op(system, alice, OpKind.READ, BOB)
-    _sync_op(system, alice, OpKind.WRITE, doc(10))
-
-    alice_client = alice.client
-    reproduced = (10, 8, 3) in [cut for _, cut in alice_client.stable_notifications]
+    _settle(system, bob.read(ALICE))
+    _settle(system, alice.read(BOB))
+    _settle(system, alice.write(doc(10)))
 
     if include_carlos_return:
         # America wakes up: Carlos returns, reads, and background version
@@ -139,11 +123,7 @@ def figure2_scenario(
             client.enable_background(dummy_reads=True, probes=True)
         system.run(until=system.now + 400.0)
 
-    return Figure2Result(
-        system=system,
-        alice_cuts=[cut for _, cut in alice_client.stable_notifications],
-        reproduced=reproduced,
-    )
+    return Figure2Result(system, [cut for _, cut in alice.client.stable_notifications])
 
 
 @dataclass
@@ -151,29 +131,27 @@ class Figure3Result:
     """Outcome of the Figure 3 forking scenario."""
 
     system: System
+    #: The three operations, in the order of Figure 3.
     history: History
-    #: The three operations in the order of Figure 3.
-    write_outcome: OpResult
-    read1_outcome: OpResult
-    read2_outcome: OpResult
     #: Whether any USTOR client output fail (must be False: the attack is
     #: designed to pass every check of Algorithm 1).
     ustor_detected: bool
 
 
-def figure3_scenario(seed: int = 3, faust: bool = False) -> Figure3Result:
+def figure3_scenario(seed: int = 3, faust: bool = False, prepare=None) -> Figure3Result:
     """Run the Figure 3 attack: write1(X1,u); read2(X1)->BOTTOM; read2(X1)->u.
 
     With ``faust=True`` the clients run the fail-aware layer with probing
     enabled, so the (undetectable-at-USTOR-level) fork is exposed once the
-    clients exchange versions offline.
+    clients exchange versions offline.  ``prepare(system)`` may adjust the
+    opened deployment before the first operation.
     """
     config = SystemConfig(
         num_clients=2,
         seed=seed,
         latency=FixedLatency(0.5),
         offline_latency=FixedLatency(2.0),
-        server_factory=lambda n, name: Fig3Server(n, writer=0, victim=1, name=name),
+        server_factory=ADVERSARIES["figure3"].factory,  # C1 writes, C2 is the victim
         faust=FaustParams(
             enable_dummy_reads=False,
             enable_probes=True,
@@ -181,332 +159,164 @@ def figure3_scenario(seed: int = 3, faust: bool = False) -> Figure3Result:
             probe_check_period=5.0,
         ),
     )
-    backend = FaustBackend() if faust else UstorBackend()
-    system = backend.open_system(config)
+    system = get_backend("faust" if faust else "ustor").open_system(config)
+    if prepare is not None:
+        prepare(system)
     writer, victim = system.sessions()
 
-    write_outcome = _sync_op(system, writer, OpKind.WRITE, b"u")
-    read1 = _sync_op(system, victim, OpKind.READ, 0)
-    read2 = _sync_op(system, victim, OpKind.READ, 0)
+    _settle(system, writer.write(b"u"))
+    read1 = _settle(system, victim.read(0))
+    read2 = _settle(system, victim.read(0))
 
     assert read1.value is BOTTOM, "the hidden write must be invisible to read 1"
     assert read2.value == b"u", "the rejoin must expose the write to read 2"
 
-    detected = any(c.failed for c in system.clients)
     return Figure3Result(
         system=system,
         history=system.history(),
-        write_outcome=write_outcome,
-        read1_outcome=read1,
-        read2_outcome=read2,
-        ustor_detected=detected,
+        ustor_detected=bool(system.notifications.failure_events()),
     )
 
 
 @dataclass
-class SplitBrainResult:
-    """Outcome of the split-brain (forking server) scenario."""
+class ScenarioRun:
+    """One workload scenario, run: what was placed where, and what the
+    deployment said about it by the time the run ended.
 
-    system: System
-    driver: Driver
-    groups: list[set[int]]
-    fork_time: float
-
-
-def split_brain_scenario(
-    num_clients: int = 4,
-    seed: int = 11,
-    fork_time: float = 30.0,
-    ops_per_client: int = 12,
-    faust: bool = True,
-    delta: float = 25.0,
-    run_for: float = 600.0,
-) -> SplitBrainResult:
-    """A forking attack over a random workload.
-
-    Clients are split into two groups (even/odd ids) at ``fork_time``;
-    both groups keep operating on divergent branches.  With FAUST enabled,
-    cross-group version exchange eventually proves the fork.
+    A row supplies the placement; :func:`_run` derives every observation,
+    once — ``fail_i`` from the notification hub only (Definition 5's one
+    failure output, whichever layer raised it), convictions from the
+    ``replica-convicted`` trace notes, and detection times, latency and
+    ops-until-signal from those two.
     """
-    groups = [
-        {c for c in range(num_clients) if c % 2 == 0},
-        {c for c in range(num_clients) if c % 2 == 1},
-    ]
-    config = SystemConfig(
-        num_clients=num_clients,
-        seed=seed,
-        server_factory=lambda n, name: SplitBrainServer(
-            n, groups=groups, fork_time=fork_time, name=name
-        ),
-        faust=FaustParams(delta=delta, probe_check_period=delta / 3),
-    )
-    backend = FaustBackend() if faust else UstorBackend()
-    system = backend.open_system(config)
 
-    rng = random.Random(seed)
-    scripts = generate_scripts(
-        num_clients,
-        WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5),
-        rng,
-    )
-    driver = Driver(system)
-    driver.attach_all(scripts)
-    system.run(until=run_for)
-    return SplitBrainResult(
-        system=system, driver=driver, groups=groups, fork_time=fork_time
-    )
-
-
-@dataclass
-class ServerOutageResult:
-    """Outcome of the server crash-recovery scenario."""
-
-    system: System
-    driver: Driver
-    outage_start: float
-    outage_end: float
-    #: Did every scripted operation complete despite the outage?
-    completed_all: bool
-    #: Failure notifications raised (must be empty: honest recovery is
-    #: not misbehaviour).
-    failure_events: list
-    #: Recovery restored the exact pre-crash ``ServerState`` (compared on
-    #: canonical bytes).  False with the volatile engine — a memory-engine
-    #: restart *is* a rollback (to zero), and clients treat it as one.
-    recovery_byte_identical: bool
-
-
-def server_outage_scenario(
-    num_clients: int = 3,
-    seed: int = 21,
-    ops_per_client: int = 8,
-    outage_start: float = 25.0,
-    outage_duration: float = 20.0,
-    storage: str = "log",
-    faust: bool = True,
-    run_for: float = 4_000.0,
-) -> ServerOutageResult:
-    """Honest crash-recovery under a random workload.
-
-    The server goes down over ``[outage_start, outage_start +
-    outage_duration)`` and recovers from its storage engine; requests
-    delivered during the window are held by the reliable channels and
-    served after recovery.  With ``storage="log"`` the outage only delays
-    operations; with ``storage="memory"`` the restarted server has
-    forgotten everything and clients detect the amnesia like a rollback.
-    FAUST's background machinery stays armed — dummy reads and probes must
-    *not* mistake an honest recovery for misbehaviour, and they are what
-    exposes a volatile server's amnesia even after the workload drains.
-    """
-    config = SystemConfig(
-        num_clients=num_clients,
-        seed=seed,
-        storage=storage,
-        server_outages=((outage_start, outage_duration),),
-    )
-    backend = FaustBackend() if faust else UstorBackend()
-    system = backend.open_system(config)
-
-    scripts = generate_scripts(
-        num_clients,
-        WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5),
-        random.Random(seed),
-    )
-    driver = Driver(system)
-    driver.attach_all(scripts)
-    completed_all = driver.run_to_completion(timeout=run_for)
-    outage_end = outage_start + outage_duration
-    if system.now <= outage_end:
-        # A short workload may drain before the window closes; run through
-        # it so the crash and the recovery actually happen.
-        system.run(until=outage_end + 1.0)
-        completed_all = driver.stats.all_done()
-
-    server = system.server
-    identical = (
-        server.last_pre_crash_state is not None
-        and server.last_recovery_state is not None
-        and encode_server_state(server.last_pre_crash_state)
-        == encode_server_state(server.last_recovery_state)
-    )
-    failures = [
-        e
-        for e in system.notifications.history
-        if isinstance(e, FailureNotification)
-    ]
-    return ServerOutageResult(
-        system=system,
-        driver=driver,
-        outage_start=outage_start,
-        outage_end=outage_end,
-        completed_all=completed_all,
-        failure_events=failures,
-        recovery_byte_identical=identical,
-    )
-
-
-@dataclass
-class RollbackAttackResult:
-    """Outcome of the rollback-attack scenario."""
-
-    system: System
-    driver: Driver
-    #: When the adversary crashed / came back from the stale snapshot.
-    crash_time: float | None
-    restart_time: float | None
-    #: Per-client fail times (fail-aware clients only).
+    config: SystemConfig
+    system: object
+    #: Completion accounting of the closed-loop workload.
+    stats: DriverStats
+    #: The instant latency is measured from: the fork, or the restart of
+    #: the rolled-back (or honestly crashed) server.  ``None``: neither.
+    reference: float | None
+    #: Every ``fail_i`` output, in emission order; who output it; and when
+    #: each of them first did, by client.
+    failures: list[FailureNotification]
+    failed_clients: frozenset
     detection_times: list[float]
-    #: Virtual time from the dishonest restart to the first detection
-    #: (``nan`` if the attack went unnoticed).
+    #: ``replica name -> violation`` for every counter conviction.
+    convicted: dict
+    #: Did any signal — a ``fail_i`` or a conviction — fire, and the
+    #: virtual time from :attr:`reference` to the first one (``nan``:
+    #: nothing to time, or the fault went unnoticed).
+    detected: bool
     detection_latency: float
+    #: Operations that completed between :attr:`reference` and the first
+    #: signal — the paper-level cost of detection.  The counter's O(1)
+    #: claim is this number staying ~num_clients whatever the workload.
+    ops_until_detection: int
+    #: Deviant replies an honest quorum outvoted, summed over every client
+    #: (0 on the paper's single server: nothing to outvote).
+    masked_deviations: int
+    #: The clients that touched a forked shard with a user operation, and
+    #: whether exactly they were notified.
+    expected_detectors: frozenset
+    exact_detection: bool
+    #: Did every server that restarted recover its exact pre-crash
+    #: ``ServerState`` (compared on canonical bytes)?  False with the
+    #: volatile engine — a memory-engine restart *is* a rollback (to
+    #: zero), and clients treat it as one.
+    recovery_byte_identical: bool
+    #: Fork rows: the client groups the forking server separates, the
+    #: shards it runs on, and the clients scripted never to touch one.
+    groups: tuple = ()
+    forked_shards: frozenset = frozenset()
+    avoiders: frozenset = frozenset()
 
 
-def rollback_attack_scenario(
-    num_clients: int = 3,
-    seed: int = 31,
-    ops_per_client: int = 10,
-    snapshot_after_submits: int = 3,
-    rollback_after_submits: int = 9,
-    outage: float = 5.0,
-    delta: float = 25.0,
-    faust: bool = True,
-    run_for: float = 2_000.0,
-) -> RollbackAttackResult:
-    """The rollback attack under a random workload.
-
-    A :class:`RollbackServer` checkpoints early, serves honestly, then
-    crashes and "recovers" from the stale snapshot.  Clients whose
-    committed versions include post-snapshot operations are shown stale
-    versions or stale data on their next operation (Algorithm 1, lines
-    36/43/51); clients forked into the past are caught by FAUST's version
-    comparison over the offline channel.  Either way the fail-aware layer
-    turns one detection into system-wide failure notifications.
-    """
+def _run(
+    backend: str,
+    num_clients: int,
+    seed: int,
+    ops_per_client: int,
+    delta: float,
+    run_for: float,
+    config: dict,
+    workload: dict | None = None,
+    faults: tuple = (),
+    prepare=None,
+    reference=None,
+    **fork,
+) -> ScenarioRun:
+    """The one run path: open the config on ``backend`` (probing at
+    ``delta``), schedule the fault windows, let ``prepare(system)`` adjust
+    the deployment, drive a half-reads closed-loop workload drawn from
+    ``seed`` until ``run_for``, then read off what happened.  A callable
+    ``reference`` is asked once the run is over, given the independent
+    deployments behind the system (the system itself, unsharded)."""
     config = SystemConfig(
         num_clients=num_clients,
         seed=seed,
-        server_factory=lambda n, name: RollbackServer(
-            n,
-            snapshot_after_submits=snapshot_after_submits,
-            rollback_after_submits=rollback_after_submits,
-            outage=outage,
-            name=name,
-        ),
         faust=FaustParams(delta=delta, probe_check_period=delta / 3),
+        **config,
     )
-    backend = FaustBackend() if faust else UstorBackend()
-    system = backend.open_system(config)
-
-    scripts = generate_scripts(
-        num_clients,
-        WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5),
+    system = get_backend(backend).open_system(config)
+    for fault in faults:
+        system.faults.add(fault)
+    if prepare is not None:
+        prepare(system)
+    driver = run_closed_loop(
+        system,
+        WorkloadConfig(ops_per_client, read_fraction=0.5, **(workload or {})),
         random.Random(seed),
+        until=run_for,
     )
-    driver = Driver(system)
-    driver.attach_all(scripts)
-    system.run(until=run_for)
+    shards = getattr(system, "shards", None) or [system]
+    if callable(reference):
+        reference = reference(shards)
 
-    server = system.server
-    detection_times = [
-        c.faust_fail_time
-        for c in system.clients
-        if getattr(c, "faust_fail_time", None) is not None
+    first_failures = system.notifications.first_failures()
+    convictions = [
+        note
+        for shard in shards
+        for note in shard.trace.notes_of_kind("replica-convicted")
     ]
-    restart = server.rollback_restart_time
-    latency = (
-        min(detection_times) - restart
-        if detection_times and restart is not None
-        else float("nan")
+    signals = [*first_failures.values(), *(note.time for note in convictions)]
+    # nan compares false: nothing to time, or nothing caught, counts 0 ops.
+    since = float("nan") if reference is None else reference
+    caught = min(signals, default=float("nan"))
+    forked = fork.get("forked_shards", frozenset())
+    touched = getattr(system, "touched_shards", lambda client: (0,))
+    expected = frozenset(
+        c for c in range(num_clients) if forked.intersection(touched(c))
     )
-    return RollbackAttackResult(
+    restarted = [s for shard in shards for s in shard.replica_servers if s.restarts]
+    stats = group_stats([c for shard in shards for c in shard.clients]) or {}
+    return ScenarioRun(
+        config=config,
         system=system,
-        driver=driver,
-        crash_time=server.rollback_crash_time,
-        restart_time=restart,
-        detection_times=detection_times,
-        detection_latency=latency,
+        stats=driver.stats,
+        reference=reference,
+        failures=system.notifications.failure_events(),
+        failed_clients=frozenset(first_failures),
+        detection_times=list(first_failures.values()),
+        convicted=dict(note.payload for note in convictions),
+        detected=bool(signals),
+        detection_latency=caught - since,
+        ops_until_detection=sum(
+            op.responded_at is not None and since < op.responded_at <= caught
+            for shard in shards
+            for op in shard.history()
+        ),
+        masked_deviations=stats.get("masked_deviations", 0),
+        expected_detectors=expected,
+        exact_detection=first_failures.keys() == expected,
+        recovery_byte_identical=bool(restarted)
+        and all(
+            encode_server_state(s.last_pre_crash_state)
+            == encode_server_state(s.last_recovery_state)
+            for s in restarted
+        ),
+        **fork,
     )
-
-
-@dataclass
-class ShardSplitBrainResult:
-    """Outcome of the sharded split-brain scenario."""
-
-    system: object
-    driver: Driver
-    #: Shards whose server runs the forking attack.
-    forked_shards: frozenset[int]
-    fork_time: float
-    #: Clients scripted to never touch a forked shard.
-    avoiders: frozenset[int]
-    #: Shards each client actually touched with user operations.
-    touched: dict[int, frozenset[int]] = field(default_factory=dict)
-    #: Clients expected to be notified (touched a forked shard).
-    expected_detectors: frozenset[int] = frozenset()
-    #: Clients that raised a cluster-level failure notification.
-    notified_clients: frozenset[int] = frozenset()
-    #: Virtual time from the fork to the first failure notification
-    #: (``nan`` if the attack went unnoticed).
-    detection_latency: float = float("nan")
-
-    @property
-    def exact_detection(self) -> bool:
-        """Notified exactly the clients that touched the forked shard?"""
-        return self.notified_clients == self.expected_detectors
-
-    def avoiders_completed(self) -> bool:
-        """Did every avoider finish its whole (honest-shard) script?"""
-        return all(
-            self.driver.stats.completed.get(c, 0)
-            >= self.driver.stats.planned.get(c, 0)
-            for c in self.avoiders
-        )
-
-
-@dataclass
-class ReplicaRollbackResult:
-    """Outcome of the replicated rollback scenario."""
-
-    system: object
-    driver: Driver
-    replicas: int
-    quorum: int
-    counter: str | None
-    #: When the faulty (or honestly crashed) replica went down / came back.
-    crash_time: float | None
-    restart_time: float | None
-    #: Aggregated :meth:`QuorumCoordinator.stats` over every client
-    #: (all-zero for the unreplicated baseline).
-    masked_deviations: int = 0
-    read_repairs: int = 0
-    #: ``replica name -> violation`` for every counter conviction, and
-    #: the virtual time of the first one (``nan`` if none fired).
-    convicted: dict = field(default_factory=dict)
-    conviction_time: float = float("nan")
-    #: Times of protocol-level ``fail_i`` outputs (the unreplicated
-    #: baseline's only detection signal; also how a replicated client
-    #: reports an unattainable quorum).
-    fail_times: list[float] = field(default_factory=list)
-    #: Virtual time from the dishonest restart to the first signal of
-    #: either kind (``nan`` = the attack went unnoticed).
-    detection_latency: float = float("nan")
-    #: Client operations that completed between the restart and the
-    #: first signal — the paper-level cost of detection.  The counter's
-    #: O(1) claim is this number staying ~num_clients, independent of
-    #: workload length.
-    ops_until_detection: int = 0
-    completed: int = 0
-    planned: int = 0
-
-    @property
-    def all_completed(self) -> bool:
-        """True when every planned operation completed."""
-        return self.completed >= self.planned
-
-    @property
-    def detected(self) -> bool:
-        """Did any signal (fail_i or conviction) fire at all?"""
-        return bool(self.fail_times) or bool(self.convicted)
 
 
 def replica_rollback_scenario(
@@ -518,148 +328,109 @@ def replica_rollback_scenario(
     counter: str | None = None,
     rollback_replica: int | None = 1,
     honest_outage: tuple[int, float, float] | None = None,
+    storage: str | None = None,
     snapshot_after_submits: int = 2,
     rollback_after_submits: int = 6,
     outage: float = 5.0,
     delta: float = 25.0,
     run_for: float = 2_000.0,
-) -> ReplicaRollbackResult:
+    backend: str = "cluster",
+) -> ScenarioRun:
     """The rollback attack against one replica of a k-of-n group.
 
     ``rollback_replica`` runs a :class:`RollbackServer` (checkpoint
     early, crash, "recover" from the stale snapshot) while the other
     replicas stay honest; ``None`` runs an all-honest group.
     ``honest_outage=(replica, start, duration)`` instead crashes an
-    *honest* replica and recovers it from durable storage — paired with
-    ``counter="volatile"`` it demonstrates the false accusation: the
-    replica's state remembers its operations but the reset counter does
-    not, so honest recovery becomes indistinguishable from misbehaviour.
+    *honest* replica and recovers it from ``storage`` (default: the log) —
+    paired with ``counter="volatile"`` it demonstrates the false
+    accusation: the replica's state remembers its operations but the reset
+    counter does not, so honest recovery becomes indistinguishable from
+    misbehaviour.  Latency is measured from that replica's restart.
 
-    The interesting corners:
-
-    * ``replicas=1`` (+ the attack) — the paper's single server:
-      detection waits until the rolled state contradicts a client's
-      committed version, so ``ops_until_detection`` grows with the
-      workload.
-    * ``replicas=3`` — an honest majority outvotes the deviant replies
-      (``masked_deviations > 0``, nothing fails, everything completes).
-    * ``counter="durable"`` — the trusted counter convicts the rolled
-      replica on its first post-restart reply: ``ops_until_detection``
-      stays O(num_clients) regardless of workload length.
+    The interesting corners: ``replicas=1`` is the paper's single server
+    (:func:`rollback_attack_scenario`) — detection waits until the rolled
+    state contradicts a client's committed version, so
+    ``ops_until_detection`` grows with the workload; at ``replicas=3`` an
+    honest majority outvotes the deviant replies (``masked_deviations >
+    0``, nothing fails, everything completes); ``counter="durable"``
+    convicts the rolled replica on its first post-restart reply, so
+    ``ops_until_detection`` stays O(num_clients) whatever the workload.
     """
     attack = rollback_replica is not None
-    if attack and not 0 <= rollback_replica < replicas:
-        raise ValueError(
-            f"rollback_replica {rollback_replica} out of range for "
-            f"{replicas} replica(s)"
-        )
     if honest_outage is not None and attack:
         raise ValueError(
             "honest_outage crashes an honest replica; drop rollback_replica"
         )
 
-    def rollback_factory(n, name):
+    def rollback(n, name):
         return RollbackServer(
-            n,
-            snapshot_after_submits=snapshot_after_submits,
-            rollback_after_submits=rollback_after_submits,
-            outage=outage,
-            name=name,
+            n, snapshot_after_submits, rollback_after_submits, outage, name
         )
 
-    config = SystemConfig(
-        num_clients=num_clients,
-        seed=seed,
-        shards=1,
-        replicas=replicas,
-        quorum=quorum,
-        counter=counter,
-        # Honest recovery needs real durability; the rollback server owns
-        # its own (deliberately stale) persistence.
-        storage="log" if honest_outage is not None else "memory",
-        server_factory=(rollback_factory if attack and replicas == 1 else None),
-        replica_server_factories=(
-            {rollback_replica: rollback_factory} if attack and replicas > 1 else {}
-        ),
-        faust=FaustParams(delta=delta, probe_check_period=delta / 3),
-    )
-    system = ClusterBackend().open_system(config)
-    shard = system.shards[0]
-    if honest_outage is not None:
-        shard.replica_outage(*honest_outage)
-
-    scripts = generate_scripts(
-        num_clients,
-        WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5),
-        random.Random(seed),
-    )
-    driver = Driver(system)
-    driver.attach_all(scripts)
-    system.run(until=run_for)
-
-    coordinators = [
-        c.quorum_coordinator
-        for c in shard.clients
-        if getattr(c, "quorum_coordinator", None) is not None
-    ]
-    masked = sum(c.stats()["masked_deviations"] for c in coordinators)
-    repairs = sum(c.stats()["read_repairs"] for c in coordinators)
-    convicted: dict = {}
-    for coordinator in coordinators:
-        convicted.update(coordinator.stats()["convicted"])
-    conviction_notes = shard.trace.notes_of_kind("replica-convicted")
-    conviction_time = (
-        min(n.time for n in conviction_notes) if conviction_notes else float("nan")
-    )
-    fail_times = [n.time for n in shard.trace.notes_of_kind("ustor-fail")]
-
+    faults, reference = (), None
     if attack:
-        faulty = shard.replica_servers[rollback_replica]
-        crash_time = faulty.rollback_crash_time
-        restart_time = faulty.rollback_restart_time
-    elif honest_outage is not None:
-        crash_time = honest_outage[1]
-        restart_time = honest_outage[1] + honest_outage[2]
-    else:
-        crash_time = restart_time = None
-
-    signals = list(fail_times)
-    if conviction_notes:
-        signals.append(conviction_time)
-    latency = (
-        min(signals) - restart_time
-        if signals and restart_time is not None
-        else float("nan")
-    )
-    caught_at = min(signals) if signals else None
-    ops_until = (
-        sum(
-            1
-            for op in system.shard_histories()[0]
-            if op.responded_at is not None
-            and restart_time < op.responded_at <= caught_at
+        # The adversary picks its own moment; ask it once the run is over.
+        reference = lambda shards: (
+            shards[0].replica_servers[rollback_replica].rollback_restart_time
         )
-        if caught_at is not None and restart_time is not None
-        else 0
+    elif honest_outage is not None:
+        replica, start, duration = honest_outage
+        faults = (Fault("down", (None, replica), start, duration),)
+        reference = start + duration
+    return _run(
+        backend, num_clients, seed, ops_per_client, delta, run_for,
+        dict(
+            replicas=replicas,
+            quorum=quorum,
+            counter=counter,
+            # Honest recovery needs real durability; the rollback server
+            # owns its own (deliberately stale) persistence.
+            storage=storage or ("memory" if honest_outage is None else "log"),
+            replica_server_factories={rollback_replica: rollback} if attack else {},
+        ),
+        faults=faults,
+        reference=reference,
     )
-    return ReplicaRollbackResult(
-        system=system,
-        driver=driver,
-        replicas=replicas,
-        quorum=coordinators[0].quorum if coordinators else 1,
-        counter=counter,
-        crash_time=crash_time,
-        restart_time=restart_time,
-        masked_deviations=masked,
-        read_repairs=repairs,
-        convicted=convicted,
-        conviction_time=conviction_time,
-        fail_times=fail_times,
-        detection_latency=latency,
-        ops_until_detection=ops_until,
-        completed=driver.stats.total_completed(),
-        planned=driver.stats.total_planned(),
+
+
+def server_outage_scenario(faust: bool = True, **knobs) -> ScenarioRun:
+    """Honest crash-recovery: the one-replica ``honest_outage`` corner of
+    :func:`replica_rollback_scenario` (whose other knobs it takes) on the
+    ``faust`` or ``ustor`` backend.
+
+    Requests delivered while the server is down are held by the reliable
+    channels and served after recovery: with ``storage="log"`` the outage
+    only delays operations, with ``storage="memory"`` the server comes
+    back having forgotten everything and clients detect the amnesia like
+    a rollback.  FAUST's dummy reads and probes stay armed: they must not
+    mistake an honest recovery for misbehaviour, and they are what
+    exposes the amnesia even after the workload drains.
+    """
+    row = dict(
+        replicas=1, rollback_replica=None, honest_outage=(0, 25.0, 20.0),
+        num_clients=3, seed=21, run_for=600.0,
     )
+    backend = "faust" if faust else "ustor"
+    return replica_rollback_scenario(backend=backend, **{**row, **knobs})
+
+
+def rollback_attack_scenario(faust: bool = True, **knobs) -> ScenarioRun:
+    """The rollback attack on the paper's single server: the
+    ``replicas=1`` corner of :func:`replica_rollback_scenario` (whose
+    other knobs it takes) on the ``faust`` or ``ustor`` backend.
+
+    Clients whose committed versions include post-snapshot operations are
+    shown stale versions or data on their next operation (Algorithm 1,
+    lines 36/43/51); clients forked into the past are caught by FAUST's
+    version comparison, which also carries one detection to everybody.
+    """
+    row = dict(
+        replicas=1, rollback_replica=0, num_clients=3, ops_per_client=10,
+        snapshot_after_submits=3, rollback_after_submits=9,
+    )
+    backend = "faust" if faust else "ustor"
+    return replica_rollback_scenario(backend=backend, **{**row, **knobs})
 
 
 def split_brain_shard_scenario(
@@ -672,117 +443,78 @@ def split_brain_shard_scenario(
     delta: float = 25.0,
     shard_map: str = "range",
     run_for: float = 600.0,
-) -> ShardSplitBrainResult:
+    backend: str = "cluster",
+    workload: dict | None = None,
+    prepare=None,
+) -> ScenarioRun:
     """One (or more) forking shard(s) inside an otherwise honest cluster.
 
-    The forked shards' servers run the classic split-brain attack from
-    ``fork_time`` on; every other shard is honest.  Client scripts are
-    shaped so that a subset (*avoiders* — clients whose registers and
+    The forked shards' servers run the classic split-brain attack (even
+    clients forked from odd ones) from ``fork_time`` on, the instant
+    latency is measured from; every other shard is honest.  Client scripts
+    are shaped so that a subset (*avoiders* — clients whose registers and
     reads all live on honest shards) never touches a forked shard, while
-    everyone else does.  The cluster contract under test:
+    everyone else reads from one early.  The cluster contract under test:
 
     * every client that operated on a forked shard raises a
       shard-tagged failure notification,
     * no avoider raises any,
     * avoiders' operations — all on honest shards — complete in full.
+
+    With every shard forked (:func:`split_brain_scenario`: one of one)
+    nobody can avoid and the workload is plainly random.
     """
     forked = frozenset(forked_shards)
-    if not forked:
-        raise ValueError("need at least one forked shard")
-
-    def forking_factory(n, name):
-        return SplitBrainServer(
-            n,
-            groups=[
-                {c for c in range(n) if c % 2 == 0},
-                {c for c in range(n) if c % 2 == 1},
-            ],
-            fork_time=fork_time,
-            name=name,
-        )
-
-    config = SystemConfig(
-        num_clients=num_clients,
-        seed=seed,
-        shards=shards,
-        shard_map=shard_map,
-        shard_server_factories={k: forking_factory for k in forked},
-        faust=FaustParams(delta=delta, probe_check_period=delta / 3),
-    )
-    system = ClusterBackend().open_system(config)
-    if not any(system.shard_of(r) in forked for r in range(num_clients)):
+    fork = partial(even_odd_fork, fork_time=fork_time)
+    # Placement is the shard map's alone, so ask a map, not a deployment.
+    shard_of = make_shard_map(shard_map, shards, num_clients).shard_of
+    honest = [r for r in range(num_clients) if shard_of(r) not in forked]
+    attacked = [r for r in range(num_clients) if shard_of(r) in forked]
+    if not attacked:
         raise ValueError(
             "no register maps to a forked shard; nothing would be attacked"
         )
-
-    honest_registers = [
-        r for r in range(num_clients) if system.shard_of(r) not in forked
-    ]
-    forked_registers = [
-        r for r in range(num_clients) if system.shard_of(r) in forked
-    ]
     # Avoiders: clients whose own register lives on an honest shard; take
     # every other such client so both populations stay non-empty.
-    honest_home = [c for c in honest_registers]
-    avoiders = frozenset(honest_home[::2])
-
-    rng = random.Random(seed)
-    scripts: dict[int, list[PlannedOp]] = {}
-    for client in range(num_clients):
-        allowed = honest_registers if client in avoiders else None
-        ops: list[PlannedOp] = []
-        writes = 0
-        for index in range(ops_per_client):
-            think = rng.expovariate(1.0 / 3.0)
-            if client not in avoiders and index == 1:
-                # Guarantee every non-avoider touches a forked shard early.
-                ops.append(
-                    PlannedOp(
-                        OpKind.READ, rng.choice(forked_registers), think_time=think
-                    )
-                )
-            elif rng.random() < 0.5:
-                pool = allowed if allowed is not None else range(num_clients)
-                ops.append(
-                    PlannedOp(OpKind.READ, rng.choice(list(pool)), think_time=think)
-                )
-            else:
-                writes += 1
-                ops.append(
-                    PlannedOp(
-                        OpKind.WRITE,
-                        client,
-                        value=unique_value(client, writes, 24),
-                        think_time=think,
-                    )
-                )
-        scripts[client] = ops
-
-    driver = Driver(system)
-    driver.attach_all(scripts)
-    system.run(until=run_for)
-
-    touched = {
-        c: frozenset(system.touched_shards(c)) for c in range(num_clients)
-    }
-    expected = frozenset(
-        c for c, shards_touched in touched.items() if shards_touched & forked
-    )
-    failures = system.notifications.failure_events()
-    notified = frozenset(e.client for e in failures)
-    latency = (
-        min(e.time for e in failures) - fork_time
-        if failures
-        else float("nan")
-    )
-    return ShardSplitBrainResult(
-        system=system,
-        driver=driver,
+    avoiders = frozenset(honest[::2])
+    others = [c for c in range(num_clients) if c not in avoiders]
+    return _run(
+        backend, num_clients, seed, ops_per_client, delta, run_for,
+        dict(
+            shards=shards,
+            shard_map=shard_map,
+            **(
+                {"shard_server_factories": {k: fork for k in forked}}
+                if honest
+                else {"server_factory": fork}
+            ),
+        ),
+        dict(
+            **(workload or {"mean_think_time": 3.0, "value_size": 24}),
+            read_pools={c: honest for c in avoiders},
+            # Guarantee every non-avoider touches a forked shard early.
+            early_reads={c: attacked for c in others} if honest else {},
+        ),
+        prepare=prepare,
+        reference=fork_time,
+        groups=(set(range(0, num_clients, 2)), set(range(1, num_clients, 2))),
         forked_shards=forked,
-        fork_time=fork_time,
         avoiders=avoiders,
-        touched=touched,
-        expected_detectors=expected,
-        notified_clients=notified,
-        detection_latency=latency,
     )
+
+
+def split_brain_scenario(faust: bool = True, **knobs) -> ScenarioRun:
+    """A forking attack over a random workload: the one-shard corner of
+    :func:`split_brain_shard_scenario` (whose other knobs it takes) on the
+    ``faust`` or ``ustor`` backend.
+
+    Clients are split into two groups (even/odd ids) at ``fork_time``;
+    both groups keep operating on divergent branches.  With FAUST enabled,
+    cross-group version exchange eventually proves the fork.
+    """
+    row = dict(
+        shards=1, forked_shards=(0,), num_clients=4, seed=11, fork_time=30.0,
+        workload=dict(mean_think_time=2.0, value_size=32),
+    )
+    backend = "faust" if faust else "ustor"
+    return split_brain_shard_scenario(backend=backend, **{**row, **knobs})

@@ -494,12 +494,12 @@ class TestSplitBrainShardScenario:
         # 1. Every client that touched the forked shard was notified.
         # 2. No client that avoided it was.
         assert result.exact_detection
-        assert not (result.notified_clients & result.avoiders)
+        assert not (result.failed_clients & result.avoiders)
         # 3. Honest-shard operations completed normally.
-        assert result.avoiders_completed()
+        assert result.stats.all_done(result.avoiders)
         # The notifications name the forked shard, and the fork was found
         # quickly after it happened.
-        failures = result.system.notifications.failure_events()
+        failures = result.failures
         assert failures and {e.shard for e in failures} == {1}
         assert 0.0 <= result.detection_latency < 200.0
 
@@ -517,7 +517,7 @@ class TestSplitBrainShardScenario:
             shard_map="hash", ops_per_client=8, run_for=400.0,
         )
         assert result.exact_detection
-        assert result.avoiders_completed()
+        assert result.stats.all_done(result.avoiders)
 
 
 class TestShardSeedDerivation:

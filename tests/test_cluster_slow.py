@@ -76,5 +76,5 @@ def test_split_brain_detection_scope_over_many_seeds(seed):
         run_for=500.0,
     )
     assert result.exact_detection
-    assert not (result.notified_clients & result.avoiders)
-    assert result.avoiders_completed()
+    assert not (result.failed_clients & result.avoiders)
+    assert result.stats.all_done(result.avoiders)

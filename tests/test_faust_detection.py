@@ -112,11 +112,7 @@ class TestCompleteness:
             result = split_brain_scenario(
                 num_clients=4, seed=21, delta=delta, run_for=3_000.0
             )
-            times = [
-                c.faust_fail_time
-                for c in result.system.clients
-                if c.faust_fail_time is not None
-            ]
+            times = result.detection_times
             assert times, f"no detection with delta={delta}"
             return max(times)
 
@@ -165,7 +161,7 @@ class TestSplitBrainStability:
                 op.timestamp
                 for op in system.history()
                 if op.client == client.client_id
-                and op.invoked_at > result.fork_time + 5.0
+                and op.invoked_at > result.reference + 5.0
                 and op.timestamp is not None
             ]
             if not post_fork:

@@ -94,7 +94,7 @@ class TestDetectionArithmetic:
 
     def test_deviation_auto_discovered_from_server_attrs(self):
         class Server:
-            rollback_crash_time = 4.0
+            first_deviation_at = 4.0
 
         clock = _Clock(9.0)
         client = _StubClient([1])

@@ -216,22 +216,22 @@ class TestAllHonestEquivalence:
 class TestRollbackScenarios:
     def test_honest_majority_masks_the_rollback(self):
         result = replica_rollback_scenario(ops_per_client=6, replicas=3)
-        assert result.all_completed
+        assert result.stats.all_done()
         assert result.masked_deviations > 0
-        assert not result.convicted and not result.fail_times
+        assert not result.convicted and not result.failures
 
     def test_unanimity_quorum_turns_masking_into_detection(self):
         result = replica_rollback_scenario(
             ops_per_client=6, replicas=3, quorum=3
         )
         assert result.detected
-        assert result.fail_times  # no margin: the deviation is fatal
+        assert result.failures  # no margin: the deviation is fatal
 
     def test_durable_counter_convicts_in_constant_operations(self):
         result = replica_rollback_scenario(
             ops_per_client=6, replicas=3, counter="durable"
         )
-        assert result.all_completed  # the majority keeps serving
+        assert result.stats.all_done()  # the majority keeps serving
         assert list(result.convicted) == ["S0/r1"]
         assert "rolled back" in result.convicted["S0/r1"]
         # O(1): caught within one in-flight operation per client of the
@@ -247,7 +247,7 @@ class TestRollbackScenarios:
             rollback_replica=None,
             honest_outage=(1, 30.0, 5.0),
         )
-        assert result.all_completed
+        assert result.stats.all_done()
         assert len(result.convicted) == 1  # an *honest* replica convicted
         assert not result.masked_deviations
 

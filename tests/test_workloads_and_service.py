@@ -19,9 +19,11 @@ from repro.workloads.generator import (
 from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import (
     figure3_scenario,
+    replica_rollback_scenario,
     rollback_attack_scenario,
     server_outage_scenario,
     split_brain_scenario,
+    split_brain_shard_scenario,
 )
 
 
@@ -158,9 +160,9 @@ class TestScenarios:
 
     def test_server_outage_with_recovery_is_invisible(self):
         result = server_outage_scenario(ops_per_client=5)
-        assert result.completed_all
+        assert result.stats.all_done()
         assert result.recovery_byte_identical
-        assert not result.failure_events
+        assert not result.failures
         assert result.system.server.restarts == 1
 
     def test_server_outage_on_volatile_storage_is_detected(self):
@@ -168,17 +170,82 @@ class TestScenarios:
             ops_per_client=5, storage="memory", run_for=600.0
         )
         assert not result.recovery_byte_identical
-        assert result.failure_events
+        assert result.failures
 
     def test_rollback_attack_detected_by_all(self):
         result = rollback_attack_scenario(ops_per_client=6)
         assert len(result.detection_times) == 3
         assert not math.isnan(result.detection_latency)
         assert result.detection_latency >= 0
-        assert result.restart_time is not None
+        assert result.reference is not None
 
     def test_rollback_scenario_deterministic(self):
         a = rollback_attack_scenario(ops_per_client=6)
         b = rollback_attack_scenario(ops_per_client=6)
         assert a.detection_times == b.detection_times
-        assert a.restart_time == b.restart_time
+        assert a.reference == b.reference
+
+    def test_rollback_attack_without_faust_is_not_unnoticed(self):
+        # Regression: detection times used to be read off the FAUST layer
+        # only, so the USTOR-only run reported no detection and a nan
+        # latency while all three clients had output fail_i (Algorithm 1,
+        # lines 36/43/51) and the hub held three notifications.
+        result = rollback_attack_scenario(faust=False)
+        assert all(c.failed for c in result.system.clients)
+        assert result.failed_clients == {0, 1, 2}
+        assert len(result.detection_times) == 3
+        assert math.isfinite(result.detection_latency)
+        assert result.detection_latency >= 0
+
+
+#: Every scenario row on every backend it runs on: (row, its knobs).
+_FAST = dict(ops_per_client=6, run_for=400.0)
+SCENARIO_ROWS = [
+    (row, dict(_FAST, faust=faust, **knobs))
+    for faust in (True, False)
+    for row, knobs in [
+        (server_outage_scenario, {}),
+        (server_outage_scenario, dict(storage="memory")),
+        (rollback_attack_scenario, {}),
+        (split_brain_scenario, {}),
+    ]
+] + [
+    (replica_rollback_scenario, dict(_FAST, **knobs))
+    for knobs in [
+        dict(replicas=1, rollback_replica=0),
+        dict(replicas=3),
+        dict(replicas=3, quorum=3),
+        dict(replicas=3, counter="durable"),
+        dict(replicas=3, counter="volatile", rollback_replica=None,
+             honest_outage=(1, 30.0, 5.0)),
+        dict(replicas=3, rollback_replica=None),
+    ]
+] + [
+    (split_brain_shard_scenario, dict(ops_per_client=8, run_for=300.0, **knobs))
+    for knobs in [dict(), dict(forked_shards=(1, 2), seed=43), dict(shard_map="hash")]
+]
+
+
+@pytest.mark.parametrize(
+    "row, knobs",
+    SCENARIO_ROWS,
+    ids=[
+        f"{row.__name__.removesuffix('_scenario')}-"
+        + ",".join(f"{k}={v}" for k, v in knobs.items() if k not in _FAST)
+        for row, knobs in SCENARIO_ROWS
+    ],
+)
+def test_one_reading_of_fail_i(row, knobs):
+    """Who failed is read from one place and agrees with the clients:
+    the record's failures == the clients with ``.failed``, whichever layer
+    raised ``fail_i``; latency is finite iff something was signalled —
+    with no counter to convict anybody, iff somebody output ``fail_i``."""
+    run = row(**knobs)
+    failed = {c.client_id for c in run.system.clients if c.failed}
+    assert run.failed_clients == failed == {e.client for e in run.failures}
+    assert len(run.detection_times) == len(failed)
+    assert run.detected == bool(failed or run.convicted)
+    assert math.isfinite(run.detection_latency) == run.detected
+    if run.config.counter is None:
+        assert not run.convicted
+        assert math.isfinite(run.detection_latency) == bool(failed)
