@@ -133,7 +133,7 @@ class SystemConfig:
     #: single untrusted server; ``>1`` puts a client-side quorum group
     #: behind each shard (over tcp: one endpoint per replica).
     replicas: int = 1
-    #: REPLYs that must agree byte-for-byte to elect a round's winner.
+    #: REPLYs that must be equal (dataclass ``==``) to elect a round's winner.
     #: ``None`` = majority (``replicas // 2 + 1``); ``replicas`` demands
     #: unanimity (nothing masked, everything detected).
     quorum: int | None = None

@@ -11,7 +11,7 @@ honest, Byzantine, or long gone.
 
 Record shapes (one JSON object per line; ``seq`` is a global counter)::
 
-    {"t": "header", "v": 2, "n": ..., "scheme": ..., "server": ...,
+    {"t": "header", "v": 3, "n": ..., "scheme": ..., "server": ...,
      "endpoints": [...], "piggyback": ...}
     {"t": "invoke",   "seq": k, "c": i, "k": "WRITE", "r": j,
      "val": <hex|null>, "ts": t, "at": seconds}
@@ -49,10 +49,11 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import SimTrace
 from repro.workloads import runner
 
-#: Bumped whenever the canonical encoding changes: ``payload`` is those
-#: bytes, so an older trace cannot be replayed (v1: 8-byte length fields;
-#: v2: varint length fields).
-TRACE_VERSION = 2
+#: Bumped whenever the canonical encoding or a frame's shape changes:
+#: ``payload`` is those bytes, so an older trace cannot be replayed (v1:
+#: 8-byte length fields; v2: varint length fields; v3: a REPLY's ``P`` cut
+#: to ``L``'s submitters and ``SVER[j] = SVER[c]`` back-referenced).
+TRACE_VERSION = 3
 
 
 def _value_to_json(value) -> str | None:

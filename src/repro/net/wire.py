@@ -16,6 +16,12 @@ a WAL record gets (malformed input from a Byzantine server raises
 :class:`~repro.common.errors.EncodingError`, never half-builds a
 message).
 
+A REPLY travels in the form Algorithm 1 reads it: ``P`` as the
+PROOF-signatures of ``L``'s distinct submitters, in ``L`` order, and a
+back-reference where ``SVER[j]`` is ``SVER[c]`` (see
+:func:`~repro.store.codec.reply_to_tuple`); the decoder rebuilds the
+``n``-slot message and refuses a proof list that does not match ``L``.
+
 SUBMIT/COMMIT/REPLY tuples may carry one *optional trailing* element —
 the causal trace id (:mod:`repro.obs.tracing`).  The codec appends it
 only when present and pads it with ``None`` when absent, so decoders for

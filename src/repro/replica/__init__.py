@@ -9,8 +9,8 @@ client protocol:
 * :class:`~repro.replica.coordinator.QuorumCoordinator` — a client-side
   k-of-n replica group per shard.  Every SUBMIT/COMMIT is broadcast to
   all replicas; REPLYs are matched into per-operation rounds and a
-  quorum of byte-identical REPLYs elects the one the protocol layer
-  processes.  An honest majority therefore *masks* faults a lone server
+  quorum of equal (dataclass ``==``) REPLYs elects the one the protocol
+  layer processes.  An honest majority therefore *masks* faults a lone server
   could only be caught at, while the minority's deviating REPLYs are
   still visible (and counted) evidence.
 

@@ -13,9 +13,10 @@ into per-operation rounds without any wire-format change.
 
 Resolution per round:
 
-* **write quorum** — ``>= quorum`` byte-identical REPLYs (counter
-  attestations stripped first: those legitimately differ per replica)
-  elect a winner, which flows into the unchanged Algorithm 1 checks.
+* **write quorum** — ``>= quorum`` equal REPLYs (dataclass ``==`` on
+  the decoded messages, not their bytes; counter attestations stripped
+  first: those legitimately differ per replica) elect a winner, which
+  flows into the unchanged Algorithm 1 checks.
   Deviating minority REPLYs are *masked* — counted, not fatal.
 * **read quorum with write-back** — if every live replica answered and
   no value reached quorum (replicas caught mid-propagation or partially
@@ -120,7 +121,7 @@ class QuorumCoordinator:
 
     @property
     def quorum(self) -> int:
-        """REPLYs that must agree byte-for-byte to elect a winner."""
+        """REPLYs that must be equal (dataclass ``==``) to elect a winner."""
         return self._quorum
 
     @property

@@ -35,7 +35,7 @@ server that "restores yesterday's backup" and then runs honest code over
 the stale state).  A server that additionally *lies* to its own trusted
 component about the state position forfeits this O(1) detection — but it
 is then actively forging, and the protocol's signature checks and the
-quorum's byte-for-byte REPLY comparison own that case.
+quorum's REPLY comparison (dataclass ``==``) own that case.
 
 Authenticity is an HMAC under a key shared between the counter (the
 trusted component) and the clients — the *server* never holds it, so it
@@ -233,6 +233,8 @@ class CounterVerifier:
 
     def __init__(self) -> None:
         self._last_seen: dict[str, int] = {}
+        #: MAC key per counter id, derived once (one per replica judged).
+        self._keys: dict[str, bytes] = {}
 
     def check(self, counter_id: str, reply, binding: bytes) -> str | None:
         """Judge one REPLY from the replica owning ``counter_id``.
@@ -251,7 +253,9 @@ class CounterVerifier:
                 f"attestation names counter {attestation.counter_id!r}, "
                 f"expected {counter_id!r}"
             )
-        key = derive_counter_key(counter_id)
+        key = self._keys.get(counter_id)
+        if key is None:
+            key = self._keys[counter_id] = derive_counter_key(counter_id)
         expected_mac = _mac(
             key,
             counter_id,

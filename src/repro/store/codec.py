@@ -180,18 +180,40 @@ def submit_from_tuple(data: tuple) -> SubmitMessage:
     )
 
 
+#: The ``reader_version`` slot of a read REPLY whose ``SVER[j]`` is its
+#: ``SVER[c]`` (``j = c``): a back-reference, not the version twice.
+_SAME_AS_LAST = True
+
+
 def reply_to_tuple(message: ReplyMessage) -> tuple:
-    reader_version = (
-        None
-        if message.reader_version is None
-        else signed_version_to_tuple(message.reader_version)
-    )
+    """The REPLY as it travels: ``P`` cut to the PROOF-signatures of ``L``'s
+    distinct submitters (in ``L`` order) and ``SVER[j]`` back-referenced
+    when it is ``SVER[c]`` — see :class:`ReplyMessage`.  A REPLY the form
+    cannot carry (``P`` not one slot per client, ``L`` naming a client
+    outside ``0..n-1``) is an :class:`EncodingError`."""
+    last = message.last_version
+    proofs = message.proofs
+    n = len(last.version.vector)
+    if len(proofs) != n:
+        raise EncodingError(f"REPLY has {len(proofs)} PROOF slots for {n} clients")
+    sent = []
+    if message.pending:
+        for k in message.submitters():
+            if not (isinstance(k, int) and 0 <= k < n):
+                raise EncodingError(f"REPLY lists client {k!r} of {n} in L")
+            sent.append(proofs[k])
+    if message.reader_version is None:
+        reader_version = None
+    elif message.reader_is_last():
+        reader_version = _SAME_AS_LAST
+    else:
+        reader_version = signed_version_to_tuple(message.reader_version)
     mem = None if message.mem is None else mem_entry_to_tuple(message.mem)
     base = (
         message.commit_index,
-        signed_version_to_tuple(message.last_version),
+        signed_version_to_tuple(last),
         tuple(invocation_to_tuple(inv) for inv in message.pending),
-        tuple(message.proofs),
+        tuple(sent),
         reader_version,
         mem,
     )
@@ -218,16 +240,45 @@ def reply_from_tuple(data: tuple) -> ReplyMessage:
         trace_id,
         attestation,
     ) = _flex_shape(data, 6, 2, "ReplyMessage")
+    last = signed_version_from_tuple(last_version)
+    n = len(last.version.vector)
+    if not isinstance(pending, tuple) or not isinstance(proofs, tuple):
+        raise EncodingError(f"malformed REPLY L/P encoding: {pending!r}, {proofs!r}")
+    # One pass over L: decode each entry and, at a submitter's first
+    # appearance, put the next sent PROOF-signature into its slot.
+    entries = []
+    slots: list = [None] * n
+    seen = set()
+    for raw in pending:
+        entry = invocation_from_tuple(raw)
+        entries.append(entry)
+        k = entry.client
+        if k in seen:
+            continue
+        if not (isinstance(k, int) and 0 <= k < n) or len(seen) == len(proofs):
+            raise EncodingError(
+                f"REPLY lists client {k!r} of {n} in L with {len(proofs)} proofs"
+            )
+        slots[k] = proofs[len(seen)]
+        seen.add(k)
+    if len(seen) != len(proofs):
+        raise EncodingError(
+            f"REPLY carries {len(proofs)} proofs for {len(seen)} submitters in L"
+        )
+    if reader_version is _SAME_AS_LAST:
+        if mem is None:
+            raise EncodingError("REPLY back-references SVER[c] without MEM[j]")
+        reader = last
+    elif reader_version is None:
+        reader = None
+    else:
+        reader = signed_version_from_tuple(reader_version)
     return ReplyMessage(
         commit_index=commit_index,
-        last_version=signed_version_from_tuple(last_version),
-        pending=tuple(invocation_from_tuple(inv) for inv in pending),
-        proofs=tuple(proofs),
-        reader_version=(
-            None
-            if reader_version is None
-            else signed_version_from_tuple(reader_version)
-        ),
+        last_version=last,
+        pending=tuple(entries),
+        proofs=tuple(slots),
+        reader_version=reader,
         mem=None if mem is None else mem_entry_from_tuple(mem),
         trace_id=trace_id,
         attestation=(

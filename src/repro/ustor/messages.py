@@ -191,6 +191,15 @@ class ReplyMessage:
     """``<REPLY, c, SVER[c], [SVER[j], MEM[j],] L, P>`` (lines 111/114).
 
     ``reader_version`` and ``mem`` are present for read operations only.
+
+    ``proofs`` holds all ``n`` slots of ``P``, but Algorithm 1 reads
+    ``P[k]`` only for the ``k`` listed in ``L`` (line 41), and a read with
+    ``j = c`` hands out ``SVER[c]`` twice.  What travels is sized to that:
+    the PROOF-signatures of :meth:`submitters` only, and a back-reference
+    (one marker byte in :meth:`wire_size`) in place of a ``reader_version``
+    that *is* ``last_version`` (:meth:`reader_is_last`) — the wire codec
+    (:mod:`repro.store.codec`) and :meth:`wire_size` apply the same two
+    rules.
     """
 
     commit_index: ClientId  # c — who committed the last scheduled operation
@@ -209,12 +218,31 @@ class ReplyMessage:
 
     kind = "REPLY"
 
+    def submitters(self) -> tuple[ClientId, ...]:
+        """``L``'s distinct submitters in order of first appearance: the
+        ``k`` whose ``P[k]`` line 41 reads, each once."""
+        return tuple({entry.client: None for entry in self.pending})
+
+    def reader_is_last(self) -> bool:
+        """A read REPLY whose ``SVER[j]`` is the very ``SVER[c]`` object.
+
+        Identity, not ``==``: a version that merely compares equal (``True
+        == 1``) still travels in full, so the client judges exactly what
+        the server built.
+        """
+        return self.reader_version is self.last_version and self.mem is not None
+
     def wire_size(self) -> int:
         size = MARKER_BYTES + INT_BYTES + self.last_version.wire_size()
-        size += sum(t.wire_size() for t in self.pending)
-        size += _slots_size(self.proofs, SIGNATURE_BYTES)
+        if self.pending:
+            size += sum(t.wire_size() for t in self.pending)
+            proofs = self.proofs
+            size += _slots_size([proofs[k] for k in self.submitters()], SIGNATURE_BYTES)
         if self.reader_version is not None:
-            size += self.reader_version.wire_size()
+            if self.reader_is_last():
+                size += MARKER_BYTES
+            else:
+                size += self.reader_version.wire_size()
         if self.mem is not None:
             size += self.mem.wire_size()
         if self.trace_id is not None:

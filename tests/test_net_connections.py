@@ -31,7 +31,9 @@ from hypothesis import strategies as st
 
 from repro.api.config import BatchingPolicy
 from repro.api.session import Session, as_session
+from repro.common.encoding import encode
 from repro.common.errors import SimulationError
+from repro.common.types import OpKind
 from repro.net.client import NetRuntime, open_tcp_system, parse_endpoint
 from repro.net.framing import MAX_FRAME_BYTES, encode_frame
 from repro.net.server import NetServerHost, serve_forever
@@ -253,6 +255,18 @@ OLD_FORMAT_HELLO = (
 #: 2 000 bytes of one-element sequence headers around a ``None``.
 DEEP_PAYLOAD = b"\x05\x01" * 1000 + b"\x00"
 
+_ZERO = (((0, 0), (None, None)), None)  # SVER[c] of two clients, zero
+_SIG = b"\x01" * 64
+#: REPLYs of the right shape whose proof list or back-reference the
+#: decoder refuses (``tests/test_reply_wire_form.py`` has the full set).
+MALFORMED_REPLIES = {
+    "proof-count": encode(("REPLY", (0, _ZERO, (), (_SIG,), None, None))),
+    "submitter-out-of-range": encode(
+        ("REPLY", (0, _ZERO, ((2, OpKind.WRITE, 2, _SIG),), (_SIG,), None, None))
+    ),
+    "back-reference-in-a-write": encode(("REPLY", (0, _ZERO, (), (), True, None))),
+}
+
 
 def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
     """The segments a raw peer sends in client 1's seat, and the bytes the
@@ -390,6 +404,29 @@ class TestClientReadPath:
             notes = system.trace.notes_of_kind("net-malformed-frame")
             assert [note.source for note in notes] == ["C1"]
             assert system.connections[0].reconnects == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+    def test_malformed_reply_is_noted_then_reconnected(self, runtime, case):
+        # A REPLY whose proofs do not match L, or that back-references
+        # SVER[c] without MEM[j], is a malformed frame like any other:
+        # one note, one reconnect, and the next operation is served.
+        system, host = _open_deployment(runtime)
+        with system:
+            session = as_session(system, 0)
+            assert session.write_sync(b"one") == 1
+            assert system.run_until(
+                lambda: not host.node.state.pending, timeout=2.0
+            )
+            host._connections["C1"].write(encode_frame(MALFORMED_REPLIES[case]))
+            assert system.run_until(
+                lambda: system.trace.notes_of_kind("net-malformed-frame"),
+                timeout=2.0,
+            )
+            assert session.write_sync(b"two") == 2
+            notes = system.trace.notes_of_kind("net-malformed-frame")
+            assert [note.source for note in notes] == ["C1"]
+            assert system.connections[0].reconnects == 1
+            assert not system.clients[0].failed
 
     def test_many_replies_in_one_segment_all_delivered(self, runtime, recorded):
         # A server that answers in bursts: WELCOME's successor frames land

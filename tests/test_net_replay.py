@@ -157,7 +157,7 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 2
+        assert records[0]["v"] == 3
         assert records[0]["n"] == 3
         kinds = {r["t"] for r in records}
         assert {"header", "invoke", "response", "frame"} <= kinds
@@ -188,10 +188,34 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             f'"payload":"{old_frame}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v2"):
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v3"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "this build reads v2" in capsys.readouterr().out
+        assert "this build reads v3" in capsys.readouterr().out
+
+    def test_trace_of_the_all_proofs_reply_form_refused(self, tmp_path, capsys):
+        # v2 REPLYs carry all n PROOF-signatures: ("REPLY", (c, SVER[c], L,
+        # P, ...)) with L empty and P full is what this build's decoder
+        # refuses as "2 proofs for 0 submitters" — the header stops it first.
+        from repro.cli import main
+        from repro.common.encoding import encode
+        from repro.common.errors import EncodingError
+        from repro.net.wire import payload_to_message
+
+        zero = (((0, 0), (None, None)), None)
+        v2_reply = encode(("REPLY", (0, zero, (), (b"p" * 64, b"q" * 64), None, None)))
+        with pytest.raises(EncodingError, match="2 proofs for 0 submitters"):
+            payload_to_message(v2_reply)
+        path = tmp_path / "v2.jsonl"
+        path.write_text(
+            '{"t":"header","v":2,"n":2,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
+            f'"payload":"{v2_reply.hex()}","at":0.0}}\n'
+        )
+        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v3"):
+            load_trace(str(path))
+        assert main(["replay", "--trace", str(path)]) == 1
+        assert "trace version 2 unsupported" in capsys.readouterr().out
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

@@ -186,6 +186,28 @@ class TestCounterVerifier:
         # r1 starting from 1 is fine: monotonicity is per counter id.
         assert verifier.check("S/r1", reply_with(b.attest(b"t", 1)), b"t") is None
 
+    def test_key_is_derived_once_per_counter(self, monkeypatch):
+        import repro.replica.counter as counter_module
+
+        derived = []
+
+        def counting(counter_id):
+            derived.append(counter_id)
+            return derive_counter_key(counter_id)
+
+        verifier = CounterVerifier()
+        a, b = MonotonicCounter("S/r0"), MonotonicCounter("S/r1")
+        monkeypatch.setattr(counter_module, "derive_counter_key", counting)
+        for position in range(1, 4):
+            for counter in (a, b):
+                binding = f"{counter.counter_id}-{position}".encode()
+                reply = reply_with(counter.attest(binding, position))
+                assert verifier.check(counter.counter_id, reply, binding) is None
+        assert derived == ["S/r0", "S/r1"]
+        # A forged MAC is still judged against the cached key.
+        forged = replace(a.attest(b"x", 4), mac=b"\x00" * COUNTER_MAC_BYTES)
+        assert "not authentic" in verifier.check("S/r0", reply_with(forged), b"x")
+
 
 class TestOpsAccounted:
     def test_counts_committed_vector_plus_pending(self):

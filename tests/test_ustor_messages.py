@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.types import BOTTOM, OpKind
 from repro.crypto.hashing import HASH_BYTES
 from repro.crypto.signatures import SIGNATURE_BYTES
@@ -28,8 +30,10 @@ def make_version(n: int, filled: int | None = None) -> Version:
     )
 
 
-def invocation() -> InvocationTuple:
-    return InvocationTuple(client=0, opcode=OpKind.WRITE, register=0, submit_sig=SIG)
+def invocation(client: int = 0) -> InvocationTuple:
+    return InvocationTuple(
+        client=client, opcode=OpKind.WRITE, register=client, submit_sig=SIG
+    )
 
 
 class TestVersionSize:
@@ -86,35 +90,65 @@ class TestSubmitSize:
 
 
 class TestReplySize:
-    def _reply(self, n: int, pending: int = 0, read: bool = False) -> ReplyMessage:
+    """``P`` costs only the PROOF-signatures of ``L``'s distinct submitters,
+    and a read with ``j = c`` one marker byte for ``SVER[j]``."""
+
+    def _reply(
+        self, n: int, pending=(), read: bool = False, j_is_c: bool = False
+    ) -> ReplyMessage:
+        last = SignedVersion(make_version(n), SIG)
+        reader = last if j_is_c else SignedVersion(make_version(n), SIG)
         return ReplyMessage(
             commit_index=0,
-            last_version=SignedVersion(make_version(n), SIG),
-            pending=tuple(invocation() for _ in range(pending)),
+            last_version=last,
+            pending=tuple(invocation(k) for k in pending),
             proofs=tuple(SIG for _ in range(n)),
-            reader_version=SignedVersion(make_version(n), SIG) if read else None,
+            reader_version=reader if read else None,
             mem=MemEntry(1, b"v" * 10, SIG) if read else None,
         )
 
     def test_linear_in_population(self):
+        # V (8 B/entry) + M (32 B/entry); P adds nothing while L is empty ...
         small = self._reply(4).wire_size()
         large = self._reply(8).wire_size()
-        # V (8B/entry) + M (32B/entry) + P (64B/entry).
-        assert large - small == 4 * (8 + HASH_BYTES + SIGNATURE_BYTES)
+        assert large - small == 4 * (8 + HASH_BYTES)
+        # ... and one invocation tuple plus one PROOF-signature per client
+        # when L lists every client.
+        small = self._reply(4, pending=range(4)).wire_size()
+        large = self._reply(8, pending=range(8)).wire_size()
+        assert large - small == 4 * (
+            8 + HASH_BYTES + invocation().wire_size() + SIGNATURE_BYTES
+        )
 
     def test_pending_entries_additive(self):
+        # A new submitter in L brings its PROOF-signature along; a repeated
+        # one (piggyback mode) only its invocation tuple.
         base = self._reply(4).wire_size()
-        plus2 = self._reply(4, pending=2).wire_size()
-        assert plus2 == base + 2 * invocation().wire_size()
+        plus2 = self._reply(4, pending=(1, 2)).wire_size()
+        assert plus2 == base + 2 * (invocation().wire_size() + SIGNATURE_BYTES)
+        repeated = self._reply(4, pending=(1, 2, 1)).wire_size()
+        assert repeated == plus2 + invocation().wire_size()
 
     def test_read_reply_larger_than_write_reply(self):
         write_reply = self._reply(4, read=False).wire_size()
         read_reply = self._reply(4, read=True).wire_size()
         assert read_reply > write_reply
+        # j = c: SVER[j] *is* SVER[c] and travels as one marker byte.
+        same = self._reply(4, read=True, j_is_c=True)
+        mem = same.mem.wire_size()
+        assert same.wire_size() == write_reply + 1 + mem
+        assert read_reply == write_reply + same.last_version.wire_size() + mem
+        # Equal is not enough: an equal copy is sent in full.
+        copy = replace(same, reader_version=replace(same.last_version))
+        assert copy.reader_version == copy.last_version
+        assert copy.wire_size() == read_reply
+        # A reader version without MEM[j] is never back-referenced.
+        assert replace(same, mem=None).wire_size() == read_reply - mem
 
     def test_absent_proofs_and_digests_cost_one_byte_each(self):
-        """Entry by entry: 64 B per PROOF-signature, 32 B per digest, 8 B
-        per timestamp, one marker byte for every BOTTOM."""
+        """Entry by entry: 64 B per PROOF-signature L names, 32 B per digest,
+        8 B per timestamp, one marker byte for every BOTTOM; P's slots L
+        does not name cost nothing, filled or not."""
         for n in range(5):
             for filled in range(n + 1):
                 version = make_version(n, filled)
@@ -123,10 +157,14 @@ class TestReplySize:
                     for digest in version.digests
                 )
                 proofs = tuple(SIG if i < filled else None for i in range(n))
-                base = self._reply(n)
-                holed = ReplyMessage(0, base.last_version, (), proofs)
+                base = self._reply(n, pending=range(n))
+                holed = replace(base, proofs=proofs)
                 assert base.wire_size() - holed.wire_size() == (n - filled) * (
                     SIGNATURE_BYTES - 1
+                )
+                unlisted = self._reply(n)
+                assert replace(unlisted, proofs=proofs).wire_size() == (
+                    unlisted.wire_size()
                 )
 
     def test_bottom_mem_entry_is_small(self):
