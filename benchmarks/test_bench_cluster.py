@@ -8,8 +8,8 @@ Two questions a deployment sizer asks of `repro.cluster`:
   more shards (more servers, same register space).
 
 All randomness comes from the pinned ``bench_seed``/``bench_rng``
-fixtures, so runs are replayable and the emitted ``BENCH_*.json``
-results are comparable across commits.
+fixtures, so runs are replayable and their pytest-benchmark timings
+are comparable across commits.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The observability instrumentation sits on the protocol hot seams —
 session op issue/settle, batching flushes, server group commits — and
 its contract is that the *default* (disabled) registry is a near-no-op:
 at most 5% on top of the digest-chain and TLV-encode hot paths that
-dominate those seams.  Each test times a protocol-shaped loop twice:
+dominate those seams.  Each registry-off test times a protocol-shaped
+loop twice:
 
 * **bare** — the digest/encode work alone, shaped exactly like
   ``test_bench_perf.py``'s workloads;
@@ -15,22 +16,14 @@ dominate those seams.  Each test times a protocol-shaped loop twice:
 With the default ``NullRegistry`` the instrumented/bare ratio must stay
 under :data:`OVERHEAD_BUDGET`; timings are best-of-``k`` minima and the
 ratio gets a bounded retry so one noisy scheduler tick cannot fail the
-gate.  The same loops re-timed under a live
-:class:`~repro.obs.registry.Registry` are recorded ``gate=False``:
-real bucket arithmetic is a cost we report but do not gate on.
-
-The gated ``hot_paths`` entries store *reference = instrumented,
-optimized = bare*, so the recorded ratio IS the overhead factor (just
-above 1.0).  The 5% budget is enforced by the in-test assertion, which
-runs in the same CI job as the regression pipeline; the baseline entry
-keeps the pipeline aware the path exists (a vanished gated hot path
-still fails CI).
+gate.  The instrumented loops are also timed by pytest-benchmark under
+a live :class:`~repro.obs.registry.Registry`: real bucket arithmetic is
+a cost we report but do not gate on.
 """
 
 from __future__ import annotations
 
 import gc
-import time
 
 from repro.common.encoding import encode
 from repro.common.types import OpKind
@@ -50,20 +43,8 @@ OVERHEAD_BUDGET = 1.05
 MEASURE_ATTEMPTS = 16
 
 
-def _best_seconds(fn, repeats: int = 5) -> float:
-    """Minimum wall-clock of ``repeats`` runs of ``fn`` (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
-
-
-def _measure_overhead(bare, instrumented):
-    """``(ratio, bare_seconds, instrumented_seconds)`` from noise floors.
+def _measure_overhead(best_seconds, bare, instrumented) -> float:
+    """The instrumented/bare ratio of the two loops' noise floors.
 
     A single back-to-back timing pair swings by ±10% on a busy machine —
     far more than the ~2% effect under measurement — so the ratio is
@@ -82,9 +63,9 @@ def _measure_overhead(bare, instrumented):
     gc.disable()  # a collection pause dwarfs the effect being measured
     try:
         for attempt in range(MEASURE_ATTEMPTS):
-            best_bare = min(best_bare, _best_seconds(bare))
+            best_bare = min(best_bare, best_seconds(bare))
             best_instrumented = min(
-                best_instrumented, _best_seconds(instrumented)
+                best_instrumented, best_seconds(instrumented)
             )
             ratio = best_instrumented / best_bare
             if attempt >= 1 and 1.0 <= ratio <= OVERHEAD_BUDGET:
@@ -92,7 +73,7 @@ def _measure_overhead(bare, instrumented):
     finally:
         if was_collecting:
             gc.enable()
-    return ratio, best_bare, best_instrumented
+    return ratio
 
 
 # --------------------------------------------------------------------- #
@@ -122,26 +103,19 @@ def _instrumented_digest_ops(ops, length, clients, issued, settled, latency):
         latency.observe(float(length))
 
 
-def test_digest_seam_overhead_with_registry_off(record_hot_path):
+def test_digest_seam_overhead_with_registry_off(best_seconds):
     registry = get_registry()
     assert not registry.enabled, "benchmarks assume the default NullRegistry"
     issued = registry.counter("bench.obs.issued")
     settled = registry.counter("bench.obs.settled")
     latency = registry.histogram("bench.obs.latency", LATENCY_BUCKETS)
 
-    ratio, bare_seconds, instrumented_seconds = _measure_overhead(
+    ratio = _measure_overhead(
+        best_seconds,
         lambda: _bare_digest_ops(DIGEST_OPS, CHAIN_LENGTH, CLIENTS),
         lambda: _instrumented_digest_ops(
             DIGEST_OPS, CHAIN_LENGTH, CLIENTS, issued, settled, latency
         ),
-    )
-    record_hot_path(
-        "obs_registry_off_digest",
-        instrumented_seconds,
-        bare_seconds,
-        ops=DIGEST_OPS,
-        chain_length=CHAIN_LENGTH,
-        overhead_percent=round((ratio - 1.0) * 100.0, 2),
     )
     assert ratio <= OVERHEAD_BUDGET, (
         f"disabled-registry instrumentation costs {100 * (ratio - 1):.1f}% "
@@ -149,30 +123,18 @@ def test_digest_seam_overhead_with_registry_off(record_hot_path):
     )
 
 
-def test_digest_seam_cost_with_registry_on(record_hot_path):
+def test_digest_seam_cost_with_registry_on(benchmark):
     with use_registry(Registry()) as registry:
         issued = registry.counter("bench.obs.issued")
         settled = registry.counter("bench.obs.settled")
         latency = registry.histogram("bench.obs.latency", LATENCY_BUCKETS)
-        bare = lambda: _bare_digest_ops(DIGEST_OPS, CHAIN_LENGTH, CLIENTS)
-        instrumented = lambda: _instrumented_digest_ops(
-            DIGEST_OPS, CHAIN_LENGTH, CLIENTS, issued, settled, latency
+        benchmark(
+            _instrumented_digest_ops,
+            DIGEST_OPS, CHAIN_LENGTH, CLIENTS, issued, settled, latency,
         )
-        bare()
-        instrumented()
-        bare_seconds = _best_seconds(bare)
-        instrumented_seconds = _best_seconds(instrumented)
         # Live recording really happened (not optimised away).
         assert issued.value > 0
         assert latency.count > 0
-    record_hot_path(
-        "obs_registry_on_digest",
-        instrumented_seconds,
-        bare_seconds,
-        gate=False,  # live bucket arithmetic is a machine property
-        ops=DIGEST_OPS,
-        chain_length=CHAIN_LENGTH,
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -214,26 +176,19 @@ def _instrumented_encode_batches(rounds, payloads, flushes, batch_ops):
         batch_ops.observe(size)
 
 
-def test_encode_seam_overhead_with_registry_off(record_hot_path):
+def test_encode_seam_overhead_with_registry_off(best_seconds):
     registry = get_registry()
     assert not registry.enabled, "benchmarks assume the default NullRegistry"
     flushes = registry.counter("bench.obs.flushes")
     batch_ops = registry.histogram("bench.obs.batch_ops", COUNT_BUCKETS)
     payloads = _protocol_payloads()
 
-    ratio, bare_seconds, instrumented_seconds = _measure_overhead(
+    ratio = _measure_overhead(
+        best_seconds,
         lambda: _bare_encode_batches(ENCODE_ROUNDS, payloads),
         lambda: _instrumented_encode_batches(
             ENCODE_ROUNDS, payloads, flushes, batch_ops
         ),
-    )
-    record_hot_path(
-        "obs_registry_off_encode",
-        instrumented_seconds,
-        bare_seconds,
-        rounds=ENCODE_ROUNDS,
-        payloads=len(payloads),
-        overhead_percent=round((ratio - 1.0) * 100.0, 2),
     )
     assert ratio <= OVERHEAD_BUDGET, (
         f"disabled-registry instrumentation costs {100 * (ratio - 1):.1f}% "
@@ -241,26 +196,13 @@ def test_encode_seam_overhead_with_registry_off(record_hot_path):
     )
 
 
-def test_encode_seam_cost_with_registry_on(record_hot_path):
+def test_encode_seam_cost_with_registry_on(benchmark):
     payloads = _protocol_payloads()
     with use_registry(Registry()) as registry:
         flushes = registry.counter("bench.obs.flushes")
         batch_ops = registry.histogram("bench.obs.batch_ops", COUNT_BUCKETS)
-        bare = lambda: _bare_encode_batches(ENCODE_ROUNDS, payloads)
-        instrumented = lambda: _instrumented_encode_batches(
-            ENCODE_ROUNDS, payloads, flushes, batch_ops
+        benchmark(
+            _instrumented_encode_batches, ENCODE_ROUNDS, payloads, flushes, batch_ops
         )
-        bare()
-        instrumented()
-        bare_seconds = _best_seconds(bare)
-        instrumented_seconds = _best_seconds(instrumented)
         assert flushes.value > 0
         assert batch_ops.count > 0
-    record_hot_path(
-        "obs_registry_on_encode",
-        instrumented_seconds,
-        bare_seconds,
-        gate=False,  # live bucket arithmetic is a machine property
-        rounds=ENCODE_ROUNDS,
-        payloads=len(payloads),
-    )

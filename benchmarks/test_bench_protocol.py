@@ -73,10 +73,10 @@ def test_server_apply_submit(benchmark):
 
 
 def test_lockstep_throughput(benchmark):
-    from repro.baselines.lockstep import build_lockstep_system
+    from repro.baselines.lockstep import lockstep_protocol
 
     def run():
-        system = build_lockstep_system(4, seed=4)
+        system = SystemBuilder(4, seed=4).build_protocol(lockstep_protocol())
         scripts = generate_scripts(
             4,
             WorkloadConfig(ops_per_client=15, read_fraction=0.5, mean_think_time=0.0),

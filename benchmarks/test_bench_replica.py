@@ -6,9 +6,8 @@ REPLYing, plus a constant attestation per REPLY.  These benchmarks
 price that trade concretely:
 
 * **write amplification** — the same seeded workload on a single server
-  vs. a 3-replica group with durable counters, recorded as a
-  ``gate=False`` hot-path ratio (the factor measures the topology, not
-  our code: it must not fail CI when the baseline machine differs);
+  vs. a 3-replica group with durable counters: the wire-byte ratio must
+  sit near n, and the replicated run must not be faster;
 * **coordinator micro-cost** — quorum resolution is client-side
   bookkeeping on the latency path of every operation, so its per-REPLY
   cost is timed directly;
@@ -43,7 +42,7 @@ def _run_workload(seed: int, replicas: int, counter: str | None):
     return system.trace.total_bytes()
 
 
-def test_replica_write_amplification(record_hot_path, bench_seed):
+def test_replica_write_amplification(bench_seed):
     """3 replicas + counters vs. the bare single server, same workload."""
     started = time.perf_counter()
     single_bytes = _run_workload(bench_seed, replicas=1, counter=None)
@@ -53,17 +52,7 @@ def test_replica_write_amplification(record_hot_path, bench_seed):
     replicated_bytes = _run_workload(bench_seed, replicas=3, counter="durable")
     replicated_seconds = time.perf_counter() - started
 
-    amplification = record_hot_path(
-        "replica_write_amplification",
-        reference_seconds=replicated_seconds,
-        optimized_seconds=single_seconds,
-        gate=False,
-        replicas=3,
-        counter="durable",
-        single_wire_bytes=single_bytes,
-        replicated_wire_bytes=replicated_bytes,
-        wire_bytes_ratio=replicated_bytes / single_bytes,
-    )
+    amplification = replicated_seconds / single_seconds
     # The wire cost is structural — n SUBMIT copies, n REPLYs, one
     # attestation each — so the byte ratio must sit near n, and the
     # wall-clock amplification should not be wildly super-linear.

@@ -11,7 +11,6 @@ and a real directory.
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
@@ -92,35 +91,31 @@ def test_wal_append_throughput(benchmark, medium_factory, tmp_path):
     assert benchmark(append_all) == 200
 
 
-def test_directory_append_cost_vs_memory(record_hot_path, tmp_path):
-    """Per-append time of the real-file medium next to the in-memory one:
-    what persist-before-reply costs per WAL record on this machine's
+@pytest.mark.parametrize(
+    "medium_factory",
+    [InMemoryMedium, "directory"],
+    ids=["memory-medium", "directory-medium"],
+)
+def test_raw_append_cost(benchmark, medium_factory, tmp_path):
+    """Per-append time of one medium, without the engine: what
+    persist-before-reply costs per WAL record on this machine's
     filesystem (`tcp_mixed_ed25519` pays it twice per operation)."""
     frame = b"w" * 325  # the mean WAL frame of tcp_mixed_ed25519
     rounds = 5000
+    medium = (
+        DirectoryMedium(tmp_path / "append-cost")
+        if medium_factory == "directory"
+        else medium_factory()
+    )
+    medium.append("wal", frame)  # open the handle outside the timing
 
-    def per_append(medium) -> float:
-        medium.append("wal", frame)  # open the handle outside the timing
-        started = time.perf_counter()
+    def per_append():
         for _ in range(rounds):
             medium.append("wal", frame)
-        elapsed = time.perf_counter() - started
-        assert medium.size("wal") == (rounds + 1) * len(frame)
-        medium.close()
-        return elapsed / rounds
 
-    memory_seconds = per_append(InMemoryMedium())
-    directory_seconds = per_append(DirectoryMedium(tmp_path / "append-cost"))
-    record_hot_path(
-        "store_directory_append_vs_memory",
-        reference_seconds=directory_seconds,
-        optimized_seconds=memory_seconds,
-        gate=False,  # a write(2) on this host's filesystem: a machine property
-        frame_bytes=len(frame),
-        rounds=rounds,
-        directory_us_per_append=directory_seconds * 1e6,
-        memory_us_per_append=memory_seconds * 1e6,
-    )
+    benchmark.pedantic(per_append, rounds=1)
+    assert medium.size("wal") == (rounds + 1) * len(frame)
+    medium.close()
 
 
 def test_snapshot_checkpoint(benchmark):

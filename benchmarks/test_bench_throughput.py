@@ -2,10 +2,9 @@
 
 The PR-5 throughput pipeline has four layers — session auto-flush
 batching, transport burst coalescing, server group commit, and streaming
-incremental audits — and this suite measures them the way the regression
-gate needs:
+incremental audits — and this suite measures them in two shapes:
 
-* ``e2e_throughput_audited`` (GATED, >= 2x asserted here): the
+* the audited pipeline (>= 2x asserted here): the
   protocol-shaped workload *with periodic consistency audits*, the
   configuration every long-running deployment of the simulator uses.
   The reference pipeline is what the repo did before this PR — per-op
@@ -15,11 +14,11 @@ gate needs:
   audit-complexity change (O(history) -> O(delta) per audit), which is
   a property of the code, not the machine — it grows with workload
   length, so the floor below is conservative.
-* ``e2e_throughput_pipelined`` (informational): the same workload with
-  no audits at all.  Batching cannot make the protocol's crypto or
-  encoding cheaper (the bytes are identical by design), so this ratio
-  measures only the per-event machinery and hovers near 1; it is
-  recorded so the trajectory shows where the wall-clock actually goes.
+* the pipelined workload (structural assertions only): the same
+  workload with no audits at all.  Batching cannot make the protocol's
+  crypto or encoding cheaper (the bytes are identical by design), so its
+  wall-clock ratio measures only the per-event machinery and hovers near
+  1; what batching must change is the event, message and WAL counts.
 
 Deterministic structural assertions (scheduler events, WAL appends,
 coalesced messages) run on every machine regardless of timing noise.
@@ -35,7 +34,7 @@ from repro.consistency import check_causal_consistency, check_linearizability
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import unique_value
 
-#: Floor demanded by the ISSUE's acceptance criteria for the audited
+#: Floor on the reference/optimized wall-clock of the audited
 #: end-to-end pipeline.
 REQUIRED_THROUGHPUT_SPEEDUP = 2.0
 
@@ -115,11 +114,11 @@ def _run_optimized(num_clients: int, ops_per_client: int, seed: int,
 
 
 # --------------------------------------------------------------------- #
-# The gated end-to-end ratio (audited protocol-shaped workload)
+# The floored end-to-end ratio (audited protocol-shaped workload)
 # --------------------------------------------------------------------- #
 
 
-def test_e2e_throughput_audited_speedup(record_hot_path, bench_seed):
+def test_e2e_throughput_audited_speedup(bench_seed):
     num_clients, ops_per_client = 4, 120
     # Reference audits at the same *frequency in operations* the
     # incremental pipeline uses in virtual time (every ~2 rounds = every
@@ -130,50 +129,27 @@ def test_e2e_throughput_audited_speedup(record_hot_path, bench_seed):
     optimized_seconds, optimized_events, system = _run_optimized(
         num_clients, ops_per_client, bench_seed, audit_every=10.0
     )
-    total_ops = num_clients * ops_per_client
-    speedup = record_hot_path(
-        "e2e_throughput_audited",
-        reference_seconds,
-        optimized_seconds,
-        clients=num_clients,
-        ops=total_ops,
-        reference_ops_per_sec=total_ops / reference_seconds,
-        optimized_ops_per_sec=total_ops / optimized_seconds,
-        reference_events=reference_events,
-        optimized_events=optimized_events,
-    )
+    speedup = reference_seconds / optimized_seconds
     assert speedup >= REQUIRED_THROUGHPUT_SPEEDUP
     # The optimized pipeline must also be structurally lighter.
     assert optimized_events < reference_events
 
 
 # --------------------------------------------------------------------- #
-# The unaudited pipeline (informational ratio + structural assertions)
+# The unaudited pipeline (structural assertions)
 # --------------------------------------------------------------------- #
 
 
-def test_e2e_throughput_pipelined(record_hot_path, bench_seed):
+def test_e2e_throughput_pipelined(bench_seed):
     num_clients, ops_per_client = 4, 60
 
     def run(batch):
         system = _open(num_clients, bench_seed, batch)
-        started = time.perf_counter()
         _pipelined_workload(system, ops_per_client, bench_seed)
-        return time.perf_counter() - started, system
+        return system
 
-    reference_seconds, reference = run(None)
-    optimized_seconds, optimized = run(8)
-    record_hot_path(
-        "e2e_throughput_pipelined",
-        reference_seconds,
-        optimized_seconds,
-        # Informational: with no audits the wall clock is dominated by
-        # per-op crypto/encoding, which batching leaves byte-identical;
-        # the ratio measures interpreter constants, not our code.
-        gate=False,
-        clients=num_clients,
-        ops=num_clients * ops_per_client,
-    )
+    reference = run(None)
+    optimized = run(8)
     # The structural claims are deterministic and gate everywhere:
     assert optimized.scheduler.events_processed < reference.scheduler.events_processed
     assert optimized.raw.network.messages_coalesced > 0

@@ -9,6 +9,7 @@ parameters without touching the common deployment shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
@@ -216,13 +217,17 @@ class SystemConfig:
             )
         if self.default_timeout is None:
             self.default_timeout = 30.0 if self.transport == "tcp" else 1_000.0
-        if self.default_timeout <= 0:
+        if not self.default_timeout > 0:  # NaN fails too
             raise ConfigurationError("default_timeout must be positive")
         for window in self.server_outages:
-            if len(window) != 2 or window[0] < 0 or window[1] <= 0:
+            if (
+                len(window) != 2
+                or not 0 <= window[0] < math.inf
+                or not window[1] > 0
+            ):
                 raise ConfigurationError(
-                    f"server outages are (non-negative start, positive "
-                    f"duration) pairs, got {window!r}"
+                    f"server outages are (finite non-negative start, "
+                    f"positive duration) pairs, got {window!r}"
                 )
         if self.shards < 1:
             raise ConfigurationError("a deployment needs at least one shard")
@@ -240,12 +245,13 @@ class SystemConfig:
             if (
                 len(entry) != 3
                 or not 0 <= entry[0] < self.shards
-                or entry[1] < 0
-                or entry[2] <= 0
+                or not 0 <= entry[1] < math.inf
+                or not entry[2] > 0
             ):
                 raise ConfigurationError(
-                    f"shard outages are (shard < {self.shards}, non-negative "
-                    f"start, positive duration) triples, got {entry!r}"
+                    f"shard outages are (shard < {self.shards}, finite "
+                    f"non-negative start, positive duration) triples, "
+                    f"got {entry!r}"
                 )
         # The schedule's own rule, applied to what each shard's server will
         # see: the whole-deployment windows plus the ones naming that shard.

@@ -5,14 +5,12 @@ from repro.baselines.lockstep import (
     LockStepServer,
     LsOutcome,
     TamperingLockStepServer,
-    build_lockstep_system,
 )
 from repro.baselines.unchecked import (
     LyingUncheckedServer,
     PlainOutcome,
     UncheckedClient,
     UncheckedServer,
-    build_unchecked_system,
 )
 
 __all__ = [
@@ -24,6 +22,4 @@ __all__ = [
     "TamperingLockStepServer",
     "UncheckedClient",
     "UncheckedServer",
-    "build_lockstep_system",
-    "build_unchecked_system",
 ]

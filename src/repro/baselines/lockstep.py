@@ -516,26 +516,6 @@ class TamperingLockStepServer(LockStepServer):
         )
 
 
-def build_lockstep_system(
-    num_clients: int,
-    seed: int = 0,
-    scheme: str = "hmac",
-    latency=None,
-    server_factory: Callable[[int, str], LockStepServer] | None = None,
-):
-    """A simulated lock-step deployment (:func:`lockstep_protocol` on the world
-    ``SystemBuilder`` describes)."""
-    from repro.workloads.runner import SystemBuilder
-
-    return SystemBuilder(
-        num_clients,
-        seed=seed,
-        scheme=scheme,
-        latency=latency,
-        server_factory=server_factory,
-    ).build_protocol(lockstep_protocol())
-
-
 def lockstep_protocol():
     """The lock-step protocol for the one wiring loop: signing clients
     outside the USTOR stack, :class:`LockStepServer` by default."""

@@ -197,16 +197,6 @@ class LyingUncheckedServer(UncheckedServer):
         super().on_message(src, message)
 
 
-def build_unchecked_system(num_clients: int, seed: int = 0, latency=None, server_factory=None):
-    """A simulated unchecked deployment (:func:`unchecked_protocol` on the
-    world ``SystemBuilder`` describes)."""
-    from repro.workloads.runner import SystemBuilder
-
-    return SystemBuilder(
-        num_clients, seed=seed, latency=latency, server_factory=server_factory
-    ).build_protocol(unchecked_protocol())
-
-
 def unchecked_protocol():
     """The unchecked protocol for the one wiring loop: clients that
     neither sign nor verify, :class:`UncheckedServer` by default."""

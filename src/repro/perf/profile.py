@@ -12,8 +12,8 @@ counters of a *scenario* belong on the :mod:`repro.obs` registry; when it
 is enabled its snapshot rides along under ``"obs"``.
 
 Everything returned is plain dict/list/str/int/float, so profiles can be
-``json.dump``-ed next to the ``BENCH_*.json`` trajectory (see
-PERFORMANCE.md for the cost model they feed).
+``json.dump``-ed as they are (see PERFORMANCE.md for the cost model they
+feed).
 """
 
 from __future__ import annotations

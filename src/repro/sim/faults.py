@@ -81,14 +81,14 @@ class Fault:
             )
         if self.kind == "down" and self.target is None:
             object.__setattr__(self, "target", (None, None))
-        if self.start < 0:
-            raise ConfigurationError("faults need a non-negative start")
+        if not 0 <= self.start < math.inf:  # NaN fails too
+            raise ConfigurationError("faults need a finite, non-negative start")
         if self.kind == "crash-forever":
             if self.duration is not None:
                 raise ConfigurationError(
                     "crash-forever has no duration (the client never returns)"
                 )
-        elif self.duration is None or self.duration <= 0:
+        elif self.duration is None or not self.duration > 0:
             raise ConfigurationError(
                 f"a {self.kind} window needs a positive duration"
             )

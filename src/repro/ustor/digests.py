@@ -33,8 +33,8 @@ specification (:func:`extend_digest_reference`) by
   client that observes it), so the protocol-shaped hit rate approaches
   ``(n-1)/n``.
 
-``benchmarks/test_bench_perf.py`` measures the resulting speedup and the
-regression pipeline (PERFORMANCE.md) gates on it.
+``benchmarks/test_bench_perf.py`` measures the resulting speedup and
+asserts a floor on it (PERFORMANCE.md).
 """
 
 from __future__ import annotations

@@ -305,6 +305,20 @@ class TestStorageConfig:
             SystemConfig(num_clients=2, server_outages=((10.0, 30.0), (20.0, 5.0)))
         SystemConfig(num_clients=2, server_outages=((10.0, 5.0), (15.0, 5.0)))
 
+    @pytest.mark.parametrize(
+        "window",
+        [(float("nan"), 5.0), (5.0, float("nan")), (float("inf"), 5.0)],
+        ids=["nan-start", "nan-duration", "inf-start"],
+    )
+    def test_nan_and_infinite_start_outages_refused(self, window):
+        with pytest.raises(ConfigurationError, match="server outages"):
+            SystemConfig(num_clients=2, server_outages=(window,))
+        with pytest.raises(ConfigurationError, match="shard outages"):
+            SystemConfig(num_clients=2, shards=2, shard_outages=((1, *window),))
+
+    def test_an_endless_outage_stays_legal(self):
+        SystemConfig(num_clients=2, server_outages=((5.0, float("inf")),))
+
     def test_unsorted_back_to_back_outages_both_happen(self):
         """Windows given out of order must still schedule restart-then-crash
         at the shared boundary instant: the server stays down over [10, 20)
@@ -421,6 +435,11 @@ class TestRegistry:
             SystemConfig(num_clients=0)
         with pytest.raises(ConfigurationError):
             SystemConfig(num_clients=1, default_timeout=0.0)
+
+    def test_nan_timeout_refused(self):
+        # NaN compares false both ways, so the check must be one NaN fails.
+        with pytest.raises(ConfigurationError, match="default_timeout"):
+            SystemConfig(num_clients=1, default_timeout=float("nan"))
 
     def test_require_capability(self):
         system = open_system(quiet_config(), backend="unchecked")

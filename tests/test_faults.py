@@ -301,6 +301,22 @@ def test_targets_are_validated():
             Fault(kind, 0, start, duration)
 
 
+@pytest.mark.parametrize(
+    "start, duration",
+    [(float("nan"), 5.0), (float("inf"), 5.0), (5.0, float("nan"))],
+    ids=["nan-start", "inf-start", "nan-duration"],
+)
+def test_nan_and_infinite_start_are_refused(start, duration):
+    # NaN compares false both ways, so each check must be one NaN fails.
+    for kind in ("down", "away", "crash-restart"):
+        with pytest.raises(ConfigurationError):
+            Fault(kind, 0, start, duration)
+
+
+def test_an_endless_down_window_stays_legal():
+    assert Fault("down", None, 5.0, float("inf")).end == float("inf")
+
+
 def test_the_injector_takes_the_deployment_and_nothing_to_tune():
     import inspect
 
@@ -450,6 +466,21 @@ def test_global_and_shard_windows_clash_at_configuration_time(capsys):
     )
     assert code == 2  # a configuration error, not "deployment unreachable"
     assert "shard 1: server outage windows overlap" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--outage nan 5 --storage log",
+        "--timeout nan",
+        "--outage inf 5 --storage log",
+        "--backend cluster --shards 2 --shard-outage 1 nan 5 --storage log",
+    ],
+)
+def test_run_refuses_a_nan_window_or_timeout(flags, capsys):
+    code = repro_main(f"run --clients 2 --ops 4 {flags}".split())
+    assert code == 2
+    assert "restart" not in capsys.readouterr().out
 
 
 def test_random_planner_skips_a_conflicting_draw():
