@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.api.session import as_session
 from repro.net.client import NetRuntime, open_tcp_system
 from repro.net.server import NetServerHost
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -74,6 +73,6 @@ def test_loopback_write_latency(benchmark):
     # end-to-end latency floor.
     system = _open_loopback(1)
     with system:
-        session = as_session(system, 0)
+        session = system.session(0)
         session.write_sync(b"warmup")
         benchmark.pedantic(session.write_sync, args=(b"x" * 64,), rounds=50)

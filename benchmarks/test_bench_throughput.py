@@ -152,7 +152,7 @@ def test_e2e_throughput_pipelined(bench_seed):
     optimized = run(8)
     # The structural claims are deterministic and gate everywhere:
     assert optimized.scheduler.events_processed < reference.scheduler.events_processed
-    assert optimized.raw.network.messages_coalesced > 0
+    assert optimized.network.messages_coalesced > 0
     assert optimized.server.group_commits > 0
     # Group commit batches WAL appends: strictly fewer durable writes
     # than logged records.

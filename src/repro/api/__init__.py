@@ -49,8 +49,7 @@ from repro.api.events import (
     Subscription,
 )
 from repro.api.handles import OpHandle, OpResult
-from repro.api.session import Session, as_session
-from repro.api.system import System
+from repro.api.session import Session
 
 __all__ = [
     "BACKENDS",
@@ -73,11 +72,9 @@ __all__ = [
     "Session",
     "StabilityNotification",
     "Subscription",
-    "System",
     "SystemConfig",
     "UncheckedBackend",
     "UstorBackend",
-    "as_session",
     "get_backend",
     "open_system",
 ]

@@ -25,12 +25,14 @@ cluster     N sharded USTOR/FAUST        per-shard guarantees of the shard
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.api.config import SystemConfig, check_supported
-from repro.api.system import System
 from repro.common.errors import ConfigurationError
 from repro.sim.faults import Fault
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports the api)
+    from repro.workloads.runner import Deployment
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,12 @@ class Capabilities:
 
 @runtime_checkable
 class Backend(Protocol):
-    """A protocol stack that can open a :class:`System` from a config."""
+    """A protocol stack that can open a deployment from a config."""
 
     name: str
     capabilities: Capabilities
 
-    def open_system(self, config: SystemConfig) -> System:
+    def open_system(self, config: SystemConfig) -> Deployment:
         """Build and wire a deployment described by ``config``."""
         ...
 
@@ -102,7 +104,6 @@ def build_deployment(config: SystemConfig, protocol, **placement):
         world = net_client.TcpWorld(
             config.endpoints,
             seed=config.seed,
-            default_timeout=config.default_timeout,
             trace_path=config.trace_path,
             span_log=config.span_log,
         )
@@ -126,15 +127,18 @@ def build_deployment(config: SystemConfig, protocol, **placement):
 
 class _Backend:
     """The one way in: consult the support table, build the deployment the
-    backend's protocol describes, attach the span log."""
+    backend's protocol describes, say who opened it, attach the span log."""
 
     name: str
     capabilities: Capabilities
 
-    def open_system(self, config: SystemConfig) -> System:
+    def open_system(self, config: SystemConfig) -> Deployment:
         """Open the deployment ``config`` describes on this backend."""
         check_supported(config, self.name)
         system = self._open(config)
+        system.backend_name = self.name
+        system.capabilities = self._capabilities_for(config)
+        system.default_timeout = config.default_timeout
         outages = [Fault("down", None, *window) for window in config.server_outages]
         outages += [
             Fault("down", (shard, None), start, duration)
@@ -149,13 +153,17 @@ class _Backend:
             # Sessions read the span log off the deployment they are opened
             # on (one per shard on a cluster) when constructed, so it must
             # be attached before the first session() call.
-            for deployment in getattr(system, "shards", [system]):
+            for deployment in system.shards:
                 deployment.span_log = config.span_log
         return system
 
-    def _open(self, config: SystemConfig) -> System:
-        raw = build_deployment(config, protocol_for(self.name, config))
-        return System(raw, self.name, self.capabilities, config.default_timeout)
+    def _open(self, config: SystemConfig) -> Deployment:
+        system = build_deployment(config, protocol_for(self.name, config))
+        system.wire_notifications()
+        return system
+
+    def _capabilities_for(self, config: SystemConfig) -> Capabilities:
+        return self.capabilities
 
 
 class UstorBackend(_Backend):
@@ -210,15 +218,12 @@ class ClusterBackend(_Backend):
         timestamps=True, stability=True, failure_detection=True, wait_free=True
     )
 
-    def _open(self, config: SystemConfig):
+    def _open(self, config: SystemConfig) -> Deployment:
         from repro.cluster.backend import open_cluster_system
 
-        return open_cluster_system(
-            config, self.name, self._capabilities_for(config)
-        )
+        return open_cluster_system(config)
 
-    @staticmethod
-    def _capabilities_for(config: SystemConfig) -> Capabilities:
+    def _capabilities_for(self, config: SystemConfig) -> Capabilities:
         return Capabilities(
             timestamps=True,
             stability=config.shard_protocol == "faust",
@@ -252,6 +257,10 @@ def get_backend(backend: str | Backend) -> Backend:
     return backend
 
 
-def open_system(config: SystemConfig, backend: str | Backend = "faust") -> System:
-    """Open a deployment described by ``config`` on the chosen backend."""
+def open_system(
+    config: SystemConfig, backend: str | Backend = "faust"
+) -> Deployment:
+    """Open a deployment described by ``config`` on the chosen backend:
+    the wired :class:`~repro.workloads.runner.StorageSystem`, or a
+    :class:`~repro.cluster.system.ClusterSystem` of them."""
     return get_backend(backend).open_system(config)

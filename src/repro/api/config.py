@@ -52,7 +52,7 @@ class BatchingPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be at least 1")
-        if self.max_delay is not None and self.max_delay <= 0:
+        if self.max_delay is not None and not self.max_delay > 0:
             raise ConfigurationError(
                 "max_delay must be positive (or None to disable time flush)"
             )
@@ -231,6 +231,12 @@ class SystemConfig:
                 )
         if self.shards < 1:
             raise ConfigurationError("a deployment needs at least one shard")
+        if self.shards > self.num_clients:
+            raise ConfigurationError(
+                f"{self.shards} shards over {self.num_clients} registers "
+                f"would leave shards owning nothing (the register space is one "
+                f"register per client)"
+            )
         if self.shard_protocol not in ("faust", "ustor"):
             raise ConfigurationError(
                 f"shard_protocol must be 'faust' or 'ustor', "

@@ -26,8 +26,9 @@ Batching changes *when* the bookkeeping happens, never the protocol:
 each operation still runs the full per-op SUBMIT/REPLY/COMMIT exchange
 in submission order.
 
-Sessions accept either the high-level :class:`repro.api.system.System`
-or a raw :class:`~repro.workloads.runner.StorageSystem`.
+A session is bound to one :class:`~repro.workloads.runner.StorageSystem`
+— usually through ``system.session(i)``, which caches one per client —
+and reads its wait budget, batching policy and span log from there.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ class Session:
         self._system = system
         self._client = system.clients[client_id]
         self._client_id = client_id
-        if timeout is None:
-            timeout = getattr(system, "default_timeout", 1_000.0)
-        self._timeout = timeout
+        self._timeout = system.default_timeout if timeout is None else timeout
         self._inflight: OpHandle | None = None
         self._backlog: deque[tuple[OpKind, RegisterId, Value | None, OpHandle]] = (
             deque()
@@ -64,7 +63,7 @@ class Session:
         self._unsettled: deque[OpHandle] = deque()
         #: Auto-flush batching (None = unbatched): buffered submissions
         #: and the pending flush timer, per the system's BatchingPolicy.
-        self._batching = getattr(system, "batching", None)
+        self._batching = system.batching
         self._batch_buffer: deque[tuple[OpKind, RegisterId, Value | None, OpHandle]] = (
             deque()
         )
@@ -80,7 +79,7 @@ class Session:
             "session.flush_batch_ops", COUNT_BUCKETS
         )
         self._obs_latency = registry.histogram("session.op_latency")
-        self._span_log = getattr(system, "span_log", None)
+        self._span_log = system.span_log
         if hasattr(self._client, "add_failure_listener"):
             self._client.add_failure_listener(self._on_client_failure)
 
@@ -424,10 +423,3 @@ class Session:
             timeout=self._limit(timeout),
         )
 
-
-def as_session(system, client_id: int, timeout: float | None = None) -> Session:
-    """A session for ``client_id``, reusing the system's cache when the
-    high-level :class:`repro.api.system.System` is passed."""
-    if hasattr(system, "session"):
-        return system.session(client_id, timeout=timeout)
-    return Session(system, client_id, timeout=timeout)

@@ -39,7 +39,7 @@ The CLI is a thin veneer over the library; everything it does is one or
 two calls into :mod:`repro.api`, :mod:`repro.workloads` and
 :mod:`repro.consistency`.  ``--backend`` selects the protocol stack the
 same workload runs on (``faust`` / ``ustor`` / ``lockstep`` /
-``unchecked``); ``--faust`` remains as an alias for ``--backend faust``.
+``unchecked`` / ``cluster``).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.api import (
 )
 from repro.api.config import check_supported
 from repro.cluster.shardmap import SHARD_MAP_STRATEGIES
+from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError, StorageError
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
@@ -279,7 +280,7 @@ def _run_config(args, backend) -> SystemConfig:
             raise ConfigurationError(
                 f"--shard-outage: shard index must be an integer, got {shard}"
             )
-    if args.audit_every is not None and args.audit_every <= 0:
+    if args.audit_every is not None and not args.audit_every > 0:
         raise ConfigurationError("--audit-every takes a positive cadence")
     if args.metrics_port is not None and not tcp:
         raise ConfigurationError(
@@ -331,7 +332,7 @@ def _cmd_run(args) -> int:
     misuse exits 2 before anything is built or connected, a deployment
     that cannot be reached exits 1.
     """
-    backend = args.backend or ("faust" if args.faust else "ustor")
+    backend = args.backend
     try:
         config = _run_config(args, backend)
         check_supported(config, backend)
@@ -352,16 +353,17 @@ def _cmd_run(args) -> int:
 def _run_and_report(args, system, config, backend) -> None:
     """Drive the workload over an opened system and print the report."""
     tcp = config.transport == "tcp"
-    is_cluster = backend == "cluster"
+    # The one place the report differs by kind: a cluster labels its shards.
+    sharded = isinstance(system, ClusterSystem)
     batching, span_log = config.batching, config.span_log
     auditor = (
         system.attach_audit(every=args.audit_every)
         if args.audit_every is not None
         else None
     )
-    # A remote server process cannot be probed, so over tcp the monitor's
-    # start is the conservative baseline for deviation times.
-    servers = system.servers if is_cluster else [] if tcp else [system.server]
+    # A remote server process cannot be probed (``server`` is None), so over
+    # tcp the monitor's start is the conservative baseline for deviation times.
+    servers = [shard.server for shard in system.shards if shard.server is not None]
     health = _obs_health(system, servers=servers, auditor=auditor)
     writer = _obs_snapshot_writer(args, health)
     if writer is not None:
@@ -398,15 +400,11 @@ def _run_and_report(args, system, config, backend) -> None:
           f"backend={backend}{'/tcp' if tcp else ''}, seed={args.seed}")
     if tcp:
         print(f"# endpoints: {args.endpoints}")
-    if is_cluster:
+    if sharded:
         placement = [system.shard_of(r) for r in range(args.clients)]
         print(f"# cluster: {system.num_shards} shard(s), map={args.shard_map}, "
               f"register->shard {placement}")
-    _print_quorum_stats(
-        [c for shard in system.shards for c in shard.clients]
-        if is_cluster
-        else system.clients
-    )
+    _print_quorum_stats([c for shard in system.shards for c in shard.clients])
     print(f"# completed {driver.stats.total_completed()}"
           f"/{driver.stats.total_planned()} operations "
           + (f"in {system.now:.2f}s wall clock" if tcp else f"by t={system.now:.1f}"))
@@ -417,11 +415,7 @@ def _run_and_report(args, system, config, backend) -> None:
         print(f"# transport: {frames_out} frame(s) sent, {frames_in} "
               f"received, {reconnects} reconnect(s) with retransmission")
     if batching is not None:
-        networks = (
-            [shard.network for shard in system.shards]
-            if is_cluster
-            else [system.network]
-        )
+        networks = [shard.network for shard in system.shards]
         coalesced = sum(n.messages_coalesced for n in networks)
         bursts = sum(n.bursts_formed for n in networks)
         group_commits = sum(getattr(s, "group_commits", 0) for s in servers)
@@ -450,31 +444,26 @@ def _run_and_report(args, system, config, backend) -> None:
                   f"{getattr(engine, 'last_recovery_replayed', 0)} WAL record(s) "
                   f"replayed, {getattr(engine, 'snapshots_taken', 0)} snapshot(s)")
     # Each shard is its own consistency domain: histories (and the
-    # checkers below) are per shard on a cluster, global otherwise.
-    histories = (
-        sorted(system.shard_histories().items())
-        if is_cluster
-        else [(None, system.history())]
-    )
+    # checkers below) are per shard, labelled on a cluster.
+    histories = [(k, shard, shard.history()) for k, shard in enumerate(system.shards)]
     if args.history:
-        for shard, history in histories:
+        for k, _domain, history in histories:
             print()
-            if shard is not None:
-                print(f"--- shard {shard} ---")
+            if sharded:
+                print(f"--- shard {k} ---")
             print(history.describe())
     if args.timeline:
         from repro.analysis.timeline import render_timeline
 
-        for shard, history in histories:
+        for k, _domain, history in histories:
             print()
-            if shard is not None:
-                print(f"--- shard {shard} ---")
+            if sharded:
+                print(f"--- shard {k} ---")
             print(render_timeline(history, width=96))
 
     if args.check:
-        for shard, history in histories:
-            domain = system.shards[shard] if shard is not None else system
-            label = "" if shard is None else f" [shard {shard}]"
+        for k, domain, history in histories:
+            label = f" [shard {k}]" if sharded else ""
             print()
             print(f"linearizability{label}:            "
                   f"{check_linearizability(history)}")
@@ -741,11 +730,8 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--backend",
         choices=sorted(BACKENDS),
-        default=None,
+        default="ustor",
         help="protocol stack to run the workload on (default: ustor)",
-    )
-    run.add_argument(
-        "--faust", action="store_true", help="alias for --backend faust"
     )
     run.add_argument(
         "--storage",

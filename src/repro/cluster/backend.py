@@ -5,10 +5,11 @@ The cluster backend interprets the shard-axis knobs — ``shards``,
 replica-axis knobs — ``replicas``, ``quorum``, ``counter``,
 ``replica_server_factories`` (:mod:`repro.replica`) — and assembles one
 deployment per shard over a shared scheduler (``shard_outages`` become
-faults on the opened system, like ``server_outages`` on any backend).  Everything else (latency models, storage engine,
-FAUST tuning, seeds) applies uniformly to every shard, so a config that
-ran on the ``faust`` backend runs on ``cluster`` by adding ``shards=N``
-(and ``replicas=K`` for rollback-resistant shards).
+faults on the opened system, like ``server_outages`` on any backend).
+Everything else (latency models, storage engine, FAUST tuning, seeds)
+applies uniformly to every shard, so a config that ran on the ``faust``
+backend runs on ``cluster`` by adding ``shards=N`` (and ``replicas=K``
+for rollback-resistant shards).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.api.backends import build_deployment, protocol_for
 from repro.api.config import SystemConfig
 from repro.cluster.shardmap import make_shard_map
 from repro.cluster.system import ClusterSystem
-from repro.common.errors import ConfigurationError
 from repro.sim.scheduler import Scheduler
 
 
@@ -34,14 +34,8 @@ def derive_shard_seed(seed: int, shard: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
+def open_cluster_system(config: SystemConfig) -> ClusterSystem:
     """Build a :class:`ClusterSystem` described by ``config``."""
-    if config.shards > config.num_clients:
-        raise ConfigurationError(
-            f"{config.shards} shards over {config.num_clients} registers "
-            f"would leave shards owning nothing (the register space is one "
-            f"register per client)"
-        )
     shard_map = make_shard_map(
         config.shard_map, config.shards, config.num_clients
     )
@@ -74,8 +68,5 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
         shards=shards,
         shard_map=shard_map,
         scheduler=scheduler,
-        backend_name=backend_name,
-        capabilities=capabilities,
-        default_timeout=config.default_timeout,
         shard_protocol=config.shard_protocol,
     )

@@ -9,13 +9,13 @@ owning one partition of the register space; the cluster layer never
 crosses protocol state between shards (doing so would be a fork by
 construction).
 
-The class mirrors the full facade surface of
-:class:`~repro.api.system.System` *and* enough of the raw
-:class:`StorageSystem` surface (``clients``, ``scheduler``, ``offline``,
-``trace``, ``server_outage`` ...) that drivers, churn schedules and the
-CLI run unchanged on a cluster.  ``clients`` holds
+It shares :class:`~repro.workloads.runner.Deployment` with the single
+deployment — clock, sessions, guarantees, fault producers, audits,
+profile, ``close`` — and adds what a shard axis needs: ``clients`` holds
 :class:`ClusterClient` proxies that route operations by register
-ownership and aggregate per-shard state.
+ownership and aggregate per-shard state, ``offline`` and ``trace`` fan
+out over the shards, so drivers, churn schedules and the CLI run
+unchanged on a cluster.
 
 Detection is audited **per shard and per dependency**: the cluster wires
 a client's notifications for exactly the shards that client touched with
@@ -38,7 +38,7 @@ from repro.common.types import ClientId, RegisterId, Value, client_name
 from repro.history.history import History
 from repro.sim.faults import Fault, FaultInjector
 from repro.sim.scheduler import Scheduler
-from repro.workloads.runner import StorageSystem
+from repro.workloads.runner import Deployment, StorageSystem
 
 
 class ClusterClient:
@@ -220,17 +220,16 @@ class _ClusterTrace:
         )
 
 
-class ClusterSystem:
+class ClusterSystem(Deployment):
     """A sharded deployment opened through the ``cluster`` backend."""
+
+    session_class = ClusterSession
 
     def __init__(
         self,
         shards: list[StorageSystem],
         shard_map: ShardMap,
         scheduler: Scheduler,
-        backend_name: str,
-        capabilities,
-        default_timeout: float = 1_000.0,
         shard_protocol: str = "faust",
     ) -> None:
         if len(shards) != shard_map.num_shards:
@@ -241,10 +240,8 @@ class ClusterSystem:
         self.shards = shards
         self.shard_map = shard_map
         self.scheduler = scheduler
-        self.backend_name = backend_name
-        self.capabilities = capabilities
-        self.default_timeout = default_timeout
         self.shard_protocol = shard_protocol
+        self.audit_every = shards[0].audit_every
         self.num_clients = len(shards[0].clients)
         self.notifications = ClusterNotificationHub()
         self.trace = _ClusterTrace(self)
@@ -290,12 +287,6 @@ class ClusterSystem:
         """The per-shard servers, indexed by shard."""
         return [shard.server for shard in self.shards]
 
-    @property
-    def batching(self):
-        """The cluster's :class:`~repro.api.config.BatchingPolicy`
-        (uniform across shards; ``None`` when unbatched)."""
-        return self.shards[0].batching
-
     def touched_shards(self, client_id: ClientId) -> tuple[int, ...]:
         """Shards ``client_id`` has issued user operations against."""
         return tuple(
@@ -334,74 +325,7 @@ class ClusterSystem:
                 self.scheduler.now, client_id, instance.halt_reason, shard
             )
 
-    # ------------------------------------------------------------------ #
-    # Sessions
-    # ------------------------------------------------------------------ #
-
-    def session(
-        self, client_id: ClientId, timeout: float | None = None
-    ) -> ClusterSession:
-        """The cluster session bound to ``client_id`` (cached per client
-        unless an explicit ``timeout`` asks for a dedicated one)."""
-        if timeout is not None:
-            return ClusterSession(self, client_id, timeout=timeout)
-        if client_id not in self._sessions:
-            self._sessions[client_id] = ClusterSession(self, client_id)
-        return self._sessions[client_id]
-
-    def sessions(self) -> list[ClusterSession]:
-        """One session per client, in client order."""
-        return [self.session(i) for i in range(self.num_clients)]
-
-    # ------------------------------------------------------------------ #
-    # Guarantees
-    # ------------------------------------------------------------------ #
-
-    def require(self, capability: str) -> None:
-        """Assert the cluster provides ``capability``; raises
-        :class:`CapabilityError` if not."""
-        if not getattr(self.capabilities, capability):
-            raise CapabilityError(
-                f"backend {self.backend_name!r} does not provide {capability}"
-            )
-
-    # ------------------------------------------------------------------ #
-    # The simulated world
-    # ------------------------------------------------------------------ #
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the shared simulation; returns events fired."""
-        return self.scheduler.run(until=until, max_events=max_events)
-
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        """Run until ``predicate()`` holds; returns whether it ever did."""
-        return self.scheduler.run_until(predicate, timeout=timeout)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (shared by every shard)."""
-        return self.scheduler.now
-
-    def close(self) -> None:
-        """Close every shard's deployment (idempotent)."""
-        for shard in self.shards:
-            shard.close()
-
-    def __enter__(self) -> "ClusterSystem":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- faults: one-line producers for ``self.faults`` ------------------ #
-
-    def crash_client_at(self, client_id: ClientId, time: float) -> None:
-        """Schedule a crash-stop of one client (all its shard instances)."""
-        self.faults.add(
-            Fault("crash-forever", client_id, time), notes=("crash", None)
-        )
+    # -- faults: the shard axis's producers for ``self.faults`` ----------- #
 
     def shard_outage(self, shard: int, start: float, duration: float) -> None:
         """One crash-recovery window for a single shard.
@@ -418,10 +342,6 @@ class ClusterSystem:
         """One crash-recovery window for a single replica of one shard."""
         self.faults.add(Fault("down", (shard, replica), start, duration))
 
-    def server_outage(self, start: float, duration: float) -> None:
-        """A whole-cluster outage: every shard down over the window."""
-        self.faults.add(Fault("down", None, start, duration))
-
     # ------------------------------------------------------------------ #
     # Histories (per shard — each shard is its own consistency domain)
     # ------------------------------------------------------------------ #
@@ -430,32 +350,12 @@ class ClusterSystem:
         """The recorded history of every shard, keyed by shard."""
         return {k: shard.history() for k, shard in enumerate(self.shards)}
 
-    def attach_audit(
-        self,
-        every: float = 50.0,
-        checks: tuple[str, ...] = ("linearizability", "causal"),
-    ):
-        """Start periodic O(delta) consistency audits — one streaming
-        checker set per shard, since each shard is its own consistency
-        domain (verdict keys are ``"shard<k>.<check>"``)."""
-        from repro.workloads.runner import IncrementalAuditor
-
-        return IncrementalAuditor(self, every=every, checks=checks)
-
     def history(self) -> History:
         """Unsupported on clusters: use :meth:`shard_histories`."""
         raise CapabilityError(
             "a cluster has one history per shard (each shard is an "
             "independent fork-linearizability domain); use shard_histories()"
         )
-
-    def profile(self) -> dict:
-        """Machine-readable performance profile of the whole cluster
-        (:func:`repro.perf.system_profile`): per-shard scheduler/server
-        counters, cluster-wide aggregates and hot-path cache stats."""
-        from repro.perf.profile import system_profile
-
-        return system_profile(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.api import FaustParams, System, SystemConfig, get_backend
+from repro.api import FaustParams, SystemConfig, get_backend
 from repro.sim.network import LatencyModel
+from repro.workloads.runner import StorageSystem
 
 
 def build_system(
@@ -30,7 +31,7 @@ def build_system(
     commit_piggyback: bool = False,
     default_timeout: float = 1_000.0,
     **faust_overrides,
-) -> System:
+) -> StorageSystem:
     """Open a deployment on a named backend (``faust`` / ``ustor`` /
     ``lockstep`` / ``unchecked``) through :mod:`repro.api`.
 

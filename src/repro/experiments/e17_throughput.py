@@ -77,7 +77,7 @@ def _run_cell(
             # The pre-pipeline way: settle, then re-check everything.
             for session in sessions:
                 session.barrier(timeout=50_000)
-            for history in _histories(system):
+            for history in [shard.history() for shard in system.shards]:
                 check_linearizability(history)
                 check_causal_consistency(history)
             offline_audits += 1
@@ -88,9 +88,8 @@ def _run_cell(
     elapsed = time.perf_counter() - started
 
     total_ops = num_clients * ops_per_client
-    raws = system.shards if backend == "cluster" else [system.raw]
     verdicts_ok = all(
-        check_linearizability(history).ok for history in _histories(system)
+        check_linearizability(shard.history()).ok for shard in system.shards
     )
     return {
         "ops": total_ops,
@@ -98,22 +97,17 @@ def _run_cell(
         "ops_per_sec": total_ops / elapsed if elapsed > 0 else float("inf"),
         "events": system.scheduler.events_processed,
         "events_per_op": system.scheduler.events_processed / total_ops,
-        "coalesced": sum(raw.network.messages_coalesced for raw in raws),
+        "coalesced": sum(
+            shard.network.messages_coalesced for shard in system.shards
+        ),
         "group_commits": sum(
-            getattr(raw.server, "group_commits", 0) for raw in raws
+            getattr(shard.server, "group_commits", 0) for shard in system.shards
         ),
         "audits": offline_audits if offline_audit_rounds else (
             len(auditor.audits) if auditor else 0
         ),
         "consistent": verdicts_ok,
     }
-
-
-def _histories(system):
-    shards = getattr(system, "shards", None)
-    if shards is not None:
-        return list(system.shard_histories().values())
-    return [system.history()]
 
 
 def _quiet_faust():

@@ -90,7 +90,7 @@ class MembershipPolicy:
             raise ConfigurationError(
                 f"evict_after must be at least 1, got {self.evict_after}"
             )
-        if self.check_period <= 0:
+        if not self.check_period > 0:  # NaN fails too
             raise ConfigurationError(
                 f"check_period must be positive, got {self.check_period}"
             )

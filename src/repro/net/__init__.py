@@ -19,8 +19,9 @@ Layout:
 * :mod:`repro.net.server` — asyncio server host (in-process for loopback
   tests, standalone for ``python -m repro serve``);
 * :mod:`repro.net.client` — asyncio client runtime, the ``TcpWorld`` the
-  one wiring loop builds deployments in, and ``NetSystem``: the sim
-  ``StorageSystem`` plus what sockets add (connections, a real close);
+  one wiring loop builds deployments in, and ``NetSystem``: the
+  ``StorageSystem`` ``open_system`` returns on either transport, plus
+  what sockets add (connections, a real close);
 * :mod:`repro.net.trace` — append-only JSONL wire traces and their
   deterministic replay on the sim backend;
 * :mod:`repro.net.supervisor` — OS-process lifecycle for servers.

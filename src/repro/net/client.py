@@ -488,9 +488,7 @@ class NetSystem(runner.StorageSystem):
 
     runtime: NetRuntime
     connections: list[ClientConnection]
-    #: Wait budget of sessions opened on this system directly (the facade
-    #: carries its own), and the world's clock — all wall-clock seconds.
-    default_timeout: float = 30.0
+    #: The world's clock — all wall-clock seconds.
     quiescence_poll: float = 0.05
     quiescence_timeout: float = 30.0
     audit_every: float = 1.0
@@ -583,7 +581,6 @@ class TcpWorld(runner.World):
         *,
         seed: int = 0,
         runtime: NetRuntime | None = None,
-        default_timeout: float = 30.0,
         connect_timeout: float | None = 5.0,
         trace_path: str | None = None,
         span_log=None,
@@ -603,7 +600,6 @@ class TcpWorld(runner.World):
         self._connect_timeout = connect_timeout
         self._trace_path = trace_path
         self._span_log = span_log
-        self._default_timeout = default_timeout
 
     def start(
         self,
@@ -686,7 +682,6 @@ class TcpWorld(runner.World):
             trace_writer=self.trace_writer,
             owns_runtime=self.owns_runtime,
             span_log=self._span_log,
-            default_timeout=self._default_timeout,
             **wired,
         )
         if self._connect_timeout is not None:
@@ -742,9 +737,8 @@ def open_tcp_system(
         connect_timeout=connect_timeout,
         trace_path=trace_path,
         span_log=span_log,
-        default_timeout=default_timeout,
     )
-    return runner.wire_deployment(
+    system = runner.wire_deployment(
         world,
         runner.ustor_protocol(trace_ids=trace_ids),
         num_clients=num_clients,
@@ -755,3 +749,5 @@ def open_tcp_system(
         counter=counter,
         commit_piggyback=commit_piggyback,
     )
+    system.default_timeout = default_timeout
+    return system

@@ -69,7 +69,7 @@ class RealtimeScheduler:
     def schedule(
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> RealtimeHandle:
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule {delay} into the past")
 
         def fire() -> None:

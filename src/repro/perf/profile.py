@@ -1,9 +1,7 @@
 """Machine-readable performance profiles of a running deployment.
 
-:func:`system_profile` (also exposed as ``profile()`` on
-:class:`~repro.workloads.runner.StorageSystem`,
-:class:`~repro.api.system.System` and
-:class:`~repro.cluster.system.ClusterSystem`) snapshots the counters the
+:func:`system_profile` (also ``profile()`` on every deployment,
+:class:`~repro.workloads.runner.Deployment`) snapshots the counters the
 runtime already maintains: scheduler events, per-client completed
 operations, server SUBMIT/COMMIT tallies and pending-list pressure, plus
 the hot-path cache effectiveness of the encoding, digest-chain and
@@ -67,8 +65,9 @@ def _server_stats(server: Any) -> dict[str, Any]:
 
 
 def _shard_profile(shard: Any) -> dict[str, Any]:
-    """The per-deployment core of :func:`system_profile` (one scheduler +
-    server + client population)."""
+    """The per-deployment core of :func:`system_profile`: one
+    :class:`~repro.workloads.runner.StorageSystem`'s scheduler, server,
+    clients, transport and keystore."""
     profile: dict[str, Any] = {
         "scheduler": {
             "now": shard.scheduler.now,
@@ -85,49 +84,44 @@ def _shard_profile(shard: Any) -> dict[str, Any]:
             "crashed": sum(1 for c in shard.clients if c.crashed),
         },
     }
-    server = getattr(shard, "server", None)
-    if server is not None:
-        profile["server"] = _server_stats(server)
-    network = getattr(shard, "network", None)
-    if network is not None and getattr(network, "batching", False):
+    if shard.server is not None:
+        profile["server"] = _server_stats(shard.server)
+    network = shard.network
+    if getattr(network, "batching", False):
         profile["transport_batching"] = {
             "bursts_formed": network.bursts_formed,
             "messages_coalesced": network.messages_coalesced,
         }
-    keystore = getattr(shard, "keystore", None)
-    if keystore is not None and hasattr(keystore, "verification_cache_stats"):
-        profile["verification_cache"] = keystore.verification_cache_stats()
+    profile["verification_cache"] = shard.keystore.verification_cache_stats()
     return profile
 
 
 def system_profile(system: Any) -> dict[str, Any]:
     """A machine-readable performance profile of a running deployment.
 
-    Accepts a raw :class:`~repro.workloads.runner.StorageSystem`, an
-    api-level :class:`~repro.api.system.System` (unwrapped via ``.raw``),
-    or a sharded :class:`~repro.cluster.system.ClusterSystem` (profiled
-    per shard and aggregated).  Always includes the process-wide
-    hot-path cache stats, so a scenario's profile shows how much hashing
-    and encoding work the fast paths removed.
+    A :class:`~repro.cluster.system.ClusterSystem` is profiled per shard
+    and aggregated (``"kind": "cluster"``); any other deployment is one
+    ``"single"`` profile.  Always includes the process-wide hot-path
+    cache stats, so a scenario's profile shows how much hashing and
+    encoding work the fast paths removed.
     """
-    backend_name = getattr(system, "backend_name", None)
-    raw = getattr(system, "raw", system)
-    shards = getattr(raw, "shards", None)
-    if shards is not None:
-        per_shard = [_shard_profile(shard) for shard in shards]
+    from repro.cluster.system import ClusterSystem
+
+    if isinstance(system, ClusterSystem):
+        per_shard = [_shard_profile(shard) for shard in system.shards]
         profile: dict[str, Any] = {
             "kind": "cluster",
-            "num_shards": len(shards),
+            "num_shards": len(per_shard),
             "scheduler": {
-                "now": raw.scheduler.now,
-                "events_processed": raw.scheduler.events_processed,
-                "pending_events": raw.scheduler.pending,
+                "now": system.scheduler.now,
+                "events_processed": system.scheduler.events_processed,
+                "pending_events": system.scheduler.pending,
             },
             "shards": per_shard,
             "clients": {
-                "count": raw.num_clients,
+                "count": system.num_clients,
                 "completed_operations": sum(
-                    getattr(c, "completed_operations", 0) for c in raw.clients
+                    getattr(c, "completed_operations", 0) for c in system.clients
                 ),
             },
             "server": {
@@ -140,9 +134,9 @@ def system_profile(system: Any) -> dict[str, Any]:
             },
         }
     else:
-        profile = {"kind": "single", **_shard_profile(raw)}
-    if backend_name is not None:
-        profile["backend"] = backend_name
+        profile = {"kind": "single", **_shard_profile(system)}
+    if system.backend_name is not None:
+        profile["backend"] = system.backend_name
     profile["hot_path_caches"] = hot_path_cache_stats()
     registry = get_registry()
     if registry.enabled:

@@ -244,8 +244,10 @@ class FaultInjector:
                     f"fleet has {len(system.clients)} client(s)"
                 )
             return [(self, system.clients[fault.target].name, fault.target)]
+        from repro.cluster.system import ClusterSystem  # it imports this module
+
         shard, replica = fault.target
-        if hasattr(system, "shards"):
+        if isinstance(system, ClusterSystem):
             shards = system.shards
             if shard is not None:
                 shards = [shards[system.check_shard(shard)]]

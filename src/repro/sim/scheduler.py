@@ -100,13 +100,13 @@ class Scheduler:
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
-        if time < self._now:
+        if not time >= self._now:  # NaN fails too; inf is a legal "never"
             raise SimulationError(
                 f"cannot schedule at {time} which is before now={self._now}"
             )

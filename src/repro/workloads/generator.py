@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import ClientId, OpKind, RegisterId
-from repro.workloads.runner import StorageSystem
+from repro.workloads.runner import Deployment
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class OpenLoopConfig:
     value_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.rate <= 0 or self.duration <= 0:
+        if not (self.rate > 0 and self.duration > 0):  # NaN fails too
             raise ConfigurationError("rate and duration must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigurationError("read_fraction must be in [0, 1]")
@@ -239,18 +239,12 @@ class Driver:
     per-client sessions instead of calling the protocol clients
     directly — the mode a batching deployment needs, since the session
     is the layer that buffers and auto-flushes submissions
-    (``SystemConfig(batching=...)``).  Requires a system exposing
-    ``session(client_id)`` (the api facade or a cluster).
+    (``SystemConfig(batching=...)``).
     """
 
-    def __init__(self, system: StorageSystem, via_sessions: bool = False) -> None:
+    def __init__(self, system: Deployment, via_sessions: bool = False) -> None:
         self._system = system
         self._via_sessions = via_sessions
-        if via_sessions and not hasattr(system, "session"):
-            raise ConfigurationError(
-                "via_sessions needs a system with per-client sessions "
-                "(open it through repro.api)"
-            )
         self.stats = DriverStats()
 
     def attach(self, client_id: ClientId, script: list[PlannedOp]) -> None:
@@ -397,7 +391,7 @@ class Driver:
 
 
 def run_closed_loop(
-    system: StorageSystem,
+    system: Deployment,
     workload: WorkloadConfig | dict[ClientId, list[PlannedOp]],
     rng: random.Random | None = None,
     *,

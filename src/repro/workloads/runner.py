@@ -12,6 +12,10 @@ the one :class:`StorageSystem` that drives the result.  The simulator
 (:func:`repro.net.trace.replay_trace`) differ only in the world they
 hand it; USTOR, FAUST, lock-step and unchecked only in the protocol.
 
+:class:`Deployment` is what every opened system offers — a
+:class:`StorageSystem`, or a :class:`~repro.cluster.system.ClusterSystem`
+of them — and ``open_system`` returns the deployment itself.
+
 :class:`IncrementalAuditor` adds periodic consistency audits to any
 deployment (single-server or cluster): streaming checkers subscribe to
 the live recorder(s) and a scheduler timer snapshots their verdicts
@@ -43,13 +47,134 @@ from repro.ustor.server import UstorServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (api imports runner)
     from repro.api.config import BatchingPolicy
+    from repro.api.events import NotificationHub
 
 #: Builds a server given (num_clients, name); lets tests inject Byzantine ones.
 ServerFactory = Callable[[int, str], UstorServer]
 
 
+class Deployment:
+    """What every opened deployment offers: one server (or replica group)
+    with its clients — :class:`StorageSystem` — or a cluster of them —
+    :class:`~repro.cluster.system.ClusterSystem`.
+
+    A subclass supplies ``scheduler``, ``clients``, ``shards`` (the
+    independent single-server deployments behind it, ``[self]`` when
+    unsharded), ``faults``, ``audit_every``, its ``session_class`` and a
+    ``_sessions`` cache.  ``open_system`` sets ``backend_name``,
+    ``capabilities`` and ``default_timeout``; a deployment built directly
+    keeps the defaults below.
+    """
+
+    #: The backend that opened this deployment (``None``: built directly).
+    backend_name: str | None = None
+    #: That backend's :class:`~repro.api.backends.Capabilities`.
+    capabilities = None
+    #: Wait budget of the sessions opened here, on the world's clock.
+    default_timeout: float = 1_000.0
+    #: Every ``stable_i`` / ``fail_i`` output as a typed event, once wired.
+    notifications: NotificationHub | None = None
+
+    # -- the world's clock ----------------------------------------------- #
+
+    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+        """Advance the world to time ``until``; returns the number of
+        events this call fired."""
+        return self.scheduler.run(until=until, max_events=max_events)
+
+    def run_until(
+        self, predicate: Callable[[], bool], timeout: float | None = None
+    ) -> bool:
+        """Run until ``predicate()`` holds; False on timeout."""
+        return self.scheduler.run_until(predicate, timeout=timeout)
+
+    @property
+    def now(self) -> float:
+        """Current time on the world's clock (shared by every shard)."""
+        return self.scheduler.now
+
+    # -- sessions and guarantees ----------------------------------------- #
+
+    def session(self, client_id: ClientId, timeout: float | None = None):
+        """The session bound to ``client_id`` (cached per client unless an
+        explicit ``timeout`` asks for a dedicated one)."""
+        if timeout is not None:
+            return self.session_class(self, client_id, timeout=timeout)
+        if client_id not in self._sessions:
+            self._sessions[client_id] = self.session_class(self, client_id)
+        return self._sessions[client_id]
+
+    def sessions(self) -> list:
+        """One session per client, in client order."""
+        return [self.session(i) for i in range(len(self.clients))]
+
+    def require(self, capability: str) -> None:
+        """Assert the backend provides ``capability`` (an attribute of its
+        :class:`~repro.api.backends.Capabilities`); raises
+        :class:`~repro.api.errors.CapabilityError` if not."""
+        from repro.api.errors import CapabilityError
+
+        if not getattr(self.capabilities, capability, False):
+            raise CapabilityError(
+                f"backend {self.backend_name!r} does not provide {capability}"
+            )
+
+    # -- faults: one-line producers for ``self.faults`` ------------------ #
+
+    def crash_client_at(self, client_id: ClientId, time: float) -> None:
+        """Schedule a crash-stop of one client (every shard instance of
+        it) at an absolute virtual time."""
+        self.faults.add(Fault("crash-forever", client_id, time), notes=("crash", None))
+
+    def server_outage(self, start: float, duration: float) -> None:
+        """One crash-recovery window for the whole service: every replica
+        of every shard down over [start, start+duration) — a correlated
+        outage, "the service is down".  ``replica_outage`` crashes one
+        replica (the fault an honest majority masks)."""
+        self.faults.add(Fault("down", None, start, duration))
+
+    # -- observation ----------------------------------------------------- #
+
+    def attach_audit(
+        self,
+        every: float | None = None,
+        checks: tuple[str, ...] = ("linearizability", "causal"),
+    ) -> "IncrementalAuditor":
+        """Start periodic O(delta) consistency audits on this deployment —
+        one streaming checker set per shard (``every`` defaults to the
+        world's audit cadence, :attr:`audit_every`)."""
+        if every is None:
+            every = self.audit_every
+        return IncrementalAuditor(self, every=every, checks=checks)
+
+    def profile(self) -> dict:
+        """Machine-readable performance profile of this deployment
+        (:func:`repro.perf.system_profile`): scheduler/server/client
+        counters plus hot-path cache effectiveness."""
+        from repro.perf.profile import system_profile
+
+        return system_profile(self)
+
+    # -- lifetime -------------------------------------------------------- #
+
+    def close(self) -> None:
+        """Release what the deployment holds open: the co-located servers'
+        storage engines (idempotent; durable contents stay)."""
+        for shard in self.shards:
+            for server in shard.replica_servers:
+                engine = getattr(server, "engine", None)
+                if engine is not None:
+                    engine.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 @dataclass
-class StorageSystem:
+class StorageSystem(Deployment):
     """A fully wired deployment, whatever world it runs in."""
 
     scheduler: Scheduler
@@ -81,20 +206,54 @@ class StorageSystem:
     audit_every: float = 50.0
     #: The deployment's one fault schedule (:mod:`repro.sim.faults`).
     faults: FaultInjector = field(init=False, repr=False)
+    _sessions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.faults = FaultInjector(self)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the world to time ``until``; returns the number of
-        events this call fired."""
-        return self.scheduler.run(until=until, max_events=max_events)
+    @property
+    def session_class(self) -> type:
+        """:class:`~repro.api.session.Session`, one per client."""
+        from repro.api.session import Session  # repro.api imports this module
 
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        """Run until ``predicate()`` holds; False on timeout."""
-        return self.scheduler.run_until(predicate, timeout=timeout)
+        return Session
+
+    @property
+    def shards(self) -> list["StorageSystem"]:
+        """The independent deployments behind this system: itself."""
+        return [self]
+
+    @property
+    def raw(self) -> "StorageSystem":
+        """This deployment.  ``open_system`` returns the wired system
+        itself; ``benchmarks/e2e/workloads.py`` still reads ``.raw``."""
+        return self
+
+    def wire_notifications(self) -> None:
+        """Give the deployment its :class:`NotificationHub`: every
+        client's ``stable_i`` / ``fail_i`` outputs as typed events.
+
+        ``open_system`` calls this once on the system it returns.  A
+        cluster's shards never get a hub of their own: the cluster's
+        touch-scoped hub already hears their clients.
+        """
+        from repro.api.events import NotificationHub
+
+        hub = self.notifications = NotificationHub()
+        scheduler = self.scheduler
+        for client in self.clients:
+            if hasattr(client, "add_stable_listener"):
+                client.add_stable_listener(
+                    lambda cut, _c=client: hub.emit_stability(
+                        scheduler.now, _c.client_id, cut
+                    )
+                )
+            if hasattr(client, "add_failure_listener"):
+                client.add_failure_listener(
+                    lambda reason, _c=client: hub.emit_failure(
+                        scheduler.now, _c.client_id, reason
+                    )
+                )
 
     def run_until_quiescent(
         self, check_every: float | None = None, timeout: float | None = None
@@ -113,7 +272,7 @@ class StorageSystem:
             check_every = self.quiescence_poll
         if timeout is None:
             timeout = self.quiescence_timeout
-        if check_every <= 0:
+        if not check_every > 0:  # NaN fails too
             raise ConfigurationError("check_every must be positive")
 
         last_scan = [float("-inf")]
@@ -133,67 +292,13 @@ class StorageSystem:
         """The recorded history (pending operations included)."""
         return self.recorder.history()
 
-    def attach_audit(
-        self,
-        every: float | None = None,
-        checks: tuple[str, ...] = ("linearizability", "causal"),
-    ) -> "IncrementalAuditor":
-        """Start periodic O(delta) consistency audits on this deployment
-        (``every`` defaults to the world's audit cadence)."""
-        if every is None:
-            every = self.audit_every
-        return IncrementalAuditor(self, every=every, checks=checks)
-
-    def profile(self) -> dict:
-        """Machine-readable performance profile of this deployment
-        (:func:`repro.perf.system_profile`): scheduler/server/client
-        counters plus hot-path cache effectiveness."""
-        from repro.perf.profile import system_profile
-
-        return system_profile(self)
-
     def client(self, client_id: ClientId):
         """The protocol client with id ``client_id``."""
         return self.clients[client_id]
 
-    # -- faults: one-line producers for ``self.faults`` ------------------ #
-
-    def crash_client_at(self, client_id: ClientId, time: float) -> None:
-        """Schedule a crash-stop of one client at an absolute virtual time."""
-        self.faults.add(Fault("crash-forever", client_id, time), notes=("crash", None))
-
-    def server_outage(self, start: float, duration: float) -> None:
-        """One crash-recovery window: server down over [start, start+duration).
-
-        On a replica group the window hits **every** replica — a
-        correlated outage, matching the single-server semantics "the
-        service is down".  Use :meth:`replica_outage` to crash one
-        replica (the fault an honest majority masks).
-        """
-        self.faults.add(Fault("down", None, start, duration))
-
     def replica_outage(self, replica: int, start: float, duration: float) -> None:
         """One crash-recovery window for a single replica of the group."""
         self.faults.add(Fault("down", (None, replica), start, duration))
-
-    @property
-    def now(self) -> float:
-        """Current time on the world's clock."""
-        return self.scheduler.now
-
-    def close(self) -> None:
-        """Release what the deployment holds open: the co-located servers'
-        storage engines (idempotent; durable contents stay)."""
-        for server in self.replica_servers:
-            engine = getattr(server, "engine", None)
-            if engine is not None:
-                engine.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)
@@ -235,9 +340,10 @@ class IncrementalAuditor:
         every: float = 50.0,
         checks: tuple[str, ...] = ("linearizability", "causal"),
     ) -> None:
+        from repro.cluster.system import ClusterSystem
         from repro.consistency.incremental import attach_incremental_checkers
 
-        if every <= 0:
+        if not every > 0:  # NaN fails too
             raise ConfigurationError("audit cadence must be positive")
         if not checks:
             raise ConfigurationError(
@@ -252,16 +358,12 @@ class IncrementalAuditor:
         #: all of a domain's checkers see the same operation stream, so
         #: the domain's delta is counted once, not once per checker.
         self._domains: list[list] = []
-        shards = getattr(system, "shards", None)
-        if shards is not None:
-            for index, shard in enumerate(shards):
-                attached = attach_incremental_checkers(shard.recorder, self.checks)
-                for name, checker in attached.items():
-                    self._checkers[f"shard{index}.{name}"] = checker
-                self._domains.append(list(attached.values()))
-        else:
-            attached = attach_incremental_checkers(system.recorder, self.checks)
-            self._checkers.update(attached)
+        sharded = isinstance(system, ClusterSystem)
+        for index, shard in enumerate(system.shards):
+            attached = attach_incremental_checkers(shard.recorder, self.checks)
+            prefix = f"shard{index}." if sharded else ""
+            for name, checker in attached.items():
+                self._checkers[prefix + name] = checker
             self._domains.append(list(attached.values()))
         self._ops_at_last_audit = 0
         #: Periodic snapshots, in audit order.

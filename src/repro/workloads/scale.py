@@ -263,21 +263,21 @@ def _checker_state_size(checkers: dict) -> int:
     return total
 
 
-def _take_sample(raw, checkers: dict) -> ResidentSample:
-    engine = getattr(raw.server, "_engine", None)
+def _take_sample(system, checkers: dict) -> ResidentSample:
+    engine = getattr(system.server, "_engine", None)
     wal_bytes = 0
     if engine is not None and hasattr(engine, "medium"):
         wal_bytes = engine.medium.size(engine.WAL)
     return ResidentSample(
-        time=raw.now,
-        server_pending=len(raw.server.state.pending),
+        time=system.now,
+        server_pending=len(system.server.state.pending),
         wal_bytes=wal_bytes,
-        recorder_ops=raw.recorder.completed_count + raw.recorder.pending_count,
+        recorder_ops=system.recorder.completed_count + system.recorder.pending_count,
         checker_state=_checker_state_size(checkers),
-        vh_records=sum(len(c.vh_records) for c in raw.clients),
+        vh_records=sum(len(c.vh_records) for c in system.clients),
         stable_notifications=sum(
             len(c.stable_notifications)
-            for c in raw.clients
+            for c in system.clients
             if hasattr(c, "stable_notifications")
         ),
     )
@@ -320,14 +320,13 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
         faust=FaustParams(),
     )
     system = open_system(system_config, backend="faust")
-    raw = system.raw
-    checkers = attach_incremental_checkers(raw.recorder) if config.audit else {}
+    checkers = attach_incremental_checkers(system.recorder) if config.audit else {}
 
     schedules = generate_open_loop(
         config.num_clients, config.open_loop, random.Random(config.seed)
     )
     latency_hist = Histogram()
-    driver = Driver(raw)
+    driver = Driver(system)
     driver.attach_open_loop_all(
         schedules, on_latency=lambda _client, latency: latency_hist.observe(latency)
     )
@@ -336,7 +335,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
     # through the pool so the signer count never grows with session count.
     # A slot that goes away — a churn window or a lease-expiry fault —
     # logs its session out; a fresh one logs in when the slot returns.
-    pool = SessionPool(config.num_clients, provider=lambda slot: raw.clients[slot])
+    pool = SessionPool(config.num_clients, provider=lambda slot: system.clients[slot])
     active: dict[int, SessionLease] = {}
     for _ in range(config.num_clients):
         lease = pool.try_acquire()
@@ -353,7 +352,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
             if lease is not None:  # slot may have been evicted while away
                 active[slot] = lease
 
-    raw.faults.add_listener(_on_away)
+    system.faults.add_listener(_on_away)
     if config.churn_windows:
         churn_rng = random.Random((config.seed << 1) ^ 0xC4A11)
         windows = plan_churn_windows(
@@ -370,17 +369,19 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
                 slot
                 for slot in sorted(active)
                 if slot not in quarantined
-                and not raw.clients[slot].halted
-                and not raw.faults.conflict(Fault("away", slot, raw.now, duration))
+                and not system.clients[slot].halted
+                and not system.faults.conflict(
+                    Fault("away", slot, system.now, duration)
+                )
             ]
             if eligible:  # else every slot is away, crashed or evicted
-                raw.faults.away(churn_rng.choice(eligible), duration)
+                system.faults.away(churn_rng.choice(eligible), duration)
 
         for window in windows:
-            raw.scheduler.schedule_at(window.start, _session_out, window.duration)
+            system.scheduler.schedule_at(window.start, _session_out, window.duration)
 
     for spec in config.client_faults:
-        raw.faults.add(Fault.parse(spec))
+        system.faults.add(Fault.parse(spec))
 
     tracing = False
     if config.trace_malloc and not tracemalloc.is_tracing():
@@ -389,11 +390,11 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
     try:
         samples: list[ResidentSample] = []
         horizon = config.open_loop.duration
-        while raw.now < horizon:
-            raw.run(until=min(raw.now + config.sample_every, horizon))
-            samples.append(_take_sample(raw, checkers))
-        raw.run(until=horizon + config.drain)
-        samples.append(_take_sample(raw, checkers))
+        while system.now < horizon:
+            system.run(until=min(system.now + config.sample_every, horizon))
+            samples.append(_take_sample(system, checkers))
+        system.run(until=horizon + config.drain)
+        samples.append(_take_sample(system, checkers))
         peak = None
         if tracemalloc.is_tracing():
             _current, peak = tracemalloc.get_traced_memory()
@@ -403,8 +404,8 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
 
     planned = driver.stats.total_planned()
     completed = driver.stats.total_completed()
-    duration = raw.now
-    live = [c for c in raw.clients if not c.halted]
+    duration = system.now
+    live = [c for c in system.clients if not c.halted]
     managers = [
         c.checkpoint_manager
         for c in live
@@ -439,16 +440,16 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
         checkpoints_installed=(
             min(m.installed.seq for m in managers) if managers else 0
         ),
-        server_checkpoints=getattr(raw.server, "checkpoints_handled", 0),
-        pending_truncated=getattr(raw.server, "pending_truncated", 0),
-        recorder_compacted=raw.recorder.compacted_ops,
+        server_checkpoints=getattr(system.server, "checkpoints_handled", 0),
+        pending_truncated=getattr(system.server, "pending_truncated", 0),
+        recorder_compacted=system.recorder.compacted_ops,
         checker_ok={name: c.result().ok for name, c in checkers.items()},
-        failed_clients=sum(1 for c in raw.clients if c.failed),
+        failed_clients=sum(1 for c in system.clients if c.failed),
         epoch=epoch,
         evicted_clients=evicted,
         rejoins=rejoins,
         checkpoint_stall_seconds=max(
-            (m.stall_seconds(raw.now) for m in managers), default=0.0
+            (m.stall_seconds(system.now) for m in managers), default=0.0
         ),
         sessions_created=pool.sessions_created,
         sessions_recycled=pool.sessions_recycled,

@@ -29,7 +29,6 @@ from repro.api.backends import get_backend
 from repro.api.config import FaustParams, SystemConfig
 from repro.api.events import FailureNotification
 from repro.api.handles import OpHandle, OpResult
-from repro.api.system import System
 from repro.cluster.shardmap import make_shard_map
 from repro.common.types import BOTTOM
 from repro.history.history import History
@@ -39,6 +38,7 @@ from repro.sim.network import FixedLatency
 from repro.store.codec import encode_server_state
 from repro.ustor.byzantine import ADVERSARIES, RollbackServer, even_odd_fork
 from repro.workloads.generator import DriverStats, WorkloadConfig, run_closed_loop
+from repro.workloads.runner import StorageSystem
 
 ALICE, BOB, CARLOS = 0, 1, 2
 
@@ -47,7 +47,7 @@ ALICE, BOB, CARLOS = 0, 1, 2
 class Figure2Result:
     """Outcome of the Figure 2 stability-cut scenario."""
 
-    system: System
+    system: StorageSystem
     #: Alice's stability cuts in notification order.
     alice_cuts: list[tuple[int, ...]]
 
@@ -57,7 +57,7 @@ class Figure2Result:
         return (10, 8, 3) in self.alice_cuts
 
 
-def _settle(system: System, handle: OpHandle) -> OpResult:
+def _settle(system: StorageSystem, handle: OpHandle) -> OpResult:
     """Run one operation to completion, then let a moment pass.
 
     The settle gap makes consecutive scripted operations *strictly* ordered
@@ -130,7 +130,7 @@ def figure2_scenario(
 class Figure3Result:
     """Outcome of the Figure 3 forking scenario."""
 
-    system: System
+    system: StorageSystem
     #: The three operations, in the order of Figure 3.
     history: History
     #: Whether any USTOR client output fail (must be False: the attack is
@@ -251,7 +251,7 @@ def _run(
     the deployment, drive a half-reads closed-loop workload drawn from
     ``seed`` until ``run_for``, then read off what happened.  A callable
     ``reference`` is asked once the run is over, given the independent
-    deployments behind the system (the system itself, unsharded)."""
+    deployments behind the system (``system.shards``)."""
     config = SystemConfig(
         num_clients=num_clients,
         seed=seed,
@@ -269,7 +269,7 @@ def _run(
         random.Random(seed),
         until=run_for,
     )
-    shards = getattr(system, "shards", None) or [system]
+    shards = system.shards
     if callable(reference):
         reference = reference(shards)
 

@@ -174,7 +174,7 @@ class TestInheritedFromTheHonestPath:
             )
             with system:
                 _drive(system, 3, ops=6, seed=1)
-                server = system.raw.server
+                server = system.server
                 answered = system.trace.message_count("REPLY")
                 assert answered > 0
                 assert registry.get("ustor.server.submits").value == answered
@@ -191,7 +191,7 @@ class TestFirstDeviationStamp:
         )
         with system:
             _drive(system, 4, ops=8, seed=2)
-            stamp = system.raw.server.first_deviation_at
+            stamp = system.server.first_deviation_at
             if name == "correct":
                 assert stamp is None
             else:

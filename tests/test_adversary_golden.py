@@ -105,7 +105,7 @@ def record(label: str, backend: str, seed: int) -> dict:
             "total_messages": trace.message_count(),
             "total_bytes": trace.total_bytes(),
         }
-        injected = getattr(system.raw.server, "injected", None)
+        injected = getattr(system.server, "injected", None)
         if injected is not None:
             out["injected"] = injected
     # Through JSON so tuples compare as the lists the corpus holds.

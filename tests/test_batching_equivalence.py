@@ -271,6 +271,8 @@ def test_batching_policy_validation():
         BatchingPolicy(max_batch=0)
     with pytest.raises(ConfigurationError):
         BatchingPolicy(max_delay=-1.0)
+    with pytest.raises(ConfigurationError):  # its flush timer set the clock to NaN
+        BatchingPolicy(max_delay=float("nan"))
     # The amortizations below the session have no switch of their own.
     assert [f.name for f in dataclasses.fields(BatchingPolicy)] == [
         "max_batch",
@@ -296,18 +298,27 @@ def test_driver_via_sessions_engages_batching():
     system.run(until=500)
     assert driver.stats.total_completed() == driver.stats.total_planned() == 24
     # The pipeline actually ran: bursts coalesced and wakeups batched.
-    assert system.raw.network.messages_coalesced > 0
+    assert system.network.messages_coalesced > 0
     assert system.server.group_commits > 0
 
 
-def test_driver_via_sessions_needs_session_surface():
-    from repro.common.errors import ConfigurationError
-    from repro.workloads.generator import Driver
+def test_driver_via_sessions_runs_on_a_built_deployment():
+    """A deployment built without ``open_system`` has the per-client
+    session surface too, so the driver can route through it."""
+    from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
     from repro.workloads.runner import SystemBuilder
 
-    raw = SystemBuilder(num_clients=2, seed=1).build()  # no .session()
-    with pytest.raises(ConfigurationError):
-        Driver(raw, via_sessions=True)
+    system = SystemBuilder(num_clients=2, seed=1).build()
+    scripts = generate_scripts(
+        2,
+        WorkloadConfig(ops_per_client=3, read_fraction=0.5, mean_think_time=1.0),
+        random.Random(1),
+    )
+    driver = Driver(system, via_sessions=True)
+    driver.attach_all(scripts)
+    system.run(until=200)
+    assert driver.stats.total_completed() == driver.stats.total_planned() == 6
+    assert system.session(0) is system.session(0)
 
 
 def test_wait_for_stability_flushes_parked_writes():

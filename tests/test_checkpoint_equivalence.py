@@ -191,7 +191,7 @@ def test_checkpointed_run_passes_definition5():
     """The full fail-aware validator accepts a checkpointed (compacted)
     run against a correct server — Definition 5 end to end."""
     system, _, _, _ = _run_phases("faust", 7, POLICY)
-    report = validate_fail_aware_run(system.raw, server_correct=True)
+    report = validate_fail_aware_run(system, server_correct=True)
     assert report.ok, report.render()
 
 

@@ -53,7 +53,8 @@ class TestRunCommand:
                 "6",
                 "--server",
                 "split-brain",
-                "--faust",
+                "--backend",
+                "faust",
                 "--until",
                 "900",
                 "--seed",
@@ -219,7 +220,7 @@ class TestTcpNoLongerIgnoresFlags:
              "shard_server_factories="),
             (["--batch", "4"], "batching="),
             (["--storage", "log"], "storage="),
-            (["--faust"], "simulator-only"),
+            (["--backend", "faust"], "simulator-only"),
         ],
     )
     def test_server_side_flags_are_refused_not_dropped(self, flags, knob, capsys):
@@ -253,6 +254,9 @@ class TestCliOnlyChecks:
               "--shard-outage", "0.5", "1", "2"], "must be an integer"),
             (["--audit-every", "0"], "positive cadence"),
             (["--metrics-port", "0"], "--transport tcp"),
+            (["--audit-every", "nan"], "positive cadence"),
+            (["--backend", "cluster", "--clients", "2", "--shards", "3"],
+             "owning nothing"),
         ],
     )
     def test_rejected_with_exit_2(self, flags, hint, capsys):

@@ -128,8 +128,10 @@ class TestClusterConfig:
             )
 
     def test_cluster_rejects_more_shards_than_registers(self):
-        with pytest.raises(ConfigurationError):
-            quiet_cluster(num_clients=2, shards=3)
+        # Refused where the config is made, before any backend is chosen.
+        with pytest.raises(ConfigurationError, match="owning nothing"):
+            SystemConfig(num_clients=2, shards=3)
+        assert SystemConfig(num_clients=3, shards=3).shards == 3
 
     def test_cluster_rejects_overlapping_windows_per_shard(self):
         with pytest.raises(ConfigurationError, match="shard 1"):
@@ -460,7 +462,7 @@ class TestClusterChurn:
                 faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
             )
         )
-        churn = ChurnSchedule(single.raw)
+        churn = ChurnSchedule(single)
         with pytest.raises(ValueError):
             churn.add_server_outage(5.0, 5.0, shard=0)
 

@@ -310,6 +310,8 @@ def test_auditor_validates_cadence():
     system = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
     with pytest.raises(ConfigurationError):
         system.attach_audit(every=0)
+    with pytest.raises(ConfigurationError):  # used to hang the run
+        system.attach_audit(every=float("nan"))
     with pytest.raises(ValueError):
         attach_incremental_checkers(system.recorder, checks=("nope",))
 

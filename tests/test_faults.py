@@ -47,13 +47,13 @@ def deploy(name: str, **overrides):
 
 
 def servers_of(system) -> list:
-    return [s for d in getattr(system, "shards", [system]) for s in d.replica_servers]
+    return [s for d in system.shards for s in d.replica_servers]
 
 
 def notes_of(system) -> list[tuple[str, str]]:
     """Every (who, what) trace note of the deployment, shards included."""
     found = []
-    for trace in [system.trace] + [d.trace for d in getattr(system, "shards", [])]:
+    for trace in [system.trace] + [d.trace for d in system.shards if d is not system]:
         for note in trace.notes:
             who, what = (note[1], note[2]) if isinstance(note, tuple) else (
                 note.source, note.kind

@@ -39,6 +39,8 @@ def test_membership_policy_validation():
         MembershipPolicy(evict_after=0)
     with pytest.raises(ConfigurationError):
         MembershipPolicy(check_period=0.0)
+    with pytest.raises(ConfigurationError):
+        MembershipPolicy(check_period=float("nan"))
     policy = MembershipPolicy()
     assert policy.lease_checkpoints == 2 and policy.rejoin
 

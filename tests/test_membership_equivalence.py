@@ -108,7 +108,7 @@ def _collect(system, handles, incremental):
         name: checker.result().ok for name, checker in incremental.items()
     }
     census: dict[str, int] = {}
-    for record in system.raw.trace.messages:
+    for record in system.trace.messages:
         census[record.kind] = census.get(record.kind, 0) + 1
     return {
         "outcomes": outcomes,
@@ -201,9 +201,8 @@ def test_rollback_after_epoch_change_is_detected():
         name=name,
     )
     system, _inc = _open(seed, MEMBERSHIP, server_factory=factory)
-    raw = system.raw
-    crashed = raw.clients[3]
-    raw.scheduler.schedule_at(30.0, crashed.crash)
+    crashed = system.clients[3]
+    system.scheduler.schedule_at(30.0, crashed.crash)
     sessions = system.sessions()
     failed_at = epoch_changed_at = None
     for phase in range(40):

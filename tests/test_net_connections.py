@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.config import BatchingPolicy
-from repro.api.session import Session, as_session
+from repro.api.session import Session
 from repro.common.encoding import encode
 from repro.common.errors import SimulationError
 from repro.common.types import OpKind
@@ -124,7 +124,7 @@ def recorded(runtime, tmp_path_factory) -> dict[tuple[str, int], list[bytes]]:
     trace_path = tmp_path_factory.mktemp("recorded") / "run.jsonl"
     system, _host = _open_deployment(runtime, trace_path=str(trace_path))
     with system:
-        alice, bob = as_session(system, 0), as_session(system, 1)
+        alice, bob = system.session(0), system.session(1)
         alice.write_sync(b"a1")
         alice.read_sync(0)
         alice.write_sync(b"a2")
@@ -309,7 +309,7 @@ class TestBadPeerCostsOnlyItsConnection:
     ):
         system, host = deployment
         segments, expected_answer = _bad_stream(case, recorded)
-        session = as_session(system, 0)
+        session = system.session(0)
         assert session.write_sync(b"before") == 1
         state = host.node.state
         answered = runtime.run_coroutine(_exchange(host.endpoint, segments))
@@ -362,7 +362,7 @@ class TestClientReadPath:
         # that a malformed stream, not an orderly shutdown, and carry on.
         system, host = _open_deployment(runtime)
         with system:
-            session = as_session(system, 0)
+            session = system.session(0)
             assert session.write_sync(b"one") == 1
             # Let the COMMIT land first: closing over unread bytes would
             # reset the connection instead of ending the stream.
@@ -390,7 +390,7 @@ class TestClientReadPath:
         # other undecodable frame — note, reconnect, next operation served.
         system, host = _open_deployment(runtime)
         with system:
-            session = as_session(system, 0)
+            session = system.session(0)
             assert session.write_sync(b"one") == 1
             assert system.run_until(
                 lambda: not host.node.state.pending, timeout=2.0
@@ -412,7 +412,7 @@ class TestClientReadPath:
         # one note, one reconnect, and the next operation is served.
         system, host = _open_deployment(runtime)
         with system:
-            session = as_session(system, 0)
+            session = system.session(0)
             assert session.write_sync(b"one") == 1
             assert system.run_until(
                 lambda: not host.node.state.pending, timeout=2.0
@@ -494,7 +494,7 @@ class TestPump:
         system, host = _open_deployment(runtime)
         with system:
             connection = system.connections[0]
-            session = as_session(system, 0)
+            session = system.session(0)
 
             def predicate() -> bool:
                 # False on the pump's own first check, raises on the
@@ -521,7 +521,7 @@ class TestPump:
                 except SimulationError as exc:
                     refused.append(str(exc))
 
-            handle = as_session(system, 0).write(b"x")
+            handle = system.session(0).write(b"x")
             handle.add_done_callback(wait_from_inside)
             assert system.run_until(handle.done, timeout=2.0)
             assert refused and "re-entrant" in refused[0]

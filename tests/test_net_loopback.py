@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import SystemConfig, open_system
 from repro.api.errors import OperationTimeout
-from repro.api.session import as_session
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
@@ -89,7 +88,7 @@ class TestLoopbackWorkload:
     def test_session_facade_write_read(self):
         system, _host = open_loopback(2)
         with system:
-            alice, bob = as_session(system, 0), as_session(system, 1)
+            alice, bob = system.session(0), system.session(1)
             t1 = alice.write_sync(b"net-hello")
             assert t1 == 1
             value, t2 = bob.read_sync(0)
@@ -99,7 +98,7 @@ class TestLoopbackWorkload:
     def test_timestamps_are_per_client_counters(self):
         system, _host = open_loopback(2)
         with system:
-            session = as_session(system, 0)
+            session = system.session(0)
             timestamps = [session.write_sync(bytes([i])) for i in range(3)]
             assert timestamps == [1, 2, 3]
 
@@ -115,12 +114,12 @@ class TestTimedModel:
             )
         )
         with system:
-            victim = as_session(system, 0, timeout=0.4)
+            victim = system.session(0, timeout=0.4)
             handle = victim.write(b"never-answered")
             with pytest.raises(OperationTimeout):
                 handle.result(0.4)
             # The untargeted client is still served (wait-freedom).
-            assert as_session(system, 1).write_sync(b"fine") == 1
+            assert system.session(1).write_sync(b"fine") == 1
 
     def test_connect_failure_is_loud(self):
         with pytest.raises(ConfigurationError, match="could not connect"):
@@ -155,7 +154,7 @@ class TestCrashRecovery:
             2, (host.endpoint,), runtime=runtime, default_timeout=10.0
         )
         with system:
-            session = as_session(system, 0)
+            session = system.session(0)
             assert session.write_sync(b"before-crash") == 1
 
             runtime.run_coroutine(host.stop())
@@ -194,7 +193,7 @@ class TestCrashRecovery:
             sent = []
             original = connection.send_message
             connection.send_message = lambda m: (sent.append(m), original(m))
-            session = as_session(system, 0)
+            session = system.session(0)
             assert session.write_sync(b"first") == 1
             system.run_until_quiescent(timeout=2.0)
             submit = next(m for m in sent if m.kind == "SUBMIT")

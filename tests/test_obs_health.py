@@ -175,7 +175,7 @@ class TestDetectionLatencySim:
             monitor = HealthMonitor(
                 system.clients,
                 lambda: system.now,
-                servers=[system.raw.server],
+                servers=[system.server],
             )
             _run_scripts(system, 3, ops=6, seed=1)
             system.run(until=500.0)
@@ -192,7 +192,7 @@ class TestDetectionLatencySim:
                 e.time for e in notifications
             )
             stats = monitor.refresh()
-            crash_time = system.raw.server.rollback_crash_time
+            crash_time = system.server.rollback_crash_time
             assert crash_time is not None
             assert monitor.deviation_time == crash_time
             expected = max(
@@ -216,7 +216,7 @@ class TestDetectionLatencySim:
                 backend="ustor",
             )
             monitor = HealthMonitor(
-                system.clients, lambda: system.now, servers=[system.raw.server]
+                system.clients, lambda: system.now, servers=[system.server]
             )
             _run_scripts(system, 3, ops=8, seed=2)
             system.run(until=500.0)
@@ -232,7 +232,7 @@ class TestDetectionLatencySim:
             # start (t=0 here) — so the gauge is the one network hop that
             # carried the mangled REPLY to the client that caught it.
             detected = min(e.time for e in notifications)
-            deviation = system.raw.server.first_deviation_at
+            deviation = system.server.first_deviation_at
             assert monitor.started_at == 0.0 < deviation < detected
             assert stats["health.deviation_time"] == deviation
             assert any(
@@ -260,7 +260,7 @@ class TestDetectionLatencySim:
                 backend="faust",
             )
             monitor = HealthMonitor(
-                system.clients, lambda: system.now, servers=[system.raw.server]
+                system.clients, lambda: system.now, servers=[system.server]
             )
             _run_scripts(system, 4, ops=8, seed=3)
             system.run(until=500.0)
@@ -286,8 +286,6 @@ class TestDetectionLatencySim:
 @pytest.mark.net
 class TestDetectionLatencyTcp:
     def test_tampering_server_over_loopback(self):
-        from repro.api.backends import get_backend
-        from repro.api.system import System as ApiSystem
         from repro.net.client import NetRuntime, open_tcp_system
         from repro.net.server import NetServerHost
 
@@ -306,9 +304,7 @@ class TestDetectionLatencyTcp:
             system.hosts.append(host)
             system.owns_runtime = True
             with system:
-                facade = ApiSystem(
-                    system, "ustor", get_backend("ustor").capabilities, 10.0
-                )
+                system.wire_notifications()
                 monitor = HealthMonitor(
                     system.clients, lambda: system.scheduler.now
                 )
@@ -323,7 +319,7 @@ class TestDetectionLatencyTcp:
 
                 notifications = [
                     e
-                    for e in facade.notifications.history
+                    for e in system.notifications.history
                     if isinstance(e, FailureNotification)
                 ]
                 assert notifications

@@ -105,7 +105,7 @@ class TestProfileSections:
 
     def test_crashed_client_is_counted(self):
         system = open_system(SystemConfig(num_clients=3, seed=3), backend="ustor")
-        system.raw.clients[2].crash()
+        system.clients[2].crash()
         clients = system.profile()["clients"]
         assert clients == {
             "count": 3,

@@ -277,9 +277,7 @@ class TestTcpReplicaGroup:
         system.hosts.extend(hosts)
         system.owns_runtime = True
         with system:
-            from repro.api.session import as_session
-
-            alice, bob = as_session(system, 0), as_session(system, 1)
+            alice, bob = system.session(0), system.session(1)
             assert alice.write_sync(b"pre-attack") == 1
             # Roll replica r1 back in place: its durable state reverts to
             # the pre-write snapshot while the attached counter — by

@@ -122,7 +122,7 @@ def _run(adversary: str, n: int, seed: int, piggyback: bool, codec: bool) -> dic
             "history": history_signature(system.history()),
             "fail_reasons": [c.fail_reason for c in system.clients],
             "halt_reasons": [c.halt_reason for c in system.clients],
-            "versions": [client.version for client in system.raw.clients],
+            "versions": [client.version for client in system.clients],
         }
 
 

@@ -52,6 +52,8 @@ class TestSystemBuilder:
         system = SystemBuilder(num_clients=1, seed=2).build()
         with pytest.raises(ConfigurationError):
             system.run_until_quiescent(check_every=0)
+        with pytest.raises(ConfigurationError):
+            system.run_until_quiescent(check_every=float("nan"))
 
     def test_run_until_quiescent_skips_crashed(self):
         system = SystemBuilder(num_clients=2, seed=3).build()

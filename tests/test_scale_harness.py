@@ -100,6 +100,9 @@ def test_open_loop_config_validation():
         OpenLoopConfig(rate=0.0)
     with pytest.raises(ConfigurationError):
         OpenLoopConfig(duration=-1.0)
+    for knob in ("rate", "duration"):
+        with pytest.raises(ConfigurationError):
+            OpenLoopConfig(**{knob: float("nan")})
     with pytest.raises(ConfigurationError):
         OpenLoopConfig(read_fraction=1.5)
     with pytest.raises(ConfigurationError):

@@ -131,6 +131,9 @@ class TestErrors:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Scheduler().schedule(-1.0, lambda: None)
+        # NaN fails every comparison: ``delay < 0`` let it into the clock.
+        with pytest.raises(SimulationError):
+            Scheduler().schedule(float("nan"), lambda: None)
 
     def test_scheduling_into_past_rejected(self):
         sched = Scheduler()
@@ -138,6 +141,10 @@ class TestErrors:
         sched.run()
         with pytest.raises(SimulationError):
             sched.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sched.schedule_at(float("nan"), lambda: None)
+        sched.schedule_at(float("inf"), lambda: None)  # a window that never ends
+        assert sched.pending == 1
 
 
 class TestDeterminism:

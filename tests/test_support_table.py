@@ -250,8 +250,10 @@ def test_one_loop_one_surface(backend, transport, replicas, loops, wired, loopba
         )
     with open_system(SystemConfig(**kwargs), backend=backend) as system:
         assert len(wired) == loops
-        deployments = system.shards if backend == "cluster" else [system.raw]
+        deployments = system.shards
         assert [id(d) for d in deployments] == [id(w) for w in wired]
+        if backend != "cluster":
+            assert system is wired[0]
         assert system.session(0).write_sync(b"x") == 1
         for deployment in deployments:
             check_surface(deployment, step=0.05 if transport == "tcp" else 5.0)

@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import SystemConfig, open_system
-from repro.api.session import as_session
 from repro.cli import main
 from repro.common.errors import StorageError
 from repro.net.wire import message_to_payload, payload_to_message
@@ -68,13 +67,13 @@ def capture() -> dict[str, str]:
         SystemConfig(num_clients=2, seed=SEED, server_factory=_Tap), backend="ustor"
     )
     with system:
-        alice, bob = as_session(system, 0), as_session(system, 1)
+        alice, bob = system.session(0), system.session(1)
         alice.write_sync(b"alpha")
         bob.read_sync(0)
         bob.write_sync(b"beta")
         alice.read_sync(1)
         system.run_until_quiescent()
-        tap = system.raw.server
+        tap = system.server
     (_, submit), (committer, commit), (_, reply) = (
         tap.latest[kind] for kind in ("SUBMIT", "COMMIT", "REPLY")
     )
