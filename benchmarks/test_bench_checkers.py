@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.consistency import (
     NOTIONS,
     check_causal_consistency,
@@ -19,12 +20,14 @@ from repro.consistency import (
 )
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import figure3_scenario
 
 
 def _recorded_history(num_clients: int, ops_per_client: int, seed: int):
-    system = SystemBuilder(num_clients=num_clients, seed=seed).build()
+    system = open_system(
+        SystemConfig(num_clients=num_clients, seed=seed),
+        backend="ustor",
+    )
     scripts = generate_scripts(
         num_clients,
         WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.6, mean_think_time=0.0),

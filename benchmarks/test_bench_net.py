@@ -14,10 +14,10 @@ import random
 
 import pytest
 
-from repro.net.client import NetRuntime, open_tcp_system
+from repro.api import SystemConfig, open_system
+from repro.net.client import NetRuntime
 from repro.net.server import NetServerHost
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 pytestmark = pytest.mark.net
 
@@ -29,8 +29,15 @@ def _open_loopback(num_clients: int):
     runtime = NetRuntime()
     host = NetServerHost(num_clients)
     runtime.run_coroutine(host.start())
-    system = open_tcp_system(
-        num_clients, (host.endpoint,), runtime=runtime, default_timeout=30.0
+    system = open_system(
+        SystemConfig(
+            num_clients,
+            transport="tcp",
+            endpoints=(host.endpoint,),
+            default_timeout=30.0,
+        ),
+        backend="ustor",
+        runtime=runtime,
     )
     system.hosts.append(host)
     system.owns_runtime = True
@@ -56,7 +63,10 @@ def _drive(system, num_clients: int, seed: int) -> None:
 def test_loopback_workload_completes_like_sim(bench_seed):
     total_ops = NUM_CLIENTS * OPS_PER_CLIENT
 
-    sim_system = SystemBuilder(num_clients=NUM_CLIENTS, seed=bench_seed).build()
+    sim_system = open_system(
+        SystemConfig(num_clients=NUM_CLIENTS, seed=bench_seed),
+        backend="ustor",
+    )
     _drive(sim_system, NUM_CLIENTS, bench_seed)
     assert len(sim_system.history()) == total_ops
 

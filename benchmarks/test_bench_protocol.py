@@ -12,16 +12,19 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
 from repro.ustor.messages import InvocationTuple, SubmitMessage
 from repro.ustor.server import ServerState, apply_submit
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 
-def _run_workload(num_clients: int, ops_per_client: int, seed: int, **builder_kwargs):
-    system = SystemBuilder(num_clients=num_clients, seed=seed, **builder_kwargs).build()
+def _run_workload(num_clients: int, ops_per_client: int, seed: int, **config_kwargs):
+    system = open_system(
+        SystemConfig(num_clients=num_clients, seed=seed, **config_kwargs),
+        backend="ustor",
+    )
     scripts = generate_scripts(
         num_clients,
         WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5, mean_think_time=0.0),
@@ -73,10 +76,8 @@ def test_server_apply_submit(benchmark):
 
 
 def test_lockstep_throughput(benchmark):
-    from repro.baselines.lockstep import lockstep_protocol
-
     def run():
-        system = SystemBuilder(4, seed=4).build_protocol(lockstep_protocol())
+        system = open_system(SystemConfig(4, seed=4), backend="lockstep")
         scripts = generate_scripts(
             4,
             WorkloadConfig(ops_per_client=15, read_fraction=0.5, mean_think_time=0.0),

@@ -20,16 +20,17 @@ from __future__ import annotations
 import random
 import time
 
+from repro.api import SystemConfig, open_system
 from repro.replica.coordinator import QuorumCoordinator
 from repro.ustor.messages import ReplyMessage
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 
 def _run_workload(seed: int, replicas: int, counter: str | None):
-    system = SystemBuilder(
-        num_clients=4, seed=seed, replicas=replicas, counter=counter
-    ).build()
+    system = open_system(
+        SystemConfig(num_clients=4, seed=seed, replicas=replicas, counter=counter),
+        backend="ustor",
+    )
     scripts = generate_scripts(
         4,
         WorkloadConfig(ops_per_client=10, read_fraction=0.5, mean_think_time=0.0),

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
 from repro.store import (
@@ -26,7 +27,6 @@ from repro.store import (
 from repro.ustor.messages import InvocationTuple, SubmitMessage
 from repro.ustor.server import ServerState, apply_submit
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 NUM_CLIENTS = 8
 
@@ -162,7 +162,10 @@ def test_workload_throughput_log_engine(benchmark):
     test_bench_protocol.py for the durability overhead."""
 
     def run():
-        system = SystemBuilder(num_clients=4, seed=9, storage="log").build()
+        system = open_system(
+            SystemConfig(num_clients=4, seed=9, storage="log"),
+            backend="ustor",
+        )
         scripts = generate_scripts(
             4,
             WorkloadConfig(

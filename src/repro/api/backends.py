@@ -57,7 +57,7 @@ class Backend(Protocol):
     name: str
     capabilities: Capabilities
 
-    def open_system(self, config: SystemConfig) -> Deployment:
+    def open_system(self, config: SystemConfig, **placement) -> Deployment:
         """Build and wire a deployment described by ``config``."""
         ...
 
@@ -79,50 +79,41 @@ def protocol_for(stack: str, config: SystemConfig):
     return {"lockstep": lockstep_protocol, "unchecked": unchecked_protocol}[stack]()
 
 
-def build_deployment(config: SystemConfig, protocol, **placement):
+def build_deployment(
+    config: SystemConfig, protocol, *, server_name: str | None = None, **placement
+):
     """One server (or replica group) with its clients, wired from
     ``config``: ``protocol`` (a :class:`~repro.workloads.runner.
     ProtocolSpec`) on the world ``config.transport`` names — the
     simulator, or sockets to already-running ``repro serve`` processes.
+    The only place a config becomes a world.
 
-    ``placement`` overrides simulator knobs per shard (name, shared
-    scheduler, factory) — the cluster backend's only addition.
+    ``server_name`` (default ``config.server_name``) and ``placement``
+    say what varies per shard or per test, never what the config
+    describes: the simulator's shared ``scheduler``, ``server_factory``
+    and ``latency_seed`` (:class:`~repro.workloads.runner.SimWorld`), the
+    sockets' injected ``runtime`` and ``connect_timeout``
+    (:class:`~repro.net.client.TcpWorld`).
     """
     from repro.workloads import runner
 
-    deployment = dict(
-        num_clients=config.num_clients,
-        scheme=config.scheme,
-        server_name=config.server_name,
-        commit_piggyback=config.commit_piggyback,
-        replicas=config.replicas,
-        quorum=config.quorum,
-    )
     if config.transport == "tcp":
         from repro.net import client as net_client
 
-        world = net_client.TcpWorld(
-            config.endpoints,
-            seed=config.seed,
-            trace_path=config.trace_path,
-            span_log=config.span_log,
-        )
-        return runner.wire_deployment(
-            world, protocol, counter=config.counter is not None, **deployment
-        )
-    simulator = dict(
-        seed=config.seed,
-        latency=config.latency,
-        offline_latency=config.offline_latency,
-        server_factory=config.server_factory,
-        storage=config.storage,
-        batching=config.batching,
-        counter=config.counter,
-        replica_server_factories=config.replica_server_factories,
+        world = net_client.TcpWorld(config, **placement)
+    else:
+        world = runner.SimWorld(config, **placement)
+    return runner.wire_deployment(
+        world,
+        protocol,
+        num_clients=config.num_clients,
+        scheme=config.scheme,
+        server_name=server_name or config.server_name,
+        replicas=config.replicas,
+        quorum=config.quorum,
+        counter=config.counter is not None,
+        commit_piggyback=config.commit_piggyback,
     )
-    return runner.SystemBuilder(
-        **{**deployment, **simulator, **placement}
-    ).build_protocol(protocol)
 
 
 class _Backend:
@@ -132,10 +123,11 @@ class _Backend:
     name: str
     capabilities: Capabilities
 
-    def open_system(self, config: SystemConfig) -> Deployment:
-        """Open the deployment ``config`` describes on this backend."""
+    def open_system(self, config: SystemConfig, **placement) -> Deployment:
+        """Open the deployment ``config`` describes on this backend
+        (``placement``: :func:`build_deployment`'s per-test seams)."""
         check_supported(config, self.name)
-        system = self._open(config)
+        system = self._open(config, **placement)
         system.backend_name = self.name
         system.capabilities = self._capabilities_for(config)
         system.default_timeout = config.default_timeout
@@ -157,8 +149,8 @@ class _Backend:
                 deployment.span_log = config.span_log
         return system
 
-    def _open(self, config: SystemConfig) -> Deployment:
-        system = build_deployment(config, protocol_for(self.name, config))
+    def _open(self, config: SystemConfig, **placement) -> Deployment:
+        system = build_deployment(config, protocol_for(self.name, config), **placement)
         system.wire_notifications()
         return system
 
@@ -258,9 +250,10 @@ def get_backend(backend: str | Backend) -> Backend:
 
 
 def open_system(
-    config: SystemConfig, backend: str | Backend = "faust"
+    config: SystemConfig, backend: str | Backend = "faust", **placement
 ) -> Deployment:
     """Open a deployment described by ``config`` on the chosen backend:
     the wired :class:`~repro.workloads.runner.StorageSystem`, or a
-    :class:`~repro.cluster.system.ClusterSystem` of them."""
-    return get_backend(backend).open_system(config)
+    :class:`~repro.cluster.system.ClusterSystem` of them (``placement``:
+    :func:`build_deployment`'s per-test seams)."""
+    return get_backend(backend).open_system(config, **placement)

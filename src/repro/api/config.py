@@ -70,7 +70,8 @@ class FaustParams:
     enable_probes: bool = True
 
     def as_kwargs(self) -> dict:
-        """The parameters as ``SystemBuilder.build_faust`` keyword args."""
+        """The parameters as :class:`~repro.faust.client.FaustClient`
+        keyword arguments (this class is their only default)."""
         return asdict(self)
 
 
@@ -277,6 +278,13 @@ class SystemConfig:
                 )
         if self.replicas < 1:
             raise ConfigurationError("a shard needs at least one replica")
+        if self.replicas > 1 and not (
+            isinstance(self.storage, str) or callable(self.storage)
+        ):
+            raise ConfigurationError(
+                "a replica group needs one engine per replica: pass a "
+                "storage name or factory, not a ready engine instance"
+            )
         if self.quorum is not None:
             if self.replicas == 1:
                 raise ConfigurationError(

@@ -45,6 +45,7 @@ same workload runs on (``faust`` / ``ustor`` / ``lockstep`` /
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -58,7 +59,7 @@ from repro.api import (
 from repro.api.config import check_supported
 from repro.cluster.shardmap import SHARD_MAP_STRATEGIES
 from repro.cluster.system import ClusterSystem
-from repro.common.errors import ConfigurationError, StorageError
+from repro.common.errors import ConfigurationError, SimulationError, StorageError
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
 from repro.consistency import (
@@ -264,14 +265,24 @@ def _server_placement(args, backend):
     return factory, {}, {}
 
 
-def _run_config(args, backend) -> SystemConfig:
-    """The flags of ``repro run`` as one :class:`SystemConfig`.
+def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
+    """The flags of ``repro run`` as one :class:`SystemConfig` and the
+    :class:`WorkloadConfig` driven over it.
 
     Raises ``ConfigurationError`` for the checks only the CLI can make
     (server names and placement, operand types, flags that are not config
-    fields); everything else is :class:`SystemConfig`'s to validate.
+    fields); everything else is the two configs' to validate.
     """
     tcp = args.transport == "tcp"
+    if not 0 < args.until < math.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"--until takes a positive, finite budget, got {args.until}"
+        )
+    workload = WorkloadConfig(
+        ops_per_client=args.ops,
+        read_fraction=args.read_fraction,
+        mean_think_time=0.01 if tcp else 1.0,
+    )
     factory, shard_factories, replica_factories = _server_placement(args, backend)
     for shard, _start, _duration in args.shard_outage or ():
         # nargs=3 forces one argparse type for all operands; reject a
@@ -293,7 +304,7 @@ def _run_config(args, backend) -> SystemConfig:
         from repro.obs.tracing import SpanLog
 
         span_log = SpanLog()
-    return SystemConfig(
+    config = SystemConfig(
         num_clients=args.clients,
         seed=args.seed,
         server_factory=factory,
@@ -323,6 +334,7 @@ def _run_config(args, backend) -> SystemConfig:
         trace_ids=args.trace_ids,
         default_timeout=args.timeout,
     )
+    return config, workload
 
 
 def _cmd_run(args) -> int:
@@ -334,7 +346,7 @@ def _cmd_run(args) -> int:
     """
     backend = args.backend
     try:
-        config = _run_config(args, backend)
+        config, workload = _run_config(args, backend)
         check_supported(config, backend)
     except ConfigurationError as exc:
         print(exc)
@@ -346,11 +358,11 @@ def _cmd_run(args) -> int:
         print(f"cannot open the deployment: {exc}")
         return 1
     with system:
-        _run_and_report(args, system, config, backend)
+        _run_and_report(args, system, config, workload, backend)
     return 0
 
 
-def _run_and_report(args, system, config, backend) -> None:
+def _run_and_report(args, system, config, workload, backend) -> None:
     """Drive the workload over an opened system and print the report."""
     tcp = config.transport == "tcp"
     # The one place the report differs by kind: a cluster labels its shards.
@@ -382,11 +394,7 @@ def _run_and_report(args, system, config, backend) -> None:
     # finishes its script); the simulator runs out its horizon.
     driver = run_closed_loop(
         system,
-        WorkloadConfig(
-            ops_per_client=args.ops,
-            read_fraction=args.read_fraction,
-            mean_think_time=0.01 if tcp else 1.0,
-        ),
+        workload,
         random.Random(args.seed),
         via_sessions=batching is not None or (span_log is not None and not tcp),
         **({"timeout": args.until, "or_halted": True} if tcp else {"until": args.until}),
@@ -665,36 +673,42 @@ def _cmd_scale(args) -> int:
     from repro.workloads.generator import OpenLoopConfig
     from repro.workloads.scale import ScaleConfig, run_scale
 
-    policy = None
-    if args.checkpoint_interval:
-        policy = CheckpointPolicy(
-            interval=args.checkpoint_interval, keep_tail=args.keep_tail
+    # Misuse is one line and exit 2, before anything is built: every
+    # refusal run_scale could make is made by ScaleConfig already.
+    try:
+        policy = None
+        if args.checkpoint_interval:
+            policy = CheckpointPolicy(
+                interval=args.checkpoint_interval, keep_tail=args.keep_tail
+            )
+        membership = None
+        if args.membership:
+            membership = MembershipPolicy(
+                lease_checkpoints=args.lease_checkpoints,
+                evict_after=args.evict_after,
+                rejoin=not args.no_rejoin,
+                check_period=args.membership_check_period,
+            )
+        config = ScaleConfig(
+            num_clients=args.clients,
+            seed=args.seed,
+            open_loop=OpenLoopConfig(
+                rate=args.rate,
+                duration=args.duration,
+                read_fraction=args.read_fraction,
+                zipf_exponent=args.zipf,
+            ),
+            checkpoint=policy,
+            membership=membership,
+            churn_windows=args.churn_windows,
+            churn_mean_duration=args.churn_mean_duration,
+            client_faults=tuple(args.client_faults),
+            sample_every=args.sample_every,
+            trace_malloc=args.trace_malloc,
         )
-    membership = None
-    if args.membership:
-        membership = MembershipPolicy(
-            lease_checkpoints=args.lease_checkpoints,
-            evict_after=args.evict_after,
-            rejoin=not args.no_rejoin,
-            check_period=args.membership_check_period,
-        )
-    config = ScaleConfig(
-        num_clients=args.clients,
-        seed=args.seed,
-        open_loop=OpenLoopConfig(
-            rate=args.rate,
-            duration=args.duration,
-            read_fraction=args.read_fraction,
-            zipf_exponent=args.zipf,
-        ),
-        checkpoint=policy,
-        membership=membership,
-        churn_windows=args.churn_windows,
-        churn_mean_duration=args.churn_mean_duration,
-        client_faults=tuple(args.client_faults),
-        sample_every=args.sample_every,
-        trace_malloc=args.trace_malloc,
-    )
+    except (ConfigurationError, SimulationError) as exc:
+        print(exc)
+        return 2
     report = run_scale(config)
     rendered = _json.dumps(report.to_dict(), indent=2)
     if args.json:

@@ -12,46 +12,7 @@ is what EXPERIMENTS.md records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-from repro.api import FaustParams, SystemConfig, get_backend
-from repro.sim.network import LatencyModel
-from repro.workloads.runner import StorageSystem
-
-
-def build_system(
-    backend: str = "faust",
-    *,
-    num_clients: int,
-    seed: int = 0,
-    scheme: str = "hmac",
-    latency: LatencyModel | None = None,
-    offline_latency: LatencyModel | None = None,
-    server_factory: Callable | None = None,
-    commit_piggyback: bool = False,
-    default_timeout: float = 1_000.0,
-    **faust_overrides,
-) -> StorageSystem:
-    """Open a deployment on a named backend (``faust`` / ``ustor`` /
-    ``lockstep`` / ``unchecked``) through :mod:`repro.api`.
-
-    Experiments are parameterized over *guarantees* rather than wired to a
-    protocol: remaining keyword arguments (``delta``, ``dummy_read_period``,
-    ...) tune the fail-aware layer and are only meaningful with the
-    ``faust`` backend.
-    """
-    config = SystemConfig(
-        num_clients=num_clients,
-        seed=seed,
-        scheme=scheme,
-        latency=latency,
-        offline_latency=offline_latency,
-        server_factory=server_factory,
-        commit_piggyback=commit_piggyback,
-        default_timeout=default_timeout,
-        faust=FaustParams(**faust_overrides),
-    )
-    return get_backend(backend).open_system(config)
+from typing import Any
 
 
 @dataclass

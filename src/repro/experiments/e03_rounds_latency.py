@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from repro.analysis.stats import critical_path_rounds, summarize
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, build_system
+from repro.api import SystemConfig, open_system
+from repro.experiments.base import ExperimentResult
 from repro.sim.network import FixedLatency
 
 
@@ -46,13 +47,12 @@ def run(quick: bool = False) -> ExperimentResult:
     rows = []
     summary: dict = {}
     for n in populations:
-        ustor = build_system("ustor", num_clients=n, seed=3, latency=FixedLatency(1.0))
+        config = SystemConfig(num_clients=n, seed=3, latency=FixedLatency(1.0))
+        ustor = open_system(config, backend="ustor")
         ustor_lat = summarize(_contended_run(ustor, ops_each))
         ustor_rounds = critical_path_rounds(ustor.trace, n * ops_each)
 
-        lockstep = build_system(
-            "lockstep", num_clients=n, seed=3, latency=FixedLatency(1.0)
-        )
+        lockstep = open_system(config, backend="lockstep")
         ls_lat = summarize(_contended_run(lockstep, ops_each))
 
         rows.append(

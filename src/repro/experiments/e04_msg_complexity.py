@@ -13,7 +13,8 @@ import random
 
 from repro.analysis.stats import bytes_per_operation, linear_fit
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, build_system
+from repro.api import SystemConfig, open_system
+from repro.experiments.base import ExperimentResult
 from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
@@ -23,7 +24,7 @@ def run(quick: bool = False) -> ExperimentResult:
     rows = []
     xs, ys = [], []
     for n in populations:
-        system = build_system("ustor", num_clients=n, seed=4)
+        system = open_system(SystemConfig(num_clients=n, seed=4), backend="ustor")
         driver = run_closed_loop(
             system,
             WorkloadConfig(ops_per_client=ops_per_client, read_fraction=0.5, value_size=64),

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, build_system
+from repro.api import SystemConfig, open_system
+from repro.experiments.base import ExperimentResult
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import WorkloadConfig, generate_scripts, run_closed_loop
 
@@ -46,13 +47,12 @@ def run(quick: bool = False) -> ExperimentResult:
     rows = []
     ustor_fracs, lockstep_fracs = [], []
     for seed in seeds:
-        ustor = build_system(
-            "ustor", num_clients=num_clients, seed=seed, latency=FixedLatency(1.0)
+        config = SystemConfig(
+            num_clients=num_clients, seed=seed, latency=FixedLatency(1.0)
         )
+        ustor = open_system(config, backend="ustor")
         done_u, planned_u = _run_with_crash(ustor, num_clients, ops_per_client, seed)
-        lockstep = build_system(
-            "lockstep", num_clients=num_clients, seed=seed, latency=FixedLatency(1.0)
-        )
+        lockstep = open_system(config, backend="lockstep")
         done_l, planned_l = _run_with_crash(lockstep, num_clients, ops_per_client, seed)
         ustor_fracs.append(done_u / planned_u)
         lockstep_fracs.append(done_l / planned_l)

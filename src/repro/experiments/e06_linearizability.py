@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 
 from repro.analysis.tables import format_table
+from repro.api import SystemConfig, open_system
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.experiments.base import ExperimentResult, build_system
+from repro.experiments.base import ExperimentResult
 from repro.sim.network import ExponentialLatency, FixedLatency, UniformLatency
 from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
@@ -29,7 +30,9 @@ def run(quick: bool = False) -> ExperimentResult:
             [FixedLatency(1.0), UniformLatency(0.2, 3.0), ExponentialLatency(1.0, cap=10.0)]
         )
         read_fraction = rng.choice([0.2, 0.5, 0.8])
-        system = build_system("ustor", num_clients=n, seed=seed, latency=latency)
+        system = open_system(
+            SystemConfig(num_clients=n, seed=seed, latency=latency), backend="ustor"
+        )
         driver = run_closed_loop(
             system, WorkloadConfig(ops_per_client=12, read_fraction=read_fraction), rng
         )

@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 from repro.analysis.tables import format_table
+from repro.api import SystemConfig, open_system
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.experiments.base import ExperimentResult, build_system
+from repro.experiments.base import ExperimentResult
 from repro.ustor.byzantine import (
     CrashingServer,
     Fig3Server,
@@ -48,8 +49,9 @@ def run(quick: bool = False) -> ExperimentResult:
     causal_everywhere = True
     for attack_name, factory in ATTACKS.items():
         for seed in seeds:
-            system = build_system(
-                "ustor", num_clients=n, seed=seed, server_factory=factory
+            system = open_system(
+                SystemConfig(num_clients=n, seed=seed, server_factory=factory),
+                backend="ustor",
             )
             driver = run_closed_loop(
                 system,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, build_system
+from repro.api import FaustParams, SystemConfig, open_system
+from repro.experiments.base import ExperimentResult
 from repro.workloads.generator import WorkloadConfig, run_closed_loop
 from repro.workloads.scenarios import split_brain_scenario
 
@@ -20,13 +21,15 @@ from repro.workloads.scenarios import split_brain_scenario
 def _false_positive_rate(seeds, quick: bool) -> tuple[int, int]:
     alarms = 0
     for seed in seeds:
-        system = build_system(
-            "faust",
-            num_clients=3,
-            seed=seed,
-            dummy_read_period=3.0,
-            probe_check_period=4.0,
-            delta=12.0,
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=seed,
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=12.0
+                ),
+            ),
+            backend="faust",
         )
         run_closed_loop(system, WorkloadConfig(ops_per_client=6), random.Random(seed))
         system.run(until=system.now + (100 if quick else 300))

@@ -9,19 +9,24 @@ linearizable.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.consistency.linearizability import check_linearizability
-from repro.experiments.base import ExperimentResult, build_system
+from repro.experiments.base import ExperimentResult
 from repro.history.history import History
 
 
 def _time_to_full_stability(period: float, seed: int) -> tuple[float, bool]:
-    system = build_system(
-        "faust",
-        num_clients=3,
-        seed=seed,
-        dummy_read_period=period,
-        probe_check_period=period * 2,
-        delta=period * 6,
+    system = open_system(
+        SystemConfig(
+            num_clients=3,
+            seed=seed,
+            faust=FaustParams(
+                dummy_read_period=period,
+                probe_check_period=period * 2,
+                delta=period * 6,
+            ),
+        ),
+        backend="faust",
     )
     handle = system.session(0).write(b"the-op")
     t = handle.result(timeout=1_000).timestamp

@@ -14,13 +14,15 @@ from __future__ import annotations
 import random
 
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, build_system
+from repro.api import SystemConfig, open_system
+from repro.experiments.base import ExperimentResult
 from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 def _run(n: int, ops: int, seed: int, piggyback: bool):
-    system = build_system(
-        "ustor", num_clients=n, seed=seed, commit_piggyback=piggyback
+    system = open_system(
+        SystemConfig(num_clients=n, seed=seed, commit_piggyback=piggyback),
+        backend="ustor",
     )
     driver = run_closed_loop(
         system,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, build_system
+from repro.api import FaustParams, SystemConfig, open_system
+from repro.experiments.base import ExperimentResult
 from repro.faust.validator import validate_fail_aware_run
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.ustor.server import UstorServer
@@ -29,14 +30,16 @@ def _run_deployment(kind: str, seed: int, settle: float):
         "tampering": lambda n, name: TamperingServer(n, target_register=0, name=name),
     }
     n = 3
-    system = build_system(
-        "faust",
-        num_clients=n,
-        seed=seed,
-        server_factory=factories[kind],
-        dummy_read_period=3.0,
-        probe_check_period=4.0,
-        delta=15.0,
+    system = open_system(
+        SystemConfig(
+            num_clients=n,
+            seed=seed,
+            server_factory=factories[kind],
+            faust=FaustParams(
+                dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+            ),
+        ),
+        backend="faust",
     )
     if kind == "correct+crash":
         system.crash_client_at(2, time=8.0)

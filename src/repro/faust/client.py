@@ -82,11 +82,13 @@ class FaustClient(UstorClient):
         server_name: str = "S",
         recorder: HistoryRecorder | None = None,
         commit_piggyback: bool = False,
-        delta: float = 40.0,
-        dummy_read_period: float = 7.0,
-        probe_check_period: float = 11.0,
-        enable_dummy_reads: bool = True,
-        enable_probes: bool = True,
+        *,
+        # Tuning without defaults here: FaustParams is their one home.
+        delta: float,
+        dummy_read_period: float,
+        probe_check_period: float,
+        enable_dummy_reads: bool,
+        enable_probes: bool,
         on_stable: Callable[[tuple[int, ...]], None] | None = None,
         on_faust_fail: Callable[[str], None] | None = None,
         replica_servers: tuple | None = None,

@@ -19,16 +19,16 @@ Layout:
 * :mod:`repro.net.server` — asyncio server host (in-process for loopback
   tests, standalone for ``python -m repro serve``);
 * :mod:`repro.net.client` — asyncio client runtime, the ``TcpWorld`` the
-  one wiring loop builds deployments in, and ``NetSystem``: the
-  ``StorageSystem`` ``open_system`` returns on either transport, plus
-  what sockets add (connections, a real close);
+  one wiring loop builds a ``SystemConfig(transport="tcp")`` deployment
+  in, and ``NetSystem``: the ``StorageSystem`` ``open_system`` returns on
+  either transport, plus what sockets add (connections, a real close);
 * :mod:`repro.net.trace` — append-only JSONL wire traces and their
   deterministic replay on the sim backend;
 * :mod:`repro.net.supervisor` — OS-process lifecycle for servers.
 """
 
 from repro.net.transport import Transport
-from repro.net.client import NetSystem, open_tcp_system
+from repro.net.client import NetSystem
 from repro.net.server import NetServerHost, serve_forever
 from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import replay_trace
@@ -36,7 +36,6 @@ from repro.net.trace import replay_trace
 __all__ = [
     "Transport",
     "NetSystem",
-    "open_tcp_system",
     "NetServerHost",
     "serve_forever",
     "ClusterSupervisor",

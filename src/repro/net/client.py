@@ -5,8 +5,9 @@ session layer above them are event-driven and never block, so moving
 them onto sockets needs no changes there — only a transport whose
 ``send`` writes frames, and a scheduler whose ``now`` is a wall clock.
 :class:`TcpWorld` supplies both to the one wiring loop
-(:func:`repro.workloads.runner.wire_deployment`), so what comes back is
-the same :class:`~repro.workloads.runner.StorageSystem` that
+(:func:`repro.workloads.runner.wire_deployment`) whenever
+``open_system`` opens a ``SystemConfig(transport="tcp", ...)``, so what
+comes back is the same :class:`~repro.workloads.runner.StorageSystem` that
 ``Session``/``OpHandle``, the incremental auditors, the workload driver
 and the consistency checkers already drive — :class:`NetSystem` adds
 only what sockets add (the runtime, the connections, a real ``close``).
@@ -76,7 +77,6 @@ __all__ = [
     "NetSystem",
     "TcpWorld",
     "ReconnectBackoff",
-    "open_tcp_system",
     "parse_endpoint",
 ]
 
@@ -563,9 +563,15 @@ class NetSystem(runner.StorageSystem):
 
 
 class TcpWorld(runner.World):
-    """Real sockets: a wall-clock scheduler, one :class:`ClientConnection`
-    per (client, replica endpoint), no co-located server and no offline
-    channel.
+    """Real sockets to the ``config.endpoints`` a
+    :class:`~repro.api.config.SystemConfig` names: a wall-clock
+    scheduler, one :class:`ClientConnection` per (client, replica
+    endpoint), no co-located server and no offline channel.
+
+    Two test seams are not config: an injected ``runtime`` (loopback
+    tests share one with a :class:`~repro.net.server.NetServerHost`; the
+    system then leaves closing it to them) and ``connect_timeout`` (how
+    long :meth:`system` waits for every handshake; ``None``: not at all).
 
     The wire-trace hooks are part of this world.  A trace records each
     client's *logical* streams: outbound frames once per broadcast (on
@@ -577,66 +583,41 @@ class TcpWorld(runner.World):
 
     def __init__(
         self,
-        endpoints: tuple[str, ...] | list[str] | str,
+        config,
         *,
-        seed: int = 0,
         runtime: NetRuntime | None = None,
         connect_timeout: float | None = 5.0,
-        trace_path: str | None = None,
-        span_log=None,
     ) -> None:
-        if isinstance(endpoints, str):
-            endpoints = [part for part in endpoints.split(",") if part]
-        self.endpoints = tuple(endpoints)
         self.owns_runtime = runtime is None
-        self.runtime = runtime or NetRuntime(seed=seed)
+        self.runtime = runtime or NetRuntime(seed=config.seed)
         trace = SimTrace()
         super().__init__(
             self.runtime.scheduler, ClientTransport(self.runtime, trace=trace), trace
         )
         self.connections: list[ClientConnection] = []
         self.trace_writer = None
-        self._seed = seed
+        self._config = config
         self._connect_timeout = connect_timeout
-        self._trace_path = trace_path
-        self._span_log = span_log
 
-    def start(
-        self,
-        protocol,
-        recorder,
-        *,
-        num_clients,
-        replica_names,
-        scheme,
-        commit_piggyback,
-    ):
-        """Check the endpoints against the replica group; open the trace."""
-        if len(self.endpoints) != len(replica_names):
-            if self.owns_runtime:
-                self.runtime.close()
-            raise ConfigurationError(
-                f"a deployment needs one endpoint per replica: "
-                f"{len(replica_names)} replica(s) but {len(self.endpoints)} "
-                f"endpoint(s) given"
-            )
-        self._num_clients = num_clients
+    def start(self, protocol, recorder, *, num_clients, replica_names):
+        """Open the wire trace, if the config asks for one."""
         self._replica_names = replica_names
-        if self._trace_path is not None:
+        config = self._config
+        if config.trace_path is not None:
             from repro.net.trace import WireTraceWriter
 
             self.trace_writer = WireTraceWriter(
-                self._trace_path,
+                config.trace_path,
                 clock=lambda: self.scheduler.now,
                 num_clients=num_clients,
-                scheme=scheme,
+                scheme=config.scheme,
                 # The first replica's view: with replicas > 1 only its
                 # connections carry the frame hook, and the replayer talks to
                 # it by name.
                 server_name=replica_names[0],
-                endpoints=self.endpoints,
-                commit_piggyback=commit_piggyback,
-                trace_ids=protocol.client_kwargs.get("trace_ids", False),
+                endpoints=config.endpoints,
+                commit_piggyback=config.commit_piggyback,
+                trace_ids=config.trace_ids,
             )
             recorder.add_listener(self.trace_writer)
         return []
@@ -644,27 +625,26 @@ class TcpWorld(runner.World):
     def connect(self, client) -> None:
         """One connection per replica endpoint, plus the trace hooks."""
         i, writer = client.client_id, self.trace_writer
+        endpoints = self._config.endpoints
         replicated = len(self._replica_names) > 1
-        client.span_log = self._span_log
+        client.span_log = self._config.span_log
         if writer is not None and replicated:
             # The logical inbound stream: the quorum winner at resolution
             # time, recorded in place of any raw per-replica arrival.
             client.resolved_reply_hook = lambda message: writer.frame(
                 "s2c", i, message_to_payload(message), retx=False
             )
-        for k, (endpoint, name) in enumerate(
-            zip(self.endpoints, self._replica_names)
-        ):
+        for k, (endpoint, name) in enumerate(zip(endpoints, self._replica_names)):
             connection = ClientConnection(
                 self.runtime,
                 i,
-                self._num_clients,
+                self._config.num_clients,
                 endpoint,
                 name,
                 sim_trace=self.trace,
                 # Distinct deterministic jitter stream per (client, replica)
                 # link, reproducible from the system seed.
-                reconnect_seed=(self._seed << 16) ^ (i * len(self.endpoints) + k),
+                reconnect_seed=(self._config.seed << 16) ^ (i * len(endpoints) + k),
                 trace_writer=writer if k == 0 else None,
                 trace_s2c=not replicated,
             )
@@ -681,7 +661,6 @@ class TcpWorld(runner.World):
             connections=self.connections,
             trace_writer=self.trace_writer,
             owns_runtime=self.owns_runtime,
-            span_log=self._span_log,
             **wired,
         )
         if self._connect_timeout is not None:
@@ -691,63 +670,3 @@ class TcpWorld(runner.World):
                 system.close()
                 raise
         return system
-
-
-def open_tcp_system(
-    num_clients: int,
-    endpoints: tuple[str, ...] | list[str] | str,
-    *,
-    seed: int = 0,
-    scheme: str = "hmac",
-    server_name: str = "S",
-    default_timeout: float = 30.0,
-    commit_piggyback: bool = False,
-    trace_path: str | None = None,
-    runtime: NetRuntime | None = None,
-    connect_timeout: float | None = 5.0,
-    trace_ids: bool = False,
-    span_log=None,
-    replicas: int = 1,
-    quorum: int | None = None,
-    counter: bool = False,
-) -> NetSystem:
-    """Open a single-shard USTOR deployment over real TCP.
-
-    ``endpoints`` must name one ``host:port`` per replica — exactly one
-    for the paper's single server.  Keys are deterministic from
-    ``(scheme, num_clients)``, so the server processes and the replayer
-    agree with these clients about every signature.
-
-    With ``replicas > 1`` each client opens one connection per replica
-    process (named ``S/r0`` .. ``S/r{k-1}``) and resolves replies through
-    a client-side :class:`~repro.replica.coordinator.QuorumCoordinator`;
-    ``counter=True`` arms the :class:`~repro.replica.counter.
-    CounterVerifier` against the attestations the server processes attach.
-
-    ``trace_path`` records the wire trace (:class:`TcpWorld` says what of
-    a replica group's traffic it holds); ``trace_ids=True`` stamps
-    SUBMIT/COMMIT with deterministic causal trace ids (recorded in the
-    trace header so replay stays byte-identical); ``span_log`` shares one
-    :class:`~repro.obs.tracing.SpanLog` across the clients and sessions.
-    """
-    world = TcpWorld(
-        endpoints,
-        seed=seed,
-        runtime=runtime,
-        connect_timeout=connect_timeout,
-        trace_path=trace_path,
-        span_log=span_log,
-    )
-    system = runner.wire_deployment(
-        world,
-        runner.ustor_protocol(trace_ids=trace_ids),
-        num_clients=num_clients,
-        scheme=scheme,
-        server_name=server_name,
-        replicas=replicas,
-        quorum=quorum,
-        counter=counter,
-        commit_piggyback=commit_piggyback,
-    )
-    system.default_timeout = default_timeout
-    return system

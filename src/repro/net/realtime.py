@@ -16,6 +16,7 @@ simulator's — one simulated time unit maps to one wall-clock second.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -99,15 +100,19 @@ class RealtimeScheduler:
             raise SimulationError(
                 "RealtimeScheduler.run_until needs an attached NetRuntime"
             )
+        # Every wait reaches the pump through here: a NaN deadline would
+        # never pass (``remaining <= 0`` is always false), so refuse it.
+        if timeout is not None and math.isnan(timeout):
+            raise SimulationError("run_until(timeout=nan) has no deadline")
         return self._runtime.pump_until(predicate, timeout)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Pump until the clock reads ``until`` seconds; returns the number
         of timer events this call fired (like the simulator's ``run``)."""
-        if until is None:
+        if until is None or math.isnan(until):
             raise SimulationError(
                 "a wall-clock scheduler cannot run to quiescence; "
-                "give run() a wall-clock bound or use run_until()"
+                "give run() a wall-clock bound (not NaN) or use run_until()"
             )
         before = self.events_processed
         self.run_until(lambda: self.now >= until, timeout=None)

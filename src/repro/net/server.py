@@ -83,7 +83,7 @@ class NetServerHost:
       subcommand) gives the host its own loop and process.
 
     ``server_factory`` receives ``(num_clients, server_name)`` exactly
-    like the simulator's builder, so the CLI's Byzantine behaviours plug
+    like ``SystemConfig.server_factory``, so the CLI's Byzantine behaviours plug
     straight in.  The host requires a non-group-commit server: it
     journals each REPLY as the synchronous answer to the SUBMIT being
     delivered, which group commit's deferred replies would break.

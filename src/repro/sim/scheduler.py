@@ -15,6 +15,7 @@ reproducibly rather than via wall-clock races.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Any, Callable
 
@@ -135,8 +136,11 @@ class Scheduler:
         """Run events until the queue drains, ``until`` passes, or the budget ends.
 
         Returns the number of events fired by this call.  ``until`` is an
-        inclusive virtual-time bound: events at exactly ``until`` still fire.
+        inclusive virtual-time bound: events at exactly ``until`` still fire
+        (``inf`` is legal; NaN is refused, since no event is ever past it).
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError("run(until=nan) would never stop")
         queue = self._queue
         pop = heapq.heappop
         fired = 0
@@ -166,10 +170,12 @@ class Scheduler:
     ) -> bool:
         """Run until ``predicate()`` holds; return whether it ever did.
 
-        ``timeout`` bounds virtual time; ``max_events`` guards against
-        non-terminating protocols (a genuine possibility when simulating
-        blocking baselines — see E5).
+        ``timeout`` bounds virtual time (``inf`` is legal, NaN refused);
+        ``max_events`` guards against non-terminating protocols (a genuine
+        possibility when simulating blocking baselines — see E5).
         """
+        if timeout is not None and math.isnan(timeout):
+            raise SimulationError("run_until(timeout=nan) has no deadline")
         deadline = None if timeout is None else self._now + timeout
         queue = self._queue
         pop = heapq.heappop

@@ -14,7 +14,7 @@ from repro.workloads.generator import (
     run_closed_loop,
     unique_value,
 )
-from repro.workloads.runner import StorageSystem, SystemBuilder
+from repro.workloads.runner import StorageSystem
 from repro.workloads.scale import (
     ResidentSample,
     ScaleConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "SessionLease",
     "SessionPool",
     "StorageSystem",
-    "SystemBuilder",
     "TimedOp",
     "WorkloadConfig",
     "ZipfSampler",

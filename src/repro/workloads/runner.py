@@ -7,10 +7,13 @@ client class with its keyword arguments and its default server.
 keystore and the recorder, names the replicas, constructs every client,
 registers it on the world's transport (and offline channel) and returns
 the one :class:`StorageSystem` that drives the result.  The simulator
-(:class:`SystemBuilder`, the baselines), real sockets
-(:func:`repro.net.client.open_tcp_system`) and wire-trace replay
-(:func:`repro.net.trace.replay_trace`) differ only in the world they
-hand it; USTOR, FAUST, lock-step and unchecked only in the protocol.
+(:class:`SimWorld`), real sockets (:class:`repro.net.client.TcpWorld`)
+and wire-trace replay (:func:`repro.net.trace.replay_trace`) differ only
+in the world they hand it; USTOR, FAUST, lock-step and unchecked only in
+the protocol.  Both configured worlds read one
+:class:`~repro.api.config.SystemConfig`, and
+:func:`repro.api.backends.build_deployment` is the one place that picks
+a world for it.
 
 :class:`Deployment` is what every opened system offers — a
 :class:`StorageSystem`, or a :class:`~repro.cluster.system.ClusterSystem`
@@ -36,7 +39,7 @@ from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.obs.registry import COUNT_BUCKETS, get_registry
 from repro.sim.faults import Fault, FaultInjector
-from repro.sim.network import FixedLatency, LatencyModel, Network
+from repro.sim.network import FixedLatency, Network
 from repro.sim.offline import OfflineChannel
 from repro.sim.scheduler import Scheduler
 from repro.sim.timers import PeriodicTimer
@@ -508,10 +511,9 @@ class World:
         self.transport = transport
         self.trace = trace
 
-    def start(self, protocol, recorder, *, num_clients, replica_names, **recorded):
+    def start(self, protocol, recorder, *, num_clients, replica_names):
         """Bring up what the clients will talk to; returns the co-located
-        servers in replica order.  ``recorded`` carries what only a wire
-        trace's header needs (``scheme``, ``commit_piggyback``)."""
+        servers in replica order."""
         return []
 
     def connect(self, client) -> None:
@@ -524,41 +526,60 @@ class World:
 
 
 class SimWorld(World):
-    """The discrete-event simulator a :class:`SystemBuilder` describes:
-    FIFO network, offline channel, servers registered on the same network."""
+    """The discrete-event simulator a :class:`~repro.api.config.
+    SystemConfig` describes: FIFO network (latency ``FixedLatency(1.0)``
+    unless configured), offline channel (``FixedLatency(5.0)``), servers
+    registered on the same network.
 
-    def __init__(self, knobs: "SystemBuilder") -> None:
-        scheduler = knobs.scheduler or Scheduler(seed=knobs.seed)
-        trace = knobs.trace or SimTrace()
-        seed = knobs.latency_seed
+    The keyword *placement* arguments say where this deployment sits in
+    a larger topology — what the cluster varies per shard: ``scheduler``
+    (one shared event loop, so every shard lives in the same virtual
+    time), ``server_factory`` (overrides ``config.server_factory``) and
+    ``latency_seed`` (a dedicated latency-RNG stream; ``None`` shares the
+    scheduler's).
+    """
+
+    def __init__(
+        self,
+        config,
+        *,
+        scheduler: Scheduler | None = None,
+        server_factory: ServerFactory | None = None,
+        latency_seed: int | None = None,
+    ) -> None:
+        scheduler = scheduler or Scheduler(seed=config.seed)
+        trace = SimTrace()
         network = Network(
             scheduler,
-            default_latency=knobs.latency,
+            default_latency=config.latency or FixedLatency(1.0),
             trace=trace,
-            batching=knobs.batching is not None,
-            rng=random.Random(seed) if seed is not None else None,
+            batching=config.batching is not None,
+            rng=random.Random(latency_seed) if latency_seed is not None else None,
         )
         super().__init__(scheduler, network, trace)
         self.offline = OfflineChannel(
-            scheduler, latency=knobs.offline_latency, trace=trace
+            scheduler,
+            latency=config.offline_latency or FixedLatency(5.0),
+            trace=trace,
         )
-        self._knobs = knobs
+        self._config = config
+        self._server_factory = server_factory or config.server_factory
 
-    def start(self, protocol, recorder, *, num_clients, replica_names, **recorded):
+    def start(self, protocol, recorder, *, num_clients, replica_names):
         """One server per replica name, registered on the network: the
-        builder's factory, else the protocol's, else the correct USTOR
+        configured factory, else the protocol's, else the correct USTOR
         server on the engine ``storage`` selects (group-committing when
         a batching policy is set)."""
-        knobs = self._knobs
-        default = knobs.server_factory or protocol.server_factory
+        config = self._config
+        default = self._server_factory or protocol.server_factory
         servers = [
             make_server(
                 num_clients,
                 name,
-                factory=knobs.replica_server_factories.get(index, default),
-                storage=knobs.storage,
-                group_commit=knobs.batching is not None,
-                counter=knobs.counter,
+                factory=config.replica_server_factories.get(index, default),
+                storage=config.storage,
+                group_commit=config.batching is not None,
+                counter=config.counter,
             )
             for index, name in enumerate(replica_names)
         ]
@@ -567,8 +588,8 @@ class SimWorld(World):
         return servers
 
     def system(self, **wired) -> StorageSystem:
-        """The system, carrying the builder's batching policy."""
-        return StorageSystem(batching=self._knobs.batching, **wired)
+        """The system, carrying the configured batching policy."""
+        return StorageSystem(batching=self._config.batching, **wired)
 
 
 def wire_deployment(
@@ -603,12 +624,7 @@ def wire_deployment(
     keystore = KeyStore(num_clients, scheme=scheme)
     recorder = HistoryRecorder()
     servers = world.start(
-        protocol,
-        recorder,
-        num_clients=num_clients,
-        replica_names=names,
-        scheme=scheme,
-        commit_piggyback=commit_piggyback,
+        protocol, recorder, num_clients=num_clients, replica_names=names
     )
     client_kwargs = dict(protocol.client_kwargs)
     if protocol.ustor_stack:
@@ -648,92 +664,3 @@ def wire_deployment(
     if protocol.on_wired is not None:
         protocol.on_wired(system)
     return system
-
-
-@dataclass
-class SystemBuilder:
-    """Declarative construction of a simulated :class:`StorageSystem`.
-
-    >>> system = SystemBuilder(num_clients=2, seed=1).build()
-    >>> system.clients[0].write(b"hello")
-    >>> system.run(until=10)  # doctest: +SKIP
-    """
-
-    num_clients: int
-    seed: int = 0
-    scheme: str = "hmac"
-    latency: LatencyModel | None = None
-    offline_latency: LatencyModel | None = None
-    #: ``None`` = the protocol's honest server.  A custom factory owns its
-    #: server's durability (and its own batching behaviour).
-    server_factory: ServerFactory | None = None
-    commit_piggyback: bool = False
-    server_name: str = "S"
-    storage: str | Callable = "memory"
-    #: Multi-server topologies (repro.cluster) build several deployments
-    #: over ONE event loop: pass the shared scheduler (and optionally a
-    #: shared trace) so every shard lives in the same virtual time.
-    scheduler: Scheduler | None = None
-    trace: SimTrace | None = None
-    batching: "BatchingPolicy | None" = None
-    #: Dedicated latency-RNG stream for this deployment's network
-    #: (``None`` = share the scheduler's stream, byte-identical to a build
-    #: that predates the knob).  The cluster backend derives one per shard
-    #: so shards draw independent latency samples.
-    latency_seed: int | None = None
-    replicas: int = 1
-    quorum: int | None = None
-    counter: str | None = None
-    replica_server_factories: dict | None = None
-
-    def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ConfigurationError("need at least one client")
-        if self.replicas < 1:
-            raise ConfigurationError("need at least one replica")
-        if self.counter not in (None, "volatile", "durable"):
-            raise ConfigurationError(
-                f"counter must be None, 'volatile' or 'durable', "
-                f"got {self.counter!r}"
-            )
-        if self.replicas > 1 and not isinstance(self.storage, (str, Callable)):
-            raise ConfigurationError(
-                "a replica group needs one engine per replica: pass a "
-                "storage name or factory, not a ready engine instance"
-            )
-        self.replica_server_factories = dict(self.replica_server_factories or {})
-        for index in self.replica_server_factories:
-            if not 0 <= index < self.replicas:
-                raise ConfigurationError(
-                    f"replica_server_factories names replica {index!r} but "
-                    f"the group has {self.replicas} replica(s)"
-                )
-        self.latency = self.latency or FixedLatency(1.0)
-        self.offline_latency = self.offline_latency or FixedLatency(5.0)
-
-    def build_protocol(self, protocol: ProtocolSpec) -> StorageSystem:
-        """A simulated deployment running ``protocol``."""
-        return wire_deployment(
-            SimWorld(self),
-            protocol,
-            num_clients=self.num_clients,
-            scheme=self.scheme,
-            server_name=self.server_name,
-            replicas=self.replicas,
-            quorum=self.quorum,
-            counter=self.counter is not None,
-            commit_piggyback=self.commit_piggyback,
-        )
-
-    def build(self) -> StorageSystem:
-        """A plain USTOR deployment (no fail-aware layer)."""
-        return self.build_protocol(ustor_protocol())
-
-    def build_faust(
-        self, checkpoint=None, membership=None, **faust_kwargs
-    ) -> StorageSystem:
-        """A FAUST deployment: USTOR plus the fail-aware layer
-        (:func:`faust_protocol` documents the knobs)."""
-        return self.build_protocol(
-            faust_protocol(checkpoint, membership, **faust_kwargs)
-        )

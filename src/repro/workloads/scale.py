@@ -93,10 +93,48 @@ class ScaleConfig:
     drain: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.sample_every <= 0:
+        if not self.sample_every > 0:  # NaN fails too
             raise ConfigurationError("sample_every must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
+        # What run_scale would refuse while setting up is refused here,
+        # before anything is built: the deployment, the fault specs (a
+        # SimulationError when malformed) and a churn plan that does not
+        # fit the fleet.
+        self.system_config()
+        for spec in self.client_faults:
+            Fault.parse(spec)
+        self.churn_plan()
+
+    def system_config(self) -> SystemConfig:
+        """The simulated FAUST deployment a run opens."""
+        return SystemConfig(
+            num_clients=self.num_clients,
+            seed=self.seed,
+            latency=FixedLatency(self.latency),
+            offline_latency=FixedLatency(self.offline_latency),
+            storage=self.storage,
+            checkpoint=self.checkpoint,
+            membership=self.membership,
+            # Dummy reads and probes stay ON: under Zipf skew the unpopular
+            # registers are rarely read, and stability (hence checkpointing)
+            # would stall without the background version exchange.
+            faust=FaustParams(),
+        )
+
+    def churn_plan(self) -> tuple[random.Random, list[Fault]]:
+        """The seeded churn windows, and the stream — continued past the
+        plan — that picks each window's slot when it opens."""
+        rng = random.Random((self.seed << 1) ^ 0xC4A11)
+        if not self.churn_windows:
+            return rng, []
+        return rng, plan_churn_windows(
+            rng,
+            self.churn_windows,
+            horizon=self.open_loop.duration,
+            mean_duration=self.churn_mean_duration,
+            num_slots=self.num_clients,
+        )
 
 
 @dataclass(frozen=True)
@@ -306,20 +344,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
     the simulation all draw from seeded streams, so two runs of the same
     config produce identical latencies and samples.
     """
-    system_config = SystemConfig(
-        num_clients=config.num_clients,
-        seed=config.seed,
-        latency=FixedLatency(config.latency),
-        offline_latency=FixedLatency(config.offline_latency),
-        storage=config.storage,
-        checkpoint=config.checkpoint,
-        membership=config.membership,
-        # Dummy reads and probes stay ON: under Zipf skew the unpopular
-        # registers are rarely read, and stability (hence checkpointing)
-        # would stall without the background version exchange.
-        faust=FaustParams(),
-    )
-    system = open_system(system_config, backend="faust")
+    system = open_system(config.system_config(), backend="faust")
     checkers = attach_incremental_checkers(system.recorder) if config.audit else {}
 
     schedules = generate_open_loop(
@@ -353,32 +378,22 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
                 active[slot] = lease
 
     system.faults.add_listener(_on_away)
-    if config.churn_windows:
-        churn_rng = random.Random((config.seed << 1) ^ 0xC4A11)
-        windows = plan_churn_windows(
-            churn_rng,
-            config.churn_windows,
-            horizon=config.open_loop.duration,
-            mean_duration=config.churn_mean_duration,
-            num_slots=config.num_clients,
-        )
+    churn_rng, windows = config.churn_plan()
 
-        def _session_out(duration: float) -> None:
-            quarantined = set(pool.quarantined)
-            eligible = [
-                slot
-                for slot in sorted(active)
-                if slot not in quarantined
-                and not system.clients[slot].halted
-                and not system.faults.conflict(
-                    Fault("away", slot, system.now, duration)
-                )
-            ]
-            if eligible:  # else every slot is away, crashed or evicted
-                system.faults.away(churn_rng.choice(eligible), duration)
+    def _session_out(duration: float) -> None:
+        quarantined = set(pool.quarantined)
+        eligible = [
+            slot
+            for slot in sorted(active)
+            if slot not in quarantined
+            and not system.clients[slot].halted
+            and not system.faults.conflict(Fault("away", slot, system.now, duration))
+        ]
+        if eligible:  # else every slot is away, crashed or evicted
+            system.faults.away(churn_rng.choice(eligible), duration)
 
-        for window in windows:
-            system.scheduler.schedule_at(window.start, _session_out, window.duration)
+    for window in windows:
+        system.scheduler.schedule_at(window.start, _session_out, window.duration)
 
     for spec in config.client_faults:
         system.faults.add(Fault.parse(spec))

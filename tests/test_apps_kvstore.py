@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.apps.kvstore import KvStore, KvUpdate, _deserialize_log, _serialize_log
 from repro.common.errors import ProtocolError
 from repro.api.errors import OperationFailed
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
-from repro.workloads.runner import SystemBuilder
 
 
-def build_store_system(n=3, seed=9, **faust_kwargs):
-    faust_kwargs.setdefault("dummy_read_period", 3.0)
-    return SystemBuilder(num_clients=n, seed=seed).build_faust(**faust_kwargs)
+def build_store_system(n=3, seed=9):
+    return open_system(
+        SystemConfig(
+            num_clients=n, seed=seed, faust=FaustParams(dummy_read_period=3.0)
+        )
+    )
 
 
 class TestSerialization:
@@ -91,11 +94,16 @@ class TestFailAwareness:
         assert alice.wait_until_stable(t, timeout=3_000)
 
     def test_tampering_surfaces_as_failure(self):
-        system = SystemBuilder(
-            num_clients=2,
-            seed=10,
-            server_factory=lambda n, name: TamperingServer(n, 0, name=name),
-        ).build_faust(dummy_read_period=1_000.0, probe_check_period=1_000.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=10,
+                server_factory=lambda n, name: TamperingServer(n, 0, name=name),
+                faust=FaustParams(
+                    dummy_read_period=1_000.0, probe_check_period=1_000.0
+                ),
+            ),
+        )
         alice, bob = KvStore(system, 0), KvStore(system, 1)
         alice.put("k", "v")
         with pytest.raises(OperationFailed):
@@ -103,13 +111,18 @@ class TestFailAwareness:
         assert bob.failed
 
     def test_split_brain_divergence_visible_then_detected(self):
-        system = SystemBuilder(
-            num_clients=2,
-            seed=11,
-            server_factory=lambda n, name: SplitBrainServer(
-                n, groups=[{0}, {1}], fork_time=0.0, name=name
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=11,
+                server_factory=lambda n, name: SplitBrainServer(
+                    n, groups=[{0}, {1}], fork_time=0.0, name=name
+                ),
+                faust=FaustParams(
+                    dummy_read_period=5.0, probe_check_period=4.0, delta=15.0
+                ),
             ),
-        ).build_faust(dummy_read_period=5.0, probe_check_period=4.0, delta=15.0)
+        )
         alice, bob = KvStore(system, 0), KvStore(system, 1)
         alice.put("k", "alice-version")
         bob.put("k", "bob-version")

@@ -6,15 +6,15 @@ import random
 
 import pytest
 
-from repro.baselines.lockstep import TamperingLockStepServer, lockstep_protocol
-from repro.baselines.unchecked import LyingUncheckedServer, unchecked_protocol
+from repro.api import SystemConfig, open_system
+from repro.baselines.lockstep import TamperingLockStepServer
+from repro.baselines.unchecked import LyingUncheckedServer
 from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency import check_fork_linearizability_exhaustive
 from repro.consistency.linearizability import check_linearizability
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 
 def sync_op(system, client, op, arg, timeout=1_000.0):
@@ -27,19 +27,19 @@ def sync_op(system, client, op, arg, timeout=1_000.0):
 
 class TestLockStepHappyPath:
     def test_write_read(self):
-        system = SystemBuilder(2, seed=1).build_protocol(lockstep_protocol())
+        system = open_system(SystemConfig(2, seed=1), backend="lockstep")
         sync_op(system, system.clients[0], "write", b"v")
         outcome = sync_op(system, system.clients[1], "read", 0)
         assert outcome.value == b"v"
 
     def test_read_before_write_is_bottom(self):
-        system = SystemBuilder(2, seed=1).build_protocol(lockstep_protocol())
+        system = open_system(SystemConfig(2, seed=1), backend="lockstep")
         outcome = sync_op(system, system.clients[1], "read", 0)
         assert outcome.value is BOTTOM
 
     @pytest.mark.parametrize("seed", range(4))
     def test_linearizable_on_random_runs(self, seed):
-        system = SystemBuilder(3, seed=seed).build_protocol(lockstep_protocol())
+        system = open_system(SystemConfig(3, seed=seed), backend="lockstep")
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=12), random.Random(seed)
         )
@@ -52,14 +52,14 @@ class TestLockStepHappyPath:
         assert not any(c.failed for c in system.clients)
 
     def test_small_run_fork_linearizable(self):
-        system = SystemBuilder(2, seed=3).build_protocol(lockstep_protocol())
+        system = open_system(SystemConfig(2, seed=3), backend="lockstep")
         sync_op(system, system.clients[0], "write", b"a")
         sync_op(system, system.clients[1], "read", 0)
         sync_op(system, system.clients[0], "write", b"b")
         assert check_fork_linearizability_exhaustive(system.history())
 
     def test_timestamps_increase(self):
-        system = SystemBuilder(1, seed=1).build_protocol(lockstep_protocol())
+        system = open_system(SystemConfig(1, seed=1), backend="lockstep")
         first = sync_op(system, system.clients[0], "write", b"a")
         second = sync_op(system, system.clients[0], "read", 0)
         assert first.timestamp < second.timestamp
@@ -69,8 +69,9 @@ class TestLockStepBlocking:
     """The paper's impossibility made concrete."""
 
     def test_crash_between_reply_and_commit_blocks_everyone(self):
-        system = SystemBuilder(3, seed=2, latency=FixedLatency(1.0)).build_protocol(
-            lockstep_protocol()
+        system = open_system(
+            SystemConfig(3, seed=2, latency=FixedLatency(1.0)),
+            backend="lockstep",
         )
         victim = system.clients[0]
         victim.write(b"doomed", lambda o: None)
@@ -86,8 +87,9 @@ class TestLockStepBlocking:
     def test_contention_serialises_operations(self):
         # All clients submit at once; completions are strictly sequential,
         # so the k-th completion happens ~k round-trips in.
-        system = SystemBuilder(4, seed=3, latency=FixedLatency(1.0)).build_protocol(
-            lockstep_protocol()
+        system = open_system(
+            SystemConfig(4, seed=3, latency=FixedLatency(1.0)),
+            backend="lockstep",
         )
         done = []
         for client in system.clients:
@@ -98,7 +100,10 @@ class TestLockStepBlocking:
         assert all(gap >= 1.9 for gap in gaps), f"gaps: {gaps}"
 
     def test_ustor_same_scenario_does_not_serialise(self):
-        system = SystemBuilder(num_clients=4, seed=3, latency=FixedLatency(1.0)).build()
+        system = open_system(
+            SystemConfig(num_clients=4, seed=3, latency=FixedLatency(1.0)),
+            backend="ustor",
+        )
         done = []
         for client in system.clients:
             client.write(b"w-%d" % client.client_id, lambda o: done.append(system.now))
@@ -110,11 +115,14 @@ class TestLockStepBlocking:
 
 class TestLockStepIntegrity:
     def test_tampered_value_detected(self):
-        system = SystemBuilder(
-            2,
-            seed=4,
-            server_factory=lambda n, name: TamperingLockStepServer(n, 0, name=name),
-        ).build_protocol(lockstep_protocol())
+        system = open_system(
+            SystemConfig(
+                2,
+                seed=4,
+                server_factory=lambda n, name: TamperingLockStepServer(n, 0, name=name),
+            ),
+            backend="lockstep",
+        )
         sync_op(system, system.clients[0], "write", b"genuine")
         box = []
         system.clients[1].read(0, box.append)
@@ -126,7 +134,7 @@ class TestLockStepIntegrity:
 
 class TestUnchecked:
     def test_happy_path(self):
-        system = SystemBuilder(2, seed=1).build_protocol(unchecked_protocol())
+        system = open_system(SystemConfig(2, seed=1), backend="unchecked")
         sync_op(system, system.clients[0], "write", b"v")
         outcome = sync_op(system, system.clients[1], "read", 0)
         assert outcome.value == b"v"
@@ -134,11 +142,14 @@ class TestUnchecked:
     def test_lies_are_believed(self):
         # The motivating gap: the same attack USTOR catches at line 50 is
         # silently accepted by the unchecked client.
-        system = SystemBuilder(
-            2,
-            seed=2,
-            server_factory=lambda n, name: LyingUncheckedServer(n, 0, name=name),
-        ).build_protocol(unchecked_protocol())
+        system = open_system(
+            SystemConfig(
+                2,
+                seed=2,
+                server_factory=lambda n, name: LyingUncheckedServer(n, 0, name=name),
+            ),
+            backend="unchecked",
+        )
         sync_op(system, system.clients[0], "write", b"genuine")
         outcome = sync_op(system, system.clients[1], "read", 0)
         assert outcome.value != b"genuine"
@@ -148,18 +159,21 @@ class TestUnchecked:
     def test_fabrication_visible_to_offline_checker(self):
         # The recorded history *is* checkable after the fact — the value
         # was never written, so the linearizability checker rejects it.
-        system = SystemBuilder(
-            2,
-            seed=3,
-            server_factory=lambda n, name: LyingUncheckedServer(n, 0, name=name),
-        ).build_protocol(unchecked_protocol())
+        system = open_system(
+            SystemConfig(
+                2,
+                seed=3,
+                server_factory=lambda n, name: LyingUncheckedServer(n, 0, name=name),
+            ),
+            backend="unchecked",
+        )
         sync_op(system, system.clients[0], "write", b"genuine")
         sync_op(system, system.clients[1], "read", 0)
         assert not check_linearizability(system.history())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_honest_unchecked_is_linearizable(self, seed):
-        system = SystemBuilder(3, seed=seed).build_protocol(unchecked_protocol())
+        system = open_system(SystemConfig(3, seed=seed), backend="unchecked")
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=10), random.Random(seed)
         )

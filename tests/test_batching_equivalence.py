@@ -306,9 +306,11 @@ def test_driver_via_sessions_runs_on_a_built_deployment():
     """A deployment built without ``open_system`` has the per-client
     session surface too, so the driver can route through it."""
     from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-    from repro.workloads.runner import SystemBuilder
+    from repro.workloads.runner import SimWorld, ustor_protocol, wire_deployment
 
-    system = SystemBuilder(num_clients=2, seed=1).build()
+    system = wire_deployment(
+        SimWorld(SystemConfig(num_clients=2, seed=1)), ustor_protocol(), num_clients=2
+    )
     scripts = generate_scripts(
         2,
         WorkloadConfig(ops_per_client=3, read_fraction=0.5, mean_think_time=1.0),

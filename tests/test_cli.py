@@ -264,6 +264,50 @@ class TestCliOnlyChecks:
         assert hint in capsys.readouterr().out
 
 
+def _forbid_open(*args, **kwargs):
+    raise AssertionError("misuse reached the point of opening a deployment")
+
+
+class TestMisuseBeforeBuilding:
+    """Misuse is one line and exit 2, refused before anything is opened;
+    a NaN or infinite budget used to hang the simulator instead."""
+
+    @pytest.mark.parametrize(
+        "flags, hint",
+        [
+            (["--backend", "faust", "--until", "nan"], "--until"),
+            (["--backend", "faust", "--until", "inf"], "--until"),
+            (["--until", "-5"], "--until"),
+            (["--ops", "-1"], "invalid workload"),
+            (["--read-fraction", "2"], "read_fraction"),
+            (["--read-fraction", "nan"], "read_fraction"),
+        ],
+    )
+    def test_run(self, flags, hint, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "open_system", _forbid_open)
+        assert main(["run", *flags]) == 2
+        out = capsys.readouterr().out
+        assert hint in out and len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags, hint",
+        [
+            (["--rate", "-1"], "rate and duration"),
+            (["--duration", "nan"], "rate and duration"),
+            (["--checkpoint-interval", "-3"], "checkpoint interval"),
+            (["--membership"], "checkpoint="),
+            (["--client-faults", "bogus"], "malformed client fault"),
+            (["--churn-windows", "500", "--duration", "50"], "churn plan"),
+            (["--sample-every", "nan", "--duration", "50"], "sample_every"),
+        ],
+    )
+    def test_scale(self, flags, hint, monkeypatch, capsys):
+        monkeypatch.setattr("repro.workloads.scale.open_system", _forbid_open)
+        assert main(["scale", *flags]) == 2
+        out = capsys.readouterr().out
+        assert hint in out and len(out.splitlines()) == 1
+
+
 class TestTimeoutFlag:
     """``--timeout`` goes straight into ``SystemConfig.default_timeout``,
     which knows the per-transport default itself."""

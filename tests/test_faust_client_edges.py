@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.common.errors import ProtocolError
 from repro.faust.ablation import VectorOnlyTracker, ablate_system, vector_comparable
 from repro.faust.messages import ProbeMessage, VersionMessage
 from repro.ustor.version import Version
-from repro.workloads.runner import SystemBuilder
 
 from test_faust_stability import chained_versions
 
 
 class TestOperationQueueing:
     def test_user_ops_queue_behind_each_other(self):
-        system = SystemBuilder(num_clients=2, seed=1).build_faust()
+        system = open_system(SystemConfig(num_clients=2, seed=1))
         client = system.clients[0]
         results = []
         client.write(b"first", results.append)
@@ -26,7 +26,13 @@ class TestOperationQueueing:
         assert results[2].value == b"second"
 
     def test_dummy_read_defers_to_queued_user_ops(self):
-        system = SystemBuilder(num_clients=2, seed=2).build_faust(dummy_read_period=0.5)
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=2,
+                faust=FaustParams(dummy_read_period=0.5),
+            ),
+        )
         client = system.clients[0]
         system.run(until=5.0)  # several dummy reads happen
         issued_before = client.dummy_reads_issued
@@ -37,8 +43,12 @@ class TestOperationQueueing:
         assert system.run_until(lambda: bool(results), timeout=50)
 
     def test_idle_property(self):
-        system = SystemBuilder(num_clients=2, seed=3).build_faust(
-            enable_dummy_reads=False, enable_probes=False
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=3,
+                faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
+            ),
         )
         client = system.clients[0]
         assert client.idle
@@ -50,7 +60,13 @@ class TestOperationQueueing:
 
 class TestPauseResume:
     def test_paused_client_issues_no_dummy_reads(self):
-        system = SystemBuilder(num_clients=2, seed=4).build_faust(dummy_read_period=1.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=4,
+                faust=FaustParams(dummy_read_period=1.0),
+            ),
+        )
         client = system.clients[0]
         system.run(until=5.0)
         client.pause()
@@ -62,8 +78,12 @@ class TestPauseResume:
         assert client.dummy_reads_issued > before
 
     def test_enable_background_late(self):
-        system = SystemBuilder(num_clients=2, seed=5).build_faust(
-            enable_dummy_reads=False, enable_probes=False
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=5,
+                faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
+            ),
         )
         client = system.clients[0]
         system.run(until=20.0)
@@ -75,8 +95,12 @@ class TestPauseResume:
 
 class TestProbeProtocol:
     def test_probe_answered_with_max_version(self):
-        system = SystemBuilder(num_clients=2, seed=6).build_faust(
-            enable_dummy_reads=False, enable_probes=False
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=6,
+                faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
+            ),
         )
         c0, c1 = system.clients
         box = []
@@ -89,8 +113,12 @@ class TestProbeProtocol:
         assert c1.tracker.versions[0].vector[0] == 1
 
     def test_version_message_updates_tracker(self):
-        system = SystemBuilder(num_clients=2, seed=7).build_faust(
-            enable_dummy_reads=False, enable_probes=False
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=7,
+                faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
+            ),
         )
         c0 = system.clients[0]
         version = chained_versions([1], 2)[0]
@@ -98,8 +126,12 @@ class TestProbeProtocol:
         assert c0.tracker.versions[1] == version
 
     def test_failed_client_rejects_new_operations(self):
-        system = SystemBuilder(num_clients=2, seed=8).build_faust(
-            enable_dummy_reads=False, enable_probes=False
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=8,
+                faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
+            ),
         )
         c0 = system.clients[0]
         fork_a = chained_versions([0, 0], 2)[-1]
@@ -129,12 +161,18 @@ class TestAblation:
         assert not outcome.incomparable  # the ablated check misses it
 
     def test_ablate_system_swaps_trackers(self):
-        system = SystemBuilder(num_clients=2, seed=9).build_faust()
+        system = open_system(SystemConfig(num_clients=2, seed=9))
         ablate_system(system)
         assert all(isinstance(c.tracker, VectorOnlyTracker) for c in system.clients)
 
     def test_ablated_system_still_works_honestly(self):
-        system = SystemBuilder(num_clients=2, seed=10).build_faust(dummy_read_period=2.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=10,
+                faust=FaustParams(dummy_read_period=2.0),
+            ),
+        )
         ablate_system(system)
         box = []
         system.clients[0].write(b"v", box.append)

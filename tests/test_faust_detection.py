@@ -6,10 +6,10 @@ import random
 
 import pytest
 
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.sim.network import ExponentialLatency
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import figure3_scenario, split_brain_scenario
 
 
@@ -18,11 +18,16 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_false_positives_with_correct_server(self, seed):
-        system = SystemBuilder(
-            num_clients=3,
-            seed=seed,
-            latency=ExponentialLatency(1.0, cap=6.0),
-        ).build_faust(dummy_read_period=3.0, probe_check_period=4.0, delta=12.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=seed,
+                latency=ExponentialLatency(1.0, cap=6.0),
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=12.0
+                ),
+            ),
+        )
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=10), random.Random(seed)
         )
@@ -34,8 +39,14 @@ class TestAccuracy:
 
     def test_no_false_positives_with_disconnections(self, ):
         # Clients going offline and returning is not failure evidence.
-        system = SystemBuilder(num_clients=3, seed=77).build_faust(
-            dummy_read_period=3.0, probe_check_period=4.0, delta=10.0
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=77,
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=10.0
+                ),
+            ),
         )
         lazy = system.clients[2]
         system.offline.set_online(lazy.name, False)
@@ -80,11 +91,16 @@ class TestCompleteness:
     def test_ustor_detection_propagates_via_failure_messages(self):
         # C2 catches the tamper locally (line 50); C1 and C3 learn only
         # through the FAILURE alert on the offline channel.
-        system = SystemBuilder(
-            num_clients=3,
-            seed=13,
-            server_factory=lambda n, name: TamperingServer(n, target_register=0, name=name),
-        ).build_faust(dummy_read_period=1_000.0, probe_check_period=1_000.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=13,
+                server_factory=lambda n, name: TamperingServer(n, target_register=0, name=name),
+                faust=FaustParams(
+                    dummy_read_period=1_000.0, probe_check_period=1_000.0
+                ),
+            ),
+        )
         box = []
         system.clients[0].write(b"genuine", box.append)
         assert system.run_until(lambda: bool(box), timeout=100)
@@ -126,11 +142,16 @@ class TestOfflineWindows:
         # C3 is disconnected when the FAILURE alert goes out; the mailbox
         # holds it and delivery happens at reconnection — eventual
         # completeness across offline windows.
-        system = SystemBuilder(
-            num_clients=3,
-            seed=41,
-            server_factory=lambda n, name: TamperingServer(n, target_register=0, name=name),
-        ).build_faust(dummy_read_period=1_000.0, probe_check_period=1_000.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=41,
+                server_factory=lambda n, name: TamperingServer(n, target_register=0, name=name),
+                faust=FaustParams(
+                    dummy_read_period=1_000.0, probe_check_period=1_000.0
+                ),
+            ),
+        )
         sleeper = system.clients[2]
         system.offline.set_online(sleeper.name, False)
         box = []

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.faust.stability import StabilityTracker
 from repro.ustor.digests import extend_digest
 from repro.ustor.version import Version
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import figure2_scenario
 
 
@@ -101,8 +101,14 @@ class TestTracker:
 
 class TestStabilityEndToEnd:
     def test_all_operations_eventually_stable(self):
-        system = SystemBuilder(num_clients=3, seed=5).build_faust(
-            dummy_read_period=3.0, probe_check_period=5.0, delta=15.0
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=5,
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=5.0, delta=15.0
+                ),
+            ),
         )
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=6, read_fraction=0.5), random.Random(5)
@@ -131,7 +137,13 @@ class TestStabilityEndToEnd:
 
     def test_stability_without_user_operations(self):
         # Dummy reads alone keep versions flowing.
-        system = SystemBuilder(num_clients=2, seed=6).build_faust(dummy_read_period=2.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=6,
+                faust=FaustParams(dummy_read_period=2.0),
+            ),
+        )
         box = []
         system.clients[0].write(b"only-op", box.append)
         assert system.run_until(lambda: bool(box), timeout=100)
@@ -146,14 +158,17 @@ class TestStabilityEndToEnd:
         # PROBE/VERSION exchange still drives stability for completed ops.
         from repro.ustor.byzantine import CrashingServer
 
-        system = SystemBuilder(
-            num_clients=2,
-            seed=7,
-            server_factory=lambda n, name: CrashingServer(n, 4, name=name),
-        ).build_faust(
-            dummy_read_period=1_000.0,  # no dummy reads: isolate offline path
-            probe_check_period=3.0,
-            delta=10.0,
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=7,
+                server_factory=lambda n, name: CrashingServer(n, 4, name=name),
+                faust=FaustParams(
+                    dummy_read_period=1_000.0,  # no dummy reads: isolate offline path
+                    probe_check_period=3.0,
+                    delta=10.0,
+                ),
+            )
         )
         outcomes = []
         system.clients[0].write(b"a", outcomes.append)
@@ -173,7 +188,13 @@ class TestStabilityEndToEnd:
         assert not any(c.faust_failed for c in system.clients)
 
     def test_w_vector_entries_monotonic(self):
-        system = SystemBuilder(num_clients=3, seed=8).build_faust(dummy_read_period=2.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=8,
+                faust=FaustParams(dummy_read_period=2.0),
+            ),
+        )
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=5), random.Random(8)
         )
@@ -187,7 +208,7 @@ class TestStabilityEndToEnd:
                 assert all(a <= b for a, b in zip(earlier, later))
 
     def test_timestamps_monotonic_per_client(self):
-        system = SystemBuilder(num_clients=2, seed=9).build_faust()
+        system = open_system(SystemConfig(num_clients=2, seed=9))
         outcomes = []
         for value in (b"a", b"b", b"c"):
             box = []

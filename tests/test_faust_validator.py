@@ -6,15 +6,21 @@ import random
 
 import pytest
 
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.faust.validator import validate_fail_aware_run
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 
 def run_honest(seed: int, n: int = 3, ops: int = 6, settle: float = 400.0):
-    system = SystemBuilder(num_clients=n, seed=seed).build_faust(
-        dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+    system = open_system(
+        SystemConfig(
+            num_clients=n,
+            seed=seed,
+            faust=FaustParams(
+                dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+            ),
+        ),
     )
     scripts = generate_scripts(
         n, WorkloadConfig(ops_per_client=ops, mean_think_time=1.0), random.Random(seed)
@@ -47,8 +53,14 @@ class TestHonestRuns:
         assert "detection completeness" in text
 
     def test_with_a_crashed_client(self):
-        system = SystemBuilder(num_clients=3, seed=5).build_faust(
-            dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=5,
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+                ),
+            ),
         )
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=6, mean_think_time=1.0), random.Random(5)
@@ -70,13 +82,18 @@ class TestHonestRuns:
 class TestByzantineRuns:
     def test_split_brain_run_satisfies_definition(self):
         groups = [{0, 1}, {2, 3}]
-        system = SystemBuilder(
-            num_clients=4,
-            seed=7,
-            server_factory=lambda n, name: SplitBrainServer(
-                n, groups=groups, fork_time=10.0, name=name
+        system = open_system(
+            SystemConfig(
+                num_clients=4,
+                seed=7,
+                server_factory=lambda n, name: SplitBrainServer(
+                    n, groups=groups, fork_time=10.0, name=name
+                ),
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+                ),
             ),
-        ).build_faust(dummy_read_period=3.0, probe_check_period=4.0, delta=15.0)
+        )
         scripts = generate_scripts(
             4, WorkloadConfig(ops_per_client=6, mean_think_time=1.0), random.Random(7)
         )
@@ -92,11 +109,16 @@ class TestByzantineRuns:
         assert all(c.faust_failed for c in system.clients)
 
     def test_tampering_run_satisfies_definition(self):
-        system = SystemBuilder(
-            num_clients=3,
-            seed=8,
-            server_factory=lambda n, name: TamperingServer(n, 0, name=name),
-        ).build_faust(dummy_read_period=3.0, probe_check_period=4.0, delta=15.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=8,
+                server_factory=lambda n, name: TamperingServer(n, 0, name=name),
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+                ),
+            ),
+        )
         done = []
         system.clients[0].write(b"x", done.append)
         system.run_until(lambda: bool(done), timeout=100)
@@ -110,11 +132,14 @@ class TestByzantineRuns:
     def test_validator_catches_misattributed_correctness(self):
         # Claiming the server was correct when it tampered must FAIL the
         # accuracy condition — the validator is not a rubber stamp.
-        system = SystemBuilder(
-            num_clients=2,
-            seed=9,
-            server_factory=lambda n, name: TamperingServer(n, 0, name=name),
-        ).build_faust(dummy_read_period=3.0)
+        system = open_system(
+            SystemConfig(
+                num_clients=2,
+                seed=9,
+                server_factory=lambda n, name: TamperingServer(n, 0, name=name),
+                faust=FaustParams(dummy_read_period=3.0),
+            ),
+        )
         done = []
         system.clients[0].write(b"x", done.append)
         system.run_until(lambda: bool(done), timeout=100)

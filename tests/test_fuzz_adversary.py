@@ -6,11 +6,11 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.types import BOTTOM, parse_client_name
 from repro.consistency.causal import check_causal_consistency
 from repro.ustor.fuzz import DEVIATIONS, RandomDeviationServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 #: These are the fast members of the randomized-adversary family; the
 #: long sweeps live behind ``-m slow`` (see pyproject markers).
@@ -18,13 +18,16 @@ pytestmark = pytest.mark.fuzz
 
 
 def fuzz_run(seed: int, probability: float, n: int = 3, ops: int = 10):
-    system = SystemBuilder(
-        num_clients=n,
-        seed=seed,
-        server_factory=lambda nn, name: RandomDeviationServer(
-            nn, deviation_probability=probability, seed=seed, name=name
+    system = open_system(
+        SystemConfig(
+            num_clients=n,
+            seed=seed,
+            server_factory=lambda nn, name: RandomDeviationServer(
+                nn, deviation_probability=probability, seed=seed, name=name
+            ),
         ),
-    ).build()
+        backend="ustor",
+    )
     scripts = generate_scripts(
         n,
         WorkloadConfig(ops_per_client=ops, read_fraction=0.5, mean_think_time=0.5),

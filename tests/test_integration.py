@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
@@ -19,7 +20,6 @@ from repro.sim.network import ExponentialLatency, UniformLatency
 from repro.ustor.byzantine import SplitBrainServer
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 
 class TestCorrectServerGuarantees:
@@ -33,9 +33,15 @@ class TestCorrectServerGuarantees:
             [ExponentialLatency(1.0, cap=10.0), UniformLatency(0.2, 3.0)]
         )
         piggyback = rng.random() < 0.3
-        system = SystemBuilder(
-            num_clients=n, seed=seed, latency=latency, commit_piggyback=piggyback
-        ).build()
+        system = open_system(
+            SystemConfig(
+                num_clients=n,
+                seed=seed,
+                latency=latency,
+                commit_piggyback=piggyback,
+            ),
+            backend="ustor",
+        )
         scripts = generate_scripts(
             n,
             WorkloadConfig(
@@ -72,9 +78,14 @@ class TestCorrectServerGuarantees:
     @pytest.mark.parametrize("seed", range(5))
     def test_with_client_crashes(self, seed):
         n = 4
-        system = SystemBuilder(
-            num_clients=n, seed=seed, latency=ExponentialLatency(1.0, cap=8.0)
-        ).build()
+        system = open_system(
+            SystemConfig(
+                num_clients=n,
+                seed=seed,
+                latency=ExponentialLatency(1.0, cap=8.0),
+            ),
+            backend="ustor",
+        )
         scripts = generate_scripts(
             n, WorkloadConfig(ops_per_client=12, mean_think_time=1.0), random.Random(seed)
         )
@@ -105,13 +116,16 @@ class TestByzantineGuarantees:
     def test_split_brain_preserves_weak_fork_and_causality(self, seed):
         n = 4
         groups = [{0, 1}, {2, 3}]
-        system = SystemBuilder(
-            num_clients=n,
-            seed=seed,
-            server_factory=lambda nn, name: SplitBrainServer(
-                nn, groups=groups, fork_time=5.0, name=name
+        system = open_system(
+            SystemConfig(
+                num_clients=n,
+                seed=seed,
+                server_factory=lambda nn, name: SplitBrainServer(
+                    nn, groups=groups, fork_time=5.0, name=name
+                ),
             ),
-        ).build()
+            backend="ustor",
+        )
         scripts = generate_scripts(
             n, WorkloadConfig(ops_per_client=10, mean_think_time=1.0), random.Random(seed)
         )
@@ -132,13 +146,16 @@ class TestByzantineGuarantees:
         # With both groups writing, the joint history should not be
         # linearizable (sanity check that the attack really forks).
         n = 4
-        system = SystemBuilder(
-            num_clients=n,
-            seed=seed + 50,
-            server_factory=lambda nn, name: SplitBrainServer(
-                nn, groups=[{0, 1}, {2, 3}], fork_time=0.0, name=name
+        system = open_system(
+            SystemConfig(
+                num_clients=n,
+                seed=seed + 50,
+                server_factory=lambda nn, name: SplitBrainServer(
+                    nn, groups=[{0, 1}, {2, 3}], fork_time=0.0, name=name
+                ),
             ),
-        ).build()
+            backend="ustor",
+        )
         scripts = generate_scripts(
             n,
             WorkloadConfig(ops_per_client=8, read_fraction=0.5, mean_think_time=0.5),
@@ -158,7 +175,7 @@ class TestByzantineGuarantees:
 class TestScaling:
     def test_many_clients(self):
         n = 16
-        system = SystemBuilder(num_clients=n, seed=1).build()
+        system = open_system(SystemConfig(num_clients=n, seed=1), backend="ustor")
         scripts = generate_scripts(
             n, WorkloadConfig(ops_per_client=5), random.Random(1)
         )
@@ -170,7 +187,7 @@ class TestScaling:
         assert check_linearizability(history)
 
     def test_long_run_server_state_bounded(self):
-        system = SystemBuilder(num_clients=3, seed=2).build()
+        system = open_system(SystemConfig(num_clients=3, seed=2), backend="ustor")
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=60, mean_think_time=0.2), random.Random(2)
         )

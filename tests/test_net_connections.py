@@ -29,12 +29,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import SystemConfig, open_system
 from repro.api.config import BatchingPolicy
 from repro.api.session import Session
 from repro.common.encoding import encode
 from repro.common.errors import SimulationError
 from repro.common.types import OpKind
-from repro.net.client import NetRuntime, open_tcp_system, parse_endpoint
+from repro.net.client import NetRuntime, parse_endpoint
 from repro.net.framing import MAX_FRAME_BYTES, encode_frame
 from repro.net.server import NetServerHost, serve_forever
 from repro.net.trace import load_trace
@@ -52,13 +53,20 @@ def _start_host(runtime: NetRuntime) -> NetServerHost:
     return host
 
 
-def _open_deployment(runtime: NetRuntime, **kwargs):
+def _open_deployment(runtime: NetRuntime, **config_kwargs):
     """A live host and its clients on the shared runtime; closing the
     system stops the host."""
     host = _start_host(runtime)
-    system = open_tcp_system(
-        NUM_CLIENTS, (host.endpoint,), runtime=runtime, default_timeout=10.0,
-        **kwargs,
+    system = open_system(
+        SystemConfig(
+            NUM_CLIENTS,
+            transport="tcp",
+            endpoints=(host.endpoint,),
+            default_timeout=10.0,
+            **config_kwargs,
+        ),
+        backend="ustor",
+        runtime=runtime,
     )
     system.hosts.append(host)
     return system, host
@@ -454,6 +462,19 @@ class TestPump:
         started = time.monotonic()
         assert runtime.pump_until(lambda: False, timeout=0.03) is False
         assert 0.03 <= time.monotonic() - started < 0.5
+
+    def test_nan_bound_rejected_before_the_loop_turns(self, runtime):
+        # A NaN deadline is never reached (``remaining <= 0`` is always
+        # false) and ``now >= nan`` never holds: both refused at the
+        # scheduler, the entry every wait takes to the pump.  The stop is a
+        # backstop so a regression fails here instead of pumping forever.
+        backstop = runtime.loop.call_later(1.0, runtime.loop.stop)
+        with pytest.raises(SimulationError):
+            runtime.scheduler.run_until(lambda: False, timeout=float("nan"))
+        with pytest.raises(SimulationError):
+            runtime.scheduler.run(until=float("nan"))
+        backstop.cancel()
+        assert runtime.scheduler.run_until(lambda: True, timeout=float("inf"))
 
     def test_satisfied_predicate_still_turns_the_loop_once(self, runtime):
         ran = []

@@ -25,7 +25,7 @@ from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
-from repro.net.client import NetRuntime, open_tcp_system, parse_endpoint
+from repro.net.client import NetRuntime, parse_endpoint
 from repro.net.server import NetServerHost
 from repro.ustor.byzantine import UnresponsiveServer
 from repro.ustor.server import UstorServer
@@ -49,12 +49,16 @@ def open_loopback(
         num_clients, storage=storage, server_factory=server_factory
     )
     runtime.run_coroutine(host.start())
-    system = open_tcp_system(
-        num_clients,
-        (host.endpoint,),
+    system = open_system(
+        SystemConfig(
+            num_clients,
+            transport="tcp",
+            endpoints=(host.endpoint,),
+            trace_path=str(trace_path) if trace_path else None,
+            default_timeout=default_timeout,
+        ),
+        backend="ustor",
         runtime=runtime,
-        trace_path=str(trace_path) if trace_path else None,
-        default_timeout=default_timeout,
     )
     system.hosts.append(host)  # torn down by system.close()
     system.owns_runtime = True  # created here solely for this system
@@ -123,7 +127,11 @@ class TestTimedModel:
 
     def test_connect_failure_is_loud(self):
         with pytest.raises(ConfigurationError, match="could not connect"):
-            open_tcp_system(1, ("127.0.0.1:1",), connect_timeout=0.3)
+            open_system(
+                SystemConfig(1, transport="tcp", endpoints=("127.0.0.1:1",)),
+                backend="ustor",
+                connect_timeout=0.3,
+            )
 
     def test_wrong_server_name_fails_handshake(self):
         runtime = NetRuntime()
@@ -131,11 +139,15 @@ class TestTimedModel:
         runtime.run_coroutine(host.start())
         try:
             with pytest.raises(ConfigurationError, match="answered as"):
-                open_tcp_system(
-                    1,
-                    (host.endpoint,),
+                open_system(
+                    SystemConfig(
+                        1,
+                        transport="tcp",
+                        endpoints=(host.endpoint,),
+                        server_name="T",
+                    ),
+                    backend="ustor",
                     runtime=runtime,
-                    server_name="T",
                     connect_timeout=2.0,
                 )
         finally:
@@ -150,8 +162,15 @@ class TestCrashRecovery:
         host = NetServerHost(2, storage=storage)
         runtime.run_coroutine(host.start())
         port = host.port
-        system = open_tcp_system(
-            2, (host.endpoint,), runtime=runtime, default_timeout=10.0
+        system = open_system(
+            SystemConfig(
+                2,
+                transport="tcp",
+                endpoints=(host.endpoint,),
+                default_timeout=10.0,
+            ),
+            backend="ustor",
+            runtime=runtime,
         )
         with system:
             session = system.session(0)
@@ -184,8 +203,15 @@ class TestCrashRecovery:
         runtime = NetRuntime()
         host = NetServerHost(1, storage=storage)
         runtime.run_coroutine(host.start())
-        system = open_tcp_system(
-            1, (host.endpoint,), runtime=runtime, default_timeout=5.0
+        system = open_system(
+            SystemConfig(
+                1,
+                transport="tcp",
+                endpoints=(host.endpoint,),
+                default_timeout=5.0,
+            ),
+            backend="ustor",
+            runtime=runtime,
         )
         with system:
             # Capture the SUBMIT as sent, then complete the write.

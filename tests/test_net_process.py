@@ -20,12 +20,12 @@ import time
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
-from repro.net.client import open_tcp_system
 from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import history_signature, load_trace, replay_trace
 from repro.net.wire import payload_to_message
@@ -74,9 +74,15 @@ class TestServerProcess:
     def test_audited_workload_records_and_replays(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
         with ServerProcess(3) as proc:
-            system = open_tcp_system(
-                3, (proc.endpoint,), trace_path=str(trace_path),
-                default_timeout=10.0,
+            system = open_system(
+                SystemConfig(
+                    3,
+                    transport="tcp",
+                    endpoints=(proc.endpoint,),
+                    trace_path=str(trace_path),
+                    default_timeout=10.0,
+                ),
+                backend="ustor",
             )
             with system:
                 scripts = generate_scripts(
@@ -117,7 +123,15 @@ class TestServerProcess:
         endpoint = proc.start()
         host, port = endpoint.split(":")
         try:
-            system = open_tcp_system(2, (endpoint,), default_timeout=15.0)
+            system = open_system(
+                SystemConfig(
+                    2,
+                    transport="tcp",
+                    endpoints=(endpoint,),
+                    default_timeout=15.0,
+                ),
+                backend="ustor",
+            )
             with system:
                 session = system.session(0)
                 assert session.write_sync(b"survives") == 1
@@ -150,8 +164,15 @@ class TestServerProcess:
         endpoint = proc.start()
         host, port = endpoint.split(":")
         try:
-            system = open_tcp_system(
-                2, (endpoint,), trace_path=str(trace_path), default_timeout=15.0
+            system = open_system(
+                SystemConfig(
+                    2,
+                    transport="tcp",
+                    endpoints=(endpoint,),
+                    trace_path=str(trace_path),
+                    default_timeout=15.0,
+                ),
+                backend="ustor",
             )
             with system:
                 scripts = generate_scripts(
@@ -206,7 +227,15 @@ class TestServerProcess:
 
     def test_byzantine_child_process(self):
         with ServerProcess(2, server="tampering") as proc:
-            system = open_tcp_system(2, (proc.endpoint,), default_timeout=5.0)
+            system = open_system(
+                SystemConfig(
+                    2,
+                    transport="tcp",
+                    endpoints=(proc.endpoint,),
+                    default_timeout=5.0,
+                ),
+                backend="ustor",
+            )
             with system:
                 system.session(0).write_sync(b"genuine")
                 reader = system.session(1, timeout=2.0)
@@ -232,11 +261,15 @@ class TestClusterSupervisor:
             pids = {p.process.pid for p in supervisor.processes}
             assert len(pids) == 2
             for shard, endpoint in enumerate(supervisor.endpoints):
-                system = open_tcp_system(
-                    2,
-                    (endpoint,),
-                    server_name=f"S{shard}",
-                    default_timeout=10.0,
+                system = open_system(
+                    SystemConfig(
+                        2,
+                        transport="tcp",
+                        endpoints=(endpoint,),
+                        server_name=f"S{shard}",
+                        default_timeout=10.0,
+                    ),
+                    backend="ustor",
                 )
                 with system:
                     session = system.session(0)

@@ -20,10 +20,11 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
-from repro.net.client import NetRuntime, open_tcp_system
+from repro.net.client import NetRuntime
 from repro.net.server import NetServerHost
 from repro.net.trace import history_signature, load_trace, replay_trace
 from repro.ustor.byzantine import TamperingServer
@@ -44,12 +45,16 @@ def record_loopback_run(
     runtime = NetRuntime()
     host = NetServerHost(num_clients, server_factory=server_factory)
     runtime.run_coroutine(host.start())
-    system = open_tcp_system(
-        num_clients,
-        (host.endpoint,),
+    system = open_system(
+        SystemConfig(
+            num_clients,
+            transport="tcp",
+            endpoints=(host.endpoint,),
+            trace_path=str(trace_path),
+            default_timeout=5.0,
+        ),
+        backend="ustor",
         runtime=runtime,
-        trace_path=str(trace_path),
-        default_timeout=5.0,
     )
     system.hosts.append(host)
     system.owns_runtime = True

@@ -144,7 +144,8 @@ class TestJsonlSnapshotWriter:
 @pytest.mark.net
 class TestTraceIdReplayFidelity:
     def test_traced_run_replays_byte_identically(self, tmp_path):
-        from repro.net.client import NetRuntime, open_tcp_system
+        from repro.api import SystemConfig, open_system
+        from repro.net.client import NetRuntime
         from repro.net.server import NetServerHost
         from repro.net.trace import replay_trace
         from repro.obs.tracing import SpanLog
@@ -159,14 +160,18 @@ class TestTraceIdReplayFidelity:
         host = NetServerHost(2)
         runtime.run_coroutine(host.start())
         span_log = SpanLog()
-        system = open_tcp_system(
-            2,
-            (host.endpoint,),
+        system = open_system(
+            SystemConfig(
+                2,
+                transport="tcp",
+                endpoints=(host.endpoint,),
+                trace_path=str(trace_path),
+                trace_ids=True,
+                span_log=span_log,
+                default_timeout=10.0,
+            ),
+            backend="ustor",
             runtime=runtime,
-            trace_path=str(trace_path),
-            trace_ids=True,
-            span_log=span_log,
-            default_timeout=10.0,
         )
         system.hosts.append(host)
         system.owns_runtime = True

@@ -286,7 +286,7 @@ class TestDetectionLatencySim:
 @pytest.mark.net
 class TestDetectionLatencyTcp:
     def test_tampering_server_over_loopback(self):
-        from repro.net.client import NetRuntime, open_tcp_system
+        from repro.net.client import NetRuntime
         from repro.net.server import NetServerHost
 
         with use_registry(Registry()) as registry:
@@ -298,8 +298,15 @@ class TestDetectionLatencyTcp:
                 ),
             )
             runtime.run_coroutine(host.start())
-            system = open_tcp_system(
-                2, (host.endpoint,), runtime=runtime, default_timeout=10.0
+            system = open_system(
+                SystemConfig(
+                    2,
+                    transport="tcp",
+                    endpoints=(host.endpoint,),
+                    default_timeout=10.0,
+                ),
+                backend="ustor",
+                runtime=runtime,
             )
             system.hosts.append(host)
             system.owns_runtime = True

@@ -13,7 +13,6 @@ from repro.perf import (
     system_profile,
 )
 from repro.ustor.byzantine import TamperingServer
-from repro.workloads.runner import SystemBuilder
 
 
 class TestProfilerObsMirror:
@@ -21,16 +20,19 @@ class TestProfilerObsMirror:
         from repro.obs.registry import Registry, use_registry
 
         with use_registry(Registry()) as registry:
-            system = SystemBuilder(num_clients=2, seed=5).build()
+            system = open_system(SystemConfig(num_clients=2, seed=5), backend="ustor")
             registry.counter("probe").inc()
             profile = system.profile()
             assert profile["obs"]["probe"] == 1
-        assert "obs" not in SystemBuilder(num_clients=2, seed=5).build().profile()
+        assert "obs" not in open_system(
+            SystemConfig(num_clients=2, seed=5),
+            backend="ustor",
+        ).profile()
 
 
 class TestSystemProfile:
     def test_raw_storage_system(self):
-        system = SystemBuilder(num_clients=2, seed=5).build()
+        system = open_system(SystemConfig(num_clients=2, seed=5), backend="ustor")
         system.clients[0].write(b"v")
         system.run_until_quiescent()
         profile = system.profile()
@@ -129,7 +131,7 @@ class TestProfileSections:
         assert system.profile()["clients"]["failed"] == 1
 
     def test_profile_counts_the_reset_caches(self):
-        system = SystemBuilder(num_clients=2, seed=1).build()
+        system = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
         system.clients[0].write(b"v")
         system.run_until_quiescent()
         reset_hot_path_caches()
@@ -197,5 +199,5 @@ class TestHotPathCacheStats:
         assert cleared["encoding"]["misses"] == 0
 
     def test_system_profile_accepts_raw_and_wrapped(self):
-        system = SystemBuilder(num_clients=2, seed=1).build()
+        system = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
         assert system_profile(system)["kind"] == "single"

@@ -13,13 +13,13 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import SystemConfig, open_system
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
 from repro.sim.network import ExponentialLatency, FixedLatency, UniformLatency
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 _SLOW = settings(
     max_examples=20,
@@ -48,12 +48,15 @@ def _latency(name: str):
 
 
 def _run(params):
-    system = SystemBuilder(
-        num_clients=params["n"],
-        seed=params["seed"],
-        latency=_latency(params["latency"]),
-        commit_piggyback=params["piggyback"],
-    ).build()
+    system = open_system(
+        SystemConfig(
+            num_clients=params["n"],
+            seed=params["seed"],
+            latency=_latency(params["latency"]),
+            commit_piggyback=params["piggyback"],
+        ),
+        backend="ustor",
+    )
     scripts = generate_scripts(
         params["n"],
         WorkloadConfig(
@@ -101,11 +104,14 @@ class TestDefinition5Properties:
     @_SLOW
     @given(deployments, st.floats(min_value=1.0, max_value=30.0))
     def test_crash_tolerance(self, params, crash_time):
-        system = SystemBuilder(
-            num_clients=params["n"],
-            seed=params["seed"],
-            latency=_latency(params["latency"]),
-        ).build()
+        system = open_system(
+            SystemConfig(
+                num_clients=params["n"],
+                seed=params["seed"],
+                latency=_latency(params["latency"]),
+            ),
+            backend="ustor",
+        )
         scripts = generate_scripts(
             params["n"],
             WorkloadConfig(ops_per_client=params["ops"], mean_think_time=1.0),

@@ -21,11 +21,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.errors import ConfigurationError
 from repro.replica.coordinator import QuorumCoordinator, default_quorum
 from repro.replica.counter import CounterVerifier, MonotonicCounter
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import replica_rollback_scenario
 
 
@@ -66,6 +66,16 @@ class TestConfig:
     def test_quorum_bounds(self, quorum):
         with pytest.raises(ConfigurationError, match="quorum must be"):
             make_group(3, quorum=quorum)
+
+    def test_replica_group_refuses_one_shared_engine_instance(self):
+        # Each replica needs its own engine: a ready instance cannot be
+        # split, a name or factory can.  The config refuses it up front.
+        from repro.store.engine import MemoryEngine
+
+        with pytest.raises(ConfigurationError, match="one engine per replica"):
+            SystemConfig(num_clients=3, replicas=3, storage=MemoryEngine(3))
+        SystemConfig(num_clients=3, replicas=3, storage=lambda n: MemoryEngine(n))
+        SystemConfig(num_clients=3, storage=MemoryEngine(3))
 
     def test_one_operation_at_a_time(self):
         group = make_group()
@@ -189,8 +199,11 @@ class TestConviction:
 
 
 class TestAllHonestEquivalence:
-    def run_history(self, **builder_kwargs):
-        system = SystemBuilder(num_clients=3, seed=7, **builder_kwargs).build()
+    def run_history(self, **config_kwargs):
+        system = open_system(
+            SystemConfig(num_clients=3, seed=7, **config_kwargs),
+            backend="ustor",
+        )
         scripts = generate_scripts(
             3,
             WorkloadConfig(ops_per_client=6, read_fraction=0.5),
@@ -255,7 +268,7 @@ class TestRollbackScenarios:
 @pytest.mark.net
 class TestTcpReplicaGroup:
     def test_counter_convicts_rollback_over_real_sockets(self):
-        from repro.net.client import NetRuntime, open_tcp_system
+        from repro.net.client import NetRuntime
         from repro.net.server import NetServerHost
 
         runtime = NetRuntime()
@@ -266,13 +279,17 @@ class TestTcpReplicaGroup:
             )
             runtime.run_coroutine(host.start())
             hosts.append(host)
-        system = open_tcp_system(
-            2,
-            tuple(h.endpoint for h in hosts),
+        system = open_system(
+            SystemConfig(
+                2,
+                transport="tcp",
+                endpoints=tuple(h.endpoint for h in hosts),
+                replicas=3,
+                counter="volatile",
+                default_timeout=10.0,
+            ),
+            backend="ustor",
             runtime=runtime,
-            replicas=3,
-            counter=True,
-            default_timeout=10.0,
         )
         system.hosts.extend(hosts)
         system.owns_runtime = True

@@ -114,6 +114,9 @@ def test_scale_config_validation():
         ScaleConfig(sample_every=0.0)
     with pytest.raises(ConfigurationError):
         ScaleConfig(warmup_fraction=1.0)
+    # NaN passed ``sample_every <= 0`` and hung the sampling loop.
+    with pytest.raises(ConfigurationError):
+        ScaleConfig(sample_every=float("nan"))
 
 
 # --------------------------------------------------------------------- #

@@ -146,6 +146,24 @@ class TestErrors:
         sched.schedule_at(float("inf"), lambda: None)  # a window that never ends
         assert sched.pending == 1
 
+    def test_nan_run_bound_rejected(self):
+        # ``event.time > nan`` is always false: the bound would never stop
+        # the loop (a FAUST system's timers never let the queue drain).
+        sched = Scheduler()
+        sched.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sched.run(until=float("nan"))
+        assert sched.pending == 1 and sched.now == 0.0
+        assert sched.run(until=float("inf")) == 1  # inf stays a legal bound
+
+    def test_nan_wait_timeout_rejected(self):
+        sched = Scheduler()
+        sched.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sched.run_until(lambda: False, timeout=float("nan"))
+        assert sched.pending == 1
+        assert sched.run_until(lambda: False, timeout=float("inf")) is False
+
 
 class TestDeterminism:
     def test_rng_is_seeded(self):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.common.errors import ConfigurationError, StorageError
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
@@ -34,7 +35,6 @@ from repro.ustor.messages import CommitMessage, InvocationTuple, SubmitMessage
 from repro.ustor.server import ServerState, UstorServer, apply_commit, apply_submit
 from repro.ustor.version import Version
 from repro.workloads.churn import ChurnSchedule
-from repro.workloads.runner import SystemBuilder
 
 
 def _signed_submit(keystore, client, t, kind=OpKind.WRITE, register=None):
@@ -383,7 +383,10 @@ class TestMakeEngine:
 
 class TestServerCrashRecovery:
     def _system(self, storage="log", **kwargs):
-        return SystemBuilder(num_clients=2, seed=5, storage=storage, **kwargs).build()
+        return open_system(
+            SystemConfig(num_clients=2, seed=5, storage=storage, **kwargs),
+            backend="ustor",
+        )
 
     def test_honest_outage_is_invisible_with_log_engine(self):
         system = self._system()
@@ -439,8 +442,15 @@ class TestServerCrashRecovery:
         assert not system.clients[0].failed
 
     def test_server_churn_composes_with_client_churn(self):
-        system = SystemBuilder(num_clients=3, seed=8, storage="log").build_faust(
-            dummy_read_period=4.0, probe_check_period=6.0, delta=30.0
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=8,
+                storage="log",
+                faust=FaustParams(
+                    dummy_read_period=4.0, probe_check_period=6.0, delta=30.0
+                ),
+            ),
         )
         churn = ChurnSchedule(system)
         churn.add_window(client=2, start=10.0, duration=25.0)
@@ -456,7 +466,7 @@ class TestServerCrashRecovery:
         system = self._system()
         with pytest.raises(Exception):
             system.server_outage(5.0, 0.0)
-        churn_system = SystemBuilder(num_clients=2, seed=1).build_faust()
+        churn_system = open_system(SystemConfig(num_clients=2, seed=1))
         churn = ChurnSchedule(churn_system)
         with pytest.raises(ValueError):
             churn.add_server_outage(1.0, -2.0)
@@ -465,7 +475,7 @@ class TestServerCrashRecovery:
             churn.add_server_outage(15.0, 2.0)
 
     def test_random_server_outages_never_overlap(self):
-        system = SystemBuilder(num_clients=2, seed=13, storage="log").build_faust()
+        system = open_system(SystemConfig(num_clients=2, seed=13, storage="log"))
         churn = ChurnSchedule(system)
         churn.random_server_outages(count=12, horizon=200.0, mean_duration=15.0)
         windows = sorted(churn.server_outages, key=lambda w: w.start)

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from repro.analysis.timeline import render_timeline
+from repro.api import FaustParams, SystemConfig, open_system
 from repro.common.types import BOTTOM
 from repro.sim.faults import Fault
 from repro.workloads.churn import ChurnSchedule
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import figure3_scenario
 
 from histbuild import h, r, w
@@ -57,8 +57,14 @@ class TestTimeline:
 
 
 def churn_system(seed=50):
-    system = SystemBuilder(num_clients=3, seed=seed).build_faust(
-        dummy_read_period=3.0, probe_check_period=4.0, delta=20.0
+    system = open_system(
+        SystemConfig(
+            num_clients=3,
+            seed=seed,
+            faust=FaustParams(
+                dummy_read_period=3.0, probe_check_period=4.0, delta=20.0
+            ),
+        ),
     )
     return system
 
@@ -117,13 +123,18 @@ class TestChurn:
     def test_detection_still_complete_under_churn(self):
         from repro.ustor.byzantine import SplitBrainServer
 
-        system = SystemBuilder(
-            num_clients=4,
-            seed=53,
-            server_factory=lambda n, name: SplitBrainServer(
-                n, groups=[{0, 1}, {2, 3}], fork_time=5.0, name=name
+        system = open_system(
+            SystemConfig(
+                num_clients=4,
+                seed=53,
+                server_factory=lambda n, name: SplitBrainServer(
+                    n, groups=[{0, 1}, {2, 3}], fork_time=5.0, name=name
+                ),
+                faust=FaustParams(
+                    dummy_read_period=3.0, probe_check_period=4.0, delta=15.0
+                ),
             ),
-        ).build_faust(dummy_read_period=3.0, probe_check_period=4.0, delta=15.0)
+        )
         churn = ChurnSchedule(system)
         churn.add_window(client=3, start=10.0, duration=100.0)
         scripts = generate_scripts(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.errors import ConfigurationError
 from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
@@ -26,14 +27,16 @@ from repro.ustor.byzantine import (
     TamperingServer,
     UnresponsiveServer,
 )
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import figure3_scenario
 
 from test_ustor_protocol import run_ops
 
 
 def build(server_factory, n=3, seed=1):
-    return SystemBuilder(num_clients=n, seed=seed, server_factory=server_factory).build()
+    return open_system(
+        SystemConfig(num_clients=n, seed=seed, server_factory=server_factory),
+        backend="ustor",
+    )
 
 
 class TestTampering:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.api import SystemConfig, open_system
 from repro.ustor.byzantine import (
     BadReaderVersionServer,
     FakePendingServer,
@@ -10,13 +11,15 @@ from repro.ustor.byzantine import (
     StaleReadServer,
     WrongProofServer,
 )
-from repro.workloads.runner import SystemBuilder
 
 from test_ustor_protocol import run_ops
 
 
 def build(server_factory, n=3, seed=1):
-    return SystemBuilder(num_clients=n, seed=seed, server_factory=server_factory).build()
+    return open_system(
+        SystemConfig(num_clients=n, seed=seed, server_factory=server_factory),
+        backend="ustor",
+    )
 
 
 class TestLine41WrongProof:

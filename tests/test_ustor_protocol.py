@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.errors import ProtocolError
 from repro.common.types import BOTTOM, OpKind
 from repro.consistency.causal import check_causal_consistency
@@ -14,7 +15,6 @@ from repro.consistency import validate_weak_fork_linearizability
 from repro.sim.network import ExponentialLatency, FixedLatency
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 
 def run_ops(system, ops):
@@ -31,18 +31,18 @@ def run_ops(system, ops):
 
 class TestSingleClient:
     def test_write_then_read_own_register(self):
-        system = SystemBuilder(num_clients=1, seed=1).build()
+        system = open_system(SystemConfig(num_clients=1, seed=1), backend="ustor")
         write, read = run_ops(system, [(0, "write", b"v"), (0, "read", 0)])
         assert write.timestamp == 1
         assert read.value == b"v" and read.timestamp == 2
 
     def test_read_before_any_write_returns_bottom(self):
-        system = SystemBuilder(num_clients=2, seed=1).build()
+        system = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
         (read,) = run_ops(system, [(0, "read", 1)])
         assert read.value is BOTTOM
 
     def test_overwrites_visible_in_order(self):
-        system = SystemBuilder(num_clients=1, seed=1).build()
+        system = open_system(SystemConfig(num_clients=1, seed=1), backend="ustor")
         outcomes = run_ops(
             system,
             [(0, "write", b"v1"), (0, "write", b"v2"), (0, "read", 0)],
@@ -50,32 +50,32 @@ class TestSingleClient:
         assert outcomes[-1].value == b"v2"
 
     def test_timestamps_strictly_increase(self):
-        system = SystemBuilder(num_clients=1, seed=1).build()
+        system = open_system(SystemConfig(num_clients=1, seed=1), backend="ustor")
         outcomes = run_ops(system, [(0, "write", b"a"), (0, "read", 0), (0, "write", b"b")])
         stamps = [o.timestamp for o in outcomes]
         assert stamps == sorted(stamps) and len(set(stamps)) == 3
 
     def test_versions_grow_monotonically(self):
-        system = SystemBuilder(num_clients=1, seed=1).build()
+        system = open_system(SystemConfig(num_clients=1, seed=1), backend="ustor")
         outcomes = run_ops(system, [(0, "write", b"a"), (0, "read", 0)])
         assert outcomes[0].version.lt(outcomes[1].version)
 
 
 class TestTwoClients:
     def test_reader_sees_committed_write(self):
-        system = SystemBuilder(num_clients=2, seed=2).build()
+        system = open_system(SystemConfig(num_clients=2, seed=2), backend="ustor")
         outcomes = run_ops(system, [(0, "write", b"shared"), (1, "read", 0)])
         assert outcomes[1].value == b"shared"
 
     def test_read_returns_writer_version(self):
-        system = SystemBuilder(num_clients=2, seed=2).build()
+        system = open_system(SystemConfig(num_clients=2, seed=2), backend="ustor")
         outcomes = run_ops(system, [(0, "write", b"x"), (1, "read", 0)])
         reader_version = outcomes[1].reader_version
         assert reader_version is not None
         assert reader_version.vector[0] == 1
 
     def test_cross_client_versions_are_chained(self):
-        system = SystemBuilder(num_clients=2, seed=2).build()
+        system = open_system(SystemConfig(num_clients=2, seed=2), backend="ustor")
         outcomes = run_ops(
             system,
             [(0, "write", b"x"), (1, "read", 0), (0, "write", b"y"), (1, "read", 0)],
@@ -87,7 +87,7 @@ class TestTwoClients:
             assert earlier.le(later)
 
     def test_no_concurrent_op_with_self(self):
-        system = SystemBuilder(num_clients=2, seed=2).build()
+        system = open_system(SystemConfig(num_clients=2, seed=2), backend="ustor")
         client = system.clients[0]
         client.write(b"a", lambda o: None)
         with pytest.raises(ProtocolError):
@@ -96,7 +96,10 @@ class TestTwoClients:
 
 class TestConcurrency:
     def test_concurrent_write_and_read_both_complete(self):
-        system = SystemBuilder(num_clients=2, seed=3, latency=FixedLatency(2.0)).build()
+        system = open_system(
+            SystemConfig(num_clients=2, seed=3, latency=FixedLatency(2.0)),
+            backend="ustor",
+        )
         boxes = [[], []]
         system.clients[0].write(b"w", boxes[0].append)
         system.clients[1].read(0, boxes[1].append)
@@ -108,7 +111,7 @@ class TestConcurrency:
         # Delay all COMMIT deliveries: reads by others must still complete
         # in one round (this is exactly what fork-linearizable protocols
         # cannot do).
-        system = SystemBuilder(num_clients=3, seed=4).build()
+        system = open_system(SystemConfig(num_clients=3, seed=4), backend="ustor")
         system.network.add_delay("C1", "S", 0.0)  # ensure link exists
         outcomes = []
         system.clients[0].write(b"w", outcomes.append)
@@ -125,7 +128,10 @@ class TestConcurrency:
         assert all(not c.failed for c in system.clients)
 
     def test_client_crash_does_not_block_others(self):
-        system = SystemBuilder(num_clients=3, seed=5, latency=FixedLatency(1.0)).build()
+        system = open_system(
+            SystemConfig(num_clients=3, seed=5, latency=FixedLatency(1.0)),
+            backend="ustor",
+        )
         victim = system.clients[0]
         victim.write(b"doomed", lambda o: None)
         # Crash after the SUBMIT is sent but before the REPLY arrives.
@@ -141,9 +147,10 @@ class TestConcurrency:
 class TestPiggybackMode:
     def test_results_identical_to_eager_mode(self):
         def run(piggyback):
-            system = SystemBuilder(
-                num_clients=2, seed=6, commit_piggyback=piggyback
-            ).build()
+            system = open_system(
+                SystemConfig(num_clients=2, seed=6, commit_piggyback=piggyback),
+                backend="ustor",
+            )
             outcomes = run_ops(
                 system,
                 [(0, "write", b"a"), (1, "read", 0), (0, "write", b"b"), (1, "read", 0)],
@@ -154,9 +161,10 @@ class TestPiggybackMode:
 
     def test_piggyback_halves_client_messages(self):
         def messages(piggyback):
-            system = SystemBuilder(
-                num_clients=2, seed=6, commit_piggyback=piggyback
-            ).build()
+            system = open_system(
+                SystemConfig(num_clients=2, seed=6, commit_piggyback=piggyback),
+                backend="ustor",
+            )
             run_ops(system, [(0, "write", b"a"), (0, "write", b"b"), (0, "write", b"c")])
             return system.trace.message_count("COMMIT")
 
@@ -164,7 +172,10 @@ class TestPiggybackMode:
         assert messages(True) == 0  # commits ride inside SUBMITs
 
     def test_piggyback_leaves_pending_entries(self):
-        system = SystemBuilder(num_clients=2, seed=6, commit_piggyback=True).build()
+        system = open_system(
+            SystemConfig(num_clients=2, seed=6, commit_piggyback=True),
+            backend="ustor",
+        )
         run_ops(system, [(0, "write", b"a")])
         system.run(until=system.now + 10)
         # The final COMMIT never went out: the server's L keeps the entry.
@@ -173,7 +184,7 @@ class TestPiggybackMode:
 
 class TestMessageComplexity:
     def test_one_reply_per_operation(self):
-        system = SystemBuilder(num_clients=3, seed=7).build()
+        system = open_system(SystemConfig(num_clients=3, seed=7), backend="ustor")
         run_ops(system, [(0, "write", b"a"), (1, "read", 0), (2, "read", 0)])
         assert system.trace.message_count("REPLY") == 3
         assert system.trace.message_count("SUBMIT") == 3
@@ -181,7 +192,7 @@ class TestMessageComplexity:
     def test_reply_size_linear_in_clients(self):
         sizes = {}
         for n in (2, 8, 32):
-            system = SystemBuilder(num_clients=n, seed=8).build()
+            system = open_system(SystemConfig(num_clients=n, seed=8), backend="ustor")
             run_ops(system, [(0, "write", b"x"), (1, "read", 0)])
             sizes[n] = system.trace.total_bytes("REPLY") / system.trace.message_count("REPLY")
         # Linear growth: scaling n by 4 must scale size by < 6 but clearly
@@ -194,11 +205,14 @@ class TestMessageComplexity:
 class TestRandomizedRuns:
     @pytest.mark.parametrize("seed", range(8))
     def test_linearizable_causal_and_wait_free(self, seed):
-        system = SystemBuilder(
-            num_clients=4,
-            seed=seed,
-            latency=ExponentialLatency(1.0, cap=8.0),
-        ).build()
+        system = open_system(
+            SystemConfig(
+                num_clients=4,
+                seed=seed,
+                latency=ExponentialLatency(1.0, cap=8.0),
+            ),
+            backend="ustor",
+        )
         scripts = generate_scripts(
             4, WorkloadConfig(ops_per_client=20, read_fraction=0.6), random.Random(seed)
         )
@@ -214,7 +228,7 @@ class TestRandomizedRuns:
 
     def test_deterministic_replay(self):
         def run():
-            system = SystemBuilder(num_clients=3, seed=123).build()
+            system = open_system(SystemConfig(num_clients=3, seed=123), backend="ustor")
             scripts = generate_scripts(
                 3, WorkloadConfig(ops_per_client=10), random.Random(123)
             )

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
 from repro.common.errors import ProtocolError
 from repro.consistency import validate_weak_fork_linearizability
 from repro.ustor.viewhistory import (
@@ -14,21 +15,20 @@ from repro.ustor.viewhistory import (
     reconstruct_view_history,
 )
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
-from repro.workloads.runner import SystemBuilder
 
 from test_ustor_protocol import run_ops
 
 
 class TestReconstruction:
     def test_single_op_vh_is_itself(self):
-        system = SystemBuilder(num_clients=2, seed=1).build()
+        system = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
         run_ops(system, [(0, "write", b"a")])
         records = merge_vh_records(system.clients)
         assert reconstruct_view_history(records, (0, 1)) == ((0, 1),)
 
     def test_vh_matches_server_schedule(self):
         # Sequential ops: VH of the last op is exactly the schedule.
-        system = SystemBuilder(num_clients=3, seed=2).build()
+        system = open_system(SystemConfig(num_clients=3, seed=2), backend="ustor")
         run_ops(
             system,
             [(0, "write", b"a"), (1, "read", 0), (2, "read", 0), (0, "write", b"b")],
@@ -38,7 +38,7 @@ class TestReconstruction:
         assert vh == ((0, 1), (1, 1), (2, 1), (0, 2))
 
     def test_vh_prefix_structure(self):
-        system = SystemBuilder(num_clients=2, seed=3).build()
+        system = open_system(SystemConfig(num_clients=2, seed=3), backend="ustor")
         run_ops(system, [(0, "write", b"a"), (1, "read", 0), (0, "write", b"b")])
         records = merge_vh_records(system.clients)
         vh_first = reconstruct_view_history(records, (0, 1))
@@ -51,7 +51,7 @@ class TestReconstruction:
 
     def test_concurrent_ops_appear_in_vh(self):
         # Slow down C1's COMMIT so C2's read sees C1's write in L.
-        system = SystemBuilder(num_clients=2, seed=4).build()
+        system = open_system(SystemConfig(num_clients=2, seed=4), backend="ustor")
         box0, box1 = [], []
         system.clients[0].write(b"w", box0.append)
         system.scheduler.schedule(2.5, system.clients[1].read, 0, box1.append)
@@ -66,7 +66,7 @@ class TestReconstruction:
 class TestProtocolViews:
     @pytest.mark.parametrize("seed", range(4))
     def test_views_validate_on_random_runs(self, seed):
-        system = SystemBuilder(num_clients=3, seed=seed).build()
+        system = open_system(SystemConfig(num_clients=3, seed=seed), backend="ustor")
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=15), random.Random(seed)
         )
@@ -80,14 +80,14 @@ class TestProtocolViews:
         assert result, result.violation
 
     def test_views_are_per_client_last_op(self):
-        system = SystemBuilder(num_clients=2, seed=9).build()
+        system = open_system(SystemConfig(num_clients=2, seed=9), backend="ustor")
         run_ops(system, [(0, "write", b"a"), (1, "read", 0)])
         history = system.history()
         views = build_client_views(history, system.recorder, system.clients)
         assert [op.client for op in views[1]] == [0, 1]
 
     def test_client_without_ops_has_no_view(self):
-        system = SystemBuilder(num_clients=3, seed=9).build()
+        system = open_system(SystemConfig(num_clients=3, seed=9), backend="ustor")
         run_ops(system, [(0, "write", b"a")])
         views = build_client_views(system.history(), system.recorder, system.clients)
         assert 1 not in views and 2 not in views

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from repro.api import FaustBackend, FaustParams, OperationFailed, SystemConfig
+from repro.api import (
+    FaustBackend,
+    FaustParams,
+    OperationFailed,
+    SystemConfig,
+    open_system,
+)
 from repro.common.errors import ConfigurationError
 from repro.common.types import BOTTOM, OpKind
 from repro.workloads.generator import (
@@ -16,7 +22,6 @@ from repro.workloads.generator import (
     generate_scripts,
     unique_value,
 )
-from repro.workloads.runner import SystemBuilder
 from repro.workloads.scenarios import (
     figure3_scenario,
     replica_rollback_scenario,
@@ -81,7 +86,7 @@ class TestWorkloadGenerator:
 
 class TestDriver:
     def test_completion_fraction(self):
-        system = SystemBuilder(num_clients=2, seed=1).build()
+        system = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
         scripts = generate_scripts(2, WorkloadConfig(ops_per_client=4), random.Random(1))
         driver = Driver(system)
         driver.attach_all(scripts)
@@ -90,7 +95,7 @@ class TestDriver:
         assert driver.stats.total_completed() == 8
 
     def test_crashed_client_stops_mid_script(self):
-        system = SystemBuilder(num_clients=2, seed=2).build()
+        system = open_system(SystemConfig(num_clients=2, seed=2), backend="ustor")
         scripts = generate_scripts(
             2, WorkloadConfig(ops_per_client=10, mean_think_time=1.0), random.Random(2)
         )
@@ -102,7 +107,7 @@ class TestDriver:
         assert driver.stats.completed[0] < 10
 
     def test_empty_script_counts_done(self):
-        system = SystemBuilder(num_clients=1, seed=3).build()
+        system = open_system(SystemConfig(num_clients=1, seed=3), backend="ustor")
         driver = Driver(system)
         driver.attach(0, [])
         assert driver.stats.all_done()
