@@ -71,7 +71,7 @@ def protocol_for(stack: str, config: SystemConfig):
     from repro.workloads.runner import faust_protocol, ustor_protocol
 
     if stack == "ustor":
-        return ustor_protocol(trace_ids=config.trace_ids)
+        return ustor_protocol()
     if stack == "faust":
         return faust_protocol(
             config.checkpoint, config.membership, **config.faust.as_kwargs()

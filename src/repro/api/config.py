@@ -185,11 +185,6 @@ class SystemConfig:
     #: Record the run's wire trace (JSONL) here; replayable with
     #: :func:`repro.net.trace.replay_trace`.
     trace_path: str | None = None
-    #: Stamp SUBMIT/COMMIT with deterministic causal trace ids (an
-    #: optional TLV field the server echoes into REPLYs), so one client
-    #: operation can be followed across processes (simulated runs trace
-    #: at the session layer instead).
-    trace_ids: bool = False
     #: A :class:`repro.obs.tracing.SpanLog` collecting per-operation
     #: spans (sessions on every transport; the wire client's SUBMIT/fail
     #: instants over tcp).  ``None`` = no tracing.
@@ -316,6 +311,11 @@ class SystemConfig:
             )
         else:
             self.endpoints = tuple(self.endpoints)
+        if self.endpoints:
+            from repro.net.client import parse_endpoint
+
+            for endpoint in self.endpoints:
+                parse_endpoint(endpoint)
         if self.transport == "tcp" and len(self.endpoints) != self.replicas:
             raise ConfigurationError(
                 f"transport='tcp' needs endpoints= ('host:port', e.g. from "
@@ -406,7 +406,7 @@ FEATURES: tuple[Feature, ...] = (
             tcp=("ustor",)),
     Feature("commit_piggyback", ("commit_piggyback",),
             "USTOR's COMMIT piggybacking", sim=_USTOR_STACK, tcp=("ustor",)),
-    Feature("wire", ("endpoints", "server_name", "trace_path", "trace_ids"),
+    Feature("wire", ("endpoints", "server_name", "trace_path"),
             "a real deployment's addresses, handshake name and wire trace",
             tcp=("ustor",)),
     Feature("latency", ("latency", "offline_latency"),

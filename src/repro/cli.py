@@ -180,10 +180,17 @@ def _cmd_stats(args) -> int:
     import urllib.error
     import urllib.request
 
-    host, _, port = args.endpoint.rpartition(":")
-    if not host or not port.isdigit():
+    from repro.net.client import parse_endpoint
+
+    try:
+        host, port = parse_endpoint(args.endpoint)
+    except ConfigurationError:
         print("--endpoint takes HOST:PORT — the METRICS line printed by "
               "'repro serve --metrics-port' or 'repro run --metrics-port'")
+        return 2
+    if not 0 < args.timeout < math.inf:  # NaN fails too
+        print(f"--timeout takes a positive, finite number of seconds, "
+              f"got {args.timeout}")
         return 2
     path = "/metrics.json" if args.json else "/metrics"
     url = f"http://{host}:{port}{path}"
@@ -331,7 +338,6 @@ def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
         endpoints=args.endpoints or (),
         server_name=args.server_name,
         trace_path=args.trace_file,
-        trace_ids=args.trace_ids,
         default_timeout=args.timeout,
     )
     return config, workload
@@ -566,7 +572,8 @@ def _cmd_serve(args) -> int:
     except ConfigurationError as exc:
         print(f"cannot serve: {exc}")
         return 2
-    except StorageError as exc:
+    except (StorageError, OSError) as exc:
+        # A store another build wrote, a port already taken, an unknown host.
         print(f"cannot serve: {exc}")
         return 1
 
@@ -577,21 +584,19 @@ def _cmd_serve_cluster(args) -> int:
 
     from repro.net.supervisor import ClusterSupervisor
 
-    if args.shards < 1:
-        print("--shards takes a positive shard count")
+    try:
+        supervisor = ClusterSupervisor(
+            args.clients,
+            args.shards,
+            host=args.host,
+            base_port=args.base_port,
+            storage=args.storage,
+            replicas=args.replicas,
+            counter=args.counter,
+        )
+    except ConfigurationError as exc:
+        print(exc)
         return 2
-    if args.replicas < 1:
-        print("--replicas takes a positive replica count")
-        return 2
-    supervisor = ClusterSupervisor(
-        args.clients,
-        args.shards,
-        host=args.host,
-        base_port=args.base_port,
-        storage=args.storage,
-        replicas=args.replicas,
-        counter=args.counter,
-    )
     try:
         endpoints = supervisor.start()
     except ConfigurationError as exc:
@@ -911,12 +916,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write the span log as a Chrome trace-event file "
         "(chrome://tracing / Perfetto)",
-    )
-    run.add_argument(
-        "--trace-ids",
-        action="store_true",
-        help="stamp SUBMIT/COMMIT with deterministic causal trace ids "
-        "(an optional TLV field the server echoes; --transport tcp only)",
     )
     run.add_argument("--check", action="store_true", help="run consistency checkers")
     run.add_argument(

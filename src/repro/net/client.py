@@ -133,11 +133,16 @@ class ReconnectBackoff:
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)`` with loud failure."""
-    host, sep, port = endpoint.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    """``"host:port"`` -> ``(host, port)`` with loud failure: the one
+    parser of an address to connect to (``SystemConfig`` checks every
+    endpoint with it before anything connects; ``repro stats`` too)."""
+    host, sep, port = (
+        endpoint.rpartition(":") if isinstance(endpoint, str) else ("", "", "")
+    )
+    if not (sep and host and port.isdigit() and 1 <= int(port) <= 65535):
         raise ConfigurationError(
-            f"endpoints are 'host:port' strings, got {endpoint!r}"
+            f"endpoints are 'host:port' strings with a port in 1-65535, "
+            f"got {endpoint!r}"
         )
     return host, int(port)
 
@@ -617,7 +622,6 @@ class TcpWorld(runner.World):
                 server_name=replica_names[0],
                 endpoints=config.endpoints,
                 commit_piggyback=config.commit_piggyback,
-                trace_ids=config.trace_ids,
             )
             recorder.add_listener(self.trace_writer)
         return []

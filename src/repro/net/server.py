@@ -41,7 +41,8 @@ from repro.common.errors import ConfigurationError, DecodeError, EncodingError
 from repro.common.types import client_name
 from repro.net.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.net.realtime import RealtimeScheduler
-from repro.obs.registry import get_registry
+from repro.obs.registry import enable_metrics, get_registry, set_registry
+from repro.obs.tracing import make_trace_id
 from repro.net.wire import (
     decode_payload,
     message_to_payload,
@@ -110,6 +111,12 @@ class NetServerHost:
             raise ConfigurationError(
                 f"counter= must be 'volatile' or 'durable', got {counter!r}"
             )
+        for what, number in (("port", port), ("metrics port", metrics_port)):
+            if number is not None and not 0 <= number <= 65535:
+                raise ConfigurationError(
+                    f"the {what} must be in 0-65535 (0 picks an ephemeral "
+                    f"one), got {number}"
+                )
         self._n = num_clients
         self.host = host
         self.port = port
@@ -153,9 +160,9 @@ class NetServerHost:
         self._metrics_host = metrics_host
         self.metrics_server = None
         #: Optional :class:`repro.obs.tracing.SpanLog`: when set, every
-        #: delivered SUBMIT that carries a trace id is recorded as a
-        #: server-side instant, extending the causal trace across the
-        #: process boundary.
+        #: delivered SUBMIT is recorded as a server-side instant under the
+        #: id its client derives from the same (client id, timestamp),
+        #: extending the causal trace across the process boundary.
         self.span_log = None
         registry = get_registry()
         self._obs_submits = registry.counter("server.submits_delivered")
@@ -294,12 +301,12 @@ class NetServerHost:
             return
         self._seen[client_id] = t
         self._obs_submits.inc()
-        if self.span_log is not None and message.trace_id is not None:
+        if self.span_log is not None:
             assert self.scheduler is not None
             self.span_log.instant(
                 "server:submit",
                 ts=self.scheduler.now,
-                trace_id=message.trace_id,
+                trace_id=make_trace_id(client_id, t),
                 proc=f"server:{self.server_name}",
                 args={"client": client_id, "timestamp": t},
             )
@@ -398,11 +405,10 @@ def serve_forever(
     and announces ``METRICS <host> <port>`` the same way.
     """
     loop = asyncio.new_event_loop()
+    previous_registry = get_registry()
     try:
         asyncio.set_event_loop(loop)
         if metrics_port is not None:
-            from repro.obs.registry import enable_metrics
-
             enable_metrics()
         server = NetServerHost(
             num_clients,
@@ -428,5 +434,6 @@ def serve_forever(
         loop.run_until_complete(server.stop())
         return 0
     finally:
+        set_registry(previous_registry)
         asyncio.set_event_loop(None)
         loop.close()

@@ -194,6 +194,12 @@ class ClusterSupervisor:
             raise ConfigurationError("a cluster needs at least one shard")
         if replicas < 1:
             raise ConfigurationError("a replica group needs at least one replica")
+        last_port = base_port + num_shards * replicas - 1
+        if base_port and not 0 < base_port <= last_port <= 65535:
+            raise ConfigurationError(
+                f"base port {base_port} puts the cluster's "
+                f"{num_shards * replicas} process(es) outside ports 1-65535"
+            )
         extra_args = ("--counter", counter) if counter is not None else ()
         self.processes = [
             ServerProcess(

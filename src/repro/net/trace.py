@@ -11,7 +11,7 @@ honest, Byzantine, or long gone.
 
 Record shapes (one JSON object per line; ``seq`` is a global counter)::
 
-    {"t": "header", "v": 3, "n": ..., "scheme": ..., "server": ...,
+    {"t": "header", "v": 4, "n": ..., "scheme": ..., "server": ...,
      "endpoints": [...], "piggyback": ...}
     {"t": "invoke",   "seq": k, "c": i, "k": "WRITE", "r": j,
      "val": <hex|null>, "ts": t, "at": seconds}
@@ -52,8 +52,9 @@ from repro.workloads import runner
 #: Bumped whenever the canonical encoding or a frame's shape changes:
 #: ``payload`` is those bytes, so an older trace cannot be replayed (v1:
 #: 8-byte length fields; v2: varint length fields; v3: a REPLY's ``P`` cut
-#: to ``L``'s submitters and ``SVER[j] = SVER[c]`` back-referenced).
-TRACE_VERSION = 3
+#: to ``L``'s submitters and ``SVER[j] = SVER[c]`` back-referenced; v4: no
+#: trace-id element in any frame, a REPLY's attestation its 7th element).
+TRACE_VERSION = 4
 
 
 def _value_to_json(value) -> str | None:
@@ -91,7 +92,6 @@ class WireTraceWriter:
         server_name: str = "S",
         endpoints: tuple[str, ...] = (),
         commit_piggyback: bool = False,
-        trace_ids: bool = False,
     ) -> None:
         self.path = path
         self._clock = clock
@@ -107,10 +107,6 @@ class WireTraceWriter:
                 "server": server_name,
                 "endpoints": list(endpoints),
                 "piggyback": commit_piggyback,
-                # Recorded so replay rebuilds clients that mint the same
-                # trace-id field (byte-identical frames either way); old
-                # traces simply lack the key and default to False.
-                "trace_ids": trace_ids,
             }
         )
 
@@ -253,7 +249,7 @@ def replay_trace(path: str) -> ReplayResult:
     # transport — recorded frames stand in for the server.
     system = runner.wire_deployment(
         runner.World(scheduler, transport, sim_trace),
-        runner.ustor_protocol(trace_ids=bool(header.get("trace_ids", False))),
+        runner.ustor_protocol(),
         num_clients=header["n"],
         scheme=header.get("scheme", "hmac"),
         server_name=server_name,

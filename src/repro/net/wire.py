@@ -22,12 +22,10 @@ back-reference where ``SVER[j]`` is ``SVER[c]`` (see
 :func:`~repro.store.codec.reply_to_tuple`); the decoder rebuilds the
 ``n``-slot message and refuses a proof list that does not match ``L``.
 
-SUBMIT/COMMIT/REPLY tuples may carry one *optional trailing* element —
-the causal trace id (:mod:`repro.obs.tracing`).  The codec appends it
-only when present and pads it with ``None`` when absent, so decoders for
-the longer form read every old frame, WAL record and wire trace
-unchanged, and a deployment with tracing off emits bytes identical to a
-build that predates the field.
+Each record has one shape: SUBMIT 5 elements, COMMIT 3, REPLY 6 (7
+with a counter attestation).  No causal trace id travels: it is a pure
+function of the SUBMIT's client id and timestamp, so whoever emits a
+span derives it (:func:`repro.obs.tracing.make_trace_id`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ The package splits into four modules:
 * :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms
   (p50/p95/p99), the registry itself, and the process-global default;
 * :mod:`repro.obs.tracing` — deterministic per-operation trace ids
-  (client id + protocol timestamp, so byte-identical replay survives)
+  (client id + protocol timestamp: derived by each emitter, never sent)
   and the :class:`~repro.obs.tracing.SpanLog` with JSONL and Chrome
   trace-event export;
 * :mod:`repro.obs.health` — the fail-aware headline gauges: per-client

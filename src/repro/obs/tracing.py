@@ -1,20 +1,18 @@
 """Deterministic per-operation trace ids and the span log.
 
-Trace ids must survive byte-identical replay: ``repro replay --check``
-rebuilds fresh clients from a wire trace and compares every re-encoded
-SUBMIT frame byte-for-byte, so an id minted from a random source or a
-wall clock would diverge.  Instead the id is a pure function of protocol
-state the replayed client reproduces exactly — the submitting client's
-index and the operation's protocol timestamp ``t`` (strictly increasing
-per client, Algorithm 1):
+A trace id is never carried on the wire.  It is a pure function of two
+values every SUBMIT already holds — the submitting client's index (which
+the server checks against the connection) and the operation's protocol
+timestamp ``t`` (strictly increasing per client, Algorithm 1):
 
     ``trace_id = (client_id << 40) | t``
 
-40 bits of timestamp cover ~10^12 operations per client; the same id is
-recomputable anywhere the pair is known (the session settling an op, the
-client failing one, the server applying a SUBMIT), which is what lets
-one operation be followed across process boundaries without any id
-allocation protocol.
+40 bits of timestamp cover ~10^12 operations per client.  Whoever emits
+a span derives the id from the pair it already knows (the client
+submitting or failing an op, the session settling one, the TCP server
+host delivering a SUBMIT), so one operation is followed across process
+boundaries, and through a replayed wire trace, without any id
+allocation protocol or extra bytes.
 
 :class:`SpanLog` collects span records — ``ph="X"`` complete spans with
 a duration and ``ph="i"`` instants — and exports them as JSONL (one

@@ -16,6 +16,11 @@ Every ``*_to_tuple`` function produces plain encodable values (ints,
 bytes, ``None``, enums, tuples); every ``*_from_tuple`` validates shape
 and raises :class:`EncodingError` on malformed input, so a corrupt WAL
 record can never half-build a state object.
+
+Each record has exactly one shape — no optional trailing elements, no
+padding for what an older build wrote: SUBMIT 5 elements, COMMIT 3,
+REPLY 6 (7 when it carries a counter attestation), ``ServerState`` 8.
+What another build wrote is refused, not migrated.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Any
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
-from repro.common.types import BOTTOM, ClientId, OpKind
+from repro.common.types import BOTTOM, OpKind
 from repro.replica.counter import CounterAttestation
 from repro.ustor.messages import (
     CommitMessage,
@@ -42,20 +47,6 @@ def _shape(value: Any, length: int, what: str) -> tuple:
     if not isinstance(value, tuple) or len(value) != length:
         raise EncodingError(f"malformed {what} encoding: {value!r}")
     return value
-
-
-def _flex_shape(value: Any, base: int, extra: int, what: str) -> tuple:
-    """Shape check for encodings with optional trailing fields.
-
-    Accepts ``base`` to ``base + extra`` elements and pads the missing
-    trailing positions with ``None``, so decoders written for the longer
-    form read older (shorter) encodings unchanged — how the optional
-    trace-id field stays compatible with pre-existing WALs and wire
-    traces.
-    """
-    if not isinstance(value, tuple) or not base <= len(value) <= base + extra:
-        raise EncodingError(f"malformed {what} encoding: {value!r}")
-    return value + (None,) * (base + extra - len(value))
 
 
 # --------------------------------------------------------------------- #
@@ -126,27 +117,19 @@ def invocation_from_tuple(data: tuple) -> InvocationTuple:
 
 
 def commit_to_tuple(message: CommitMessage) -> tuple:
-    base = (
+    return (
         version_to_tuple(message.version),
         message.commit_sig,
         message.proof_sig,
     )
-    # The trace id is an *optional trailing* element: absent, the bytes
-    # are identical to every encoding ever written before it existed.
-    if message.trace_id is not None:
-        return base + (message.trace_id,)
-    return base
 
 
 def commit_from_tuple(data: tuple) -> CommitMessage:
-    version, commit_sig, proof_sig, trace_id = _flex_shape(
-        data, 3, 1, "CommitMessage"
-    )
+    version, commit_sig, proof_sig = _shape(data, 3, "CommitMessage")
     return CommitMessage(
         version=version_from_tuple(version),
         commit_sig=commit_sig,
         proof_sig=proof_sig,
-        trace_id=trace_id,
     )
 
 
@@ -154,21 +137,18 @@ def submit_to_tuple(message: SubmitMessage) -> tuple:
     piggyback = (
         None if message.piggyback is None else commit_to_tuple(message.piggyback)
     )
-    base = (
+    return (
         message.timestamp,
         invocation_to_tuple(message.invocation),
         message.value,
         message.data_sig,
         piggyback,
     )
-    if message.trace_id is not None:
-        return base + (message.trace_id,)
-    return base
 
 
 def submit_from_tuple(data: tuple) -> SubmitMessage:
-    timestamp, invocation, value, data_sig, piggyback, trace_id = _flex_shape(
-        data, 5, 1, "SubmitMessage"
+    timestamp, invocation, value, data_sig, piggyback = _shape(
+        data, 5, "SubmitMessage"
     )
     return SubmitMessage(
         timestamp=timestamp,
@@ -176,7 +156,6 @@ def submit_from_tuple(data: tuple) -> SubmitMessage:
         value=value,
         data_sig=data_sig,
         piggyback=None if piggyback is None else commit_from_tuple(piggyback),
-        trace_id=trace_id,
     )
 
 
@@ -188,7 +167,8 @@ _SAME_AS_LAST = True
 def reply_to_tuple(message: ReplyMessage) -> tuple:
     """The REPLY as it travels: ``P`` cut to the PROOF-signatures of ``L``'s
     distinct submitters (in ``L`` order) and ``SVER[j]`` back-referenced
-    when it is ``SVER[c]`` — see :class:`ReplyMessage`.  A REPLY the form
+    when it is ``SVER[c]`` — see :class:`ReplyMessage` — and a counter
+    attestation, when there is one, as a seventh element.  A REPLY the form
     cannot carry (``P`` not one slot per client, ``L`` naming a client
     outside ``0..n-1``) is an :class:`EncodingError`."""
     last = message.last_version
@@ -217,29 +197,20 @@ def reply_to_tuple(message: ReplyMessage) -> tuple:
         reader_version,
         mem,
     )
-    # Trailing optional fields, oldest first so old decoders still read
-    # the prefix: an attestation forces an explicit None trace_id slot.
     if message.attestation is not None:
-        return base + (
-            message.trace_id,
-            attestation_to_tuple(message.attestation),
-        )
-    if message.trace_id is not None:
-        return base + (message.trace_id,)
+        return base + (attestation_to_tuple(message.attestation),)
     return base
 
 
 def reply_from_tuple(data: tuple) -> ReplyMessage:
-    (
-        commit_index,
-        last_version,
-        pending,
-        proofs,
-        reader_version,
-        mem,
-        trace_id,
-        attestation,
-    ) = _flex_shape(data, 6, 2, "ReplyMessage")
+    if isinstance(data, tuple) and len(data) == 7:
+        attestation = attestation_from_tuple(data[6])
+        data = data[:6]
+    else:
+        attestation = None
+    commit_index, last_version, pending, proofs, reader_version, mem = _shape(
+        data, 6, "ReplyMessage"
+    )
     last = signed_version_from_tuple(last_version)
     n = len(last.version.vector)
     if not isinstance(pending, tuple) or not isinstance(proofs, tuple):
@@ -280,10 +251,7 @@ def reply_from_tuple(data: tuple) -> ReplyMessage:
         proofs=tuple(slots),
         reader_version=reader,
         mem=None if mem is None else mem_entry_from_tuple(mem),
-        trace_id=trace_id,
-        attestation=(
-            None if attestation is None else attestation_from_tuple(attestation)
-        ),
+        attestation=attestation,
     )
 
 
@@ -316,38 +284,30 @@ def attestation_from_tuple(data: tuple) -> CounterAttestation:
 
 
 def state_to_tuple(state: ServerState) -> tuple:
-    base = (
+    return (
         state.num_clients,
         tuple(mem_entry_to_tuple(entry) for entry in state.mem),
         state.commit_index,
         tuple(signed_version_to_tuple(signed) for signed in state.sver),
         tuple(invocation_to_tuple(inv) for inv in state.pending),
         tuple(state.proofs),
+        state.submits_applied,
+        tuple(state.pending_ts),
     )
-    # Optional trailing fields, oldest first: a state that never counted a
-    # SUBMIT encodes exactly as it did before either field existed, and a
-    # non-empty pending list (which implies submits_applied > 0) carries
-    # its per-entry submit timestamps for checkpoint truncation.
-    if state.pending:
-        return base + (state.submits_applied, tuple(state.pending_ts))
-    if state.submits_applied:
-        return base + (state.submits_applied,)
-    return base
 
 
 def state_from_tuple(data: tuple) -> ServerState:
     num_clients, mem, commit_index, sver, pending, proofs, submits, pending_ts = (
-        _flex_shape(data, 6, 2, "ServerState")
+        _shape(data, 8, "ServerState")
     )
-    if pending_ts is None:
-        # Legacy snapshot: entry ages unknown — the None sentinel keeps
-        # apply_checkpoint from ever truncating them.
-        pending_ts = (None,) * len(pending)
-    elif len(pending_ts) != len(pending):
-        raise EncodingError(
-            f"ServerState pending_ts length {len(pending_ts)} does not "
-            f"match pending length {len(pending)}"
-        )
+    if not (
+        isinstance(num_clients, int)
+        and all(isinstance(v, tuple) for v in (mem, sver, pending, proofs, pending_ts))
+        and len(mem) == len(sver) == len(proofs) == num_clients
+        and len(pending_ts) == len(pending)
+        and isinstance(submits, int)
+    ):
+        raise EncodingError(f"malformed ServerState encoding: {data!r}")
     return ServerState(
         num_clients=num_clients,
         mem=[mem_entry_from_tuple(entry) for entry in mem],
@@ -355,7 +315,7 @@ def state_from_tuple(data: tuple) -> ServerState:
         sver=[signed_version_from_tuple(signed) for signed in sver],
         pending=[invocation_from_tuple(inv) for inv in pending],
         proofs=list(proofs),
-        submits_applied=submits or 0,
+        submits_applied=submits,
         pending_ts=list(pending_ts),
     )
 
@@ -380,35 +340,75 @@ def decode_server_state(data: bytes) -> ServerState:
     return state_from_tuple(state_tuple)
 
 
-def encode_wal_submit(seq: int, message: SubmitMessage) -> bytes:
-    return encode(("S", seq, submit_to_tuple(message)))
+# --------------------------------------------------------------------- #
+# WAL records and snapshots
+# --------------------------------------------------------------------- #
 
 
-def encode_wal_commit(seq: int, client: ClientId, message: CommitMessage) -> bytes:
-    return encode(("C", seq, client, commit_to_tuple(message)))
+def wal_entry_to_tuple(seq: int, record: tuple) -> tuple:
+    """The WAL entry of server transition number ``seq``: ``record`` is
+    ``("S", submit)``, ``("C", client, commit)`` or ``("K", cut)``.  A
+    checkpoint entry holds the certified stable cut; replay re-applies it
+    under the same defensive bound, so a recovered server converges to the
+    same pending list whether or not the post-checkpoint snapshot
+    survived."""
+    tag = record[0]
+    if tag == "S":
+        return (tag, seq, submit_to_tuple(record[1]))
+    if tag == "C":
+        return (tag, seq, record[1], commit_to_tuple(record[2]))
+    return (tag, seq, tuple(record[1]))
 
 
-def encode_wal_checkpoint(seq: int, cut: tuple[int, ...]) -> bytes:
-    """A durable checkpoint record: the certified stable cut at ``seq``.
-
-    Replay re-runs :func:`~repro.ustor.server.apply_checkpoint` under the
-    same defensive bound, so a recovered server converges to the same
-    truncated pending list whether or not the post-checkpoint snapshot
-    survived.
-    """
-    return encode(("K", seq, tuple(cut)))
+def encode_wal_record(entries: list[tuple]) -> bytes:
+    """One WAL frame's payload: a lone entry as itself, several as one
+    group-commit record ``("B", entries)`` in application order — a single
+    commit point, so a torn tail drops the batch atomically, never a
+    prefix of it."""
+    return encode(entries[0] if len(entries) == 1 else ("B", tuple(entries)))
 
 
-def encode_wal_batch(entries: tuple) -> bytes:
-    """One group-commit record: several WAL entries under a single frame.
+def wal_entries_from_tuple(record: Any) -> list[tuple]:
+    """The entries of one decoded WAL record, each with its payload rebuilt:
+    ``("S", seq, SubmitMessage)``, ``("C", seq, client, CommitMessage)`` or
+    ``("K", seq, cut)``.  A group-commit record yields its entries in
+    order; any other shape is an :class:`EncodingError`."""
+    if isinstance(record, tuple) and record and record[0] == "B":
+        _, entries = _shape(record, 2, "WAL batch")
+        if not isinstance(entries, tuple):
+            raise EncodingError(f"malformed WAL batch encoding: {record!r}")
+        return [_wal_entry_from_tuple(entry) for entry in entries]
+    return [_wal_entry_from_tuple(record)]
 
-    ``entries`` are the inner tuples of :func:`encode_wal_submit` /
-    :func:`encode_wal_commit` (``("S", seq, ...)`` / ``("C", seq, ...)``),
-    in application order.  Framing the whole batch as one record gives the
-    batch a single commit point: a torn tail drops it atomically, never a
-    prefix of it.
-    """
-    return encode(("B", entries))
+
+def _wal_entry_from_tuple(entry: Any) -> tuple:
+    tag = entry[0] if isinstance(entry, tuple) and entry else None
+    if tag == "S":
+        _, seq, submit = _shape(entry, 3, "WAL submit")
+        decoded = (tag, seq, submit_from_tuple(submit))
+    elif tag == "C":
+        _, seq, client, commit = _shape(entry, 4, "WAL commit")
+        if not isinstance(client, int):
+            raise EncodingError(f"malformed WAL commit encoding: {entry!r}")
+        decoded = (tag, seq, client, commit_from_tuple(commit))
+    elif tag == "K":
+        _, seq, cut = _shape(entry, 3, "WAL checkpoint")
+        if not (isinstance(cut, tuple) and all(isinstance(t, int) for t in cut)):
+            raise EncodingError(f"malformed WAL checkpoint encoding: {entry!r}")
+        decoded = (tag, seq, cut)
+    else:
+        raise EncodingError(f"unknown WAL record: {entry!r}")
+    if not isinstance(seq, int):
+        raise EncodingError(f"WAL record sequence is not an integer: {entry!r}")
+    return decoded
+
+
+def snapshot_from_tuple(record: Any) -> tuple[ServerState, int]:
+    """A decoded snapshot record: the state and the WAL sequence it covers."""
+    tag, covered, state = _shape(record, 3, "snapshot")
+    if tag != "SNAP" or not isinstance(covered, int):
+        raise EncodingError(f"malformed snapshot record: {record!r}")
+    return state_from_tuple(state), covered
 
 
 def encode_snapshot(covered_seq: int, state: ServerState) -> bytes:

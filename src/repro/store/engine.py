@@ -22,11 +22,11 @@ A torn tail (partial header, partial payload, or CRC mismatch — the
 expected artifact of crashing mid-append) silently ends replay; a corrupt
 *snapshot* raises :class:`StorageError`, because snapshots are replaced
 atomically and must never be half-present, and so does any frame that
-passes its CRC yet does not decode — a crash cannot produce one, a
-build with another canonical encoding does.  Group commit
-(:meth:`StorageEngine.log_records`, driven by the server's batched
-wakeups) packs a whole drain's transitions into **one** frame — a single
-append, a single commit point, torn-tail atomicity for the batch.
+passes its CRC yet does not decode to a record of this build's
+shape — a crash cannot produce one, a build with another format does.
+Group commit (:meth:`StorageEngine.log_records`, driven by the server's
+batched wakeups) packs a whole drain's transitions into **one** frame — a
+single append, a single commit point, torn-tail atomicity for the batch.
 
 Compaction is driven by two signals: a plain record-count threshold
 (``snapshot_interval``) and the COMMIT/GC signal — when a COMMIT prunes
@@ -42,21 +42,21 @@ import zlib
 from abc import ABC, abstractmethod
 from typing import Callable, Iterator
 
-from repro.common.errors import ConfigurationError, EncodingError, StorageError
+from repro.common.errors import (
+    ConfigurationError,
+    EncodingError,
+    ProtocolError,
+    StorageError,
+)
 from repro.common.types import ClientId
 from repro.obs.registry import SIZE_BUCKETS, get_registry
 from repro.store.codec import (
-    commit_from_tuple,
-    commit_to_tuple,
     decode_payload,
     encode_snapshot,
-    encode_wal_batch,
-    encode_wal_checkpoint,
-    encode_wal_commit,
-    encode_wal_submit,
-    state_from_tuple,
-    submit_from_tuple,
-    submit_to_tuple,
+    encode_wal_record,
+    snapshot_from_tuple,
+    wal_entries_from_tuple,
+    wal_entry_to_tuple,
 )
 from repro.store.media import DirectoryMedium, InMemoryMedium, Medium
 from repro.ustor.messages import CommitMessage, SubmitMessage
@@ -99,17 +99,18 @@ def iter_frames(data: bytes) -> Iterator[bytes]:
         offset = end
 
 
-def _decode_record(payload: bytes, what: str) -> tuple:
-    """The record inside a CRC-valid frame.  A crash tears a frame, and the
-    CRC catches that; a whole frame that does not decode was written in
-    another format — say so, rather than replay it as nothing."""
+def _decode_record(payload: bytes, what: str, parse: Callable):
+    """``parse`` of the record inside a CRC-valid frame.  A crash tears a
+    frame, and the CRC catches that; a whole frame that does not decode,
+    or decodes to a record of the wrong shape, was written in another
+    format — say so, rather than replay it as nothing or crash on it."""
     try:
-        return decode_payload(payload)[0]
+        return parse(decode_payload(payload)[0])
     except EncodingError as exc:
         raise StorageError(
             f"{what} passes its CRC but does not decode ({exc}): not written "
-            f"in this build's canonical encoding (length fields were 8 bytes "
-            f"before they became varints); old data is not migrated"
+            f"in this build's format (older builds differ in length fields "
+            f"and record shapes); old data is not migrated"
         ) from exc
 
 
@@ -118,8 +119,8 @@ class StorageEngine(ABC):
     and its storage.
 
     The server calls :meth:`recover` once at construction and again on
-    every restart; it calls :meth:`log_submit`/:meth:`log_commit` *before*
-    externalizing the corresponding REPLY (write-ahead discipline), and
+    every restart; it calls :meth:`log_records` *before* externalizing the
+    corresponding REPLYs (write-ahead discipline), and
     :meth:`maybe_checkpoint` after each applied transition.
     """
 
@@ -145,34 +146,28 @@ class StorageEngine(ABC):
         exactly this."""
 
     @abstractmethod
-    def log_submit(self, message: SubmitMessage) -> None:
-        """Record a SUBMIT transition before its REPLY leaves the server."""
-
-    @abstractmethod
-    def log_commit(self, client: ClientId, message: CommitMessage) -> None:
-        """Record a COMMIT transition."""
-
-    def log_checkpoint(self, cut: tuple[int, ...]) -> None:
-        """Record an authenticated-checkpoint cut (no-op for volatile
-        engines: there is no log to compact behind it)."""
-
     def log_records(self, records: list[tuple]) -> None:
-        """Record a group-commit batch of transitions before any of their
-        REPLYs leave the server.
+        """Record transitions before any of their REPLYs leave the server.
 
         ``records`` are ``("S", submit_message)`` / ``("C", client,
-        commit_message)`` / ``("K", cut)`` tuples in application order.
-        The base implementation appends them one by one (correct for any
-        engine); engines that can batch override this with a single
-        durable write carrying one commit point for the whole batch.
+        commit_message)`` / ``("K", cut)`` tuples in application order:
+        one, or a group-commit batch, which an engine that can makes
+        durable in a single write carrying one commit point.
         """
-        for record in records:
-            if record[0] == "S":
-                self.log_submit(record[1])
-            elif record[0] == "C":
-                self.log_commit(record[1], record[2])
-            else:
-                self.log_checkpoint(record[1])
+
+    def log_submit(self, message: SubmitMessage) -> None:
+        """Record a SUBMIT transition before its REPLY leaves the server."""
+        self.log_records([("S", message)])
+
+    def log_commit(self, client: ClientId, message: CommitMessage) -> None:
+        """Record a COMMIT transition."""
+        self.log_records([("C", client, message)])
+
+    def log_checkpoint(self, cut: tuple[int, ...]) -> None:
+        """Record an authenticated-checkpoint cut; the server compacts
+        right after, so the record only matters if a crash lands in
+        between."""
+        self.log_records([("K", cut)])
 
     def maybe_checkpoint(self, state: ServerState, gc_advanced: bool = False) -> None:
         """Checkpoint if the engine's policy says so; ``gc_advanced`` marks
@@ -194,10 +189,7 @@ class MemoryEngine(StorageEngine):
     def recover(self, replay_wal: bool = True) -> ServerState:
         return ServerState.initial(self._n)
 
-    def log_submit(self, message: SubmitMessage) -> None:
-        pass
-
-    def log_commit(self, client: ClientId, message: CommitMessage) -> None:
+    def log_records(self, records: list[tuple]) -> None:
         pass
 
 
@@ -249,22 +241,9 @@ class LogStructuredEngine(StorageEngine):
     # Logging
     # ---------------------------------------------------------------- #
 
-    def log_submit(self, message: SubmitMessage) -> None:
-        self._seq += 1
-        self._append(encode_wal_submit(self._seq, message), records=1)
-
-    def log_commit(self, client: ClientId, message: CommitMessage) -> None:
-        self._seq += 1
-        self._append(encode_wal_commit(self._seq, client, message), records=1)
-
-    def log_checkpoint(self, cut: tuple[int, ...]) -> None:
-        """Append the certified cut; the caller compacts right after, so
-        the record only matters if the crash lands in between."""
-        self._seq += 1
-        self._append(encode_wal_checkpoint(self._seq, cut), records=1)
-
     def log_records(self, records: list[tuple]) -> None:
-        """Group commit: the whole batch as ONE framed append.
+        """Group commit: the whole batch as ONE framed append (a lone
+        record is framed as itself, without batch overhead).
 
         Every record keeps its own sequence number (recovery stays
         per-transition idempotent across snapshots), but durability is
@@ -274,28 +253,14 @@ class LogStructuredEngine(StorageEngine):
         """
         if not records:
             return
-        if len(records) == 1:
-            # No batch framing overhead for a lone record.
-            record = records[0]
-            if record[0] == "S":
-                self.log_submit(record[1])
-            elif record[0] == "C":
-                self.log_commit(record[1], record[2])
-            else:
-                self.log_checkpoint(record[1])
-            return
         entries = []
         for record in records:
             self._seq += 1
-            if record[0] == "S":
-                entries.append(("S", self._seq, submit_to_tuple(record[1])))
-            elif record[0] == "C":
-                entries.append(("C", self._seq, record[1], commit_to_tuple(record[2])))
-            else:
-                entries.append(("K", self._seq, tuple(record[1])))
-        self._append(encode_wal_batch(tuple(entries)), records=len(records))
-        self.group_commit_batches += 1
-        self.group_commit_records += len(records)
+            entries.append(wal_entry_to_tuple(self._seq, record))
+        self._append(encode_wal_record(entries), records=len(entries))
+        if len(entries) > 1:
+            self.group_commit_batches += 1
+            self.group_commit_records += len(entries)
 
     def _append(self, payload: bytes, records: int = 1) -> None:
         framed = frame_record(payload)
@@ -347,24 +312,27 @@ class LogStructuredEngine(StorageEngine):
             data = self.medium.read(self.WAL)
             frames = list(iter_frames(data))
             for index, payload in enumerate(frames):
-                record = _decode_record(payload, f"WAL frame {index}")
+                what = f"WAL frame {index}"
                 # A group-commit frame carries several entries; a plain
                 # frame is its own single entry.
-                entries = record[1] if record[0] == "B" else (record,)
-                for entry in entries:
+                for entry in _decode_record(payload, what, wal_entries_from_tuple):
                     tag, seq = entry[0], entry[1]
                     if seq <= covered:
                         # Crash landed between snapshot write and WAL
                         # truncate: the entry is already in the snapshot.
                         continue
-                    if tag == "S":
-                        apply_submit(state, submit_from_tuple(entry[2]))
-                    elif tag == "C":
-                        apply_commit(state, entry[2], commit_from_tuple(entry[3]))
-                    elif tag == "K":
-                        apply_checkpoint(state, tuple(entry[2]))
-                    else:
-                        raise StorageError(f"unknown WAL record tag {tag!r}")
+                    try:
+                        if tag == "S":
+                            apply_submit(state, entry[2])
+                        elif tag == "C":
+                            apply_commit(state, entry[2], entry[3])
+                        else:
+                            apply_checkpoint(state, entry[2])
+                    except ProtocolError as exc:
+                        raise StorageError(
+                            f"{what} does not apply to the recovered state "
+                            f"({exc}): written for another deployment"
+                        ) from exc
                     self._seq = seq
                     replayed += 1
             valid_end = sum(_FRAME_HEADER_BYTES + len(p) for p in frames)
@@ -392,11 +360,13 @@ class LogStructuredEngine(StorageEngine):
                 "corrupt snapshot: snapshots are written atomically and must "
                 "contain exactly one valid frame"
             )
-        record = _decode_record(frames[0], "snapshot")
-        if not (isinstance(record, tuple) and len(record) == 3 and record[0] == "SNAP"):
-            raise StorageError("corrupt snapshot: malformed SNAP record")
-        _, covered, state_tuple = record
-        return state_from_tuple(state_tuple), covered
+        state, covered = _decode_record(frames[0], "snapshot", snapshot_from_tuple)
+        if state.num_clients != self._n:
+            raise StorageError(
+                f"snapshot holds a {state.num_clients}-client state; this "
+                f"engine serves {self._n} clients"
+            )
+        return state, covered
 
 
 #: Engine classes by the name ``SystemConfig.storage`` selects.

@@ -109,7 +109,6 @@ class UstorClient(Node):
         recorder: HistoryRecorder | None = None,
         on_fail: Callable[[str], None] | None = None,
         commit_piggyback: bool = False,
-        trace_ids: bool = False,
         replica_servers: tuple | None = None,
         quorum: int | None = None,
         counter: bool = False,
@@ -149,12 +148,8 @@ class UstorClient(Node):
         self._recorder = recorder
         self._on_fail = on_fail
         self._piggyback = commit_piggyback
-        #: Stamp SUBMIT/COMMIT with deterministic causal trace ids.  Off
-        #: by default: the wire bytes are then identical to a build that
-        #: predates the field (and E4's size sums are unchanged).
-        self.trace_ids = trace_ids
         #: Optional :class:`repro.obs.tracing.SpanLog`; when set, the
-        #: client emits submit/commit/fail instants tagged with trace ids.
+        #: client emits submit/fail instants tagged with trace ids.
         self.span_log = None
         #: Optional hook fed each quorum-resolved REPLY (the winner the
         #: protocol engine actually consumes).  The TCP wire trace uses
@@ -276,7 +271,6 @@ class UstorClient(Node):
             )
         self._pending = _PendingInvocation(kind, register, t, value, op_id, callback)
 
-        trace_id = make_trace_id(self._id, t) if self.trace_ids else None
         message = SubmitMessage(
             timestamp=t,
             invocation=InvocationTuple(
@@ -285,14 +279,12 @@ class UstorClient(Node):
             value=value if kind is OpKind.WRITE else None,
             data_sig=data_sig,
             piggyback=self._take_deferred_commit(),
-            trace_id=trace_id,
         )
         if self.span_log is not None:
             self.span_log.instant(
                 f"submit:{kind.name.lower()}",
                 ts=self.now,
-                trace_id=trace_id if trace_id is not None
-                else make_trace_id(self._id, t),
+                trace_id=make_trace_id(self._id, t),
                 proc="client",
                 args={"client": self._id, "register": register},
             )
@@ -371,14 +363,6 @@ class UstorClient(Node):
             version=self._version,
             commit_sig=commit_sig,
             proof_sig=proof_sig,
-            # Minted locally (not copied from the REPLY's echo): the COMMIT
-            # must stay a pure function of client state so replayed frames
-            # match even when a Byzantine server tampered with the echo.
-            trace_id=(
-                make_trace_id(self._id, pending.timestamp)
-                if self.trace_ids
-                else None
-            ),
         )
         if self._piggyback:
             self._deferred_commit = commit

@@ -105,22 +105,16 @@ class CommitMessage:
     version: Version
     commit_sig: bytes  # phi — over (COMMIT, V, M)
     proof_sig: bytes  # psi — over (PROOF, M[i])
-    #: Optional causal trace id (not part of the paper's protocol; rides
-    #: outside every signature, so correctness never depends on it).
-    trace_id: int | None = None
 
     kind = "COMMIT"
 
     def wire_size(self) -> int:
-        size = (
+        return (
             MARKER_BYTES
             + version_wire_size(self.version)
             + _sig_size(self.commit_sig)
             + _sig_size(self.proof_sig)
         )
-        if self.trace_id is not None:
-            size += INT_BYTES
-        return size
 
 
 @dataclass(frozen=True)
@@ -136,8 +130,6 @@ class SubmitMessage:
     value: Value | None  # written value; None (BOTTOM) for reads
     data_sig: bytes
     piggyback: CommitMessage | None = None
-    #: Optional causal trace id; echoed by the server into the REPLY.
-    trace_id: int | None = None
 
     kind = "SUBMIT"
 
@@ -151,8 +143,6 @@ class SubmitMessage:
         )
         if self.piggyback is not None:
             size += self.piggyback.wire_size()
-        if self.trace_id is not None:
-            size += INT_BYTES
         return size
 
 
@@ -208,8 +198,6 @@ class ReplyMessage:
     proofs: tuple[bytes | None, ...]  # P — PROOF-signatures
     reader_version: SignedVersion | None = None  # SVER[j]
     mem: MemEntry | None = None  # MEM[j]
-    #: Echo of the SUBMIT's trace id (None when the client sent none).
-    trace_id: int | None = None
     #: Trusted monotonic-counter attestation
     #: (:class:`repro.replica.counter.CounterAttestation`), present only
     #: on replicas with a counter attached.  Typed loosely: the message
@@ -245,8 +233,6 @@ class ReplyMessage:
                 size += self.reader_version.wire_size()
         if self.mem is not None:
             size += self.mem.wire_size()
-        if self.trace_id is not None:
-            size += INT_BYTES
         if self.attestation is not None:
             size += self.attestation.wire_size()
         return size

@@ -74,9 +74,8 @@ class ServerState:
     #: Per-entry submit timestamps, parallel to ``pending`` — bookkeeping
     #: for authenticated checkpoints (:func:`apply_checkpoint` only ever
     #: truncates entries whose timestamp the certified cut covers), not an
-    #: Algorithm 2 variable, hence excluded from state equality.  ``None``
-    #: entries (legacy snapshots) are never truncated.
-    pending_ts: list[int | None] = field(
+    #: Algorithm 2 variable, hence excluded from state equality.
+    pending_ts: list[int] = field(
         default_factory=list, repr=False, compare=False
     )
     _pending_tuple: tuple | None = field(default=None, repr=False, compare=False)
@@ -146,7 +145,6 @@ def apply_submit(state: ServerState, message: SubmitMessage) -> ReplyMessage:
             proofs=state.proofs_as_tuple(),
             reader_version=state.sver[j],
             mem=state.mem[j],
-            trace_id=message.trace_id,
         )
     else:
         # line 113: store the new value.
@@ -158,7 +156,6 @@ def apply_submit(state: ServerState, message: SubmitMessage) -> ReplyMessage:
             last_version=state.sver[state.commit_index],
             pending=state.pending_as_tuple(),
             proofs=state.proofs_as_tuple(),
-            trace_id=message.trace_id,
         )
 
     # line 116: append after building the reply — the submitting operation
@@ -222,8 +219,6 @@ def apply_checkpoint(state: ServerState, cut: tuple[int, ...]) -> int:
     committed = state.sver[state.commit_index].version.vector
     drop = 0
     for invocation, timestamp in zip(state.pending, state.pending_ts):
-        if timestamp is None:  # legacy snapshot entry: age unknown, keep
-            break
         if timestamp > cut[invocation.client]:
             break
         if timestamp > committed[invocation.client]:
@@ -432,23 +427,13 @@ class UstorServer(Node):
 
     # Durability plumbing (defer-aware: batched while draining) -----------
 
-    def _log_submit(self, message: SubmitMessage) -> None:
+    def _log(self, record: tuple) -> None:
+        """Log one transition record (see
+        :meth:`~repro.store.engine.StorageEngine.log_records`)."""
         if self._batch_records is not None:
-            self._batch_records.append(("S", message))
+            self._batch_records.append(record)
         else:
-            self._engine.log_submit(message)
-
-    def _log_commit(self, client: ClientId, message: CommitMessage) -> None:
-        if self._batch_records is not None:
-            self._batch_records.append(("C", client, message))
-        else:
-            self._engine.log_commit(client, message)
-
-    def _log_checkpoint(self, cut: tuple[int, ...]) -> None:
-        if self._batch_records is not None:
-            self._batch_records.append(("K", cut))
-        else:
-            self._engine.log_checkpoint(cut)
+            self._engine.log_records([record])
 
     def _maybe_checkpoint(self, gc_advanced: bool = False) -> None:
         if self._batch_records is not None:
@@ -507,7 +492,7 @@ class UstorServer(Node):
         if state is self.state:
             # Write-ahead: the transition is durable before the REPLY
             # leaves.  A forked branch has no honest log to be ahead of.
-            self._log_submit(message)
+            self._log(("S", message))
             self._maybe_checkpoint()
         if state is not self.state or (reply is not honest and reply != honest):
             self._note_deviation()
@@ -521,7 +506,6 @@ class UstorServer(Node):
                 proofs=reply.proofs,
                 reader_version=reply.reader_version,
                 mem=reply.mem,
-                trace_id=reply.trace_id,
                 attestation=self.counter.attest(
                     message.invocation.submit_sig, state.submits_applied
                 ),
@@ -539,7 +523,7 @@ class UstorServer(Node):
         pending_before = len(state.pending)
         apply_commit(state, client, message)
         if state is self.state:
-            self._log_commit(client, message)
+            self._log(("C", client, message))
             # The COMMIT/GC signal: a pruned pending list means the state
             # is at its smallest — the cheapest moment to checkpoint.
             self._maybe_checkpoint(
@@ -560,7 +544,7 @@ class UstorServer(Node):
         prefix never needs replaying again).
         """
         truncated = apply_checkpoint(self.state, tuple(message.cut))
-        self._log_checkpoint(tuple(message.cut))
+        self._log(("K", tuple(message.cut)))
         if self._batch_records is not None:
             self._batch_force_checkpoint = True
         else:

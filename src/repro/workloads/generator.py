@@ -115,7 +115,7 @@ class ZipfSampler:
     def __init__(self, num_items: int, exponent: float = 1.0) -> None:
         if num_items < 1:
             raise ConfigurationError("ZipfSampler needs at least one item")
-        if exponent < 0:
+        if not exponent >= 0:  # NaN fails too
             raise ConfigurationError("Zipf exponent must be non-negative")
         self.num_items = num_items
         self.exponent = exponent
@@ -162,8 +162,10 @@ class OpenLoopConfig:
             raise ConfigurationError("rate and duration must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigurationError("read_fraction must be in [0, 1]")
-        if self.zipf_exponent < 0 or self.value_size < 1:
-            raise ConfigurationError("invalid open-loop parameters")
+        if not self.zipf_exponent >= 0:  # NaN fails too
+            raise ConfigurationError("zipf_exponent must be non-negative")
+        if self.value_size < 1:
+            raise ConfigurationError("value_size must be at least 1")
 
 
 def generate_open_loop(

@@ -451,9 +451,9 @@ class ProtocolSpec:
     on_wired: Callable[["StorageSystem"], None] | None = None
 
 
-def ustor_protocol(**client_kwargs) -> ProtocolSpec:
+def ustor_protocol() -> ProtocolSpec:
     """Plain USTOR (Algorithms 1-2): no fail-aware layer."""
-    return ProtocolSpec(UstorClient, client_kwargs)
+    return ProtocolSpec(UstorClient)
 
 
 def faust_protocol(checkpoint=None, membership=None, **faust_kwargs) -> ProtocolSpec:

@@ -1,6 +1,6 @@
 """The adversary catalogue and what every adversary inherits from the
-honest SUBMIT path: counter attestation, ``trace_id`` echo, the server's
-own counters, the ``first_deviation_at`` stamp, validated arguments."""
+honest SUBMIT path: counter attestation, the server's own counters, the
+``first_deviation_at`` stamp, validated arguments."""
 
 from __future__ import annotations
 
@@ -98,7 +98,7 @@ class TestCatalogue:
 
 class TestInheritedFromTheHonestPath:
     @pytest.mark.parametrize("name", ADVERSARIES)
-    def test_reply_echoes_trace_id_and_carries_a_valid_attestation(self, name):
+    def test_reply_carries_a_valid_attestation(self, name):
         server, wire = _bound(name)
         server.attach_counter(MonotonicCounter("S"))
         verifier = CounterVerifier()
@@ -108,13 +108,11 @@ class TestInheritedFromTheHonestPath:
             submit(1, OpKind.READ, 0, 1),
             submit(1, OpKind.READ, 0, 2),
         ]
-        for trace_id, request in enumerate(requests, start=70):
-            request = replace(request, trace_id=trace_id)
+        for request in requests:
             before = len(wire.sent)
             server.on_message(f"C{request.invocation.client + 1}", request)
             for _dst, reply in wire.sent[before:]:
                 assert isinstance(reply, ReplyMessage)
-                assert reply.trace_id == trace_id
                 violation = verifier.check("S", reply, request.invocation.submit_sig)
                 # Authentic, bound to this SUBMIT, moving forward; only a
                 # state chooser may be caught serving a branch that lags.
@@ -131,7 +129,7 @@ class TestInheritedFromTheHonestPath:
         attested, attested_wire = _bound(name)
         attested.attach_counter(MonotonicCounter("S"))
         requests = [
-            replace(submit(0, OpKind.WRITE, 0, 1, b"u"), trace_id=7),
+            submit(0, OpKind.WRITE, 0, 1, b"u"),
             submit(1, OpKind.READ, 0, 1),
             submit(1, OpKind.READ, 0, 2),
         ]

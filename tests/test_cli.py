@@ -281,6 +281,8 @@ class TestMisuseBeforeBuilding:
             (["--ops", "-1"], "invalid workload"),
             (["--read-fraction", "2"], "read_fraction"),
             (["--read-fraction", "nan"], "read_fraction"),
+            (["--transport", "tcp", "--endpoints", "nohost"], "'host:port'"),
+            (["--transport", "tcp", "--endpoints", "127.0.0.1:99999"], "1-65535"),
         ],
     )
     def test_run(self, flags, hint, monkeypatch, capsys):
@@ -299,6 +301,7 @@ class TestMisuseBeforeBuilding:
             (["--client-faults", "bogus"], "malformed client fault"),
             (["--churn-windows", "500", "--duration", "50"], "churn plan"),
             (["--sample-every", "nan", "--duration", "50"], "sample_every"),
+            (["--zipf", "nan", "--duration", "20"], "zipf_exponent"),
         ],
     )
     def test_scale(self, flags, hint, monkeypatch, capsys):
@@ -306,6 +309,36 @@ class TestMisuseBeforeBuilding:
         assert main(["scale", *flags]) == 2
         out = capsys.readouterr().out
         assert hint in out and len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags, hint",
+        [
+            (["serve", "--port", "-1"], "0-65535"),
+            (["serve", "--port", "99999"], "0-65535"),
+            (["serve", "--metrics-port", "99999"], "metrics port"),
+            (["serve-cluster", "--base-port", "99999"], "1-65535"),
+            (["serve-cluster", "--base-port", "65535"], "1-65535"),
+            (["serve-cluster", "--base-port", "-1"], "1-65535"),
+            (["stats", "--endpoint", "127.0.0.1:99999"], "HOST:PORT"),
+            (["stats", "--endpoint", "127.0.0.1:1", "--timeout", "nan"], "--timeout"),
+            (["stats", "--endpoint", "127.0.0.1:1", "--timeout", "-1"], "--timeout"),
+        ],
+    )
+    def test_ports_and_timeouts(self, flags, hint, capsys):
+        assert main(flags) == 2
+        out = capsys.readouterr().out
+        assert hint in out and len(out.splitlines()) == 1
+
+    def test_serve_on_a_taken_port_is_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(["serve", "--clients", "2", "--port", str(port)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("cannot serve: ") and len(out.splitlines()) == 1
 
 
 class TestTimeoutFlag:

@@ -257,9 +257,14 @@ class TestHostConfig:
 
     def test_parse_endpoint(self):
         assert parse_endpoint("10.0.0.1:4800") == ("10.0.0.1", 4800)
-        for bad in ("nohost", ":1", "h:", "h:port"):
+        for bad in ("nohost", ":1", "h:", "h:port", "h:0", "h:65536", "h:-1", 4800):
             with pytest.raises(ConfigurationError):
                 parse_endpoint(bad)
+
+    def test_config_parses_endpoints_before_anything_connects(self):
+        for bad in ("nohost", "127.0.0.1:99999", "127.0.0.1:1,nohost"):
+            with pytest.raises(ConfigurationError, match="'host:port'"):
+                SystemConfig(num_clients=1, transport="tcp", endpoints=bad)
 
 
 class TestConfigAndBackends:

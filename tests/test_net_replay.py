@@ -161,7 +161,7 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 3
+        assert records[0]["v"] == 4
         assert records[0]["n"] == 3
         kinds = {r["t"] for r in records}
         assert {"header", "invoke", "response", "frame"} <= kinds
@@ -192,10 +192,10 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             f'"payload":"{old_frame}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v3"):
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v4"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "this build reads v3" in capsys.readouterr().out
+        assert "this build reads v4" in capsys.readouterr().out
 
     def test_trace_of_the_all_proofs_reply_form_refused(self, tmp_path, capsys):
         # v2 REPLYs carry all n PROOF-signatures: ("REPLY", (c, SVER[c], L,
@@ -216,10 +216,37 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v2_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v3"):
+        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v4"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         assert "trace version 2 unsupported" in capsys.readouterr().out
+
+    def test_trace_of_the_trace_id_frame_shapes_refused(self, tmp_path, capsys):
+        # v3 frames could carry a trailing trace id, and a REPLY with a
+        # counter attestation put a None trace-id slot before it: 8
+        # elements, which this build's decoder refuses — the header stops
+        # such a trace first, in one line.
+        from repro.cli import main
+        from repro.common.encoding import encode
+        from repro.common.errors import EncodingError
+        from repro.net.wire import payload_to_message
+
+        zero = (((0, 0), (None, None)), None)
+        attestation = ("S", 1, 1, b"b" * 32, b"m" * 32)
+        v3_reply = encode(("REPLY", (0, zero, (), (), None, None, None, attestation)))
+        with pytest.raises(EncodingError, match="malformed ReplyMessage"):
+            payload_to_message(v3_reply)
+        path = tmp_path / "v3.jsonl"
+        path.write_text(
+            '{"t":"header","v":3,"n":2,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
+            f'"payload":"{v3_reply.hex()}","at":0.0}}\n'
+        )
+        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v4"):
+            load_trace(str(path))
+        assert main(["replay", "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "trace version 3 unsupported" in out and out.count("\n") == 1
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

@@ -1,10 +1,11 @@
 """Exposition-layer tests: Prometheus text, the ``/metrics`` HTTP
-listener, JSONL snapshots, and trace-id wire-trace replay fidelity.
+listener, JSONL snapshots, and causal trace ids across a TCP run.
 
 The HTTP tests drive a real asyncio listener over loopback sockets; the
-replay test records a full TCP run with ``trace_ids=True`` and asserts
-``repro replay``'s byte-identity verdict still holds — the acceptance
-bar for stamping an extra TLV field onto SUBMIT/COMMIT.
+trace test records a full TCP run with a span log on both the clients and
+the server host and asserts that each side derives the same id for every
+SUBMIT (no id travels on the wire), and that ``repro replay``'s
+byte-identity verdict holds.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class TestJsonlSnapshotWriter:
 
 
 @pytest.mark.net
-class TestTraceIdReplayFidelity:
-    def test_traced_run_replays_byte_identically(self, tmp_path):
+class TestTraceIdsAcrossProcesses:
+    def test_server_and_client_derive_one_id_and_the_run_replays(self, tmp_path):
         from repro.api import SystemConfig, open_system
         from repro.net.client import NetRuntime
         from repro.net.server import NetServerHost
@@ -160,13 +161,13 @@ class TestTraceIdReplayFidelity:
         host = NetServerHost(2)
         runtime.run_coroutine(host.start())
         span_log = SpanLog()
+        host.span_log = span_log
         system = open_system(
             SystemConfig(
                 2,
                 transport="tcp",
                 endpoints=(host.endpoint,),
                 trace_path=str(trace_path),
-                trace_ids=True,
                 span_log=span_log,
                 default_timeout=10.0,
             ),
@@ -188,13 +189,19 @@ class TestTraceIdReplayFidelity:
             assert driver.run_to_completion(timeout=20.0)
             system.run_until_quiescent(timeout=5.0)
 
-        header = json.loads(trace_path.read_text().splitlines()[0])
-        assert header["trace_ids"] is True
-        # The clients emitted per-operation instants carrying trace ids.
-        assert any(
-            r["name"].startswith("submit:") and r["trace_id"] is not None
-            for r in span_log.records
-        )
+        # Per client, the server's SUBMIT instants carry the ids of the
+        # client's own submit instants, one for one and in order.
+        def ids(prefix: str, client: int) -> list:
+            return [
+                r["trace_id"]
+                for r in span_log.records
+                if r["name"].startswith(prefix) and r["args"]["client"] == client
+            ]
+
+        for client in range(2):
+            client_ids = ids("submit:", client)
+            assert len(client_ids) == 4 and None not in client_ids
+            assert ids("server:submit", client) == client_ids
         result = replay_trace(str(trace_path))
         assert result.ok, result.divergences
         assert len(result.history) == 8

@@ -59,7 +59,6 @@ def _read_by_algorithm_1(reply: ReplyMessage) -> str:
             tuple(reply.proofs[k] for k in reply.submitters()),
             reply.reader_version,
             reply.mem,
-            reply.trace_id,
         )
     )
 

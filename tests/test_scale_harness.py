@@ -61,6 +61,10 @@ def test_zipf_sampler_validation():
         ZipfSampler(0)
     with pytest.raises(ConfigurationError):
         ZipfSampler(4, exponent=-0.5)
+    with pytest.raises(ConfigurationError):
+        ZipfSampler(4, exponent=float("nan"))
+    with pytest.raises(ConfigurationError, match="zipf_exponent"):
+        OpenLoopConfig(zipf_exponent=float("nan"))
 
 
 def test_open_loop_schedule_shape():

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import FaustParams, SystemConfig, open_system
+from repro.cli import main
+from repro.common.encoding import decode, encode
 from repro.common.errors import ConfigurationError, StorageError
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
@@ -273,6 +275,81 @@ class TestLogStructuredEngine:
             LogStructuredEngine(2, snapshot_interval=0)
         with pytest.raises(ConfigurationError):
             LogStructuredEngine(2, gc_snapshot_interval=0)
+
+
+def _medium_holding(*, wal=(), snapshot=None) -> InMemoryMedium:
+    """A medium whose frames all pass their CRC and decode as TLV."""
+    medium = InMemoryMedium()
+    for record in wal:
+        medium.append(LogStructuredEngine.WAL, frame_record(encode(record)))
+    if snapshot is not None:
+        medium.write_atomic(
+            LogStructuredEngine.SNAPSHOT, frame_record(encode(snapshot))
+        )
+    return medium
+
+
+class TestWrongShapeRefused:
+    """A CRC-valid frame holding a record of the wrong shape is a named
+    ``StorageError``, never a raw exception out of ``recover()``."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ("S", 1, (1, 2)),
+            ("C", 1, 0),
+            ("K", 1, 5),
+            ("B", (("C", 1, 0),)),
+        ],
+        ids=["submit", "commit", "checkpoint", "batch"],
+    )
+    def test_wal_record(self, record):
+        medium = _medium_holding(wal=[record])
+        with pytest.raises(
+            StorageError, match=r"^WAL frame 0 passes its CRC but does not decode"
+        ):
+            LogStructuredEngine(2, medium=medium).recover()
+
+    def test_wal_record_of_another_population(self):
+        commit = (((1, 0, 0), (b"d" * 32, None, None)), b"c" * 64, b"p" * 64)
+        medium = _medium_holding(wal=[("C", 1, 2, commit)])
+        with pytest.raises(StorageError, match=r"^WAL frame 0 does not apply"):
+            LogStructuredEngine(2, medium=medium).recover()
+
+    def test_snapshot_state_with_three_fields(self):
+        medium = _medium_holding(snapshot=("SNAP", 0, (2, (), 0)))
+        with pytest.raises(
+            StorageError, match=r"^snapshot passes its CRC but does not decode"
+        ):
+            LogStructuredEngine(2, medium=medium).recover()
+
+    @pytest.mark.parametrize("fields", [6, 7])
+    def test_previous_build_snapshot_of_an_empty_pending_list(self, fields):
+        # The previous build dropped the trailing submits_applied and
+        # pending_ts of a state whose pending list was empty.
+        state = ServerState.initial(2)
+        state.submits_applied = 4
+        short = encode_server_state(state)
+        medium = _medium_holding(snapshot=("SNAP", 4, decode(short)[0][:fields]))
+        with pytest.raises(StorageError, match="malformed ServerState"):
+            LogStructuredEngine(2, medium=medium).recover()
+
+    def test_snapshot_of_another_population(self):
+        state = decode(encode_server_state(ServerState.initial(3)))[0]
+        medium = _medium_holding(snapshot=("SNAP", 0, state))
+        with pytest.raises(StorageError, match="3-client state"):
+            LogStructuredEngine(2, medium=medium).recover()
+
+    def test_serve_refuses_in_one_line(self, tmp_path, capsys):
+        medium = DirectoryMedium(tmp_path)
+        medium.append(LogStructuredEngine.WAL, frame_record(encode(("C", 1, 0))))
+        medium.close()
+        code = main(
+            ["serve", "--clients", "2", "--port", "0", "--storage", f"dir:{tmp_path}"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("cannot serve: WAL frame 0 ") and out.count("\n") == 1
 
 
 # --------------------------------------------------------------------- #

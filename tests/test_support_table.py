@@ -62,7 +62,7 @@ def asking(feature: str, backend: str) -> dict:
         "replica_factories": {"replica_server_factories": {0: honest}},
         "counter": {"counter": "durable"},
         "commit_piggyback": {"commit_piggyback": True},
-        "wire": {"trace_ids": True},
+        "wire": {"server_name": "S-wire"},
         "latency": {"latency": FixedLatency(2.0)},
         "server_factory": {"server_factory": honest},
     }[feature]
@@ -80,8 +80,10 @@ def loopback(monkeypatch):
         functools.partial(net_client.TcpWorld, runtime=runtime),
     )
 
-    def start(replicas: int = 1, counter: str | None = None) -> tuple[str, ...]:
-        names = ["S"] if replicas == 1 else [f"S/r{k}" for k in range(replicas)]
+    def start(
+        replicas: int = 1, counter: str | None = None, name: str = "S"
+    ) -> tuple[str, ...]:
+        names = [name] if replicas == 1 else [f"{name}/r{k}" for k in range(replicas)]
         for name in names:
             host = NetServerHost(NUM_CLIENTS, server_name=name, counter=counter)
             runtime.run_coroutine(host.start())
@@ -110,7 +112,11 @@ def test_cell(backend, transport, feature_name, monkeypatch, loopback):
             kwargs.update(
                 transport="tcp",
                 default_timeout=10.0,
-                endpoints=loopback(kwargs.get("replicas", 1), kwargs.get("counter")),
+                endpoints=loopback(
+                    kwargs.get("replicas", 1),
+                    kwargs.get("counter"),
+                    kwargs.get("server_name", "S"),
+                ),
             )
         with open_system(SystemConfig(**kwargs), backend=backend) as system:
             assert system.session(0).write_sync(b"x") == 1

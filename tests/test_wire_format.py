@@ -177,7 +177,7 @@ class TestOldFormatRefused:
     def test_old_wal_record_is_not_read_as_an_empty_log(self):
         medium = self._medium(wal=frame_record(OLD_WAL_RECORD))
         assert list(iter_frames(medium.read("wal"))) == [OLD_WAL_RECORD]  # CRC-valid
-        with pytest.raises(StorageError, match=r"WAL frame 0 .*8 bytes.*varints"):
+        with pytest.raises(StorageError, match=r"WAL frame 0 passes its CRC but does not decode"):
             LogStructuredEngine(2, medium=medium).recover()
 
     def test_old_record_behind_current_ones_names_its_position(self):
@@ -190,7 +190,7 @@ class TestOldFormatRefused:
 
     def test_old_snapshot_refused(self):
         medium = self._medium(snapshot=frame_record(OLD_SNAPSHOT_RECORD))
-        with pytest.raises(StorageError, match=r"snapshot .*8 bytes.*varints"):
+        with pytest.raises(StorageError, match=r"snapshot passes its CRC but does not decode"):
             LogStructuredEngine(2, medium=medium).recover()
 
     def test_refusal_is_one_line(self):
