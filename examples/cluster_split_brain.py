@@ -38,7 +38,6 @@ def main() -> None:
             num_clients=CLIENTS,
             seed=7,
             shards=SHARDS,
-            shard_map="range",
             shard_server_factories={FORKED: forking},
             faust=FaustParams(delta=15.0, probe_check_period=5.0),
         )

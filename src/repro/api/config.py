@@ -116,11 +116,8 @@ class SystemConfig:
     #: target one shard).
     server_outages: tuple[tuple[float, float], ...] = ()
     #: Number of shards.  Each shard is an independent server owning one
-    #: partition of the register space.
+    #: balanced contiguous range of the register space.
     shards: int = 1
-    #: Partitioning strategy: ``"range"``, ``"hash"``, or a ready
-    #: :class:`~repro.cluster.shardmap.ShardMap` instance.
-    shard_map: str | object = "range"
     #: The protocol every shard runs: ``"faust"`` (fail-aware) or
     #: ``"ustor"`` (detection without notifications).
     shard_protocol: str = "faust"
@@ -394,7 +391,7 @@ FEATURES: tuple[Feature, ...] = (
             "membership epochs co-signed over the fail-aware layer's "
             "offline channel", sim=_FAIL_AWARE),
     Feature("shards",
-            ("shards", "shard_map", "shard_protocol",
+            ("shards", "shard_protocol",
              "shard_server_factories", "shard_outages"),
             "the shard axis", sim=("cluster",)),
     Feature("replicas", ("replicas", "quorum"),

@@ -57,7 +57,6 @@ from repro.api import (
     open_system,
 )
 from repro.api.config import check_supported
-from repro.cluster.shardmap import SHARD_MAP_STRATEGIES
 from repro.cluster.system import ClusterSystem
 from repro.common.errors import ConfigurationError, SimulationError, StorageError
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
@@ -318,7 +317,6 @@ def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
         storage=args.storage,
         server_outages=tuple(map(tuple, args.outage or ())),
         shards=args.shards,
-        shard_map=args.shard_map,
         shard_server_factories=shard_factories,
         shard_outages=tuple(
             (int(shard), start, duration)
@@ -369,7 +367,12 @@ def _cmd_run(args) -> int:
 
 
 def _run_and_report(args, system, config, workload, backend) -> None:
-    """Drive the workload over an opened system and print the report."""
+    """Drive the workload over an opened system and print the report.
+
+    The workload reaches the clients through their sessions, as every
+    workload does; batching, span logs and metrics only observe or
+    buffer it, so they never change which run is reported.
+    """
     tcp = config.transport == "tcp"
     # The one place the report differs by kind: a cluster labels its shards.
     sharded = isinstance(system, ClusterSystem)
@@ -392,17 +395,12 @@ def _run_and_report(args, system, config, workload, backend) -> None:
             on_scrape=health.refresh if health is not None else None,
         )
         print(f"METRICS {metrics_server.host} {metrics_server.port}", flush=True)
-    # With batching on, the workload must flow through the sessions —
-    # they are the layer that buffers and auto-flushes submissions.  Span
-    # tracing of simulated clients lives at the same layer (they have no
-    # wire to stamp; the tcp clients record their own spans).  Over tcp
-    # the run ends when the workload has settled (a failed client never
-    # finishes its script); the simulator runs out its horizon.
+    # Over tcp the run ends when the workload has settled (a failed client
+    # never finishes its script); the simulator runs out its horizon.
     driver = run_closed_loop(
         system,
         workload,
         random.Random(args.seed),
-        via_sessions=batching is not None or (span_log is not None and not tcp),
         **({"timeout": args.until, "or_halted": True} if tcp else {"until": args.until}),
     )
     if tcp:
@@ -416,7 +414,7 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         print(f"# endpoints: {args.endpoints}")
     if sharded:
         placement = [system.shard_of(r) for r in range(args.clients)]
-        print(f"# cluster: {system.num_shards} shard(s), map={args.shard_map}, "
+        print(f"# cluster: {system.num_shards} shard(s), "
               f"register->shard {placement}")
     _print_quorum_stats([c for shard in system.shards for c in shard.clients])
     print(f"# completed {driver.stats.total_completed()}"
@@ -774,12 +772,6 @@ def main(argv: list[str] | None = None) -> int:
         help="number of shards (requires --backend cluster)",
     )
     run.add_argument(
-        "--shard-map",
-        choices=SHARD_MAP_STRATEGIES,
-        default="range",
-        help="register partitioning strategy for --backend cluster",
-    )
-    run.add_argument(
         "--server-shard",
         type=int,
         default=None,
@@ -1042,10 +1034,10 @@ def main(argv: list[str] | None = None) -> int:
     scale.add_argument("--keep-tail", type=int, default=2,
                        help="writes per register kept across compaction")
     scale.add_argument("--churn-windows", type=int, default=0,
-                       help="random session churn windows over the run "
-                       "(logical sessions cycling over the signer slots; "
-                       "rejected when the plan needs more concurrent slots "
-                       "than --clients provides)")
+                       help="random churn windows over the run (each "
+                       "takes a present client away; rejected when the plan "
+                       "needs more clients away at once than --clients "
+                       "provides)")
     scale.add_argument("--churn-mean-duration", type=float, default=5.0,
                        metavar="TIME",
                        help="mean offline duration of a churn window")

@@ -3,10 +3,13 @@
 The paper's protocol is single-server by design; this package scales it
 out by *partitioning the register space* across N independent USTOR/FAUST
 server instances (shards), each a complete protocol domain with its own
-keys, history and fail-aware machinery.  A client-side
-:class:`~repro.cluster.session.ClusterSession` routes every operation to
-the owning shard behind the unchanged ``Session``/``OpHandle`` facade,
-so applications, scenarios and experiments run on a cluster untouched.
+keys, history and fail-aware machinery.  Shard ``k`` owns the ``k``-th
+balanced contiguous range of registers (:func:`register_owners`), fixed
+when the deployment opens.  A client-side
+:class:`~repro.cluster.session.ClusterSession` — the one shard router —
+sends every operation to the owning shard behind the unchanged
+``Session``/``OpHandle`` facade, so applications, scenarios and
+experiments run on a cluster untouched.
 
 Guarantees are per shard, audited per shard:
 
@@ -23,7 +26,7 @@ Open one through the ``cluster`` backend::
     from repro.api import SystemConfig, open_system
 
     system = open_system(
-        SystemConfig(num_clients=6, shards=3, shard_map="hash"),
+        SystemConfig(num_clients=6, shards=3),
         backend="cluster",
     )
 """
@@ -34,25 +37,14 @@ from repro.cluster.events import (
     ShardStabilityNotification,
 )
 from repro.cluster.session import ClusterSession
-from repro.cluster.shardmap import (
-    SHARD_MAP_STRATEGIES,
-    HashShardMap,
-    RangeShardMap,
-    ShardMap,
-    make_shard_map,
-)
-from repro.cluster.system import ClusterClient, ClusterSystem
+from repro.cluster.system import ClusterClient, ClusterSystem, register_owners
 
 __all__ = [
     "ClusterClient",
     "ClusterNotificationHub",
     "ClusterSession",
     "ClusterSystem",
-    "HashShardMap",
-    "RangeShardMap",
-    "SHARD_MAP_STRATEGIES",
     "ShardFailureNotification",
-    "ShardMap",
     "ShardStabilityNotification",
-    "make_shard_map",
+    "register_owners",
 ]

@@ -1,7 +1,7 @@
 """Opening a sharded deployment from a :class:`SystemConfig`.
 
 The cluster backend interprets the shard-axis knobs — ``shards``,
-``shard_map``, ``shard_protocol``, ``shard_server_factories`` — and the
+``shard_protocol``, ``shard_server_factories`` — and the
 replica-axis knobs — ``replicas``, ``quorum``, ``counter``,
 ``replica_server_factories`` (:mod:`repro.replica`) — and assembles one
 deployment per shard over a shared scheduler (``shard_outages`` become
@@ -18,7 +18,6 @@ import hashlib
 
 from repro.api.backends import build_deployment, protocol_for
 from repro.api.config import SystemConfig
-from repro.cluster.shardmap import make_shard_map
 from repro.cluster.system import ClusterSystem
 from repro.sim.scheduler import Scheduler
 
@@ -36,10 +35,6 @@ def derive_shard_seed(seed: int, shard: int) -> int:
 
 def open_cluster_system(config: SystemConfig) -> ClusterSystem:
     """Build a :class:`ClusterSystem` described by ``config``."""
-    shard_map = make_shard_map(
-        config.shard_map, config.shards, config.num_clients
-    )
-
     scheduler = Scheduler(seed=config.seed)
     protocol = protocol_for(config.shard_protocol, config)
     shards = [
@@ -66,7 +61,6 @@ def open_cluster_system(config: SystemConfig) -> ClusterSystem:
     ]
     return ClusterSystem(
         shards=shards,
-        shard_map=shard_map,
         scheduler=scheduler,
         shard_protocol=config.shard_protocol,
     )

@@ -9,13 +9,20 @@ owning one partition of the register space; the cluster layer never
 crosses protocol state between shards (doing so would be a fork by
 construction).
 
+Placement is static and balanced: the register space is one register
+per client, fixed when the deployment opens, and shard ``k`` owns the
+``k``-th contiguous range (the first ``n % shards`` shards one register
+more) — :func:`register_owners`.  Re-sharding would be a fork by
+construction (two owners answering for one register).
+
 It shares :class:`~repro.workloads.runner.Deployment` with the single
 deployment — clock, sessions, guarantees, fault producers, audits,
-profile, ``close`` — and adds what a shard axis needs: ``clients`` holds
-:class:`ClusterClient` proxies that route operations by register
-ownership and aggregate per-shard state, ``offline`` and ``trace`` fan
-out over the shards, so drivers, churn schedules and the CLI run
-unchanged on a cluster.
+profile, ``close`` — and adds what a shard axis needs: operations go
+through :class:`~repro.cluster.session.ClusterSession`, the one shard
+router; ``clients`` holds :class:`ClusterClient` views that aggregate
+per-shard state for the fault schedule and the reports; ``offline`` and
+``trace`` fan out over the shards, so drivers, churn schedules and the
+CLI run unchanged on a cluster.
 
 Detection is audited **per shard and per dependency**: the cluster wires
 a client's notifications for exactly the shards that client touched with
@@ -27,32 +34,37 @@ shards keep serving it.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.api.errors import CapabilityError
 from repro.cluster.events import ClusterNotificationHub
 from repro.cluster.session import ClusterSession
-from repro.cluster.shardmap import ShardMap
 from repro.common.errors import ConfigurationError
-from repro.common.types import ClientId, RegisterId, Value, client_name
+from repro.common.types import ClientId, RegisterId, client_name
 from repro.history.history import History
 from repro.sim.faults import Fault, FaultInjector
 from repro.sim.scheduler import Scheduler
 from repro.workloads.runner import Deployment, StorageSystem
 
 
+def register_owners(num_registers: int, num_shards: int) -> tuple[int, ...]:
+    """The shard owning each register: balanced contiguous ranges, the
+    first ``num_registers % num_shards`` shards owning one extra."""
+    base, extra = divmod(num_registers, num_shards)
+    return tuple(
+        shard
+        for shard in range(num_shards)
+        for _ in range(base + (shard < extra))
+    )
+
+
 class ClusterClient:
-    """Cluster-level client proxy: the ``system.clients[i]`` object.
+    """Cluster-level client view: the ``system.clients[i]`` object.
 
-    Routes ``write``/``read`` to the owning shard's protocol instance and
-    aggregates liveness/failure state over the shards this client has
-    *touched* with user operations, so generic drivers and churn
-    schedules treat it exactly like a single-server client.
+    Aggregates liveness/failure state over the shards this client has
+    *touched* with user operations and fans crash/restart/pause out to
+    every shard, so the fault schedule and the reports treat it exactly
+    like a single-server client.  Operations go through
+    ``system.session(i)``.
     """
-
-    #: Routing hands each shard instance at most its own sequential
-    #: stream, and FAUST instances queue internally; sessions may pipeline.
-    pipelines_operations = True
 
     def __init__(self, cluster: "ClusterSystem", client_id: ClientId) -> None:
         self._cluster = cluster
@@ -78,20 +90,6 @@ class ClusterClient:
             self.instance(shard)
             for shard in self._cluster.touched_shards(self.client_id)
         ]
-
-    # -- operations (routed) -------------------------------------------- #
-
-    def write(self, value: Value, callback: Callable | None = None) -> None:
-        """Write the client's own register (routed to its home shard)."""
-        shard = self._cluster.shard_of(self.client_id)
-        self._cluster.touch(self.client_id, shard)
-        self.instance(shard).write(value, callback)
-
-    def read(self, register: RegisterId, callback: Callable | None = None) -> None:
-        """Read any register (routed to the shard owning it)."""
-        shard = self._cluster.shard_of(register)
-        self._cluster.touch(self.client_id, shard)
-        self.instance(shard).read(register, callback)
 
     # -- aggregated state ------------------------------------------------ #
 
@@ -228,21 +226,15 @@ class ClusterSystem(Deployment):
     def __init__(
         self,
         shards: list[StorageSystem],
-        shard_map: ShardMap,
         scheduler: Scheduler,
         shard_protocol: str = "faust",
     ) -> None:
-        if len(shards) != shard_map.num_shards:
-            raise ConfigurationError(
-                f"{len(shards)} shard deployments but the map expects "
-                f"{shard_map.num_shards}"
-            )
         self.shards = shards
-        self.shard_map = shard_map
         self.scheduler = scheduler
         self.shard_protocol = shard_protocol
         self.audit_every = shards[0].audit_every
         self.num_clients = len(shards[0].clients)
+        self._owners = register_owners(self.num_clients, len(shards))
         self.notifications = ClusterNotificationHub()
         self.trace = _ClusterTrace(self)
         self.offline = _ClusterOffline(self)
@@ -266,7 +258,7 @@ class ClusterSystem(Deployment):
                 f"register {register} outside the register space "
                 f"[0, {self.num_clients})"
             )
-        return self.shard_map.shard_of(register)
+        return self._owners[register]
 
     @property
     def num_shards(self) -> int:
@@ -360,6 +352,6 @@ class ClusterSystem(Deployment):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ClusterSystem shards={self.num_shards} "
-            f"clients={self.num_clients} map={self.shard_map!r} "
+            f"clients={self.num_clients} "
             f"t={self.now:.1f}>"
         )

@@ -89,8 +89,6 @@ class FaustClient(UstorClient):
         probe_check_period: float,
         enable_dummy_reads: bool,
         enable_probes: bool,
-        on_stable: Callable[[tuple[int, ...]], None] | None = None,
-        on_faust_fail: Callable[[str], None] | None = None,
         replica_servers: tuple | None = None,
         quorum: int | None = None,
         counter: bool = False,
@@ -115,8 +113,6 @@ class FaustClient(UstorClient):
         self._probe_period = probe_check_period
         self._enable_dummy = enable_dummy_reads
         self._enable_probes = enable_probes
-        self._on_stable = on_stable
-        self._on_faust_fail = on_faust_fail
         self._stable_listeners: list[Callable[[tuple[int, ...]], None]] = []
         self._faust_fail_listeners: list[Callable[[str], None]] = []
 
@@ -139,7 +135,6 @@ class FaustClient(UstorClient):
         self.dummy_reads_issued = 0
 
         self._checkpoint_listeners: list[Callable[[Checkpoint], None]] = []
-        self._epoch_listeners: list[Callable[[Epoch], None]] = []
         self._membership_timer: PeriodicTimer | None = None
         self.checkpoint_manager: CheckpointManager | None = None
         self.membership_manager: MembershipManager | None = None
@@ -196,10 +191,6 @@ class FaustClient(UstorClient):
     ) -> None:
         """Invoke ``listener(checkpoint)`` on every installed checkpoint."""
         self._checkpoint_listeners.append(listener)
-
-    def add_epoch_listener(self, listener: Callable[[Epoch], None]) -> None:
-        """Invoke ``listener(epoch)`` on every installed membership epoch."""
-        self._epoch_listeners.append(listener)
 
     def add_failure_listener(self, listener: Callable[[str], None]) -> None:
         """Invoke ``listener(reason)`` on the (single) ``fail_i`` output.
@@ -382,8 +373,6 @@ class FaustClient(UstorClient):
         trace = self.network.trace
         if trace is not None:
             trace.note(self.now, self.name, "stable", cut)
-        if self._on_stable is not None:
-            self._on_stable(cut)
         for listener in list(self._stable_listeners):
             listener(cut)
 
@@ -552,8 +541,6 @@ class FaustClient(UstorClient):
             # Re-feed stability: the member-scoped cut may jump the
             # moment a frozen row leaves the min.
             self.checkpoint_manager.on_stability(self._checkpoint_stable())
-        for listener in list(self._epoch_listeners):
-            listener(epoch)
 
     # ---------------------------------------------------------------- #
     # fail_i
@@ -582,7 +569,5 @@ class FaustClient(UstorClient):
                     client_name(peer),
                     FailureMessage(sender=self._id, reason=reason),
                 )
-        if self._on_faust_fail is not None:
-            self._on_faust_fail(reason)
         for listener in list(self._faust_fail_listeners):
             listener(reason)

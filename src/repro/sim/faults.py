@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.common.errors import ConfigurationError, SimulationError
 
@@ -90,7 +90,8 @@ class Fault:
                 )
         elif self.duration is None or not self.duration > 0:
             raise ConfigurationError(
-                f"a {self.kind} window needs a positive duration"
+                f"{'an' if self.kind == 'away' else 'a'} {self.kind} window needs a "
+                f"positive duration"
             )
 
     @property
@@ -144,17 +145,25 @@ def overlap(windows) -> tuple | None:
 
 def plan_windows(
     rng, kind: str, count: int, horizon: float, mean_duration: float, draw_target=None
-) -> Iterator[Fault]:
+) -> list[Fault]:
     """The one random planner: ``count`` seeded ``kind`` windows, each
     drawn target first (``draw_target(rng)``; ``None`` without one — the
     producer picks when the window opens), then a uniform start over
     ``[0, horizon]``, then an exponential duration floored at one time
-    unit."""
+    unit.  The mean duration must be positive and finite (NaN fails too):
+    anything else would be floored to one unit or divide by zero."""
+    if not 0 < mean_duration < math.inf:
+        raise ConfigurationError(
+            f"random fault windows need a positive, finite mean duration, "
+            f"got {mean_duration}"
+        )
+    windows = []
     for _ in range(count):
         target = draw_target(rng) if draw_target is not None else None
         start = rng.uniform(0.0, horizon)
         duration = max(rng.expovariate(1.0 / mean_duration), 1.0)
-        yield Fault(kind, target, start, duration)
+        windows.append(Fault(kind, target, start, duration))
+    return windows
 
 
 class FaultInjector:

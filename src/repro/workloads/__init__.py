@@ -33,11 +33,6 @@ from repro.workloads.scenarios import (
     split_brain_scenario,
     split_brain_shard_scenario,
 )
-from repro.workloads.sessions import (
-    SessionLease,
-    SessionPool,
-    plan_churn_windows,
-)
 
 __all__ = [
     "ChurnSchedule",
@@ -51,8 +46,6 @@ __all__ = [
     "ScaleConfig",
     "ScaleReport",
     "ScenarioRun",
-    "SessionLease",
-    "SessionPool",
     "StorageSystem",
     "TimedOp",
     "WorkloadConfig",
@@ -61,7 +54,6 @@ __all__ = [
     "figure3_scenario",
     "generate_open_loop",
     "generate_scripts",
-    "plan_churn_windows",
     "replica_rollback_scenario",
     "rollback_attack_scenario",
     "run_closed_loop",

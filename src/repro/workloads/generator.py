@@ -2,8 +2,9 @@
 
 A workload is, per client, a list of :class:`PlannedOp` — operation kind,
 target register, value, and a think-time before issuing.  The
-:class:`Driver` walks each client through its script, issuing the next
-operation when the previous one completes, and keeps completion statistics
+:class:`Driver` walks each client through its script, issuing every
+operation through the client's session (``system.session(i)``, the one
+way a workload reaches a client), and keeps completion statistics
 (essential for the wait-freedom experiments, where *not completing* is the
 phenomenon under study).
 
@@ -19,6 +20,7 @@ inflicts (the coordinated-omission trap closed loops fall into).
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -158,8 +160,10 @@ class OpenLoopConfig:
     value_size: int = 32
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0 and self.duration > 0):  # NaN fails too
-            raise ConfigurationError("rate and duration must be positive")
+        # An infinite rate never advances the arrival clock and an infinite
+        # duration never ends the schedule; NaN fails the test too.
+        if not (0 < self.rate < math.inf and 0 < self.duration < math.inf):
+            raise ConfigurationError("rate and duration must be positive and finite")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigurationError("read_fraction must be in [0, 1]")
         if not self.zipf_exponent >= 0:  # NaN fails too
@@ -235,18 +239,20 @@ class DriverStats:
 
 
 class Driver:
-    """Feeds scripts to clients, one operation at a time per client.
+    """Feeds scripts to clients through their sessions.
 
-    ``via_sessions=True`` routes operations through the api-level
-    per-client sessions instead of calling the protocol clients
-    directly — the mode a batching deployment needs, since the session
-    is the layer that buffers and auto-flushes submissions
-    (``SystemConfig(batching=...)``).
+    Every operation reaches a client as ``system.session(i).write`` /
+    ``read`` — the paper's per-client service interface — and is counted
+    in the handle's done callback.  Closed loop: a client's next operation
+    is scheduled its think time after the previous one settled.  On a
+    batching deployment (``SystemConfig(batching=...)``) think time
+    spaces *submissions* instead, so the session's batch buffer can fill
+    — waiting for each completion would cap every batch at one operation.
     """
 
-    def __init__(self, system: Deployment, via_sessions: bool = False) -> None:
+    def __init__(self, system: Deployment) -> None:
         self._system = system
-        self._via_sessions = via_sessions
+        self._pipelined = system.shards[0].batching is not None
         self.stats = DriverStats()
 
     def attach(self, client_id: ClientId, script: list[PlannedOp]) -> None:
@@ -268,42 +274,40 @@ class Driver:
             planned.think_time, self._issue, client_id, script, index
         )
 
-    def _issue(self, client_id: ClientId, script, index: int) -> None:
-        client = self._system.clients[client_id]
-        if client.halted:
-            return  # a crashed or failed client takes no more steps
-        planned: PlannedOp = script[index]
+    def _submit(self, client_id: ClientId, op, on_done) -> bool:
+        """Issue ``op`` through the client's session (False: the client
+        has halted); ``on_done()`` runs when it completes, not when it
+        fails — a failed or crashed client takes no more steps."""
+        if self._system.clients[client_id].halted:
+            return False
+        session = self._system.session(client_id)
         self.stats.issued[client_id] += 1
+        try:
+            handle = (
+                session.write(op.value)
+                if op.kind is OpKind.WRITE
+                else session.read(op.register)
+            )
+        except ProtocolError:
+            return False  # the client died between operations
 
-        def completed(_outcome) -> None:
-            self.stats.completed[client_id] += 1
-            if index + 1 < len(script):
+        def settled(h) -> None:
+            if h._exception is None:
+                self.stats.completed[client_id] += 1
+                on_done()
+
+        handle.add_done_callback(settled)
+        return True
+
+    def _issue(self, client_id: ClientId, script, index: int) -> None:
+        more = index + 1 < len(script)
+
+        def completed() -> None:
+            if more and not self._pipelined:
                 self._schedule_next(client_id, script, index + 1)
 
-        if self._via_sessions:
-            # Pipelined submission: the session (and its batch buffer)
-            # absorbs the stream, so think time spaces *submissions* and
-            # batches can actually fill — waiting for completion first
-            # would cap every batch at one operation.
-            session = self._system.session(client_id)
-            try:
-                handle = (
-                    session.write(planned.value)
-                    if planned.kind is OpKind.WRITE
-                    else session.read(planned.register)
-                )
-            except ProtocolError:
-                return  # client died between operations; stop the script
-            def settled(h) -> None:
-                if h._exception is None:
-                    self.stats.completed[client_id] += 1
-            handle.add_done_callback(settled)
-            if index + 1 < len(script):
-                self._schedule_next(client_id, script, index + 1)
-        elif planned.kind is OpKind.WRITE:
-            client.write(planned.value, completed)
-        else:
-            client.read(planned.register, completed)
+        if self._submit(client_id, script[index], completed) and more and self._pipelined:
+            self._schedule_next(client_id, script, index + 1)
 
     # ------------------------------------------------------------------ #
     # Open-loop mode
@@ -318,8 +322,8 @@ class Driver:
         """Drive one client by absolute arrival times (open loop).
 
         Operations issue at each :class:`TimedOp`'s ``at`` regardless of
-        whether earlier ones completed — the client's submission queue
-        absorbs the backlog, so ``on_latency(client_id, latency)`` (called
+        whether earlier ones completed — the session and the client queue
+        absorb the backlog, so ``on_latency(client_id, latency)`` (called
         at each completion with ``completion_time - arrival_time``)
         measures *response time including queueing delay*, which is the
         quantity a closed-loop driver cannot see.
@@ -349,22 +353,13 @@ class Driver:
                 schedule[index + 1].at,
                 self._issue_timed, client_id, schedule, index + 1, on_latency,
             )
-        client = self._system.clients[client_id]
-        if client.halted:
-            return
         op: TimedOp = schedule[index]
-        self.stats.issued[client_id] += 1
-        arrival = op.at
 
-        def completed(_outcome) -> None:
-            self.stats.completed[client_id] += 1
+        def completed() -> None:
             if on_latency is not None:
-                on_latency(client_id, self._system.now - arrival)
+                on_latency(client_id, self._system.now - op.at)
 
-        if op.kind is OpKind.WRITE:
-            client.write(op.value, completed)
-        else:
-            client.read(op.register, completed)
+        self._submit(client_id, op, completed)
 
     # ------------------------------------------------------------------ #
     # Run helpers
@@ -400,7 +395,6 @@ def run_closed_loop(
     until: float | None = None,
     timeout: float = 1_000_000.0,
     or_halted: bool = False,
-    via_sessions: bool = False,
 ) -> Driver:
     """The closed-loop run: scripts for every client, attached, driven.
 
@@ -413,7 +407,7 @@ def run_closed_loop(
     """
     if isinstance(workload, WorkloadConfig):
         workload = generate_scripts(len(system.clients), workload, rng)
-    driver = Driver(system, via_sessions=via_sessions)
+    driver = Driver(system)
     driver.attach_all(workload)
     if until is not None:
         system.run(until=until)

@@ -17,12 +17,11 @@ that claim into a measured, regression-gated quantity:
 * **steady-state growth ratio** compares the post-warmup first half of
   those samples against the second half: a bounded system hovers near
   1.0, an unbounded one grows with the run length;
-* optional **session churn** (:class:`repro.workloads.sessions.SessionPool`
-  plus a deterministic window plan) cycles logical sessions over the
-  signer slots — each window logs one session out, takes its slot
-  offline, and logs a fresh session in when the slot returns, so churn
-  in the tens of thousands of sessions never needs that many signer
-  keys;
+* optional **churn** (:func:`plan_churn_windows`, a deterministic
+  window plan) takes one present client away per window — whichever is
+  present, alive and not evicted when the window opens — and brings it
+  back when the window ends, through the deployment's one fault
+  schedule; the membership epochs alone decide who may sign;
 * optional **client faults** (:meth:`repro.sim.faults.Fault.parse` specs,
   the ``--client-faults`` flag) inject crash-forever / crash-restart /
   lease-expiry lifecycles through the deployment's one fault schedule:
@@ -42,6 +41,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.api.backends import open_system
 from repro.api.config import FaustParams, SystemConfig
@@ -50,10 +50,61 @@ from repro.consistency.incremental import attach_incremental_checkers
 from repro.faust.checkpoint import CheckpointPolicy
 from repro.faust.membership import MembershipPolicy
 from repro.obs.registry import Histogram, Registry
-from repro.sim.faults import Fault
+from repro.sim.faults import Fault, plan_windows
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import Driver, OpenLoopConfig, generate_open_loop
-from repro.workloads.sessions import SessionLease, SessionPool, plan_churn_windows
+
+
+def plan_churn_windows(
+    rng,
+    count: int,
+    *,
+    horizon: float,
+    mean_duration: float,
+    num_clients: int,
+) -> list[Fault]:
+    """Plan ``count`` churn windows over ``[0, horizon)``; reject overload.
+
+    Each is an *away* window with no client yet: whichever client is
+    eligible when it opens goes away for ``duration``.  Drawn by
+    :func:`repro.sim.faults.plan_windows` from ``rng``, so the plan is
+    deterministic per seed.  A plan whose windows would take more clients
+    offline *concurrently* than the fleet holds cannot be scheduled —
+    every offline window needs a distinct client — and raises
+    :class:`~repro.common.errors.ConfigurationError` instead of silently
+    dropping windows.
+    """
+    if count < 0:
+        raise ConfigurationError(
+            f"churn window count must be non-negative, got {count}"
+        )
+    windows = sorted(
+        plan_windows(rng, "away", count, horizon, mean_duration),
+        key=lambda window: (window.start, window.duration),
+    )
+    peak = _max_concurrent(windows)
+    if peak > num_clients:
+        raise ConfigurationError(
+            f"churn plan needs {peak} clients away concurrently but the "
+            f"signer set has only {num_clients}: lower --churn-windows (or "
+            f"shorten --churn-mean-duration / raise --clients) so "
+            f"concurrent churn fits the fleet"
+        )
+    return windows
+
+
+def _max_concurrent(windows: Iterable[Fault]) -> int:
+    """The largest number of windows open at any instant."""
+    events = sorted(
+        point
+        for window in windows
+        for point in ((window.start, 1), (window.end, -1))
+    )
+    peak = open_now = 0
+    for _, delta in events:
+        open_now += delta
+        peak = max(peak, open_now)
+    return peak
 
 
 @dataclass
@@ -72,8 +123,8 @@ class ScaleConfig:
     latency: float = 1.0
     offline_latency: float = 0.5
     storage: str = "log"
-    #: Random session churn windows drawn over the schedule horizon
-    #: (logical sessions cycling over the signer slots).
+    #: Random churn windows drawn over the schedule horizon (a present
+    #: client goes away for each).
     churn_windows: int = 0
     churn_mean_duration: float = 5.0
     #: Client fault specs, ``kind:client@start[+duration]`` — see
@@ -100,7 +151,7 @@ class ScaleConfig:
         # What run_scale would refuse while setting up is refused here,
         # before anything is built: the deployment, the fault specs (a
         # SimulationError when malformed) and a churn plan that does not
-        # fit the fleet.
+        # fit the fleet or has no positive, finite mean duration.
         self.system_config()
         for spec in self.client_faults:
             Fault.parse(spec)
@@ -124,16 +175,14 @@ class ScaleConfig:
 
     def churn_plan(self) -> tuple[random.Random, list[Fault]]:
         """The seeded churn windows, and the stream — continued past the
-        plan — that picks each window's slot when it opens."""
+        plan — that picks each window's client when it opens."""
         rng = random.Random((self.seed << 1) ^ 0xC4A11)
-        if not self.churn_windows:
-            return rng, []
         return rng, plan_churn_windows(
             rng,
             self.churn_windows,
             horizon=self.open_loop.duration,
             mean_duration=self.churn_mean_duration,
-            num_slots=self.num_clients,
+            num_clients=self.num_clients,
         )
 
 
@@ -196,9 +245,6 @@ class ScaleReport:
     rejoins: int = 0
     #: Largest pending-checkpoint stall any live client reports at the end.
     checkpoint_stall_seconds: float = 0.0
-    #: Logical sessions the pool leased / recycled over the run.
-    sessions_created: int = 0
-    sessions_recycled: int = 0
     peak_traced_bytes: int | None = None
     bytes_per_op: float | None = None
 
@@ -233,8 +279,6 @@ class ScaleReport:
             "evicted_clients": list(self.evicted_clients),
             "rejoins": self.rejoins,
             "checkpoint_stall_seconds": self.checkpoint_stall_seconds,
-            "sessions_created": self.sessions_created,
-            "sessions_recycled": self.sessions_recycled,
             "peak_traced_bytes": self.peak_traced_bytes,
             "bytes_per_op": self.bytes_per_op,
             "final_sample": (
@@ -264,7 +308,6 @@ class ScaleReport:
         registry.gauge("scale.recorder_compacted").set(self.recorder_compacted)
         registry.gauge("scale.epoch").set(self.epoch)
         registry.gauge("scale.evicted_clients").set(len(self.evicted_clients))
-        registry.gauge("scale.sessions_created").set(self.sessions_created)
         registry.gauge("scale.checkpoint_stall_seconds").set(
             self.checkpoint_stall_seconds
         )
@@ -337,6 +380,24 @@ def _growth_ratio(samples: list[ResidentSample], warmup_fraction: float) -> floa
     return late_mean / early_mean
 
 
+def _memberships(system) -> list:
+    """The membership managers of the live clients (none without
+    membership epochs)."""
+    return [
+        c.membership_manager
+        for c in system.clients
+        if not c.halted and c.membership_manager is not None
+    ]
+
+
+def _evicted(system) -> tuple[int, ...]:
+    """Clients outside the newest epoch any live client has installed."""
+    memberships = _memberships(system)
+    if not memberships:
+        return ()
+    return max(memberships, key=lambda m: m.epoch.epoch).evicted_clients()
+
+
 def run_scale(config: ScaleConfig) -> ScaleReport:
     """Run one open-loop scale configuration and measure it.
 
@@ -356,44 +417,34 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
         schedules, on_latency=lambda _client, latency: latency_hist.observe(latency)
     )
 
-    # Logical sessions lease the signer slots; churn and eviction move
-    # through the pool so the signer count never grows with session count.
-    # A slot that goes away — a churn window or a lease-expiry fault —
-    # logs its session out; a fresh one logs in when the slot returns.
-    pool = SessionPool(config.num_clients, provider=lambda slot: system.clients[slot])
-    active: dict[int, SessionLease] = {}
-    for _ in range(config.num_clients):
-        lease = pool.try_acquire()
-        if lease is None:  # pragma: no cover - pool sized to the fleet
-            break
-        active[lease.slot] = lease
+    # The clients churn may take away: one that goes away — a churn window
+    # or a lease-expiry fault — leaves the set, and rejoins it on return
+    # unless the newest installed epoch has evicted it.
+    present = set(range(config.num_clients))
 
-    def _on_away(slot: int, away: bool) -> None:
+    def _on_away(client: int, away: bool) -> None:
         if away:
-            if slot in active:
-                pool.release(active.pop(slot))
-        else:
-            lease = pool.try_acquire_slot(slot)
-            if lease is not None:  # slot may have been evicted while away
-                active[slot] = lease
+            present.discard(client)
+        elif client not in _evicted(system):
+            present.add(client)
 
     system.faults.add_listener(_on_away)
     churn_rng, windows = config.churn_plan()
 
-    def _session_out(duration: float) -> None:
-        quarantined = set(pool.quarantined)
+    def _churn_out(duration: float) -> None:
+        evicted = _evicted(system)
         eligible = [
-            slot
-            for slot in sorted(active)
-            if slot not in quarantined
-            and not system.clients[slot].halted
-            and not system.faults.conflict(Fault("away", slot, system.now, duration))
+            client
+            for client in sorted(present)
+            if client not in evicted
+            and not system.clients[client].halted
+            and not system.faults.conflict(Fault("away", client, system.now, duration))
         ]
-        if eligible:  # else every slot is away, crashed or evicted
+        if eligible:  # else every client is away, crashed or evicted
             system.faults.away(churn_rng.choice(eligible), duration)
 
     for window in windows:
-        system.scheduler.schedule_at(window.start, _session_out, window.duration)
+        system.scheduler.schedule_at(window.start, _churn_out, window.duration)
 
     for spec in config.client_faults:
         system.faults.add(Fault.parse(spec))
@@ -420,24 +471,16 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
     planned = driver.stats.total_planned()
     completed = driver.stats.total_completed()
     duration = system.now
-    live = [c for c in system.clients if not c.halted]
     managers = [
         c.checkpoint_manager
-        for c in live
-        if getattr(c, "checkpoint_manager", None) is not None
+        for c in system.clients
+        if not c.halted and c.checkpoint_manager is not None
     ]
-    memberships = [
-        c.membership_manager
-        for c in live
-        if getattr(c, "membership_manager", None) is not None
-    ]
+    memberships = _memberships(system)
     epoch = 0
-    evicted: tuple[int, ...] = ()
     rejoins = 0
     if memberships:
-        newest = max(memberships, key=lambda m: m.epoch.epoch)
-        epoch = newest.epoch.epoch
-        evicted = newest.evicted_clients()
+        epoch = max(m.epoch.epoch for m in memberships)
         rejoins = max(m.rejoins for m in memberships)
     return ScaleReport(
         config=config,
@@ -461,13 +504,11 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
         checker_ok={name: c.result().ok for name, c in checkers.items()},
         failed_clients=sum(1 for c in system.clients if c.failed),
         epoch=epoch,
-        evicted_clients=evicted,
+        evicted_clients=_evicted(system),
         rejoins=rejoins,
         checkpoint_stall_seconds=max(
             (m.stall_seconds(system.now) for m in managers), default=0.0
         ),
-        sessions_created=pool.sessions_created,
-        sessions_recycled=pool.sessions_recycled,
         peak_traced_bytes=peak,
         bytes_per_op=(peak / completed if peak and completed else None),
     )

@@ -29,7 +29,7 @@ from repro.api.backends import get_backend
 from repro.api.config import FaustParams, SystemConfig
 from repro.api.events import FailureNotification
 from repro.api.handles import OpHandle, OpResult
-from repro.cluster.shardmap import make_shard_map
+from repro.cluster.system import register_owners
 from repro.common.types import BOTTOM
 from repro.history.history import History
 from repro.replica.coordinator import group_stats
@@ -441,7 +441,6 @@ def split_brain_shard_scenario(
     fork_time: float = 25.0,
     ops_per_client: int = 12,
     delta: float = 25.0,
-    shard_map: str = "range",
     run_for: float = 600.0,
     backend: str = "cluster",
     workload: dict | None = None,
@@ -466,10 +465,10 @@ def split_brain_shard_scenario(
     """
     forked = frozenset(forked_shards)
     fork = partial(even_odd_fork, fork_time=fork_time)
-    # Placement is the shard map's alone, so ask a map, not a deployment.
-    shard_of = make_shard_map(shard_map, shards, num_clients).shard_of
-    honest = [r for r in range(num_clients) if shard_of(r) not in forked]
-    attacked = [r for r in range(num_clients) if shard_of(r) in forked]
+    # Placement is fixed by the register and shard counts alone.
+    owners = register_owners(num_clients, shards)
+    honest = [r for r in range(num_clients) if owners[r] not in forked]
+    attacked = [r for r in range(num_clients) if owners[r] in forked]
     if not attacked:
         raise ValueError(
             "no register maps to a forked shard; nothing would be attacked"
@@ -482,7 +481,6 @@ def split_brain_shard_scenario(
         backend, num_clients, seed, ops_per_client, delta, run_for,
         dict(
             shards=shards,
-            shard_map=shard_map,
             **(
                 {"shard_server_factories": {k: fork for k in forked}}
                 if honest

@@ -280,9 +280,9 @@ def test_batching_policy_validation():
     ]
 
 
-def test_driver_via_sessions_engages_batching():
-    """The workload driver can route through sessions, which is how the
-    CLI engages the batch buffer (a raw client call would bypass it)."""
+def test_driver_engages_batching():
+    """The workload driver issues through sessions and, on a batching
+    deployment, pipelines submissions so the batch buffer fills."""
     from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
     system = open_system(
@@ -293,7 +293,7 @@ def test_driver_via_sessions_engages_batching():
         WorkloadConfig(ops_per_client=6, read_fraction=0.5, mean_think_time=1.0),
         random.Random(5),
     )
-    driver = Driver(system, via_sessions=True)
+    driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=500)
     assert driver.stats.total_completed() == driver.stats.total_planned() == 24
@@ -302,21 +302,25 @@ def test_driver_via_sessions_engages_batching():
     assert system.server.group_commits > 0
 
 
-def test_driver_via_sessions_runs_on_a_built_deployment():
+def test_driver_runs_on_a_built_batched_deployment():
     """A deployment built without ``open_system`` has the per-client
-    session surface too, so the driver can route through it."""
+    session surface and batching policy too, so the driver runs on it."""
     from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
     from repro.workloads.runner import SimWorld, ustor_protocol, wire_deployment
 
     system = wire_deployment(
-        SimWorld(SystemConfig(num_clients=2, seed=1)), ustor_protocol(), num_clients=2
+        SimWorld(
+            SystemConfig(num_clients=2, seed=1, batching=BatchingPolicy(max_batch=4))
+        ),
+        ustor_protocol(),
+        num_clients=2,
     )
     scripts = generate_scripts(
         2,
         WorkloadConfig(ops_per_client=3, read_fraction=0.5, mean_think_time=1.0),
         random.Random(1),
     )
-    driver = Driver(system, via_sessions=True)
+    driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=200)
     assert driver.stats.total_completed() == driver.stats.total_planned() == 6

@@ -214,7 +214,6 @@ class TestTcpNoLongerIgnoresFlags:
         "flags, knob",
         [
             (["--shards", "2"], "shards="),
-            (["--shard-map", "hash"], "shard_map="),
             (["--shard-outage", "0", "5", "5"], "shard_outages="),
             (["--server", "tampering", "--server-shard", "0"],
              "shard_server_factories="),
@@ -302,6 +301,18 @@ class TestMisuseBeforeBuilding:
             (["--churn-windows", "500", "--duration", "50"], "churn plan"),
             (["--sample-every", "nan", "--duration", "50"], "sample_every"),
             (["--zipf", "nan", "--duration", "20"], "zipf_exponent"),
+            # An infinite rate never advances the arrival clock, an
+            # infinite duration never ends the schedule: both used to hang.
+            (["--rate", "inf", "--duration", "5"], "rate and duration"),
+            (["--duration", "inf"], "rate and duration"),
+            # inf raised ZeroDivisionError; -1 ran with every window
+            # floored to one time unit; nan failed later, in Fault.
+            (["--churn-windows", "2", "--churn-mean-duration", "inf",
+              "--duration", "20"], "mean duration"),
+            (["--churn-windows", "2", "--churn-mean-duration", "-1",
+              "--duration", "20"], "mean duration"),
+            (["--churn-windows", "2", "--churn-mean-duration", "nan",
+              "--duration", "20"], "mean duration"),
         ],
     )
     def test_scale(self, flags, hint, monkeypatch, capsys):

@@ -7,6 +7,10 @@ and line count of each report below, so a change to how a deployment is
 opened, wired or read off shows up as a changed digest even when every
 behavioural test still passes.
 
+Two more runs check that ``--span-log`` only adds its own ``# span
+log:`` line: tracing observes the workload, it does not change how the
+workload is driven.
+
 Each report runs in a fresh interpreter: ``--profile`` prints the
 process-wide hot-path cache counters, which an earlier run in the same
 process would inflate.  The ``--span-log`` path is replaced by a fixed
@@ -59,11 +63,27 @@ INVOCATIONS = {
 }
 
 
+#: Runs whose report must not depend on ``--span-log``: spans observe
+#: the workload, they do not change how it is driven.
+SPAN_LOG_INVARIANT = {
+    "default-history": "--clients 3 --ops 6 --history",
+    "cluster-split-brain-metrics": (
+        "--backend cluster --clients 6 --shards 2 --server split-brain "
+        "--server-shard 1 --metrics"
+    ),
+}
+
+
 def report(name: str) -> str:
     """The stdout of one pinned invocation, run in a fresh interpreter."""
+    return run(INVOCATIONS[name])
+
+
+def run(invocation: str) -> str:
+    """The stdout of ``repro run <invocation>`` in a fresh interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         span_log = os.path.join(tmp, "spans.jsonl")
-        args = INVOCATIONS[name].replace(SPAN_LOG, span_log).split()
+        args = invocation.replace(SPAN_LOG, span_log).split()
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
             [sys.executable, "-m", "repro", "run", *args],
@@ -103,6 +123,16 @@ def test_report_is_pinned(name, captured):
     assert captured[name] == expected[name], (
         f"'repro run {INVOCATIONS[name]}' printed a different report"
     )
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_LOG_INVARIANT))
+def test_span_log_does_not_change_the_report(name):
+    plain = SPAN_LOG_INVARIANT[name]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        without, with_spans = pool.map(run, [plain, f"{plain} --span-log {SPAN_LOG}"])
+    lines = with_spans.splitlines(keepends=True)
+    assert sum(line.startswith("# span log: ") for line in lines) == 1
+    assert "".join(l for l in lines if not l.startswith("# span log: ")) == without
 
 
 if __name__ == "__main__":

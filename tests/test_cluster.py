@@ -1,4 +1,4 @@
-"""The sharded cluster layer: maps, routing, faults, scoped detection.
+"""The sharded cluster layer: placement, routing, faults, scoped detection.
 
 The load-bearing assertions here are the cluster's three cross-shard
 proofs (ISSUE 3 acceptance):
@@ -26,11 +26,9 @@ from repro.api import (
 from repro.cluster import (
     ClusterSession,
     ClusterSystem,
-    HashShardMap,
-    RangeShardMap,
     ShardFailureNotification,
     ShardStabilityNotification,
-    make_shard_map,
+    register_owners,
 )
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM
@@ -49,55 +47,27 @@ def quiet_cluster(num_clients=4, shards=2, seed=5, **overrides) -> ClusterSystem
 
 
 # --------------------------------------------------------------------- #
-# Shard maps
+# Placement
 # --------------------------------------------------------------------- #
 
 
-class TestShardMaps:
-    def test_range_map_is_balanced_and_contiguous(self):
-        shard_map = RangeShardMap(num_shards=3, num_registers=8)
-        owners = [shard_map.shard_of(r) for r in range(8)]
-        assert owners == sorted(owners)  # contiguous ranges
-        partitions = shard_map.partition(8)
-        sizes = [len(p) for p in partitions]
-        assert sum(sizes) == 8 and max(sizes) - min(sizes) <= 1
+class TestPlacement:
+    def test_ranges_are_balanced_and_contiguous(self):
+        owners = register_owners(8, 3)
+        assert owners == (0, 0, 0, 1, 1, 1, 2, 2)  # first 8 % 3 shards: +1
+        system = quiet_cluster(num_clients=8, shards=3)
+        assert [system.shard_of(r) for r in range(8)] == list(owners)
 
-    def test_range_map_rejects_out_of_space_registers(self):
-        shard_map = RangeShardMap(num_shards=2, num_registers=4)
+    def test_out_of_space_registers_are_refused(self):
+        system = quiet_cluster(num_clients=4, shards=2)
         with pytest.raises(ConfigurationError):
-            shard_map.shard_of(4)
+            system.shard_of(4)
         with pytest.raises(ConfigurationError):
-            shard_map.shard_of(-1)
+            system.shard_of(-1)
 
-    def test_range_map_rejects_empty_shards(self):
+    def test_empty_shards_are_refused(self):
         with pytest.raises(ConfigurationError):
-            RangeShardMap(num_shards=5, num_registers=3)
-
-    def test_hash_map_is_deterministic_and_total(self):
-        a = HashShardMap(num_shards=4)
-        b = HashShardMap(num_shards=4)
-        owners = [a.shard_of(r) for r in range(64)]
-        assert owners == [b.shard_of(r) for r in range(64)]
-        assert all(0 <= s < 4 for s in owners)
-        assert len(set(owners)) > 1  # spreads over shards
-
-    def test_hash_map_placement_independent_of_population(self):
-        # Consistent hashing: growing the register space never moves an
-        # existing register.
-        shard_map = HashShardMap(num_shards=3)
-        small = [shard_map.shard_of(r) for r in range(10)]
-        large = [shard_map.shard_of(r) for r in range(100)]
-        assert large[:10] == small
-
-    def test_make_shard_map_resolves_and_validates(self):
-        assert isinstance(make_shard_map("range", 2, 4), RangeShardMap)
-        assert isinstance(make_shard_map("hash", 2, 4), HashShardMap)
-        ready = HashShardMap(num_shards=2)
-        assert make_shard_map(ready, 2, 4) is ready
-        with pytest.raises(ConfigurationError):
-            make_shard_map(ready, 3, 4)  # shard-count mismatch
-        with pytest.raises(ConfigurationError):
-            make_shard_map("mod", 2, 4)
+            SystemConfig(num_clients=3, shards=5)
 
 
 # --------------------------------------------------------------------- #
@@ -158,7 +128,7 @@ class TestClusterConfig:
     def test_capabilities_follow_shard_protocol(self):
         faust_cluster = quiet_cluster()
         assert faust_cluster.capabilities.stability
-        ustor_cluster = quiet_cluster(shard_protocol="ustor", shard_map="hash")
+        ustor_cluster = quiet_cluster(shard_protocol="ustor")
         assert not ustor_cluster.capabilities.stability
         with pytest.raises(CapabilityError):
             ustor_cluster.require("stability")
@@ -252,18 +222,6 @@ class TestClusterSessions:
         with pytest.raises(ConfigurationError):
             system.shard_of(4)
 
-    def test_proxy_clients_route_like_sessions(self):
-        system = quiet_cluster(num_clients=4, shards=2)
-        results = []
-        system.clients[0].write(b"via-proxy", results.append)
-        system.run_until(lambda: bool(results), timeout=100.0)
-        assert results[0].value == b"via-proxy"
-        reads = []
-        system.clients[3].read(0, reads.append)
-        system.run_until(lambda: bool(reads), timeout=100.0)
-        assert reads[0].value == b"via-proxy"
-        assert system.touched_shards(3) == (0,)
-
     def test_cluster_history_is_per_shard(self):
         system = quiet_cluster(num_clients=4, shards=2)
         system.session(0).write_sync(b"x")
@@ -323,7 +281,7 @@ class TestClusterStability:
         assert any(e.client == 0 and e.shard == session.home_shard for e in stability)
 
     def test_ustor_shards_have_no_stability_surface(self):
-        system = quiet_cluster(shard_protocol="ustor", shard_map="hash")
+        system = quiet_cluster(shard_protocol="ustor")
         session = system.session(0)
         session.write_sync(b"x")
         with pytest.raises(CapabilityError):
@@ -513,10 +471,10 @@ class TestSplitBrainShardScenario:
         reported = {e.shard for e in result.system.notifications.failure_events()}
         assert reported <= {1, 2} and reported
 
-    def test_hash_map_variant_detects_exactly_too(self):
+    def test_unbalanced_ranges_detect_exactly_too(self):
         result = split_brain_shard_scenario(
             num_clients=8, shards=3, forked_shards=(1,), seed=47,
-            shard_map="hash", ops_per_client=8, run_for=400.0,
+            ops_per_client=8, run_for=400.0,
         )
         assert result.exact_detection
         assert result.stats.all_done(result.avoiders)

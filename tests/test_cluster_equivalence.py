@@ -118,12 +118,11 @@ def test_honest_backends_observe_identical_values(seed):
         ("cluster", quiet_config(seed, shards=1)),
         ("cluster", quiet_config(seed, shards=2)),
         ("cluster", quiet_config(seed, shards=3)),
-        ("cluster", quiet_config(seed, shards=2, shard_map="hash")),
         ("cluster", quiet_config(seed, shards=2, shard_protocol="ustor")),
     ]
     for backend, config in variants:
         outcomes, verdicts = execute(backend, config, program)
-        label = f"{backend}/{getattr(config, 'shards', 1)}-{config.shard_map}"
+        label = f"{backend}/{config.shards}-{config.shard_protocol}"
         assert outcomes == reference, f"{label} diverged from faust"
         assert verdicts == reference_verdicts, f"{label} raised a false alarm"
 

@@ -65,13 +65,12 @@ def test_long_cluster_churn_with_shard_outages_stays_accurate():
 @pytest.mark.parametrize("seed", range(25))
 def test_split_brain_detection_scope_over_many_seeds(seed):
     """The acceptance invariant — notified == touched-forked, avoiders
-    unharmed — over a wide seed sweep and both shard maps."""
+    unharmed — over a wide seed sweep."""
     result = split_brain_shard_scenario(
         num_clients=6,
         shards=4,
         forked_shards=(seed % 4,) if seed % 4 else (1,),
         seed=500 + seed,
-        shard_map="hash" if seed % 2 else "range",
         ops_per_client=10,
         run_for=500.0,
     )

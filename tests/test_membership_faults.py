@@ -96,12 +96,6 @@ def test_lease_expiry_then_return_rejoins_without_false_fail():
     assert report.checkpoints_installed >= 10
 
 
-def test_session_pool_recycles_the_evicted_slot_after_rejoin():
-    report = run_scale(_config(client_faults=("lease-expiry:1@100+200",)))
-    assert report.sessions_created >= 4
-    assert report.sessions_recycled >= 1
-
-
 def test_client_faults_require_well_formed_specs():
     from repro.common.errors import SimulationError
 

@@ -12,18 +12,30 @@ grows without bound — at identical operation latencies.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from repro.api import SystemConfig, open_system
+from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.faust.checkpoint import CheckpointPolicy
+from repro.sim.faults import Fault, plan_windows
 from repro.workloads.generator import (
+    Driver,
     OpenLoopConfig,
     ZipfSampler,
     generate_open_loop,
 )
-from repro.workloads.scale import ScaleConfig, ScaleReport, run_scale
+from repro.workloads.scale import (
+    ScaleConfig,
+    ScaleReport,
+    _max_concurrent,
+    plan_churn_windows,
+    run_scale,
+)
 
 SEED = 20260730
 
@@ -107,6 +119,10 @@ def test_open_loop_config_validation():
     for knob in ("rate", "duration"):
         with pytest.raises(ConfigurationError):
             OpenLoopConfig(**{knob: float("nan")})
+        # An infinite rate draws zero interarrivals forever; an infinite
+        # duration never ends the schedule.
+        with pytest.raises(ConfigurationError, match="finite"):
+            OpenLoopConfig(**{knob: float("inf")})
     with pytest.raises(ConfigurationError):
         OpenLoopConfig(read_fraction=1.5)
     with pytest.raises(ConfigurationError):
@@ -121,6 +137,94 @@ def test_scale_config_validation():
     # NaN passed ``sample_every <= 0`` and hung the sampling loop.
     with pytest.raises(ConfigurationError):
         ScaleConfig(sample_every=float("nan"))
+
+
+@pytest.mark.parametrize("mean", [0.0, -1.0, float("inf"), float("nan")])
+def test_churn_mean_duration_must_be_positive_and_finite(mean):
+    with pytest.raises(ConfigurationError, match="mean duration"):
+        plan_windows(random.Random(1), "away", 2, 20.0, mean)
+    with pytest.raises(ConfigurationError, match="mean duration"):
+        ScaleConfig(churn_windows=2, churn_mean_duration=mean)
+
+
+# --------------------------------------------------------------------- #
+# Churn planning
+# --------------------------------------------------------------------- #
+
+
+def test_churn_plan_is_deterministic_and_sane():
+    a = plan_churn_windows(
+        random.Random(11), 20, horizon=500.0, mean_duration=5.0, num_clients=40
+    )
+    b = plan_churn_windows(
+        random.Random(11), 20, horizon=500.0, mean_duration=5.0, num_clients=40
+    )
+    assert a == b
+    assert len(a) == 20
+    assert all(0.0 <= w.start < 500.0 for w in a)
+    assert all(w.duration >= 1.0 for w in a)
+    assert a == sorted(a, key=lambda w: (w.start, w.duration))
+
+
+def test_churn_plan_rejects_concurrent_overload():
+    with pytest.raises(ConfigurationError, match="churn plan"):
+        plan_churn_windows(
+            random.Random(3), 50, horizon=10.0, mean_duration=60.0, num_clients=2
+        )
+
+
+def test_churn_plan_rejects_negative_count():
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        plan_churn_windows(
+            random.Random(3), -1, horizon=10.0, mean_duration=1.0, num_clients=2
+        )
+
+
+def test_max_concurrent_counts_overlap():
+    windows = [
+        Fault("away", None, 0.0, 10.0),
+        Fault("away", None, 5.0, 10.0),
+        Fault("away", None, 20.0, 1.0),
+    ]
+    assert _max_concurrent(windows) == 2
+    assert _max_concurrent([]) == 0
+    assert windows[0].end == 10.0
+
+
+# --------------------------------------------------------------------- #
+# The open-loop driver
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "backend, knobs",
+    [
+        ("faust", {}),
+        ("ustor", {}),
+        ("lockstep", {}),
+        ("unchecked", {}),
+        ("cluster", {"shards": 2, "shard_protocol": "ustor"}),
+    ],
+    ids=["faust", "ustor", "lockstep", "unchecked", "cluster-ustor"],
+)
+def test_open_loop_driver_completes_every_arrival(backend, knobs):
+    """Arrivals overlap in-flight operations; the session queues them for
+    clients that run one operation at a time (they used to raise
+    ProtocolError out of the event loop)."""
+    system = open_system(SystemConfig(num_clients=3, seed=SEED, **knobs), backend=backend)
+    schedules = generate_open_loop(
+        3, OpenLoopConfig(rate=0.5, duration=40.0), random.Random(SEED)
+    )
+    latencies = []
+    driver = Driver(system)
+    driver.attach_open_loop_all(
+        schedules, on_latency=lambda _client, latency: latencies.append(latency)
+    )
+    system.run(until=400.0)
+    planned = driver.stats.total_planned()
+    assert planned > 0
+    assert driver.stats.total_completed() == planned == len(latencies)
+    assert min(latencies) > 0
 
 
 # --------------------------------------------------------------------- #
@@ -191,6 +295,44 @@ def test_churned_clients_rejoin_and_checkpointing_resumes():
     assert churned.completed == churned.planned
     # Churn can only delay installs, never add them.
     assert churned.checkpoints_installed <= smooth.checkpoints_installed
+
+
+#: ``repro scale`` reports pinned by SHA-256 of ``json.dumps(report,
+#: sort_keys=True)``: churn, eviction, return and crash-forever, with and
+#: without membership epochs.
+SCALE_REPORTS = {
+    "churn-lease-expiry": (
+        "--clients 4 --rate 0.3 --duration 400 --checkpoint-interval 8 "
+        "--membership --churn-windows 6 --client-faults lease-expiry:1@100+200",
+        "52f6673c03af774e8c4de24fd579b19539b42d2e69466ee40bcab82c4533ed96",
+    ),
+    "churn-expiry-crash": (
+        "--clients 5 --rate 0.4 --duration 600 --checkpoint-interval 8 "
+        "--membership --churn-windows 20 --churn-mean-duration 40 "
+        "--client-faults lease-expiry:2@50+300 --client-faults crash-forever:3@400",
+        "cceb3ba72567e0f11298834168ee1a4e3715c160d1f4082ef844f06c331250eb",
+    ),
+    "churn-crash-forever": (
+        "--clients 4 --rate 0.5 --duration 400 --checkpoint-interval 8 "
+        "--membership --client-faults crash-forever:2@120 --churn-windows 10",
+        "88f0036847c380186e40ff8e9c9a243e54415027b101258dff38aac758f745a8",
+    ),
+    "churn-unbounded": (
+        "--clients 6 --rate 0.2 --duration 800 --churn-windows 40 "
+        "--churn-mean-duration 20",
+        "b7bc8de646991e76d56189e17d02bf14279caa0c3b1a63544c88af941e897c5d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_REPORTS))
+def test_scale_report_is_pinned(name, tmp_path, capsys):
+    flags, digest = SCALE_REPORTS[name]
+    path = tmp_path / "report.json"
+    assert main(["scale", "--json", str(path), *flags.split()]) == 0
+    report = json.loads(path.read_text())
+    rendered = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(rendered).hexdigest() == digest, report
 
 
 @pytest.mark.slow

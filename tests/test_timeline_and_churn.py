@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.timeline import render_timeline
 from repro.api import FaustParams, SystemConfig, open_system
+from repro.common.errors import ConfigurationError
 from repro.common.types import BOTTOM
 from repro.sim.faults import Fault
 from repro.workloads.churn import ChurnSchedule
@@ -84,6 +85,15 @@ class TestChurn:
     def test_invalid_duration_rejected(self):
         with pytest.raises(ValueError):
             ChurnSchedule(churn_system()).add_window(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("mean", [0.0, -1.0, float("inf"), float("nan")])
+    def test_random_windows_refuse_a_bad_mean_duration(self, mean):
+        # inf divided by zero in the planner; a non-positive mean was
+        # silently floored to one time unit.
+        churn = ChurnSchedule(churn_system())
+        with pytest.raises(ConfigurationError, match="mean duration"):
+            churn.random_windows(count=2, horizon=50.0, mean_duration=mean)
+        assert churn.windows == []
 
     def test_window_end_property(self):
         assert Fault("away", 0, 2.0, 3.0).end == 5.0

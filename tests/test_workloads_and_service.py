@@ -227,7 +227,8 @@ SCENARIO_ROWS = [
     ]
 ] + [
     (split_brain_shard_scenario, dict(ops_per_client=8, run_for=300.0, **knobs))
-    for knobs in [dict(), dict(forked_shards=(1, 2), seed=43), dict(shard_map="hash")]
+    for knobs in [dict(), dict(forked_shards=(1, 2), seed=43),
+                  dict(num_clients=8, shards=3, seed=47)]
 ]
 
 
