@@ -30,6 +30,7 @@ from repro.api import (
     OperationFailed,
     SystemConfig,
 )
+from repro.sim.faults import Fault
 from repro.store import encode_server_state
 from repro.ustor.byzantine import RollbackServer
 
@@ -43,7 +44,7 @@ def honest_crash_recovery() -> None:
             num_clients=2,
             seed=33,
             storage="log",  # write-ahead log + snapshots
-            server_outages=((6.0, 12.0),),  # down over [6, 18)
+            server_outages=(Fault("down", None, 6.0, 12.0),),  # down over [6, 18)
         )
     )
     alice, bob = system.session(0), system.session(1)

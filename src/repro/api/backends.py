@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.api.config import SystemConfig, check_supported
 from repro.common.errors import ConfigurationError
-from repro.sim.faults import Fault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports the api)
     from repro.workloads.runner import Deployment
@@ -131,15 +130,10 @@ class _Backend:
         system.backend_name = self.name
         system.capabilities = self._capabilities_for(config)
         system.default_timeout = config.default_timeout
-        outages = [Fault("down", None, *window) for window in config.server_outages]
-        outages += [
-            Fault("down", (shard, None), start, duration)
-            for shard, start, duration in config.shard_outages
-        ]
         # Sorted, so that when one window ends exactly where the next
         # begins, the restart event is enqueued (and fires) before the
         # next crash — ties at one virtual time break by scheduling order.
-        for fault in sorted(outages, key=lambda fault: fault.start):
+        for fault in sorted(config.server_outages, key=lambda fault: fault.start):
             system.faults.add(fault)
         if config.span_log is not None:
             # Sessions read the span log off the deployment they are opened

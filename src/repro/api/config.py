@@ -9,12 +9,11 @@ parameters without touching the common deployment shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigurationError
-from repro.sim.faults import overlap
+from repro.sim.faults import Fault, overlap
 from repro.sim.network import LatencyModel
 
 if TYPE_CHECKING:  # import cycle: repro.faust pulls this module back in
@@ -90,6 +89,10 @@ class SystemConfig:
     backend runs which knob on which transport is declared once, in
     :data:`FEATURES` below; a knob set where no cell runs it is rejected
     by :func:`check_supported`, never silently ignored.
+
+    Server crash-recovery windows are declared here, as ``down``
+    :class:`~repro.sim.faults.Fault` records in ``server_outages``; every
+    other fault is added to the opened system's ``faults`` schedule.
     """
 
     num_clients: int
@@ -109,12 +112,13 @@ class SystemConfig:
     #: ``f(num_clients) -> StorageEngine``.  Ignored when
     #: ``server_factory`` is given (a custom server owns its durability).
     storage: str | Callable = "memory"
-    #: Scheduled crash-recovery windows ``(start, duration)`` for the
-    #: server: it goes down at ``start`` and recovers from its storage
-    #: engine ``duration`` later.  On the ``cluster`` backend each window
-    #: hits *every* shard (a correlated outage — use ``shard_outages`` to
-    #: target one shard).
-    server_outages: tuple[tuple[float, float], ...] = ()
+    #: Scheduled server crash-recovery windows: ``down``
+    #: :class:`~repro.sim.faults.Fault` records targeting ``(shard,
+    #: replica)`` (``None`` in either place = every one; an unsharded
+    #: deployment is shard 0).  Each server goes down at ``start`` and
+    #: recovers from its storage engine ``duration`` later; windows one
+    #: server would see overlapping are refused here.
+    server_outages: tuple[Fault, ...] = ()
     #: Number of shards.  Each shard is an independent server owning one
     #: balanced contiguous range of the register space.
     shards: int = 1
@@ -125,9 +129,6 @@ class SystemConfig:
     #: run a Byzantine server while the rest stay honest.  Shards not
     #: named here use ``server_factory`` (or the honest default).
     shard_server_factories: dict = field(default_factory=dict)
-    #: Crash-recovery windows targeting single shards:
-    #: ``(shard, start, duration)`` triples.
-    shard_outages: tuple[tuple[int, float, float], ...] = ()
     #: Replicas per shard (:mod:`repro.replica`).  ``1`` is the paper's
     #: single untrusted server; ``>1`` puts a client-side quorum group
     #: behind each shard (over tcp: one endpoint per replica).
@@ -212,16 +213,6 @@ class SystemConfig:
             self.default_timeout = 30.0 if self.transport == "tcp" else 1_000.0
         if not self.default_timeout > 0:  # NaN fails too
             raise ConfigurationError("default_timeout must be positive")
-        for window in self.server_outages:
-            if (
-                len(window) != 2
-                or not 0 <= window[0] < math.inf
-                or not window[1] > 0
-            ):
-                raise ConfigurationError(
-                    f"server outages are (finite non-negative start, "
-                    f"positive duration) pairs, got {window!r}"
-                )
         if self.shards < 1:
             raise ConfigurationError("a deployment needs at least one shard")
         if self.shards > self.num_clients:
@@ -240,28 +231,6 @@ class SystemConfig:
                 "checkpoint= (and membership=) need fail-aware shards to "
                 "co-sign the stable cut: they require shard_protocol='faust'"
             )
-        for entry in self.shard_outages:
-            if (
-                len(entry) != 3
-                or not 0 <= entry[0] < self.shards
-                or not 0 <= entry[1] < math.inf
-                or not entry[2] > 0
-            ):
-                raise ConfigurationError(
-                    f"shard outages are (shard < {self.shards}, finite "
-                    f"non-negative start, positive duration) triples, "
-                    f"got {entry!r}"
-                )
-        # The schedule's own rule, applied to what each shard's server will
-        # see: the whole-deployment windows plus the ones naming that shard.
-        for shard in range(self.shards):
-            mine = [(s, d) for k, s, d in self.shard_outages if k == shard]
-            clash = overlap([*self.server_outages, *mine])
-            if clash is not None:
-                raise ConfigurationError(
-                    f"{f'shard {shard}: ' if self.shards > 1 else ''}server "
-                    f"outage windows overlap: {clash[0]} and {clash[1]}"
-                )
         for shard in self.shard_server_factories:
             if not 0 <= shard < self.shards:
                 raise ConfigurationError(
@@ -298,6 +267,7 @@ class SystemConfig:
                     f"replica_server_factories names replica {replica!r} but "
                     f"each shard has {self.replicas} replica(s)"
                 )
+        self._check_server_outages()
         if self.transport not in TRANSPORTS:
             raise ConfigurationError(
                 f"transport must be 'sim' or 'tcp', got {self.transport!r}"
@@ -323,6 +293,42 @@ class SystemConfig:
         # What no backend runs on this transport can be refused before a
         # backend is even chosen; open_system repeats the check per backend.
         check_supported(self)
+
+    def _check_server_outages(self) -> None:
+        """Each entry is a ``down`` fault naming a shard and replica that
+        exist, and no server sees two of its windows overlap (the
+        schedule's own rule, applied before anything opens)."""
+        for fault in self.server_outages:
+            if not isinstance(fault, Fault) or fault.kind != "down":
+                raise ConfigurationError(
+                    f"server_outages holds down Faults, got {fault!r}"
+                )
+            shard, replica = fault.target
+            if shard is not None and shard >= self.shards:
+                raise ConfigurationError(
+                    f"server outage names shard {shard} but the deployment "
+                    f"has {self.shards} shard(s)"
+                )
+            if replica is not None and replica >= self.replicas:
+                raise ConfigurationError(
+                    f"server outage names replica {replica} but each shard "
+                    f"has {self.replicas} replica(s)"
+                )
+        for shard in range(self.shards):
+            for replica in range(self.replicas):
+                clash = overlap(
+                    (fault.start, fault.duration)
+                    for fault in self.server_outages
+                    if fault.target[0] in (None, shard)
+                    and fault.target[1] in (None, replica)
+                )
+                if clash is not None:
+                    raise ConfigurationError(
+                        f"{f'shard {shard}: ' if self.shards > 1 else ''}"
+                        f"{f'replica {replica}: ' if self.replicas > 1 else ''}"
+                        f"server outage windows overlap: {clash[0]} and "
+                        f"{clash[1]}"
+                    )
 
 
 def _as_policy(name: str, value, policy_class):
@@ -391,8 +397,7 @@ FEATURES: tuple[Feature, ...] = (
             "membership epochs co-signed over the fail-aware layer's "
             "offline channel", sim=_FAIL_AWARE),
     Feature("shards",
-            ("shards", "shard_protocol",
-             "shard_server_factories", "shard_outages"),
+            ("shards", "shard_protocol", "shard_server_factories"),
             "the shard axis", sim=("cluster",)),
     Feature("replicas", ("replicas", "quorum"),
             "the replica axis", sim=_USTOR_STACK, tcp=("ustor",)),

@@ -67,6 +67,7 @@ from repro.consistency import (
     validate_weak_fork_linearizability,
 )
 from repro.replica.coordinator import group_stats
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import ADVERSARIES, catalogue_lines
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import WorkloadConfig, run_closed_loop
@@ -315,13 +316,15 @@ def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
         seed=args.seed,
         server_factory=factory,
         storage=args.storage,
-        server_outages=tuple(map(tuple, args.outage or ())),
+        server_outages=(
+            *(Fault("down", None, *window) for window in args.outage or ()),
+            *(
+                Fault("down", (int(shard), None), start, duration)
+                for shard, start, duration in args.shard_outage or ()
+            ),
+        ),
         shards=args.shards,
         shard_server_factories=shard_factories,
-        shard_outages=tuple(
-            (int(shard), start, duration)
-            for shard, start, duration in args.shard_outage or ()
-        ),
         replicas=args.replicas,
         quorum=args.quorum,
         counter=args.counter,
@@ -786,7 +789,7 @@ def main(argv: list[str] | None = None) -> int:
         action="append",
         metavar=("SHARD", "START", "DURATION"),
         help="crash-recovery window for one shard's server (repeatable; "
-        "requires --backend cluster)",
+        "an unsharded deployment is shard 0)",
     )
     run.add_argument(
         "--replicas",

@@ -4,8 +4,9 @@ The cluster backend interprets the shard-axis knobs — ``shards``,
 ``shard_protocol``, ``shard_server_factories`` — and the
 replica-axis knobs — ``replicas``, ``quorum``, ``counter``,
 ``replica_server_factories`` (:mod:`repro.replica`) — and assembles one
-deployment per shard over a shared scheduler (``shard_outages`` become
-faults on the opened system, like ``server_outages`` on any backend).
+deployment per shard over a shared scheduler (``server_outages`` become
+faults on the opened system, as on any backend; a ``(shard, replica)``
+target picks the servers).
 Everything else (latency models, storage engine, FAUST tuning, seeds)
 applies uniformly to every shard, so a config that ran on the ``faust``
 backend runs on ``cluster`` by adding ``shards=N`` (and ``replicas=K``

@@ -16,13 +16,13 @@ more) — :func:`register_owners`.  Re-sharding would be a fork by
 construction (two owners answering for one register).
 
 It shares :class:`~repro.workloads.runner.Deployment` with the single
-deployment — clock, sessions, guarantees, fault producers, audits,
+deployment — clock, sessions, guarantees, fault schedule, audits,
 profile, ``close`` — and adds what a shard axis needs: operations go
 through :class:`~repro.cluster.session.ClusterSession`, the one shard
 router; ``clients`` holds :class:`ClusterClient` views that aggregate
-per-shard state for the fault schedule and the reports; ``offline`` and
-``trace`` fan out over the shards, so drivers, churn schedules and the
-CLI run unchanged on a cluster.
+per-shard state for the fault schedule and the reports; ``offline``
+fans out over the shards and ``trace`` sums their messages, so drivers,
+faults and the CLI run unchanged on a cluster.
 
 Detection is audited **per shard and per dependency**: the cluster wires
 a client's notifications for exactly the shards that client touched with
@@ -40,8 +40,9 @@ from repro.cluster.session import ClusterSession
 from repro.common.errors import ConfigurationError
 from repro.common.types import ClientId, RegisterId, client_name
 from repro.history.history import History
-from repro.sim.faults import Fault, FaultInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.scheduler import Scheduler
+from repro.sim.trace import SimTrace
 from repro.workloads.runner import Deployment, StorageSystem
 
 
@@ -193,19 +194,13 @@ class _ClusterOffline:
         )
 
 
-class _ClusterTrace:
-    """Read-mostly trace facade aggregating per-shard traces.
-
-    Cluster-level events (``note``) land on every query as well, so a
-    churn schedule's offline/online notes are preserved.
-    """
+class _ClusterTrace(SimTrace):
+    """The cluster's own notes (its clients' fault transitions) in the
+    one note format; message counts and bytes sum the shards' traces."""
 
     def __init__(self, cluster: "ClusterSystem") -> None:
+        super().__init__()
         self._cluster = cluster
-        self.notes: list[tuple[float, str, str, tuple]] = []
-
-    def note(self, time: float, who: str, what: str, *details) -> None:
-        self.notes.append((time, who, what, details))
 
     def message_count(self, kind: str | None = None) -> int:
         return sum(
@@ -316,23 +311,6 @@ class ClusterSystem(Deployment):
             hub.emit_shard_failure(
                 self.scheduler.now, client_id, instance.halt_reason, shard
             )
-
-    # -- faults: the shard axis's producers for ``self.faults`` ----------- #
-
-    def shard_outage(self, shard: int, start: float, duration: float) -> None:
-        """One crash-recovery window for a single shard.
-
-        On a replicated shard the window hits every replica of that shard
-        (a correlated outage); use :meth:`replica_outage` to crash one
-        replica only — the fault an honest-majority group masks.
-        """
-        self.faults.add(Fault("down", (shard, None), start, duration))
-
-    def replica_outage(
-        self, shard: int, replica: int, start: float, duration: float
-    ) -> None:
-        """One crash-recovery window for a single replica of one shard."""
-        self.faults.add(Fault("down", (shard, replica), start, duration))
 
     # ------------------------------------------------------------------ #
     # Histories (per shard — each shard is its own consistency domain)

@@ -15,6 +15,7 @@ import random
 from repro.analysis.tables import format_table
 from repro.api import SystemConfig, open_system
 from repro.experiments.base import ExperimentResult
+from repro.sim.faults import Fault
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import WorkloadConfig, generate_scripts, run_closed_loop
 
@@ -33,7 +34,7 @@ def _run_with_crash(system, num_clients: int, ops_per_client: int, seed: int):
     scripts[0][0] = type(first)(
         kind=first.kind, register=first.register, value=first.value, think_time=0.0
     )
-    system.crash_client_at(0, time=1.5)
+    system.faults.add(Fault("crash-forever", 0, 1.5))
     driver = run_closed_loop(system, scripts, until=3_000)
     survivors = range(1, num_clients)
     completed = sum(driver.stats.completed[c] for c in survivors)

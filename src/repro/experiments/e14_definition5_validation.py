@@ -15,6 +15,7 @@ from repro.analysis.tables import format_table
 from repro.api import FaustParams, SystemConfig, open_system
 from repro.experiments.base import ExperimentResult
 from repro.faust.validator import validate_fail_aware_run
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.ustor.server import UstorServer
 from repro.workloads.generator import WorkloadConfig, run_closed_loop
@@ -42,7 +43,7 @@ def _run_deployment(kind: str, seed: int, settle: float):
         backend="faust",
     )
     if kind == "correct+crash":
-        system.crash_client_at(2, time=8.0)
+        system.faults.add(Fault("crash-forever", 2, 8.0))
     run_closed_loop(
         system,
         WorkloadConfig(ops_per_client=6, mean_think_time=1.0),

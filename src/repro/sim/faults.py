@@ -4,13 +4,17 @@ The paper's fault model is three lines (Section 2): the server is correct
 or Byzantine, clients crash-stop, and a correct client may be
 disconnected for a while and catch up over the offline channel.  The
 storage-engine work adds one mode: a server that *crashes and recovers
-from disk*.  This module is the one place any of them is scheduled and
-performed.  A :class:`Fault` says what happens to whom over which
-window; the deployment's :class:`FaultInjector` (``system.faults``)
-refuses a window that overlaps another on the same process, schedules
-the transitions, and performs them — crash/restart of a server or a
-client, and *away*/*back* (pause plus offline-mailbox deferral) — each
-with its trace note and its "already down / already halted: skip" guard.
+from disk*.  This module is the one place any of them is written down
+and performed.  A :class:`Fault` says what happens to whom over which
+window, and reaches a run in one of two ways: declared on
+``SystemConfig.server_outages`` (server windows, refused before anything
+opens) or added with ``system.faults.add(fault)``.  The deployment's
+:class:`FaultInjector` (``system.faults``) refuses a window that overlaps
+another on the same process, schedules the transitions, and performs
+them — crash/restart of a server or a client, and *away*/*back* (pause
+plus offline-mailbox deferral; :meth:`FaultInjector.away` / ``back`` act
+*now*) — each with the one trace note :data:`_KINDS` names and its
+"already down / already halted: skip" guard.
 
 Recovery semantics live elsewhere by design: *what* a server comes back
 with is its :class:`~repro.store.engine.StorageEngine`'s recovery (see
@@ -21,7 +25,7 @@ rollback adversary (:class:`~repro.ustor.byzantine.RollbackServer`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -40,6 +44,8 @@ _KINDS = {
     ),
     "away": (("_away", "client-away"), ("_back", "client-return")),
 }
+#: The notes :meth:`FaultInjector.away` / ``back`` leave: the away kind's.
+_AWAY_NOTE, _BACK_NOTE = (note for _method, note in _KINDS["away"])
 
 #: ``down`` is a server crash-recovery window; the rest happen to a client.
 FAULT_KINDS = tuple(_KINDS)
@@ -57,7 +63,8 @@ class Fault:
       storage engine at the end.  ``target`` is ``(shard, replica)``,
       ``None`` in either place meaning *every*: ``(None, None)`` (or
       plain ``None``) is the whole service, ``(1, None)`` shard 1 of a
-      cluster, ``(None, 2)`` replica 2 of the group.
+      cluster, ``(None, 2)`` replica 2 of every group.  An unsharded
+      deployment is shard 0.
     * ``crash-forever`` — client ``target`` crash-stops (no duration).
     * ``crash-restart`` — client ``target`` crashes, then restarts with
       its recovered state.
@@ -72,15 +79,23 @@ class Fault:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "lease-expiry":
-            object.__setattr__(self, "kind", "away")
         if self.kind not in FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{', '.join(FAULT_KINDS)}"
             )
-        if self.kind == "down" and self.target is None:
-            object.__setattr__(self, "target", (None, None))
+        if self.kind == "down":
+            if self.target is None:
+                object.__setattr__(self, "target", (None, None))
+            if not (
+                isinstance(self.target, tuple)
+                and len(self.target) == 2
+                and all(_index_or_none(part) for part in self.target)
+            ):
+                raise ConfigurationError(
+                    f"a down fault targets None or a (shard, replica) pair, "
+                    f"each a non-negative int or None; got {self.target!r}"
+                )
         if not 0 <= self.start < math.inf:  # NaN fails too
             raise ConfigurationError("faults need a finite, non-negative start")
         if self.kind == "crash-forever":
@@ -112,7 +127,7 @@ class Fault:
             if kind not in CLIENT_FAULT_KINDS:
                 raise ValueError(f"unknown client fault kind {kind!r}")
             return cls(
-                kind,
+                "away" if kind == "lease-expiry" else kind,
                 int(target),
                 float(start),
                 float(duration) if duration else None,
@@ -123,6 +138,12 @@ class Fault:
                 f"kind:client@start[+duration], e.g. crash-forever:1@200 "
                 f"or lease-expiry:0@150+400"
             ) from exc
+
+
+def _index_or_none(part) -> bool:
+    return part is None or (
+        isinstance(part, int) and not isinstance(part, bool) and part >= 0
+    )
 
 
 def overlap(windows) -> tuple | None:
@@ -144,12 +165,11 @@ def overlap(windows) -> tuple | None:
 
 
 def plan_windows(
-    rng, kind: str, count: int, horizon: float, mean_duration: float, draw_target=None
+    rng, kind: str, count: int, horizon: float, mean_duration: float
 ) -> list[Fault]:
-    """The one random planner: ``count`` seeded ``kind`` windows, each
-    drawn target first (``draw_target(rng)``; ``None`` without one — the
-    producer picks when the window opens), then a uniform start over
-    ``[0, horizon]``, then an exponential duration floored at one time
+    """The one random planner: ``count`` seeded ``kind`` windows with no
+    target yet (the caller picks it), each a uniform start over
+    ``[0, horizon]`` then an exponential duration floored at one time
     unit.  The mean duration must be positive and finite (NaN fails too):
     anything else would be floored to one unit or divide by zero."""
     if not 0 < mean_duration < math.inf:
@@ -159,20 +179,19 @@ def plan_windows(
         )
     windows = []
     for _ in range(count):
-        target = draw_target(rng) if draw_target is not None else None
         start = rng.uniform(0.0, horizon)
         duration = max(rng.expovariate(1.0 / mean_duration), 1.0)
-        windows.append(Fault(kind, target, start, duration))
+        windows.append(Fault(kind, None, start, duration))
     return windows
 
 
 class FaultInjector:
     """Schedules and performs every fault of one deployment.
 
-    ``system`` is a :class:`~repro.workloads.runner.StorageSystem` or a
-    :class:`~repro.cluster.system.ClusterSystem`; a cluster hands each
-    ``down`` fault to the injectors of the shards it names, so a server's
-    windows are kept in exactly one place.
+    ``system`` is any :class:`~repro.workloads.runner.Deployment`.  A
+    ``down`` fault's windows are kept by the injector of the deployment
+    in ``system.shards`` that runs the server (``[system]`` when
+    unsharded), so a server's windows are kept in exactly one place.
     """
 
     def __init__(self, system) -> None:
@@ -186,14 +205,10 @@ class FaultInjector:
         goes away (``True``) or comes back (``False``)."""
         self._listeners.append(listener)
 
-    def add(self, fault: Fault, notes: tuple | None = None) -> Fault:
+    def add(self, fault: Fault) -> Fault:
         """Schedule ``fault``; refuses a window overlapping another on the
-        same process.  ``notes`` replaces the (start, end) trace notes of
-        its kind — callers older than this schedule keep their spelling.
-        """
+        same process."""
         (begin, begin_note), (end, end_note) = _KINDS[fault.kind]
-        if notes is not None:
-            begin_note, end_note = notes
         for owner, _name, who in self._claim(fault):
             at = owner._system.scheduler.schedule_at
             at(fault.start, getattr(owner, begin), who, begin_note)
@@ -209,13 +224,13 @@ class FaultInjector:
             fault = Fault("away", client_id, self._system.now, duration)
             self._claim(fault)
             self._system.scheduler.schedule_at(
-                fault.end, self._back, client_id, "client-return"
+                fault.end, self._back, client_id, _BACK_NOTE
             )
-        self._away(client_id, "client-away")
+        self._away(client_id, _AWAY_NOTE)
 
     def back(self, client_id: int) -> None:
         """Bring a client back *now*."""
-        self._back(client_id, "client-return")
+        self._back(client_id, _BACK_NOTE)
 
     def conflict(self, fault: Fault) -> Fault | None:
         """The already-claimed window ``fault`` would overlap on one of
@@ -253,33 +268,31 @@ class FaultInjector:
                     f"fleet has {len(system.clients)} client(s)"
                 )
             return [(self, system.clients[fault.target].name, fault.target)]
-        from repro.cluster.system import ClusterSystem  # it imports this module
-
         shard, replica = fault.target
-        if isinstance(system, ClusterSystem):
-            shards = system.shards
-            if shard is not None:
-                shards = [shards[system.check_shard(shard)]]
-            part = replace(fault, target=(None, replica))
-            return [p for s in shards for p in s.faults._processes(part)]
+        shards = system.shards
         if shard is not None:
-            raise ConfigurationError(
-                "shard-targeted outages need a cluster deployment"
-            )
-        group = system.replica_servers
-        if replica is not None:
-            if not 0 <= replica < len(group):
+            if not shard < len(shards):
                 raise ConfigurationError(
-                    f"replica {replica} out of range: the group has "
-                    f"{len(group)} replica(s)"
+                    f"shard {shard} out of range for {len(shards)} shard(s)"
                 )
-            group = [group[replica]]
-        if not group:
-            raise ConfigurationError(
-                "no co-located server to crash: this deployment's servers "
-                "are separate processes"
-            )
-        return [(self, server.name, server) for server in group]
+            shards = [shards[shard]]
+        processes = []
+        for deployment in shards:
+            group = deployment.replica_servers
+            if replica is not None:
+                if not replica < len(group):
+                    raise ConfigurationError(
+                        f"replica {replica} out of range: the group has "
+                        f"{len(group)} replica(s)"
+                    )
+                group = [group[replica]]
+            if not group:
+                raise ConfigurationError(
+                    "no co-located server to crash: this deployment's servers "
+                    "are separate processes"
+                )
+            processes += [(deployment.faults, server.name, server) for server in group]
+        return processes
 
     # -- the transitions: guard, act, note ------------------------------ #
 

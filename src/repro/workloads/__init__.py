@@ -1,6 +1,5 @@
 """Workloads: system assembly, scripted/random drivers, paper scenarios."""
 
-from repro.workloads.churn import ChurnSchedule
 from repro.workloads.generator import (
     Driver,
     DriverStats,
@@ -35,7 +34,6 @@ from repro.workloads.scenarios import (
 )
 
 __all__ = [
-    "ChurnSchedule",
     "Driver",
     "DriverStats",
     "Figure2Result",

@@ -38,7 +38,7 @@ from repro.crypto.keystore import KeyStore
 from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.obs.registry import COUNT_BUCKETS, get_registry
-from repro.sim.faults import Fault, FaultInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.network import FixedLatency, Network
 from repro.sim.offline import OfflineChannel
 from repro.sim.scheduler import Scheduler
@@ -63,8 +63,11 @@ class Deployment:
 
     A subclass supplies ``scheduler``, ``clients``, ``shards`` (the
     independent single-server deployments behind it, ``[self]`` when
-    unsharded), ``faults``, ``audit_every``, its ``session_class`` and a
-    ``_sessions`` cache.  ``open_system`` sets ``backend_name``,
+    unsharded — shard ``k`` of a ``down`` fault's target is
+    ``shards[k]``), ``faults`` (the one fault schedule: every crash,
+    outage and away-window is a :class:`~repro.sim.faults.Fault` added
+    there), ``audit_every``, its ``session_class`` and a ``_sessions``
+    cache.  ``open_system`` sets ``backend_name``,
     ``capabilities`` and ``default_timeout``; a deployment built directly
     keeps the defaults below.
     """
@@ -121,20 +124,6 @@ class Deployment:
             raise CapabilityError(
                 f"backend {self.backend_name!r} does not provide {capability}"
             )
-
-    # -- faults: one-line producers for ``self.faults`` ------------------ #
-
-    def crash_client_at(self, client_id: ClientId, time: float) -> None:
-        """Schedule a crash-stop of one client (every shard instance of
-        it) at an absolute virtual time."""
-        self.faults.add(Fault("crash-forever", client_id, time), notes=("crash", None))
-
-    def server_outage(self, start: float, duration: float) -> None:
-        """One crash-recovery window for the whole service: every replica
-        of every shard down over [start, start+duration) — a correlated
-        outage, "the service is down".  ``replica_outage`` crashes one
-        replica (the fault an honest majority masks)."""
-        self.faults.add(Fault("down", None, start, duration))
 
     # -- observation ----------------------------------------------------- #
 
@@ -298,10 +287,6 @@ class StorageSystem(Deployment):
     def client(self, client_id: ClientId):
         """The protocol client with id ``client_id``."""
         return self.clients[client_id]
-
-    def replica_outage(self, replica: int, start: float, duration: float) -> None:
-        """One crash-recovery window for a single replica of the group."""
-        self.faults.add(Fault("down", (None, replica), start, duration))
 
 
 @dataclass(frozen=True)

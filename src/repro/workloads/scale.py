@@ -150,11 +150,16 @@ class ScaleConfig:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
         # What run_scale would refuse while setting up is refused here,
         # before anything is built: the deployment, the fault specs (a
-        # SimulationError when malformed) and a churn plan that does not
+        # SimulationError when malformed, a ConfigurationError when they
+        # name no client of the fleet) and a churn plan that does not
         # fit the fleet or has no positive, finite mean duration.
         self.system_config()
         for spec in self.client_faults:
-            Fault.parse(spec)
+            if not 0 <= Fault.parse(spec).target < self.num_clients:
+                raise ConfigurationError(
+                    f"client fault {spec!r} names a client outside the "
+                    f"fleet of {self.num_clients} (0..{self.num_clients - 1})"
+                )
         self.churn_plan()
 
     def system_config(self) -> SystemConfig:

@@ -6,8 +6,8 @@ Alice/Bob/Carlos collaboration and its stability cut ``[10, 8, 3]``) and
 fork-linearizable but not fork-linearizable).
 
 The other five are rows over one run path (:func:`_run`) and one result
-(:class:`ScenarioRun`) — a config, an adversary placement, fault windows,
-a random closed-loop workload and the instant latency is measured from:
+(:class:`ScenarioRun`) — a config (its adversary placement and server outage windows
+included), a random closed-loop workload and the instant latency is measured from:
 
 * :func:`replica_rollback_scenario` — one replica of a group recovers
   from a stale snapshot, or crashes honestly (cluster backend); its
@@ -241,13 +241,12 @@ def _run(
     run_for: float,
     config: dict,
     workload: dict | None = None,
-    faults: tuple = (),
     prepare=None,
     reference=None,
     **fork,
 ) -> ScenarioRun:
     """The one run path: open the config on ``backend`` (probing at
-    ``delta``), schedule the fault windows, let ``prepare(system)`` adjust
+    ``delta``), let ``prepare(system)`` adjust
     the deployment, drive a half-reads closed-loop workload drawn from
     ``seed`` until ``run_for``, then read off what happened.  A callable
     ``reference`` is asked once the run is over, given the independent
@@ -259,8 +258,6 @@ def _run(
         **config,
     )
     system = get_backend(backend).open_system(config)
-    for fault in faults:
-        system.faults.add(fault)
     if prepare is not None:
         prepare(system)
     driver = run_closed_loop(
@@ -368,7 +365,7 @@ def replica_rollback_scenario(
             n, snapshot_after_submits, rollback_after_submits, outage, name
         )
 
-    faults, reference = (), None
+    outages, reference = (), None
     if attack:
         # The adversary picks its own moment; ask it once the run is over.
         reference = lambda shards: (
@@ -376,7 +373,7 @@ def replica_rollback_scenario(
         )
     elif honest_outage is not None:
         replica, start, duration = honest_outage
-        faults = (Fault("down", (None, replica), start, duration),)
+        outages = (Fault("down", (None, replica), start, duration),)
         reference = start + duration
     return _run(
         backend, num_clients, seed, ops_per_client, delta, run_for,
@@ -388,8 +385,8 @@ def replica_rollback_scenario(
             # owns its own (deliberately stale) persistence.
             storage=storage or ("memory" if honest_outage is None else "log"),
             replica_server_factories={rollback_replica: rollback} if attack else {},
+            server_outages=outages,
         ),
-        faults=faults,
         reference=reference,
     )
 

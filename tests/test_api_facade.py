@@ -32,11 +32,17 @@ from repro.baselines.lockstep import TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import BOTTOM, OpKind
+from repro.sim.faults import Fault
 from repro.store import encode_server_state
 from repro.ustor.byzantine import RollbackServer, TamperingServer, UnresponsiveServer
 
 ALL_BACKENDS = [FaustBackend(), UstorBackend(), LockstepBackend(), UncheckedBackend()]
 IDS = [b.name for b in ALL_BACKENDS]
+
+
+def down(start: float, duration: float, target=None) -> Fault:
+    """One server crash-recovery window (the whole service by default)."""
+    return Fault("down", target, start, duration)
 
 
 def quiet_config(num_clients=2, seed=5, **overrides) -> SystemConfig:
@@ -236,7 +242,7 @@ class TestCrashRecoveryMatrix:
         """A crash + WAL/snapshot recovery must look like slowness: every
         operation completes, no failure notification, byte-identical state."""
         system = backend.open_system(
-            quiet_config(storage="log", server_outages=((5.0, 10.0),))
+            quiet_config(storage="log", server_outages=(down(5.0, 10.0),))
         )
         alice, bob = system.session(0), system.session(1)
         t1 = alice.write_sync(b"before-outage")
@@ -291,19 +297,21 @@ class TestStorageConfig:
             with pytest.raises(ConfigurationError, match="storage"):
                 backend.open_system(quiet_config(storage="log"))
             with pytest.raises(ConfigurationError, match="storage"):
-                backend.open_system(quiet_config(server_outages=((1.0, 1.0),)))
+                backend.open_system(quiet_config(server_outages=(down(1.0, 1.0),)))
 
     def test_outage_windows_validated(self):
         with pytest.raises(ConfigurationError):
-            SystemConfig(num_clients=2, server_outages=((1.0, 0.0),))
+            SystemConfig(num_clients=2, server_outages=(down(1.0, 0.0),))
         with pytest.raises(ConfigurationError):
             SystemConfig(num_clients=2, server_outages=((1.0,),))
         with pytest.raises(ConfigurationError):
-            SystemConfig(num_clients=2, server_outages=((-5.0, 10.0),))
+            SystemConfig(num_clients=2, server_outages=(down(-5.0, 10.0),))
         with pytest.raises(ConfigurationError, match="overlap"):
             # The nested window's restart would cut the outer outage short.
-            SystemConfig(num_clients=2, server_outages=((10.0, 30.0), (20.0, 5.0)))
-        SystemConfig(num_clients=2, server_outages=((10.0, 5.0), (15.0, 5.0)))
+            SystemConfig(
+                num_clients=2, server_outages=(down(10.0, 30.0), down(20.0, 5.0))
+            )
+        SystemConfig(num_clients=2, server_outages=(down(10.0, 5.0), down(15.0, 5.0)))
 
     @pytest.mark.parametrize(
         "window",
@@ -311,20 +319,23 @@ class TestStorageConfig:
         ids=["nan-start", "nan-duration", "inf-start"],
     )
     def test_nan_and_infinite_start_outages_refused(self, window):
-        with pytest.raises(ConfigurationError, match="server outages"):
-            SystemConfig(num_clients=2, server_outages=(window,))
-        with pytest.raises(ConfigurationError, match="shard outages"):
-            SystemConfig(num_clients=2, shards=2, shard_outages=((1, *window),))
+        for target in (None, (1, None)):
+            with pytest.raises(ConfigurationError, match="start|duration"):
+                SystemConfig(
+                    num_clients=2, shards=2, server_outages=(down(*window, target),)
+                )
 
     def test_an_endless_outage_stays_legal(self):
-        SystemConfig(num_clients=2, server_outages=((5.0, float("inf")),))
+        SystemConfig(num_clients=2, server_outages=(down(5.0, float("inf")),))
 
     def test_unsorted_back_to_back_outages_both_happen(self):
         """Windows given out of order must still schedule restart-then-crash
         at the shared boundary instant: the server stays down over [10, 20)
         and both recovery cycles occur."""
         system = FaustBackend().open_system(
-            quiet_config(storage="log", server_outages=((15.0, 5.0), (10.0, 5.0)))
+            quiet_config(
+                storage="log", server_outages=(down(15.0, 5.0), down(10.0, 5.0))
+            )
         )
         system.run(until=17.0)
         assert system.server.crashed  # mid second window

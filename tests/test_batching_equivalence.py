@@ -39,6 +39,7 @@ from repro.consistency import (
     check_causal_consistency,
     check_linearizability,
 )
+from repro.sim.faults import Fault
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import unique_value
 
@@ -358,7 +359,7 @@ def test_group_commit_crash_recovery_matches_unbatched():
             latency=FixedLatency(1.0),
             storage="log",
             batching=batching,
-            server_outages=((9.5, 4.0),),
+            server_outages=(Fault("down", None, 9.5, 4.0),),
             faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
         )
         system = open_system(config, backend="faust")

@@ -149,6 +149,13 @@ class TestClusterRunCommand:
         )
         assert code == 0
 
+    def test_shard_zero_outage_on_an_unsharded_deployment(self, capsys):
+        code = main(
+            ["run", "--backend", "faust", "--clients", "3", "--ops", "2",
+             "--storage", "log", "--shard-outage", "0", "5", "5", "--until", "120"]
+        )
+        assert code == 0
+
 
 @pytest.fixture(params=["sim", pytest.param("tcp", marks=pytest.mark.net)])
 def transport_flags(request):
@@ -214,7 +221,7 @@ class TestTcpNoLongerIgnoresFlags:
         "flags, knob",
         [
             (["--shards", "2"], "shards="),
-            (["--shard-outage", "0", "5", "5"], "shard_outages="),
+            (["--shard-outage", "0", "5", "5"], "server_outages="),
             (["--server", "tampering", "--server-shard", "0"],
              "shard_server_factories="),
             (["--batch", "4"], "batching="),
@@ -282,6 +289,12 @@ class TestMisuseBeforeBuilding:
             (["--read-fraction", "nan"], "read_fraction"),
             (["--transport", "tcp", "--endpoints", "nohost"], "'host:port'"),
             (["--transport", "tcp", "--endpoints", "127.0.0.1:99999"], "1-65535"),
+            # Shard 0 of an unsharded deployment is its server; shard 1 is
+            # no server at all.
+            (["--backend", "faust", "--storage", "log", "--shard-outage", "1",
+              "5", "5"], "shard 1"),
+            (["--backend", "faust", "--storage", "log", "--shard-outage", "-1",
+              "5", "5"], "(shard, replica) pair"),
         ],
     )
     def test_run(self, flags, hint, monkeypatch, capsys):
@@ -313,6 +326,11 @@ class TestMisuseBeforeBuilding:
               "--duration", "20"], "mean duration"),
             (["--churn-windows", "2", "--churn-mean-duration", "nan",
               "--duration", "20"], "mean duration"),
+            # An out-of-range client used to be a SimulationError traceback.
+            (["--clients", "4", "--duration", "50", "--client-faults",
+              "crash-forever:9@100"], "outside the fleet of 4"),
+            (["--clients", "4", "--duration", "50", "--client-faults",
+              "crash-forever:-1@100"], "outside the fleet of 4"),
         ],
     )
     def test_scale(self, flags, hint, monkeypatch, capsys):

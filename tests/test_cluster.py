@@ -32,8 +32,8 @@ from repro.cluster import (
 )
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer, UnresponsiveServer
-from repro.workloads.churn import ChurnSchedule
 from repro.workloads.scenarios import split_brain_shard_scenario
 
 
@@ -87,9 +87,17 @@ class TestClusterConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(num_clients=4, shards=2, shard_protocol="lockstep")
         with pytest.raises(ConfigurationError):
-            SystemConfig(num_clients=4, shards=2, shard_outages=((2, 5.0, 5.0),))
+            SystemConfig(
+                num_clients=4,
+                shards=2,
+                server_outages=(Fault("down", (2, None), 5.0, 5.0),),
+            )
         with pytest.raises(ConfigurationError):
-            SystemConfig(num_clients=4, shards=2, shard_outages=((0, 5.0, 0.0),))
+            SystemConfig(
+                num_clients=4,
+                shards=2,
+                server_outages=(Fault("down", (0, None), 5.0, 0.0),),
+            )
         with pytest.raises(ConfigurationError):
             SystemConfig(
                 num_clients=4,
@@ -109,15 +117,20 @@ class TestClusterConfig:
                 num_clients=4,
                 shards=2,
                 storage="log",
-                server_outages=((10.0, 10.0),),
-                shard_outages=((1, 15.0, 5.0),),
+                server_outages=(
+                    Fault("down", None, 10.0, 10.0),
+                    Fault("down", (1, None), 15.0, 5.0),
+                ),
             )
         # Same windows on different shards are fine.
         quiet_cluster(
             num_clients=4,
             shards=2,
             storage="log",
-            shard_outages=((0, 10.0, 10.0), (1, 15.0, 5.0)),
+            server_outages=(
+                Fault("down", (0, None), 10.0, 10.0),
+                Fault("down", (1, None), 15.0, 5.0),
+            ),
         )
 
     def test_cluster_of_one_shard_is_permitted(self):
@@ -299,7 +312,7 @@ class TestShardFaults:
             num_clients=4,
             shards=2,
             storage="log",
-            shard_outages=((1, 5.0, 10.0),),
+            server_outages=(Fault("down", (1, None), 5.0, 10.0),),
         )
         session = system.session(2)  # home shard 1 — the one that crashes
         system.run(until=6.0)  # the shard is now down
@@ -313,7 +326,10 @@ class TestShardFaults:
 
     def test_whole_cluster_outage_hits_every_shard(self):
         system = quiet_cluster(
-            num_clients=4, shards=2, storage="log", server_outages=((5.0, 5.0),)
+            num_clients=4,
+            shards=2,
+            storage="log",
+            server_outages=(Fault("down", None, 5.0, 5.0),),
         )
         system.run(until=6.0)
         assert all(server.crashed for server in system.servers)
@@ -397,13 +413,13 @@ class TestClusterChurn:
         system = quiet_cluster(
             num_clients=4, shards=2, seed=11, storage="log"
         )
-        churn = ChurnSchedule(system)
-        churn.add_server_outage(5.0, 5.0, shard=0)
-        churn.add_server_outage(7.0, 5.0, shard=1)  # overlap, other shard: ok
-        with pytest.raises(ValueError):
-            churn.add_server_outage(6.0, 2.0, shard=0)  # same shard overlap
-        with pytest.raises(ValueError):
-            churn.add_server_outage(6.0, 2.0)  # whole-cluster vs shard 0
+        system.faults.add(Fault("down", (0, None), 5.0, 5.0))
+        # Overlapping, but on the other shard: ok.
+        system.faults.add(Fault("down", (1, None), 7.0, 5.0))
+        with pytest.raises(ValueError):  # same shard overlap
+            system.faults.add(Fault("down", (0, None), 6.0, 2.0))
+        with pytest.raises(ValueError):  # whole-cluster vs shard 0
+            system.faults.add(Fault("down", None, 6.0, 2.0))
         system.run(until=6.0)
         assert system.servers[0].crashed and not system.servers[1].crashed
         system.run(until=8.0)
@@ -411,25 +427,11 @@ class TestClusterChurn:
         system.run(until=13.0)
         assert not any(s.crashed for s in system.servers)
 
-    def test_shard_churn_requires_a_cluster(self):
-        from repro.api import FaustBackend
-
-        single = FaustBackend().open_system(
-            SystemConfig(
-                num_clients=2,
-                faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
-            )
-        )
-        churn = ChurnSchedule(single)
-        with pytest.raises(ValueError):
-            churn.add_server_outage(5.0, 5.0, shard=0)
-
     def test_client_churn_pauses_every_shard_instance(self):
         system = ClusterBackend().open_system(
             SystemConfig(num_clients=4, shards=2, seed=13)
         )
-        churn = ChurnSchedule(system)
-        churn.add_window(client=1, start=5.0, duration=20.0)
+        system.faults.add(Fault("away", 1, 5.0, 20.0))
         system.run(until=10.0)
         proxy = system.clients[1]
         assert all(inst._dummy_timer is None for inst in proxy.instances)

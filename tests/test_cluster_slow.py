@@ -10,18 +10,19 @@ faulty server) historically hide.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.api import FaustParams, SystemConfig, open_system
-from repro.workloads.churn import ChurnSchedule
+from repro.sim.faults import plan_windows
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 from repro.workloads.scenarios import split_brain_shard_scenario
 
 pytestmark = pytest.mark.slow
 
 
-def test_long_cluster_churn_with_shard_outages_stays_accurate():
+def test_long_cluster_churn_with_shard_down_windows_stays_accurate():
     """Client churn + per-shard crash-recovery over a long horizon: with
     durable storage nothing is ever detected, and stability still
     advances on every shard once everyone is back."""
@@ -37,9 +38,17 @@ def test_long_cluster_churn_with_shard_outages_stays_accurate():
         ),
         backend="cluster",
     )
-    churn = ChurnSchedule(system)
-    churn.random_windows(count=8, horizon=600.0, mean_duration=40.0)
-    churn.random_shard_outages(count=6, horizon=600.0, mean_duration=15.0)
+    # Random client away-windows and single-shard outages; a draw that
+    # overlaps a window already on its target is skipped.
+    rng = random.Random(71)
+    for kind, count, mean_duration, pick_target in (
+        ("away", 8, 40.0, lambda: rng.randrange(6)),
+        ("down", 6, 15.0, lambda: (rng.randrange(3), None)),
+    ):
+        for window in plan_windows(rng, kind, count, 600.0, mean_duration):
+            fault = replace(window, target=pick_target())
+            if system.faults.conflict(fault) is None:
+                system.faults.add(fault)
 
     scripts = generate_scripts(
         6,

@@ -4,8 +4,8 @@ Every fault kind, on every target it applies to, goes through the
 deployment's one :class:`~repro.sim.faults.FaultInjector` — a spy on the
 lifecycle methods proves nothing else in ``src/repro`` crashes, restarts,
 pauses, resumes or disconnects a process on a schedule's behalf — leaves
-the trace notes it always left, and is skipped for a client that has
-already halted.  "Has this client stopped?" is one property pair,
+exactly the trace note its kind names, and is skipped for a client that
+has already halted.  "Has this client stopped?" is one property pair,
 ``halted``/``halt_reason``, table-tested on all five client types.  The
 overlap rule is one function; the regressions at the bottom are the ways
 its three former copies disagreed.
@@ -13,7 +13,9 @@ its three former copies disagreed.
 
 from __future__ import annotations
 
+import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -21,10 +23,9 @@ from repro.api import FaustParams, SystemConfig, open_system
 from repro.cli import main as repro_main
 from repro.common.errors import ConfigurationError
 from repro.faust.checkpoint import CheckpointPolicy
-from repro.sim.faults import FAULT_KINDS, Fault, FaultInjector, overlap
+from repro.sim.faults import FAULT_KINDS, Fault, FaultInjector, overlap, plan_windows
 from repro.sim.offline import OfflineChannel
 from repro.sim.process import Node
-from repro.workloads.churn import ChurnSchedule
 from repro.workloads.generator import OpenLoopConfig
 from repro.workloads.scale import ScaleConfig, run_scale
 
@@ -54,11 +55,7 @@ def notes_of(system) -> list[tuple[str, str]]:
     """Every (who, what) trace note of the deployment, shards included."""
     found = []
     for trace in [system.trace] + [d.trace for d in system.shards if d is not system]:
-        for note in trace.notes:
-            who, what = (note[1], note[2]) if isinstance(note, tuple) else (
-                note.source, note.kind
-            )
-            found.append((who, what))
+        found += [(note.source, note.kind) for note in trace.notes]
     return found
 
 
@@ -119,7 +116,7 @@ def test_the_vocabulary_is_four_kinds():
 @pytest.mark.parametrize("name", ["faust", "ustor", "cluster", "replicas"])
 def test_down_whole_service(name, lifecycle_calls):
     system = deploy(name)
-    system.server_outage(5.0, 10.0)
+    system.faults.add(Fault("down", None, 5.0, 10.0))
     system.run(until=6.0)
     assert all(s.crashed for s in servers_of(system))
     system.run(until=20.0)
@@ -141,13 +138,9 @@ def test_down_one_shard(lifecycle_calls):
     assert_only_the_injector_acted(lifecycle_calls)
 
 
-@pytest.mark.parametrize("entry", ["fault", "replica_outage"])
-def test_down_one_replica(entry, lifecycle_calls):
+def test_down_one_replica(lifecycle_calls):
     system = deploy("replicas")
-    if entry == "fault":
-        system.faults.add(Fault("down", (None, 1), 5.0, 10.0))
-    else:
-        system.replica_outage(1, 5.0, 10.0)
+    system.faults.add(Fault("down", (None, 1), 5.0, 10.0))
     system.run(until=6.0)
     assert [s.crashed for s in servers_of(system)] == [False, True, False]
     # The honest majority masks it: operations complete during the outage.
@@ -161,9 +154,29 @@ def test_down_one_replica(entry, lifecycle_calls):
 
 def test_down_one_replica_of_one_shard():
     system = deploy("cluster", replicas=3, counter="durable")
-    system.replica_outage(1, 2, 5.0, 10.0)
+    system.faults.add(Fault("down", (1, 2), 5.0, 10.0))
     system.run(until=6.0)
     assert [s.name for s in servers_of(system) if s.crashed] == ["S1/r2"]
+
+
+def test_a_config_declared_outage_of_one_replica_is_masked():
+    system = deploy("replicas", server_outages=(Fault("down", (None, 1), 5.0, 10.0),))
+    system.run(until=6.0)
+    assert [s.crashed for s in servers_of(system)] == [False, True, False]
+    assert system.session(0).write_sync(b"masked") == 1  # during the outage
+    assert system.now < 15.0
+    system.run(until=20.0)
+    assert not any(s.crashed for s in servers_of(system))
+
+
+def test_shard_zero_of_an_unsharded_deployment_is_its_server():
+    system = deploy("faust")
+    system.faults.add(Fault("down", (0, None), 5.0, 10.0))
+    system.run(until=6.0)
+    assert system.server.crashed
+    assert notes_of(system) == [("S", "server-crash")]
+    with pytest.raises(ConfigurationError, match="overlap"):
+        system.faults.add(Fault("down", None, 10.0, 10.0))  # the same server
 
 
 @pytest.mark.parametrize("name", ["faust", "ustor", "cluster"])
@@ -174,6 +187,18 @@ def test_crash_forever(name, lifecycle_calls):
     assert [c.crashed for c in system.clients[:3]] == [False, True, False]
     assert notes_of(system) == [("C2", "client-crash")]
     assert_only_the_injector_acted(lifecycle_calls)
+
+
+def test_a_cluster_trace_answers_note_queries_like_any_trace():
+    system = deploy("cluster")
+    system.faults.add(Fault("crash-forever", 1, 5.0))
+    system.run(until=10.0)
+    [note] = system.trace.notes_of_kind("client-crash")
+    assert (note.time, note.source) == (5.0, "C2")
+    assert system.trace.first_note("client-crash", source="C2") is note
+    assert system.trace.message_count() == sum(
+        shard.trace.message_count() for shard in system.shards
+    )
 
 
 @pytest.mark.parametrize("name", ["faust", "ustor", "cluster"])
@@ -205,20 +230,11 @@ def test_away(name, lifecycle_calls):
 
 def test_away_stops_and_restarts_the_fail_aware_timers():
     system = deploy("faust", faust=FaustParams())
-    system.faults.add(Fault("lease-expiry", 1, 5.0, 10.0))  # the CLI's spelling
+    system.faults.add(Fault.parse("lease-expiry:1@5+10"))  # the CLI's spelling
     system.run(until=6.0)
     assert system.clients[1]._dummy_timer is None
     system.run(until=20.0)
     assert system.clients[1]._dummy_timer is not None
-
-
-def test_older_producers_keep_their_trace_spelling(lifecycle_calls):
-    system = deploy("faust")
-    system.crash_client_at(0, time=5.0)
-    ChurnSchedule(system).add_window(client=1, start=5.0, duration=10.0)
-    system.run(until=20.0)
-    assert notes_of(system) == [("C1", "crash"), ("C2", "offline"), ("C2", "online")]
-    assert_only_the_injector_acted(lifecycle_calls)
 
 
 def test_acting_now(lifecycle_calls):
@@ -272,7 +288,7 @@ def test_client_faults_skip_a_client_that_already_halted(kind, how):
 def test_server_faults_skip_a_server_already_down():
     system = deploy("faust")
     system.server.crash()
-    system.server_outage(5.0, 10.0)
+    system.faults.add(Fault("down", None, 5.0, 10.0))
     system.run(until=6.0)
     assert ("S", "server-crash") not in notes_of(system)
     system.run(until=20.0)  # ...but the window's end still brings it back
@@ -281,12 +297,12 @@ def test_server_faults_skip_a_server_already_down():
 
 def test_targets_are_validated():
     single, cluster = deploy("faust"), deploy("cluster")
-    with pytest.raises(ConfigurationError, match="cluster"):
-        single.faults.add(Fault("down", (0, None), 5.0, 5.0))
+    with pytest.raises(ConfigurationError, match="shard 1 out of range"):
+        single.faults.add(Fault("down", (1, None), 5.0, 5.0))
     with pytest.raises(ConfigurationError, match="replica 3"):
-        single.replica_outage(3, 5.0, 5.0)
+        single.faults.add(Fault("down", (None, 3), 5.0, 5.0))
     with pytest.raises(ConfigurationError, match="shard 2"):
-        cluster.shard_outage(2, 5.0, 5.0)
+        cluster.faults.add(Fault("down", (2, None), 5.0, 5.0))
     for bad in (Fault("away", 9, 5.0, 5.0), Fault("away", None, 5.0, 5.0)):
         with pytest.raises(Exception, match="names client"):
             cluster.faults.add(bad)
@@ -311,6 +327,16 @@ def test_nan_and_infinite_start_are_refused(start, duration):
     for kind in ("down", "away", "crash-restart"):
         with pytest.raises(ConfigurationError):
             Fault(kind, 0, start, duration)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [1, (0,), (0, 1, 2), [0, None], ("a", None), (True, None), (None, -1), (0, 1.0)],
+    ids=repr,
+)
+def test_a_malformed_down_target_is_a_configuration_error(target):
+    with pytest.raises(ConfigurationError, match=r"\(shard, replica\) pair"):
+        Fault("down", target, 5.0, 5.0)
 
 
 def test_an_endless_down_window_stays_legal():
@@ -435,18 +461,17 @@ def test_overlap_is_half_open_and_forever_covers_everything_after():
 
 def test_nested_client_window_is_refused_not_cut_short():
     system = deploy("faust")
-    churn = ChurnSchedule(system)
-    churn.add_window(0, 10.0, 50.0)
+    system.faults.add(Fault("away", 0, 10.0, 50.0))
     with pytest.raises(ConfigurationError, match=r"start=20.0.*start=10.0"):
-        churn.add_window(0, 20.0, 10.0)
+        system.faults.add(Fault("away", 0, 20.0, 10.0))
     system.run(until=35.0)
     assert not system.offline.is_online("C1")  # still inside [10, 60)
 
 
 def test_churn_outage_sees_the_windows_the_config_declared():
-    system = deploy("faust", server_outages=((10.0, 50.0),))
+    system = deploy("faust", server_outages=(Fault("down", None, 10.0, 50.0),))
     with pytest.raises(ConfigurationError, match=r"start=20.0.*start=10.0"):
-        ChurnSchedule(system).add_server_outage(20.0, 10.0)
+        system.faults.add(Fault("down", None, 20.0, 10.0))
     system.run(until=35.0)
     assert system.server.crashed  # still inside [10, 60)
 
@@ -457,8 +482,10 @@ def test_global_and_shard_windows_clash_at_configuration_time(capsys):
             num_clients=4,
             shards=2,
             storage="log",
-            server_outages=((30.0, 10.0),),
-            shard_outages=((1, 25.0, 20.0),),
+            server_outages=(
+                Fault("down", None, 30.0, 10.0),
+                Fault("down", (1, None), 25.0, 20.0),
+            ),
         )
     code = repro_main(
         "run --backend cluster --clients 4 --shards 2 --storage log "
@@ -466,6 +493,36 @@ def test_global_and_shard_windows_clash_at_configuration_time(capsys):
     )
     assert code == 2  # a configuration error, not "deployment unreachable"
     assert "shard 1: server outage windows overlap" in capsys.readouterr().out
+
+
+def test_a_replica_window_clashes_with_a_whole_service_one_at_configuration_time():
+    with pytest.raises(
+        ConfigurationError,
+        match=r"^replica 1: server outage windows overlap: \(5.0, 10.0\) and \(8.0, 4.0\)$",
+    ):
+        SystemConfig(
+            num_clients=3,
+            replicas=3,
+            storage="log",
+            server_outages=(
+                Fault("down", (None, 1), 5.0, 10.0),
+                Fault("down", None, 8.0, 4.0),
+            ),
+        )
+
+
+@pytest.mark.parametrize(
+    "outages, match",
+    [
+        ((Fault("away", 0, 5.0, 5.0),), "down Faults"),
+        (((5.0, 5.0),), "down Faults"),
+        ((Fault("down", (2, None), 5.0, 5.0),), "shard 2"),
+        ((Fault("down", (None, 1), 5.0, 5.0),), "replica 1"),
+    ],
+)
+def test_server_outages_are_down_faults_on_servers_that_exist(outages, match):
+    with pytest.raises(ConfigurationError, match=match):
+        SystemConfig(num_clients=4, shards=2, storage="log", server_outages=outages)
 
 
 @pytest.mark.parametrize(
@@ -485,13 +542,15 @@ def test_run_refuses_a_nan_window_or_timeout(flags, capsys):
 
 def test_random_planner_skips_a_conflicting_draw():
     system = deploy("faust", num_clients=2)
-    churn = ChurnSchedule(system)
-    churn.random_windows(count=30, horizon=50.0, mean_duration=20.0)
-    assert 0 < len(churn.windows) < 30
+    rng = random.Random(7)
+    added = []
+    for window in plan_windows(rng, "away", 30, 50.0, 20.0):
+        fault = replace(window, target=rng.choice((0, 1)))
+        if system.faults.conflict(fault) is None:
+            added.append(system.faults.add(fault))
+    assert 0 < len(added) < 30
     for client in (0, 1):
-        mine = sorted(
-            (w for w in churn.windows if w.target == client), key=lambda w: w.start
-        )
+        mine = sorted((w for w in added if w.target == client), key=lambda w: w.start)
         for first, second in zip(mine, mine[1:]):
             assert first.end <= second.start
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import FaustParams, SystemConfig, open_system
 from repro.faust.validator import validate_fail_aware_run
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
@@ -67,7 +68,7 @@ class TestHonestRuns:
         )
         driver = Driver(system)
         driver.attach_all(scripts)
-        system.crash_client_at(2, time=8.0)
+        system.faults.add(Fault("crash-forever", 2, 8.0))
         system.run(until=60.0)
         cutoff = system.now
         system.run(until=system.now + 500.0)

@@ -16,6 +16,7 @@ from repro.api import SystemConfig, open_system
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
+from repro.sim.faults import Fault
 from repro.sim.network import ExponentialLatency, UniformLatency
 from repro.ustor.byzantine import SplitBrainServer
 from repro.ustor.viewhistory import build_client_views
@@ -91,8 +92,8 @@ class TestCorrectServerGuarantees:
         )
         driver = Driver(system)
         driver.attach_all(scripts)
-        system.crash_client_at(0, time=10.0)
-        system.crash_client_at(1, time=20.0)
+        system.faults.add(Fault("crash-forever", 0, 10.0))
+        system.faults.add(Fault("crash-forever", 1, 20.0))
         system.run(until=5_000)
         # Survivors finish everything (wait-freedom despite crashes).
         assert driver.stats.completed[2] == 12

@@ -422,7 +422,10 @@ def test_client_fault_spec_parsing():
     fault = Fault.parse("crash-restart:2@100+300")
     assert fault == Fault("crash-restart", 2, 100.0, 300.0)
     fault = Fault.parse("lease-expiry:0@150+400.5")
-    assert fault == Fault("lease-expiry", 0, 150.0, 400.5)
+    assert fault == Fault("away", 0, 150.0, 400.5)
+    # Only the parser knows the CLI's spelling; a Fault is one of four kinds.
+    with pytest.raises(ConfigurationError, match="unknown fault kind"):
+        Fault("lease-expiry", 0, 150.0, 400.5)
 
 
 @pytest.mark.parametrize(

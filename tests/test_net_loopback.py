@@ -27,6 +27,7 @@ from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
 from repro.net.client import NetRuntime, parse_endpoint
 from repro.net.server import NetServerHost
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import UnresponsiveServer
 from repro.ustor.server import UstorServer
 from repro.ustor.viewhistory import build_client_views
@@ -308,7 +309,7 @@ class TestConfigAndBackends:
         "knob",
         [
             {"storage": "log"},
-            {"server_outages": ((1.0, 2.0),)},
+            {"server_outages": (Fault("down", None, 1.0, 2.0),)},
             {"batching": True},
             {"server_factory": lambda n, name: None},
             {"shards": 2},

@@ -12,6 +12,7 @@ from repro.perf import (
     reset_hot_path_caches,
     system_profile,
 )
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import TamperingServer
 
 
@@ -97,7 +98,10 @@ class TestProfileSections:
     def test_server_restart_is_counted(self):
         system = open_system(
             SystemConfig(
-                num_clients=2, seed=3, storage="log", server_outages=((5.0, 5.0),)
+                num_clients=2,
+                seed=3,
+                storage="log",
+                server_outages=(Fault("down", None, 5.0, 5.0),),
             ),
             backend="faust",
         )

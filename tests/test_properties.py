@@ -17,6 +17,7 @@ from repro.api import SystemConfig, open_system
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
+from repro.sim.faults import Fault
 from repro.sim.network import ExponentialLatency, FixedLatency, UniformLatency
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -119,7 +120,7 @@ class TestDefinition5Properties:
         )
         driver = Driver(system)
         driver.attach_all(scripts)
-        system.crash_client_at(0, time=crash_time)
+        system.faults.add(Fault("crash-forever", 0, crash_time))
         system.run(until=100_000)
         # Every survivor finishes its whole script.
         for client in system.clients[1:]:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import FaustParams, Session, SystemConfig, open_system
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.sim.faults import Fault
 from repro.ustor.byzantine import UnresponsiveServer
 
 
@@ -67,9 +68,9 @@ class TestOpenedSystem:
 
     def test_crash_note_recorded(self):
         system = open_system(SystemConfig(num_clients=2, seed=4), backend="ustor")
-        system.crash_client_at(0, time=5.0)
+        system.faults.add(Fault("crash-forever", 0, 5.0))
         system.run(until=10.0)
-        assert system.trace.first_note("crash", source="C1") is not None
+        assert system.trace.first_note("client-crash", source="C1") is not None
 
 
 class TestSessionTimeouts:

@@ -36,7 +36,7 @@ from repro.store import (
 from repro.ustor.messages import CommitMessage, InvocationTuple, SubmitMessage
 from repro.ustor.server import ServerState, UstorServer, apply_commit, apply_submit
 from repro.ustor.version import Version
-from repro.workloads.churn import ChurnSchedule
+from repro.sim.faults import Fault, plan_windows
 
 
 def _signed_submit(keystore, client, t, kind=OpKind.WRITE, register=None):
@@ -467,7 +467,7 @@ class TestServerCrashRecovery:
 
     def test_honest_outage_is_invisible_with_log_engine(self):
         system = self._system()
-        system.server_outage(5.0, 10.0)
+        system.faults.add(Fault("down", None, 5.0, 10.0))
         done = []
         alice, bob = system.clients
         alice.write(b"before", done.append)
@@ -490,7 +490,7 @@ class TestServerCrashRecovery:
         done = []
         system.clients[0].write(b"will-be-forgotten", done.append)
         system.run(until=10.0)
-        system.server_outage(10.0, 5.0)
+        system.faults.add(Fault("down", None, 10.0, 5.0))
         system.run(until=20.0)
         assert system.server.state == ServerState.initial(2)
         # The writer's next operation meets a server that forgot it: the
@@ -507,8 +507,8 @@ class TestServerCrashRecovery:
 
     def test_repeated_outages(self):
         system = self._system()
-        system.server_outage(5.0, 5.0)
-        system.server_outage(20.0, 5.0)
+        system.faults.add(Fault("down", None, 5.0, 5.0))
+        system.faults.add(Fault("down", None, 20.0, 5.0))
         done = []
         for k in range(4):
             system.clients[0].write(b"w%d" % k, done.append)
@@ -529,33 +529,33 @@ class TestServerCrashRecovery:
                 ),
             ),
         )
-        churn = ChurnSchedule(system)
-        churn.add_window(client=2, start=10.0, duration=25.0)
-        churn.add_server_outage(start=18.0, duration=12.0)
+        system.faults.add(Fault("away", 2, 10.0, 25.0))
+        outage = system.faults.add(Fault("down", None, 18.0, 12.0))
         done = []
         system.clients[0].write(b"survives-both", done.append)
         system.run(until=300.0)
-        assert done and churn.server_outages[0].end == 30.0
+        assert done and outage.end == 30.0
         assert system.server.restarts == 1
         assert not any(c.faust_failed for c in system.clients)
 
     def test_server_outage_validation(self):
-        system = self._system()
         with pytest.raises(Exception):
-            system.server_outage(5.0, 0.0)
-        churn_system = open_system(SystemConfig(num_clients=2, seed=1))
-        churn = ChurnSchedule(churn_system)
+            Fault("down", None, 5.0, 0.0)
         with pytest.raises(ValueError):
-            churn.add_server_outage(1.0, -2.0)
-        churn.add_server_outage(10.0, 10.0)
+            Fault("down", None, 1.0, -2.0)
+        system = open_system(SystemConfig(num_clients=2, seed=1))
+        system.faults.add(Fault("down", None, 10.0, 10.0))
         with pytest.raises(ValueError, match="overlap"):
-            churn.add_server_outage(15.0, 2.0)
+            system.faults.add(Fault("down", None, 15.0, 2.0))
 
     def test_random_server_outages_never_overlap(self):
         system = open_system(SystemConfig(num_clients=2, seed=13, storage="log"))
-        churn = ChurnSchedule(system)
-        churn.random_server_outages(count=12, horizon=200.0, mean_duration=15.0)
-        windows = sorted(churn.server_outages, key=lambda w: w.start)
+        added = [
+            system.faults.add(fault)
+            for fault in plan_windows(system.scheduler.rng, "down", 12, 200.0, 15.0)
+            if system.faults.conflict(fault) is None
+        ]
+        windows = sorted(added, key=lambda w: w.start)
         assert windows  # some draws always land
         for a, b in zip(windows, windows[1:]):
             assert a.end <= b.start

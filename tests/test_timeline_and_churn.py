@@ -1,8 +1,9 @@
-"""The timeline renderer and the churn machinery."""
+"""The timeline renderer, and client churn as faults on ``system.faults``."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,7 @@ from repro.analysis.timeline import render_timeline
 from repro.api import FaustParams, SystemConfig, open_system
 from repro.common.errors import ConfigurationError
 from repro.common.types import BOTTOM
-from repro.sim.faults import Fault
-from repro.workloads.churn import ChurnSchedule
+from repro.sim.faults import Fault, plan_windows
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 from repro.workloads.scenarios import figure3_scenario
 
@@ -73,35 +73,35 @@ def churn_system(seed=50):
 class TestChurn:
     def test_window_takes_client_offline_and_back(self):
         system = churn_system()
-        churn = ChurnSchedule(system)
-        churn.add_window(client=1, start=5.0, duration=10.0)
+        system.faults.add(Fault("away", 1, 5.0, 10.0))
         system.run(until=6.0)
         assert not system.offline.is_online("C2")
         system.run(until=20.0)
         assert system.offline.is_online("C2")
         kinds = [n.kind for n in system.trace.notes if n.source == "C2"]
-        assert "offline" in kinds and "online" in kinds
+        assert "client-away" in kinds and "client-return" in kinds
 
     def test_invalid_duration_rejected(self):
         with pytest.raises(ValueError):
-            ChurnSchedule(churn_system()).add_window(0, 1.0, 0.0)
+            churn_system().faults.add(Fault("away", 0, 1.0, 0.0))
 
     @pytest.mark.parametrize("mean", [0.0, -1.0, float("inf"), float("nan")])
     def test_random_windows_refuse_a_bad_mean_duration(self, mean):
         # inf divided by zero in the planner; a non-positive mean was
         # silently floored to one time unit.
-        churn = ChurnSchedule(churn_system())
         with pytest.raises(ConfigurationError, match="mean duration"):
-            churn.random_windows(count=2, horizon=50.0, mean_duration=mean)
-        assert churn.windows == []
+            plan_windows(random.Random(0), "away", 2, 50.0, mean)
 
     def test_window_end_property(self):
         assert Fault("away", 0, 2.0, 3.0).end == 5.0
 
     def test_churn_causes_no_false_positives(self):
         system = churn_system(seed=51)
-        churn = ChurnSchedule(system)
-        churn.random_windows(count=6, horizon=80.0, mean_duration=15.0)
+        rng = random.Random(51)
+        for window in plan_windows(rng, "away", 6, 80.0, 15.0):
+            fault = replace(window, target=rng.randrange(3))
+            if system.faults.conflict(fault) is None:  # skip, never shorten
+                system.faults.add(fault)
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=5, mean_think_time=2.0), random.Random(51)
         )
@@ -112,9 +112,8 @@ class TestChurn:
 
     def test_stability_completes_despite_churn(self):
         system = churn_system(seed=52)
-        churn = ChurnSchedule(system)
         # C3 sleeps through the whole working phase.
-        churn.add_window(client=2, start=2.0, duration=60.0)
+        system.faults.add(Fault("away", 2, 2.0, 60.0))
         box = []
         system.clients[0].write(b"while-you-were-out", box.append)
         assert system.run_until(lambda: bool(box), timeout=100)
@@ -145,8 +144,7 @@ class TestChurn:
                 ),
             ),
         )
-        churn = ChurnSchedule(system)
-        churn.add_window(client=3, start=10.0, duration=100.0)
+        system.faults.add(Fault("away", 3, 10.0, 100.0))
         scripts = generate_scripts(
             4, WorkloadConfig(ops_per_client=6, mean_think_time=1.0), random.Random(53)
         )

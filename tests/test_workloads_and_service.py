@@ -16,6 +16,7 @@ from repro.api import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.types import BOTTOM, OpKind
+from repro.sim.faults import Fault
 from repro.workloads.generator import (
     Driver,
     WorkloadConfig,
@@ -101,7 +102,7 @@ class TestDriver:
         )
         driver = Driver(system)
         driver.attach_all(scripts)
-        system.crash_client_at(0, time=5.0)
+        system.faults.add(Fault("crash-forever", 0, 5.0))
         system.run(until=1_000)
         assert driver.stats.completed[1] == 10
         assert driver.stats.completed[0] < 10
