@@ -17,8 +17,13 @@ fail-aware trust domain:
 Run:  python examples/cluster_split_brain.py
 """
 
-from repro.api import ClusterBackend, FaustParams, OperationFailed, SystemConfig
-from repro.cluster import ShardFailureNotification
+from repro.api import (
+    ClusterBackend,
+    FailureNotification,
+    FaustParams,
+    OperationFailed,
+    SystemConfig,
+)
 from repro.common.errors import ProtocolError
 from repro.ustor.byzantine import SplitBrainServer
 
@@ -64,7 +69,7 @@ def main() -> None:
 
     failures = [
         e for e in system.notifications.history
-        if isinstance(e, ShardFailureNotification)
+        if isinstance(e, FailureNotification)
     ]
     notified = sorted({e.client for e in failures})
     print(f"failure notifications: {len(failures)}, "

@@ -117,7 +117,8 @@ def build_deployment(
 
 class _Backend:
     """The one way in: consult the support table, build the deployment the
-    backend's protocol describes, say who opened it, attach the span log."""
+    backend's protocol describes, say who opened it, schedule its
+    declared outages."""
 
     name: str
     capabilities: Capabilities
@@ -135,12 +136,6 @@ class _Backend:
         # next crash — ties at one virtual time break by scheduling order.
         for fault in sorted(config.server_outages, key=lambda fault: fault.start):
             system.faults.add(fault)
-        if config.span_log is not None:
-            # Sessions read the span log off the deployment they are opened
-            # on (one per shard on a cluster) when constructed, so it must
-            # be attached before the first session() call.
-            for deployment in system.shards:
-                deployment.span_log = config.span_log
         return system
 
     def _open(self, config: SystemConfig, **placement) -> Deployment:

@@ -183,10 +183,6 @@ class SystemConfig:
     #: Record the run's wire trace (JSONL) here; replayable with
     #: :func:`repro.net.trace.replay_trace`.
     trace_path: str | None = None
-    #: A :class:`repro.obs.tracing.SpanLog` collecting per-operation
-    #: spans (sessions on every transport; the wire client's SUBMIT/fail
-    #: instants over tcp).  ``None`` = no tracing.
-    span_log: object | None = None
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -421,7 +417,7 @@ FEATURES: tuple[Feature, ...] = (
 #: tune layers a backend may lack; there they are inert by definition).
 UNIVERSAL_FIELDS = frozenset(
     {"num_clients", "seed", "scheme", "default_timeout", "faust",
-     "transport", "span_log"}
+     "transport"}
 )
 
 _DEFAULTS = {

@@ -14,7 +14,7 @@ and client filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.common.types import ClientId
@@ -27,19 +27,23 @@ class Notification:
     seq: int  # global emission order across the whole system
     time: float  # virtual time of the output action
     client: ClientId  # the client the action occurred at
+    #: The shard whose server this output is about (0 when unsharded).
+    shard: int = field(default=0, kw_only=True)
 
 
 @dataclass(frozen=True)
 class StabilityNotification(Notification):
     """``stable_i(W)`` — operations up to ``cut[j]`` are consistent with
-    client ``j`` (Definition 5, conditions 6-7)."""
+    client ``j`` (Definition 5, conditions 6-7); ``cut`` is the stability
+    vector of ``shard``."""
 
     cut: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class FailureNotification(Notification):
-    """``fail_i`` — proof of server misbehaviour reached this client."""
+    """``fail_i`` — proof that ``shard``'s server misbehaved reached this
+    client (other shards are independent trust domains)."""
 
     reason: str
 
@@ -87,8 +91,8 @@ class NotificationHub:
 
     def __init__(self) -> None:
         self._subscriptions: list[Subscription] = []
-        self._next_seq = 0
-        #: Every notification ever emitted, in emission order.
+        #: Every notification ever emitted, in emission order (an event's
+        #: ``seq`` is its index here).
         self.history: list[Notification] = []
 
     def subscribe(
@@ -126,28 +130,41 @@ class NotificationHub:
         for subscription in list(self._subscriptions):
             subscription._deliver(event)
 
+    def watch(
+        self,
+        instance,
+        client: ClientId,
+        clock: Callable[[], float],
+        shard: int = 0,
+    ) -> None:
+        """Wire one protocol client's ``stable_i`` / ``fail_i`` outputs to
+        this hub, tagged with ``client`` and ``shard`` and timed by
+        ``clock``.  A client that has already failed is reported now:
+        watching a known-bad server must not go silent."""
+        if hasattr(instance, "add_stable_listener"):
+            instance.add_stable_listener(
+                lambda cut: self.emit_stability(clock(), client, cut, shard=shard)
+            )
+        if hasattr(instance, "add_failure_listener"):
+            instance.add_failure_listener(
+                lambda reason: self.emit_failure(clock(), client, reason, shard=shard)
+            )
+        if instance.failed:
+            self.emit_failure(clock(), client, instance.halt_reason, shard=shard)
+
     def emit_stability(
-        self, time: float, client: ClientId, cut: tuple[int, ...]
+        self, time: float, client: ClientId, cut: tuple[int, ...], *, shard: int = 0
     ) -> None:
         """Record and fan out a ``stable_i(W)`` output action."""
-        self._emit(
-            StabilityNotification(
-                seq=self._next_seq_value(), time=time, client=client, cut=cut
-            )
-        )
+        seq = len(self.history)
+        self._emit(StabilityNotification(seq, time, client, cut, shard=shard))
 
-    def emit_failure(self, time: float, client: ClientId, reason: str) -> None:
+    def emit_failure(
+        self, time: float, client: ClientId, reason: str, *, shard: int = 0
+    ) -> None:
         """Record and fan out a ``fail_i`` output action."""
-        self._emit(
-            FailureNotification(
-                seq=self._next_seq_value(), time=time, client=client, reason=reason
-            )
-        )
-
-    def _next_seq_value(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
+        seq = len(self.history)
+        self._emit(FailureNotification(seq, time, client, reason, shard=shard))
 
     def stability_events(self) -> list[StabilityNotification]:
         """Every ``stable_i(W)`` notification emitted so far, in order."""

@@ -28,7 +28,7 @@ in submission order.
 
 A session is bound to one :class:`~repro.workloads.runner.StorageSystem`
 — usually through ``system.session(i)``, which caches one per client —
-and reads its wait budget, batching policy and span log from there.
+and reads its wait budget and batching policy from there.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from typing import Callable
 from repro.api.errors import CapabilityError, OperationFailed, OperationTimeout
 from repro.api.handles import OpHandle, OpResult
 from repro.common.errors import ProtocolError
-from repro.common.types import Bottom, OpKind, RegisterId, Value, register_name
+from repro.common.types import Bottom, OpKind, RegisterId, Value
 from repro.obs.registry import COUNT_BUCKETS, get_registry
-from repro.obs.tracing import make_trace_id
 
 
 class Session:
@@ -69,7 +68,7 @@ class Session:
         )
         self._flush_timer = None
         # Observability: registry handles captured once (no-ops when
-        # metrics are off) plus the system-wide span log, if any.
+        # metrics are off).
         registry = get_registry()
         self._obs_enabled = registry.enabled
         self._obs_issued = registry.counter("session.ops_issued")
@@ -79,7 +78,6 @@ class Session:
             "session.flush_batch_ops", COUNT_BUCKETS
         )
         self._obs_latency = registry.histogram("session.op_latency")
-        self._span_log = system.span_log
         if hasattr(self._client, "add_failure_listener"):
             self._client.add_failure_listener(self._on_client_failure)
 
@@ -243,7 +241,7 @@ class Session:
         self._raise_if_dead()
         handle = OpHandle(self, kind, register)
         self._obs_issued.inc()
-        if self._obs_enabled or self._span_log is not None:
+        if self._obs_enabled:
             handle._obs_issued_at = self._system.scheduler.now
         self._unsettled.append(handle)
         policy = self._batching
@@ -321,20 +319,7 @@ class Session:
         self._obs_settled.inc()
         issued_at = getattr(handle, "_obs_issued_at", None)
         if issued_at is not None:
-            now = self._system.scheduler.now
-            self._obs_latency.observe(now - issued_at)
-            if self._span_log is not None:
-                self._span_log.span(
-                    f"op:{handle.kind.name.lower()}",
-                    ts=issued_at,
-                    dur=now - issued_at,
-                    trace_id=make_trace_id(self._client_id, outcome.timestamp),
-                    proc="client",
-                    args={
-                        "client": self._client_id,
-                        "register": handle.register,
-                    },
-                )
+            self._obs_latency.observe(self._system.scheduler.now - issued_at)
         handle._resolve(
             OpResult(
                 kind=handle.kind,

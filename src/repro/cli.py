@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 
@@ -66,6 +67,9 @@ from repro.consistency import (
     check_linearizability,
     validate_weak_fork_linearizability,
 )
+from repro.obs.health import HealthMonitor
+from repro.obs.registry import enable_metrics, get_registry
+from repro.obs.tracing import SpanLog
 from repro.replica.coordinator import group_stats
 from repro.sim.faults import Fault
 from repro.ustor.byzantine import ADVERSARIES, catalogue_lines
@@ -109,23 +113,17 @@ def _obs_enable(args) -> None:
     in afterwards would never see their events.
     """
     if args.metrics or args.metrics_snapshot or args.metrics_port is not None:
-        from repro.obs.registry import enable_metrics
-
         enable_metrics()
 
 
-def _obs_health(system, servers=(), auditor=None):
-    """A HealthMonitor over the deployment, when metrics are enabled."""
-    from repro.obs.registry import get_registry
-
-    if not get_registry().enabled:
-        return None
-    from repro.obs.health import HealthMonitor
-
-    monitor = HealthMonitor(system.clients, lambda: system.now, servers=servers)
-    if auditor is not None:
-        monitor.watch_auditor(auditor)
-    return monitor
+def _check_output_paths(*flags: tuple[str, str | None]) -> None:
+    """Refuse an output path whose directory does not exist, before
+    anything runs: a finished run must not be lost to a typo."""
+    for flag, path in flags:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigurationError(
+                f"{flag} {path}: directory {os.path.dirname(path)!r} does not exist"
+            )
 
 
 def _obs_snapshot_writer(args, health=None):
@@ -133,7 +131,6 @@ def _obs_snapshot_writer(args, health=None):
     if not args.metrics_snapshot:
         return None
     from repro.obs.exposition import JsonlSnapshotWriter
-    from repro.obs.registry import get_registry
 
     return JsonlSnapshotWriter(
         get_registry(),
@@ -144,8 +141,6 @@ def _obs_snapshot_writer(args, health=None):
 
 def _obs_finish(args, span_log, now, health=None, writer=None) -> None:
     """Write the obs artifacts and print the fail-aware summary lines."""
-    from repro.obs.registry import get_registry
-
     registry = get_registry()
     if health is not None:
         stats = health.refresh()
@@ -306,11 +301,12 @@ def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
             "run is synchronous — use --metrics to print the final "
             "registry (or add --transport tcp)"
         )
-    span_log = None
-    if args.span_log or args.chrome_trace:
-        from repro.obs.tracing import SpanLog
-
-        span_log = SpanLog()
+    _check_output_paths(
+        ("--span-log", args.span_log),
+        ("--chrome-trace", args.chrome_trace),
+        ("--metrics-snapshot", args.metrics_snapshot),
+        ("--trace-file", args.trace_file),
+    )
     config = SystemConfig(
         num_clients=args.clients,
         seed=args.seed,
@@ -334,7 +330,6 @@ def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
             if args.batch is not None
             else None
         ),
-        span_log=span_log,
         transport=args.transport,
         endpoints=args.endpoints or (),
         server_name=args.server_name,
@@ -379,16 +374,19 @@ def _run_and_report(args, system, config, workload, backend) -> None:
     tcp = config.transport == "tcp"
     # The one place the report differs by kind: a cluster labels its shards.
     sharded = isinstance(system, ClusterSystem)
-    batching, span_log = config.batching, config.span_log
+    batching = config.batching
+    span_log = (
+        SpanLog.attach(system) if args.span_log or args.chrome_trace else None
+    )
     auditor = (
         system.attach_audit(every=args.audit_every)
         if args.audit_every is not None
         else None
     )
-    # A remote server process cannot be probed (``server`` is None), so over
-    # tcp the monitor's start is the conservative baseline for deviation times.
     servers = [shard.server for shard in system.shards if shard.server is not None]
-    health = _obs_health(system, servers=servers, auditor=auditor)
+    health = (
+        HealthMonitor(system, auditor=auditor) if get_registry().enabled else None
+    )
     writer = _obs_snapshot_writer(args, health)
     if writer is not None:
         writer.write(system.now)  # the t=0 baseline line
@@ -712,6 +710,7 @@ def _cmd_scale(args) -> int:
             sample_every=args.sample_every,
             trace_malloc=args.trace_malloc,
         )
+        _check_output_paths(("--json", args.json), ("--metrics-out", args.metrics_out))
     except (ConfigurationError, SimulationError) as exc:
         print(exc)
         return 2

@@ -16,8 +16,8 @@ Guarantees are per shard, audited per shard:
 * each shard is fork-linearizable/fail-aware *independently* — an
   adversary may be honest on one shard and forking on another;
 * a forking shard is detected by, and reported to, exactly the clients
-  whose operations touched it (:class:`ShardFailureNotification` carries
-  the shard);
+  whose operations touched it (every
+  :class:`~repro.api.events.FailureNotification` carries its ``shard``);
 * ``barrier()`` drains every touched shard; stability is tracked per
   register partition (home-shard cuts for writes).
 
@@ -31,20 +31,12 @@ Open one through the ``cluster`` backend::
     )
 """
 
-from repro.cluster.events import (
-    ClusterNotificationHub,
-    ShardFailureNotification,
-    ShardStabilityNotification,
-)
 from repro.cluster.session import ClusterSession
 from repro.cluster.system import ClusterClient, ClusterSystem, register_owners
 
 __all__ = [
     "ClusterClient",
-    "ClusterNotificationHub",
     "ClusterSession",
     "ClusterSystem",
-    "ShardFailureNotification",
-    "ShardStabilityNotification",
     "register_owners",
 ]

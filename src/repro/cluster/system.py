@@ -35,7 +35,7 @@ shards keep serving it.
 from __future__ import annotations
 
 from repro.api.errors import CapabilityError
-from repro.cluster.events import ClusterNotificationHub
+from repro.api.events import NotificationHub
 from repro.cluster.session import ClusterSession
 from repro.common.errors import ConfigurationError
 from repro.common.types import ClientId, RegisterId, client_name
@@ -230,7 +230,7 @@ class ClusterSystem(Deployment):
         self.audit_every = shards[0].audit_every
         self.num_clients = len(shards[0].clients)
         self._owners = register_owners(self.num_clients, len(shards))
-        self.notifications = ClusterNotificationHub()
+        self.notifications = NotificationHub()
         self.trace = _ClusterTrace(self)
         self.offline = _ClusterOffline(self)
         #: The cluster's one fault schedule (:mod:`repro.sim.faults`).
@@ -293,24 +293,12 @@ class ClusterSystem(Deployment):
         if key in self._touched:
             return
         self._touched.add(key)
-        hub = self.notifications
-        instance = self.shards[shard].clients[client_id]
-        if hasattr(instance, "add_stable_listener"):
-            instance.add_stable_listener(
-                lambda cut, _c=client_id, _s=shard: hub.emit_shard_stability(
-                    self.scheduler.now, _c, cut, _s
-                )
-            )
-        if hasattr(instance, "add_failure_listener"):
-            instance.add_failure_listener(
-                lambda reason, _c=client_id, _s=shard: hub.emit_shard_failure(
-                    self.scheduler.now, _c, reason, _s
-                )
-            )
-        if instance.failed:
-            hub.emit_shard_failure(
-                self.scheduler.now, client_id, instance.halt_reason, shard
-            )
+        self.notifications.watch(
+            self.shards[shard].clients[client_id],
+            client_id,
+            lambda: self.scheduler.now,
+            shard,
+        )
 
     # ------------------------------------------------------------------ #
     # Histories (per shard — each shard is its own consistency domain)

@@ -623,7 +623,6 @@ class TcpWorld(runner.World):
                 endpoints=config.endpoints,
                 commit_piggyback=config.commit_piggyback,
             )
-            recorder.add_listener(self.trace_writer)
         return []
 
     def connect(self, client) -> None:
@@ -631,7 +630,6 @@ class TcpWorld(runner.World):
         i, writer = client.client_id, self.trace_writer
         endpoints = self._config.endpoints
         replicated = len(self._replica_names) > 1
-        client.span_log = self._config.span_log
         if writer is not None and replicated:
             # The logical inbound stream: the quorum winner at resolution
             # time, recorded in place of any raw per-replica arrival.

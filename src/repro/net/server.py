@@ -42,7 +42,6 @@ from repro.common.types import client_name
 from repro.net.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.net.realtime import RealtimeScheduler
 from repro.obs.registry import enable_metrics, get_registry, set_registry
-from repro.obs.tracing import make_trace_id
 from repro.net.wire import (
     decode_payload,
     message_to_payload,
@@ -159,11 +158,6 @@ class NetServerHost:
         self._metrics_port = metrics_port
         self._metrics_host = metrics_host
         self.metrics_server = None
-        #: Optional :class:`repro.obs.tracing.SpanLog`: when set, every
-        #: delivered SUBMIT is recorded as a server-side instant under the
-        #: id its client derives from the same (client id, timestamp),
-        #: extending the causal trace across the process boundary.
-        self.span_log = None
         registry = get_registry()
         self._obs_submits = registry.counter("server.submits_delivered")
         self._obs_dedup = registry.counter("server.submits_deduplicated")
@@ -301,15 +295,6 @@ class NetServerHost:
             return
         self._seen[client_id] = t
         self._obs_submits.inc()
-        if self.span_log is not None:
-            assert self.scheduler is not None
-            self.span_log.instant(
-                "server:submit",
-                ts=self.scheduler.now,
-                trace_id=make_trace_id(client_id, t),
-                proc=f"server:{self.server_name}",
-                args={"client": client_id, "timestamp": t},
-            )
         self._inflight = name
         try:
             self.node.deliver(name, message)

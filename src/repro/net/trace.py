@@ -1,9 +1,11 @@
 """Append-only JSONL wire traces of real runs, and their sim replay.
 
 Every real (TCP) run can be recorded as one JSON-lines file holding the
-run's parameters, every operation invocation/response the history
-recorder saw, and every frame as observed **by the clients** — outbound
-at the moment of transmission, inbound at the moment of receipt.  The
+run's parameters and every frame as observed **by the clients** —
+outbound at the moment of transmission, inbound at the moment of
+receipt.  Nothing else is recorded: an invocation *is* its SUBMIT frame
+(client, kind, register, value and timestamp all travel in it), and a
+response is what the clients derive from the inbound frames.  The
 client-side vantage point matters for the security argument: the trace
 captures exactly the bytes the clients acted on, so replaying it
 re-derives the clients' verdicts *whatever* the server actually was —
@@ -11,20 +13,17 @@ honest, Byzantine, or long gone.
 
 Record shapes (one JSON object per line; ``seq`` is a global counter)::
 
-    {"t": "header", "v": 4, "n": ..., "scheme": ..., "server": ...,
+    {"t": "header", "v": 5, "n": ..., "scheme": ..., "server": ...,
      "endpoints": [...], "piggyback": ...}
-    {"t": "invoke",   "seq": k, "c": i, "k": "WRITE", "r": j,
-     "val": <hex|null>, "ts": t, "at": seconds}
-    {"t": "response", "seq": k, "c": i, "k": "READ", "r": j,
-     "val": <hex|"BOTTOM"|null>, "ts": t, "at": seconds}
     {"t": "frame", "seq": k, "dir": "c2s"|"s2c", "c": i,
      "retx": bool, "payload": hex, "at": seconds}
-    {"t": "note", "seq": k, "kind": ..., "data": ...}
 
 Replay (:func:`replay_trace`) rebuilds *fresh* protocol clients on the
 discrete-event simulator — same deterministic keys, so same signatures —
-and walks the records in order at virtual time = ``seq``: invocations
-re-invoke, inbound frames re-deliver.  Two equivalence checks fall out:
+and walks the frames in order at virtual time = ``seq``: each recorded
+SUBMIT re-invokes its operation, inbound frames re-deliver (an inbound
+frame the live client could not decode is skipped, as the client dropped
+it).  Two equivalence checks fall out:
 
 * every client-to-server frame the replayed clients produce is compared
   byte-for-byte against the recorded one (retransmissions excluded —
@@ -40,21 +39,28 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.common.errors import ConfigurationError, ProtocolError
-from repro.common.types import BOTTOM
+from repro.common.errors import (
+    ConfigurationError,
+    DecodeError,
+    EncodingError,
+    ProtocolError,
+)
+from repro.common.types import BOTTOM, OpKind
 from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.net.wire import message_to_payload, payload_to_message
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import SimTrace
+from repro.ustor.messages import SubmitMessage
 from repro.workloads import runner
 
 #: Bumped whenever the canonical encoding or a frame's shape changes:
 #: ``payload`` is those bytes, so an older trace cannot be replayed (v1:
 #: 8-byte length fields; v2: varint length fields; v3: a REPLY's ``P`` cut
 #: to ``L``'s submitters and ``SVER[j] = SVER[c]`` back-referenced; v4: no
-#: trace-id element in any frame, a REPLY's attestation its 7th element).
-TRACE_VERSION = 4
+#: trace-id element in any frame, a REPLY's attestation its 7th element;
+#: v5: frames only — the SUBMIT frame is the invocation).
+TRACE_VERSION = 5
 
 
 def _value_to_json(value) -> str | None:
@@ -65,21 +71,11 @@ def _value_to_json(value) -> str | None:
     return bytes(value).hex()
 
 
-def _value_from_json(value):
-    if value is None:
-        return None
-    if value == "BOTTOM":
-        return BOTTOM
-    return bytes.fromhex(value)
-
-
 class WireTraceWriter:
-    """Streams one run's records to disk as they happen.
+    """Streams one run's frames to disk as they happen.
 
-    Doubles as a :class:`~repro.history.recorder.HistoryRecorder`
-    listener (``on_invoke``/``on_response``) and as the frame hook the
-    client connections call.  Append-only and flushed per record, so a
-    crashed run leaves a usable prefix.
+    :meth:`frame` is the hook the client connections call.  Append-only
+    and flushed per record, so a crashed run leaves a usable prefix.
     """
 
     def __init__(
@@ -113,40 +109,10 @@ class WireTraceWriter:
     def _emit(self, record: dict) -> None:
         if self._closed:
             return
-        record.setdefault("seq", self._seq)
+        record["seq"] = self._seq
         self._seq += 1
         self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._file.flush()
-
-    # -- recorder listener hooks --------------------------------------- #
-
-    def on_invoke(self, op) -> None:
-        self._emit(
-            {
-                "t": "invoke",
-                "c": op.client,
-                "k": op.kind.name,
-                "r": op.register,
-                "val": _value_to_json(op.value),
-                "ts": op.timestamp,
-                "at": round(op.invoked_at, 6),
-            }
-        )
-
-    def on_response(self, op) -> None:
-        self._emit(
-            {
-                "t": "response",
-                "c": op.client,
-                "k": op.kind.name,
-                "r": op.register,
-                "val": _value_to_json(op.value),
-                "ts": op.timestamp,
-                "at": round(op.responded_at, 6),
-            }
-        )
-
-    # -- frame hook ---------------------------------------------------- #
 
     def frame(self, direction: str, client: int, payload: bytes, *, retx: bool) -> None:
         self._emit(
@@ -159,9 +125,6 @@ class WireTraceWriter:
                 "at": round(self._clock(), 6),
             }
         )
-
-    def note(self, kind: str, data=None) -> None:
-        self._emit({"t": "note", "kind": kind, "data": data})
 
     def close(self) -> None:
         if not self._closed:
@@ -200,12 +163,8 @@ class PlaybackTransport:
 
     def __init__(self, scheduler: Scheduler, trace: SimTrace | None = None) -> None:
         self._scheduler = scheduler
-        self._trace = trace
+        self.trace = trace
         self.outbound: dict[str, list[bytes]] = {}
-
-    @property
-    def trace(self) -> SimTrace | None:
-        return self._trace
 
     def register(self, node) -> None:
         node.bind(self._scheduler, self)
@@ -259,40 +218,47 @@ def replay_trace(path: str) -> ReplayResult:
     divergences: list[str] = []
 
     def apply(record: dict) -> None:
-        kind = record["t"]
-        client = clients[record["c"]] if "c" in record else None
-        if kind == "invoke":
+        client = clients[record["c"]]
+        at = f"seq {record['seq']}"
+        payload = bytes.fromhex(record["payload"])
+        try:
+            message = payload_to_message(payload)
+        except (DecodeError, EncodingError) as exc:
+            # s2c: the live client dropped the connection on these bytes
+            # and never acted on them; neither does the replay.
+            if record["dir"] == "c2s":
+                divergences.append(
+                    f"{at}: recorded frame from {client.name} does not decode ({exc})"
+                )
+            return
+        if record["dir"] == "s2c":
+            client.deliver(server_name, message)
+            return
+        if record["retx"]:
+            return  # the logical frame was already checked once
+        if isinstance(message, SubmitMessage):
+            # The SUBMIT is the invocation: re-invoke what it carries.
             try:
-                if record["k"] == "WRITE":
-                    client.write(_value_from_json(record["val"]))
+                if message.invocation.opcode is OpKind.WRITE:
+                    client.write(message.value)
                 else:
-                    client.read(record["r"])
+                    client.read(message.invocation.register)
             except ProtocolError as exc:
                 divergences.append(
-                    f"seq {record['seq']}: replayed {client.name} rejected "
-                    f"the recorded invocation ({exc})"
+                    f"{at}: replayed {client.name} rejected the recorded "
+                    f"invocation ({exc})"
                 )
-        elif kind == "frame":
-            if record["dir"] == "c2s":
-                if record["retx"]:
-                    return  # the logical frame was already checked once
-                expected = bytes.fromhex(record["payload"])
-                produced = transport.outbound[client.name]
-                if not produced:
-                    divergences.append(
-                        f"seq {record['seq']}: recording has a frame from "
-                        f"{client.name} the replay never produced"
-                    )
-                elif produced.pop(0) != expected:
-                    divergences.append(
-                        f"seq {record['seq']}: frame from {client.name} "
-                        f"differs between recording and replay"
-                    )
-            else:  # s2c — re-deliver exactly what the client processed
-                message = payload_to_message(bytes.fromhex(record["payload"]))
-                client.deliver(server_name, message)
-        # "response"/"note" records carry no replay obligation: responses
-        # re-emerge from the replayed protocol itself.
+        produced = transport.outbound[client.name]
+        if not produced:
+            divergences.append(
+                f"{at}: recording has a frame from {client.name} the replay "
+                f"never produced"
+            )
+        elif produced.pop(0) != payload:
+            divergences.append(
+                f"{at}: frame from {client.name} differs between recording "
+                f"and replay"
+            )
 
     for index, record in enumerate(records):
         # Virtual time = record index keeps invocation/response order (and

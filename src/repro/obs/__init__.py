@@ -16,12 +16,12 @@ The package splits into four modules:
 * :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms
   (p50/p95/p99), the registry itself, and the process-global default;
 * :mod:`repro.obs.tracing` — deterministic per-operation trace ids
-  (client id + protocol timestamp: derived by each emitter, never sent)
-  and the :class:`~repro.obs.tracing.SpanLog` with JSONL and Chrome
-  trace-event export;
-* :mod:`repro.obs.health` — the fail-aware headline gauges: per-client
-  stability lag, time-to-detection from Byzantine deviation to
-  ``FailureNotification``, auditor progress/verdict;
+  (client id + protocol timestamp: derived by each reader, never sent)
+  and the :class:`~repro.obs.tracing.SpanLog`, read off a deployment's
+  recorders and notification hub, with JSONL and Chrome export;
+* :mod:`repro.obs.health` — the fail-aware headline gauges read off a
+  deployment: per-client stability lag, time-to-detection from
+  Byzantine deviation to ``FailureNotification``, auditor progress;
 * :mod:`repro.obs.exposition` — Prometheus text rendering, the
   ``/metrics`` asyncio HTTP endpoint, and the periodic JSONL snapshot
   writer.

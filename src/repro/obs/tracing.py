@@ -7,11 +7,9 @@ timestamp ``t`` (strictly increasing per client, Algorithm 1):
 
     ``trace_id = (client_id << 40) | t``
 
-40 bits of timestamp cover ~10^12 operations per client.  Whoever emits
-a span derives the id from the pair it already knows (the client
-submitting or failing an op, the session settling one, the TCP server
-host delivering a SUBMIT), so one operation is followed across process
-boundaries, and through a replayed wire trace, without any id
+40 bits of timestamp cover ~10^12 operations per client.  Whoever reads
+an operation derives its id from the pair, so one operation is followed
+through a span log, a wire trace and its replay without any id
 allocation protocol or extra bytes.
 
 :class:`SpanLog` collects span records — ``ph="X"`` complete spans with
@@ -19,6 +17,12 @@ a duration and ``ph="i"`` instants — and exports them as JSONL (one
 record per line, grep-friendly) or as a Chrome trace-event file that
 ``chrome://tracing`` / Perfetto loads directly, with one trace-viewer
 process per reporting component and one row per client.
+
+:meth:`SpanLog.attach` fills a log from the run's own records and
+nothing else: each shard's history recorder (``submit:<kind>`` at every
+invocation, ``op:<kind>`` over every completed operation's interval) and
+the deployment's notification hub (``fail`` at every ``fail_i``).  The
+log is therefore the same on every backend and transport.
 """
 
 from __future__ import annotations
@@ -60,17 +64,47 @@ class SpanLog:
         {"ph": "X", "name": "op:write", "proc": "client", "ts": 3.0,
          "dur": 1.5, "trace_id": 17, "args": {...}}
 
-    ``ts``/``dur`` are in the emitting side's time units (virtual time on
-    the simulator, UNIX seconds over TCP); the Chrome export scales them
-    to microseconds, which the viewers expect.  ``proc`` names the
-    reporting component (``"client"``, ``"server:S"``, ...) and becomes a
-    trace-viewer process; the client encoded in ``trace_id`` becomes the
-    thread row, so one operation reads left-to-right across processes on
-    the same row index.
+    ``ts``/``dur`` are on the deployment's clock (virtual time on the
+    simulator, UNIX seconds over TCP); the Chrome export scales them to
+    microseconds, which the viewers expect.  ``proc`` names the reporting
+    component and becomes a trace-viewer process; the client encoded in
+    ``trace_id`` becomes the thread row.
     """
 
     def __init__(self) -> None:
         self.records: list[dict] = []
+
+    @classmethod
+    def attach(cls, system) -> "SpanLog":
+        """A log fed by ``system``'s records from now on.
+
+        Every shard's recorder gives a ``submit:<kind>`` instant per
+        invocation and an ``op:<kind>`` span over ``[invoked_at,
+        responded_at]`` per response — FAUST's dummy reads included, as
+        they are history operations.  Every
+        :class:`~repro.api.events.FailureNotification` gives a ``fail``
+        instant carrying the trace id of the client's in-flight operation
+        on that shard (``None`` when it was idle).
+        """
+        from repro.api.events import FailureNotification
+
+        log = cls()
+        shards = []
+        for shard in system.shards:
+            spans = _OperationSpans(log)
+            shard.recorder.add_listener(spans)
+            shards.append(spans)
+
+        def on_fail(event) -> None:
+            log.instant(
+                "fail",
+                ts=event.time,
+                trace_id=shards[event.shard].inflight.get(event.client),
+                args={"client": event.client, "reason": event.reason},
+            )
+
+        system.notifications.subscribe(on_fail, kinds=FailureNotification)
+        return log
 
     def __len__(self) -> int:
         return len(self.records)
@@ -176,3 +210,32 @@ class SpanLog:
         with open(path, "w") as fh:
             json.dump({"traceEvents": events}, fh)
         return len(events)
+
+
+class _OperationSpans:
+    """Recorder listener turning one shard's history into span records,
+    and remembering each client's in-flight operation."""
+
+    def __init__(self, log: SpanLog) -> None:
+        self._log = log
+        #: client -> trace id of its invoked, not yet responded operation.
+        self.inflight: dict[int, int] = {}
+
+    def on_invoke(self, op) -> None:
+        trace_id = self.inflight[op.client] = make_trace_id(op.client, op.timestamp)
+        self._log.instant(
+            f"submit:{op.kind.name.lower()}",
+            ts=op.invoked_at,
+            trace_id=trace_id,
+            args={"client": op.client, "register": op.register},
+        )
+
+    def on_response(self, op) -> None:
+        self.inflight.pop(op.client, None)
+        self._log.span(
+            f"op:{op.kind.name.lower()}",
+            ts=op.invoked_at,
+            dur=op.responded_at - op.invoked_at,
+            trace_id=make_trace_id(op.client, op.timestamp),
+            args={"client": op.client, "register": op.register},
+        )

@@ -39,7 +39,6 @@ from repro.common.types import (
 from repro.crypto.hashing import hash_register_value
 from repro.crypto.keystore import ClientSigner
 from repro.history.recorder import HistoryRecorder
-from repro.obs.tracing import make_trace_id
 from repro.sim.process import Node
 from repro.ustor.digests import extend_digest
 from repro.ustor.messages import (
@@ -148,9 +147,6 @@ class UstorClient(Node):
         self._recorder = recorder
         self._on_fail = on_fail
         self._piggyback = commit_piggyback
-        #: Optional :class:`repro.obs.tracing.SpanLog`; when set, the
-        #: client emits submit/fail instants tagged with trace ids.
-        self.span_log = None
         #: Optional hook fed each quorum-resolved REPLY (the winner the
         #: protocol engine actually consumes).  The TCP wire trace uses
         #: it: with a replica group, raw per-replica arrivals are not the
@@ -280,14 +276,6 @@ class UstorClient(Node):
             data_sig=data_sig,
             piggyback=self._take_deferred_commit(),
         )
-        if self.span_log is not None:
-            self.span_log.instant(
-                f"submit:{kind.name.lower()}",
-                ts=self.now,
-                trace_id=make_trace_id(self._id, t),
-                proc="client",
-                args={"client": self._id, "register": register},
-            )
         self._pending_binding = submit_sig
         if self.quorum_coordinator is not None:
             self.quorum_coordinator.begin_round(
@@ -576,21 +564,6 @@ class UstorClient(Node):
         trace = self.network.trace
         if trace is not None:
             trace.note(self.now, self.name, "ustor-fail", reason)
-        if self.span_log is not None:
-            # Tag the detection with the offending operation's trace id so
-            # the span log links the SUBMIT to the failure notification.
-            pending = self._pending
-            self.span_log.instant(
-                "fail",
-                ts=self.now,
-                trace_id=(
-                    make_trace_id(self._id, pending.timestamp)
-                    if pending is not None
-                    else None
-                ),
-                proc="client",
-                args={"client": self._id, "reason": reason},
-            )
         if self._on_fail is not None:
             self._on_fail(reason)
         for listener in list(self._fail_listeners):

@@ -182,9 +182,6 @@ class StorageSystem(Deployment):
     #: The throughput pipeline this deployment was built with (``None``
     #: = unbatched); sessions read their flush policy from here.
     batching: "BatchingPolicy | None" = None
-    #: Assign a :class:`repro.obs.tracing.SpanLog` here *before* opening
-    #: sessions to collect per-operation spans (sessions capture it once).
-    span_log: object | None = None
     #: The full replica group (``[server]`` when unreplicated): every
     #: co-located server of this deployment's shard, in replica order.
     #: ``server`` stays the first replica so single-server call sites run
@@ -222,30 +219,14 @@ class StorageSystem(Deployment):
         return self
 
     def wire_notifications(self) -> None:
-        """Give the deployment its :class:`NotificationHub`: every
-        client's ``stable_i`` / ``fail_i`` outputs as typed events.
-
-        ``open_system`` calls this once on the system it returns.  A
-        cluster's shards never get a hub of their own: the cluster's
-        touch-scoped hub already hears their clients.
-        """
+        """Give the deployment its :class:`NotificationHub`, watching
+        every client (``open_system`` calls this once; a cluster's shards
+        get none: the cluster's touch-scoped hub hears their clients)."""
         from repro.api.events import NotificationHub
 
         hub = self.notifications = NotificationHub()
-        scheduler = self.scheduler
-        for client in self.clients:
-            if hasattr(client, "add_stable_listener"):
-                client.add_stable_listener(
-                    lambda cut, _c=client: hub.emit_stability(
-                        scheduler.now, _c.client_id, cut
-                    )
-                )
-            if hasattr(client, "add_failure_listener"):
-                client.add_failure_listener(
-                    lambda reason, _c=client: hub.emit_failure(
-                        scheduler.now, _c.client_id, reason
-                    )
-                )
+        for index, client in enumerate(self.clients):
+            hub.watch(client, index, lambda: self.scheduler.now)
 
     def run_until_quiescent(
         self, check_every: float | None = None, timeout: float | None = None

@@ -295,6 +295,15 @@ class TestMisuseBeforeBuilding:
               "5", "5"], "shard 1"),
             (["--backend", "faust", "--storage", "log", "--shard-outage", "-1",
               "5", "5"], "(shard, replica) pair"),
+            # Output paths are checked before the run, not after it: these
+            # used to run the whole workload and then raise.
+            (["--span-log", "/nonexistent/dir/s.jsonl"], "--span-log"),
+            (["--chrome-trace", "/nonexistent/dir/t.json"], "--chrome-trace"),
+            (["--metrics-snapshot", "/nonexistent/dir/m.jsonl"],
+             "--metrics-snapshot"),
+            (["--backend", "ustor", "--transport", "tcp", "--endpoints",
+              "127.0.0.1:1", "--trace-file", "/nonexistent/dir/w.jsonl"],
+             "--trace-file"),
         ],
     )
     def test_run(self, flags, hint, monkeypatch, capsys):
@@ -331,6 +340,10 @@ class TestMisuseBeforeBuilding:
               "crash-forever:9@100"], "outside the fleet of 4"),
             (["--clients", "4", "--duration", "50", "--client-faults",
               "crash-forever:-1@100"], "outside the fleet of 4"),
+            # These used to fail only once the run was over.
+            (["--duration", "20", "--json", "/nonexistent/dir/r.json"], "--json"),
+            (["--duration", "20", "--metrics-out", "/nonexistent/dir/m.prom"],
+             "--metrics-out"),
         ],
     )
     def test_scale(self, flags, hint, monkeypatch, capsys):

@@ -17,19 +17,15 @@ import pytest
 from repro.api import (
     CapabilityError,
     ClusterBackend,
+    FailureNotification,
     FaustParams,
     OperationFailed,
     OperationTimeout,
+    StabilityNotification,
     SystemConfig,
     open_system,
 )
-from repro.cluster import (
-    ClusterSession,
-    ClusterSystem,
-    ShardFailureNotification,
-    ShardStabilityNotification,
-    register_owners,
-)
+from repro.cluster import ClusterSession, ClusterSystem, register_owners
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM
 from repro.sim.faults import Fault
@@ -287,7 +283,7 @@ class TestClusterStability:
         stability = [
             e
             for e in system.notifications.history
-            if isinstance(e, ShardStabilityNotification)
+            if isinstance(e, StabilityNotification)
         ]
         assert stability
         assert all(0 <= e.shard < 2 for e in stability)
@@ -357,7 +353,7 @@ class TestShardFaults:
         bystander.write_sync(b"clean")
         assert not bystander.failed
         events = system.notifications.failure_events()
-        assert events and all(isinstance(e, ShardFailureNotification) for e in events)
+        assert events and all(isinstance(e, FailureNotification) for e in events)
         assert all(e.shard == 0 for e in events)
 
     def test_touching_an_already_failed_shard_notifies_immediately(self):

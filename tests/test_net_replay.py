@@ -39,11 +39,12 @@ def record_loopback_run(
     num_clients: int = 3,
     server_factory=None,
     drive=None,
+    host_class=NetServerHost,
 ):
     """Run a recorded loopback workload; returns (trace_path, history)."""
     trace_path = tmp_path / "run.jsonl"
     runtime = NetRuntime()
-    host = NetServerHost(num_clients, server_factory=server_factory)
+    host = host_class(num_clients, server_factory=server_factory)
     runtime.run_coroutine(host.start())
     system = open_system(
         SystemConfig(
@@ -153,6 +154,44 @@ class TestReplayEquivalence:
         assert not check_linearizability(result.history).ok or failures
 
 
+    def test_undecodable_server_frame_is_skipped_as_the_client_did(self, tmp_path):
+        # The server answers C1's first SUBMIT with well-framed bytes that
+        # do not decode.  The live client records the frame, drops the
+        # connection, reconnects and retransmits; the replay must skip
+        # the frame the same way rather than raise on it.
+        class GarblingHost(NetServerHost):
+            garbled = False
+
+            def _write_frame(self, dst, payload):
+                if dst == "C1" and not self.garbled:
+                    self.garbled = True
+                    payload = bytes.fromhex("ff00")
+                super()._write_frame(dst, payload)
+
+        trace_path, history, failures = record_loopback_run(
+            tmp_path, drive=drive_workload(ops=3), host_class=GarblingHost
+        )
+        assert not failures
+        _header, records = load_trace(str(trace_path))
+        assert any(
+            r.get("dir") == "s2c" and r["payload"] == "ff00" for r in records
+        ), "the server never sent the undecodable frame"
+        result = replay_trace(str(trace_path))
+        assert result.ok, result.divergences
+        assert history_signature(result.history) == history_signature(history)
+
+    def test_undecodable_client_frame_is_a_divergence(self, tmp_path):
+        path = tmp_path / "bad-c2s.jsonl"
+        path.write_text(
+            '{"t":"header","v":5,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
+            '"payload":"ff00","at":0.0}\n'
+        )
+        result = replay_trace(str(path))
+        assert not result.ok
+        assert result.divergences[0].startswith("seq 1: recorded frame from C1")
+
+
 class TestTraceFormat:
     def test_trace_is_json_lines_with_header_first(self, tmp_path):
         trace_path, _history, _failures = record_loopback_run(
@@ -161,16 +200,16 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 4
+        assert records[0]["v"] == 5
         assert records[0]["n"] == 3
-        kinds = {r["t"] for r in records}
-        assert {"header", "invoke", "response", "frame"} <= kinds
+        # Frames only: every invocation is its SUBMIT frame.
+        assert {r["t"] for r in records} == {"header", "frame"}
         seqs = [r["seq"] for r in records[1:]]
         assert seqs == sorted(seqs)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"t":"invoke","seq":0,"c":0}\n')
+        path.write_text('{"t":"frame","seq":0,"c":0}\n')
         with pytest.raises(ConfigurationError, match="header"):
             load_trace(str(path))
 
@@ -192,10 +231,10 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             f'"payload":"{old_frame}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v4"):
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v5"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "this build reads v4" in capsys.readouterr().out
+        assert "this build reads v5" in capsys.readouterr().out
 
     def test_trace_of_the_all_proofs_reply_form_refused(self, tmp_path, capsys):
         # v2 REPLYs carry all n PROOF-signatures: ("REPLY", (c, SVER[c], L,
@@ -216,7 +255,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v2_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v4"):
+        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v5"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         assert "trace version 2 unsupported" in capsys.readouterr().out
@@ -242,11 +281,26 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v3_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v4"):
+        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v5"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
         assert "trace version 3 unsupported" in out and out.count("\n") == 1
+
+    def test_trace_with_invocation_records_refused(self, tmp_path, capsys):
+        # v4 traces interleaved the recorder's invoke/response records
+        # with the frames; this build re-derives both from the SUBMITs.
+        from repro.cli import main
+
+        path = tmp_path / "v4.jsonl"
+        path.write_text(
+            '{"t":"header","v":4,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"invoke","seq":1,"c":0,"k":"READ","r":0,"val":null,'
+            '"ts":1,"at":0.0}\n'
+        )
+        assert main(["replay", "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "trace version 4 unsupported" in out and out.count("\n") == 1
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

@@ -1,20 +1,13 @@
 """Exposition-layer tests: Prometheus text, the ``/metrics`` HTTP
-listener, JSONL snapshots, and causal trace ids across a TCP run.
+listener and JSONL snapshots.
 
-The HTTP tests drive a real asyncio listener over loopback sockets; the
-trace test records a full TCP run with a span log on both the clients and
-the server host and asserts that each side derives the same id for every
-SUBMIT (no id travels on the wire), and that ``repro replay``'s
-byte-identity verdict holds.
+The HTTP tests drive a real asyncio listener over loopback sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import random
-
-import pytest
 
 from repro.obs.exposition import (
     JsonlSnapshotWriter,
@@ -141,67 +134,3 @@ class TestJsonlSnapshotWriter:
         JsonlSnapshotWriter(Registry(), path)
         assert path.read_text() == ""
 
-
-@pytest.mark.net
-class TestTraceIdsAcrossProcesses:
-    def test_server_and_client_derive_one_id_and_the_run_replays(self, tmp_path):
-        from repro.api import SystemConfig, open_system
-        from repro.net.client import NetRuntime
-        from repro.net.server import NetServerHost
-        from repro.net.trace import replay_trace
-        from repro.obs.tracing import SpanLog
-        from repro.workloads.generator import (
-            Driver,
-            WorkloadConfig,
-            generate_scripts,
-        )
-
-        trace_path = tmp_path / "wire.jsonl"
-        runtime = NetRuntime()
-        host = NetServerHost(2)
-        runtime.run_coroutine(host.start())
-        span_log = SpanLog()
-        host.span_log = span_log
-        system = open_system(
-            SystemConfig(
-                2,
-                transport="tcp",
-                endpoints=(host.endpoint,),
-                trace_path=str(trace_path),
-                span_log=span_log,
-                default_timeout=10.0,
-            ),
-            backend="ustor",
-            runtime=runtime,
-        )
-        system.hosts.append(host)
-        system.owns_runtime = True
-        with system:
-            scripts = generate_scripts(
-                2,
-                WorkloadConfig(
-                    ops_per_client=4, read_fraction=0.5, mean_think_time=0.005
-                ),
-                random.Random(5),
-            )
-            driver = Driver(system)
-            driver.attach_all(scripts)
-            assert driver.run_to_completion(timeout=20.0)
-            system.run_until_quiescent(timeout=5.0)
-
-        # Per client, the server's SUBMIT instants carry the ids of the
-        # client's own submit instants, one for one and in order.
-        def ids(prefix: str, client: int) -> list:
-            return [
-                r["trace_id"]
-                for r in span_log.records
-                if r["name"].startswith(prefix) and r["args"]["client"] == client
-            ]
-
-        for client in range(2):
-            client_ids = ids("submit:", client)
-            assert len(client_ids) == 4 and None not in client_ids
-            assert ids("server:submit", client) == client_ids
-        result = replay_trace(str(trace_path))
-        assert result.ok, result.divergences
-        assert len(result.history) == 8

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.api import FailureNotification, SystemConfig, open_system
+from repro.api.events import NotificationHub
 from repro.obs.health import HealthMonitor
 from repro.obs.registry import Registry, use_registry
 from repro.ustor.byzantine import RollbackServer, SplitBrainServer, TamperingServer
@@ -27,18 +28,10 @@ class _Version:
 
 
 class _StubClient:
-    """Just enough client surface for the monitor: version + listeners."""
+    """Just enough client surface for the monitor: a version vector."""
 
     def __init__(self, vector=()):
         self.version = _Version(vector)
-        self._listeners = []
-
-    def add_failure_listener(self, listener):
-        self._listeners.append(listener)
-
-    def fail(self, reason):
-        for listener in self._listeners:
-            listener(reason)
 
 
 class _StubTracker:
@@ -49,46 +42,59 @@ class _StubTracker:
         return self._stable
 
 
-class _Clock:
-    def __init__(self, now=0.0):
-        self.now = now
+class _StubSystem:
+    """Just enough deployment for the monitor: one shard (itself) with its
+    clients and server, a clock and a notification hub."""
 
-    def __call__(self):
-        return self.now
+    def __init__(self, clients, now=0.0, server=None):
+        self.clients = list(clients)
+        self.shards = [self]
+        self.server = server
+        self.now = now
+        self.notifications = NotificationHub()
+
+    def fail(self, client, reason):
+        self.notifications.emit_failure(self.now, client, reason)
 
 
 class TestStabilityLags:
     def test_ustor_proxy_is_min_over_vectors(self):
         # C0 issued 3 ops; C1 has only seen 2 of them -> lag 1.
-        clients = [_StubClient([3, 0]), _StubClient([2, 0])]
-        monitor = HealthMonitor(clients, _Clock(), registry=Registry())
+        system = _StubSystem([_StubClient([3, 0]), _StubClient([2, 0])])
+        monitor = HealthMonitor(system, registry=Registry())
         assert monitor.stability_lags() == [1, 0]
 
     def test_faust_tracker_answers_directly(self):
         client = _StubClient([4])
         client.tracker = _StubTracker(stable=1)
-        monitor = HealthMonitor([client], _Clock(), registry=Registry())
+        monitor = HealthMonitor(_StubSystem([client]), registry=Registry())
         assert monitor.stability_lags() == [3]
 
     def test_clients_without_versions_lag_zero(self):
         class Bare:
             pass
 
-        monitor = HealthMonitor([Bare()], _Clock(), registry=Registry())
+        monitor = HealthMonitor(_StubSystem([Bare()]), registry=Registry())
         assert monitor.stability_lags() == [0]
+
+    def test_a_clients_lag_is_its_worst_shard(self):
+        system = _StubSystem([_StubClient([3, 0]), _StubClient([2, 0])])
+        other = _StubSystem([_StubClient([1, 1]), _StubClient([1, 5])])
+        system.shards = [system, other]
+        monitor = HealthMonitor(system, registry=Registry())
+        assert monitor.stability_lags() == [1, 4]
 
 
 class TestDetectionArithmetic:
     def test_time_to_detection_from_noted_deviation(self):
-        clock = _Clock(0.0)
-        client = _StubClient([1])
-        monitor = HealthMonitor([client], clock, registry=Registry())
+        system = _StubSystem([_StubClient([1])])
+        monitor = HealthMonitor(system, registry=Registry())
         monitor.note_deviation(10.0)
         monitor.note_deviation(12.0)  # min-keeps the earliest
         assert monitor.deviation_time == 10.0
         assert monitor.time_to_detection() is None  # nothing detected yet
-        clock.now = 17.0
-        client.fail("tampering")
+        system.now = 17.0
+        system.fail(0, "tampering")
         assert monitor.first_failure_time() == 17.0
         assert monitor.time_to_detection() == 7.0
 
@@ -96,31 +102,26 @@ class TestDetectionArithmetic:
         class Server:
             first_deviation_at = 4.0
 
-        clock = _Clock(9.0)
-        client = _StubClient([1])
-        monitor = HealthMonitor(
-            [client], clock, registry=Registry(), servers=[Server()]
-        )
-        client.fail("rollback")
+        system = _StubSystem([_StubClient([1])], now=9.0, server=Server())
+        monitor = HealthMonitor(system, registry=Registry())
+        system.fail(0, "rollback")
         stats = monitor.refresh()
         assert monitor.deviation_time == 4.0
         assert stats["health.time_to_detection"] == 5.0
 
     def test_monitor_start_is_the_conservative_baseline(self):
-        clock = _Clock(100.0)
-        client = _StubClient([1])
-        monitor = HealthMonitor([client], clock, registry=Registry())
-        clock.now = 103.0
-        client.fail("anything")
+        system = _StubSystem([_StubClient([1])], now=100.0)
+        monitor = HealthMonitor(system, registry=Registry())
+        system.now = 103.0
+        system.fail(0, "anything")
         assert monitor.time_to_detection() == 3.0
 
     def test_refresh_writes_the_gauges(self):
         registry = Registry()
-        clock = _Clock(0.0)
-        clients = [_StubClient([2, 0]), _StubClient([1, 0])]
-        monitor = HealthMonitor(clients, clock, registry=registry)
-        clock.now = 6.0
-        clients[0].fail("caught")
+        system = _StubSystem([_StubClient([2, 0]), _StubClient([1, 0])])
+        monitor = HealthMonitor(system, registry=registry)
+        system.now = 6.0
+        system.fail(0, "caught")
         stats = monitor.refresh()
         assert registry.get("health.c0.stability_lag").value == 1
         assert registry.get("health.max_stability_lag").value == 1
@@ -128,14 +129,21 @@ class TestDetectionArithmetic:
         assert registry.get("health.failures").value == 1
         assert stats["health.max_stability_lag"] == 1
 
+    def test_stability_outputs_are_not_failures(self):
+        registry = Registry()
+        system = _StubSystem([_StubClient([1])])
+        monitor = HealthMonitor(system, registry=registry)
+        system.notifications.emit_stability(1.0, 0, (1,))
+        assert monitor.first_failure_time() is None
+        assert registry.get("health.failures").value == 0
+
     def test_auditor_progress_is_reported(self):
         class Auditor:
             audits = [1, 2, 3]
             ok = False
 
         registry = Registry()
-        monitor = HealthMonitor([], _Clock(), registry=registry)
-        monitor.watch_auditor(Auditor())
+        monitor = HealthMonitor(_StubSystem([]), registry=registry, auditor=Auditor())
         stats = monitor.refresh()
         assert stats["audit.runs"] == 3
         assert stats["audit.ok"] == 0.0
@@ -172,11 +180,7 @@ class TestDetectionLatencySim:
                 ),
                 backend="faust",
             )
-            monitor = HealthMonitor(
-                system.clients,
-                lambda: system.now,
-                servers=[system.server],
-            )
+            monitor = HealthMonitor(system)
             _run_scripts(system, 3, ops=6, seed=1)
             system.run(until=500.0)
 
@@ -186,11 +190,11 @@ class TestDetectionLatencySim:
                 if isinstance(e, FailureNotification)
             ]
             assert notifications, "the rollback attack went undetected"
-            # Both listen on the same client callbacks under the same
-            # virtual clock, so the timestamps agree exactly.
-            assert sorted(t for t, _c, _r in monitor.failures) == sorted(
+            # The monitor reads the hub, so the two agree exactly.
+            assert monitor.first_failure_time() == min(
                 e.time for e in notifications
             )
+            assert registry.get("health.failures").value == len(notifications)
             stats = monitor.refresh()
             crash_time = system.server.rollback_crash_time
             assert crash_time is not None
@@ -215,9 +219,7 @@ class TestDetectionLatencySim:
                 ),
                 backend="ustor",
             )
-            monitor = HealthMonitor(
-                system.clients, lambda: system.now, servers=[system.server]
-            )
+            monitor = HealthMonitor(system)
             _run_scripts(system, 3, ops=8, seed=2)
             system.run(until=500.0)
 
@@ -242,9 +244,7 @@ class TestDetectionLatencySim:
             assert stats["health.time_to_detection"] == pytest.approx(
                 detected - deviation
             )
-            assert registry.get("health.failures").value == len(
-                monitor.failures
-            )
+            assert registry.get("health.failures").value == len(notifications)
 
     def test_split_brain_under_faust(self):
         fork_time = 10.0
@@ -259,9 +259,7 @@ class TestDetectionLatencySim:
                 ),
                 backend="faust",
             )
-            monitor = HealthMonitor(
-                system.clients, lambda: system.now, servers=[system.server]
-            )
+            monitor = HealthMonitor(system)
             _run_scripts(system, 4, ops=8, seed=3)
             system.run(until=500.0)
 
@@ -281,6 +279,26 @@ class TestDetectionLatencySim:
             assert stats["health.time_to_detection"] == pytest.approx(
                 detected - first_forked
             )
+
+
+    def test_split_brain_shard_counts_one_failure_per_failed_client(self):
+        # A cluster's clients are views over shard instances: the monitor
+        # reads the hub and walks the shards, so a forked shard's
+        # detections are counted and its clients' lags measured.
+        from repro.workloads.scenarios import split_brain_shard_scenario
+
+        monitors = []
+        with use_registry(Registry()) as registry:
+            result = split_brain_shard_scenario(
+                prepare=lambda system: monitors.append(HealthMonitor(system))
+            )
+            stats = monitors[0].refresh()
+        assert result.failed_clients
+        assert registry.get("health.failures").value == len(result.failed_clients)
+        assert stats["health.first_failure_time"] == min(
+            e.time for e in result.system.notifications.failure_events()
+        )
+        assert "health.time_to_detection" in stats
 
 
 @pytest.mark.net
@@ -311,10 +329,7 @@ class TestDetectionLatencyTcp:
             system.hosts.append(host)
             system.owns_runtime = True
             with system:
-                system.wire_notifications()
-                monitor = HealthMonitor(
-                    system.clients, lambda: system.scheduler.now
-                )
+                monitor = HealthMonitor(system)
                 driver = _run_scripts(system, 2, ops=6, seed=7, think=0.005)
                 assert system.run_until(
                     lambda: any(

@@ -1,17 +1,22 @@
-"""Unit tests for causal trace ids and the span log (``repro.obs.tracing``).
+"""Causal trace ids and the span log (``repro.obs.tracing``).
 
 Trace ids must be pure functions of protocol state (client index and
-protocol timestamp) — that is what keeps ``repro replay --check``
-byte-identical when ids ride the wire — and the span log must export
-both grep-friendly JSONL and viewer-ready Chrome trace events.
+protocol timestamp), so no id rides the wire; the span log must export
+both grep-friendly JSONL and viewer-ready Chrome trace events; and a log
+attached to a deployment must be a reading of the run's own records —
+the recorder's operations and the hub's ``fail_i`` outputs — and so the
+same on every transport.
 """
 
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from repro.api import FailureNotification, SystemConfig, open_system
 from repro.common.errors import ConfigurationError
 from repro.obs.tracing import (
     TIMESTAMP_BITS,
@@ -19,6 +24,13 @@ from repro.obs.tracing import (
     make_trace_id,
     trace_client,
     trace_timestamp,
+)
+from repro.ustor.byzantine import ADVERSARIES, SplitBrainServer
+from repro.workloads.generator import (
+    Driver,
+    WorkloadConfig,
+    generate_scripts,
+    run_closed_loop,
 )
 
 
@@ -71,7 +83,7 @@ class TestSpanLog:
         log = SpanLog()
         log.span("op:write", ts=1.0, dur=0.5,
                  trace_id=make_trace_id(2, 9), proc="client")
-        log.instant("server:submit", ts=1.2,
+        log.instant("audit", ts=1.2,
                     trace_id=make_trace_id(2, 9), proc="server:S")
         events = log.chrome_events()
         metas = [e for e in events if e["ph"] == "M"]
@@ -94,3 +106,133 @@ class TestSpanLog:
         count = log.write_chrome(path)
         data = json.loads(path.read_text())
         assert len(data["traceEvents"]) == count
+
+
+def _drive(system, *, ops=4, seed=5, think=1.0, timeout=10_000.0):
+    scripts = generate_scripts(
+        len(system.clients),
+        WorkloadConfig(ops_per_client=ops, read_fraction=0.5, mean_think_time=think),
+        random.Random(seed),
+    )
+    driver = Driver(system)
+    driver.attach_all(scripts)
+    assert driver.run_to_completion(timeout=timeout)
+
+
+def _names(log: SpanLog) -> Counter:
+    return Counter(record["name"] for record in log.records)
+
+
+class TestAttach:
+    def test_every_completed_operation_has_one_span_at_its_invocation(self):
+        system = open_system(SystemConfig(num_clients=3, seed=4), backend="faust")
+        log = SpanLog.attach(system)
+        _drive(system, ops=5)
+        system.run(until=system.now + 50.0)  # let dummy reads land too
+        spans = {}
+        for record in log.records:
+            if record["name"].startswith("op:"):
+                assert record["trace_id"] not in spans
+                spans[record["trace_id"]] = record
+        completed = [op for op in system.history() if op.responded_at is not None]
+        assert len(completed) == len(spans)
+        for op in completed:
+            span = spans[make_trace_id(op.client, op.timestamp)]
+            assert span["name"] == f"op:{op.kind.name.lower()}"
+            assert span["ts"] == op.invoked_at
+            assert span["dur"] == op.responded_at - op.invoked_at
+        names = _names(log)
+        submits = sum(n for name, n in names.items() if name.startswith("submit:"))
+        assert submits == len(system.history())
+
+    def test_one_fail_record_per_failure_notification(self):
+        # The run of `repro run --backend faust --clients 4 --server
+        # split-brain`: one client is caught mid-operation, three idle.
+        system = open_system(
+            SystemConfig(
+                num_clients=4,
+                seed=1,
+                server_factory=ADVERSARIES["split-brain"].factory,
+            ),
+            backend="faust",
+        )
+        log = SpanLog.attach(system)
+        run_closed_loop(
+            system,
+            WorkloadConfig(ops_per_client=6, read_fraction=0.5),
+            random.Random(1),
+            until=500.0,
+        )
+        failures = system.notifications.failure_events()
+        fails = [r for r in log.records if r["name"] == "fail"]
+        assert failures and len(fails) == len(failures)
+        pending = {
+            op.client: make_trace_id(op.client, op.timestamp)
+            for op in system.history()
+            if op.responded_at is None
+        }
+        for record, event in zip(fails, failures):
+            assert record["ts"] == event.time
+            assert record["args"] == {"client": event.client, "reason": event.reason}
+            # A failed client never completes its in-flight operation.
+            assert record["trace_id"] == pending.get(event.client)
+        assert any(r["trace_id"] is not None for r in fails)
+
+    @pytest.mark.net
+    def test_sim_and_tcp_write_the_same_record_names(self):
+        from repro.net.client import NetRuntime
+        from repro.net.server import NetServerHost
+
+        sim = open_system(SystemConfig(num_clients=2, seed=1), backend="ustor")
+        sim_log = SpanLog.attach(sim)
+        _drive(sim)
+
+        runtime = NetRuntime()
+        host = NetServerHost(2)
+        runtime.run_coroutine(host.start())
+        tcp = open_system(
+            SystemConfig(
+                2, transport="tcp", endpoints=(host.endpoint,), default_timeout=10.0
+            ),
+            backend="ustor",
+            runtime=runtime,
+        )
+        tcp.hosts.append(host)
+        tcp.owns_runtime = True
+        with tcp:
+            tcp_log = SpanLog.attach(tcp)
+            _drive(tcp, think=0.005, timeout=20.0)
+        assert _names(sim_log) == _names(tcp_log)
+        assert sum(_names(sim_log).values()) == 16  # a submit and an op each
+
+    def test_a_clusters_fail_records_name_the_forked_shards_operations(self):
+        system = open_system(
+            SystemConfig(
+                num_clients=4,
+                shards=2,
+                seed=2,
+                shard_server_factories={
+                    1: lambda n, name: SplitBrainServer(
+                        n, groups=[{0, 2}, {1, 3}], fork_time=10.0, name=name
+                    )
+                },
+            ),
+            backend="cluster",
+        )
+        log = SpanLog.attach(system)
+        _drive(system, ops=6, seed=2)
+        system.run(until=system.now + 300.0)
+        failures = system.notifications.failure_events()
+        assert failures and {e.shard for e in failures} == {1}
+        assert all(isinstance(e, FailureNotification) for e in failures)
+        # The in-flight operation a fail record names is the client's
+        # pending operation on the forked shard, not on its honest one.
+        pending = {
+            op.client: make_trace_id(op.client, op.timestamp)
+            for op in system.shard_histories()[1]
+            if op.responded_at is None
+        }
+        fails = [r for r in log.records if r["name"] == "fail"]
+        assert len(fails) == len(failures)
+        for record in fails:
+            assert record["trace_id"] == pending.get(record["args"]["client"])

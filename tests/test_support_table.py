@@ -169,15 +169,16 @@ def test_flipping_one_cell_flips_the_verdict(monkeypatch):
     check_supported(config, "lockstep")
 
 
-def test_span_log_attached_on_every_way_in():
-    # Only the free open_system() used to attach it (and only to the
-    # facade, which a cluster's per-shard sessions never read).
-    log = SpanLog()
-    system = ClusterBackend().open_system(
-        SystemConfig(num_clients=2, shards=2, span_log=log)
-    )
-    system.session(0).write_sync(b"traced")
-    assert log.records
+def test_span_log_attached_to_a_cluster_hears_every_shard():
+    # The log listens to each shard's recorder, so a cluster opened
+    # through the backend directly is traced on both of its shards.
+    system = ClusterBackend().open_system(SystemConfig(num_clients=2, shards=2))
+    log = SpanLog.attach(system)
+    for client in range(2):
+        system.session(client).write_sync(b"traced")
+    writes = [r for r in log.records if r["name"] == "op:write"]
+    assert sorted(r["args"]["register"] for r in writes) == [0, 1]
+    assert {system.shard_of(r["args"]["register"]) for r in writes} == {0, 1}
 
 
 # --------------------------------------------------------------------- #
