@@ -67,7 +67,7 @@ from repro.consistency import (
     check_linearizability,
     validate_weak_fork_linearizability,
 )
-from repro.obs.health import HealthMonitor
+from repro.obs.health import HealthMonitor, deployment_counts
 from repro.obs.registry import enable_metrics, get_registry
 from repro.obs.tracing import SpanLog
 from repro.replica.coordinator import group_stats
@@ -383,7 +383,6 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         if args.audit_every is not None
         else None
     )
-    servers = [shard.server for shard in system.shards if shard.server is not None]
     health = (
         HealthMonitor(system, auditor=auditor) if get_registry().enabled else None
     )
@@ -417,24 +416,21 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         placement = [system.shard_of(r) for r in range(args.clients)]
         print(f"# cluster: {system.num_shards} shard(s), "
               f"register->shard {placement}")
+    counts = deployment_counts(system)
     _print_quorum_stats([c for shard in system.shards for c in shard.clients])
     print(f"# completed {driver.stats.total_completed()}"
           f"/{driver.stats.total_planned()} operations "
           + (f"in {system.now:.2f}s wall clock" if tcp else f"by t={system.now:.1f}"))
     if tcp:
-        reconnects = sum(c.reconnects for c in system.connections)
-        frames_out = sum(c.frames_sent for c in system.connections)
-        frames_in = sum(c.frames_received for c in system.connections)
-        print(f"# transport: {frames_out} frame(s) sent, {frames_in} "
-              f"received, {reconnects} reconnect(s) with retransmission")
+        print(f"# transport: {counts['net.frames_sent']} frame(s) sent, "
+              f"{counts['net.frames_received']} received, "
+              f"{counts['net.reconnects']} reconnect(s) with retransmission")
     if batching is not None:
-        networks = [shard.network for shard in system.shards]
-        coalesced = sum(n.messages_coalesced for n in networks)
-        bursts = sum(n.bursts_formed for n in networks)
-        group_commits = sum(getattr(s, "group_commits", 0) for s in servers)
         print(f"# batching: max_batch={batching.max_batch}, "
-              f"{coalesced} message(s) coalesced onto {bursts} burst(s), "
-              f"{group_commits} server group commit(s)")
+              f"{counts.get('sim.network.messages_coalesced', 0)} message(s) "
+              f"coalesced onto {counts.get('sim.network.bursts_formed', 0)} "
+              f"burst(s), {counts.get('ustor.server.group_commits', 0)} server "
+              f"group commit(s)")
     if auditor is not None:
         final = auditor.final()
         worst = max((a.delta_ops for a in auditor.audits), default=0)
@@ -449,7 +445,7 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         for name, result in sorted(final.verdicts.items()):
             if not result.ok:
                 print(f"#   {name}: {result.violation}")
-    for server in servers:
+    for server in (s for shard in system.shards for s in shard.replica_servers):
         if getattr(server, "restarts", 0):
             engine = server.engine
             print(f"# server {server.name} storage={engine.name}: "
@@ -530,13 +526,6 @@ def _run_and_report(args, system, config, workload, backend) -> None:
               f"(python -m repro replay --trace {args.trace_file} --check)")
 
     _obs_finish(args, span_log, system.now, health, writer)
-
-    if args.profile:
-        import json as _json
-
-        print()
-        print("# performance profile (repro.perf)")
-        print(_json.dumps(system.profile(), indent=2))
 
 
 def _cmd_serve(args) -> int:
@@ -912,11 +901,6 @@ def main(argv: list[str] | None = None) -> int:
         "(chrome://tracing / Perfetto)",
     )
     run.add_argument("--check", action="store_true", help="run consistency checkers")
-    run.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the machine-readable repro.perf profile after the run",
-    )
     run.add_argument("--history", action="store_true", help="print the history")
     run.add_argument(
         "--timeline", action="store_true", help="render an ASCII timeline"

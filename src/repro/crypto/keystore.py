@@ -84,7 +84,8 @@ class VerificationCache:
         memo[key] = verdict
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/size counters (harvested by :mod:`repro.perf`)."""
+        """Hit/miss/size counters (read by
+        :func:`repro.obs.health.deployment_counts`)."""
         return {"hits": self.hits, "misses": self.misses, "size": len(self._memo)}
 
 

@@ -295,12 +295,10 @@ class ClientConnection:
         self.reconnects = 0
         self.frames_sent = 0
         self.frames_received = 0
-        # Registry handles captured once: aggregate transport counters
-        # across every connection (no-op instruments when metrics are off).
+        # Registry handles captured once, for what no attribute keeps:
+        # retransmitted frames and the frame-size distribution (no-op
+        # instruments when metrics are off).
         registry = get_registry()
-        self._obs_sent = registry.counter("net.frames_sent")
-        self._obs_received = registry.counter("net.frames_received")
-        self._obs_reconnects = registry.counter("net.reconnects")
         self._obs_retransmissions = registry.counter("net.retransmissions")
         self._obs_frame_bytes = registry.histogram(
             "net.frame_bytes", SIZE_BUCKETS
@@ -334,7 +332,6 @@ class ClientConnection:
         try:
             self._writer.write(encode_frame(payload, max_bytes=self._max_frame))
             self.frames_sent += 1
-            self._obs_sent.inc()
             self._obs_frame_bytes.observe(len(payload))
         except (ConnectionError, OSError):  # pragma: no cover - close race
             pass
@@ -390,7 +387,6 @@ class ClientConnection:
                     )
                 if self.unacked:
                     self.reconnects += 1
-                    self._obs_reconnects.inc()
                     self._obs_retransmissions.inc(len(self.unacked))
                 await writer.drain()
                 decoder = FrameDecoder(max_bytes=self._max_frame)
@@ -419,7 +415,6 @@ class ClientConnection:
 
     def _on_payload(self, payload: bytes) -> None:
         self.frames_received += 1
-        self._obs_received.inc()
         if self._trace_writer is not None and self._trace_s2c:
             self._trace_writer.frame("s2c", self.client_id, payload, retx=False)
         message = payload_to_message(payload)

@@ -158,10 +158,7 @@ class NetServerHost:
         self._metrics_port = metrics_port
         self._metrics_host = metrics_host
         self.metrics_server = None
-        registry = get_registry()
-        self._obs_submits = registry.counter("server.submits_delivered")
-        self._obs_dedup = registry.counter("server.submits_deduplicated")
-        self._obs_dropped = registry.counter("server.submits_dropped_stale")
+        self._obs_submits = get_registry().counter("server.submits_delivered")
 
     # ---------------------------------------------------------------- #
     # Lifecycle
@@ -205,8 +202,17 @@ class NetServerHost:
                 get_registry(),
                 host=self._metrics_host,
                 port=self._metrics_port,
+                on_scrape=self._publish_counts,
             )
             await self.metrics_server.start()
+
+    def _publish_counts(self) -> None:
+        """Publish this host's counts — its server's tallies and its
+        SUBMIT dedup counts — into the current registry (the ``on_scrape``
+        of its ``/metrics``)."""
+        from repro.obs.health import publish_counts, server_counts
+
+        publish_counts(get_registry(), server_counts([self.node], [self]))
 
     async def stop(self) -> None:
         if self.metrics_server is not None:
@@ -281,7 +287,6 @@ class NetServerHost:
         if journaled is not None and journaled[0] == t:
             # Retransmission of the last answered SUBMIT: resend its REPLY.
             self.submits_deduplicated += 1
-            self._obs_dedup.inc()
             self._write_frame(name, journaled[1])
             return
         floor = self._seen.get(client_id, 0)
@@ -291,7 +296,6 @@ class NetServerHost:
             # Already applied but the REPLY is gone (journal lost across a
             # host restart): unanswerable — the client's deadline handles it.
             self.submits_dropped_stale += 1
-            self._obs_dropped.inc()
             return
         self._seen[client_id] = t
         self._obs_submits.inc()

@@ -122,25 +122,44 @@ class MetricsHTTPServer:
             )
         return 404, "text/plain", "not found\n"
 
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader) -> list[str] | None:
+        """The request line's words, read up to the blank line that ends
+        the headers (which we never need); ``None`` when a line overran
+        the reader's limit — the rest of the request is drained all the
+        same, so the reply is not lost to a reset connection."""
+        request, overrun = b"", False
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:  # past the limit: the reader dropped it
+                overrun = True
+                continue
+            if line in (b"\r\n", b"\n", b""):
+                break
+            request = request or line
+        return None if overrun else request.decode("latin-1", "replace").split()
+
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await reader.readline()
-            parts = request.decode("latin-1", "replace").split()
-            # Drain headers up to the blank line; we never need them.
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if len(parts) < 2 or parts[0] != "GET":
+            parts = await self._read_request(reader)
+            if parts is None:
+                status, ctype, body = 400, "text/plain", "request too long\n"
+            elif len(parts) < 2 or parts[0] != "GET":
                 status, ctype, body = 405, "text/plain", "GET only\n"
             else:
                 if self.on_scrape is not None:
                     self.on_scrape()
                 self.scrapes += 1
                 status, ctype, body = self._respond(parts[1])
-            reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}
+            reason = {
+                200: "OK",
+                400: "Bad Request",
+                404: "Not Found",
+                405: "Method Not Allowed",
+            }
             payload = body.encode()
             writer.write(
                 (

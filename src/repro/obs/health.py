@@ -31,16 +31,123 @@ into numbers a dashboard can alarm on:
   the members whose shares (or stability) are missing.  A sustained
   stall is the page that precedes an eviction when the membership layer
   is on, and the page that *is* the outage when it is off.
-* ``audit.*`` — progress and verdict of an attached
-  :class:`~repro.workloads.runner.IncrementalAuditor`.
+* ``audit.audits`` / ``audit.ok`` — how many audits an attached
+  :class:`~repro.workloads.runner.IncrementalAuditor` has taken, and
+  whether every one passed.
 
-Gauges are only as fresh as the last :meth:`refresh`; the exposition
-layer calls it on every scrape/snapshot.
+The monitor is also where the deployment's runtime counts reach the
+registry.  A count lives once, as a plain attribute on the object that
+counts it (a server's ``submits_handled``, an engine's ``wal_appends``,
+a network's ``bursts_formed``, a connection's ``frames_sent``, ...);
+:func:`deployment_counts` is the one reader that sums them over every
+co-located server, engine, network, connection and loopback host of
+every shard, and :meth:`HealthMonitor.refresh` publishes its result
+(:func:`publish_counts`).  The published names:
+``scheduler.{events_processed,pending_events}``,
+``clients.{completed_operations,failed,crashed}``,
+``ustor.server.{submits,commits,group_commits,checkpoints,restarts,
+max_pending_len,largest_group_commit}``, ``store.wal_appends``,
+``sim.network.{bursts_formed,messages_coalesced}``,
+``net.{frames_sent,frames_received,reconnects}``,
+``server.{submits_deduplicated,submits_dropped_stale}``,
+``crypto.verification_cache.{hits,misses,size}`` and
+``hot_path.{encoding,digest_chain}.*`` — each only where some object
+keeps it; :data:`GAUGE_COUNTS` are the ones that can fall.  Only
+distributions are pushed while the run happens (histograms cannot be
+read back afterwards), plus the few counts no object keeps
+(``session.*``, ``net.retransmissions``, ``server.submits_delivered``).
+
+Everything published is only as fresh as the last :meth:`refresh`; the
+exposition layer calls it on every scrape/snapshot.
 """
 
 from __future__ import annotations
 
 from repro.obs.registry import Registry, get_registry
+from repro.perf.profile import hot_path_cache_stats
+
+#: Published counts that can fall (or are maxima): gauges.  Every other
+#: count only grows and is published as a counter (``_total``).
+GAUGE_COUNTS = frozenset({
+    "scheduler.pending_events", "clients.failed", "clients.crashed",
+    "ustor.server.max_pending_len", "ustor.server.largest_group_commit",
+    "crypto.verification_cache.size", "hot_path.encoding.int_entries",
+    "hot_path.encoding.str_entries", "hot_path.encoding.enum_entries",
+})
+
+#: Attributes published under another name (the rest keep their own).
+_RENAMED = {
+    "submits_handled": "submits", "commits_handled": "commits",
+    "checkpoints_handled": "checkpoints", "pending": "pending_events",
+}
+
+
+def _add(counts: dict, prefix: str, objects, *attributes: str) -> None:
+    """Sum each attribute (a ``max_*`` / ``largest_*`` one: take the max)
+    over the objects that keep it, under ``prefix``; an attribute no
+    object keeps is left out."""
+    for attribute in attributes:
+        values = [getattr(o, attribute) for o in objects if hasattr(o, attribute)]
+        if values:
+            combine = max if attribute.startswith(("max_", "largest_")) else sum
+            counts[prefix + _RENAMED.get(attribute, attribute)] = combine(values)
+
+
+def server_counts(servers, hosts=()) -> dict:
+    """The server-side counts: the ``servers``' tallies and their storage
+    engines', and the SUBMIT dedup counts of the
+    :class:`~repro.net.server.NetServerHost` ``hosts`` in front of them."""
+    counts: dict = {}
+    _add(counts, "ustor.server.", servers, "submits_handled", "commits_handled",
+         "group_commits", "checkpoints_handled", "restarts", "max_pending_len",
+         "largest_group_commit")
+    _add(counts, "store.", [getattr(s, "engine", None) for s in servers], "wal_appends")
+    _add(counts, "server.", hosts, "submits_deduplicated", "submits_dropped_stale")
+    return counts
+
+
+def deployment_counts(system) -> dict:
+    """Every runtime count of an opened deployment, as flat dotted names.
+
+    Sums each count over the objects that keep it: every co-located
+    server of every shard (``shard.replica_servers``) and its storage
+    engine, each shard's network and keystore, ``system.connections``
+    and the loopback ``system.hosts`` over sockets, the clients and the
+    scheduler — plus the process-wide hot-path caches
+    (:func:`~repro.perf.profile.hot_path_cache_stats`).  Pure: it reads
+    attributes and changes nothing.
+    """
+    shards = system.shards
+    hosts = getattr(system, "hosts", ())
+    servers = [s for shard in shards for s in shard.replica_servers]
+    servers += [host.node for host in hosts if host.node is not None]
+    counts = server_counts(servers, hosts)
+    _add(counts, "scheduler.", [getattr(system, "scheduler", None)],
+         "events_processed", "pending")
+    _add(counts, "clients.", system.clients, "completed_operations", "failed", "crashed")
+    _add(counts, "sim.network.", [shard.network for shard in shards],
+         "bursts_formed", "messages_coalesced")
+    _add(counts, "net.", getattr(system, "connections", ()),
+         "frames_sent", "frames_received", "reconnects")
+    for keystore in (shard.keystore for shard in shards):
+        for key, value in keystore.verification_cache_stats().items():
+            name = f"crypto.verification_cache.{key}"
+            counts[name] = counts.get(name, 0) + value
+    for cache, stats in hot_path_cache_stats().items():
+        for key, value in stats.items():
+            counts[f"hot_path.{cache}.{key}"] = value
+    return counts
+
+
+def publish_counts(registry: Registry, counts: dict) -> None:
+    """Write ``counts`` into ``registry``: a :data:`GAUGE_COUNTS` name as
+    a gauge, every other name as a counter moved up to the count."""
+    for name, value in counts.items():
+        if name in GAUGE_COUNTS:
+            registry.gauge(name).set(value)
+        else:
+            counter = registry.counter(name)
+            counter.inc(value - counter.value)
 
 
 class HealthMonitor:
@@ -67,10 +174,9 @@ class HealthMonitor:
         self._auditor = auditor
         self.started_at = system.now
         self.deviation_time: float | None = None
-        failures_counter = self._registry.counter("health.failures")
-        # Every fail_i the hub emits from now on, counted as it arrives.
+        # Every fail_i the hub emits from now on, kept as it arrives.
         self._failures = system.notifications.subscribe(
-            lambda _event: failures_counter.inc(), kinds=FailureNotification
+            kinds=FailureNotification
         ).events
 
     def note_deviation(self, time: float) -> None:
@@ -132,10 +238,12 @@ class HealthMonitor:
                 self.note_deviation(time)
 
     def refresh(self) -> dict:
-        """Recompute every gauge into the registry; returns them as a dict.
+        """Recompute every gauge and publish every count into the
+        registry; returns them all as one dict.
 
         Exposed keys: per-client ``health.c<i>.stability_lag``, the
-        aggregate ``health.max_stability_lag``, detection gauges, and —
+        aggregate ``health.max_stability_lag``, detection gauges,
+        ``health.failures``, every :func:`deployment_counts` name, and —
         when an auditor is attached — ``audit.audits`` and ``audit.ok``.
         """
         self._discover_deviation()
@@ -152,15 +260,18 @@ class HealthMonitor:
             "health.deviation_time": self.deviation_time,
         }
         values.update((k, v) for k, v in detection.items() if v is not None)
+        counts = deployment_counts(self._system)
+        counts["health.failures"] = len(self._failures)
         if self._auditor is not None:
-            values["audit.runs"] = len(getattr(self._auditor, "audits", ()))
-            values["audit.ok"] = 1.0 if getattr(self._auditor, "ok", True) else 0.0
+            counts["audit.audits"] = len(self._auditor.audits)
+            values["audit.ok"] = 1.0 if self._auditor.ok else 0.0
         for name, value in values.items():
             self._registry.gauge(name).set(value)
+        publish_counts(self._registry, counts)
         # The gauge counts the blockers; the returned value names them.
         self._registry.gauge("checkpoint.blocking_clients").set(len(blocking))
         values["checkpoint.blocking_clients"] = blocking
-        return values
+        return {**values, **counts}
 
 
 def _shard_lags(clients) -> list[int]:

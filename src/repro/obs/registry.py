@@ -6,17 +6,21 @@ current registry for its handles **once** (at construction or first
 use), then increments them without branching:
 
 * with metrics enabled (:func:`enable_metrics`), handles come from a
-  shared :class:`Registry` keyed by dotted name — one counter named
-  ``"net.frames_sent"`` aggregates across every connection that asked
+  shared :class:`Registry` keyed by dotted name — one histogram named
+  ``"net.frame_bytes"`` aggregates across every connection that asked
   for it, and :meth:`Registry.snapshot` / the exposition layer can read
   everything;
 * with metrics disabled (the default :class:`NullRegistry`), counter and
   gauge handles are fresh *detached* instances — real objects whose
-  ``inc``/``set`` still work (so read-through aliases like
-  ``Network.bursts_formed`` keep counting per instance) but that no
-  snapshot ever sees — and histogram handles are a shared no-op whose
-  ``observe`` does nothing, because per-observation bucket search is the
-  one place the cost would show.
+  ``inc``/``set`` still work on the holder's handle, but that no snapshot
+  sees (asking for a name again hands out a new one, reading 0) — and
+  histogram handles are a shared no-op whose ``observe`` does nothing,
+  because per-observation bucket search is the one place the cost would
+  show.
+
+Runtime counts the objects already keep as attributes are not pushed
+here at all: :func:`repro.obs.health.deployment_counts` reads them and
+:class:`~repro.obs.health.HealthMonitor` publishes them on refresh.
 
 Histograms use fixed ascending bucket upper bounds (Prometheus-style
 cumulative ``le`` buckets at exposition time) and answer quantiles by
@@ -291,10 +295,10 @@ class NullRegistry(Registry):
     """The disabled-metrics default: hands out instruments nobody reads.
 
     Counters and gauges are fresh *detached* instances per call — they
-    still count (so per-instance read-through aliases work with metrics
-    off) but belong to no snapshot.  Histograms are one shared no-op
-    instance, because ``observe`` is the only per-event cost worth
-    eliding.  ``snapshot()`` is always empty.
+    still count on the handle that holds them, but belong to no
+    snapshot.  Histograms are one shared no-op instance, because
+    ``observe`` is the only per-event cost worth eliding.  ``snapshot()``
+    is always empty.
     """
 
     enabled = False

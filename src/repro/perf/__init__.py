@@ -1,20 +1,14 @@
-"""Performance accounting for the reproduction (see PERFORMANCE.md).
+"""Process-wide hot-path cache accounting (see PERFORMANCE.md).
 
-:func:`system_profile` snapshots any running deployment (single-server,
-api-level or sharded cluster) into machine-readable data, hot-path
-cache effectiveness included.  Performance claims themselves are
-decided by the end-to-end benchmark (``BENCHMARK.json``,
-``benchmarks/e2e``).
+:func:`hot_path_cache_stats` reads the hit/miss counters of the
+encoding and digest-chain memos; :func:`reset_hot_path_caches` zeroes
+them between benchmark passes.  A deployment's runtime counts — these
+caches included — are read by :func:`repro.obs.health.deployment_counts`
+and published through the metrics registry (``repro run --metrics``).
+Performance claims themselves are decided by the end-to-end benchmark
+(``BENCHMARK.json``, ``benchmarks/e2e``).
 """
 
-from repro.perf.profile import (
-    hot_path_cache_stats,
-    reset_hot_path_caches,
-    system_profile,
-)
+from repro.perf.profile import hot_path_cache_stats, reset_hot_path_caches
 
-__all__ = [
-    "hot_path_cache_stats",
-    "reset_hot_path_caches",
-    "system_profile",
-]
+__all__ = ["hot_path_cache_stats", "reset_hot_path_caches"]

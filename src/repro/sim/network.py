@@ -37,7 +37,6 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from repro.common.errors import ChannelError, SimulationError
-from repro.obs.registry import Counter, get_registry
 from repro.sim.process import Node
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import SimTrace
@@ -185,25 +184,10 @@ class Network:
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], _Link] = {}
         self._batching = bool(batching)
-        # Batching instrumentation lives on repro.obs counters: the
-        # per-instance pair backs the read-through aliases below (always
-        # counting, so per-network stats work with metrics off), while the
-        # registry pair aggregates across every network when metrics are on.
-        self._bursts_counter = Counter()
-        self._coalesced_counter = Counter()
-        registry = get_registry()
-        self._obs_bursts = registry.counter("sim.network.bursts_formed")
-        self._obs_coalesced = registry.counter("sim.network.messages_coalesced")
-
-    @property
-    def bursts_formed(self) -> int:
-        """Delivery events created for message bursts (batching mode)."""
-        return self._bursts_counter.value
-
-    @property
-    def messages_coalesced(self) -> int:
-        """Messages that rode an already-open burst (saved scheduler events)."""
-        return self._coalesced_counter.value
+        #: Delivery events created for message bursts (batching mode).
+        self.bursts_formed = 0
+        #: Messages that rode an already-open burst (saved scheduler events).
+        self.messages_coalesced = 0
 
     @property
     def trace(self) -> SimTrace | None:
@@ -298,8 +282,7 @@ class Network:
             if burst is not None and burst.marker == marker:
                 # Same link, same turn: ride the already-scheduled delivery.
                 burst.messages.append(message)
-                self._coalesced_counter.inc()
-                self._obs_coalesced.inc()
+                self.messages_coalesced += 1
                 if trace is not None:
                     trace.record_message(now, burst.delivery, src, dst, kind, size)
                 continue
@@ -315,8 +298,7 @@ class Network:
                 trace.record_message(now, delivery, src, dst, kind, size)
             if batching:
                 burst = link.burst = _Burst(marker, delivery, message)
-                self._bursts_counter.inc()
-                self._obs_bursts.inc()
+                self.bursts_formed += 1
                 scheduler.schedule_at(
                     delivery, self._deliver_burst, link, src, dst, burst
                 )

@@ -231,9 +231,7 @@ class LogStructuredEngine(StorageEngine):
         self.last_recovery_replayed = 0
         self.group_commit_batches = 0
         self.group_commit_records = 0
-        registry = get_registry()
-        self._obs_wal_appends = registry.counter("store.wal_appends")
-        self._obs_wal_frame_bytes = registry.histogram(
+        self._obs_wal_frame_bytes = get_registry().histogram(
             "store.wal_frame_bytes", SIZE_BUCKETS
         )
 
@@ -267,7 +265,6 @@ class LogStructuredEngine(StorageEngine):
         self.medium.append(self.WAL, framed)
         self.wal_appends += 1
         self.wal_bytes_written += len(framed)
-        self._obs_wal_appends.inc()
         self._obs_wal_frame_bytes.observe(len(framed))
         self._records_since_checkpoint += records
 

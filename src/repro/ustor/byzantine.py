@@ -7,9 +7,9 @@ state answers* — ``self.state``, or a forked / frozen copy the honest
 :func:`apply_submit` / :func:`apply_commit` then run on) and
 :meth:`~UstorServer.outgoing_reply` (*what leaves* — the honest REPLY, or
 ``dataclasses.replace`` of it).  Everything else a request costs the
-server — piggybacked COMMITs, the counters and ``ustor.server.*`` metrics,
-the counter attestation, the ``trace_id`` echo, the group-commit outbox,
-the ``first_deviation_at`` stamp — is inherited, so an adversary is
+server — piggybacked COMMITs, the ``submits_handled`` / ``commits_handled``
+tallies the ``ustor.server.*`` metrics publish, the counter attestation,
+the group-commit outbox, the ``first_deviation_at`` stamp — is inherited, so an adversary is
 convicted for what it did and never for bookkeeping it forgot.  None of
 these servers hold signing keys — whatever they send, they cannot forge
 client signatures (see :mod:`repro.crypto.keystore`), which is exactly the

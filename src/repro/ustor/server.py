@@ -288,14 +288,9 @@ class UstorServer(Node):
         self.pending_truncated = 0
         self.last_checkpoint_seq: int | None = None
         self.last_checkpoint_cut: tuple[int, ...] | None = None
-        registry = get_registry()
-        self._obs_submits = registry.counter("ustor.server.submits")
-        self._obs_commits = registry.counter("ustor.server.commits")
-        self._obs_group_commits = registry.counter("ustor.server.group_commits")
-        self._obs_group_size = registry.histogram(
+        self._obs_group_size = get_registry().histogram(
             "ustor.server.group_commit_records", COUNT_BUCKETS
         )
-        self._obs_checkpoints = registry.counter("ustor.server.checkpoints")
         # Crash-recovery instrumentation (scenarios compare the two).
         self.restarts = 0
         self.last_pre_crash_state: ServerState | None = None
@@ -384,7 +379,6 @@ class UstorServer(Node):
                 self.largest_group_commit = max(
                     self.largest_group_commit, len(records)
                 )
-                self._obs_group_commits.inc()
                 self._obs_group_size.observe(len(records))
             else:
                 # A poison message aborted the drain.  Unbatched mode
@@ -511,7 +505,6 @@ class UstorServer(Node):
                 ),
             )
         self.submits_handled += 1
-        self._obs_submits.inc()
         self.max_pending_len = max(self.max_pending_len, len(state.pending))
         self.send(src, reply)
 
@@ -532,7 +525,6 @@ class UstorServer(Node):
         else:
             self._note_deviation()
         self.commits_handled += 1
-        self._obs_commits.inc()
 
     def handle_checkpoint(self, src: str, message: CheckpointMessage) -> None:
         """Apply an installed checkpoint certificate (one-way, no REPLY).
@@ -553,4 +545,3 @@ class UstorServer(Node):
         self.pending_truncated += truncated
         self.last_checkpoint_seq = message.seq
         self.last_checkpoint_cut = tuple(message.cut)
-        self._obs_checkpoints.inc()

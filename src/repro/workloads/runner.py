@@ -139,14 +139,6 @@ class Deployment:
             every = self.audit_every
         return IncrementalAuditor(self, every=every, checks=checks)
 
-    def profile(self) -> dict:
-        """Machine-readable performance profile of this deployment
-        (:func:`repro.perf.system_profile`): scheduler/server/client
-        counters plus hot-path cache effectiveness."""
-        from repro.perf.profile import system_profile
-
-        return system_profile(self)
-
     # -- lifetime -------------------------------------------------------- #
 
     def close(self) -> None:
@@ -337,10 +329,7 @@ class IncrementalAuditor:
         self._ops_at_last_audit = 0
         #: Periodic snapshots, in audit order.
         self.audits: list[AuditRecord] = []
-        registry = get_registry()
-        self._obs_audits = registry.counter("audit.audits")
-        self._obs_delta = registry.histogram("audit.delta_ops", COUNT_BUCKETS)
-        self._obs_ok = registry.gauge("audit.ok")
+        self._obs_delta = get_registry().histogram("audit.delta_ops", COUNT_BUCKETS)
         self._timer = PeriodicTimer(system.scheduler, every, self.snapshot)
         self._timer.start()
 
@@ -365,9 +354,7 @@ class IncrementalAuditor:
         )
         self._ops_at_last_audit = streamed
         self.audits.append(record)
-        self._obs_audits.inc()
         self._obs_delta.observe(record.delta_ops)
-        self._obs_ok.set(1.0 if record.ok else 0.0)
         return record
 
     def stop(self) -> None:

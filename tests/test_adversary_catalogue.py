@@ -14,6 +14,7 @@ from repro.api import SystemConfig, open_system
 from repro.cli import SERVERS, main
 from repro.common.errors import ConfigurationError
 from repro.common.types import OpKind
+from repro.obs.health import HealthMonitor
 from repro.obs.registry import Registry, use_registry
 from repro.replica.counter import CounterVerifier, MonotonicCounter
 from repro.ustor.byzantine import (
@@ -175,6 +176,7 @@ class TestInheritedFromTheHonestPath:
                 server = system.server
                 answered = system.trace.message_count("REPLY")
                 assert answered > 0
+                HealthMonitor(system).refresh()
                 assert registry.get("ustor.server.submits").value == answered
                 assert server.submits_handled == answered
                 assert server.max_pending_len > 0

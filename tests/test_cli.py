@@ -9,6 +9,7 @@ import repro.experiments.runner as experiments_runner
 from repro.cli import SERVERS, main
 from repro.common.errors import ConfigurationError
 from repro.net.supervisor import ServerProcess
+from repro.obs.registry import get_registry, use_registry
 
 
 class TestAttacksCommand:
@@ -71,6 +72,35 @@ class TestRunCommand:
         main(["run", "--clients", "2", "--ops", "2"])
         out = capsys.readouterr().out
         assert "SUBMIT" in out and "REPLY" in out
+
+    def test_every_replica_restart_is_reported(self, capsys):
+        code = main(["run", "--backend", "ustor", "--clients", "3", "--ops", "6",
+                     "--replicas", "3", "--storage", "log", "--outage", "20", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("# server ")]
+        assert [line.split()[2] for line in lines] == ["S/r0", "S/r1", "S/r2"]
+        assert all(": 1 restart(s)," in line for line in lines)
+
+    def test_batching_line_counts_every_replica(self, capsys, monkeypatch):
+        systems = []
+        report = cli._run_and_report
+
+        def spy(args, system, *rest):
+            systems.append(system)
+            report(args, system, *rest)
+
+        monkeypatch.setattr(cli, "_run_and_report", spy)
+        code = main(["run", "--backend", "cluster", "--clients", "3", "--ops", "6",
+                     "--shards", "2", "--replicas", "3", "--batch", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("# batching:"))
+        printed = int(line.split(", ")[-1].split()[0])
+        shards = systems[0].shards
+        every = sum(s.group_commits for shard in shards for s in shard.replica_servers)
+        assert printed == every
+        assert every > sum(shard.server.group_commits for shard in shards)
 
 
 class TestExperimentsCommand:
@@ -172,10 +202,11 @@ class TestOneRunPath:
     """The same report, asserted the same way, over both transports."""
 
     def test_report_is_shared(self, transport_flags, capsys):
-        code = main(
-            ["run", "--clients", "2", "--ops", "3", "--seed", "5", "--check",
-             "--history", "--timeline", "--profile", *transport_flags]
-        )
+        with use_registry(get_registry()):  # --metrics installs its own
+            code = main(
+                ["run", "--clients", "2", "--ops", "3", "--seed", "5", "--check",
+                 "--history", "--timeline", "--metrics", *transport_flags]
+            )
         out = capsys.readouterr().out
         assert code == 0
         assert "completed 6/6" in out
@@ -185,7 +216,7 @@ class TestOneRunPath:
         assert "C1: ok" in out and "C2: ok" in out
         assert "SUBMIT" in out and "REPLY" in out
         assert "write_C" in out or "read_C" in out
-        assert '"completed_operations": 6' in out
+        assert "\nrepro_clients_completed_operations_total 6\n" in out
 
     def test_audits_are_shared(self, transport_flags, capsys):
         cadence = "0.02" if transport_flags else "20"

@@ -2,7 +2,7 @@
 
 The report is the CLI's whole output: the run summary, audit verdicts,
 per-shard checker labels, client status, message counts and the
-``--profile`` JSON.  ``tests/data/cli_reports.json`` holds the SHA-256
+``--metrics`` exposition.  ``tests/data/cli_reports.json`` holds the SHA-256
 and line count of each report below, so a change to how a deployment is
 opened, wired or read off shows up as a changed digest even when every
 behavioural test still passes.
@@ -11,7 +11,7 @@ Two more runs check that ``--span-log`` only adds its own ``# span
 log:`` line: tracing observes the workload, it does not change how the
 workload is driven.
 
-Each report runs in a fresh interpreter: ``--profile`` prints the
+Each report runs in a fresh interpreter: ``--metrics`` prints the
 process-wide hot-path cache counters, which an earlier run in the same
 process would inflate.  The ``--span-log`` path is replaced by a fixed
 marker before hashing.
@@ -41,25 +41,25 @@ INVOCATIONS = {
     "default-checked": "--clients 3 --ops 6 --check --history --timeline",
     "faust-log-outage": (
         "--backend faust --storage log --outage 25 20 --clients 3 --ops 6 "
-        "--check --profile"
+        "--check --metrics"
     ),
     "faust-rollback-metrics": (
         "--backend faust --server rollback --metrics --audit-every 50"
     ),
     "cluster-audited": (
         "--backend cluster --clients 6 --shards 3 --ops 3 --check "
-        "--audit-every 50 --profile --history"
+        "--audit-every 50 --metrics --history"
     ),
     "cluster-replicated-tampering": (
         "--backend cluster --clients 4 --shards 2 --replicas 3 --counter "
-        "durable --batch 4 --server tampering --server-replica 1 --profile"
+        "durable --batch 4 --server tampering --server-replica 1 --metrics"
     ),
     "cluster-split-brain-spans": (
         "--backend cluster --clients 6 --shards 2 --server split-brain "
         f"--server-shard 1 --metrics --span-log {SPAN_LOG}"
     ),
     "lockstep-checked": "--backend lockstep --clients 2 --ops 3 --check",
-    "unchecked-profiled": "--backend unchecked --clients 2 --ops 3 --check --profile",
+    "unchecked-profiled": "--backend unchecked --clients 2 --ops 3 --check --metrics",
 }
 
 

@@ -96,6 +96,26 @@ class TestMetricsHTTPServer:
 
         self._run(scenario())
 
+    def test_over_long_request_line_is_a_bad_request(self):
+        async def scenario():
+            server = MetricsHTTPServer(_populated_registry(), port=0)
+            await server.start()
+            try:
+                status, _ = await _scrape(
+                    server, f"GET /{'a' * 70_000} HTTP/1.0\r\n\r\n"
+                )
+                assert "400 Bad Request" in status
+                # The handler survived: the next scrape is answered.
+                status, body = await _scrape(
+                    server, "GET /metrics HTTP/1.0\r\n\r\n"
+                )
+                assert "200" in status
+                assert "repro_net_frames_sent_total 3" in body
+            finally:
+                await server.stop()
+
+        self._run(scenario())
+
     def test_ephemeral_port_resolved_and_endpoint(self):
         async def scenario():
             server = MetricsHTTPServer(Registry(), port=0)

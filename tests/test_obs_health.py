@@ -42,14 +42,23 @@ class _StubTracker:
         return self._stable
 
 
+class _StubKeyStore:
+    def verification_cache_stats(self):
+        return {"hits": 0, "misses": 0, "size": 0}
+
+
 class _StubSystem:
     """Just enough deployment for the monitor: one shard (itself) with its
-    clients and server, a clock and a notification hub."""
+    clients, server (its one replica), network and keystore, a clock and
+    a notification hub."""
 
     def __init__(self, clients, now=0.0, server=None):
         self.clients = list(clients)
         self.shards = [self]
         self.server = server
+        self.replica_servers = [server] if server is not None else []
+        self.network = None
+        self.keystore = _StubKeyStore()
         self.now = now
         self.notifications = NotificationHub()
 
@@ -123,6 +132,7 @@ class TestDetectionArithmetic:
         system.now = 6.0
         system.fail(0, "caught")
         stats = monitor.refresh()
+        assert stats["health.failures"] == 1
         assert registry.get("health.c0.stability_lag").value == 1
         assert registry.get("health.max_stability_lag").value == 1
         assert registry.get("health.first_failure_time").value == 6.0
@@ -135,6 +145,7 @@ class TestDetectionArithmetic:
         monitor = HealthMonitor(system, registry=registry)
         system.notifications.emit_stability(1.0, 0, (1,))
         assert monitor.first_failure_time() is None
+        monitor.refresh()
         assert registry.get("health.failures").value == 0
 
     def test_auditor_progress_is_reported(self):
@@ -145,9 +156,11 @@ class TestDetectionArithmetic:
         registry = Registry()
         monitor = HealthMonitor(_StubSystem([]), registry=registry, auditor=Auditor())
         stats = monitor.refresh()
-        assert stats["audit.runs"] == 3
+        assert stats["audit.audits"] == 3
         assert stats["audit.ok"] == 0.0
+        assert registry.get("audit.audits").value == 3
         assert registry.get("audit.ok").value == 0.0
+        assert registry.get("audit.runs") is None
 
 
 def _run_scripts(system, num_clients, *, ops, seed, think=1.0):
@@ -194,8 +207,8 @@ class TestDetectionLatencySim:
             assert monitor.first_failure_time() == min(
                 e.time for e in notifications
             )
-            assert registry.get("health.failures").value == len(notifications)
             stats = monitor.refresh()
+            assert registry.get("health.failures").value == len(notifications)
             crash_time = system.server.rollback_crash_time
             assert crash_time is not None
             assert monitor.deviation_time == crash_time
