@@ -16,8 +16,9 @@ This example shows both sides of the coin on the same deployment shape:
    held requests are served late, and nobody raises ``fail`` (a recovery
    is indistinguishable from slowness, and accuracy demands silence);
 2. the ROLLBACK adversary — same crash, but "recovery" restores a stale
-   snapshot and discards the WAL suffix; the first client that looks at
-   the rolled-back state hands in the proof, and FAUST spreads the
+   snapshot and discards the WAL suffix; a reader is served a
+   consistent past (a fork), the first client whose own operations the
+   rolled-back state forgot hands in the proof, and FAUST spreads the
    failure notification to everyone.
 
 Run:  python examples/rollback_attack.py
@@ -88,8 +89,8 @@ def rollback_attack() -> None:
                 outage=4.0,
                 name=name,
             ),
-            # Quiet background machinery: bob's scripted read (not a dummy
-            # read racing it) should be the one that catches the rollback.
+            # Quiet background machinery: alice's scripted write (not a
+            # dummy read racing it) should be the one that catches it.
             faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
         )
     )
@@ -102,19 +103,23 @@ def rollback_attack() -> None:
           "restores the backup taken after entry 1 ...")
     system.run(until=system.now + 6.0)
 
-    print("bob reads the ledger from the rolled-back server:")
+    value, _ = bob.read_sync(0)
+    print(f"bob reads the ledger from the rolled-back server: {value!r} — "
+          f"the past, correctly signed: a fork, not yet a proof")
+    print("alice appends entry 4 to the rolled-back server:")
     try:
-        bob.read_sync(0)
-        raise AssertionError("the stale read must not pass the checks")
+        alice.write_sync(b"ledger-entry-4")
+        raise AssertionError("the rollback must not pass alice's checks")
     except OperationFailed as exc:
         print(f"  OperationFailed: {exc}")
 
     system.run(until=system.now + 20.0)  # let the FAILURE alert propagate
-    print(f"failure notifications: {len(events.events)} "
-          f"(clients: {sorted({e.client for e in events.events})})")
+    clients = sorted({e.client for e in events.events})
+    print(f"failure notifications: {len(events.events)} (clients: {clients})")
     for event in events.events[:1]:
         print(f"  first evidence: {event.reason}")
-    assert events.events, "the rollback must be detected"
+    assert value == b"ledger-entry-1"
+    assert clients == [0, 1], "the rollback must be detected by everyone"
 
 
 def main() -> None:

@@ -26,9 +26,18 @@ client:
   is dropped: the operation times out at the client, which is precisely
   the fail-aware outcome the paper's timed model prescribes for a server
   that lost the ability to answer correctly;
-* COMMITs are always delivered — ``apply_commit`` is idempotent (the
-  version comparison on line 119 is strict, so a duplicate neither
-  advances the commit index nor prunes twice).
+* COMMITs are always delivered — ``apply_commit`` is idempotent.  A
+  COMMIT carries its operation's timestamp ``t`` and no version (the
+  server folds ``(V_i, M_i)`` from the REPLY it sent), and it is applied
+  only while ``t`` is the timestamp of the client's last SUBMIT: a
+  retransmitted COMMIT of an earlier operation changes nothing, and one
+  delivered twice in a row stores the same version twice (the comparison
+  on line 119 is strict, so it neither advances the commit index nor
+  prunes twice).
+
+A frame that decodes but that the protocol state refuses (a
+:class:`~repro.common.errors.ProtocolError`, e.g. a version of the wrong
+population) costs its connection, like an undecodable one.
 """
 
 from __future__ import annotations
@@ -37,7 +46,12 @@ import asyncio
 import os
 from typing import Callable
 
-from repro.common.errors import ConfigurationError, DecodeError, EncodingError
+from repro.common.errors import (
+    ConfigurationError,
+    DecodeError,
+    EncodingError,
+    ProtocolError,
+)
 from repro.common.types import client_name
 from repro.net.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame
 from repro.net.realtime import RealtimeScheduler
@@ -331,18 +345,29 @@ class NetServerHost:
             pass
 
 
-class _ClientLink(asyncio.Protocol):
+#: One read's worth of socket bytes; a frame larger than this just takes
+#: several reads (the decoder keeps the partial tail).
+_READ_BYTES = 65536
+
+
+class _ClientLink(asyncio.BufferedProtocol):
     """One accepted socket: bytes in, frames straight into the host.
 
-    The event loop calls :meth:`data_received` from its own read
-    callback, so a frame costs no Task, Future or timer — and whatever a
-    handler lets escape (``KeyboardInterrupt`` included) leaves through
-    ``run_forever`` instead of dying inside a connection task.
+    The event loop reads each segment into this link's one buffer
+    (:meth:`get_buffer`) and calls :meth:`buffer_updated` from its own
+    read callback, so a frame costs no Task, Future or timer — and
+    whatever a handler lets escape (``KeyboardInterrupt`` included)
+    leaves through ``run_forever`` instead of dying inside a connection
+    task.  A read allocates only the bytes it received: a plain
+    ``Protocol`` gets a fresh 256 KiB buffer per read, and the allocator
+    churn that caused showed as page faults in the server process
+    (PERFORMANCE.md, "The COMMIT carries what the server cannot compute").
     """
 
     def __init__(self, host: NetServerHost) -> None:
         self._host = host
         self._decoder = FrameDecoder(max_bytes=host._max_frame)
+        self._buffer = memoryview(bytearray(_READ_BYTES))
         self.transport: asyncio.Transport | None = None
         #: ``None`` until the HELLO check passed.
         self.client_id: int | None = None
@@ -351,10 +376,13 @@ class _ClientLink(asyncio.Protocol):
         self.transport = transport
         self._host._links.add(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         try:
-            self._decoder.feed(data, self._on_frame)
-        except (DecodeError, EncodingError):
+            self._decoder.feed(bytes(self._buffer[:nbytes]), self._on_frame)
+        except (DecodeError, EncodingError, ProtocolError):
             # A hostile or broken peer costs this connection, nothing more.
             self.transport.close()
 

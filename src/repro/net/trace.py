@@ -13,7 +13,7 @@ honest, Byzantine, or long gone.
 
 Record shapes (one JSON object per line; ``seq`` is a global counter)::
 
-    {"t": "header", "v": 5, "n": ..., "scheme": ..., "server": ...,
+    {"t": "header", "v": 6, "n": ..., "scheme": ..., "server": ...,
      "endpoints": [...], "piggyback": ...}
     {"t": "frame", "seq": k, "dir": "c2s"|"s2c", "c": i,
      "retx": bool, "payload": hex, "at": seconds}
@@ -59,8 +59,9 @@ from repro.workloads import runner
 #: 8-byte length fields; v2: varint length fields; v3: a REPLY's ``P`` cut
 #: to ``L``'s submitters and ``SVER[j] = SVER[c]`` back-referenced; v4: no
 #: trace-id element in any frame, a REPLY's attestation its 7th element;
-#: v5: frames only — the SUBMIT frame is the invocation).
-TRACE_VERSION = 5
+#: v5: frames only — the SUBMIT frame is the invocation; v6: a COMMIT to
+#: a lone server carries ``t`` where its version went).
+TRACE_VERSION = 6
 
 
 def _value_to_json(value) -> str | None:

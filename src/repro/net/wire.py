@@ -22,6 +22,11 @@ back-reference where ``SVER[j]`` is ``SVER[c]`` (see
 :func:`~repro.store.codec.reply_to_tuple`); the decoder rebuilds the
 ``n``-slot message and refuses a proof list that does not match ``L``.
 
+A COMMIT to a lone server carries its operation's timestamp ``t``
+where the version would go — the server folds ``(V_i, M_i)`` from the
+REPLY it sent — and a replica group's carries the version (see
+:class:`~repro.ustor.messages.CommitMessage`).
+
 Each record has one shape: SUBMIT 5 elements, COMMIT 3, REPLY 6 (7
 with a counter attestation).  No causal trace id travels: it is a pure
 function of the SUBMIT's client id and timestamp, so whoever emits a

@@ -19,7 +19,7 @@ record can never half-build a state object.
 
 Each record has exactly one shape — no optional trailing elements, no
 padding for what an older build wrote: SUBMIT 5 elements, COMMIT 3,
-REPLY 6 (7 when it carries a counter attestation), ``ServerState`` 8.
+REPLY 6 (7 when it carries a counter attestation), ``ServerState`` 9.
 What another build wrote is refused, not migrated.
 """
 
@@ -117,20 +117,22 @@ def invocation_from_tuple(data: tuple) -> InvocationTuple:
 
 
 def commit_to_tuple(message: CommitMessage) -> tuple:
+    """``(what, phi, psi)``: ``what`` is the version, or — for a COMMIT to a
+    lone server, which folds the version itself — the operation's
+    timestamp ``t`` (see :class:`CommitMessage`)."""
+    version = message.version
     return (
-        version_to_tuple(message.version),
+        message.timestamp if version is None else version_to_tuple(version),
         message.commit_sig,
         message.proof_sig,
     )
 
 
 def commit_from_tuple(data: tuple) -> CommitMessage:
-    version, commit_sig, proof_sig = _shape(data, 3, "CommitMessage")
-    return CommitMessage(
-        version=version_from_tuple(version),
-        commit_sig=commit_sig,
-        proof_sig=proof_sig,
-    )
+    what, commit_sig, proof_sig = _shape(data, 3, "CommitMessage")
+    if isinstance(what, int):
+        return CommitMessage(None, commit_sig, proof_sig, timestamp=what)
+    return CommitMessage(version_from_tuple(what), commit_sig, proof_sig)
 
 
 def submit_to_tuple(message: SubmitMessage) -> tuple:
@@ -283,6 +285,19 @@ def attestation_from_tuple(data: tuple) -> CounterAttestation:
 # --------------------------------------------------------------------- #
 
 
+def _expected_to_tuple(entry: tuple[int, Version] | None) -> tuple | None:
+    return None if entry is None else (entry[0], version_to_tuple(entry[1]))
+
+
+def _expected_from_tuple(data: Any) -> tuple[int, Version] | None:
+    if data is None:
+        return None
+    timestamp, version = _shape(data, 2, "expected version")
+    if not isinstance(timestamp, int):
+        raise EncodingError(f"malformed expected version: {data!r}")
+    return (timestamp, version_from_tuple(version))
+
+
 def state_to_tuple(state: ServerState) -> tuple:
     return (
         state.num_clients,
@@ -293,17 +308,29 @@ def state_to_tuple(state: ServerState) -> tuple:
         tuple(state.proofs),
         state.submits_applied,
         tuple(state.pending_ts),
+        tuple(_expected_to_tuple(entry) for entry in state.expected),
     )
 
 
 def state_from_tuple(data: tuple) -> ServerState:
-    num_clients, mem, commit_index, sver, pending, proofs, submits, pending_ts = (
-        _shape(data, 8, "ServerState")
-    )
+    (
+        num_clients,
+        mem,
+        commit_index,
+        sver,
+        pending,
+        proofs,
+        submits,
+        pending_ts,
+        expected,
+    ) = _shape(data, 9, "ServerState")
     if not (
         isinstance(num_clients, int)
-        and all(isinstance(v, tuple) for v in (mem, sver, pending, proofs, pending_ts))
-        and len(mem) == len(sver) == len(proofs) == num_clients
+        and all(
+            isinstance(v, tuple)
+            for v in (mem, sver, pending, proofs, pending_ts, expected)
+        )
+        and len(mem) == len(sver) == len(proofs) == len(expected) == num_clients
         and len(pending_ts) == len(pending)
         and isinstance(submits, int)
     ):
@@ -317,6 +344,7 @@ def state_from_tuple(data: tuple) -> ServerState:
         proofs=list(proofs),
         submits_applied=submits,
         pending_ts=list(pending_ts),
+        expected=[_expected_from_tuple(entry) for entry in expected],
     )
 
 

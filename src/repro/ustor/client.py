@@ -9,7 +9,7 @@ If any check fails the client **outputs fail_i and halts** — at this layer
 a detection is terminal; FAUST (Section 6) turns it into system-wide
 failure notifications.
 
-Two liberties are taken, both documented in DESIGN.md:
+Three liberties are taken, all documented in DESIGN.md:
 
 * ``x_bar_i`` (the hash of the last written value) is initialised to
   ``H(BOTTOM)`` rather than the literal ``BOTTOM`` so that line 50's check
@@ -19,6 +19,10 @@ Two liberties are taken, both documented in DESIGN.md:
   (Section 5: "this message can be eliminated by piggybacking its contents
   on the SUBMIT message of the next operation"); experiment E10 measures
   the garbage-collection cost of doing so.
+* The COMMIT to a lone server carries ``t`` in place of ``(V_i, M_i)``:
+  the server folds the version from the REPLY it sent
+  (:func:`~repro.ustor.version.fold_version`, the one implementation of
+  lines 37-47); a replica group still receives the version.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ from repro.crypto.hashing import hash_register_value
 from repro.crypto.keystore import ClientSigner
 from repro.history.recorder import HistoryRecorder
 from repro.sim.process import Node
-from repro.ustor.digests import extend_digest
 from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
     ReplyMessage,
     SubmitMessage,
 )
-from repro.ustor.version import Version
+from repro.ustor.version import Version, fold_version
 
 
 @dataclass(frozen=True)
@@ -347,17 +350,18 @@ class UstorClient(Node):
             "COMMIT", self._version.vector, self._version.digests
         )
         proof_sig = self._signer.sign("PROOF", self._version.digests[self._id])
-        commit = CommitMessage(
-            version=self._version,
-            commit_sig=commit_sig,
-            proof_sig=proof_sig,
-        )
+        # A lone server folds (V_i, M_i) from the REPLY it sent (DESIGN.md,
+        # "Protocol liberties"), so its COMMIT carries t in their place.
+        # A replica group gets the version: the broadcast doubles as the
+        # write-back after a read-repair resolution, and a replica whose
+        # REPLY lost the vote cannot fold what this client folded.
+        if self.quorum_coordinator is None:
+            commit = CommitMessage(None, commit_sig, proof_sig, pending.timestamp)
+        else:
+            commit = CommitMessage(self._version, commit_sig, proof_sig)
         if self._piggyback:
             self._deferred_commit = commit
         else:
-            # On a replica group the broadcast doubles as the write-back
-            # after a read-repair resolution: every replica (re)converges
-            # on the committed version.
             self._send_server(commit)
 
         # Return from the operation.
@@ -425,53 +429,44 @@ class UstorClient(Node):
                 "server presented a version inconsistent with mine (line 36)"
             )
 
-        # line 37: adopt (V^c, M^c).
-        new_vector = list(vc.vector)
-        new_digests = list(vc.digests)
-        # line 38: digest accumulator starts at M^c[c].
-        digest = new_digests[c]
-
-        # lines 39-45: fold in the concurrent operations listed in L.
+        # lines 37-47: fold L and my own operation into (V^c, M^c), with
+        # the signature checks of lines 41 and 43 on each entry of L.
         concurrent: list[tuple[ClientId, int]] = []
-        for entry in reply.pending:
+        signer = self._signer
+        proofs = reply.proofs
+
+        def check(entry, vector, digests) -> bool:
             k = entry.client
             if not 0 <= k < n:
                 return self._fail(f"invocation tuple names unknown client {k}")
             # line 41: the PROOF-signature must cover C_k's previous operation.
             if not (
-                new_digests[k] is None
+                digests[k] is None
                 or (
-                    reply.proofs[k] is not None
-                    and self._signer.verify(k, reply.proofs[k], "PROOF", new_digests[k])
+                    proofs[k] is not None
+                    and signer.verify(k, proofs[k], "PROOF", digests[k])
                 )
             ):
                 return self._fail(
                     f"PROOF-signature for {client_name(k)} missing/invalid (line 41)"
                 )
-            # line 42: account for the operation.
-            new_vector[k] += 1
             # line 43: no concurrent operation with myself; SUBMIT-signature
-            # must match the expected timestamp.
-            if k == i or not self._signer.verify(
-                k,
-                entry.submit_sig,
-                "SUBMIT",
-                entry.opcode,
-                entry.register,
-                new_vector[k],
+            # must match the timestamp line 42 is about to count.
+            t = vector[k] + 1
+            if k == i or not signer.verify(
+                k, entry.submit_sig, "SUBMIT", entry.opcode, entry.register, t
             ):
                 return self._fail(
                     f"SUBMIT-signature for {client_name(k)} invalid (line 43)"
                 )
-            # lines 44-45: extend the digest chain.
-            digest = extend_digest(digest, k)
-            new_digests[k] = digest
-            concurrent.append((k, new_vector[k]))
+            concurrent.append((k, t))
+            return True
 
-        # lines 46-47: append my own operation.
-        new_vector[i] += 1
-        new_digests[i] = extend_digest(digest, i)
-        self._version = Version(tuple(new_vector), tuple(new_digests))
+        version = fold_version(vc, c, reply.pending, i, check)
+        if version is None:
+            return False
+        self._version = version
+        new_vector = version.vector
 
         assert self._pending is not None
         if new_vector[i] != self._pending.timestamp:

@@ -88,6 +88,21 @@ def extend_digest(digest: bytes | None, client: ClientId) -> bytes:
         _stats["hits"] += 1
         return memo
     _stats["misses"] += 1
+    out = chain_link(digest, client)
+    if len(_CHAIN_MEMO) >= _CHAIN_MEMO_LIMIT:  # pragma: no cover - bound guard
+        _CHAIN_MEMO.clear()
+    _CHAIN_MEMO[key] = out
+    return out
+
+
+def chain_link(digest: bytes | None, client: ClientId) -> bytes:
+    """:func:`extend_digest` without the memo: the incremental hash alone.
+
+    The server folds every REPLY it sends (``ServerState.expected``); added
+    to the memo, those links grew a server process's memo by each of them,
+    which cost more over TCP than its hits saved (PERFORMANCE.md, "The
+    COMMIT carries what the server cannot compute").
+    """
     state = _BASE_STATE.copy()
     if digest is None:
         state.update(b"\x00")
@@ -97,11 +112,7 @@ def extend_digest(digest: bytes | None, client: ClientId) -> bytes:
     else:
         state.update(b"\x03" + encoded_length(len(digest)) + bytes(digest))
     state.update(encoded_int(client))
-    out = state.digest()
-    if len(_CHAIN_MEMO) >= _CHAIN_MEMO_LIMIT:  # pragma: no cover - bound guard
-        _CHAIN_MEMO.clear()
-    _CHAIN_MEMO[key] = out
-    return out
+    return state.digest()
 
 
 def extend_digest_reference(digest: bytes | None, client: ClientId) -> bytes:

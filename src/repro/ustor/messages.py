@@ -100,18 +100,28 @@ class MemEntry:
 
 @dataclass(frozen=True)
 class CommitMessage:
-    """``<COMMIT, V_i, M_i, phi, psi>`` (lines 19 and 32)."""
+    """``<COMMIT, V_i, M_i, phi, psi>`` (lines 19 and 32) — or, to a lone
+    server, ``<COMMIT, t, phi, psi>``.
 
-    version: Version
+    A lone server folds ``(V_i, M_i)`` from the REPLY it sent
+    (:func:`~repro.ustor.version.fold_version`), so that COMMIT carries
+    ``version=None`` and its operation's ``timestamp`` in the version's
+    place; a replica group receives the version itself (``timestamp``
+    unset).
+    """
+
+    version: Version | None
     commit_sig: bytes  # phi — over (COMMIT, V, M)
     proof_sig: bytes  # psi — over (PROOF, M[i])
+    timestamp: int | None = None  # t — set exactly when version is None
 
     kind = "COMMIT"
 
     def wire_size(self) -> int:
+        version = self.version
         return (
             MARKER_BYTES
-            + version_wire_size(self.version)
+            + (INT_BYTES if version is None else version_wire_size(version))
             + _sig_size(self.commit_sig)
             + _sig_size(self.proof_sig)
         )

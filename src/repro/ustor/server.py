@@ -31,6 +31,7 @@ from repro.common.errors import ProtocolError
 from repro.common.types import ClientId, OpKind, parse_client_name
 from repro.obs.registry import COUNT_BUCKETS, get_registry
 from repro.sim.process import Node
+from repro.ustor.digests import chain_link
 from repro.ustor.messages import (
     CheckpointMessage,
     CommitMessage,
@@ -40,6 +41,7 @@ from repro.ustor.messages import (
     SignedVersion,
     SubmitMessage,
 )
+from repro.ustor.version import Version, fold_version
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.store.engine import StorageEngine
@@ -78,6 +80,13 @@ class ServerState:
     pending_ts: list[int] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: Per client: ``(t, (V_i, M_i))`` — the timestamp of its last SUBMIT
+    #: and the version Algorithm 1 folds from the REPLY that answered it
+    #: (:func:`~repro.ustor.version.fold_version`), or ``None`` before its
+    #: first SUBMIT.  Not an Algorithm 2 variable: it is what a version-less
+    #: COMMIT commits (:func:`apply_commit`), and a pure function of the
+    #: applied history, so snapshots carry it and WAL replay re-derives it.
+    expected: list[tuple[int, Version] | None] = field(default_factory=list)
     _pending_tuple: tuple | None = field(default=None, repr=False, compare=False)
     _proofs_tuple: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -104,6 +113,7 @@ class ServerState:
             sver=[SignedVersion.zero(num_clients) for _ in range(num_clients)],
             pending=[],
             proofs=[None] * num_clients,
+            expected=[None] * num_clients,
         )
 
     def clone(self) -> "ServerState":
@@ -117,6 +127,7 @@ class ServerState:
             proofs=list(self.proofs),
             submits_applied=self.submits_applied,
             pending_ts=list(self.pending_ts),
+            expected=list(self.expected),
         )
 
 
@@ -158,6 +169,7 @@ def apply_submit(state: ServerState, message: SubmitMessage) -> ReplyMessage:
             proofs=state.proofs_as_tuple(),
         )
 
+    expect_commit(state, message, reply)
     # line 116: append after building the reply — the submitting operation
     # is never listed as concurrent with itself.
     state.pending.append(invocation)
@@ -167,13 +179,43 @@ def apply_submit(state: ServerState, message: SubmitMessage) -> ReplyMessage:
     return reply
 
 
+def expect_commit(
+    state: ServerState, message: SubmitMessage, reply: ReplyMessage
+) -> None:
+    """Record what the COMMIT answering ``reply`` will commit: the SUBMIT's
+    ``t`` and the version its client folds from ``reply`` (lines 37-47)."""
+    i = message.invocation.client
+    state.expected[i] = (
+        message.timestamp,
+        fold_version(
+            reply.last_version.version,
+            reply.commit_index,
+            reply.pending,
+            i,
+            link=chain_link,
+        ),
+    )
+
+
 def apply_commit(state: ServerState, client: ClientId, message: CommitMessage) -> None:
-    """Handle a COMMIT on ``state`` (lines 117-123)."""
+    """Handle a COMMIT on ``state`` (lines 117-123).
+
+    A COMMIT without a version commits ``expected[client]``'s, and only
+    when its ``t`` is that entry's: any other ``t`` is a retransmitted
+    duplicate of an earlier COMMIT and changes nothing.  A COMMIT that
+    carries its version (a replica group's) is applied as it stands.
+    """
     if not 0 <= client < state.num_clients:
         raise ProtocolError(f"COMMIT from unknown client index {client}")
+    version = message.version
+    if version is None:
+        expected = state.expected[client]
+        if expected is None or expected[0] != message.timestamp:
+            return
+        version = expected[1]
     last = state.sver[state.commit_index].version
     # line 119: V_i > V^c — this operation is now the schedule's last commit.
-    if message.version.dominates_vector(last):
+    if version.dominates_vector(last):
         state.commit_index = client
         # line 121: drop the client's tuple and everything scheduled before.
         cut = None
@@ -186,9 +228,7 @@ def apply_commit(state: ServerState, client: ClientId, message: CommitMessage) -
             del state.pending_ts[: cut + 1]
             state._pending_tuple = None
     # lines 122-123: store version, COMMIT- and PROOF-signatures.
-    state.sver[client] = SignedVersion(
-        version=message.version, commit_sig=message.commit_sig
-    )
+    state.sver[client] = SignedVersion(version=version, commit_sig=message.commit_sig)
     state.proofs[client] = message.proof_sig
     state._proofs_tuple = None
 
@@ -483,6 +523,9 @@ class UstorServer(Node):
         state = self.serving_state(message.invocation.client, message)
         honest = apply_submit(state, message)
         reply = self.outgoing_reply(src, message, honest)
+        if reply is not honest:
+            # The client folds what it receives, so the state expects that.
+            expect_commit(state, message, reply)
         if state is self.state:
             # Write-ahead: the transition is durable before the REPLY
             # leaves.  A forked branch has no honest log to be ahead of.

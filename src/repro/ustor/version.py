@@ -18,9 +18,11 @@ operation.  The order is transitive on versions committed by the protocol
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.common.errors import ProtocolError
 from repro.common.types import ClientId
+from repro.ustor.digests import extend_digest
 
 
 @dataclass(frozen=True)
@@ -112,3 +114,44 @@ def max_version(*versions: Version) -> Version:
         else:
             raise ProtocolError("incomparable versions have no maximum")
     return best
+
+
+def fold_version(
+    base: Version,
+    commit_index: ClientId,
+    pending: Iterable,
+    own: ClientId,
+    check: Callable[[object, list, list], bool] | None = None,
+    link: Callable[[bytes | None, ClientId], bytes] | None = None,
+) -> Version | None:
+    """Lines 37-47 of Algorithm 1: the version an operation of ``own``
+    commits, given the REPLY's ``SVER[c]`` version (``base``), ``c``
+    (``commit_index``) and ``L`` (``pending``).
+
+    Start from ``(V^c, M^c)`` and the digest ``M^c[c]``; for each entry of
+    ``L`` count its operation and extend the digest chain with its client;
+    then append ``own``'s operation the same way.  The client runs its
+    signature checks (lines 41 and 43) inside the fold: ``check(entry,
+    vector, digests)`` sees each entry before it is folded in and returns
+    ``False`` to stop, and the fold then returns ``None``.  The server
+    folds the REPLY it sent with no check — the same arithmetic, so an
+    honest server derives exactly the version its client commits — and
+    with ``link=chain_link`` (:func:`~repro.ustor.digests.chain_link`), so
+    its links stay out of the chain memo; by default a link is
+    :func:`~repro.ustor.digests.extend_digest`, looked up when called.
+    """
+    if link is None:
+        link = extend_digest
+    vector = list(base.vector)  # line 37
+    digests = list(base.digests)
+    digest = digests[commit_index]  # line 38
+    for entry in pending:  # lines 39-45
+        if check is not None and not check(entry, vector, digests):
+            return None
+        k = entry.client
+        vector[k] += 1  # line 42
+        digest = link(digest, k)  # lines 44-45
+        digests[k] = digest
+    vector[own] += 1  # lines 46-47
+    digests[own] = link(digest, own)
+    return Version(tuple(vector), tuple(digests))

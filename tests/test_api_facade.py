@@ -262,7 +262,11 @@ class TestCrashRecoveryMatrix:
 
     def test_rollback_adversary_raises_failure(self, backend):
         """Recovering from a stale snapshot forks clients into the past —
-        and must be detected, unlike the honest recovery above."""
+        and must be detected, unlike the honest recovery above.  The
+        restored state is self-consistent (a COMMIT carries no version
+        it could adopt for an operation it forgot), so bob is served the
+        past, and alice — whose committed version the restored state no
+        longer dominates — hands in the proof (line 36)."""
         system = backend.open_system(
             quiet_config(
                 server_factory=lambda n, name: RollbackServer(
@@ -278,9 +282,10 @@ class TestCrashRecoveryMatrix:
         for k in range(3):
             alice.write_sync(b"w%d" % k)
         system.run(until=system.now + 5.0)  # the dishonest restart happens
-        with pytest.raises(OperationFailed):
-            bob.read_sync(0)
-        assert bob.failed
+        assert bob.read_sync(0)[0] == b"w0"  # the backup's value, signed
+        with pytest.raises(OperationFailed, match="line 36"):
+            alice.write_sync(b"w3")
+        assert alice.failed
         assert system.notifications.failure_events()
         assert system.server.restarts == 1
 

@@ -83,12 +83,28 @@ def run_attack(seed):
     return trace_fingerprint(system)
 
 
-#: SHA-256 of ``repr(trace_fingerprint(...))`` for seed 7, recorded when
-#: these runs were first pinned; a fresh interpreter must reproduce them.
+def without_sizes(fingerprint):
+    """The fingerprint minus each message's ``size``: the schedule alone —
+    who sent what kind of message when, every note, every operation."""
+    messages, notes, history = fingerprint
+    return [message[:5] for message in messages], notes, history
+
+
+#: SHA-256 of ``repr(trace_fingerprint(...))`` for seed 7; a fresh
+#: interpreter must reproduce them.  A change to the wire-size model (a
+#: COMMIT that carries ``t`` in place of its version) re-pins these ...
 PINNED = {
-    "run_ustor": "22fc77449a27271af85d8bf679edfdc0d4335565f4b90d4541443463e5e31876",
-    "run_faust": "06e934254d9fcaf0bdb27ad2808aeceef56a4c841c24809277e8ea807634202b",
-    "run_attack": "6b79c51890e273ccc8dc7d0a31c43408adf8c5d67add92fbe888224dea67b003",
+    "run_ustor": "4d2f965438505a84b4c55231ae5afb171b5304d423b40d061c9a6dee147e67fa",
+    "run_faust": "ea13da670836aaa5d627206745e3d0723c98d1b997b39007494217f5a7095ff7",
+    "run_attack": "ecd6cfa28164c1523424d62b38658bdb792e65c1da9c02e3c02ba742bda3d4ef",
+}
+
+#: ... and must leave these alone: SHA-256 of ``repr(without_sizes(...))``
+#: for the same runs, unchanged since they were pinned.
+PINNED_SCHEDULE = {
+    "run_ustor": "a98cb8594693a0aa303180bfe1be2c8e4c76a589b1a70c377a8be0dd4b979d86",
+    "run_faust": "63b74d52fd83c699854114df64828dbcb86f7c39bd2667cb6af244c938643aee",
+    "run_attack": "6b2f1278b5bbb939badb99e8d1f26b0961af3759240cb3931a2e428d0c250944",
 }
 
 
@@ -97,6 +113,13 @@ class TestDeterminism:
     def test_trace_matches_pinned_digest(self, run):
         digest = hashlib.sha256(repr(run(7)).encode()).hexdigest()
         assert digest == PINNED[run.__name__]
+
+    @pytest.mark.parametrize("run", [run_ustor, run_faust, run_attack], ids=list(PINNED))
+    def test_schedule_matches_pinned_digest(self, run):
+        schedule = repr(without_sizes(run(7)))
+        assert hashlib.sha256(schedule.encode()).hexdigest() == (
+            PINNED_SCHEDULE[run.__name__]
+        )
 
     def test_ustor_trace_identical(self):
         assert run_ustor(7) == run_ustor(7)

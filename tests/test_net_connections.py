@@ -7,7 +7,8 @@ here is everything that must *not* depend on those mechanics:
 
 * what a peer gets out of a byte stream is independent of how TCP
   segmented it — replies, dedup counters and server state included;
-* a hostile or broken peer costs its own connection and nothing else;
+* a hostile or broken peer costs its own connection and nothing else —
+  a frame that decodes but that the server state refuses included;
 * waits honour their deadline, see timer-driven state within the
   fallback tick, and hand a raising predicate to their *caller*;
 * a SIGINT that lands inside a frame handler stops ``serve_forever``
@@ -323,6 +324,33 @@ class TestBadPeerCostsOnlyItsConnection:
         answered = runtime.run_coroutine(_exchange(host.endpoint, segments))
         assert answered == expected_answer
         assert state.submits_applied == 1 and state.mem[1].timestamp == 0
+        assert "C2" not in host._connections and len(host._links) == 1
+        assert session.write_sync(b"still-served") == 2
+        assert system.connections[0].reconnects == 0
+
+    def test_state_refused_frame_costs_only_its_connection(
+        self, runtime, deployment, caplog
+    ):
+        # A COMMIT that decodes but whose version counts three clients:
+        # the server state refuses it (``ProtocolError`` from line 119's
+        # comparison).  That must close this connection like an
+        # undecodable frame, not escape the protocol's read callback —
+        # where asyncio logs "Fatal error: protocol.… call failed".
+        system, host = deployment
+        session = system.session(0)
+        assert session.write_sync(b"before") == 1
+        state = host.node.state
+        commit = encode(
+            ("COMMIT", (((1, 0, 0), (b"d" * 32, None, None)), _SIG, _SIG))
+        )
+        hello = encode_frame(hello_payload(1, NUM_CLIENTS))
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            answered = runtime.run_coroutine(
+                _exchange(host.endpoint, [hello, encode_frame(commit)])
+            )
+        assert answered == encode_frame(welcome_payload("S", NUM_CLIENTS))
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        assert state.sver[1].version.is_zero
         assert "C2" not in host._connections and len(host._links) == 1
         assert session.write_sync(b"still-served") == 2
         assert system.connections[0].reconnects == 0

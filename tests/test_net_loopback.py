@@ -10,7 +10,8 @@ multi-process variants live in ``test_net_process.py`` behind the
 * the paper's timed model maps onto wall-clock deadlines — a withheld
   REPLY surfaces as :class:`~repro.api.errors.OperationTimeout`;
 * a server crash/restart over durable ``dir:`` storage is survived by
-  reconnect + retransmission, exactly once.
+  reconnect + retransmission, exactly once — a retransmitted SUBMIT
+  carrying a piggybacked COMMIT included.
 """
 
 from __future__ import annotations
@@ -239,6 +240,144 @@ class TestCrashRecovery:
             assert restarted.submits_dropped_stale == 1
             assert len(restarted.node.state.pending) == pending_before
             assert restarted.node.state.mem[0].timestamp == 1
+
+
+class _CommitCounter(UstorServer):
+    """The honest server, counting each COMMIT it applies, per ``(client,
+    t)``: a version-less COMMIT is applied when its ``t`` is the one the
+    state expects (:func:`~repro.ustor.server.apply_commit`)."""
+
+    def __init__(self, num_clients: int, name: str, **kwargs) -> None:
+        super().__init__(num_clients, name, **kwargs)
+        self.applied: dict[tuple[int, int], int] = {}
+
+    def handle_commit(self, src, message) -> None:
+        client = int(src[1:]) - 1
+        expected = self.state.expected[client]
+        super().handle_commit(src, message)
+        if expected is not None and expected[0] == message.timestamp:
+            key = (client, message.timestamp)
+            self.applied[key] = self.applied.get(key, 0) + 1
+
+
+def _counting(num_clients: int, name: str, *, storage: str = "memory"):
+    from repro.store.engine import make_engine
+
+    return _CommitCounter(
+        num_clients, name, engine=make_engine(storage, num_clients)
+    )
+
+
+def _lose_next_reply(host: NetServerHost, *, then_stop_listening: bool) -> list:
+    """Arm ``host`` to drop client 0's next REPLY frame together with its
+    connection (after journaling it, as a crash between the two would);
+    optionally stop accepting connections too, so the retransmission can
+    only reach a restarted host.  Returns a list that gets the lost
+    frame."""
+    lost: list[bytes] = []
+    write = host._write_frame
+
+    def lossy(dst: str, payload: bytes) -> None:
+        if dst == "C1" and not lost:
+            lost.append(payload)
+            host._connections[dst].abort()
+            if then_stop_listening:
+                host._listener.close()
+            return
+        write(dst, payload)
+
+    host._write_frame = lossy
+    return lost
+
+
+def _verifies(system, client: int, signed) -> bool:
+    version = signed.version
+    return system.keystore.verifier().verify(
+        client, signed.commit_sig, "COMMIT", version.vector, version.digests
+    )
+
+
+class TestPiggybackedCommitRetransmitted:
+    """A dropped connection makes the client retransmit a SUBMIT that
+    carries the previous operation's COMMIT: that COMMIT is applied once,
+    whether the retransmission is answered from the reply journal or
+    dropped as stale by a restarted host, and ``SVER[i]`` verifies."""
+
+    def _open(self, storage: str):
+        runtime = NetRuntime()
+        host = NetServerHost(
+            2,
+            storage=storage,
+            server_factory=lambda n, name: _counting(n, name, storage=storage),
+        )
+        runtime.run_coroutine(host.start())
+        system = open_system(
+            SystemConfig(
+                2,
+                transport="tcp",
+                endpoints=(host.endpoint,),
+                commit_piggyback=True,
+                default_timeout=10.0,
+            ),
+            backend="ustor",
+            runtime=runtime,
+        )
+        system.hosts.append(host)
+        system.owns_runtime = True
+        return system, host, runtime
+
+    def test_journal_answered(self):
+        system, host, _runtime = self._open("memory")
+        with system:
+            session = system.session(0)
+            assert session.write_sync(b"one") == 1
+            lost = _lose_next_reply(host, then_stop_listening=False)
+            # SUBMIT 2 carries COMMIT 1; its REPLY dies with the
+            # connection, the client reconnects and retransmits it.
+            assert session.write_sync(b"two") == 2
+            assert lost and host.submits_deduplicated == 1
+            assert system.connections[0].reconnects == 1
+            assert session.write_sync(b"three") == 3  # carries COMMIT 2
+            state = host.node.state
+            assert host.node.applied == {(0, 1): 1, (0, 2): 1}
+            assert state.sver[0].version.vector[0] == 2
+            assert _verifies(system, 0, state.sver[0])
+            assert not system.clients[0].failed
+
+    def test_stale_dropped_after_restart(self, tmp_path):
+        storage = f"dir:{tmp_path / 'srv'}"
+        system, host, runtime = self._open(storage)
+        with system:
+            session = system.session(0)
+            assert session.write_sync(b"one") == 1
+            lost = _lose_next_reply(host, then_stop_listening=True)
+            handle = session.write(b"two")  # SUBMIT 2 carries COMMIT 1
+            assert runtime.pump_until(lambda: bool(lost), timeout=5.0)
+            assert host.node.applied == {(0, 1): 1}
+            runtime.run_coroutine(host.stop())
+            restarted = NetServerHost(
+                2,
+                port=host.port,
+                storage=storage,
+                server_factory=lambda n, name: _counting(n, name, storage=storage),
+            )
+            runtime.run_coroutine(restarted.start())
+            system.hosts.append(restarted)
+            # The retransmitted SUBMIT 2 is stale (applied before the
+            # restart, its REPLY journaled only in the dead process): it
+            # is dropped, piggybacked COMMIT 1 with it, and op 2 times out.
+            assert runtime.pump_until(
+                lambda: restarted.submits_dropped_stale or handle.done(),
+                timeout=5.0,
+            )
+            assert restarted.submits_dropped_stale == 1
+            with pytest.raises(OperationTimeout):
+                handle.result(0.2)
+            assert restarted.node.applied == {}
+            state = restarted.node.state
+            assert state.sver[0].version.vector[0] == 1  # COMMIT 1, once
+            assert _verifies(system, 0, state.sver[0])
+            assert state.expected[0][0] == 2 and state.mem[0].timestamp == 2
 
 
 class TestHostConfig:

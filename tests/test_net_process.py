@@ -17,6 +17,7 @@ import os
 import random
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,8 +31,9 @@ from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import history_signature, load_trace, replay_trace
 from repro.net.wire import payload_to_message
 from repro.store import DirectoryMedium, LogStructuredEngine
-from repro.ustor.messages import SubmitMessage
+from repro.ustor.messages import ReplyMessage, SubmitMessage
 from repro.ustor.server import ServerState, apply_commit, apply_submit
+from repro.ustor.version import fold_version
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
@@ -41,17 +43,30 @@ pytestmark = [pytest.mark.net, pytest.mark.slow]
 def _replay_client_frames(trace_path, num_clients: int) -> ServerState:
     """The server state implied by every frame the clients sent, applied
     in the order their own wire trace recorded them (retransmissions
-    repeat frames already recorded once)."""
+    repeat frames already recorded once).  A COMMIT travels without its
+    version, so it is applied with the version its client folded from
+    the REPLY it received — what the client committed, whichever way the
+    two connections interleaved at the server."""
     _header, records = load_trace(str(trace_path))
     state = ServerState.initial(num_clients)
+    received: dict[int, ReplyMessage] = {}
     for record in records:
-        if record["t"] != "frame" or record["dir"] != "c2s" or record["retx"]:
+        if record["t"] != "frame" or record["retx"]:
             continue
         message = payload_to_message(bytes.fromhex(record["payload"]))
-        if isinstance(message, SubmitMessage):
+        client = record["c"]
+        if record["dir"] == "s2c":
+            received[client] = message
+        elif isinstance(message, SubmitMessage):
             apply_submit(state, message)
         else:
-            apply_commit(state, record["c"], message)
+            reply = received[client]
+            version = fold_version(
+                reply.last_version.version, reply.commit_index, reply.pending, client
+            )
+            apply_commit(
+                state, client, replace(message, version=version, timestamp=None)
+            )
     return state
 
 

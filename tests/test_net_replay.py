@@ -183,7 +183,7 @@ class TestReplayEquivalence:
     def test_undecodable_client_frame_is_a_divergence(self, tmp_path):
         path = tmp_path / "bad-c2s.jsonl"
         path.write_text(
-            '{"t":"header","v":5,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             '"payload":"ff00","at":0.0}\n'
         )
@@ -200,7 +200,7 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 5
+        assert records[0]["v"] == 6
         assert records[0]["n"] == 3
         # Frames only: every invocation is its SUBMIT frame.
         assert {r["t"] for r in records} == {"header", "frame"}
@@ -231,10 +231,10 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             f'"payload":"{old_frame}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v5"):
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v6"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "this build reads v5" in capsys.readouterr().out
+        assert "this build reads v6" in capsys.readouterr().out
 
     def test_trace_of_the_all_proofs_reply_form_refused(self, tmp_path, capsys):
         # v2 REPLYs carry all n PROOF-signatures: ("REPLY", (c, SVER[c], L,
@@ -255,7 +255,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v2_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v5"):
+        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v6"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         assert "trace version 2 unsupported" in capsys.readouterr().out
@@ -281,7 +281,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v3_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v5"):
+        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v6"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
@@ -301,6 +301,26 @@ class TestTraceFormat:
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
         assert "trace version 4 unsupported" in out and out.count("\n") == 1
+
+    def test_trace_of_the_versioned_lone_server_commit_refused(
+        self, tmp_path, capsys
+    ):
+        # v5 clients of a lone server sent their COMMIT with (V, M); this
+        # build's send t in its place, so every such frame would replay
+        # as a divergence — the header stops the trace first, in one line.
+        from repro.cli import main
+        from repro.common.encoding import encode
+
+        v5_commit = encode(("COMMIT", (((1, 0), (b"d" * 32, None)), b"p", b"q")))
+        path = tmp_path / "v5.jsonl"
+        path.write_text(
+            '{"t":"header","v":5,"n":2,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
+            f'"payload":"{v5_commit.hex()}","at":0.0}}\n'
+        )
+        assert main(["replay", "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "trace version 5 unsupported" in out and out.count("\n") == 1
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

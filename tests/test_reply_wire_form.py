@@ -15,7 +15,8 @@ distinct submitters and with ``SVER[j]`` back-referenced when it *is*
 * **malformed REPLYs refused** — a proof list that does not match ``L``,
   a submitter outside ``0..n-1``, a back-reference without ``MEM[j]``;
 * **the size model tracks the codec** — real bytes over ``wire_size()``
-  stay in one pinned band for SUBMIT, COMMIT and every REPLY shape.
+  stay in one pinned band for SUBMIT, every REPLY shape and both COMMIT
+  forms (``t`` to a lone server, the version to a replica group).
 """
 
 from __future__ import annotations
@@ -283,6 +284,29 @@ def captured() -> dict[int, list]:
     return runs
 
 
+@pytest.fixture(scope="module")
+def group_commits() -> dict[int, list]:
+    """Every COMMIT one replica of a three-replica group receives, per
+    ``n``: the form that still carries ``(V_i, M_i)``."""
+    runs = {}
+    for n in (2, 8):
+        commits = []
+
+        class Tap(UstorServer):
+            def on_message(self, src, message) -> None:
+                if message.kind == "COMMIT" and self.name.endswith("0"):
+                    commits.append(message)
+                super().on_message(src, message)
+
+        with open_system(
+            SystemConfig(num_clients=n, seed=3, replicas=3, server_factory=Tap),
+            backend="ustor",
+        ) as system:
+            assert _drive(system, n, 3, ops=8, think=0.3).stats.all_done()
+        runs[n] = commits
+    return runs
+
+
 class TestSizeModelTracksTheCodec:
     def test_every_shape_is_captured(self, captured):
         replies = [m for run in captured.values() for m in run if m.kind == "REPLY"]
@@ -315,6 +339,29 @@ class TestSizeModelTracksTheCodec:
         assert set(totals) == {"SUBMIT", "COMMIT", "REPLY"}
         for kind, (real, model) in totals.items():
             assert KIND_BAND[0] <= real / model <= KIND_BAND[1], (kind, real / model)
+
+    @pytest.mark.parametrize("n", (2, 8))
+    @pytest.mark.parametrize("form", ("lone-server", "replica-group"))
+    def test_commit_real_bytes_over_model_stay_in_band(
+        self, captured, group_commits, form, n
+    ):
+        # A lone server's COMMIT carries t where the version went; a
+        # replica group's carries the version.  Both forms, both sizes.
+        if form == "lone-server":
+            commits = [m for m in captured[n] if m.kind == "COMMIT"]
+            assert all(c.version is None and c.timestamp for c in commits)
+        else:
+            commits = group_commits[n]
+            assert all(c.version is not None for c in commits)
+        assert commits
+        real = model = 0
+        for commit in commits:
+            size, modelled = len(message_to_payload(commit)), commit.wire_size()
+            assert MESSAGE_BAND[0] <= size / modelled <= MESSAGE_BAND[1]
+            assert payload_to_message(message_to_payload(commit)) == commit
+            real += size
+            model += modelled
+        assert KIND_BAND[0] <= real / model <= KIND_BAND[1], real / model
 
     def test_a_back_reference_saves_what_the_model_says(self, captured):
         # The model and the codec agree on the saving to within the

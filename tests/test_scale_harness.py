@@ -304,7 +304,7 @@ SCALE_REPORTS = {
     "churn-lease-expiry": (
         "--clients 4 --rate 0.3 --duration 400 --checkpoint-interval 8 "
         "--membership --churn-windows 6 --client-faults lease-expiry:1@100+200",
-        "52f6673c03af774e8c4de24fd579b19539b42d2e69466ee40bcab82c4533ed96",
+        "d972f7f97889684b0025a9bed4d04b89d85f08c9360b0a9258dacc210e63fed2",
     ),
     "churn-expiry-crash": (
         "--clients 5 --rate 0.4 --duration 600 --checkpoint-interval 8 "
@@ -320,7 +320,7 @@ SCALE_REPORTS = {
     "churn-unbounded": (
         "--clients 6 --rate 0.2 --duration 800 --churn-windows 40 "
         "--churn-mean-duration 20",
-        "b7bc8de646991e76d56189e17d02bf14279caa0c3b1a63544c88af941e897c5d",
+        "3472828c7584f2d26d782abc5ada6cdfe4cf5329b3e4c819e64e1776edb30133",
     ),
 }
 

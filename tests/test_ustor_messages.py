@@ -181,6 +181,12 @@ class TestCommitSize:
             == 1 + version_wire_size(version) + 2 * SIGNATURE_BYTES
         )
 
+    def test_a_lone_servers_commit_carries_t_not_the_version(self):
+        # The server folds (V_i, M_i) itself: t and two signatures, O(1) in n.
+        commit = CommitMessage(None, commit_sig=SIG, proof_sig=SIG, timestamp=3)
+        assert commit.wire_size() == 1 + 8 + 2 * SIGNATURE_BYTES
+        assert commit.wire_size() < CommitMessage(make_version(2), SIG, SIG).wire_size()
+
     def test_kinds(self):
         assert SubmitMessage(1, invocation(), None, SIG).kind == "SUBMIT"
         assert CommitMessage(make_version(2), SIG, SIG).kind == "COMMIT"
