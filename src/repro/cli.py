@@ -59,7 +59,12 @@ from repro.api import (
 )
 from repro.api.config import check_supported
 from repro.cluster.system import ClusterSystem
-from repro.common.errors import ConfigurationError, SimulationError, StorageError
+from repro.common.errors import (
+    ConfigurationError,
+    SimulationError,
+    StorageError,
+    UnknownSignerError,
+)
 from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
 from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
 from repro.consistency import (
@@ -472,21 +477,11 @@ def _run_and_report(args, system, config, workload, backend) -> None:
 
     if args.check:
         for k, domain, history in histories:
-            label = f" [shard {k}]" if sharded else ""
             print()
-            print(f"linearizability{label}:            "
-                  f"{check_linearizability(history)}")
-            print(f"causal consistency{label}:         "
-                  f"{check_causal_consistency(history)}")
-            if all(hasattr(c, "vh_records") for c in domain.clients):
-                views = build_client_views(history, domain.recorder, domain.clients)
-                print(f"weak fork-linearizability{label}:  "
-                      f"{validate_weak_fork_linearizability(history, views)}")
-            else:
-                # The view-history replay is USTOR-specific; baseline
-                # protocols carry no version digests to rebuild views from.
-                print(f"weak fork-linearizability{label}:  n/a for the "
-                      f"{backend} backend")
+            _print_verdicts(
+                history, domain.recorder, domain.clients,
+                label=f" [shard {k}]" if sharded else "", backend=backend,
+            )
 
     print()
     fail_aware = system.capabilities.stability
@@ -611,13 +606,28 @@ def _cmd_serve_cluster(args) -> int:
         supervisor.stop()
 
 
+def _print_verdicts(history, recorder, clients, *, label="", backend="") -> None:
+    """The three consistency verdict lines over one history."""
+    print(f"linearizability{label}:            {check_linearizability(history)}")
+    print(f"causal consistency{label}:         "
+          f"{check_causal_consistency(history)}")
+    if all(hasattr(c, "vh_records") for c in clients):
+        views = build_client_views(history, recorder, clients)
+        weak = validate_weak_fork_linearizability(history, views)
+    else:
+        # The view-history replay is USTOR-specific; baseline protocols
+        # carry no version digests to rebuild views from.
+        weak = f"n/a for the {backend} backend"
+    print(f"weak fork-linearizability{label}:  {weak}")
+
+
 def _cmd_replay(args) -> int:
     """Replay a recorded TCP run on the simulator and re-derive verdicts."""
     from repro.net.trace import replay_trace
 
     try:
         result = replay_trace(args.trace)
-    except (ConfigurationError, OSError) as exc:
+    except (ConfigurationError, UnknownSignerError, OSError) as exc:
         print(f"cannot replay {args.trace!r}: {exc}")
         return 1
     history = result.history
@@ -631,29 +641,11 @@ def _cmd_replay(args) -> int:
         print(f"C{client_id + 1}: USTOR fail: {reason}")
     if args.check:
         print()
-        print(f"linearizability:            {check_linearizability(history)}")
-        print(f"causal consistency:         "
-              f"{check_causal_consistency(history)}")
-        views = build_client_views(history, result.recorder, result.clients)
-        print(f"weak fork-linearizability:  "
-              f"{validate_weak_fork_linearizability(history, views)}")
+        _print_verdicts(history, result.recorder, result.clients)
     if args.history:
         print()
         print(history.describe())
     return 0 if result.ok else 1
-
-
-def _cmd_experiments(args) -> int:
-    from repro.experiments.runner import main as experiments_main
-
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.write:
-        forwarded.append("--write")
-    if args.only:
-        forwarded.extend(["--only", args.only])
-    return experiments_main(forwarded)
 
 
 def _cmd_scale(args) -> int:
@@ -1062,13 +1054,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     scale.set_defaults(func=_cmd_scale)
 
-    experiments = sub.add_parser("experiments", help="run the E* harness")
-    experiments.add_argument("--quick", action="store_true")
-    experiments.add_argument("--write", action="store_true")
-    experiments.add_argument("--only", default=None)
-    experiments.set_defaults(func=_cmd_experiments)
+    # The harness's own parser reads everything after ``experiments``.
+    sub.add_parser("experiments", help="run the E* harness", add_help=False)
 
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "experiments":
+        from repro.experiments.runner import main as experiments_main
+
+        return experiments_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

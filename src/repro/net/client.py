@@ -12,14 +12,18 @@ comes back is the same :class:`~repro.workloads.runner.StorageSystem` that
 and the consistency checkers already drive — :class:`NetSystem` adds
 only what sockets add (the runtime, the connections, a real ``close``).
 
-Reliability bridge
-------------------
+Connections
+-----------
 
-The model assumes reliable FIFO channels; TCP provides that only while
-one connection lives.  Each client therefore keeps an ``unacked`` list
-of every frame sent since its last received REPLY and retransmits it
-after reconnecting (the server deduplicates — see
-:mod:`repro.net.server`).  A REPLY empties the list *before* it is
+Each :class:`ClientConnection` is a :class:`~repro.net.framing.FrameLink`,
+as each of the server's accepted sockets is: it dials with
+``loop.create_connection``, says HELLO, takes WELCOME as its first frame
+and, once a connection is lost, dials again from ``connection_lost``
+after its backoff's next delay.  The model assumes reliable FIFO
+channels; TCP provides that only while one connection lives, so each
+connection keeps an ``unacked`` list of every frame sent since its last
+REPLY and retransmits it after each WELCOME (the server deduplicates —
+see :mod:`repro.net.server`).  A REPLY empties the list *before* it is
 delivered, so the COMMIT (and any next SUBMIT) the delivery triggers
 starts the next unacked window.
 
@@ -47,16 +51,11 @@ from typing import Callable
 
 from repro.common.errors import (
     ConfigurationError,
-    DecodeError,
     EncodingError,
+    ProtocolError,
     SimulationError,
 )
-from repro.net.framing import (
-    MAX_FRAME_BYTES,
-    FrameDecoder,
-    encode_frame,
-    read_frame,
-)
+from repro.net.framing import MAX_FRAME_BYTES, FrameLink
 from repro.net.realtime import RealtimeScheduler
 from repro.obs.registry import SIZE_BUCKETS, get_registry
 from repro.net.wire import (
@@ -146,9 +145,6 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
         )
     return host, int(port)
 
-
-#: Upper bound of one socket read.
-_READ_BYTES = 65536
 
 #: Longest the pump goes without re-checking its predicate: frames wake
 #: it at once, this covers what arrives no other way (timers, connects).
@@ -245,8 +241,10 @@ class NetRuntime:
         self.loop.close()
 
 
-class ClientConnection:
-    """One client's TCP link to one server, with reconnect + retransmit."""
+class ClientConnection(FrameLink):
+    """One client's TCP link to one server, with reconnect + retransmit:
+    the :class:`~repro.net.framing.FrameLink` of every connection it dials.
+    """
 
     def __init__(
         self,
@@ -263,13 +261,12 @@ class ClientConnection:
         trace_writer=None,
         trace_s2c: bool = True,
     ) -> None:
+        super().__init__(max_bytes=max_frame_bytes)
         self._runtime = runtime
         self.client_id = client_id
         self._n = num_clients
         self.host, self.port = parse_endpoint(endpoint)
         self.server_name = server_name
-        self._max_frame = max_frame_bytes
-        self._reconnect_delay = reconnect_delay
         # Per-client jitter stream: default seed keys off the client id
         # so a fleet sharing one config still de-synchronizes.
         self._backoff = ReconnectBackoff(
@@ -283,12 +280,13 @@ class ClientConnection:
         #: recording moves to the resolution hook and this stays False.
         self._trace_s2c = trace_s2c
         self._node: UstorClient | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._task: asyncio.Task | None = None
+        #: The dial in flight, and the timer of the next one.
+        self._dialing: asyncio.Task | None = None
+        self._redial: asyncio.TimerHandle | None = None
         self._closed = False
         self.connected = False
         #: A fatal handshake mismatch (wrong server / population); set
-        #: once, stops the reconnect loop for good.
+        #: once, stops reconnecting for good.
         self.error: str | None = None
         #: Frames sent since the last REPLY received, for retransmission.
         self.unacked: list[bytes] = []
@@ -308,7 +306,17 @@ class ClientConnection:
         self._node = node
 
     def start(self) -> None:
-        self._task = self._runtime.loop.create_task(self._run())
+        """Dial the server; a failed dial, like a lost connection, dials
+        again after the backoff's next delay (until :meth:`aclose`)."""
+        self._dialing = self._runtime.loop.create_task(self._dial())
+
+    async def _dial(self) -> None:
+        try:
+            await self._runtime.loop.create_connection(
+                lambda: self, self.host, self.port
+            )
+        except OSError:
+            self.connection_lost(None)
 
     # -- outbound ------------------------------------------------------ #
 
@@ -318,113 +326,33 @@ class ClientConnection:
         if self._trace_writer is not None:
             self._trace_writer.frame("c2s", self.client_id, payload, retx=False)
         if self._sim_trace is not None:
-            now = self._runtime.scheduler.now
-            self._sim_trace.record_message(
-                now, now, self._node.name, self.server_name,
-                getattr(message, "kind", type(message).__name__),
-                len(payload),
-            )
-        self._write(payload)
-
-    def _write(self, payload: bytes) -> None:
-        if self._writer is None or self._writer.is_closing():
-            return  # queued in unacked; the reconnect flush will carry it
-        try:
-            self._writer.write(encode_frame(payload, max_bytes=self._max_frame))
+            self._record(self._node.name, self.server_name, message, payload)
+        # Until WELCOME it waits in unacked for the handshake's flush.
+        if self.connected and self.send(payload):
             self.frames_sent += 1
             self._obs_frame_bytes.observe(len(payload))
-        except (ConnectionError, OSError):  # pragma: no cover - close race
-            pass
 
-    # -- connection loop ----------------------------------------------- #
+    def _record(self, src: str, dst: str, message, payload: bytes) -> None:
+        now = self._runtime.scheduler.now
+        kind = getattr(message, "kind", type(message).__name__)
+        self._sim_trace.record_message(now, now, src, dst, kind, len(payload))
 
-    async def _run(self) -> None:
-        first_attempt = True
-        while not self._closed:
-            if not first_attempt:
-                await asyncio.sleep(self._backoff.next_delay())
-            first_attempt = False
-            try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
-            except (ConnectionError, OSError):
-                continue
-            try:
-                writer.write(
-                    encode_frame(hello_payload(self.client_id, self._n))
-                )
-                welcome = await read_frame(reader, max_bytes=self._max_frame)
-                if welcome is None:
-                    continue
-                record = decode_payload(welcome, max_bytes=self._max_frame)
-                if not (
-                    record[0] == "WELCOME"
-                    and len(record) == 3
-                    and record[1] == self.server_name
-                    and record[2] == self._n
-                ):
-                    # A mis-wired deployment, not a transient fault:
-                    # reconnecting will not fix it, so stop for good.
-                    self.error = (
-                        f"endpoint {self.host}:{self.port} answered as "
-                        f"{record[1:]!r}; expected server "
-                        f"{self.server_name!r} with {self._n} client(s)"
-                    )
-                    self._closed = True
-                    return
-                self._writer = writer
-                self.connected = True
-                self._backoff.reset()
-                self._runtime.wake()
-                for payload in list(self.unacked):
-                    # Retransmissions are flagged so the replayer knows the
-                    # logical message was already recorded once.
-                    if self._trace_writer is not None:
-                        self._trace_writer.frame(
-                            "c2s", self.client_id, payload, retx=True
-                        )
-                    writer.write(
-                        encode_frame(payload, max_bytes=self._max_frame)
-                    )
-                if self.unacked:
-                    self.reconnects += 1
-                    self._obs_retransmissions.inc(len(self.unacked))
-                await writer.drain()
-                decoder = FrameDecoder(max_bytes=self._max_frame)
-                while True:
-                    # One await per TCP segment, however many frames it holds.
-                    data = await reader.read(_READ_BYTES)
-                    if not data:
-                        decoder.eof()
-                        break
-                    decoder.feed(data, self._on_payload)
-            except (ConnectionError, OSError):
-                pass
-            except (DecodeError, EncodingError):
-                # Undecodable bytes from the (untrusted) server: note it,
-                # drop the connection, let deadlines do their job.
-                if self._sim_trace is not None and self._node is not None:
-                    self._sim_trace.note(
-                        self._runtime.scheduler.now,
-                        self._node.name,
-                        "net-malformed-frame",
-                    )
-            finally:
-                self.connected = False
-                self._writer = None
-                writer.close()
+    # -- the link ------------------------------------------------------ #
 
-    def _on_payload(self, payload: bytes) -> None:
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.send(hello_payload(self.client_id, self._n))
+
+    def frame_received(self, payload: bytes) -> None:
+        if not self.connected:
+            self._welcome(payload)
+            return
         self.frames_received += 1
         if self._trace_writer is not None and self._trace_s2c:
             self._trace_writer.frame("s2c", self.client_id, payload, retx=False)
         message = payload_to_message(payload)
         if self._sim_trace is not None:
-            now = self._runtime.scheduler.now
-            self._sim_trace.record_message(
-                now, now, self.server_name, self._node.name,
-                getattr(message, "kind", type(message).__name__),
-                len(payload),
-            )
+            self._record(self.server_name, self._node.name, message, payload)
         if isinstance(message, ReplyMessage):
             # Everything up to here is answered; the COMMIT/next SUBMIT the
             # delivery below triggers opens the next unacked window.
@@ -433,19 +361,60 @@ class ClientConnection:
             self._node.deliver(self.server_name, message)
         self._runtime.wake()
 
+    def _welcome(self, payload: bytes) -> None:
+        """The connection's first frame: WELCOME from the expected server,
+        then everything unacknowledged goes out again."""
+        record = decode_payload(payload, max_bytes=self._max_bytes)
+        if record != ("WELCOME", self.server_name, self._n):
+            # A mis-wired deployment, not a transient fault: reconnecting
+            # will not fix it, so stop for good.
+            self.error = (
+                f"endpoint {self.host}:{self.port} answered as "
+                f"{record[1:]!r}; expected server "
+                f"{self.server_name!r} with {self._n} client(s)"
+            )
+            self._closed = True
+            raise ProtocolError(self.error)
+        self.connected = True
+        self._backoff.reset()
+        self._runtime.wake()
+        for payload in self.unacked:
+            # Retransmissions are flagged so the replayer knows the
+            # logical message was already recorded once.
+            if self._trace_writer is not None:
+                self._trace_writer.frame("c2s", self.client_id, payload, retx=True)
+            self.send(payload)
+        if self.unacked:
+            self.reconnects += 1
+            self._obs_retransmissions.inc(len(self.unacked))
+
+    def frame_refused(self, error) -> None:
+        # Undecodable bytes from the (untrusted) server: note it; the link
+        # drops the connection and deadlines do their job.
+        if isinstance(error, EncodingError) and self._sim_trace is not None:
+            now = self._runtime.scheduler.now
+            self._sim_trace.note(now, self._node.name, "net-malformed-frame")
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.connected = False
+        self.transport = None
+        if not self._closed:
+            self._redial = self._runtime.loop.call_later(
+                self._backoff.next_delay(), self.start
+            )
+
     # -- teardown ------------------------------------------------------ #
 
     async def aclose(self) -> None:
         self._closed = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        if self._redial is not None:
+            self._redial.cancel()
+        if self._dialing is not None:
+            self._dialing.cancel()
+            await asyncio.wait([self._dialing])
+        if self.transport is not None:
+            self.transport.close()
+            await asyncio.sleep(0)  # connection_lost releases the socket
 
 
 class ClientTransport:

@@ -3,9 +3,14 @@
 The protocol server (:class:`~repro.ustor.server.UstorServer` or one of
 its Byzantine variants) is unchanged — it still receives ``on_message``
 callbacks and answers with ``send``.  The host supplies everything the
-simulator used to: a transport whose ``send`` routes REPLYs onto the
-right client's socket, a wall-clock scheduler, and the connection
-lifecycle (handshake, reconnects, duplicate suppression).
+simulator used to: it is the server's transport (``send`` routes REPLYs
+onto the right client's socket), it brings a wall-clock scheduler, and
+it runs the connection lifecycle.  Each accepted socket is a
+:class:`~repro.net.framing.FrameLink`, the class the client's
+connections are too: its first frame is the HELLO check, every later
+one goes to the server, and a frame that does not decode or that the
+server state refuses (a :class:`~repro.common.errors.ProtocolError`,
+e.g. a version of the wrong population) costs that connection alone.
 
 Exactly-once over at-least-once
 -------------------------------
@@ -34,10 +39,6 @@ client:
   delivered twice in a row stores the same version twice (the comparison
   on line 119 is strict, so it neither advances the commit index nor
   prunes twice).
-
-A frame that decodes but that the protocol state refuses (a
-:class:`~repro.common.errors.ProtocolError`, e.g. a version of the wrong
-population) costs its connection, like an undecodable one.
 """
 
 from __future__ import annotations
@@ -46,14 +47,9 @@ import asyncio
 import os
 from typing import Callable
 
-from repro.common.errors import (
-    ConfigurationError,
-    DecodeError,
-    EncodingError,
-    ProtocolError,
-)
+from repro.common.errors import ConfigurationError, EncodingError
 from repro.common.types import client_name
-from repro.net.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame
+from repro.net.framing import MAX_FRAME_BYTES, FrameLink
 from repro.net.realtime import RealtimeScheduler
 from repro.obs.registry import enable_metrics, get_registry, set_registry
 from repro.net.wire import (
@@ -66,23 +62,6 @@ from repro.sim.trace import SimTrace
 from repro.store.engine import make_server
 from repro.ustor.messages import CommitMessage, ReplyMessage, SubmitMessage
 from repro.ustor.server import UstorServer
-
-
-class _HostTransport:
-    """The server node's view of the world: sends become socket writes."""
-
-    def __init__(self, host: "NetServerHost") -> None:
-        self._host = host
-
-    def register(self, node) -> None:
-        node.bind(self._host.scheduler, self)
-
-    @property
-    def trace(self) -> SimTrace | None:
-        return self._host.trace
-
-    def send(self, src: str, dst: str, message) -> None:
-        self._host._send_to_client(dst, message)
 
 
 class NetServerHost:
@@ -194,7 +173,7 @@ class NetServerHost:
                 "the TCP host needs synchronous replies; build the server "
                 "with group_commit=False"
             )
-        _HostTransport(self).register(self.node)
+        self.node.bind(self.scheduler, self)  # the host is its transport
         # Recovered durable state re-establishes the dedup floor: without
         # this, a SUBMIT applied (and WAL-logged) just before a crash
         # would be *re-applied* when the client retransmits it after the
@@ -271,9 +250,7 @@ class NetServerHost:
         if previous is not None:
             previous.close()  # at most one live connection per client
         self._connections[name] = link.transport
-        link.transport.write(
-            encode_frame(welcome_payload(self.server_name, self._n))
-        )
+        link.send(welcome_payload(self.server_name, self._n))
         return record[1]
 
     def _handle_client_payload(self, client_id: int, payload: bytes) -> None:
@@ -320,73 +297,39 @@ class NetServerHost:
             self._inflight = None
 
     # ---------------------------------------------------------------- #
-    # Outbound (called by the protocol server through _HostTransport)
+    # Outbound: the protocol server's transport (with ``trace``)
     # ---------------------------------------------------------------- #
 
-    def _send_to_client(self, dst: str, message) -> None:
+    def send(self, src: str, dst: str, message) -> None:
         payload = message_to_payload(message)
         if isinstance(message, ReplyMessage) and self._inflight == dst:
-            submit_t = self._seen.get(self._client_id_of(dst))
-            if submit_t is not None:
-                self._journal[self._client_id_of(dst)] = (submit_t, payload)
+            client_id = int(dst[1:]) - 1  # the inverse of client_name
+            self._journal[client_id] = (self._seen[client_id], payload)
         self._write_frame(dst, payload)
 
-    @staticmethod
-    def _client_id_of(name: str) -> int:
-        return int(name[1:]) - 1
-
     def _write_frame(self, dst: str, payload: bytes) -> None:
-        writer = self._connections.get(dst)
-        if writer is None or writer.is_closing():
-            return  # client away; it will retransmit and be journal-answered
-        try:
-            writer.write(encode_frame(payload, max_bytes=self._max_frame))
-        except (ConnectionError, OSError):  # pragma: no cover - race on close
-            pass
+        """Route one frame to ``dst``'s live connection, if it has one
+        (away, it will retransmit and be journal-answered)."""
+        transport = self._connections.get(dst)
+        if transport is not None:
+            transport.get_protocol().send(payload)
 
 
-#: One read's worth of socket bytes; a frame larger than this just takes
-#: several reads (the decoder keeps the partial tail).
-_READ_BYTES = 65536
-
-
-class _ClientLink(asyncio.BufferedProtocol):
-    """One accepted socket: bytes in, frames straight into the host.
-
-    The event loop reads each segment into this link's one buffer
-    (:meth:`get_buffer`) and calls :meth:`buffer_updated` from its own
-    read callback, so a frame costs no Task, Future or timer — and
-    whatever a handler lets escape (``KeyboardInterrupt`` included)
-    leaves through ``run_forever`` instead of dying inside a connection
-    task.  A read allocates only the bytes it received: a plain
-    ``Protocol`` gets a fresh 256 KiB buffer per read, and the allocator
-    churn that caused showed as page faults in the server process
-    (PERFORMANCE.md, "The COMMIT carries what the server cannot compute").
-    """
+class _ClientLink(FrameLink):
+    """One accepted socket: its first frame is the HELLO check, every
+    later one goes straight into the host."""
 
     def __init__(self, host: NetServerHost) -> None:
+        super().__init__(max_bytes=host._max_frame)
         self._host = host
-        self._decoder = FrameDecoder(max_bytes=host._max_frame)
-        self._buffer = memoryview(bytearray(_READ_BYTES))
-        self.transport: asyncio.Transport | None = None
         #: ``None`` until the HELLO check passed.
         self.client_id: int | None = None
 
     def connection_made(self, transport) -> None:
-        self.transport = transport
+        super().connection_made(transport)
         self._host._links.add(self)
 
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._buffer
-
-    def buffer_updated(self, nbytes: int) -> None:
-        try:
-            self._decoder.feed(bytes(self._buffer[:nbytes]), self._on_frame)
-        except (DecodeError, EncodingError, ProtocolError):
-            # A hostile or broken peer costs this connection, nothing more.
-            self.transport.close()
-
-    def _on_frame(self, payload: bytes) -> None:
+    def frame_received(self, payload: bytes) -> None:
         if self.client_id is None:
             self.client_id = self._host._accept_hello(self, payload)
         else:

@@ -134,19 +134,23 @@ class WireTraceWriter:
 
 
 def load_trace(path: str) -> tuple[dict, list[dict]]:
-    """Read a trace file; returns ``(header, records)`` in seq order."""
+    """Read a trace file; returns ``(header, records)`` in seq order.  A
+    file that is not a well-formed trace of this version is a
+    :class:`ConfigurationError` naming the path (and the line)."""
     header: dict | None = None
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+    records: list[tuple[int, dict]] = []
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            if record.get("t") == "header":
-                header = record
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict) and record.get("t") == "header":
+                header, header_line = record, number
             else:
-                records.append(record)
+                records.append((number, record))
     if header is None:
         raise ConfigurationError(f"{path!r} has no trace header")
     if header.get("v") != TRACE_VERSION:
@@ -154,8 +158,33 @@ def load_trace(path: str) -> tuple[dict, list[dict]]:
             f"trace version {header.get('v')!r} unsupported "
             f"(this build reads v{TRACE_VERSION})"
         )
-    records.sort(key=lambda r: r["seq"])
-    return header, records
+    n = header.get("n")
+    if type(n) is not int or n < 1 or not isinstance(header.get("server"), str):
+        raise ConfigurationError(
+            f"{path!r} line {header_line}: a header without 'n' or 'server'"
+        )
+    for number, record in records:
+        if not _is_frame(record, n):
+            raise ConfigurationError(
+                f"{path!r} line {number}: not a frame of {n} client(s)"
+            )
+    records.sort(key=lambda pair: pair[1]["seq"])
+    return header, [record for _number, record in records]
+
+
+def _is_frame(record, n: int) -> bool:
+    try:
+        bytes.fromhex(record["payload"])
+        client, seq, retx = record["c"], record["seq"], record["retx"]
+    except (KeyError, TypeError, ValueError):  # TypeError: not an object
+        return False
+    return (
+        record.get("t") == "frame"
+        and record.get("dir") in ("c2s", "s2c")
+        and type(client) is type(seq) is int
+        and 0 <= client < n
+        and isinstance(retx, bool)
+    )
 
 
 class PlaybackTransport:
@@ -211,7 +240,7 @@ def replay_trace(path: str) -> ReplayResult:
         runner.World(scheduler, transport, sim_trace),
         runner.ustor_protocol(),
         num_clients=header["n"],
-        scheme=header.get("scheme", "hmac"),
+        scheme=str(header.get("scheme", "hmac")),  # a name, or an unknown one
         server_name=server_name,
         commit_piggyback=bool(header.get("piggyback", False)),
     )

@@ -135,6 +135,19 @@ class TestExperimentsCommand:
         assert experiments_md.read_text() == "the committed record\n"
 
 
+class TestReplayCommand:
+    def test_corrupt_trace_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text(
+            '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            "[1, 2]\n"
+        )
+        assert main(["replay", "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("cannot replay") and out.count("\n") == 1
+        assert "line 2: not a frame" in out
+
+
 class TestClusterRunCommand:
     def test_cluster_run_with_per_shard_check(self, capsys):
         code = main(

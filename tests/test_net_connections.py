@@ -1,11 +1,11 @@
 """The connection model of :mod:`repro.net`: who reads the socket, how.
 
-The server reads through one ``asyncio.Protocol`` per accepted socket,
-the client through one ``reader.read`` per TCP segment, and ``run_until``
-pumps the loop with the predicate re-checked in place.  What is pinned
-here is everything that must *not* depend on those mechanics:
+Both ends read through one ``FrameLink`` (an ``asyncio.BufferedProtocol``)
+per socket, and ``run_until`` pumps the loop with the predicate
+re-checked in place.  What is pinned here is everything that must *not*
+depend on those mechanics:
 
-* what a peer gets out of a byte stream is independent of how TCP
+* what either end gets out of a byte stream is independent of how TCP
   segmented it — replies, dedup counters and server state included;
 * a hostile or broken peer costs its own connection and nothing else —
   a frame that decodes but that the server state refuses included;
@@ -36,11 +36,11 @@ from repro.api.session import Session
 from repro.common.encoding import encode
 from repro.common.errors import SimulationError
 from repro.common.types import OpKind
-from repro.net.client import NetRuntime, parse_endpoint
+from repro.net.client import ClientConnection, NetRuntime, parse_endpoint
 from repro.net.framing import MAX_FRAME_BYTES, encode_frame
 from repro.net.server import NetServerHost, serve_forever
 from repro.net.trace import load_trace
-from repro.net.wire import hello_payload, welcome_payload
+from repro.net.wire import hello_payload, message_to_payload, welcome_payload
 from repro.ustor.server import UstorServer
 
 pytestmark = pytest.mark.net
@@ -392,6 +392,58 @@ class TestBadPeerCostsOnlyItsConnection:
         assert not host._links and not host._connections
 
 
+class _RawServer(asyncio.Protocol):
+    """Plays ``segments`` to whichever client connects, one socket write
+    each, two loop turns apart (what it is sent is ignored)."""
+
+    def __init__(self, segments: list[bytes]) -> None:
+        self._segments = segments
+
+    def connection_made(self, transport) -> None:
+        asyncio.get_running_loop().create_task(self._play(transport))
+
+    async def _play(self, transport) -> None:
+        for segment in self._segments:
+            transport.write(segment)
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+
+
+def _client_reads(runtime: NetRuntime, segments: list[bytes]) -> tuple:
+    """What a client connection delivers, and its counters, when a raw
+    server answers its HELLO with ``segments``."""
+    server = runtime.run_coroutine(
+        runtime.loop.create_server(lambda: _RawServer(segments), "127.0.0.1", 0)
+    )
+    port = server.sockets[0].getsockname()[1]
+    connection = ClientConnection(
+        runtime, 0, NUM_CLIENTS, f"127.0.0.1:{port}", "S"
+    )
+    delivered: list[bytes] = []
+
+    class Sink:
+        name = "C1"
+
+        def deliver(self, _src, message) -> None:
+            delivered.append(message_to_payload(message))
+
+    connection.attach(Sink())
+    try:
+        connection.start()
+        assert runtime.pump_until(lambda: len(delivered) == 2, timeout=2.0)
+        return delivered, (
+            connection.connected,
+            connection.frames_sent,
+            connection.frames_received,
+            connection.reconnects,
+            connection.unacked,
+        )
+    finally:
+        runtime.run_coroutine(connection.aclose())
+        server.close()
+        runtime.run_coroutine(server.wait_closed())
+
+
 class TestClientReadPath:
     def test_eof_inside_a_reply_is_noted_then_reconnected(self, runtime):
         # The (untrusted) server end dies mid-frame: the client must call
@@ -483,6 +535,45 @@ class TestClientReadPath:
             host._connections["C2"].write(burst)
             assert system.run_until(lambda: len(delivered) == 2, timeout=2.0)
             assert connection.frames_received == 2
+
+
+    def test_welcome_and_replies_read_the_same_however_split(
+        self, runtime, recorded, caplog
+    ):
+        replies = recorded[("s2c", 0)][:2]
+        frames = [
+            encode_frame(payload)
+            for payload in (welcome_payload("S", NUM_CLIENTS), *replies)
+        ]
+        stream = b"".join(frames)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            whole = _client_reads(runtime, [stream])
+            byte_by_byte = _client_reads(
+                runtime, [stream[i : i + 1] for i in range(len(stream))]
+            )
+            per_frame = _client_reads(runtime, frames)
+        assert whole == (replies, (True, 0, 2, 0, []))
+        assert byte_by_byte == whole and per_frame == whole
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    def test_oversized_prefix_is_noted_then_reconnected(self, runtime, caplog):
+        system, host = _open_deployment(runtime)
+        with system, caplog.at_level(logging.ERROR, logger="asyncio"):
+            session = system.session(0)
+            assert session.write_sync(b"one") == 1
+            assert system.run_until(
+                lambda: not host.node.state.pending, timeout=2.0
+            )
+            host._connections["C1"].write((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            assert system.run_until(
+                lambda: system.trace.notes_of_kind("net-malformed-frame"),
+                timeout=2.0,
+            )
+            assert session.write_sync(b"two") == 2
+            notes = system.trace.notes_of_kind("net-malformed-frame")
+            assert [note.source for note in notes] == ["C1"]
+            assert system.connections[0].reconnects == 1
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestPump:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -107,8 +108,8 @@ class TestReplayEquivalence:
                 for i, session in enumerate(sessions):
                     session.write_sync(f"r{round_no}-c{i}".encode())
                 for connection in system.connections:
-                    if connection._writer is not None:
-                        connection._writer.close()
+                    if connection.transport is not None:
+                        connection.transport.close()
             for session in sessions:
                 value, _t = session.read_sync(0)
                 assert value == b"r3-c0"
@@ -212,6 +213,39 @@ class TestTraceFormat:
         path.write_text('{"t":"frame","seq":0,"c":0}\n')
         with pytest.raises(ConfigurationError, match="header"):
             load_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "line, where, what",
+        [
+            ("not json", 2, "not a frame"),
+            ("[1, 2]", 2, "not a frame"),
+            (None, 1, "'server'"),
+            ('{"t":"frame","dir":"c2s","c":0,"retx":false,"payload":"ff00"}',
+             2, "not a frame"),
+            ('{"t":"frame","seq":1,"dir":"c2s","c":1,"retx":false,'
+             '"payload":"ff00"}', 2, "not a frame of 1 client"),
+            ('{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
+             '"payload":"not hex"}', 2, "not a frame"),
+        ],
+        ids=["not-json", "json-list", "header-without-server",
+             "frame-without-seq", "client-outside-n", "payload-not-hex"],
+    )
+    def test_malformed_record_named_by_path_and_line(
+        self, tmp_path, line, where, what
+    ):
+        # Each of these used to end the replay in a Python traceback.
+        path = tmp_path / "corrupt.jsonl"
+        if line is None:
+            path.write_text('{"t":"header","v":6,"n":1,"scheme":"hmac","seq":0}\n')
+        else:
+            path.write_text(
+                '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+                + line + "\n"
+            )
+        with pytest.raises(ConfigurationError, match=f"line {where}: .*{what}"):
+            load_trace(str(path))
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            replay_trace(str(path))
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "future.jsonl"
