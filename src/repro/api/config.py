@@ -378,6 +378,7 @@ class Feature:
 _ALL = ("faust", "ustor", "lockstep", "unchecked", "cluster")
 _USTOR_STACK = ("faust", "ustor", "cluster")
 _FAIL_AWARE = ("faust", "cluster")
+_WIRED = ("faust", "ustor")
 
 #: Every field that is not universal, claimed exactly once.
 FEATURES: tuple[Feature, ...] = (
@@ -388,25 +389,25 @@ FEATURES: tuple[Feature, ...] = (
             "the throughput pipeline", sim=_USTOR_STACK),
     Feature("checkpoint", ("checkpoint",),
             "checkpoints co-signed over the fail-aware layer's offline "
-            "channel", sim=_FAIL_AWARE),
+            "channel", sim=_FAIL_AWARE, tcp=("faust",)),
     Feature("membership", ("membership",),
             "membership epochs co-signed over the fail-aware layer's "
-            "offline channel", sim=_FAIL_AWARE),
+            "offline channel", sim=_FAIL_AWARE, tcp=("faust",)),
     Feature("shards",
             ("shards", "shard_protocol", "shard_server_factories"),
             "the shard axis", sim=("cluster",)),
     Feature("replicas", ("replicas", "quorum"),
-            "the replica axis", sim=_USTOR_STACK, tcp=("ustor",)),
+            "the replica axis", sim=_USTOR_STACK, tcp=_WIRED),
     Feature("replica_factories", ("replica_server_factories",),
             "per-replica server overrides", sim=_USTOR_STACK),
     Feature("counter", ("counter",),
-            "monotonic-counter attestations", sim=_USTOR_STACK,
-            tcp=("ustor",)),
+            "monotonic-counter attestations", sim=_USTOR_STACK, tcp=_WIRED),
     Feature("commit_piggyback", ("commit_piggyback",),
-            "USTOR's COMMIT piggybacking", sim=_USTOR_STACK, tcp=("ustor",)),
-    Feature("wire", ("endpoints", "server_name", "trace_path"),
-            "a real deployment's addresses, handshake name and wire trace",
-            tcp=("ustor",)),
+            "USTOR's COMMIT piggybacking", sim=_USTOR_STACK, tcp=_WIRED),
+    Feature("wire", ("endpoints", "server_name"),
+            "a real deployment's addresses and handshake name", tcp=_WIRED),
+    Feature("trace", ("trace_path",),
+            "a wire trace of the run's frames", tcp=("ustor",)),
     Feature("latency", ("latency", "offline_latency"),
             "simulated network latency models", sim=_ALL),
     Feature("server_factory", ("server_factory",),

@@ -83,6 +83,7 @@ class FaustClient(UstorClient):
         recorder: HistoryRecorder | None = None,
         commit_piggyback: bool = False,
         *,
+        offline: OfflineChannel,
         # Tuning without defaults here: FaustParams is their one home.
         delta: float,
         dummy_read_period: float,
@@ -116,7 +117,7 @@ class FaustClient(UstorClient):
         self._stable_listeners: list[Callable[[tuple[int, ...]], None]] = []
         self._faust_fail_listeners: list[Callable[[str], None]] = []
 
-        self._offline: OfflineChannel | None = None
+        self._offline = offline
         self._queue: deque = deque()
         self._dummy_timer: PeriodicTimer | None = None
         self._probe_timer: PeriodicTimer | None = None
@@ -176,9 +177,6 @@ class FaustClient(UstorClient):
     # ---------------------------------------------------------------- #
     # Wiring
     # ---------------------------------------------------------------- #
-
-    def attach_offline(self, channel: OfflineChannel) -> None:
-        self._offline = channel
 
     def add_stable_listener(
         self, listener: Callable[[tuple[int, ...]], None]
@@ -394,7 +392,7 @@ class FaustClient(UstorClient):
         UstorClient.read(self, register, completed)
 
     def _probe_tick(self) -> None:
-        if self.faust_failed or self.crashed or self._offline is None:
+        if self.faust_failed or self.crashed:
             return
         now = self.now
         for peer in self.tracker.stale_peers(now, self.delta):
@@ -444,8 +442,6 @@ class FaustClient(UstorClient):
             )
 
     def _handle_probe(self, message: ProbeMessage) -> None:
-        if self._offline is None:
-            return
         self._offline.send(
             self.name,
             client_name(message.sender),
@@ -457,8 +453,6 @@ class FaustClient(UstorClient):
     # ---------------------------------------------------------------- #
 
     def _broadcast_checkpoint_share(self, share: CheckpointShareMessage) -> None:
-        if self._offline is None:
-            return
         for peer in range(self._n):
             if peer == self._id:
                 continue
@@ -505,8 +499,6 @@ class FaustClient(UstorClient):
     def _broadcast_epoch_share(self, share: EpochShareMessage) -> None:
         # Epoch shares go to *every* client, evicted ones included —
         # they keep tracking the membership chain while out.
-        if self._offline is None:
-            return
         for peer in range(self._n):
             if peer == self._id:
                 continue
@@ -515,13 +507,11 @@ class FaustClient(UstorClient):
     def _send_epoch_announce(
         self, peer: ClientId, announce: EpochAnnounceMessage
     ) -> None:
-        if self._offline is None:
-            return
         self._offline.send(self.name, client_name(peer), announce)
 
     def _request_rejoin(self, peer: ClientId) -> None:
         """As an evictee: make contact with a member (a VERSION suffices)."""
-        if self._offline is None or self.crashed:
+        if self.crashed:
             return
         self._offline.send(
             self.name,
@@ -560,7 +550,7 @@ class FaustClient(UstorClient):
         trace = self.network.trace
         if trace is not None:
             trace.note(self.now, self.name, "faust-fail", reason)
-        if alert_others and self._offline is not None:
+        if alert_others:
             for peer in range(self._n):
                 if peer == self._id:
                     continue

@@ -64,6 +64,7 @@ from repro.net.wire import (
     message_to_payload,
     payload_to_message,
 )
+from repro.sim.network import FixedLatency
 from repro.sim.trace import SimTrace
 from repro.ustor.client import UstorClient
 from repro.ustor.messages import ReplyMessage
@@ -167,6 +168,11 @@ class NetRuntime:
         self._ticker: asyncio.Handle | None = None
         self._outcome: bool | Exception = False
         self._closed = False
+
+    @property
+    def waiting(self) -> bool:
+        """Is a :meth:`pump_until` owed a verdict?"""
+        return self._predicate is not None
 
     def wake(self) -> None:
         """Re-check a pending :meth:`pump_until` in place (called on frame
@@ -535,7 +541,8 @@ class TcpWorld(runner.World):
     """Real sockets to the ``config.endpoints`` a
     :class:`~repro.api.config.SystemConfig` names: a wall-clock
     scheduler, one :class:`ClientConnection` per (client, replica
-    endpoint), no co-located server and no offline channel.
+    endpoint), no co-located server, and an offline channel that hands
+    mail between the co-located clients in-process (no latency).
 
     Two test seams are not config: an injected ``runtime`` (loopback
     tests share one with a :class:`~repro.net.server.NetServerHost`; the
@@ -560,9 +567,8 @@ class TcpWorld(runner.World):
         self.owns_runtime = runtime is None
         self.runtime = runtime or NetRuntime(seed=config.seed)
         trace = SimTrace()
-        super().__init__(
-            self.runtime.scheduler, ClientTransport(self.runtime, trace=trace), trace
-        )
+        transport = ClientTransport(self.runtime, trace=trace)
+        super().__init__(self.runtime.scheduler, transport, trace, FixedLatency(0.0))
         self.connections: list[ClientConnection] = []
         self.trace_writer = None
         self._config = config

@@ -75,7 +75,13 @@ class RealtimeScheduler:
 
         def fire() -> None:
             self.events_processed += 1
-            fn(*args)
+            try:
+                fn(*args)
+            except Exception as exc:
+                # run_until re-raises it, as the simulator's run does.
+                if self._runtime is None or not self._runtime.waiting:
+                    raise
+                self._runtime._finish(exc)
 
         timer = self.loop.call_later(delay, fire)
         return RealtimeHandle(timer, self.now + delay)

@@ -38,7 +38,8 @@ client:
   retransmitted COMMIT of an earlier operation changes nothing, and one
   delivered twice in a row stores the same version twice (the comparison
   on line 119 is strict, so it neither advances the commit index nor
-  prunes twice).
+  prunes twice).  CHECKPOINTs too: ``apply_checkpoint`` drops only what
+  the committed version also covers, so a repeat drops nothing more.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.net.wire import (
 )
 from repro.sim.trace import SimTrace
 from repro.store.engine import make_server
-from repro.ustor.messages import CommitMessage, ReplyMessage, SubmitMessage
+from repro.ustor.messages import ReplyMessage, SubmitMessage
 from repro.ustor.server import UstorServer
 
 
@@ -263,11 +264,11 @@ class NetServerHost:
                     f"{message.invocation.client}"
                 )
             self._deliver_submit(client_id, name, message)
-        elif isinstance(message, CommitMessage):
+        elif not isinstance(message, ReplyMessage):
+            # A COMMIT or a CHECKPOINT; a REPLY from a client is
+            # meaningless, and payload_to_message rejected anything else.
             assert self.node is not None
             self.node.deliver(name, message)
-        # REPLY from a client is meaningless; payload_to_message already
-        # rejected anything else.
 
     def _deliver_submit(
         self, client_id: int, name: str, message: SubmitMessage

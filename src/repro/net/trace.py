@@ -234,8 +234,8 @@ def replay_trace(path: str) -> ReplayResult:
     scheduler = Scheduler(seed=0)
     sim_trace = SimTrace()
     transport = PlaybackTransport(scheduler, trace=sim_trace)
-    # The replay world: nothing but a scheduler and the capturing
-    # transport — recorded frames stand in for the server.
+    # The replay world: a scheduler, the capturing transport and an idle
+    # offline channel — recorded frames stand in for the server.
     system = runner.wire_deployment(
         runner.World(scheduler, transport, sim_trace),
         runner.ustor_protocol(),

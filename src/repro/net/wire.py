@@ -3,11 +3,12 @@
 One frame payload is one canonically encoded tuple whose first element
 names the record::
 
-    ("HELLO",   client_id, num_clients)     client -> server, once
-    ("WELCOME", server_name, num_clients)   server -> client, once
-    ("SUBMIT",  <submit tuple>)             repro.store.codec shapes
-    ("COMMIT",  <commit tuple>)
-    ("REPLY",   <reply tuple>)
+    ("HELLO",      client_id, num_clients)     client -> server, once
+    ("WELCOME",    server_name, num_clients)   server -> client, once
+    ("SUBMIT",     <submit tuple>)             repro.store.codec shapes
+    ("COMMIT",     <commit tuple>)
+    ("REPLY",      <reply tuple>)
+    ("CHECKPOINT", (seq, cut, signatures))     client -> server, one-way
 
 Reusing :mod:`repro.store.codec` for the message bodies means the wire
 format *is* the durable-state format: whatever the WAL can persist, the
@@ -28,9 +29,9 @@ REPLY it sent — and a replica group's carries the version (see
 :class:`~repro.ustor.messages.CommitMessage`).
 
 Each record has one shape: SUBMIT 5 elements, COMMIT 3, REPLY 6 (7
-with a counter attestation).  No causal trace id travels: it is a pure
-function of the SUBMIT's client id and timestamp, so whoever emits a
-span derives it (:func:`repro.obs.tracing.make_trace_id`).
+with a counter attestation), CHECKPOINT 3.  No causal trace id travels:
+it is a pure function of the SUBMIT's client id and timestamp, so
+whoever emits a span derives it (:func:`repro.obs.tracing.make_trace_id`).
 """
 
 from __future__ import annotations
@@ -39,34 +40,24 @@ from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
 from repro.common.types import OpKind
 from repro.net.framing import MAX_FRAME_BYTES
-from repro.store.codec import (
-    commit_from_tuple,
-    commit_to_tuple,
-    reply_from_tuple,
-    reply_to_tuple,
-    submit_from_tuple,
-    submit_to_tuple,
-)
-from repro.ustor.messages import CommitMessage, ReplyMessage, SubmitMessage
+from repro.store import codec
+from repro.ustor.messages import CheckpointMessage, CommitMessage, ReplyMessage, SubmitMessage
 
-ProtocolMessage = SubmitMessage | CommitMessage | ReplyMessage
+ProtocolMessage = SubmitMessage | CommitMessage | ReplyMessage | CheckpointMessage
 
-_TO_TUPLE = {
-    "SUBMIT": submit_to_tuple,
-    "COMMIT": commit_to_tuple,
-    "REPLY": reply_to_tuple,
-}
-_FROM_TUPLE = {
-    "SUBMIT": submit_from_tuple,
-    "COMMIT": commit_from_tuple,
-    "REPLY": reply_from_tuple,
+#: Each message record's body codec: ``(to_tuple, from_tuple)``.
+_BODY = {
+    "SUBMIT": (codec.submit_to_tuple, codec.submit_from_tuple),
+    "COMMIT": (codec.commit_to_tuple, codec.commit_from_tuple),
+    "REPLY": (codec.reply_to_tuple, codec.reply_from_tuple),
+    "CHECKPOINT": (codec.checkpoint_to_tuple, codec.checkpoint_from_tuple),
 }
 
 
 def message_to_payload(message: ProtocolMessage) -> bytes:
     """Encode one protocol message as a frame payload."""
     try:
-        to_tuple = _TO_TUPLE[message.kind]
+        to_tuple = _BODY[message.kind][0]
     except (KeyError, AttributeError):
         raise EncodingError(f"not a wire message: {message!r}") from None
     return encode((message.kind, to_tuple(message)))
@@ -96,11 +87,11 @@ def decode_payload(
 
 
 def payload_to_message(payload: bytes) -> ProtocolMessage:
-    """Decode a SUBMIT/COMMIT/REPLY payload into its message object."""
+    """Decode a SUBMIT/COMMIT/REPLY/CHECKPOINT payload into its message."""
     record = decode_payload(payload)
     kind = record[0]
     try:
-        from_tuple = _FROM_TUPLE[kind]
+        from_tuple = _BODY[kind][1]
     except KeyError:
         raise EncodingError(f"unknown wire message kind: {kind!r}") from None
     if len(record) != 2:

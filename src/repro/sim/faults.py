@@ -326,8 +326,7 @@ class FaultInjector:
         if client.halted:
             return
         client.pause()
-        if self._system.offline is not None:
-            self._system.offline.set_online(client.name, False)
+        self._system.offline.set_online(client.name, False)
         self._note(client.name, note)
         for listener in self._listeners:
             listener(client_id, True)
@@ -336,8 +335,7 @@ class FaultInjector:
         client = self._system.clients[client_id]
         if client.halted:
             return
-        if self._system.offline is not None:
-            self._system.offline.set_online(client.name, True)
+        self._system.offline.set_online(client.name, True)
         client.resume()
         self._note(client.name, note)
         for listener in self._listeners:

@@ -32,6 +32,7 @@ from repro.common.errors import EncodingError
 from repro.common.types import BOTTOM, OpKind
 from repro.replica.counter import CounterAttestation
 from repro.ustor.messages import (
+    CheckpointMessage,
     CommitMessage,
     InvocationTuple,
     MemEntry,
@@ -280,6 +281,24 @@ def attestation_from_tuple(data: tuple) -> CounterAttestation:
     )
 
 
+def _tuple_of(value: Any, kind: type) -> bool:
+    """Is ``value`` a tuple of ``kind`` (a checkpoint cut: of ints)?"""
+    return isinstance(value, tuple) and all(isinstance(v, kind) for v in value)
+
+
+def checkpoint_to_tuple(message: CheckpointMessage) -> tuple:
+    return (message.seq, message.cut, message.signatures)
+
+
+def checkpoint_from_tuple(data: tuple) -> CheckpointMessage:
+    seq, cut, signatures = _shape(data, 3, "CheckpointMessage")
+    if not (
+        isinstance(seq, int) and _tuple_of(cut, int) and _tuple_of(signatures, bytes)
+    ):
+        raise EncodingError(f"malformed CheckpointMessage encoding: {data!r}")
+    return CheckpointMessage(seq, cut, signatures)
+
+
 # --------------------------------------------------------------------- #
 # ServerState
 # --------------------------------------------------------------------- #
@@ -421,7 +440,7 @@ def _wal_entry_from_tuple(entry: Any) -> tuple:
         decoded = (tag, seq, client, commit_from_tuple(commit))
     elif tag == "K":
         _, seq, cut = _shape(entry, 3, "WAL checkpoint")
-        if not (isinstance(cut, tuple) and all(isinstance(t, int) for t in cut)):
+        if not _tuple_of(cut, int):
             raise EncodingError(f"malformed WAL checkpoint encoding: {entry!r}")
         decoded = (tag, seq, cut)
     else:

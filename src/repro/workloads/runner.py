@@ -1,11 +1,11 @@
 """System assembly and run orchestration.
 
 A deployment is a *world* — what supplies the scheduler, the transport,
-an optional offline channel and the trace — running a *protocol* — the
+the offline channel and the trace — running a *protocol* — the
 client class with its keyword arguments and its default server.
 :func:`wire_deployment` is the one place the two meet: it creates the
 keystore and the recorder, names the replicas, constructs every client,
-registers it on the world's transport (and offline channel) and returns
+registers it on the world's transport and offline channel and returns
 the one :class:`StorageSystem` that drives the result.  The simulator
 (:class:`SimWorld`), real sockets (:class:`repro.net.client.TcpWorld`)
 and wire-trace replay (:func:`repro.net.trace.replay_trace`) differ only
@@ -163,8 +163,7 @@ class StorageSystem(Deployment):
 
     scheduler: Scheduler
     network: Network
-    #: ``None`` in a world without a client-to-client channel.
-    offline: OfflineChannel | None
+    offline: OfflineChannel
     #: ``None`` when no server is co-located (separate processes, replay).
     server: UstorServer | None
     clients: list
@@ -395,7 +394,7 @@ class ProtocolSpec:
     #: :func:`~repro.store.engine.make_server` assembles.
     server_factory: ServerFactory | None = None
     #: Clients sign (take a ``signer``) / belong to the USTOR stack (take
-    #: ``commit_piggyback`` and the replica-group knobs) / attach to the
+    #: ``commit_piggyback`` and the replica-group knobs) / take the
     #: offline channel and start their timers.
     signs: bool = True
     ustor_stack: bool = True
@@ -451,18 +450,16 @@ def faust_protocol(checkpoint=None, membership=None, **faust_kwargs) -> Protocol
 
 
 class World:
-    """Where a deployment runs: scheduler, transport, trace and — in
-    subclasses — an offline channel, co-located servers, per-client links
-    and a richer system object.  As is, the world of wire-trace replay:
-    no server, no offline channel, a transport that only captures."""
+    """Where a deployment runs: scheduler, transport, offline channel,
+    trace and — in subclasses — co-located servers, per-client links and
+    a richer system object.  As is, the world of wire-trace replay: no
+    server, a transport that only captures."""
 
-    #: ``None`` = no client-to-client channel: nothing fail-aware runs here.
-    offline = None
-
-    def __init__(self, scheduler, transport, trace: SimTrace) -> None:
+    def __init__(self, scheduler, transport, trace: SimTrace, offline_latency=None):
         self.scheduler = scheduler
         self.transport = transport
         self.trace = trace
+        self.offline = OfflineChannel(scheduler, latency=offline_latency, trace=trace)
 
     def start(self, protocol, recorder, *, num_clients, replica_names):
         """Bring up what the clients will talk to; returns the co-located
@@ -509,12 +506,7 @@ class SimWorld(World):
             batching=config.batching is not None,
             rng=random.Random(latency_seed) if latency_seed is not None else None,
         )
-        super().__init__(scheduler, network, trace)
-        self.offline = OfflineChannel(
-            scheduler,
-            latency=config.offline_latency or FixedLatency(5.0),
-            trace=trace,
-        )
+        super().__init__(scheduler, network, trace, config.offline_latency)
         self._config = config
         self._server_factory = server_factory or config.server_factory
 
@@ -562,15 +554,10 @@ def wire_deployment(
 
     Keys and recorder are created, the replica group is named (``S``, or
     ``S/r0`` .. ``S/r{k-1}``), the world brings up its side, and each
-    client is constructed, registered on the transport (and on the offline
-    channel — attached and started when fail-aware) and linked by the
-    world, which finally supplies the system object.
+    client is constructed (a fail-aware one taking the offline channel),
+    registered on the transport and offline channel, linked by the world
+    and, when fail-aware, started; the world then supplies the system.
     """
-    if protocol.fail_aware and world.offline is None:
-        raise ConfigurationError(
-            "a fail-aware protocol needs the offline client-to-client "
-            "channel; this world has none"
-        )
     names = [server_name]
     if replicas > 1:
         names = [f"{server_name}/r{k}" for k in range(replicas)]
@@ -580,6 +567,8 @@ def wire_deployment(
         protocol, recorder, num_clients=num_clients, replica_names=names
     )
     client_kwargs = dict(protocol.client_kwargs)
+    if protocol.fail_aware:
+        client_kwargs["offline"] = world.offline
     if protocol.ustor_stack:
         client_kwargs.update(commit_piggyback=commit_piggyback, counter=counter)
         if replicas > 1:
@@ -596,12 +585,10 @@ def wire_deployment(
             **client_kwargs,
         )
         world.transport.register(client)
-        if world.offline is not None:
-            world.offline.register(client)
-            if protocol.fail_aware:
-                client.attach_offline(world.offline)
-                client.start()
+        world.offline.register(client)
         world.connect(client)
+        if protocol.fail_aware:
+            client.start()
         clients.append(client)
     system = world.system(
         scheduler=world.scheduler,

@@ -291,13 +291,16 @@ def test_checkpoint_rejected_on_ustor_sharded_cluster():
 
 
 def test_checkpoint_rejected_on_tcp_transport():
-    with pytest.raises(ConfigurationError):
-        SystemConfig(
-            num_clients=2,
-            transport="tcp",
-            endpoints=("127.0.0.1:9999",),
-            checkpoint=True,
-        )
+    # Over tcp checkpoints ride FAUST's offline channel; plain USTOR
+    # clients have none to co-sign over.
+    config = SystemConfig(
+        num_clients=2,
+        transport="tcp",
+        endpoints=("127.0.0.1:9999",),
+        checkpoint=True,
+    )
+    with pytest.raises(ConfigurationError, match="checkpoint="):
+        open_system(config, backend="ustor")
 
 
 def test_checkpoint_knob_coercion():

@@ -242,6 +242,17 @@ class TestOneRunPath:
         assert "incremental audit(s)" in out
         assert "audit verdicts: causal=OK linearizability=OK" in out
 
+    def test_fail_aware_report_is_shared(self, transport_flags, capsys):
+        code = main(
+            ["run", "--backend", "faust", "--clients", "2", "--ops", "3",
+             "--seed", "5", "--check", *transport_flags]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "completed 6/6" in out
+        assert "C1: stability cut" in out and "C2: stability cut" in out
+        assert "(0 failure, " in out
+
     def test_config_misuse_exits_2_before_anything_opens(
         self, transport_flags, capsys
     ):
@@ -270,7 +281,7 @@ class TestTcpNoLongerIgnoresFlags:
              "shard_server_factories="),
             (["--batch", "4"], "batching="),
             (["--storage", "log"], "storage="),
-            (["--backend", "faust"], "simulator-only"),
+            (["--backend", "cluster"], "simulator-only"),
         ],
     )
     def test_server_side_flags_are_refused_not_dropped(self, flags, knob, capsys):

@@ -249,6 +249,8 @@ BAD_STREAMS = [
     "hello-undecodable",
     "hello-old-format",
     "deep-nesting-after-hello",
+    "checkpoint-cut-not-ints",
+    "checkpoint-cut-of-another-population",
 ]
 
 #: ``encode(("HELLO", 1, 2))`` as a build before the varint length fields
@@ -299,6 +301,15 @@ def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
         "hello-undecodable": ([encode_frame(b"\xff\xfe not a record")], b""),
         "hello-old-format": ([encode_frame(OLD_FORMAT_HELLO)], b""),
         "deep-nesting-after-hello": ([hello + encode_frame(DEEP_PAYLOAD)], welcome),
+        # The decoder refuses the first; the server state the second.
+        "checkpoint-cut-not-ints": (
+            [hello + encode_frame(encode(("CHECKPOINT", (1, (b"1", 0), ()))))],
+            welcome,
+        ),
+        "checkpoint-cut-of-another-population": (
+            [hello + encode_frame(encode(("CHECKPOINT", (1, (1, 0, 0), ()))))],
+            welcome,
+        ),
     }[case]
 
 
@@ -627,6 +638,24 @@ class TestPump:
         with pytest.raises(LookupError, match="first check"):
             runtime.pump_until(predicate, timeout=1.0)
         assert runtime.pump_until(lambda: True, timeout=1.0) is True
+
+    def test_raising_timer_callback_stops_the_run(self, runtime):
+        # Timer callbacks run protocol code (offline deliveries, periodic
+        # ticks): an exception there ends the wait and reaches the caller,
+        # as the simulator's run raises it — not asyncio's logger.
+        def boom() -> None:
+            raise LookupError("from a timer")
+
+        scheduler = runtime.scheduler
+        started = time.monotonic()
+        scheduler.schedule(0.01, boom)
+        with pytest.raises(LookupError, match="from a timer"):
+            scheduler.run_until(lambda: False, timeout=2.0)
+        scheduler.schedule(0.01, boom)
+        with pytest.raises(LookupError, match="from a timer"):
+            scheduler.run(until=scheduler.now + 2.0)
+        assert time.monotonic() - started < 1.0
+        assert scheduler.run_until(lambda: True, timeout=1.0) is True
 
     def test_predicate_raising_on_a_frame_wakeup_spares_the_connection(
         self, runtime

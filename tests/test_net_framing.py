@@ -35,7 +35,12 @@ from repro.net.wire import (
 from repro.sim.network import Network
 from repro.sim.scheduler import Scheduler
 from repro.ustor.client import UstorClient
-from repro.ustor.messages import CommitMessage, ReplyMessage, SubmitMessage
+from repro.ustor.messages import (
+    CheckpointMessage,
+    CommitMessage,
+    ReplyMessage,
+    SubmitMessage,
+)
 
 
 class TestEncodeFrame:
@@ -163,15 +168,35 @@ def _protocol_messages() -> list:
     return captured
 
 
+#: A CHECKPOINT body with one field of the wrong kind (a well-formed one
+#: is ``(1, (2, 1), (sig, sig))``).
+MALFORMED_CHECKPOINTS = {
+    "seq-not-int": (b"1", (2, 1), (b"s", b"s")),
+    "cut-not-tuple": (1, b"\x02\x01", (b"s", b"s")),
+    "cut-entry-not-int": (1, (2, b"1"), (b"s", b"s")),
+    "signatures-not-tuple": (1, (2, 1), b"ss"),
+    "signature-not-bytes": (1, (2, 1), (b"s", 7)),
+    "short-record": (1, (2, 1)),
+}
+
+
 class TestWireCodecs:
     def test_every_protocol_message_roundtrips(self):
         messages = _protocol_messages()
+        messages.append(CheckpointMessage(1, (2, 1), (b"\x01" * 32, b"\x02" * 32)))
         kinds = {type(m) for m in messages}
-        assert kinds == {SubmitMessage, ReplyMessage, CommitMessage}
+        assert kinds == {SubmitMessage, ReplyMessage, CommitMessage, CheckpointMessage}
         for message in messages:
             recovered = payload_to_message(message_to_payload(message))
             assert type(recovered) is type(message)
             assert message_to_payload(recovered) == message_to_payload(message)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_rejected(self, case):
+        from repro.common.encoding import encode
+
+        with pytest.raises(EncodingError):
+            payload_to_message(encode(("CHECKPOINT", MALFORMED_CHECKPOINTS[case])))
 
     def test_handshake_payloads_decode(self):
         assert decode_payload(hello_payload(2, 3)) == ("HELLO", 2, 3)

@@ -11,25 +11,31 @@ multi-process variants live in ``test_net_process.py`` behind the
   REPLY surfaces as :class:`~repro.api.errors.OperationTimeout`;
 * a server crash/restart over durable ``dir:`` storage is survived by
   reconnect + retransmission, exactly once — a retransmitted SUBMIT
-  carrying a piggybacked COMMIT included.
+  carrying a piggybacked COMMIT included;
+* FAUST's ``stable_i``/``fail_i`` cross a real socket: every catalogue
+  server with a real-process twin is caught by the line its note names,
+  and an honest one co-signs checkpoints the host's server applies.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from repro.api import SystemConfig, open_system
+from repro.api import CheckpointPolicy, FaustParams, SystemConfig, open_system
 from repro.api.errors import OperationTimeout
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
+from repro.faust.membership import MembershipPolicy
+from repro.faust.validator import validate_fail_aware_run
 from repro.net.client import NetRuntime, parse_endpoint
 from repro.net.server import NetServerHost
 from repro.sim.faults import Fault
-from repro.ustor.byzantine import UnresponsiveServer
+from repro.ustor.byzantine import ADVERSARIES, UnresponsiveServer
 from repro.ustor.server import UstorServer
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -44,6 +50,8 @@ def open_loopback(
     storage: str = "memory",
     trace_path=None,
     default_timeout: float = 10.0,
+    backend: str = "ustor",
+    **config,
 ):
     """A host and its clients sharing one pumped event loop."""
     runtime = NetRuntime()
@@ -58,8 +66,9 @@ def open_loopback(
             endpoints=(host.endpoint,),
             trace_path=str(trace_path) if trace_path else None,
             default_timeout=default_timeout,
+            **config,
         ),
-        backend="ustor",
+        backend=backend,
         runtime=runtime,
     )
     system.hosts.append(host)  # torn down by system.close()
@@ -155,6 +164,70 @@ class TestTimedModel:
         finally:
             runtime.run_coroutine(host.stop())
             runtime.close()
+
+
+#: FAUST's periods are on the world's clock, which over tcp is wall seconds.
+WALL_CLOCK_FAUST = FaustParams(
+    delta=0.4, dummy_read_period=0.07, probe_check_period=0.11
+)
+TCP_ROWS = sorted(name for name, adversary in ADVERSARIES.items() if adversary.tcp)
+
+
+def _note_lines(note: str) -> set[int]:
+    """The Algorithm 1 lines a catalogue note says catch its row
+    (``line 50``, ``lines 36/43``, ``lines 35-50``)."""
+    (spec,) = re.findall(r"lines? ([\d/-]+)", note)
+    if "-" in spec:
+        low, high = map(int, spec.split("-"))
+        return set(range(low, high + 1))
+    return {int(line) for line in spec.split("/")}
+
+
+class TestFaustOverSockets:
+    @pytest.mark.parametrize("name", TCP_ROWS)
+    def test_catalogue_row(self, name):
+        adversary = ADVERSARIES[name]
+        honest = name == "correct"
+        system, host = open_loopback(
+            3,
+            server_factory=None if honest else adversary.factory,
+            default_timeout=2.0,
+            backend="faust",
+            faust=WALL_CLOCK_FAUST,
+            checkpoint=CheckpointPolicy(interval=4) if honest else None,
+            membership=MembershipPolicy(check_period=0.2) if honest else None,
+        )
+        with system:
+            clients = system.clients
+            handles = []
+            for i in range(3):
+                session = system.session(i)
+                handles += [session.write(b"v%d" % i), session.read((i + 1) % 3)]
+            if honest:
+                assert system.run_until(
+                    lambda: all(h.done() for h in handles)
+                    and host.node.checkpoints_handled >= 1
+                    and all(c.checkpoint_manager.installed.seq >= 1 for c in clients),
+                    timeout=5.0,
+                )
+                # Settle as long again: the validator's completeness
+                # cutoff is half the run.
+                system.run(until=2 * system.now)
+                assert not any(c.faust_failed for c in clients)
+                report = validate_fail_aware_run(system, server_correct=True)
+                assert report.ok, report.render()
+            elif name == "unresponsive":
+                # Undetectable by design: C1's operations hang, nobody fails.
+                system.run(until=system.now + 0.5)
+                assert not any(c.faust_failed for c in clients)
+            else:
+                assert system.run_until(
+                    lambda: all(c.faust_failed for c in clients), timeout=5.0
+                )
+                first = min(clients, key=lambda c: c.faust_fail_time)
+                lines = re.findall(r"\(line (\d+)\)", first.faust_fail_reason)
+                assert lines, first.faust_fail_reason
+                assert int(lines[0]) in _note_lines(adversary.note)
 
 
 class TestCrashRecovery:
@@ -460,8 +533,8 @@ class TestConfigAndBackends:
                 num_clients=2, transport="tcp", endpoints=("h:1",), **knob
             )
 
-    @pytest.mark.parametrize("backend", ["faust", "lockstep", "unchecked", "cluster"])
-    def test_only_ustor_backend_speaks_tcp(self, backend):
+    @pytest.mark.parametrize("backend", ["lockstep", "unchecked", "cluster"])
+    def test_simulator_only_backends_refuse_tcp(self, backend):
         config = SystemConfig(
             num_clients=2, transport="tcp", endpoints=("h:1",)
         )

@@ -32,8 +32,13 @@ from repro.store import (
     version_from_tuple,
     version_to_tuple,
 )
-from repro.store.codec import decode_payload
+from repro.store.codec import (
+    checkpoint_from_tuple,
+    checkpoint_to_tuple,
+    decode_payload,
+)
 from repro.ustor.messages import (
+    CheckpointMessage,
     CommitMessage,
     InvocationTuple,
     MemEntry,
@@ -135,6 +140,10 @@ class TestStructureRoundTrips:
         assert submit_from_tuple(submit_to_tuple(read)) == read
         piggybacked = _submit(keystore, client=0, t=3, piggyback=_commit(keystore))
         assert submit_from_tuple(submit_to_tuple(piggybacked)) == piggybacked
+
+    def test_checkpoint_message(self):
+        checkpoint = CheckpointMessage(2, (4, 0, 3), (b"a" * 32, b"b" * 32, b"c" * 32))
+        assert checkpoint_from_tuple(checkpoint_to_tuple(checkpoint)) == checkpoint
 
 
 # --------------------------------------------------------------------- #

@@ -299,9 +299,10 @@ class TestWrongShapeRefused:
             ("S", 1, (1, 2)),
             ("C", 1, 0),
             ("K", 1, 5),
+            ("K", 1, (0, b"1")),
             ("B", (("C", 1, 0),)),
         ],
-        ids=["submit", "commit", "checkpoint", "batch"],
+        ids=["submit", "commit", "checkpoint", "checkpoint-cut-entry", "batch"],
     )
     def test_wal_record(self, record):
         medium = _medium_holding(wal=[record])

@@ -10,17 +10,18 @@ claimed by exactly one feature or declared universal, so the next knob
 cannot be silently ignored.
 
 ``test_one_loop_one_surface`` then opens a deployment every way there is
-— each backend on the simulator, ``ustor`` over loopback tcp with one and
-three replicas, the replay of a recorded run — and checks that each goes
-through :func:`repro.workloads.runner.wire_deployment` exactly once per
-deployment and hands back a system that answers the same calls with the
-same meaning.
+— each backend on the simulator, ``ustor`` and ``faust`` over loopback
+tcp with one and three replicas, the replay of a recorded run — and
+checks that each goes through :func:`repro.workloads.runner.
+wire_deployment` exactly once per deployment and hands back a system
+that answers the same calls with the same meaning.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 from collections import Counter
 
 import pytest
@@ -63,6 +64,7 @@ def asking(feature: str, backend: str) -> dict:
         "counter": {"counter": "durable"},
         "commit_piggyback": {"commit_piggyback": True},
         "wire": {"server_name": "S-wire"},
+        "trace": {"trace_path": os.devnull},
         "latency": {"latency": FixedLatency(2.0)},
         "server_factory": {"server_factory": honest},
     }[feature]
@@ -245,6 +247,8 @@ def check_surface(system, *, step: float, invoke: bool = True) -> None:
         ("cluster", "sim", 1, 2),  # once per shard
         ("ustor", "tcp", 1, 1),
         ("ustor", "tcp", 3, 1),
+        ("faust", "tcp", 1, 1),
+        ("faust", "tcp", 3, 1),
     ],
 )
 def test_one_loop_one_surface(backend, transport, replicas, loops, wired, loopback):

@@ -6,9 +6,10 @@ The wire format *is* the WAL format *is* the signed payload
 moves every frame, every durable record and every signature at once.
 ``tests/data/wire_format.json`` holds the hex of one SUBMIT, COMMIT and
 REPLY frame payload, one WAL ``S`` / ``C`` / ``B`` record and one
-snapshot from a fixed two-client run (HMAC keys are derived from the
-client ids, so the signatures repeat): the next change to the canonical
-bytes is a visible diff of that file, not a silent one.
+snapshot from a fixed two-client run, and one CHECKPOINT frame payload
+from the same run on the ``faust`` backend (HMAC keys are derived from
+the client ids, so the signatures repeat): the next change to the
+canonical bytes is a visible diff of that file, not a silent one.
 
 Regenerate with ``PYTHONPATH=src python tests/test_wire_format.py`` only
 when the format is *meant* to change — and bump
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import SystemConfig, open_system
+from repro.api import CheckpointPolicy, SystemConfig, open_system
 from repro.cli import main
 from repro.common.errors import StorageError
 from repro.net.wire import message_to_payload, payload_to_message
@@ -61,10 +62,12 @@ class _Tap(UstorServer):
         return reply
 
 
-def capture() -> dict[str, str]:
-    """Run the fixed scenario and return every pinned byte string as hex."""
+def _run_scenario(backend: str, settle: float = 0.0, **config) -> _Tap:
+    """The fixed two-client run, then ``settle`` more time units; returns
+    its tapped server."""
     system = open_system(
-        SystemConfig(num_clients=2, seed=SEED, server_factory=_Tap), backend="ustor"
+        SystemConfig(num_clients=2, seed=SEED, server_factory=_Tap, **config),
+        backend=backend,
     )
     with system:
         alice, bob = system.session(0), system.session(1)
@@ -73,7 +76,14 @@ def capture() -> dict[str, str]:
         bob.write_sync(b"beta")
         alice.read_sync(1)
         system.run_until_quiescent()
-        tap = system.server
+        if settle:
+            system.run(until=system.now + settle)
+        return system.server
+
+
+def capture() -> dict[str, str]:
+    """Run the fixed scenario and return every pinned byte string as hex."""
+    tap = _run_scenario("ustor")
     (_, submit), (committer, commit), (_, reply) = (
         tap.latest[kind] for kind in ("SUBMIT", "COMMIT", "REPLY")
     )
@@ -86,7 +96,11 @@ def capture() -> dict[str, str]:
     wal = list(iter_frames(engine.medium.read(engine.WAL)))
     engine.checkpoint(tap.state)
     (snapshot,) = iter_frames(engine.medium.read(engine.SNAPSHOT))
+    _, checkpoint = _run_scenario(
+        "faust", settle=100.0, checkpoint=CheckpointPolicy(interval=2)
+    ).latest["CHECKPOINT"]
     pinned = {
+        "checkpoint_payload": message_to_payload(checkpoint),
         "submit_payload": message_to_payload(submit),
         "commit_payload": message_to_payload(commit),
         "reply_payload": message_to_payload(reply),
@@ -107,6 +121,7 @@ class TestPinnedFormat:
     @pytest.mark.parametrize(
         "name",
         [
+            "checkpoint_payload",
             "submit_payload",
             "commit_payload",
             "reply_payload",
@@ -123,7 +138,7 @@ class TestPinnedFormat:
         assert captured[name] == corpus[name]
 
     def test_pinned_bytes_decode_to_what_was_encoded(self, captured):
-        for kind in ("submit", "commit", "reply"):
+        for kind in ("checkpoint", "submit", "commit", "reply"):
             raw = bytes.fromhex(captured[f"{kind}_payload"])
             assert message_to_payload(payload_to_message(raw)) == raw
         state = bytes.fromhex(captured["server_state"])
