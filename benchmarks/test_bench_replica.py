@@ -22,7 +22,7 @@ import time
 
 from repro.api import SystemConfig, open_system
 from repro.replica.coordinator import QuorumCoordinator
-from repro.ustor.messages import ReplyMessage
+from repro.ustor.messages import ReplyMessage, SignedVersion
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 
@@ -71,10 +71,12 @@ def test_quorum_resolution_per_reply_cost(benchmark):
         proofs=(None,),
     )
 
+    base = SignedVersion.zero(1)
+
     def resolve_rounds():
         group = QuorumCoordinator(replicas)
         for index in range(200):
-            group.begin_round(False, b"op-%d" % index)
+            group.begin_round(False, b"op-%d" % index, base)
             for name in replicas:
                 group.absorb(name, reply)
         return group.rounds_resolved

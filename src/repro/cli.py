@@ -501,9 +501,14 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         print(f"{client.name}: {'; '.join(flags) if flags else 'ok'}")
 
     print()
-    print(f"messages: {system.trace.message_count()} "
-          f"({system.trace.total_bytes()} bytes "
-          f"{'on the wire' if tcp else 'simulated'})")
+    if tcp:
+        # Offline mail is handed over in-process: only frames are wired.
+        frames = [m for m in system.trace.messages if not m.kind.startswith("offline")]
+        print(f"messages: {len(frames)} "
+              f"({sum(m.size for m in frames)} bytes on the wire)")
+    else:
+        print(f"messages: {system.trace.message_count()} "
+              f"({system.trace.total_bytes()} bytes simulated)")
     for kind in ("SUBMIT", "REPLY", "COMMIT"):
         count = system.trace.message_count(kind)
         if count:

@@ -555,7 +555,8 @@ class TcpWorld(runner.World):
     replica group, at quorum resolution: the winner the protocol engine
     consumed, not any one replica's raw arrivals (a round can resolve
     before ``r0``'s reply lands, and the raw stream would replay out of
-    order).  The single-server replayer works unchanged on that trace."""
+    order).  The replayer rebuilds a group client whose rounds resolve on
+    that one recorded winner."""
 
     def __init__(
         self,
@@ -586,10 +587,9 @@ class TcpWorld(runner.World):
                 clock=lambda: self.scheduler.now,
                 num_clients=num_clients,
                 scheme=config.scheme,
-                # The first replica's view: with replicas > 1 only its
-                # connections carry the frame hook, and the replayer talks to
-                # it by name.
-                server_name=replica_names[0],
+                # The deployment's name: the replayer names the group
+                # from it and the endpoints, and plays replica 0's part.
+                server_name=config.server_name,
                 endpoints=config.endpoints,
                 commit_piggyback=config.commit_piggyback,
             )

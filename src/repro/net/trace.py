@@ -13,7 +13,7 @@ honest, Byzantine, or long gone.
 
 Record shapes (one JSON object per line; ``seq`` is a global counter)::
 
-    {"t": "header", "v": 6, "n": ..., "scheme": ..., "server": ...,
+    {"t": "header", "v": 7, "n": ..., "scheme": ..., "server": ...,
      "endpoints": [...], "piggyback": ...}
     {"t": "frame", "seq": k, "dir": "c2s"|"s2c", "c": i,
      "retx": bool, "payload": hex, "at": seconds}
@@ -60,8 +60,9 @@ from repro.workloads import runner
 #: to ``L``'s submitters and ``SVER[j] = SVER[c]`` back-referenced; v4: no
 #: trace-id element in any frame, a REPLY's attestation its 7th element;
 #: v5: frames only — the SUBMIT frame is the invocation; v6: a COMMIT to
-#: a lone server carries ``t`` where its version went).
-TRACE_VERSION = 6
+#: a lone server carries ``t`` where its version went; v7: a REPLY whose
+#: ``SVER[c]`` is its client's own committed version carries ``n`` there).
+TRACE_VERSION = 7
 
 
 def _value_to_json(value) -> str | None:
@@ -159,9 +160,15 @@ def load_trace(path: str) -> tuple[dict, list[dict]]:
             f"(this build reads v{TRACE_VERSION})"
         )
     n = header.get("n")
-    if type(n) is not int or n < 1 or not isinstance(header.get("server"), str):
+    if (
+        type(n) is not int
+        or n < 1
+        or not isinstance(header.get("server"), str)
+        or not isinstance(header.get("endpoints", []), list)
+    ):
         raise ConfigurationError(
-            f"{path!r} line {header_line}: a header without 'n' or 'server'"
+            f"{path!r} line {header_line}: a header without 'n', 'server' "
+            f"or an 'endpoints' list"
         )
     for number, record in records:
         if not _is_frame(record, n):
@@ -203,6 +210,10 @@ class PlaybackTransport:
     def send(self, src: str, dst: str, message) -> None:
         self.outbound[src].append(message_to_payload(message))
 
+    def send_multi(self, src: str, dsts: tuple, message) -> None:
+        # A broadcast is one logical frame: the trace holds replica 0's copy.
+        self.send(src, dsts[0], message)
+
 
 @dataclass
 class ReplayResult:
@@ -230,20 +241,25 @@ class ReplayResult:
 def replay_trace(path: str) -> ReplayResult:
     """Re-run a recorded TCP run on the sim backend, checking equivalence."""
     header, records = load_trace(path)
-    server_name = header["server"]
+    replicas = max(1, len(header.get("endpoints", [])))
     scheduler = Scheduler(seed=0)
     sim_trace = SimTrace()
     transport = PlaybackTransport(scheduler, trace=sim_trace)
     # The replay world: a scheduler, the capturing transport and an idle
-    # offline channel — recorded frames stand in for the server.
+    # offline channel — recorded frames stand in for the server.  A replica
+    # group's trace holds the winner of each round, so its replayed group
+    # clients resolve a round on one REPLY (quorum 1) from replica 0.
     system = runner.wire_deployment(
         runner.World(scheduler, transport, sim_trace),
         runner.ustor_protocol(),
         num_clients=header["n"],
         scheme=str(header.get("scheme", "hmac")),  # a name, or an unknown one
-        server_name=server_name,
+        server_name=header["server"],
+        replicas=replicas,
+        quorum=1,
         commit_piggyback=bool(header.get("piggyback", False)),
     )
+    server_name = runner.replica_names(header["server"], replicas)[0]
     clients, recorder = system.clients, system.recorder
     divergences: list[str] = []
 

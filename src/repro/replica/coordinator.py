@@ -14,9 +14,12 @@ into per-operation rounds without any wire-format change.
 Resolution per round:
 
 * **write quorum** — ``>= quorum`` equal REPLYs (dataclass ``==`` on
-  the decoded messages, not their bytes; counter attestations stripped
-  first: those legitimately differ per replica) elect a winner, which
-  flows into the unchanged Algorithm 1 checks.
+  the decoded messages, not their bytes; each restored first against
+  the version the client had committed when it submitted the round —
+  a replica may send ``SVER[c]`` as a back-reference to it — and
+  stripped of its counter attestation, which legitimately differs per
+  replica) elect a winner, which flows into the unchanged Algorithm 1
+  checks.
   Deviating minority REPLYs are *masked* — counted, not fatal.
 * **read quorum with write-back** — if every live replica answered and
   no value reached quorum (replicas caught mid-propagation or partially
@@ -39,7 +42,7 @@ honest majority keeps serving.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
@@ -63,7 +66,10 @@ class _Round:
     index: int
     is_read: bool
     binding: bytes
-    #: Normalized (attestation-stripped) REPLY per replica name.
+    #: The client's committed version when it submitted: what this
+    #: round's own-form REPLYs back-reference.
+    base: object
+    #: Normalized (restored, attestation-stripped) REPLY per replica name.
     votes: dict = field(default_factory=dict)
 
 
@@ -72,6 +78,7 @@ class _Resolved:
     """A finished round, kept briefly to judge stragglers against."""
 
     binding: bytes
+    base: object
     winner: object | None  # normalized winning REPLY (None: round failed)
 
 
@@ -145,11 +152,14 @@ class QuorumCoordinator:
 
     # -- the client-facing protocol ------------------------------------- #
 
-    def begin_round(self, is_read: bool, binding: bytes) -> None:
+    def begin_round(self, is_read: bool, binding: bytes, base) -> None:
         """Open the round for the SUBMIT about to be broadcast.
 
         ``binding`` is the operation's SUBMIT signature — the value
-        counter attestations must be bound to.
+        counter attestations must be bound to; ``base`` is the client's
+        committed :class:`~repro.ustor.messages.SignedVersion`, against
+        which the round's own-form REPLYs are restored — a straggler's
+        too, after the client has committed past it.
         """
         if self._open is not None:
             raise ConfigurationError(
@@ -157,7 +167,7 @@ class QuorumCoordinator:
                 "issued one at a time per client)"
             )
         self._open = _Round(
-            index=self._rounds_begun, is_read=is_read, binding=binding
+            index=self._rounds_begun, is_read=is_read, binding=binding, base=base
         )
         self._rounds_begun += 1
 
@@ -177,12 +187,15 @@ class QuorumCoordinator:
         if index >= self._rounds_begun:
             # More REPLYs than SUBMITs we ever broadcast: fabrication.
             return self._convict(src, "unsolicited REPLY (never submitted)")
-        binding = self._binding_for(index)
-        if self._verifier is not None and binding is not None:
-            violation = self._verifier.check(src, reply, binding)
+        round_ = self._round_for(index)
+        if round_ is None:
+            self.late_replies += 1  # past the window: nothing to judge it by
+            return None
+        if self._verifier is not None:
+            violation = self._verifier.check(src, reply, round_.binding)
             if violation is not None:
                 return self._convict(src, violation)
-        normalized = replace(reply, attestation=None)
+        normalized = reply.restored(round_.base, attested=False)
         open_round = self._open
         if open_round is not None and index == open_round.index:
             open_round.votes[src] = normalized
@@ -190,22 +203,17 @@ class QuorumCoordinator:
         # A straggler for an already-resolved round: judge it against the
         # recorded winner so slow-but-deviating replicas still show up.
         self.late_replies += 1
-        resolved = self._resolved.get(index)
-        if (
-            resolved is not None
-            and resolved.winner is not None
-            and normalized != resolved.winner
-        ):
+        if round_.winner is not None and normalized != round_.winner:
             self.masked_deviations += 1
         return None
 
     # -- internals ------------------------------------------------------- #
 
-    def _binding_for(self, index: int):
+    def _round_for(self, index: int) -> _Round | _Resolved | None:
+        """Round ``index``, open or still remembered."""
         if self._open is not None and index == self._open.index:
-            return self._open.binding
-        resolved = self._resolved.get(index)
-        return resolved.binding if resolved is not None else None
+            return self._open
+        return self._resolved.get(index)
 
     def _convict(self, src: str, violation: str):
         """Permanently exclude ``src``; may resolve or doom the round."""
@@ -273,7 +281,7 @@ class QuorumCoordinator:
 
     def _finish(self, winner) -> None:
         self._resolved[self._open.index] = _Resolved(
-            binding=self._open.binding, winner=winner
+            binding=self._open.binding, base=self._open.base, winner=winner
         )
         while len(self._resolved) > _RESOLVED_WINDOW:
             self._resolved.popitem(last=False)

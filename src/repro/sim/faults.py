@@ -279,6 +279,11 @@ class FaultInjector:
         processes = []
         for deployment in shards:
             group = deployment.replica_servers
+            if not group:
+                raise ConfigurationError(
+                    "no co-located server to crash: this deployment's servers "
+                    "are separate processes"
+                )
             if replica is not None:
                 if not replica < len(group):
                     raise ConfigurationError(
@@ -286,11 +291,6 @@ class FaultInjector:
                         f"{len(group)} replica(s)"
                     )
                 group = [group[replica]]
-            if not group:
-                raise ConfigurationError(
-                    "no co-located server to crash: this deployment's servers "
-                    "are separate processes"
-                )
             processes += [(deployment.faults, server.name, server) for server in group]
         return processes
 

@@ -19,7 +19,8 @@ record can never half-build a state object.
 
 Each record has exactly one shape — no optional trailing elements, no
 padding for what an older build wrote: SUBMIT 5 elements, COMMIT 3,
-REPLY 6 (7 when it carries a counter attestation), ``ServerState`` 9.
+REPLY 6 (7 when it carries a counter attestation; its ``SVER[c]`` slot
+a signed version, or the population ``n`` in own form), ``ServerState`` 9.
 What another build wrote is refused, not migrated.
 """
 
@@ -32,6 +33,7 @@ from repro.common.errors import EncodingError
 from repro.common.types import BOTTOM, OpKind
 from repro.replica.counter import CounterAttestation
 from repro.ustor.messages import (
+    OWN_FORM_MAX_CLIENTS,
     CheckpointMessage,
     CommitMessage,
     InvocationTuple,
@@ -169,14 +171,15 @@ _SAME_AS_LAST = True
 
 def reply_to_tuple(message: ReplyMessage) -> tuple:
     """The REPLY as it travels: ``P`` cut to the PROOF-signatures of ``L``'s
-    distinct submitters (in ``L`` order) and ``SVER[j]`` back-referenced
-    when it is ``SVER[c]`` — see :class:`ReplyMessage` — and a counter
+    distinct submitters (in ``L`` order), ``SVER[j]`` back-referenced
+    when it is ``SVER[c]``, the population ``n`` in the ``SVER[c]`` slot
+    of an own-form REPLY — see :class:`ReplyMessage` — and a counter
     attestation, when there is one, as a seventh element.  A REPLY the form
     cannot carry (``P`` not one slot per client, ``L`` naming a client
     outside ``0..n-1``) is an :class:`EncodingError`."""
     last = message.last_version
     proofs = message.proofs
-    n = len(last.version.vector)
+    n = len(proofs) if last is None else len(last.version.vector)
     if len(proofs) != n:
         raise EncodingError(f"REPLY has {len(proofs)} PROOF slots for {n} clients")
     sent = []
@@ -185,16 +188,16 @@ def reply_to_tuple(message: ReplyMessage) -> tuple:
             if not (isinstance(k, int) and 0 <= k < n):
                 raise EncodingError(f"REPLY lists client {k!r} of {n} in L")
             sent.append(proofs[k])
-    if message.reader_version is None:
-        reader_version = None
-    elif message.reader_is_last():
+    if message.reader_is_last():
         reader_version = _SAME_AS_LAST
+    elif message.reader_version is None:
+        reader_version = None
     else:
         reader_version = signed_version_to_tuple(message.reader_version)
     mem = None if message.mem is None else mem_entry_to_tuple(message.mem)
     base = (
         message.commit_index,
-        signed_version_to_tuple(last),
+        n if last is None else signed_version_to_tuple(last),
         tuple(invocation_to_tuple(inv) for inv in message.pending),
         tuple(sent),
         reader_version,
@@ -214,8 +217,14 @@ def reply_from_tuple(data: tuple) -> ReplyMessage:
     commit_index, last_version, pending, proofs, reader_version, mem = _shape(
         data, 6, "ReplyMessage"
     )
-    last = signed_version_from_tuple(last_version)
-    n = len(last.version.vector)
+    if type(last_version) is int:
+        # Own form: SVER[c] is the receiving client's committed version.
+        n, last = last_version, None
+        if not 1 <= n <= OWN_FORM_MAX_CLIENTS:
+            raise EncodingError(f"own-form REPLY names a population of {n}")
+    else:
+        last = signed_version_from_tuple(last_version)
+        n = len(last.version.vector)
     if not isinstance(pending, tuple) or not isinstance(proofs, tuple):
         raise EncodingError(f"malformed REPLY L/P encoding: {pending!r}, {proofs!r}")
     # One pass over L: decode each entry and, at a submitter's first

@@ -9,7 +9,7 @@ If any check fails the client **outputs fail_i and halts** — at this layer
 a detection is terminal; FAUST (Section 6) turns it into system-wide
 failure notifications.
 
-Three liberties are taken, all documented in DESIGN.md:
+Four liberties are taken, all documented in DESIGN.md:
 
 * ``x_bar_i`` (the hash of the last written value) is initialised to
   ``H(BOTTOM)`` rather than the literal ``BOTTOM`` so that line 50's check
@@ -23,6 +23,10 @@ Three liberties are taken, all documented in DESIGN.md:
   the server folds the version from the REPLY it sent
   (:func:`~repro.ustor.version.fold_version`, the one implementation of
   lines 37-47); a replica group still receives the version.
+* A REPLY whose ``SVER[c]`` is this client's own committed version
+  travels as a back-reference; the client restores it
+  (:meth:`~repro.ustor.messages.ReplyMessage.restored`) before any check
+  reads it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
     ReplyMessage,
+    SignedVersion,
     SubmitMessage,
 )
 from repro.ustor.version import Version, fold_version
@@ -160,6 +165,9 @@ class UstorClient(Node):
         self._last_write_hash = hash_register_value(BOTTOM)  # x_bar_i
         self._version = Version.zero(num_clients)  # (V_i, M_i)
         self._zero = self._version  # immutable, reused by every check below
+        #: ``(V_i, M_i, phi)`` as last committed: what an own-form REPLY
+        #: back-references (:meth:`ReplyMessage.restored`).
+        self._committed = SignedVersion(self._version, None)
 
         # -- bookkeeping ---------------------------------------------------
         self._pending: _PendingInvocation | None = None
@@ -282,7 +290,7 @@ class UstorClient(Node):
         self._pending_binding = submit_sig
         if self.quorum_coordinator is not None:
             self.quorum_coordinator.begin_round(
-                kind is OpKind.READ, submit_sig
+                kind is OpKind.READ, submit_sig, self._committed
             )
         self._send_server(message)  # line 15 / 27
 
@@ -321,11 +329,13 @@ class UstorClient(Node):
             if isinstance(resolved, str):
                 self._fail(resolved)
                 return
-            # The quorum winner (attestation stripped) flows into the
-            # unchanged Algorithm 1 checks below.
+            # The quorum winner (restored, attestation stripped) flows
+            # into the unchanged Algorithm 1 checks below.
             message = resolved
             if self.resolved_reply_hook is not None:
                 self.resolved_reply_hook(message)
+        else:
+            message = message.restored(self._committed)
         if self._pending is None:
             # A correct server sends exactly one REPLY per SUBMIT over a
             # FIFO channel; an unsolicited REPLY is ignored defensively.
@@ -350,6 +360,7 @@ class UstorClient(Node):
             "COMMIT", self._version.vector, self._version.digests
         )
         proof_sig = self._signer.sign("PROOF", self._version.digests[self._id])
+        self._committed = SignedVersion(self._version, commit_sig)
         # A lone server folds (V_i, M_i) from the REPLY it sent (DESIGN.md,
         # "Protocol liberties"), so its COMMIT carries t in their place.
         # A replica group gets the version: the broadcast doubles as the

@@ -23,6 +23,10 @@ from repro.ustor.version import Version
 
 INT_BYTES = 8
 MARKER_BYTES = 1
+#: The largest population an own-form REPLY (``last_version=None``) is
+#: sent to: its decoder rebuilds ``n`` PROOF slots from one integer, so
+#: ``n`` is bounded where a full ``SVER[c]`` is bounded by its own bytes.
+OWN_FORM_MAX_CLIENTS = 1 << 16
 
 
 def _sig_size(signature: bytes | None) -> int:
@@ -200,10 +204,19 @@ class ReplyMessage:
     that *is* ``last_version`` (:meth:`reader_is_last`) — the wire codec
     (:mod:`repro.store.codec`) and :meth:`wire_size` apply the same two
     rules.
+
+    A REPLY in *own form* has ``last_version=None``: its ``SVER[c]`` is
+    the version the receiving client committed and signed one operation
+    earlier, so it travels as one more back-reference, and so does a
+    ``SVER[j]`` with ``j = c`` (``reader_version=None`` beside ``mem``).
+    The server sends it only when ``c = i`` and ``SVER[i]`` counts
+    ``t - 1`` operations of ``i`` (:func:`~repro.ustor.server.own_form`);
+    the client rebuilds the full REPLY with :meth:`restored` before
+    anything reads it.
     """
 
     commit_index: ClientId  # c — who committed the last scheduled operation
-    last_version: SignedVersion  # SVER[c]
+    last_version: SignedVersion | None  # SVER[c]; None: the client's own
     pending: tuple[InvocationTuple, ...]  # L — submitted, not yet committed
     proofs: tuple[bytes | None, ...]  # P — PROOF-signatures
     reader_version: SignedVersion | None = None  # SVER[j]
@@ -230,17 +243,40 @@ class ReplyMessage:
         """
         return self.reader_version is self.last_version and self.mem is not None
 
+    def restored(self, own: SignedVersion, *, attested: bool = True) -> "ReplyMessage":
+        """The full REPLY: ``own`` — the receiving client's committed
+        ``(V_i, M_i, phi)`` — in each back-referenced slot of an own-form
+        REPLY (any other REPLY keeps its versions), without its counter
+        attestation unless ``attested`` — a replica group votes on the
+        REPLY without it, since each replica's legitimately differs."""
+        last = self.last_version
+        if last is not None and (attested or self.attestation is None):
+            return self
+        reader = self.reader_version
+        if last is None:
+            last, reader = own, own if self.reader_is_last() else reader
+        return ReplyMessage(
+            commit_index=self.commit_index,
+            last_version=last,
+            pending=self.pending,
+            proofs=self.proofs,
+            reader_version=reader,
+            mem=self.mem,
+            attestation=self.attestation if attested else None,
+        )
+
     def wire_size(self) -> int:
-        size = MARKER_BYTES + INT_BYTES + self.last_version.wire_size()
+        last = self.last_version
+        size = MARKER_BYTES + INT_BYTES
+        size += MARKER_BYTES if last is None else last.wire_size()
         if self.pending:
             size += sum(t.wire_size() for t in self.pending)
             proofs = self.proofs
             size += _slots_size([proofs[k] for k in self.submitters()], SIGNATURE_BYTES)
-        if self.reader_version is not None:
-            if self.reader_is_last():
-                size += MARKER_BYTES
-            else:
-                size += self.reader_version.wire_size()
+        if self.reader_is_last():
+            size += MARKER_BYTES
+        elif self.reader_version is not None:
+            size += self.reader_version.wire_size()
         if self.mem is not None:
             size += self.mem.wire_size()
         if self.attestation is not None:

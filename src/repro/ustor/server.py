@@ -33,6 +33,7 @@ from repro.obs.registry import COUNT_BUCKETS, get_registry
 from repro.sim.process import Node
 from repro.ustor.digests import chain_link
 from repro.ustor.messages import (
+    OWN_FORM_MAX_CLIENTS,
     CheckpointMessage,
     CommitMessage,
     InvocationTuple,
@@ -194,6 +195,50 @@ def expect_commit(
             i,
             link=chain_link,
         ),
+    )
+
+
+def own_form(
+    state: ServerState,
+    message: SubmitMessage,
+    reply: ReplyMessage,
+    attestation: object | None,
+) -> ReplyMessage:
+    """``reply`` as it leaves, answering ``message`` from client ``i``
+    and carrying ``attestation``: in own form
+    (:meth:`ReplyMessage.restored`) when its ``SVER[c]`` is ``state``'s
+    ``SVER[i]`` object (``c = i``) and that version counts ``t - 1``
+    operations of ``i`` — the version ``i`` committed and signed one
+    operation earlier.
+
+    A REPLY the own form cannot carry travels in full: a ``SVER[c]``
+    that is not that object (a stale or forged one), a read REPLY
+    without ``SVER[j]``, a population over
+    :data:`~repro.ustor.messages.OWN_FORM_MAX_CLIENTS`.
+    """
+    i = message.invocation.client
+    own = state.sver[i]
+    last, reader = reply.last_version, reply.reader_version
+    if (
+        reply.commit_index == i
+        and last is own
+        and own.version.vector[i] == message.timestamp - 1
+        and (reader is not None or reply.mem is None)
+        and state.num_clients <= OWN_FORM_MAX_CLIENTS
+    ):
+        last, reader = None, None if reader is own else reader
+    elif attestation is reply.attestation:
+        return reply
+    # Field by field: ``dataclasses.replace`` costs more than the rest of
+    # handle_submit, once per SUBMIT.
+    return ReplyMessage(
+        commit_index=reply.commit_index,
+        last_version=last,
+        pending=reply.pending,
+        proofs=reply.proofs,
+        reader_version=reader,
+        mem=reply.mem,
+        attestation=attestation,
     )
 
 
@@ -533,23 +578,14 @@ class UstorServer(Node):
             self._maybe_checkpoint()
         if state is not self.state or (reply is not honest and reply != honest):
             self._note_deviation()
+        attestation = reply.attestation
         if self.counter is not None:
-            # Field by field: ``dataclasses.replace`` costs more than the
-            # rest of this method, once per SUBMIT.
-            reply = ReplyMessage(
-                commit_index=reply.commit_index,
-                last_version=reply.last_version,
-                pending=reply.pending,
-                proofs=reply.proofs,
-                reader_version=reply.reader_version,
-                mem=reply.mem,
-                attestation=self.counter.attest(
-                    message.invocation.submit_sig, state.submits_applied
-                ),
+            attestation = self.counter.attest(
+                message.invocation.submit_sig, state.submits_applied
             )
         self.submits_handled += 1
         self.max_pending_len = max(self.max_pending_len, len(state.pending))
-        self.send(src, reply)
+        self.send(src, own_form(state, message, reply, attestation))
 
     def handle_commit(self, src: str, message: CommitMessage) -> None:
         client = parse_client_name(src)

@@ -537,6 +537,13 @@ class SimWorld(World):
         return StorageSystem(batching=self._config.batching, **wired)
 
 
+def replica_names(server_name: str, replicas: int) -> list[str]:
+    """The group's server names: ``S``, or ``S/r0`` .. ``S/r{k-1}``."""
+    if replicas > 1:
+        return [f"{server_name}/r{k}" for k in range(replicas)]
+    return [server_name]
+
+
 def wire_deployment(
     world: World,
     protocol: ProtocolSpec,
@@ -558,9 +565,7 @@ def wire_deployment(
     registered on the transport and offline channel, linked by the world
     and, when fail-aware, started; the world then supplies the system.
     """
-    names = [server_name]
-    if replicas > 1:
-        names = [f"{server_name}/r{k}" for k in range(replicas)]
+    names = replica_names(server_name, replicas)
     keystore = KeyStore(num_clients, scheme=scheme)
     recorder = HistoryRecorder()
     servers = world.start(

@@ -139,7 +139,7 @@ class TestReplayCommand:
     def test_corrupt_trace_is_one_line_and_exit_1(self, tmp_path, capsys):
         path = tmp_path / "corrupt.jsonl"
         path.write_text(
-            '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"header","v":7,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
             "[1, 2]\n"
         )
         assert main(["replay", "--trace", str(path)]) == 1
@@ -252,6 +252,34 @@ class TestOneRunPath:
         assert "completed 6/6" in out
         assert "C1: stability cut" in out and "C2: stability cut" in out
         assert "(0 failure, " in out
+
+    @pytest.mark.net
+    def test_tcp_report_counts_frames_not_offline_mail(self, capsys, monkeypatch):
+        # A tampering server makes FAUST clients mail FAILUREs to each
+        # other in-process; "on the wire" is the frames alone.
+        from repro.net.client import ClientConnection
+        from repro.sim.offline import OfflineChannel
+
+        frames, mail = [], []
+        record, post = ClientConnection._record, OfflineChannel.send
+
+        def spy_record(self, src, dst, message, payload):
+            frames.append(len(payload))
+            record(self, src, dst, message, payload)
+
+        def spy_post(self, src, dst, message):
+            mail.append(message)
+            post(self, src, dst, message)
+
+        monkeypatch.setattr(ClientConnection, "_record", spy_record)
+        monkeypatch.setattr(OfflineChannel, "send", spy_post)
+        with ServerProcess(3, server="tampering") as proc:
+            main(["run", "--backend", "faust", "--clients", "3", "--ops", "6",
+                  "--seed", "1", "--transport", "tcp", "--endpoints",
+                  proc.endpoint])
+        out = capsys.readouterr().out
+        assert mail and "(3 failure" in out
+        assert f"messages: {len(frames)} ({sum(frames)} bytes on the wire)" in out
 
     def test_config_misuse_exits_2_before_anything_opens(
         self, transport_flags, capsys

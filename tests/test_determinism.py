@@ -92,11 +92,12 @@ def without_sizes(fingerprint):
 
 #: SHA-256 of ``repr(trace_fingerprint(...))`` for seed 7; a fresh
 #: interpreter must reproduce them.  A change to the wire-size model (a
-#: COMMIT that carries ``t`` in place of its version) re-pins these ...
+#: COMMIT that carries ``t`` in place of its version, a REPLY that
+#: back-references its client's own committed version) re-pins these ...
 PINNED = {
-    "run_ustor": "4d2f965438505a84b4c55231ae5afb171b5304d423b40d061c9a6dee147e67fa",
-    "run_faust": "ea13da670836aaa5d627206745e3d0723c98d1b997b39007494217f5a7095ff7",
-    "run_attack": "ecd6cfa28164c1523424d62b38658bdb792e65c1da9c02e3c02ba742bda3d4ef",
+    "run_ustor": "da938694623c8fc6b32727787fbd50a5aad1b3e8722705f7dfc0563a04bb8405",
+    "run_faust": "242f516f42b4807175a7dc641df34f6c7797461f433424ad7ee6a78b7ce879e4",
+    "run_attack": "f894dcb6c02bf146d415d8ebafaebd1e7ef0dfbbcb08e67e054bde1edf7f3c22",
 }
 
 #: ... and must leave these alone: SHA-256 of ``repr(without_sizes(...))``

@@ -317,6 +317,30 @@ def test_targets_are_validated():
             Fault(kind, 0, start, duration)
 
 
+@pytest.mark.net
+@pytest.mark.parametrize("target", [(0, 0), (0, None), (None, 0)])
+def test_a_tcp_deployment_has_no_co_located_server_to_crash(target):
+    # The server is another process, so the refusal says that, whichever
+    # replica the target names — not "replica 0 out of range".
+    from repro.net.client import NetRuntime
+    from repro.net.server import NetServerHost
+
+    runtime = NetRuntime()
+    try:
+        host = NetServerHost(2)
+        runtime.run_coroutine(host.start())
+        with open_system(
+            SystemConfig(2, transport="tcp", endpoints=(host.endpoint,)),
+            backend="ustor",
+            runtime=runtime,
+        ) as system:
+            system.hosts.append(host)
+            with pytest.raises(ConfigurationError, match="no co-located server"):
+                system.faults.add(Fault("down", target, 1.0, 1.0))
+    finally:
+        runtime.close()
+
+
 @pytest.mark.parametrize(
     "start, duration",
     [(float("nan"), 5.0), (float("inf"), 5.0), (5.0, float("nan"))],

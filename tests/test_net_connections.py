@@ -276,7 +276,24 @@ MALFORMED_REPLIES = {
         ("REPLY", (0, _ZERO, ((2, OpKind.WRITE, 2, _SIG),), (_SIG,), None, None))
     ),
     "back-reference-in-a-write": encode(("REPLY", (0, _ZERO, (), (), True, None))),
+    # Own form: the population n stands where SVER[c] went.
+    "back-reference-to-no-population": encode(
+        ("REPLY", (0, 0, (), (), None, None))
+    ),
+    "back-reference-to-a-huge-population": encode(
+        ("REPLY", (0, 1 << 40, (), (), None, None))
+    ),
+    "back-reference-population-below-l": encode(
+        ("REPLY", (0, 1, ((1, OpKind.WRITE, 1, _SIG),), (_SIG,), None, None))
+    ),
+    "back-reference-own-reader-without-mem": encode(
+        ("REPLY", (0, 2, (), (), True, None))
+    ),
 }
+#: A client sending a server any of these pays with its connection too.
+BAD_STREAMS += [
+    f"reply-{case}" for case in MALFORMED_REPLIES if case.startswith("back-reference")
+]
 
 
 def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
@@ -310,6 +327,10 @@ def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
             [hello + encode_frame(encode(("CHECKPOINT", (1, (1, 0, 0), ()))))],
             welcome,
         ),
+        **{
+            f"reply-{name}": ([hello + encode_frame(payload)], welcome)
+            for name, payload in MALFORMED_REPLIES.items()
+        },
     }[case]
 
 

@@ -31,7 +31,7 @@ from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import history_signature, load_trace, replay_trace
 from repro.net.wire import payload_to_message
 from repro.store import DirectoryMedium, LogStructuredEngine
-from repro.ustor.messages import ReplyMessage, SubmitMessage
+from repro.ustor.messages import ReplyMessage, SignedVersion, SubmitMessage
 from repro.ustor.server import ServerState, apply_commit, apply_submit
 from repro.ustor.version import fold_version
 from repro.ustor.viewhistory import build_client_views
@@ -46,17 +46,19 @@ def _replay_client_frames(trace_path, num_clients: int) -> ServerState:
     repeat frames already recorded once).  A COMMIT travels without its
     version, so it is applied with the version its client folded from
     the REPLY it received — what the client committed, whichever way the
-    two connections interleaved at the server."""
+    two connections interleaved at the server; a REPLY in own form is
+    restored against that committed version, as the client did."""
     _header, records = load_trace(str(trace_path))
     state = ServerState.initial(num_clients)
     received: dict[int, ReplyMessage] = {}
+    committed = {c: SignedVersion.zero(num_clients) for c in range(num_clients)}
     for record in records:
         if record["t"] != "frame" or record["retx"]:
             continue
         message = payload_to_message(bytes.fromhex(record["payload"]))
         client = record["c"]
         if record["dir"] == "s2c":
-            received[client] = message
+            received[client] = message.restored(committed[client])
         elif isinstance(message, SubmitMessage):
             apply_submit(state, message)
         else:
@@ -64,6 +66,7 @@ def _replay_client_frames(trace_path, num_clients: int) -> ServerState:
             version = fold_version(
                 reply.last_version.version, reply.commit_index, reply.pending, client
             )
+            committed[client] = SignedVersion(version, message.commit_sig)
             apply_commit(
                 state, client, replace(message, version=version, timestamp=None)
             )

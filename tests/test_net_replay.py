@@ -98,6 +98,38 @@ class TestReplayEquivalence:
         for checker in (check_linearizability, check_causal_consistency):
             assert checker(result.history).ok == checker(history).ok
 
+    def test_replica_group_run_replays_byte_identically(self, tmp_path):
+        # The trace holds each round's winner (restored, attestation
+        # stripped) and replica 0's copy of each broadcast; the replayed
+        # group clients send the same versioned COMMITs.
+        trace_path = tmp_path / "group.jsonl"
+        runtime = NetRuntime()
+        hosts = [NetServerHost(2, server_name=f"S/r{k}") for k in range(3)]
+        for host in hosts:
+            runtime.run_coroutine(host.start())
+        system = open_system(
+            SystemConfig(
+                2,
+                transport="tcp",
+                endpoints=tuple(h.endpoint for h in hosts),
+                replicas=3,
+                trace_path=str(trace_path),
+                default_timeout=5.0,
+            ),
+            backend="ustor",
+            runtime=runtime,
+        )
+        system.hosts.extend(hosts)
+        system.owns_runtime = True
+        with system:
+            drive_workload(ops=4)(system)
+            system.run_until_quiescent(timeout=5.0)
+            history = system.history()
+        result = replay_trace(str(trace_path))
+        assert result.divergences == []
+        assert history_signature(result.history) == history_signature(history)
+        assert not result.fail_reasons()
+
     def test_run_with_injected_disconnects_replays_identically(self, tmp_path):
         # Kill every live connection between operations: the clients
         # reconnect and retransmit (flagged retx in the trace), and the
@@ -184,7 +216,7 @@ class TestReplayEquivalence:
     def test_undecodable_client_frame_is_a_divergence(self, tmp_path):
         path = tmp_path / "bad-c2s.jsonl"
         path.write_text(
-            '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"header","v":7,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             '"payload":"ff00","at":0.0}\n'
         )
@@ -201,7 +233,7 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 6
+        assert records[0]["v"] == 7
         assert records[0]["n"] == 3
         # Frames only: every invocation is its SUBMIT frame.
         assert {r["t"] for r in records} == {"header", "frame"}
@@ -236,10 +268,10 @@ class TestTraceFormat:
         # Each of these used to end the replay in a Python traceback.
         path = tmp_path / "corrupt.jsonl"
         if line is None:
-            path.write_text('{"t":"header","v":6,"n":1,"scheme":"hmac","seq":0}\n')
+            path.write_text('{"t":"header","v":7,"n":1,"scheme":"hmac","seq":0}\n')
         else:
             path.write_text(
-                '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+                '{"t":"header","v":7,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
                 + line + "\n"
             )
         with pytest.raises(ConfigurationError, match=f"line {where}: .*{what}"):
@@ -265,10 +297,10 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             f'"payload":"{old_frame}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v6"):
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v7"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "this build reads v6" in capsys.readouterr().out
+        assert "this build reads v7" in capsys.readouterr().out
 
     def test_trace_of_the_all_proofs_reply_form_refused(self, tmp_path, capsys):
         # v2 REPLYs carry all n PROOF-signatures: ("REPLY", (c, SVER[c], L,
@@ -289,7 +321,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v2_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v6"):
+        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v7"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         assert "trace version 2 unsupported" in capsys.readouterr().out
@@ -315,7 +347,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v3_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v6"):
+        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v7"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
@@ -355,6 +387,20 @@ class TestTraceFormat:
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
         assert "trace version 5 unsupported" in out and out.count("\n") == 1
+
+    def test_trace_of_the_full_own_version_reply_refused(self, tmp_path, capsys):
+        # v6 servers sent a client's own committed SVER[c] back in full;
+        # this build's send n in its place, so a v6 trace's inbound frames
+        # are not what this build's clients received — one line, exit 1.
+        from repro.cli import main
+
+        path = tmp_path / "v6.jsonl"
+        path.write_text(
+            '{"t":"header","v":6,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+        )
+        assert main(["replay", "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "trace version 6 unsupported" in out and out.count("\n") == 1
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

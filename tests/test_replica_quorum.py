@@ -16,7 +16,7 @@ Three levels of ambition:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import pytest
@@ -33,16 +33,24 @@ def _version(total: int):
     return SimpleNamespace(version=SimpleNamespace(vector=(total,)))
 
 
+#: The client's committed version a round is opened with.
+BASE = _version(0)
+
+
 @dataclass(frozen=True)
 class FakeReply:
     """Just enough of a REPLY for the coordinator: comparable content,
-    a strippable ``attestation``, and the read-repair ordering key."""
+    a strippable ``attestation``, the read-repair ordering key, and the
+    full form already (``restored`` only strips the attestation)."""
 
     tag: str
     attestation: object | None = None
     mem: object | None = None
     last_version: object = field(default_factory=lambda: _version(0))
     pending: tuple = ()
+
+    def restored(self, own, *, attested=True) -> "FakeReply":
+        return self if attested else replace(self, attestation=None)
 
 
 def make_group(n=3, quorum=None, **kwargs):
@@ -79,15 +87,15 @@ class TestConfig:
 
     def test_one_operation_at_a_time(self):
         group = make_group()
-        group.begin_round(False, b"a")
+        group.begin_round(False, b"a", BASE)
         with pytest.raises(ConfigurationError, match="still open"):
-            group.begin_round(False, b"b")
+            group.begin_round(False, b"b", BASE)
 
 
 class TestResolution:
     def test_quorum_of_identical_replies_elects_winner(self):
         group = make_group()
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         assert group.absorb("S/r0", FakeReply("v")) is None
         winner = group.absorb("S/r1", FakeReply("v"))
         assert winner == FakeReply("v")
@@ -97,14 +105,14 @@ class TestResolution:
         # Counter attestations legitimately differ per replica; they must
         # neither block agreement nor leak into the winning REPLY.
         group = make_group()
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         group.absorb("S/r0", FakeReply("v", attestation="from-r0"))
         winner = group.absorb("S/r1", FakeReply("v", attestation="from-r1"))
         assert winner is not None and winner.attestation is None
 
     def test_minority_deviation_is_masked(self):
         group = make_group()
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         assert group.absorb("S/r0", FakeReply("rolled-back")) is None
         assert group.absorb("S/r1", FakeReply("v")) is None
         winner = group.absorb("S/r2", FakeReply("v"))
@@ -114,19 +122,48 @@ class TestResolution:
 
     def test_late_deviant_straggler_is_counted(self):
         group = make_group()
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         group.absorb("S/r0", FakeReply("v"))
         assert group.absorb("S/r1", FakeReply("v")) is not None
         assert group.absorb("S/r2", FakeReply("stale")) is None
         assert group.late_replies == 1
         assert group.masked_deviations == 1
 
+    def test_own_form_straggler_is_restored_against_its_round(self):
+        # A replica's own-form REPLY back-references the version the
+        # client had committed when it *submitted*.  An honest straggler
+        # arriving after the client committed past it is restored against
+        # its own round's base, so it counts no masked deviation; a
+        # genuinely deviant straggler still counts.
+        from repro.ustor.messages import ReplyMessage, SignedVersion
+        from repro.ustor.version import Version
+
+        sig = b"\x01" * 64
+        first = SignedVersion(Version((1, 0), (b"a" * 32, None)), sig)
+        second = SignedVersion(Version((2, 0), (b"b" * 32, None)), sig)
+
+        def full(base):
+            return ReplyMessage(0, base, (), (sig, None))
+
+        own = ReplyMessage(0, None, (), (sig, None))
+        group = make_group()
+        group.begin_round(False, b"op-1", first)
+        group.absorb("S/r0", own)
+        assert group.absorb("S/r1", full(first)) == full(first)
+        group.begin_round(False, b"op-2", second)
+        assert group.absorb("S/r2", own) is None  # round 1's straggler
+        assert group.late_replies == 1 and group.masked_deviations == 0
+        group.absorb("S/r0", own)
+        assert group.absorb("S/r1", own) == full(second)
+        assert group.absorb("S/r2", full(first)) is None  # stale: deviant
+        assert group.late_replies == 2 and group.masked_deviations == 1
+
     def test_read_repair_elects_highest_timestamp(self):
         # All live replicas answered a *read* without agreement: the
         # highest register timestamp wins (the client's COMMIT broadcast
         # is the write-back that re-converges the group).
         group = make_group()
-        group.begin_round(True, b"op")
+        group.begin_round(True, b"op", BASE)
         group.absorb("S/r0", FakeReply("old", mem=SimpleNamespace(timestamp=1)))
         group.absorb("S/r1", FakeReply("older", mem=SimpleNamespace(timestamp=0)))
         winner = group.absorb(
@@ -137,7 +174,7 @@ class TestResolution:
 
     def test_write_without_quorum_fails(self):
         group = make_group()
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         group.absorb("S/r0", FakeReply("a"))
         group.absorb("S/r1", FakeReply("b"))
         outcome = group.absorb("S/r2", FakeReply("c"))
@@ -146,7 +183,7 @@ class TestResolution:
 
     def test_replies_from_strangers_are_ignored(self):
         group = make_group()
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         assert group.absorb("mallory", FakeReply("v")) is None
         assert not group.convicted
 
@@ -163,7 +200,7 @@ class TestConviction:
     def test_convicted_replica_is_excluded_but_group_serves_on(self):
         group = make_group()
         group.absorb("S/r2", FakeReply("forged"))  # unsolicited: convicted
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         group.absorb("S/r0", FakeReply("v"))
         assert group.absorb("S/r1", FakeReply("v")) == FakeReply("v")
         # Further REPLYs from the convict are dead letters.
@@ -172,7 +209,7 @@ class TestConviction:
 
     def test_conviction_below_quorum_margin_fails_loudly(self):
         group = make_group(2)  # n=2, q=2: no masking margin at all
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         group.absorb("S/r0", FakeReply("v"))
         assert group.absorb("S/r1", FakeReply("v")) == FakeReply("v")
         # r1 fabricates a second REPLY before any second SUBMIT exists:
@@ -185,7 +222,7 @@ class TestConviction:
         counters = {name: MonotonicCounter(name) for name in
                     ("S/r0", "S/r1", "S/r2")}
         group = make_group(verifier=CounterVerifier())
-        group.begin_round(False, b"op")
+        group.begin_round(False, b"op", BASE)
         for name in ("S/r0", "S/r1"):
             attestation = counters[name].attest(b"op", 1)
             outcome = group.absorb(name, FakeReply("v", attestation=attestation))

@@ -13,10 +13,18 @@ distinct submitters and with ``SVER[j]`` back-referenced when it *is*
   REPLY takes that round trip ends exactly like the run that hands the
   objects over — same histories, versions and failing lines;
 * **malformed REPLYs refused** — a proof list that does not match ``L``,
-  a submitter outside ``0..n-1``, a back-reference without ``MEM[j]``;
+  a submitter outside ``0..n-1``, a back-reference without ``MEM[j]``,
+  an own-form population that is not one the proofs can fill;
 * **the size model tracks the codec** — real bytes over ``wire_size()``
   stay in one pinned band for SUBMIT, every REPLY shape and both COMMIT
-  forms (``t`` to a lone server, the version to a replica group).
+  forms (``t`` to a lone server, the version to a replica group);
+* **the own form** — a REPLY whose ``SVER[c]`` is the version its client
+  committed one operation earlier travels with ``n`` in that slot
+  (:func:`repro.ustor.server.own_form`); the client's ``restored`` REPLY
+  is the full one field for field, and a server that back-references
+  where the rule does not allow it (``c != i``, or a ``SVER[i]`` that is
+  not the version ``i`` committed at ``t - 1``) is judged on the full
+  REPLY the back-reference stands for.
 """
 
 from __future__ import annotations
@@ -34,13 +42,23 @@ from repro.common.types import OpKind
 from repro.net.trace import history_signature
 from repro.net.wire import decode_payload, message_to_payload, payload_to_message
 from repro.ustor.byzantine import ADVERSARIES
+from repro.common.types import parse_client_name
 from repro.ustor.messages import (
+    OWN_FORM_MAX_CLIENTS,
+    CommitMessage,
     InvocationTuple,
     MemEntry,
     ReplyMessage,
     SignedVersion,
+    SubmitMessage,
 )
-from repro.ustor.server import UstorServer
+from repro.ustor.server import (
+    ServerState,
+    UstorServer,
+    apply_commit,
+    apply_submit,
+    own_form,
+)
 from repro.ustor.version import Version
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
@@ -221,6 +239,15 @@ MALFORMED = {
     ),
     "back-reference-in-a-write-reply": (0, _ZERO2, (), (), True, None),
     "proofs-not-a-sequence": (0, _ZERO2, (), SIG, None, None),
+    # Own form: the population n stands in SVER[c]'s slot.
+    "own-form-population-below-l": (0, 1, (_INV,), (SIG,), None, None),
+    "own-form-no-population": (0, 0, (), (), None, None),
+    "own-form-negative-population": (0, -2, (), (), None, None),
+    "own-form-population-a-bool": (0, True, (), (), None, None),
+    "own-form-population-past-the-bound": (
+        0, OWN_FORM_MAX_CLIENTS + 1, (), (), None, None,
+    ),
+    "own-form-reader-back-reference-without-mem": (0, 2, (), (), True, None),
 }
 
 
@@ -380,3 +407,207 @@ class TestSizeModelTracksTheCodec:
         real_saving = len(message_to_payload(full)) - len(message_to_payload(reply))
         assert model_saving == last.wire_size() - 1
         assert 0.9 <= real_saving / model_saving <= 1.3
+
+
+# --------------------------------------------------------------------- #
+# The own form: SVER[c] = the receiving client's committed version
+# --------------------------------------------------------------------- #
+
+
+def _own_form_of(reply: ReplyMessage) -> ReplyMessage:
+    """``reply`` with ``SVER[c]`` (and a ``SVER[j]`` that is it) as
+    back-references, whatever the rule says."""
+    return ReplyMessage(
+        reply.commit_index,
+        None,
+        reply.pending,
+        reply.proofs,
+        None if reply.reader_is_last() else reply.reader_version,
+        reply.mem,
+        reply.attestation,
+    )
+
+
+@pytest.fixture(scope="module")
+def own_form_runs() -> dict[int, list]:
+    """Per ``n``: ``(built, sent, own)`` for every REPLY of one concurrent
+    run — the REPLY the server built, the one that left, and the
+    receiving client's committed version when it arrived."""
+    runs = {}
+    for n in (2, 8):
+        built: dict[str, list] = {}
+        sent: dict[str, list] = {}
+
+        class Tap(UstorServer):
+            def outgoing_reply(self, src, message, reply):
+                built.setdefault(src, []).append(reply)
+                return reply
+
+            def send(self, dst, message) -> None:
+                sent.setdefault(dst, []).append(message)
+                super().send(dst, message)
+
+        triples = []
+        with _open(n, 3, Tap) as system:
+            for client in system.clients:
+                receive = client.on_message
+
+                def spy(src, message, client=client, receive=receive):
+                    triples.append((client.name, message, client._committed))
+                    receive(src, message)
+
+                client.on_message = spy
+            assert _drive(system, n, 3, ops=8, think=0.3).stats.all_done()
+        by_client = {name: iter(built[name]) for name in built}
+        for name in sent:  # every REPLY that left arrived, in order
+            assert [m for to, m, _own in triples if to == name] == sent[name]
+        runs[n] = [(next(by_client[name]), m, own) for name, m, own in triples]
+    return runs
+
+
+def _forcing_own_form(
+    adversary: str, restore: bool, holder: list, own_client_only: bool = False
+):
+    """The ``adversary`` row, sending every full REPLY — or, with
+    ``own_client_only``, each one whose ``c`` is its client — in own form;
+    with ``restore``, the full REPLY that own form stands for at its
+    client instead.  ``holder[1]`` counts the REPLYs forced."""
+
+    def factory(num_clients: int, name: str) -> UstorServer:
+        server = ADVERSARIES[adversary].factory(num_clients, name)
+        send = server.send
+
+        def forced(dst, message) -> None:
+            i = parse_client_name(dst)
+            if (
+                message.kind == "REPLY"
+                and message.last_version is not None
+                and (message.commit_index == i or not own_client_only)
+            ):
+                holder[1] += 1
+                message = _own_form_of(message)
+                if restore:
+                    message = message.restored(holder[0][i]._committed)
+            send(dst, message)
+
+        server.send = forced
+        return server
+
+    return factory
+
+
+def _verdicts_forced(adversary: str, seed: int, own_client_only: bool) -> list:
+    """The run's history and fail reasons with the misused back-reference
+    and with the full REPLY it stands for, and how many REPLYs each forced."""
+    verdicts = []
+    for restore in (False, True):
+        holder: list = [None, 0]
+        factory = _forcing_own_form(adversary, restore, holder, own_client_only)
+        with _open(4, seed, factory) as system:
+            holder[0] = system.clients
+            _drive(system, 4, seed, ops=4, think=0.5)
+            verdicts.append(
+                (
+                    history_signature(system.history()),
+                    [c.fail_reason for c in system.clients],
+                    holder[1],
+                )
+            )
+    return verdicts
+
+
+class TestOwnForm:
+    def test_round_trip(self):
+        own = SignedVersion(Version((1, 0), (b"\x02" * 32, None)), SIG)
+        inv = InvocationTuple(1, OpKind.WRITE, 1, SIG)
+        mem = MemEntry(1, b"v", SIG)
+        for reply in (
+            ReplyMessage(0, None, (inv,), (None, SIG)),
+            ReplyMessage(0, None, (), (None, None), None, mem),
+            ReplyMessage(0, None, (inv,), (None, SIG), own, mem),
+        ):
+            payload = message_to_payload(reply)
+            decoded = _through_the_codec(reply)
+            assert decoded == reply and decoded.last_version is None
+            _kind, fields = decode_payload(payload)
+            assert fields[1] == 2  # n where SVER[c] went
+            assert message_to_payload(decoded.restored(own)) != payload
+
+    @pytest.mark.parametrize("n", (2, 8))
+    def test_restored_is_the_built_reply_field_for_field(self, own_form_runs, n):
+        triples = own_form_runs[n]
+        own_form = [(b, s, o) for b, s, o in triples if s.last_version is None]
+        full = [(b, s, o) for b, s, o in triples if s.last_version is not None]
+        assert own_form and full
+        assert any(s.mem is None for _, s, _ in own_form)  # a write
+        assert any(s.mem is not None for _, s, _ in own_form)  # a read
+        for built, sent, own in triples:
+            restored = sent.restored(own)
+            assert restored == built
+            assert _read_by_algorithm_1(restored) == _read_by_algorithm_1(built)
+            decoded = payload_to_message(message_to_payload(sent)).restored(own)
+            assert _read_by_algorithm_1(decoded) == _read_by_algorithm_1(built)
+            assert decoded.reader_is_last() == built.reader_is_last()
+        for built, _sent, own in own_form:
+            assert built.last_version == own
+
+    def test_a_read_of_ones_own_register_back_references_both(self):
+        # c = i = j: SVER[j] is SVER[c], and each travels as a marker.
+        state = ServerState.initial(2)
+        write = SubmitMessage(1, InvocationTuple(0, OpKind.WRITE, 0, SIG), b"v", SIG)
+        apply_submit(state, write)
+        apply_commit(state, 0, CommitMessage(None, SIG, SIG, timestamp=1))
+        read = SubmitMessage(2, InvocationTuple(0, OpKind.READ, 0, SIG), None, SIG)
+        built = apply_submit(state, read)
+        sent = own_form(state, read, built, None)
+        assert sent.last_version is None and sent.reader_version is None
+        assert sent.reader_is_last()
+        assert sent.restored(state.sver[0]) == built
+        decoded = _through_the_codec(sent).restored(state.sver[0])
+        assert _read_by_algorithm_1(decoded) == _read_by_algorithm_1(built)
+        # SVER[j] was a marker already; SVER[c] becomes one.
+        assert built.reader_is_last()
+        assert sent.wire_size() == built.wire_size() - (
+            built.last_version.wire_size() - 1
+        )
+
+    @pytest.mark.parametrize("n", (2, 8))
+    def test_own_form_saves_what_the_model_says(self, own_form_runs, n):
+        # Per REPLY the model's 8-byte ints overstate a small version's
+        # varints; summed over the run the two agree closely.
+        real = model = 0
+        for built, sent, _own in own_form_runs[n]:
+            if sent is built:
+                continue
+            saved = built.wire_size() - sent.wire_size()
+            assert saved == built.last_version.wire_size() - 1
+            real += len(message_to_payload(built)) - len(message_to_payload(sent))
+            model += saved
+        assert 0.9 <= real / model <= 1.3, (real, model)
+
+    @pytest.mark.parametrize(
+        "adversary", ["correct", "replay", "rollback", "split-brain"]
+    )
+    def test_a_back_reference_where_c_is_not_i_is_judged_as_the_full_reply(
+        self, adversary
+    ):
+        # Every REPLY in own form: when c != i the client's own version
+        # carries C_i's signature where C_c's must verify, and line 35
+        # says so — the verdict the full REPLY the back-reference stands
+        # for gets.
+        misused, full = _verdicts_forced(adversary, 5, own_client_only=False)
+        assert misused == full
+        assert any("(line 35)" in (reason or "") for reason in misused[1])
+
+    @pytest.mark.parametrize("adversary", ["replay", "rollback", "forging"])
+    def test_a_back_reference_to_a_stale_sver_i_is_judged_as_the_full_reply(
+        self, adversary
+    ):
+        # c = i, but the server's SVER[i] is not the version i committed
+        # at t - 1 (frozen, rolled back or forged), so the rule sends it
+        # in full; back-referenced anyway, the REPLY is judged as the
+        # full one it stands for.
+        misused, full = _verdicts_forced(adversary, 6, own_client_only=True)
+        assert misused[2] >= 1, "the rule never sent a c = i REPLY in full"
+        assert misused == full
+        assert any(reason for reason in misused[1]), "nothing was caught"

@@ -5,7 +5,8 @@ The wire format *is* the WAL format *is* the signed payload
 (:mod:`repro.net.wire`), so one edit to :mod:`repro.common.encoding`
 moves every frame, every durable record and every signature at once.
 ``tests/data/wire_format.json`` holds the hex of one SUBMIT, COMMIT and
-REPLY frame payload, one WAL ``S`` / ``C`` / ``B`` record and one
+REPLY frame payload (the REPLY as the server builds it, and one in own
+form as it leaves), one WAL ``S`` / ``C`` / ``B`` record and one
 snapshot from a fixed two-client run, and one CHECKPOINT frame payload
 from the same run on the ``faust`` backend (HMAC keys are derived from
 the client ids, so the signatures repeat): the next change to the
@@ -61,6 +62,13 @@ class _Tap(UstorServer):
         self.latest[reply.kind] = (src, reply)
         return reply
 
+    def send(self, dst, message) -> None:
+        # The REPLY as it leaves handle_submit: in own form, when its
+        # SVER[c] is the version ``dst`` committed one operation earlier.
+        if message.kind == "REPLY" and message.last_version is None:
+            self.latest["own REPLY"] = (dst, message)
+        super().send(dst, message)
+
 
 def _run_scenario(backend: str, settle: float = 0.0, **config) -> _Tap:
     """The fixed two-client run, then ``settle`` more time units; returns
@@ -84,8 +92,8 @@ def _run_scenario(backend: str, settle: float = 0.0, **config) -> _Tap:
 def capture() -> dict[str, str]:
     """Run the fixed scenario and return every pinned byte string as hex."""
     tap = _run_scenario("ustor")
-    (_, submit), (committer, commit), (_, reply) = (
-        tap.latest[kind] for kind in ("SUBMIT", "COMMIT", "REPLY")
+    (_, submit), (committer, commit), (_, reply), (_, own_reply) = (
+        tap.latest[kind] for kind in ("SUBMIT", "COMMIT", "REPLY", "own REPLY")
     )
     client = int(committer[1:]) - 1
     engine = LogStructuredEngine(2, snapshot_interval=10**9)
@@ -104,6 +112,7 @@ def capture() -> dict[str, str]:
         "submit_payload": message_to_payload(submit),
         "commit_payload": message_to_payload(commit),
         "reply_payload": message_to_payload(reply),
+        "reply_own_payload": message_to_payload(own_reply),
         "wal_submit_record": wal[0],
         "wal_commit_record": wal[1],
         "wal_batch_record": wal[2],
@@ -125,6 +134,7 @@ class TestPinnedFormat:
             "submit_payload",
             "commit_payload",
             "reply_payload",
+            "reply_own_payload",
             "wal_submit_record",
             "wal_commit_record",
             "wal_batch_record",
@@ -138,7 +148,7 @@ class TestPinnedFormat:
         assert captured[name] == corpus[name]
 
     def test_pinned_bytes_decode_to_what_was_encoded(self, captured):
-        for kind in ("checkpoint", "submit", "commit", "reply"):
+        for kind in ("checkpoint", "submit", "commit", "reply", "reply_own"):
             raw = bytes.fromhex(captured[f"{kind}_payload"])
             assert message_to_payload(payload_to_message(raw)) == raw
         state = bytes.fromhex(captured["server_state"])
