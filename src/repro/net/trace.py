@@ -13,7 +13,7 @@ honest, Byzantine, or long gone.
 
 Record shapes (one JSON object per line; ``seq`` is a global counter)::
 
-    {"t": "header", "v": 7, "n": ..., "scheme": ..., "server": ...,
+    {"t": "header", "v": 8, "n": ..., "scheme": ..., "server": ...,
      "endpoints": [...], "piggyback": ...}
     {"t": "frame", "seq": k, "dir": "c2s"|"s2c", "c": i,
      "retx": bool, "payload": hex, "at": seconds}
@@ -61,8 +61,10 @@ from repro.workloads import runner
 #: trace-id element in any frame, a REPLY's attestation its 7th element;
 #: v5: frames only — the SUBMIT frame is the invocation; v6: a COMMIT to
 #: a lone server carries ``t`` where its version went; v7: a REPLY whose
-#: ``SVER[c]`` is its client's own committed version carries ``n`` there).
-TRACE_VERSION = 7
+#: ``SVER[c]`` is its client's own committed version carries ``n`` there;
+#: v8: a REPLY's versions travel relative to that committed version — a
+#: mask of the equal entries, the others and the signature).
+TRACE_VERSION = 8
 
 
 def _value_to_json(value) -> str | None:

@@ -16,7 +16,7 @@ Resolution per round:
 * **write quorum** — ``>= quorum`` equal REPLYs (dataclass ``==`` on
   the decoded messages, not their bytes; each restored first against
   the version the client had committed when it submitted the round —
-  a replica may send ``SVER[c]`` as a back-reference to it — and
+  a replica sends its versions relative to it — and
   stripped of its counter attestation, which legitimately differs per
   replica) elect a winner, which flows into the unchanged Algorithm 1
   checks.
@@ -67,7 +67,7 @@ class _Round:
     is_read: bool
     binding: bytes
     #: The client's committed version when it submitted: what this
-    #: round's own-form REPLYs back-reference.
+    #: round's relative REPLYs are restored against.
     base: object
     #: Normalized (restored, attestation-stripped) REPLY per replica name.
     votes: dict = field(default_factory=dict)
@@ -158,7 +158,7 @@ class QuorumCoordinator:
         ``binding`` is the operation's SUBMIT signature — the value
         counter attestations must be bound to; ``base`` is the client's
         committed :class:`~repro.ustor.messages.SignedVersion`, against
-        which the round's own-form REPLYs are restored — a straggler's
+        which the round's relative REPLYs are restored — a straggler's
         too, after the client has committed past it.
         """
         if self._open is not None:

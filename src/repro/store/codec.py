@@ -19,8 +19,9 @@ record can never half-build a state object.
 
 Each record has exactly one shape — no optional trailing elements, no
 padding for what an older build wrote: SUBMIT 5 elements, COMMIT 3,
-REPLY 6 (7 when it carries a counter attestation; its ``SVER[c]`` slot
-a signed version, or the population ``n`` in own form), ``ServerState`` 9.
+REPLY 6 (7 when it carries a counter attestation; each version slot a
+signed version, a relative one, or the population ``n`` in own form),
+``ServerState`` 9.
 What another build wrote is refused, not migrated.
 """
 
@@ -38,6 +39,7 @@ from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
     MemEntry,
+    RelativeVersion,
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
@@ -169,17 +171,53 @@ def submit_from_tuple(data: tuple) -> SubmitMessage:
 _SAME_AS_LAST = True
 
 
+def _slot_to_tuple(slot: SignedVersion | RelativeVersion) -> tuple | int:
+    """A version slot: ``(version, sig)`` in full, ``(same, changed, sig)``
+    relative, the population ``n`` in own form."""
+    if type(slot) is RelativeVersion:
+        if slot.is_own():
+            return slot.num_clients
+        return (slot.same, slot.changed, slot.commit_sig)
+    return signed_version_to_tuple(slot)
+
+
+def _slot_from_tuple(data: Any, n: int | None) -> tuple:
+    """The version slot ``data`` encodes and its population; a relative or
+    own-form slot must have population ``n`` when that is known."""
+    if type(data) is int:
+        count = data
+    elif isinstance(data, tuple) and len(data) == 3:
+        same, changed, sig = data
+        if type(same) is not int or same < 0 or not isinstance(changed, tuple):
+            raise EncodingError(f"malformed relative version: {data!r}")
+        if not changed and sig is None:
+            raise EncodingError("a relative version in own form, not as n")
+        count = same.bit_count() + len(changed) // 2
+        if len(changed) % 2 or same.bit_length() > count:
+            raise EncodingError(f"relative version names entries past its {count}")
+        if not all(isinstance(v, int) and v >= 0 for v in changed[::2]):
+            raise EncodingError(f"relative version carries a bad V entry: {data!r}")
+    else:
+        slot = signed_version_from_tuple(data)
+        return slot, len(slot.version.vector)
+    if not 1 <= count <= OWN_FORM_MAX_CLIENTS or (n is not None and count != n):
+        raise EncodingError(f"relative REPLY names a population of {count}, not {n}")
+    if type(data) is int:
+        return RelativeVersion.own(count), count
+    return RelativeVersion(same, changed, sig), count
+
+
 def reply_to_tuple(message: ReplyMessage) -> tuple:
     """The REPLY as it travels: ``P`` cut to the PROOF-signatures of ``L``'s
     distinct submitters (in ``L`` order), ``SVER[j]`` back-referenced
-    when it is ``SVER[c]``, the population ``n`` in the ``SVER[c]`` slot
-    of an own-form REPLY — see :class:`ReplyMessage` — and a counter
-    attestation, when there is one, as a seventh element.  A REPLY the form
-    cannot carry (``P`` not one slot per client, ``L`` naming a client
-    outside ``0..n-1``) is an :class:`EncodingError`."""
+    when it is ``SVER[c]``, each version slot in full, relative or own
+    form — see :class:`ReplyMessage` — and a counter attestation, when
+    there is one, as a seventh element.  A REPLY the form cannot carry
+    (``P`` not one slot per client, ``L`` naming a client outside
+    ``0..n-1``) is an :class:`EncodingError`."""
     last = message.last_version
     proofs = message.proofs
-    n = len(proofs) if last is None else len(last.version.vector)
+    n = last.num_clients if type(last) is RelativeVersion else len(last.version.vector)
     if len(proofs) != n:
         raise EncodingError(f"REPLY has {len(proofs)} PROOF slots for {n} clients")
     sent = []
@@ -193,11 +231,11 @@ def reply_to_tuple(message: ReplyMessage) -> tuple:
     elif message.reader_version is None:
         reader_version = None
     else:
-        reader_version = signed_version_to_tuple(message.reader_version)
+        reader_version = _slot_to_tuple(message.reader_version)
     mem = None if message.mem is None else mem_entry_to_tuple(message.mem)
     base = (
         message.commit_index,
-        n if last is None else signed_version_to_tuple(last),
+        _slot_to_tuple(last),
         tuple(invocation_to_tuple(inv) for inv in message.pending),
         tuple(sent),
         reader_version,
@@ -217,14 +255,7 @@ def reply_from_tuple(data: tuple) -> ReplyMessage:
     commit_index, last_version, pending, proofs, reader_version, mem = _shape(
         data, 6, "ReplyMessage"
     )
-    if type(last_version) is int:
-        # Own form: SVER[c] is the receiving client's committed version.
-        n, last = last_version, None
-        if not 1 <= n <= OWN_FORM_MAX_CLIENTS:
-            raise EncodingError(f"own-form REPLY names a population of {n}")
-    else:
-        last = signed_version_from_tuple(last_version)
-        n = len(last.version.vector)
+    last, n = _slot_from_tuple(last_version, None)
     if not isinstance(pending, tuple) or not isinstance(proofs, tuple):
         raise EncodingError(f"malformed REPLY L/P encoding: {pending!r}, {proofs!r}")
     # One pass over L: decode each entry and, at a submitter's first
@@ -255,7 +286,7 @@ def reply_from_tuple(data: tuple) -> ReplyMessage:
     elif reader_version is None:
         reader = None
     else:
-        reader = signed_version_from_tuple(reader_version)
+        reader, _ = _slot_from_tuple(reader_version, n)
     return ReplyMessage(
         commit_index=commit_index,
         last_version=last,

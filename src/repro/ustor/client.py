@@ -23,8 +23,9 @@ Four liberties are taken, all documented in DESIGN.md:
   the server folds the version from the REPLY it sent
   (:func:`~repro.ustor.version.fold_version`, the one implementation of
   lines 37-47); a replica group still receives the version.
-* A REPLY whose ``SVER[c]`` is this client's own committed version
-  travels as a back-reference; the client restores it
+* A REPLY's versions travel as their differences from this client's
+  own committed version (a back-reference when they are that version);
+  the client restores the full REPLY
   (:meth:`~repro.ustor.messages.ReplyMessage.restored`) before any check
   reads it.
 """
@@ -165,8 +166,8 @@ class UstorClient(Node):
         self._last_write_hash = hash_register_value(BOTTOM)  # x_bar_i
         self._version = Version.zero(num_clients)  # (V_i, M_i)
         self._zero = self._version  # immutable, reused by every check below
-        #: ``(V_i, M_i, phi)`` as last committed: what an own-form REPLY
-        #: back-references (:meth:`ReplyMessage.restored`).
+        #: ``(V_i, M_i, phi)`` as last committed: the base a relative
+        #: REPLY is restored against (:meth:`ReplyMessage.restored`).
         self._committed = SignedVersion(self._version, None)
 
         # -- bookkeeping ---------------------------------------------------

@@ -23,9 +23,10 @@ from repro.ustor.version import Version
 
 INT_BYTES = 8
 MARKER_BYTES = 1
-#: The largest population an own-form REPLY (``last_version=None``) is
-#: sent to: its decoder rebuilds ``n`` PROOF slots from one integer, so
-#: ``n`` is bounded where a full ``SVER[c]`` is bounded by its own bytes.
+#: The largest population a REPLY with a :class:`RelativeVersion` is
+#: sent to: its decoder rebuilds ``n`` PROOF slots from one integer or a
+#: mask, so ``n`` is bounded where a full ``SVER[c]`` is bounded by its
+#: own bytes.
 OWN_FORM_MAX_CLIENTS = 1 << 16
 
 
@@ -83,6 +84,106 @@ class SignedVersion:
 
     def wire_size(self) -> int:
         return version_wire_size(self.version) + _sig_size(self.commit_sig)
+
+
+def _same(x, y) -> bool:
+    """Equal and of one type: ``True == 1``, but they sign differently."""
+    return x == y and type(x) is type(y)
+
+
+@dataclass(frozen=True, slots=True)
+class RelativeVersion:
+    """A :class:`SignedVersion` as its differences from a *base* — the
+    version the receiving client committed one operation earlier.
+
+    Bit ``k`` of ``same`` is set where ``(V[k], M[k])`` is the base's;
+    ``changed`` holds ``V[k], M[k]`` for every other ``k``, in order, one
+    flat tuple; ``commit_sig`` is ``None`` when it is the base's.  The
+    population is ``popcount(same)`` plus the changed entries.  Every entry
+    the base's and its signature too — the *own form* — is the base
+    itself, and travels as the population alone.
+    """
+
+    same: int
+    changed: tuple
+    commit_sig: bytes | None
+
+    @classmethod
+    def own(cls, num_clients: int) -> "RelativeVersion":
+        """The base itself."""
+        return cls((1 << num_clients) - 1, (), None)
+
+    @classmethod
+    def of(
+        cls, signed: SignedVersion, base: SignedVersion
+    ) -> "RelativeVersion | SignedVersion":
+        """``signed`` as it travels against ``base``: relative, or in full
+        when no entry is the base's (the mask would only cost), when the
+        populations differ, or when ``signed`` has no signature where the
+        base has one (``None`` already means the base's)."""
+        if signed is base:
+            return cls.own(len(base.version.vector))
+        vector, digests = signed.version.vector, signed.version.digests
+        base_vector, base_digests = base.version.vector, base.version.digests
+        if len(vector) != len(base_vector):
+            return signed
+        same, changed, bit = 0, [], 1
+        for v, d, b, e in zip(vector, digests, base_vector, base_digests):
+            if _same(v, b) and _same(d, e):
+                same |= bit
+            else:
+                changed += (v, d)
+            bit <<= 1
+        sig = signed.commit_sig
+        if _same(sig, base.commit_sig):
+            sig = None
+        elif sig is None:
+            return signed
+        return cls(same, tuple(changed), sig) if same else signed
+
+    @property
+    def num_clients(self) -> int:
+        return self.same.bit_count() + len(self.changed) // 2
+
+    def is_own(self) -> bool:
+        return not self.changed and self.commit_sig is None
+
+    def restored(self, base: SignedVersion) -> SignedVersion:
+        """The full version, ``base``'s entries where ``same`` says so.
+
+        Against a base of another population the entries it lacks read
+        as zero: the version keeps this one's population, which the
+        client refuses as it refuses a full version of that size."""
+        n = self.num_clients
+        version = base.version
+        if self.is_own() and len(version.vector) == n:
+            # A copy: two slots that each restore to the base are two
+            # versions, as the server built them (:meth:`reader_is_last`).
+            return SignedVersion(version, base.commit_sig)
+        vector, digests = list(version.vector), list(version.digests)
+        if len(vector) != n:
+            vector, digests = (vector + [0] * n)[:n], (digests + [None] * n)[:n]
+        same, changed = self.same, iter(self.changed)
+        for k in range(n):
+            if not same >> k & 1:
+                vector[k] = next(changed)
+                digests[k] = next(changed)
+        sig = base.commit_sig if self.commit_sig is None else self.commit_sig
+        return SignedVersion(Version(tuple(vector), tuple(digests)), sig)
+
+    def wire_size(self) -> int:
+        """One marker in own form; else an ``n``-bit mask, the changed
+        entries and the signature (a marker when it is the base's)."""
+        if self.is_own():
+            return MARKER_BYTES
+        changed = self.changed
+        digests = changed[1::2]
+        return (
+            (self.num_clients + 7) // 8
+            + INT_BYTES * len(digests)
+            + _slots_size(digests, HASH_BYTES)
+            + _sig_size(self.commit_sig)
+        )
 
 
 @dataclass(frozen=True)
@@ -205,21 +306,20 @@ class ReplyMessage:
     (:mod:`repro.store.codec`) and :meth:`wire_size` apply the same two
     rules.
 
-    A REPLY in *own form* has ``last_version=None``: its ``SVER[c]`` is
-    the version the receiving client committed and signed one operation
-    earlier, so it travels as one more back-reference, and so does a
-    ``SVER[j]`` with ``j = c`` (``reader_version=None`` beside ``mem``).
-    The server sends it only when ``c = i`` and ``SVER[i]`` counts
-    ``t - 1`` operations of ``i`` (:func:`~repro.ustor.server.own_form`);
-    the client rebuilds the full REPLY with :meth:`restored` before
-    anything reads it.
+    A REPLY that answers client ``i``'s ``SUBMIT(t)`` while the server's
+    ``SVER[i]`` counts ``t - 1`` operations of ``i`` carries its versions
+    *relative* to that ``SVER[i]`` — the version ``i`` committed and signed
+    one operation earlier: ``SVER[c]``, and ``SVER[j]`` unless it is
+    back-referenced, as :class:`RelativeVersion` (the server's
+    :func:`~repro.ustor.server.relative_form`).  The client rebuilds the
+    full REPLY with :meth:`restored` before anything reads it.
     """
 
     commit_index: ClientId  # c — who committed the last scheduled operation
-    last_version: SignedVersion | None  # SVER[c]; None: the client's own
+    last_version: SignedVersion | RelativeVersion  # SVER[c]
     pending: tuple[InvocationTuple, ...]  # L — submitted, not yet committed
     proofs: tuple[bytes | None, ...]  # P — PROOF-signatures
-    reader_version: SignedVersion | None = None  # SVER[j]
+    reader_version: SignedVersion | RelativeVersion | None = None  # SVER[j]
     mem: MemEntry | None = None  # MEM[j]
     #: Trusted monotonic-counter attestation
     #: (:class:`repro.replica.counter.CounterAttestation`), present only
@@ -243,18 +343,25 @@ class ReplyMessage:
         """
         return self.reader_version is self.last_version and self.mem is not None
 
-    def restored(self, own: SignedVersion, *, attested: bool = True) -> "ReplyMessage":
-        """The full REPLY: ``own`` — the receiving client's committed
-        ``(V_i, M_i, phi)`` — in each back-referenced slot of an own-form
-        REPLY (any other REPLY keeps its versions), without its counter
-        attestation unless ``attested`` — a replica group votes on the
-        REPLY without it, since each replica's legitimately differs."""
-        last = self.last_version
-        if last is not None and (attested or self.attestation is None):
+    def restored(self, base: SignedVersion, *, attested: bool = True) -> "ReplyMessage":
+        """The full REPLY: each :class:`RelativeVersion` rebuilt against
+        ``base`` — the receiving client's committed ``(V_i, M_i, phi)`` —
+        and without its counter attestation unless ``attested`` — a
+        replica group votes on the REPLY without it, since each replica's
+        legitimately differs."""
+        last, reader = self.last_version, self.reader_version
+        if type(last) is RelativeVersion:
+            last = last.restored(base)
+        if self.reader_is_last():
+            reader = last
+        elif type(reader) is RelativeVersion:
+            reader = reader.restored(base)
+        if (
+            last is self.last_version
+            and reader is self.reader_version
+            and (attested or self.attestation is None)
+        ):
             return self
-        reader = self.reader_version
-        if last is None:
-            last, reader = own, own if self.reader_is_last() else reader
         return ReplyMessage(
             commit_index=self.commit_index,
             last_version=last,
@@ -266,9 +373,7 @@ class ReplyMessage:
         )
 
     def wire_size(self) -> int:
-        last = self.last_version
-        size = MARKER_BYTES + INT_BYTES
-        size += MARKER_BYTES if last is None else last.wire_size()
+        size = MARKER_BYTES + INT_BYTES + self.last_version.wire_size()
         if self.pending:
             size += sum(t.wire_size() for t in self.pending)
             proofs = self.proofs

@@ -38,6 +38,7 @@ from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
     MemEntry,
+    RelativeVersion,
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
@@ -198,36 +199,39 @@ def expect_commit(
     )
 
 
-def own_form(
+def relative_form(
     state: ServerState,
     message: SubmitMessage,
     reply: ReplyMessage,
     attestation: object | None,
 ) -> ReplyMessage:
     """``reply`` as it leaves, answering ``message`` from client ``i``
-    and carrying ``attestation``: in own form
-    (:meth:`ReplyMessage.restored`) when its ``SVER[c]`` is ``state``'s
-    ``SVER[i]`` object (``c = i``) and that version counts ``t - 1``
-    operations of ``i`` — the version ``i`` committed and signed one
-    operation earlier.
+    and carrying ``attestation``: its versions relative to ``state``'s
+    ``SVER[i]`` (:class:`~repro.ustor.messages.RelativeVersion`) when that
+    version counts ``t - 1`` operations of ``i`` — the version ``i``
+    committed and signed one operation earlier, so the one the client
+    restores against (:meth:`ReplyMessage.restored`).
 
-    A REPLY the own form cannot carry travels in full: a ``SVER[c]``
-    that is not that object (a stale or forged one), a read REPLY
-    without ``SVER[j]``, a population over
-    :data:`~repro.ustor.messages.OWN_FORM_MAX_CLIENTS`.
+    Otherwise — a stale or forged ``SVER[i]``, a population over
+    :data:`~repro.ustor.messages.OWN_FORM_MAX_CLIENTS` — it travels in full.
     """
     i = message.invocation.client
-    own = state.sver[i]
+    base = state.sver[i]
     last, reader = reply.last_version, reply.reader_version
     if (
-        reply.commit_index == i
-        and last is own
-        and own.version.vector[i] == message.timestamp - 1
-        and (reader is not None or reply.mem is None)
+        base.version.vector[i] == message.timestamp - 1
         and state.num_clients <= OWN_FORM_MAX_CLIENTS
     ):
-        last, reader = None, None if reader is own else reader
-    elif attestation is reply.attestation:
+        last = RelativeVersion.of(last, base)
+        if reply.reader_is_last():
+            reader = last
+        elif reader is not None:
+            reader = RelativeVersion.of(reader, base)
+    if (
+        last is reply.last_version
+        and reader is reply.reader_version
+        and attestation is reply.attestation
+    ):
         return reply
     # Field by field: ``dataclasses.replace`` costs more than the rest of
     # handle_submit, once per SUBMIT.
@@ -585,7 +589,7 @@ class UstorServer(Node):
             )
         self.submits_handled += 1
         self.max_pending_len = max(self.max_pending_len, len(state.pending))
-        self.send(src, own_form(state, message, reply, attestation))
+        self.send(src, relative_form(state, message, reply, attestation))
 
     def handle_commit(self, src: str, message: CommitMessage) -> None:
         client = parse_client_name(src)

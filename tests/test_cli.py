@@ -139,7 +139,7 @@ class TestReplayCommand:
     def test_corrupt_trace_is_one_line_and_exit_1(self, tmp_path, capsys):
         path = tmp_path / "corrupt.jsonl"
         path.write_text(
-            '{"t":"header","v":7,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"header","v":8,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
             "[1, 2]\n"
         )
         assert main(["replay", "--trace", str(path)]) == 1

@@ -92,12 +92,13 @@ def without_sizes(fingerprint):
 
 #: SHA-256 of ``repr(trace_fingerprint(...))`` for seed 7; a fresh
 #: interpreter must reproduce them.  A change to the wire-size model (a
-#: COMMIT that carries ``t`` in place of its version, a REPLY that
-#: back-references its client's own committed version) re-pins these ...
+#: COMMIT that carries ``t`` in place of its version, a REPLY whose
+#: versions travel relative to its client's committed version) re-pins
+#: these ...
 PINNED = {
-    "run_ustor": "da938694623c8fc6b32727787fbd50a5aad1b3e8722705f7dfc0563a04bb8405",
-    "run_faust": "242f516f42b4807175a7dc641df34f6c7797461f433424ad7ee6a78b7ce879e4",
-    "run_attack": "f894dcb6c02bf146d415d8ebafaebd1e7ef0dfbbcb08e67e054bde1edf7f3c22",
+    "run_ustor": "b52b133361d00a065b3e3bcce078db8c017e0af9b88ee990bcf02027d9bf76d3",
+    "run_faust": "403f1995ea70e49c346857b19fff9cd03d414bc1dce7091747b0f153f33beab2",
+    "run_attack": "5c24eb69002b755b8e8116a596bc833e84388ff4c9cd19a1c9cab3d59a44a66c",
 }
 
 #: ... and must leave these alone: SHA-256 of ``repr(without_sizes(...))``

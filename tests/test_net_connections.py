@@ -41,6 +41,7 @@ from repro.net.framing import MAX_FRAME_BYTES, encode_frame
 from repro.net.server import NetServerHost, serve_forever
 from repro.net.trace import load_trace
 from repro.net.wire import hello_payload, message_to_payload, welcome_payload
+from repro.ustor.messages import OWN_FORM_MAX_CLIENTS
 from repro.ustor.server import UstorServer
 
 pytestmark = pytest.mark.net
@@ -268,6 +269,8 @@ DEEP_PAYLOAD = b"\x05\x01" * 1000 + b"\x00"
 
 _ZERO = (((0, 0), (None, None)), None)  # SVER[c] of two clients, zero
 _SIG = b"\x01" * 64
+_DIGEST = b"\x02" * 32
+_MEM = (1, b"v", _SIG)
 #: REPLYs of the right shape whose proof list or back-reference the
 #: decoder refuses (``tests/test_reply_wire_form.py`` has the full set).
 MALFORMED_REPLIES = {
@@ -289,10 +292,24 @@ MALFORMED_REPLIES = {
     "back-reference-own-reader-without-mem": encode(
         ("REPLY", (0, 2, (), (), True, None))
     ),
+    # Relative form: (mask of the entries equal to the client's committed
+    # version, the other (V[k], M[k]) pairs, the COMMIT-signature).
+    "relative-mask-bit-past-n": encode(
+        ("REPLY", (0, (0b1001, (1, _DIGEST), _SIG), (), (), None, None))
+    ),
+    "relative-changed-count-not-n-minus-popcount": encode(
+        ("REPLY", (0, _ZERO, (), (), (0b1, (1, _DIGEST, 2, _DIGEST), _SIG), _MEM))
+    ),
+    "relative-population-past-the-bound": encode(
+        ("REPLY", (0, ((1 << (OWN_FORM_MAX_CLIENTS + 1)) - 1, (), _SIG),
+                   (), (), None, None))
+    ),
 }
 #: A client sending a server any of these pays with its connection too.
 BAD_STREAMS += [
-    f"reply-{case}" for case in MALFORMED_REPLIES if case.startswith("back-reference")
+    f"reply-{case}"
+    for case in MALFORMED_REPLIES
+    if case.startswith(("back-reference", "relative"))
 ]
 
 
@@ -527,8 +544,9 @@ class TestClientReadPath:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
     def test_malformed_reply_is_noted_then_reconnected(self, runtime, case):
-        # A REPLY whose proofs do not match L, or that back-references
-        # SVER[c] without MEM[j], is a malformed frame like any other:
+        # A REPLY whose proofs do not match L, that back-references
+        # SVER[c] without MEM[j], or whose relative version's mask does
+        # not fit its population, is a malformed frame like any other:
         # one note, one reconnect, and the next operation is served.
         system, host = _open_deployment(runtime)
         with system:

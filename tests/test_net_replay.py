@@ -216,7 +216,7 @@ class TestReplayEquivalence:
     def test_undecodable_client_frame_is_a_divergence(self, tmp_path):
         path = tmp_path / "bad-c2s.jsonl"
         path.write_text(
-            '{"t":"header","v":7,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"header","v":8,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             '"payload":"ff00","at":0.0}\n'
         )
@@ -233,7 +233,7 @@ class TestTraceFormat:
         lines = trace_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["t"] == "header"
-        assert records[0]["v"] == 7
+        assert records[0]["v"] == 8
         assert records[0]["n"] == 3
         # Frames only: every invocation is its SUBMIT frame.
         assert {r["t"] for r in records} == {"header", "frame"}
@@ -268,10 +268,10 @@ class TestTraceFormat:
         # Each of these used to end the replay in a Python traceback.
         path = tmp_path / "corrupt.jsonl"
         if line is None:
-            path.write_text('{"t":"header","v":7,"n":1,"scheme":"hmac","seq":0}\n')
+            path.write_text('{"t":"header","v":8,"n":1,"scheme":"hmac","seq":0}\n')
         else:
             path.write_text(
-                '{"t":"header","v":7,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
+                '{"t":"header","v":8,"n":1,"scheme":"hmac","server":"S","seq":0}\n'
                 + line + "\n"
             )
         with pytest.raises(ConfigurationError, match=f"line {where}: .*{what}"):
@@ -297,10 +297,10 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"c2s","c":0,"retx":false,'
             f'"payload":"{old_frame}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v7"):
+        with pytest.raises(ConfigurationError, match=r"version 1 .*reads v8"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
-        assert "this build reads v7" in capsys.readouterr().out
+        assert "this build reads v8" in capsys.readouterr().out
 
     def test_trace_of_the_all_proofs_reply_form_refused(self, tmp_path, capsys):
         # v2 REPLYs carry all n PROOF-signatures: ("REPLY", (c, SVER[c], L,
@@ -321,7 +321,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v2_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v7"):
+        with pytest.raises(ConfigurationError, match=r"version 2 .*reads v8"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         assert "trace version 2 unsupported" in capsys.readouterr().out
@@ -347,7 +347,7 @@ class TestTraceFormat:
             '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
             f'"payload":"{v3_reply.hex()}","at":0.0}}\n'
         )
-        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v7"):
+        with pytest.raises(ConfigurationError, match=r"version 3 .*reads v8"):
             load_trace(str(path))
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
@@ -401,6 +401,30 @@ class TestTraceFormat:
         assert main(["replay", "--trace", str(path)]) == 1
         out = capsys.readouterr().out
         assert "trace version 6 unsupported" in out and out.count("\n") == 1
+
+    def test_trace_of_the_full_other_version_reply_refused(self, tmp_path, capsys):
+        # v7 servers sent every SVER[c] but the client's own committed
+        # version in full; this build's send it relative to that version,
+        # so a v7 trace's inbound frames are not what this build's clients
+        # received — one line, exit 1.
+        from repro.cli import main
+        from repro.common.encoding import encode
+
+        full_reply = encode(
+            ("REPLY", (1, (((0, 1), (None, b"\x02" * 32)), b"\x03" * 64),
+                       (), (), None, None))
+        )
+        path = tmp_path / "v7.jsonl"
+        path.write_text(
+            '{"t":"header","v":7,"n":2,"scheme":"hmac","server":"S","seq":0}\n'
+            '{"t":"frame","seq":1,"dir":"s2c","c":0,"retx":false,'
+            f'"payload":"{full_reply.hex()}","at":0.0}}\n'
+        )
+        with pytest.raises(ConfigurationError, match=r"version 7 .*reads v8"):
+            load_trace(str(path))
+        assert main(["replay", "--trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "trace version 7 unsupported" in out and out.count("\n") == 1
 
     def test_history_signature_strips_only_the_clock(self):
         from repro.history.events import Operation

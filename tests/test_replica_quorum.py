@@ -130,12 +130,13 @@ class TestResolution:
         assert group.masked_deviations == 1
 
     def test_own_form_straggler_is_restored_against_its_round(self):
-        # A replica's own-form REPLY back-references the version the
-        # client had committed when it *submitted*.  An honest straggler
-        # arriving after the client committed past it is restored against
-        # its own round's base, so it counts no masked deviation; a
-        # genuinely deviant straggler still counts.
-        from repro.ustor.messages import ReplyMessage, SignedVersion
+        # A replica's REPLY carries its versions relative to the version
+        # the client had committed when it *submitted* (own form: that
+        # version itself).  An honest straggler arriving after the client
+        # committed past it is restored against its own round's base, so
+        # it counts no masked deviation; a genuinely deviant straggler
+        # still counts.
+        from repro.ustor.messages import RelativeVersion, ReplyMessage, SignedVersion
         from repro.ustor.version import Version
 
         sig = b"\x01" * 64
@@ -145,7 +146,7 @@ class TestResolution:
         def full(base):
             return ReplyMessage(0, base, (), (sig, None))
 
-        own = ReplyMessage(0, None, (), (sig, None))
+        own = ReplyMessage(0, RelativeVersion.own(2), (), (sig, None))
         group = make_group()
         group.begin_round(False, b"op-1", first)
         group.absorb("S/r0", own)
@@ -157,6 +158,15 @@ class TestResolution:
         assert group.absorb("S/r1", own) == full(second)
         assert group.absorb("S/r2", full(first)) is None  # stale: deviant
         assert group.late_replies == 2 and group.masked_deviations == 1
+        # Against round 2's base, round 3's (2, 1) differs in entry 1 only.
+        third = SignedVersion(Version((2, 1), (b"b" * 32, b"c" * 32)), sig)
+        relative = ReplyMessage(
+            0, RelativeVersion(0b01, (1, b"c" * 32), sig), (), (sig, None)
+        )
+        group.begin_round(False, b"op-3", second)
+        group.absorb("S/r0", relative)
+        assert group.absorb("S/r1", full(third)) == full(third)
+        assert group.masked_deviations == 1
 
     def test_read_repair_elects_highest_timestamp(self):
         # All live replicas answered a *read* without agreement: the

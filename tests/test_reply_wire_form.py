@@ -14,17 +14,23 @@ distinct submitters and with ``SVER[j]`` back-referenced when it *is*
   objects over — same histories, versions and failing lines;
 * **malformed REPLYs refused** — a proof list that does not match ``L``,
   a submitter outside ``0..n-1``, a back-reference without ``MEM[j]``,
-  an own-form population that is not one the proofs can fill;
+  an own-form population that is not one the proofs can fill, a relative
+  version whose mask names an entry past ``n``, whose changed entries do
+  not fill the clear bits, or whose population is over the bound;
 * **the size model tracks the codec** — real bytes over ``wire_size()``
-  stay in one pinned band for SUBMIT, every REPLY shape and both COMMIT
-  forms (``t`` to a lone server, the version to a replica group);
-* **the own form** — a REPLY whose ``SVER[c]`` is the version its client
-  committed one operation earlier travels with ``n`` in that slot
-  (:func:`repro.ustor.server.own_form`); the client's ``restored`` REPLY
-  is the full one field for field, and a server that back-references
-  where the rule does not allow it (``c != i``, or a ``SVER[i]`` that is
-  not the version ``i`` committed at ``t - 1``) is judged on the full
-  REPLY the back-reference stands for.
+  stay in one pinned band for SUBMIT, every REPLY shape (full, own form,
+  relative) and both COMMIT forms (``t`` to a lone server, the version to
+  a replica group);
+* **the relative form** — a REPLY to client ``i`` whose server's
+  ``SVER[i]`` counts ``t - 1`` operations of ``i`` carries its versions
+  relative to it (:func:`repro.ustor.server.relative_form`): a mask of
+  the equal entries, the others and the signature, or ``n`` alone (own
+  form) when the slot is that version.  Relativised, encoded, decoded and
+  restored, a REPLY is the built one field for field at ``n`` in
+  {1, 2, 8, 64}; a server that back-references where the rule does not
+  allow it (``c != i``, or a ``SVER[i]`` that is not the version ``i``
+  committed at ``t - 1``), or lies in the mask, is judged on the full
+  REPLY the relative one restores to.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
     MemEntry,
+    RelativeVersion,
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
@@ -57,7 +64,7 @@ from repro.ustor.server import (
     UstorServer,
     apply_commit,
     apply_submit,
-    own_form,
+    relative_form,
 )
 from repro.ustor.version import Version
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -221,6 +228,7 @@ class TestSameVerdicts:
 _ZERO2 = (((0, 0), (None, None)), None)
 _INV = (1, OpKind.WRITE, 1, SIG)
 _MEM = (1, b"v", SIG)
+DIGEST = b"\x02" * 32
 
 MALFORMED = {
     "more-proofs-than-submitters": (0, _ZERO2, (), (SIG,), None, None),
@@ -248,6 +256,19 @@ MALFORMED = {
         0, OWN_FORM_MAX_CLIENTS + 1, (), (), None, None,
     ),
     "own-form-reader-back-reference-without-mem": (0, 2, (), (), True, None),
+    # Relative form: (mask of the equal entries, changed (V, M) pairs, sig).
+    "relative-mask-bit-past-n": (0, (0b1001, (1, DIGEST), SIG), (), (), None, None),
+    "relative-reader-changed-count-not-n-minus-popcount": (
+        0, _ZERO2, (), (), (0b1, (1, DIGEST, 2, DIGEST), SIG), _MEM,
+    ),
+    "relative-reader-own-form-of-another-population": (0, _ZERO2, (), (), 3, _MEM),
+    "relative-population-past-the-bound": (
+        0, ((1 << (OWN_FORM_MAX_CLIENTS + 1)) - 1, (), SIG), (), (), None, None,
+    ),
+    "relative-changed-not-in-pairs": (0, (0b1, (1,), SIG), (), (), None, None),
+    "relative-negative-count": (0, (0b1, (-1, DIGEST), SIG), (), (), None, None),
+    "relative-mask-negative": (0, (-1, (1, DIGEST), SIG), (), (), None, None),
+    "relative-own-form-not-as-n": (0, (0b11, (), None), (), (), None, None),
 }
 
 
@@ -267,6 +288,11 @@ class TestMalformedRefused:
         )
         assert twice.proofs == (None, SIG)
         assert twice.reader_version is twice.last_version
+        relative = payload_to_message(
+            encode(("REPLY", (0, (0b10, (1, DIGEST), SIG), (), (), 2, _MEM)))
+        )
+        assert relative.last_version == RelativeVersion(0b10, (1, DIGEST), SIG)
+        assert relative.reader_version == RelativeVersion.own(2)
 
     def test_encoder_refuses_what_the_form_cannot_carry(self):
         zero = SignedVersion.zero(2)
@@ -287,6 +313,8 @@ class TestMalformedRefused:
 #: REPLY that carried all n PROOF-signatures again reads above 2 at n = 8.
 MESSAGE_BAND = (0.75, 1.55)
 KIND_BAND = (1.0, 1.15)
+#: The model's bytes for ``<REPLY, c, n, L = (), P = ()>``.
+HEADER_ONLY_REPLY = 10
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +332,12 @@ def captured() -> dict[int, list]:
             def outgoing_reply(self, src, message, reply):
                 messages.append(reply)
                 return reply
+
+            def send(self, dst, message) -> None:
+                # The REPLY as it leaves, when that is not as it was built.
+                if message.kind == "REPLY" and message is not messages[-1]:
+                    messages.append(message)
+                super().send(dst, message)
 
         with _open(n, 3, Tap) as system:
             assert _drive(system, n, 3, ops=8, think=0.3).stats.all_done()
@@ -334,6 +368,14 @@ def group_commits() -> dict[int, list]:
     return runs
 
 
+def _is_own(slot) -> bool:
+    return type(slot) is RelativeVersion and slot.is_own()
+
+
+def _is_relative(slot) -> bool:
+    return type(slot) is RelativeVersion and not slot.is_own()
+
+
 class TestSizeModelTracksTheCodec:
     def test_every_shape_is_captured(self, captured):
         replies = [m for run in captured.values() for m in run if m.kind == "REPLY"]
@@ -348,6 +390,12 @@ class TestSizeModelTracksTheCodec:
                 f"|L| = {size}": any(len(r.pending) == size for r in replies)
                 for size in (0, 1, 2)
             },
+            "own form": any(_is_own(r.last_version) for r in replies),
+            "relative SVER[c]": any(_is_relative(r.last_version) for r in replies),
+            "relative SVER[j]": any(
+                _is_relative(r.reader_version) and not r.reader_is_last()
+                for r in replies
+            ),
         }
         assert all(shapes.values()), shapes
 
@@ -356,10 +404,14 @@ class TestSizeModelTracksTheCodec:
         totals: dict[str, list[int]] = {}
         for message in captured[n]:
             real, model = len(message_to_payload(message)), message.wire_size()
-            assert MESSAGE_BAND[0] <= real / model <= MESSAGE_BAND[1], (
-                message.kind,
-                real / model,
-            )
+            # An own-form write REPLY with an empty L is all header: ten
+            # bytes in the model, the codec's framing (27 bytes) in fact.
+            # Its bytes count in the kind's total below.
+            if model > HEADER_ONLY_REPLY:
+                assert MESSAGE_BAND[0] <= real / model <= MESSAGE_BAND[1], (
+                    message.kind,
+                    real / model,
+                )
             kind = totals.setdefault(message.kind, [0, 0])
             kind[0] += real
             kind[1] += model
@@ -393,7 +445,12 @@ class TestSizeModelTracksTheCodec:
     def test_a_back_reference_saves_what_the_model_says(self, captured):
         # The model and the codec agree on the saving to within the
         # framing of one signed version.
-        reply = next(r for r in captured[2] if r.kind == "REPLY" and r.reader_is_last())
+        reply = next(
+            r for r in captured[2]
+            if r.kind == "REPLY"
+            and r.reader_is_last()
+            and type(r.last_version) is SignedVersion
+        )
         last = reply.last_version
         full = ReplyMessage(
             reply.commit_index,
@@ -409,28 +466,52 @@ class TestSizeModelTracksTheCodec:
         assert 0.9 <= real_saving / model_saving <= 1.3
 
 
+
+
 # --------------------------------------------------------------------- #
-# The own form: SVER[c] = the receiving client's committed version
+# The relative form: versions against the client's committed version
 # --------------------------------------------------------------------- #
 
 
 def _own_form_of(reply: ReplyMessage) -> ReplyMessage:
     """``reply`` with ``SVER[c]`` (and a ``SVER[j]`` that is it) as
-    back-references, whatever the rule says."""
+    back-references to the client's committed version, whatever the rule
+    says."""
+    own = RelativeVersion.own(len(reply.proofs))
     return ReplyMessage(
         reply.commit_index,
-        None,
+        own,
         reply.pending,
         reply.proofs,
-        None if reply.reader_is_last() else reply.reader_version,
+        own if reply.reader_is_last() else reply.reader_version,
+        reply.mem,
+        reply.attestation,
+    )
+
+
+def _lying_in_the_mask(reply: ReplyMessage) -> ReplyMessage | None:
+    """``reply`` with the first changed entry of its relative ``SVER[c]``
+    claimed equal to the client's committed one, or ``None`` when its
+    ``SVER[c]`` is not relative."""
+    last = reply.last_version
+    if not _is_relative(last) or not last.changed:
+        return None
+    k = next(k for k in range(last.num_clients) if not last.same >> k & 1)
+    lie = RelativeVersion(last.same | 1 << k, last.changed[2:], last.commit_sig)
+    return ReplyMessage(
+        reply.commit_index,
+        lie,
+        reply.pending,
+        reply.proofs,
+        lie if reply.reader_is_last() else reply.reader_version,
         reply.mem,
         reply.attestation,
     )
 
 
 @pytest.fixture(scope="module")
-def own_form_runs() -> dict[int, list]:
-    """Per ``n``: ``(built, sent, own)`` for every REPLY of one concurrent
+def relative_runs() -> dict[int, list]:
+    """Per ``n``: ``(built, sent, base)`` for every REPLY of one concurrent
     run — the REPLY the server built, the one that left, and the
     receiving client's committed version when it arrived."""
     runs = {}
@@ -460,18 +541,16 @@ def own_form_runs() -> dict[int, list]:
             assert _drive(system, n, 3, ops=8, think=0.3).stats.all_done()
         by_client = {name: iter(built[name]) for name in built}
         for name in sent:  # every REPLY that left arrived, in order
-            assert [m for to, m, _own in triples if to == name] == sent[name]
-        runs[n] = [(next(by_client[name]), m, own) for name, m, own in triples]
+            assert [m for to, m, _base in triples if to == name] == sent[name]
+        runs[n] = [(next(by_client[name]), m, base) for name, m, base in triples]
     return runs
 
 
-def _forcing_own_form(
-    adversary: str, restore: bool, holder: list, own_client_only: bool = False
-):
-    """The ``adversary`` row, sending every full REPLY — or, with
-    ``own_client_only``, each one whose ``c`` is its client — in own form;
-    with ``restore``, the full REPLY that own form stands for at its
-    client instead.  ``holder[1]`` counts the REPLYs forced."""
+def _forcing(adversary: str, mutate, restore: bool, holder: list):
+    """The ``adversary`` row, sending each REPLY ``mutate`` changes (it
+    returns ``None`` for the rest) as changed; with ``restore``, the full
+    REPLY that stands for at its client instead.  ``holder[1]`` counts
+    the REPLYs changed."""
 
     def factory(num_clients: int, name: str) -> UstorServer:
         server = ADVERSARIES[adversary].factory(num_clients, name)
@@ -479,13 +558,10 @@ def _forcing_own_form(
 
         def forced(dst, message) -> None:
             i = parse_client_name(dst)
-            if (
-                message.kind == "REPLY"
-                and message.last_version is not None
-                and (message.commit_index == i or not own_client_only)
-            ):
+            changed = mutate(message, i) if message.kind == "REPLY" else None
+            if changed is not None:
                 holder[1] += 1
-                message = _own_form_of(message)
+                message = changed
                 if restore:
                     message = message.restored(holder[0][i]._committed)
             send(dst, message)
@@ -496,14 +572,14 @@ def _forcing_own_form(
     return factory
 
 
-def _verdicts_forced(adversary: str, seed: int, own_client_only: bool) -> list:
-    """The run's history and fail reasons with the misused back-reference
-    and with the full REPLY it stands for, and how many REPLYs each forced."""
+def _verdicts_forced(adversary: str, seed: int, mutate) -> list:
+    """The run's history and fail reasons with each REPLY ``mutate``
+    changes as changed and as the full REPLY it restores to, and how many
+    REPLYs each changed."""
     verdicts = []
     for restore in (False, True):
         holder: list = [None, 0]
-        factory = _forcing_own_form(adversary, restore, holder, own_client_only)
-        with _open(4, seed, factory) as system:
+        with _open(4, seed, _forcing(adversary, mutate, restore, holder)) as system:
             holder[0] = system.clients
             _drive(system, 4, seed, ops=4, think=0.5)
             verdicts.append(
@@ -516,40 +592,162 @@ def _verdicts_forced(adversary: str, seed: int, own_client_only: bool) -> list:
     return verdicts
 
 
-class TestOwnForm:
+def _own_form_everywhere(reply: ReplyMessage, i: int) -> ReplyMessage | None:
+    return None if _is_own(reply.last_version) else _own_form_of(reply)
+
+
+def _own_form_where_c_is_i(reply: ReplyMessage, i: int) -> ReplyMessage | None:
+    if _is_own(reply.last_version) or reply.commit_index != i:
+        return None
+    return _own_form_of(reply)
+
+
+#: A digest-vector entry: BOTTOM or 32 bytes.
+_DIGESTS = st.one_of(st.none(), st.binary(min_size=32, max_size=32))
+
+
+def _versions(n: int, base_vector, base_digests):
+    """A signed version against the base: each entry the base's or not."""
+    entry = st.tuples(st.integers(0, 7), _DIGESTS)
+    return st.builds(
+        lambda picks, sig: SignedVersion(
+            Version(
+                tuple(b if e is None else e[0] for e, b in zip(picks, base_vector)),
+                tuple(b if e is None else e[1] for e, b in zip(picks, base_digests)),
+            ),
+            sig,
+        ),
+        st.lists(st.one_of(st.none(), entry), min_size=n, max_size=n),
+        st.one_of(st.none(), st.just(SIG), st.binary(min_size=64, max_size=64)),
+    )
+
+
+@st.composite
+def _built_replies(draw):
+    """A server state whose ``SVER[i]`` counts ``t - 1`` operations of
+    ``i``, a SUBMIT from ``i`` at ``t`` and a REPLY to it: any ``c``, ``L``
+    and ``SVER[j]``, versions sharing some entries with ``SVER[i]``."""
+    n = draw(st.sampled_from((1, 2, 8, 64)))
+    i = draw(st.integers(0, n - 1))
+    vector = tuple(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+    digests = tuple(draw(st.lists(_DIGESTS, min_size=n, max_size=n)))
+    sig = draw(st.one_of(st.none(), st.just(SIG)))
+    base = SignedVersion(Version(vector, digests), sig)
+    state = ServerState.initial(n)
+    state.sver[i] = base
+    last = draw(st.one_of(st.just(base), _versions(n, vector, digests)))
+    read = draw(st.booleans())
+    reader = None
+    if read:
+        reader = draw(
+            st.one_of(st.just(last), st.just(base), _versions(n, vector, digests))
+        )
+    clients = st.integers(0, n - 1)
+    pending = tuple(
+        InvocationTuple(k, OpKind.WRITE, k, SIG)
+        for k in draw(st.lists(clients, max_size=3))
+    )
+    proofs = [None] * n
+    for entry in pending:
+        proofs[entry.client] = SIG
+    built = ReplyMessage(
+        draw(clients),
+        last,
+        pending,
+        tuple(proofs),
+        reader,
+        MemEntry(1, b"v", SIG) if read else None,
+    )
+    submit = SubmitMessage(
+        vector[i] + 1, InvocationTuple(i, OpKind.WRITE, i, SIG), b"w", SIG
+    )
+    return state, submit, built, base
+
+
+class TestRelativeForm:
     def test_round_trip(self):
-        own = SignedVersion(Version((1, 0), (b"\x02" * 32, None)), SIG)
+        base = SignedVersion(Version((1, 0), (b"\x02" * 32, None)), SIG)
         inv = InvocationTuple(1, OpKind.WRITE, 1, SIG)
         mem = MemEntry(1, b"v", SIG)
+        own = RelativeVersion.own(2)
+        relative = RelativeVersion(0b01, (1, b"\x03" * 32), b"\x04" * 64)
         for reply in (
-            ReplyMessage(0, None, (inv,), (None, SIG)),
-            ReplyMessage(0, None, (), (None, None), None, mem),
-            ReplyMessage(0, None, (inv,), (None, SIG), own, mem),
+            ReplyMessage(0, own, (inv,), (None, SIG)),
+            ReplyMessage(0, own, (), (None, None), own, mem),
+            ReplyMessage(0, own, (inv,), (None, SIG), base, mem),
+            ReplyMessage(0, own, (inv,), (None, SIG), relative, mem),
+            ReplyMessage(1, relative, (), (None, None), relative, mem),
+            ReplyMessage(1, relative, (), (None, None), own, mem),
         ):
             payload = message_to_payload(reply)
             decoded = _through_the_codec(reply)
-            assert decoded == reply and decoded.last_version is None
+            assert decoded == reply
             _kind, fields = decode_payload(payload)
-            assert fields[1] == 2  # n where SVER[c] went
-            assert message_to_payload(decoded.restored(own)) != payload
+            # n in own form; else (mask, changed, sig) where SVER[c] went.
+            sent = (relative.same, relative.changed, relative.commit_sig)
+            assert fields[1] == (2 if reply.last_version is own else sent)
+            assert message_to_payload(decoded.restored(base)) != payload
+        restored = relative.restored(base)
+        assert restored == SignedVersion(
+            Version((1, 1), (b"\x02" * 32, b"\x03" * 32)), b"\x04" * 64
+        )
+        assert RelativeVersion.of(restored, base) == relative
+        assert own.restored(base) == base and own.restored(base) is not base
 
-    @pytest.mark.parametrize("n", (2, 8))
-    def test_restored_is_the_built_reply_field_for_field(self, own_form_runs, n):
-        triples = own_form_runs[n]
-        own_form = [(b, s, o) for b, s, o in triples if s.last_version is None]
-        full = [(b, s, o) for b, s, o in triples if s.last_version is not None]
-        assert own_form and full
-        assert any(s.mem is None for _, s, _ in own_form)  # a write
-        assert any(s.mem is not None for _, s, _ in own_form)  # a read
-        for built, sent, own in triples:
-            restored = sent.restored(own)
+    def test_an_equal_entry_of_another_type_is_not_the_bases(self):
+        # ``True == 1``, but the COMMIT-signature covers the bool: an
+        # entry only equal to the base's travels as changed, so the
+        # client verifies the version the server built.
+        base = SignedVersion(Version((1, 0), (b"\x02" * 32, None)), SIG)
+        twin = SignedVersion(Version((True, 0), (b"\x02" * 32, None)), b"\x03" * 64)
+        relative = RelativeVersion.of(twin, base)
+        assert relative == RelativeVersion(0b10, (True, b"\x02" * 32), b"\x03" * 64)
+        assert relative.restored(base).version.vector[0] is True
+        decoded = _through_the_codec(ReplyMessage(0, relative, (), (None, None)))
+        assert decoded.restored(base).last_version.version.vector[0] is True
+
+    def test_a_relative_version_of_another_population_keeps_its_own(self):
+        # A server of three clients answering a client of two: the REPLY
+        # decodes, and restores to versions of three entries, which the
+        # client refuses as it refuses a full version of that size
+        # ("REPLY carries malformed vectors") — never an IndexError.
+        base = SignedVersion(Version((1, 0), (b"\x02" * 32, None)), SIG)
+        wider = RelativeVersion(0b101, (4, b"\x03" * 32), b"\x04" * 64)
+        assert wider.restored(base) == SignedVersion(
+            Version((1, 4, 0), (b"\x02" * 32, b"\x03" * 32, None)), b"\x04" * 64
+        )
+        assert RelativeVersion.own(3).restored(base).version.num_clients == 3
+        narrower = RelativeVersion(0b1, (), b"\x04" * 64)
+        assert narrower.restored(base).version == Version((1,), (b"\x02" * 32,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_built_replies())
+    def test_relativised_encoded_decoded_restored_is_the_built_reply(self, case):
+        state, submit, built, base = case
+        sent = relative_form(state, submit, built, None)
+        decoded = payload_to_message(message_to_payload(sent))
+        assert message_to_payload(decoded) == message_to_payload(sent)
+        for arrived in (sent, decoded):
+            restored = arrived.restored(base)
             assert restored == built
             assert _read_by_algorithm_1(restored) == _read_by_algorithm_1(built)
-            decoded = payload_to_message(message_to_payload(sent)).restored(own)
+            assert restored.reader_is_last() == built.reader_is_last()
+        assert sent.wire_size() <= built.wire_size()
+
+    @pytest.mark.parametrize("n", (2, 8))
+    def test_restored_is_the_built_reply_field_for_field(self, relative_runs, n):
+        triples = relative_runs[n]
+        assert any(_is_own(s.last_version) for _, s, _ in triples)
+        assert any(_is_relative(s.last_version) for _, s, _ in triples)
+        for built, sent, base in triples:
+            restored = sent.restored(base)
+            assert restored == built
+            assert _read_by_algorithm_1(restored) == _read_by_algorithm_1(built)
+            decoded = payload_to_message(message_to_payload(sent)).restored(base)
             assert _read_by_algorithm_1(decoded) == _read_by_algorithm_1(built)
             assert decoded.reader_is_last() == built.reader_is_last()
-        for built, _sent, own in own_form:
-            assert built.last_version == own
+            if _is_own(sent.last_version):
+                assert built.last_version == base
 
     def test_a_read_of_ones_own_register_back_references_both(self):
         # c = i = j: SVER[j] is SVER[c], and each travels as a marker.
@@ -559,9 +757,8 @@ class TestOwnForm:
         apply_commit(state, 0, CommitMessage(None, SIG, SIG, timestamp=1))
         read = SubmitMessage(2, InvocationTuple(0, OpKind.READ, 0, SIG), None, SIG)
         built = apply_submit(state, read)
-        sent = own_form(state, read, built, None)
-        assert sent.last_version is None and sent.reader_version is None
-        assert sent.reader_is_last()
+        sent = relative_form(state, read, built, None)
+        assert _is_own(sent.last_version) and sent.reader_is_last()
         assert sent.restored(state.sver[0]) == built
         decoded = _through_the_codec(sent).restored(state.sver[0])
         assert _read_by_algorithm_1(decoded) == _read_by_algorithm_1(built)
@@ -572,15 +769,19 @@ class TestOwnForm:
         )
 
     @pytest.mark.parametrize("n", (2, 8))
-    def test_own_form_saves_what_the_model_says(self, own_form_runs, n):
+    def test_the_relative_form_saves_what_the_model_says(self, relative_runs, n):
         # Per REPLY the model's 8-byte ints overstate a small version's
         # varints; summed over the run the two agree closely.
         real = model = 0
-        for built, sent, _own in own_form_runs[n]:
+        for built, sent, _base in relative_runs[n]:
             if sent is built:
                 continue
             saved = built.wire_size() - sent.wire_size()
-            assert saved == built.last_version.wire_size() - 1
+            slots = [(built.last_version, sent.last_version)]
+            if not built.reader_is_last() and built.reader_version is not None:
+                slots.append((built.reader_version, sent.reader_version))
+            assert saved == sum(b.wire_size() - s.wire_size() for b, s in slots)
+            assert saved > 0
             real += len(message_to_payload(built)) - len(message_to_payload(sent))
             model += saved
         assert 0.9 <= real / model <= 1.3, (real, model)
@@ -595,7 +796,7 @@ class TestOwnForm:
         # carries C_i's signature where C_c's must verify, and line 35
         # says so — the verdict the full REPLY the back-reference stands
         # for gets.
-        misused, full = _verdicts_forced(adversary, 5, own_client_only=False)
+        misused, full = _verdicts_forced(adversary, 5, _own_form_everywhere)
         assert misused == full
         assert any("(line 35)" in (reason or "") for reason in misused[1])
 
@@ -607,7 +808,19 @@ class TestOwnForm:
         # at t - 1 (frozen, rolled back or forged), so the rule sends it
         # in full; back-referenced anyway, the REPLY is judged as the
         # full one it stands for.
-        misused, full = _verdicts_forced(adversary, 6, own_client_only=True)
+        misused, full = _verdicts_forced(adversary, 6, _own_form_where_c_is_i)
         assert misused[2] >= 1, "the rule never sent a c = i REPLY in full"
         assert misused == full
         assert any(reason for reason in misused[1]), "nothing was caught"
+
+    @pytest.mark.parametrize("adversary", ["correct", "replay", "split-brain"])
+    def test_a_lie_in_the_mask_is_judged_as_the_full_reply(self, adversary):
+        # A changed entry claimed equal restores to the client's own
+        # entry, which C_c's COMMIT-signature does not cover: line 35
+        # says so, as it does for the full REPLY the lie restores to.
+        lied, full = _verdicts_forced(
+            adversary, 7, lambda reply, i: _lying_in_the_mask(reply)
+        )
+        assert lied[2] >= 1, "no REPLY carried a relative SVER[c]"
+        assert lied == full
+        assert any("(line 35)" in (reason or "") for reason in lied[1])

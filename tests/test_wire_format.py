@@ -5,12 +5,14 @@ The wire format *is* the WAL format *is* the signed payload
 (:mod:`repro.net.wire`), so one edit to :mod:`repro.common.encoding`
 moves every frame, every durable record and every signature at once.
 ``tests/data/wire_format.json`` holds the hex of one SUBMIT, COMMIT and
-REPLY frame payload (the REPLY as the server builds it, and one in own
-form as it leaves), one WAL ``S`` / ``C`` / ``B`` record and one
-snapshot from a fixed two-client run, and one CHECKPOINT frame payload
-from the same run on the ``faust`` backend (HMAC keys are derived from
-the client ids, so the signatures repeat): the next change to the
-canonical bytes is a visible diff of that file, not a silent one.
+REPLY frame payload (the REPLY as the server builds it, and as it
+leaves: one in own form, one read with a version slot that differs from
+its client's committed version in one entry), one WAL ``S`` / ``C`` /
+``B`` record and one snapshot from a fixed two-client run, and one
+CHECKPOINT frame payload from the same run on the ``faust`` backend
+(HMAC keys are derived from the client ids, so the signatures repeat):
+the next change to the canonical bytes is a visible diff of that file,
+not a silent one.
 
 Regenerate with ``PYTHONPATH=src python tests/test_wire_format.py`` only
 when the format is *meant* to change — and bump
@@ -41,6 +43,7 @@ from repro.store import (
     frame_record,
     iter_frames,
 )
+from repro.ustor.messages import RelativeVersion
 from repro.ustor.server import UstorServer
 
 CORPUS = Path(__file__).parent / "data" / "wire_format.json"
@@ -63,10 +66,19 @@ class _Tap(UstorServer):
         return reply
 
     def send(self, dst, message) -> None:
-        # The REPLY as it leaves handle_submit: in own form, when its
-        # SVER[c] is the version ``dst`` committed one operation earlier.
-        if message.kind == "REPLY" and message.last_version is None:
-            self.latest["own REPLY"] = (dst, message)
+        # The REPLY as it leaves handle_submit, relative to the version
+        # ``dst`` committed one operation earlier: in own form when
+        # SVER[c] is that version, and a read whose one version slot
+        # differs from it in one entry.
+        if message.kind == "REPLY":
+            slots = (message.last_version, message.reader_version)
+            if slots[0] == RelativeVersion.own(2):
+                self.latest["own REPLY"] = (dst, message)
+            if message.mem is not None and any(
+                type(slot) is RelativeVersion and len(slot.changed) == 2
+                for slot in slots
+            ):
+                self.latest["relative REPLY"] = (dst, message)
         super().send(dst, message)
 
 
@@ -92,8 +104,9 @@ def _run_scenario(backend: str, settle: float = 0.0, **config) -> _Tap:
 def capture() -> dict[str, str]:
     """Run the fixed scenario and return every pinned byte string as hex."""
     tap = _run_scenario("ustor")
-    (_, submit), (committer, commit), (_, reply), (_, own_reply) = (
-        tap.latest[kind] for kind in ("SUBMIT", "COMMIT", "REPLY", "own REPLY")
+    (_, submit), (committer, commit), (_, reply), (_, own), (_, relative) = (
+        tap.latest[kind]
+        for kind in ("SUBMIT", "COMMIT", "REPLY", "own REPLY", "relative REPLY")
     )
     client = int(committer[1:]) - 1
     engine = LogStructuredEngine(2, snapshot_interval=10**9)
@@ -112,7 +125,8 @@ def capture() -> dict[str, str]:
         "submit_payload": message_to_payload(submit),
         "commit_payload": message_to_payload(commit),
         "reply_payload": message_to_payload(reply),
-        "reply_own_payload": message_to_payload(own_reply),
+        "reply_own_payload": message_to_payload(own),
+        "reply_relative_payload": message_to_payload(relative),
         "wal_submit_record": wal[0],
         "wal_commit_record": wal[1],
         "wal_batch_record": wal[2],
@@ -135,6 +149,7 @@ class TestPinnedFormat:
             "commit_payload",
             "reply_payload",
             "reply_own_payload",
+            "reply_relative_payload",
             "wal_submit_record",
             "wal_commit_record",
             "wal_batch_record",
@@ -148,7 +163,9 @@ class TestPinnedFormat:
         assert captured[name] == corpus[name]
 
     def test_pinned_bytes_decode_to_what_was_encoded(self, captured):
-        for kind in ("checkpoint", "submit", "commit", "reply", "reply_own"):
+        for kind in (
+            "checkpoint", "submit", "commit", "reply", "reply_own", "reply_relative"
+        ):
             raw = bytes.fromhex(captured[f"{kind}_payload"])
             assert message_to_payload(payload_to_message(raw)) == raw
         state = bytes.fromhex(captured["server_state"])
