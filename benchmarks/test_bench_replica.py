@@ -94,5 +94,5 @@ def test_e18_replica_rollback_experiment():
     assert result.findings["an honest majority masks every deviant reply"]
     assert result.findings["a durable counter convicts the rolled-back replica"]
     assert result.findings["the counter catch is O(1) operations"]
-    assert result.findings["a volatile counter falsely accuses honest recovery"]
+    assert result.findings["a durable counter never accuses an honest recovery"]
     assert result.findings["wire traffic scales with the replica count"]

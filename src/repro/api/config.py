@@ -107,11 +107,11 @@ class SystemConfig:
     #: ``30.0`` wall-clock seconds on ``tcp``.
     default_timeout: float | None = None
     #: Server durability: ``"memory"`` (the paper's volatile server),
-    #: ``"log"`` (WAL + snapshots, crash-recoverable), a ready
-    #: :class:`~repro.store.engine.StorageEngine`, or a factory
-    #: ``f(num_clients) -> StorageEngine``.  Ignored when
-    #: ``server_factory`` is given (a custom server owns its durability).
-    storage: str | Callable = "memory"
+    #: ``"log"`` (WAL + snapshots, crash-recoverable) or ``"dir:PATH"``
+    #: (the log over real files in ``PATH``); each replica opens its own
+    #: engine.  Ignored when ``server_factory`` is given (a custom server
+    #: owns its durability).
+    storage: str = "memory"
     #: Scheduled server crash-recovery windows: ``down``
     #: :class:`~repro.sim.faults.Fault` records targeting ``(shard,
     #: replica)`` (``None`` in either place = every one; an unsharded
@@ -139,10 +139,9 @@ class SystemConfig:
     quorum: int | None = None
     #: Trusted monotonic counter per replica (``None`` = no trust
     #: anchor): ``"durable"`` survives server crashes (the hardware
-    #: model, catches rollbacks in O(1) operations), ``"volatile"``
-    #: resets with the process (demonstrates why durability is part of
-    #: the trust model).  Over tcp the flag only arms the client-side
-    #: verifier — the counter itself belongs to ``repro serve --counter``.
+    #: model, catches rollbacks in O(1) operations).  Over tcp the flag
+    #: only arms the client-side verifier — the counter itself belongs to
+    #: ``repro serve --counter``.
     counter: str | None = None
     #: Per-replica server overrides ``{replica: factory}`` — lets one
     #: replica run a Byzantine server while the rest stay honest.
@@ -158,9 +157,8 @@ class SystemConfig:
     #: the default policy) makes clients co-sign checkpoints over the
     #: all-clients stable cut, after which servers truncate the covered
     #: ``pending`` prefix and compact their WAL, clients prune view-history
-    #: records, and (with ``prune_history``) the recorder + incremental
-    #: checkers drop operations behind the cut.  Needs fail-aware clients
-    #: (``shard_protocol='faust'``).
+    #: records, and the recorder + incremental checkers drop operations
+    #: behind the cut.  Needs fail-aware clients (``shard_protocol='faust'``).
     checkpoint: "CheckpointPolicy | bool | None" = None
     #: Lease-based membership epochs: ``None`` (default) requires every
     #: client to co-sign every checkpoint forever; a
@@ -235,13 +233,6 @@ class SystemConfig:
                 )
         if self.replicas < 1:
             raise ConfigurationError("a shard needs at least one replica")
-        if self.replicas > 1 and not (
-            isinstance(self.storage, str) or callable(self.storage)
-        ):
-            raise ConfigurationError(
-                "a replica group needs one engine per replica: pass a "
-                "storage name or factory, not a ready engine instance"
-            )
         if self.quorum is not None:
             if self.replicas == 1:
                 raise ConfigurationError(
@@ -252,10 +243,9 @@ class SystemConfig:
                     f"quorum must be in [1, {self.replicas}], "
                     f"got {self.quorum!r}"
                 )
-        if self.counter not in (None, "volatile", "durable"):
+        if self.counter not in (None, "durable"):
             raise ConfigurationError(
-                f"counter must be None, 'volatile' or 'durable', "
-                f"got {self.counter!r}"
+                f"counter must be None or 'durable', got {self.counter!r}"
             )
         for replica in self.replica_server_factories:
             if not 0 <= replica < self.replicas:

@@ -793,11 +793,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     run.add_argument(
         "--counter",
-        choices=("volatile", "durable"),
+        choices=("durable",),
         default=None,
-        help="arm the monotonic-counter trust anchor: every REPLY carries "
-        "a counter attestation the clients verify (rollback caught in "
-        "O(1); over tcp this arms the client-side verifier only)",
+        help="arm the durable monotonic-counter trust anchor: every REPLY "
+        "carries a counter attestation the clients verify (rollback caught "
+        "in O(1); over tcp this arms the client-side verifier only)",
     )
     run.add_argument(
         "--server-replica",
@@ -932,10 +932,10 @@ def main(argv: list[str] | None = None) -> int:
         "the METRICS line announces it; scrape with 'repro stats')",
     )
     serve.add_argument(
-        "--counter", choices=("volatile", "durable"), default=None,
-        help="attach a monotonic counter: every REPLY carries an "
-        "attestation clients can verify; 'durable' with dir: storage "
-        "persists the value across restarts",
+        "--counter", choices=("durable",), default=None,
+        help="attach a durable monotonic counter: every REPLY carries an "
+        "attestation clients can verify; with dir: storage its value is "
+        "kept next to the WAL across restarts",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -976,8 +976,9 @@ def main(argv: list[str] | None = None) -> int:
         "connect with matching 'run --transport tcp --replicas')",
     )
     serve_cluster.add_argument(
-        "--counter", choices=("volatile", "durable"), default=None,
-        help="attach a monotonic counter to every server process",
+        "--counter", choices=("durable",), default=None,
+        help="attach a durable monotonic counter to every server process "
+        "(kept next to the WAL with dir: storage)",
     )
     serve_cluster.set_defaults(func=_cmd_serve_cluster)
 

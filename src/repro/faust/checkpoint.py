@@ -68,15 +68,14 @@ class CheckpointPolicy:
     """Knobs of the bounded-state extension (``SystemConfig(checkpoint=...)``).
 
     ``interval`` is the amount of *new stability* (sum over the stable
-    cut's entries) that triggers the next proposal; ``prune_history``
-    additionally compacts the shared history recorder and the incremental
-    checkers behind each installed checkpoint; ``keep_tail`` is how many
-    stable writes per register the compactor retains as context for
+    cut's entries) that triggers the next proposal; every installed
+    checkpoint also compacts the shared history recorder and the
+    incremental checkers behind it, and ``keep_tail`` is how many stable
+    writes per register the compactor retains as context for
     still-referencing reads.
     """
 
     interval: int = 32
-    prune_history: bool = True
     keep_tail: int = 4
 
     def __post_init__(self) -> None:

@@ -473,17 +473,13 @@ class FaustClient(UstorClient):
             trace.note(
                 self.now, self.name, "checkpoint", (checkpoint.seq, checkpoint.cut)
             )
-        manager = self.checkpoint_manager
-        if manager is not None and manager.policy.prune_history:
-            floor = checkpoint.cut[self._id]
-            stale = [
-                key for key in self.vh_records if key[1] <= floor
-            ]
-            for key in stale:
-                del self.vh_records[key]
-            keep = manager.policy.keep_tail
-            if len(self.stable_notifications) > keep:
-                del self.stable_notifications[:-keep]
+        floor = checkpoint.cut[self._id]
+        stale = [key for key in self.vh_records if key[1] <= floor]
+        for key in stale:
+            del self.vh_records[key]
+        keep = self.checkpoint_manager.policy.keep_tail
+        if len(self.stable_notifications) > keep:
+            del self.stable_notifications[:-keep]
         for listener in list(self._checkpoint_listeners):
             listener(checkpoint)
 

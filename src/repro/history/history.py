@@ -119,9 +119,6 @@ class History:
         """``sigma|C_i`` as an ordered list."""
         return list(self._by_client.get(client, ()))
 
-    def restrict_to_register(self, register: RegisterId) -> list[Operation]:
-        return [op for op in self._ops if op.register == register]
-
     def writes_to(self, register: RegisterId) -> list[Operation]:
         """All writes to a register in writer program order.
 

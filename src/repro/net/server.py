@@ -100,9 +100,9 @@ class NetServerHost:
     ) -> None:
         if num_clients < 1:
             raise ConfigurationError("need at least one client")
-        if counter not in (None, "volatile", "durable"):
+        if counter not in (None, "durable"):
             raise ConfigurationError(
-                f"counter= must be 'volatile' or 'durable', got {counter!r}"
+                f"counter= must be None or 'durable', got {counter!r}"
             )
         for what, number in (("port", port), ("metrics port", metrics_port)):
             if number is not None and not 0 <= number <= 65535:
@@ -118,15 +118,13 @@ class NetServerHost:
         self.trace = trace
         #: Monotonic-counter mode (:mod:`repro.replica`): attach a trust
         #: anchor to this host's server so every REPLY carries a counter
-        #: attestation.  ``"durable"`` with ``dir:`` storage persists the
-        #: counter value next to the WAL, so it survives a host restart
-        #: the way a real sealed counter would.
+        #: attestation.  With ``dir:`` storage the counter value is kept
+        #: next to the WAL, so it survives a host restart the way a real
+        #: sealed counter would.
         self._counter_mode = counter
         self._counter_state_path = (
             os.path.join(storage[len("dir:"):], "counter.state")
-            if counter == "durable"
-            and isinstance(storage, str)
-            and storage.startswith("dir:")
+            if counter is not None and storage.startswith("dir:")
             else None
         )
         self._storage = storage

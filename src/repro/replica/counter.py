@@ -44,13 +44,19 @@ undetected: each attestation is bound to the client's own SUBMIT
 signature, which the client compares against the operation it actually
 has in flight.
 
-Crash semantics are configurable (``durable=True`` keeps the value
-across server crashes, the hardware-monotonic model; ``durable=False``
-resets to zero, a volatile register).  The volatile flavour demonstrates
-the paper-adjacent pitfall: after an honest crash-recovery the *state*
-remembers its operations but the counter does not, so honest recovery
-becomes indistinguishable from misbehaviour — the trusted component must
-be at least as durable as the state it vouches for.
+The counter is durable: its value survives every crash of the server
+process around it (the hardware-monotonic model; ``state_path`` keeps it
+on disk for real server processes).  A trusted component must be at
+least as durable as the state it vouches for: one that forgot its value
+on restart would make an honest recovery indistinguishable from the
+attack.
+
+The server logs a SUBMIT before the counter persists its step, so a
+process killed between the two restarts with its state exactly one
+SUBMIT ahead of the counter file.  :meth:`MonotonicCounter.recover`
+closes that window when the server binds its counter at process start:
+it adopts that one step and nothing else.  A rollback leaves the state
+*behind* the counter, which no adoption touches, so it is still convicted.
 """
 
 from __future__ import annotations
@@ -136,36 +142,20 @@ def _mac(
 class MonotonicCounter:
     """The trusted component: an attested counter the server cannot rewind.
 
-    ``durable=True`` (the default) models a hardware-monotonic counter:
-    its value survives every crash of the server process around it.
-    ``durable=False`` models a volatile register that resets with the
-    process — useful to demonstrate *why* durability is part of the
-    trust model.  ``state_path`` optionally persists a durable counter's
-    value to disk so real (TCP) server processes keep it across process
-    restarts; volatile counters never touch the file.
+    Its value survives every crash of the server process around it.
+    ``state_path`` optionally persists the value to disk so real (TCP)
+    server processes keep it across process restarts.
     """
 
-    def __init__(
-        self,
-        counter_id: str,
-        durable: bool = True,
-        state_path: str | None = None,
-    ) -> None:
+    def __init__(self, counter_id: str, state_path: str | None = None) -> None:
         if not counter_id:
             raise ConfigurationError("a counter needs a non-empty id")
-        if state_path is not None and not durable:
-            raise ConfigurationError(
-                "state_path persists a durable counter; a volatile counter "
-                "forgets its value by definition"
-            )
         self.counter_id = counter_id
-        self.durable = durable
         self._key = derive_counter_key(counter_id)
         self._state_path = state_path
         self._value = 0
-        #: Attestations issued / resets suffered (volatile counters only).
+        #: Attestations issued.
         self.attestations = 0
-        self.resets = 0
         if state_path is not None and os.path.exists(state_path):
             self._value = self._load(state_path)
 
@@ -193,11 +183,20 @@ class MonotonicCounter:
             mac=_mac(self._key, self.counter_id, self._value, state_value, binding),
         )
 
-    def on_crash(self) -> None:
-        """The enclosing server crashed: volatile counters lose everything."""
-        if not self.durable:
-            self._value = 0
-            self.resets += 1
+    def recover(self, state_value: int) -> None:
+        """Adopt a recovered state exactly one SUBMIT ahead of the counter.
+
+        ``state_value`` is the position of the state the server recovered
+        at process start.  The server appends a SUBMIT to its log before
+        :meth:`attest` persists the step, so a kill between the two
+        leaves the state one ahead; that step is the only one adopted.
+        A state behind the counter (a rollback) or further ahead leaves
+        the counter as it is, for the verifier to judge.
+        """
+        if state_value == self._value + 1:
+            self._value = state_value
+            if self._state_path is not None:
+                self._persist()
 
     # -- persistence (real server processes) ---------------------------- #
 
@@ -275,8 +274,7 @@ class CounterVerifier:
             )
         # Counter and state each advance exactly once per applied SUBMIT;
         # a rollback rewinds the state's position but never the counter,
-        # so the first divergence convicts (or, for a volatile counter
-        # that forgot an honest server's history, falsely accuses).
+        # so the first divergence convicts.
         if attestation.value != attestation.state_value:
             return (
                 f"counter at {attestation.value} but the state vouches for "

@@ -372,41 +372,26 @@ ENGINES: dict[str, type[StorageEngine]] = {
     LogStructuredEngine.name: LogStructuredEngine,
 }
 
-def make_engine(
-    spec: str | StorageEngine | Callable[[int], StorageEngine],
-    num_clients: int,
-) -> StorageEngine:
-    """Resolve a storage spec: an engine name (``"memory"`` / ``"log"``),
+def make_engine(spec: str, num_clients: int) -> StorageEngine:
+    """Resolve a storage spec: an engine name (``"memory"`` / ``"log"``) or
     ``"dir:<path>"`` (the log engine over real files in ``<path>`` — the
-    form server *processes* use, since their state must outlive them), an
-    engine instance (passed through), or a factory ``f(num_clients)``."""
-    if isinstance(spec, StorageEngine):
-        return spec
-    if isinstance(spec, str):
-        if spec.startswith("dir:"):
-            path = spec[len("dir:"):]
-            if not path:
-                raise ConfigurationError(
-                    "the 'dir:' storage spec needs a directory path, "
-                    "e.g. 'dir:/var/lib/faust'"
-                )
-            return LogStructuredEngine(num_clients, medium=DirectoryMedium(path))
-        try:
-            cls = ENGINES[spec]
-        except KeyError:
+    form server *processes* use, since their state must outlive them)."""
+    if isinstance(spec, str) and spec.startswith("dir:"):
+        path = spec[len("dir:"):]
+        if not path:
             raise ConfigurationError(
-                f"unknown storage engine {spec!r}; choose from {sorted(ENGINES)}"
-            ) from None
-        return cls(num_clients)
-    if callable(spec):
-        engine = spec(num_clients)
-        if not isinstance(engine, StorageEngine):
-            raise ConfigurationError(
-                f"storage factory returned {type(engine).__name__}, "
-                f"not a StorageEngine"
+                "the 'dir:' storage spec needs a directory path, "
+                "e.g. 'dir:/var/lib/faust'"
             )
-        return engine
-    raise ConfigurationError(f"cannot interpret storage spec {spec!r}")
+        return LogStructuredEngine(num_clients, medium=DirectoryMedium(path))
+    try:
+        cls = ENGINES[spec]
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"unknown storage engine {spec!r}; choose from {sorted(ENGINES)} "
+            f"or 'dir:PATH'"
+        ) from None
+    return cls(num_clients)
 
 
 def make_server(
@@ -414,7 +399,7 @@ def make_server(
     name: str,
     *,
     factory: Callable[[int, str], UstorServer] | None = None,
-    storage: str | StorageEngine | Callable[[int], StorageEngine] = "memory",
+    storage: str = "memory",
     group_commit: bool = False,
     counter: str | None = None,
     counter_state_path: str | None = None,
@@ -423,7 +408,7 @@ def make_server(
     ``factory``'s when given (a custom server owns its durability), else
     the correct :class:`UstorServer` on the engine ``storage`` selects —
     with the slot's trusted monotonic counter attached when ``counter``
-    (``"volatile"``/``"durable"``) asks for one."""
+    is ``"durable"``."""
     if factory is not None:
         server = factory(num_clients, name)
     else:
@@ -436,9 +421,5 @@ def make_server(
     if counter is not None:
         from repro.replica.counter import MonotonicCounter
 
-        server.attach_counter(
-            MonotonicCounter(
-                name, durable=counter == "durable", state_path=counter_state_path
-            )
-        )
+        server.attach_counter(MonotonicCounter(name, counter_state_path))
     return server

@@ -492,8 +492,6 @@ class UstorServer(Node):
 
     def crash(self) -> None:
         self.last_pre_crash_state = self.state.clone()
-        if self.counter is not None:
-            self.counter.on_crash()  # volatile counters reset with the process
         if self._inbox:
             # Accepted but not yet drained: the transitions were never
             # applied or logged and no REPLY left, so hand the messages to
@@ -563,7 +561,13 @@ class UstorServer(Node):
         The counter object lives outside the recovered state on purpose:
         it models a separate trusted component, so a Byzantine subclass
         that rewinds ``self.state`` cannot rewind the counter with it.
+
+        Binding happens once, at process start, over the state the engine
+        just recovered: :meth:`~repro.replica.counter.MonotonicCounter.recover`
+        adopts the one SUBMIT a kill between the log append and the
+        counter's own persist can strand.
         """
+        counter.recover(self.state.submits_applied)
         self.counter = counter
 
     def handle_submit(self, src: str, message: SubmitMessage) -> None:

@@ -413,10 +413,10 @@ def faust_protocol(checkpoint=None, membership=None, **faust_kwargs) -> Protocol
 
     ``checkpoint`` (a :class:`~repro.faust.checkpoint.CheckpointPolicy`)
     enables authenticated checkpointing: every client runs a
-    :class:`~repro.faust.checkpoint.CheckpointManager`, and — when the
-    policy prunes history — the shared recorder (and its incremental
-    checkers) compacts behind each cut once *every* client has installed
-    it, so verdicts never depend on one client racing ahead.
+    :class:`~repro.faust.checkpoint.CheckpointManager`, and the shared
+    recorder (and its incremental checkers) compacts behind each cut once
+    *every* client has installed it, so verdicts never depend on one
+    client racing ahead.
 
     ``membership`` (a :class:`~repro.faust.membership.MembershipPolicy`)
     layers lease-based membership epochs under the checkpoint protocol, so
@@ -440,12 +440,11 @@ def faust_protocol(checkpoint=None, membership=None, **faust_kwargs) -> Protocol
         for client in system.clients:
             client.add_checkpoint_listener(on_install)
 
-    prunes = checkpoint is not None and checkpoint.prune_history
     return ProtocolSpec(
         FaustClient,
         dict(checkpoint=checkpoint, membership=membership, **faust_kwargs),
         fail_aware=True,
-        on_wired=compact_behind_installed_cuts if prunes else None,
+        on_wired=compact_behind_installed_cuts if checkpoint is not None else None,
     )
 
 

@@ -340,10 +340,9 @@ def replica_rollback_scenario(
     replicas stay honest; ``None`` runs an all-honest group.
     ``honest_outage=(replica, start, duration)`` instead crashes an
     *honest* replica and recovers it from ``storage`` (default: the log) —
-    paired with ``counter="volatile"`` it demonstrates the false
-    accusation: the replica's state remembers its operations but the reset
-    counter does not, so honest recovery becomes indistinguishable from
-    misbehaviour.  Latency is measured from that replica's restart.
+    paired with ``counter="durable"`` it shows the counter never accusing
+    an honest recovery: state and counter both remember every operation.
+    Latency is measured from that replica's restart.
 
     The interesting corners: ``replicas=1`` is the paper's single server
     (:func:`rollback_attack_scenario`) — detection waits until the rolled

@@ -310,7 +310,7 @@ def test_checkpoint_knob_coercion():
         CheckpointPolicy,
     )
     assert SystemConfig(num_clients=2, checkpoint=False).checkpoint is None
-    custom = CheckpointPolicy(interval=5, keep_tail=1, prune_history=False)
+    custom = CheckpointPolicy(interval=5, keep_tail=1)
     assert SystemConfig(num_clients=2, checkpoint=custom).checkpoint is custom
     with pytest.raises(ConfigurationError):
         SystemConfig(num_clients=2, checkpoint="soon")

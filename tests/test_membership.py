@@ -118,7 +118,7 @@ class _Fleet:
                 client_id=i,
                 num_clients=n,
                 signer=self.keystore.signer(i),
-                policy=CheckpointPolicy(interval=interval, prune_history=False),
+                policy=CheckpointPolicy(interval=interval),
                 send_share=self._broadcast_ckpt(i),
                 send_server=lambda _msg: None,
                 on_fail=lambda reason, i=i: self.failures.__setitem__(i, reason),

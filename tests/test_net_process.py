@@ -40,6 +40,11 @@ from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 pytestmark = [pytest.mark.net, pytest.mark.slow]
 
 
+def _counter_args(counter):
+    """``repro serve`` arguments arming ``counter`` (``None``: none)."""
+    return ("--counter", counter) if counter is not None else ()
+
+
 def _replay_client_frames(trace_path, num_clients: int) -> ServerState:
     """The server state implied by every frame the clients sent, applied
     in the order their own wire trace recorded them (retransmissions
@@ -132,12 +137,15 @@ class TestServerProcess:
         assert check_linearizability(result.history).ok
         assert not result.fail_reasons()
 
-    def test_sigkill_and_restart_over_durable_storage(self, tmp_path):
+    @pytest.mark.parametrize("counter", [None, "durable"])
+    def test_sigkill_and_restart_over_durable_storage(self, tmp_path, counter):
         # The hard crash: no atexit, no flush, mid-deployment.  A new
-        # process over the same dir: recovers from the WAL and the
-        # clients ride it out with reconnect + retransmission.
+        # process over the same dir: recovers from the WAL (and the
+        # counter from its file next to it) and the clients ride it out
+        # with reconnect + retransmission.
         storage = f"dir:{tmp_path / 'srv'}"
-        proc = ServerProcess(2, storage=storage)
+        extra_args = _counter_args(counter)
+        proc = ServerProcess(2, storage=storage, extra_args=extra_args)
         endpoint = proc.start()
         host, port = endpoint.split(":")
         try:
@@ -147,6 +155,7 @@ class TestServerProcess:
                     transport="tcp",
                     endpoints=(endpoint,),
                     default_timeout=15.0,
+                    counter=counter,
                 ),
                 backend="ustor",
             )
@@ -158,7 +167,8 @@ class TestServerProcess:
                 handle = session.write(b"after-kill")
 
                 proc = ServerProcess(
-                    2, host=host, port=int(port), storage=storage
+                    2, host=host, port=int(port), storage=storage,
+                    extra_args=extra_args,
                 )
                 proc.start()
                 assert handle.result(15.0).timestamp == 2
@@ -169,16 +179,23 @@ class TestServerProcess:
         finally:
             proc.stop()
 
-    def test_sigkill_under_load_loses_nothing_the_clients_sent(self, tmp_path):
+    @pytest.mark.parametrize("counter", [None, "durable"])
+    def test_sigkill_under_load_loses_nothing_the_clients_sent(
+        self, tmp_path, counter
+    ):
         """Every WAL append reaches the OS before its REPLY leaves, so a
         SIGKILL under load — append handle open, checkpoints in flight —
         loses no transition: what a fresh recovery builds from the
-        directory afterwards equals a replay of the clients' own trace."""
+        directory afterwards equals a replay of the clients' own trace.
+        With a durable counter the kill may land between a WAL append
+        and the counter's persist; the restarted counter adopts that one
+        SUBMIT, so no client is accused."""
         directory = tmp_path / "srv"
         storage = f"dir:{directory}"
         trace_path = tmp_path / "run.jsonl"
         ops = 60
-        proc = ServerProcess(2, storage=storage)
+        extra_args = _counter_args(counter)
+        proc = ServerProcess(2, storage=storage, extra_args=extra_args)
         endpoint = proc.start()
         host, port = endpoint.split(":")
         try:
@@ -189,6 +206,7 @@ class TestServerProcess:
                     endpoints=(endpoint,),
                     trace_path=str(trace_path),
                     default_timeout=15.0,
+                    counter=counter,
                 ),
                 backend="ustor",
             )
@@ -216,7 +234,8 @@ class TestServerProcess:
                 assert system.run_until(killed_mid_script, timeout=30.0)
                 proc.process.wait(timeout=10)
                 proc = ServerProcess(
-                    2, host=host, port=int(port), storage=storage
+                    2, host=host, port=int(port), storage=storage,
+                    extra_args=extra_args,
                 )
                 proc.start()
                 # The one SUBMIT the server may have logged but not yet

@@ -11,12 +11,14 @@ sides (honest lockstep accepted, every tampering axis rejected).
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.common.errors import ConfigurationError, StorageError
+from repro.common.types import OpKind, client_name
 from repro.replica.counter import (
     COUNTER_MAC_BYTES,
     CounterAttestation,
@@ -25,6 +27,8 @@ from repro.replica.counter import (
     derive_counter_key,
     ops_accounted,
 )
+from repro.store.engine import make_server
+from repro.ustor.messages import InvocationTuple, SubmitMessage
 
 
 def reply_with(attestation):
@@ -43,17 +47,6 @@ class TestMonotonicCounter:
         assert len(first.mac) == COUNTER_MAC_BYTES
         assert counter.value == 2
         assert counter.attestations == 2
-
-    def test_durable_counter_survives_crash_volatile_does_not(self):
-        durable = MonotonicCounter("S/r0", durable=True)
-        volatile = MonotonicCounter("S/r1", durable=False)
-        durable.attest(b"s", 1)
-        volatile.attest(b"s", 1)
-        durable.on_crash()
-        volatile.on_crash()
-        assert durable.value == 1
-        assert volatile.value == 0
-        assert volatile.resets == 1
 
     def test_state_path_persists_across_instances(self, tmp_path):
         path = str(tmp_path / "counter.state")
@@ -76,13 +69,20 @@ class TestMonotonicCounter:
         with pytest.raises(StorageError, match="holds -3"):
             MonotonicCounter("S/r0", state_path=str(path))
 
-    def test_configuration_errors(self, tmp_path):
+    def test_configuration_errors(self):
         with pytest.raises(ConfigurationError, match="non-empty id"):
             MonotonicCounter("")
-        with pytest.raises(ConfigurationError, match="volatile counter"):
-            MonotonicCounter(
-                "S", durable=False, state_path=str(tmp_path / "c.state")
-            )
+
+    def test_recover_adopts_exactly_one_step_ahead(self, tmp_path):
+        path = str(tmp_path / "counter.state")
+        counter = MonotonicCounter("S/r0", state_path=path)
+        counter.attest(b"a", 1)
+        counter.recover(2)  # the one SUBMIT a kill can strand
+        assert counter.value == 2
+        assert MonotonicCounter("S/r0", state_path=path).value == 2
+        for behind_or_beyond in (0, 1, 2, 4, 10):
+            counter.recover(behind_or_beyond)
+            assert counter.value == 2
 
     def test_key_derivation_is_per_counter(self):
         assert derive_counter_key("S/r0") != derive_counter_key("S/r1")
@@ -113,9 +113,8 @@ class TestCounterVerifier:
         )
         assert violation is not None and "rolled back" in violation
 
-    def test_volatile_reset_diverges_state_ahead_of_counter(self):
+    def test_state_reported_ahead_of_counter_is_rejected(self):
         counter, verifier = self.make()
-        counter.durable = False
         for position in range(1, 4):
             binding = f"s{position}".encode()
             assert (
@@ -124,10 +123,10 @@ class TestCounterVerifier:
                 )
                 is None
             )
-        counter.on_crash()  # honest server: state keeps its position
-        fresh = CounterVerifier()  # a client with no monotonicity memory
-        violation = fresh.check(
-            "S/r0", reply_with(counter.attest(b"s4", 4)), b"s4"
+        # A server lying upward to its counter: the state claims one more
+        # applied SUBMIT than the counter has stepped.
+        violation = verifier.check(
+            "S/r0", reply_with(counter.attest(b"s4", 5)), b"s4"
         )
         assert violation is not None and "ran ahead" in violation
 
@@ -218,3 +217,95 @@ class TestOpsAccounted:
             pending=("inv-a", "inv-b"),
         )
         assert ops_accounted(reply) == 5
+
+
+class _Killed(Exception):
+    """The process died here."""
+
+
+class TestCrashWindow:
+    """A ``repro serve --counter durable --storage dir:`` process appends
+    each SUBMIT to its WAL (one ``write(2)``, which outlives the process)
+    before the counter persists its step, so a kill between the two
+    restarts with the state one SUBMIT ahead of the counter file.  Binding
+    the counter at process start adopts that one step; a rollback, which
+    leaves the state behind the counter, is still convicted."""
+
+    def _open(self, directory):
+        server = make_server(
+            2,
+            "S",
+            storage=f"dir:{directory}",
+            counter="durable",
+            counter_state_path=str(directory / "counter.state"),
+        )
+        replies = []
+        server.send = lambda dst, reply: replies.append(reply)
+        return server, replies
+
+    def _submit(self, server, client, timestamp):
+        sig = f"sig-{client}-{timestamp}".encode()
+        message = SubmitMessage(
+            timestamp=timestamp,
+            invocation=InvocationTuple(
+                client=client, opcode=OpKind.WRITE, register=client, submit_sig=sig
+            ),
+            value=f"v{client}.{timestamp}".encode(),
+            data_sig=sig,
+        )
+        server.handle_submit(client_name(client), message)
+        return sig
+
+    def _verdict(self, verifier, replies, sig):
+        return verifier.check("S", replies[-1], sig)
+
+    def _kill_in_window(self, server, monkeypatch, client, timestamp):
+        """Apply and log a SUBMIT, then die before the counter persists."""
+
+        def killed(counter):
+            raise _Killed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MonotonicCounter, "_persist", killed)
+            with pytest.raises(_Killed):
+                self._submit(server, client, timestamp)
+        server.engine.close()
+
+    def test_kill_between_wal_append_and_counter_persist(
+        self, tmp_path, monkeypatch
+    ):
+        server, replies = self._open(tmp_path)
+        verifier = CounterVerifier()
+        assert self._verdict(verifier, replies, self._submit(server, 0, 1)) is None
+
+        self._kill_in_window(server, monkeypatch, 0, 2)
+
+        restarted, replies = self._open(tmp_path)
+        assert restarted.state.submits_applied == 2
+        sig = self._submit(restarted, 1, 1)
+        assert self._verdict(verifier, replies, sig) is None
+        assert restarted.counter.value == 3
+
+    @pytest.mark.parametrize("kill_first", [False, True])
+    def test_rollback_after_restart_is_still_convicted(
+        self, tmp_path, monkeypatch, kill_first
+    ):
+        live, stale = tmp_path / "live", tmp_path / "stale"
+        live.mkdir()
+        server, _ = self._open(live)
+        self._submit(server, 0, 1)
+        shutil.copytree(live, stale)  # yesterday's backup: one SUBMIT
+        self._submit(server, 1, 1)
+        if kill_first:
+            self._kill_in_window(server, monkeypatch, 0, 2)
+        else:
+            server.engine.close()
+        # The trusted counter cannot be rewound with the backup.
+        shutil.copy(live / "counter.state", stale / "counter.state")
+
+        restarted, replies = self._open(stale)
+        assert restarted.state.submits_applied == 1
+        assert restarted.counter.value == 2
+        sig = self._submit(restarted, 1, 1)
+        violation = self._verdict(CounterVerifier(), replies, sig)
+        assert violation is not None and "rolled back" in violation

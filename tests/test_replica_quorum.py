@@ -25,6 +25,7 @@ from repro.api import SystemConfig, open_system
 from repro.common.errors import ConfigurationError
 from repro.replica.coordinator import QuorumCoordinator, default_quorum
 from repro.replica.counter import CounterVerifier, MonotonicCounter
+from repro.ustor.byzantine import SplitBrainServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 from repro.workloads.scenarios import replica_rollback_scenario
 
@@ -74,16 +75,6 @@ class TestConfig:
     def test_quorum_bounds(self, quorum):
         with pytest.raises(ConfigurationError, match="quorum must be"):
             make_group(3, quorum=quorum)
-
-    def test_replica_group_refuses_one_shared_engine_instance(self):
-        # Each replica needs its own engine: a ready instance cannot be
-        # split, a name or factory can.  The config refuses it up front.
-        from repro.store.engine import MemoryEngine
-
-        with pytest.raises(ConfigurationError, match="one engine per replica"):
-            SystemConfig(num_clients=3, replicas=3, storage=MemoryEngine(3))
-        SystemConfig(num_clients=3, replicas=3, storage=lambda n: MemoryEngine(n))
-        SystemConfig(num_clients=3, storage=MemoryEngine(3))
 
     def test_one_operation_at_a_time(self):
         group = make_group()
@@ -299,17 +290,60 @@ class TestRollbackScenarios:
         assert result.detected
         assert result.ops_until_detection <= 2 * 4
 
-    def test_volatile_counter_falsely_accuses_honest_recovery(self):
+    def test_durable_counter_never_accuses_honest_recovery(self):
         result = replica_rollback_scenario(
             ops_per_client=6,
             replicas=3,
-            counter="volatile",
+            counter="durable",
             rollback_replica=None,
             honest_outage=(1, 30.0, 5.0),
         )
         assert result.stats.all_done()
-        assert len(result.convicted) == 1  # an *honest* replica convicted
+        assert not result.convicted and not result.failures
         assert not result.masked_deviations
+
+
+class TestForkedReplica:
+    """A forked replica's attestations convict it and never vouch for it:
+    the counter steps for every SUBMIT whichever branch absorbed it, so
+    each branch's ``submits_applied`` falls behind the counter."""
+
+    def run_fork(self, counter):
+        def fork(n, name):
+            return SplitBrainServer(n, [{0, 1}, {2, 3}], fork_time=5.0, name=name)
+
+        system = open_system(
+            SystemConfig(
+                num_clients=4,
+                seed=5,
+                replicas=3,
+                counter=counter,
+                replica_server_factories={1: fork},
+            ),
+            backend="faust",
+        )
+        with system:
+            sessions = [system.session(i) for i in range(4)]
+            for round_ in range(8):
+                for i, session in enumerate(sessions):
+                    session.write_sync(f"v{i}.{round_}".encode())
+                    session.read_sync((i + 1) % 4)
+            assert not any(c.failed for c in system.clients)
+            coordinators = [c.quorum_coordinator for c in system.clients]
+        convicted = {}
+        for coordinator in coordinators:
+            convicted.update(coordinator.convicted)
+        return convicted, sum(c.masked_deviations for c in coordinators)
+
+    def test_durable_counter_convicts_the_forked_replica(self):
+        convicted, _masked = self.run_fork("durable")
+        assert list(convicted) == ["S/r1"]
+        assert "the state vouches for" in convicted["S/r1"]
+
+    def test_without_the_counter_the_fork_is_only_masked(self):
+        convicted, masked = self.run_fork(None)
+        assert not convicted
+        assert masked > 0
 
 
 @pytest.mark.net
@@ -322,7 +356,7 @@ class TestTcpReplicaGroup:
         hosts = []
         for k in range(3):
             host = NetServerHost(
-                2, server_name=f"S/r{k}", counter="volatile"
+                2, server_name=f"S/r{k}", counter="durable"
             )
             runtime.run_coroutine(host.start())
             hosts.append(host)
@@ -332,7 +366,7 @@ class TestTcpReplicaGroup:
                 transport="tcp",
                 endpoints=tuple(h.endpoint for h in hosts),
                 replicas=3,
-                counter="volatile",
+                counter="durable",
                 default_timeout=10.0,
             ),
             backend="ustor",

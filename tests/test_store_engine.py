@@ -431,20 +431,20 @@ class TestDirectoryMedium:
 
 
 class TestMakeEngine:
-    def test_by_name_instance_and_factory(self):
+    def test_by_name(self, tmp_path):
         assert isinstance(make_engine("memory", 2), MemoryEngine)
         assert isinstance(make_engine("log", 2), LogStructuredEngine)
-        ready = LogStructuredEngine(2)
-        assert make_engine(ready, 2) is ready
-        made = make_engine(lambda n: LogStructuredEngine(n, snapshot_interval=7), 2)
-        assert isinstance(made, LogStructuredEngine)
-        assert made.snapshot_interval == 7
+        on_disk = make_engine(f"dir:{tmp_path}", 2)
+        assert isinstance(on_disk, LogStructuredEngine)
+        on_disk.close()
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigurationError):
             make_engine("flash", 2)
+        with pytest.raises(ConfigurationError, match="directory path"):
+            make_engine("dir:", 2)
         with pytest.raises(ConfigurationError):
-            make_engine(lambda n: object(), 2)
+            make_engine(lambda n: MemoryEngine(n), 2)
         with pytest.raises(ConfigurationError):
             make_engine(42, 2)
 

@@ -222,7 +222,7 @@ SCENARIO_ROWS = [
         dict(replicas=3),
         dict(replicas=3, quorum=3),
         dict(replicas=3, counter="durable"),
-        dict(replicas=3, counter="volatile", rollback_replica=None,
+        dict(replicas=3, counter="durable", rollback_replica=None,
              honest_outage=(1, 30.0, 5.0)),
         dict(replicas=3, rollback_replica=None),
     ]
