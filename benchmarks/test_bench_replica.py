@@ -45,6 +45,9 @@ def _run_workload(seed: int, replicas: int, counter: str | None):
 
 def test_replica_write_amplification(bench_seed):
     """3 replicas + counters vs. the bare single server, same workload."""
+    # Untimed: the first run in a fresh interpreter pays its warm-up
+    # (imports, caches), which would land on the single-server side only.
+    _run_workload(bench_seed, replicas=1, counter=None)
     started = time.perf_counter()
     single_bytes = _run_workload(bench_seed, replicas=1, counter=None)
     single_seconds = time.perf_counter() - started

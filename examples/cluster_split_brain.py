@@ -18,11 +18,11 @@ Run:  python examples/cluster_split_brain.py
 """
 
 from repro.api import (
-    ClusterBackend,
     FailureNotification,
     FaustParams,
     OperationFailed,
     SystemConfig,
+    open_system,
 )
 from repro.common.errors import ProtocolError
 from repro.ustor.byzantine import SplitBrainServer
@@ -38,14 +38,15 @@ def forking(n, name):
 
 
 def main() -> None:
-    system = ClusterBackend().open_system(
+    system = open_system(
         SystemConfig(
             num_clients=CLIENTS,
             seed=7,
             shards=SHARDS,
             shard_server_factories={FORKED: forking},
             faust=FaustParams(delta=15.0, probe_check_period=5.0),
-        )
+        ),
+        backend="cluster",
     )
     placement = [system.shard_of(r) for r in range(CLIENTS)]
     print(f"{SHARDS} shards over {CLIENTS} registers; register->shard {placement}")

@@ -11,15 +11,16 @@ server misbehaved.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import FaustBackend, FaustParams, StabilityNotification, SystemConfig
+from repro.api import FaustParams, StabilityNotification, SystemConfig, open_system
 
 
 def main() -> None:
     # Build a world: deterministic scheduler, FIFO network, offline
     # channel, correct server, three FAUST clients with background
     # version propagation enabled.
-    system = FaustBackend().open_system(
-        SystemConfig(num_clients=3, seed=42, faust=FaustParams(dummy_read_period=3.0))
+    system = open_system(
+        SystemConfig(num_clients=3, seed=42, faust=FaustParams(dummy_read_period=3.0)),
+        backend="faust",
     )
     alice = system.session(0)
     bob = system.session(1)

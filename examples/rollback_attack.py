@@ -26,10 +26,10 @@ Run:  python examples/rollback_attack.py
 
 from repro.api import (
     FailureNotification,
-    FaustBackend,
     FaustParams,
     OperationFailed,
     SystemConfig,
+    open_system,
 )
 from repro.sim.faults import Fault
 from repro.store import encode_server_state
@@ -40,13 +40,14 @@ def honest_crash_recovery() -> None:
     print("=" * 64)
     print("1. honest crash + WAL/snapshot recovery (storage='log')")
     print("=" * 64)
-    system = FaustBackend().open_system(
+    system = open_system(
         SystemConfig(
             num_clients=2,
             seed=33,
             storage="log",  # write-ahead log + snapshots
             server_outages=(Fault("down", None, 6.0, 12.0),),  # down over [6, 18)
-        )
+        ),
+        backend="faust",
     )
     alice, bob = system.session(0), system.session(1)
 
@@ -78,7 +79,7 @@ def rollback_attack() -> None:
     print("=" * 64)
     print("2. the rollback adversary: 'recovery' from a stale snapshot")
     print("=" * 64)
-    system = FaustBackend().open_system(
+    system = open_system(
         SystemConfig(
             num_clients=2,
             seed=34,
@@ -92,7 +93,8 @@ def rollback_attack() -> None:
             # Quiet background machinery: alice's scripted write (not a
             # dummy read racing it) should be the one that catches it.
             faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
-        )
+        ),
+        backend="faust",
     )
     alice, bob = system.session(0), system.session(1)
     events = system.notifications.subscribe(kinds=FailureNotification)

@@ -16,10 +16,10 @@ Run:  python examples/server_outage.py
 """
 
 from repro.api import (
-    FaustBackend,
     FaustParams,
     OperationTimeout,
     SystemConfig,
+    open_system,
 )
 from repro.ustor.byzantine import CrashingServer
 
@@ -27,7 +27,7 @@ from repro.ustor.byzantine import CrashingServer
 def main() -> None:
     # The server will crash after serving exactly two SUBMITs — Alice's
     # write and Bob's read both complete, then the lights go out.
-    system = FaustBackend().open_system(
+    system = open_system(
         SystemConfig(
             num_clients=2,
             seed=33,
@@ -39,7 +39,8 @@ def main() -> None:
                 probe_check_period=3.0,
                 delta=10.0,
             ),
-        )
+        ),
+        backend="faust",
     )
     alice, bob = system.session(0), system.session(1)
 

@@ -12,15 +12,16 @@ delivered here as typed failure notifications.
 Run:  python examples/shopping_list.py
 """
 
-from repro.api import FailureNotification, FaustBackend, FaustParams, SystemConfig
+from repro.api import FailureNotification, FaustParams, SystemConfig, open_system
 from repro.apps.kvstore import KvStore
 from repro.ustor.byzantine import SplitBrainServer
 
 
 def honest_session() -> None:
     print("=== Honest provider ===")
-    system = FaustBackend().open_system(
-        SystemConfig(num_clients=3, seed=21, faust=FaustParams(dummy_read_period=3.0))
+    system = open_system(
+        SystemConfig(num_clients=3, seed=21, faust=FaustParams(dummy_read_period=3.0)),
+        backend="faust",
     )
     alice, bob, carol = (KvStore(system, i) for i in range(3))
 
@@ -43,7 +44,7 @@ def honest_session() -> None:
 
 def forked_session() -> None:
     print("\n=== Forking provider (split brain) ===")
-    system = FaustBackend().open_system(
+    system = open_system(
         SystemConfig(
             num_clients=2,
             seed=22,
@@ -53,7 +54,8 @@ def forked_session() -> None:
             faust=FaustParams(
                 dummy_read_period=5.0, probe_check_period=4.0, delta=15.0
             ),
-        )
+        ),
+        backend="faust",
     )
     alerts = system.notifications.subscribe(kinds=FailureNotification)
     alice, bob = KvStore(system, 0), KvStore(system, 1)

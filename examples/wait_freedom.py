@@ -19,7 +19,7 @@ backend (and with it, the guarantee) changes.
 Run:  python examples/wait_freedom.py
 """
 
-from repro.api import LockstepBackend, SystemConfig, UstorBackend
+from repro.api import SystemConfig, open_system
 from repro.sim.network import FixedLatency
 
 
@@ -61,10 +61,10 @@ def crash_scenario(system, label: str) -> None:
 
 def main() -> None:
     config = SystemConfig(num_clients=3, seed=7, latency=FixedLatency(1.0))
-    ustor = UstorBackend().open_system(config)
+    ustor = open_system(config, backend="ustor")
     crash_scenario(ustor, "USTOR (weak fork-linearizable, wait-free)")
 
-    lockstep = LockstepBackend().open_system(config)
+    lockstep = open_system(config, backend="lockstep")
     crash_scenario(lockstep, "Lock-step baseline (fork-linearizable, blocking)")
 
     print(

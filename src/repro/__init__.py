@@ -7,9 +7,9 @@ attacks, and the simulation substrate everything runs on.
 
 Quickstart (see :mod:`repro.api` for the full facade)::
 
-    from repro.api import FaustBackend, SystemConfig
+    from repro.api import SystemConfig, open_system
 
-    system = FaustBackend().open_system(SystemConfig(num_clients=3, seed=7))
+    system = open_system(SystemConfig(num_clients=3, seed=7), backend="faust")
     alice, bob, carlos = system.sessions()
     t = alice.write_sync(b"draft-1")
     print(bob.read_sync(0), alice.wait_for_stability(t))

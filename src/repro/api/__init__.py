@@ -2,9 +2,9 @@
 
 One storage abstraction over interchangeable protocol backends::
 
-    from repro.api import FaustBackend, SystemConfig
+    from repro.api import SystemConfig, open_system
 
-    system = FaustBackend().open_system(SystemConfig(num_clients=3, seed=7))
+    system = open_system(SystemConfig(num_clients=3, seed=7), backend="faust")
     alice, bob = system.session(0), system.session(1)
 
     t = alice.write_sync(b"draft-1")            # blocking form
@@ -14,24 +14,15 @@ One storage abstraction over interchangeable protocol backends::
     sub = system.notifications.subscribe()      # typed stable/fail events
     alice.wait_for_stability(t)
 
-Swap :class:`FaustBackend` for :class:`LockstepBackend` or
-:class:`UncheckedBackend` and the read/write surface runs unchanged
+Name ``"ustor"``, ``"lockstep"``, ``"unchecked"`` or ``"cluster"``
+instead (:data:`BACKENDS`) and the read/write surface runs unchanged
 with that protocol's guarantees — the point of the paper, as an API.
-Fail-aware calls (stability waits/cuts, stability events) are declared
-per backend in ``backend.capabilities`` and raise
-:class:`CapabilityError` where unsupported.
+Fail-aware calls (stability waits/cuts) exist where the clients are
+fail-aware and raise :class:`CapabilityError` elsewhere.
 """
 
 from repro.api.backends import (
     BACKENDS,
-    Backend,
-    Capabilities,
-    ClusterBackend,
-    FaustBackend,
-    LockstepBackend,
-    UncheckedBackend,
-    UstorBackend,
-    get_backend,
     open_system,
 )
 from repro.api.config import (
@@ -53,16 +44,11 @@ from repro.api.session import Session
 
 __all__ = [
     "BACKENDS",
-    "Backend",
     "BatchingPolicy",
     "CapabilityError",
     "CheckpointPolicy",
-    "Capabilities",
-    "ClusterBackend",
     "FailureNotification",
-    "FaustBackend",
     "FaustParams",
-    "LockstepBackend",
     "Notification",
     "NotificationHub",
     "OpHandle",
@@ -73,8 +59,5 @@ __all__ = [
     "StabilityNotification",
     "Subscription",
     "SystemConfig",
-    "UncheckedBackend",
-    "UstorBackend",
-    "get_backend",
     "open_system",
 ]

@@ -1,9 +1,10 @@
-"""Interchangeable protocol backends behind one ``open_system`` contract.
+"""One ``open_system`` contract; a backend is the name of its protocol.
 
 The paper's point is a *single* storage abstraction whose guarantees vary
-with the protocol underneath; the :class:`Backend` protocol makes that a
-first-class axis.  Experiments and workloads pick guarantees by picking a
-backend:
+with the protocol underneath.  A backend name selects that protocol (its
+:class:`~repro.workloads.runner.ProtocolSpec`: client, server,
+``fail_aware``), and experiments and workloads pick guarantees by picking
+a name:
 
 ========== ============================ ===========================================
 backend     protocol                     guarantees
@@ -20,12 +21,15 @@ cluster     N sharded USTOR/FAUST        per-shard guarantees of the shard
             servers                      protocol; forking shards detected by
                                          exactly the clients that touched them
 ========== ============================ ===========================================
+
+Stability (``stability_cut`` / ``wait_for_stability``) exists where the
+clients are fail-aware — ``faust``, or a cluster of ``faust`` shards —
+and raises :class:`~repro.api.errors.CapabilityError` elsewhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from repro.api.config import SystemConfig, check_supported
 from repro.common.errors import ConfigurationError
@@ -33,32 +37,8 @@ from repro.common.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports the api)
     from repro.workloads.runner import Deployment
 
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What a backend's deployments can be asked for."""
-
-    #: Operations return per-client timestamps with Definition 5 Integrity.
-    timestamps: bool
-    #: ``stable_i(W)`` notifications / ``wait_for_stability`` available.
-    stability: bool
-    #: Server misbehaviour produces failure notifications.
-    failure_detection: bool
-    #: Operations complete under a correct server despite other clients
-    #: crashing.
-    wait_free: bool
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """A protocol stack that can open a deployment from a config."""
-
-    name: str
-    capabilities: Capabilities
-
-    def open_system(self, config: SystemConfig, **placement) -> Deployment:
-        """Build and wire a deployment described by ``config``."""
-        ...
+#: The backend names :func:`open_system` accepts.
+BACKENDS = ("faust", "ustor", "lockstep", "unchecked", "cluster")
 
 
 def protocol_for(stack: str, config: SystemConfig):
@@ -115,134 +95,34 @@ def build_deployment(
     )
 
 
-class _Backend:
-    """The one way in: consult the support table, build the deployment the
-    backend's protocol describes, say who opened it, schedule its
-    declared outages."""
+def open_system(
+    config: SystemConfig, backend: str = "faust", **placement
+) -> Deployment:
+    """Open a deployment described by ``config`` on the backend named
+    ``backend``: the wired :class:`~repro.workloads.runner.StorageSystem`,
+    or a :class:`~repro.cluster.system.ClusterSystem` of them
+    (``placement``: :func:`build_deployment`'s per-test seams).
 
-    name: str
-    capabilities: Capabilities
-
-    def open_system(self, config: SystemConfig, **placement) -> Deployment:
-        """Open the deployment ``config`` describes on this backend
-        (``placement``: :func:`build_deployment`'s per-test seams)."""
-        check_supported(config, self.name)
-        system = self._open(config, **placement)
-        system.backend_name = self.name
-        system.capabilities = self._capabilities_for(config)
-        system.default_timeout = config.default_timeout
-        # Sorted, so that when one window ends exactly where the next
-        # begins, the restart event is enqueued (and fires) before the
-        # next crash — ties at one virtual time break by scheduling order.
-        for fault in sorted(config.server_outages, key=lambda fault: fault.start):
-            system.faults.add(fault)
-        return system
-
-    def _open(self, config: SystemConfig, **placement) -> Deployment:
-        system = build_deployment(config, protocol_for(self.name, config), **placement)
-        system.wire_notifications()
-        return system
-
-    def _capabilities_for(self, config: SystemConfig) -> Capabilities:
-        return self.capabilities
-
-
-class UstorBackend(_Backend):
-    """The weak fork-linearizable protocol alone (Algorithms 1-2)."""
-
-    name = "ustor"
-    capabilities = Capabilities(
-        timestamps=True, stability=False, failure_detection=True, wait_free=True
-    )
-
-
-class FaustBackend(_Backend):
-    """USTOR plus the fail-aware layer (Section 6) — the paper's service."""
-
-    name = "faust"
-    capabilities = Capabilities(
-        timestamps=True, stability=True, failure_detection=True, wait_free=True
-    )
-
-
-class LockstepBackend(_Backend):
-    """The SUNDR-style lock-step baseline: fork-linearizable, blocking."""
-
-    name = "lockstep"
-    capabilities = Capabilities(
-        timestamps=True, stability=False, failure_detection=True, wait_free=False
-    )
-
-
-class UncheckedBackend(_Backend):
-    """The naive baseline: trusts every byte; nothing is ever detected."""
-
-    name = "unchecked"
-    capabilities = Capabilities(
-        timestamps=True, stability=False, failure_detection=False, wait_free=True
-    )
-
-
-class ClusterBackend(_Backend):
-    """N sharded single-server deployments behind one session facade.
-
-    Every shard runs the protocol ``config.shard_protocol`` selects
-    (``faust`` by default), so the cluster's capabilities are the shard
-    protocol's — declared per deployment rather than on the class, since
-    ``stability`` exists only with fail-aware shards.
-    """
-
-    name = "cluster"
-    #: Capabilities of the default (fail-aware) shard protocol; the opened
-    #: system carries the exact capabilities of its configuration.
-    capabilities = Capabilities(
-        timestamps=True, stability=True, failure_detection=True, wait_free=True
-    )
-
-    def _open(self, config: SystemConfig) -> Deployment:
+    The one way in: refuse an unknown name, consult the support table,
+    build the deployment the backend's protocol describes, say who opened
+    it, schedule its declared outages."""
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
+        )
+    check_supported(config, backend)
+    if backend == "cluster":
         from repro.cluster.backend import open_cluster_system
 
-        return open_cluster_system(config)
-
-    def _capabilities_for(self, config: SystemConfig) -> Capabilities:
-        return Capabilities(
-            timestamps=True,
-            stability=config.shard_protocol == "faust",
-            failure_detection=True,
-            wait_free=True,
-        )
-
-
-#: The built-in backends, by name.
-BACKENDS: dict[str, Backend] = {
-    backend.name: backend
-    for backend in (
-        FaustBackend(),
-        UstorBackend(),
-        LockstepBackend(),
-        UncheckedBackend(),
-        ClusterBackend(),
-    )
-}
-
-
-def get_backend(backend: str | Backend) -> Backend:
-    """Resolve a backend name (or pass an instance through)."""
-    if isinstance(backend, str):
-        try:
-            return BACKENDS[backend]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-            ) from None
-    return backend
-
-
-def open_system(
-    config: SystemConfig, backend: str | Backend = "faust", **placement
-) -> Deployment:
-    """Open a deployment described by ``config`` on the chosen backend:
-    the wired :class:`~repro.workloads.runner.StorageSystem`, or a
-    :class:`~repro.cluster.system.ClusterSystem` of them (``placement``:
-    :func:`build_deployment`'s per-test seams)."""
-    return get_backend(backend).open_system(config, **placement)
+        system = open_cluster_system(config, **placement)
+    else:
+        system = build_deployment(config, protocol_for(backend, config), **placement)
+        system.wire_notifications()
+    system.backend_name = backend
+    system.default_timeout = config.default_timeout
+    # Sorted, so that when one window ends exactly where the next
+    # begins, the restart event is enqueued (and fires) before the
+    # next crash — ties at one virtual time break by scheduling order.
+    for fault in sorted(config.server_outages, key=lambda fault: fault.start):
+        system.faults.add(fault)
+    return system

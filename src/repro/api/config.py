@@ -1,8 +1,9 @@
 """Declarative configuration for opening a storage system through a backend.
 
 One :class:`SystemConfig` describes a deployment independently of the
-protocol that will run it; the chosen :class:`~repro.api.backends.Backend`
-interprets the knobs it understands.  FAUST-specific tuning lives in the
+protocol that will run it; the backend named to
+:func:`~repro.api.backends.open_system` interprets the knobs it
+understands.  FAUST-specific tuning lives in the
 nested :class:`FaustParams` so that experiments can sweep fail-aware
 parameters without touching the common deployment shape.
 """
@@ -421,8 +422,8 @@ _DEFAULTS = {
 def check_supported(config: SystemConfig, backend: str | None = None) -> None:
     """Raise :class:`ConfigurationError` for a knob ``backend`` does not
     run over ``config.transport`` (``backend=None``: that *no* backend
-    runs over it).  Every way of opening a system calls this first, so
-    nothing is built or connected for a config that would be ignored."""
+    runs over it).  ``open_system`` calls this first, so nothing is
+    built or connected for a config that would be ignored."""
     transport = config.transport
     speakers = {b for f in FEATURES for b in f.runs_on(transport)}
     if backend is not None and backend not in speakers:

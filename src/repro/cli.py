@@ -65,8 +65,8 @@ from repro.common.errors import (
     StorageError,
     UnknownSignerError,
 )
-from repro.baselines.lockstep import LockStepServer, TamperingLockStepServer
-from repro.baselines.unchecked import LyingUncheckedServer, UncheckedServer
+from repro.baselines.lockstep import TamperingLockStepServer
+from repro.baselines.unchecked import LyingUncheckedServer
 from repro.consistency import (
     check_causal_consistency,
     check_linearizability,
@@ -88,11 +88,9 @@ SERVERS = {name: adversary.factory for name, adversary in ADVERSARIES.items()}
 #: behaviours need protocol-specific implementations; only these exist.
 BASELINE_SERVERS = {
     "lockstep": {
-        "correct": lambda n, name: LockStepServer(n, name=name),
         "tampering": lambda n, name: TamperingLockStepServer(n, 0, name=name),
     },
     "unchecked": {
-        "correct": lambda n, name: UncheckedServer(n, name=name),
         "tampering": lambda n, name: LyingUncheckedServer(n, 0, name=name),
     },
 }
@@ -226,15 +224,9 @@ def _server_placement(args, backend):
     ``--server-shard``/``--server-replica`` flags that place it.  Whether
     a backend or transport takes the resulting knobs is the API's call.
     """
-    table = BASELINE_SERVERS.get(backend, SERVERS)
     if args.server not in SERVERS:
         raise ConfigurationError(
             f"unknown server {args.server!r}; see 'python -m repro attacks'"
-        )
-    if args.server not in table:
-        raise ConfigurationError(
-            f"server behaviour {args.server!r} is not implemented for the "
-            f"{backend!r} backend (available: {', '.join(sorted(table))})"
         )
     placed = args.server_shard is not None or args.server_replica is not None
     if args.server == "correct":
@@ -243,9 +235,16 @@ def _server_placement(args, backend):
                 "--server-shard/--server-replica place a Byzantine "
                 "behaviour; pick a --server"
             )
-        # The correct server takes its engine from --storage, so the API
-        # builds it; the baselines have no default the API could pick.
-        return (table["correct"] if backend in BASELINE_SERVERS else None), {}, {}
+        # Every backend's protocol builds its own correct server (the
+        # USTOR one takes its engine from --storage).
+        return None, {}, {}
+    table = BASELINE_SERVERS.get(backend, SERVERS)
+    if args.server not in table:
+        raise ConfigurationError(
+            f"server behaviour {args.server!r} is not implemented for the "
+            f"{backend!r} backend (available: "
+            f"{', '.join(sorted({'correct', *table}))})"
+        )
     if args.server_shard is not None and args.server_replica is not None:
         raise ConfigurationError(
             "--server-replica and --server-shard both place the behaviour; "
@@ -484,8 +483,10 @@ def _run_and_report(args, system, config, workload, backend) -> None:
             )
 
     print()
-    fail_aware = system.capabilities.stability
     for client in system.clients:
+        # Fail-aware clients (FAUST, or a cluster of FAUST shards) are the
+        # ones that track stability.
+        tracker = getattr(client, "tracker", None)
         flags = []
         if client.crashed:
             flags.append("crashed")
@@ -494,10 +495,10 @@ def _run_and_report(args, system, config, workload, backend) -> None:
             # and the FAUST-level fail that wraps (or stands in for) it.
             if client.fail_reason:
                 flags.append(f"USTOR fail: {client.fail_reason}")
-            if fail_aware:
+            if tracker is not None:
                 flags.append(f"FAUST fail: {client.halt_reason}")
-        elif fail_aware and not client.crashed:
-            flags.append(f"stability cut {list(client.tracker.stability_cut())}")
+        elif tracker is not None and not client.crashed:
+            flags.append(f"stability cut {list(tracker.stability_cut())}")
         print(f"{client.name}: {'; '.join(flags) if flags else 'ok'}")
 
     print()

@@ -67,15 +67,13 @@ class Deployment:
     ``shards[k]``), ``faults`` (the one fault schedule: every crash,
     outage and away-window is a :class:`~repro.sim.faults.Fault` added
     there), ``audit_every``, its ``session_class`` and a ``_sessions``
-    cache.  ``open_system`` sets ``backend_name``,
-    ``capabilities`` and ``default_timeout``; a deployment built directly
-    keeps the defaults below.
+    cache.  ``open_system`` sets ``backend_name`` and
+    ``default_timeout``; a deployment built directly keeps the defaults
+    below.
     """
 
     #: The backend that opened this deployment (``None``: built directly).
     backend_name: str | None = None
-    #: That backend's :class:`~repro.api.backends.Capabilities`.
-    capabilities = None
     #: Wait budget of the sessions opened here, on the world's clock.
     default_timeout: float = 1_000.0
     #: Every ``stable_i`` / ``fail_i`` output as a typed event, once wired.
@@ -99,7 +97,7 @@ class Deployment:
         """Current time on the world's clock (shared by every shard)."""
         return self.scheduler.now
 
-    # -- sessions and guarantees ----------------------------------------- #
+    # -- sessions -------------------------------------------------------- #
 
     def session(self, client_id: ClientId, timeout: float | None = None):
         """The session bound to ``client_id`` (cached per client unless an
@@ -113,17 +111,6 @@ class Deployment:
     def sessions(self) -> list:
         """One session per client, in client order."""
         return [self.session(i) for i in range(len(self.clients))]
-
-    def require(self, capability: str) -> None:
-        """Assert the backend provides ``capability`` (an attribute of its
-        :class:`~repro.api.backends.Capabilities`); raises
-        :class:`~repro.api.errors.CapabilityError` if not."""
-        from repro.api.errors import CapabilityError
-
-        if not getattr(self.capabilities, capability, False):
-            raise CapabilityError(
-                f"backend {self.backend_name!r} does not provide {capability}"
-            )
 
     # -- observation ----------------------------------------------------- #
 

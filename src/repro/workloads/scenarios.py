@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from repro.api.backends import get_backend
+from repro.api.backends import open_system
 from repro.api.config import FaustParams, SystemConfig
 from repro.api.events import FailureNotification
 from repro.api.handles import OpHandle, OpResult
@@ -80,7 +80,7 @@ def figure2_scenario(
     working; her cut shows consistency with herself up to t=10, with Bob
     up to t=8, with Carlos up to t=3.
     """
-    system = get_backend("faust").open_system(
+    system = open_system(
         SystemConfig(
             num_clients=3,
             seed=seed,
@@ -91,7 +91,8 @@ def figure2_scenario(
                 enable_probes=False,
                 delta=200.0,
             ),
-        )
+        ),
+        backend="faust",
     )
     alice, bob, carlos = system.sessions()
 
@@ -159,7 +160,7 @@ def figure3_scenario(seed: int = 3, faust: bool = False, prepare=None) -> Figure
             probe_check_period=5.0,
         ),
     )
-    system = get_backend("faust" if faust else "ustor").open_system(config)
+    system = open_system(config, backend="faust" if faust else "ustor")
     if prepare is not None:
         prepare(system)
     writer, victim = system.sessions()
@@ -257,7 +258,7 @@ def _run(
         faust=FaustParams(delta=delta, probe_check_period=delta / 3),
         **config,
     )
-    system = get_backend(backend).open_system(config)
+    system = open_system(config, backend=backend)
     if prepare is not None:
         prepare(system)
     driver = run_closed_loop(

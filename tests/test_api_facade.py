@@ -13,19 +13,13 @@ import pytest
 
 from repro.api import (
     BACKENDS,
-    Backend,
     CapabilityError,
     FailureNotification,
-    FaustBackend,
     FaustParams,
-    LockstepBackend,
     OperationFailed,
     OperationTimeout,
     StabilityNotification,
     SystemConfig,
-    UncheckedBackend,
-    UstorBackend,
-    get_backend,
     open_system,
 )
 from repro.baselines.lockstep import TamperingLockStepServer
@@ -36,8 +30,7 @@ from repro.sim.faults import Fault
 from repro.store import encode_server_state
 from repro.ustor.byzantine import RollbackServer, TamperingServer, UnresponsiveServer
 
-ALL_BACKENDS = [FaustBackend(), UstorBackend(), LockstepBackend(), UncheckedBackend()]
-IDS = [b.name for b in ALL_BACKENDS]
+ALL_BACKENDS = ["faust", "ustor", "lockstep", "unchecked"]
 
 
 def down(start: float, duration: float, target=None) -> Fault:
@@ -59,10 +52,10 @@ def quiet_config(num_clients=2, seed=5, **overrides) -> SystemConfig:
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS, ids=IDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestScenarioMatrix:
     def test_write_read_roundtrip(self, backend):
-        system = backend.open_system(quiet_config())
+        system = open_system(quiet_config(), backend=backend)
         alice, bob = system.session(0), system.session(1)
         t = alice.write_sync(b"hello")
         assert t >= 1
@@ -70,18 +63,18 @@ class TestScenarioMatrix:
         assert value == b"hello"
 
     def test_read_unwritten_register_returns_bottom(self, backend):
-        system = backend.open_system(quiet_config())
+        system = open_system(quiet_config(), backend=backend)
         value, _ = system.session(0).read_sync(1)
         assert value is BOTTOM
 
     def test_timestamps_monotone_per_client(self, backend):
-        system = backend.open_system(quiet_config())
+        system = open_system(quiet_config(), backend=backend)
         session = system.session(0)
         stamps = [session.write_sync(b"v%d" % i) for i in range(4)]
         assert stamps == sorted(stamps) and len(set(stamps)) == 4
 
     def test_pipelined_handles_settle_in_order(self, backend):
-        system = backend.open_system(quiet_config())
+        system = open_system(quiet_config(), backend=backend)
         session = system.session(0)
         handles = [session.write(b"w%d" % i) for i in range(3)]
         handles.append(session.read(1))
@@ -95,7 +88,7 @@ class TestScenarioMatrix:
         assert results[3].kind is OpKind.READ and results[3].value is BOTTOM
 
     def test_add_done_callback(self, backend):
-        system = backend.open_system(quiet_config())
+        system = open_system(quiet_config(), backend=backend)
         session = system.session(0)
         seen = []
         handle = session.write(b"x")
@@ -114,12 +107,12 @@ class TestScenarioMatrix:
             "lockstep": lambda n, name: TamperingLockStepServer(n, 0, name=name),
             "unchecked": lambda n, name: LyingUncheckedServer(n, 0, name=name),
         }
-        system = backend.open_system(
-            quiet_config(seed=7, server_factory=factories[backend.name])
+        system = open_system(
+            quiet_config(seed=7, server_factory=factories[backend]), backend=backend
         )
         writer, reader = system.session(0), system.session(1)
         writer.write_sync(b"genuine")
-        if backend.capabilities.failure_detection:
+        if backend != "unchecked":
             with pytest.raises(OperationFailed):
                 reader.read_sync(0)
             assert reader.failed
@@ -131,9 +124,9 @@ class TestScenarioMatrix:
             assert not system.notifications.failure_events()
 
     def test_stability_surface_matches_capability(self, backend):
-        system = backend.open_system(quiet_config())
+        system = open_system(quiet_config(), backend=backend)
         session = system.session(0)
-        if backend.capabilities.stability:
+        if backend == "faust":
             assert session.stability_cut == (0, 0)
         else:
             with pytest.raises(CapabilityError):
@@ -149,13 +142,14 @@ class TestScenarioMatrix:
 
 class TestHandleEdges:
     def test_timeout_names_kind_and_register(self):
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 seed=5,
                 server_factory=lambda n, name: UnresponsiveServer(
                     n, victims={0}, name=name
                 ),
-            )
+            ),
+            backend="faust",
         )
         handle = system.session(0).write(b"never-acked")
         with pytest.raises(OperationTimeout) as excinfo:
@@ -168,24 +162,26 @@ class TestHandleEdges:
         assert not handle.done()  # still pending, not failed
 
     def test_timeout_leaves_other_sessions_usable(self):
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 seed=6,
                 server_factory=lambda n, name: UnresponsiveServer(
                     n, victims={0}, name=name
                 ),
-            )
+            ),
+            backend="faust",
         )
         with pytest.raises(OperationTimeout):
             system.session(0).write(b"blocked").result(timeout=20.0)
         assert system.session(1).write_sync(b"fine") >= 1
 
     def test_failure_rejects_all_outstanding_handles(self):
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 seed=7,
                 server_factory=lambda n, name: TamperingServer(n, 0, name=name),
-            )
+            ),
+            backend="faust",
         )
         system.session(0).write_sync(b"genuine")
         reader = system.session(1)
@@ -201,11 +197,12 @@ class TestHandleEdges:
     def test_submitting_on_failed_client_raises(self):
         from repro.common.errors import ProtocolError
 
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 seed=8,
                 server_factory=lambda n, name: TamperingServer(n, 0, name=name),
-            )
+            ),
+            backend="faust",
         )
         system.session(0).write_sync(b"genuine")
         reader = system.session(1)
@@ -215,13 +212,14 @@ class TestHandleEdges:
             reader.read(0)
 
     def test_barrier_timeout(self):
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 seed=9,
                 server_factory=lambda n, name: UnresponsiveServer(
                     n, victims={0}, name=name
                 ),
-            )
+            ),
+            backend="faust",
         )
         session = system.session(0)
         session.write(b"stuck")
@@ -233,16 +231,16 @@ class TestHandleEdges:
 # The storage/recovery fault axis
 # --------------------------------------------------------------------- #
 
-STORAGE_BACKENDS = [FaustBackend(), UstorBackend()]
 
 
-@pytest.mark.parametrize("backend", STORAGE_BACKENDS, ids=[b.name for b in STORAGE_BACKENDS])
+@pytest.mark.parametrize("backend", ["faust", "ustor"])
 class TestCrashRecoveryMatrix:
     def test_honest_recovery_is_invisible(self, backend):
         """A crash + WAL/snapshot recovery must look like slowness: every
         operation completes, no failure notification, byte-identical state."""
-        system = backend.open_system(
-            quiet_config(storage="log", server_outages=(down(5.0, 10.0),))
+        system = open_system(
+            quiet_config(storage="log", server_outages=(down(5.0, 10.0),)),
+            backend=backend,
         )
         alice, bob = system.session(0), system.session(1)
         t1 = alice.write_sync(b"before-outage")
@@ -267,7 +265,7 @@ class TestCrashRecoveryMatrix:
         it could adopt for an operation it forgot), so bob is served the
         past, and alice — whose committed version the restored state no
         longer dominates — hands in the proof (line 36)."""
-        system = backend.open_system(
+        system = open_system(
             quiet_config(
                 server_factory=lambda n, name: RollbackServer(
                     n,
@@ -276,7 +274,8 @@ class TestCrashRecoveryMatrix:
                     outage=2.0,
                     name=name,
                 )
-            )
+            ),
+            backend=backend,
         )
         alice, bob = system.session(0), system.session(1)
         for k in range(3):
@@ -290,7 +289,7 @@ class TestCrashRecoveryMatrix:
         assert system.server.restarts == 1
 
     def test_storage_engine_instrumented(self, backend):
-        system = backend.open_system(quiet_config(storage="log"))
+        system = open_system(quiet_config(storage="log"), backend=backend)
         system.session(0).write_sync(b"logged")
         engine = system.server.engine
         assert engine.durable and engine.wal_appends >= 1
@@ -298,11 +297,13 @@ class TestCrashRecoveryMatrix:
 
 class TestStorageConfig:
     def test_baselines_reject_storage_knobs(self):
-        for backend in (LockstepBackend(), UncheckedBackend()):
+        for backend in ("lockstep", "unchecked"):
             with pytest.raises(ConfigurationError, match="storage"):
-                backend.open_system(quiet_config(storage="log"))
+                open_system(quiet_config(storage="log"), backend=backend)
             with pytest.raises(ConfigurationError, match="storage"):
-                backend.open_system(quiet_config(server_outages=(down(1.0, 1.0),)))
+                open_system(
+                    quiet_config(server_outages=(down(1.0, 1.0),)), backend=backend
+                )
 
     def test_outage_windows_validated(self):
         with pytest.raises(ConfigurationError):
@@ -337,10 +338,11 @@ class TestStorageConfig:
         """Windows given out of order must still schedule restart-then-crash
         at the shared boundary instant: the server stays down over [10, 20)
         and both recovery cycles occur."""
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 storage="log", server_outages=(down(15.0, 5.0), down(10.0, 5.0))
-            )
+            ),
+            backend="faust",
         )
         system.run(until=17.0)
         assert system.server.crashed  # mid second window
@@ -356,12 +358,13 @@ class TestStorageConfig:
 
 class TestNotifications:
     def _stability_system(self, seed=11):
-        return FaustBackend().open_system(
+        return open_system(
             SystemConfig(
                 num_clients=2,
                 seed=seed,
                 faust=FaustParams(dummy_read_period=2.0),
-            )
+            ),
+            backend="faust",
         )
 
     def test_stability_events_ordered_and_monotone(self):
@@ -431,20 +434,15 @@ class TestNotifications:
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert set(BACKENDS) == {"faust", "ustor", "lockstep", "unchecked", "cluster"}
-        for name, backend in BACKENDS.items():
-            assert isinstance(backend, Backend)
-            assert get_backend(name) is backend
+        for name in BACKENDS:
+            assert open_system(quiet_config(), backend=name).backend_name == name
 
-    def test_get_backend_passthrough_and_unknown(self):
-        mine = FaustBackend()
-        assert get_backend(mine) is mine
-        with pytest.raises(ConfigurationError):
-            get_backend("sundr")
-
-    def test_open_system_by_name(self):
-        system = open_system(quiet_config(), backend="lockstep")
-        assert system.backend_name == "lockstep"
-        assert not system.capabilities.wait_free
+    @pytest.mark.parametrize(
+        "backend", ["sundr", object(), None], ids=["unknown", "object", "none"]
+    )
+    def test_unknown_or_non_string_backend_refused(self, backend):
+        with pytest.raises(ConfigurationError, match="choose from"):
+            open_system(quiet_config(), backend=backend)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -456,9 +454,3 @@ class TestRegistry:
         # NaN compares false both ways, so the check must be one NaN fails.
         with pytest.raises(ConfigurationError, match="default_timeout"):
             SystemConfig(num_clients=1, default_timeout=float("nan"))
-
-    def test_require_capability(self):
-        system = open_system(quiet_config(), backend="unchecked")
-        system.require("timestamps")
-        with pytest.raises(CapabilityError):
-            system.require("stability")

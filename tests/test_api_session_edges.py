@@ -14,12 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    FaustBackend,
     FaustParams,
     OperationFailed,
     OperationTimeout,
     SystemConfig,
-    UstorBackend,
     open_system,
 )
 from repro.common.errors import ProtocolError
@@ -56,7 +54,7 @@ def quiet_config(**overrides) -> SystemConfig:
 
 class TestTimeoutNaming:
     def test_write_timeout_names_kind_register_client(self):
-        system = FaustBackend().open_system(stonewalled_config(victims={0}))
+        system = open_system(stonewalled_config(victims={0}), backend="faust")
         handle = system.session(0).write(b"never-acked")
         with pytest.raises(OperationTimeout) as excinfo:
             handle.result(timeout=30.0)
@@ -67,7 +65,7 @@ class TestTimeoutNaming:
         assert "30.0" in message
 
     def test_read_timeout_names_the_target_register(self):
-        system = FaustBackend().open_system(stonewalled_config(victims={1}))
+        system = open_system(stonewalled_config(victims={1}), backend="faust")
         handle = system.session(1).read(0)
         with pytest.raises(OperationTimeout) as excinfo:
             handle.result(timeout=25.0)
@@ -75,8 +73,9 @@ class TestTimeoutNaming:
         assert "read" in message and "X1" in message and "C2" in message
 
     def test_timeout_uses_session_default_when_unspecified(self):
-        system = FaustBackend().open_system(
-            stonewalled_config(victims={0}, default_timeout=40.0)
+        system = open_system(
+            stonewalled_config(victims={0}, default_timeout=40.0),
+            backend="faust",
         )
         session = system.session(0)
         assert session.timeout == 40.0
@@ -85,7 +84,7 @@ class TestTimeoutNaming:
             handle.result()
 
     def test_timed_out_handle_is_not_settled(self):
-        system = FaustBackend().open_system(stonewalled_config(victims={0}))
+        system = open_system(stonewalled_config(victims={0}), backend="faust")
         handle = system.session(0).write(b"x")
         assert not handle.wait(timeout=20.0)
         assert not handle.done()
@@ -93,7 +92,7 @@ class TestTimeoutNaming:
             handle.exception(timeout=5.0)  # exception() times out too
 
     def test_sync_forms_propagate_the_timeout(self):
-        system = FaustBackend().open_system(stonewalled_config(victims={0}))
+        system = open_system(stonewalled_config(victims={0}), backend="faust")
         session = system.session(0)
         with pytest.raises(OperationTimeout):
             session.write_sync(b"x", timeout=15.0)
@@ -109,7 +108,7 @@ class TestTimeoutNaming:
 
 class TestPipelinedTimeouts:
     def test_pipelined_faust_submissions_all_time_out(self):
-        system = FaustBackend().open_system(stonewalled_config(victims={0}))
+        system = open_system(stonewalled_config(victims={0}), backend="faust")
         session = system.session(0)
         handles = [session.write(b"w%d" % i) for i in range(3)]
         assert session.outstanding == 3
@@ -121,7 +120,7 @@ class TestPipelinedTimeouts:
     def test_backlogged_ustor_submissions_time_out_without_issuing(self):
         # USTOR clients take one op at a time; ops 2 and 3 never leave the
         # session backlog because op 1 never completes.
-        system = UstorBackend().open_system(stonewalled_config(victims={0}))
+        system = open_system(stonewalled_config(victims={0}), backend="ustor")
         session = system.session(0)
         session.write(b"first")
         session.write(b"second")
@@ -148,8 +147,9 @@ class TestPipelinedTimeouts:
                 self._answered += 1
                 super().handle_submit(src, message)
 
-        system = FaustBackend().open_system(
-            quiet_config(server_factory=lambda n, name: StonewallAfter(n, name))
+        system = open_system(
+            quiet_config(server_factory=lambda n, name: StonewallAfter(n, name)),
+            backend="faust",
         )
         session = system.session(0)
         handles = [session.write(b"w%d" % i) for i in range(3)]
@@ -167,14 +167,14 @@ class TestPipelinedTimeouts:
 
 class TestBarrierEdges:
     def test_barrier_with_zero_inflight_returns_immediately(self):
-        system = FaustBackend().open_system(quiet_config())
+        system = open_system(quiet_config(), backend="faust")
         session = system.session(0)
         before = system.now
         session.barrier()  # never issued anything
         assert system.now == before
 
     def test_barrier_after_everything_settled_is_a_noop(self):
-        system = FaustBackend().open_system(quiet_config())
+        system = open_system(quiet_config(), backend="faust")
         session = system.session(0)
         session.write_sync(b"x")
         session.barrier()
@@ -182,10 +182,11 @@ class TestBarrierEdges:
         assert session.outstanding == 0
 
     def test_barrier_raises_the_first_failure(self):
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 server_factory=lambda n, name: TamperingServer(n, 0, name=name)
-            )
+            ),
+            backend="faust",
         )
         system.session(0).write_sync(b"genuine")
         victim = system.session(1)
@@ -196,7 +197,7 @@ class TestBarrierEdges:
         assert victim.outstanding == 0  # failure settles everything
 
     def test_barrier_only_waits_for_already_issued_handles(self):
-        system = FaustBackend().open_system(quiet_config())
+        system = open_system(quiet_config(), backend="faust")
         session = system.session(0)
         session.write(b"w1")
         session.barrier()
@@ -206,10 +207,11 @@ class TestBarrierEdges:
         assert handle.done()
 
     def test_submitting_on_a_failed_session_raises_protocol_error(self):
-        system = FaustBackend().open_system(
+        system = open_system(
             quiet_config(
                 server_factory=lambda n, name: TamperingServer(n, 0, name=name)
-            )
+            ),
+            backend="faust",
         )
         system.session(0).write_sync(b"genuine")
         victim = system.session(1)
@@ -219,7 +221,7 @@ class TestBarrierEdges:
             victim.read(0)
 
     def test_crashed_client_rejects_waiters(self):
-        system = FaustBackend().open_system(quiet_config())
+        system = open_system(quiet_config(), backend="faust")
         session = system.session(0)
         handle = session.write(b"w")
         session.client.crash()
@@ -234,7 +236,7 @@ class TestBarrierEdges:
 
 class TestClusterParity:
     def test_cluster_timeout_naming_matches_single_server(self):
-        single = FaustBackend().open_system(stonewalled_config(victims={0}))
+        single = open_system(stonewalled_config(victims={0}), backend="faust")
         clustered = open_system(
             SystemConfig(
                 num_clients=2,

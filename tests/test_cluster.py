@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import (
     CapabilityError,
-    ClusterBackend,
     FailureNotification,
     FaustParams,
     OperationFailed,
@@ -37,8 +36,9 @@ def quiet_cluster(num_clients=4, shards=2, seed=5, **overrides) -> ClusterSystem
     overrides.setdefault(
         "faust", FaustParams(enable_dummy_reads=False, enable_probes=False)
     )
-    return ClusterBackend().open_system(
-        SystemConfig(num_clients=num_clients, shards=shards, seed=seed, **overrides)
+    return open_system(
+        SystemConfig(num_clients=num_clients, shards=shards, seed=seed, **overrides),
+        backend="cluster",
     )
 
 
@@ -134,13 +134,17 @@ class TestClusterConfig:
         assert system.num_shards == 1
         assert system.session(0).write_sync(b"x") == 1
 
-    def test_capabilities_follow_shard_protocol(self):
-        faust_cluster = quiet_cluster()
-        assert faust_cluster.capabilities.stability
-        ustor_cluster = quiet_cluster(shard_protocol="ustor")
-        assert not ustor_cluster.capabilities.stability
+    def test_stability_follows_shard_protocol(self):
+        faust_session = quiet_cluster().session(0)
+        t = faust_session.write_sync(b"x")
+        assert len(faust_session.stability_cut) == 4
+        faust_session.wait_for_stability(t, timeout=10)
+        ustor_session = quiet_cluster(shard_protocol="ustor").session(0)
+        t = ustor_session.write_sync(b"x")
         with pytest.raises(CapabilityError):
-            ustor_cluster.require("stability")
+            _ = ustor_session.stability_cut
+        with pytest.raises(CapabilityError):
+            ustor_session.wait_for_stability(t, timeout=10)
 
 
 # --------------------------------------------------------------------- #
@@ -249,7 +253,7 @@ class TestClusterSessions:
 
 class TestClusterStability:
     def test_home_shard_stability_with_background_machinery(self):
-        system = ClusterBackend().open_system(
+        system = open_system(
             SystemConfig(
                 num_clients=3,
                 shards=2,
@@ -257,7 +261,8 @@ class TestClusterStability:
                 faust=FaustParams(
                     delta=30.0, dummy_read_period=3.0, probe_check_period=5.0
                 ),
-            )
+            ),
+            backend="cluster",
         )
         session = system.session(0)
         t = session.write_sync(b"document")
@@ -267,7 +272,7 @@ class TestClusterStability:
         assert session.home_shard in cuts
 
     def test_stability_events_carry_the_shard(self):
-        system = ClusterBackend().open_system(
+        system = open_system(
             SystemConfig(
                 num_clients=3,
                 shards=2,
@@ -275,7 +280,8 @@ class TestClusterStability:
                 faust=FaustParams(
                     delta=30.0, dummy_read_period=3.0, probe_check_period=5.0
                 ),
-            )
+            ),
+            backend="cluster",
         )
         session = system.session(0)
         t = session.write_sync(b"document")
@@ -424,8 +430,9 @@ class TestClusterChurn:
         assert not any(s.crashed for s in system.servers)
 
     def test_client_churn_pauses_every_shard_instance(self):
-        system = ClusterBackend().open_system(
-            SystemConfig(num_clients=4, shards=2, seed=13)
+        system = open_system(
+            SystemConfig(num_clients=4, shards=2, seed=13),
+            backend="cluster",
         )
         system.faults.add(Fault("away", 1, 5.0, 20.0))
         system.run(until=10.0)
@@ -496,14 +503,15 @@ class TestShardSeedDerivation:
         # latencies; with the old shared stream they drew in lockstep.
         from repro.sim.network import UniformLatency
 
-        system = ClusterBackend().open_system(
+        system = open_system(
             SystemConfig(
                 num_clients=4,
                 seed=9,
                 shards=2,
                 latency=UniformLatency(0.5, 1.5),
                 faust=FaustParams(enable_dummy_reads=False, enable_probes=False),
-            )
+            ),
+            backend="cluster",
         )
         for client in range(4):
             system.session(client).write_sync(b"x")

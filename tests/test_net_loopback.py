@@ -542,7 +542,7 @@ class TestConfigAndBackends:
             open_system(config, backend=backend)
 
     def test_open_system_tcp_end_to_end(self):
-        # The full facade path: SystemConfig -> UstorBackend -> NetSystem,
+        # The full facade path: SystemConfig -> open_system -> NetSystem,
         # against a real `repro serve` OS process (the backend owns its
         # runtime, so the server cannot share the client loop).
         from repro.net.supervisor import ServerProcess

@@ -26,10 +26,13 @@ from collections import Counter
 
 import pytest
 
+import repro.api.backends as backends_module
 import repro.api.config as config_module
+import repro.cluster.backend as cluster_backend
 import repro.net.client as net_client
 import repro.workloads.runner as runner
-from repro.api import BACKENDS, ClusterBackend, SystemConfig, open_system
+from repro.api import BACKENDS, SystemConfig, open_system
+from repro.api.backends import protocol_for
 from repro.api.config import (
     FEATURES,
     TRANSPORTS,
@@ -52,7 +55,11 @@ NUM_CLIENTS = 3
 def asking(feature: str, backend: str) -> dict:
     """``SystemConfig`` kwargs that ask for ``feature`` (and for nothing
     else beyond what its own validation demands)."""
-    honest = BASELINE_SERVERS.get(backend, SERVERS)["correct"]
+    honest = (
+        protocol_for(backend, SystemConfig(NUM_CLIENTS)).server_factory
+        if backend in BASELINE_SERVERS
+        else SERVERS["correct"]
+    )
     return {
         "storage": {"storage": "log"},
         "batching": {"batching": True},
@@ -124,11 +131,11 @@ def test_cell(backend, transport, feature_name, monkeypatch, loopback):
             assert system.session(0).write_sync(b"x") == 1
         return
 
-    def refuse_to_build(self, config):
-        raise AssertionError("a rejected config reached the opener")
+    def refuse_to_build(*args, **kwargs):
+        raise AssertionError("a rejected config reached a builder")
 
-    for cls in {type(b) for b in BACKENDS.values()}:
-        monkeypatch.setattr(cls, "_open", refuse_to_build)
+    monkeypatch.setattr(backends_module, "build_deployment", refuse_to_build)
+    monkeypatch.setattr(cluster_backend, "open_cluster_system", refuse_to_build)
     if transport == "tcp":
         # Nothing listens there: a connection attempt would be an error
         # of a different kind (and seconds later).
@@ -172,9 +179,9 @@ def test_flipping_one_cell_flips_the_verdict(monkeypatch):
 
 
 def test_span_log_attached_to_a_cluster_hears_every_shard():
-    # The log listens to each shard's recorder, so a cluster opened
-    # through the backend directly is traced on both of its shards.
-    system = ClusterBackend().open_system(SystemConfig(num_clients=2, shards=2))
+    # The log listens to each shard's recorder, so a cluster is traced on
+    # both of its shards.
+    system = open_system(SystemConfig(num_clients=2, shards=2), backend="cluster")
     log = SpanLog.attach(system)
     for client in range(2):
         system.session(client).write_sync(b"traced")

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.api import (
-    FaustBackend,
     FaustParams,
     OperationFailed,
     SystemConfig,
@@ -119,8 +118,9 @@ class TestBlockingSessions:
     """The blocking read/write surface of the facade sessions."""
 
     def _system(self, seed, **config_kwargs):
-        return FaustBackend().open_system(
-            SystemConfig(num_clients=2, seed=seed, **config_kwargs)
+        return open_system(
+            SystemConfig(num_clients=2, seed=seed, **config_kwargs),
+            backend="faust",
         )
 
     def test_write_read_roundtrip(self):
