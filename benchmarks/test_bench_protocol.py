@@ -13,6 +13,8 @@ import random
 import pytest
 
 from repro.api import SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
 from repro.ustor.messages import InvocationTuple, SubmitMessage
@@ -77,7 +79,7 @@ def test_server_apply_submit(benchmark):
 
 def test_lockstep_throughput(benchmark):
     def run():
-        system = open_system(SystemConfig(4, seed=4), backend="lockstep")
+        system = build_deployment(SystemConfig(4, seed=4), lockstep_protocol())
         scripts = generate_scripts(
             4,
             WorkloadConfig(ops_per_client=15, read_fraction=0.5, mean_think_time=0.0),

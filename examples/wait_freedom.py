@@ -13,13 +13,17 @@ operation (before acknowledging the server's reply).
   fork-linearizability: no fork-linearizable storage protocol can be
   wait-free.
 
-Both protocols run through the same ``repro.api`` surface — only the
-backend (and with it, the guarantee) changes.
+Both protocols run through the same session surface — only the protocol
+(and with it, the guarantee) changes.  USTOR is a backend of
+``open_system``; the lock-step baseline is built from the same config by
+``build_deployment``.
 
 Run:  python examples/wait_freedom.py
 """
 
 from repro.api import SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.sim.network import FixedLatency
 
 
@@ -64,7 +68,7 @@ def main() -> None:
     ustor = open_system(config, backend="ustor")
     crash_scenario(ustor, "USTOR (weak fork-linearizable, wait-free)")
 
-    lockstep = open_system(config, backend="lockstep")
+    lockstep = build_deployment(config, lockstep_protocol())
     crash_scenario(lockstep, "Lock-step baseline (fork-linearizable, blocking)")
 
     print(

@@ -2,8 +2,9 @@
 
 A complete reproduction: the USTOR weak fork-linearizable storage protocol
 (Algorithms 1-2), the FAUST fail-aware layer (Section 6), the consistency
-theory of Sections 2-4 as executable checkers, baselines, Byzantine server
-attacks, and the simulation substrate everything runs on.
+theory of Sections 2-4 as executable checkers, the blocking lock-step
+baseline, Byzantine server attacks, and the simulation substrate
+everything runs on.
 
 Quickstart (see :mod:`repro.api` for the full facade)::
 

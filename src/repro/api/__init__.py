@@ -14,9 +14,9 @@ One storage abstraction over interchangeable protocol backends::
     sub = system.notifications.subscribe()      # typed stable/fail events
     alice.wait_for_stability(t)
 
-Name ``"ustor"``, ``"lockstep"``, ``"unchecked"`` or ``"cluster"``
-instead (:data:`BACKENDS`) and the read/write surface runs unchanged
-with that protocol's guarantees — the point of the paper, as an API.
+Name ``"ustor"`` or ``"cluster"`` instead (:data:`BACKENDS`) and the
+read/write surface runs unchanged with that protocol's guarantees — the
+point of the paper, as an API.
 Fail-aware calls (stability waits/cuts) exist where the clients are
 fail-aware and raise :class:`CapabilityError` elsewhere.
 """

@@ -14,9 +14,6 @@ faust       USTOR + fail-aware layer     linearizable w/ correct server, weakly
                                          (stability + failure notifications)
 ustor       USTOR alone                  weakly fork-linearizable, wait-free,
                                          local ``fail_i`` detection only
-lockstep    SUNDR-style lock-step        fork-linearizable but blocking (not
-                                         wait-free)
-unchecked   plain remote store           none — the detection-gap baseline
 cluster     N sharded USTOR/FAUST        per-shard guarantees of the shard
             servers                      protocol; forking shards detected by
                                          exactly the clients that touched them
@@ -25,37 +22,43 @@ cluster     N sharded USTOR/FAUST        per-shard guarantees of the shard
 Stability (``stability_cut`` / ``wait_for_stability``) exists where the
 clients are fail-aware — ``faust``, or a cluster of ``faust`` shards —
 and raises :class:`~repro.api.errors.CapabilityError` elsewhere.
+
+The paper's comparator, the blocking lock-step protocol
+(:mod:`repro.baselines.lockstep`), is no backend: E3, E5 and
+``examples/wait_freedom.py`` build it with :func:`build_deployment`,
+which holds it to the support table's promise: it runs on the simulator
+with latency models and a custom server, and any other knob is refused.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.api.config import SystemConfig, check_supported
+from repro.api.config import FEATURES, SystemConfig, check_supported
 from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports the api)
     from repro.workloads.runner import Deployment
 
 #: The backend names :func:`open_system` accepts.
-BACKENDS = ("faust", "ustor", "lockstep", "unchecked", "cluster")
+BACKENDS = ("faust", "ustor", "cluster")
+
+#: The features a protocol outside the USTOR stack runs (the lock-step
+#: baseline, on the simulator): nothing else reaches its clients.
+_OFF_STACK_FEATURES = ("latency", "server_factory")
 
 
 def protocol_for(stack: str, config: SystemConfig):
     """The :class:`~repro.workloads.runner.ProtocolSpec` of the protocol
-    stack a single-server backend (or ``shard_protocol``) names, tuned
-    from ``config``."""
-    from repro.baselines.lockstep import lockstep_protocol
-    from repro.baselines.unchecked import unchecked_protocol
+    stack a single-server backend (or ``shard_protocol``) names —
+    ``"faust"`` or ``"ustor"`` — tuned from ``config``."""
     from repro.workloads.runner import faust_protocol, ustor_protocol
 
-    if stack == "ustor":
-        return ustor_protocol()
     if stack == "faust":
         return faust_protocol(
             config.checkpoint, config.membership, **config.faust.as_kwargs()
         )
-    return {"lockstep": lockstep_protocol, "unchecked": unchecked_protocol}[stack]()
+    return ustor_protocol()
 
 
 def build_deployment(
@@ -73,9 +76,16 @@ def build_deployment(
     and ``latency_seed`` (:class:`~repro.workloads.runner.SimWorld`), the
     sockets' injected ``runtime`` and ``connect_timeout``
     (:class:`~repro.net.client.TcpWorld`).
+
+    A protocol outside the USTOR stack (``ustor_stack=False``: the
+    lock-step baseline) takes latency models and a custom server on the
+    simulator and nothing else; any other knob is refused here, before
+    anything is built, as :func:`check_supported` refuses a backend's.
     """
     from repro.workloads import runner
 
+    if not protocol.ustor_stack:
+        _check_off_stack(config, protocol.client_class.__name__)
     if config.transport == "tcp":
         from repro.net import client as net_client
 
@@ -93,6 +103,24 @@ def build_deployment(
         counter=config.counter is not None,
         commit_piggyback=config.commit_piggyback,
     )
+
+
+def _check_off_stack(config: SystemConfig, clients: str) -> None:
+    """Refuse what a protocol outside the USTOR stack would ignore."""
+    if config.transport != "sim":
+        raise ConfigurationError(
+            f"{clients} runs on the simulator only; "
+            f"got transport={config.transport!r}"
+        )
+    for feature in FEATURES:
+        asked = feature.asked(config)
+        if asked and feature.name not in _OFF_STACK_FEATURES:
+            raise ConfigurationError(
+                f"{'/'.join(f'{name}=' for name in asked)} ({feature.what}) is "
+                f"not supported by {clients} over transport='sim'; outside "
+                f"the USTOR stack a deployment takes latency models and a "
+                f"custom server only"
+            )
 
 
 def open_system(
@@ -114,7 +142,14 @@ def open_system(
     if backend == "cluster":
         from repro.cluster.backend import open_cluster_system
 
-        system = open_cluster_system(config, **placement)
+        if placement:
+            # Each shard is placed by the cluster itself (one scheduler,
+            # per-shard latency streams), so no per-test seam reaches it.
+            raise ConfigurationError(
+                f"the 'cluster' backend takes no placement keyword, got "
+                f"{', '.join(sorted(placement))}"
+            )
+        system = open_cluster_system(config)
     else:
         system = build_deployment(config, protocol_for(backend, config), **placement)
         system.wire_notifications()

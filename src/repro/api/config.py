@@ -80,9 +80,9 @@ class SystemConfig:
     """Backend-agnostic description of one simulated deployment.
 
     ``server_factory`` receives ``(num_clients, server_name)`` and must
-    return a server appropriate to the chosen backend (a USTOR server for
-    the ``faust``/``ustor`` backends, a lock-step or plain server for the
-    baselines); ``None`` selects the backend's honest server.
+    return a server appropriate to the protocol it serves (a USTOR server
+    for every backend, a lock-step server for the lock-step baseline);
+    ``None`` selects the protocol's honest server.
 
     ``transport`` picks the world the deployment runs in: ``"sim"`` (the
     default discrete-event simulator) or ``"tcp"`` (real sockets against
@@ -366,7 +366,6 @@ class Feature:
         return getattr(self, transport)
 
 
-_ALL = ("faust", "ustor", "lockstep", "unchecked", "cluster")
 _USTOR_STACK = ("faust", "ustor", "cluster")
 _FAIL_AWARE = ("faust", "cluster")
 _WIRED = ("faust", "ustor")
@@ -400,9 +399,9 @@ FEATURES: tuple[Feature, ...] = (
     Feature("trace", ("trace_path",),
             "a wire trace of the run's frames", tcp=("ustor",)),
     Feature("latency", ("latency", "offline_latency"),
-            "simulated network latency models", sim=_ALL),
+            "simulated network latency models", sim=_USTOR_STACK),
     Feature("server_factory", ("server_factory",),
-            "a custom server object", sim=_ALL),
+            "a custom server object", sim=_USTOR_STACK),
 )
 
 #: Fields every backend takes on every transport (``scheme`` and ``faust``

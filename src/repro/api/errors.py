@@ -17,7 +17,7 @@ from repro.common.errors import ProtocolError, SimulationError
 
 class CapabilityError(ProtocolError):
     """A guarantee was requested that the chosen backend does not provide
-    (e.g. stability cuts from the unchecked baseline)."""
+    (e.g. stability cuts from the ``ustor`` backend)."""
 
 
 class OperationFailed(ProtocolError):

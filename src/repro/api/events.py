@@ -145,10 +145,9 @@ class NotificationHub:
             instance.add_stable_listener(
                 lambda cut: self.emit_stability(clock(), client, cut, shard=shard)
             )
-        if hasattr(instance, "add_failure_listener"):
-            instance.add_failure_listener(
-                lambda reason: self.emit_failure(clock(), client, reason, shard=shard)
-            )
+        instance.add_failure_listener(
+            lambda reason: self.emit_failure(clock(), client, reason, shard=shard)
+        )
         if instance.failed:
             self.emit_failure(clock(), client, instance.halt_reason, shard=shard)
 

@@ -78,8 +78,7 @@ class Session:
             "session.flush_batch_ops", COUNT_BUCKETS
         )
         self._obs_latency = registry.histogram("session.op_latency")
-        if hasattr(self._client, "add_failure_listener"):
-            self._client.add_failure_listener(self._on_client_failure)
+        self._client.add_failure_listener(self._on_client_failure)
 
     # ------------------------------------------------------------------ #
     # Introspection

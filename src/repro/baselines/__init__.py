@@ -1,4 +1,4 @@
-"""Baseline protocols: the blocking fork-linearizable design and a naive store."""
+"""The baseline protocol: the blocking fork-linearizable design."""
 
 from repro.baselines.lockstep import (
     LockStepClient,
@@ -6,20 +6,10 @@ from repro.baselines.lockstep import (
     LsOutcome,
     TamperingLockStepServer,
 )
-from repro.baselines.unchecked import (
-    LyingUncheckedServer,
-    PlainOutcome,
-    UncheckedClient,
-    UncheckedServer,
-)
 
 __all__ = [
     "LockStepClient",
     "LockStepServer",
     "LsOutcome",
-    "LyingUncheckedServer",
-    "PlainOutcome",
     "TamperingLockStepServer",
-    "UncheckedClient",
-    "UncheckedServer",
 ]

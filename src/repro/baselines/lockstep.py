@@ -19,8 +19,14 @@ real-time ordering — yields fork-linearizability.
 
 The price is the paper's impossibility in action: a client that crashes
 between REPLY and COMMIT wedges the token forever, and even without
-crashes every operation waits for all queued predecessors.  Experiments
-E3 and E5 measure exactly this against USTOR.
+crashes every operation waits for all queued predecessors.  The
+guarantee is therefore fork-linearizable but blocking (not wait-free).
+Experiments E3 and E5 and ``examples/wait_freedom.py`` measure exactly
+this against USTOR.  It is no deployment backend: those three build it
+with ``build_deployment(config, lockstep_protocol())``
+(:func:`repro.api.backends.build_deployment`), which runs it on the
+simulator with latency models and a custom server and refuses every
+other knob.
 """
 
 from __future__ import annotations

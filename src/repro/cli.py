@@ -7,7 +7,6 @@ message statistics::
     python -m repro run --clients 3 --ops 6 --server correct --check
     python -m repro run --server split-brain --backend faust --until 600
     python -m repro run --batch 8 --audit-every 50 --check  # throughput pipeline
-    python -m repro run --backend lockstep --ops 4   # baseline protocols
     python -m repro run --storage log --outage 25 20 --backend faust
     python -m repro run --server rollback --backend faust  # stale-snapshot attack
     python -m repro run --backend cluster --clients 6 --shards 3  # sharded
@@ -38,8 +37,7 @@ real TCP, every run recorded and replayable::
 The CLI is a thin veneer over the library; everything it does is one or
 two calls into :mod:`repro.api`, :mod:`repro.workloads` and
 :mod:`repro.consistency`.  ``--backend`` selects the protocol stack the
-same workload runs on (``faust`` / ``ustor`` / ``lockstep`` /
-``unchecked`` / ``cluster``).
+same workload runs on (``faust`` / ``ustor`` / ``cluster``).
 """
 
 from __future__ import annotations
@@ -65,8 +63,6 @@ from repro.common.errors import (
     StorageError,
     UnknownSignerError,
 )
-from repro.baselines.lockstep import TamperingLockStepServer
-from repro.baselines.unchecked import LyingUncheckedServer
 from repro.consistency import (
     check_causal_consistency,
     check_linearizability,
@@ -83,17 +79,6 @@ from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 #: ``--server`` name -> ``(n, name)`` factory: one column of the catalogue.
 SERVERS = {name: adversary.factory for name, adversary in ADVERSARIES.items()}
-
-#: The baseline protocols speak their own wire formats, so Byzantine
-#: behaviours need protocol-specific implementations; only these exist.
-BASELINE_SERVERS = {
-    "lockstep": {
-        "tampering": lambda n, name: TamperingLockStepServer(n, 0, name=name),
-    },
-    "unchecked": {
-        "tampering": lambda n, name: LyingUncheckedServer(n, 0, name=name),
-    },
-}
 
 #: Behaviours that also run behind ``repro serve`` (real TCP).
 TCP_SERVERS = tuple(name for name, adversary in ADVERSARIES.items() if adversary.tcp)
@@ -215,12 +200,12 @@ def _print_quorum_stats(protocol_clients) -> None:
         print(f"#   convicted {replica}: {violation}")
 
 
-def _server_placement(args, backend):
+def _server_placement(args):
     """Resolve ``--server`` and where it is placed into the three factory
     knobs of :class:`SystemConfig`.
 
-    These are the CLI-only notions: a behaviour *name* (looked up per
-    backend, since the baselines speak their own wire formats) and the
+    These are the CLI-only notions: a behaviour *name* (a row of the
+    catalogue every backend's USTOR server runs) and the
     ``--server-shard``/``--server-replica`` flags that place it.  Whether
     a backend or transport takes the resulting knobs is the API's call.
     """
@@ -235,16 +220,9 @@ def _server_placement(args, backend):
                 "--server-shard/--server-replica place a Byzantine "
                 "behaviour; pick a --server"
             )
-        # Every backend's protocol builds its own correct server (the
-        # USTOR one takes its engine from --storage).
+        # The backend's protocol builds the correct server, with its
+        # engine from --storage.
         return None, {}, {}
-    table = BASELINE_SERVERS.get(backend, SERVERS)
-    if args.server not in table:
-        raise ConfigurationError(
-            f"server behaviour {args.server!r} is not implemented for the "
-            f"{backend!r} backend (available: "
-            f"{', '.join(sorted({'correct', *table}))})"
-        )
     if args.server_shard is not None and args.server_replica is not None:
         raise ConfigurationError(
             "--server-replica and --server-shard both place the behaviour; "
@@ -260,7 +238,7 @@ def _server_placement(args, backend):
             f"{args.server!r} behaviour owns its durability and fault "
             f"schedule (the rollback server, e.g., builds its own log engine)"
         )
-    factory = table[args.server]
+    factory = SERVERS[args.server]
     if args.server_shard is not None:
         # The chosen behaviour hits one shard; every other shard is honest.
         return None, {args.server_shard: factory}, {}
@@ -271,7 +249,7 @@ def _server_placement(args, backend):
     return factory, {}, {}
 
 
-def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
+def _run_config(args) -> tuple[SystemConfig, WorkloadConfig]:
     """The flags of ``repro run`` as one :class:`SystemConfig` and the
     :class:`WorkloadConfig` driven over it.
 
@@ -289,7 +267,7 @@ def _run_config(args, backend) -> tuple[SystemConfig, WorkloadConfig]:
         read_fraction=args.read_fraction,
         mean_think_time=0.01 if tcp else 1.0,
     )
-    factory, shard_factories, replica_factories = _server_placement(args, backend)
+    factory, shard_factories, replica_factories = _server_placement(args)
     for shard, _start, _duration in args.shard_outage or ():
         # nargs=3 forces one argparse type for all operands; reject a
         # fractional shard rather than silently truncating to the wrong one.
@@ -352,7 +330,7 @@ def _cmd_run(args) -> int:
     """
     backend = args.backend
     try:
-        config, workload = _run_config(args, backend)
+        config, workload = _run_config(args)
         check_supported(config, backend)
     except ConfigurationError as exc:
         print(exc)
@@ -479,7 +457,7 @@ def _run_and_report(args, system, config, workload, backend) -> None:
             print()
             _print_verdicts(
                 history, domain.recorder, domain.clients,
-                label=f" [shard {k}]" if sharded else "", backend=backend,
+                label=f" [shard {k}]" if sharded else "",
             )
 
     print()
@@ -612,19 +590,14 @@ def _cmd_serve_cluster(args) -> int:
         supervisor.stop()
 
 
-def _print_verdicts(history, recorder, clients, *, label="", backend="") -> None:
+def _print_verdicts(history, recorder, clients, *, label="") -> None:
     """The three consistency verdict lines over one history."""
     print(f"linearizability{label}:            {check_linearizability(history)}")
     print(f"causal consistency{label}:         "
           f"{check_causal_consistency(history)}")
-    if all(hasattr(c, "vh_records") for c in clients):
-        views = build_client_views(history, recorder, clients)
-        weak = validate_weak_fork_linearizability(history, views)
-    else:
-        # The view-history replay is USTOR-specific; baseline protocols
-        # carry no version digests to rebuild views from.
-        weak = f"n/a for the {backend} backend"
-    print(f"weak fork-linearizability{label}:  {weak}")
+    views = build_client_views(history, recorder, clients)
+    print(f"weak fork-linearizability{label}:  "
+          f"{validate_weak_fork_linearizability(history, views)}")
 
 
 def _cmd_replay(args) -> int:
@@ -815,8 +788,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="enable the throughput pipeline (session auto-flush every N "
-        "operations, transport burst coalescing, server group commit); "
-        "faust/ustor/cluster backends only",
+        "operations, transport burst coalescing, server group commit)",
     )
     run.add_argument(
         "--audit-every",

@@ -13,6 +13,8 @@ from __future__ import annotations
 from repro.analysis.stats import critical_path_rounds, summarize
 from repro.analysis.tables import format_table
 from repro.api import SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.experiments.base import ExperimentResult
 from repro.sim.network import FixedLatency
 
@@ -52,7 +54,7 @@ def run(quick: bool = False) -> ExperimentResult:
         ustor_lat = summarize(_contended_run(ustor, ops_each))
         ustor_rounds = critical_path_rounds(ustor.trace, n * ops_each)
 
-        lockstep = open_system(config, backend="lockstep")
+        lockstep = build_deployment(config, lockstep_protocol())
         ls_lat = summarize(_contended_run(lockstep, ops_each))
 
         rows.append(

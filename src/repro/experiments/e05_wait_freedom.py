@@ -14,6 +14,8 @@ import random
 
 from repro.analysis.tables import format_table
 from repro.api import SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.experiments.base import ExperimentResult
 from repro.sim.faults import Fault
 from repro.sim.network import FixedLatency
@@ -53,7 +55,7 @@ def run(quick: bool = False) -> ExperimentResult:
         )
         ustor = open_system(config, backend="ustor")
         done_u, planned_u = _run_with_crash(ustor, num_clients, ops_per_client, seed)
-        lockstep = open_system(config, backend="lockstep")
+        lockstep = build_deployment(config, lockstep_protocol())
         done_l, planned_l = _run_with_crash(lockstep, num_clients, ops_per_client, seed)
         ustor_fracs.append(done_u / planned_u)
         lockstep_fracs.append(done_l / planned_l)

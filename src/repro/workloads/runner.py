@@ -9,8 +9,8 @@ registers it on the world's transport and offline channel and returns
 the one :class:`StorageSystem` that drives the result.  The simulator
 (:class:`SimWorld`), real sockets (:class:`repro.net.client.TcpWorld`)
 and wire-trace replay (:func:`repro.net.trace.replay_trace`) differ only
-in the world they hand it; USTOR, FAUST, lock-step and unchecked only in
-the protocol.  Both configured worlds read one
+in the world they hand it; USTOR, FAUST and the lock-step baseline only
+in the protocol.  Both configured worlds read one
 :class:`~repro.api.config.SystemConfig`, and
 :func:`repro.api.backends.build_deployment` is the one place that picks
 a world for it.
@@ -380,10 +380,9 @@ class ProtocolSpec:
     #: The honest server; ``None`` = the correct USTOR server
     #: :func:`~repro.store.engine.make_server` assembles.
     server_factory: ServerFactory | None = None
-    #: Clients sign (take a ``signer``) / belong to the USTOR stack (take
-    #: ``commit_piggyback`` and the replica-group knobs) / take the
-    #: offline channel and start their timers.
-    signs: bool = True
+    #: Clients belong to the USTOR stack (take ``commit_piggyback`` and
+    #: the replica-group knobs) / take the offline channel and start their
+    #: timers.  Every client takes a ``signer``.
     ustor_stack: bool = True
     fail_aware: bool = False
     #: Called with the wired system, for deployment-level listeners.
@@ -566,13 +565,12 @@ def wire_deployment(
             client_kwargs.update(replica_servers=tuple(names), quorum=quorum)
     clients = []
     for i in range(num_clients):
-        if protocol.signs:
-            client_kwargs["signer"] = keystore.signer(i)
         client = protocol.client_class(
             client_id=i,
             num_clients=num_clients,
             server_name=names[0],
             recorder=recorder,
+            signer=keystore.signer(i),
             **client_kwargs,
         )
         world.transport.register(client)

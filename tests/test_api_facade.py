@@ -1,13 +1,15 @@
-"""The unified ``repro.api`` facade, exercised across every backend.
+"""The unified ``repro.api`` facade, exercised across every protocol.
 
-The same read/write/failure scenario matrix runs against the FAUST,
-lock-step and unchecked backends (plus plain USTOR): the *interface*
-stays identical, the *guarantees* differ exactly as the paper says they
-must — the tampering scenario is detected by every checked protocol and
-sails through the unchecked baseline.
+The same read/write/failure scenario matrix runs against every backend
+(FAUST, plain USTOR, a cluster of two FAUST shards) and the lock-step
+baseline: the *interface* stays identical, the *guarantees* differ
+exactly as the paper says they must — the tampering scenario is detected
+by every protocol, and only fail-aware clients offer stability.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -22,15 +24,30 @@ from repro.api import (
     SystemConfig,
     open_system,
 )
-from repro.baselines.lockstep import TamperingLockStepServer
-from repro.baselines.unchecked import LyingUncheckedServer
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import TamperingLockStepServer, lockstep_protocol
+from repro.common.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.consistency.linearizability import check_linearizability
 from repro.common.types import BOTTOM, OpKind
 from repro.sim.faults import Fault
 from repro.store import encode_server_state
 from repro.ustor.byzantine import RollbackServer, TamperingServer, UnresponsiveServer
 
-ALL_BACKENDS = ["faust", "ustor", "lockstep", "unchecked"]
+#: Every backend and the lock-step baseline.
+PROTOCOLS = ["faust", "ustor", "cluster", "lockstep"]
+
+
+def open_protocol(config: SystemConfig, name: str):
+    """``open_system`` on a backend (a cluster of two FAUST shards); the
+    lock-step baseline, which is no backend, built from the same config
+    by ``build_deployment``."""
+    if name == "cluster":
+        return open_system(dataclasses.replace(config, shards=2), backend=name)
+    if name != "lockstep":
+        return open_system(config, backend=name)
+    system = build_deployment(config, lockstep_protocol())
+    system.wire_notifications()
+    return system
 
 
 def down(start: float, duration: float, target=None) -> Fault:
@@ -52,10 +69,10 @@ def quiet_config(num_clients=2, seed=5, **overrides) -> SystemConfig:
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", PROTOCOLS)
 class TestScenarioMatrix:
     def test_write_read_roundtrip(self, backend):
-        system = open_system(quiet_config(), backend=backend)
+        system = open_protocol(quiet_config(), backend)
         alice, bob = system.session(0), system.session(1)
         t = alice.write_sync(b"hello")
         assert t >= 1
@@ -63,18 +80,18 @@ class TestScenarioMatrix:
         assert value == b"hello"
 
     def test_read_unwritten_register_returns_bottom(self, backend):
-        system = open_system(quiet_config(), backend=backend)
+        system = open_protocol(quiet_config(), backend)
         value, _ = system.session(0).read_sync(1)
         assert value is BOTTOM
 
     def test_timestamps_monotone_per_client(self, backend):
-        system = open_system(quiet_config(), backend=backend)
+        system = open_protocol(quiet_config(), backend)
         session = system.session(0)
         stamps = [session.write_sync(b"v%d" % i) for i in range(4)]
         assert stamps == sorted(stamps) and len(set(stamps)) == 4
 
     def test_pipelined_handles_settle_in_order(self, backend):
-        system = open_system(quiet_config(), backend=backend)
+        system = open_protocol(quiet_config(), backend)
         session = system.session(0)
         handles = [session.write(b"w%d" % i) for i in range(3)]
         handles.append(session.read(1))
@@ -88,7 +105,7 @@ class TestScenarioMatrix:
         assert results[3].kind is OpKind.READ and results[3].value is BOTTOM
 
     def test_add_done_callback(self, backend):
-        system = open_system(quiet_config(), backend=backend)
+        system = open_protocol(quiet_config(), backend)
         session = system.session(0)
         seen = []
         handle = session.write(b"x")
@@ -104,29 +121,44 @@ class TestScenarioMatrix:
         factories = {
             "faust": lambda n, name: TamperingServer(n, 0, name=name),
             "ustor": lambda n, name: TamperingServer(n, 0, name=name),
+            "cluster": lambda n, name: TamperingServer(n, 0, name=name),
             "lockstep": lambda n, name: TamperingLockStepServer(n, 0, name=name),
-            "unchecked": lambda n, name: LyingUncheckedServer(n, 0, name=name),
         }
-        system = open_system(
-            quiet_config(seed=7, server_factory=factories[backend]), backend=backend
+        system = open_protocol(
+            quiet_config(seed=7, server_factory=factories[backend]), backend
         )
         writer, reader = system.session(0), system.session(1)
         writer.write_sync(b"genuine")
-        if backend != "unchecked":
-            with pytest.raises(OperationFailed):
-                reader.read_sync(0)
-            assert reader.failed
-            assert system.notifications.failure_events()
-        else:
-            value, _ = reader.read_sync(0)
-            assert value.startswith(b"FABRICATED")  # believed blindly
-            assert not reader.failed
-            assert not system.notifications.failure_events()
+        with pytest.raises(OperationFailed):
+            reader.read_sync(0)
+        assert reader.failed
+        assert system.notifications.failure_events()
+        with pytest.raises(ProtocolError):  # where it failed it takes no step
+            reader.read(0)
+
+    def test_honest_run_is_linearizable_and_quiet(self, backend):
+        system = open_protocol(quiet_config(), backend)
+        alice, bob = system.session(0), system.session(1)
+        for i in range(3):
+            alice.write_sync(b"a%d" % i)
+            assert bob.read_sync(0)[0] == b"a%d" % i
+            bob.write_sync(b"b%d" % i)
+            assert alice.read_sync(1)[0] == b"b%d" % i
+        # A cluster keeps one history per shard (each its own domain).
+        histories = (
+            list(system.shard_histories().values())
+            if backend == "cluster"
+            else [system.history()]
+        )
+        assert sum(len(history) for history in histories) == 12
+        assert all(check_linearizability(history) for history in histories)
+        assert not alice.failed and not bob.failed
+        assert not system.notifications.failure_events()
 
     def test_stability_surface_matches_capability(self, backend):
-        system = open_system(quiet_config(), backend=backend)
+        system = open_protocol(quiet_config(), backend)
         session = system.session(0)
-        if backend == "faust":
+        if backend in ("faust", "cluster"):
             assert session.stability_cut == (0, 0)
         else:
             with pytest.raises(CapabilityError):
@@ -296,15 +328,6 @@ class TestCrashRecoveryMatrix:
 
 
 class TestStorageConfig:
-    def test_baselines_reject_storage_knobs(self):
-        for backend in ("lockstep", "unchecked"):
-            with pytest.raises(ConfigurationError, match="storage"):
-                open_system(quiet_config(storage="log"), backend=backend)
-            with pytest.raises(ConfigurationError, match="storage"):
-                open_system(
-                    quiet_config(server_outages=(down(1.0, 1.0),)), backend=backend
-                )
-
     def test_outage_windows_validated(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(num_clients=2, server_outages=(down(1.0, 0.0),))
@@ -330,6 +353,16 @@ class TestStorageConfig:
                 SystemConfig(
                     num_clients=2, shards=2, server_outages=(down(*window, target),)
                 )
+
+    def test_baselines_reject_storage_knobs(self):
+        # The lock-step server has no storage engine: build_deployment
+        # refuses the knob rather than running it volatile.
+        with pytest.raises(ConfigurationError, match="storage"):
+            open_protocol(quiet_config(storage="log"), "lockstep")
+        with pytest.raises(ConfigurationError, match="storage"):
+            open_protocol(
+                quiet_config(server_outages=(down(1.0, 1.0),)), "lockstep"
+            )
 
     def test_an_endless_outage_stays_legal(self):
         SystemConfig(num_clients=2, server_outages=(down(5.0, float("inf")),))
@@ -433,12 +466,14 @@ class TestNotifications:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(BACKENDS) == {"faust", "ustor", "lockstep", "unchecked", "cluster"}
+        assert BACKENDS == ("faust", "ustor", "cluster")
         for name in BACKENDS:
             assert open_system(quiet_config(), backend=name).backend_name == name
 
     @pytest.mark.parametrize(
-        "backend", ["sundr", object(), None], ids=["unknown", "object", "none"]
+        "backend",
+        ["sundr", "lockstep", "unchecked", object(), None],
+        ids=["unknown", "lockstep", "unchecked", "object", "none"],
     )
     def test_unknown_or_non_string_backend_refused(self, backend):
         with pytest.raises(ConfigurationError, match="choose from"):

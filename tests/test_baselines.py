@@ -1,20 +1,39 @@
-"""Baselines: the blocking lock-step protocol and the unchecked store."""
+"""The baseline: the blocking lock-step protocol.
+
+It is no ``open_system`` backend; every test builds it from a config the
+way E3, E5 and ``examples/wait_freedom.py`` do, with ``build_deployment``.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.api import SystemConfig, open_system
-from repro.baselines.lockstep import TamperingLockStepServer
-from repro.baselines.unchecked import LyingUncheckedServer
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import (
+    LockStepServer,
+    LsCommit,
+    LsReply,
+    LsVersion,
+    TamperingLockStepServer,
+    lockstep_protocol,
+)
+from repro.common.errors import ProtocolError
 from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency import check_fork_linearizability_exhaustive
 from repro.consistency.linearizability import check_linearizability
+from repro.sim.faults import Fault
 from repro.sim.network import FixedLatency
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+
+
+def lockstep(config):
+    """The lock-step deployment ``config`` describes."""
+    return build_deployment(config, lockstep_protocol())
 
 
 def sync_op(system, client, op, arg, timeout=1_000.0):
@@ -27,19 +46,19 @@ def sync_op(system, client, op, arg, timeout=1_000.0):
 
 class TestLockStepHappyPath:
     def test_write_read(self):
-        system = open_system(SystemConfig(2, seed=1), backend="lockstep")
+        system = lockstep(SystemConfig(2, seed=1))
         sync_op(system, system.clients[0], "write", b"v")
         outcome = sync_op(system, system.clients[1], "read", 0)
         assert outcome.value == b"v"
 
     def test_read_before_write_is_bottom(self):
-        system = open_system(SystemConfig(2, seed=1), backend="lockstep")
+        system = lockstep(SystemConfig(2, seed=1))
         outcome = sync_op(system, system.clients[1], "read", 0)
         assert outcome.value is BOTTOM
 
     @pytest.mark.parametrize("seed", range(4))
     def test_linearizable_on_random_runs(self, seed):
-        system = open_system(SystemConfig(3, seed=seed), backend="lockstep")
+        system = lockstep(SystemConfig(3, seed=seed))
         scripts = generate_scripts(
             3, WorkloadConfig(ops_per_client=12), random.Random(seed)
         )
@@ -52,14 +71,14 @@ class TestLockStepHappyPath:
         assert not any(c.failed for c in system.clients)
 
     def test_small_run_fork_linearizable(self):
-        system = open_system(SystemConfig(2, seed=3), backend="lockstep")
+        system = lockstep(SystemConfig(2, seed=3))
         sync_op(system, system.clients[0], "write", b"a")
         sync_op(system, system.clients[1], "read", 0)
         sync_op(system, system.clients[0], "write", b"b")
         assert check_fork_linearizability_exhaustive(system.history())
 
     def test_timestamps_increase(self):
-        system = open_system(SystemConfig(1, seed=1), backend="lockstep")
+        system = lockstep(SystemConfig(1, seed=1))
         first = sync_op(system, system.clients[0], "write", b"a")
         second = sync_op(system, system.clients[0], "read", 0)
         assert first.timestamp < second.timestamp
@@ -69,10 +88,7 @@ class TestLockStepBlocking:
     """The paper's impossibility made concrete."""
 
     def test_crash_between_reply_and_commit_blocks_everyone(self):
-        system = open_system(
-            SystemConfig(3, seed=2, latency=FixedLatency(1.0)),
-            backend="lockstep",
-        )
+        system = lockstep(SystemConfig(3, seed=2, latency=FixedLatency(1.0)))
         victim = system.clients[0]
         victim.write(b"doomed", lambda o: None)
         system.scheduler.schedule(1.5, victim.crash)  # REPLY lands at 2.0
@@ -87,10 +103,7 @@ class TestLockStepBlocking:
     def test_contention_serialises_operations(self):
         # All clients submit at once; completions are strictly sequential,
         # so the k-th completion happens ~k round-trips in.
-        system = open_system(
-            SystemConfig(4, seed=3, latency=FixedLatency(1.0)),
-            backend="lockstep",
-        )
+        system = lockstep(SystemConfig(4, seed=3, latency=FixedLatency(1.0)))
         done = []
         for client in system.clients:
             client.write(b"w-%d" % client.client_id, lambda o: done.append(system.now))
@@ -115,13 +128,12 @@ class TestLockStepBlocking:
 
 class TestLockStepIntegrity:
     def test_tampered_value_detected(self):
-        system = open_system(
+        system = lockstep(
             SystemConfig(
                 2,
                 seed=4,
                 server_factory=lambda n, name: TamperingLockStepServer(n, 0, name=name),
-            ),
-            backend="lockstep",
+            )
         )
         sync_op(system, system.clients[0], "write", b"genuine")
         box = []
@@ -132,52 +144,246 @@ class TestLockStepIntegrity:
         assert "does not match" in system.clients[1].fail_reason
 
 
-class TestUnchecked:
-    def test_happy_path(self):
-        system = open_system(SystemConfig(2, seed=1), backend="unchecked")
-        sync_op(system, system.clients[0], "write", b"v")
-        outcome = sync_op(system, system.clients[1], "read", 0)
-        assert outcome.value == b"v"
+# --------------------------------------------------------------------- #
+# Every chain check, each tripped by one rewritten REPLY
+# --------------------------------------------------------------------- #
 
-    def test_lies_are_believed(self):
-        # The motivating gap: the same attack USTOR catches at line 50 is
-        # silently accepted by the unchecked client.
-        system = open_system(
-            SystemConfig(
-                2,
-                seed=2,
-                server_factory=lambda n, name: LyingUncheckedServer(n, 0, name=name),
+
+class RewritingLockStepServer(LockStepServer):
+    """Honest, except that every REPLY to ``C3`` passes through ``rewrite``
+    (which may sign with a colluding client's key from ``keystore``)."""
+
+    def __init__(self, num_clients, rewrite, name="S"):
+        super().__init__(num_clients, name)
+        self.rewrite = rewrite
+        self.keystore = None
+
+    def send(self, dst, message):
+        if dst == "C3" and isinstance(message, LsReply):
+            message = self.rewrite(self, message)
+        super().send(dst, message)
+
+
+def flipped(blob: bytes) -> bytes:
+    return bytes([blob[0] ^ 1]) + blob[1:]
+
+
+def resigned_vector(server, reply):
+    """A version its committer's key really signed, over a vector that
+    credits the reader with an operation it never ran."""
+    version = reply.version
+    vector = version.vector[:2] + (version.vector[2] + 1,)
+    signer = server.keystore.signer(version.committer)
+    sig = signer.sign("LS-COMMIT", version.seq, vector, version.chain)
+    return dataclasses.replace(
+        reply,
+        version=dataclasses.replace(version, vector=vector, commit_sig=sig),
+    )
+
+
+def with_delta(reply, *order):
+    return dataclasses.replace(reply, delta=tuple(reply.delta[i] for i in order))
+
+
+def with_first(reply, **changes):
+    first = dataclasses.replace(reply.delta[0], **changes)
+    return dataclasses.replace(reply, delta=(first,) + reply.delta[1:])
+
+
+#: reason -> (register C3 reads, the server's rewrite of C3's REPLY).  C1
+#: has written b"a" then b"b" and C2 has written b"c", so C3's delta is
+#: the three descriptors (C1 t1, C1 t2, C2 t1) in that order.
+CHAIN_CHECKS = {
+    "forged initial version": (0, lambda server, reply: dataclasses.replace(
+        reply,
+        version=dataclasses.replace(LsVersion.initial(3), vector=(1, 0, 0)),
+        delta=(),
+    )),
+    "invalid commit signature on version": (0, lambda server, reply: (
+        dataclasses.replace(reply, version=dataclasses.replace(
+            reply.version, commit_sig=flipped(reply.version.commit_sig)
+        ))
+    )),
+    "sequence number does not match delta length": (
+        0, lambda server, reply: with_delta(reply, 1, 2)
+    ),
+    "delta contains an impossible operation": (
+        0, lambda server, reply: with_first(reply, client=2)
+    ),
+    "invalid operation signature in delta": (
+        0, lambda server, reply: with_first(
+            reply, op_sig=flipped(reply.delta[0].op_sig)
+        )
+    ),
+    "operation timestamps in delta are not consecutive": (
+        0, lambda server, reply: with_delta(reply, 1, 0, 2)
+    ),
+    "hash chain mismatch — forked or reordered history": (
+        0, lambda server, reply: with_delta(reply, 2, 0, 1)
+    ),
+    "timestamp vector mismatch": (0, resigned_vector),
+    "read returned a value for a never-written register": (
+        2, lambda server, reply: dataclasses.replace(reply, read_value=b"x")
+    ),
+    "read returned no value for a written register": (
+        0, lambda server, reply: dataclasses.replace(reply, read_value=BOTTOM)
+    ),
+    "read value does not match the committed write": (
+        # A rollback of register 0 to its first write.
+        0, lambda server, reply: dataclasses.replace(reply, read_value=b"a")
+    ),
+}
+
+
+#: The checks a signature decides, run again under the other scheme.
+SIGNED = (
+    "invalid commit signature on version",
+    "invalid operation signature in delta",
+    "timestamp vector mismatch",
+)
+
+
+@pytest.mark.parametrize(
+    "scheme, reason",
+    [("hmac", reason) for reason in CHAIN_CHECKS]
+    + [("ed25519", reason) for reason in SIGNED],
+)
+def test_every_chain_check_halts_the_reader(scheme, reason):
+    register, rewrite = CHAIN_CHECKS[reason]
+    system = lockstep(
+        SystemConfig(
+            3,
+            seed=5,
+            scheme=scheme,
+            server_factory=lambda n, name: RewritingLockStepServer(
+                n, rewrite, name=name
             ),
-            backend="unchecked",
         )
-        sync_op(system, system.clients[0], "write", b"genuine")
-        outcome = sync_op(system, system.clients[1], "read", 0)
-        assert outcome.value != b"genuine"
-        assert outcome.value.startswith(b"FABRICATED")
-        assert not system.clients[1].failed  # no detection, ever
+    )
+    system.server.keystore = system.keystore
+    first, second, reader = system.clients
+    for client, value in ((first, b"a"), (first, b"b"), (second, b"c")):
+        sync_op(system, client, "write", value)
+    heard, box = [], []
+    reader.add_failure_listener(heard.append)
+    reader.read(register, box.append)
+    system.run(until=system.now + 100)
+    assert box == []
+    assert reader.failed and reader.halted
+    assert reader.fail_reason == reader.halt_reason == reason
+    assert heard == [reason]
+    assert system.trace.first_note("lockstep-fail", source="C3") is not None
+    # The reader never commits, so the token stays with it.
+    assert system.server.blocked
 
-    def test_fabrication_visible_to_offline_checker(self):
-        # The recorded history *is* checkable after the fact — the value
-        # was never written, so the linearizability checker rejects it.
-        system = open_system(
-            SystemConfig(
-                2,
-                seed=3,
-                server_factory=lambda n, name: LyingUncheckedServer(n, 0, name=name),
+
+@pytest.mark.parametrize("scheme", ["hmac", "ed25519"])
+def test_the_untouched_reply_passes_every_check(scheme):
+    # The same schedule through the rewriting server with an identity
+    # rewrite: each failure above is the rewrite's doing.
+    system = lockstep(
+        SystemConfig(
+            3,
+            seed=5,
+            scheme=scheme,
+            server_factory=lambda n, name: RewritingLockStepServer(
+                n, lambda server, reply: reply, name=name
             ),
-            backend="unchecked",
         )
-        sync_op(system, system.clients[0], "write", b"genuine")
-        sync_op(system, system.clients[1], "read", 0)
-        assert not check_linearizability(system.history())
+    )
+    first, second, reader = system.clients
+    for client, value in ((first, b"a"), (first, b"b"), (second, b"c")):
+        sync_op(system, client, "write", value)
+    assert sync_op(system, reader, "read", 0).value == b"b"
+    assert sync_op(system, reader, "read", 2).value is BOTTOM
+    assert not reader.failed
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_honest_unchecked_is_linearizable(self, seed):
-        system = open_system(SystemConfig(3, seed=seed), backend="unchecked")
-        scripts = generate_scripts(
-            3, WorkloadConfig(ops_per_client=10), random.Random(seed)
-        )
-        driver = Driver(system)
-        driver.attach_all(scripts)
-        assert driver.run_to_completion()
-        assert check_linearizability(system.history())
+
+# --------------------------------------------------------------------- #
+# What a client refuses to start, and the stray COMMIT
+# --------------------------------------------------------------------- #
+
+
+def _in_flight(system, client):
+    client.write(b"first", lambda outcome: None)
+
+
+def _failed(system, client):
+    client._fail("boom")
+
+
+def _crashed(system, client):
+    client.crash()
+
+
+#: case -> (what happens first, the refused call, the refusal's wording)
+REFUSED = {
+    "non-bytes-value": (None, lambda c: c.write("text"), "bytes"),
+    "register-out-of-range": (None, lambda c: c.read(2), "out of range"),
+    "second-op-in-flight": (
+        _in_flight, lambda c: c.read(0), "already has an operation in flight"
+    ),
+    "after-failure": (_failed, lambda c: c.read(0), "has failed and halted"),
+    "after-crash": (_crashed, lambda c: c.read(0), "has crashed"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_invocations_leave_no_trace(case):
+    before, call, wording = REFUSED[case]
+    system = lockstep(SystemConfig(2, seed=6))
+    client = system.clients[0]
+    if before is not None:
+        before(system, client)
+    recorder = system.recorder
+    recorded = (recorder.pending_count, recorder.completed_count)
+    with pytest.raises(ProtocolError, match=wording):
+        call(client)
+    assert (recorder.pending_count, recorder.completed_count) == recorded
+
+
+def test_a_stray_commit_does_not_release_the_token():
+    system = lockstep(SystemConfig(2, seed=6, latency=FixedLatency(1.0)))
+    holder, other = system.clients
+    holder.write(b"held", lambda outcome: None)
+    system.run(until=1.5)  # the server has answered the holder's SUBMIT
+    server = system.server
+    assert server.blocked and server.log == []
+    version = server.version
+    server.on_message(other.name, LsCommit(version=version))
+    assert server.blocked and server.log == [] and server.version is version
+    system.run(until=10.0)  # the holder's own COMMIT releases it
+    assert not server.blocked and len(server.log) == 1
+
+
+# --------------------------------------------------------------------- #
+# When a crash wedges the token (and why USTOR never wedges)
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "crash_at, wedges",
+    [(0.5, True), (1.5, True), (2.5, False)],
+    ids=["submit-in-flight", "reply-in-flight", "commit-sent"],
+)
+@pytest.mark.parametrize("protocol", ["lockstep", "ustor"])
+def test_a_crash_wedges_only_a_held_lockstep_token(protocol, crash_at, wedges):
+    # C1 writes at 0 with unit latency: its SUBMIT lands at 1, the REPLY
+    # at 2, its COMMIT (sent at 2) at 3.  The injector crashes C1 for
+    # good at crash_at; the survivors then run one operation each.
+    config = SystemConfig(3, seed=2, latency=FixedLatency(1.0))
+    if protocol == "lockstep":
+        system = lockstep(config)
+    else:
+        system = open_system(config, backend="ustor")
+    system.clients[0].write(b"doomed", lambda outcome: None)
+    system.faults.add(Fault("crash-forever", 0, crash_at))
+    done = []
+    system.scheduler.schedule(4.0, system.clients[1].write, b"y", done.append)
+    system.scheduler.schedule(4.0, system.clients[2].read, 0, done.append)
+    system.run(until=500.0)
+    assert system.clients[0].crashed
+    wedged = protocol == "lockstep" and wedges
+    assert len(done) == (0 if wedged else 2)
+    if protocol == "lockstep":
+        assert system.server.blocked is wedged

@@ -246,15 +246,16 @@ def test_batched_equals_unbatched_seed_sweep(backend, seed):
 
 
 def test_batching_rejected_on_baselines():
-    """The baseline backends fail loudly rather than silently unbatched."""
+    """The lock-step baseline fails loudly rather than silently unbatched."""
+    from repro.api.backends import build_deployment
+    from repro.baselines.lockstep import lockstep_protocol
     from repro.common.errors import ConfigurationError
 
-    for backend in ("lockstep", "unchecked"):
-        with pytest.raises(ConfigurationError):
-            open_system(
-                SystemConfig(num_clients=2, batching=BatchingPolicy()),
-                backend=backend,
-            )
+    with pytest.raises(ConfigurationError, match="batching"):
+        build_deployment(
+            SystemConfig(num_clients=2, batching=BatchingPolicy()),
+            lockstep_protocol(),
+        )
 
 
 def test_batching_policy_validation():

@@ -17,6 +17,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import CheckpointPolicy, FaustParams, SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.common.errors import ConfigurationError
 from repro.consistency import (
     attach_incremental_checkers,
@@ -272,11 +274,12 @@ def test_rollback_across_checkpoint_is_detected(checkpoint):
 
 
 def test_checkpoint_rejected_on_non_faust_backends():
-    for backend in ("ustor", "lockstep", "unchecked"):
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            open_system(
-                SystemConfig(num_clients=2, checkpoint=True), backend=backend
-            )
+    with pytest.raises(ConfigurationError, match="checkpoint"):
+        open_system(SystemConfig(num_clients=2, checkpoint=True), backend="ustor")
+    with pytest.raises(ConfigurationError, match="checkpoint"):
+        build_deployment(
+            SystemConfig(num_clients=2, checkpoint=True), lockstep_protocol()
+        )
 
 
 def test_checkpoint_rejected_on_ustor_sharded_cluster():

@@ -282,13 +282,13 @@ class TestOneRunPath:
         assert f"messages: {len(frames)} ({sum(frames)} bytes on the wire)" in out
 
     def test_config_misuse_exits_2_before_anything_opens(
-        self, transport_flags, capsys
+        self, transport_flags, capsys, tmp_path
     ):
-        # lockstep has no storage engine on the simulator and no wire
-        # codecs over tcp: the API's verdict either way, printed as is.
+        # faust records no wire trace on the simulator or over tcp: the
+        # API's verdict either way, printed as is.
         code = main(
-            ["run", "--backend", "lockstep", "--storage", "log",
-             *transport_flags]
+            ["run", "--backend", "faust", "--trace-file",
+             str(tmp_path / "run.jsonl"), *transport_flags]
         )
         assert code == 2
         assert "not supported" in capsys.readouterr().out
@@ -329,7 +329,6 @@ class TestCliOnlyChecks:
     @pytest.mark.parametrize(
         "flags, hint",
         [
-            (["--backend", "lockstep", "--server", "replay"], "not implemented"),
             (["--backend", "cluster", "--replicas", "3", "--server-replica", "0"],
              "Byzantine"),
             (["--backend", "cluster", "--clients", "4", "--shards", "2",
@@ -351,6 +350,15 @@ class TestCliOnlyChecks:
     def test_rejected_with_exit_2(self, flags, hint, capsys):
         assert main(["run", *flags]) == 2
         assert hint in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["lockstep", "unchecked"])
+    def test_a_name_that_is_no_backend_is_refused(self, name, capsys):
+        # The lock-step baseline is built by the experiments, not run from
+        # the command line; the unchecked store is gone.
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--backend", name])
+        assert exit_.value.code == 2
+        assert f"invalid choice: {name!r}" in capsys.readouterr().err
 
 
 def _forbid_open(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Eight ``repro run`` reports, pinned byte for byte.
+"""Six ``repro run`` reports, pinned byte for byte.
 
 The report is the CLI's whole output: the run summary, audit verdicts,
 per-shard checker labels, client status, message counts and the
@@ -58,8 +58,6 @@ INVOCATIONS = {
         "--backend cluster --clients 6 --shards 2 --server split-brain "
         f"--server-shard 1 --metrics --span-log {SPAN_LOG}"
     ),
-    "lockstep-checked": "--backend lockstep --clients 2 --ops 3 --check",
-    "unchecked-profiled": "--backend unchecked --clients 2 --ops 3 --check --metrics",
 }
 
 

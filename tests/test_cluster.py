@@ -28,6 +28,7 @@ from repro.cluster import ClusterSession, ClusterSystem, register_owners
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM
 from repro.sim.faults import Fault
+from repro.sim.scheduler import Scheduler
 from repro.ustor.byzantine import SplitBrainServer, TamperingServer, UnresponsiveServer
 from repro.workloads.scenarios import split_brain_shard_scenario
 
@@ -73,9 +74,34 @@ class TestPlacement:
 
 class TestClusterConfig:
     def test_single_server_backends_reject_shard_knobs(self):
-        for backend in ("faust", "ustor", "lockstep", "unchecked"):
+        for backend in ("faust", "ustor"):
             with pytest.raises(ConfigurationError):
                 open_system(SystemConfig(num_clients=4, shards=2), backend=backend)
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        # build_deployment's seams: the simulator's three, the sockets' two.
+        [
+            ("scheduler", Scheduler()),
+            ("latency_seed", 3),
+            ("server_factory", lambda n, name: None),
+            ("runtime", object()),
+            ("connect_timeout", 1.0),
+        ],
+        ids=[
+            "scheduler", "latency_seed", "server_factory", "runtime",
+            "connect_timeout",
+        ],
+    )
+    def test_placement_keywords_refused(self, keyword, value):
+        # The cluster places its own shards; a per-test seam is refused by
+        # name, before anything is built.
+        with pytest.raises(ConfigurationError, match=keyword):
+            open_system(
+                SystemConfig(num_clients=4, shards=2),
+                backend="cluster",
+                **{keyword: value},
+            )
 
     def test_config_validates_shard_axis(self):
         with pytest.raises(ConfigurationError):

@@ -9,9 +9,9 @@ an honest run returns.
 
 Three layers of the property:
 
-* **honest equivalence** — faust / ustor / lockstep / cluster (several
-  shard counts and both shard maps) all return identical value
-  sequences with zero failures;
+* **honest equivalence** — faust / ustor / cluster (several
+  shard counts and both shard maps) and the lock-step baseline all
+  return identical value sequences with zero failures;
 * **adversarial equivalence** — the randomized-deviation adversary from
   :mod:`repro.ustor.fuzz`, seeded identically, produces identical per-op
   outcomes *and* identical per-client verdicts on the backends that
@@ -35,6 +35,8 @@ from repro.api import (
     SystemConfig,
     open_system,
 )
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.common.errors import ProtocolError
 from repro.common.types import BOTTOM, OpKind
 from repro.ustor.fuzz import RandomDeviationServer
@@ -73,9 +75,13 @@ def execute(backend: str, config: SystemConfig, program) -> tuple[tuple, tuple]:
 
     Outcomes normalise to comparable tokens: ``("ok", value-ish)`` for a
     completed op, ``"fail"`` for one rejected by the protocol, ``"halted"``
-    for ops submitted to an already-halted client.
+    for ops submitted to an already-halted client.  ``"lockstep"`` is the
+    baseline, which ``build_deployment`` builds.
     """
-    system = open_system(config, backend=backend)
+    if backend == "lockstep":
+        system = build_deployment(config, lockstep_protocol())
+    else:
+        system = open_system(config, backend=backend)
     outcomes = []
     for client, kind, register, value in program:
         session = system.session(client)

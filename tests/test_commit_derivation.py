@@ -129,7 +129,7 @@ def _assert_no_mismatch(system, committed, derived) -> None:
 
 @pytest.mark.parametrize("feature_name,transport,backend", CELLS)
 def test_every_supported_cell(feature_name, transport, backend, checker, loopback):
-    kwargs = {"num_clients": NUM_CLIENTS, **asking(feature_name, backend)}
+    kwargs = {"num_clients": NUM_CLIENTS, **asking(feature_name)}
     if transport == "tcp":
         kwargs.update(
             transport="tcp",

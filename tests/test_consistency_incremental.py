@@ -23,8 +23,7 @@ import pytest
 
 from histbuild import h, r, w
 from repro.api import FaustParams, SystemConfig, open_system
-from repro.cli import BASELINE_SERVERS
-from repro.common.types import BOTTOM
+from repro.common.types import BOTTOM, OpKind
 from repro.consistency import (
     IncrementalCausalChecker,
     IncrementalLinearizabilityChecker,
@@ -207,24 +206,67 @@ def _live_run(backend, seed, factory=None, num_clients=4, ops=12, until=800.0):
     return system, live, auditor
 
 
-#: test id -> (backend, catalogue factory); the honest server is the
-#: backend's default.
-SERVERS = {
-    "honest": ("ustor", None),
+#: C2 reads b (so a -> b is in its past), then reads a again: the
+#: causally-overwritten read of ``TestHandcrafted``, spread out so that
+#: periodic audits fall between its operations.
+OVERWRITTEN = h(
+    w(0, b"a", 0, 10),
+    w(0, b"b", 20, 30),
+    r(1, 0, b"b", 40, 50),
+    r(1, 0, b"a", 60, 70),
+)
+
+
+def _recorded_run(seed, history):
+    """``history`` recorded into an idle USTOR deployment's live recorder
+    at its own times, audited as ``_live_run`` audits.  Every USTOR run
+    is causal (its guarantee implies causality), so this is how a failing
+    causal verdict reaches the live checkers and the auditor."""
+    system = open_system(SystemConfig(num_clients=2, seed=seed), backend="ustor")
+    live = attach_incremental_checkers(system.recorder)
+    auditor = system.attach_audit(every=37.0)
+    op_ids = {}
+
+    def begin(op):
+        op_ids[op.op_id] = system.recorder.begin(
+            op.client, op.kind, op.register, system.now,
+            value=op.value if op.kind is OpKind.WRITE else None,
+        )
+
+    def end(op):
+        system.recorder.end(op_ids[op.op_id], system.now, value=op.value)
+
+    for op in history:
+        system.scheduler.schedule_at(op.invoked_at, begin, op)
+        system.scheduler.schedule_at(op.responded_at, end, op)
+    system.run(until=100.0)
+    auditor.final()
+    return system, live, auditor
+
+
+#: test id -> run(seed); the honest server is the backend's default.
+RUNS = {
+    "honest": lambda seed: _live_run("ustor", seed),
     **{
-        name: ("ustor", ADVERSARIES[name].factory)
+        name: lambda seed, name=name: _live_run(
+            "ustor", seed, ADVERSARIES[name].factory
+        )
         for name in ("tampering", "split-brain", "figure3")
     },
-    "lying-unchecked": ("unchecked", BASELINE_SERVERS["unchecked"]["tampering"]),
+    "causally-overwritten": lambda seed: _recorded_run(seed, OVERWRITTEN),
 }
 
 
-@pytest.mark.parametrize("server", sorted(SERVERS))
+@pytest.mark.parametrize("server", sorted(RUNS))
 @pytest.mark.parametrize("seed", [1, 7])
 def test_live_agreement_with_offline(server, seed):
-    backend, factory = SERVERS[server]
-    system, live, auditor = _live_run(backend, seed, factory)
+    system, live, auditor = RUNS[server](seed)
     history = system.history()
+    if server == "causally-overwritten":
+        # The failing path: both live verdicts say no, as offline does.
+        assert not live["causal"].result().ok
+        assert not auditor.audits[-1].verdicts["causal"].ok
+        assert len(auditor.audits) > 1
     assert live["linearizability"].result().ok == check_linearizability(history).ok
     assert live["causal"].result().ok == check_causal_consistency(history).ok
     # The auditor's final snapshot carries the same verdicts.

@@ -6,7 +6,7 @@ lifecycle methods proves nothing else in ``src/repro`` crashes, restarts,
 pauses, resumes or disconnects a process on a schedule's behalf — leaves
 exactly the trace note its kind names, and is skipped for a client that
 has already halted.  "Has this client stopped?" is one property pair,
-``halted``/``halt_reason``, table-tested on all five client types.  The
+``halted``/``halt_reason``, table-tested on all four client types.  The
 overlap rule is one function; the regressions at the bottom are the ways
 its three former copies disagreed.
 """
@@ -20,6 +20,8 @@ from dataclasses import replace
 import pytest
 
 from repro.api import FaustParams, SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.cli import main as repro_main
 from repro.common.errors import ConfigurationError
 from repro.faust.checkpoint import CheckpointPolicy
@@ -31,19 +33,24 @@ from repro.workloads.scale import ScaleConfig, run_scale
 
 QUIET = FaustParams(enable_dummy_reads=False, enable_probes=False)
 
-#: name -> (backend, SystemConfig overrides)
+#: name -> (backend, SystemConfig overrides); "lockstep" is the
+#: baseline, which ``build_deployment`` builds (its server keeps no log).
 DEPLOYMENTS = {
     "faust": ("faust", dict(num_clients=3)),
     "ustor": ("ustor", dict(num_clients=3)),
     "cluster": ("cluster", dict(num_clients=4, shards=2)),
     "replicas": ("faust", dict(num_clients=3, replicas=3, counter="durable")),
+    "lockstep": ("lockstep", dict(num_clients=3)),
 }
 
 
 def deploy(name: str, **overrides):
     backend, knobs = DEPLOYMENTS[name]
-    config = dict(seed=7, storage="log", faust=QUIET, **knobs)
+    config = dict(seed=7, faust=QUIET, **knobs)
     config.update(overrides)
+    if backend == "lockstep":
+        return build_deployment(SystemConfig(**config), lockstep_protocol())
+    config.setdefault("storage", "log")
     return open_system(SystemConfig(**config), backend=backend)
 
 
@@ -179,7 +186,7 @@ def test_shard_zero_of_an_unsharded_deployment_is_its_server():
         system.faults.add(Fault("down", None, 10.0, 10.0))  # the same server
 
 
-@pytest.mark.parametrize("name", ["faust", "ustor", "cluster"])
+@pytest.mark.parametrize("name", ["faust", "ustor", "cluster", "lockstep"])
 def test_crash_forever(name, lifecycle_calls):
     system = deploy(name)
     system.faults.add(Fault("crash-forever", 1, 5.0))
@@ -201,7 +208,7 @@ def test_a_cluster_trace_answers_note_queries_like_any_trace():
     )
 
 
-@pytest.mark.parametrize("name", ["faust", "ustor", "cluster"])
+@pytest.mark.parametrize("name", ["faust", "ustor", "cluster", "lockstep"])
 def test_crash_restart(name, lifecycle_calls):
     system = deploy(name)
     system.faults.add(Fault("crash-restart", 1, 5.0, 10.0))
@@ -214,7 +221,7 @@ def test_crash_restart(name, lifecycle_calls):
     assert_only_the_injector_acted(lifecycle_calls)
 
 
-@pytest.mark.parametrize("name", ["faust", "ustor", "cluster"])
+@pytest.mark.parametrize("name", ["faust", "ustor", "cluster", "lockstep"])
 def test_away(name, lifecycle_calls):
     system = deploy(name)
     system.faults.add(Fault("away", 1, 5.0, 10.0))
@@ -374,14 +381,15 @@ def test_the_injector_takes_the_deployment_and_nothing_to_tune():
 
 
 # --------------------------------------------------------------------- #
-# One liveness answer, on all five client types
+# One liveness answer, on all four client types
 # --------------------------------------------------------------------- #
 
+#: Client type -> the backend that runs it ("lockstep": the baseline,
+#: which ``build_deployment`` builds).
 CLIENT_TYPES = {
     "UstorClient": "ustor",
     "FaustClient": "faust",
     "LockStepClient": "lockstep",
-    "UncheckedClient": "unchecked",
     "ClusterClient": "cluster",
 }
 
@@ -391,7 +399,10 @@ def client_of(type_name: str):
     knobs = dict(num_clients=4, seed=3, faust=QUIET)
     if backend == "cluster":
         knobs["shards"] = 2
-    system = open_system(SystemConfig(**knobs), backend=backend)
+    if backend == "lockstep":
+        system = build_deployment(SystemConfig(**knobs), lockstep_protocol())
+    else:
+        system = open_system(SystemConfig(**knobs), backend=backend)
     client = system.clients[1]
     assert type(client).__name__ == type_name
     if backend == "cluster":
@@ -441,11 +452,6 @@ def test_liveness_pair_faust_failed(type_name):
     _home_instance(system, client)._fail_faust("forked", alert_others=False)
     assert (client.halted, client.halt_reason) == (True, "forked")
     assert client.failed and client.fail_reason is None  # USTOR itself saw nothing
-
-
-def test_unchecked_client_halts_only_by_crashing():
-    _system, client = client_of("UncheckedClient")
-    assert client.failed is False and not client.halted
 
 
 def test_cluster_client_is_not_halted_by_a_shard_it_never_touched():

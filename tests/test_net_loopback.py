@@ -25,7 +25,9 @@ import re
 import pytest
 
 from repro.api import CheckpointPolicy, FaustParams, SystemConfig, open_system
+from repro.api.backends import build_deployment
 from repro.api.errors import OperationTimeout
+from repro.baselines.lockstep import lockstep_protocol
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
@@ -533,13 +535,18 @@ class TestConfigAndBackends:
                 num_clients=2, transport="tcp", endpoints=("h:1",), **knob
             )
 
-    @pytest.mark.parametrize("backend", ["lockstep", "unchecked", "cluster"])
+    @pytest.mark.parametrize("backend", ["lockstep", "cluster"])
     def test_simulator_only_backends_refuse_tcp(self, backend):
+        # The lock-step baseline is no backend: build_deployment refuses
+        # it the socket world, as open_system refuses the cluster.
         config = SystemConfig(
             num_clients=2, transport="tcp", endpoints=("h:1",)
         )
-        with pytest.raises(ConfigurationError, match="simulator-only"):
-            open_system(config, backend=backend)
+        with pytest.raises(ConfigurationError, match="simulator.only"):
+            if backend == "lockstep":
+                build_deployment(config, lockstep_protocol())
+            else:
+                open_system(config, backend=backend)
 
     def test_open_system_tcp_end_to_end(self):
         # The full facade path: SystemConfig -> open_system -> NetSystem,

@@ -19,6 +19,8 @@ import random
 import pytest
 
 from repro.api import SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.faust.checkpoint import CheckpointPolicy
@@ -202,16 +204,20 @@ def test_max_concurrent_counts_overlap():
         ("faust", {}),
         ("ustor", {}),
         ("lockstep", {}),
-        ("unchecked", {}),
         ("cluster", {"shards": 2, "shard_protocol": "ustor"}),
     ],
-    ids=["faust", "ustor", "lockstep", "unchecked", "cluster-ustor"],
+    ids=["faust", "ustor", "lockstep", "cluster-ustor"],
 )
 def test_open_loop_driver_completes_every_arrival(backend, knobs):
     """Arrivals overlap in-flight operations; the session queues them for
     clients that run one operation at a time (they used to raise
-    ProtocolError out of the event loop)."""
-    system = open_system(SystemConfig(num_clients=3, seed=SEED, **knobs), backend=backend)
+    ProtocolError out of the event loop) — the blocking lock-step
+    baseline, built by ``build_deployment``, included."""
+    config = SystemConfig(num_clients=3, seed=SEED, **knobs)
+    if backend == "lockstep":
+        system = build_deployment(config, lockstep_protocol())
+    else:
+        system = open_system(config, backend=backend)
     schedules = generate_open_loop(
         3, OpenLoopConfig(rate=0.5, duration=40.0), random.Random(SEED)
     )

@@ -5,14 +5,16 @@ outside the supported set ``open_system`` refuses with a message naming
 the knob *before* anything is built or connected; inside it the
 deployment opens and completes a write (tcp cells against loopback hosts
 sharing the client's event loop, as in ``tests/test_net_loopback.py``).
-A second test keeps the table complete: every ``SystemConfig`` field is
+``test_baseline_cell`` holds the lock-step baseline, which no backend
+names, to the same promise through ``build_deployment``.  A second test
+keeps the table complete: every ``SystemConfig`` field is
 claimed by exactly one feature or declared universal, so the next knob
 cannot be silently ignored.
 
 ``test_one_loop_one_surface`` then opens a deployment every way there is
-— each backend on the simulator, ``ustor`` and ``faust`` over loopback
-tcp with one and three replicas, the replay of a recorded run — and
-checks that each goes through :func:`repro.workloads.runner.
+— each backend on the simulator, the lock-step baseline through
+``build_deployment``, ``ustor`` and ``faust`` over loopback tcp with one
+and three replicas, the replay of a recorded run — and checks that each goes through :func:`repro.workloads.runner.
 wire_deployment` exactly once per deployment and hands back a system
 that answers the same calls with the same meaning.
 """
@@ -32,14 +34,15 @@ import repro.cluster.backend as cluster_backend
 import repro.net.client as net_client
 import repro.workloads.runner as runner
 from repro.api import BACKENDS, SystemConfig, open_system
-from repro.api.backends import protocol_for
+from repro.api.backends import build_deployment, protocol_for
 from repro.api.config import (
     FEATURES,
     TRANSPORTS,
     UNIVERSAL_FIELDS,
     check_supported,
 )
-from repro.cli import BASELINE_SERVERS, SERVERS
+from repro.baselines.lockstep import LockStepServer, lockstep_protocol
+from repro.cli import SERVERS
 from repro.common.errors import ConfigurationError
 from repro.history.history import History
 from repro.net.client import NetRuntime
@@ -52,14 +55,10 @@ BY_NAME = {feature.name: feature for feature in FEATURES}
 NUM_CLIENTS = 3
 
 
-def asking(feature: str, backend: str) -> dict:
+def asking(feature: str) -> dict:
     """``SystemConfig`` kwargs that ask for ``feature`` (and for nothing
     else beyond what its own validation demands)."""
-    honest = (
-        protocol_for(backend, SystemConfig(NUM_CLIENTS)).server_factory
-        if backend in BASELINE_SERVERS
-        else SERVERS["correct"]
-    )
+    honest = SERVERS["correct"]
     return {
         "storage": {"storage": "log"},
         "batching": {"batching": True},
@@ -107,7 +106,7 @@ def loopback(monkeypatch):
 
 def test_asking_covers_every_feature():
     for feature in FEATURES:
-        assert set(asking(feature.name, "cluster")) & set(feature.fields)
+        assert set(asking(feature.name)) & set(feature.fields)
 
 
 @pytest.mark.net
@@ -115,7 +114,7 @@ def test_asking_covers_every_feature():
 @pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_cell(backend, transport, feature_name, monkeypatch, loopback):
-    kwargs = {"num_clients": NUM_CLIENTS, **asking(feature_name, backend)}
+    kwargs = {"num_clients": NUM_CLIENTS, **asking(feature_name)}
     if backend in BY_NAME[feature_name].runs_on(transport):
         if transport == "tcp":
             kwargs.update(
@@ -147,8 +146,55 @@ def test_cell(backend, transport, feature_name, monkeypatch, loopback):
         open_system(SystemConfig(**kwargs), backend=backend)
     message = str(refusal.value)
     if "simulator-only" not in message:
-        assert any(f"{field}=" in message for field in asking(feature_name, backend))
+        assert any(f"{field}=" in message for field in asking(feature_name))
         assert f"transport={transport!r}" in message
+
+
+#: The cells the lock-step baseline runs: on the simulator only.
+BASELINE_RUNS = {"latency", "server_factory"}
+
+
+@pytest.mark.parametrize("feature_name", sorted(BY_NAME))
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_baseline_cell(transport, feature_name, monkeypatch):
+    kwargs = {"num_clients": NUM_CLIENTS, **asking(feature_name)}
+    if transport == "sim" and feature_name in BASELINE_RUNS:
+        if feature_name == "server_factory":
+            kwargs["server_factory"] = lambda n, name: LockStepServer(n, name=name)
+        system = build_deployment(SystemConfig(**kwargs), lockstep_protocol())
+        assert system.session(0).write_sync(b"x") == 1
+        return
+
+    def refuse_to_build(*args, **kwargs):
+        raise AssertionError("a rejected config reached a builder")
+
+    monkeypatch.setattr(runner, "wire_deployment", refuse_to_build)
+    monkeypatch.setattr(runner, "SimWorld", refuse_to_build)
+    monkeypatch.setattr(net_client, "TcpWorld", refuse_to_build)
+    if transport == "tcp":
+        kwargs.update(
+            transport="tcp",
+            endpoints=("127.0.0.1:1",) * kwargs.get("replicas", 1),
+        )
+    with pytest.raises(ConfigurationError) as refusal:
+        build_deployment(SystemConfig(**kwargs), lockstep_protocol())
+    message = str(refusal.value)
+    if "simulator only" not in message:
+        assert any(f"{field}=" in message for field in asking(feature_name))
+        assert f"transport={transport!r}" in message
+
+
+@pytest.mark.parametrize("stack", ["faust", "ustor"])
+def test_the_baseline_rule_leaves_the_ustor_stack_alone(stack):
+    # build_deployment's own check is for protocols outside the USTOR
+    # stack: a USTOR-stack protocol built directly keeps its storage
+    # engine, replicas and counters.
+    config = SystemConfig(
+        num_clients=NUM_CLIENTS, storage="log", replicas=3, counter="durable"
+    )
+    system = build_deployment(config, protocol_for(stack, config))
+    assert len(system.replica_servers) == 3
+    assert system.session(0).write_sync(b"x") == 1
 
 
 def test_every_config_field_is_claimed_exactly_once():
@@ -165,17 +211,17 @@ def test_every_config_field_is_claimed_exactly_once():
 
 
 def test_flipping_one_cell_flips_the_verdict(monkeypatch):
-    config = SystemConfig(num_clients=2, batching=True)
-    with pytest.raises(ConfigurationError, match="batching="):
-        check_supported(config, "lockstep")
+    config = SystemConfig(
+        num_clients=2, transport="tcp", endpoints=("h:1",), trace_path=os.devnull
+    )
+    with pytest.raises(ConfigurationError, match="trace_path="):
+        check_supported(config, "faust")
     flipped = tuple(
-        dataclasses.replace(f, sim=f.sim + ("lockstep",))
-        if f.name == "batching"
-        else f
+        dataclasses.replace(f, tcp=f.tcp + ("faust",)) if f.name == "trace" else f
         for f in FEATURES
     )
     monkeypatch.setattr(config_module, "FEATURES", flipped)
-    check_supported(config, "lockstep")
+    check_supported(config, "faust")
 
 
 def test_span_log_attached_to_a_cluster_hears_every_shard():
@@ -249,8 +295,7 @@ def check_surface(system, *, step: float, invoke: bool = True) -> None:
     [
         ("faust", "sim", 1, 1),
         ("ustor", "sim", 1, 1),
-        ("lockstep", "sim", 1, 1),
-        ("unchecked", "sim", 1, 1),
+        ("lockstep", "sim", 1, 1),  # the baseline, through build_deployment
         ("cluster", "sim", 1, 2),  # once per shard
         ("ustor", "tcp", 1, 1),
         ("ustor", "tcp", 3, 1),
@@ -266,7 +311,12 @@ def test_one_loop_one_surface(backend, transport, replicas, loops, wired, loopba
         kwargs.update(
             transport="tcp", replicas=replicas, endpoints=loopback(replicas)
         )
-    with open_system(SystemConfig(**kwargs), backend=backend) as system:
+    config = SystemConfig(**kwargs)
+    if backend == "lockstep":
+        system = build_deployment(config, lockstep_protocol())
+    else:
+        system = open_system(config, backend=backend)
+    with system:
         assert len(wired) == loops
         deployments = system.shards
         assert [id(d) for d in deployments] == [id(w) for w in wired]
