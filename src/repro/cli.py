@@ -803,7 +803,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=("sim", "tcp"),
         default="sim",
         help="world to run in: the discrete-event simulator (default) or "
-        "real sockets against 'repro serve' processes (ustor backend only)",
+        "real sockets against 'repro serve' processes (faust and ustor "
+        "backends; not cluster)",
     )
     run.add_argument(
         "--endpoints",

@@ -11,6 +11,7 @@ output, mirroring how the paper's ``C_i`` writes register ``X_i``.
 from __future__ import annotations
 
 import enum
+from functools import cache
 from typing import Final
 
 # Identifier of a client process; also the index of the one register the
@@ -67,8 +68,14 @@ class OpKind(enum.Enum):
         return self.value
 
 
+@cache
 def client_name(client: ClientId) -> str:
-    """Render a 0-based client id the way the paper writes it (``C1`` ..)."""
+    """Render a 0-based client id the way the paper writes it (``C1`` ..).
+
+    One string per client id, shared by every caller: node names, routes
+    and the trace records that name the client all hold the same object.
+    The cache holds one entry per id a process ever named.
+    """
     return f"C{client + 1}"
 
 

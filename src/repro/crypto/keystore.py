@@ -27,6 +27,19 @@ the "batched verification" optimization of PERFORMANCE.md: correctness
 is untouched (the cache stores the scheme's own verdicts, keyed by the
 exact signer/signature/payload triple), only repetition is removed.
 
+A hit is a co-located client re-checking a signature another client
+checked moments before — a SUBMIT or PROOF signature still in the
+server's pending list, a checkpoint share just broadcast — so the
+working set is a few operations' signatures per client, and the
+keystore sizes its cache from the population it serves:
+``VERDICTS_KEPT_PER_CLIENT`` (128) entries per client.  Measured on one
+contract-scale pass of each simulator benchmark workload, every hit
+found a verdict stored at most 74 stores earlier (8 clients, 104,845
+hits; 29 with two 4-client shards, 15,885 hits), so the bound is
+several times the reuse it has to keep: the hits equal those of a
+cache that forgets nothing, while the entries held fell from 43,618 to
+at most 1,024.
+
 The cache itself is trusted state: whoever holds it could inject
 verdicts.  It therefore lives strictly on the client side of the trust
 boundary — :meth:`KeyStore.verifier` (the capability handed to servers)
@@ -44,6 +57,21 @@ from repro.common.types import ClientId
 from repro.crypto.signatures import SignatureScheme, make_scheme
 
 
+def evict_older_half(memo: dict, limit: int) -> None:
+    """Drop the older half of a memo that reached ``limit`` entries.
+
+    The one eviction rule of the bounded memos (this module's verdict
+    cache, the digest-chain memo of :mod:`repro.ustor.digests`).  Dicts
+    keep insertion order, and both memos' reuse is recent (signatures and
+    chain links of the last few operations): the older half is the cold
+    half.  A batch, not one entry per insert: every ``iter(memo)``
+    rescans the hole earlier head deletions left (9 us each at 64 Ki
+    entries).
+    """
+    for oldest in list(islice(memo, max(1, limit // 2))):
+        del memo[oldest]
+
+
 class VerificationCache:
     """Bounded memo of signature-verification verdicts.
 
@@ -55,7 +83,7 @@ class VerificationCache:
 
     __slots__ = ("_memo", "_limit", "hits", "misses")
 
-    def __init__(self, limit: int = 1 << 16) -> None:
+    def __init__(self, limit: int) -> None:
         self._memo: dict[tuple[ClientId, bytes, bytes], bool] = {}
         self._limit = limit
         self.hits = 0
@@ -75,12 +103,7 @@ class VerificationCache:
         the older half goes, never the recent working set)."""
         memo = self._memo
         if len(memo) >= self._limit:
-            # Dicts keep insertion order, and reuse is recent (signatures of
-            # the last few operations): the older half is the cold half.  A
-            # batch, not one entry per insert: every ``iter(memo)`` rescans
-            # the hole earlier head deletions left (9 us each at this size).
-            for oldest in list(islice(memo, max(1, self._limit // 2))):
-                del memo[oldest]
+            evict_older_half(memo, self._limit)
         memo[key] = verdict
 
     def stats(self) -> dict[str, int]:
@@ -191,6 +214,10 @@ class KeyStore:
     so it never crosses the trust boundary).
     """
 
+    #: Verdict-cache entries per client of the population (module
+    #: docstring: the working set grows with ``n``).
+    VERDICTS_KEPT_PER_CLIENT = 128
+
     def __init__(self, num_clients: int, scheme: str | SignatureScheme = "hmac") -> None:
         if isinstance(scheme, SignatureScheme):
             if scheme.num_clients != num_clients:
@@ -201,7 +228,7 @@ class KeyStore:
         else:
             self._scheme = make_scheme(scheme, num_clients)
         self._num_clients = num_clients
-        self._cache = VerificationCache()
+        self._cache = VerificationCache(self.VERDICTS_KEPT_PER_CLIENT * num_clients)
 
     @property
     def num_clients(self) -> int:

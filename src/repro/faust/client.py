@@ -123,6 +123,7 @@ class FaustClient(UstorClient):
         self._probe_timer: PeriodicTimer | None = None
         self._next_dummy_register = (client_id + 1) % num_clients
         self._last_probe_sent: list[float] = [float("-inf")] * num_clients
+        self._peer_names = tuple(client_name(peer) for peer in range(num_clients))
 
         self.faust_failed = False
         self.faust_fail_reason: str | None = None
@@ -400,7 +401,7 @@ class FaustClient(UstorClient):
                 continue  # an answer to the previous probe may be in flight
             self._last_probe_sent[peer] = now
             self._offline.send(
-                self.name, client_name(peer), ProbeMessage(sender=self._id)
+                self.name, self._peer_names[peer], ProbeMessage(sender=self._id)
             )
 
     def _membership_tick(self) -> None:
@@ -456,7 +457,7 @@ class FaustClient(UstorClient):
         for peer in range(self._n):
             if peer == self._id:
                 continue
-            self._offline.send(self.name, client_name(peer), share)
+            self._offline.send(self.name, self._peer_names[peer], share)
 
     def _checkpoint_installed(self, checkpoint: Checkpoint) -> None:
         """Prune local state behind an installed checkpoint.
@@ -498,12 +499,12 @@ class FaustClient(UstorClient):
         for peer in range(self._n):
             if peer == self._id:
                 continue
-            self._offline.send(self.name, client_name(peer), share)
+            self._offline.send(self.name, self._peer_names[peer], share)
 
     def _send_epoch_announce(
         self, peer: ClientId, announce: EpochAnnounceMessage
     ) -> None:
-        self._offline.send(self.name, client_name(peer), announce)
+        self._offline.send(self.name, self._peer_names[peer], announce)
 
     def _request_rejoin(self, peer: ClientId) -> None:
         """As an evictee: make contact with a member (a VERSION suffices)."""
@@ -511,7 +512,7 @@ class FaustClient(UstorClient):
             return
         self._offline.send(
             self.name,
-            client_name(peer),
+            self._peer_names[peer],
             VersionMessage(sender=self._id, version=self.tracker.max_version),
         )
 
@@ -552,7 +553,7 @@ class FaustClient(UstorClient):
                     continue
                 self._offline.send(
                     self.name,
-                    client_name(peer),
+                    self._peer_names[peer],
                     FailureMessage(sender=self._id, reason=reason),
                 )
         for listener in list(self._faust_fail_listeners):

@@ -22,6 +22,7 @@ detection completeness (Definition 5, condition 7).
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import Any
 
 from repro.common.errors import ChannelError
@@ -31,6 +32,13 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import SimTrace
 
 _FIFO_EPSILON = 1e-9
+
+
+@cache
+def _trace_label(prefix: str, kind: str) -> str:
+    """``prefix + kind``, built once per message kind: every trace record
+    of that kind shares the one string."""
+    return prefix + kind
 
 
 class OfflineChannel:
@@ -101,7 +109,7 @@ class OfflineChannel:
                 None,  # delivered_at: actual delivery recorded at hand-off
                 src,
                 dst,
-                "offline:" + message_kind(message),
+                _trace_label("offline:", message_kind(message)),
                 message_size(message),
             )
         self._scheduler.schedule_at(arrival, self._arrive, src, dst, message)
@@ -121,7 +129,7 @@ class OfflineChannel:
                 now = self._scheduler.now
                 self._trace.record_message(
                     now, now, "mailbox", dst,
-                    "offline-delivery:" + message_kind(message), 0,
+                    _trace_label("offline-delivery:", message_kind(message)), 0,
                 )
             node.deliver(src, message)
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SystemConfig, open_system
 from repro.common.errors import UnknownSignerError
 from repro.common.types import BOTTOM
 from repro.crypto.hashing import (
@@ -23,6 +26,7 @@ from repro.crypto.signatures import (
     InsecureScheme,
     make_scheme,
 )
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 class TestHashing:
@@ -218,7 +222,7 @@ class TestOwnSignatureMemo:
     )
     def test_verify_equals_the_scheme(self, scheme_name, payloads, bit, stranger):
         scheme = _SCHEMES[scheme_name]
-        me = ClientSigner(scheme, 1, VerificationCache())
+        me = ClientSigner(scheme, 1, VerificationCache(limit=64))
         triples = [stranger]
         for payload in payloads:
             mine = me.sign(*payload)
@@ -297,6 +301,27 @@ class TestVerificationCacheBound:
             cache.store((0, b"sig%d" % k, b"payload"), k % 2 == 0)
             assert cache.stats()["size"] <= 16
         assert cache.lookup((0, b"sig199", b"payload")) is False
+
+    def test_a_keystore_keeps_a_working_set_per_client(self, monkeypatch):
+        """The keystore sizes its cache from the population: a seeded
+        8-client FAUST run stays within 128 verdicts per client and hits
+        exactly as often as the same run with a cache that forgets
+        nothing, so the bound skips no reuse."""
+
+        def run() -> dict[str, int]:
+            system = open_system(SystemConfig(num_clients=8, seed=7), backend="faust")
+            driver = run_closed_loop(
+                system, WorkloadConfig(ops_per_client=60), random.Random(7)
+            )
+            assert driver.stats.all_done()
+            return system.keystore.verification_cache_stats()
+
+        bounded = run()
+        monkeypatch.setattr(KeyStore, "VERDICTS_KEPT_PER_CLIENT", 1 << 20)
+        unbounded = run()
+        assert bounded["size"] <= 128 * 8 < unbounded["size"]
+        assert bounded["hits"] == unbounded["hits"] > 0
+        assert bounded["misses"] == unbounded["misses"]
 
 
 class TestSignatureProperties:

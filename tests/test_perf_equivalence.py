@@ -10,7 +10,7 @@ byte-for-byte identical outputs:
 * :func:`repro.common.encoding.decode` vs ``decode_reference``, including
   identical *rejection* of corrupted bytes;
 * :func:`repro.ustor.digests.extend_digest` vs ``extend_digest_reference``
-  (cold cache and warm cache);
+  (cold cache, warm cache, and a memo squeezed to a few links);
 * :func:`repro.crypto.hashing.hash_register_value` vs its definition
   ``hash_values("VALUE", x)``;
 * the iterative view-history reconstruction vs the paper's recursive
@@ -30,6 +30,7 @@ those whenever the encoder, the decoder or the view-history walk changes.
 from __future__ import annotations
 
 import enum
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from repro.common.errors import EncodingError, ProtocolError
 from repro.common.types import BOTTOM, OpKind
 from repro.crypto.hashing import hash_register_value, hash_values
 from repro.faust.stability import StabilityTracker
+from repro.ustor import digests
 from repro.ustor.client import ViewHistoryRecord
 from repro.ustor.digests import (
     digest_of_sequence,
@@ -262,13 +264,42 @@ class TestDigestEquivalence:
     @given(
         st.lists(st.integers(min_value=0, max_value=63), max_size=40),
         st.integers(min_value=0, max_value=63),
+        st.sampled_from([None, 2, 3, 8]),
     )
-    def test_extend_matches_reference(self, chain, client):
-        reset_chain_cache()
-        digest = digest_of_sequence(chain)
-        cold = extend_digest(digest, client)
-        warm = extend_digest(digest, client)  # second call hits the memo
+    def test_extend_matches_reference(self, chain, client, bound):
+        """``bound`` squeezes the memo to a few links, so a chain crosses
+        its eviction many times; ``None`` keeps the shipped bound."""
+        limit = digests._CHAIN_MEMO_LIMIT if bound is None else bound
+        with patch.object(digests, "_CHAIN_MEMO_LIMIT", limit):
+            reset_chain_cache()
+            digest = digest_of_sequence(chain)
+            cold = extend_digest(digest, client)
+            warm = extend_digest(digest, client)  # second call hits the memo
+            assert len(digests._CHAIN_MEMO) <= limit
         assert cold == warm == extend_digest_reference(digest, client)
+
+    def test_past_the_bound_the_newer_half_stays(self):
+        """At the bound the memo drops its older half in one batch: it
+        never holds more than the bound, the newest links survive every
+        eviction (so they still hit), and what it holds is a suffix of
+        the links in the order they were made."""
+        bound = 8
+        with patch.object(digests, "_CHAIN_MEMO_LIMIT", bound):
+            reset_chain_cache()
+            keys, digest = [], None
+            for step in range(5 * bound):
+                keys.append((digest, step % 5))
+                digest = extend_digest(digest, step % 5)
+                assert digest == extend_digest_reference(*keys[-1])
+                held = list(digests._CHAIN_MEMO)
+                assert held == keys[-len(held):]
+                if step >= bound:
+                    assert bound // 2 < len(held) <= bound
+            hits = digests.chain_cache_stats()["hits"]
+            for key in keys[-(bound // 2):]:
+                assert extend_digest(*key) == extend_digest_reference(*key)
+            assert digests.chain_cache_stats()["hits"] == hits + bound // 2
+        reset_chain_cache()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=30))

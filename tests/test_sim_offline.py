@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
+
 import pytest
 
+from repro.api import CheckpointPolicy, SystemConfig, open_system
 from repro.common.errors import ChannelError
 from repro.sim.network import FixedLatency
 from repro.sim.offline import OfflineChannel
 from repro.sim.process import Node
 from repro.sim.scheduler import Scheduler
+from repro.workloads.generator import WorkloadConfig, run_closed_loop
 
 
 class Recorder(Node):
@@ -114,3 +119,26 @@ class TestOfflineBuffering:
         channel.set_online("B", True)
         sched.run()
         assert b.received == []
+
+
+class TestTraceStrings:
+    def test_records_share_one_label_and_one_name_each(self):
+        """A FAUST run's trace holds one string object per message kind
+        and per node name, however many records carry it: the labels and
+        peer names are built once, not once per message."""
+        system = open_system(
+            SystemConfig(
+                num_clients=4, seed=3, checkpoint=CheckpointPolicy(interval=4)
+            ),
+            backend="faust",
+        )
+        run_closed_loop(system, WorkloadConfig(ops_per_client=20), random.Random(3))
+        records = system.trace.messages
+        offline = [r for r in records if r.kind.startswith("offline")]
+        assert len({r.kind for r in offline}) >= 4  # sent and delivered kinds
+        for field in ("kind", "src", "dst"):
+            objects = defaultdict(set)
+            for record in records:
+                value = getattr(record, field)
+                objects[value].add(id(value))
+            assert all(len(ids) == 1 for ids in objects.values()), field
