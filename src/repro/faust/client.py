@@ -389,8 +389,9 @@ class FaustClient(UstorClient):
         def completed(outcome: OpOutcome) -> None:
             self._operation_completed(outcome, None, dummy=True)
 
-        # Bypass the queue: dummy reads run only when the application is idle.
-        UstorClient.read(self, register, completed)
+        # Bypass the queue: dummy reads run only when the application is
+        # idle.  The value is never used, so MEM[j] may come as its digest.
+        self._invoke(OpKind.READ, register, None, completed, digest_only=True)
 
     def _probe_tick(self) -> None:
         if self.faust_failed or self.crashed:

@@ -8,10 +8,11 @@ mapping that lets the analysis layer reconstruct USTOR view histories.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any
 
 from repro.common.errors import HistoryError
-from repro.common.types import Bottom, ClientId, OpKind, RegisterId, Value
+from repro.common.types import BOTTOM, Bottom, ClientId, OpKind, RegisterId, Value
 from repro.history.events import Operation
 from repro.history.history import History
 
@@ -48,6 +49,10 @@ class HistoryRecorder:
         #: register -> (pruned_write_count, last_pruned_responded_at);
         #: accumulated by :meth:`compact`, carried on extracted histories.
         self._base: dict[RegisterId, tuple[int, float]] = {}
+        #: register -> (timestamps, values) of its writes in timestamp
+        #: order, from invocation on: what ``written_at`` resolves against.
+        #: :meth:`compact` trims it with the writes it prunes.
+        self._writes: dict[RegisterId, tuple[list[int], list[Value]]] = {}
         self.compacted_ops = 0
 
     def add_listener(self, listener) -> None:
@@ -82,6 +87,10 @@ class HistoryRecorder:
         )
         if timestamp is not None:
             self._by_key[(client, timestamp)] = op_id
+            if kind is OpKind.WRITE:
+                timestamps, values = self._writes.setdefault(register, ([], []))
+                timestamps.append(timestamp)
+                values.append(value)
         if self._listeners:
             op = Operation(
                 op_id=op_id,
@@ -105,8 +114,16 @@ class HistoryRecorder:
         responded_at: float,
         value: Value | Bottom | None = None,
         timestamp: int | None = None,
+        written_at: tuple[RegisterId, int] | None = None,
     ) -> Operation:
-        """Record the matching response; returns the completed operation."""
+        """Record the matching response; returns the completed operation.
+
+        A read answered with only the value's digest passes ``written_at =
+        (j, t_j)`` instead of ``value``: it returned what
+        :meth:`value_written` resolves that to.
+        """
+        if written_at is not None:
+            value = self.value_written(*written_at)
         try:
             pending = self._pending.pop(op_id)
         except KeyError:
@@ -131,6 +148,29 @@ class HistoryRecorder:
             if hook is not None:
                 hook(op)
         return op
+
+    def value_written(self, register: RegisterId, timestamp: int) -> Value | Bottom:
+        """The value register ``register`` held as of its writer's operation
+        ``timestamp``: that client's latest write with a timestamp at or
+        below it, ``BOTTOM`` before its first write.
+
+        Exact under forks too: a ``MEM[j]`` that passes line 50 carries the
+        writer's DATA-signature over ``(t_j, H(x))``, and a correct writer
+        signs at ``t_j`` the hash of its own latest write.  Once
+        :meth:`compact` pruned writes of the register, a timestamp before
+        every kept one is unknown: :class:`HistoryError` (a read that
+        passes line 51 is never that old, as it knows the stable cut).
+        """
+        timestamps, values = self._writes.get(register, ((), ()))
+        index = bisect_right(timestamps, timestamp)
+        if index:
+            return values[index - 1]
+        if register not in self._base:
+            return BOTTOM
+        raise HistoryError(
+            f"the write to register {register} at or before timestamp "
+            f"{timestamp} was compacted away"
+        )
 
     # ------------------------------------------------------------------ #
     # Checkpoint compaction
@@ -173,6 +213,10 @@ class HistoryRecorder:
             for write in drop:
                 pruned_ids.add(write.op_id)
                 pruned_values.add((register, bytes(write.value)))
+            timestamps, values = self._writes.get(register, ([], []))
+            kept = bisect_right(timestamps, drop[-1].timestamp)
+            del timestamps[:kept]
+            del values[:kept]
             count, last = self._base.get(register, (0, float("-inf")))
             self._base[register] = (
                 count + len(drop),

@@ -28,6 +28,11 @@ where the version would go — the server folds ``(V_i, M_i)`` from the
 REPLY it sent — and a replica group's carries the version (see
 :class:`~repro.ustor.messages.CommitMessage`).
 
+A read SUBMIT whose value will not be used (a FAUST dummy read) asks
+for ``MEM[j]`` in digest form with ``True`` in its value slot, and its
+REPLY carries ``(H(x),)`` in ``MEM[j]``'s value slot when the value is
+longer than that (:meth:`~repro.ustor.messages.MemEntry.digest_form`).
+
 Each record has one shape: SUBMIT 5 elements, COMMIT 3, REPLY 6 (7
 with a counter attestation), CHECKPOINT 3.  No causal trace id travels:
 it is a pure function of the SUBMIT's client id and timestamp, so
@@ -47,7 +52,7 @@ ProtocolMessage = SubmitMessage | CommitMessage | ReplyMessage | CheckpointMessa
 
 #: Each message record's body codec: ``(to_tuple, from_tuple)``.
 _BODY = {
-    "SUBMIT": (codec.submit_to_tuple, codec.submit_from_tuple),
+    "SUBMIT": (codec.submit_request_to_tuple, codec.submit_request_from_tuple),
     "COMMIT": (codec.commit_to_tuple, codec.commit_from_tuple),
     "REPLY": (codec.reply_to_tuple, codec.reply_from_tuple),
     "CHECKPOINT": (codec.checkpoint_to_tuple, codec.checkpoint_from_tuple),

@@ -18,8 +18,9 @@ Resolution per round:
   the version the client had committed when it submitted the round —
   a replica sends its versions relative to it — and
   stripped of its counter attestation, which legitimately differs per
-  replica) elect a winner, which flows into the unchanged Algorithm 1
-  checks.
+  replica, and for a read that asked for ``MEM[j]`` in digest form, with
+  ``MEM[j]`` in that form, which a replica may ignore) elect a winner,
+  which flows into the unchanged Algorithm 1 checks.
   Deviating minority REPLYs are *masked* — counted, not fatal.
 * **read quorum with write-back** — if every live replica answered and
   no value reached quorum (replicas caught mid-propagation or partially
@@ -42,7 +43,7 @@ honest majority keeps serving.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
@@ -69,6 +70,8 @@ class _Round:
     #: The client's committed version when it submitted: what this
     #: round's relative REPLYs are restored against.
     base: object
+    #: A read that asked for ``MEM[j]`` in digest form.
+    digest_only: bool = False
     #: Normalized (restored, attestation-stripped) REPLY per replica name.
     votes: dict = field(default_factory=dict)
 
@@ -80,6 +83,21 @@ class _Resolved:
     binding: bytes
     base: object
     winner: object | None  # normalized winning REPLY (None: round failed)
+    digest_only: bool = False
+
+
+def _normalized(reply, round_: _Round | _Resolved):
+    """``reply`` as the round votes on it: restored against the round's
+    base, without its attestation, and — in a digest round — with
+    ``MEM[j]`` in digest form, as the replicas that honour the request
+    send it (sending the value is no deviation)."""
+    reply = reply.restored(round_.base, attested=False)
+    mem = reply.mem
+    if round_.digest_only and mem is not None:
+        digest = mem.digest_form()
+        if digest is not mem:
+            reply = replace(reply, mem=digest)
+    return reply
 
 
 class QuorumCoordinator:
@@ -152,14 +170,17 @@ class QuorumCoordinator:
 
     # -- the client-facing protocol ------------------------------------- #
 
-    def begin_round(self, is_read: bool, binding: bytes, base) -> None:
+    def begin_round(
+        self, is_read: bool, binding: bytes, base, digest_only: bool = False
+    ) -> None:
         """Open the round for the SUBMIT about to be broadcast.
 
         ``binding`` is the operation's SUBMIT signature — the value
         counter attestations must be bound to; ``base`` is the client's
         committed :class:`~repro.ustor.messages.SignedVersion`, against
         which the round's relative REPLYs are restored — a straggler's
-        too, after the client has committed past it.
+        too, after the client has committed past it; ``digest_only``
+        marks a read that asked for ``MEM[j]`` in digest form.
         """
         if self._open is not None:
             raise ConfigurationError(
@@ -167,7 +188,11 @@ class QuorumCoordinator:
                 "issued one at a time per client)"
             )
         self._open = _Round(
-            index=self._rounds_begun, is_read=is_read, binding=binding, base=base
+            index=self._rounds_begun,
+            is_read=is_read,
+            binding=binding,
+            base=base,
+            digest_only=digest_only,
         )
         self._rounds_begun += 1
 
@@ -195,7 +220,7 @@ class QuorumCoordinator:
             violation = self._verifier.check(src, reply, round_.binding)
             if violation is not None:
                 return self._convict(src, violation)
-        normalized = reply.restored(round_.base, attested=False)
+        normalized = _normalized(reply, round_)
         open_round = self._open
         if open_round is not None and index == open_round.index:
             open_round.votes[src] = normalized
@@ -280,8 +305,12 @@ class QuorumCoordinator:
         return winner
 
     def _finish(self, winner) -> None:
-        self._resolved[self._open.index] = _Resolved(
-            binding=self._open.binding, base=self._open.base, winner=winner
+        open_round = self._open
+        self._resolved[open_round.index] = _Resolved(
+            binding=open_round.binding,
+            base=open_round.base,
+            winner=winner,
+            digest_only=open_round.digest_only,
         )
         while len(self._resolved) > _RESOLVED_WINDOW:
             self._resolved.popitem(last=False)

@@ -20,8 +20,12 @@ record can never half-build a state object.
 Each record has exactly one shape — no optional trailing elements, no
 padding for what an older build wrote: SUBMIT 5 elements, COMMIT 3,
 REPLY 6 (7 when it carries a counter attestation; each version slot a
-signed version, a relative one, or the population ``n`` in own form),
-``ServerState`` 9.
+signed version, a relative one, or the population ``n`` in own form;
+``MEM[j]``'s value slot a value, ``None`` for ``BOTTOM``, or ``(H(x),)``
+in digest form), ``ServerState`` 9.  On the wire only, a read SUBMIT
+that asks for ``MEM[j]`` in digest form holds ``True`` where a read's
+value slot holds ``None`` (:func:`submit_request_to_tuple`); the WAL
+never logs the request.
 What another build wrote is refused, not migrated.
 """
 
@@ -32,6 +36,7 @@ from typing import Any
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
 from repro.common.types import BOTTOM, OpKind
+from repro.crypto.hashing import HASH_BYTES
 from repro.replica.counter import CounterAttestation
 from repro.ustor.messages import (
     OWN_FORM_MAX_CLIENTS,
@@ -43,6 +48,7 @@ from repro.ustor.messages import (
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
+    ValueDigest,
 )
 from repro.ustor.server import ServerState
 from repro.ustor.version import Version
@@ -84,18 +90,26 @@ def signed_version_from_tuple(data: tuple) -> SignedVersion:
 
 def mem_entry_to_tuple(entry: MemEntry) -> tuple:
     # BOTTOM (outside the value domain) maps to None; MemEntry.value is
-    # never None, so the mapping is unambiguous.
-    value = None if entry.value is BOTTOM else entry.value
+    # never None, so the mapping is unambiguous.  A value is never a
+    # tuple either, so neither is the digest form's ``(H(x),)``.
+    value = entry.value
+    if value is BOTTOM:
+        value = None
+    elif type(value) is ValueDigest:
+        value = (value.digest,)
     return (entry.timestamp, value, entry.data_sig)
 
 
 def mem_entry_from_tuple(data: tuple) -> MemEntry:
     timestamp, value, data_sig = _shape(data, 3, "MemEntry")
-    return MemEntry(
-        timestamp=timestamp,
-        value=BOTTOM if value is None else value,
-        data_sig=data_sig,
-    )
+    if value is None:
+        value = BOTTOM
+    elif isinstance(value, tuple):
+        (digest,) = _shape(value, 1, "value digest")
+        if not isinstance(digest, bytes) or len(digest) != HASH_BYTES:
+            raise EncodingError(f"a value digest is not {HASH_BYTES} bytes: {digest!r}")
+        value = ValueDigest(digest)
+    return MemEntry(timestamp=timestamp, value=value, data_sig=data_sig)
 
 
 def invocation_to_tuple(invocation: InvocationTuple) -> tuple:
@@ -163,6 +177,40 @@ def submit_from_tuple(data: tuple) -> SubmitMessage:
         value=value,
         data_sig=data_sig,
         piggyback=None if piggyback is None else commit_from_tuple(piggyback),
+    )
+
+
+#: A read SUBMIT's value slot on the wire when it asks for ``MEM[j]`` in
+#: digest form; a plain read's holds ``None`` (``BOTTOM``).
+_DIGEST_REQUEST = True
+
+
+def submit_request_to_tuple(message: SubmitMessage) -> tuple:
+    """The SUBMIT as it travels: :func:`submit_to_tuple`, with
+    ``True`` in a read's value slot when it asks for ``MEM[j]`` in digest
+    form."""
+    data = submit_to_tuple(message)
+    if not message.digest_only:
+        return data
+    timestamp, invocation, _value, data_sig, piggyback = data
+    return (timestamp, invocation, _DIGEST_REQUEST, data_sig, piggyback)
+
+
+def submit_request_from_tuple(data: Any) -> SubmitMessage:
+    """The inverse of :func:`submit_request_to_tuple`; the request on a
+    write is an :class:`EncodingError`."""
+    message = submit_from_tuple(data)
+    if message.value is not _DIGEST_REQUEST:
+        return message
+    if message.invocation.opcode is not OpKind.READ:
+        raise EncodingError("a write SUBMIT asks for a value digest")
+    return SubmitMessage(
+        message.timestamp,
+        message.invocation,
+        None,
+        message.data_sig,
+        message.piggyback,
+        digest_only=True,
     )
 
 
@@ -287,13 +335,17 @@ def reply_from_tuple(data: tuple) -> ReplyMessage:
         reader = None
     else:
         reader, _ = _slot_from_tuple(reader_version, n)
+    if mem is not None:
+        mem = mem_entry_from_tuple(mem)
+        if reader is None and type(mem.value) is ValueDigest:
+            raise EncodingError("a write REPLY carries a value digest")
     return ReplyMessage(
         commit_index=commit_index,
         last_version=last,
         pending=tuple(entries),
         proofs=tuple(slots),
         reader_version=reader,
-        mem=None if mem is None else mem_entry_from_tuple(mem),
+        mem=mem,
         attestation=attestation,
     )
 

@@ -33,6 +33,7 @@ from typing import Callable
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM, ClientId, OpKind, RegisterId, parse_client_name
+from repro.crypto.hashing import hash_bytes
 from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
@@ -40,6 +41,7 @@ from repro.ustor.messages import (
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
+    ValueDigest,
 )
 from repro.ustor.server import ServerState, UstorServer
 from repro.ustor.version import Version
@@ -70,11 +72,16 @@ def _inflated(version: Version) -> Version:
 
 
 def tamper_value(reply: ReplyMessage, prefix: bytes = b"CORRUPTED|") -> ReplyMessage:
-    """The read value mangled under its old DATA-signature (line 50)."""
+    """The read value mangled under its old DATA-signature (line 50); in
+    digest form, the digest mangled the same way, and kept at its size."""
     mem = reply.mem
     if mem is None or mem.value is BOTTOM:  # a write, or nothing written yet
         return reply
-    return replace(reply, mem=replace(mem, value=prefix + bytes(mem.value)))
+    if type(mem.value) is ValueDigest:
+        mangled = ValueDigest(hash_bytes(prefix + mem.value.digest))
+    else:
+        mangled = prefix + bytes(mem.value)
+    return replace(reply, mem=replace(mem, value=mangled))
 
 
 def forge_version(reply: ReplyMessage) -> ReplyMessage:
@@ -193,7 +200,8 @@ class StaleReadServer(_TargetsRegister):
 
     The DATA-signature verifies (line 50 passes — the value is authentic,
     just stale), but the stale timestamp no longer matches the reader's
-    ``V_i[j]``: line 51.
+    ``V_i[j]``: line 51.  A read that asked for the digest form gets the
+    stale entry in digest form.
     """
 
     _stale: MemEntry | None = None  # the register's first written entry
@@ -204,7 +212,9 @@ class StaleReadServer(_TargetsRegister):
             if invocation.client == self._target and invocation.opcode is OpKind.WRITE:
                 self._stale = self.state.mem[self._target]
         elif self._reads_target(message) and reply.mem.timestamp > stale.timestamp:
-            return replace(reply, mem=stale)
+            return replace(
+                reply, mem=stale.digest_form() if message.digest_only else stale
+            )
         return reply
 
 

@@ -9,7 +9,7 @@ If any check fails the client **outputs fail_i and halts** — at this layer
 a detection is terminal; FAUST (Section 6) turns it into system-wide
 failure notifications.
 
-Four liberties are taken, all documented in DESIGN.md:
+Five liberties are taken, all documented in DESIGN.md:
 
 * ``x_bar_i`` (the hash of the last written value) is initialised to
   ``H(BOTTOM)`` rather than the literal ``BOTTOM`` so that line 50's check
@@ -28,6 +28,11 @@ Four liberties are taken, all documented in DESIGN.md:
   the client restores the full REPLY
   (:meth:`~repro.ustor.messages.ReplyMessage.restored`) before any check
   reads it.
+* A read whose value will not be used (FAUST's dummy read) asks for
+  ``MEM[j]`` in digest form: line 50 checks the DATA-signature over the
+  carried ``H(x_j)``, and the history records the write that ``(j,
+  t_j)`` names (:meth:`~repro.history.recorder.HistoryRecorder.end`).
+  A user read that is answered with only a digest fails.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from repro.ustor.messages import (
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
+    ValueDigest,
 )
 from repro.ustor.version import Version, fold_version
 
@@ -65,6 +71,7 @@ class OpOutcome:
 
     ``version`` is the version this operation committed; ``reader_version``
     is the writer's version ``(V_j, M_j)`` for reads (``None`` for writes).
+    ``value`` is ``None`` for a read answered with only the value's digest.
     ``timestamp`` is the operation's timestamp ``t`` — the value FAUST
     reports to the application (Definition 5, Integrity).
     """
@@ -94,15 +101,18 @@ class ViewHistoryRecord:
 
 
 class _PendingInvocation:
-    __slots__ = ("kind", "register", "timestamp", "value", "op_id", "callback")
+    __slots__ = (
+        "kind", "register", "timestamp", "value", "op_id", "callback", "digest_only"
+    )
 
-    def __init__(self, kind, register, timestamp, value, op_id, callback):
+    def __init__(self, kind, register, timestamp, value, op_id, callback, digest_only):
         self.kind = kind
         self.register = register
         self.timestamp = timestamp
         self.value = value
         self.op_id = op_id
         self.callback = callback
+        self.digest_only = digest_only
 
 
 class UstorClient(Node):
@@ -248,7 +258,9 @@ class UstorClient(Node):
             raise ProtocolError(f"register {register} out of range")
         self._invoke(OpKind.READ, register, None, callback)
 
-    def _invoke(self, kind, register, value, callback) -> None:
+    def _invoke(self, kind, register, value, callback, digest_only=False) -> None:
+        """Start an operation; ``digest_only`` marks a read whose value
+        will not be used, answered with ``MEM[j]`` in digest form."""
         if self._failed:
             raise ProtocolError(f"{self.name} has failed and halted")
         if self._crashed:
@@ -277,7 +289,9 @@ class UstorClient(Node):
                 value=value,
                 timestamp=t,
             )
-        self._pending = _PendingInvocation(kind, register, t, value, op_id, callback)
+        self._pending = _PendingInvocation(
+            kind, register, t, value, op_id, callback, digest_only
+        )
 
         message = SubmitMessage(
             timestamp=t,
@@ -287,11 +301,12 @@ class UstorClient(Node):
             value=value if kind is OpKind.WRITE else None,
             data_sig=data_sig,
             piggyback=self._take_deferred_commit(),
+            digest_only=digest_only,
         )
         self._pending_binding = submit_sig
         if self.quorum_coordinator is not None:
             self.quorum_coordinator.begin_round(
-                kind is OpKind.READ, submit_sig, self._committed
+                kind is OpKind.READ, submit_sig, self._committed, digest_only
             )
         self._send_server(message)  # line 15 / 27
 
@@ -353,7 +368,7 @@ class UstorClient(Node):
         if not self._update_version(message):  # line 17 / 29
             return
         if pending.kind is OpKind.READ:
-            if not self._check_data(message, pending.register):  # line 30
+            if not self._check_data(message, pending):  # line 30
                 return
 
         # lines 18-19 / 31-32: COMMIT- and PROOF-signatures, COMMIT message
@@ -381,10 +396,16 @@ class UstorClient(Node):
         self.completed_operations += 1
         returned_value: Value | Bottom | None
         reader_version: Version | None
+        written_at = None
         if pending.kind is OpKind.READ:
-            assert message.mem is not None and message.reader_version is not None
-            returned_value = message.mem.value
-            reader_version = message.reader_version.version
+            mem, reader = message.mem, message.reader_version
+            assert mem is not None and reader is not None
+            returned_value = mem.value
+            if type(returned_value) is ValueDigest:
+                # Line 50 tied H(x_j) to (j, t_j): the recorder knows x_j.
+                returned_value = None
+                written_at = (pending.register, mem.timestamp)
+            reader_version = reader.version
         else:
             returned_value = pending.value
             reader_version = None
@@ -394,6 +415,7 @@ class UstorClient(Node):
                 responded_at=self.now,
                 value=returned_value,
                 timestamp=pending.timestamp,
+                written_at=written_at,
             )
         outcome = OpOutcome(
             kind=pending.kind,
@@ -498,16 +520,20 @@ class UstorClient(Node):
     # procedure checkData (lines 48-52)
     # ---------------------------------------------------------------- #
 
-    def _check_data(self, reply: ReplyMessage, j: RegisterId) -> bool:
+    def _check_data(self, reply: ReplyMessage, pending: _PendingInvocation) -> bool:
         n = self._n
         zero = self._zero
+        j = pending.register
         if reply.reader_version is None or reply.mem is None:
             return self._fail("read REPLY lacks the register payload")
+        if type(reply.mem.value) is ValueDigest and not pending.digest_only:
+            return self._fail(
+                "read REPLY carries the value's digest, not the value (line 30)"
+            )
         vj = reply.reader_version.version
         if vj.num_clients != n:
             return self._fail("reader version has the wrong population size")
         tj = reply.mem.timestamp
-        xj = reply.mem.value
 
         # line 49: the writer's version must be zero or properly signed.
         if not (
@@ -531,7 +557,7 @@ class UstorClient(Node):
             or (
                 reply.mem.data_sig is not None
                 and self._signer.verify(
-                    j, reply.mem.data_sig, "DATA", tj, hash_register_value(xj)
+                    j, reply.mem.data_sig, "DATA", tj, reply.mem.value_hash()
                 )
             )
         ):

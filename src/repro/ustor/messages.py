@@ -9,7 +9,9 @@ paper's ``O(n)`` communication-overhead claim.
 
 Byte-width conventions (also used by the baselines for a fair comparison):
 8-byte integers, 1-byte opcodes/markers, 64-byte signatures (Ed25519),
-32-byte hashes/digests, values at their natural length.
+32-byte hashes/digests, values at their natural length — or, where a
+dummy read fetches only the value's hash (:class:`ValueDigest`), a
+marker and the hash.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.types import BOTTOM, Bottom, ClientId, OpKind, RegisterId, Value
-from repro.crypto.hashing import HASH_BYTES
+from repro.crypto.hashing import HASH_BYTES, hash_register_value
 from repro.crypto.signatures import SIGNATURE_BYTES
 from repro.ustor.version import Version
 
@@ -34,9 +36,11 @@ def _sig_size(signature: bytes | None) -> int:
     return SIGNATURE_BYTES if signature is not None else MARKER_BYTES
 
 
-def _value_size(value: Value | Bottom | None) -> int:
+def _value_size(value: Value | Bottom | ValueDigest | None) -> int:
     if value is None or value is BOTTOM:
         return MARKER_BYTES
+    if type(value) is ValueDigest:
+        return MARKER_BYTES + HASH_BYTES
     return len(value)
 
 
@@ -186,18 +190,53 @@ class RelativeVersion:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class ValueDigest:
+    """``H(x)`` in the value slot of a ``MEM[j]`` that answers a read whose
+    value will not be used (a FAUST dummy read): all line 50 needs of
+    ``x`` to check ``DATA || t_j || H(x_j)``."""
+
+    digest: bytes
+
+
+#: A value at least this long travels in full only when its reader uses
+#: it; below it, the digest form's marker and hash would be no smaller.
+DIGEST_FORM_MIN_BYTES = MARKER_BYTES + HASH_BYTES + 1
+
+
 @dataclass(frozen=True)
 class MemEntry:
     """``(t, x, delta)`` as stored in ``MEM[]`` — last timestamp, register
-    value and DATA-signature received from a client."""
+    value and DATA-signature received from a client.  The server's state
+    always holds the value; only a REPLY carries the *digest form*
+    (:meth:`digest_form`), with a :class:`ValueDigest` for ``x``."""
 
     timestamp: int
-    value: Value | Bottom
+    value: Value | Bottom | ValueDigest
     data_sig: bytes | None
 
     @classmethod
     def initial(cls) -> "MemEntry":
         return cls(timestamp=0, value=BOTTOM, data_sig=None)
+
+    def digest_form(self) -> "MemEntry":
+        """This entry with ``H(x)`` in place of ``x`` when the value is at
+        least :data:`DIGEST_FORM_MIN_BYTES` long; ``BOTTOM``, shorter
+        values and an entry already in digest form are returned as they
+        are.  Hashes on every call: only a read that asks pays for it."""
+        value = self.value
+        if type(value) is not bytes or len(value) < DIGEST_FORM_MIN_BYTES:
+            return self
+        return MemEntry(
+            self.timestamp, ValueDigest(hash_register_value(value)), self.data_sig
+        )
+
+    def value_hash(self) -> bytes:
+        """``H(x)``: the carried digest, or the hash of the carried value."""
+        value = self.value
+        if type(value) is ValueDigest:
+            return value.digest
+        return hash_register_value(value)
 
     def wire_size(self) -> int:
         return INT_BYTES + _value_size(self.value) + _sig_size(self.data_sig)
@@ -238,6 +277,13 @@ class SubmitMessage:
 
     In piggyback mode (Section 5's garbage-collection remark) the previous
     operation's COMMIT rides along in ``piggyback``.
+
+    ``digest_only`` marks a read whose value will not be used (a FAUST
+    dummy read): the server may answer ``MEM[j]`` in digest form
+    (:meth:`MemEntry.digest_form`).  It rides in the read's value slot,
+    a marker either way, so :meth:`wire_size` does not change.  It is a
+    request about the REPLY, not part of the transition, so the WAL does
+    not log it.
     """
 
     timestamp: int
@@ -245,6 +291,7 @@ class SubmitMessage:
     value: Value | None  # written value; None (BOTTOM) for reads
     data_sig: bytes
     piggyback: CommitMessage | None = None
+    digest_only: bool = False
 
     kind = "SUBMIT"
 
@@ -313,6 +360,10 @@ class ReplyMessage:
     back-referenced, as :class:`RelativeVersion` (the server's
     :func:`~repro.ustor.server.relative_form`).  The client rebuilds the
     full REPLY with :meth:`restored` before anything reads it.
+
+    A read REPLY to a SUBMIT that asked for it (``digest_only``) carries
+    ``MEM[j]`` in digest form (:meth:`MemEntry.digest_form`), built by
+    :func:`~repro.ustor.server.apply_submit`.
     """
 
     commit_index: ClientId  # c — who committed the last scheduled operation

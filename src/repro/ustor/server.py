@@ -151,13 +151,18 @@ def apply_submit(state: ServerState, message: SubmitMessage) -> ReplyMessage:
             timestamp=message.timestamp, value=old.value, data_sig=message.data_sig
         )
         j = invocation.register
+        mem = state.mem[j]
+        if message.digest_only:
+            # A read whose value will not be used gets H(x_j) in its place
+            # (DESIGN.md, "Protocol liberties" #5); hashed here, on request.
+            mem = mem.digest_form()
         reply = ReplyMessage(
             commit_index=state.commit_index,
             last_version=state.sver[state.commit_index],
             pending=state.pending_as_tuple(),
             proofs=state.proofs_as_tuple(),
             reader_version=state.sver[j],
-            mem=state.mem[j],
+            mem=mem,
         )
     else:
         # line 113: store the new value.

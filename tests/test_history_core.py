@@ -223,6 +223,34 @@ class TestRecorder:
         with pytest.raises(HistoryError):
             rec.end(op_id, responded_at=3.0)
 
+    def test_a_digest_read_records_the_write_its_timestamp_names(self):
+        # Writer C1 (register 0): write at 1, read at 2, write at 3, and a
+        # write at 5 still in flight.  MEM[0] at t_j names the latest
+        # write at or before t_j.
+        rec = HistoryRecorder()
+        for t, value in ((1, b"a"), (3, b"b"), (5, b"c")):
+            op_id = rec.begin(0, OpKind.WRITE, 0, invoked_at=t, value=value, timestamp=t)
+            if t < 5:
+                rec.end(op_id, responded_at=t + 0.5)
+        expected = {0: BOTTOM, 1: b"a", 2: b"a", 3: b"b", 4: b"b", 5: b"c", 9: b"c"}
+        for t_j, value in expected.items():
+            op_id = rec.begin(1, OpKind.READ, 0, invoked_at=10.0 + t_j, timestamp=t_j + 1)
+            op = rec.end(op_id, responded_at=10.5 + t_j, written_at=(0, t_j))
+            assert op.value == value, t_j
+        assert rec.value_written(1, 4) is BOTTOM  # C2 never wrote
+
+    def test_a_write_compaction_pruned_is_not_guessed(self):
+        rec = HistoryRecorder()
+        for t, value in ((1, b"a"), (2, b"b"), (3, b"c")):
+            op_id = rec.begin(0, OpKind.WRITE, 0, invoked_at=t, value=value, timestamp=t)
+            rec.end(op_id, responded_at=t + 0.5)
+        assert rec.compact((2,), keep_tail=1) == 1  # b"a" goes, b"b" stays
+        assert rec.value_written(0, 2) == b"b"
+        assert rec.value_written(0, 3) == b"c"
+        op_id = rec.begin(0, OpKind.READ, 0, invoked_at=5.0, timestamp=4)
+        with pytest.raises(HistoryError, match="compacted"):
+            rec.end(op_id, responded_at=6.0, written_at=(0, 1))
+
     def test_timestamp_lookup(self):
         rec = HistoryRecorder()
         op_id = rec.begin(2, OpKind.READ, 0, invoked_at=0.0, timestamp=7)

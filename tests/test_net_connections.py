@@ -304,13 +304,25 @@ MALFORMED_REPLIES = {
         ("REPLY", (0, ((1 << (OWN_FORM_MAX_CLIENTS + 1)) - 1, (), _SIG),
                    (), (), None, None))
     ),
+    # MEM[j] in digest form: (t, (H(x),), delta).
+    "digest-of-31-bytes": encode(
+        ("REPLY", (0, _ZERO, (), (), _ZERO, (1, (_DIGEST[:31],), _SIG)))
+    ),
+    "digest-in-a-write-reply": encode(
+        ("REPLY", (0, _ZERO, (), (), None, (1, (_DIGEST,), _SIG)))
+    ),
 }
 #: A client sending a server any of these pays with its connection too.
 BAD_STREAMS += [
     f"reply-{case}"
     for case in MALFORMED_REPLIES
-    if case.startswith(("back-reference", "relative"))
+    if case.startswith(("back-reference", "relative", "digest"))
 ]
+#: A read's digest request (``True`` in the value slot) on a write SUBMIT.
+DIGEST_REQUEST_ON_A_WRITE = encode(
+    ("SUBMIT", (1, (1, OpKind.WRITE, 1, _SIG), True, _SIG, None))
+)
+BAD_STREAMS.append("submit-digest-request-on-a-write")
 
 
 def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
@@ -343,6 +355,9 @@ def _bad_stream(case: str, recorded) -> tuple[list[bytes], bytes]:
         "checkpoint-cut-of-another-population": (
             [hello + encode_frame(encode(("CHECKPOINT", (1, (1, 0, 0), ()))))],
             welcome,
+        ),
+        "submit-digest-request-on-a-write": (
+            [hello + encode_frame(DIGEST_REQUEST_ON_A_WRITE)], welcome,
         ),
         **{
             f"reply-{name}": ([hello + encode_frame(payload)], welcome)

@@ -14,7 +14,9 @@ multi-process variants live in ``test_net_process.py`` behind the
   carrying a piggybacked COMMIT included;
 * FAUST's ``stable_i``/``fail_i`` cross a real socket: every catalogue
   server with a real-process twin is caught by the line its note names,
-  and an honest one co-signs checkpoints the host's server applies.
+  and an honest one co-signs checkpoints the host's server applies;
+* a dummy read's REPLY frame carries ``MEM[j]`` in digest form, and a
+  tampered digest is convicted for the simulator's reason.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.api.backends import build_deployment
 from repro.api.errors import OperationTimeout
 from repro.baselines.lockstep import lockstep_protocol
 from repro.common.errors import ConfigurationError
+from repro.common.types import BOTTOM
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency import validate_weak_fork_linearizability
@@ -38,6 +41,7 @@ from repro.net.client import NetRuntime, parse_endpoint
 from repro.net.server import NetServerHost
 from repro.sim.faults import Fault
 from repro.ustor.byzantine import ADVERSARIES, UnresponsiveServer
+from repro.ustor.messages import ReplyMessage, ValueDigest
 from repro.ustor.server import UstorServer
 from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -230,6 +234,69 @@ class TestFaustOverSockets:
                 lines = re.findall(r"\(line (\d+)\)", first.faust_fail_reason)
                 assert lines, first.faust_fail_reason
                 assert int(lines[0]) in _note_lines(adversary.note)
+
+
+def _dummy_reads_of_256_byte_values(transport: str, server_factory):
+    """Three FAUST clients each write one 256-byte value, then idle: only
+    dummy reads read.  Returns the system's first ``fail_i`` reason
+    (``None`` if nobody failed) and the ``MEM[j]`` value slot of every
+    read REPLY a client received."""
+    received = []
+    if transport == "tcp":
+        system, _host = open_loopback(
+            3,
+            server_factory=server_factory,
+            default_timeout=2.0,
+            backend="faust",
+            faust=WALL_CLOCK_FAUST,
+        )
+        settle = dict(timeout=5.0)
+    else:
+        system = open_system(
+            SystemConfig(3, seed=2, server_factory=server_factory), backend="faust"
+        )
+        settle = dict(timeout=500.0)
+    with system:
+        for client in system.clients:
+            receive = client.on_message
+
+            def spy(src, message, receive=receive) -> None:
+                if isinstance(message, ReplyMessage) and message.mem is not None:
+                    received.append(message.mem.value)
+                receive(src, message)
+
+            client.on_message = spy
+        handles = [system.session(i).write(bytes([i + 1]) * 256) for i in range(3)]
+        assert system.run_until(lambda: all(h.done() for h in handles), **settle)
+        clients = system.clients
+        if server_factory is None:
+            assert system.run_until(
+                lambda: all(c.dummy_reads_issued >= 4 for c in clients), **settle
+            )
+        else:
+            assert system.run_until(
+                lambda: all(c.faust_failed for c in clients), **settle
+            )
+        failed = [c for c in clients if c.faust_failed]
+        first = min(failed, key=lambda c: c.faust_fail_time, default=None)
+        return (None if first is None else first.faust_fail_reason), received
+
+
+class TestDummyReadDigestOverSockets:
+    def test_honest_dummy_reads_arrive_in_digest_form(self):
+        reason, received = _dummy_reads_of_256_byte_values("tcp", None)
+        assert reason is None
+        written = [v for v in received if v is not BOTTOM]
+        assert written and all(type(v) is ValueDigest for v in written)
+
+    def test_a_tampered_digest_is_convicted_for_the_simulators_reason(self):
+        tampering = ADVERSARIES["tampering"].factory  # reads of C1's register
+        on_tcp, received = _dummy_reads_of_256_byte_values("tcp", tampering)
+        on_sim, _ = _dummy_reads_of_256_byte_values("sim", tampering)
+        assert on_tcp == on_sim == (
+            "USTOR detection: DATA-signature on returned value invalid (line 50)"
+        )
+        assert any(type(v) is ValueDigest for v in received)
 
 
 class TestCrashRecovery:

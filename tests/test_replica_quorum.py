@@ -23,11 +23,15 @@ import pytest
 
 from repro.api import SystemConfig, open_system
 from repro.common.errors import ConfigurationError
-from repro.replica.coordinator import QuorumCoordinator, default_quorum
+from repro.net.trace import history_signature
+from repro.replica.coordinator import QuorumCoordinator, default_quorum, group_stats
 from repro.replica.counter import CounterVerifier, MonotonicCounter
 from repro.ustor.byzantine import SplitBrainServer
+from repro.ustor.server import UstorServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 from repro.workloads.scenarios import replica_rollback_scenario
+
+from test_ustor_byzantine_targeted import SendsFullValues
 
 
 def _version(total: int):
@@ -262,6 +266,34 @@ class TestAllHonestEquivalence:
         replicated = self.run_history(replicas=3)
         attested = self.run_history(replicas=3, counter="durable")
         assert single == replicated == attested
+
+
+class TestDigestRounds:
+    """A FAUST dummy read asks for ``MEM[j]`` in digest form; a replica
+    that sends the value instead has not deviated."""
+
+    @staticmethod
+    def group_run(full_value_replica: str | None) -> tuple:
+        def factory(n, name):
+            if name == full_value_replica:
+                return SendsFullValues(n, name=name)
+            return UstorServer(n, name=name)
+
+        with open_system(
+            SystemConfig(num_clients=3, seed=1, replicas=3, server_factory=factory),
+            backend="faust",
+        ) as system:
+            session = system.session(0)
+            for k in range(2):
+                session.write_sync(bytes([k + 1]) * 64)
+            system.run(until=system.now + 200)
+            assert not any(c.faust_failed for c in system.clients)
+            return group_stats(system.clients), history_signature(system.history())
+
+    def test_a_replica_that_sends_the_value_is_not_a_masked_deviation(self):
+        stats, history = self.group_run("S/r1")
+        assert stats["masked_deviations"] == 0
+        assert (stats, history) == self.group_run(None)
 
 
 class TestRollbackScenarios:

@@ -16,11 +16,13 @@ distinct submitters and with ``SVER[j]`` back-referenced when it *is*
   a submitter outside ``0..n-1``, a back-reference without ``MEM[j]``,
   an own-form population that is not one the proofs can fill, a relative
   version whose mask names an entry past ``n``, whose changed entries do
-  not fill the clear bits, or whose population is over the bound;
+  not fill the clear bits, or whose population is over the bound, a
+  value digest that is not ``HASH_BYTES`` long or answers a write — and
+  a write SUBMIT that asks for a digest;
 * **the size model tracks the codec** — real bytes over ``wire_size()``
   stay in one pinned band for SUBMIT, every REPLY shape (full, own form,
-  relative) and both COMMIT forms (``t`` to a lone server, the version to
-  a replica group);
+  relative, ``MEM[j]`` in digest form) and both COMMIT forms (``t`` to a
+  lone server, the version to a replica group);
 * **the relative form** — a REPLY to client ``i`` whose server's
   ``SVER[i]`` counts ``t - 1`` operations of ``i`` carries its versions
   relative to it (:func:`repro.ustor.server.relative_form`): a mask of
@@ -30,12 +32,17 @@ distinct submitters and with ``SVER[j]`` back-referenced when it *is*
   {1, 2, 8, 64}; a server that back-references where the rule does not
   allow it (``c != i``, or a ``SVER[i]`` that is not the version ``i``
   committed at ``t - 1``), or lies in the mask, is judged on the full
-  REPLY the relative one restores to.
+  REPLY the relative one restores to;
+* **the digest form** — a server that ignores FAUST's digest request and
+  sends every value in full runs the same FAUST run as the shipped one
+  at value sizes around the 33-byte threshold: history, ``fail_i``
+  reasons, every message but the REPLY's bytes, events and virtual time.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -47,6 +54,7 @@ from repro.common.errors import EncodingError
 from repro.common.types import OpKind
 from repro.net.trace import history_signature
 from repro.net.wire import decode_payload, message_to_payload, payload_to_message
+from repro.store.codec import encode_wal_record, wal_entry_to_tuple
 from repro.ustor.byzantine import ADVERSARIES
 from repro.common.types import parse_client_name
 from repro.ustor.messages import (
@@ -58,6 +66,7 @@ from repro.ustor.messages import (
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
+    ValueDigest,
 )
 from repro.ustor.server import (
     ServerState,
@@ -68,6 +77,8 @@ from repro.ustor.server import (
 )
 from repro.ustor.version import Version
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
+
+from test_ustor_byzantine_targeted import SendsFullValues
 
 SIG = b"\x01" * 64
 
@@ -269,6 +280,17 @@ MALFORMED = {
     "relative-negative-count": (0, (0b1, (-1, DIGEST), SIG), (), (), None, None),
     "relative-mask-negative": (0, (-1, (1, DIGEST), SIG), (), (), None, None),
     "relative-own-form-not-as-n": (0, (0b11, (), None), (), (), None, None),
+    # MEM[j] in digest form: (t, (H(x),), delta).
+    "digest-of-31-bytes": (0, _ZERO2, (), (), _ZERO2, (1, (DIGEST[:31],), SIG)),
+    "digest-of-two-hashes": (0, _ZERO2, (), (), _ZERO2, (1, (DIGEST, DIGEST), SIG)),
+    "digest-not-bytes": (0, _ZERO2, (), (), _ZERO2, (1, ("x" * 32,), SIG)),
+    "digest-in-a-write-reply": (0, _ZERO2, (), (), None, (1, (DIGEST,), SIG)),
+}
+
+#: SUBMITs the wire decoder refuses: a digest request (``True`` in the
+#: value slot) on a write.
+MALFORMED_SUBMITS = {
+    "digest-request-on-a-write": (1, (0, OpKind.WRITE, 0, SIG), True, SIG, None),
 }
 
 
@@ -277,6 +299,28 @@ class TestMalformedRefused:
     def test_decoder_refuses(self, case):
         with pytest.raises(EncodingError):
             payload_to_message(encode(("REPLY", MALFORMED[case])))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SUBMITS))
+    def test_submit_decoder_refuses(self, case):
+        with pytest.raises(EncodingError, match="digest"):
+            payload_to_message(encode(("SUBMIT", MALFORMED_SUBMITS[case])))
+
+    def test_the_digest_form_and_its_request_decode(self):
+        reply = payload_to_message(
+            encode(("REPLY", (0, _ZERO2, (), (), _ZERO2, (1, (DIGEST,), SIG))))
+        )
+        assert reply.mem.value == ValueDigest(DIGEST)
+        assert reply.mem.value_hash() == DIGEST
+        request = payload_to_message(
+            encode(("SUBMIT", (1, (0, OpKind.READ, 1, SIG), True, SIG, None)))
+        )
+        assert request.digest_only and request.value is None
+        plain = payload_to_message(
+            encode(("SUBMIT", (1, (0, OpKind.READ, 1, SIG), None, SIG, None)))
+        )
+        assert not plain.digest_only
+        for message in (reply, request, plain):
+            assert payload_to_message(message_to_payload(message)) == message
 
     def test_the_well_formed_neighbours_decode(self):
         once = payload_to_message(
@@ -368,6 +412,40 @@ def group_commits() -> dict[int, list]:
     return runs
 
 
+@pytest.fixture(scope="module")
+def digest_runs() -> list[tuple[ReplyMessage, ReplyMessage]]:
+    """``(full, sent)`` for every dummy-read REPLY of one FAUST run with
+    64-byte values that left in digest form: the REPLY with ``MEM[j]`` as
+    the server holds it, and as it was sent."""
+    pairs = []
+
+    class Tap(UstorServer):
+        def outgoing_reply(self, src, message, reply):
+            if reply.mem is not None and type(reply.mem.value) is ValueDigest:
+                register = message.invocation.register
+                pairs.append((replace(reply, mem=self.state.mem[register]), reply))
+            return reply
+
+    with open_system(
+        SystemConfig(num_clients=3, seed=3, server_factory=Tap), backend="faust"
+    ) as system:
+        driver = Driver(system)
+        driver.attach_all(
+            generate_scripts(
+                3,
+                WorkloadConfig(
+                    ops_per_client=4, read_fraction=0.3, value_size=64,
+                    mean_think_time=10.0,
+                ),
+                random.Random(3),
+            )
+        )
+        system.run(until=300)
+        assert driver.stats.all_done()
+    assert len(pairs) >= 5
+    return pairs
+
+
 def _is_own(slot) -> bool:
     return type(slot) is RelativeVersion and slot.is_own()
 
@@ -441,6 +519,38 @@ class TestSizeModelTracksTheCodec:
             real += size
             model += modelled
         assert KIND_BAND[0] <= real / model <= KIND_BAND[1], real / model
+
+    def test_the_digest_form_stays_in_band(self, digest_runs):
+        replies = [full for full, _ in digest_runs] + [
+            digest for _, digest in digest_runs
+        ]
+        for reply in replies:
+            real = len(message_to_payload(reply))
+            assert MESSAGE_BAND[0] <= real / reply.wire_size() <= MESSAGE_BAND[1]
+        real = sum(len(message_to_payload(reply)) for reply in replies)
+        model = sum(reply.wire_size() for reply in replies)
+        assert KIND_BAND[0] <= real / model <= KIND_BAND[1], real / model
+
+    def test_the_digest_form_saves_what_the_model_says(self, digest_runs):
+        # 64-byte values: the model saves 64 - (1 + 32) per REPLY, the
+        # codec 66 - 36 (a tag and a length each side, a 1-tuple around
+        # the hash).
+        for full, digest in digest_runs:
+            assert type(digest.mem.value) is ValueDigest
+            assert full.mem.value_hash() == digest.mem.value_hash()
+            model_saving = full.wire_size() - digest.wire_size()
+            real_saving = len(message_to_payload(full)) - len(
+                message_to_payload(digest)
+            )
+            assert model_saving == len(full.mem.value) - 33 == 31
+            assert 0.9 <= real_saving / model_saving <= 1.3
+
+    def test_a_digest_request_costs_the_model_nothing(self):
+        read = SubmitMessage(2, InvocationTuple(0, OpKind.READ, 1, SIG), None, SIG)
+        request = replace(read, digest_only=True)
+        assert request.wire_size() == read.wire_size()
+        # ``True`` for ``None``: one byte more on the wire.
+        assert len(message_to_payload(request)) == len(message_to_payload(read)) + 1
 
     def test_a_back_reference_saves_what_the_model_says(self, captured):
         # The model and the codec agree on the saving to within the
@@ -824,3 +934,68 @@ class TestRelativeForm:
         assert lied[2] >= 1, "no REPLY carried a relative SVER[c]"
         assert lied == full
         assert any("(line 35)" in (reason or "") for reason in lied[1])
+
+
+# --------------------------------------------------------------------- #
+# The digest form: a dummy read fetches H(x_j), not x_j
+# --------------------------------------------------------------------- #
+
+
+def _faust_observed(server_factory, value_size: int) -> tuple[dict, int]:
+    """One seeded FAUST run with ``value_size``-byte values: everything
+    observable but the REPLY bytes, and the REPLY bytes."""
+    with open_system(
+        SystemConfig(num_clients=3, seed=8, server_factory=server_factory),
+        backend="faust",
+    ) as system:
+        driver = Driver(system)
+        driver.attach_all(
+            generate_scripts(
+                3,
+                WorkloadConfig(
+                    ops_per_client=5, read_fraction=0.4, value_size=value_size,
+                    mean_think_time=12.0,
+                ),
+                random.Random(8),
+            )
+        )
+        system.run(until=400)
+        trace = system.trace
+        observed = {
+            "completed": driver.stats.total_completed(),
+            "history": history_signature(system.history()),
+            "fail_reasons": [c.faust_fail_reason for c in system.clients],
+            "dummy_reads": [c.dummy_reads_issued for c in system.clients],
+            "events": system.scheduler.events_processed,
+            "now": system.now,
+            "notes": trace.notes,
+            "messages": [
+                (m.sent_at, m.delivered_at, m.src, m.dst, m.kind)
+                + (() if m.kind == "REPLY" else (m.size,))
+                for m in trace.messages
+            ],
+        }
+        return observed, trace.total_bytes("REPLY")
+
+
+class TestDigestForm:
+    @pytest.mark.parametrize("size", (1, 32, 33, 34, 64, 4096))
+    def test_a_server_that_sends_full_values_runs_the_same_run(self, size):
+        shipped, digest_bytes = _faust_observed(UstorServer, size)
+        full, full_bytes = _faust_observed(SendsFullValues, size)
+        assert shipped == full
+        assert shipped["completed"] == 15
+        assert not any(shipped["fail_reasons"])
+        assert sum(shipped["dummy_reads"]) > 0
+        if size <= 33:
+            assert digest_bytes == full_bytes
+        else:
+            assert digest_bytes < full_bytes
+
+    def test_the_request_is_not_logged(self):
+        # The WAL holds the transition; the request is about the REPLY.
+        read = SubmitMessage(2, InvocationTuple(0, OpKind.READ, 1, SIG), None, SIG)
+        request = replace(read, digest_only=True)
+        assert encode_wal_record([wal_entry_to_tuple(7, ("S", request))]) == (
+            encode_wal_record([wal_entry_to_tuple(7, ("S", read))])
+        )

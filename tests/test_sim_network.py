@@ -357,8 +357,8 @@ class TestFixedRunAccounting:
                 session.barrier()
             trace = system.trace
             assert trace.message_count() == 222
-            assert trace.total_bytes() == 56535
+            assert trace.total_bytes() == 55971
             assert trace.message_count("SUBMIT") == 75
-            assert trace.total_bytes("REPLY") == 24111
+            assert trace.total_bytes("REPLY") == 23547
             assert system.scheduler.events_processed == 305
             assert system.now == 16.863545677441813

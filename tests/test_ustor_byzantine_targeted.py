@@ -1,6 +1,12 @@
-"""Per-line detection coverage: one adversary per check of Algorithm 1."""
+"""Per-line detection coverage: one adversary per check of Algorithm 1,
+on a REPLY whose ``MEM[j]`` carries the value and on one that carries
+its digest (a FAUST dummy read)."""
 
 from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
 
 from repro.api import SystemConfig, open_system
 from repro.ustor.byzantine import (
@@ -9,8 +15,11 @@ from repro.ustor.byzantine import (
     LaggingReaderVersionServer,
     SelfEchoServer,
     StaleReadServer,
+    TamperingServer,
     WrongProofServer,
 )
+from repro.ustor.messages import ValueDigest
+from repro.ustor.server import UstorServer
 
 from test_ustor_protocol import run_ops
 
@@ -127,6 +136,100 @@ class TestLine52LaggingVersion:
         system = build(lambda n, name: LaggingReaderVersionServer(n, 0, name=name))
         outcomes = run_ops(system, [(0, "write", b"g1"), (0, "write", b"g2"), (1, "read", 0)])
         assert outcomes[2].value == b"g2"
+        assert not system.clients[1].failed
+
+
+class SendsFullValues(UstorServer):
+    """The honest server, ignoring every SUBMIT's digest request."""
+
+    def handle_submit(self, src, message):
+        super().handle_submit(src, replace(message, digest_only=False))
+
+
+class DigestsEveryRead(UstorServer):
+    """Answers every read with ``MEM[j]`` in digest form, asked or not."""
+
+    def outgoing_reply(self, src, message, reply):
+        return reply if reply.mem is None else replace(reply, mem=reply.mem.digest_form())
+
+
+def dummy_reads_of_register_0(server_factory, size: int, writes: int):
+    """C1 writes ``writes`` values of ``size`` bytes; then the three FAUST
+    clients idle, so only their dummy reads touch register 0.  Returns the
+    first ``fail_i`` reason (``None``: nobody failed) and the value slot of
+    every ``MEM[0]`` the server sent."""
+    system = open_system(
+        SystemConfig(num_clients=3, seed=1, server_factory=server_factory),
+        backend="faust",
+    )
+    sent = []
+    with system:
+        server = system.server
+        send = server.send
+
+        def tap(dst, message) -> None:
+            if message.kind == "REPLY" and message.mem is not None:
+                sent.append(message.mem.value)
+            send(dst, message)
+
+        server.send = tap
+        session = system.session(0)
+        for k in range(writes):
+            session.write_sync(bytes([k + 1]) * size)
+        system.run(until=system.now + 200)
+        failed = [c for c in system.clients if c.faust_failed]
+        first = min(failed, key=lambda c: c.faust_fail_time, default=None)
+        return (None if first is None else first.faust_fail_reason), sent
+
+
+class TestDigestFormDummyReads:
+    """A dummy read of a value over 33 bytes is answered ``(t_j, H(x_j),
+    delta_j)``; every check still fires at its line, for its reason."""
+
+    @pytest.mark.parametrize(
+        "adversary, writes, reason",
+        [
+            (TamperingServer, 1, "DATA-signature on returned value invalid (line 50)"),
+            (
+                StaleReadServer,
+                2,
+                "returned data is not from the writer's latest operation (line 51)",
+            ),
+        ],
+    )
+    def test_caught_at_the_same_line_as_on_the_value(self, adversary, writes, reason):
+        factory = lambda n, name: adversary(n, 0, name=name)  # noqa: E731
+        on_value, value_forms = dummy_reads_of_register_0(factory, 32, writes)
+        on_digest, digest_forms = dummy_reads_of_register_0(factory, 64, writes)
+        assert on_value == on_digest == f"USTOR detection: {reason}"
+        assert not any(type(v) is ValueDigest for v in value_forms)
+        assert any(type(v) is ValueDigest for v in digest_forms)
+
+    def test_a_dummy_read_answered_with_the_value_is_accepted(self):
+        reason, forms = dummy_reads_of_register_0(SendsFullValues, 64, 2)
+        assert reason is None
+        assert any(type(v) is bytes and len(v) == 64 for v in forms)
+        assert not any(type(v) is ValueDigest for v in forms)
+        shipped_reason, shipped_forms = dummy_reads_of_register_0(UstorServer, 64, 2)
+        assert shipped_reason is None
+        assert not any(type(v) is bytes and len(v) == 64 for v in shipped_forms)
+
+    def test_a_user_read_answered_with_a_digest_fails_at_line_30(self):
+        system = build(lambda n, name: DigestsEveryRead(n, name=name))
+        run_ops(system, [(0, "write", b"v" * 64)])
+        box = []
+        system.clients[1].read(0, box.append)
+        system.run(until=50)
+        assert system.clients[1].fail_reason == (
+            "read REPLY carries the value's digest, not the value (line 30)"
+        )
+        assert not box
+
+    def test_a_user_read_of_a_short_value_is_untouched(self):
+        # 33 bytes travel in full even when digested: nothing to refuse.
+        system = build(lambda n, name: DigestsEveryRead(n, name=name))
+        outcomes = run_ops(system, [(0, "write", b"v" * 33), (1, "read", 0)])
+        assert outcomes[1].value == b"v" * 33
         assert not system.clients[1].failed
 
 

@@ -9,8 +9,10 @@ REPLY frame payload (the REPLY as the server builds it, and as it
 leaves: one in own form, one read with a version slot that differs from
 its client's committed version in one entry), one WAL ``S`` / ``C`` /
 ``B`` record and one snapshot from a fixed two-client run, and one
-CHECKPOINT frame payload from the same run on the ``faust`` backend
-(HMAC keys are derived from the client ids, so the signatures repeat):
+CHECKPOINT frame payload from the same run on the ``faust`` backend and
+one dummy read's REPLY with ``MEM[j]`` in digest form from that run with
+a longer first value (HMAC keys are derived from the client ids, so the
+signatures repeat):
 the next change to the canonical bytes is a visible diff of that file,
 not a silent one.
 
@@ -43,7 +45,7 @@ from repro.store import (
     frame_record,
     iter_frames,
 )
-from repro.ustor.messages import RelativeVersion
+from repro.ustor.messages import RelativeVersion, ValueDigest
 from repro.ustor.server import UstorServer
 
 CORPUS = Path(__file__).parent / "data" / "wire_format.json"
@@ -79,19 +81,23 @@ class _Tap(UstorServer):
                 for slot in slots
             ):
                 self.latest["relative REPLY"] = (dst, message)
+            if message.mem is not None and type(message.mem.value) is ValueDigest:
+                self.latest["digest REPLY"] = (dst, message)
         super().send(dst, message)
 
 
-def _run_scenario(backend: str, settle: float = 0.0, **config) -> _Tap:
-    """The fixed two-client run, then ``settle`` more time units; returns
-    its tapped server."""
+def _run_scenario(
+    backend: str, settle: float = 0.0, alpha: bytes = b"alpha", **config
+) -> _Tap:
+    """The fixed two-client run, Alice's first value ``alpha``, then
+    ``settle`` more time units; returns its tapped server."""
     system = open_system(
         SystemConfig(num_clients=2, seed=SEED, server_factory=_Tap, **config),
         backend=backend,
     )
     with system:
         alice, bob = system.session(0), system.session(1)
-        alice.write_sync(b"alpha")
+        alice.write_sync(alpha)
         bob.read_sync(0)
         bob.write_sync(b"beta")
         alice.read_sync(1)
@@ -120,6 +126,9 @@ def capture() -> dict[str, str]:
     _, checkpoint = _run_scenario(
         "faust", settle=100.0, checkpoint=CheckpointPolicy(interval=2)
     ).latest["CHECKPOINT"]
+    _, digest = _run_scenario("faust", settle=100.0, alpha=b"alpha" * 8).latest[
+        "digest REPLY"
+    ]
     pinned = {
         "checkpoint_payload": message_to_payload(checkpoint),
         "submit_payload": message_to_payload(submit),
@@ -127,6 +136,7 @@ def capture() -> dict[str, str]:
         "reply_payload": message_to_payload(reply),
         "reply_own_payload": message_to_payload(own),
         "reply_relative_payload": message_to_payload(relative),
+        "reply_digest_payload": message_to_payload(digest),
         "wal_submit_record": wal[0],
         "wal_commit_record": wal[1],
         "wal_batch_record": wal[2],
@@ -150,6 +160,7 @@ class TestPinnedFormat:
             "reply_payload",
             "reply_own_payload",
             "reply_relative_payload",
+            "reply_digest_payload",
             "wal_submit_record",
             "wal_commit_record",
             "wal_batch_record",
@@ -164,7 +175,13 @@ class TestPinnedFormat:
 
     def test_pinned_bytes_decode_to_what_was_encoded(self, captured):
         for kind in (
-            "checkpoint", "submit", "commit", "reply", "reply_own", "reply_relative"
+            "checkpoint",
+            "submit",
+            "commit",
+            "reply",
+            "reply_own",
+            "reply_relative",
+            "reply_digest",
         ):
             raw = bytes.fromhex(captured[f"{kind}_payload"])
             assert message_to_payload(payload_to_message(raw)) == raw
