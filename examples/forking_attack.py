@@ -56,7 +56,7 @@ def main() -> None:
     system.run(until=system.now + 400)
     for event in alerts.events:
         print(f"  t={event.time:5.1f}  fail_C{event.client + 1}: {event.reason}")
-    assert all(c.faust_failed for c in system.clients)
+    assert all(c.failed for c in system.clients)
     assert {e.client for e in alerts.events} == {0, 1}
     print("\nThe offline version exchange turned an undetectable fork into")
     print("accurate, complete failure notifications at every client.")

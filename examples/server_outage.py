@@ -72,8 +72,8 @@ def main() -> None:
     print("\nand nobody cried wolf — a crash is not provable misbehaviour:")
     assert not system.notifications.failure_events()
     for client in system.clients:
-        print(f"  {client.name}: fail raised = {client.faust_failed}")
-    assert reached and not any(c.faust_failed for c in system.clients)
+        print(f"  {client.name}: fail raised = {client.failed}")
+    assert reached and not any(c.failed for c in system.clients)
 
 
 if __name__ == "__main__":

@@ -68,9 +68,9 @@ def forked_session() -> None:
 
     system.run(until=system.now + 600)
     for client in system.clients:
-        status = "FAIL raised" if client.faust_failed else "no detection"
+        status = "FAIL raised" if client.failed else "no detection"
         print(f"  {client.name}: {status}")
-    assert all(c.faust_failed for c in system.clients)
+    assert all(c.failed for c in system.clients)
     assert {e.client for e in alerts.events} == {0, 1}
     print("  offline probing exposed the fork at both clients.")
 

@@ -149,7 +149,7 @@ class NotificationHub:
             lambda reason: self.emit_failure(clock(), client, reason, shard=shard)
         )
         if instance.failed:
-            self.emit_failure(clock(), client, instance.halt_reason, shard=shard)
+            self.emit_failure(clock(), client, instance.fail_reason, shard=shard)
 
     def emit_stability(
         self, time: float, client: ClientId, cut: tuple[int, ...], *, shard: int = 0

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.common.errors import ProtocolError
 from repro.common.types import (
@@ -48,7 +47,7 @@ from repro.common.types import (
 from repro.crypto.hashing import HASH_BYTES, hash_register_value, hash_values
 from repro.crypto.keystore import ClientSigner
 from repro.history.recorder import HistoryRecorder
-from repro.sim.process import Node
+from repro.sim.process import ClientNode, Node
 from repro.ustor.messages import INT_BYTES, MARKER_BYTES, SIGNATURE_BYTES
 
 
@@ -176,7 +175,7 @@ class _Pending:
         self.callback = callback
 
 
-class LockStepClient(Node):
+class LockStepClient(ClientNode):
     """Client of the lock-step protocol; replays and verifies the full chain."""
 
     def __init__(
@@ -186,7 +185,6 @@ class LockStepClient(Node):
         signer: ClientSigner,
         server_name: str = "S",
         recorder: HistoryRecorder | None = None,
-        on_fail: Callable[[str], None] | None = None,
     ) -> None:
         super().__init__(name=client_name(client_id))
         self._id = client_id
@@ -194,7 +192,6 @@ class LockStepClient(Node):
         self._signer = signer
         self._server = server_name
         self._recorder = recorder
-        self._on_fail = on_fail
 
         self._t = 0  # own operation counter
         self._seq = 0  # global sequence number after my last operation
@@ -205,9 +202,6 @@ class LockStepClient(Node):
         self._registers: list[tuple[int, bytes] | None] = [None] * num_clients
 
         self._pending: _Pending | None = None
-        self._failed = False
-        self._fail_reason: str | None = None
-        self._fail_listeners: list[Callable[[str], None]] = []
         self.completed_operations = 0
 
     # -- introspection -------------------------------------------------- #
@@ -217,34 +211,8 @@ class LockStepClient(Node):
         return self._id
 
     @property
-    def failed(self) -> bool:
-        return self._failed
-
-    @property
-    def fail_reason(self) -> str | None:
-        return self._fail_reason
-
-    @property
-    def halted(self) -> bool:
-        """Has this client stopped taking steps (crashed, or a chain
-        check failed)?"""
-        return self._crashed or self._failed
-
-    @property
-    def halt_reason(self) -> str | None:
-        """Why :attr:`halted`: the failed check, else ``"crashed"``;
-        ``None`` while the client is up."""
-        if self._fail_reason is not None:
-            return self._fail_reason
-        return "crashed" if self._crashed else None
-
-    @property
     def busy(self) -> bool:
         return self._pending is not None
-
-    def add_failure_listener(self, listener: Callable[[str], None]) -> None:
-        """Invoke ``listener(reason)`` when a chain check fails."""
-        self._fail_listeners.append(listener)
 
     # -- operations ------------------------------------------------------ #
 
@@ -412,17 +380,6 @@ class LockStepClient(Node):
                     seq=self._seq,
                 )
             )
-
-    def _fail(self, reason: str) -> None:
-        self._failed = True
-        self._fail_reason = reason
-        trace = self.network.trace
-        if trace is not None:
-            trace.note(self.now, self.name, "lockstep-fail", reason)
-        if self._on_fail is not None:
-            self._on_fail(reason)
-        for listener in list(self._fail_listeners):
-            listener(reason)
 
 
 # --------------------------------------------------------------------- #

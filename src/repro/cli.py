@@ -469,12 +469,7 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         if client.crashed:
             flags.append("crashed")
         if client.failed:
-            # A fail-aware client reports the layer that caught the server
-            # and the FAUST-level fail that wraps (or stands in for) it.
-            if client.fail_reason:
-                flags.append(f"USTOR fail: {client.fail_reason}")
-            if tracker is not None:
-                flags.append(f"FAUST fail: {client.halt_reason}")
+            flags.append(f"fail: {client.fail_reason}")
         elif tracker is not None and not client.crashed:
             flags.append(f"stability cut {list(tracker.stability_cut())}")
         print(f"{client.name}: {'; '.join(flags) if flags else 'ok'}")
@@ -617,7 +612,7 @@ def _cmd_replay(args) -> int:
           f"{'yes' if result.ok else 'NO'}")
     failures = result.fail_reasons()
     for client_id, reason in sorted(failures.items()):
-        print(f"C{client_id + 1}: USTOR fail: {reason}")
+        print(f"C{client_id + 1}: fail: {reason}")
     if args.check:
         print()
         _print_verdicts(history, result.recorder, result.clients)

@@ -21,7 +21,7 @@ profile, ``close`` — and adds what a shard axis needs: operations go
 through :class:`~repro.cluster.session.ClusterSession`, the one shard
 router; ``clients`` holds :class:`ClusterClient` views that aggregate
 per-shard state for the fault schedule and the reports; ``offline``
-fans out over the shards and ``trace`` sums their messages, so drivers,
+fans out over the shards and ``trace`` reads their messages, so drivers,
 faults and the CLI run unchanged on a cluster.
 
 Detection is audited **per shard and per dependency**: the cluster wires
@@ -42,7 +42,7 @@ from repro.common.types import ClientId, RegisterId, client_name
 from repro.history.history import History
 from repro.sim.faults import FaultInjector
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import SimTrace
+from repro.sim.trace import MessageRecord, SimTrace
 from repro.workloads.runner import Deployment, StorageSystem
 
 
@@ -126,11 +126,11 @@ class ClusterClient:
 
     @property
     def halt_reason(self) -> str | None:
-        """Why :attr:`halted`: the first touched shard's ``fail`` reason
-        (whichever layer output it), else ``"crashed"``; ``None`` while up."""
-        for inst in self._touched_instances():
-            if inst.failed:
-                return inst.halt_reason
+        """Why :attr:`halted`: the first touched shard's ``fail`` reason,
+        else ``"crashed"``; ``None`` while up."""
+        reason = self.fail_reason
+        if reason is not None:
+            return reason
         return "crashed" if self.crashed else None
 
     @property
@@ -196,21 +196,20 @@ class _ClusterOffline:
 
 class _ClusterTrace(SimTrace):
     """The cluster's own notes (its clients' fault transitions) in the
-    one note format; message counts and bytes sum the shards' traces."""
+    one note format; its messages are the shards' records, shard by
+    shard, so every :class:`SimTrace` reader answers from them."""
 
     def __init__(self, cluster: "ClusterSystem") -> None:
-        super().__init__()
+        self.notes = []
         self._cluster = cluster
 
-    def message_count(self, kind: str | None = None) -> int:
-        return sum(
-            shard.trace.message_count(kind) for shard in self._cluster.shards
-        )
-
-    def total_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            shard.trace.total_bytes(kind) for shard in self._cluster.shards
-        )
+    @property
+    def messages(self) -> list[MessageRecord]:
+        return [
+            record
+            for shard in self._cluster.shards
+            for record in shard.trace.messages
+        ]
 
 
 class ClusterSystem(Deployment):

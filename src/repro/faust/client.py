@@ -29,6 +29,7 @@ queued, preserving the well-formedness of each client's history.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.common.errors import ProtocolError
@@ -102,7 +103,6 @@ class FaustClient(UstorClient):
             signer=signer,
             server_name=server_name,
             recorder=recorder,
-            on_fail=self._ustor_failed,
             commit_piggyback=commit_piggyback,
             replica_servers=replica_servers,
             quorum=quorum,
@@ -115,7 +115,6 @@ class FaustClient(UstorClient):
         self._enable_dummy = enable_dummy_reads
         self._enable_probes = enable_probes
         self._stable_listeners: list[Callable[[tuple[int, ...]], None]] = []
-        self._faust_fail_listeners: list[Callable[[str], None]] = []
 
         self._offline = offline
         self._queue: deque = deque()
@@ -125,14 +124,11 @@ class FaustClient(UstorClient):
         self._last_probe_sent: list[float] = [float("-inf")] * num_clients
         self._peer_names = tuple(client_name(peer) for peer in range(num_clients))
 
-        self.faust_failed = False
-        self.faust_fail_reason: str | None = None
-        self.faust_fail_time: float | None = None
-        #: (time, W) of every stable_i notification, for tests/experiments.
+        #: (time, W) of the stable_i notifications, for tests/experiments.
         #: With checkpointing on, installed checkpoints trim this list
-        #: (bounded state); ``stable_notifications_total`` keeps the count.
+        #: (bounded state); the deployment's notification hub is their
+        #: full record.
         self.stable_notifications: list[tuple[float, tuple[int, ...]]] = []
-        self.stable_notifications_total = 0
         self.user_operations_completed = 0
         self.dummy_reads_issued = 0
 
@@ -157,7 +153,7 @@ class FaustClient(UstorClient):
                 send_announce=self._send_epoch_announce,
                 request_rejoin=self._request_rejoin,
                 on_epoch=self._epoch_installed,
-                on_fail=self._fail_faust,
+                on_fail=partial(self._fail, ustor=False),
             )
         if checkpoint is not None:
             self.checkpoint_manager = CheckpointManager(
@@ -168,7 +164,7 @@ class FaustClient(UstorClient):
                 send_share=self._broadcast_checkpoint_share,
                 send_server=self._send_server,
                 on_install=self._checkpoint_installed,
-                on_fail=self._fail_faust,
+                on_fail=partial(self._fail, ustor=False),
                 membership=self.membership_manager,
                 clock=lambda: self.now,
             )
@@ -190,14 +186,6 @@ class FaustClient(UstorClient):
     ) -> None:
         """Invoke ``listener(checkpoint)`` on every installed checkpoint."""
         self._checkpoint_listeners.append(listener)
-
-    def add_failure_listener(self, listener: Callable[[str], None]) -> None:
-        """Invoke ``listener(reason)`` on the (single) ``fail_i`` output.
-
-        Registers at the FAUST layer, which subsumes USTOR-level
-        detections: every local ``fail_i`` flows through
-        :meth:`_fail_faust` exactly once."""
-        self._faust_fail_listeners.append(listener)
 
     def start(self) -> None:
         """Arm the periodic machinery (after binding to scheduler/network)."""
@@ -269,12 +257,6 @@ class FaustClient(UstorClient):
         """Wake up after :meth:`pause`."""
         self.start()
 
-    @property
-    def halt_reason(self) -> str | None:
-        """Why :attr:`halted`: this layer's ``fail`` reason (which wraps a
-        USTOR detection), else ``"crashed"``; ``None`` while up."""
-        return self.faust_fail_reason or super().halt_reason
-
     # ---------------------------------------------------------------- #
     # The application-facing operations (queued; responses carry t)
     # ---------------------------------------------------------------- #
@@ -296,7 +278,7 @@ class FaustClient(UstorClient):
         self._enqueue(OpKind.READ, register, None, callback)
 
     def _enqueue(self, kind, register, value, callback) -> None:
-        if self.faust_failed or self.failed:
+        if self._failed:
             raise ProtocolError(f"{self.name} has failed and halted")
         if self.crashed:
             raise ProtocolError(f"{self.name} has crashed")
@@ -333,18 +315,19 @@ class FaustClient(UstorClient):
         # The writer's version returned by a read.
         if outcome.kind is OpKind.READ and outcome.reader_version is not None:
             self._absorb(outcome.register, outcome.reader_version)
-        if callback is not None and not self.faust_failed:
+        if callback is not None and not self._failed:
             callback(outcome)
         self._pump()
 
     def _absorb(self, source: ClientId, version) -> None:
-        if self.faust_failed:
+        if self._failed:
             return
         result = self.tracker.absorb(source, version, self.now)
         if result.incomparable:
-            self._fail_faust(
+            self._fail(
                 f"version received from {client_name(source)} is incomparable "
-                f"with the known maximum (forking evidence)"
+                f"with the known maximum (forking evidence)",
+                ustor=False,
             )
             return
         if result.stability_advanced:
@@ -368,10 +351,6 @@ class FaustClient(UstorClient):
     def _notify_stable(self) -> None:
         cut = self.tracker.stability_cut()
         self.stable_notifications.append((self.now, cut))
-        self.stable_notifications_total += 1
-        trace = self.network.trace
-        if trace is not None:
-            trace.note(self.now, self.name, "stable", cut)
         for listener in list(self._stable_listeners):
             listener(cut)
 
@@ -380,7 +359,7 @@ class FaustClient(UstorClient):
     # ---------------------------------------------------------------- #
 
     def _dummy_tick(self) -> None:
-        if self.faust_failed or self.failed or self.crashed or not self.idle:
+        if self._failed or self.crashed or not self.idle:
             return
         register = self._next_dummy_register
         self._next_dummy_register = (register + 1) % self._n
@@ -394,7 +373,7 @@ class FaustClient(UstorClient):
         self._invoke(OpKind.READ, register, None, completed, digest_only=True)
 
     def _probe_tick(self) -> None:
-        if self.faust_failed or self.crashed:
+        if self._failed or self.crashed:
             return
         now = self.now
         for peer in self.tracker.stale_peers(now, self.delta):
@@ -406,7 +385,7 @@ class FaustClient(UstorClient):
             )
 
     def _membership_tick(self) -> None:
-        if self.faust_failed or self.crashed or self.membership_manager is None:
+        if self._failed or self.crashed or self.membership_manager is None:
             return
         self.membership_manager.on_tick(self.now)
 
@@ -418,7 +397,7 @@ class FaustClient(UstorClient):
         if isinstance(message, ReplyMessage):
             super().on_message(src, message)
             return
-        if self.faust_failed:
+        if self._failed:
             return
         if isinstance(message, ProbeMessage):
             self._handle_probe(message)
@@ -439,8 +418,9 @@ class FaustClient(UstorClient):
             # The paper's third detection condition: another client holds
             # proof.  Re-alerting is harmless (each client alerts at most
             # once) and makes propagation robust to client crashes.
-            self._fail_faust(
-                f"FAILURE alert from {client_name(message.sender)}: {message.reason}"
+            self._fail(
+                f"FAILURE alert from {client_name(message.sender)}: {message.reason}",
+                ustor=False,
             )
 
     def _handle_probe(self, message: ProbeMessage) -> None:
@@ -534,28 +514,23 @@ class FaustClient(UstorClient):
     # fail_i
     # ---------------------------------------------------------------- #
 
-    def _ustor_failed(self, reason: str) -> None:
-        self._fail_faust(f"USTOR detection: {reason}")
+    def _fail(self, reason: str, *, ustor: bool = True) -> bool:
+        """Output ``fail_i``.  A check of Algorithm 1 (the USTOR layer
+        under this one) passes its own reason, which reads ``"USTOR
+        detection: <reason>"``; this layer's detections — forking
+        evidence, a FAILURE alert, the checkpoint and membership
+        managers' proof — pass ``ustor=False``."""
+        return super()._fail(f"USTOR detection: {reason}" if ustor else reason)
 
-    def _fail_faust(self, reason: str, alert_others: bool = True) -> None:
-        if self.faust_failed:
-            return
-        self.faust_failed = True
-        self.faust_fail_reason = reason
-        self.faust_fail_time = self.now
-        self.halt_protocol()
+    def _halt(self, reason: str) -> None:
+        """Stop the timers and alert every peer, before any listener
+        hears of ``fail_i``."""
         self.stop_timers()
-        trace = self.network.trace
-        if trace is not None:
-            trace.note(self.now, self.name, "faust-fail", reason)
-        if alert_others:
-            for peer in range(self._n):
-                if peer == self._id:
-                    continue
-                self._offline.send(
-                    self.name,
-                    self._peer_names[peer],
-                    FailureMessage(sender=self._id, reason=reason),
-                )
-        for listener in list(self._faust_fail_listeners):
-            listener(reason)
+        for peer in range(self._n):
+            if peer == self._id:
+                continue
+            self._offline.send(
+                self.name,
+                self._peer_names[peer],
+                FailureMessage(sender=self._id, reason=reason),
+            )

@@ -10,7 +10,7 @@ condition of the paper's central definition:
 3. **Causality** — always, server correct or not.
 4. **Integrity** — per-client timestamps strictly increase.
 5. **Failure-detection accuracy** — ``fail_i`` implies the server is
-   faulty (so with a correct server there must be no fail notes).
+   faulty (so with a correct server no client outputs ``fail_i``).
 6. **Stability-detection accuracy** — the operations stable w.r.t. *all*
    clients, closed under causal precedence, form a linearizable
    sub-history.  (Definition 5 asks for a common view of a prefix; for
@@ -115,9 +115,9 @@ def _check_integrity(history: History) -> CheckResult:
 
 def _check_accuracy(system: StorageSystem, server_correct: bool) -> CheckResult:
     name = "failure-detection accuracy"
-    failed = [c for c in system.clients if c.faust_failed]
+    failed = [c for c in system.clients if c.failed]
     if failed and server_correct:
-        reasons = {c.name: c.faust_fail_reason for c in failed}
+        reasons = {c.name: c.fail_reason for c in failed}
         return violated(
             name, f"fail raised against a correct server: {reasons}"
         )
@@ -131,7 +131,7 @@ def _check_stability_accuracy(system: StorageSystem, history: History) -> CheckR
 
     stable_ids: set[int] = set()
     for client in system.clients:
-        if client.faust_failed:
+        if client.failed:
             continue  # cuts are frozen at failure; nothing new to certify
         cutoff = client.tracker.stable_timestamp_for_all()
         for op in complete.restrict_to_client(client.client_id):
@@ -165,11 +165,11 @@ def _check_completeness(
 ) -> CheckResult:
     name = "detection completeness"
     correct = _correct_clients(system)
-    all_failed = all(c.faust_failed for c in correct)
+    all_failed = all(c.failed for c in correct)
     if all_failed:
         return ok(name, witness="fail occurred at every correct client")
     for client in correct:
-        if client.faust_failed:
+        if client.failed:
             continue
         targets = [
             op.timestamp

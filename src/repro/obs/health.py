@@ -23,8 +23,9 @@ into numbers a dashboard can alarm on:
   monitor's start time is the conservative baseline.
 * ``health.failures`` / ``health.first_failure_time`` — the
   deployment's :class:`~repro.api.events.FailureNotification` events,
-  read from its notification hub (the run's one record of ``fail_i``),
-  so the gauges agree with the hub by construction on every backend.
+  read from its notification hub, the run's one record of ``fail_i``
+  (the trace keeps no ``fail`` notes), so the gauges agree with the hub
+  by construction on every backend.
 * ``checkpoint.stall_seconds`` (``repro_checkpoint_stall_seconds`` on
   the wire) — how long the slowest client's pending checkpoint sequence
   has been waiting for co-signatures, with ``blocking_clients`` naming

@@ -15,11 +15,14 @@ restart, exactly as clients that retry against a recovering server would
 observe.  What *state* the node comes back with is the subclass's
 business (:meth:`Node.on_restart`); for the USTOR server that is its
 :class:`~repro.store.engine.StorageEngine`'s recovery.
+
+A :class:`ClientNode` adds the other way a client stops: outputting
+``fail_i`` (Definition 5), which halts it for good.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import SimulationError
 
@@ -154,3 +157,62 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "crashed" if self._crashed else "up"
         return f"<{type(self).__name__} {self.name} ({state})>"
+
+
+class ClientNode(Node):
+    """A client: a node that can also output ``fail_i`` and halt.
+
+    Every client protocol (USTOR, FAUST, the lock-step baseline) derives
+    from it, so each holds one failure state and outputs ``fail_i``
+    through one method, :meth:`_fail`, at most once.
+    """
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self._failed = False
+        self._fail_reason: str | None = None
+        self._fail_listeners: list[Callable[[str], None]] = []
+
+    @property
+    def failed(self) -> bool:
+        """Has ``fail_i`` been output (client halted)?"""
+        return self._failed
+
+    @property
+    def fail_reason(self) -> str | None:
+        """The reason ``fail_i`` carried; ``None`` while it has not."""
+        return self._fail_reason
+
+    @property
+    def halted(self) -> bool:
+        """Has this client stopped taking steps — crashed, or output
+        ``fail``?"""
+        return self._crashed or self._failed
+
+    @property
+    def halt_reason(self) -> str | None:
+        """Why :attr:`halted`: the ``fail`` reason, else ``"crashed"``;
+        ``None`` while the client is up."""
+        if self._fail_reason is not None:
+            return self._fail_reason
+        return "crashed" if self._crashed else None
+
+    def add_failure_listener(self, listener: Callable[[str], None]) -> None:
+        """Invoke ``listener(reason)`` when this client outputs ``fail_i``."""
+        self._fail_listeners.append(listener)
+
+    def _fail(self, reason: str) -> bool:
+        """Output ``fail_i`` and halt; a client that has already failed
+        stays as it is.  Always returns False, for checks that
+        ``return self._fail(...)``."""
+        if not self._failed:
+            self._failed = True
+            self._fail_reason = reason
+            self._halt(reason)
+            for listener in list(self._fail_listeners):
+                listener(reason)
+        return False
+
+    def _halt(self, reason: str) -> None:
+        """Hook: stop this client's own activity as it fails, before any
+        listener hears of it (a client that has none stops nothing)."""

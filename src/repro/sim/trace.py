@@ -6,10 +6,11 @@ Two kinds of records are kept:
   and delivery times plus the wire size reported by the message object.
   The experiment harness derives the paper's communication-complexity
   numbers (E3, E4) from these.
-* :class:`NoteRecord` — timestamped protocol-level events: operation
-  invocations/responses, ``stable_i`` and ``fail_i`` notifications, crash
-  injections.  The consistency checkers and the stability/detection latency
-  experiments (E8, E9) consume these.
+* :class:`NoteRecord` — timestamped events nothing else records: fault
+  transitions (crashes, restarts, away windows), installed checkpoints and
+  epochs, convicted replicas, malformed frames.  A client's ``stable_i``
+  and ``fail_i`` outputs are not notes: the deployment's
+  :class:`~repro.api.events.NotificationHub` is their one record.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class MessageRecord:
 
 @dataclass(frozen=True, slots=True)
 class NoteRecord:
-    """One protocol-level event (notification, crash, detection...)."""
+    """One protocol-level event (a fault transition, a checkpoint, ...)."""
 
     time: float
     source: str

@@ -53,7 +53,7 @@ from repro.common.types import (
 from repro.crypto.hashing import hash_register_value
 from repro.crypto.keystore import ClientSigner
 from repro.history.recorder import HistoryRecorder
-from repro.sim.process import Node
+from repro.sim.process import ClientNode
 from repro.ustor.messages import (
     CommitMessage,
     InvocationTuple,
@@ -115,7 +115,7 @@ class _PendingInvocation:
         self.digest_only = digest_only
 
 
-class UstorClient(Node):
+class UstorClient(ClientNode):
     """State and code of client ``C_i`` (Algorithm 1)."""
 
     def __init__(
@@ -125,7 +125,6 @@ class UstorClient(Node):
         signer: ClientSigner,
         server_name: str = "S",
         recorder: HistoryRecorder | None = None,
-        on_fail: Callable[[str], None] | None = None,
         commit_piggyback: bool = False,
         replica_servers: tuple | None = None,
         quorum: int | None = None,
@@ -164,7 +163,6 @@ class UstorClient(Node):
                 self._counter_verifier = None
         self._pending_binding: bytes | None = None
         self._recorder = recorder
-        self._on_fail = on_fail
         self._piggyback = commit_piggyback
         #: Optional hook fed each quorum-resolved REPLY (the winner the
         #: protocol engine actually consumes).  The TCP wire trace uses
@@ -183,9 +181,6 @@ class UstorClient(Node):
         # -- bookkeeping ---------------------------------------------------
         self._pending: _PendingInvocation | None = None
         self._deferred_commit: CommitMessage | None = None
-        self._failed = False
-        self._fail_reason: str | None = None
-        self._fail_listeners: list[Callable[[str], None]] = []
         self.vh_records: dict[tuple[ClientId, int], ViewHistoryRecord] = {}
         self.completed_operations = 0
 
@@ -203,38 +198,8 @@ class UstorClient(Node):
         return self._version
 
     @property
-    def failed(self) -> bool:
-        """Has ``fail_i`` been output (client halted)?"""
-        return self._failed
-
-    @property
-    def fail_reason(self) -> str | None:
-        return self._fail_reason
-
-    @property
-    def halted(self) -> bool:
-        """Has this client stopped taking steps — crashed, or output
-        ``fail`` (a layer above that fails halts this one too)?"""
-        return self._crashed or self._failed
-
-    @property
-    def halt_reason(self) -> str | None:
-        """Why :attr:`halted`: the ``fail`` reason, else ``"crashed"``;
-        ``None`` while the client is up."""
-        if self._fail_reason is not None:
-            return self._fail_reason
-        return "crashed" if self._crashed else None
-
-    @property
     def busy(self) -> bool:
         return self._pending is not None
-
-    def add_failure_listener(self, listener: Callable[[str], None]) -> None:
-        """Invoke ``listener(reason)`` when this client outputs ``fail_i``.
-
-        Unlike the ``on_fail`` constructor hook (reserved for the layer
-        above, e.g. FAUST), any number of listeners may register."""
-        self._fail_listeners.append(listener)
 
     # ---------------------------------------------------------------- #
     # Operations (lines 8-33)
@@ -576,29 +541,3 @@ class UstorClient(Node):
         if not (vj.vector[j] == tj or vj.vector[j] == tj - 1):
             return self._fail("writer's version contradicts data timestamp (line 52)")
         return True
-
-    # ---------------------------------------------------------------- #
-    # fail_i
-    # ---------------------------------------------------------------- #
-
-    def halt_protocol(self) -> None:
-        """Stop issuing/handling protocol messages without emitting fail_i.
-
-        Used by the FAUST layer when failure was detected elsewhere (e.g. a
-        FAILURE message from another client): the server must no longer be
-        used, but the local protocol did not itself catch it misbehaving.
-        """
-        self._failed = True
-
-    def _fail(self, reason: str) -> bool:
-        """Output ``fail_i`` and halt; always returns False for callers."""
-        self._failed = True
-        self._fail_reason = reason
-        trace = self.network.trace
-        if trace is not None:
-            trace.note(self.now, self.name, "ustor-fail", reason)
-        if self._on_fail is not None:
-            self._on_fail(reason)
-        for listener in list(self._fail_listeners):
-            listener(reason)
-        return False

@@ -5,12 +5,15 @@ honest SUBMIT path: counter attestation, the server's own counters, the
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.api import SystemConfig, open_system
+from repro.api import OperationFailed, SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import TamperingLockStepServer, lockstep_protocol
 from repro.cli import SERVERS, main
 from repro.common.errors import ConfigurationError
 from repro.common.types import OpKind
@@ -201,6 +204,60 @@ class TestFirstDeviationStamp:
         server, wire = _bound("stale-read")
         server.on_message("C2", submit(1, OpKind.READ, 0, 1))
         assert len(wire.sent) == 1 and server.first_deviation_at is None
+
+
+def _one_fail_each(system) -> list[str]:
+    """Assert every failed client output ``fail_i`` once per shard, with
+    its one reason, and nobody else did; return the reasons."""
+    events = system.notifications.failure_events()
+    reasons = []
+    for client in system.clients:
+        mine = [e for e in events if e.client == client.client_id]
+        if not client.failed:
+            assert mine == [], client.name
+            continue
+        assert [e.shard for e in mine] == [0], client.name
+        assert mine[0].reason == client.fail_reason == client.halt_reason
+        reasons.append(client.fail_reason)
+    return reasons
+
+
+class TestOneFailPerClient:
+    @pytest.mark.parametrize("backend", ["ustor", "faust"])
+    @pytest.mark.parametrize("name", ADVERSARIES)
+    def test_each_failed_client_outputs_one_reason(self, name, backend):
+        system = open_system(
+            SystemConfig(num_clients=4, seed=2, server_factory=SERVERS[name]),
+            backend=backend,
+        )
+        with system:
+            _drive(system, 4, ops=8, seed=2)
+            reasons = _one_fail_each(system)
+        if backend == "faust":
+            for reason in reasons:
+                # A check of Algorithm 1 (it names its line) is USTOR's
+                # detection, whether caught here or relayed by a peer.
+                caught = re.sub(r"^(FAILURE alert from C\d+: )+", "", reason)
+                if re.search(r"\(line \d+\)", caught):
+                    assert caught.startswith("USTOR detection: "), reason
+
+    def test_lockstep_tampering_server(self):
+        system = build_deployment(
+            SystemConfig(
+                2,
+                seed=4,
+                server_factory=lambda n, name: TamperingLockStepServer(n, 0, name=name),
+            ),
+            lockstep_protocol(),
+        )
+        system.wire_notifications()
+        writer, reader = system.sessions()
+        writer.write_sync(b"genuine")
+        with pytest.raises(OperationFailed):
+            reader.read_sync(0)
+        assert _one_fail_each(system) == [
+            "read value does not match the committed write"
+        ]
 
 
 class TestArgumentsValidatedOnce:

@@ -3,8 +3,8 @@
 ``tests/data/adversary_runs.json`` records, for the honest server and each
 of the fifteen adversaries (constructed directly) x seeds 1-3 x backends
 ``ustor`` and ``faust`` (4 clients, 8 ops each, E7's workload shape, no
-counter): operations completed, every client's ``fail_reason`` /
-``halt_reason``, a SHA-256 over the recorded history's signature (the
+counter): operations completed, every client's Algorithm 1 reason
+(:func:`check_reason`) and ``halt_reason``, a SHA-256 over the recorded history's signature (the
 signatures themselves would be ~600 KB), message count and bytes per
 message kind, and ``RandomDeviationServer``'s ``injected`` list.  It
 was generated at the commit *before* the adversaries were folded onto the
@@ -72,6 +72,17 @@ SERVERS = {
 }
 
 
+def check_reason(reason: str | None, backend: str) -> str | None:
+    """The reason a check of Algorithm 1 gave, as the corpus keeps it
+    beside ``halt_reasons``: a FAUST client's one reason wraps it as
+    ``USTOR detection: …``, and a fail FAUST's own layer output (forking
+    evidence, a FAILURE alert) has none."""
+    if backend == "ustor" or reason is None:
+        return reason
+    prefix = "USTOR detection: "
+    return reason.removeprefix(prefix) if reason.startswith(prefix) else None
+
+
 def record(label: str, backend: str, seed: int) -> dict:
     """Run one (server, backend, seed) cell and return what the lock keeps."""
     cls, kwargs = SERVERS[label]
@@ -95,7 +106,9 @@ def record(label: str, backend: str, seed: int) -> dict:
         trace = system.trace
         out = {
             "completed": driver.stats.total_completed(),
-            "fail_reasons": [c.fail_reason for c in system.clients],
+            "fail_reasons": [
+                check_reason(c.fail_reason, backend) for c in system.clients
+            ],
             "halt_reasons": [c.halt_reason for c in system.clients],
             "history_sha256": hashlib.sha256(
                 json.dumps(history_signature(system.history())).encode()

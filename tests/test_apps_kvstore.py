@@ -131,4 +131,4 @@ class TestFailAwareness:
         assert bob.get("k") == "bob-version"
         # Background probing exposes the fork at both clients.
         system.run(until=system.now + 600)
-        assert system.clients[0].faust_failed and system.clients[1].faust_failed
+        assert system.clients[0].failed and system.clients[1].failed

@@ -392,7 +392,7 @@ def test_group_commit_crash_recovery_matches_unbatched():
     assert engine.group_commit_batches > 0
     assert engine.group_commit_records > engine.group_commit_batches
     assert server.last_recovery_state == server.last_pre_crash_state
-    assert not any(getattr(c, "faust_failed", False) for c in batched.clients)
+    assert not any(c.failed for c in batched.clients)
     # Identical protocol content and verdicts to the unbatched outage run.
     assert outcomes == ref_outcomes
     assert verdicts == ref_verdicts == (True, True)

@@ -4,7 +4,7 @@ With ``SystemConfig(checkpoint=...)`` clients co-sign checkpoints, the
 server truncates its pending list, and the recorder/checkers compact —
 but the protocol's observable behaviour must not move: identical
 operation outcomes, histories, final versions (vectors AND digest
-chains), checker verdicts and stability notification counts as the same
+chains), checker verdicts and stability notifications as the same
 seeded run without checkpointing, on every backend that supports the
 knob (faust, cluster, replicated cluster).  Rollback across a checkpoint
 must still be detected — the whole point of authenticated cuts is that
@@ -134,7 +134,9 @@ def _collect(system, backend: str, handles, recorders, incremental):
     ]
     instances = _instances(system, backend)
     versions = [(tuple(i.version.vector), i.version.digests) for i in instances]
-    stable_totals = [i.stable_notifications_total for i in instances]
+    stable_cuts = [
+        (e.client, e.shard, e.cut) for e in system.notifications.stability_events()
+    ]
     verdicts = [
         (check_linearizability(history).ok, check_causal_consistency(history).ok)
         for history in histories
@@ -147,7 +149,7 @@ def _collect(system, backend: str, handles, recorders, incremental):
         "outcomes": outcomes,
         "ops": per_client_ops,
         "versions": versions,
-        "stable_totals": stable_totals,
+        "stable_cuts": stable_cuts,
         "verdicts": verdicts,
         "incremental": incremental_ok,
     }
@@ -171,7 +173,7 @@ def test_checkpointing_on_equals_off(backend):
         assert remaining <= set(map(tuple, shard_off))
     assert on["outcomes"] == off["outcomes"]
     assert on["versions"] == off["versions"]
-    assert on["stable_totals"] == off["stable_totals"]
+    assert on["stable_cuts"] == off["stable_cuts"]
     assert on["verdicts"] == off["verdicts"]
     assert all(ok for run in (on, off)
                for shard in run["incremental"] for ok in shard.values())
@@ -186,7 +188,7 @@ def test_checkpointing_on_equals_off(backend):
     assert sum(len(rec.history()) for rec in rec_on) < sum(
         len(rec.history()) for rec in rec_off
     )
-    assert not any(getattr(i, "faust_failed", False) for i in instances)
+    assert not any(i.failed for i in instances)
 
 
 def test_checkpointed_run_passes_definition5():
@@ -250,7 +252,7 @@ def test_rollback_across_checkpoint_is_detected(checkpoint):
             break
     assert failed_at is not None, "rollback went undetected"
     assert sys_evil.server.restarts == 1
-    failed = [c for c in sys_evil.clients if getattr(c, "faust_failed", False)]
+    failed = [c for c in sys_evil.clients if c.failed]
     # Detection is system-wide and identical to the checkpoint-free run:
     # every client fails, in the same phase (14, right after the crash).
     assert len(failed) == len(sys_evil.clients)

@@ -42,7 +42,7 @@ class TestRunCommand:
         main(["run", "--clients", "3", "--ops", "6", "--server", "tampering",
               "--seed", "1"])
         out = capsys.readouterr().out
-        assert "USTOR fail" in out and "line 50" in out
+        assert "C1: fail: DATA-signature on returned value invalid (line 50)" in out
 
     def test_split_brain_with_faust(self, capsys):
         main(
@@ -63,7 +63,7 @@ class TestRunCommand:
             ]
         )
         out = capsys.readouterr().out
-        assert "FAUST fail" in out
+        assert out.count(": fail: ") == 4 and "(forking evidence)" in out
 
     def test_unknown_server_rejected(self, capsys):
         assert main(["run", "--server", "nonsense"]) == 2

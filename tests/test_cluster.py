@@ -189,6 +189,21 @@ class TestClusterSessions:
         value, _ = alice.read_sync(3)
         assert value is BOTTOM
 
+    def test_trace_reads_the_shards_records(self):
+        system = open_system(SystemConfig(num_clients=4, shards=2), backend="cluster")
+        system.session(0).write_sync(b"hello")
+        system.session(3).read_sync(0)
+        trace = system.trace
+        records = [m for shard in system.shards for m in shard.trace.messages]
+        assert trace.messages == records and records
+        assert trace.message_count() == len(records)
+        assert trace.total_bytes() == sum(m.size for m in records)
+        submits = list(trace.messages_of_kind("SUBMIT"))
+        assert len(submits) == trace.message_count("SUBMIT") == sum(
+            shard.trace.message_count("SUBMIT") for shard in system.shards
+        ) > 0
+        assert trace.total_bytes("SUBMIT") == sum(m.size for m in submits)
+
     def test_sessions_are_cached_per_client(self):
         system = quiet_cluster()
         assert system.session(1) is system.session(1)

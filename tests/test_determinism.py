@@ -1,9 +1,10 @@
 """Whole-system determinism: identical seeds give identical runs.
 
 DESIGN.md §5 makes determinism a requirement; these tests pin it at the
-strongest observable level — full message traces and notification logs —
-for plain USTOR, FAUST (timers, probes, offline traffic included), and a
-Byzantine deployment — within one build, and against SHA-256 digests
+strongest observable level — full message traces, notes and the hub's
+``stable_i`` / ``fail_i`` outputs — for plain USTOR, FAUST (timers,
+probes, offline traffic included), and a Byzantine deployment — within
+one build, and against SHA-256 digests
 pinned across builds (a refactor of how deployments are assembled must
 not move a single message).
 """
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.api import FaustParams, SystemConfig, open_system
+from repro.api import FaustParams, StabilityNotification, SystemConfig, open_system
 from repro.ustor.byzantine import SplitBrainServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
@@ -30,7 +31,13 @@ def trace_fingerprint(system):
         (op.client, op.kind.value, op.register, op.invoked_at, op.responded_at)
         for op in system.history()
     ]
-    return messages, notes, history
+    # The clients' stable_i / fail_i outputs: the hub is their one record.
+    outputs = [
+        (e.seq, e.time, e.client, e.shard, type(e).__name__,
+         repr(e.cut if isinstance(e, StabilityNotification) else e.reason))
+        for e in system.notifications.history
+    ]
+    return messages, notes, history, outputs
 
 
 def run_ustor(seed):
@@ -85,9 +92,10 @@ def run_attack(seed):
 
 def without_sizes(fingerprint):
     """The fingerprint minus each message's ``size``: the schedule alone —
-    who sent what kind of message when, every note, every operation."""
-    messages, notes, history = fingerprint
-    return [message[:5] for message in messages], notes, history
+    who sent what kind of message when, every note, every operation and
+    every output."""
+    messages, notes, history, outputs = fingerprint
+    return [message[:5] for message in messages], notes, history, outputs
 
 
 #: SHA-256 of ``repr(trace_fingerprint(...))`` for seed 7; a fresh
@@ -96,17 +104,20 @@ def without_sizes(fingerprint):
 #: versions travel relative to its client's committed version) re-pins
 #: these ...
 PINNED = {
-    "run_ustor": "b52b133361d00a065b3e3bcce078db8c017e0af9b88ee990bcf02027d9bf76d3",
-    "run_faust": "403f1995ea70e49c346857b19fff9cd03d414bc1dce7091747b0f153f33beab2",
-    "run_attack": "5c24eb69002b755b8e8116a596bc833e84388ff4c9cd19a1c9cab3d59a44a66c",
+    "run_ustor": "0d95791e49318b5b5a25a8b437b7668e74541d05d5278b6f84ddf229d448a0d2",
+    "run_faust": "dec1b2021c999f4694d6aeb5f4d47e94e03c0c5094e713c04364ee178eaa9eaf",
+    "run_attack": "2f7fdce2422a654e941a5fd0c5c45988b7a157a1088690c62b466cff1dd2e9f5",
 }
 
 #: ... and must leave these alone: SHA-256 of ``repr(without_sizes(...))``
-#: for the same runs, unchanged since they were pinned.
+#: for the same runs.  Re-pinned once, when the fingerprint gained the
+#: hub's outputs and the trace stopped repeating them as ``stable`` /
+#: ``*-fail`` notes: the build before that, with those notes dropped,
+#: gives these digests.
 PINNED_SCHEDULE = {
-    "run_ustor": "a98cb8594693a0aa303180bfe1be2c8e4c76a589b1a70c377a8be0dd4b979d86",
-    "run_faust": "63b74d52fd83c699854114df64828dbcb86f7c39bd2667cb6af244c938643aee",
-    "run_attack": "6b2f1278b5bbb939badb99e8d1f26b0961af3759240cb3931a2e428d0c250944",
+    "run_ustor": "bd2075d30e129d18216ac77f0c87dfe48a7f4f0757c1e8b3eedaf944156df8b5",
+    "run_faust": "4f1e046cbf0d3910333a20a14265245a5924289624e6b63848030f24dae060bd",
+    "run_attack": "cd846113cfab87bd217c693423d42ae1d986c95e9ba5009f958140b6ca99187c",
 }
 
 
@@ -136,7 +147,7 @@ class TestDeterminism:
         assert run_faust(7) != run_faust(8)
 
     def test_notifications_deterministic(self):
-        _m1, notes1, _h1 = run_faust(9)
-        _m2, notes2, _h2 = run_faust(9)
-        assert notes1 == notes2
-        assert any(kind == "stable" for _t, _s, kind, _p in notes1)
+        *_run1, outputs1 = run_faust(9)
+        *_run2, outputs2 = run_faust(9)
+        assert outputs1 == outputs2
+        assert any(kind == "StabilityNotification" for _q, _t, _c, _s, kind, _p in outputs1)

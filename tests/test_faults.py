@@ -277,7 +277,7 @@ def test_client_faults_skip_a_client_that_already_halted(kind, how):
     if how == "crashed":
         client.crash()
     else:
-        client._fail_faust("caught the server earlier", alert_others=False)
+        client._fail("caught the server earlier", ustor=False)
     duration = None if kind == "crash-forever" else 10.0
     system.faults.add(Fault(kind, 1, 5.0, duration))
     system.run(until=20.0)
@@ -449,17 +449,17 @@ def test_liveness_pair_ustor_failed(type_name, reason):
 @pytest.mark.parametrize("type_name", ["FaustClient", "ClusterClient"])
 def test_liveness_pair_faust_failed(type_name):
     system, client = client_of(type_name)
-    _home_instance(system, client)._fail_faust("forked", alert_others=False)
+    _home_instance(system, client)._fail("forked", ustor=False)
     assert (client.halted, client.halt_reason) == (True, "forked")
-    assert client.failed and client.fail_reason is None  # USTOR itself saw nothing
+    assert client.failed and client.fail_reason == "forked"
 
 
 def test_cluster_client_is_not_halted_by_a_shard_it_never_touched():
     system, client = client_of("ClusterClient")
     home = system.shard_of(1)
-    client.instance(1 - home)._fail_faust("forked elsewhere", alert_others=False)
+    client.instance(1 - home)._fail("forked elsewhere", ustor=False)
     assert (client.halted, client.halt_reason) == (False, None)
-    client.instance(home)._fail_faust("forked at home", alert_others=False)
+    client.instance(home)._fail("forked at home", ustor=False)
     assert (client.halted, client.halt_reason) == (True, "forked at home")
 
 

@@ -138,7 +138,7 @@ class TestProbeProtocol:
         fork_b = chained_versions([1, 1], 2)[-1]
         c0.on_message("C2", VersionMessage(sender=1, version=fork_a))
         c0.on_message("C2", VersionMessage(sender=1, version=fork_b))
-        assert c0.faust_failed
+        assert c0.failed
         with pytest.raises(ProtocolError):
             c0.write(b"too-late")
 
@@ -182,4 +182,4 @@ class TestAblation:
             lambda: system.clients[0].tracker.stable_timestamp_for_all() >= t,
             timeout=1_000,
         )
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)

@@ -35,7 +35,7 @@ class TestAccuracy:
         driver.attach_all(scripts)
         driver.run_to_completion()
         system.run(until=system.now + 300)
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
     def test_no_false_positives_with_disconnections(self, ):
         # Clients going offline and returning is not failure evidence.
@@ -63,7 +63,7 @@ class TestAccuracy:
         system.offline.set_online(lazy.name, True)
         lazy.resume()
         system.run(until=system.now + 300)
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
 
 class TestCompleteness:
@@ -74,19 +74,19 @@ class TestCompleteness:
         for client in result.system.clients:
             if client.crashed:
                 continue
-            assert client.faust_failed, f"{client.name} missed the fork"
-            assert client.faust_fail_reason is not None
+            assert client.failed, f"{client.name} missed the fork"
+            assert client.fail_reason is not None
 
     def test_detection_reasons_are_informative(self):
         result = split_brain_scenario(num_clients=4, seed=12, run_for=800.0)
-        reasons = {c.faust_fail_reason for c in result.system.clients}
+        reasons = {c.fail_reason for c in result.system.clients}
         assert any("incomparable" in (r or "") for r in reasons)
 
     def test_figure3_fork_detected_via_offline_exchange(self):
         result = figure3_scenario(faust=True)
         system = result.system
         system.run(until=system.now + 400)
-        assert all(c.faust_failed for c in system.clients)
+        assert all(c.failed for c in system.clients)
 
     def test_ustor_detection_propagates_via_failure_messages(self):
         # C2 catches the tamper locally (line 50); C1 and C3 learn only
@@ -106,12 +106,12 @@ class TestCompleteness:
         assert system.run_until(lambda: bool(box), timeout=100)
         system.clients[1].read(0, lambda o: None)
         system.run(until=system.now + 100)
-        assert system.clients[1].faust_failed
-        assert "USTOR detection" in system.clients[1].faust_fail_reason
+        assert system.clients[1].failed
+        assert "USTOR detection" in system.clients[1].fail_reason
         # Propagation to everyone else despite zero background reads:
-        assert system.clients[0].faust_failed
-        assert system.clients[2].faust_failed
-        assert "FAILURE alert" in system.clients[2].faust_fail_reason
+        assert system.clients[0].failed
+        assert system.clients[2].failed
+        assert "FAILURE alert" in system.clients[2].fail_reason
 
     def test_failed_client_halts_operations(self):
         from repro.common.errors import ProtocolError
@@ -159,12 +159,12 @@ class TestOfflineWindows:
         assert system.run_until(lambda: bool(box), timeout=100)
         system.clients[1].read(0, lambda o: None)
         system.run(until=system.now + 100)
-        assert system.clients[1].faust_failed
-        assert not sleeper.faust_failed  # still asleep, alert in mailbox
+        assert system.clients[1].failed
+        assert not sleeper.failed  # still asleep, alert in mailbox
         assert system.offline.mailbox_depth(sleeper.name) >= 1
         system.offline.set_online(sleeper.name, True)
         system.run(until=system.now + 50)
-        assert sleeper.faust_failed  # woke up to the bad news
+        assert sleeper.failed  # woke up to the bad news
 
 
 class TestSplitBrainStability:

@@ -133,7 +133,7 @@ class TestStabilityEndToEnd:
             )
 
         assert system.run_until(all_stable, timeout=3_000)
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
     def test_stability_without_user_operations(self):
         # Dummy reads alone keep versions flowing.
@@ -185,7 +185,7 @@ class TestStabilityEndToEnd:
             timeout=2_000,
         )
         assert cut_ok, "offline VERSION exchange must drive stability"
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
     def test_w_vector_entries_monotonic(self):
         system = open_system(
@@ -242,4 +242,4 @@ class TestFigure2:
         assert system.run_until(
             lambda: alice.tracker.stable_timestamp_for_all() >= 10, timeout=3_000
         )
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)

@@ -107,7 +107,7 @@ class TestByzantineRuns:
         # Under the attack: causality + integrity + accuracy + stability
         # accuracy hold, and completeness is discharged by system-wide fail.
         assert report.ok, report.render()
-        assert all(c.faust_failed for c in system.clients)
+        assert all(c.failed for c in system.clients)
 
     def test_tampering_run_satisfies_definition(self):
         system = open_system(

@@ -4,7 +4,7 @@ With ``SystemConfig(membership=...)`` clients lease their signer slots
 and a wedged member is eventually voted out through a co-signed epoch
 chain — but on a fault-free run the layer must be *invisible*: identical
 operation outcomes, histories, final versions (vectors AND digest
-chains), checker verdicts, stability counts and even the wire-message
+chains), checker verdicts, stability notifications and even the wire-message
 census as the same seeded run with membership off.  The epoch chain
 stays at genesis and not one epoch share is sent.
 
@@ -99,7 +99,9 @@ def _collect(system, handles, incremental):
     versions = [
         (tuple(c.version.vector), c.version.digests) for c in system.clients
     ]
-    stable_totals = [c.stable_notifications_total for c in system.clients]
+    stable_cuts = [
+        (e.client, e.cut) for e in system.notifications.stability_events()
+    ]
     verdict = (
         check_linearizability(history).ok,
         check_causal_consistency(history).ok,
@@ -114,7 +116,7 @@ def _collect(system, handles, incremental):
         "outcomes": outcomes,
         "ops": ops,
         "versions": versions,
-        "stable_totals": stable_totals,
+        "stable_cuts": stable_cuts,
         "verdict": verdict,
         "incremental": incremental_ok,
         "census": census,
@@ -132,7 +134,7 @@ def test_membership_on_equals_off_fault_free():
     assert on["outcomes"] == off["outcomes"]
     assert on["ops"] == off["ops"]
     assert on["versions"] == off["versions"]
-    assert on["stable_totals"] == off["stable_totals"]
+    assert on["stable_cuts"] == off["stable_cuts"]
     assert on["verdict"] == off["verdict"] == (True, True)
     assert all(on["incremental"].values())
     assert all(off["incremental"].values())
@@ -181,7 +183,7 @@ def test_rollback_detection_is_identical_with_membership(membership):
             failed_at = phase
             break
     assert failed_at == 14, failed_at
-    failed = [c for c in system.clients if getattr(c, "faust_failed", False)]
+    failed = [c for c in system.clients if c.failed]
     assert len(failed) == len(system.clients)
     if membership is not None:
         # fail_i, not eviction: the chain never left genesis.
@@ -232,5 +234,5 @@ def test_rollback_after_epoch_change_is_detected():
     for client in live:
         assert client.membership_manager.epoch.epoch == 1
         assert client.membership_manager.epoch.members == (0, 1, 2)
-    assert all(c.faust_failed for c in live)
-    assert not crashed.faust_failed  # crashed, not fooled
+    assert all(c.failed for c in live)
+    assert not crashed.failed  # crashed, not fooled

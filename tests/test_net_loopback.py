@@ -219,20 +219,21 @@ class TestFaustOverSockets:
                 # Settle as long again: the validator's completeness
                 # cutoff is half the run.
                 system.run(until=2 * system.now)
-                assert not any(c.faust_failed for c in clients)
+                assert not any(c.failed for c in clients)
                 report = validate_fail_aware_run(system, server_correct=True)
                 assert report.ok, report.render()
             elif name == "unresponsive":
                 # Undetectable by design: C1's operations hang, nobody fails.
                 system.run(until=system.now + 0.5)
-                assert not any(c.faust_failed for c in clients)
+                assert not any(c.failed for c in clients)
             else:
                 assert system.run_until(
-                    lambda: all(c.faust_failed for c in clients), timeout=5.0
+                    lambda: all(c.failed for c in clients), timeout=5.0
                 )
-                first = min(clients, key=lambda c: c.faust_fail_time)
-                lines = re.findall(r"\(line (\d+)\)", first.faust_fail_reason)
-                assert lines, first.faust_fail_reason
+                first_at = system.notifications.first_failures()
+                first = clients[min(first_at, key=first_at.get)]
+                lines = re.findall(r"\(line (\d+)\)", first.fail_reason)
+                assert lines, first.fail_reason
                 assert int(lines[0]) in _note_lines(adversary.note)
 
 
@@ -275,11 +276,11 @@ def _dummy_reads_of_256_byte_values(transport: str, server_factory):
             )
         else:
             assert system.run_until(
-                lambda: all(c.faust_failed for c in clients), **settle
+                lambda: all(c.failed for c in clients), **settle
             )
-        failed = [c for c in clients if c.faust_failed]
-        first = min(failed, key=lambda c: c.faust_fail_time, default=None)
-        return (None if first is None else first.faust_fail_reason), received
+        first_at = system.notifications.first_failures()
+        first = min(first_at, key=first_at.get, default=None)
+        return (None if first is None else clients[first].fail_reason), received
 
 
 class TestDummyReadDigestOverSockets:

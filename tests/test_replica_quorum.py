@@ -287,7 +287,7 @@ class TestDigestRounds:
             for k in range(2):
                 session.write_sync(bytes([k + 1]) * 64)
             system.run(until=system.now + 200)
-            assert not any(c.faust_failed for c in system.clients)
+            assert not any(c.failed for c in system.clients)
             return group_stats(system.clients), history_signature(system.history())
 
     def test_a_replica_that_sends_the_value_is_not_a_masked_deviation(self):

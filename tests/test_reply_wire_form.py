@@ -964,7 +964,7 @@ def _faust_observed(server_factory, value_size: int) -> tuple[dict, int]:
         observed = {
             "completed": driver.stats.total_completed(),
             "history": history_signature(system.history()),
-            "fail_reasons": [c.faust_fail_reason for c in system.clients],
+            "fail_reasons": [c.fail_reason for c in system.clients],
             "dummy_reads": [c.dummy_reads_issued for c in system.clients],
             "events": system.scheduler.events_processed,
             "now": system.now,

@@ -104,11 +104,11 @@ class TestMetrics:
 class TestTrace:
     def test_note_queries(self):
         trace = SimTrace()
-        trace.note(1.0, "C1", "stable", (1, 0))
-        trace.note(2.0, "C2", "fail", "reason")
-        trace.note(3.0, "C1", "stable", (2, 0))
-        assert len(trace.notes_of_kind("stable")) == 2
-        first = trace.first_note("stable", source="C1")
+        trace.note(1.0, "C1", "checkpoint", (1, (1, 0)))
+        trace.note(2.0, "C2", "client-crash")
+        trace.note(3.0, "C1", "checkpoint", (2, (2, 0)))
+        assert len(trace.notes_of_kind("checkpoint")) == 2
+        first = trace.first_note("checkpoint", source="C1")
         assert first is not None and first.time == 1.0
         assert trace.first_note("nothing") is None
 

@@ -537,7 +537,7 @@ class TestServerCrashRecovery:
         system.run(until=300.0)
         assert done and outage.end == 30.0
         assert system.server.restarts == 1
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
     def test_server_outage_validation(self):
         with pytest.raises(Exception):

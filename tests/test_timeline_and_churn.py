@@ -108,7 +108,7 @@ class TestChurn:
         driver = Driver(system)
         driver.attach_all(scripts)
         system.run(until=600.0)
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
     def test_stability_completes_despite_churn(self):
         system = churn_system(seed=52)
@@ -127,7 +127,7 @@ class TestChurn:
             timeout=2_000,
         )
         assert reached
-        assert not any(c.faust_failed for c in system.clients)
+        assert not any(c.failed for c in system.clients)
 
     def test_detection_still_complete_under_churn(self):
         from repro.ustor.byzantine import SplitBrainServer
@@ -153,4 +153,4 @@ class TestChurn:
         system.run(until=1_500.0)
         # Every correct client — including the one that slept through the
         # fork — eventually learns of it.
-        assert all(c.faust_failed for c in system.clients if not c.crashed)
+        assert all(c.failed for c in system.clients if not c.crashed)

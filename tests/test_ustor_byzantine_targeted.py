@@ -177,9 +177,9 @@ def dummy_reads_of_register_0(server_factory, size: int, writes: int):
         for k in range(writes):
             session.write_sync(bytes([k + 1]) * size)
         system.run(until=system.now + 200)
-        failed = [c for c in system.clients if c.faust_failed]
-        first = min(failed, key=lambda c: c.faust_fail_time, default=None)
-        return (None if first is None else first.faust_fail_reason), sent
+        first_at = system.notifications.first_failures()
+        first = min(first_at, key=first_at.get, default=None)
+        return (None if first is None else system.clients[first].fail_reason), sent
 
 
 class TestDigestFormDummyReads:
