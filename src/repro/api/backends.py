@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.api.config import FEATURES, SystemConfig, check_supported
+from repro.api.events import NotificationHub
 from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports the api)
@@ -68,7 +69,8 @@ def build_deployment(
     ``config``: ``protocol`` (a :class:`~repro.workloads.runner.
     ProtocolSpec`) on the world ``config.transport`` names — the
     simulator, or sockets to already-running ``repro serve`` processes.
-    The only place a config becomes a world.
+    The only place a config becomes a world (:func:`build_shard` is this
+    without the hub).
 
     ``server_name`` (default ``config.server_name``) and ``placement``
     say what varies per shard or per test, never what the config
@@ -81,7 +83,24 @@ def build_deployment(
     lock-step baseline) takes latency models and a custom server on the
     simulator and nothing else; any other knob is refused here, before
     anything is built, as :func:`check_supported` refuses a backend's.
+
+    The deployment watches its clients with its own
+    :class:`~repro.api.events.NotificationHub`, the one record of their
+    ``stable_i`` / ``fail_i`` outputs.
     """
+    system = build_shard(config, protocol, server_name=server_name, **placement)
+    hub = system.notifications = NotificationHub()
+    for index, client in enumerate(system.clients):
+        hub.watch(client, index, lambda: system.scheduler.now)
+    return system
+
+
+def build_shard(
+    config: SystemConfig, protocol, *, server_name: str | None = None, **placement
+):
+    """:func:`build_deployment` without a hub: a cluster's shard, whose
+    clients the cluster's touch-scoped hub watches (a hub per shard would
+    keep the stability events of shards a client never touched)."""
     from repro.workloads import runner
 
     if not protocol.ustor_stack:
@@ -152,7 +171,6 @@ def open_system(
         system = open_cluster_system(config)
     else:
         system = build_deployment(config, protocol_for(backend, config), **placement)
-        system.wire_notifications()
     system.backend_name = backend
     system.default_timeout = config.default_timeout
     # Sorted, so that when one window ends exactly where the next

@@ -5,10 +5,9 @@ paper's service interface uniformly across protocols:
 
 * ``write()``/``read()`` return :class:`~repro.api.handles.OpHandle`
   futures immediately, so applications can pipeline several operations —
-  the handles settle in submission order.  Clients whose protocol layer
-  queues internally (FAUST) receive every submission at once; clients
-  that require one operation at a time (USTOR, the baselines) are fed
-  from a session-side backlog as each operation completes.
+  the handles settle in submission order.  Every submission goes straight
+  to the client, and every client queues its own operations
+  (:class:`~repro.sim.process.ClientNode`), running one at a time.
 * ``write_sync()``/``read_sync()`` are the blocking convenience forms.
 * ``barrier()`` drives the simulation until every handle issued by this
   session has settled.
@@ -34,6 +33,7 @@ and reads its wait budget and batching policy from there.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.api.errors import CapabilityError, OperationFailed, OperationTimeout
@@ -51,10 +51,6 @@ class Session:
         self._client = system.clients[client_id]
         self._client_id = client_id
         self._timeout = system.default_timeout if timeout is None else timeout
-        self._inflight: OpHandle | None = None
-        self._backlog: deque[tuple[OpKind, RegisterId, Value | None, OpHandle]] = (
-            deque()
-        )
         #: Handles issued but not yet settled, in submission order.  A
         #: deque: handles settle in submission order, so the overwhelmingly
         #: common settle is an O(1) popleft of the head rather than an
@@ -153,9 +149,8 @@ class Session:
         """Hand every buffered operation to the protocol layer now.
 
         A no-op on unbatched sessions (nothing ever buffers).  The flush
-        preserves submission order; clients that pipeline receive the
-        whole batch at once, one-at-a-time clients are fed from the
-        session backlog as before.
+        preserves submission order: the client receives the whole batch
+        at once and queues it.
         """
         self._cancel_flush_timer()
         if self._batch_buffer:
@@ -164,7 +159,7 @@ class Session:
         while self._batch_buffer:
             kind, register, value, handle = self._batch_buffer.popleft()
             try:
-                self._dispatch(kind, register, value, handle)
+                self._issue(kind, register, value, handle)
             except ProtocolError as exc:
                 # The client died while the batch was parked; fail this
                 # handle and keep draining so nothing waits forever.
@@ -237,7 +232,7 @@ class Session:
     # ------------------------------------------------------------------ #
 
     def _submit(self, kind: OpKind, register: RegisterId, value) -> OpHandle:
-        self._raise_if_dead()
+        self._client.check_invocation(kind, register, value)
         handle = OpHandle(self, kind, register)
         self._obs_issued.inc()
         if self._obs_enabled:
@@ -245,7 +240,7 @@ class Session:
         self._unsettled.append(handle)
         policy = self._batching
         if policy is None:
-            self._dispatch(kind, register, value, handle)
+            self._issue(kind, register, value, handle)
             return handle
         # Batched: park the operation; flush on size, timer, or barrier.
         self._batch_buffer.append((kind, register, value, handle))
@@ -256,17 +251,6 @@ class Session:
                 policy.max_delay, self._timer_flush
             )
         return handle
-
-    def _dispatch(self, kind: OpKind, register: RegisterId, value, handle) -> None:
-        """Hand one operation to the protocol layer (or the backlog)."""
-        if getattr(self._client, "pipelines_operations", False):
-            # The protocol layer queues internally; hand everything over.
-            self._issue(kind, register, value, handle)
-        elif self._inflight is None:
-            self._inflight = handle
-            self._issue(kind, register, value, handle)
-        else:
-            self._backlog.append((kind, register, value, handle))
 
     def _issued_unsettled(self) -> list[OpHandle]:
         """Unsettled handles that have been issued (parked ones excluded).
@@ -299,9 +283,8 @@ class Session:
             self._flush_timer = None
 
     def _issue(self, kind: OpKind, register, value, handle: OpHandle) -> None:
-        def completed(outcome, _handle=handle) -> None:
-            self._settle(_handle, outcome)
-
+        """Hand one operation to the client, which queues it."""
+        completed = partial(self._settle, handle)
         if kind is OpKind.WRITE:
             self._client.write(value, completed)
         else:
@@ -328,25 +311,6 @@ class Session:
                 raw=outcome,
             )
         )
-        if self._inflight is handle:
-            self._inflight = None
-            self._pump_backlog()
-
-    def _pump_backlog(self) -> None:
-        while self._inflight is None and self._backlog:
-            kind, register, value, handle = self._backlog.popleft()
-            self._inflight = handle
-            try:
-                self._issue(kind, register, value, handle)
-            except ProtocolError as exc:
-                # The client died between operations; fail this handle and
-                # keep draining so nothing waits forever.
-                self._inflight = None
-                try:
-                    self._unsettled.remove(handle)
-                except ValueError:
-                    pass
-                handle._reject(OperationFailed(str(exc)))
 
     # ------------------------------------------------------------------ #
     # Failure handling
@@ -356,22 +320,11 @@ class Session:
         self._fail_all(OperationFailed(f"{self._client.name} failed: {reason}"))
 
     def _fail_all(self, exception: OperationFailed) -> None:
-        self._inflight = None
-        self._backlog.clear()
         self._cancel_flush_timer()
         self._batch_buffer.clear()
         unsettled, self._unsettled = self._unsettled, deque()
         for handle in unsettled:
             handle._reject(exception)
-
-    def _raise_if_dead(self) -> None:
-        client = self._client
-        if client.halted:
-            raise ProtocolError(
-                f"{client.name} has failed and halted"
-                if client.failed
-                else f"{client.name} has crashed"
-            )
 
     def _reject_if_dead(self, handle: OpHandle | None = None) -> None:
         client = self._client

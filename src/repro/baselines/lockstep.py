@@ -42,7 +42,6 @@ from repro.common.types import (
     OpKind,
     RegisterId,
     Value,
-    client_name,
 )
 from repro.crypto.hashing import HASH_BYTES, hash_register_value, hash_values
 from repro.crypto.keystore import ClientSigner
@@ -186,9 +185,7 @@ class LockStepClient(ClientNode):
         server_name: str = "S",
         recorder: HistoryRecorder | None = None,
     ) -> None:
-        super().__init__(name=client_name(client_id))
-        self._id = client_id
-        self._n = num_clients
+        super().__init__(client_id, num_clients)
         self._signer = signer
         self._server = server_name
         self._recorder = recorder
@@ -207,30 +204,18 @@ class LockStepClient(ClientNode):
     # -- introspection -------------------------------------------------- #
 
     @property
-    def client_id(self) -> ClientId:
-        return self._id
-
-    @property
     def busy(self) -> bool:
         return self._pending is not None
 
     # -- operations ------------------------------------------------------ #
 
     def write(self, value: Value, callback=None) -> None:
-        if not isinstance(value, bytes):
-            raise ProtocolError("register values are bytes")
-        self._invoke(OpKind.WRITE, self._id, value, callback)
+        self._enqueue(OpKind.WRITE, self._id, value, callback)
 
     def read(self, register: RegisterId, callback=None) -> None:
-        if not 0 <= register < self._n:
-            raise ProtocolError(f"register {register} out of range")
-        self._invoke(OpKind.READ, register, None, callback)
+        self._enqueue(OpKind.READ, register, None, callback)
 
     def _invoke(self, kind, register, value, callback) -> None:
-        if self._failed:
-            raise ProtocolError(f"{self.name} has failed and halted")
-        if self._crashed:
-            raise ProtocolError(f"{self.name} has crashed")
         if self._pending is not None:
             raise ProtocolError(f"{self.name} already has an operation in flight")
         t = self._t + 1

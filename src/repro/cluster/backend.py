@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.api.backends import build_deployment, protocol_for
+from repro.api.backends import build_shard, protocol_for
 from repro.api.config import SystemConfig
 from repro.cluster.system import ClusterSystem
 from repro.sim.scheduler import Scheduler
@@ -39,7 +39,7 @@ def open_cluster_system(config: SystemConfig) -> ClusterSystem:
     scheduler = Scheduler(seed=config.seed)
     protocol = protocol_for(config.shard_protocol, config)
     shards = [
-        build_deployment(
+        build_shard(
             config,
             protocol,
             server_factory=config.shard_server_factories.get(

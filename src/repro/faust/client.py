@@ -22,18 +22,18 @@ client alerts everyone, outputs ``fail_i``, and halts.
 
 Operations return the timestamp ``t`` of the underlying USTOR operation
 (Definition 5's Integrity: timestamps at one client increase
-monotonically).  User operations invoked while another is in flight are
-queued, preserving the well-formedness of each client's history.
+monotonically).  User operations wait in the client's one queue
+(:class:`~repro.sim.process.ClientNode`), as every client's do; a dummy
+read starts only when that queue is empty and nothing is in flight.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from typing import Callable
 
 from repro.common.errors import ProtocolError
-from repro.common.types import ClientId, OpKind, RegisterId, Value, client_name
+from repro.common.types import ClientId, OpKind, client_name
 from repro.crypto.keystore import ClientSigner
 from repro.history.recorder import HistoryRecorder
 from repro.sim.offline import OfflineChannel
@@ -55,10 +55,6 @@ from repro.faust.stability import StabilityTracker
 
 class FaustClient(UstorClient):
     """Client ``C_i`` of the fail-aware untrusted storage service."""
-
-    #: User operations invoked while one is in flight are queued (the
-    #: application may pipeline submissions through this client).
-    pipelines_operations = True
 
     #: A fail-aware client that crash-*restarts* recovers with its
     #: reliable-channel traffic replayed (the same modelling choice as
@@ -117,7 +113,6 @@ class FaustClient(UstorClient):
         self._stable_listeners: list[Callable[[tuple[int, ...]], None]] = []
 
         self._offline = offline
-        self._queue: deque = deque()
         self._dummy_timer: PeriodicTimer | None = None
         self._probe_timer: PeriodicTimer | None = None
         self._next_dummy_register = (client_id + 1) % num_clients
@@ -129,7 +124,6 @@ class FaustClient(UstorClient):
         #: (bounded state); the deployment's notification hub is their
         #: full record.
         self.stable_notifications: list[tuple[float, tuple[int, ...]]] = []
-        self.user_operations_completed = 0
         self.dummy_reads_issued = 0
 
         self._checkpoint_listeners: list[Callable[[Checkpoint], None]] = []
@@ -258,66 +252,17 @@ class FaustClient(UstorClient):
         self.start()
 
     # ---------------------------------------------------------------- #
-    # The application-facing operations (queued; responses carry t)
-    # ---------------------------------------------------------------- #
-
-    def write(
-        self, value: Value, callback: Callable[[OpOutcome], None] | None = None
-    ) -> None:
-        if not isinstance(value, bytes):
-            raise ProtocolError("register values are bytes")
-        self._enqueue(OpKind.WRITE, self._id, value, callback)
-
-    def read(
-        self,
-        register: RegisterId,
-        callback: Callable[[OpOutcome], None] | None = None,
-    ) -> None:
-        if not 0 <= register < self._n:
-            raise ProtocolError(f"register {register} out of range")
-        self._enqueue(OpKind.READ, register, None, callback)
-
-    def _enqueue(self, kind, register, value, callback) -> None:
-        if self._failed:
-            raise ProtocolError(f"{self.name} has failed and halted")
-        if self.crashed:
-            raise ProtocolError(f"{self.name} has crashed")
-        self._queue.append((kind, register, value, callback))
-        self._pump()
-
-    def _pump(self) -> None:
-        if self.busy or not self._queue or self.failed or self.crashed:
-            return
-        kind, register, value, callback = self._queue.popleft()
-
-        def completed(outcome: OpOutcome, _cb=callback) -> None:
-            self._operation_completed(outcome, _cb, dummy=False)
-
-        if kind is OpKind.WRITE:
-            super().write(value, completed)
-        else:
-            super().read(register, completed)
-
-    @property
-    def idle(self) -> bool:
-        """No user operation in flight or queued."""
-        return not self.busy and not self._queue
-
-    # ---------------------------------------------------------------- #
     # Version intake and notifications
     # ---------------------------------------------------------------- #
 
-    def _operation_completed(self, outcome: OpOutcome, callback, dummy: bool) -> None:
-        if not dummy:
-            self.user_operations_completed += 1
+    def _completed(self, callback, outcome: OpOutcome) -> None:
+        """Absorb the versions an operation returned, then return it."""
         # My own committed version.
         self._absorb(self._id, outcome.version)
         # The writer's version returned by a read.
         if outcome.kind is OpKind.READ and outcome.reader_version is not None:
             self._absorb(outcome.register, outcome.reader_version)
-        if callback is not None and not self._failed:
-            callback(outcome)
-        self._pump()
+        super()._completed(callback, outcome)
 
     def _absorb(self, source: ClientId, version) -> None:
         if self._failed:
@@ -364,12 +309,9 @@ class FaustClient(UstorClient):
         register = self._next_dummy_register
         self._next_dummy_register = (register + 1) % self._n
         self.dummy_reads_issued += 1
-
-        def completed(outcome: OpOutcome) -> None:
-            self._operation_completed(outcome, None, dummy=True)
-
         # Bypass the queue: dummy reads run only when the application is
         # idle.  The value is never used, so MEM[j] may come as its digest.
+        completed = partial(self._completed, None)
         self._invoke(OpKind.READ, register, None, completed, digest_only=True)
 
     def _probe_tick(self) -> None:

@@ -284,7 +284,13 @@ def replay_trace(path: str) -> ReplayResult:
             return
         if record["retx"]:
             return  # the logical frame was already checked once
-        if isinstance(message, SubmitMessage):
+        if isinstance(message, SubmitMessage) and client.busy:
+            # The replayed client would queue it, not send it.
+            divergences.append(
+                f"{at}: recorded SUBMIT from {client.name} while its previous "
+                f"operation was still waiting for a REPLY"
+            )
+        elif isinstance(message, SubmitMessage):
             # The SUBMIT is the invocation: re-invoke what it carries.
             try:
                 if message.invocation.opcode is OpKind.WRITE:

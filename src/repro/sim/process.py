@@ -16,15 +16,20 @@ observe.  What *state* the node comes back with is the subclass's
 business (:meth:`Node.on_restart`); for the USTOR server that is its
 :class:`~repro.store.engine.StorageEngine`'s recovery.
 
-A :class:`ClientNode` adds the other way a client stops: outputting
-``fail_i`` (Definition 5), which halts it for good.
+A :class:`ClientNode` is what every client protocol shares: the one
+place its operations wait (one at a time, in invocation order), the
+checks an invocation must pass, and the other way a client stops:
+outputting ``fail_i`` (Definition 5), which halts it for good.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ProtocolError, SimulationError
+from repro.common.types import ClientId, OpKind, client_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.network import Network
@@ -160,18 +165,82 @@ class Node:
 
 
 class ClientNode(Node):
-    """A client: a node that can also output ``fail_i`` and halt.
+    """Client ``C_i`` of ``n``: the base of every client protocol (USTOR,
+    FAUST, the lock-step baseline), which says only when it is
+    :attr:`busy` and how ``_invoke`` starts one operation.
 
-    Every client protocol (USTOR, FAUST, the lock-step baseline) derives
-    from it, so each holds one failure state and outputs ``fail_i``
-    through one method, :meth:`_fail`, at most once.
+    Held here once: the invocation checks; one FIFO queue of ``(kind,
+    register, value, callback)``, where an operation invoked while
+    another is in flight waits, so each client's history stays
+    well-formed; the pump, which starts the queue's head whenever the
+    client is idle and not halted, and again after each completion's
+    callback; and one failure state, output through :meth:`_fail` at
+    most once.
     """
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
+    def __init__(self, client_id: ClientId, num_clients: int) -> None:
+        super().__init__(client_name(client_id))
+        self._id = client_id
+        self._n = num_clients
+        self._queue: deque[tuple[OpKind, int, Any, Callable | None]] = deque()
         self._failed = False
         self._fail_reason: str | None = None
         self._fail_listeners: list[Callable[[str], None]] = []
+
+    @property
+    def client_id(self) -> ClientId:
+        return self._id
+
+    # ------------------------------------------------------------------ #
+    # Operations: one at a time, the rest queued
+    # ------------------------------------------------------------------ #
+
+    @property
+    def busy(self) -> bool:
+        """Is an operation in flight?  Each protocol answers."""
+        raise NotImplementedError
+
+    @property
+    def idle(self) -> bool:
+        """No operation in flight or queued."""
+        return not self.busy and not self._queue
+
+    def check_invocation(self, kind: OpKind, register: int, value: Any) -> None:
+        """Raise :class:`ProtocolError` for an operation this client cannot
+        take: a non-bytes value, a register outside ``[0, n)``, or a
+        client that has halted."""
+        if kind is OpKind.WRITE and not isinstance(value, bytes):
+            raise ProtocolError("register values are bytes")
+        if not 0 <= register < self._n:
+            raise ProtocolError(f"register {register} out of range")
+        if self._failed:
+            raise ProtocolError(f"{self.name} has failed and halted")
+        if self._crashed:
+            raise ProtocolError(f"{self.name} has crashed")
+
+    def _enqueue(self, kind: OpKind, register: int, value: Any, callback) -> None:
+        """Queue one checked operation; ``callback(outcome)`` runs when it
+        completes."""
+        self.check_invocation(kind, register, value)
+        self._queue.append((kind, register, value, callback))
+        self._pump()
+
+    def _pump(self) -> None:
+        """Start the oldest queued operation if this client can."""
+        if self._queue and not self.busy and not self.halted:
+            kind, register, value, callback = self._queue.popleft()
+            self._invoke(kind, register, value, partial(self._completed, callback))
+
+    def _completed(self, callback, outcome) -> None:
+        """Return one operation to its invoker, then start the next one (a
+        client that failed meanwhile returns nothing more)."""
+        if callback is not None and not self._failed:
+            callback(outcome)
+        self._pump()
+
+    # ------------------------------------------------------------------ #
+    # Failure: fail_i, output once
+    # ------------------------------------------------------------------ #
 
     @property
     def failed(self) -> bool:

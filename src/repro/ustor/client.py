@@ -1,9 +1,11 @@
 """USTOR client — Algorithm 1 of the paper, line by line.
 
-The client executes one operation at a time: it sends a SUBMIT message,
-waits for the server's REPLY, runs ``updateVersion`` (and, for reads,
-``checkData``), sends an asynchronous COMMIT and returns.  Every check in
-the two procedures carries the line number of Algorithm 1 it implements.
+The client executes one operation at a time (another invoked meanwhile
+waits in :class:`~repro.sim.process.ClientNode`'s queue): it sends a
+SUBMIT message, waits for the server's REPLY, runs ``updateVersion`` (and,
+for reads, ``checkData``), sends an asynchronous COMMIT and returns.  Every
+check in the two procedures carries the line number of Algorithm 1 it
+implements.
 
 If any check fails the client **outputs fail_i and halts** — at this layer
 a detection is terminal; FAUST (Section 6) turns it into system-wide
@@ -130,11 +132,9 @@ class UstorClient(ClientNode):
         quorum: int | None = None,
         counter: bool = False,
     ) -> None:
-        super().__init__(name=client_name(client_id))
+        super().__init__(client_id, num_clients)
         if signer.client != client_id:
             raise ProtocolError("signer is bound to a different client id")
-        self._id = client_id
-        self._n = num_clients
         self._signer = signer
         self._server = server_name
         # -- replica group (repro.replica; None/1-tuple = the paper's
@@ -189,10 +189,6 @@ class UstorClient(ClientNode):
     # ---------------------------------------------------------------- #
 
     @property
-    def client_id(self) -> ClientId:
-        return self._id
-
-    @property
     def version(self) -> Version:
         """The client's current version ``(V_i, M_i)``."""
         return self._version
@@ -209,9 +205,7 @@ class UstorClient(ClientNode):
         self, value: Value, callback: Callable[[OpOutcome], None] | None = None
     ) -> None:
         """``write_i(x)`` — write ``x`` to this client's own register X_i."""
-        if not isinstance(value, bytes):
-            raise ProtocolError("register values are bytes")
-        self._invoke(OpKind.WRITE, self._id, value, callback)
+        self._enqueue(OpKind.WRITE, self._id, value, callback)
 
     def read(
         self,
@@ -219,17 +213,11 @@ class UstorClient(ClientNode):
         callback: Callable[[OpOutcome], None] | None = None,
     ) -> None:
         """``read_i(j)`` — read register ``X_j`` (any register)."""
-        if not 0 <= register < self._n:
-            raise ProtocolError(f"register {register} out of range")
-        self._invoke(OpKind.READ, register, None, callback)
+        self._enqueue(OpKind.READ, register, None, callback)
 
     def _invoke(self, kind, register, value, callback, digest_only=False) -> None:
         """Start an operation; ``digest_only`` marks a read whose value
         will not be used, answered with ``MEM[j]`` in digest form."""
-        if self._failed:
-            raise ProtocolError(f"{self.name} has failed and halted")
-        if self._crashed:
-            raise ProtocolError(f"{self.name} has crashed")
         if self._pending is not None:
             raise ProtocolError(
                 f"{self.name} already has an operation in progress (well-formed "

@@ -322,8 +322,8 @@ class Driver:
         """Drive one client by absolute arrival times (open loop).
 
         Operations issue at each :class:`TimedOp`'s ``at`` regardless of
-        whether earlier ones completed — the session and the client queue
-        absorb the backlog, so ``on_latency(client_id, latency)`` (called
+        whether earlier ones completed — each client's queue absorbs the
+        backlog, so ``on_latency(client_id, latency)`` (called
         at each completion with ``completion_time - arrival_time``)
         measures *response time including queueing delay*, which is the
         quantity a closed-loop driver cannot see.

@@ -12,8 +12,9 @@ and wire-trace replay (:func:`repro.net.trace.replay_trace`) differ only
 in the world they hand it; USTOR, FAUST and the lock-step baseline only
 in the protocol.  Both configured worlds read one
 :class:`~repro.api.config.SystemConfig`, and
-:func:`repro.api.backends.build_deployment` is the one place that picks
-a world for it.
+:func:`repro.api.backends.build_deployment` (or, for a cluster's shard,
+its hub-less :func:`~repro.api.backends.build_shard`) is the one place
+that picks a world for it.
 
 :class:`Deployment` is what every opened system offers — a
 :class:`StorageSystem`, or a :class:`~repro.cluster.system.ClusterSystem`
@@ -76,7 +77,8 @@ class Deployment:
     backend_name: str | None = None
     #: Wait budget of the sessions opened here, on the world's clock.
     default_timeout: float = 1_000.0
-    #: Every ``stable_i`` / ``fail_i`` output as a typed event, once wired.
+    #: Every ``stable_i`` / ``fail_i`` output as a typed event (``None``
+    #: on a cluster's shard: the cluster's hub hears its clients).
     notifications: NotificationHub | None = None
 
     # -- the world's clock ----------------------------------------------- #
@@ -195,16 +197,6 @@ class StorageSystem(Deployment):
         """This deployment.  ``open_system`` returns the wired system
         itself; ``benchmarks/e2e/workloads.py`` still reads ``.raw``."""
         return self
-
-    def wire_notifications(self) -> None:
-        """Give the deployment its :class:`NotificationHub`, watching
-        every client (``open_system`` calls this once; a cluster's shards
-        get none: the cluster's touch-scoped hub hears their clients)."""
-        from repro.api.events import NotificationHub
-
-        hub = self.notifications = NotificationHub()
-        for index, client in enumerate(self.clients):
-            hub.watch(client, index, lambda: self.scheduler.now)
 
     def run_until_quiescent(
         self, check_every: float | None = None, timeout: float | None = None

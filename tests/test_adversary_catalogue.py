@@ -250,7 +250,6 @@ class TestOneFailPerClient:
             ),
             lockstep_protocol(),
         )
-        system.wire_notifications()
         writer, reader = system.sessions()
         writer.write_sync(b"genuine")
         with pytest.raises(OperationFailed):

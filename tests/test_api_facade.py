@@ -45,9 +45,7 @@ def open_protocol(config: SystemConfig, name: str):
         return open_system(dataclasses.replace(config, shards=2), backend=name)
     if name != "lockstep":
         return open_system(config, backend=name)
-    system = build_deployment(config, lockstep_protocol())
-    system.wire_notifications()
-    return system
+    return build_deployment(config, lockstep_protocol())
 
 
 def down(start: float, duration: float, target=None) -> Fault:

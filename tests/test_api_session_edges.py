@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
+    BatchingPolicy,
     FaustParams,
     OperationFailed,
     OperationTimeout,
@@ -119,7 +120,7 @@ class TestPipelinedTimeouts:
 
     def test_backlogged_ustor_submissions_time_out_without_issuing(self):
         # USTOR clients take one op at a time; ops 2 and 3 never leave the
-        # session backlog because op 1 never completes.
+        # client's queue because op 1 never completes.
         system = open_system(stonewalled_config(victims={0}), backend="ustor")
         session = system.session(0)
         session.write(b"first")
@@ -219,6 +220,27 @@ class TestBarrierEdges:
             victim.read_sync(0)
         with pytest.raises(ProtocolError, match="failed and halted"):
             victim.read(0)
+
+    @pytest.mark.parametrize(
+        "batching", [None, BatchingPolicy(max_batch=4)], ids=["unbatched", "batched"]
+    )
+    @pytest.mark.parametrize(
+        "call, wording",
+        [
+            (lambda s: s.read(2), "register 2 out of range"),
+            (lambda s: s.write("text"), "register values are bytes"),
+        ],
+        ids=["register-out-of-range", "non-bytes-value"],
+    )
+    def test_a_refused_submission_leaves_no_handle(self, call, wording, batching):
+        # The client's checks run before the session makes a handle, so
+        # a refused submission leaves nothing for a barrier to wait on.
+        system = open_system(quiet_config(batching=batching), backend="ustor")
+        session = system.session(0)
+        with pytest.raises(ProtocolError, match=wording):
+            call(session)
+        assert session.outstanding == 0 and session.buffered == 0
+        session.barrier(timeout=10.0)
 
     def test_crashed_client_rejects_waiters(self):
         system = open_system(quiet_config(), backend="faust")

@@ -277,6 +277,34 @@ def test_every_chain_check_halts_the_reader(scheme, reason):
     assert system.server.blocked
 
 
+def test_a_chain_check_failure_reaches_the_deployments_hub():
+    # build_deployment hands E3, E5 and the wait-freedom example a
+    # deployment whose hub records the lock-step clients' fail_i, as it
+    # records every backend's.
+    reason = "hash chain mismatch — forked or reordered history"
+    register, rewrite = CHAIN_CHECKS[reason]
+    system = lockstep(
+        SystemConfig(
+            3,
+            seed=5,
+            server_factory=lambda n, name: RewritingLockStepServer(
+                n, rewrite, name=name
+            ),
+        )
+    )
+    system.server.keystore = system.keystore
+    first, second, reader = system.clients
+    for client, value in ((first, b"a"), (first, b"b"), (second, b"c")):
+        sync_op(system, client, "write", value)
+    assert system.notifications.failure_events() == []
+    reader.read(register, lambda outcome: None)
+    system.run(until=system.now + 100)
+    assert reader.failed
+    [event] = system.notifications.failure_events()
+    assert (event.client, event.shard, event.reason) == (2, 0, reason)
+    assert system.notifications.first_failures() == {2: event.time}
+
+
 @pytest.mark.parametrize("scheme", ["hmac", "ed25519"])
 def test_the_untouched_reply_passes_every_check(scheme):
     # The same schedule through the rewriting server with an identity
@@ -304,10 +332,6 @@ def test_the_untouched_reply_passes_every_check(scheme):
 # --------------------------------------------------------------------- #
 
 
-def _in_flight(system, client):
-    client.write(b"first", lambda outcome: None)
-
-
 def _failed(system, client):
     client._fail("boom")
 
@@ -320,9 +344,6 @@ def _crashed(system, client):
 REFUSED = {
     "non-bytes-value": (None, lambda c: c.write("text"), "bytes"),
     "register-out-of-range": (None, lambda c: c.read(2), "out of range"),
-    "second-op-in-flight": (
-        _in_flight, lambda c: c.read(0), "already has an operation in flight"
-    ),
     "after-failure": (_failed, lambda c: c.read(0), "has failed and halted"),
     "after-crash": (_crashed, lambda c: c.read(0), "has crashed"),
 }

@@ -28,7 +28,9 @@ from repro.consistency.linearizability import check_linearizability
 from repro.net.client import NetRuntime
 from repro.net.server import NetServerHost
 from repro.net.trace import history_signature, load_trace, replay_trace
+from repro.net.wire import payload_to_message
 from repro.ustor.byzantine import TamperingServer
+from repro.ustor.messages import SubmitMessage
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 pytestmark = pytest.mark.net
@@ -212,6 +214,36 @@ class TestReplayEquivalence:
         result = replay_trace(str(trace_path))
         assert result.ok, result.divergences
         assert history_signature(result.history) == history_signature(history)
+
+    def test_a_submit_before_the_previous_reply_is_a_divergence(self, tmp_path):
+        # A correct client sends no second SUBMIT before its first REPLY.
+        # The replayed client would only queue such an invocation, so the
+        # replay names the frame instead of waiting on it silently.
+        trace_path, _history, _failures = record_loopback_run(
+            tmp_path, num_clients=1, drive=drive_workload(ops=2)
+        )
+        header, records = load_trace(str(trace_path))
+        submits = [
+            r for r in records
+            if r["dir"] == "c2s" and not r["retx"]
+            and isinstance(payload_to_message(bytes.fromhex(r["payload"])),
+                           SubmitMessage)
+        ]
+        assert len(submits) == 2
+        path = tmp_path / "early-submit.jsonl"
+        path.write_text(
+            "\n".join(json.dumps(line) for line in [header, *submits]) + "\n"
+        )
+        result = replay_trace(str(path))
+        assert not result.ok
+        second = f"seq {submits[1]['seq']}: "
+        assert any(
+            d.startswith(second) and "previous operation was still waiting"
+            in d for d in result.divergences
+        ), result.divergences
+        assert not any(
+            d.startswith(f"seq {submits[0]['seq']}: ") for d in result.divergences
+        )
 
     def test_undecodable_client_frame_is_a_divergence(self, tmp_path):
         path = tmp_path / "bad-c2s.jsonl"

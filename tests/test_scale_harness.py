@@ -209,10 +209,10 @@ def test_max_concurrent_counts_overlap():
     ids=["faust", "ustor", "lockstep", "cluster-ustor"],
 )
 def test_open_loop_driver_completes_every_arrival(backend, knobs):
-    """Arrivals overlap in-flight operations; the session queues them for
-    clients that run one operation at a time (they used to raise
-    ProtocolError out of the event loop) — the blocking lock-step
-    baseline, built by ``build_deployment``, included."""
+    """Arrivals overlap in-flight operations; each client queues them and
+    runs one operation at a time (they used to raise ProtocolError out of
+    the event loop) — the blocking lock-step baseline, built by
+    ``build_deployment``, included."""
     config = SystemConfig(num_clients=3, seed=SEED, **knobs)
     if backend == "lockstep":
         system = build_deployment(config, lockstep_protocol())

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.api import SystemConfig, open_system
+from repro.api import FaustParams, SystemConfig, open_system
+from repro.api.backends import build_deployment
+from repro.baselines.lockstep import lockstep_protocol
 from repro.common.errors import ProtocolError
 from repro.common.types import BOTTOM, OpKind
 from repro.consistency.causal import check_causal_consistency
@@ -86,12 +89,49 @@ class TestTwoClients:
         for earlier, later in zip(versions, versions[1:]):
             assert earlier.le(later)
 
-    def test_no_concurrent_op_with_self(self):
-        system = open_system(SystemConfig(num_clients=2, seed=2), backend="ustor")
-        client = system.clients[0]
-        client.write(b"a", lambda o: None)
-        with pytest.raises(ProtocolError):
-            client.write(b"b", lambda o: None)
+
+@pytest.mark.parametrize("protocol", ["ustor", "faust", "lockstep"])
+def test_operations_invoked_while_busy_wait_in_the_client(protocol):
+    # Three operations go straight into the protocol client at once: the
+    # second and third wait in its queue and run one at a time, in
+    # invocation order — the same on every client protocol.
+    config = SystemConfig(num_clients=2, seed=2, latency=FixedLatency(1.0))
+    if protocol == "lockstep":
+        system = build_deployment(config, lockstep_protocol())
+    else:
+        quiet = FaustParams(enable_dummy_reads=False, enable_probes=False)
+        system = open_system(replace(config, faust=quiet), backend=protocol)
+    client = system.clients[0]
+    outcomes = []
+    client.write(b"a", outcomes.append)
+    client.write(b"b", outcomes.append)
+    client.read(1, outcomes.append)
+    assert client.busy and not client.idle
+    # Starting an operation now is still the protocol's own error.
+    with pytest.raises(ProtocolError, match="already has an operation"):
+        client._invoke(OpKind.READ, 1, None, None)
+    assert system.run_until(lambda: len(outcomes) == 3, timeout=1_000)
+    assert [(o.kind, o.timestamp) for o in outcomes] == [
+        (OpKind.WRITE, 1), (OpKind.WRITE, 2), (OpKind.READ, 3)
+    ]
+    assert client.idle
+    ops = sorted(
+        (op for op in system.history() if op.client == 0),
+        key=lambda op: op.invoked_at,
+    )
+    assert [op.timestamp for op in ops] == [1, 2, 3]
+    for earlier, later in zip(ops, ops[1:]):
+        assert earlier.responded_at <= later.invoked_at
+    # On the wire: SUBMIT, REPLY, SUBMIT, REPLY, ... — never two SUBMITs
+    # of this client before the first one's REPLY (a SUBMIT sent at the
+    # instant a REPLY lands sorts after it: "reply" < "submit").
+    exchange = sorted(
+        [(m.sent_at, "submit") for m in system.trace.messages
+         if m.src == client.name and m.kind.endswith("SUBMIT")]
+        + [(m.delivered_at, "reply") for m in system.trace.messages
+           if m.dst == client.name and m.kind.endswith("REPLY")]
+    )
+    assert [kind for _at, kind in exchange] == ["submit", "reply"] * 3
 
 
 class TestConcurrency:
