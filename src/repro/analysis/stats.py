@@ -4,7 +4,9 @@ The headline analytical claims of the paper are *shape* claims ("overhead
 is O(n)", "one round per operation", "who blocks and who doesn't"), so the
 module focuses on the tools those need: linear regression for complexity
 fits, sample summaries (mean / nearest-rank percentiles) and simple trace
-reductions.  ``numpy`` is deliberately not required: sample counts are
+reductions, which read the trace's per-kind message tallies
+(:meth:`~repro.sim.trace.SimTrace.message_count`,
+:meth:`~repro.sim.trace.SimTrace.total_bytes`), not records.  ``numpy`` is deliberately not required: sample counts are
 small.
 """
 

@@ -477,9 +477,12 @@ def _run_and_report(args, system, config, workload, backend) -> None:
     print()
     if tcp:
         # Offline mail is handed over in-process: only frames are wired.
-        frames = [m for m in system.trace.messages if not m.kind.startswith("offline")]
-        print(f"messages: {len(frames)} "
-              f"({sum(m.size for m in frames)} bytes on the wire)")
+        frames = [
+            tally for kind, tally in system.trace.tallies().items()
+            if not kind.startswith("offline")
+        ]
+        print(f"messages: {sum(count for count, _ in frames)} "
+              f"({sum(size for _, size in frames)} bytes on the wire)")
     else:
         print(f"messages: {system.trace.message_count()} "
               f"({system.trace.total_bytes()} bytes simulated)")

@@ -34,6 +34,8 @@ shards keep serving it.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.api.errors import CapabilityError
 from repro.api.events import NotificationHub
 from repro.cluster.session import ClusterSession
@@ -42,7 +44,7 @@ from repro.common.types import ClientId, RegisterId, client_name
 from repro.history.history import History
 from repro.sim.faults import FaultInjector
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import MessageRecord, SimTrace
+from repro.sim.trace import SimTrace, Tap
 from repro.workloads.runner import Deployment, StorageSystem
 
 
@@ -196,20 +198,36 @@ class _ClusterOffline:
 
 class _ClusterTrace(SimTrace):
     """The cluster's own notes (its clients' fault transitions) in the
-    one note format; its messages are the shards' records, shard by
-    shard, so every :class:`SimTrace` reader answers from them."""
+    one note format; its message tallies are the sums of the shards',
+    and a tap taps every shard, so every :class:`SimTrace` reader
+    answers from them."""
 
     def __init__(self, cluster: "ClusterSystem") -> None:
-        self.notes = []
+        super().__init__()
         self._cluster = cluster
 
-    @property
-    def messages(self) -> list[MessageRecord]:
-        return [
-            record
-            for shard in self._cluster.shards
-            for record in shard.trace.messages
-        ]
+    def tap(self, callback: Tap) -> Callable[[], None]:
+        untaps = [shard.trace.tap(callback) for shard in self._cluster.shards]
+
+        def untap() -> None:
+            for one in untaps:
+                one()
+
+        return untap
+
+    def tallies(self) -> dict[str, tuple[int, int]]:
+        total: dict[str, tuple[int, int]] = {}
+        for shard in self._cluster.shards:
+            for kind, (count, size) in shard.trace.tallies().items():
+                have_count, have_size = total.get(kind, (0, 0))
+                total[kind] = (have_count + count, have_size + size)
+        return total
+
+    def message_count(self, kind: str | None = None) -> int:
+        return sum(shard.trace.message_count(kind) for shard in self._cluster.shards)
+
+    def total_bytes(self, kind: str | None = None) -> int:
+        return sum(shard.trace.total_bytes(kind) for shard in self._cluster.shards)
 
 
 class ClusterSystem(Deployment):

@@ -1,11 +1,14 @@
 """Recording of everything observable about a simulation run.
 
-Two kinds of records are kept:
+Two things are kept:
 
-* :class:`MessageRecord` — one per message handed to a channel, with send
-  and delivery times plus the wire size reported by the message object.
+* per message kind, one running ``(count, bytes)`` tally of the messages
+  handed to a channel, with the wire size reported by the message object.
   The experiment harness derives the paper's communication-complexity
-  numbers (E3, E4) from these.
+  numbers (E3, E4) from these, and they stay O(kinds) however long the
+  run.  A :class:`MessageRecord` — send and delivery times, endpoints,
+  kind and size — is built only while a tap is attached
+  (:meth:`SimTrace.tap`); nothing keeps it unless the tap does.
 * :class:`NoteRecord` — timestamped events nothing else records: fault
   transitions (crashes, restarts, away windows), installed checkpoints and
   epochs, convicted replicas, malformed frames.  A client's ``stable_i``
@@ -15,8 +18,8 @@ Two kinds of records are kept:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,12 +44,17 @@ class NoteRecord:
     payload: Any = None
 
 
-@dataclass
-class SimTrace:
-    """Append-only log of a run; cheap to filter and aggregate."""
+Tap = Callable[[MessageRecord], None]
 
-    messages: list[MessageRecord] = field(default_factory=list)
-    notes: list[NoteRecord] = field(default_factory=list)
+
+class SimTrace:
+    """Per-kind message tallies and the run's notes; taps see each record."""
+
+    def __init__(self) -> None:
+        self.notes: list[NoteRecord] = []
+        #: kind -> ``[count, bytes]``.
+        self._tallies: dict[str, list[int]] = {}
+        self._taps: list[Tap] = []
 
     def record_message(
         self,
@@ -57,9 +65,22 @@ class SimTrace:
         kind: str,
         size: int,
     ) -> None:
-        self.messages.append(
-            MessageRecord(sent_at, delivered_at, src, dst, kind, size)
-        )
+        tally = self._tallies.get(kind)
+        if tally is None:
+            self._tallies[kind] = [1, size]
+        else:
+            tally[0] += 1
+            tally[1] += size
+        if self._taps:
+            record = MessageRecord(sent_at, delivered_at, src, dst, kind, size)
+            for tap in self._taps:
+                tap(record)
+
+    def tap(self, callback: Tap) -> Callable[[], None]:
+        """Hand every message recorded from now on to ``callback`` as a
+        :class:`MessageRecord`; returns the untap."""
+        self._taps.append(callback)
+        return lambda: self._taps.remove(callback)
 
     def note(self, time: float, source: str, kind: str, payload: Any = None) -> None:
         self.notes.append(NoteRecord(time, source, kind, payload))
@@ -68,18 +89,21 @@ class SimTrace:
     # Aggregation helpers used by metrics and the experiment harness.
     # ------------------------------------------------------------------ #
 
-    def messages_of_kind(self, kind: str) -> Iterator[MessageRecord]:
-        return (m for m in self.messages if m.kind == kind)
+    def tallies(self) -> dict[str, tuple[int, int]]:
+        """kind -> ``(count, bytes)`` of every kind recorded so far."""
+        return {kind: (count, size) for kind, (count, size) in self._tallies.items()}
 
     def message_count(self, kind: str | None = None) -> int:
         if kind is None:
-            return len(self.messages)
-        return sum(1 for _ in self.messages_of_kind(kind))
+            return sum(count for count, _ in self._tallies.values())
+        tally = self._tallies.get(kind)
+        return tally[0] if tally is not None else 0
 
     def total_bytes(self, kind: str | None = None) -> int:
         if kind is None:
-            return sum(m.size for m in self.messages)
-        return sum(m.size for m in self.messages_of_kind(kind))
+            return sum(size for _, size in self._tallies.values())
+        tally = self._tallies.get(kind)
+        return tally[1] if tally is not None else 0
 
     def notes_of_kind(self, kind: str) -> list[NoteRecord]:
         return [n for n in self.notes if n.kind == kind]

@@ -1,6 +1,8 @@
 """The adversary catalogue and what every adversary inherits from the
 honest SUBMIT path: counter attestation, the server's own counters, the
-``first_deviation_at`` stamp, validated arguments."""
+``first_deviation_at`` stamp, validated arguments — and USTOR's theorem
+(Section 5), that every run against any of them is weak
+fork-linearizable."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from repro.baselines.lockstep import TamperingLockStepServer, lockstep_protocol
 from repro.cli import SERVERS, main
 from repro.common.errors import ConfigurationError
 from repro.common.types import OpKind
+from repro.consistency import validate_weak_fork_linearizability
 from repro.obs.health import HealthMonitor
 from repro.obs.registry import Registry, use_registry
 from repro.replica.counter import CounterVerifier, MonotonicCounter
@@ -31,6 +34,7 @@ from repro.ustor.byzantine import (
 )
 from repro.ustor.fuzz import RandomDeviationServer
 from repro.ustor.messages import ReplyMessage
+from repro.ustor.viewhistory import build_client_views
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 from test_ustor_server import submit
@@ -257,6 +261,24 @@ class TestOneFailPerClient:
         assert _one_fail_each(system) == [
             "read value does not match the committed write"
         ]
+
+
+class TestWeakForkLinearizable:
+    @pytest.mark.parametrize("backend", ["ustor", "faust"])
+    @pytest.mark.parametrize("name", ADVERSARIES)
+    def test_every_run_has_valid_views(self, name, backend):
+        # The protocol's own witnesses: each client's view rebuilt from
+        # the view-history records its accepted REPLYs left behind.
+        system = open_system(
+            SystemConfig(num_clients=4, seed=2, server_factory=SERVERS[name]),
+            backend=backend,
+        )
+        with system:
+            _drive(system, 4, ops=20, seed=2)
+            history = system.history()
+            views = build_client_views(history, system.recorder, system.clients)
+            result = validate_weak_fork_linearizability(history, views)
+        assert result.ok, result.violation
 
 
 class TestArgumentsValidatedOnce:

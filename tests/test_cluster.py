@@ -12,6 +12,8 @@ proofs (ISSUE 3 acceptance):
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.api import (
@@ -191,14 +193,19 @@ class TestClusterSessions:
 
     def test_trace_reads_the_shards_records(self):
         system = open_system(SystemConfig(num_clients=4, shards=2), backend="cluster")
+        trace = system.trace
+        records, per_shard = [], [[] for _ in system.shards]
+        trace.tap(records.append)
+        for shard, mine in zip(system.shards, per_shard):
+            shard.trace.tap(mine.append)
         system.session(0).write_sync(b"hello")
         system.session(3).read_sync(0)
-        trace = system.trace
-        records = [m for shard in system.shards for m in shard.trace.messages]
-        assert trace.messages == records and records
+        # The cluster's tap sees every shard's records, each once.
+        assert Counter(records) == Counter(m for mine in per_shard for m in mine)
+        assert records
         assert trace.message_count() == len(records)
         assert trace.total_bytes() == sum(m.size for m in records)
-        submits = list(trace.messages_of_kind("SUBMIT"))
+        submits = [m for m in records if m.kind == "SUBMIT"]
         assert len(submits) == trace.message_count("SUBMIT") == sum(
             shard.trace.message_count("SUBMIT") for shard in system.shards
         ) > 0
@@ -554,13 +561,16 @@ class TestShardSeedDerivation:
             ),
             backend="cluster",
         )
+        records = [[] for _ in system.shards]
+        for shard, mine in zip(system.shards, records):
+            shard.trace.tap(mine.append)
         for client in range(4):
             system.session(client).write_sync(b"x")
         samples = []
-        for shard in system.shards:
+        for mine in records:
             samples.append([
                 round(m.delivered_at - m.sent_at, 9)
-                for m in shard.trace.messages
+                for m in mine
                 if m.kind == "SUBMIT" and m.delivered_at is not None
             ])
         assert samples[0] and samples[1]

@@ -21,10 +21,19 @@ from repro.ustor.byzantine import SplitBrainServer
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 
-def trace_fingerprint(system):
+def tap(system):
+    """Every message record of ``system``'s trace from here on: the trace
+    keeps only per-kind tallies, so the fingerprint taps it right after
+    ``open_system``."""
+    records = []
+    system.trace.tap(records.append)
+    return records
+
+
+def trace_fingerprint(system, records):
     messages = [
         (m.sent_at, m.delivered_at, m.src, m.dst, m.kind, m.size)
-        for m in system.trace.messages
+        for m in records
     ]
     notes = [(n.time, n.source, n.kind, repr(n.payload)) for n in system.trace.notes]
     history = [
@@ -42,13 +51,14 @@ def trace_fingerprint(system):
 
 def run_ustor(seed):
     system = open_system(SystemConfig(num_clients=3, seed=seed), backend="ustor")
+    records = tap(system)
     scripts = generate_scripts(
         3, WorkloadConfig(ops_per_client=8, mean_think_time=1.0), random.Random(seed)
     )
     driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=300)
-    return trace_fingerprint(system)
+    return trace_fingerprint(system, records)
 
 
 def run_faust(seed):
@@ -61,13 +71,14 @@ def run_faust(seed):
             ),
         ),
     )
+    records = tap(system)
     scripts = generate_scripts(
         3, WorkloadConfig(ops_per_client=5, mean_think_time=1.0), random.Random(seed)
     )
     driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=200)
-    return trace_fingerprint(system)
+    return trace_fingerprint(system, records)
 
 
 def run_attack(seed):
@@ -81,13 +92,14 @@ def run_attack(seed):
             faust=FaustParams(delta=15.0, probe_check_period=5.0),
         ),
     )
+    records = tap(system)
     scripts = generate_scripts(
         4, WorkloadConfig(ops_per_client=5, mean_think_time=1.0), random.Random(seed)
     )
     driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=400)
-    return trace_fingerprint(system)
+    return trace_fingerprint(system, records)
 
 
 def without_sizes(fingerprint):

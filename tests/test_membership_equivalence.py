@@ -66,6 +66,8 @@ def _open(seed: int, membership, **overrides):
 def _run_phases(seed: int, membership, phases: int = 24):
     """Each phase: every client writes, then reads round-robin."""
     system, incremental = _open(seed, membership)
+    records = []
+    system.trace.tap(records.append)
     sessions = system.sessions()
     handles = []
     for phase in range(phases):
@@ -77,10 +79,10 @@ def _run_phases(seed: int, membership, phases: int = 24):
             session.barrier(timeout=50_000)
         system.run(until=system.now + 0.1)
     system.run(until=system.now + 20.0)  # let shares in flight settle
-    return system, incremental, handles
+    return system, incremental, handles, records
 
 
-def _collect(system, handles, incremental):
+def _collect(system, handles, incremental, records):
     outcomes = [
         (h.kind, h.register,
          bytes(h.result().value) if isinstance(h.result().value, bytes)
@@ -109,8 +111,11 @@ def _collect(system, handles, incremental):
     incremental_ok = {
         name: checker.result().ok for name, checker in incremental.items()
     }
+    # The trace keeps tallies; the census is built from the tap's
+    # records, which an empty list would make vacuously equal.
+    assert records, "the tap saw no message"
     census: dict[str, int] = {}
-    for record in system.trace.messages:
+    for record in records:
         census[record.kind] = census.get(record.kind, 0) + 1
     return {
         "outcomes": outcomes,
@@ -126,10 +131,10 @@ def _collect(system, handles, incremental):
 def test_membership_on_equals_off_fault_free():
     """Same seed, membership on vs off: byte-identical observable run."""
     seed = 2026
-    sys_off, inc_off, handles_off = _run_phases(seed, None)
-    off = _collect(sys_off, handles_off, inc_off)
-    sys_on, inc_on, handles_on = _run_phases(seed, MEMBERSHIP)
-    on = _collect(sys_on, handles_on, inc_on)
+    sys_off, inc_off, handles_off, records_off = _run_phases(seed, None)
+    off = _collect(sys_off, handles_off, inc_off, records_off)
+    sys_on, inc_on, handles_on, records_on = _run_phases(seed, MEMBERSHIP)
+    on = _collect(sys_on, handles_on, inc_on, records_on)
 
     assert on["outcomes"] == off["outcomes"]
     assert on["ops"] == off["ops"]

@@ -232,6 +232,8 @@ class TestDetectionLatencySim:
                 ),
                 backend="ustor",
             )
+            records = []
+            system.trace.tap(records.append)
             monitor = HealthMonitor(system)
             _run_scripts(system, 3, ops=8, seed=2)
             system.run(until=500.0)
@@ -252,7 +254,8 @@ class TestDetectionLatencySim:
             assert stats["health.deviation_time"] == deviation
             assert any(
                 m.sent_at == deviation and m.delivered_at == detected
-                for m in system.trace.messages_of_kind("REPLY")
+                for m in records
+                if m.kind == "REPLY"
             )
             assert stats["health.time_to_detection"] == pytest.approx(
                 detected - deviation
@@ -272,6 +275,8 @@ class TestDetectionLatencySim:
                 ),
                 backend="faust",
             )
+            records = []
+            system.trace.tap(records.append)
             monitor = HealthMonitor(system)
             _run_scripts(system, 4, ops=8, seed=3)
             system.run(until=500.0)
@@ -281,7 +286,7 @@ class TestDetectionLatencySim:
             # first SUBMIT or COMMIT to reach the server from fork_time on.
             first_forked = min(
                 m.delivered_at
-                for m in system.trace.messages
+                for m in records
                 if m.dst == "S"
                 and m.delivered_at is not None
                 and m.delivered_at >= fork_time

@@ -948,6 +948,8 @@ def _faust_observed(server_factory, value_size: int) -> tuple[dict, int]:
         SystemConfig(num_clients=3, seed=8, server_factory=server_factory),
         backend="faust",
     ) as system:
+        records = []
+        system.trace.tap(records.append)
         driver = Driver(system)
         driver.attach_all(
             generate_scripts(
@@ -972,9 +974,11 @@ def _faust_observed(server_factory, value_size: int) -> tuple[dict, int]:
             "messages": [
                 (m.sent_at, m.delivered_at, m.src, m.dst, m.kind)
                 + (() if m.kind == "REPLY" else (m.size,))
-                for m in trace.messages
+                for m in records
             ],
         }
+        # An empty list would make the two runs vacuously equal.
+        assert records, "the tap saw no message"
         return observed, trace.total_bytes("REPLY")
 
 

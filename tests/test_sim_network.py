@@ -273,6 +273,8 @@ class TestFanOut:
     @pytest.mark.parametrize("batching", [False, True])
     def test_one_sample_shared_by_every_destination(self, batching):
         sched, net, (c, *replicas), trace = self.make_group(batching)
+        records = []
+        trace.tap(records.append)
         twin = Scheduler(seed=5)
         expected = UniformLatency(1.0, 9.0).sample(twin.rng)
         net.add_delay("C", "S2", 0.25)
@@ -282,7 +284,7 @@ class TestFanOut:
         sched.run()
         arrivals = [node.received[0][2] for node in replicas]
         assert arrivals == [expected, expected, expected + 0.25]
-        assert [(m.src, m.dst, m.sent_at, m.delivered_at) for m in trace.messages] == [
+        assert [(m.src, m.dst, m.sent_at, m.delivered_at) for m in records] == [
             ("C", name, 0.0, at) for name, at in zip(("S0", "S1", "S2"), arrivals)
         ]
 

@@ -132,8 +132,9 @@ class TestTraceStrings:
             ),
             backend="faust",
         )
+        records = []
+        system.trace.tap(records.append)
         run_closed_loop(system, WorkloadConfig(ops_per_client=20), random.Random(3))
-        records = system.trace.messages
         offline = [r for r in records if r.kind.startswith("offline")]
         assert len({r.kind for r in offline}) >= 4  # sent and delivered kinds
         for field in ("kind", "src", "dst"):

@@ -101,6 +101,8 @@ def test_operations_invoked_while_busy_wait_in_the_client(protocol):
     else:
         quiet = FaustParams(enable_dummy_reads=False, enable_probes=False)
         system = open_system(replace(config, faust=quiet), backend=protocol)
+    records = []
+    system.trace.tap(records.append)
     client = system.clients[0]
     outcomes = []
     client.write(b"a", outcomes.append)
@@ -126,9 +128,9 @@ def test_operations_invoked_while_busy_wait_in_the_client(protocol):
     # of this client before the first one's REPLY (a SUBMIT sent at the
     # instant a REPLY lands sorts after it: "reply" < "submit").
     exchange = sorted(
-        [(m.sent_at, "submit") for m in system.trace.messages
+        [(m.sent_at, "submit") for m in records
          if m.src == client.name and m.kind.endswith("SUBMIT")]
-        + [(m.delivered_at, "reply") for m in system.trace.messages
+        + [(m.delivered_at, "reply") for m in records
            if m.dst == client.name and m.kind.endswith("REPLY")]
     )
     assert [kind for _at, kind in exchange] == ["submit", "reply"] * 3
