@@ -18,7 +18,6 @@ Run:  python examples/cluster_split_brain.py
 """
 
 from repro.api import (
-    FailureNotification,
     FaustParams,
     OperationFailed,
     SystemConfig,
@@ -68,10 +67,7 @@ def main() -> None:
     print("fork happens; background version exchange exposes it ...")
     system.run(until=FORK_TIME + 60.0)
 
-    failures = [
-        e for e in system.notifications.history
-        if isinstance(e, FailureNotification)
-    ]
+    failures = system.notifications.failure_events()
     notified = sorted({e.client for e in failures})
     print(f"failure notifications: {len(failures)}, "
           f"clients {[f'C{c + 1}' for c in notified]}, "

@@ -37,13 +37,6 @@ def main() -> None:
 
     assert result.reproduced, "the Figure 2 cut must be reproduced exactly"
 
-    # The same notifications, as typed events off the system's hub —
-    # every stable_i(W) of every client, in global emission order.
-    alice_events = [
-        e for e in system.notifications.stability_events() if e.client == 0
-    ]
-    assert (10, 8, 3) in [e.cut for e in alice_events]
-
     print("\nNight phase: Carlos returned; background exchange resumed.")
     alice = system.session(0)
     system.run_until(
@@ -57,6 +50,10 @@ def main() -> None:
         )
 
     assert alice.client.tracker.stable_timestamp_for_all() >= 10
+    # The system's hub fanned every stable_i(W) out as it happened and
+    # kept none (subscribe right after open_system to record them); what
+    # it keeps is every fail_i, and a sleeping Carlos caused none.
+    assert not system.notifications.failure_events()
     print("\nAll of Alice's day-phase operations are now stable at all clients.")
 
 

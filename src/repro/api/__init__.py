@@ -11,7 +11,7 @@ One storage abstraction over interchangeable protocol backends::
     handle = bob.read(0)                        # future form
     value, _ = handle.result().value, handle.result().timestamp
 
-    sub = system.notifications.subscribe()      # typed stable/fail events
+    sub = system.notifications.subscribe()      # records stable/fail events from here
     alice.wait_for_stability(t)
 
 Name ``"ustor"`` or ``"cluster"`` instead (:data:`BACKENDS`) and the

@@ -85,8 +85,8 @@ def build_deployment(
     anything is built, as :func:`check_supported` refuses a backend's.
 
     The deployment watches its clients with its own
-    :class:`~repro.api.events.NotificationHub`, the one record of their
-    ``stable_i`` / ``fail_i`` outputs.
+    :class:`~repro.api.events.NotificationHub`, which fans their
+    ``stable_i`` / ``fail_i`` outputs out and keeps the ``fail_i``.
     """
     system = build_shard(config, protocol, server_name=server_name, **placement)
     hub = system.notifications = NotificationHub()

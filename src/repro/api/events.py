@@ -7,9 +7,12 @@ hub turns them into first-class events: every notification carries a
 global sequence number (total emission order across all clients), the
 virtual time it fired, and the client it fired at.
 
-Subscriptions deliver either through a callback or by accumulating on
-``subscription.events`` for later inspection; both respect optional kind
-and client filters.
+Like the paper's output actions, notifications are delivered, not
+replayed: the hub keeps the count emitted so far and its ``fail_i``
+outputs (at most one per client and shard), not the ``stable_i(W)``
+stream.  A subscription delivers through a callback, which keeps
+nothing, or — without one — accumulates on ``subscription.events`` from
+the moment it subscribed; both respect optional kind and client filters.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ class Subscription:
         clients: frozenset[ClientId] | None,
     ) -> None:
         self._hub = hub
-        self._callback = callback
         self._kinds = kinds
         self._clients = clients
         self.active = True
-        #: Notifications delivered to this subscription, in emission order.
+        #: Without a callback: the notifications delivered to this
+        #: subscription, in emission order.  A callback keeps nothing.
         self.events: list[Notification] = []
+        self._callback = callback if callback is not None else self.events.append
 
     def _matches(self, event: Notification) -> bool:
         if self._kinds is not None and not isinstance(event, self._kinds):
@@ -74,10 +78,7 @@ class Subscription:
         return True
 
     def _deliver(self, event: Notification) -> None:
-        if not self.active or not self._matches(event):
-            return
-        self.events.append(event)
-        if self._callback is not None:
+        if self.active and self._matches(event):
             self._callback(event)
 
     def unsubscribe(self) -> None:
@@ -91,9 +92,9 @@ class NotificationHub:
 
     def __init__(self) -> None:
         self._subscriptions: list[Subscription] = []
-        #: Every notification ever emitted, in emission order (an event's
-        #: ``seq`` is its index here).
-        self.history: list[Notification] = []
+        #: Notifications emitted so far: the next one's ``seq``.
+        self.emitted = 0
+        self._failures: list[FailureNotification] = []
 
     def subscribe(
         self,
@@ -125,7 +126,7 @@ class NotificationHub:
             self._subscriptions.remove(subscription)
 
     def _emit(self, event: Notification) -> None:
-        self.history.append(event)
+        self.emitted += 1
         # Iterate over a copy: a callback may unsubscribe (or subscribe).
         for subscription in list(self._subscriptions):
             subscription._deliver(event)
@@ -154,28 +155,24 @@ class NotificationHub:
     def emit_stability(
         self, time: float, client: ClientId, cut: tuple[int, ...], *, shard: int = 0
     ) -> None:
-        """Record and fan out a ``stable_i(W)`` output action."""
-        seq = len(self.history)
-        self._emit(StabilityNotification(seq, time, client, cut, shard=shard))
+        """Fan out a ``stable_i(W)`` output action."""
+        self._emit(StabilityNotification(self.emitted, time, client, cut, shard=shard))
 
     def emit_failure(
         self, time: float, client: ClientId, reason: str, *, shard: int = 0
     ) -> None:
         """Record and fan out a ``fail_i`` output action."""
-        seq = len(self.history)
-        self._emit(FailureNotification(seq, time, client, reason, shard=shard))
-
-    def stability_events(self) -> list[StabilityNotification]:
-        """Every ``stable_i(W)`` notification emitted so far, in order."""
-        return [e for e in self.history if isinstance(e, StabilityNotification)]
+        event = FailureNotification(self.emitted, time, client, reason, shard=shard)
+        self._failures.append(event)
+        self._emit(event)
 
     def failure_events(self) -> list[FailureNotification]:
         """Every ``fail_i`` notification emitted so far, in order."""
-        return [e for e in self.history if isinstance(e, FailureNotification)]
+        return list(self._failures)
 
     def first_failures(self) -> dict[ClientId, float]:
         """Who output ``fail_i``, and when first: client -> time, by client."""
         first: dict[ClientId, float] = {}
-        for event in self.failure_events():
+        for event in self._failures:
             first.setdefault(event.client, event.time)
         return dict(sorted(first.items()))

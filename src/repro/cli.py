@@ -51,7 +51,6 @@ import sys
 from repro.api import (
     BACKENDS,
     BatchingPolicy,
-    FailureNotification,
     SystemConfig,
     open_system,
 )
@@ -492,11 +491,11 @@ def _run_and_report(args, system, config, workload, backend) -> None:
             print(f"  {kind:7s} x{count:5d}  "
                   f"avg {system.trace.total_bytes(kind) / count:7.1f} B")
 
-    events = system.notifications.history
-    if events:
-        failures = sum(1 for e in events if isinstance(e, FailureNotification))
-        print(f"notifications: {len(events)} "
-              f"({failures} failure, {len(events) - failures} stability)")
+    hub = system.notifications
+    if hub.emitted:
+        failures = len(hub.failure_events())
+        print(f"notifications: {hub.emitted} "
+              f"({failures} failure, {hub.emitted - failures} stability)")
     if args.trace_file:
         print()
         print(f"# wire trace: {args.trace_file} "

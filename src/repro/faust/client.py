@@ -392,11 +392,6 @@ class FaustClient(UstorClient):
         what rollback/fork detection actually compares against — are O(n)
         and are never pruned.
         """
-        trace = self.network.trace
-        if trace is not None:
-            trace.note(
-                self.now, self.name, "checkpoint", (checkpoint.seq, checkpoint.cut)
-            )
         floor = checkpoint.cut[self._id]
         stale = [key for key in self.vh_records if key[1] <= floor]
         for key in stale:
@@ -441,11 +436,6 @@ class FaustClient(UstorClient):
 
     def _epoch_installed(self, epoch: Epoch) -> None:
         """Act on a newly installed membership epoch."""
-        trace = self.network.trace
-        if trace is not None:
-            trace.note(
-                self.now, self.name, "epoch", (epoch.epoch, epoch.members)
-            )
         if self.checkpoint_manager is not None:
             self.checkpoint_manager.on_members_changed()
             # Re-feed stability: the member-scoped cut may jump the

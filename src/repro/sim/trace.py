@@ -10,10 +10,11 @@ Two things are kept:
   kind and size — is built only while a tap is attached
   (:meth:`SimTrace.tap`); nothing keeps it unless the tap does.
 * :class:`NoteRecord` — timestamped events nothing else records: fault
-  transitions (crashes, restarts, away windows), installed checkpoints and
-  epochs, convicted replicas, malformed frames.  A client's ``stable_i``
-  and ``fail_i`` outputs are not notes: the deployment's
-  :class:`~repro.api.events.NotificationHub` is their one record.
+  transitions (crashes, restarts, away windows), convicted replicas,
+  malformed frames.  A client's ``stable_i`` and ``fail_i`` outputs are
+  not notes: the deployment's :class:`~repro.api.events.NotificationHub`
+  fans them out.  Nor are installed checkpoints and epochs, which a
+  client's checkpoint and membership managers hold.
 """
 
 from __future__ import annotations

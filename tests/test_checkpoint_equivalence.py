@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import CheckpointPolicy, FaustParams, SystemConfig, open_system
+from repro.api import (
+    CheckpointPolicy,
+    FaustParams,
+    StabilityNotification,
+    SystemConfig,
+    open_system,
+)
 from repro.api.backends import build_deployment
 from repro.baselines.lockstep import lockstep_protocol
 from repro.common.errors import ConfigurationError
@@ -97,6 +103,8 @@ def _run_phases(backend: str, seed: int, checkpoint, phases: int = 24):
     runs byte-comparable).
     """
     system, recorders, incremental = _open(backend, seed, checkpoint)
+    # The hub keeps no stable_i stream: record it from the start.
+    stable = system.notifications.subscribe(kinds=StabilityNotification)
     sessions = system.sessions()
     handles = []
     for phase in range(phases):
@@ -108,10 +116,10 @@ def _run_phases(backend: str, seed: int, checkpoint, phases: int = 24):
             session.barrier(timeout=50_000)
         system.run(until=system.now + 0.1)
     system.run(until=system.now + 20.0)  # let shares in flight settle
-    return system, recorders, incremental, handles
+    return system, recorders, incremental, handles, stable
 
 
-def _collect(system, backend: str, handles, recorders, incremental):
+def _collect(system, backend: str, handles, recorders, incremental, stable):
     outcomes = [
         (h.kind, h.register,
          bytes(h.result().value) if isinstance(h.result().value, bytes)
@@ -135,7 +143,7 @@ def _collect(system, backend: str, handles, recorders, incremental):
     instances = _instances(system, backend)
     versions = [(tuple(i.version.vector), i.version.digests) for i in instances]
     stable_cuts = [
-        (e.client, e.shard, e.cut) for e in system.notifications.stability_events()
+        (e.client, e.shard, e.cut) for e in stable.events
     ]
     verdicts = [
         (check_linearizability(history).ok, check_causal_consistency(history).ok)
@@ -159,12 +167,14 @@ def _collect(system, backend: str, handles, recorders, incremental):
 def test_checkpointing_on_equals_off(backend):
     """Same seed, checkpointing on vs off: identical observable run."""
     seed = 2026
-    sys_off, rec_off, inc_off, handles_off = _run_phases(backend, seed, None)
-    off = _collect(sys_off, backend, handles_off, rec_off, inc_off)
-    sys_on, rec_on, inc_on, handles_on = _run_phases(
+    sys_off, rec_off, inc_off, handles_off, stable_off = _run_phases(
+        backend, seed, None
+    )
+    off = _collect(sys_off, backend, handles_off, rec_off, inc_off, stable_off)
+    sys_on, rec_on, inc_on, handles_on, stable_on = _run_phases(
         backend, seed, _policy(backend)
     )
-    on = _collect(sys_on, backend, handles_on, rec_on, inc_on)
+    on = _collect(sys_on, backend, handles_on, rec_on, inc_on, stable_on)
 
     # The off-run history is complete; the on-run history was compacted,
     # so the retained suffix must be a suffix of the off-run's ops.
@@ -194,13 +204,13 @@ def test_checkpointing_on_equals_off(backend):
 def test_checkpointed_run_passes_definition5():
     """The full fail-aware validator accepts a checkpointed (compacted)
     run against a correct server — Definition 5 end to end."""
-    system, _, _, _ = _run_phases("faust", 7, POLICY)
+    system, *_ = _run_phases("faust", 7, POLICY)
     report = validate_fail_aware_run(system, server_correct=True)
     assert report.ok, report.render()
 
 
 def test_server_truncates_and_compacts_behind_checkpoints():
-    system, _, _, _ = _run_phases("faust", 11, POLICY)
+    system, *_ = _run_phases("faust", 11, POLICY)
     server = system.server
     assert server.checkpoints_handled >= 3
     assert server.last_checkpoint_seq == server.checkpoints_handled

@@ -331,14 +331,11 @@ class TestClusterStability:
             ),
             backend="cluster",
         )
+        subscription = system.notifications.subscribe(kinds=StabilityNotification)
         session = system.session(0)
         t = session.write_sync(b"document")
         session.wait_for_stability(t, timeout=400.0)
-        stability = [
-            e
-            for e in system.notifications.history
-            if isinstance(e, StabilityNotification)
-        ]
+        stability = subscription.events
         assert stability
         assert all(0 <= e.shard < 2 for e in stability)
         assert any(e.client == 0 and e.shard == session.home_shard for e in stability)

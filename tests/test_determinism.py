@@ -22,15 +22,17 @@ from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
 
 def tap(system):
-    """Every message record of ``system``'s trace from here on: the trace
-    keeps only per-kind tallies, so the fingerprint taps it right after
+    """Every message record of ``system``'s trace and every output of its
+    hub from here on: the trace keeps only per-kind tallies and the hub
+    no ``stable_i`` stream, so the fingerprint taps both right after
     ``open_system``."""
     records = []
     system.trace.tap(records.append)
-    return records
+    return records, system.notifications.subscribe()
 
 
-def trace_fingerprint(system, records):
+def trace_fingerprint(system, tapped):
+    records, subscription = tapped
     messages = [
         (m.sent_at, m.delivered_at, m.src, m.dst, m.kind, m.size)
         for m in records
@@ -40,25 +42,27 @@ def trace_fingerprint(system, records):
         (op.client, op.kind.value, op.register, op.invoked_at, op.responded_at)
         for op in system.history()
     ]
-    # The clients' stable_i / fail_i outputs: the hub is their one record.
+    # The clients' stable_i / fail_i outputs, as the hub fanned them out.
     outputs = [
         (e.seq, e.time, e.client, e.shard, type(e).__name__,
          repr(e.cut if isinstance(e, StabilityNotification) else e.reason))
-        for e in system.notifications.history
+        for e in subscription.events
     ]
+    emitted = system.notifications.emitted
+    assert [e.seq for e in subscription.events] == list(range(emitted))
     return messages, notes, history, outputs
 
 
 def run_ustor(seed):
     system = open_system(SystemConfig(num_clients=3, seed=seed), backend="ustor")
-    records = tap(system)
+    tapped = tap(system)
     scripts = generate_scripts(
         3, WorkloadConfig(ops_per_client=8, mean_think_time=1.0), random.Random(seed)
     )
     driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=300)
-    return trace_fingerprint(system, records)
+    return trace_fingerprint(system, tapped)
 
 
 def run_faust(seed):
@@ -71,14 +75,14 @@ def run_faust(seed):
             ),
         ),
     )
-    records = tap(system)
+    tapped = tap(system)
     scripts = generate_scripts(
         3, WorkloadConfig(ops_per_client=5, mean_think_time=1.0), random.Random(seed)
     )
     driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=200)
-    return trace_fingerprint(system, records)
+    return trace_fingerprint(system, tapped)
 
 
 def run_attack(seed):
@@ -92,14 +96,14 @@ def run_attack(seed):
             faust=FaustParams(delta=15.0, probe_check_period=5.0),
         ),
     )
-    records = tap(system)
+    tapped = tap(system)
     scripts = generate_scripts(
         4, WorkloadConfig(ops_per_client=5, mean_think_time=1.0), random.Random(seed)
     )
     driver = Driver(system)
     driver.attach_all(scripts)
     system.run(until=400)
-    return trace_fingerprint(system, records)
+    return trace_fingerprint(system, tapped)
 
 
 def without_sizes(fingerprint):

@@ -20,7 +20,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import CheckpointPolicy, FaustParams, SystemConfig, open_system
+from repro.api import (
+    CheckpointPolicy,
+    FaustParams,
+    StabilityNotification,
+    SystemConfig,
+    open_system,
+)
 from repro.consistency import (
     attach_incremental_checkers,
     check_causal_consistency,
@@ -68,6 +74,8 @@ def _run_phases(seed: int, membership, phases: int = 24):
     system, incremental = _open(seed, membership)
     records = []
     system.trace.tap(records.append)
+    # The hub keeps no stable_i stream: record it from the start.
+    stable = system.notifications.subscribe(kinds=StabilityNotification)
     sessions = system.sessions()
     handles = []
     for phase in range(phases):
@@ -79,10 +87,10 @@ def _run_phases(seed: int, membership, phases: int = 24):
             session.barrier(timeout=50_000)
         system.run(until=system.now + 0.1)
     system.run(until=system.now + 20.0)  # let shares in flight settle
-    return system, incremental, handles, records
+    return system, incremental, handles, records, stable
 
 
-def _collect(system, handles, incremental, records):
+def _collect(system, handles, incremental, records, stable):
     outcomes = [
         (h.kind, h.register,
          bytes(h.result().value) if isinstance(h.result().value, bytes)
@@ -102,7 +110,7 @@ def _collect(system, handles, incremental, records):
         (tuple(c.version.vector), c.version.digests) for c in system.clients
     ]
     stable_cuts = [
-        (e.client, e.cut) for e in system.notifications.stability_events()
+        (e.client, e.cut) for e in stable.events
     ]
     verdict = (
         check_linearizability(history).ok,
@@ -131,10 +139,14 @@ def _collect(system, handles, incremental, records):
 def test_membership_on_equals_off_fault_free():
     """Same seed, membership on vs off: byte-identical observable run."""
     seed = 2026
-    sys_off, inc_off, handles_off, records_off = _run_phases(seed, None)
-    off = _collect(sys_off, handles_off, inc_off, records_off)
-    sys_on, inc_on, handles_on, records_on = _run_phases(seed, MEMBERSHIP)
-    on = _collect(sys_on, handles_on, inc_on, records_on)
+    sys_off, inc_off, handles_off, records_off, stable_off = _run_phases(
+        seed, None
+    )
+    off = _collect(sys_off, handles_off, inc_off, records_off, stable_off)
+    sys_on, inc_on, handles_on, records_on, stable_on = _run_phases(
+        seed, MEMBERSHIP
+    )
+    on = _collect(sys_on, handles_on, inc_on, records_on, stable_on)
 
     assert on["outcomes"] == off["outcomes"]
     assert on["ops"] == off["ops"]

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.api import FailureNotification, SystemConfig, open_system
+from repro.api import SystemConfig, open_system
 from repro.api.events import NotificationHub
 from repro.obs.health import HealthMonitor
 from repro.obs.registry import Registry, use_registry
@@ -197,11 +197,7 @@ class TestDetectionLatencySim:
             _run_scripts(system, 3, ops=6, seed=1)
             system.run(until=500.0)
 
-            notifications = [
-                e
-                for e in system.notifications.history
-                if isinstance(e, FailureNotification)
-            ]
+            notifications = system.notifications.failure_events()
             assert notifications, "the rollback attack went undetected"
             # The monitor reads the hub, so the two agree exactly.
             assert monitor.first_failure_time() == min(
@@ -238,11 +234,7 @@ class TestDetectionLatencySim:
             _run_scripts(system, 3, ops=8, seed=2)
             system.run(until=500.0)
 
-            notifications = [
-                e
-                for e in system.notifications.history
-                if isinstance(e, FailureNotification)
-            ]
+            notifications = system.notifications.failure_events()
             assert notifications, "the tampering attack went undetected"
             stats = monitor.refresh()
             # The seam stamps the first corrupted read — not the monitor's
@@ -357,11 +349,7 @@ class TestDetectionLatencyTcp:
                 ), "no client detected the tampering server"
                 del driver
 
-                notifications = [
-                    e
-                    for e in system.notifications.history
-                    if isinstance(e, FailureNotification)
-                ]
+                notifications = system.notifications.failure_events()
                 assert notifications
                 stats = monitor.refresh()
                 # Wall clock: the hub and the monitor read the clock a

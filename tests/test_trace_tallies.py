@@ -9,8 +9,9 @@ while a tap is attached.  Two properties pin that:
   cluster, FAUST over loopback tcp — the records a tap attached right
   after ``open_system`` sees add up, kind by kind, to the tallies;
 * the trace's resident bytes do not grow with the run: a FAUST run four
-  times as long leaves as many bytes allocated in ``trace.py``, up to
-  the running totals that outgrew CPython's small-int cache.
+  times as long, with or without checkpoints, leaves as many bytes
+  allocated in ``trace.py``, up to the running totals that outgrew
+  CPython's small-int cache.
 """
 
 from __future__ import annotations
@@ -122,17 +123,26 @@ FAUST_KINDS = (
     "offline:VERSION", "offline-delivery:VERSION",
 )
 
+#: What checkpoints add to those: the proposal to the server and the
+#: clients' co-signing shares over the offline channel.
+CHECKPOINT_KINDS = (
+    "CHECKPOINT", "offline:CHECKPOINT-SHARE", "offline-delivery:CHECKPOINT-SHARE",
+)
+
 #: What one running total may add: an ``int`` object, where the shorter
 #: run's total was still one of CPython's cached small ints.
 INT_BYTES = 32
 
 
-def _trace_bytes_after(ops_per_client: int) -> int:
+def _trace_bytes_after(ops_per_client: int, checkpoint, kinds) -> int:
     """Bytes still allocated in ``repro/sim/trace.py`` after a FAUST run
-    of ``ops_per_client`` operations per client."""
+    of ``ops_per_client`` operations per client, which sends ``kinds``."""
     tracemalloc.start()
     try:
-        system = open_system(SystemConfig(num_clients=3, seed=4), backend="faust")
+        system = open_system(
+            SystemConfig(num_clients=3, seed=4, checkpoint=checkpoint),
+            backend="faust",
+        )
         run_closed_loop(
             system,
             WorkloadConfig(ops_per_client=ops_per_client, mean_think_time=1.0),
@@ -142,16 +152,28 @@ def _trace_bytes_after(ops_per_client: int) -> int:
             [tracemalloc.Filter(True, "*repro/sim/trace.py")]
         )
         trace = system.trace
-        assert sum(map(trace.message_count, FAUST_KINDS)) == trace.message_count()
+        assert set(trace.tallies()) == set(kinds)
+        # A fault-free run notes nothing, installs included.
+        assert trace.notes == []
         return sum(stat.size for stat in snapshot.statistics("filename"))
     finally:
         tracemalloc.stop()
 
 
-def test_the_trace_does_not_grow_with_the_run():
-    short, long = _trace_bytes_after(100), _trace_bytes_after(400)
+def _assert_flat(checkpoint, kinds) -> None:
+    short = _trace_bytes_after(100, checkpoint, kinds)
+    long = _trace_bytes_after(400, checkpoint, kinds)
     # Four times the messages, the same tallies: the two totals of a kind
     # are the only bytes a longer run can add, give or take a list the
     # allocator hands back from its free list (one record per message
     # would be hundreds of kilobytes).
-    assert abs(long - short) <= 2 * len(FAUST_KINDS) * INT_BYTES, (short, long)
+    assert abs(long - short) <= 2 * len(kinds) * INT_BYTES, (short, long)
+
+
+def test_the_trace_does_not_grow_with_the_run():
+    _assert_flat(None, FAUST_KINDS)
+
+
+def test_the_trace_does_not_grow_with_checkpoints():
+    # Installs at every client leave no note either.
+    _assert_flat(CheckpointPolicy(interval=16), FAUST_KINDS + CHECKPOINT_KINDS)
