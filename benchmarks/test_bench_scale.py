@@ -15,9 +15,10 @@ machine:
 * both runs complete the full planned schedule with clean checkers.
 
 The companion membership test checks the lease layer the same way: the
-identical checkpointed workload with membership epochs on vs off.
+identical checkpointed workload with membership on vs off.
 Fault-free, the lease bookkeeping rides the existing membership tick and
-co-signs nothing; the asserted findings are that the epoch stays 0,
+co-signs nothing; the asserted findings are that no member change is
+installed (the report's ``epoch`` stays 0),
 nobody is evicted, and the checkpoint chain and latency percentiles are
 untouched.
 """
@@ -66,8 +67,8 @@ def test_scale_membership_overhead(bench_seed):
     off = run_scale(_config(bench_seed, policy))
     on = run_scale(_config(bench_seed, policy, MembershipPolicy()))
 
-    # Fault-free, the lease layer must be invisible: no epochs, no
-    # evictions, and a checkpoint chain / latency profile identical to
+    # Fault-free, the lease layer must be invisible: no member changes,
+    # no evictions, and a checkpoint chain / latency profile identical to
     # the membership-off run.
     assert on.epoch == 0 and on.evicted_clients == ()
     assert on.checkpoints_installed == off.checkpoints_installed >= 10

@@ -161,10 +161,10 @@ class SystemConfig:
     #: records, and the recorder + incremental checkers drop operations
     #: behind the cut.  Needs fail-aware clients (``shard_protocol='faust'``).
     checkpoint: "CheckpointPolicy | bool | None" = None
-    #: Lease-based membership epochs: ``None`` (default) requires every
-    #: client to co-sign every checkpoint forever; a
+    #: Lease-based membership: ``None`` (default) requires every client
+    #: to co-sign every checkpoint forever; a
     #: :class:`~repro.faust.membership.MembershipPolicy` (or ``True`` for
-    #: the default policy) lets the live quorum co-sign epoch changes
+    #: the default policy) lets the live quorum co-sign checkpoint links
     #: that evict crashed-forever clients (and re-admit returning ones),
     #: so the checkpoint chain keeps advancing.  Requires ``checkpoint=``.
     membership: "MembershipPolicy | bool | None" = None
@@ -201,8 +201,8 @@ class SystemConfig:
         )
         if self.membership is not None and self.checkpoint is None:
             raise ConfigurationError(
-                "membership= layers lease-based epochs under the checkpoint "
-                "protocol; it needs checkpoint= enabled"
+                "membership= lets the checkpoint chain evict lapsed "
+                "clients; it needs checkpoint= enabled"
             )
         if self.default_timeout is None:
             self.default_timeout = 30.0 if self.transport == "tcp" else 1_000.0
@@ -381,8 +381,8 @@ FEATURES: tuple[Feature, ...] = (
             "checkpoints co-signed over the fail-aware layer's offline "
             "channel", sim=_FAIL_AWARE, tcp=("faust",)),
     Feature("membership", ("membership",),
-            "membership epochs co-signed over the fail-aware layer's "
-            "offline channel", sim=_FAIL_AWARE, tcp=("faust",)),
+            "member changes co-signed in the checkpoint chain over the "
+            "fail-aware layer's offline channel", sim=_FAIL_AWARE, tcp=("faust",)),
     Feature("shards",
             ("shards", "shard_protocol", "shard_server_factories"),
             "the shard axis", sim=("cluster",)),

@@ -647,7 +647,6 @@ def _cmd_scale(args) -> int:
             membership = MembershipPolicy(
                 lease_checkpoints=args.lease_checkpoints,
                 evict_after=args.evict_after,
-                rejoin=not args.no_rejoin,
                 check_period=args.membership_check_period,
             )
         config = ScaleConfig(
@@ -997,9 +996,9 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="TIME",
                        help="mean offline duration of a churn window")
     scale.add_argument("--membership", action="store_true",
-                       help="lease-based membership epochs (requires "
-                       "--checkpoint-interval): evict lapsed clients so "
-                       "the checkpoint chain survives crash-forever")
+                       help="lease-based membership (requires "
+                       "--checkpoint-interval): the checkpoint chain "
+                       "evicts lapsed clients so it survives crash-forever")
     scale.add_argument("--lease-checkpoints", type=int, default=2,
                        metavar="N",
                        help="membership ticks a client may miss before its "
@@ -1011,9 +1010,6 @@ def main(argv: list[str] | None = None) -> int:
     scale.add_argument("--membership-check-period", type=float, default=20.0,
                        metavar="TIME",
                        help="virtual-time period of the membership tick")
-    scale.add_argument("--no-rejoin", action="store_true",
-                       help="refuse re-admission epochs for returning "
-                       "evicted clients")
     scale.add_argument("--client-faults", action="append", default=[],
                        metavar="SPEC",
                        help="inject a client fault, kind:client@start"

@@ -6,14 +6,17 @@ crashed client wedges the chain and resident state silently reverts to
 the unbounded regime — the paper's fault model (any number of clients
 may crash, Section 2) applied to the extension kills the extension.
 
-The membership layer (``repro.faust.membership``) leases each signer
-slot against checkpoint progress: a member that blocks the pending cut
-for ``lease_checkpoints`` consecutive checks lapses, ``evict_after``
-further checks later the survivors co-sign a hash-chained epoch record
-``H("EPOCH", epoch, members, parent)`` evicting it, and the checkpoint
-chain resumes over the shrunken member set.  A returnee is re-admitted
-through a fresh epoch — never a false ``fail_i``, because a stale-but-
-honest client's shares are lag, not forking evidence.
+The lease ledger (``repro.faust.membership``) leases each signer slot
+against checkpoint progress: a member that blocks the next link for
+``lease_checkpoints`` consecutive checks lapses, ``evict_after``
+further checks later the survivors co-sign a link of the one chain,
+``H("CHECKPOINT", seq, cut, members, parent)``, whose member set drops
+it, and the chain resumes over the shrunken member set.  A returnee is
+re-admitted through a link that adds it back — never a false
+``fail_i``, because a stale-but-honest client's shares are lag, not
+forking evidence.  "final epoch" counts the member changes in the
+chain, and "checkpoints installed" counts every link, member changes
+included.
 
 This experiment injects the membership test matrix into the same seeded
 open-loop workload (``repro scale --client-faults``):
@@ -117,7 +120,7 @@ def run(quick: bool = False) -> ExperimentResult:
             evicted.checkpoints_installed > 2 * wedged.checkpoints_installed
             and evicted.growth_ratio <= 1.1
         ),
-        "a lease-expired returnee rejoins through a fresh epoch": (
+        "a lease-expired returnee rejoins through a link that adds it back": (
             returned.epoch == 2
             and returned.rejoins >= 1
             and returned.evicted_clients == ()
@@ -136,12 +139,12 @@ def run(quick: bool = False) -> ExperimentResult:
             "Section 2 allows any number of clients to crash, but the "
             "checkpoint extension's all-members quorum makes one dead "
             "signer wedge the co-signed chain forever — bounded state "
-            "quietly degrades to unbounded. Lease-based membership epochs "
-            "let the surviving quorum evict a lapsed signer through a "
-            "hash-chained, co-signed epoch record and resume the chain "
+            "quietly degrades to unbounded. Lease-based membership lets "
+            "the surviving quorum evict a lapsed signer through a co-signed "
+            "link of the same chain that drops it, and resume the chain "
             "over the new member set, while an honest returnee is "
-            "re-admitted through a fresh epoch and never mistaken for a "
-            "forking server."
+            "re-admitted through a link that adds it back and is never "
+            "mistaken for a forking server."
         ),
         table=table,
         findings=findings,

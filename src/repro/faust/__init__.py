@@ -3,18 +3,12 @@
 from repro.faust.ablation import VectorOnlyTracker, ablate_system
 from repro.faust.checkpoint import Checkpoint, CheckpointManager, CheckpointPolicy
 from repro.faust.client import FaustClient
-from repro.faust.membership import (
-    Epoch,
-    MembershipManager,
-    MembershipPolicy,
-    epoch_digest,
-)
+from repro.faust.membership import MembershipManager, MembershipPolicy
 from repro.faust.messages import (
     CheckpointShareMessage,
-    EpochAnnounceMessage,
-    EpochShareMessage,
     FailureMessage,
     ProbeMessage,
+    RejoinMessage,
     VersionMessage,
 )
 from repro.faust.stability import AbsorbOutcome, StabilityTracker
@@ -26,19 +20,16 @@ __all__ = [
     "CheckpointManager",
     "CheckpointPolicy",
     "CheckpointShareMessage",
-    "Epoch",
-    "EpochAnnounceMessage",
-    "EpochShareMessage",
     "FailAwareReport",
     "FailureMessage",
     "FaustClient",
     "MembershipManager",
     "MembershipPolicy",
     "ProbeMessage",
+    "RejoinMessage",
     "StabilityTracker",
     "VectorOnlyTracker",
     "VersionMessage",
     "ablate_system",
-    "epoch_digest",
     "validate_fail_aware_run",
 ]

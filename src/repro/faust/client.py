@@ -41,13 +41,12 @@ from repro.sim.timers import PeriodicTimer
 from repro.ustor.client import OpOutcome, UstorClient
 from repro.ustor.messages import ReplyMessage
 from repro.faust.checkpoint import Checkpoint, CheckpointManager, CheckpointPolicy
-from repro.faust.membership import Epoch, MembershipManager, MembershipPolicy
+from repro.faust.membership import MembershipManager, MembershipPolicy
 from repro.faust.messages import (
     CheckpointShareMessage,
-    EpochAnnounceMessage,
-    EpochShareMessage,
     FailureMessage,
     ProbeMessage,
+    RejoinMessage,
     VersionMessage,
 )
 from repro.faust.stability import StabilityTracker
@@ -135,20 +134,6 @@ class FaustClient(UstorClient):
                 "membership requires checkpointing: leases are judged "
                 "against (and renewed by) checkpoint shares"
             )
-        if membership is not None:
-            self.membership_manager = MembershipManager(
-                client_id,
-                num_clients,
-                signer,
-                membership,
-                tracker=self.tracker,
-                delta=delta,
-                send_share=self._broadcast_epoch_share,
-                send_announce=self._send_epoch_announce,
-                request_rejoin=self._request_rejoin,
-                on_epoch=self._epoch_installed,
-                on_fail=partial(self._fail, ustor=False),
-            )
         if checkpoint is not None:
             self.checkpoint_manager = CheckpointManager(
                 client_id,
@@ -157,13 +142,20 @@ class FaustClient(UstorClient):
                 checkpoint,
                 send_share=self._broadcast_checkpoint_share,
                 send_server=self._send_server,
+                send_rejoin=self._send_rejoin,
                 on_install=self._checkpoint_installed,
                 on_fail=partial(self._fail, ustor=False),
-                membership=self.membership_manager,
                 clock=lambda: self.now,
             )
-        if self.membership_manager is not None:
-            self.membership_manager.bind(self.checkpoint_manager)
+        if membership is not None:
+            self.membership_manager = MembershipManager(
+                client_id,
+                num_clients,
+                membership,
+                chain=self.checkpoint_manager,
+                tracker=self.tracker,
+                delta=delta,
+            )
 
     # ---------------------------------------------------------------- #
     # Wiring
@@ -281,16 +273,17 @@ class FaustClient(UstorClient):
             self.checkpoint_manager.on_stability(self._checkpoint_stable())
 
     def _checkpoint_stable(self) -> tuple[int, ...]:
-        """The cut the checkpoint protocol folds: epoch-scoped if any.
+        """The cut the checkpoint protocol folds: member-scoped if any.
 
-        With membership on, stability is taken over the current epoch's
+        With membership on, stability is taken over the installed link's
         member rows only (an evicted client's frozen row must not pin
         the cut); identical to the all-rows cut while every client is a
         member.
         """
-        manager = self.membership_manager
-        if manager is not None:
-            return self.tracker.stable_vector(members=manager.members)
+        if self.membership_manager is not None:
+            return self.tracker.stable_vector(
+                members=self.checkpoint_manager.installed.members
+            )
         return self.tracker.stable_vector()
 
     def _notify_stable(self) -> None:
@@ -350,12 +343,9 @@ class FaustClient(UstorClient):
         elif isinstance(message, CheckpointShareMessage):
             if self.checkpoint_manager is not None:
                 self.checkpoint_manager.on_share(message)
-        elif isinstance(message, EpochShareMessage):
-            if self.membership_manager is not None:
-                self.membership_manager.on_share(message)
-        elif isinstance(message, EpochAnnounceMessage):
-            if self.membership_manager is not None:
-                self.membership_manager.on_announce(message)
+        elif isinstance(message, RejoinMessage):
+            if self.checkpoint_manager is not None:
+                self.checkpoint_manager.on_rejoin(message)
         elif isinstance(message, FailureMessage):
             # The paper's third detection condition: another client holds
             # proof.  Re-alerting is harmless (each client alerts at most
@@ -403,7 +393,7 @@ class FaustClient(UstorClient):
             listener(checkpoint)
 
     # ---------------------------------------------------------------- #
-    # Membership (lease-based epochs)
+    # Membership (the lease ledger)
     # ---------------------------------------------------------------- #
 
     def _note_membership_contact(self, sender: ClientId) -> None:
@@ -411,36 +401,8 @@ class FaustClient(UstorClient):
         if self.membership_manager is not None:
             self.membership_manager.note_contact(sender)
 
-    def _broadcast_epoch_share(self, share: EpochShareMessage) -> None:
-        # Epoch shares go to *every* client, evicted ones included —
-        # they keep tracking the membership chain while out.
-        for peer in range(self._n):
-            if peer == self._id:
-                continue
-            self._offline.send(self.name, self._peer_names[peer], share)
-
-    def _send_epoch_announce(
-        self, peer: ClientId, announce: EpochAnnounceMessage
-    ) -> None:
-        self._offline.send(self.name, self._peer_names[peer], announce)
-
-    def _request_rejoin(self, peer: ClientId) -> None:
-        """As an evictee: make contact with a member (a VERSION suffices)."""
-        if self.crashed:
-            return
-        self._offline.send(
-            self.name,
-            self._peer_names[peer],
-            VersionMessage(sender=self._id, version=self.tracker.max_version),
-        )
-
-    def _epoch_installed(self, epoch: Epoch) -> None:
-        """Act on a newly installed membership epoch."""
-        if self.checkpoint_manager is not None:
-            self.checkpoint_manager.on_members_changed()
-            # Re-feed stability: the member-scoped cut may jump the
-            # moment a frozen row leaves the min.
-            self.checkpoint_manager.on_stability(self._checkpoint_stable())
+    def _send_rejoin(self, peer: ClientId, message: RejoinMessage) -> None:
+        self._offline.send(self.name, self._peer_names[peer], message)
 
     # ---------------------------------------------------------------- #
     # fail_i

@@ -10,23 +10,20 @@ Three message types travel over the offline channel:
 * FAILURE — the sender has proof of server misbehaviour; everyone should
   output ``fail`` and stop using the server.
 
-The bounded-state extension adds a fourth:
+The bounded-state extension (:mod:`repro.faust.checkpoint`) adds two:
 
-* CHECKPOINT-SHARE — a co-signature over a proposed checkpoint (sequence
-  number, stable cut, parent digest); ``n`` matching shares install the
-  checkpoint (:mod:`repro.faust.checkpoint`).  Unlike the three above it
-  carries an explicit signature: an installed checkpoint's certificate
-  is forwarded to the *untrusted* server, so its authenticity cannot
-  ride on the channel alone.
-
-The membership layer (:mod:`repro.faust.membership`) adds two more:
-
-* EPOCH-SHARE — a co-signature over a proposed membership epoch (epoch
-  number, member set, parent digest); one valid share per *new* member
-  installs the epoch.
-* EPOCH-ANNOUNCE — the rejoin bootstrap: the full epoch chain plus the
-  last installed checkpoint, sent to an evicted client that made
-  contact so it can re-seed its state and be sponsored back in.
+* CHECKPOINT-SHARE — a co-signature over a proposed link of the chain
+  (sequence number, stable cut, member set, parent digest); one share
+  from every member installs the link, whether it folds stable history
+  or changes the member set.  Unlike the others it carries an explicit
+  signature: an installed fold's certificate is forwarded to the
+  *untrusted* server, so its authenticity cannot ride on the channel
+  alone.
+* REJOIN — a lagging client's way back onto the chain: sent with no
+  links it asks a peer for the links after its installed one, and the
+  answer carries them (at most the archive, or just the last installed
+  link).  An evictee asks at every membership check, and the member it
+  asks sponsors a link that adds it back.
 
 The offline channel is authenticated (it connects mutually trusting
 clients), so messages without explicit signatures ride on the channel
@@ -69,29 +66,27 @@ class VersionMessage:
         return MARKER_BYTES + INT_BYTES + version_wire_size(self.version)
 
 
+def _members_size(members: tuple[ClientId, ...]) -> int:
+    """A member set rides as a bitmask over client ids: one int per 64."""
+    return INT_BYTES * (1 + max(members, default=0) // 64)
+
+
 @dataclass(frozen=True)
 class CheckpointShareMessage:
-    """One client's co-signature over a proposed checkpoint.
+    """One client's co-signature over a proposed link of the chain.
 
     ``signature`` is the sender's signature over ``("CHECKPOINT", seq,
-    cut, parent_digest)``; collecting one valid share per client installs
-    checkpoint ``seq`` (see :class:`repro.faust.checkpoint.CheckpointManager`).
-
-    ``epoch`` tags the membership epoch the sender was in when it signed
-    (0 when membership is off).  It is deliberately *outside* both the
-    signature and the checkpoint digest — membership-off digests are
-    unchanged — and is used only to resolve the benign proposer race
-    during an epoch transition: a share signed under a newer epoch
-    supersedes a same-sequence share signed under an older one, while
-    divergent shares under the *same* epoch remain forking evidence.
+    cut, members, parent_digest)``; one valid share from every client in
+    ``members`` installs the link (see
+    :class:`repro.faust.checkpoint.CheckpointManager`).
     """
 
     sender: ClientId
     seq: int
     cut: tuple[int, ...]
+    members: tuple[ClientId, ...]
     parent_digest: bytes
     signature: bytes
-    epoch: int = 0
 
     kind = "CHECKPOINT-SHARE"
 
@@ -101,73 +96,36 @@ class CheckpointShareMessage:
             + INT_BYTES  # sender
             + INT_BYTES  # seq
             + INT_BYTES * len(self.cut)
-            + HASH_BYTES
-            + SIGNATURE_BYTES
-            + INT_BYTES  # epoch
-        )
-
-
-@dataclass(frozen=True)
-class EpochShareMessage:
-    """One client's co-signature over a proposed membership epoch.
-
-    ``signature`` is the sender's signature over ``("EPOCH", epoch,
-    members, parent_digest)``; one valid share per member of ``members``
-    installs the epoch (see
-    :class:`repro.faust.membership.MembershipManager`).
-    """
-
-    sender: ClientId
-    epoch: int
-    members: tuple[ClientId, ...]
-    parent_digest: bytes
-    signature: bytes
-
-    kind = "EPOCH-SHARE"
-
-    def wire_size(self) -> int:
-        return (
-            MARKER_BYTES
-            + INT_BYTES  # sender
-            + INT_BYTES  # epoch
-            + INT_BYTES * len(self.members)
+            + _members_size(self.members)
             + HASH_BYTES
             + SIGNATURE_BYTES
         )
 
 
 @dataclass(frozen=True)
-class EpochAnnounceMessage:
-    """The rejoin bootstrap: epoch chain + last installed checkpoint.
+class RejoinMessage:
+    """A lagging client's request for the chain's suffix, or the answer.
 
-    Sent by a member to an evicted client that made contact.  ``records``
-    is the full membership chain from genesis as ``(epoch, members,
-    parent_digest)`` triples (digests are recomputed and linkage-checked
-    by the receiver, so they are not carried); the checkpoint fields
-    re-seed the returnee's history base at the members' compacted state.
+    ``seq`` is the sender's installed sequence number.  A request carries
+    no ``links``; an answer carries the links from the requester's
+    ``seq`` on as ``(seq, cut, members, parent_digest)`` (digests are
+    recomputed by the receiver, so they are not carried).
     """
 
     sender: ClientId
-    records: tuple[tuple[int, tuple[ClientId, ...], bytes], ...]
-    checkpoint_seq: int
-    checkpoint_cut: tuple[int, ...]
-    checkpoint_parent: bytes
+    seq: int
+    links: tuple[
+        tuple[int, tuple[int, ...], tuple[ClientId, ...], bytes], ...
+    ] = ()
 
-    kind = "EPOCH-ANNOUNCE"
+    kind = "REJOIN"
 
     def wire_size(self) -> int:
-        records = sum(
-            INT_BYTES + INT_BYTES * len(members) + HASH_BYTES
-            for _, members, _ in self.records
+        links = sum(
+            INT_BYTES + INT_BYTES * len(cut) + _members_size(members) + HASH_BYTES
+            for _seq, cut, members, _parent in self.links
         )
-        return (
-            MARKER_BYTES
-            + INT_BYTES  # sender
-            + records
-            + INT_BYTES  # checkpoint_seq
-            + INT_BYTES * len(self.checkpoint_cut)
-            + HASH_BYTES  # checkpoint_parent
-        )
+        return MARKER_BYTES + INT_BYTES + INT_BYTES + links
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,8 @@ class StabilityTracker:
         monotone non-decreasing because ``VER_i`` entries only grow.
 
         With ``members``, the min runs over those clients' rows only —
-        the membership layer's epoch-scoped cut: stability w.r.t. the
-        current signer set, which keeps advancing after an evicted
+        the checkpoint chain's member-scoped cut: stability w.r.t. the
+        installed link's signer set, which keeps advancing after an evicted
         client's row froze.  The cut stays full-width ``n`` (evicted
         clients keep their column — their folded operations remain part
         of history), and every entry is ``>=`` the all-rows value, so

@@ -200,9 +200,9 @@ class HealthMonitor:
 
         Returns ``(seconds, client_ids)`` over every shard's clients'
         checkpoint managers: the longest time any client's pending
-        sequence has gone unsigned, and the union of members those
-        stalled clients are waiting on (missing shares, and — with
-        membership on — lease-lapsed peers the membership layer blames).
+        sequence has gone unsigned, and the union of the members those
+        stalled clients name as blocking it
+        (:meth:`~repro.faust.checkpoint.CheckpointManager.blocking_clients`).
         ``(0.0, ())`` when no checkpointing is configured or nothing is
         pending.
         """
@@ -214,10 +214,7 @@ class HealthMonitor:
             if manager is None or manager.stall_seconds(now) <= 0.0:
                 continue
             worst = max(worst, manager.stall_seconds(now))
-            blocking.update(manager.blocking_clients())
-            membership = getattr(client, "membership_manager", None)
-            if membership is not None:
-                blocking.update(membership.blocking_clients(now))
+            blocking.update(manager.blocking_clients(now))
         return worst, tuple(sorted(blocking))
 
     def first_failure_time(self) -> float | None:

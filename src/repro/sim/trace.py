@@ -13,8 +13,8 @@ Two things are kept:
   transitions (crashes, restarts, away windows), convicted replicas,
   malformed frames.  A client's ``stable_i`` and ``fail_i`` outputs are
   not notes: the deployment's :class:`~repro.api.events.NotificationHub`
-  fans them out.  Nor are installed checkpoints and epochs, which a
-  client's checkpoint and membership managers hold.
+  fans them out.  Nor are installed checkpoint links, which a client's
+  checkpoint manager holds.
 """
 
 from __future__ import annotations

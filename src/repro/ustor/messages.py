@@ -313,7 +313,7 @@ class CheckpointMessage:
     """``<CHECKPOINT, q, C, Sigma>`` — an installed checkpoint, forwarded.
 
     Not part of the paper's protocol: the bounded-state extension (see
-    DESIGN.md, "Checkpointing & bounded state").  Once every client has
+    DESIGN.md, "One co-signed chain").  Once every client has
     co-signed checkpoint number ``seq`` over the stable cut ``cut`` (one
     timestamp per client), the proposer forwards the certificate to the
     server, authorising it to truncate the covered ``pending`` prefix and

@@ -397,23 +397,22 @@ def faust_protocol(checkpoint=None, membership=None, **faust_kwargs) -> Protocol
     client racing ahead.
 
     ``membership`` (a :class:`~repro.faust.membership.MembershipPolicy`)
-    layers lease-based membership epochs under the checkpoint protocol, so
-    the chain keeps advancing after a crashed-forever client is evicted
-    (compaction then waits for the checkpoint's *signers* only — an
-    evicted client can never install).
+    adds the lease ledger, so the chain evicts a crashed-forever client
+    and keeps advancing (compaction then waits for as many installs as
+    the link has members — an evicted client never signs).
     """
     from repro.faust.client import FaustClient
 
     def compact_behind_installed_cuts(system: StorageSystem) -> None:
-        installs: dict[int, int] = {}
+        installs: dict[bytes, int] = {}
 
         def on_install(cp) -> None:
-            count = installs.get(cp.seq, 0) + 1
-            if count >= (len(cp.signers) or len(system.clients)):
-                installs.pop(cp.seq, None)
+            count = installs.get(cp.digest, 0) + 1
+            if count >= len(cp.members):
+                installs.pop(cp.digest, None)
                 system.recorder.compact(cp.cut, keep_tail=checkpoint.keep_tail)
             else:
-                installs[cp.seq] = count
+                installs[cp.digest] = count
 
         for client in system.clients:
             client.add_checkpoint_listener(on_install)

@@ -21,7 +21,7 @@ that claim into a measured, regression-gated quantity:
   window plan) takes one present client away per window — whichever is
   present, alive and not evicted when the window opens — and brings it
   back when the window ends, through the deployment's one fault
-  schedule; the membership epochs alone decide who may sign;
+  schedule; the checkpoint chain's member sets alone decide who may sign;
 * optional **client faults** (:meth:`repro.sim.faults.Fault.parse` specs,
   the ``--client-faults`` flag) inject crash-forever / crash-restart /
   lease-expiry lifecycles through the deployment's one fault schedule:
@@ -117,8 +117,8 @@ class ScaleConfig:
     #: ``None`` runs without checkpointing — the unbounded baseline the
     #: growth ratio is compared against.
     checkpoint: CheckpointPolicy | None = None
-    #: Lease-based membership epochs (requires ``checkpoint``): the
-    #: quorum evicts crashed-forever clients so the chain keeps folding.
+    #: Lease-based membership (requires ``checkpoint``): the chain
+    #: evicts crashed-forever clients so it keeps folding.
     membership: MembershipPolicy | None = None
     latency: float = 1.0
     offline_latency: float = 0.5
@@ -242,9 +242,9 @@ class ScaleReport:
     recorder_compacted: int
     checker_ok: dict[str, bool]
     failed_clients: int
-    #: Highest membership epoch installed by any live client.
+    #: Member-set changes in the chain: the most any live client installed.
     epoch: int = 0
-    #: Clients outside the final epoch's member set (live clients' view).
+    #: Clients outside the newest link's member set (live clients' view).
     evicted_clients: tuple[int, ...] = ()
     #: Total re-admissions co-signed across the run (live clients' view).
     rejoins: int = 0
@@ -385,22 +385,23 @@ def _growth_ratio(samples: list[ResidentSample], warmup_fraction: float) -> floa
     return late_mean / early_mean
 
 
-def _memberships(system) -> list:
-    """The membership managers of the live clients (none without
-    membership epochs)."""
+def _chains(system) -> list:
+    """The checkpoint managers of the live clients (none without
+    checkpointing)."""
     return [
-        c.membership_manager
+        c.checkpoint_manager
         for c in system.clients
-        if not c.halted and c.membership_manager is not None
+        if not c.halted and c.checkpoint_manager is not None
     ]
 
 
 def _evicted(system) -> tuple[int, ...]:
-    """Clients outside the newest epoch any live client has installed."""
-    memberships = _memberships(system)
-    if not memberships:
+    """Clients outside the newest link any live client has installed."""
+    chains = _chains(system)
+    if not chains:
         return ()
-    return max(memberships, key=lambda m: m.epoch.epoch).evicted_clients()
+    members = max(chains, key=lambda m: m.installed.seq).installed.members
+    return tuple(j for j in range(len(system.clients)) if j not in members)
 
 
 def run_scale(config: ScaleConfig) -> ScaleReport:
@@ -424,7 +425,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
 
     # The clients churn may take away: one that goes away — a churn window
     # or a lease-expiry fault — leaves the set, and rejoins it on return
-    # unless the newest installed epoch has evicted it.
+    # unless the newest installed link has evicted it.
     present = set(range(config.num_clients))
 
     def _on_away(client: int, away: bool) -> None:
@@ -476,17 +477,7 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
     planned = driver.stats.total_planned()
     completed = driver.stats.total_completed()
     duration = system.now
-    managers = [
-        c.checkpoint_manager
-        for c in system.clients
-        if not c.halted and c.checkpoint_manager is not None
-    ]
-    memberships = _memberships(system)
-    epoch = 0
-    rejoins = 0
-    if memberships:
-        epoch = max(m.epoch.epoch for m in memberships)
-        rejoins = max(m.rejoins for m in memberships)
+    managers = _chains(system)
     return ScaleReport(
         config=config,
         planned=planned,
@@ -508,9 +499,9 @@ def run_scale(config: ScaleConfig) -> ScaleReport:
         recorder_compacted=system.recorder.compacted_ops,
         checker_ok={name: c.result().ok for name, c in checkers.items()},
         failed_clients=sum(1 for c in system.clients if c.failed),
-        epoch=epoch,
+        epoch=max((m.member_changes for m in managers), default=0),
         evicted_clients=_evicted(system),
-        rejoins=rejoins,
+        rejoins=max((m.rejoins for m in managers), default=0),
         checkpoint_stall_seconds=max(
             (m.stall_seconds(system.now) for m in managers), default=0.0
         ),

@@ -63,17 +63,45 @@ def test_genesis_and_chain_digest():
     genesis = Checkpoint.genesis(3)
     assert genesis.seq == 0
     assert genesis.cut == (0, 0, 0)
-    assert genesis.digest == chain_digest(0, (0, 0, 0), b"")
-    # The digest binds sequence, cut and ancestry.
-    child = chain_digest(1, (2, 1, 1), genesis.digest)
-    assert child != chain_digest(2, (2, 1, 1), genesis.digest)
-    assert child != chain_digest(1, (2, 1, 2), genesis.digest)
-    assert child != chain_digest(1, (2, 1, 1), b"other")
+    assert genesis.members == (0, 1, 2)
+    assert genesis.digest == chain_digest(0, (0, 0, 0), (0, 1, 2), b"")
+    # The digest binds sequence, cut, signer set and ancestry.
+    child = chain_digest(1, (2, 1, 1), (0, 1, 2), genesis.digest)
+    assert child != chain_digest(2, (2, 1, 1), (0, 1, 2), genesis.digest)
+    assert child != chain_digest(1, (2, 1, 2), (0, 1, 2), genesis.digest)
+    assert child != chain_digest(1, (2, 1, 1), (0, 1), genesis.digest)
+    assert child != chain_digest(1, (2, 1, 1), (0, 1, 2), b"other")
+
+
+def test_share_wire_size_carries_members_in_one_int():
+    """The member set rides as a bitmask in one 8-byte int: a share is
+    as large with 3 members as with 2."""
+    def share(members):
+        return CheckpointShareMessage(
+            sender=0, seq=1, cut=(1, 1, 1), members=members,
+            parent_digest=b"p" * 32, signature=b"s" * 64,
+        )
+
+    assert share((0, 1, 2)).wire_size() == share((0, 1)).wire_size()
 
 
 # --------------------------------------------------------------------- #
 # The co-signing protocol, wired directly (no simulator)
 # --------------------------------------------------------------------- #
+
+
+def _share(keystore, sender, seq, cut, parent, members=(0, 1, 2)):
+    """A validly signed share for the link ``(seq, cut, members, parent)``."""
+    return CheckpointShareMessage(
+        sender=sender,
+        seq=seq,
+        cut=cut,
+        members=members,
+        parent_digest=parent,
+        signature=keystore.signer(sender).sign(
+            "CHECKPOINT", seq, cut, members, parent
+        ),
+    )
 
 
 class _Net:
@@ -132,7 +160,7 @@ def test_propose_countersign_install_round():
     assert certificate.seq == 1 and certificate.cut == (2, 2, 1)
     assert len(certificate.signatures) == 3
     # The chain extends genesis.
-    expected = chain_digest(1, (2, 2, 1), Checkpoint.genesis(3).digest)
+    expected = chain_digest(1, (2, 2, 1), (0, 1, 2), Checkpoint.genesis(3).digest)
     assert net.managers[0].installed.digest == expected
     assert not net.failures
 
@@ -144,7 +172,9 @@ def test_round_robin_proposers_advance_the_chain():
     assert [m.installed.seq for m in net.managers] == [2, 2, 2]
     assert net.server_messages[1].seq == 2
     parent = net.managers[0].installed.parent_digest
-    assert parent == chain_digest(1, (2, 2, 1), Checkpoint.genesis(3).digest)
+    assert parent == chain_digest(
+        1, (2, 2, 1), (0, 1, 2), Checkpoint.genesis(3).digest
+    )
     assert not net.failures
 
 
@@ -170,8 +200,7 @@ def test_non_equivocation_single_signature_per_seq():
     # More stability must not re-sign seq 1 with a bigger cut.
     net.managers[0].on_stability((5, 5, 5))
     assert net.managers[0].shares_sent == 1
-    signed_cut = net.managers[0]._signed[1][0]
-    assert signed_cut == (2, 2, 2)
+    assert net.managers[0].shares_for(1)[0].cut == (2, 2, 2)
 
 
 def test_conflicting_shares_are_forking_evidence():
@@ -181,15 +210,7 @@ def test_conflicting_shares_are_forking_evidence():
     net.partitioned = set()
     # A (validly signed) share for the same seq with a different cut.
     evil_cut = (3, 2, 2)
-    forged = CheckpointShareMessage(
-        sender=1,
-        seq=1,
-        cut=evil_cut,
-        parent_digest=Checkpoint.genesis(3).digest,
-        signature=net.keystore.signer(1).sign(
-            "CHECKPOINT", 1, evil_cut, Checkpoint.genesis(3).digest
-        ),
-    )
+    forged = _share(net.keystore, 1, 1, evil_cut, Checkpoint.genesis(3).digest)
     net.managers[0].on_share(forged)
     assert 0 in net.failures
     assert "conflicting" in net.failures[0]
@@ -204,6 +225,7 @@ def test_invalid_signature_is_rejected_loudly():
         sender=1,
         seq=1,
         cut=(2, 2, 2),
+        members=(0, 1, 2),
         parent_digest=Checkpoint.genesis(3).digest,
         signature=b"not-a-signature",
     )
@@ -217,15 +239,7 @@ def test_share_diverging_from_installed_checkpoint_fails():
     assert net.managers[0].installed.seq == 1
     # A late share for the already-installed seq with a different cut:
     # someone was shown a different history.
-    divergent = CheckpointShareMessage(
-        sender=2,
-        seq=1,
-        cut=(3, 3, 3),
-        parent_digest=Checkpoint.genesis(3).digest,
-        signature=net.keystore.signer(2).sign(
-            "CHECKPOINT", 1, (3, 3, 3), Checkpoint.genesis(3).digest
-        ),
-    )
+    divergent = _share(net.keystore, 2, 1, (3, 3, 3), Checkpoint.genesis(3).digest)
     net.managers[0].on_share(divergent)
     assert "diverges" in net.failures[0]
 
@@ -233,15 +247,7 @@ def test_share_diverging_from_installed_checkpoint_fails():
 def test_matching_late_duplicate_and_stale_shares_are_ignored():
     net = _Net(n=3, interval=4)
     net.stabilize((2, 2, 2))
-    duplicate = CheckpointShareMessage(
-        sender=2,
-        seq=1,
-        cut=(2, 2, 2),
-        parent_digest=Checkpoint.genesis(3).digest,
-        signature=net.keystore.signer(2).sign(
-            "CHECKPOINT", 1, (2, 2, 2), Checkpoint.genesis(3).digest
-        ),
-    )
+    duplicate = _share(net.keystore, 2, 1, (2, 2, 2), Checkpoint.genesis(3).digest)
     net.managers[0].on_share(duplicate)
     net.stabilize((4, 4, 4))  # chain moves on; seq 1 shares are now stale
     net.managers[0].on_share(duplicate)
@@ -250,19 +256,17 @@ def test_matching_late_duplicate_and_stale_shares_are_ignored():
 
 
 def test_proposal_on_forked_parent_chain_fails():
+    """A proposal extending a parent I do not hold is lag, not evidence;
+    the fork shows when the forked link itself is signed: two links for
+    seq 1 on one parent and member set with different cuts."""
     net = _Net(n=3, interval=4)
-    fake_parent = chain_digest(1, (1, 1, 1), b"somewhere-else")
-    forked = CheckpointShareMessage(
-        sender=0,
-        seq=1,
-        cut=(2, 2, 2),
-        parent_digest=fake_parent,
-        signature=net.keystore.signer(0).sign(
-            "CHECKPOINT", 1, (2, 2, 2), fake_parent
-        ),
-    )
-    net.managers[1].on_stability((2, 2, 2))
-    net.managers[1].on_share(forked)
+    genesis = Checkpoint.genesis(3).digest
+    net.stabilize((2, 2, 2))
+    assert net.managers[1].installed.seq == 1
+    forked_link = chain_digest(1, (3, 3, 3), (0, 1, 2), genesis)
+    net.managers[1].on_share(_share(net.keystore, 1, 2, (4, 4, 4), forked_link))
+    assert not net.failures  # a parent I do not hold: buffered
+    net.managers[1].on_share(_share(net.keystore, 0, 1, (3, 3, 3), genesis))
     assert "parent" in net.failures[1]
 
 
@@ -338,18 +342,10 @@ def test_buffered_future_share_installs_once_the_gap_fills():
     net = _Net(n=3, interval=4)
     manager = net.managers[2]
     genesis = Checkpoint.genesis(3).digest
-    seq1_digest = chain_digest(1, (2, 2, 2), genesis)
+    seq1_digest = chain_digest(1, (2, 2, 2), (0, 1, 2), genesis)
 
     def share(sender: int, seq: int, cut, parent: bytes):
-        return CheckpointShareMessage(
-            sender=sender,
-            seq=seq,
-            cut=cut,
-            parent_digest=parent,
-            signature=net.keystore.signer(sender).sign(
-                "CHECKPOINT", seq, cut, parent
-            ),
-        )
+        return _share(net.keystore, sender, seq, cut, parent)
 
     # The seq-2 proposal arrives before the seq-1 round this client
     # missed: not actionable (its parent is unknown here), so it buffers
@@ -360,7 +356,7 @@ def test_buffered_future_share_installs_once_the_gap_fills():
     assert set(manager.shares_for(2)) == {1}
     assert manager.shares_sent == 0
     # Retransmitted seq-1 shares (a live deployment replays them from
-    # held mail or re-seeds via an epoch announce) fill the gap...
+    # held mail or re-seeds via a rejoin answer) fill the gap...
     manager.on_share(share(0, 1, (2, 2, 2), genesis))
     manager.on_share(share(1, 1, (2, 2, 2), genesis))
     # ...and _advance walks the buffered seq-2 bucket in the same

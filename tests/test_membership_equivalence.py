@@ -1,16 +1,16 @@
 """Membership is a liveness layer, not a semantic.
 
 With ``SystemConfig(membership=...)`` clients lease their signer slots
-and a wedged member is eventually voted out through a co-signed epoch
-chain — but on a fault-free run the layer must be *invisible*: identical
+and a wedged member is eventually voted out through a co-signed link
+of the checkpoint chain — but on a fault-free run the layer must be *invisible*: identical
 operation outcomes, histories, final versions (vectors AND digest
 chains), checker verdicts, stability notifications and even the wire-message
-census as the same seeded run with membership off.  The epoch chain
-stays at genesis and not one epoch share is sent.
+census as the same seeded run with membership off.  The member set
+never changes and not one member-change share is sent.
 
 And the detection guarantees must survive the layer in both directions:
 a rollback attack is detected in exactly the same phase whether
-membership is on or off, and a rollback mounted *after* an epoch change
+membership is on or off, and a rollback mounted *after* a member change
 (members evicted a crashed peer, the chain moved on) is still detected
 by every surviving member — pruned members must not mean pruned
 evidence.
@@ -155,18 +155,18 @@ def test_membership_on_equals_off_fault_free():
     assert on["verdict"] == off["verdict"] == (True, True)
     assert all(on["incremental"].values())
     assert all(off["incremental"].values())
-    # Not one extra message of any kind: no epoch shares, no announces,
+    # Not one extra message of any kind: no member changes, no rejoins,
     # identical gossip.  The lease layer is pure bookkeeping until a
     # member actually blocks the chain.
     assert on["census"] == off["census"]
 
-    # The layer really was armed: every client carries a manager, all at
-    # genesis with the full member set, and checkpoints were installed.
+    # The layer really was armed: every client carries a ledger, no
+    # member change was ever installed, and checkpoints were installed.
     for client in sys_on.clients:
         manager = client.membership_manager
         assert manager is not None
-        assert manager.epoch.epoch == 0
-        assert manager.epoch.members == tuple(range(4))
+        assert client.checkpoint_manager.member_changes == 0
+        assert manager.members == tuple(range(4))
     installs = [c.checkpoint_manager.installed.seq for c in sys_on.clients]
     assert min(installs) >= 3, installs
 
@@ -175,7 +175,7 @@ def test_membership_on_equals_off_fault_free():
 def test_rollback_detection_is_identical_with_membership(membership):
     """A rollback across installed checkpoints is detected in the same
     phase whether or not the membership layer is armed — and a Byzantine
-    server never tricks the quorum into an epoch change."""
+    server never tricks the quorum into a member change."""
     seed = 4242
     factory = lambda n, name: RollbackServer(  # noqa: E731
         n,
@@ -204,12 +204,12 @@ def test_rollback_detection_is_identical_with_membership(membership):
     assert len(failed) == len(system.clients)
     if membership is not None:
         # fail_i, not eviction: the chain never left genesis.
-        epochs = {c.membership_manager.epoch.epoch for c in system.clients}
-        assert epochs == {0}
+        changes = {c.checkpoint_manager.member_changes for c in system.clients}
+        assert changes == {0}
 
 
 def test_rollback_after_epoch_change_is_detected():
-    """Evict a crashed member, let the chain resume at epoch 1, *then*
+    """Evict a crashed member, let the chain resume without it, *then*
     roll the server back: every surviving member still detects it."""
     seed = 1337
     factory = lambda n, name: RollbackServer(  # noqa: E731
@@ -223,7 +223,7 @@ def test_rollback_after_epoch_change_is_detected():
     crashed = system.clients[3]
     system.scheduler.schedule_at(30.0, crashed.crash)
     sessions = system.sessions()
-    failed_at = epoch_changed_at = None
+    failed_at = evicted_at = None
     for phase in range(40):
         for client, session in enumerate(sessions):
             try:
@@ -234,22 +234,22 @@ def test_rollback_after_epoch_change_is_detected():
             system.run(until=system.now + 0.013)
         system.run(until=system.now + 8.0)
         live = [c for c in system.clients if not c.crashed]
-        if epoch_changed_at is None and any(
-            c.membership_manager.epoch.epoch >= 1 for c in live
+        if evicted_at is None and any(
+            c.checkpoint_manager.member_changes >= 1 for c in live
         ):
-            epoch_changed_at = phase
+            evicted_at = phase
         if system.notifications.failure_events():
             failed_at = phase
             break
-    assert epoch_changed_at is not None, "crashed member was never evicted"
+    assert evicted_at is not None, "crashed member was never evicted"
     assert failed_at is not None, "rollback went undetected"
-    assert epoch_changed_at < failed_at, (epoch_changed_at, failed_at)
+    assert evicted_at < failed_at, (evicted_at, failed_at)
     live = [c for c in system.clients if not c.crashed]
-    # The survivors evicted the crashed member (epoch 1, three names on
-    # the roll) and then, operating under the new epoch, every one of
+    # The survivors evicted the crashed member (one member change, three
+    # names on the roll) and then, co-signing without it, every one of
     # them caught the fold.
     for client in live:
-        assert client.membership_manager.epoch.epoch == 1
-        assert client.membership_manager.epoch.members == (0, 1, 2)
+        assert client.checkpoint_manager.member_changes == 1
+        assert client.membership_manager.members == (0, 1, 2)
     assert all(c.failed for c in live)
     assert not crashed.failed  # crashed, not fooled

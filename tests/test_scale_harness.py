@@ -305,23 +305,23 @@ def test_churned_clients_rejoin_and_checkpointing_resumes():
 
 #: ``repro scale`` reports pinned by SHA-256 of ``json.dumps(report,
 #: sort_keys=True)``: churn, eviction, return and crash-forever, with and
-#: without membership epochs.
+#: without membership.
 SCALE_REPORTS = {
     "churn-lease-expiry": (
         "--clients 4 --rate 0.3 --duration 400 --checkpoint-interval 8 "
         "--membership --churn-windows 6 --client-faults lease-expiry:1@100+200",
-        "d972f7f97889684b0025a9bed4d04b89d85f08c9360b0a9258dacc210e63fed2",
+        "85f594f28234fb4b85dc8ecf089f8da7446149047a5f5cc8722cef4eab4bff2f",
     ),
     "churn-expiry-crash": (
         "--clients 5 --rate 0.4 --duration 600 --checkpoint-interval 8 "
         "--membership --churn-windows 20 --churn-mean-duration 40 "
         "--client-faults lease-expiry:2@50+300 --client-faults crash-forever:3@400",
-        "cceb3ba72567e0f11298834168ee1a4e3715c160d1f4082ef844f06c331250eb",
+        "2c632d56c609b1cb4d464743d5d47562d3c4de5a5a02f129c90c475a0a5faa8e",
     ),
     "churn-crash-forever": (
         "--clients 4 --rate 0.5 --duration 400 --checkpoint-interval 8 "
         "--membership --client-faults crash-forever:2@120 --churn-windows 10",
-        "88f0036847c380186e40ff8e9c9a243e54415027b101258dff38aac758f745a8",
+        "45d29f3f1217cbfe2ac8df81926fe927e722861147f51a7aece952a8ef7a38a0",
     ),
     "churn-unbounded": (
         "--clients 6 --rate 0.2 --duration 800 --churn-windows 40 "

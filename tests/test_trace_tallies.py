@@ -5,7 +5,7 @@ message kind and builds a :class:`~repro.sim.trace.MessageRecord` only
 while a tap is attached.  Two properties pin that:
 
 * on every kind of deployment — USTOR, FAUST with checkpoints and
-  membership epochs (so offline mail flows), a sharded replicated
+  membership (so offline mail flows), a sharded replicated
   cluster, FAUST over loopback tcp — the records a tap attached right
   after ``open_system`` sees add up, kind by kind, to the tallies;
 * the trace's resident bytes do not grow with the run: a FAUST run four
