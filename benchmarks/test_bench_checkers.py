@@ -54,8 +54,9 @@ def test_causal_checker(benchmark):
     assert result.ok
 
 
-def test_weak_fork_validator_on_protocol_views(benchmark):
-    system = _recorded_history(4, 25, seed=3)
+@pytest.mark.parametrize("total_ops", [100, 1600])
+def test_weak_fork_validator_on_protocol_views(benchmark, total_ops):
+    system = _recorded_history(4, total_ops // 4, seed=3)
     history = system.history()
     views = build_client_views(history, system.recorder, system.clients)
     result = benchmark(validate_weak_fork_linearizability, history, views)

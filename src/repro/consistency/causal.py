@@ -51,42 +51,40 @@ def check_causal_consistency(history: History) -> CheckResult:
     if structure.has_cycle():
         return violated(_CONDITION, "potential causality contains a cycle")
 
+    # A read of w_k is overwritten iff its frontier holds more than k of
+    # the register's writes (w_k's own frontier holds k - 1 of them).
     for register in prepared.registers():
         writes = prepared.writes_to(register)
-        write_index = {w.op_id: k for k, w in enumerate(writes, start=1)}
+        if not writes:
+            continue  # nothing to overwrite
         for read in prepared.reads_of(register):
-            ancestors = structure.ancestors(read.op_id)
             source = structure.reads_from.get(read.op_id)
-            k = 0 if source is None else write_index[source]
-            for later in writes[k:]:
-                if later.op_id in ancestors:
-                    return violated(
-                        _CONDITION,
-                        f"{read.describe()} is causally overwritten: "
-                        f"{later.describe()} causally precedes the read",
-                        witness=(read, later),
-                    )
+            k = 0 if source is None else structure.frontier[source][register] + 1
+            if structure.frontier[read.op_id][register] > k:
+                later = writes[k]
+                return violated(
+                    _CONDITION,
+                    f"{read.describe()} is causally overwritten: "
+                    f"{later.describe()} causally precedes the read",
+                    witness=(read, later),
+                )
     return ok(_CONDITION)
 
 
 def _required_view_ops(
     prepared: History, structure: CausalStructure, client: int
 ) -> list[Operation]:
-    """Client ops plus the causal closure of update operations.
+    """Client ops plus the updates causally preceding any of them.
 
     Definition 3 condition 2 requires all updates causally preceding any
     view operation; legality independently requires each read's source
-    write.  Both are causal ancestors, so the closure below covers them.
+    write.  Both are causal ancestors, so the write frontier of the
+    client's last op covers them (program order makes it the largest).
     """
-    required: set[int] = {op.op_id for op in prepared.restrict_to_client(client)}
-    frontier = list(required)
-    while frontier:
-        current = frontier.pop()
-        for ancestor in structure.ancestors(current):
-            op = prepared.op(ancestor)
-            if op.is_write and ancestor not in required:
-                required.add(ancestor)
-                frontier.append(ancestor)
+    own = prepared.restrict_to_client(client)
+    required: set[int] = {op.op_id for op in own}
+    for writer, count in enumerate(structure.frontier[own[-1].op_id]):
+        required.update(w.op_id for w in prepared.writes_to(writer)[:count])
     return [op for op in prepared if op.op_id in required]
 
 

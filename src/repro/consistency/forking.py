@@ -31,7 +31,10 @@ fork-*-linearizable but not weakly so: the two are incomparable (E12).
 
 :func:`validate_views` checks concrete, e.g. protocol-derived, views
 against a row; :func:`search_views` decides a row for a small history by
-joint exhaustive search over all views of all clients.
+joint exhaustive search over all views of all clients.  Each condition is
+one pass, so whole runs validate: real-time order is a sweep, condition 3
+sweeps a view against the write frontiers, and both join rules look only
+past the two views' longest common prefix.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Sequence
 from repro.common.types import ClientId
 from repro.history.causality import CausalStructure, build_causal_structure
 from repro.history.events import Operation
-from repro.history.history import History, prefix_up_to
+from repro.history.history import History
 from repro.consistency.report import CheckResult, ok, prepare_exhaustive, violated
 from repro.consistency.views import (
     enumerate_views,
@@ -104,44 +107,62 @@ Views = dict[ClientId, View]
 def causality_violation(
     history: History, view: View, structure: CausalStructure | None = None
 ) -> str | None:
-    """Condition 3 on one candidate view (or None if fine).  ``structure``
-    is ``history``'s causal structure, when the caller already built it."""
+    """Condition 3 on one view of ``history`` (or None if fine); an op on
+    or after a causal cycle fails it in every view.  ``structure`` is
+    ``history``'s causal structure, when the caller already built it."""
     if structure is None:
         structure = build_causal_structure(history)
-    position = {op.op_id: i for i, op in enumerate(view)}
+    writes = {client: history.writes_to(client) for client in history.clients()}
+    seen: set[int] = set()
+    # closed[c]: client c's first closed[c] writes all precede the sweep
+    closed: dict[ClientId, int] = defaultdict(int)
     for op in view:
-        for ancestor_id in structure.ancestors(op.op_id):
-            ancestor = history.op(ancestor_id)
-            if not ancestor.is_write:
+        counts = structure.frontier.get(op.op_id)
+        if counts is None:
+            return (
+                f"{op.describe()} lies on or after a causal cycle, "
+                f"so an update causally precedes itself"
+            )
+        for client, needed in enumerate(counts):
+            if needed <= closed[client]:
                 continue
-            if ancestor_id not in position:
+            while closed[client] < needed and writes[client][closed[client]].op_id in seen:
+                closed[client] += 1
+            if closed[client] < needed:
+                update = writes[client][closed[client]]
+                late = any(other.op_id == update.op_id for other in view)
+                where = "follows it in" if late else "is missing from"
                 return (
-                    f"update {ancestor.describe()} causally precedes "
-                    f"{op.describe()} but is missing from the view"
+                    f"update {update.describe()} causally precedes "
+                    f"{op.describe()} but {where} the view"
                 )
-            if position[ancestor_id] > position[op.op_id]:
-                return (
-                    f"update {ancestor.describe()} causally precedes "
-                    f"{op.describe()} but follows it in the view"
-                )
+        seen.add(op.op_id)
     return None
+
+
+def _past_agreement(pi_i: View, pi_j: View) -> View:
+    """``pi_i`` after the longest common prefix of the two views: ``o``'s
+    prefixes ``pi_i|o`` and ``pi_j|o`` agree iff ``o`` lies inside it."""
+    agreed = 0
+    for a, b in zip(pi_i, pi_j):
+        if a.op_id != b.op_id:
+            break
+        agreed += 1
+    return pi_i[agreed:]
 
 
 def prefixes_agree(pi_i: View, pi_j: View, op_id: int) -> bool:
     """``pi_i|o == pi_j|o`` compared as op-id sequences (False unless
     ``o`` occurs in both)."""
-    op = next((op for op in pi_i if op.op_id == op_id), None)
-    if op is None or all(other.op_id != op_id for other in pi_j):
-        return False
-    prefix_i, prefix_j = prefix_up_to(pi_i, op), prefix_up_to(pi_j, op)
-    return [o.op_id for o in prefix_i] == [o.op_id for o in prefix_j]
+    past = {op.op_id for op in _past_agreement(pi_i, pi_j)}
+    return op_id not in past and any(op.op_id == op_id for op in pi_i)
 
 
 def no_join_violation(pi_i: View, pi_j: View) -> int | None:
     """First common op (id) whose prefixes differ, or None."""
     ids_j = {op.op_id for op in pi_j}
-    for op in pi_i:
-        if op.op_id in ids_j and not prefixes_agree(pi_i, pi_j, op.op_id):
+    for op in _past_agreement(pi_i, pi_j):
+        if op.op_id in ids_j:
             return op.op_id
     return None
 
@@ -150,18 +171,17 @@ def at_most_one_join_violation(pi_i: View, pi_j: View) -> str | None:
     """At-most-one-join from ``pi_i``'s side (or None); views that list a
     third client's operations in different orders need both sides."""
     ids_j = {op.op_id for op in pi_j}
-    common_by_client: dict[ClientId, list[Operation]] = defaultdict(list)
-    for op in pi_i:
+    diverged: dict[ClientId, list[Operation]] = defaultdict(list)
+    for op in _past_agreement(pi_i, pi_j):
         if op.op_id in ids_j:
-            common_by_client[op.client].append(op)
-    for client, ops in common_by_client.items():
-        # Every common op except the client's last must have equal prefixes.
-        for op in ops[:-1]:
-            if not prefixes_agree(pi_i, pi_j, op.op_id):
-                return (
-                    f"views share operations {ops[-1].op_id} and {op.op_id} of "
-                    f"C{client + 1} but disagree on the prefix up to {op.op_id}"
-                )
+            diverged[op.client].append(op)
+    for client, ops in diverged.items():
+        # Only a client's last common op may sit on divergent prefixes.
+        if len(ops) > 1:
+            return (
+                f"views share operations {ops[-1].op_id} and {ops[0].op_id} of "
+                f"C{client + 1} but disagree on the prefix up to {ops[0].op_id}"
+            )
     return None
 
 

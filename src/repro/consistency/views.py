@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
+from repro.common.errors import HistoryError
 from repro.common.types import ClientId
 from repro.history.events import Operation
 from repro.history.history import History
@@ -45,7 +46,8 @@ def view_violation(
     # sigma' choose whether to append their response, so they are optional.
     required = [op.op_id for op in own_ops if op.responded_at != float("inf")]
     allowed_order = [op.op_id for op in own_ops]
-    if [op_id for op_id in own_in_view if op_id in set(required)] != required:
+    required_ids = set(required)
+    if [op_id for op_id in own_in_view if op_id in required_ids] != required:
         return (
             f"view restricted to C{client + 1} is {own_in_view} but must "
             f"contain all of {required} in order (Definition 1, condition 2)"
@@ -71,13 +73,18 @@ def is_view_of(
 
 
 def preserves_real_time(sequence: Sequence[Operation], history: History) -> bool:
-    """Does the sequence preserve ``<_sigma`` (Definition 2, condition 2)?"""
-    position = {op.op_id: i for i, op in enumerate(sequence)}
-    ops = [op for op in history if op.op_id in position]
-    for a in ops:
-        for b in ops:
-            if a.precedes(b) and position[a.op_id] > position[b.op_id]:
-                return False
+    """Does the sequence preserve ``<_sigma`` (Definition 2, condition 2)?
+    One sweep: no op may sit after an op invoked after it responded (ops
+    are judged as ``history`` records them; others are ignored)."""
+    latest_invocation = float("-inf")
+    for op in sequence:
+        try:
+            op = history.op(op.op_id)
+        except HistoryError:
+            continue
+        if op.responded_at is not None and op.responded_at < latest_invocation:
+            return False
+        latest_invocation = max(latest_invocation, op.invoked_at)
     return True
 
 

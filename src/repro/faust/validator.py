@@ -142,9 +142,7 @@ def _check_stability_accuracy(system: StorageSystem, history: History) -> CheckR
 
     # Causal closure: a stable read's source write (and everything before
     # it) belongs to the certified prefix too.
-    closed = set(stable_ids)
-    for op_id in stable_ids:
-        closed |= structure.ancestors(op_id)
+    closed = stable_ids | structure.ancestors(*stable_ids)
     # Carry the checkpoint base: on a compacted history the prefix does
     # not start at BOTTOM, and the checker must know it.
     prefix = History(

@@ -2,7 +2,7 @@
 
 from repro.history.causality import CausalStructure, build_causal_structure
 from repro.history.events import Operation
-from repro.history.history import History, prefix_up_to
+from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_spec import (
     explain_illegal,
@@ -18,6 +18,5 @@ __all__ = [
     "build_causal_structure",
     "explain_illegal",
     "is_legal_sequence",
-    "prefix_up_to",
     "run_sequentially",
 ]

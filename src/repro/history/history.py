@@ -3,9 +3,10 @@
 A :class:`History` is the record of one execution restricted to the
 register functionality ``F`` — what Section 2 calls ``sigma|F``.  It
 provides the constructions every definition in the paper is phrased in:
-``complete(sigma)``, per-client restriction ``sigma|C_i``, real-time
-precedence, prefixes ``sigma|o``, and the unique-values reads-from helpers
-that the consistency checkers build on.
+``complete(sigma)``, per-client restriction ``sigma|C_i``, each writer's
+writes in program order, and the unique-values check that the
+consistency checkers build on (reads-from itself is
+:mod:`repro.history.causality`'s).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from repro.common.errors import HistoryError
-from repro.common.types import BOTTOM, ClientId, OpKind, RegisterId
+from repro.common.types import ClientId, RegisterId
 from repro.history.events import Operation
 
 
@@ -152,15 +153,6 @@ class History:
                 )
             seen[key] = op.op_id
 
-    def write_of_value(self, register: RegisterId, value) -> Operation | None:
-        """The unique write that stored ``value`` in ``register``, if any."""
-        if value is BOTTOM:
-            return None
-        for op in self.writes_to(register):
-            if op.value == value:
-                return op
-        return None
-
     # ------------------------------------------------------------------ #
     # Completion (the standard preprocessing for Definitions 1-3)
     # ------------------------------------------------------------------ #
@@ -197,15 +189,3 @@ class History:
             lines.append(f"[{op.invoked_at:.3f} .. {end}] {op.describe()}")
         return "\n".join(lines)
 
-
-def prefix_up_to(sequence: list[Operation], op: Operation) -> list[Operation]:
-    """``pi|o``: the prefix of a sequential view ending with ``op``.
-
-    Raises if ``op`` does not occur in the sequence — callers are expected
-    to check membership first (the definitions always quantify over common
-    operations).
-    """
-    for index, candidate in enumerate(sequence):
-        if candidate.op_id == op.op_id:
-            return sequence[: index + 1]
-    raise HistoryError(f"operation {op.op_id} not in the given sequence")

@@ -43,22 +43,17 @@ def merge_vh_records(
 def reconstruct_view_history(
     records: Mapping[OpKey, ViewHistoryRecord],
     op_key: OpKey,
-    _cache: dict[OpKey, tuple[OpKey, ...]] | None = None,
 ) -> tuple[OpKey, ...]:
     """``VH(o)`` as a sequence of (client, timestamp) identities.
 
-    Iterative: the parent chain is first walked up to the nearest cached
-    prefix (or the root), then the sequences are materialised on the way
-    back down.  Long histories — one record per operation of the run —
-    would blow Python's recursion limit under the naive recursive
-    definition; the walk also guarantees each record's sequence is built
-    exactly once per shared ``_cache``.
+    One walk up the parent chain collects each record's segment
+    ``omega_1 .. omega_m || o``; the segments, root first, are ``VH(o)``.
+    Iterative: long histories — one record per operation of the run —
+    would blow Python's recursion limit under the recursive definition.
     """
-    cache: dict[OpKey, tuple[OpKey, ...]] = {} if _cache is None else _cache
-    # Phase 1: climb ancestors until a cached prefix (or the root).
-    chain: list[tuple[OpKey, ViewHistoryRecord]] = []
+    segments: list[tuple[OpKey, ...]] = []
     key: OpKey | None = op_key
-    while key is not None and key not in cache:
+    while key is not None:
         try:
             record = records[key]
         except KeyError:
@@ -66,15 +61,9 @@ def reconstruct_view_history(
                 f"no view-history record for operation {key} — only operations "
                 f"that completed updateVersion have one"
             ) from None
-        chain.append((key, record))
+        segments.append(record.concurrent + (record.own,))
         key = record.parent
-    # Phase 2: unwind, building each VH from its (now cached) parent's.
-    for key, record in reversed(chain):
-        prefix: tuple[OpKey, ...] = ()
-        if record.parent is not None:
-            prefix = cache[record.parent]
-        cache[key] = prefix + record.concurrent + (record.own,)
-    return cache[op_key]
+    return tuple(key for segment in reversed(segments) for key in segment)
 
 
 def view_from_keys(
@@ -89,8 +78,15 @@ def view_from_keys(
     incomplete writes are included as their ``+inf``-completed versions,
     matching :meth:`History.completed_for_checking`.
     """
-    prepared = history.completed_for_checking()
-    available = {op.op_id: op for op in prepared}
+    available = {op.op_id: op for op in history.completed_for_checking()}
+    return _view(available, recorder, keys)
+
+
+def _view(
+    available: Mapping[int, Operation],
+    recorder: HistoryRecorder,
+    keys: Iterable[OpKey],
+) -> list[Operation]:
     view: list[Operation] = []
     for client, timestamp in keys:
         op_id = recorder.op_id_for(client, timestamp)
@@ -125,7 +121,7 @@ def build_client_views(
     client_list = list(clients)
     records = merge_vh_records(client_list)
     wanted = set(view_clients) if view_clients is not None else None
-    cache: dict[OpKey, tuple[OpKey, ...]] = {}
+    available = {op.op_id: op for op in history.completed_for_checking()}
     views: dict[ClientId, list[Operation]] = {}
     for client in client_list:
         if wanted is not None and client.client_id not in wanted:
@@ -134,6 +130,6 @@ def build_client_views(
         if not own_keys:
             continue
         last_key = max(own_keys, key=lambda key: key[1])
-        keys = reconstruct_view_history(records, last_key, cache)
-        views[client.client_id] = view_from_keys(history, recorder, keys)
+        keys = reconstruct_view_history(records, last_key)
+        views[client.client_id] = _view(available, recorder, keys)
     return views

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import HistoryError
 from repro.common.types import BOTTOM, OpKind
 from repro.history.events import Operation
-from repro.history.history import History, prefix_up_to
+from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_spec import (
     explain_illegal,
@@ -126,13 +126,6 @@ class TestHistory:
         b = w(1, b"same", 0, 1)
         h(a, b).assert_unique_write_values()
 
-    def test_write_of_value(self):
-        a = w(0, b"a", 0, 1)
-        hist = h(a)
-        assert hist.write_of_value(0, b"a") is a
-        assert hist.write_of_value(0, b"zz") is None
-        assert hist.write_of_value(0, BOTTOM) is None
-
     def test_completed_for_checking_drops_incomplete_reads(self):
         a = r(0, 1, None, 0, None)
         assert len(h(a).completed_for_checking()) == 0
@@ -142,13 +135,6 @@ class TestHistory:
         prepared = h(a).completed_for_checking()
         assert len(prepared) == 1
         assert prepared[0].responded_at == float("inf")
-
-    def test_prefix_up_to(self):
-        a = w(0, b"a", 0, 1)
-        b = r(1, 0, b"a", 2, 3)
-        assert [op.op_id for op in prefix_up_to([a, b], a)] == [a.op_id]
-        with pytest.raises(HistoryError):
-            prefix_up_to([a], b)
 
     def test_op_lookup(self):
         a = w(0, b"a", 0, 1)

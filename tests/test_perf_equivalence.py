@@ -15,6 +15,10 @@ byte-for-byte identical outputs:
   ``hash_values("VALUE", x)``;
 * the iterative view-history reconstruction vs the paper's recursive
   definition of ``VH(o)``;
+* the forking-notion conditions (real-time order, prefix agreement and
+  the join rules, condition 3 with its cycle rule, the causal checker's
+  overwritten read) vs their definitions transcribed pairwise, as
+  ``pi[:k+1]`` slices and as full ancestor walks;
 * the single-pass :meth:`repro.ustor.version.Version.le` vs a literal
   transcription of Definition 7, and
   :meth:`repro.faust.stability.StabilityTracker.stable_vector` vs the
@@ -46,8 +50,19 @@ from repro.common.encoding import (
 )
 from repro.common.errors import EncodingError, ProtocolError
 from repro.common.types import BOTTOM, OpKind
+from repro.consistency import (
+    at_most_one_join_violation,
+    causality_violation,
+    check_causal_consistency,
+    no_join_violation,
+    prefixes_agree,
+    preserves_real_time,
+)
 from repro.crypto.hashing import hash_register_value, hash_values
 from repro.faust.stability import StabilityTracker
+from repro.history.causality import build_causal_structure
+from repro.history.events import Operation
+from repro.history.history import History
 from repro.ustor import digests
 from repro.ustor.client import ViewHistoryRecord
 from repro.ustor.digests import (
@@ -365,11 +380,8 @@ class TestViewHistoryEquivalence:
                 parent=parent, concurrent=concurrent, own=key
             )
             keys.append(key)
-        cache: dict = {}
         for key in keys:
-            assert reconstruct_view_history(records, key, cache) == _recursive_vh(
-                records, key
-            )
+            assert reconstruct_view_history(records, key) == _recursive_vh(records, key)
 
     test_iterative_matches_recursive, test_iterative_matches_recursive_full = (
         two_budgets(25, 100, st.data())(_iterative_matches_recursive)
@@ -479,3 +491,197 @@ class TestStableVectorEquivalence:
         assert tracker.stable_vector(members=members) == expected
         if members is None:
             assert tracker.stable_vector() == expected
+
+
+# --------------------------------------------------------------------- #
+# The forking-notion conditions and their definitions
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def small_histories(draw):
+    """Up to 3 clients x 4 ops, every written value unique, reads free to
+    return any write of their register — a later one too, so causal
+    cycles are common — and a client's last write possibly pending."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    shapes = []  # (client, is_write, register, invoked, responded)
+    for client in range(n):
+        clock = draw(st.integers(min_value=0, max_value=3))
+        count = draw(st.integers(min_value=0, max_value=4))
+        for index in range(count):
+            is_write = draw(st.booleans())
+            register = client if is_write else draw(st.integers(0, n - 1))
+            invoked = clock + draw(st.integers(min_value=0, max_value=2))
+            responded = invoked + draw(st.integers(min_value=0, max_value=3))
+            if is_write and index == count - 1 and draw(st.booleans()):
+                responded = None
+            shapes.append((client, is_write, register, invoked, responded))
+            clock = responded if responded is not None else invoked
+    written = {
+        op_id: (register, b"v%d" % op_id)
+        for op_id, (_, is_write, register, _, _) in enumerate(shapes)
+        if is_write
+    }
+    ops = []
+    for op_id, (client, is_write, register, invoked, responded) in enumerate(shapes):
+        if is_write:
+            value = written[op_id][1]
+        else:
+            choices = [v for reg, v in written.values() if reg == register]
+            value = draw(st.sampled_from([BOTTOM, *choices]))
+        ops.append(
+            Operation(
+                op_id=op_id,
+                client=client,
+                kind=OpKind.WRITE if is_write else OpKind.READ,
+                register=register,
+                value=value,
+                invoked_at=invoked,
+                responded_at=responded,
+            )
+        )
+    return History(ops).completed_for_checking()
+
+
+def _candidate_views(draw, history):
+    """Two sequences of the history's ops, not necessarily views, that
+    share a drawn prefix more often than chance would."""
+    ops = list(history)
+    order = draw(st.permutations(ops))
+    pi_i = list(order[: draw(st.integers(0, len(ops)))])
+    shared = pi_i[: draw(st.integers(0, len(pi_i)))]
+    tail = draw(st.permutations([op for op in ops if op not in shared]))
+    return pi_i, shared + list(tail[: draw(st.integers(0, len(tail)))])
+
+
+def _precedes_causally(history):
+    """op_id -> the op_ids that causally precede it, transcribed from
+    Section 2: program order, reads-from by value, transitivity (an op on
+    a cycle precedes itself)."""
+    direct = {op.op_id: set() for op in history}
+    for client in history.clients():
+        own = history.restrict_to_client(client)
+        for earlier, later in zip(own, own[1:]):
+            direct[later.op_id].add(earlier.op_id)
+    for read in history:
+        for write in history:
+            if read.is_read and write.is_write and (read.register, read.value) == (
+                write.register,
+                write.value,
+            ):
+                direct[read.op_id].add(write.op_id)
+    closure = {}
+    for op_id in direct:
+        seen, stack = set(), list(direct[op_id])
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                stack.extend(direct[current])
+        closure[op_id] = seen
+    return closure
+
+
+def _condition_3_holds(history, view, ancestors):
+    """Every update causally preceding an op of the view is in the view,
+    before it."""
+    position = {op.op_id: i for i, op in enumerate(view)}
+    return all(
+        a in position and position[a] < position[op.op_id]
+        for op in view
+        for a in ancestors[op.op_id]
+        if history.op(a).is_write
+    )
+
+
+def _slice_agrees(pi_i, pi_j, op_id):
+    """``pi_i|o == pi_j|o`` as ``pi[:k+1]`` slices."""
+    ids_i, ids_j = [o.op_id for o in pi_i], [o.op_id for o in pi_j]
+    if op_id not in ids_i or op_id not in ids_j:
+        return False
+    return ids_i[: ids_i.index(op_id) + 1] == ids_j[: ids_j.index(op_id) + 1]
+
+
+def _overwritten(history, read, ancestors):
+    """Definition 3's overwritten read: a write of the read's register
+    other than its source causally precedes the read, and follows the
+    source (a BOTTOM read has no source)."""
+    source = next(
+        (
+            w
+            for w in history
+            if w.is_write and (w.register, w.value) == (read.register, read.value)
+        ),
+        None,
+    )
+    return any(
+        history.op(a).is_write
+        and history.op(a).register == read.register
+        and a != getattr(source, "op_id", None)
+        and (source is None or source.op_id in ancestors[a])
+        for a in ancestors[read.op_id]
+    )
+
+
+class TestForkingConditionEquivalence:
+    def _conditions_match_definitions(self, data):
+        history = data.draw(small_histories())
+        pi_i, pi_j = _candidate_views(data.draw, history)
+        ancestors = _precedes_causally(history)
+        structure = build_causal_structure(history)
+
+        # Real time: no pair a <_sigma b with b before a.
+        for view in (pi_i, pi_j):
+            pairwise = not any(
+                a.precedes(b) and view.index(a) > view.index(b)
+                for a in view
+                for b in view
+            )
+            assert preserves_real_time(view, history) == pairwise
+
+        # Prefix agreement, and both join rules built on it.
+        common = [op for op in pi_i if op in pi_j]
+        for op in history:
+            assert prefixes_agree(pi_i, pi_j, op.op_id) == _slice_agrees(
+                pi_i, pi_j, op.op_id
+            )
+        first_bad = next(
+            (op.op_id for op in common if not _slice_agrees(pi_i, pi_j, op.op_id)),
+            None,
+        )
+        assert no_join_violation(pi_i, pi_j) == first_bad
+        one_join = all(
+            _slice_agrees(pi_i, pi_j, op.op_id)
+            for op in common
+            if any(
+                o.client == op.client and pi_i.index(o) > pi_i.index(op)
+                for o in common
+            )
+        )
+        assert (at_most_one_join_violation(pi_i, pi_j) is None) == one_join
+
+        # Condition 3, and the cycle rule: an op on or after a cycle has a
+        # cycle's update among its ancestors, which precedes itself.
+        on_or_after_cycle = {
+            op_id
+            for op_id, before in ancestors.items()
+            if any(a in ancestors[a] for a in before | {op_id})
+        }
+        assert structure.has_cycle() == bool(on_or_after_cycle)
+        assert set(structure.frontier) == set(ancestors) - on_or_after_cycle
+        for view in (pi_i, pi_j):
+            holds = causality_violation(history, view, structure) is None
+            assert holds == _condition_3_holds(history, view, ancestors)
+            if any(op.op_id in on_or_after_cycle for op in view):
+                assert not holds
+
+        # The causal checker's overwritten-read rule.
+        overwritten = any(
+            _overwritten(history, read, ancestors) for read in history if read.is_read
+        )
+        causal = check_causal_consistency(history)
+        assert causal.ok == (not on_or_after_cycle and not overwritten)
+
+    test_conditions_match_definitions, test_conditions_match_definitions_full = (
+        two_budgets(200, 2000, st.data())(_conditions_match_definitions)
+    )

@@ -79,6 +79,25 @@ class TestProtocolViews:
         result = validate_weak_fork_linearizability(history, views)
         assert result, result.violation
 
+    def test_whole_run_views_validate(self):
+        """A 4 x 400-op run: every condition is one pass, so the theorem
+        is checked on the whole run, not a 15-op sample."""
+        system = open_system(SystemConfig(num_clients=4, seed=3), backend="ustor")
+        scripts = generate_scripts(
+            4,
+            WorkloadConfig(ops_per_client=400, read_fraction=0.6, mean_think_time=0.0),
+            random.Random(3),
+        )
+        driver = Driver(system)
+        driver.attach_all(scripts)
+        assert driver.run_to_completion(timeout=10_000_000)
+        history = system.history()
+        assert len(history) == 1600
+        views = build_client_views(history, system.recorder, system.clients)
+        assert set(views) == {0, 1, 2, 3}
+        result = validate_weak_fork_linearizability(history, views)
+        assert result, result.violation
+
     def test_views_are_per_client_last_op(self):
         system = open_system(SystemConfig(num_clients=2, seed=9), backend="ustor")
         run_ops(system, [(0, "write", b"a"), (1, "read", 0)])
