@@ -58,7 +58,7 @@ def test_causal_checker(benchmark):
 def test_weak_fork_validator_on_protocol_views(benchmark, total_ops):
     system = _recorded_history(4, total_ops // 4, seed=3)
     history = system.history()
-    views = build_client_views(history, system.recorder, system.clients)
+    views = build_client_views(history, system.clients)
     result = benchmark(validate_weak_fork_linearizability, history, views)
     assert result.ok
 

@@ -28,7 +28,7 @@ def _label(op: Operation) -> str:
     try:
         shown = op.value.decode("utf-8")
     except (UnicodeDecodeError, AttributeError):
-        shown = op.value.hex()[:6] if isinstance(op.value, bytes) else "?"
+        shown = op.value.hex()[:6] if isinstance(op.value, bytes) else repr(op.value)
     if len(shown) > 8:
         shown = shown[:7] + "~"
     return f"r({reg})->{shown}"

@@ -237,6 +237,7 @@ class LockStepClient(ClientNode):
                 invoked_at=self.now,
                 value=value,
                 timestamp=t,
+                value_hash=value_hash,
             )
         self._pending = _Pending(descriptor, value, op_id, callback)
         self.send(self._server, LsSubmit(descriptor=descriptor, value=value, last_seq=self._seq))

@@ -455,7 +455,7 @@ def _run_and_report(args, system, config, workload, backend) -> None:
         for k, domain, history in histories:
             print()
             _print_verdicts(
-                history, domain.recorder, domain.clients,
+                history, domain.clients,
                 label=f" [shard {k}]" if sharded else "",
             )
 
@@ -587,12 +587,12 @@ def _cmd_serve_cluster(args) -> int:
         supervisor.stop()
 
 
-def _print_verdicts(history, recorder, clients, *, label="") -> None:
+def _print_verdicts(history, clients, *, label="") -> None:
     """The three consistency verdict lines over one history."""
     print(f"linearizability{label}:            {check_linearizability(history)}")
     print(f"causal consistency{label}:         "
           f"{check_causal_consistency(history)}")
-    views = build_client_views(history, recorder, clients)
+    views = build_client_views(history, clients)
     print(f"weak fork-linearizability{label}:  "
           f"{validate_weak_fork_linearizability(history, views)}")
 
@@ -617,7 +617,7 @@ def _cmd_replay(args) -> int:
         print(f"C{client_id + 1}: fail: {reason}")
     if args.check:
         print()
-        _print_verdicts(history, result.recorder, result.clients)
+        _print_verdicts(history, result.clients)
     if args.history:
         print()
         print(history.describe())

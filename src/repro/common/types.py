@@ -11,6 +11,7 @@ output, mirroring how the paper's ``C_i`` writes register ``X_i``.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from functools import cache
 from typing import Final
 
@@ -51,6 +52,27 @@ class Bottom:
 #: The initial value held by every register (paper: the special value
 #: outside the domain X).
 BOTTOM: Final[Bottom] = Bottom()
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class ValueDigest:
+    """``H(x)`` standing in for a value ``x``: all a client vouches for
+    (line 50 checks ``DATA || t_j || H(x_j)``).  A dummy read's ``MEM[j]``
+    carries it on the wire, and the history records it for any value of
+    :data:`DIGEST_FORM_MIN_BYTES` or more
+    (:func:`repro.crypto.hashing.digest_form`)."""
+
+    digest: bytes
+
+    def __repr__(self) -> str:
+        """The one rendering (histories, timelines, trace signatures)."""
+        return f"H:{self.digest.hex()[:16]}"
+
+
+#: A value at least this long is stood in for by its :class:`ValueDigest`;
+#: below it, the digest form's 1-byte marker and 32-byte hash would be no
+#: smaller on the wire.
+DIGEST_FORM_MIN_BYTES: Final = 1 + 32 + 1
 
 
 class OpKind(enum.Enum):

@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from repro.common.types import BOTTOM, OpKind
+from repro.common.types import BOTTOM, OpKind, Value, ValueDigest
 from repro.history.events import Operation
 from repro.history.history import History
 from repro.consistency.report import CheckResult, ok, violated
@@ -121,7 +121,7 @@ class _RegisterState:
     """
 
     writes: list[Operation] = field(default_factory=list)
-    index_of_value: dict[bytes, int] = field(default_factory=dict)
+    index_of_value: dict[Value | ValueDigest, int] = field(default_factory=dict)
     staircase: list[tuple[float, int]] = field(default_factory=list)
     #: Checkpoint base: writes pruned behind the co-signed cut.  Indexes
     #: stay absolute (write k of the execution is still index k); the
@@ -153,7 +153,7 @@ class IncrementalLinearizabilityChecker(IncrementalChecker):
             return
         self.ops_processed += 1
         state = self._register(op.register)
-        key = bytes(op.value)
+        key = op.value
         if key in state.index_of_value:
             self._violate(
                 f"writes of register {op.register} repeat the value "
@@ -185,10 +185,10 @@ class IncrementalLinearizabilityChecker(IncrementalChecker):
         elif op.value is None:
             self._violate(f"read {op.op_id} has no recorded return value", op)
         else:
-            index = state.index_of_value.get(bytes(op.value))
+            index = state.index_of_value.get(op.value)
             if index is None:
                 self._orphans.setdefault(
-                    (op.register, bytes(op.value)), []
+                    (op.register, op.value), []
                 ).append(op)
             else:
                 self._check_read(op, index, state)
@@ -226,7 +226,7 @@ class IncrementalLinearizabilityChecker(IncrementalChecker):
             dropped = writes[:prune]
             del writes[:prune]
             for write in dropped:
-                state.index_of_value.pop(bytes(write.value), None)
+                state.index_of_value.pop(write.value, None)
             state.base += prune
             last = dropped[-1].responded_at
             if last is not None and last > state.base_time:
@@ -342,7 +342,7 @@ class IncrementalCausalChecker(IncrementalChecker):
         #: rule is phrased over them.
         self._write_ts: dict[int, list[int | None]] = {}
         self._reg_base: dict[int, int] = {}
-        self._index_of_value: dict[int, dict[bytes, int]] = {}
+        self._index_of_value: dict[int, dict[Value | ValueDigest, int]] = {}
 
     def _client(self, client: int) -> _ClientState:
         state = self._clients.get(client)
@@ -358,7 +358,7 @@ class IncrementalCausalChecker(IncrementalChecker):
             return
         self.ops_processed += 1
         values = self._index_of_value.setdefault(op.register, {})
-        key = bytes(op.value)
+        key = op.value
         if key in values:
             # Check BEFORE mutating any clock state: a duplicate must not
             # desynchronize the write index from ``_write_clocks`` (later
@@ -403,10 +403,10 @@ class IncrementalCausalChecker(IncrementalChecker):
         if op.value is None:
             self._violate(f"read {op.op_id} has no recorded return value", op)
             return
-        index = self._index_of_value.get(op.register, {}).get(bytes(op.value))
+        index = self._index_of_value.get(op.register, {}).get(op.value)
         if index is None:
             self._orphans.setdefault(
-                (op.register, bytes(op.value)), []
+                (op.register, op.value), []
             ).append(op)
             # The read still advances its client's program order.
             state = self._client(op.client)

@@ -53,7 +53,7 @@ def _map_reads_to_write_index(
     base_count, _ = history.base_of(register)
     writes = history.writes_to(register)
     index_of_value = {
-        bytes(w.value): k for k, w in enumerate(writes, start=base_count + 1)
+        w.value: k for k, w in enumerate(writes, start=base_count + 1)
     }
     mapping: dict[int, int] = {}
     for read in history.reads_of(register):
@@ -63,15 +63,14 @@ def _map_reads_to_write_index(
             mapping[read.op_id] = 0
         elif read.value is None:
             return writes, mapping, f"read {read.op_id} has no recorded return value"
+        elif read.value not in index_of_value:
+            return (
+                writes,
+                mapping,
+                f"{read.describe()} returned a value that was never written",
+            )
         else:
-            key = bytes(read.value)
-            if key not in index_of_value:
-                return (
-                    writes,
-                    mapping,
-                    f"{read.describe()} returned a value that was never written",
-                )
-            mapping[read.op_id] = index_of_value[key]
+            mapping[read.op_id] = index_of_value[read.value]
     return writes, mapping, None
 
 

@@ -16,7 +16,7 @@ import hashlib
 from typing import Any
 
 from repro.common.encoding import encode, encoded_length
-from repro.common.types import BOTTOM, Bottom, Value
+from repro.common.types import BOTTOM, DIGEST_FORM_MIN_BYTES, Bottom, Value, ValueDigest
 
 #: Size of a hash output in bytes; also used by the wire-size model.
 HASH_BYTES = 32
@@ -66,3 +66,16 @@ def hash_register_value(value: Value | Bottom) -> bytes:
         state.update(value)
         return state.digest()
     return hash_values("VALUE", value)
+
+
+def digest_form(
+    value: Value | Bottom | ValueDigest | None, value_hash: bytes | None = None
+) -> Value | Bottom | ValueDigest | None:
+    """``ValueDigest(H(x))`` for a value ``x`` of at least
+    :data:`DIGEST_FORM_MIN_BYTES`; anything else as it is.  ``value_hash``
+    is ``H(x)`` when the caller already has it; otherwise ``x`` is hashed."""
+    if type(value) is not bytes or len(value) < DIGEST_FORM_MIN_BYTES:
+        return value
+    if value_hash is None:
+        value_hash = hash_register_value(value)
+    return ValueDigest(value_hash)

@@ -31,7 +31,7 @@ def run(quick: bool = False) -> ExperimentResult:
     history = result.history
 
     measured = {notion: NOTIONS[notion](history).ok for notion in _PAPER}
-    views = build_client_views(history, result.system.recorder, result.system.clients)
+    views = build_client_views(history, result.system.clients)
     protocol_views_valid = validate_weak_fork_linearizability(history, views).ok
 
     rows = [

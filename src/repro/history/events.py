@@ -22,17 +22,21 @@ from repro.common.types import (
     OpKind,
     RegisterId,
     Value,
+    ValueDigest,
     client_name,
     register_name,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One read or write operation on the SWMR register functionality.
 
     ``value`` is the written value for a WRITE and the *returned* value for
-    a READ (``BOTTOM`` when the register was never written).  For an
+    a READ (``BOTTOM`` when the register was never written).  A recorded
+    value of :data:`~repro.common.types.DIGEST_FORM_MIN_BYTES` or more is
+    its :class:`~repro.common.types.ValueDigest` ``H(x)``: under unique
+    writes it names the value as well as the bytes do.  For an
     incomplete READ the return value is unknown and ``value`` is ``None``.
     ``timestamp`` carries the FAUST timestamp when the operation ran under
     the fail-aware layer (Definition 5 extends responses with it).
@@ -42,7 +46,7 @@ class Operation:
     client: ClientId
     kind: OpKind
     register: RegisterId
-    value: Value | Bottom | None
+    value: Value | Bottom | ValueDigest | None
     invoked_at: float
     responded_at: float | None
     timestamp: int | None = None
@@ -102,7 +106,7 @@ class Operation:
         return self.describe()
 
 
-def _show_value(value: Value | Bottom | None) -> str:
+def _show_value(value: Value | Bottom | ValueDigest | None) -> str:
     if value is BOTTOM:
         return "BOTTOM"
     if value is None:

@@ -15,7 +15,7 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from repro.common.errors import HistoryError
-from repro.common.types import ClientId, RegisterId
+from repro.common.types import ClientId, RegisterId, Value, ValueDigest
 from repro.history.events import Operation
 
 
@@ -141,11 +141,11 @@ class History:
     # ------------------------------------------------------------------ #
 
     def assert_unique_write_values(self) -> None:
-        seen: dict[tuple[RegisterId, bytes], int] = {}
+        seen: dict[tuple[RegisterId, Value | ValueDigest], int] = {}
         for op in self._ops:
             if not op.is_write:
                 continue
-            key = (op.register, bytes(op.value))  # type: ignore[arg-type]
+            key = (op.register, op.value)
             if key in seen:
                 raise HistoryError(
                     f"writes {seen[key]} and {op.op_id} store the same value in "

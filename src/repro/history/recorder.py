@@ -2,37 +2,30 @@
 
 Protocol clients report invocations and responses here; the recorder
 assembles the :class:`~repro.history.History` that the consistency
-checkers consume, and keeps the ``(client, protocol timestamp) -> op``
-mapping that lets the analysis layer reconstruct USTOR view histories.
+checkers consume.  A value of
+:data:`~repro.common.types.DIGEST_FORM_MIN_BYTES` or more is recorded as
+its :class:`~repro.common.types.ValueDigest` ``H(x)`` — the identity the
+client vouches for — so what the recorder holds per operation does not
+grow with the value's size.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any
-
 from repro.common.errors import HistoryError
-from repro.common.types import BOTTOM, Bottom, ClientId, OpKind, RegisterId, Value
+from repro.common.types import Bottom, ClientId, OpKind, RegisterId, Value, ValueDigest
+from repro.crypto.hashing import digest_form
 from repro.history.events import Operation
 from repro.history.history import History
-
-
-class _PendingOp:
-    __slots__ = ("op_id", "client", "kind", "register", "value", "invoked_at", "timestamp")
-
-    def __init__(self, op_id, client, kind, register, value, invoked_at, timestamp):
-        self.op_id = op_id
-        self.client = client
-        self.kind = kind
-        self.register = register
-        self.value = value
-        self.invoked_at = invoked_at
-        self.timestamp = timestamp
 
 
 class HistoryRecorder:
     """Builds a history incrementally from begin/end calls.
 
+    Every recorded value is ``bytes`` shorter than
+    :data:`~repro.common.types.DIGEST_FORM_MIN_BYTES`, ``BOTTOM``, a
+    :class:`~repro.common.types.ValueDigest` or (an incomplete read)
+    ``None``: a caller that already holds ``H(x)`` passes it as
+    ``value_hash``, and the recorder hashes only when it is missing.
     Observers (e.g. the streaming checkers of
     :mod:`repro.consistency.incremental`) can subscribe with
     :meth:`add_listener` and see every invocation and response as it is
@@ -42,17 +35,12 @@ class HistoryRecorder:
 
     def __init__(self) -> None:
         self._next_id = 0
-        self._pending: dict[int, _PendingOp] = {}
+        self._pending: dict[int, Operation] = {}
         self._done: list[Operation] = []
-        self._by_key: dict[tuple[ClientId, int], int] = {}
         self._listeners: list = []
         #: register -> (pruned_write_count, last_pruned_responded_at);
         #: accumulated by :meth:`compact`, carried on extracted histories.
         self._base: dict[RegisterId, tuple[int, float]] = {}
-        #: register -> (timestamps, values) of its writes in timestamp
-        #: order, from invocation on: what ``written_at`` resolves against.
-        #: :meth:`compact` trims it with the writes it prunes.
-        self._writes: dict[RegisterId, tuple[list[int], list[Value]]] = {}
         self.compacted_ops = 0
 
     def add_listener(self, listener) -> None:
@@ -73,74 +61,55 @@ class HistoryRecorder:
         invoked_at: float,
         value: Value | None = None,
         timestamp: int | None = None,
+        value_hash: bytes | None = None,
     ) -> int:
         """Record an invocation; returns the operation id.
 
         ``timestamp`` is the protocol timestamp (USTOR assigns it before
         sending SUBMIT, so it is known even for operations that never
-        complete).
+        complete).  ``value_hash`` is ``H(value)`` if the caller has it.
         """
         op_id = self._next_id
         self._next_id += 1
-        self._pending[op_id] = _PendingOp(
-            op_id, client, kind, register, value, invoked_at, timestamp
+        op = Operation(
+            op_id, client, kind, register, digest_form(value, value_hash),
+            invoked_at, None, timestamp,
         )
-        if timestamp is not None:
-            self._by_key[(client, timestamp)] = op_id
-            if kind is OpKind.WRITE:
-                timestamps, values = self._writes.setdefault(register, ([], []))
-                timestamps.append(timestamp)
-                values.append(value)
-        if self._listeners:
-            op = Operation(
-                op_id=op_id,
-                client=client,
-                kind=kind,
-                register=register,
-                value=value,
-                invoked_at=invoked_at,
-                responded_at=None,
-                timestamp=timestamp,
-            )
-            for listener in self._listeners:
-                hook = getattr(listener, "on_invoke", None)
-                if hook is not None:
-                    hook(op)
+        self._pending[op_id] = op
+        for listener in self._listeners:
+            hook = getattr(listener, "on_invoke", None)
+            if hook is not None:
+                hook(op)
         return op_id
 
     def end(
         self,
         op_id: int,
         responded_at: float,
-        value: Value | Bottom | None = None,
+        value: Value | Bottom | ValueDigest | None = None,
         timestamp: int | None = None,
-        written_at: tuple[RegisterId, int] | None = None,
+        value_hash: bytes | None = None,
     ) -> Operation:
         """Record the matching response; returns the completed operation.
 
-        A read answered with only the value's digest passes ``written_at =
-        (j, t_j)`` instead of ``value``: it returned what
-        :meth:`value_written` resolves that to.
+        A read's ``value`` is what it returned — a
+        :class:`~repro.common.types.ValueDigest` if it was answered with
+        only the value's digest — and ``value_hash`` is ``H(value)`` if
+        the caller has it.
         """
-        if written_at is not None:
-            value = self.value_written(*written_at)
         try:
             pending = self._pending.pop(op_id)
         except KeyError:
             raise HistoryError(f"no pending operation with id {op_id}") from None
-        if timestamp is not None:
-            pending.timestamp = timestamp
-            self._by_key[(pending.client, timestamp)] = op_id
-        final_value = pending.value if pending.kind is OpKind.WRITE else value
         op = Operation(
-            op_id=op_id,
-            client=pending.client,
-            kind=pending.kind,
-            register=pending.register,
-            value=final_value,
-            invoked_at=pending.invoked_at,
-            responded_at=responded_at,
-            timestamp=pending.timestamp,
+            op_id,
+            pending.client,
+            pending.kind,
+            pending.register,
+            pending.value if pending.is_write else digest_form(value, value_hash),
+            pending.invoked_at,
+            responded_at,
+            pending.timestamp if timestamp is None else timestamp,
         )
         self._done.append(op)
         for listener in self._listeners:
@@ -148,29 +117,6 @@ class HistoryRecorder:
             if hook is not None:
                 hook(op)
         return op
-
-    def value_written(self, register: RegisterId, timestamp: int) -> Value | Bottom:
-        """The value register ``register`` held as of its writer's operation
-        ``timestamp``: that client's latest write with a timestamp at or
-        below it, ``BOTTOM`` before its first write.
-
-        Exact under forks too: a ``MEM[j]`` that passes line 50 carries the
-        writer's DATA-signature over ``(t_j, H(x))``, and a correct writer
-        signs at ``t_j`` the hash of its own latest write.  Once
-        :meth:`compact` pruned writes of the register, a timestamp before
-        every kept one is unknown: :class:`HistoryError` (a read that
-        passes line 51 is never that old, as it knows the stable cut).
-        """
-        timestamps, values = self._writes.get(register, ((), ()))
-        index = bisect_right(timestamps, timestamp)
-        if index:
-            return values[index - 1]
-        if register not in self._base:
-            return BOTTOM
-        raise HistoryError(
-            f"the write to register {register} at or before timestamp "
-            f"{timestamp} was compacted away"
-        )
 
     # ------------------------------------------------------------------ #
     # Checkpoint compaction
@@ -198,7 +144,7 @@ class HistoryRecorder:
             if op.is_write:
                 writes_by_register.setdefault(op.register, []).append(op)
         pruned_ids: set[int] = set()
-        pruned_values: set[tuple[RegisterId, bytes]] = set()
+        pruned_values: set[tuple[RegisterId, Value | ValueDigest]] = set()
         for register, writes in writes_by_register.items():
             if register >= len(cut):
                 continue
@@ -212,11 +158,7 @@ class HistoryRecorder:
                 continue
             for write in drop:
                 pruned_ids.add(write.op_id)
-                pruned_values.add((register, bytes(write.value)))
-            timestamps, values = self._writes.get(register, ([], []))
-            kept = bisect_right(timestamps, drop[-1].timestamp)
-            del timestamps[:kept]
-            del values[:kept]
+                pruned_values.add((register, write.value))
             count, last = self._base.get(register, (0, float("-inf")))
             self._base[register] = (
                 count + len(drop),
@@ -224,20 +166,10 @@ class HistoryRecorder:
             )
         if pruned_values:
             for op in self._done:
-                if (
-                    op.is_read
-                    and op.value is not None
-                    and not isinstance(op.value, Bottom)
-                    and (op.register, bytes(op.value)) in pruned_values
-                ):
+                if op.is_read and (op.register, op.value) in pruned_values:
                     pruned_ids.add(op.op_id)
         if pruned_ids:
             self._done = [op for op in self._done if op.op_id not in pruned_ids]
-            self._by_key = {
-                key: op_id
-                for key, op_id in self._by_key.items()
-                if op_id not in pruned_ids
-            }
             self.compacted_ops += len(pruned_ids)
         for listener in self._listeners:
             hook = getattr(listener, "on_compact", None)
@@ -251,25 +183,7 @@ class HistoryRecorder:
 
     def history(self) -> History:
         """The history so far, pending operations included (incomplete)."""
-        ops = list(self._done)
-        for pending in self._pending.values():
-            ops.append(
-                Operation(
-                    op_id=pending.op_id,
-                    client=pending.client,
-                    kind=pending.kind,
-                    register=pending.register,
-                    value=pending.value,
-                    invoked_at=pending.invoked_at,
-                    responded_at=None,
-                    timestamp=pending.timestamp,
-                )
-            )
-        return History(ops, base=self._base)
-
-    def op_id_for(self, client: ClientId, timestamp: int) -> int | None:
-        """Map a protocol ``(client, timestamp)`` pair to an operation id."""
-        return self._by_key.get((client, timestamp))
+        return History([*self._done, *self._pending.values()], base=self._base)
 
     @property
     def completed_count(self) -> int:

@@ -45,9 +45,8 @@ from repro.common.errors import (
     EncodingError,
     ProtocolError,
 )
-from repro.common.types import BOTTOM, OpKind
+from repro.common.types import OpKind
 from repro.history.history import History
-from repro.history.recorder import HistoryRecorder
 from repro.net.wire import message_to_payload, payload_to_message
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import SimTrace
@@ -70,9 +69,8 @@ TRACE_VERSION = 8
 def _value_to_json(value) -> str | None:
     if value is None:
         return None
-    if value is BOTTOM:
-        return "BOTTOM"
-    return bytes(value).hex()
+    # BOTTOM and a ValueDigest render as their repr ("BOTTOM", "H:<hex>").
+    return value.hex() if isinstance(value, bytes) else repr(value)
 
 
 class WireTraceWriter:
@@ -222,7 +220,6 @@ class ReplayResult:
     """Outcome of replaying one recorded run on the simulator."""
 
     history: History
-    recorder: HistoryRecorder
     clients: list
     sim_trace: SimTrace
     #: Human-readable descriptions of every point where the replay did
@@ -262,7 +259,7 @@ def replay_trace(path: str) -> ReplayResult:
         commit_piggyback=bool(header.get("piggyback", False)),
     )
     server_name = runner.replica_names(header["server"], replicas)[0]
-    clients, recorder = system.clients, system.recorder
+    clients = system.clients
     divergences: list[str] = []
 
     def apply(record: dict) -> None:
@@ -327,8 +324,7 @@ def replay_trace(path: str) -> ReplayResult:
                 f"that the recording never carried"
             )
     return ReplayResult(
-        history=recorder.history(),
-        recorder=recorder,
+        history=system.history(),
         clients=clients,
         sim_trace=sim_trace,
         divergences=divergences,

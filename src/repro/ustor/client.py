@@ -32,9 +32,10 @@ Five liberties are taken, all documented in DESIGN.md:
   reads it.
 * A read whose value will not be used (FAUST's dummy read) asks for
   ``MEM[j]`` in digest form: line 50 checks the DATA-signature over the
-  carried ``H(x_j)``, and the history records the write that ``(j,
-  t_j)`` names (:meth:`~repro.history.recorder.HistoryRecorder.end`).
-  A user read that is answered with only a digest fails.
+  carried ``H(x_j)``, and the history records that digest — what it
+  records for the write of ``x_j`` too
+  (:class:`~repro.history.recorder.HistoryRecorder`).  A user read that
+  is answered with only a digest fails.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.common.types import (
     OpKind,
     RegisterId,
     Value,
+    ValueDigest,
     client_name,
 )
 from repro.crypto.hashing import hash_register_value
@@ -62,7 +64,6 @@ from repro.ustor.messages import (
     ReplyMessage,
     SignedVersion,
     SubmitMessage,
-    ValueDigest,
 )
 from repro.ustor.version import Version, fold_version
 
@@ -73,14 +74,15 @@ class OpOutcome:
 
     ``version`` is the version this operation committed; ``reader_version``
     is the writer's version ``(V_j, M_j)`` for reads (``None`` for writes).
-    ``value`` is ``None`` for a read answered with only the value's digest.
+    ``value`` is a :class:`~repro.common.types.ValueDigest` for a read
+    answered with only the value's digest.
     ``timestamp`` is the operation's timestamp ``t`` — the value FAUST
     reports to the application (Definition 5, Integrity).
     """
 
     kind: OpKind
     register: RegisterId
-    value: Value | Bottom | None
+    value: Value | Bottom | ValueDigest
     timestamp: int
     version: Version
     reader_version: Version | None
@@ -104,7 +106,8 @@ class ViewHistoryRecord:
 
 class _PendingInvocation:
     __slots__ = (
-        "kind", "register", "timestamp", "value", "op_id", "callback", "digest_only"
+        "kind", "register", "timestamp", "value", "op_id", "callback",
+        "digest_only", "value_hash",
     )
 
     def __init__(self, kind, register, timestamp, value, op_id, callback, digest_only):
@@ -115,6 +118,9 @@ class _PendingInvocation:
         self.op_id = op_id
         self.callback = callback
         self.digest_only = digest_only
+        #: ``H(x)`` of the value this operation wrote (line 13) or read
+        #: (line 50), for the recorder.
+        self.value_hash: bytes | None = None
 
 
 class UstorClient(ClientNode):
@@ -241,6 +247,7 @@ class UstorClient(ClientNode):
                 invoked_at=self.now,
                 value=value,
                 timestamp=t,
+                value_hash=self._last_write_hash if kind is OpKind.WRITE else None,
             )
         self._pending = _PendingInvocation(
             kind, register, t, value, op_id, callback, digest_only
@@ -347,17 +354,12 @@ class UstorClient(ClientNode):
         # Return from the operation.
         self._pending = None
         self.completed_operations += 1
-        returned_value: Value | Bottom | None
+        returned_value: Value | Bottom | ValueDigest
         reader_version: Version | None
-        written_at = None
         if pending.kind is OpKind.READ:
             mem, reader = message.mem, message.reader_version
             assert mem is not None and reader is not None
             returned_value = mem.value
-            if type(returned_value) is ValueDigest:
-                # Line 50 tied H(x_j) to (j, t_j): the recorder knows x_j.
-                returned_value = None
-                written_at = (pending.register, mem.timestamp)
             reader_version = reader.version
         else:
             returned_value = pending.value
@@ -368,7 +370,7 @@ class UstorClient(ClientNode):
                 responded_at=self.now,
                 value=returned_value,
                 timestamp=pending.timestamp,
-                written_at=written_at,
+                value_hash=pending.value_hash,
             )
         outcome = OpOutcome(
             kind=pending.kind,
@@ -505,16 +507,12 @@ class UstorClient(ClientNode):
             return self._fail("COMMIT-signature on (V^j, M^j) invalid (line 49)")
 
         # line 50: the returned value must carry the writer's DATA-signature.
-        if not (
-            tj == 0
-            or (
-                reply.mem.data_sig is not None
-                and self._signer.verify(
-                    j, reply.mem.data_sig, "DATA", tj, reply.mem.value_hash()
-                )
-            )
-        ):
-            return self._fail("DATA-signature on returned value invalid (line 50)")
+        if tj != 0:
+            pending.value_hash = reply.mem.value_hash()
+            if reply.mem.data_sig is None or not self._signer.verify(
+                j, reply.mem.data_sig, "DATA", tj, pending.value_hash
+            ):
+                return self._fail("DATA-signature on returned value invalid (line 50)")
 
         # line 51: writer's version is no newer than the last committed one,
         # and the data is from the writer's most recent operation in my view.

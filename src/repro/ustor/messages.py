@@ -18,8 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.types import BOTTOM, Bottom, ClientId, OpKind, RegisterId, Value
-from repro.crypto.hashing import HASH_BYTES, hash_register_value
+from repro.common.types import (
+    BOTTOM,
+    Bottom,
+    ClientId,
+    OpKind,
+    RegisterId,
+    Value,
+    ValueDigest,
+)
+from repro.crypto.hashing import HASH_BYTES, digest_form, hash_register_value
 from repro.crypto.signatures import SIGNATURE_BYTES
 from repro.ustor.version import Version
 
@@ -190,20 +198,6 @@ class RelativeVersion:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ValueDigest:
-    """``H(x)`` in the value slot of a ``MEM[j]`` that answers a read whose
-    value will not be used (a FAUST dummy read): all line 50 needs of
-    ``x`` to check ``DATA || t_j || H(x_j)``."""
-
-    digest: bytes
-
-
-#: A value at least this long travels in full only when its reader uses
-#: it; below it, the digest form's marker and hash would be no smaller.
-DIGEST_FORM_MIN_BYTES = MARKER_BYTES + HASH_BYTES + 1
-
-
 @dataclass(frozen=True)
 class MemEntry:
     """``(t, x, delta)`` as stored in ``MEM[]`` — last timestamp, register
@@ -220,16 +214,14 @@ class MemEntry:
         return cls(timestamp=0, value=BOTTOM, data_sig=None)
 
     def digest_form(self) -> "MemEntry":
-        """This entry with ``H(x)`` in place of ``x`` when the value is at
-        least :data:`DIGEST_FORM_MIN_BYTES` long; ``BOTTOM``, shorter
+        """This entry with ``H(x)`` in place of ``x`` by the one rule
+        (:func:`~repro.crypto.hashing.digest_form`); ``BOTTOM``, shorter
         values and an entry already in digest form are returned as they
         are.  Hashes on every call: only a read that asks pays for it."""
-        value = self.value
-        if type(value) is not bytes or len(value) < DIGEST_FORM_MIN_BYTES:
+        value = digest_form(self.value)
+        if value is self.value:
             return self
-        return MemEntry(
-            self.timestamp, ValueDigest(hash_register_value(value)), self.data_sig
-        )
+        return MemEntry(self.timestamp, value, self.data_sig)
 
     def value_hash(self) -> bytes:
         """``H(x)``: the carried digest, or the hash of the carried value."""

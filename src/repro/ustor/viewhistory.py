@@ -23,7 +23,6 @@ from repro.common.errors import ProtocolError
 from repro.common.types import ClientId
 from repro.history.events import Operation
 from repro.history.history import History
-from repro.history.recorder import HistoryRecorder
 from repro.ustor.client import UstorClient, ViewHistoryRecord
 
 #: An operation identity as USTOR sees it: (client, timestamp).
@@ -66,11 +65,7 @@ def reconstruct_view_history(
     return tuple(key for segment in reversed(segments) for key in segment)
 
 
-def view_from_keys(
-    history: History,
-    recorder: HistoryRecorder,
-    keys: Iterable[OpKey],
-) -> list[Operation]:
+def view_from_keys(history: History, keys: Iterable[OpKey]) -> list[Operation]:
     """Map VH identities onto recorded operations, building a view.
 
     Incomplete reads are omitted (Definition 1 lets each view complete
@@ -78,24 +73,32 @@ def view_from_keys(
     incomplete writes are included as their ``+inf``-completed versions,
     matching :meth:`History.completed_for_checking`.
     """
-    available = {op.op_id: op for op in history.completed_for_checking()}
-    return _view(available, recorder, keys)
+    return _view(_available(history), keys)
+
+
+def _available(history: History) -> dict[OpKey, Operation | None]:
+    """Every recorded operation by its ``(client, timestamp)``, mapped to
+    its prepared version — ``None`` for an incomplete read, which
+    :meth:`History.completed_for_checking` drops."""
+    prepared = {op.op_id: op for op in history.completed_for_checking()}
+    return {
+        (op.client, op.timestamp): prepared.get(op.op_id)
+        for op in history
+        if op.timestamp is not None
+    }
 
 
 def _view(
-    available: Mapping[int, Operation],
-    recorder: HistoryRecorder,
+    available: Mapping[OpKey, Operation | None],
     keys: Iterable[OpKey],
 ) -> list[Operation]:
     view: list[Operation] = []
-    for client, timestamp in keys:
-        op_id = recorder.op_id_for(client, timestamp)
-        if op_id is None:
+    for key in keys:
+        if key not in available:
             raise ProtocolError(
-                f"view history mentions operation ({client}, {timestamp}) "
-                f"that was never recorded"
+                f"view history mentions operation {key} that was never recorded"
             )
-        op = available.get(op_id)
+        op = available[key]
         if op is None:
             continue  # an incomplete read, dropped from the prepared history
         view.append(op)
@@ -104,7 +107,6 @@ def _view(
 
 def build_client_views(
     history: History,
-    recorder: HistoryRecorder,
     clients: Iterable[UstorClient],
     view_clients: Iterable[ClientId] | None = None,
 ) -> dict[ClientId, list[Operation]]:
@@ -121,7 +123,7 @@ def build_client_views(
     client_list = list(clients)
     records = merge_vh_records(client_list)
     wanted = set(view_clients) if view_clients is not None else None
-    available = {op.op_id: op for op in history.completed_for_checking()}
+    available = _available(history)
     views: dict[ClientId, list[Operation]] = {}
     for client in client_list:
         if wanted is not None and client.client_id not in wanted:
@@ -131,5 +133,5 @@ def build_client_views(
             continue
         last_key = max(own_keys, key=lambda key: key[1])
         keys = reconstruct_view_history(records, last_key)
-        views[client.client_id] = _view(available, recorder, keys)
+        views[client.client_id] = _view(available, keys)
     return views

@@ -276,7 +276,7 @@ class TestWeakForkLinearizable:
         with system:
             _drive(system, 4, ops=20, seed=2)
             history = system.history()
-            views = build_client_views(history, system.recorder, system.clients)
+            views = build_client_views(history, system.clients)
             result = validate_weak_fork_linearizability(history, views)
         assert result.ok, result.violation
 

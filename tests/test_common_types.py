@@ -6,12 +6,17 @@ import pickle
 
 from repro.common.types import (
     BOTTOM,
+    DIGEST_FORM_MIN_BYTES,
     Bottom,
     OpKind,
+    ValueDigest,
     client_name,
     parse_client_name,
     register_name,
 )
+from repro.crypto.hashing import HASH_BYTES, digest_form, hash_register_value
+from repro.history.events import Operation
+from repro.ustor.messages import MARKER_BYTES
 
 
 class TestBottom:
@@ -30,6 +35,29 @@ class TestBottom:
 
     def test_outside_value_domain(self):
         assert not isinstance(BOTTOM, bytes)
+
+
+class TestValueDigest:
+    def test_the_threshold_is_where_the_digest_form_is_smaller(self):
+        assert DIGEST_FORM_MIN_BYTES == MARKER_BYTES + HASH_BYTES + 1
+
+    def test_the_rule(self):
+        short = b"x" * (DIGEST_FORM_MIN_BYTES - 1)
+        long = b"x" * DIGEST_FORM_MIN_BYTES
+        for value in (None, BOTTOM, short, ValueDigest(b"d" * 32)):
+            assert digest_form(value) is value
+        assert digest_form(long) == ValueDigest(hash_register_value(long))
+        assert digest_form(long, b"h" * 32) == ValueDigest(b"h" * 32)
+
+    def test_one_rendering(self):
+        digest = ValueDigest(bytes(range(32)))
+        assert repr(digest) == str(digest) == "H:0001020304050607"
+        op = Operation(1, 0, OpKind.WRITE, 0, digest, invoked_at=0, responded_at=1)
+        assert op.describe() == "write_C1(X1, H:0001020304050607)"
+
+    def test_hashable_and_equal_by_digest(self):
+        assert {ValueDigest(b"a"): 1}[ValueDigest(b"a")] == 1
+        assert ValueDigest(b"a") != b"a"
 
 
 class TestNames:

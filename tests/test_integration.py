@@ -71,7 +71,7 @@ class TestCorrectServerGuarantees:
             assert stamps == sorted(stamps)
             assert len(set(stamps)) == len(stamps)
         # The constructive weak-fork witness validates (Section 5 theorem).
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert validate_weak_fork_linearizability(history, views), f"seed {seed}"
         # Accuracy (condition 5): nobody cried wolf.
         assert not any(c.failed for c in system.clients)
@@ -103,7 +103,6 @@ class TestCorrectServerGuarantees:
         assert check_causal_consistency(history), f"seed {seed}"
         views = build_client_views(
             history,
-            system.recorder,
             system.clients,  # all clients: crashed ones still hold VH records
             view_clients=[c.client_id for c in system.clients if not c.crashed],
         )
@@ -137,7 +136,7 @@ class TestByzantineGuarantees:
         # Causality holds under the attack (Definition 5, condition 3).
         assert check_causal_consistency(history), f"seed {seed}"
         # The protocol's own views certify weak fork-linearizability.
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert validate_weak_fork_linearizability(history, views), f"seed {seed}"
         # USTOR never halts on a per-branch-consistent server.
         assert not any(c.failed for c in system.clients), f"seed {seed}"

@@ -102,7 +102,7 @@ class TestLoopbackWorkload:
             assert len(history) == 18
             assert check_linearizability(history).ok
             assert check_causal_consistency(history).ok
-            views = build_client_views(history, system.recorder, system.clients)
+            views = build_client_views(history, system.clients)
             assert validate_weak_fork_linearizability(history, views).ok
             assert not any(c.failed for c in system.clients)
 

@@ -126,9 +126,7 @@ class TestServerProcess:
                 assert not any(c.failed for c in system.clients)
                 assert check_linearizability(history).ok
                 assert check_causal_consistency(history).ok
-                views = build_client_views(
-                    history, system.recorder, system.clients
-                )
+                views = build_client_views(history, system.clients)
                 assert validate_weak_fork_linearizability(history, views).ok
 
         result = replay_trace(str(trace_path))

@@ -23,6 +23,7 @@ import pytest
 
 from repro.api import SystemConfig, open_system
 from repro.common.errors import ConfigurationError
+from repro.common.types import ValueDigest
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.net.client import NetRuntime
@@ -72,12 +73,15 @@ def record_loopback_run(
     return trace_path, history, real_failures
 
 
-def drive_workload(seed: int = 11, ops: int = 5):
+def drive_workload(seed: int = 11, ops: int = 5, value_size: int = 32):
     def drive(system) -> None:
         scripts = generate_scripts(
             len(system.clients),
             WorkloadConfig(
-                ops_per_client=ops, read_fraction=0.5, mean_think_time=0.004
+                ops_per_client=ops,
+                read_fraction=0.5,
+                mean_think_time=0.004,
+                value_size=value_size,
             ),
             random.Random(seed),
         )
@@ -99,6 +103,17 @@ class TestReplayEquivalence:
         assert history_signature(result.history) == history_signature(history)
         for checker in (check_linearizability, check_causal_consistency):
             assert checker(result.history).ok == checker(history).ok
+
+    def test_a_run_recording_digests_replays_identically(self, tmp_path):
+        # 64 B values: both sides record H(x) (and render it alike).
+        trace_path, history, failures = record_loopback_run(
+            tmp_path, drive=drive_workload(value_size=64)
+        )
+        assert not failures
+        assert any(type(op.value) is ValueDigest for op in history)
+        result = replay_trace(str(trace_path))
+        assert result.divergences == []
+        assert history_signature(result.history) == history_signature(history)
 
     def test_replica_group_run_replays_byte_identically(self, tmp_path):
         # The trace holds each round's winner (restored, attestation

@@ -19,6 +19,9 @@ byte-for-byte identical outputs:
   the join rules, condition 3 with its cycle rule, the causal checker's
   overwritten read) vs their definitions transcribed pairwise, as
   ``pi[:k+1]`` slices and as full ancestor walks;
+* every checker's verdict on a history vs on the same history with each
+  value of ``DIGEST_FORM_MIN_BYTES`` or more replaced by its
+  :class:`~repro.common.types.ValueDigest`, as the recorder keeps it;
 * the single-pass :meth:`repro.ustor.version.Version.le` vs a literal
   transcription of Definition 7, and
   :meth:`repro.faust.stability.StabilityTracker.stable_vector` vs the
@@ -34,6 +37,7 @@ those whenever the encoder, the decoder or the view-history walk changes.
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -49,16 +53,22 @@ from repro.common.encoding import (
     reset_encoding_caches,
 )
 from repro.common.errors import EncodingError, ProtocolError
-from repro.common.types import BOTTOM, OpKind
+from repro.common.types import BOTTOM, DIGEST_FORM_MIN_BYTES, OpKind
 from repro.consistency import (
+    IncrementalCausalChecker,
+    IncrementalLinearizabilityChecker,
     at_most_one_join_violation,
     causality_violation,
     check_causal_consistency,
+    check_linearizability,
     no_join_violation,
     prefixes_agree,
     preserves_real_time,
+    replay_history,
+    validate_weak_fork_linearizability,
 )
-from repro.crypto.hashing import hash_register_value, hash_values
+from repro.consistency.forking import WEAK_FORK_LINEARIZABILITY, search_views
+from repro.crypto.hashing import digest_form, hash_register_value, hash_values
 from repro.faust.stability import StabilityTracker
 from repro.history.causality import build_causal_structure
 from repro.history.events import Operation
@@ -684,4 +694,67 @@ class TestForkingConditionEquivalence:
 
     test_conditions_match_definitions, test_conditions_match_definitions_full = (
         two_budgets(200, 2000, st.data())(_conditions_match_definitions)
+    )
+
+
+# --------------------------------------------------------------------- #
+# Verdicts over recorded (digest-form) values
+# --------------------------------------------------------------------- #
+
+
+def _padded(history, data):
+    """``history`` with each written value padded to a drawn length around
+    :data:`DIGEST_FORM_MIN_BYTES` (still unique), reads following."""
+    sizes = st.sampled_from([1, DIGEST_FORM_MIN_BYTES - 1, DIGEST_FORM_MIN_BYTES, 64])
+    padded = {
+        op.value: op.value.ljust(data.draw(sizes), b".")
+        for op in history
+        if op.is_write
+    }
+    return History(
+        [replace(op, value=padded.get(op.value, op.value)) for op in history]
+    )
+
+
+def _verdicts(history, views):
+    """Every checker's verdict, and the weak-fork validator's on ``views``."""
+    return (
+        check_linearizability(history).ok,
+        replay_history(IncrementalLinearizabilityChecker(), history).ok,
+        check_causal_consistency(history).ok,
+        replay_history(IncrementalCausalChecker(), history).ok,
+        validate_weak_fork_linearizability(history, views).ok,
+    )
+
+
+class TestDigestedValueEquivalence:
+    def _digest_form_changes_no_verdict(self, data):
+        history = _padded(data.draw(small_histories()), data)
+        digested = History(
+            [replace(op, value=digest_form(op.value)) for op in history]
+        )
+        assert sum(op.value != d.value for op, d in zip(history, digested)) == sum(
+            type(op.value) is bytes and len(op.value) >= DIGEST_FORM_MIN_BYTES
+            for op in history
+        )
+
+        def mapped(views):
+            return {
+                client: [digested.op(op.op_id) for op in view]
+                for client, view in views.items()
+            }
+
+        pi_i, pi_j = _candidate_views(data.draw, history)
+        views = {0: pi_i, 1: pi_j}
+        assert _verdicts(history, views) == _verdicts(digested, mapped(views))
+        if len(history) <= 6:
+            found = search_views(WEAK_FORK_LINEARIZABILITY, history)
+            assert search_views(WEAK_FORK_LINEARIZABILITY, digested).ok == found.ok
+            if found.ok:
+                assert validate_weak_fork_linearizability(
+                    digested, mapped(found.witness)
+                ).ok
+
+    test_digest_form_changes_no_verdict, test_digest_form_changes_no_verdict_full = (
+        two_budgets(100, 1000, st.data())(_digest_form_changes_no_verdict)
     )

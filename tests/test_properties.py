@@ -93,7 +93,7 @@ class TestDefinition5Properties:
         system, _driver, completed = _run(params)
         assert completed
         history = system.history()
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert validate_weak_fork_linearizability(history, views)
 
     @_SLOW

@@ -264,7 +264,7 @@ class TestRandomizedRuns:
         history = system.history()
         assert check_linearizability(history)
         assert check_causal_consistency(history)
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert validate_weak_fork_linearizability(history, views)
         assert not any(c.failed for c in system.clients)
 

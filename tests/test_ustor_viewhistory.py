@@ -13,6 +13,7 @@ from repro.ustor.viewhistory import (
     build_client_views,
     merge_vh_records,
     reconstruct_view_history,
+    view_from_keys,
 )
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
 
@@ -74,7 +75,7 @@ class TestProtocolViews:
         driver.attach_all(scripts)
         assert driver.run_to_completion()
         history = system.history()
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert set(views) <= {0, 1, 2}
         result = validate_weak_fork_linearizability(history, views)
         assert result, result.violation
@@ -93,7 +94,7 @@ class TestProtocolViews:
         assert driver.run_to_completion(timeout=10_000_000)
         history = system.history()
         assert len(history) == 1600
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert set(views) == {0, 1, 2, 3}
         result = validate_weak_fork_linearizability(history, views)
         assert result, result.violation
@@ -102,11 +103,20 @@ class TestProtocolViews:
         system = open_system(SystemConfig(num_clients=2, seed=9), backend="ustor")
         run_ops(system, [(0, "write", b"a"), (1, "read", 0)])
         history = system.history()
-        views = build_client_views(history, system.recorder, system.clients)
+        views = build_client_views(history, system.clients)
         assert [op.client for op in views[1]] == [0, 1]
+
+    def test_view_from_keys_maps_protocol_timestamps(self):
+        system = open_system(SystemConfig(num_clients=2, seed=9), backend="ustor")
+        run_ops(system, [(0, "write", b"a"), (1, "read", 0)])
+        history = system.history()
+        view = view_from_keys(history, [(0, 1), (1, 1)])
+        assert [(op.client, op.timestamp) for op in view] == [(0, 1), (1, 1)]
+        with pytest.raises(ProtocolError, match="never recorded"):
+            view_from_keys(history, [(0, 2)])
 
     def test_client_without_ops_has_no_view(self):
         system = open_system(SystemConfig(num_clients=3, seed=9), backend="ustor")
         run_ops(system, [(0, "write", b"a")])
-        views = build_client_views(system.history(), system.recorder, system.clients)
+        views = build_client_views(system.history(), system.clients)
         assert 1 not in views and 2 not in views
