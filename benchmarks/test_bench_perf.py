@@ -32,7 +32,7 @@ from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.faust.stability import StabilityTracker
-from repro.perf import reset_hot_path_caches
+from repro.perf.profile import reset_hot_path_caches
 from repro.ustor.digests import (
     extend_digest,
     extend_digest_reference,

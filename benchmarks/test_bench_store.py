@@ -17,13 +17,9 @@ import pytest
 from repro.api import SystemConfig, open_system
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
-from repro.store import (
-    DirectoryMedium,
-    InMemoryMedium,
-    LogStructuredEngine,
-    decode_server_state,
-    encode_server_state,
-)
+from repro.store.codec import decode_server_state, encode_server_state
+from repro.store.engine import LogStructuredEngine
+from repro.store.media import DirectoryMedium, InMemoryMedium
 from repro.ustor.messages import InvocationTuple, SubmitMessage
 from repro.ustor.server import ServerState, apply_submit
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts

@@ -32,7 +32,7 @@ from repro.api import (
     open_system,
 )
 from repro.sim.faults import Fault
-from repro.store import encode_server_state
+from repro.store.codec import encode_server_state
 from repro.ustor.byzantine import RollbackServer
 
 

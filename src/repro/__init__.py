@@ -18,36 +18,4 @@ Quickstart (see :mod:`repro.api` for the full facade)::
 See README.md for the full tour and DESIGN.md for the architecture.
 """
 
-from repro.common import BOTTOM, OpKind
-from repro.consistency import (
-    CheckResult,
-    check_causal_consistency,
-    check_fork_linearizability_exhaustive,
-    check_linearizability,
-    check_linearizability_exhaustive,
-    check_weak_fork_linearizability_exhaustive,
-    validate_weak_fork_linearizability,
-)
-from repro.history import History, HistoryRecorder, Operation
-from repro.ustor import UstorClient, UstorServer, Version
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BOTTOM",
-    "CheckResult",
-    "History",
-    "HistoryRecorder",
-    "OpKind",
-    "Operation",
-    "UstorClient",
-    "UstorServer",
-    "Version",
-    "__version__",
-    "check_causal_consistency",
-    "check_fork_linearizability_exhaustive",
-    "check_linearizability",
-    "check_linearizability_exhaustive",
-    "check_weak_fork_linearizability_exhaustive",
-    "validate_weak_fork_linearizability",
-]

@@ -1,21 +1,1 @@
 """Experiment analysis: trace reductions, fits, and table rendering."""
-
-from repro.analysis.stats import (
-    LinearFit,
-    bytes_per_operation,
-    critical_path_rounds,
-    linear_fit,
-    messages_per_operation,
-)
-from repro.analysis.tables import format_table
-from repro.analysis.timeline import render_timeline
-
-__all__ = [
-    "LinearFit",
-    "bytes_per_operation",
-    "critical_path_rounds",
-    "format_table",
-    "linear_fit",
-    "messages_per_operation",
-    "render_timeline",
-]

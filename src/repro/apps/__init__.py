@@ -1,5 +1,1 @@
 """Applications composed on top of the fail-aware storage service."""
-
-from repro.apps.kvstore import KvStore, KvUpdate
-
-__all__ = ["KvStore", "KvUpdate"]

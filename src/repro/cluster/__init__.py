@@ -4,8 +4,9 @@ The paper's protocol is single-server by design; this package scales it
 out by *partitioning the register space* across N independent USTOR/FAUST
 server instances (shards), each a complete protocol domain with its own
 keys, history and fail-aware machinery.  Shard ``k`` owns the ``k``-th
-balanced contiguous range of registers (:func:`register_owners`), fixed
-when the deployment opens.  A client-side
+balanced contiguous range of registers
+(:func:`~repro.cluster.system.register_owners`), fixed when the
+deployment opens.  A client-side
 :class:`~repro.cluster.session.ClusterSession` — the one shard router —
 sends every operation to the owning shard behind the unchanged
 ``Session``/``OpHandle`` facade, so applications, scenarios and
@@ -30,13 +31,3 @@ Open one through the ``cluster`` backend::
         backend="cluster",
     )
 """
-
-from repro.cluster.session import ClusterSession
-from repro.cluster.system import ClusterClient, ClusterSystem, register_owners
-
-__all__ = [
-    "ClusterClient",
-    "ClusterSession",
-    "ClusterSystem",
-    "register_owners",
-]

@@ -1,50 +1,1 @@
 """Shared primitives: identifiers, the BOTTOM value, errors, encoding."""
-
-from repro.common.encoding import encode, encode_sequence
-from repro.common.errors import (
-    ChannelError,
-    CheckerError,
-    ConfigurationError,
-    CryptoError,
-    EncodingError,
-    HistoryError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    UnknownSignerError,
-)
-from repro.common.types import (
-    BOTTOM,
-    Bottom,
-    ClientId,
-    OpKind,
-    RegisterId,
-    Value,
-    client_name,
-    parse_client_name,
-    register_name,
-)
-
-__all__ = [
-    "BOTTOM",
-    "Bottom",
-    "ChannelError",
-    "CheckerError",
-    "ClientId",
-    "ConfigurationError",
-    "CryptoError",
-    "EncodingError",
-    "HistoryError",
-    "OpKind",
-    "ProtocolError",
-    "RegisterId",
-    "ReproError",
-    "SimulationError",
-    "UnknownSignerError",
-    "Value",
-    "client_name",
-    "encode",
-    "parse_client_name",
-    "encode_sequence",
-    "register_name",
-]

@@ -1,7 +1,7 @@
 """Consistency checkers: Definitions 2, 3, 6 and the lattice around them.
 
-All checkers consume recorded :class:`~repro.history.History` objects and
-know nothing about the protocols that produced them.  The *offline*
+All checkers consume recorded :class:`~repro.history.history.History`
+objects and know nothing about the protocols that produced them.  The *offline*
 checkers examine a complete history per call; the *incremental* ones
 (:mod:`repro.consistency.incremental`) subscribe to a live recorder and
 keep the same verdicts current in O(delta) per audit.

@@ -1,33 +1,1 @@
 """Cryptographic substrate: hash ``H`` and signatures ``sign_i``/``verify_i``."""
-
-from repro.crypto.hashing import (
-    HASH_BYTES,
-    hash_bytes,
-    hash_register_value,
-    hash_values,
-)
-from repro.crypto.keystore import ClientSigner, KeyStore, PublicVerifier
-from repro.crypto.signatures import (
-    SIGNATURE_BYTES,
-    Ed25519Scheme,
-    HmacScheme,
-    InsecureScheme,
-    SignatureScheme,
-    make_scheme,
-)
-
-__all__ = [
-    "HASH_BYTES",
-    "SIGNATURE_BYTES",
-    "ClientSigner",
-    "Ed25519Scheme",
-    "HmacScheme",
-    "InsecureScheme",
-    "KeyStore",
-    "PublicVerifier",
-    "SignatureScheme",
-    "hash_bytes",
-    "hash_register_value",
-    "hash_values",
-    "make_scheme",
-]

@@ -10,8 +10,6 @@ import re
 from importlib import import_module
 from pkgutil import iter_modules
 
-from repro.experiments.base import ExperimentResult
-
 #: Experiment id (``E1`` .. ``E20``) -> its module, in id order.  An
 #: experiment is named once, by its file: every ``eNN_*`` module of this
 #: package, exposing ``run(quick=False) -> ExperimentResult``.
@@ -21,4 +19,4 @@ EXPERIMENTS = {
     if re.match(r"e\d\d_", name)
 }
 
-__all__ = ["EXPERIMENTS", "ExperimentResult"]
+__all__ = ["EXPERIMENTS"]

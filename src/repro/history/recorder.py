@@ -1,7 +1,7 @@
 """Recording histories from live protocol runs.
 
 Protocol clients report invocations and responses here; the recorder
-assembles the :class:`~repro.history.History` that the consistency
+assembles the :class:`~repro.history.history.History` that the consistency
 checkers consume.  A value of
 :data:`~repro.common.types.DIGEST_FORM_MIN_BYTES` or more is recorded as
 its :class:`~repro.common.types.ValueDigest` ``H(x)`` — the identity the

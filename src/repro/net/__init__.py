@@ -4,7 +4,7 @@ Everything below ``repro.net`` moves the protocol off the discrete-event
 simulator and onto real sockets and real clocks, *without touching* the
 protocol state machines: the same :class:`~repro.ustor.client.UstorClient`
 and :class:`~repro.ustor.server.UstorServer` objects that run under
-``sim.network.Network`` run here, bound to a :class:`Transport`
+``sim.network.Network`` run here, bound to a :class:`~repro.net.transport.Transport`
 implementation backed by asyncio TCP streams and a wall-clock scheduler.
 
 Layout:
@@ -26,19 +26,3 @@ Layout:
   deterministic replay on the sim backend;
 * :mod:`repro.net.supervisor` — OS-process lifecycle for servers.
 """
-
-from repro.net.transport import Transport
-from repro.net.client import NetSystem
-from repro.net.server import NetServerHost, serve_forever
-from repro.net.supervisor import ClusterSupervisor, ServerProcess
-from repro.net.trace import replay_trace
-
-__all__ = [
-    "Transport",
-    "NetSystem",
-    "NetServerHost",
-    "serve_forever",
-    "ClusterSupervisor",
-    "ServerProcess",
-    "replay_trace",
-]

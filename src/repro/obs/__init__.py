@@ -35,54 +35,3 @@ The package splits into four modules:
   ``/metrics`` asyncio HTTP endpoint, and the periodic JSONL snapshot
   writer.
 """
-
-from repro.obs.exposition import (
-    JsonlSnapshotWriter,
-    MetricsHTTPServer,
-    render_prometheus,
-)
-from repro.obs.health import HealthMonitor, deployment_counts
-from repro.obs.registry import (
-    COUNT_BUCKETS,
-    LATENCY_BUCKETS,
-    SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    NullRegistry,
-    Registry,
-    enable_metrics,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from repro.obs.tracing import (
-    SpanLog,
-    make_trace_id,
-    trace_client,
-    trace_timestamp,
-)
-
-__all__ = [
-    "COUNT_BUCKETS",
-    "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
-    "Counter",
-    "Gauge",
-    "HealthMonitor",
-    "Histogram",
-    "JsonlSnapshotWriter",
-    "MetricsHTTPServer",
-    "NullRegistry",
-    "Registry",
-    "SpanLog",
-    "deployment_counts",
-    "enable_metrics",
-    "get_registry",
-    "make_trace_id",
-    "render_prometheus",
-    "set_registry",
-    "trace_client",
-    "trace_timestamp",
-    "use_registry",
-]

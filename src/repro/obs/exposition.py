@@ -19,12 +19,14 @@ derived gauges (:class:`~repro.obs.health.HealthMonitor`) are fresh.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from math import inf
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs.registry import Counter, Gauge, Histogram, Registry
+
+if TYPE_CHECKING:
+    import asyncio
 
 
 def _metric_name(name: str) -> str:
@@ -98,7 +100,12 @@ class MetricsHTTPServer:
         return f"{self.host}:{self.port}"
 
     async def start(self) -> None:
-        """Bind the listener (resolving an ephemeral port)."""
+        """Bind the listener (resolving an ephemeral port).
+
+        The one place ``repro.obs`` imports the event loop: a process
+        that never starts a listener never loads ``asyncio``."""
+        import asyncio
+
         self._listener = await asyncio.start_server(
             self._handle, self.host, self.port
         )

@@ -8,7 +8,3 @@ and published through the metrics registry (``repro run --metrics``).
 Performance claims themselves are decided by the end-to-end benchmark
 (``BENCHMARK.json``, ``benchmarks/e2e``).
 """
-
-from repro.perf.profile import hot_path_cache_stats, reset_hot_path_caches
-
-__all__ = ["hot_path_cache_stats", "reset_hot_path_caches"]

@@ -28,29 +28,3 @@ facade; deployments opt in with ``SystemConfig(replicas=, quorum=,
 counter=)`` on the cluster backend or ``--replicas/--quorum/--counter``
 on the CLI.
 """
-
-from __future__ import annotations
-
-from repro.replica.coordinator import (
-    QuorumCoordinator,
-    default_quorum,
-    group_stats,
-)
-from repro.replica.counter import (
-    CounterAttestation,
-    CounterVerifier,
-    MonotonicCounter,
-    derive_counter_key,
-    ops_accounted,
-)
-
-__all__ = [
-    "CounterAttestation",
-    "CounterVerifier",
-    "MonotonicCounter",
-    "QuorumCoordinator",
-    "default_quorum",
-    "derive_counter_key",
-    "group_stats",
-    "ops_accounted",
-]

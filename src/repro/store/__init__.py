@@ -1,69 +1,11 @@
 """Durable server storage: pluggable engines, WAL + snapshots, recovery.
 
 The paper's server is specified as volatile state; this subsystem gives
-it a persistence axis — a :class:`StorageEngine` the server delegates
-every state transition through, with a volatile engine (the paper's
-model) and a log-structured engine (write-ahead log + snapshots +
-deterministic crash recovery).  See DESIGN.md "Persistence & recovery"
+it a persistence axis — a :class:`~repro.store.engine.StorageEngine`
+the server delegates every state transition through, with a volatile
+engine (the paper's model) and a log-structured engine (write-ahead
+log + snapshots + deterministic crash recovery).  See DESIGN.md "Persistence & recovery"
 for the format and the recovery invariant, and
 :mod:`repro.ustor.byzantine` (``RollbackServer``) for the attack surface
 persistence opens.
 """
-
-from repro.store.codec import (
-    commit_from_tuple,
-    commit_to_tuple,
-    decode_server_state,
-    encode_server_state,
-    invocation_from_tuple,
-    invocation_to_tuple,
-    mem_entry_from_tuple,
-    mem_entry_to_tuple,
-    signed_version_from_tuple,
-    signed_version_to_tuple,
-    state_from_tuple,
-    state_to_tuple,
-    submit_from_tuple,
-    submit_to_tuple,
-    version_from_tuple,
-    version_to_tuple,
-)
-from repro.store.engine import (
-    ENGINES,
-    LogStructuredEngine,
-    MemoryEngine,
-    StorageEngine,
-    frame_record,
-    iter_frames,
-    make_engine,
-)
-from repro.store.media import DirectoryMedium, InMemoryMedium, Medium
-
-__all__ = [
-    "ENGINES",
-    "DirectoryMedium",
-    "InMemoryMedium",
-    "LogStructuredEngine",
-    "Medium",
-    "MemoryEngine",
-    "StorageEngine",
-    "commit_from_tuple",
-    "commit_to_tuple",
-    "decode_server_state",
-    "encode_server_state",
-    "frame_record",
-    "invocation_from_tuple",
-    "invocation_to_tuple",
-    "iter_frames",
-    "make_engine",
-    "mem_entry_from_tuple",
-    "mem_entry_to_tuple",
-    "signed_version_from_tuple",
-    "signed_version_to_tuple",
-    "state_from_tuple",
-    "state_to_tuple",
-    "submit_from_tuple",
-    "submit_to_tuple",
-    "version_from_tuple",
-    "version_to_tuple",
-]

@@ -1,65 +1,1 @@
 """USTOR: the weak fork-linearizable untrusted storage protocol (Section 5)."""
-
-from repro.ustor.byzantine import (
-    CrashingServer,
-    Fig3Server,
-    ForgingServer,
-    ReplayServer,
-    RollbackServer,
-    SplitBrainServer,
-    TamperingServer,
-    UnresponsiveServer,
-)
-from repro.ustor.client import OpOutcome, UstorClient, ViewHistoryRecord
-from repro.ustor.digests import EMPTY_DIGEST, digest_of_sequence, extend_digest
-from repro.ustor.messages import (
-    CommitMessage,
-    InvocationTuple,
-    MemEntry,
-    ReplyMessage,
-    SignedVersion,
-    SubmitMessage,
-    version_wire_size,
-)
-from repro.ustor.server import ServerState, UstorServer, apply_commit, apply_submit
-from repro.ustor.version import Version, max_version
-from repro.ustor.viewhistory import (
-    build_client_views,
-    merge_vh_records,
-    reconstruct_view_history,
-    view_from_keys,
-)
-
-__all__ = [
-    "CommitMessage",
-    "CrashingServer",
-    "EMPTY_DIGEST",
-    "Fig3Server",
-    "ForgingServer",
-    "InvocationTuple",
-    "MemEntry",
-    "OpOutcome",
-    "ReplayServer",
-    "ReplyMessage",
-    "RollbackServer",
-    "ServerState",
-    "SignedVersion",
-    "SplitBrainServer",
-    "SubmitMessage",
-    "TamperingServer",
-    "UnresponsiveServer",
-    "UstorClient",
-    "UstorServer",
-    "Version",
-    "ViewHistoryRecord",
-    "apply_commit",
-    "apply_submit",
-    "build_client_views",
-    "digest_of_sequence",
-    "extend_digest",
-    "max_version",
-    "merge_vh_records",
-    "reconstruct_view_history",
-    "version_wire_size",
-    "view_from_keys",
-]

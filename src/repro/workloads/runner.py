@@ -279,7 +279,6 @@ class IncrementalAuditor:
         every: float = 50.0,
         checks: tuple[str, ...] = ("linearizability", "causal"),
     ) -> None:
-        from repro.cluster.system import ClusterSystem
         from repro.consistency.incremental import attach_incremental_checkers
 
         if not every > 0:  # NaN fails too
@@ -297,7 +296,7 @@ class IncrementalAuditor:
         #: all of a domain's checkers see the same operation stream, so
         #: the domain's delta is counted once, not once per checker.
         self._domains: list[list] = []
-        sharded = isinstance(system, ClusterSystem)
+        sharded = system.shards[0] is not system  # unsharded: its own one shard
         for index, shard in enumerate(system.shards):
             attached = attach_incremental_checkers(shard.recorder, self.checks)
             prefix = f"shard{index}." if sharded else ""

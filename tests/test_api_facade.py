@@ -30,7 +30,7 @@ from repro.common.errors import ConfigurationError, ProtocolError, SimulationErr
 from repro.consistency.linearizability import check_linearizability
 from repro.common.types import BOTTOM, OpKind
 from repro.sim.faults import Fault
-from repro.store import encode_server_state
+from repro.store.codec import encode_server_state
 from repro.ustor.byzantine import RollbackServer, TamperingServer, UnresponsiveServer
 
 #: Every backend and the lock-step baseline.

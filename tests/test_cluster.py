@@ -26,7 +26,8 @@ from repro.api import (
     SystemConfig,
     open_system,
 )
-from repro.cluster import ClusterSession, ClusterSystem, register_owners
+from repro.cluster.session import ClusterSession
+from repro.cluster.system import ClusterSystem, register_owners
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import BOTTOM
 from repro.sim.faults import Fault

@@ -30,7 +30,8 @@ from repro.consistency import validate_weak_fork_linearizability
 from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import history_signature, load_trace, replay_trace
 from repro.net.wire import payload_to_message
-from repro.store import DirectoryMedium, LogStructuredEngine
+from repro.store.engine import LogStructuredEngine
+from repro.store.media import DirectoryMedium
 from repro.ustor.messages import ReplyMessage, SignedVersion, SubmitMessage
 from repro.ustor.server import ServerState, apply_commit, apply_submit
 from repro.ustor.version import fold_version

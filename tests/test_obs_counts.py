@@ -19,7 +19,7 @@ import pytest
 from repro.api import OperationFailed, SystemConfig, open_system
 from repro.obs.health import HealthMonitor, deployment_counts
 from repro.obs.registry import Registry, get_registry, use_registry
-from repro.perf import hot_path_cache_stats, reset_hot_path_caches
+from repro.perf.profile import hot_path_cache_stats, reset_hot_path_caches
 from repro.sim.faults import Fault
 from repro.ustor.byzantine import TamperingServer
 

@@ -16,7 +16,7 @@ from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
 from repro.common.types import BOTTOM, OpKind
 from repro.crypto.keystore import KeyStore
-from repro.store import (
+from repro.store.codec import (
     commit_from_tuple,
     commit_to_tuple,
     decode_server_state,

@@ -22,17 +22,16 @@ from repro.common.encoding import decode, encode
 from repro.common.errors import ConfigurationError, StorageError
 from repro.common.types import OpKind
 from repro.crypto.keystore import KeyStore
-from repro.store import (
-    DirectoryMedium,
-    InMemoryMedium,
+from repro.store.codec import encode_server_state
+from repro.store.engine import (
     LogStructuredEngine,
     MemoryEngine,
     StorageEngine,
-    encode_server_state,
     frame_record,
     iter_frames,
     make_engine,
 )
+from repro.store.media import DirectoryMedium, InMemoryMedium
 from repro.ustor.messages import CommitMessage, InvocationTuple, SubmitMessage
 from repro.ustor.server import ServerState, UstorServer, apply_commit, apply_submit
 from repro.ustor.version import Version

@@ -36,15 +36,9 @@ from repro.api import CheckpointPolicy, SystemConfig, open_system
 from repro.cli import main
 from repro.common.errors import StorageError
 from repro.net.wire import message_to_payload, payload_to_message
-from repro.store import (
-    DirectoryMedium,
-    InMemoryMedium,
-    LogStructuredEngine,
-    decode_server_state,
-    encode_server_state,
-    frame_record,
-    iter_frames,
-)
+from repro.store.codec import decode_server_state, encode_server_state
+from repro.store.engine import LogStructuredEngine, frame_record, iter_frames
+from repro.store.media import DirectoryMedium, InMemoryMedium
 from repro.ustor.messages import RelativeVersion, ValueDigest
 from repro.ustor.server import UstorServer
 

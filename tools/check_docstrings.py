@@ -4,7 +4,8 @@
 The container has no ``interrogate`` wheel, so this is a dependency-free
 equivalent: walk the AST of every module under the audited packages
 (default: ``repro.api``, ``repro.cluster``, ``repro.consistency``,
-``repro.obs``, ``repro.perf`` and ``repro.replica`` — the surfaces
+``repro.faust.checkpoint``, ``repro.faust.membership``, ``repro.obs``,
+``repro.perf``, ``repro.replica`` and ``repro.workloads`` — the surfaces
 applications program against) and require a docstring on
 
 * every module,
