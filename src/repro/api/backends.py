@@ -37,12 +37,10 @@ from typing import TYPE_CHECKING
 from repro.api.config import FEATURES, SystemConfig, check_supported
 from repro.api.events import NotificationHub
 from repro.common.errors import ConfigurationError
+from repro.common.types import BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports the api)
     from repro.workloads.runner import Deployment
-
-#: The backend names :func:`open_system` accepts.
-BACKENDS = ("faust", "ustor", "cluster")
 
 #: The features a protocol outside the USTOR stack runs (the lock-step
 #: baseline, on the simulator): nothing else reaches its clients.

@@ -47,34 +47,21 @@ import math
 import os
 import random
 import sys
+from typing import TYPE_CHECKING
 
-from repro.api import (
-    BACKENDS,
-    BatchingPolicy,
-    SystemConfig,
-    open_system,
-)
-from repro.api.config import check_supported
-from repro.cluster.system import ClusterSystem
 from repro.common.errors import (
     ConfigurationError,
     SimulationError,
     StorageError,
     UnknownSignerError,
 )
-from repro.consistency import (
-    check_causal_consistency,
-    check_linearizability,
-    validate_weak_fork_linearizability,
-)
-from repro.obs.health import HealthMonitor, deployment_counts
+from repro.common.types import BACKENDS
 from repro.obs.registry import enable_metrics, get_registry
-from repro.obs.tracing import SpanLog
-from repro.replica.coordinator import group_stats
-from repro.sim.faults import Fault
 from repro.ustor.byzantine import ADVERSARIES, catalogue_lines
-from repro.ustor.viewhistory import build_client_views
-from repro.workloads.generator import WorkloadConfig, run_closed_loop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import SystemConfig
+    from repro.workloads.generator import WorkloadConfig
 
 #: ``--server`` name -> ``(n, name)`` factory: one column of the catalogue.
 SERVERS = {name: adversary.factory for name, adversary in ADVERSARIES.items()}
@@ -188,6 +175,8 @@ def _cmd_stats(args) -> int:
 
 def _print_quorum_stats(protocol_clients) -> None:
     """Print the replica-group stats summed over the protocol clients."""
+    from repro.replica.coordinator import group_stats
+
     totals = group_stats(protocol_clients)
     if totals is None:
         return
@@ -256,6 +245,10 @@ def _run_config(args) -> tuple[SystemConfig, WorkloadConfig]:
     (server names and placement, operand types, flags that are not config
     fields); everything else is the two configs' to validate.
     """
+    from repro.api import BatchingPolicy, SystemConfig
+    from repro.sim.faults import Fault
+    from repro.workloads.generator import WorkloadConfig
+
     tcp = args.transport == "tcp"
     if not 0 < args.until < math.inf:  # NaN fails too
         raise ConfigurationError(
@@ -327,6 +320,9 @@ def _cmd_run(args) -> int:
     misuse exits 2 before anything is built or connected, a deployment
     that cannot be reached exits 1.
     """
+    from repro import api
+    from repro.api.config import check_supported
+
     backend = args.backend
     try:
         config, workload = _run_config(args)
@@ -336,7 +332,7 @@ def _cmd_run(args) -> int:
         return 2
     _obs_enable(args)
     try:
-        system = open_system(config, backend=backend)
+        system = api.open_system(config, backend=backend)
     except ConfigurationError as exc:
         print(f"cannot open the deployment: {exc}")
         return 1
@@ -352,6 +348,11 @@ def _run_and_report(args, system, config, workload, backend) -> None:
     workload does; batching, span logs and metrics only observe or
     buffer it, so they never change which run is reported.
     """
+    from repro.cluster.system import ClusterSystem
+    from repro.obs.health import HealthMonitor, deployment_counts
+    from repro.obs.tracing import SpanLog
+    from repro.workloads.generator import run_closed_loop
+
     tcp = config.transport == "tcp"
     # The one place the report differs by kind: a cluster labels its shards.
     sharded = isinstance(system, ClusterSystem)
@@ -589,6 +590,11 @@ def _cmd_serve_cluster(args) -> int:
 
 def _print_verdicts(history, clients, *, label="") -> None:
     """The three consistency verdict lines over one history."""
+    from repro.consistency.causal import check_causal_consistency
+    from repro.consistency.forking import validate_weak_fork_linearizability
+    from repro.consistency.linearizability import check_linearizability
+    from repro.ustor.viewhistory import build_client_views
+
     print(f"linearizability{label}:            {check_linearizability(history)}")
     print(f"causal consistency{label}:         "
           f"{check_causal_consistency(history)}")

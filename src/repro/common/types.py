@@ -75,6 +75,12 @@ class ValueDigest:
 DIGEST_FORM_MIN_BYTES: Final = 1 + 32 + 1
 
 
+#: The backend names :func:`repro.api.open_system` accepts: the protocol
+#: stack a deployment runs.  Here, not in :mod:`repro.api`, so that a
+#: command line can offer them without loading the facade.
+BACKENDS: Final = ("faust", "ustor", "cluster")
+
+
 class OpKind(enum.Enum):
     """The two operation kinds of the register functionality.
 

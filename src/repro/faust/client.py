@@ -49,7 +49,7 @@ from repro.faust.messages import (
     RejoinMessage,
     VersionMessage,
 )
-from repro.faust.stability import StabilityTracker
+from repro.faust.stability import StabilityLog, StabilityTracker
 
 
 class FaustClient(UstorClient):
@@ -119,10 +119,10 @@ class FaustClient(UstorClient):
         self._peer_names = tuple(client_name(peer) for peer in range(num_clients))
 
         #: (time, W) of the stable_i notifications, for tests/experiments.
-        #: With checkpointing on, installed checkpoints trim this list
+        #: With checkpointing on, installed checkpoints trim this log
         #: (bounded state); the deployment's notification hub is their
         #: full record.
-        self.stable_notifications: list[tuple[float, tuple[int, ...]]] = []
+        self.stable_notifications = StabilityLog(num_clients)
         self.dummy_reads_issued = 0
 
         self._checkpoint_listeners: list[Callable[[Checkpoint], None]] = []
@@ -288,7 +288,7 @@ class FaustClient(UstorClient):
 
     def _notify_stable(self) -> None:
         cut = self.tracker.stability_cut()
-        self.stable_notifications.append((self.now, cut))
+        self.stable_notifications.append(self.now, cut)
         for listener in list(self._stable_listeners):
             listener(cut)
 
@@ -382,13 +382,8 @@ class FaustClient(UstorClient):
         what rollback/fork detection actually compares against — are O(n)
         and are never pruned.
         """
-        floor = checkpoint.cut[self._id]
-        stale = [key for key in self.vh_records if key[1] <= floor]
-        for key in stale:
-            del self.vh_records[key]
-        keep = self.checkpoint_manager.policy.keep_tail
-        if len(self.stable_notifications) > keep:
-            del self.stable_notifications[:-keep]
+        self.vh_records.trim(checkpoint.cut[self._id])
+        self.stable_notifications.keep_last(self.checkpoint_manager.policy.keep_tail)
         for listener in list(self._checkpoint_listeners):
             listener(checkpoint)
 

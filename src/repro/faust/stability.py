@@ -16,6 +16,8 @@ comparable.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.common.types import ClientId
@@ -160,3 +162,45 @@ class StabilityTracker:
             for j in range(self._n)
             if j != self._id and now - self.last_heard[j] > delta
         ]
+
+
+class StabilityLog(Sequence[tuple[float, tuple[int, ...]]]):
+    """``(time, W)`` of every ``stable_i(W)`` notification, packed.
+
+    The times sit in one ``array('d')``, the cuts back to back in one
+    ``array('q')`` of stride ``n``; indexing and iteration rebuild the
+    ``(time, cut)`` pairs.
+    """
+
+    __slots__ = ("_n", "_times", "_cuts")
+
+    def __init__(self, num_clients: int) -> None:
+        self._n = num_clients
+        self._times = array("d")
+        self._cuts = array("q")
+
+    def append(self, time: float, cut: tuple[int, ...]) -> None:
+        self._times.append(time)
+        self._cuts.extend(cut)
+
+    def keep_last(self, keep: int) -> None:
+        """Drop all but the newest ``keep`` (at least one) notifications."""
+        if keep < 1:
+            raise ValueError(f"keep_last needs keep >= 1, got {keep}")
+        drop = len(self._times) - keep
+        if drop > 0:
+            del self._times[:drop]
+            del self._cuts[: drop * self._n]
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, index: int) -> tuple[float, tuple[int, ...]]:
+        time = self._times[index]  # raises IndexError, accepts index < 0
+        start = (index % len(self._times)) * self._n
+        return time, tuple(self._cuts[start : start + self._n])
+
+    def __iter__(self) -> Iterator[tuple[float, tuple[int, ...]]]:
+        n, cuts = self._n, self._cuts
+        for k, time in enumerate(self._times):
+            yield time, tuple(cuts[k * n : k * n + n])

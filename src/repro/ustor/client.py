@@ -40,6 +40,8 @@ Five liberties are taken, all documented in DESIGN.md:
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,6 +104,82 @@ class ViewHistoryRecord:
     parent: tuple[ClientId, int] | None
     concurrent: tuple[tuple[ClientId, int], ...]
     own: tuple[ClientId, int]
+
+
+class ViewHistoryLog(Mapping[tuple[ClientId, int], ViewHistoryRecord]):
+    """One client's view-history records (:class:`ViewHistoryRecord`), packed.
+
+    Own timestamps are consecutive (line 12: ``t = V_i[i] + 1``), so the
+    record of ``(i, t)`` is found by ``t - first``: ``_starts`` holds
+    where its cells begin in ``_cells`` — ``parent_c``, ``parent_t``
+    (``-1, 0`` for no parent), then the flat ``k, t`` pairs of ``L``.
+    A record is built only when a reader looks it up.
+    """
+
+    __slots__ = ("_client", "_first", "_starts", "_cells")
+
+    def __init__(self, client: ClientId) -> None:
+        self._client = client
+        self._first = 1  # the timestamp of _starts[0]
+        self._starts = array("q")
+        self._cells = array("q")
+
+    def add(
+        self, t: int, parent: tuple[ClientId, int] | None, concurrent: list[int]
+    ) -> None:
+        """Append the record of my operation ``t``; ``concurrent`` is the
+        flat ``k, t`` pairs of ``L`` in order."""
+        if t != self._first + len(self._starts):
+            raise ProtocolError(
+                f"view-history record for timestamp {t} out of order "
+                f"(next is {self._first + len(self._starts)})"
+            )
+        cells = self._cells
+        self._starts.append(len(cells))
+        cells.extend((-1, 0) if parent is None else parent)
+        cells.extend(concurrent)
+
+    def trim(self, floor: int) -> None:
+        """Drop the records of my timestamps up to ``floor``."""
+        drop = min(floor - self._first + 1, len(self._starts))
+        if drop <= 0:
+            return
+        starts = self._starts
+        base = starts[drop] if drop < len(starts) else len(self._cells)
+        del self._cells[:base]
+        self._starts = array("q", [start - base for start in starts[drop:]])
+        self._first += drop
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __iter__(self) -> Iterator[tuple[ClientId, int]]:
+        client = self._client
+        for t in range(self._first, self._first + len(self._starts)):
+            yield (client, t)
+
+    def __contains__(self, key: object) -> bool:
+        return (
+            type(key) is tuple
+            and len(key) == 2
+            and key[0] == self._client
+            and 0 <= key[1] - self._first < len(self._starts)
+        )
+
+    def __getitem__(self, key: tuple[ClientId, int]) -> ViewHistoryRecord:
+        if key not in self:
+            raise KeyError(key)
+        index = key[1] - self._first
+        starts, cells = self._starts, self._cells
+        start = starts[index]
+        end = starts[index + 1] if index + 1 < len(starts) else len(cells)
+        parent_c = cells[start]
+        flat = iter(cells[start + 2 : end])
+        return ViewHistoryRecord(
+            parent=None if parent_c < 0 else (parent_c, cells[start + 1]),
+            concurrent=tuple(zip(flat, flat)),
+            own=(self._client, key[1]),
+        )
 
 
 class _PendingInvocation:
@@ -187,7 +265,7 @@ class UstorClient(ClientNode):
         # -- bookkeeping ---------------------------------------------------
         self._pending: _PendingInvocation | None = None
         self._deferred_commit: CommitMessage | None = None
-        self.vh_records: dict[tuple[ClientId, int], ViewHistoryRecord] = {}
+        self.vh_records = ViewHistoryLog(client_id)
         self.completed_operations = 0
 
     # ---------------------------------------------------------------- #
@@ -420,7 +498,7 @@ class UstorClient(ClientNode):
 
         # lines 37-47: fold L and my own operation into (V^c, M^c), with
         # the signature checks of lines 41 and 43 on each entry of L.
-        concurrent: list[tuple[ClientId, int]] = []
+        concurrent: list[int] = []  # the flat k, t pairs of L
         signer = self._signer
         proofs = reply.proofs
 
@@ -448,7 +526,8 @@ class UstorClient(ClientNode):
                 return self._fail(
                     f"SUBMIT-signature for {client_name(k)} invalid (line 43)"
                 )
-            concurrent.append((k, t))
+            concurrent.append(k)
+            concurrent.append(t)
             return True
 
         version = fold_version(vc, c, reply.pending, i, check)
@@ -464,10 +543,10 @@ class UstorClient(ClientNode):
             # as a defensive invariant.
             return self._fail("timestamp drift after updateVersion")
 
-        self.vh_records[(i, self._pending.timestamp)] = ViewHistoryRecord(
-            parent=None if vc == zero else (c, vc.vector[c]),
-            concurrent=tuple(concurrent),
-            own=(i, self._pending.timestamp),
+        self.vh_records.add(
+            self._pending.timestamp,
+            None if vc == zero else (c, vc.vector[c]),
+            concurrent,
         )
         return True
 

@@ -8,7 +8,8 @@ operation received:
 
 Clients record, per operation, the identity ``(c, V^c[c])`` of the parent
 operation ``o_c`` and the ``(client, timestamp)`` pairs of the concurrent
-operations in ``L`` (:class:`~repro.ustor.client.ViewHistoryRecord`).
+operations in ``L`` (:class:`~repro.ustor.client.ViewHistoryRecord`),
+packed in each client's :class:`~repro.ustor.client.ViewHistoryLog`.
 This module replays those records into concrete operation sequences and
 assembles the per-client views that the paper's correctness argument
 exhibits — the inputs to
@@ -128,10 +129,8 @@ def build_client_views(
     for client in client_list:
         if wanted is not None and client.client_id not in wanted:
             continue
-        own_keys = [key for key in client.vh_records if key[0] == client.client_id]
-        if not own_keys:
+        if not client.vh_records:
             continue
-        last_key = max(own_keys, key=lambda key: key[1])
-        keys = reconstruct_view_history(records, last_key)
+        keys = reconstruct_view_history(records, max(client.vh_records))
         views[client.client_id] = _view(available, keys)
     return views

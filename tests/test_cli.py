@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.api
 import repro.cli as cli
 import repro.experiments.runner as experiments_runner
 from repro.cli import SERVERS, main
@@ -398,7 +399,7 @@ class TestMisuseBeforeBuilding:
         ],
     )
     def test_run(self, flags, hint, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "open_system", _forbid_open)
+        monkeypatch.setattr(repro.api, "open_system", _forbid_open)
         assert main(["run", *flags]) == 2
         out = capsys.readouterr().out
         assert hint in out and len(out.splitlines()) == 1
@@ -494,6 +495,6 @@ class TestTimeoutFlag:
             seen.append(config)
             raise ConfigurationError("captured")
 
-        monkeypatch.setattr(cli, "open_system", capture)
+        monkeypatch.setattr(repro.api, "open_system", capture)
         assert main(["run", *flags]) == 1
         assert seen[0].default_timeout == expected

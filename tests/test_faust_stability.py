@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.api import FaustParams, SystemConfig, open_system
-from repro.faust.stability import StabilityTracker
+from repro.api import CheckpointPolicy, FaustParams, SystemConfig, open_system
+from repro.faust.stability import StabilityLog, StabilityTracker
 from repro.ustor.digests import extend_digest
 from repro.ustor.version import Version
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -217,6 +219,66 @@ class TestStabilityEndToEnd:
             outcomes.append(box[0])
         stamps = [o.timestamp for o in outcomes]
         assert stamps == sorted(stamps) and len(set(stamps)) == 3
+
+
+def _notifications(n):
+    return st.lists(
+        st.tuples(
+            st.floats(0, 1e9, allow_nan=False),
+            st.tuples(*[st.integers(0, 2**40)] * n),
+        ),
+        max_size=25,
+    )
+
+
+class TestStabilityLog:
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_reads_as_the_list_it_replaces(self, data, n):
+        pairs = data.draw(_notifications(n))
+        log = StabilityLog(n)
+        for time, cut in pairs:
+            log.append(time, cut)
+        assert list(log) == pairs and len(log) == len(pairs)
+        assert [log[k] for k in range(-len(pairs), len(pairs))] == pairs + pairs
+        for index in (len(pairs), -len(pairs) - 1):
+            with pytest.raises(IndexError):
+                log[index]
+
+    @given(data=st.data(), n=st.integers(1, 4), keep=st.integers(1, 30))
+    def test_keep_last_matches_deleting_the_list_head(self, data, n, keep):
+        pairs = data.draw(_notifications(n))
+        more = data.draw(_notifications(n))
+        log = StabilityLog(n)
+        for time, cut in pairs:
+            log.append(time, cut)
+        log.keep_last(keep)
+        del pairs[:-keep]
+        assert list(log) == pairs
+        for time, cut in more:
+            log.append(time, cut)
+        assert list(log) == pairs + more
+
+    def test_keep_last_keeps_at_least_one(self):
+        with pytest.raises(ValueError):
+            StabilityLog(2).keep_last(0)
+
+    def test_checkpoints_trim_the_clients_log(self):
+        system = open_system(
+            SystemConfig(
+                num_clients=3,
+                seed=7,
+                checkpoint=CheckpointPolicy(interval=8, keep_tail=3),
+            ),
+        )
+        sessions = system.sessions()
+        for round_ in range(30):
+            for session in sessions:
+                session.write_sync(b"r%d-c%d" % (round_, session.client_id))
+        held = [len(client.stable_notifications) for client in system.clients]
+        assert sum(held) < system.notifications.emitted / 3, held
+        for client in system.clients:
+            assert client.checkpoint_manager.installed.seq > 2
+            assert client.stable_notifications[-1][1] == client.tracker.stability_cut()
 
 
 class TestFigure2:

@@ -2,9 +2,10 @@
 
 Each case runs in a fresh interpreter, so ``sys.modules`` holds exactly
 what that process imported: a simulated FAUST run loads no socket stack
-and none of the offline tools (validators, ablations, attacks, scale
-and scenario drivers, span logs, health gauges), and the server module
-loads none of the client-side layers.
+and none of the offline tools (validators, exhaustive oracles,
+ablations, attacks, scale and scenario drivers, span logs, health
+gauges), and neither the server module nor ``repro serve`` loads any of
+the client-side layers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,23 @@ NOT_IN_A_SIMULATED_RUN = (
     "repro.obs.tracing",
     "repro.obs.health",
     "tracemalloc",
+    # The exhaustive oracles: the streaming audit reads none of them.
+    "repro.consistency.causal",
+    "repro.consistency.forking",
+    "repro.consistency.linearizability",
+    "repro.consistency.views",
+    "repro.history.causality",
+    "repro.history.register_spec",
 )
+
+#: ``repro serve`` up to the point where it listens: the command line is
+#: parsed (``--backend`` choices and the ``--server`` help included) and
+#: the server module imported; an unknown behaviour then exits 2.
+SERVE_COMMAND = """
+from repro.cli import main
+
+assert main(["serve", "--server", "no-such-behaviour"]) == 2
+"""
 
 #: The client side: what a server process has no use for.
 NOT_IN_A_SERVER = (
@@ -96,6 +113,14 @@ def test_a_simulated_faust_run_loads_no_socket_stack_or_offline_tool():
 
 def test_the_server_module_loads_no_client_side_layer():
     modules = loaded_modules("import repro.net.server")
+    assert {name: under(modules, name) for name in NOT_IN_A_SERVER} == {
+        name: [] for name in NOT_IN_A_SERVER
+    }
+
+
+def test_repro_serve_loads_no_client_side_layer():
+    modules = loaded_modules(SERVE_COMMAND)
+    assert "repro.ustor.server" in modules  # the probe did reach the server
     assert {name: under(modules, name) for name in NOT_IN_A_SERVER} == {
         name: [] for name in NOT_IN_A_SERVER
     }

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.api import SystemConfig, open_system
+from repro.api import CheckpointPolicy, SystemConfig, open_system
 from repro.common.errors import ProtocolError
 from repro.consistency import validate_weak_fork_linearizability
+from repro.ustor.byzantine import ADVERSARIES
+from repro.ustor.client import ViewHistoryLog, ViewHistoryRecord
 from repro.ustor.viewhistory import (
     build_client_views,
     merge_vh_records,
@@ -120,3 +126,161 @@ class TestProtocolViews:
         run_ops(system, [(0, "write", b"a")])
         views = build_client_views(system.history(), system.clients)
         assert 1 not in views and 2 not in views
+
+
+def _record(client, t, parent, concurrent):
+    """The record the dict kept for ``(client, t)`` before the log packed it."""
+    flat = iter(concurrent)
+    return ViewHistoryRecord(
+        parent=parent, concurrent=tuple(zip(flat, flat)), own=(client, t)
+    )
+
+
+class ShadowedLog(ViewHistoryLog):
+    """A log that also keeps the dict it replaced, filled and trimmed as
+    the dict was (a full scan for the keys at or below the floor)."""
+
+    def __init__(self, client):
+        super().__init__(client)
+        self.shadow = {}
+
+    def add(self, t, parent, concurrent):
+        super().add(t, parent, concurrent)
+        self.shadow[(self._client, t)] = _record(self._client, t, parent, concurrent)
+
+    def trim(self, floor):
+        super().trim(floor)
+        for key in [key for key in self.shadow if key[1] <= floor]:
+            del self.shadow[key]
+
+
+def _shadowed(system):
+    for client in system.clients:
+        client.vh_records = ShadowedLog(client.client_id)
+
+
+def _views_from_shadows(history, clients):
+    stand_ins = [
+        SimpleNamespace(client_id=c.client_id, vh_records=c.vh_records.shadow)
+        for c in clients
+    ]
+    return build_client_views(history, stand_ins)
+
+
+_PAIRS = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(1, 10**12)), max_size=6
+).map(lambda pairs: [cell for pair in pairs for cell in pair])
+_RECORDS = st.lists(
+    st.tuples(
+        st.none() | st.tuples(st.integers(0, 7), st.integers(1, 10**12)), _PAIRS
+    ),
+    max_size=30,
+)
+
+
+class TestViewHistoryLog:
+    @given(records=_RECORDS, floor=st.integers(-2, 35), more=_RECORDS)
+    def test_equals_the_dict_it_replaces_before_and_after_trim(
+        self, records, floor, more
+    ):
+        log, reference, stamps = ViewHistoryLog(3), {}, itertools.count(1)
+
+        def extend(batch):
+            for parent, concurrent in batch:
+                t = next(stamps)
+                log.add(t, parent, concurrent)
+                reference[(3, t)] = _record(3, t, parent, concurrent)
+
+        extend(records)
+        assert log == reference and dict(log) == reference
+        assert list(log) == list(reference) and len(log) == len(reference)
+        log.trim(floor)
+        for key in [key for key in reference if key[1] <= floor]:
+            del reference[key]
+        assert log == reference and list(log) == list(reference)
+        for absent in [(3, 0), (3, floor), (2, 1), (3, 10**6), "x", (3,)]:
+            assert absent not in log and log.get(absent) is None
+        # The log goes on at the next own timestamp, trimmed or not.
+        extend(more)
+        assert log == reference and list(log) == list(reference)
+
+    @pytest.mark.parametrize("stamps", [[2], [1, 3], [1, 1], [1, 2, 2]])
+    def test_an_out_of_order_add_raises(self, stamps):
+        log = ViewHistoryLog(0)
+        *good, bad = stamps
+        for t in good:
+            log.add(t, None, [])
+        with pytest.raises(ProtocolError, match="out of order"):
+            log.add(bad, None, [])
+        assert len(log) == len(good)
+
+    def test_a_trim_below_the_kept_records_keeps_them(self):
+        log = ViewHistoryLog(1)
+        for t in range(1, 6):
+            log.add(t, (0, t), [2, t])
+        log.trim(3)
+        log.trim(2)
+        assert list(log) == [(1, 4), (1, 5)]
+        assert log[(1, 5)] == ViewHistoryRecord((0, 5), ((2, 5),), (1, 5))
+
+    @pytest.mark.parametrize("backend", ["ustor", "faust"])
+    @pytest.mark.parametrize("name", ADVERSARIES)
+    def test_views_match_the_dict_on_every_catalogue_row(self, name, backend):
+        system = open_system(
+            SystemConfig(
+                num_clients=3, seed=5, server_factory=ADVERSARIES[name].factory
+            ),
+            backend=backend,
+        )
+        _shadowed(system)
+        scripts = generate_scripts(
+            3, WorkloadConfig(ops_per_client=12), random.Random(5)
+        )
+        driver = Driver(system)
+        driver.attach_all(scripts)
+        system.run(until=400.0)
+        history = system.history()
+        assert build_client_views(history, system.clients) == _views_from_shadows(
+            history, system.clients
+        )
+
+    def test_views_match_the_dict_on_a_checkpointed_faust_run(self):
+        system = open_system(
+            SystemConfig(
+                num_clients=3, seed=7, checkpoint=CheckpointPolicy(interval=8)
+            ),
+            backend="faust",
+        )
+        _shadowed(system)
+        sessions = system.sessions()
+        for round_ in range(40):
+            for session in sessions:
+                session.write_sync(b"r%d-c%d" % (round_, session.client_id))
+        installed = [c.checkpoint_manager.installed.seq for c in system.clients]
+        assert min(installed) > 2, installed  # the logs were trimmed
+        for client in system.clients:
+            assert client.vh_records == client.vh_records.shadow
+            assert len(client.vh_records) < 40
+        # A survivor's view history runs back into records the
+        # checkpoints trimmed: both rebuild what they still can, and fail
+        # alike on the rest.
+        history = system.history()
+        assert _outcome(build_client_views, history, system.clients) == _outcome(
+            _views_from_shadows, history, system.clients
+        )
+        merged = merge_vh_records(system.clients)
+        shadows = {}
+        for client in system.clients:
+            shadows.update(client.vh_records.shadow)
+        assert merged == shadows
+        assert [_outcome(reconstruct_view_history, merged, key) for key in merged] == [
+            _outcome(reconstruct_view_history, shadows, key) for key in shadows
+        ]
+
+
+def _outcome(function, *args):
+    """What ``function(*args)`` returns, or the message it raises."""
+    try:
+        return function(*args)
+    except ProtocolError as exc:
+        return str(exc)
